@@ -2,10 +2,10 @@
 //!
 //! Runs a fixed, seeded workload twice over the manager — the §7.1
 //! office scenario (admission, prediction, claim refresh, handoffs) and
-//! a channel-fade adaptation driver once per maxmin engine (full,
-//! incremental, sharded) — with a recording observer attached, then
-//! reduces the `arm_obs` phase timers to one **ns/event** figure per
-//! subsystem (span-weighted mean `wall_us × 1000` across both runs).
+//! a channel-fade adaptation driver (maxmin) — with a recording
+//! observer attached, then reduces the `arm_obs` phase timers to one
+//! **ns/event** figure per subsystem (span-weighted mean
+//! `wall_us × 1000` across both runs).
 //!
 //! ```text
 //! perf_budget            # measure, print the table, gate against PERF_BUDGET.json
@@ -82,16 +82,13 @@ fn office_phases() -> Vec<PhaseSummary> {
     obs.phase_summaries()
 }
 
-/// Channel-fade adaptation rounds through one maxmin engine
-/// configuration, so each engine's phase gets its own spans.
-fn adaptation_phases(incremental: bool, sharded: bool) -> Vec<PhaseSummary> {
+/// Channel-fade adaptation rounds: the `maxmin` phase's spans.
+fn adaptation_phases() -> Vec<PhaseSummary> {
     let f4 = Figure4::build();
     let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
     let cfg = ManagerConfig {
         strategy: Strategy::None,
         resolve_excess: true,
-        incremental,
-        sharded,
         dyn_pool: None,
         t_th: SimDuration::from_secs(0),
         ..Default::default()
@@ -120,13 +117,7 @@ fn adaptation_phases(incremental: bool, sharded: bool) -> Vec<PhaseSummary> {
 /// Span-weighted mean ns/event per phase across every run.
 fn measure() -> Vec<PhaseBudget> {
     let mut acc: BTreeMap<String, (f64, u64)> = BTreeMap::new();
-    let runs = [
-        office_phases(),
-        adaptation_phases(false, false), // maxmin-full
-        adaptation_phases(true, false),  // maxmin-incremental
-        adaptation_phases(false, true),  // maxmin-sharded
-    ];
-    for summary in runs.into_iter().flatten() {
+    for summary in office_phases().into_iter().chain(adaptation_phases()) {
         if summary.spans == 0 {
             continue;
         }

@@ -540,7 +540,6 @@ fn obs_events_value() -> Value {
         },
         ObsEvent::MaxminRound {
             t,
-            incremental: true,
             conns_resolved: 3,
             conns_reused: 9,
             shards: 2,

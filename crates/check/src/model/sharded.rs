@@ -514,62 +514,10 @@ impl TransitionSystem for ShardedSystem {
         if let Some(v) = &s.violation {
             return Err(v.clone());
         }
+        // Routing maps: total, consistent, shards pairwise disjoint —
+        // the planner's own predicate, the one snapshot restore runs.
+        s.sh.check_routing()?;
         let view = s.sh.shard_view();
-        // Routing maps: total, consistent, shards pairwise disjoint.
-        let mut seen_links: BTreeSet<LinkId> = BTreeSet::new();
-        let mut seen_conns: BTreeSet<ConnId> = BTreeSet::new();
-        for e in &view.shards {
-            for l in &e.links {
-                if !seen_links.insert(*l) {
-                    return Err(format!("link {l} lives in two shards"));
-                }
-                if view.link_shard.get(l) != Some(&e.slot) {
-                    return Err(format!(
-                        "link routing inconsistent: shard {} holds {l} but \
-                         link_shard maps it to {:?}",
-                        e.slot,
-                        view.link_shard.get(l)
-                    ));
-                }
-            }
-            for c in &e.conns {
-                if !seen_conns.insert(*c) {
-                    return Err(format!("conn {c} lives in two shards"));
-                }
-                if view.conn_shard.get(c) != Some(&e.slot) {
-                    return Err(format!(
-                        "conn routing inconsistent: shard {} holds {c} but \
-                         conn_shard maps it to {:?}",
-                        e.slot,
-                        view.conn_shard.get(c)
-                    ));
-                }
-            }
-        }
-        if view.link_shard.len() != seen_links.len() {
-            let dangling: Vec<String> = view
-                .link_shard
-                .keys()
-                .filter(|l| !seen_links.contains(l))
-                .map(ToString::to_string)
-                .collect();
-            return Err(format!(
-                "link routing not total: dangling entries for [{}]",
-                dangling.join(", ")
-            ));
-        }
-        if view.conn_shard.len() != seen_conns.len() {
-            let dangling: Vec<String> = view
-                .conn_shard
-                .keys()
-                .filter(|c| !seen_conns.contains(c))
-                .map(ToString::to_string)
-                .collect();
-            return Err(format!(
-                "conn routing not total: dangling entries for [{}]",
-                dangling.join(", ")
-            ));
-        }
         // Mutant bookkeeping: entries a buggy remove_link would retain.
         for (l, slot) in &s.ghosts {
             let held = view

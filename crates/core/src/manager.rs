@@ -25,6 +25,7 @@
 //! state — O(cells × portables) per event, trivially fast at indoor
 //! scale and much easier to audit than incremental updates.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_mobility::environment::IndoorEnvironment;
@@ -77,19 +78,6 @@ pub struct ManagerConfig {
     /// connections have adaptable ranges; fixed-rate experiments skip it
     /// for speed).
     pub resolve_excess: bool,
-    /// Resolve conflicts through the resident incremental maxmin engine
-    /// (dirty-region re-fill) instead of rebuilding the whole problem
-    /// each round. Bit-identical results either way — see
-    /// `arm_qos::maxmin::incremental`; off switches back to the
-    /// from-scratch path for differential testing.
-    pub incremental: bool,
-    /// Resolve conflicts through the campus-scale sharded planner
-    /// (`arm_qos::maxmin::sharded`): per-component shards, coalesced
-    /// dirty batches, worker-pool parallel re-solve. Takes precedence
-    /// over `incremental`. Bit-identical to both other paths (chaos
-    /// differential test); off by default — the sequential engine wins
-    /// below a few thousand connections.
-    pub sharded: bool,
     /// Pre-establish §4's wired multicast branches toward a mobile's
     /// neighbouring cells (failures non-fatal).
     pub multicast: bool,
@@ -114,8 +102,6 @@ impl Default for ManagerConfig {
             slot: SimDuration::from_mins(1),
             per_user_kbps: 28.0,
             resolve_excess: false,
-            incremental: true,
-            sharded: false,
             multicast: true,
             delta: 0.0,
             drop_on_link_failure: false,
@@ -170,17 +156,15 @@ pub struct ResourceManager {
     last_excess: BTreeMap<LinkId, f64>,
     /// Adaptation rounds actually run (eqn-2 triggered).
     pub adaptation_rounds: u64,
-    /// Resident incremental maxmin engine (public so drivers and tests
-    /// can inspect its work-saved counters).
-    pub maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin,
-    /// Campus-scale sharded maxmin planner, active when
-    /// [`ManagerConfig::sharded`] is set (public for the same
-    /// inspection reasons as `maxmin`).
-    pub sharded: arm_qos::maxmin::sharded::ShardedMaxmin,
-    /// Worker pool for shard-parallel resolves. Built alongside the
-    /// manager when `cfg.sharded` is set; never snapshotted (threads
-    /// are process state, rebuilt on restore).
-    pool: Option<arm_pool::WorkerPool>,
+    /// Resident maxmin engine: the sharded planner over per-component
+    /// incremental engines (public so drivers and tests can inspect its
+    /// work-saved counters).
+    pub maxmin: arm_qos::maxmin::sharded::ShardedMaxmin,
+    /// Worker pool for shard-parallel resolves, spawned by the first
+    /// adaptation round big enough to dispatch (see
+    /// [`arm_qos::conflict::resolve_network`]). Never snapshotted:
+    /// threads are process state.
+    pool: OnceCell<arm_pool::WorkerPool>,
     /// Resident buffers for the adaptation round's conflict resolver.
     /// Pure scratch (cleared before each use), never snapshotted.
     resolve_scratch: arm_qos::conflict::ResolveScratch,
@@ -257,7 +241,6 @@ impl ResourceManager {
         let metrics = Metrics::new(cfg.slot);
         let calendar = Self::seed_calendar(&net);
         let path_cache = TopologyPathCache::build(net.topology(), server_node);
-        let pool = cfg.sharded.then(arm_pool::WorkerPool::with_default_threads);
         ResourceManager {
             net,
             env,
@@ -272,9 +255,8 @@ impl ResourceManager {
             multicast: MulticastState::new(),
             last_excess: BTreeMap::new(),
             adaptation_rounds: 0,
-            maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
-            sharded: arm_qos::maxmin::sharded::ShardedMaxmin::new(),
-            pool,
+            maxmin: arm_qos::maxmin::sharded::ShardedMaxmin::new(),
+            pool: OnceCell::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
@@ -350,7 +332,6 @@ impl ResourceManager {
             last_excess: self.last_excess.clone(),
             adaptation_rounds: self.adaptation_rounds,
             maxmin: self.maxmin.clone(),
-            sharded: self.sharded.clone(),
             channel_renegotiations: self.channel_renegotiations,
             server_node: self.server_node,
             down_links: self.down_links.clone(),
@@ -373,13 +354,8 @@ impl ResourceManager {
     pub fn restore(snap: ManagerSnapshot, obs: Obs) -> Result<Self, SnapshotError> {
         snap.validate()?;
         // The path cache is a pure function of the static topology, so
-        // it is rebuilt here rather than snapshotted. The worker pool is
-        // process state (threads), likewise rebuilt.
+        // it is rebuilt here rather than snapshotted.
         let path_cache = TopologyPathCache::build(snap.net.topology(), snap.server_node);
-        let pool = snap
-            .cfg
-            .sharded
-            .then(arm_pool::WorkerPool::with_default_threads);
         Ok(ResourceManager {
             net: snap.net,
             env: snap.env,
@@ -395,8 +371,7 @@ impl ResourceManager {
             last_excess: snap.last_excess,
             adaptation_rounds: snap.adaptation_rounds,
             maxmin: snap.maxmin,
-            sharded: snap.sharded,
-            pool,
+            pool: OnceCell::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
@@ -1367,36 +1342,23 @@ impl ResourceManager {
     /// Dirty a connection's current route in the resident maxmin engine.
     ///
     /// Called at every admit/release/handoff/failure site. Correctness
-    /// does not hinge on these marks — `resolve_network_incremental`
+    /// does not hinge on these marks — `conflict::resolve_network`
     /// diff-syncs the engine against the ledgers before each round — but
     /// eager marks keep the dirty set honest while the eqn-2 gate holds
     /// adaptation closed across several events.
     fn mark_conn_dirty(&mut self, id: ConnId) {
-        if !self.cfg.incremental && !self.cfg.sharded {
-            return;
-        }
         // Disjoint field borrows: the route is read from `net` while the
-        // engines take the marks — no per-event route clone.
+        // engine takes the marks — no per-event route clone.
         if let Some(c) = self.net.get(id) {
-            if self.cfg.sharded {
-                for l in &c.route.links {
-                    self.sharded.touch_link(*l);
-                }
-            } else {
-                for l in &c.route.links {
-                    self.maxmin.touch_link(*l);
-                }
+            for l in &c.route.links {
+                self.maxmin.touch_link(*l);
             }
         }
     }
 
     /// Dirty one link in the resident maxmin engine.
     fn mark_link_dirty(&mut self, l: LinkId) {
-        if self.cfg.sharded {
-            self.sharded.touch_link(l);
-        } else if self.cfg.incremental {
-            self.maxmin.touch_link(l);
-        }
+        self.maxmin.touch_link(l);
     }
 
     fn after_event(&mut self, now: SimTime) {
@@ -1404,68 +1366,47 @@ impl ResourceManager {
         if self.cfg.resolve_excess && self.adaptation_triggered() {
             self.adaptation_rounds += 1;
             let round_tok = self.obs.phase_start(now);
-            let stats_before = self.maxmin.stats;
-            let statics: std::collections::BTreeSet<PortableId> = self
+            // The engine counters feed only the `MaxminRound` event.
+            let before = self.obs.is_on().then(|| {
+                (
+                    self.maxmin.engine_stats(),
+                    self.maxmin.stats.shards_resolved,
+                )
+            });
+            // One scan into a set, not a `portables` lookup per call: the
+            // resolver asks twice per live connection, and with 1,000
+            // portables (most of them mobile, so the set is small) the
+            // per-call lookups measured 29 % slower end to end.
+            let test = StaticMobileTest::new(self.cfg.t_th);
+            let statics: BTreeSet<PortableId> = self
                 .portables
                 .iter()
-                .filter(|(_, s)| StaticMobileTest::new(self.cfg.t_th).is_static(s.entered_at, now))
+                .filter(|(_, s)| test.is_static(s.entered_at, now))
                 .map(|(p, _)| *p)
                 .collect();
-            let shard_stats_before = (self.sharded.engine_stats(), self.sharded.stats);
-            let is_static = move |p: PortableId| statics.contains(&p);
-            if self.cfg.sharded {
-                arm_qos::conflict::resolve_network_sharded(
-                    &mut self.net,
-                    &is_static,
-                    &mut self.sharded,
-                    self.pool.as_ref(),
-                    &mut self.resolve_scratch,
-                );
-            } else if self.cfg.incremental {
-                arm_qos::conflict::resolve_network_incremental(
-                    &mut self.net,
-                    &is_static,
-                    &mut self.maxmin,
-                    &mut self.resolve_scratch,
-                );
-            } else {
-                arm_qos::conflict::resolve_network_with_policy(&mut self.net, &is_static);
+            let is_static = |p: PortableId| statics.contains(&p);
+            arm_qos::conflict::resolve_network(
+                &mut self.net,
+                &is_static,
+                &mut self.maxmin,
+                &self.pool,
+                &mut self.resolve_scratch,
+            );
+            self.obs.phase_end(Phase::Maxmin, round_tok, now);
+            if let Some((before, shards_before)) = before {
+                // Engine counters aggregate over shards; `shards` carries
+                // how many resolved this round.
+                let after = self.maxmin.engine_stats();
+                self.obs.emit(ObsEvent::MaxminRound {
+                    t: now,
+                    conns_resolved: after.conns_resolved - before.conns_resolved,
+                    conns_reused: after.conns_reused - before.conns_reused,
+                    shards: self.maxmin.stats.shards_resolved - shards_before,
+                    cause: "eqn2-adaptation".to_string(),
+                });
             }
-            let phase = if self.cfg.sharded {
-                Phase::MaxminSharded
-            } else if self.cfg.incremental {
-                Phase::MaxminIncremental
-            } else {
-                Phase::MaxminFull
-            };
-            self.obs.phase_end(phase, round_tok, now);
-            let incremental = self.cfg.incremental || self.cfg.sharded;
-            // Per-shard attribution: engine counters aggregate over
-            // shards, and `shards` carries how many resolved this round.
-            let (stats_after, shards) = if self.cfg.sharded {
-                (
-                    self.sharded.engine_stats(),
-                    self.sharded.stats.shards_resolved - shard_stats_before.1.shards_resolved,
-                )
-            } else {
-                (self.maxmin.stats, 0)
-            };
-            let stats_before = if self.cfg.sharded {
-                shard_stats_before.0
-            } else {
-                stats_before
-            };
-            self.obs.emit_with(|| ObsEvent::MaxminRound {
-                t: now,
-                incremental,
-                conns_resolved: stats_after.conns_resolved - stats_before.conns_resolved,
-                conns_reused: stats_after.conns_reused - stats_before.conns_reused,
-                shards,
-                cause: "eqn2-adaptation".to_string(),
-            });
             // Record the post-round excess as eqn 2's t⁻ state.
-            let cells: Vec<CellId> = self.env.cells().map(|(id, _)| id).collect();
-            for c in cells {
+            for (c, _) in self.env.cells() {
                 let wl = self.net.topology().wireless_link(c);
                 self.last_excess
                     .insert(wl, self.net.link(wl).excess_available());

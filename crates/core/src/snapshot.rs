@@ -7,9 +7,9 @@
 //!
 //! * **complete** — every field that influences a future decision is
 //!   captured: the network ledgers, zoned profiles, per-cell policy
-//!   state, the resident incremental maxmin engine (including its
-//!   dirty set and work counters), fault state (down links/zones,
-//!   doomed handoffs), and all metrics;
+//!   state, the resident maxmin planner (including its shards' dirty
+//!   sets and work counters), fault state (down links/zones, doomed
+//!   handoffs), and all metrics;
 //! * **exact** — serialization is byte-stable: serialize →
 //!   deserialize → re-serialize yields the identical string
 //!   ([`ManagerSnapshot::to_json`] verifies this on every call, the
@@ -30,7 +30,6 @@ use arm_mobility::environment::IndoorEnvironment;
 use arm_net::ids::{CellId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::Network;
 use arm_profiles::ZonedProfiles;
-use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use arm_qos::maxmin::sharded::ShardedMaxmin;
 use arm_reservation::cafeteria::CafeteriaPredictor;
 use arm_reservation::default_cell::OneStepMemory;
@@ -46,8 +45,10 @@ use crate::multicast::MulticastState;
 /// field set of [`ManagerSnapshot`] or of anything it transitively
 /// serializes. v2 added the slotted advance-reservation `calendar`
 /// (DESIGN.md §11); v3 added the campus-scale `sharded` maxmin planner
-/// and its `ManagerConfig::sharded` switch (DESIGN.md §12).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 3;
+/// and its `ManagerConfig::sharded` switch (DESIGN.md §12); v4 made
+/// that planner the only engine: `ManagerConfig::{incremental, sharded}`
+/// and the second engine field are gone, the planner is `maxmin`.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,8 +105,7 @@ pub struct ManagerSnapshot {
     pub(crate) multicast: MulticastState,
     pub(crate) last_excess: BTreeMap<LinkId, f64>,
     pub(crate) adaptation_rounds: u64,
-    pub(crate) maxmin: IncrementalMaxmin,
-    pub(crate) sharded: ShardedMaxmin,
+    pub(crate) maxmin: ShardedMaxmin,
     pub(crate) channel_renegotiations: u64,
     pub(crate) server_node: NodeId,
     pub(crate) down_links: BTreeSet<LinkId>,
@@ -163,7 +163,9 @@ impl ManagerSnapshot {
     }
 
     /// Validate internal consistency without building a manager: the
-    /// network ledgers must balance and the schema must match.
+    /// schema must match, the network ledgers must balance, and the
+    /// planner's routing maps must agree with its shards (every event
+    /// indexes shards straight from those maps).
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
@@ -173,6 +175,9 @@ impl ManagerSnapshot {
         }
         self.net
             .check_invariants()
+            .map_err(SnapshotError::Invalid)?;
+        self.maxmin
+            .check_routing()
             .map_err(SnapshotError::Invalid)?;
         self.calendar
             .validate()

@@ -273,10 +273,7 @@ mod tests {
         a.intern(ConnId(1)); // slot 1
         a.intern(ConnId(5)); // slot 2
         let order: Vec<(ConnId, u32)> = a.iter().collect();
-        assert_eq!(
-            order,
-            vec![(ConnId(1), 1), (ConnId(5), 2), (ConnId(9), 0)]
-        );
+        assert_eq!(order, vec![(ConnId(1), 1), (ConnId(5), 2), (ConnId(9), 0)]);
     }
 
     #[test]

@@ -316,9 +316,8 @@ impl LinkState {
         consume_claim: bool,
     ) -> Result<(), LedgerError> {
         assert!(b_min >= 0.0 && buffer >= 0.0);
-        let at = match self.pos(conn) {
-            Ok(_) => return Err(LedgerError::DuplicateConn),
-            Err(at) => at,
+        let Err(at) = self.pos(conn) else {
+            return Err(LedgerError::DuplicateConn);
         };
         let admissible = if consume_claim {
             self.admits_with_claim(conn, b_min)

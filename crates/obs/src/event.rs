@@ -56,20 +56,15 @@ pub enum ObsEvent {
         /// Why (e.g. `admitted`, `blocked`).
         cause: String,
     },
-    /// One maxmin re-solve over the network (incremental, sharded, or
-    /// full).
+    /// One maxmin re-solve over the network.
     MaxminRound {
         /// Sim-time of the round.
         t: SimTime,
-        /// Whether a resident engine (incremental or sharded) handled
-        /// it.
-        incremental: bool,
         /// Connections whose rates were recomputed this round.
         conns_resolved: u64,
         /// Connections whose cached rates were reused.
         conns_reused: u64,
-        /// Dirty shards resolved by the campus-scale sharded planner
-        /// this round; 0 on the non-sharded paths.
+        /// Dirty shards the planner resolved this round.
         shards: u64,
         /// What triggered the round (e.g. `admit`, `handoff`,
         /// `link-failed`, `eqn2-adaptation`).

@@ -15,8 +15,10 @@ use arm_sim::stats::Histogram;
 /// Bump when the report shape changes (with the pinned key list in
 /// `tests/schema.rs`). The event taxonomy counts as shape: v2 added
 /// the calendar kinds (`ReservationConfirmed`, `ReservationMolded`,
-/// `CoAllocationOutcome`) to the `events` section.
-pub const SCHEMA_VERSION: u32 = 3;
+/// `CoAllocationOutcome`) to the `events` section; v4 folded the three
+/// per-engine maxmin phases into one `maxmin` and dropped
+/// `MaxminRound::incremental` (one engine in production).
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Summary statistics of one [`Histogram`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -33,12 +33,9 @@ use crate::report::{HistSummary, PhaseSummary};
 pub enum Phase {
     /// One admission round-trip (request → decision).
     Admission,
-    /// A maxmin re-solve handled by the resident incremental engine.
-    MaxminIncremental,
-    /// A maxmin re-solve handled by the campus-scale sharded planner.
-    MaxminSharded,
-    /// A maxmin re-solve that fell back to the full solver.
-    MaxminFull,
+    /// One eqn-2 adaptation round: the maxmin re-solve plus rate
+    /// application.
+    Maxmin,
     /// A per-slot prediction update (predictor observe + claim sizing).
     PredictionUpdate,
     /// A claims refresh sweep.
@@ -49,11 +46,9 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in schema order.
-    pub const ALL: [Phase; 7] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Admission,
-        Phase::MaxminIncremental,
-        Phase::MaxminSharded,
-        Phase::MaxminFull,
+        Phase::Maxmin,
         Phase::PredictionUpdate,
         Phase::ClaimRefresh,
         Phase::Handoff,
@@ -63,9 +58,7 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::Admission => "admission",
-            Phase::MaxminIncremental => "maxmin-incremental",
-            Phase::MaxminSharded => "maxmin-sharded",
-            Phase::MaxminFull => "maxmin-full",
+            Phase::Maxmin => "maxmin",
             Phase::PredictionUpdate => "prediction-update",
             Phase::ClaimRefresh => "claim-refresh",
             Phase::Handoff => "handoff",
@@ -75,12 +68,10 @@ impl Phase {
     fn index(self) -> usize {
         match self {
             Phase::Admission => 0,
-            Phase::MaxminIncremental => 1,
-            Phase::MaxminSharded => 2,
-            Phase::MaxminFull => 3,
-            Phase::PredictionUpdate => 4,
-            Phase::ClaimRefresh => 5,
-            Phase::Handoff => 6,
+            Phase::Maxmin => 1,
+            Phase::PredictionUpdate => 2,
+            Phase::ClaimRefresh => 3,
+            Phase::Handoff => 4,
         }
     }
 }
@@ -212,15 +203,15 @@ mod tests {
             wall: Some(Instant::now()),
             sim_start: SimTime::from_secs(1),
         };
-        timers.record(Phase::MaxminFull, tok, SimTime::from_secs(3));
-        let t = timers.get(Phase::MaxminFull);
+        timers.record(Phase::Maxmin, tok, SimTime::from_secs(3));
+        let t = timers.get(Phase::Maxmin);
         assert_eq!(t.spans(), 1);
         assert_eq!(t.sim_us.count(), 1);
         // 2 s of sim time = 2e6 µs.
         assert!((t.sim_us.max() - 2.0e6).abs() < 1.0);
         let sums = timers.summaries();
         assert_eq!(sums.len(), 1);
-        assert_eq!(sums[0].phase, "maxmin-full");
+        assert_eq!(sums[0].phase, "maxmin");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -60,12 +60,23 @@ impl WorkerPool {
         }
     }
 
-    /// Spawn a pool sized to the machine: `available_parallelism` minus
-    /// one (leave a core for the caller), clamped to `[1, 8]`.
+    /// The worker count [`Self::with_default_threads`] spawns:
+    /// `available_parallelism` minus one (leave a core for the caller),
+    /// clamped to `[1, 8]`. Sampled once — callers that spawn lazily ask
+    /// on their hot path, and the OS query is slow.
+    #[must_use]
+    pub fn default_threads() -> usize {
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        *THREADS.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
+            cores.saturating_sub(1).clamp(1, 8)
+        })
+    }
+
+    /// Spawn a pool sized to the machine ([`Self::default_threads`]).
     #[must_use]
     pub fn with_default_threads() -> Self {
-        let cores = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
-        Self::new(cores.saturating_sub(1).clamp(1, 8))
+        Self::new(Self::default_threads())
     }
 
     /// Number of worker threads.

@@ -343,7 +343,7 @@ fn second_static_admission_shares_fairly() {
     // excess recorded: advertised = (1400 − ...) — it gets a positive
     // share and the conflict resolver evens things out afterwards.
     assert!(out_b.b_granted >= 100.0);
-    crate::conflict::resolve_network(&mut net);
+    crate::conflict::reference::resolve_network(&mut net);
     let ra = net.get(a).unwrap().b_current;
     let rb = net.get(b).unwrap().b_current;
     assert!((ra - 800.0).abs() < 1e-6, "ra={ra}");

@@ -16,19 +16,22 @@
 //! large-scale experiments (one call per admission/handoff/departure
 //! epoch); the message-level path is
 //! [`crate::maxmin::distributed::DistributedMaxmin`].
+//!
+//! [`resolve_network`] is the one resolver, run against the manager's
+//! resident [`ShardedMaxmin`] planner. The from-scratch solvers in the
+//! test-only `reference` module are what it is compared against.
+
+use std::cell::OnceCell;
 
 use arm_net::ids::ConnId;
 use arm_net::{Network, PortableId};
 use arm_pool::WorkerPool;
 
-use crate::maxmin::centralized::{apply_allocation, MaxminProblem};
-use crate::maxmin::incremental::IncrementalMaxmin;
 use crate::maxmin::sharded::ShardedMaxmin;
 
-/// Resident buffers for the hot resolver entry points
-/// ([`resolve_network_incremental`] / [`resolve_network_sharded`]), so a
-/// steady-state adaptation round allocates nothing: the caller keeps one
-/// of these alive across rounds and the buffers' capacity is reused.
+/// Resident buffers for [`resolve_network`], so a steady-state
+/// adaptation round allocates nothing: the caller keeps one of these
+/// alive across rounds and the buffers' capacity is reused.
 #[derive(Clone, Debug, Default)]
 pub struct ResolveScratch {
     /// Mobile connections pinned to their floors this round.
@@ -40,9 +43,15 @@ pub struct ResolveScratch {
     changes: Vec<(ConnId, f64)>,
 }
 
-/// Pin every mobile portable's connection at its floor (§3.4.2), filling
-/// `mobile` with their ids. Shared prologue of every policy resolver.
-fn pin_mobiles(net: &mut Network, is_static: &dyn Fn(PortableId) -> bool, mobile: &mut Vec<ConnId>) {
+/// Pin every mobile portable's connection at its floor (§3.4.2 — "the
+/// QoS for its connections are kept at the pre-negotiated minimum
+/// level"), filling `mobile` with their ids, so only static portables'
+/// connections compete for the excess.
+fn pin_mobiles(
+    net: &mut Network,
+    is_static: &dyn Fn(PortableId) -> bool,
+    mobile: &mut Vec<ConnId>,
+) {
     mobile.clear();
     mobile.extend(
         net.live_connections()
@@ -64,10 +73,11 @@ fn pin_mobiles(net: &mut Network, is_static: &dyn Fn(PortableId) -> bool, mobile
 /// Apply solver targets to `candidates` only, using resident buffers.
 /// Returns the number of connections whose rate actually changed.
 ///
-/// Bit-identical to [`apply_allocation`] over the full allocation when
-/// every connection *outside* `candidates` already sits at its frozen
-/// target (the engines' `last_resolved` contract guarantees exactly
-/// that): such connections would contribute no change entry, and sorting
+/// Bit-identical to
+/// [`apply_allocation`](crate::maxmin::centralized::apply_allocation)
+/// over the full allocation when every connection *outside* `candidates`
+/// already sits at its frozen target (the engines' `last_resolved`
+/// contract guarantees exactly that): such connections would contribute no change entry, and sorting
 /// the candidates ascending reproduces the full path's pre-sort scan
 /// order, so the decreases-first stable sort yields the same application
 /// sequence and therefore the same incremental ledger-sum arithmetic.
@@ -105,105 +115,28 @@ fn apply_changed(
     changes.len()
 }
 
-/// Recompute the maxmin division of excess bandwidth over the whole
-/// network and apply it to every live connection. Returns the number of
-/// connections whose rate changed.
-pub fn resolve_network(net: &mut Network) -> usize {
-    let problem = MaxminProblem::from_network(net);
-    let alloc = problem.solve();
-    let before: Vec<(ConnId, f64)> = net
-        .live_connections()
-        .map(|c| (c.id, c.b_current))
-        .collect();
-    apply_allocation(net, &alloc);
-    before
-        .into_iter()
-        .filter(|(id, old)| {
-            net.get(*id)
-                .is_some_and(|c| (c.b_current - old).abs() > 1e-9)
-        })
-        .count()
-}
-
-/// Like [`resolve_network`], but honouring the paper's static/mobile
-/// policy: connections of *mobile* portables are pinned at `b_min`
-/// (§3.4.2 — "the QoS for its connections are kept at the pre-negotiated
-/// minimum level"), so only static portables' connections compete for the
-/// excess.
-pub fn resolve_network_with_policy(
-    net: &mut Network,
-    is_static: &dyn Fn(PortableId) -> bool,
-) -> usize {
-    // Pin mobile connections at their floors first (frees excess).
-    let mut mobile: Vec<ConnId> = Vec::new();
-    pin_mobiles(net, is_static, &mut mobile);
-    // Solve maxmin over static connections only.
-    let mut problem = MaxminProblem::from_network(net);
-    problem
-        .conns
-        .retain(|id, _| net.get(*id).is_some_and(|c| is_static(c.portable)));
-    let alloc = problem.solve();
-    let changed = alloc
-        .iter()
-        .filter(|(id, x)| {
-            net.get(**id)
-                .is_some_and(|c| (c.qos.b_min + **x - c.b_current).abs() > 1e-9)
-        })
-        .count();
-    apply_allocation(net, &alloc);
-    changed + mobile.len()
-}
-
-/// Like [`resolve_network_with_policy`], but against a resident
-/// [`IncrementalMaxmin`] engine instead of rebuilding the problem from
-/// scratch. The engine is diff-synced with the network (so only genuine
-/// changes dirty anything) and re-fills only the dirty region; the
-/// resulting rates are bit-identical to [`resolve_network_with_policy`]
-/// because both paths run the same per-component water-filling on the
-/// same inputs (see `arm_qos::maxmin::incremental` module docs).
-pub fn resolve_network_incremental(
-    net: &mut Network,
-    is_static: &dyn Fn(PortableId) -> bool,
-    engine: &mut IncrementalMaxmin,
-    scratch: &mut ResolveScratch,
-) -> usize {
-    let ResolveScratch {
-        mobile,
-        changed,
-        changes,
-    } = scratch;
-    // Pin mobile connections at their floors first (frees excess).
-    pin_mobiles(net, is_static, mobile);
-    // Sync the engine to the static connections' demand side and every
-    // link's excess, then re-fill whatever that dirtied. Connections
-    // outside `last_resolved` kept their frozen rate bit-for-bit (their
-    // component was untouched), so rate application is restricted to
-    // that list — the steady-state round touches no other ledger entry.
-    engine.sync_network(net, &|c| is_static(c.portable));
-    engine.resolve();
-    changed.clear();
-    changed.extend_from_slice(engine.last_resolved());
-    let n = apply_changed(
-        net,
-        changed,
-        |id| engine.allocation().get(&id).copied(),
-        changes,
-    );
-    n + mobile.len()
-}
-
-/// Like [`resolve_network_incremental`], but against the campus-scale
-/// [`ShardedMaxmin`] planner: the diff-sync routes every change through
-/// the shard planner, and the round resolves only dirty shards — on
-/// `pool` when given. Bit-identical to the sequential paths (see the
-/// `arm_qos::maxmin::sharded` determinism contract). Returns the number
-/// of connections whose rate changed plus pinned mobile connections,
-/// exactly like the other resolver entry points.
-pub fn resolve_network_sharded(
+/// Re-divide the excess maxmin-fairly among static portables'
+/// connections and move the ledgers to it (§5.2), mobiles pinned at
+/// their floors. The planner is diff-synced with the network (so only
+/// genuine changes dirty anything) and re-fills only dirty shards; the
+/// resulting rates are bit-identical to a from-scratch
+/// [`MaxminProblem`](crate::maxmin::centralized::MaxminProblem) solve
+/// because both run the same per-component water-filling on the same
+/// inputs (see the `arm_qos::maxmin::sharded` determinism contract).
+/// Returns the number of connections whose rate changed plus pinned
+/// mobile connections.
+///
+/// `pool` starts empty and is spawned by the first round big enough to
+/// dispatch (the planner's [`PoolDispatch::Auto`] test), and never on a
+/// host that would give it a single worker — so small deployments start
+/// no threads.
+///
+/// [`PoolDispatch::Auto`]: crate::maxmin::sharded::PoolDispatch::Auto
+pub fn resolve_network(
     net: &mut Network,
     is_static: &dyn Fn(PortableId) -> bool,
     engine: &mut ShardedMaxmin,
-    pool: Option<&WorkerPool>,
+    pool: &OnceCell<WorkerPool>,
     scratch: &mut ResolveScratch,
 ) -> usize {
     let ResolveScratch {
@@ -215,16 +148,84 @@ pub fn resolve_network_sharded(
     pin_mobiles(net, is_static, mobile);
     engine.sync_network(net, &|c| is_static(c.portable));
     changed.clear();
-    engine.resolve_all_collect(pool, changed);
+    engine.resolve_all_collect(
+        || {
+            (WorkerPool::default_threads() > 1)
+                .then(|| pool.get_or_init(WorkerPool::with_default_threads))
+        },
+        changed,
+    );
     // Per-conn `rate()` lookups instead of a merged-allocation clone:
-    // only re-filled connections are looked up or re-applied.
+    // only re-filled connections are looked up or re-applied. Every
+    // other connection kept its frozen rate bit-for-bit (its shard was
+    // clean), so the steady-state round touches no other ledger entry.
     let n = apply_changed(net, changed, |id| engine.rate(id), changes);
     n + mobile.len()
+}
+
+/// From-scratch resolvers: rebuild the whole `MaxminProblem` from the
+/// network and solve it. The reference [`resolve_network`] is tested
+/// against, compiled for tests only so nothing else can call it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use arm_net::ids::ConnId;
+    use arm_net::{Network, PortableId};
+
+    use super::pin_mobiles;
+    use crate::maxmin::centralized::{apply_allocation, MaxminProblem};
+
+    /// Recompute the maxmin division of excess bandwidth over the whole
+    /// network and apply it to every live connection. Returns the number
+    /// of connections whose rate changed.
+    pub fn resolve_network(net: &mut Network) -> usize {
+        let problem = MaxminProblem::from_network(net);
+        let alloc = problem.solve();
+        let before: Vec<(ConnId, f64)> = net
+            .live_connections()
+            .map(|c| (c.id, c.b_current))
+            .collect();
+        apply_allocation(net, &alloc);
+        before
+            .into_iter()
+            .filter(|(id, old)| {
+                net.get(*id)
+                    .is_some_and(|c| (c.b_current - old).abs() > 1e-9)
+            })
+            .count()
+    }
+
+    /// Like [`resolve_network`], but honouring the paper's static/mobile
+    /// policy: connections of *mobile* portables are pinned at `b_min`,
+    /// so only static portables' connections compete for the excess.
+    pub fn resolve_network_with_policy(
+        net: &mut Network,
+        is_static: &dyn Fn(PortableId) -> bool,
+    ) -> usize {
+        // Pin mobile connections at their floors first (frees excess).
+        let mut mobile: Vec<ConnId> = Vec::new();
+        pin_mobiles(net, is_static, &mut mobile);
+        // Solve maxmin over static connections only.
+        let mut problem = MaxminProblem::from_network(net);
+        problem
+            .conns
+            .retain(|id, _| net.get(*id).is_some_and(|c| is_static(c.portable)));
+        let alloc = problem.solve();
+        let changed = alloc
+            .iter()
+            .filter(|(id, x)| {
+                net.get(**id)
+                    .is_some_and(|c| (c.qos.b_min + **x - c.b_current).abs() > 1e-9)
+            })
+            .count();
+        apply_allocation(net, &alloc);
+        changed + mobile.len()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maxmin::centralized::apply_allocation;
     use arm_net::flowspec::QosRequest;
     use arm_net::ids::{CellId, NodeId};
     use arm_net::routing::shortest_path;
@@ -267,7 +268,7 @@ mod tests {
         let (mut net, cell) = one_cell_net();
         let a = admit_local(&mut net, cell, 0, QosRequest::bandwidth(100.0, 2000.0));
         let b = admit_local(&mut net, cell, 1, QosRequest::bandwidth(100.0, 2000.0));
-        resolve_network(&mut net);
+        reference::resolve_network(&mut net);
         // 1000 capacity, floors 200, excess 800 → 400 each → 500 each.
         assert!((net.get(a).unwrap().b_current - 500.0).abs() < 1e-6);
         assert!((net.get(b).unwrap().b_current - 500.0).abs() < 1e-6);
@@ -279,7 +280,7 @@ mod tests {
         let (mut net, cell) = one_cell_net();
         let a = admit_local(&mut net, cell, 0, QosRequest::bandwidth(100.0, 250.0));
         let b = admit_local(&mut net, cell, 1, QosRequest::bandwidth(100.0, 2000.0));
-        resolve_network(&mut net);
+        reference::resolve_network(&mut net);
         assert!((net.get(a).unwrap().b_current - 250.0).abs() < 1e-6);
         // b takes the rest: 1000 − 250 = 750.
         assert!((net.get(b).unwrap().b_current - 750.0).abs() < 1e-6);
@@ -289,11 +290,11 @@ mod tests {
     fn new_admission_squeezes_then_resolves() {
         let (mut net, cell) = one_cell_net();
         let a = admit_local(&mut net, cell, 0, QosRequest::bandwidth(100.0, 2000.0));
-        resolve_network(&mut net);
+        reference::resolve_network(&mut net);
         assert!((net.get(a).unwrap().b_current - 1000.0).abs() < 1e-6);
         // Conflict case (b): floors fit but free excess is 0.
         let b = admit_local(&mut net, cell, 1, QosRequest::bandwidth(300.0, 2000.0));
-        resolve_network(&mut net);
+        reference::resolve_network(&mut net);
         let ra = net.get(a).unwrap().b_current;
         let rb = net.get(b).unwrap().b_current;
         // Floors 100 + 300, excess 600. Maxmin raises both by 300:
@@ -309,10 +310,67 @@ mod tests {
         let stat = admit_local(&mut net, cell, 0, QosRequest::bandwidth(100.0, 2000.0));
         let mob = admit_local(&mut net, cell, 1, QosRequest::bandwidth(100.0, 2000.0));
         let is_static = |p: PortableId| p == PortableId(0);
-        resolve_network_with_policy(&mut net, &is_static);
+        reference::resolve_network_with_policy(&mut net, &is_static);
         assert!((net.get(mob).unwrap().b_current - 100.0).abs() < 1e-9);
         // The static portable takes all the excess: 1000 − 100 = 900.
         assert!((net.get(stat).unwrap().b_current - 900.0).abs() < 1e-6);
+    }
+
+    /// The resolver against the from-scratch reference on twin
+    /// networks, through admissions, a capacity fade and a departure:
+    /// same count returned, same rate on every connection bit for bit.
+    #[test]
+    fn resident_resolver_matches_the_reference_bit_for_bit() {
+        let mut t = Topology::new();
+        let sw = t.add_switch("sw");
+        let cells: Vec<CellId> = (0..3)
+            .map(|i| {
+                let c = t.add_cell(format!("c{i}"), 1000.0, 0.0);
+                t.add_wired_duplex(sw, t.base_station(c), 100_000.0, 0.0);
+                c
+            })
+            .collect();
+        let mut live = Network::new(t);
+        let mut twin = live.clone();
+        let mut engine = ShardedMaxmin::new();
+        let pool = OnceCell::new();
+        let mut scratch = ResolveScratch::default();
+        // Every third portable is mobile: pinned at its floor.
+        let is_static = |p: PortableId| p.0 % 3 != 0;
+        let mut round = |live: &mut Network, twin: &mut Network| {
+            let n = resolve_network(live, &is_static, &mut engine, &pool, &mut scratch);
+            assert_eq!(n, reference::resolve_network_with_policy(twin, &is_static));
+            let rates = |net: &Network| -> Vec<(ConnId, u64)> {
+                net.live_connections()
+                    .map(|c| (c.id, c.b_current.to_bits()))
+                    .collect()
+            };
+            assert_eq!(rates(live), rates(twin));
+            assert!(live.check_invariants().is_ok());
+        };
+        let mut ids = Vec::new();
+        for p in 0..9u32 {
+            let cell = cells[p as usize % cells.len()];
+            let qos = QosRequest::bandwidth(40.0 + f64::from(p), 300.0 + 150.0 * f64::from(p));
+            ids.push(admit_local(&mut live, cell, p, qos));
+            admit_local(&mut twin, cell, p, qos);
+            round(&mut live, &mut twin);
+        }
+        for net in [&mut live, &mut twin] {
+            let wl = net.topology().wireless_link(cells[1]);
+            net.link_mut(wl)
+                .set_claim(arm_net::link::ResvClaim::Channel, 412.5);
+        }
+        round(&mut live, &mut twin);
+        for net in [&mut live, &mut twin] {
+            net.finish(ids[4], arm_net::ConnectionState::Terminated);
+        }
+        round(&mut live, &mut twin);
+        assert!(
+            engine.stats.shards_resolved < engine.stats.rounds * engine.shard_count() as u64,
+            "clean shards are skipped: {:?}",
+            engine.stats
+        );
     }
 
     #[test]
@@ -338,9 +396,9 @@ mod tests {
         let (mut net, cell) = one_cell_net();
         let a = admit_local(&mut net, cell, 0, QosRequest::bandwidth(100.0, 2000.0));
         let b = admit_local(&mut net, cell, 1, QosRequest::bandwidth(100.0, 2000.0));
-        resolve_network(&mut net);
+        reference::resolve_network(&mut net);
         net.finish(b, arm_net::ConnectionState::Terminated);
-        resolve_network(&mut net);
+        reference::resolve_network(&mut net);
         assert!((net.get(a).unwrap().b_current - 1000.0).abs() < 1e-6);
         assert!(net.check_invariants().is_ok());
     }

@@ -568,12 +568,7 @@ impl DenseState {
     /// already visited in this [`CompScratch::begin`] epoch. `on_link`
     /// fires once per newly visited link (the incremental engine drops
     /// stale bottleneck attributions there).
-    pub fn component_of(
-        &self,
-        seed: u32,
-        bfs: &mut CompScratch,
-        mut on_link: impl FnMut(LinkId),
-    ) {
+    pub fn component_of(&self, seed: u32, bfs: &mut CompScratch, mut on_link: impl FnMut(LinkId)) {
         bfs.comp.clear();
         bfs.ensure(self.links.slot_count(), self.conns.slot_count());
         if bfs.link_seen[seed as usize] == bfs.mark {
@@ -697,9 +692,7 @@ impl DenseState {
             active.retain(|c| {
                 let i = *c as usize;
                 let demand_met = alloc[i] >= demand[i] - 1e-12;
-                let on_saturated = routes[i]
-                    .iter()
-                    .any(|l| sat_marks[*l as usize] == sat_mark);
+                let on_saturated = routes[i].iter().any(|l| sat_marks[*l as usize] == sat_mark);
                 if !(demand_met || on_saturated) {
                     return true;
                 }
@@ -727,8 +720,12 @@ impl DenseState {
         conns: &BTreeMap<ConnId, ConnDemand>,
         alloc: &Allocation,
     ) -> Result<(), String> {
-        self.links.check_invariants().map_err(|e| format!("links: {e}"))?;
-        self.conns.check_invariants().map_err(|e| format!("conns: {e}"))?;
+        self.links
+            .check_invariants()
+            .map_err(|e| format!("links: {e}"))?;
+        self.conns
+            .check_invariants()
+            .map_err(|e| format!("conns: {e}"))?;
         for (l, v) in link_excess {
             let Some(s) = self.links.get(*l) else {
                 return Err(format!("{l:?} missing from dense view"));

@@ -43,10 +43,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_net::ids::{ConnId, LinkId};
-use arm_net::{Connection, Network};
 use serde::{Deserialize, Serialize};
 
-use super::centralized::{Allocation, CompScratch, ConnDemand, DenseState, MaxminProblem, SolveScratch};
+use super::centralized::{
+    Allocation, CompScratch, ConnDemand, DenseState, MaxminProblem, SolveScratch,
+};
 
 /// Counters describing how much work the engine has saved. Purely
 /// informational; exposed for benches and tests.
@@ -315,50 +316,6 @@ impl IncrementalMaxmin {
         }
     }
 
-    /// Diff the engine's inputs against the network's current ledgers:
-    /// link excesses from every link, demand `b_max − b_min` and route
-    /// from every live connection accepted by `include`. Only genuine
-    /// changes dirty anything, so calling this every epoch costs a scan
-    /// but no re-solve work when nothing moved. Mirrors
-    /// [`MaxminProblem::from_network`] filtered by `include`.
-    pub fn sync_network(&mut self, net: &Network, include: &dyn Fn(&Connection) -> bool) {
-        let mut live_links: BTreeSet<LinkId> = BTreeSet::new();
-        for (lid, link) in net.links() {
-            live_links.insert(lid);
-            self.set_link_excess(lid, link.excess_available().max(0.0));
-        }
-        // Prune capacity entries for links the network no longer has —
-        // without this, topology churn accumulates stale `link_excess`
-        // rows forever, and a stale row both constrains future solves
-        // with a phantom capacity and glues unrelated shards together.
-        let gone_links: Vec<LinkId> = self
-            .link_excess
-            .keys()
-            .filter(|l| !live_links.contains(l))
-            .copied()
-            .collect();
-        for l in gone_links {
-            self.remove_link(l);
-        }
-        let mut seen: BTreeSet<ConnId> = BTreeSet::new();
-        for c in net.live_connections() {
-            if c.route.links.is_empty() || !include(c) {
-                continue;
-            }
-            seen.insert(c.id);
-            self.upsert_conn(c.id, c.qos.adaptable_range(), &c.route.links);
-        }
-        let gone: Vec<ConnId> = self
-            .conns
-            .keys()
-            .filter(|id| !seen.contains(id))
-            .copied()
-            .collect();
-        for id in gone {
-            self.remove_conn(id);
-        }
-    }
-
     /// Re-fill the dirty region and return the (now current) resident
     /// allocation. Each dirty link's transitive closure — one connected
     /// component of the sharing graph — is re-run through the dense
@@ -381,8 +338,10 @@ impl IncrementalMaxmin {
         let dirty = std::mem::take(&mut self.dirty);
         self.last_resolved.clear();
         let mut resolved = 0usize;
-        self.bfs
-            .begin(self.mirror.links.slot_count(), self.mirror.conns.slot_count());
+        self.bfs.begin(
+            self.mirror.links.slot_count(),
+            self.mirror.conns.slot_count(),
+        );
         for seed in &dirty {
             let Some(seed_slot) = self.mirror.links.get(*seed) else {
                 // A link the engine never learned about: its closure is
@@ -621,37 +580,6 @@ mod tests {
         assert!(e.is_dirty(), "remove_link must dirty unconditionally");
         e.resolve();
         assert_eq!(e.stats.incremental_solves, solves0 + 1);
-        assert_matches_fresh(&mut e);
-    }
-
-    fn net_with_cells(n: usize) -> arm_net::Network {
-        let mut t = arm_net::topology::Topology::new();
-        let sw = t.add_switch("sw");
-        for i in 0..n {
-            let c = t.add_cell(format!("c{i}"), 1000.0, 0.0);
-            t.add_wired_duplex(sw, t.base_station(c), 100_000.0, 0.0);
-        }
-        arm_net::Network::new(t)
-    }
-
-    #[test]
-    fn sync_network_prunes_links_gone_from_the_network() {
-        let big = net_with_cells(3);
-        let small = net_with_cells(1);
-        let mut e = IncrementalMaxmin::new();
-        e.sync_network(&big, &|_| true);
-        assert!(e.link_excess_map().len() > small.topology().link_count());
-        // Regression: re-syncing against a network with fewer links
-        // used to leave the extra links' excess entries resident
-        // forever; they must be pruned so the engine's problem exactly
-        // mirrors a from-scratch build over the current network.
-        e.sync_network(&small, &|_| true);
-        let fresh = MaxminProblem::from_network(&small);
-        assert_eq!(
-            e.link_excess_map().keys().collect::<Vec<_>>(),
-            fresh.link_excess.keys().collect::<Vec<_>>(),
-            "stale link_excess rows survived the sync"
-        );
         assert_matches_fresh(&mut e);
     }
 

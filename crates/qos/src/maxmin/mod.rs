@@ -11,9 +11,8 @@
 //!
 //! * [`advertised`] — the advertised-rate `μ_l` computation with the
 //!   restricted-set two-pass refinement (§5.3.1),
-//! * [`centralized`] — a water-filling reference solver used as ground
-//!   truth for Theorem 1 convergence tests and by the synchronous
-//!   conflict-resolution path,
+//! * [`centralized`] — a water-filling reference solver: ground truth
+//!   for the Theorem 1 convergence tests and for the resident engines,
 //! * [`distributed`] — the event-driven ADVERTISE/UPDATE protocol of
 //!   §5.3.1, in both the flooding base variant and the `M(l)`-restricted
 //!   refinement,
@@ -24,7 +23,8 @@
 //! * [`sharded`] — a campus-scale partition of the incremental engine
 //!   by connected component (online union-find shard planner with lazy
 //!   exact replans), resolving independent shards on a worker pool,
-//!   still bit-identical to the sequential engine.
+//!   still bit-identical to the sequential engine — the engine the
+//!   resource manager's conflict-resolution path runs.
 //!
 //! ## Bottleneck definitions (§5.2)
 //!

@@ -375,6 +375,78 @@ impl ShardedMaxmin {
         }
     }
 
+    /// Check the routing maps against shard contents: every slot the
+    /// maps or `free` name exists, retired slots are empty, every link
+    /// and connection a live shard holds maps to exactly that shard
+    /// (hence shards are pairwise disjoint), and no map entry dangles.
+    ///
+    /// Every mutator indexes `shards` straight from these maps, so this
+    /// is the predicate a deserialized planner must pass before its
+    /// first event; the `arm-check` planner model asserts the same
+    /// predicate after every op.
+    pub fn check_routing(&self) -> Result<(), String> {
+        let slots = self.shards.len();
+        if let Some(s) = self.free.iter().find(|s| **s as usize >= slots) {
+            return Err(format!("free list names slot {s} of {slots}"));
+        }
+        let live = |s: u32| (s as usize) < slots && !self.free.contains(&s);
+        if let Some((l, s)) = self.link_shard.iter().find(|(_, s)| !live(**s)) {
+            return Err(format!("link_shard maps {l} to dead slot {s} of {slots}"));
+        }
+        if let Some((c, s)) = self.conn_shard.iter().find(|(_, s)| !live(**s)) {
+            return Err(format!("conn_shard maps {c} to dead slot {s} of {slots}"));
+        }
+        let (mut held_links, mut held_conns) = (0usize, 0usize);
+        for (s, e) in (0u32..).zip(&self.shards) {
+            let links: BTreeSet<LinkId> = e
+                .link_excess_map()
+                .keys()
+                .chain(e.link_index_map().keys())
+                .copied()
+                .collect();
+            if self.free.contains(&s) {
+                if !links.is_empty() || !e.conns_map().is_empty() {
+                    return Err(format!("retired slot {s} still holds state"));
+                }
+                continue;
+            }
+            for l in &links {
+                if self.link_shard.get(l) != Some(&s) {
+                    return Err(format!(
+                        "link routing inconsistent: shard {s} holds {l} but \
+                         link_shard maps it to {:?}",
+                        self.link_shard.get(l)
+                    ));
+                }
+            }
+            for c in e.conns_map().keys() {
+                if self.conn_shard.get(c) != Some(&s) {
+                    return Err(format!(
+                        "conn routing inconsistent: shard {s} holds {c} but \
+                         conn_shard maps it to {:?}",
+                        self.conn_shard.get(c)
+                    ));
+                }
+            }
+            held_links += links.len();
+            held_conns += e.conns_map().len();
+        }
+        // Held entries all map home, so any surplus map entry dangles.
+        if self.link_shard.len() != held_links {
+            return Err(format!(
+                "link routing not total: {} entries for {held_links} held links",
+                self.link_shard.len()
+            ));
+        }
+        if self.conn_shard.len() != held_conns {
+            return Err(format!(
+                "conn routing not total: {} entries for {held_conns} held conns",
+                self.conn_shard.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Set a link's excess capacity (see
     /// [`IncrementalMaxmin::set_link_excess`]). An unknown link opens a
     /// new singleton shard.
@@ -474,16 +546,23 @@ impl ShardedMaxmin {
         self.retire_if_empty(s);
     }
 
-    /// Diff every shard against the network's current ledgers, exactly
-    /// like [`IncrementalMaxmin::sync_network`] (same order: link
-    /// excesses, link pruning, connection upserts, connection pruning),
-    /// routing each entry through the shard planner.
+    /// Diff the planner's inputs against the network's current ledgers:
+    /// link excesses from every link, demand `b_max − b_min` and route
+    /// from every live connection accepted by `include`, each routed
+    /// through the shard planner. Only genuine changes dirty anything,
+    /// so calling this every epoch costs a scan but no re-solve work
+    /// when nothing moved. Mirrors [`MaxminProblem::from_network`]
+    /// filtered by `include`.
     pub fn sync_network(&mut self, net: &Network, include: &dyn Fn(&Connection) -> bool) {
         let mut live_links: BTreeSet<LinkId> = BTreeSet::new();
         for (lid, link) in net.links() {
             live_links.insert(lid);
             self.set_link_excess(lid, link.excess_available().max(0.0));
         }
+        // Prune capacity entries for links the network no longer has —
+        // without this, topology churn accumulates stale excess rows
+        // forever, and a stale row both constrains future solves with a
+        // phantom capacity and glues unrelated shards together.
         let gone_links: Vec<LinkId> = self
             .link_shard
             .iter()
@@ -520,7 +599,7 @@ impl ShardedMaxmin {
     /// automatic [`Self::replan`] if enough churn accumulated. Returns
     /// the number of shards resolved this round.
     pub fn resolve_all(&mut self, pool: Option<&WorkerPool>) -> usize {
-        self.resolve_dirty(pool).len()
+        self.resolve_dirty(|| pool).len()
     }
 
     /// [`Self::resolve_all`], additionally appending every connection
@@ -528,9 +607,13 @@ impl ShardedMaxmin {
     /// shard's [`IncrementalMaxmin::last_resolved`] order) to `changed`.
     /// Connections not appended kept their frozen rate bit-for-bit, so
     /// rate application can be restricted to this list.
-    pub fn resolve_all_collect(
+    ///
+    /// `pool` is called only once the round has passed the dispatch
+    /// test, so a caller can spawn its pool there and pay for threads
+    /// only if a round ever needs them.
+    pub fn resolve_all_collect<'p>(
         &mut self,
-        pool: Option<&WorkerPool>,
+        pool: impl FnOnce() -> Option<&'p WorkerPool>,
         changed: &mut Vec<ConnId>,
     ) -> usize {
         let dirty = self.resolve_dirty(pool);
@@ -540,7 +623,7 @@ impl ShardedMaxmin {
         dirty.len()
     }
 
-    fn resolve_dirty(&mut self, pool: Option<&WorkerPool>) -> Vec<u32> {
+    fn resolve_dirty<'p>(&mut self, pool: impl FnOnce() -> Option<&'p WorkerPool>) -> Vec<u32> {
         if self.replan_churn > 0 && self.churn_since_replan >= self.replan_churn {
             self.replan();
         }
@@ -572,8 +655,13 @@ impl ShardedMaxmin {
             PoolDispatch::Always => true,
             PoolDispatch::Auto => hw_parallelism() > 1 && weight >= POOL_DISPATCH_MIN_CONNS,
         };
+        let pool = if dirty.len() > 1 && dispatch {
+            pool().filter(|p| p.threads() > 1)
+        } else {
+            None
+        };
         match pool {
-            Some(pool) if dirty.len() > 1 && pool.threads() > 1 && dispatch => {
+            Some(pool) => {
                 let chunk_count = pool.threads().min(dirty.len());
                 let target = weight.div_ceil(chunk_count).max(1);
                 let mut chunks: Vec<Vec<(u32, IncrementalMaxmin)>> =
@@ -606,7 +694,7 @@ impl ShardedMaxmin {
                     }
                 }
             }
-            _ => {
+            None => {
                 for i in &dirty {
                     self.shards[*i as usize].resolve();
                 }
@@ -988,21 +1076,89 @@ mod tests {
     }
 
     #[test]
-    fn sync_network_round_trips_through_the_planner() {
+    fn pool_is_asked_for_only_by_rounds_that_dispatch() {
+        let cell = std::cell::OnceCell::new();
+        let lazy = || Some(cell.get_or_init(|| WorkerPool::new(3)));
+        let mut sh = ShardedMaxmin::new().with_pool_dispatch(PoolDispatch::Always);
+        let mut changed = Vec::new();
+        sh.set_link_excess(lid(0), 5.0);
+        sh.upsert_conn(cid(0), 100.0, &[lid(0)]);
+        assert_eq!(sh.resolve_all_collect(lazy, &mut changed), 1);
+        assert!(cell.get().is_none(), "one dirty shard resolves inline");
+        for i in 1..4 {
+            sh.set_link_excess(lid(i), 5.0 + f64::from(i));
+            sh.upsert_conn(cid(i), 100.0, &[lid(i)]);
+        }
+        assert_eq!(sh.resolve_all_collect(lazy, &mut changed), 3);
+        assert!(cell.get().is_some(), "a dispatching round spawns the pool");
+        assert_eq!(changed, (0..4).map(cid).collect::<Vec<_>>());
+        assert_eq!(sh.merged_allocation(), sh.as_problem().solve());
+    }
+
+    fn net_with_cells(n: usize) -> Network {
         let mut t = arm_net::topology::Topology::new();
         let sw = t.add_switch("sw");
-        for i in 0..3 {
+        for i in 0..n {
             let c = t.add_cell(format!("c{i}"), 1000.0, 0.0);
             t.add_wired_duplex(sw, t.base_station(c), 100_000.0, 0.0);
         }
-        let net = arm_net::Network::new(t);
+        Network::new(t)
+    }
+
+    #[test]
+    fn sync_network_round_trips_through_the_planner() {
+        let net = net_with_cells(3);
         let mut sh = ShardedMaxmin::new();
-        let mut seq = IncrementalMaxmin::new();
         sh.sync_network(&net, &|_| true);
-        seq.sync_network(&net, &|_| true);
-        assert_tracks(&mut sh, &mut seq);
+        sh.resolve_all(None);
         let fresh = MaxminProblem::from_network(&net);
         assert_eq!(sh.as_problem().link_excess, fresh.link_excess);
+        assert_eq!(sh.merged_allocation(), fresh.solve());
+        sh.check_routing().unwrap();
+    }
+
+    #[test]
+    fn sync_network_prunes_links_gone_from_the_network() {
+        let big = net_with_cells(3);
+        let small = net_with_cells(1);
+        let mut sh = ShardedMaxmin::new();
+        sh.sync_network(&big, &|_| true);
+        assert!(sh.as_problem().link_excess.len() > small.topology().link_count());
+        // Regression: re-syncing against a network with fewer links
+        // used to leave the extra links' excess entries resident
+        // forever; they must be pruned so the planner's problem exactly
+        // mirrors a from-scratch build over the current network.
+        sh.sync_network(&small, &|_| true);
+        let fresh = MaxminProblem::from_network(&small);
+        assert_eq!(
+            sh.as_problem().link_excess.keys().collect::<Vec<_>>(),
+            fresh.link_excess.keys().collect::<Vec<_>>(),
+            "stale link_excess rows survived the sync"
+        );
+        sh.check_routing().unwrap();
+    }
+
+    #[test]
+    fn check_routing_rejects_out_of_range_and_dangling_entries() {
+        let mut sh = ShardedMaxmin::new();
+        sh.set_link_excess(lid(0), 10.0);
+        sh.upsert_conn(cid(0), 100.0, &[lid(0)]);
+        sh.check_routing().unwrap();
+        let mut bad = sh.clone();
+        bad.link_shard.insert(lid(3), 99);
+        assert!(bad.check_routing().unwrap_err().contains("dead slot 99"));
+        let mut bad = sh.clone();
+        bad.free.insert(7);
+        assert!(bad.check_routing().unwrap_err().contains("free list"));
+        let mut bad = sh.clone();
+        bad.link_shard.insert(lid(3), 0);
+        assert!(bad.check_routing().unwrap_err().contains("not total"));
+        let mut bad = sh.clone();
+        bad.conn_shard.remove(&cid(0));
+        assert!(bad.check_routing().unwrap_err().contains("inconsistent"));
+        let mut bad = sh;
+        bad.free.insert(0);
+        assert!(bad.check_routing().is_err());
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Mirror property for [`IncrementalMaxmin::sync_network`]: after syncing
-//! against *any* sequence of network states — cells (and therefore links)
+//! Mirror property for [`ShardedMaxmin::sync_network`] — the sync the
+//! manager runs before every adaptation round: after syncing against
+//! *any* sequence of network states — cells (and therefore links)
 //! appearing and disappearing, connections churning, rates moving — the
-//! resident engine's inputs must exactly equal a from-scratch
+//! planner's inputs must exactly equal a from-scratch
 //! [`MaxminProblem::from_network`] build over the current network, its
-//! link index must equal [`link_index`] over those inputs, its bottleneck
-//! attributions must equal a from-scratch component fill, and its
-//! allocation must be bit-identical to a fresh solve.
+//! routing maps must agree with its shards, its bottleneck attributions
+//! must equal a from-scratch component fill, and its allocation must be
+//! bit-identical to a fresh solve.
 //!
 //! This pins the two staleness fixes structurally: a pruned-link leak or
 //! a missed dirty mark shows up as a mirror divergence on some generated
@@ -19,7 +20,7 @@ use arm_net::routing::shortest_path;
 use arm_net::topology::Topology;
 use arm_net::{Connection, Network};
 use arm_qos::maxmin::centralized::{components, link_index, solve_component, MaxminProblem};
-use arm_qos::maxmin::incremental::IncrementalMaxmin;
+use arm_qos::maxmin::sharded::ShardedMaxmin;
 use arm_sim::SimTime;
 use proptest::prelude::*;
 
@@ -88,12 +89,11 @@ fn admit_local(net: &mut Network, cell: CellId, portable: u32, qos: QosRequest) 
     id
 }
 
-type LinkIndex = BTreeMap<LinkId, Vec<ConnId>>;
 type Bottlenecks = BTreeMap<LinkId, BTreeSet<ConnId>>;
 
-/// From-scratch oracle: problem, index, allocation, and bottleneck
+/// From-scratch oracle: problem, allocation, and bottleneck
 /// attributions, all built with no resident state.
-fn fresh_solution(net: &Network) -> (MaxminProblem, LinkIndex, BTreeMap<ConnId, f64>, Bottlenecks) {
+fn fresh_solution(net: &Network) -> (MaxminProblem, BTreeMap<ConnId, f64>, Bottlenecks) {
     let p = MaxminProblem::from_network(net);
     let index = link_index(&p.conns);
     let mut alloc = BTreeMap::new();
@@ -108,19 +108,19 @@ fn fresh_solution(net: &Network) -> (MaxminProblem, LinkIndex, BTreeMap<ConnId, 
             Some(&mut bn),
         );
     }
-    (p, index, alloc, bn)
+    (p, alloc, bn)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The resident engine, synced across arbitrary topology and
+    /// The resident planner, synced across arbitrary topology and
     /// connection churn, is indistinguishable from a from-scratch build.
     #[test]
     fn synced_engine_mirrors_from_scratch_build(
         epochs in prop::collection::vec(epoch_strategy(), 1..6),
     ) {
-        let mut engine = IncrementalMaxmin::new();
+        let mut engine = ShardedMaxmin::new();
         for (gen, ep) in epochs.iter().enumerate() {
             let mut net = net_with_cells(ep.cells);
             for (i, (cell, b_min, b_max)) in ep.conns.iter().enumerate() {
@@ -133,22 +133,24 @@ proptest! {
             for l in &ep.touches {
                 engine.touch_link(LinkId(*l));
             }
+            prop_assert_eq!(engine.check_routing(), Ok(()), "epoch {}: routing maps", gen);
 
-            let (fresh, index, alloc, bn) = fresh_solution(&net);
+            let (fresh, alloc, bn) = fresh_solution(&net);
 
             // Inputs mirror exactly: capacities (bit-equal f64s), conn
-            // demands and routes, and the derived link index.
+            // demands and routes.
+            let synced = engine.as_problem();
             prop_assert_eq!(
-                engine.link_excess_map(), &fresh.link_excess,
+                &synced.link_excess, &fresh.link_excess,
                 "epoch {}: link_excess diverged from from-scratch build", gen
             );
             prop_assert_eq!(
-                engine.conns_map().keys().collect::<Vec<_>>(),
+                synced.conns.keys().collect::<Vec<_>>(),
                 fresh.conns.keys().collect::<Vec<_>>(),
                 "epoch {}: conn key sets diverged", gen
             );
             for (c, want) in &fresh.conns {
-                let got = &engine.conns_map()[c];
+                let got = &synced.conns[c];
                 prop_assert_eq!(
                     got.demand.to_bits(), want.demand.to_bits(),
                     "epoch {}: {:?} demand diverged", gen, c
@@ -158,13 +160,10 @@ proptest! {
                     "epoch {}: {:?} route diverged", gen, c
                 );
             }
-            prop_assert_eq!(
-                engine.link_index_map(), &index,
-                "epoch {}: link index diverged", gen
-            );
 
             // Outputs mirror exactly after the (possibly partial) refill.
-            let got = engine.resolve().clone();
+            engine.resolve_all(None);
+            let got = engine.merged_allocation();
             prop_assert_eq!(got.len(), alloc.len(), "epoch {}: allocation keys", gen);
             for (c, want) in &alloc {
                 prop_assert_eq!(
@@ -173,10 +172,11 @@ proptest! {
                 );
             }
             prop_assert_eq!(
-                engine.bottleneck_map(), &bn,
+                engine.bottleneck_union(), bn,
                 "epoch {}: bottleneck attributions diverged", gen
             );
             prop_assert!(fresh.verify_maxmin(&got).is_ok(), "epoch {}: not maxmin", gen);
+            prop_assert_eq!(engine.check_routing(), Ok(()), "epoch {}: routing maps", gen);
         }
     }
 }

@@ -42,8 +42,10 @@ use crate::ingest::{parse_event, IngestError};
 /// its own version, checked independently). v2 tracks the manager
 /// snapshot's v2 (the slotted advance-reservation calendar): a v1
 /// server artifact embeds a calendar-less manager image and cannot
-/// restore into this build.
-pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 3;
+/// restore into this build. v3 and v4 likewise track the manager
+/// snapshot's v3 (sharded planner added) and v4 (planner is the only
+/// maxmin engine).
+pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 4;
 
 /// Static configuration of a server instance. Captured in every
 /// snapshot so a restore cannot silently run under different rules

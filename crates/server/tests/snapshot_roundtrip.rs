@@ -98,16 +98,20 @@ fn mismatched_server_schema_is_a_typed_error() {
     let server = server_at(&walk_cfg(7), 40);
     let json = server.snapshot().to_json().expect("snapshot serializes");
     assert!(
-        json.starts_with("{\"schema\":3,"),
+        json.starts_with("{\"schema\":4,"),
         "layout drifted: {json:.60}"
     );
-    let skewed = json.replacen("{\"schema\":3,", "{\"schema\":999,", 1);
-    match ServerSnapshot::from_json(&skewed) {
-        Err(SnapshotError::SchemaMismatch { found, expected }) => {
-            assert_eq!(found, 999);
-            assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
+    // A future version, and the previous one (two maxmin engines).
+    for skew in [999u32, 3] {
+        let skewed = json.replacen("{\"schema\":4,", &format!("{{\"schema\":{skew},"), 1);
+        match ServerSnapshot::from_json(&skewed) {
+            Err(SnapshotError::SchemaMismatch { found, expected }) => {
+                assert_eq!(found, skew);
+                assert_eq!(expected, 4);
+                assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
+            }
+            other => panic!("want SchemaMismatch, got {other:?}"),
         }
-        other => panic!("want SchemaMismatch, got {other:?}"),
     }
 }
 
@@ -120,17 +124,54 @@ fn mismatched_manager_schema_is_a_typed_error() {
         .to_json()
         .expect("snapshot serializes");
     assert!(
-        json.starts_with("{\"schema\":3,"),
+        json.starts_with("{\"schema\":4,"),
         "layout drifted: {json:.60}"
     );
-    let skewed = json.replacen("{\"schema\":3,", "{\"schema\":42,", 1);
-    match arm_core::ManagerSnapshot::from_json(&skewed) {
-        Err(SnapshotError::SchemaMismatch { found, expected }) => {
-            assert_eq!(found, 42);
-            assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
+    for skew in [42u32, 3] {
+        let skewed = json.replacen("{\"schema\":4,", &format!("{{\"schema\":{skew},"), 1);
+        match arm_core::ManagerSnapshot::from_json(&skewed) {
+            Err(SnapshotError::SchemaMismatch { found, expected }) => {
+                assert_eq!(found, skew);
+                assert_eq!(expected, 4);
+                assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
+            }
+            other => panic!("want SchemaMismatch, got {other:?}"),
         }
-        other => panic!("want SchemaMismatch, got {other:?}"),
     }
+}
+
+/// A planner whose routing map names a shard that does not exist would
+/// index out of bounds on the first event touching that link. Such a
+/// snapshot is refused with a typed error — by the server at decode,
+/// by the manager at restore — and never panics.
+#[test]
+fn corrupted_planner_routing_is_a_typed_error() {
+    let server = server_at(&walk_cfg(7), 40);
+    let corrupt = |json: String| {
+        assert!(
+            json.contains("\"shards\":[],\"link_shard\":[],"),
+            "layout drifted"
+        );
+        json.replacen("\"link_shard\":[],", "\"link_shard\":[[3,99]],", 1)
+    };
+    let hostile = corrupt(server.snapshot().to_json().expect("snapshot serializes"));
+    match ServerSnapshot::from_json(&hostile) {
+        Err(SnapshotError::Invalid(why)) => assert!(why.contains("slot 99"), "{why}"),
+        other => panic!("want Invalid, got {other:?}"),
+    }
+    let hostile = corrupt(
+        server
+            .mgr
+            .snapshot()
+            .to_json()
+            .expect("snapshot serializes"),
+    );
+    let snap = arm_core::ManagerSnapshot::from_json(&hostile).expect("well-formed JSON decodes");
+    let refused = arm_core::ResourceManager::restore(snap, Obs::off()).err();
+    assert!(
+        matches!(refused, Some(SnapshotError::Invalid(_))),
+        "want Invalid, got {refused:?}"
+    );
 }
 
 /// A calendar populated with all three booking flavours — a bulk

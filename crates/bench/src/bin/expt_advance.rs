@@ -21,7 +21,7 @@ use arm_core::scenario::{EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::Strategy;
 use arm_net::ids::CellId;
 use arm_obs::{EventKind, Obs, RunReport};
-use arm_resv_cal::{ReservationState, ResourceKey, ResvOrigin};
+use arm_resv_cal::{ReservationState, ResvOrigin};
 use arm_server::drill::events_from_scenario;
 use arm_server::{Server, ServerConfig};
 use arm_sim::{FaultSchedule, SimDuration, SimTime};
@@ -70,13 +70,7 @@ fn main() {
     let held = server
         .mgr
         .calendar
-        .request(
-            ResourceKey::Link(uplink),
-            slot + 2,
-            slot + 8,
-            500.0,
-            ResvOrigin::BulkTransfer,
-        )
+        .request(uplink, slot + 2, slot + 8, 500.0, ResvOrigin::BulkTransfer)
         .expect("competing booking fits");
     server.mgr.calendar.confirm(held).expect("confirms");
     println!("competing load: 500.0 kbps on {uplink:?}, slots [2, 8)");

@@ -37,7 +37,7 @@ use arm_obs::{
     BenchEntry, ChaosSummary, ClaimSource, EventCount, HistSummary, MetricsSummary, Obs, ObsEvent,
     PhaseSummary, RunReport,
 };
-use arm_resv_cal::{ResourceKey, ResvOrigin, SlottedSchedule, CAL_SCHEMA_VERSION};
+use arm_resv_cal::{ResvOrigin, SlottedSchedule, CAL_SCHEMA_VERSION};
 use arm_server::{Server, ServerConfig, ServerEvent, SERVER_SNAPSHOT_SCHEMA_VERSION};
 use arm_sim::SimTime;
 
@@ -347,8 +347,8 @@ fn qos() -> QosRequest {
 }
 
 /// A driven manager over the §7.1 office topology: live portables and
-/// connections, a handoff, calendar bookings (fixed + moldable +
-/// co-allocated) and a slot roll, so every nested record shape in the
+/// connections, a handoff, calendar bookings (a molded bulk transfer
+/// and a co-allocation) and a slot roll, so every nested record shape in the
 /// snapshot is populated.
 fn manager_snapshot_value() -> Value {
     let sc = Scenario {
@@ -424,41 +424,20 @@ fn server_snapshot_value() -> Value {
     server.snapshot().to_value()
 }
 
-/// A calendar holding all three booking flavours (fixed-confirmed,
-/// moldable with a deadline, a two-leg co-allocated group) rolled past
-/// activation, so every reservation field is engaged.
+/// A calendar holding both booking flavours (fixed-confirmed and a
+/// two-leg co-allocated group) rolled past activation, so every
+/// reservation field is engaged.
 fn slotted_schedule_value() -> Value {
     let mut cal = SlottedSchedule::new();
-    cal.set_capacity(ResourceKey::Cell(CellId(0)), 1_000.0);
-    cal.set_capacity(ResourceKey::Link(LinkId(0)), 600.0);
-    cal.set_capacity(ResourceKey::Link(LinkId(1)), 600.0);
+    cal.set_capacity(LinkId(0), 600.0);
+    cal.set_capacity(LinkId(1), 600.0);
     let fixed = cal
-        .request(
-            ResourceKey::Cell(CellId(0)),
-            1,
-            3,
-            64.0,
-            ResvOrigin::Meeting,
-        )
+        .request(LinkId(0), 1, 3, 64.0, ResvOrigin::BulkTransfer)
         .expect("fixed booking fits");
     cal.confirm(fixed).expect("requested booking confirms");
-    let molded = cal
-        .request_moldable(
-            ResourceKey::Link(LinkId(0)),
-            1,
-            2,
-            500.0,
-            8,
-            ResvOrigin::BulkTransfer,
-        )
-        .expect("moldable booking fits");
-    cal.confirm(molded.id).expect("moldable booking confirms");
     let _group = cal
         .co_allocate(
-            &[
-                (ResourceKey::Link(LinkId(0)), 50.0),
-                (ResourceKey::Link(LinkId(1)), 50.0),
-            ],
+            &[(LinkId(0), 50.0), (LinkId(1), 50.0)],
             2,
             4,
             ResvOrigin::CoAllocation,
@@ -591,7 +570,7 @@ fn obs_events_value() -> Value {
         ObsEvent::ReservationConfirmed {
             t,
             reservation: 3,
-            resource: "cell:0".to_string(),
+            resource: "link:0".to_string(),
             start_slot: 2,
             end_slot: 4,
             kbps: 64.0,
@@ -658,24 +637,14 @@ mod tests {
         // Option (arrays union element types), but a path that is
         // *only* ever null means a payload shape escaped the
         // fingerprint entirely. The one sanctioned exception: the
-        // manager books only through `co_allocate`, which never sets a
-        // reservation `deadline` — that shape is pinned by the
-        // `slotted_schedule` case's moldable booking.
-        // The server case's embedded `$.manager` subtree is likewise
-        // waived wholesale: the dedicated manager case drives richer
-        // traffic and pins those shapes.
-        const NULL_OK: &[(&str, &str)] = &[
-            ("manager_snapshot", "$.calendar.reservations[][].deadline:"),
-            ("server_snapshot", "$.manager."),
-        ];
+        // server case's embedded `$.manager` subtree is waived
+        // wholesale — the dedicated manager case drives richer traffic
+        // and pins those shapes.
         for c in &a {
             let lines = c.lines();
             for l in lines.iter().filter(|l| l.ends_with(": null")) {
                 let path = l.strip_suffix(" null").expect("suffix checked");
-                if NULL_OK
-                    .iter()
-                    .any(|(case, p)| *case == c.name && path.starts_with(p))
-                {
+                if c.name == "server_snapshot" && path.starts_with("$.manager.") {
                     continue;
                 }
                 assert!(

@@ -22,8 +22,10 @@
 //!   bookkeeping: feed the cafeteria/default predictors, refresh claims.
 //!
 //! Claims are recomputed wholesale after every event from the current
-//! state — O(cells × portables) per event, trivially fast at indoor
-//! scale and much easier to audit than incremental updates.
+//! state — O(cells × portables) per event. That is easy to audit but
+//! not cheap: on the benchmark's `wing_rush` workload (63 cells, 240
+//! walkers) claim refresh is ≈ 88 % of loop time. ROADMAP's
+//! "Incremental claim refresh" item is the plan for it.
 
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,8 +47,8 @@ use arm_reservation::default_cell::OneStepMemory;
 use arm_reservation::dispatch::{decide_traced, ReservationDecision};
 use arm_reservation::meeting::{BookingCalendar, MeetingRoomPolicy};
 use arm_resv_cal::{
-    CoAllocOutcome, ReservationId, ResourceKey, ResvOrigin, ScheduleError, SlotIndex,
-    SlottedSchedule, TopologyPathCache,
+    CoAllocOutcome, ReservationId, ResvOrigin, ScheduleError, SlotIndex, SlottedSchedule,
+    TopologyPathCache,
 };
 use arm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -115,6 +117,13 @@ pub(crate) struct PortableState {
     cell: CellId,
     prev_cell: Option<CellId>,
     entered_at: SimTime,
+}
+
+impl PortableState {
+    /// Has the portable dwelled in its current cell for at least `t_th`?
+    fn is_static(&self, t_th: SimDuration, now: SimTime) -> bool {
+        StaticMobileTest::new(t_th).is_static(self.entered_at, now)
+    }
 }
 
 /// Outcome of a [`ResourceManager::book_bulk_transfer`] booking.
@@ -196,7 +205,7 @@ pub struct ResourceManager {
     /// Handoffs processed without signalling (claims unusable).
     pub handoff_signalling_failures: u64,
     /// The slotted advance-reservation calendar (DESIGN.md §11):
-    /// time-indexed bookings over cells and links, consumed at each
+    /// time-indexed link bookings, consumed at each
     /// slot roll by installing [`ResvClaim::Calendar`] claims for the
     /// reservations active in the new slot. Public so drivers and
     /// tests can book and inspect directly.
@@ -277,15 +286,13 @@ impl ResourceManager {
 
     /// An empty calendar with every link's static capacity registered,
     /// so calendar bookings are admission-checked against the real link
-    /// speeds. Cell resources stay unregistered (unconstrained): the
-    /// link ledgers remain the capacity authority for the wireless
-    /// media, the calendar tracks *who promised what when*.
+    /// speeds.
     fn seed_calendar(net: &Network) -> SlottedSchedule {
         let mut calendar = SlottedSchedule::new();
         let topo = net.topology();
         for i in 0..topo.link_count() {
             let l = LinkId::from_index(i);
-            calendar.set_capacity(ResourceKey::Link(l), topo.link(l).capacity);
+            calendar.set_capacity(l, topo.link(l).capacity);
         }
         calendar
     }
@@ -403,10 +410,58 @@ impl ResourceManager {
 
     /// Is the portable static (dwelled ≥ `T_th`)?
     pub fn is_static(&self, p: PortableId, now: SimTime) -> bool {
-        let test = StaticMobileTest::new(self.cfg.t_th);
         self.portables
             .get(&p)
-            .is_some_and(|s| test.is_static(s.entered_at, now))
+            .is_some_and(|s| s.is_static(self.cfg.t_th, now))
+    }
+
+    /// Every portable that is static at `now`. One scan into a set, not
+    /// a `portables` lookup per call: the conflict resolver asks twice
+    /// per live connection, and with 1,000 portables (most of them
+    /// mobile, so the set is small) the per-call lookups measured 29 %
+    /// slower end to end.
+    fn static_portables(&self, now: SimTime) -> BTreeSet<PortableId> {
+        self.portables
+            .iter()
+            .filter(|(_, s)| s.is_static(self.cfg.t_th, now))
+            .map(|(p, _)| *p)
+            .collect()
+    }
+
+    /// Run the Table 2 admission round trip for an installed connection
+    /// under the configured discipline.
+    fn admit(
+        &mut self,
+        conn: ConnId,
+        mobility: MobilityClass,
+        kind: RequestKind,
+    ) -> Result<(), arm_qos::Rejection> {
+        let req = AdmissionRequest {
+            conn,
+            discipline: self.cfg.discipline,
+            mobility,
+            kind,
+        };
+        admit_with(&mut self.net, req, &mut self.admission_scratch).map(drop)
+    }
+
+    /// Release a connection's reservation on every link of its current
+    /// route. The links go through the resident scratch — no per-event
+    /// `Route` clone.
+    fn release_current_route(&mut self, id: ConnId) {
+        let c = self.net.get(id).expect("invariant: live connection");
+        self.route_scratch.clear();
+        self.route_scratch.extend_from_slice(&c.route.links);
+        self.net.release_route_links(id, &self.route_scratch);
+    }
+
+    /// The admission class of a portable's new-connection request.
+    fn mobility_class(&self, p: PortableId, now: SimTime) -> MobilityClass {
+        if self.is_static(p, now) {
+            MobilityClass::Static
+        } else {
+            MobilityClass::Mobile
+        }
     }
 
     // ------------------------------------------------------------------
@@ -430,10 +485,8 @@ impl ResourceManager {
         } else {
             self.profiles.portable_entered(p, cell);
         }
-        if self.is_meeting_room(cell) {
-            if let Some(policy) = self.meeting_policies.get_mut(&cell) {
-                policy.on_arrival(now);
-            }
+        if let Some(policy) = self.meeting_policy_mut(cell) {
+            policy.on_arrival(now);
         }
         self.refresh_claims(now);
     }
@@ -464,49 +517,29 @@ impl ResourceManager {
             route,
             now,
         ));
-        let mobility = if self.is_static(p, now) {
-            MobilityClass::Static
+        let mobility = self.mobility_class(p, now);
+        let outcome = self.admit(id, mobility, RequestKind::New);
+        let admitted = outcome.is_ok();
+        if admitted {
+            self.mark_conn_dirty(id);
+            self.sync_multicast_for(p, now);
+            self.after_event(now);
         } else {
-            MobilityClass::Mobile
-        };
-        let req = AdmissionRequest {
-            conn: id,
-            discipline: self.cfg.discipline,
-            mobility,
-            kind: RequestKind::New,
-        };
-        match admit_with(&mut self.net, req, &mut self.admission_scratch) {
-            Ok(_) => {
-                self.mark_conn_dirty(id);
-                self.sync_multicast_for(p, now);
-                self.after_event(now);
-                self.obs.emit_with(|| ObsEvent::AdmitDecision {
-                    t: now,
-                    conn: id,
-                    cell,
-                    admitted: true,
-                    cause: "admitted".to_string(),
-                });
-                self.obs.phase_end(Phase::Admission, admit_tok, now);
-                Ok(id)
-            }
-            Err(rej) => {
-                self.metrics.blocked.incr();
-                self.net
-                    .get_mut(id)
-                    .expect("invariant: installed above")
-                    .state = ConnectionState::Blocked;
-                self.obs.emit_with(|| ObsEvent::AdmitDecision {
-                    t: now,
-                    conn: id,
-                    cell,
-                    admitted: false,
-                    cause: "blocked".to_string(),
-                });
-                self.obs.phase_end(Phase::Admission, admit_tok, now);
-                Err(rej)
-            }
+            self.metrics.blocked.incr();
+            self.net
+                .get_mut(id)
+                .expect("invariant: installed above")
+                .state = ConnectionState::Blocked;
         }
+        self.obs.emit_with(|| ObsEvent::AdmitDecision {
+            t: now,
+            conn: id,
+            cell,
+            admitted,
+            cause: if admitted { "admitted" } else { "blocked" }.to_string(),
+        });
+        self.obs.phase_end(Phase::Admission, admit_tok, now);
+        outcome.map(|()| id)
     }
 
     /// Application-initiated QoS re-negotiation (§4.2): "the network
@@ -536,85 +569,48 @@ impl ResourceManager {
         assert!(live, "renegotiate on a finished connection");
         let admit_tok = self.obs.phase_start(now);
         self.metrics.requests.incr();
-        // Release the current reservation, swap in the new bounds. The
-        // route's links go through the resident scratch — no per-event
-        // `Route` clone.
-        self.route_scratch.clear();
-        self.route_scratch.extend_from_slice(
-            &self
-                .net
-                .get(id)
-                .expect("invariant: checked above")
-                .route
-                .links,
-        );
-        self.net.release_route_links(id, &self.route_scratch);
+        // Release the current reservation, swap in the new bounds.
+        self.release_current_route(id);
         {
             let c = self.net.get_mut(id).expect("invariant: checked above");
             c.qos = new_qos;
             c.b_current = new_qos.b_min;
         }
-        let mobility = if self.is_static(p, now) {
-            MobilityClass::Static
+        let mobility = self.mobility_class(p, now);
+        let outcome = self.admit(id, mobility, RequestKind::New);
+        let admitted = outcome.is_ok();
+        if admitted {
+            self.mark_conn_dirty(id);
+            self.sync_multicast_for(p, now);
         } else {
-            MobilityClass::Mobile
-        };
-        let req = AdmissionRequest {
-            conn: id,
-            discipline: self.cfg.discipline,
-            mobility,
-            kind: RequestKind::New,
-        };
-        match admit_with(&mut self.net, req, &mut self.admission_scratch) {
-            Ok(_) => {
-                self.mark_conn_dirty(id);
-                self.sync_multicast_for(p, now);
-                self.after_event(now);
-                let cell = self.net.get(id).map_or(CellId(0), |c| c.cell);
-                self.obs.emit_with(|| ObsEvent::AdmitDecision {
-                    t: now,
-                    conn: id,
-                    cell,
-                    admitted: true,
-                    cause: "renegotiate-accepted".to_string(),
-                });
-                self.obs.phase_end(Phase::Admission, admit_tok, now);
-                Ok(())
+            self.metrics.blocked.incr();
+            // Restore the previous bounds; the resources were just
+            // freed, so re-admission under them cannot fail.
+            {
+                let c = self.net.get_mut(id).expect("invariant: checked above");
+                c.qos = old_qos;
+                c.b_current = old_qos.b_min;
             }
-            Err(rej) => {
-                self.metrics.blocked.incr();
-                // Restore the previous bounds; the resources were just
-                // freed, so re-admission under them cannot fail.
-                {
-                    let c = self.net.get_mut(id).expect("invariant: checked above");
-                    c.qos = old_qos;
-                    c.b_current = old_qos.b_min;
-                }
-                let _ = admit_with(
-                    &mut self.net,
-                    AdmissionRequest {
-                        conn: id,
-                        discipline: self.cfg.discipline,
-                        mobility,
-                        kind: RequestKind::New,
-                    },
-                    &mut self.admission_scratch,
-                )
+            self.admit(id, mobility, RequestKind::New)
                 .expect("invariant: restoring the previous reservation always fits");
-                self.mark_conn_dirty(id);
-                self.after_event(now);
-                let cell = self.net.get(id).map_or(CellId(0), |c| c.cell);
-                self.obs.emit_with(|| ObsEvent::AdmitDecision {
-                    t: now,
-                    conn: id,
-                    cell,
-                    admitted: false,
-                    cause: "renegotiate-rejected".to_string(),
-                });
-                self.obs.phase_end(Phase::Admission, admit_tok, now);
-                Err(rej)
-            }
+            self.mark_conn_dirty(id);
         }
+        self.after_event(now);
+        let cell = self.net.get(id).map_or(CellId(0), |c| c.cell);
+        self.obs.emit_with(|| ObsEvent::AdmitDecision {
+            t: now,
+            conn: id,
+            cell,
+            admitted,
+            cause: if admitted {
+                "renegotiate-accepted"
+            } else {
+                "renegotiate-rejected"
+            }
+            .to_string(),
+        });
+        self.obs.phase_end(Phase::Admission, admit_tok, now);
+        outcome
     }
 
     /// Normal connection teardown.
@@ -651,15 +647,11 @@ impl ResourceManager {
         self.metrics.record_arrival(to, now);
         *self.slot_outflow.entry(from).or_insert(0) += 1;
         // Meeting-room arrival/departure counters.
-        if self.is_meeting_room(to) {
-            if let Some(policy) = self.meeting_policies.get_mut(&to) {
-                policy.on_arrival(now);
-            }
+        if let Some(policy) = self.meeting_policy_mut(to) {
+            policy.on_arrival(now);
         }
-        if self.is_meeting_room(from) {
-            if let Some(policy) = self.meeting_policies.get_mut(&from) {
-                policy.on_departure(now);
-            }
+        if let Some(policy) = self.meeting_policy_mut(from) {
+            policy.on_departure(now);
         }
         // Move the connections.
         let conns: Vec<ConnId> = self.net.connections_of_portable(p).map(|c| c.id).collect();
@@ -723,11 +715,7 @@ impl ResourceManager {
             Some(s) => *s,
             None => return,
         };
-        let conns: Vec<(ConnId, f64)> = self
-            .net
-            .connections_of_portable(p)
-            .map(|c| (c.id, c.qos.b_min))
-            .collect();
+        let conns = self.floors_of(p);
         let mobile = !self.is_static(p, now);
         let neighbors: Vec<CellId> = self.env.neighbors(state.cell).collect();
         for (id, b_min) in conns {
@@ -770,26 +758,21 @@ impl ResourceManager {
     /// [`ResvClaim::Calendar`] claim, one leaving the booked states
     /// releases it. Expirations are processed before activations so a
     /// back-to-back booking on a saturated link can take over the
-    /// capacity its predecessor just freed. Cell-resource bookings
-    /// (the feeders' bookkeeping) have no ledger mirror.
+    /// capacity its predecessor just freed.
     fn consume_calendar(&mut self, slot: SlotIndex) {
         let roll = self.calendar.roll_to(slot);
         for id in &roll.expired {
             if let Some(r) = self.calendar.reservation(*id).copied() {
-                if let ResourceKey::Link(l) = r.resource {
-                    self.net
-                        .link_mut(l)
-                        .release_claim(ResvClaim::Calendar(id.0));
-                }
+                self.net
+                    .link_mut(r.link)
+                    .release_claim(ResvClaim::Calendar(id.0));
             }
         }
         for id in &roll.activated {
             if let Some(r) = self.calendar.reservation(*id).copied() {
-                if let ResourceKey::Link(l) = r.resource {
-                    self.net
-                        .link_mut(l)
-                        .set_claim(ResvClaim::Calendar(id.0), r.kbps);
-                }
+                self.net
+                    .link_mut(r.link)
+                    .set_claim(ResvClaim::Calendar(id.0), r.kbps);
             }
         }
     }
@@ -800,7 +783,7 @@ impl ResourceManager {
                 self.obs.emit_with(|| ObsEvent::ReservationConfirmed {
                     t: now,
                     reservation: r.id.0,
-                    resource: r.resource.to_string(),
+                    resource: format!("link:{}", r.link.0),
                     start_slot: r.start,
                     end_slot: r.end,
                     kbps: r.kbps,
@@ -825,6 +808,9 @@ impl ResourceManager {
         deadline: SlotIndex,
         now: SimTime,
     ) -> Result<BulkBooking, BookingError> {
+        // Before the stretch loop: a NaN rate fits no duration, and
+        // every step of the walk to `deadline` is a path × slots fold.
+        SlottedSchedule::validate_rate(kbps)?;
         let path: Vec<LinkId> = self
             .path_cache
             .uplink(cell)
@@ -840,8 +826,7 @@ impl ResourceManager {
                 self.path_cache
                     .max_assignable(&self.calendar, &path, start_slot, start_slot + d);
             if rate <= fits + 1e-6 {
-                let legs: Vec<(ResourceKey, f64)> =
-                    path.iter().map(|l| (ResourceKey::Link(*l), rate)).collect();
+                let legs: Vec<(LinkId, f64)> = path.iter().map(|l| (*l, rate)).collect();
                 let out = self.calendar.co_allocate(
                     &legs,
                     start_slot,
@@ -870,11 +855,10 @@ impl ResourceManager {
             d += 1;
         }
         Err(BookingError::Schedule(ScheduleError::DeadlineUnmet {
-            resource: ResourceKey::Link(
-                path.first()
-                    .copied()
-                    .expect("invariant: uplink path checked non-empty above"),
-            ),
+            link: path
+                .first()
+                .copied()
+                .expect("invariant: uplink path checked non-empty above"),
             start: start_slot,
             deadline,
         }))
@@ -899,8 +883,7 @@ impl ResourceManager {
             .path(from, to)
             .ok_or(BookingError::NoPath { from, to })?
             .to_vec();
-        let legs: Vec<(ResourceKey, f64)> =
-            path.iter().map(|l| (ResourceKey::Link(*l), kbps)).collect();
+        let legs: Vec<(LinkId, f64)> = path.iter().map(|l| (*l, kbps)).collect();
         match self
             .calendar
             .co_allocate(&legs, start_slot, end_slot, ResvOrigin::CoAllocation)
@@ -944,11 +927,9 @@ impl ResourceManager {
         };
         for rid in ids {
             if let Some(r) = self.calendar.reservation(rid).copied() {
-                if let ResourceKey::Link(l) = r.resource {
-                    self.net
-                        .link_mut(l)
-                        .release_claim(ResvClaim::Calendar(rid.0));
-                }
+                self.net
+                    .link_mut(r.link)
+                    .release_claim(ResvClaim::Calendar(rid.0));
             }
         }
         Ok(())
@@ -1174,13 +1155,10 @@ impl ResourceManager {
             c.route = new_route;
             c.b_current = b_min;
         }
-        let req = AdmissionRequest {
-            conn: id,
-            discipline: self.cfg.discipline,
-            mobility: MobilityClass::Mobile,
-            kind: RequestKind::Handoff,
-        };
-        if admit_with(&mut self.net, req, &mut self.admission_scratch).is_ok() {
+        if self
+            .admit(id, MobilityClass::Mobile, RequestKind::Handoff)
+            .is_ok()
+        {
             return true;
         }
         // The detour has no room. Fall back to the old route — its
@@ -1191,17 +1169,8 @@ impl ResourceManager {
             c.route = old_route;
             c.b_current = b_min;
         }
-        let _ = admit_with(
-            &mut self.net,
-            AdmissionRequest {
-                conn: id,
-                discipline: self.cfg.discipline,
-                mobility: MobilityClass::Mobile,
-                kind: RequestKind::Handoff,
-            },
-            &mut self.admission_scratch,
-        )
-        .expect("invariant: restoring the previous reservation always fits");
+        self.admit(id, MobilityClass::Mobile, RequestKind::Handoff)
+            .expect("invariant: restoring the previous reservation always fits");
         false
     }
 
@@ -1233,18 +1202,8 @@ impl ResourceManager {
             (c.qos.b_min, c.cell)
         };
         // The old cell's resources are released as the portable leaves
-        // it. The route's links go through the resident scratch — no
-        // per-handoff `Route` clone.
-        self.route_scratch.clear();
-        self.route_scratch.extend_from_slice(
-            &self
-                .net
-                .get(id)
-                .expect("invariant: live connection")
-                .route
-                .links,
-        );
-        self.net.release_route_links(id, &self.route_scratch);
+        // it.
+        self.release_current_route(id);
         let new_route = self.route_for(to);
         {
             let c = self.net.get_mut(id).expect("invariant: live connection");
@@ -1252,19 +1211,14 @@ impl ResourceManager {
             c.cell = to;
             c.b_current = b_min;
         }
-        let req = AdmissionRequest {
-            conn: id,
-            discipline: self.cfg.discipline,
-            mobility: MobilityClass::Mobile,
-            kind: if claims_usable {
-                RequestKind::Handoff
-            } else {
-                // Without signalling even the connection's own predicted
-                // claim is unreachable.
-                RequestKind::New
-            },
+        let kind = if claims_usable {
+            RequestKind::Handoff
+        } else {
+            // Without signalling even the connection's own predicted
+            // claim is unreachable.
+            RequestKind::New
         };
-        if admit_with(&mut self.net, req, &mut self.admission_scratch).is_ok() {
+        if self.admit(id, MobilityClass::Mobile, kind).is_ok() {
             let c = self.net.get_mut(id).expect("invariant: live connection");
             c.handoffs += 1;
             return true;
@@ -1286,17 +1240,9 @@ impl ResourceManager {
             }
             let drawn = available.min(b_min);
             self.net.link_mut(wl).set_claim(key, available - drawn);
-            if admit_with(
-                &mut self.net,
-                AdmissionRequest {
-                    conn: id,
-                    discipline: self.cfg.discipline,
-                    mobility: MobilityClass::Mobile,
-                    kind: RequestKind::Handoff,
-                },
-                &mut self.admission_scratch,
-            )
-            .is_ok()
+            if self
+                .admit(id, MobilityClass::Mobile, RequestKind::Handoff)
+                .is_ok()
             {
                 self.metrics.claims_consumed.incr();
                 self.obs.emit_with(|| ObsEvent::ClaimConsumed {
@@ -1328,11 +1274,15 @@ impl ResourceManager {
         .expect("invariant: star backbone is connected")
     }
 
-    fn is_meeting_room(&self, c: CellId) -> bool {
-        matches!(
+    /// The booking-calendar policy of `c`, if `c` is a meeting room.
+    fn meeting_policy_mut(&mut self, c: CellId) -> Option<&mut MeetingRoomPolicy> {
+        let is_meeting_room = matches!(
             self.env.cell(c).class,
             CellClass::Lounge(LoungeKind::MeetingRoom)
-        )
+        );
+        self.meeting_policies
+            .get_mut(&c)
+            .filter(|_| is_meeting_room)
     }
 
     // ------------------------------------------------------------------
@@ -1373,17 +1323,7 @@ impl ResourceManager {
                     self.maxmin.stats.shards_resolved,
                 )
             });
-            // One scan into a set, not a `portables` lookup per call: the
-            // resolver asks twice per live connection, and with 1,000
-            // portables (most of them mobile, so the set is small) the
-            // per-call lookups measured 29 % slower end to end.
-            let test = StaticMobileTest::new(self.cfg.t_th);
-            let statics: BTreeSet<PortableId> = self
-                .portables
-                .iter()
-                .filter(|(_, s)| test.is_static(s.entered_at, now))
-                .map(|(p, _)| *p)
-                .collect();
+            let statics = self.static_portables(now);
             let is_static = |p: PortableId| statics.contains(&p);
             arm_qos::conflict::resolve_network(
                 &mut self.net,
@@ -1497,18 +1437,13 @@ impl ResourceManager {
     /// lounge aggregate claims via the class policies, plus `B_dyn`.
     fn refresh_paper(&mut self, now: SimTime) {
         // Per-portable claims (mobile portables only).
-        let test = StaticMobileTest::new(self.cfg.t_th);
         let portables: Vec<(PortableId, PortableState)> =
             self.portables.iter().map(|(p, s)| (*p, *s)).collect();
         for (p, state) in &portables {
-            if test.is_static(state.entered_at, now) {
+            if state.is_static(self.cfg.t_th, now) {
                 continue; // B_dyn covers sudden movement of statics
             }
-            let floors: Vec<(ConnId, f64)> = self
-                .net
-                .connections_of_portable(*p)
-                .map(|c| (c.id, c.qos.b_min))
-                .collect();
+            let floors = self.floors_of(*p);
             if floors.is_empty() {
                 continue;
             }
@@ -1548,13 +1483,7 @@ impl ResourceManager {
         self.refresh_lounge_claims(now);
         // B_dyn pools.
         if let Some(policy) = self.cfg.dyn_pool {
-            let test = StaticMobileTest::new(self.cfg.t_th);
-            let statics: std::collections::BTreeSet<PortableId> = self
-                .portables
-                .iter()
-                .filter(|(_, s)| test.is_static(s.entered_at, now))
-                .map(|(p, _)| *p)
-                .collect();
+            let statics = self.static_portables(now);
             let cells: Vec<CellId> = self.env.cells().map(|(id, _)| id).collect();
             for c in cells {
                 let neighbors: Vec<CellId> = self.env.neighbors(c).collect();
@@ -1592,17 +1521,10 @@ impl ResourceManager {
             }
         }
         // Cafeterias and default lounges: predicted outbound handoffs.
-        let caf: Vec<(CellId, f64)> = self
-            .cafeteria_pred
-            .iter()
-            .map(|(c, p)| (*c, p.predict()))
-            .collect();
-        let def: Vec<(CellId, f64)> = self
-            .default_pred
-            .iter()
-            .map(|(c, p)| (*c, p.predict()))
-            .collect();
-        for (c, predicted) in caf.into_iter().chain(def) {
+        let caf = self.cafeteria_pred.iter().map(|(c, p)| (*c, p.predict()));
+        let def = self.default_pred.iter().map(|(c, p)| (*c, p.predict()));
+        let predictions: Vec<(CellId, f64)> = caf.chain(def).collect();
+        for (c, predicted) in predictions {
             let demand = predicted * self.cfg.per_user_kbps;
             if demand > 0.0 {
                 self.spread_to_neighbors(c, demand);
@@ -1637,13 +1559,18 @@ impl ResourceManager {
             };
             let amount = demand * share;
             if amount > 0.0 {
-                let wl = self.net.topology().wireless_link(*n);
-                let cur = self.net.link(wl).claim(ResvClaim::Cell(source));
-                self.net
-                    .link_mut(wl)
-                    .set_claim(ResvClaim::Cell(source), cur + amount);
+                self.add_cell_claim(source, *n, amount);
             }
         }
+    }
+
+    /// Grow the `Cell(source)` claim on neighbour `n`'s wireless link.
+    fn add_cell_claim(&mut self, source: CellId, n: CellId, amount: f64) {
+        let wl = self.net.topology().wireless_link(n);
+        let cur = self.net.link(wl).claim(ResvClaim::Cell(source));
+        self.net
+            .link_mut(wl)
+            .set_claim(ResvClaim::Cell(source), cur + amount);
     }
 
     /// Even-split spread used when profile data is unavailable (zone
@@ -1656,22 +1583,14 @@ impl ResourceManager {
         }
         let share = demand / neighbors.len() as f64;
         for n in neighbors {
-            let wl = self.net.topology().wireless_link(n);
-            let cur = self.net.link(wl).claim(ResvClaim::Cell(source));
-            self.net
-                .link_mut(wl)
-                .set_claim(ResvClaim::Cell(source), cur + share);
+            self.add_cell_claim(source, n, share);
         }
     }
 
     fn refresh_brute_force(&mut self) {
         let demands = self.mobile_demands();
         for (p, cell) in demands {
-            let floors: Vec<(ConnId, f64)> = self
-                .net
-                .connections_of_portable(p)
-                .map(|c| (c.id, c.qos.b_min))
-                .collect();
+            let floors = self.floors_of(p);
             let neighbors: Vec<CellId> = self.env.neighbors(cell).collect();
             for n in neighbors {
                 let wl = self.net.topology().wireless_link(n);
@@ -1694,6 +1613,14 @@ impl ResourceManager {
                 self.spread_to_neighbors(cell, total);
             }
         }
+    }
+
+    /// The `(connection, b_min)` floors of a portable's live connections.
+    fn floors_of(&self, p: PortableId) -> Vec<(ConnId, f64)> {
+        self.net
+            .connections_of_portable(p)
+            .map(|c| (c.id, c.qos.b_min))
+            .collect()
     }
 
     /// Every portable with live connections and its cell (the baselines

@@ -2,7 +2,7 @@
 
 use arm_mobility::environment::{Figure4, IndoorEnvironment};
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::PortableId;
+use arm_net::ids::{CellId, PortableId};
 use arm_net::link::ResvClaim;
 use arm_profiles::{CellClass, LoungeKind};
 use arm_reservation::meeting::{BookingCalendar, Meeting};
@@ -299,6 +299,110 @@ fn slot_tick_feeds_lounge_predictors() {
     // the neighbour X under the lounge's key.
     let wl_x = mgr.net.topology().wireless_link(x);
     assert!((mgr.net.link(wl_x).claim(ResvClaim::Cell(d)) - 84.0).abs() < 1e-9);
+}
+
+/// A lounge of the given kind with three corridor neighbours and a
+/// skewed departure history: 1, 2 and 4 portables leave it for the
+/// first, second and third neighbour, one batch per slot, each slot
+/// closed by a `slot_tick`. The lounge's transition row is then
+/// `{1/7, 2/7, 4/7}` and its predictor has observed `[1, 2, 4]`.
+fn lounge_with_history(kind: LoungeKind) -> (ResourceManager, CellId, [CellId; 3]) {
+    let mut env = IndoorEnvironment::new();
+    let lounge = env.add_cell("L", CellClass::Lounge(kind));
+    let ns = ["N0", "N1", "N2"].map(|name| env.add_cell(name, CellClass::Corridor));
+    for n in ns {
+        env.connect(lounge, n);
+    }
+    let net = env.build_network(1600.0, 0.0, 100_000.0);
+    let mut mgr = ResourceManager::new(env, net, ManagerConfig::default());
+    let mut next = 0;
+    for (slot, n) in ns.into_iter().enumerate() {
+        for i in 0..1u64 << slot {
+            let p = PortableId(800 + next);
+            next += 1;
+            mgr.portable_appears(p, lounge, SimTime::ZERO);
+            mgr.portable_moved(p, n, SimTime::from_secs(60 * slot as u64 + 10 + i));
+        }
+        mgr.slot_tick(SimTime::from_mins(slot as u64 + 1));
+    }
+    (mgr, lounge, ns)
+}
+
+/// The `Cell(source)` claim on each neighbour's wireless link must be
+/// `demand` split by the `{1/7, 2/7, 4/7}` row — bit for bit, in the
+/// order `spread_to_neighbors` does the arithmetic.
+fn assert_spread_bits(mgr: &ResourceManager, source: CellId, ns: [CellId; 3], demand: f64) {
+    let row = [1.0 / 7.0, 2.0 / 7.0, 4.0 / 7.0];
+    let known: f64 = row.iter().sum();
+    for (n, weight) in ns.into_iter().zip(row) {
+        let want = demand * (weight / known);
+        let wl = mgr.net.topology().wireless_link(n);
+        let got = mgr.net.link(wl).claim(ResvClaim::Cell(source));
+        assert_eq!(got.to_bits(), want.to_bits(), "{n:?}: {got} vs {want}");
+    }
+}
+
+#[test]
+fn default_lounge_claim_bits() {
+    let (mgr, lounge, ns) = lounge_with_history(LoungeKind::Default);
+    // One-step memory: the last slot's 4 leavers, 28 kbps each.
+    assert_spread_bits(&mgr, lounge, ns, 4.0 * 28.0);
+}
+
+#[test]
+fn cafeteria_claim_bits() {
+    use arm_reservation::cafeteria::CafeteriaPredictor;
+    let (mgr, lounge, ns) = lounge_with_history(LoungeKind::Cafeteria);
+    let mut pred = CafeteriaPredictor::new();
+    for count in [1.0, 2.0, 4.0] {
+        pred.observe(count);
+    }
+    assert!(pred.predict() > 4.0, "the least-squares fit extrapolates");
+    assert_spread_bits(&mgr, lounge, ns, pred.predict() * 28.0);
+}
+
+#[test]
+fn meeting_room_claim_bits() {
+    let (mut mgr, room, ns) = lounge_with_history(LoungeKind::MeetingRoom);
+    // A short meeting whose arrival and departure windows overlap, so
+    // rule (a) and rule (b) are live at once at minute 61.
+    let mut cal = BookingCalendar::new();
+    cal.book(Meeting {
+        t_start: SimTime::from_mins(60),
+        t_end: SimTime::from_mins(62),
+        expected: 5,
+    });
+    mgr.set_calendar(room, cal);
+    for i in 0..3 {
+        let p = PortableId(900 + i);
+        mgr.portable_appears(p, ns[0], SimTime::from_mins(54));
+        mgr.portable_moved(p, room, SimTime::from_mins(55));
+    }
+    mgr.slot_tick(SimTime::from_mins(61));
+    // Rule (a): the 2 attendees still expected, on the room's own link.
+    let wl = mgr.net.topology().wireless_link(room);
+    let own = mgr.net.link(wl).claim(ResvClaim::Cell(room));
+    assert_eq!(own.to_bits(), (2.0 * 28.0f64).to_bits());
+    // Rule (b): the 3 present, spread over the neighbours.
+    assert_spread_bits(&mgr, room, ns, 3.0 * 28.0);
+}
+
+/// A NaN, negative or infinite rate is refused before the stretch loop
+/// (which would otherwise walk every duration up to the deadline and
+/// report `DeadlineUnmet`), and books nothing.
+#[test]
+fn bulk_transfer_rejects_bad_rates_up_front() {
+    let (mut mgr, f4) = figure4_manager(Strategy::None);
+    for bad in [f64::NAN, -1.0, f64::INFINITY] {
+        let err = mgr
+            .book_bulk_transfer(f4.c, 1, 2, bad, 1_000, SimTime::ZERO)
+            .expect_err("bad rate");
+        assert!(
+            matches!(err, BookingError::Schedule(ScheduleError::BadRate { .. })),
+            "{bad}: {err:?}"
+        );
+    }
+    assert_eq!(mgr.calendar.live_count(), 0);
 }
 
 #[test]

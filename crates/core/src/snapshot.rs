@@ -47,8 +47,10 @@ use crate::multicast::MulticastState;
 /// (DESIGN.md §11); v3 added the campus-scale `sharded` maxmin planner
 /// and its `ManagerConfig::sharded` switch (DESIGN.md §12); v4 made
 /// that planner the only engine: `ManagerConfig::{incremental, sharded}`
-/// and the second engine field are gone, the planner is `maxmin`.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+/// and the second engine field are gone, the planner is `maxmin`; v5
+/// embeds the link-keyed v2 calendar (no `Cell` resource, no
+/// `moldable`/`deadline` reservation fields).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -163,15 +165,21 @@ impl ManagerSnapshot {
     }
 
     /// Validate internal consistency without building a manager: the
-    /// schema must match, the network ledgers must balance, and the
-    /// planner's routing maps must agree with its shards (every event
-    /// indexes shards straight from those maps).
+    /// schema must match, the slot width must be non-zero (slot rolls
+    /// and the metrics series divide by it), the network ledgers must
+    /// balance, the planner's routing maps must agree with its shards
+    /// (every event indexes shards straight from those maps), and every
+    /// calendar reservation must name a link of the topology (an
+    /// activating slot roll indexes the ledgers by it).
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
                 found: self.schema,
                 expected: SNAPSHOT_SCHEMA_VERSION,
             });
+        }
+        if self.cfg.slot.ticks() == 0 {
+            return Err(SnapshotError::Invalid("cfg.slot is zero".to_string()));
         }
         self.net
             .check_invariants()
@@ -181,6 +189,18 @@ impl ManagerSnapshot {
             .map_err(SnapshotError::Invalid)?;
         self.calendar
             .validate()
-            .map_err(|e| SnapshotError::Invalid(e.to_string()))
+            .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
+        let links = self.net.topology().link_count();
+        match self
+            .calendar
+            .reservations()
+            .find(|r| r.link.index() >= links)
+        {
+            Some(r) => Err(SnapshotError::Invalid(format!(
+                "calendar reservation {} books link {} of a {links}-link topology",
+                r.id, r.link.0
+            ))),
+            None => Ok(()),
+        }
     }
 }

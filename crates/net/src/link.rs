@@ -40,8 +40,12 @@ use crate::ids::{CellId, ConnId};
 pub enum ResvClaim {
     /// Profile-predicted handoff of one specific connection.
     Conn(ConnId),
-    /// An aggregate claim made on behalf of a neighbouring cell's
-    /// reservation algorithm (meeting room / cafeteria / default).
+    /// An aggregate claim made on behalf of cell `c`'s reservation
+    /// policy: a lounge algorithm (meeting room rule (a) on `c`'s own
+    /// link, rule (b) / cafeteria / default on its neighbours' links),
+    /// the stale-profile even spread, or the aggregate and
+    /// static-fraction strategies. Written only by the manager's claim
+    /// refresh; a handoff into or out of `c` may draw it down.
     Cell(CellId),
     /// The dynamically adjustable pool `B_dyn` for unforeseen events
     /// (sudden movement of static portables), §4.3.

@@ -9,8 +9,7 @@
 //! "Advanced resource reservation is based \[on\] two factors: (a)
 //! prediction of the next cell of a mobile user, and (b) aggregate
 //! handoff activity of cells." Prediction lives in `arm-profiles`; this
-//! crate supplies the per-class reservation *policies* plus the paper's
-//! baselines:
+//! crate supplies the per-class reservation *policies*:
 //!
 //! * [`dispatch`] — the §6.4 summary algorithm: route each mobile
 //!   portable's reservation decision through the three-level prediction
@@ -24,15 +23,16 @@
 //! * [`default_cell`] — the one-step-memory predictor (§6.2.3),
 //! * [`probabilistic`] — the binomial look-ahead algorithm (§6.3, eqns
 //!   3–7): keep the handoff-drop probability below `P_QOS` over the
-//!   window `[t, t+T]`,
-//! * [`baselines`] — brute-force neighbourhood reservation, aggregate
-//!   history-weighted reservation, and static fixed-fraction
-//!   reservation, the comparison points of §7.
+//!   window `[t, t+T]`.
+//!
+//! The §7 comparison strategies (brute-force, aggregate, static
+//! fraction) are not here: they are `arm_core::Strategy` arms of the
+//! manager's claim refresh, which writes their claims straight onto the
+//! link ledgers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod cafeteria;
 pub mod default_cell;
 pub mod dispatch;

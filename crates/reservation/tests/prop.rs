@@ -1,7 +1,5 @@
 //! Property-based tests for the reservation algorithms.
 
-use arm_net::ids::CellId;
-use arm_reservation::baselines::{aggregate, brute_force, static_fraction, MobileDemand};
 use arm_reservation::cafeteria::{least_squares_params, predict_next, CafeteriaPredictor};
 use arm_reservation::meeting::{BookingCalendar, Meeting, MeetingRoomPolicy};
 use arm_reservation::probabilistic::{
@@ -9,7 +7,6 @@ use arm_reservation::probabilistic::{
 };
 use arm_sim::SimTime;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 proptest! {
     /// Binomial pmfs are distributions with the right mean.
@@ -101,40 +98,6 @@ proptest! {
             p.observe(s);
             prop_assert!(p.predict() >= 0.0);
         }
-    }
-
-    /// Brute force reserves exactly demand × neighbour-count; aggregate
-    /// conserves exactly the demand.
-    #[test]
-    fn baseline_conservation(
-        demands in prop::collection::vec((0u32..5, 0.1f64..100.0), 1..10),
-        n_cells in 2usize..6,
-    ) {
-        let neighbors = move |c: CellId| -> Vec<CellId> {
-            (0..n_cells as u32).filter(|i| *i != c.0).map(CellId).collect()
-        };
-        let ds: Vec<MobileDemand> = demands
-            .iter()
-            .map(|(c, f)| MobileDemand {
-                cell: CellId(c % n_cells as u32),
-                floor_kbps: *f,
-            })
-            .collect();
-        let bf = brute_force(&ds, &neighbors);
-        let bf_total: f64 = bf.values().sum();
-        let want: f64 = ds.iter().map(|d| d.floor_kbps * (n_cells - 1) as f64).sum();
-        prop_assert!((bf_total - want).abs() < 1e-6);
-
-        let rows = |_c: CellId| BTreeMap::new();
-        let ag = aggregate(&ds, &neighbors, &rows);
-        let ag_total: f64 = ag.values().sum();
-        let demand_total: f64 = ds.iter().map(|d| d.floor_kbps).sum();
-        prop_assert!((ag_total - demand_total).abs() < 1e-6);
-
-        let cells: Vec<(CellId, f64)> =
-            (0..n_cells as u32).map(|i| (CellId(i), 1600.0)).collect();
-        let st = static_fraction(&cells, 0.1);
-        prop_assert!(st.values().all(|v| (*v - 160.0).abs() < 1e-9));
     }
 
     /// Meeting-policy demands are always nonnegative and bounded by the

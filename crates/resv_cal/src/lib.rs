@@ -4,37 +4,29 @@
 
 //! Slotted advance-reservation calendar (DESIGN.md §11).
 //!
-//! The paper's §4 advance-reservation algorithms — the meeting-room
-//! booking calendar with its `Δ_s`/`Δ_a` windows, the cafeteria
-//! least-squares predictor, the default one-step memory, and the
-//! probabilistic binomial look-ahead of eqns 3–7 — are five bespoke
-//! per-cell-class special cases of one missing abstraction: a
-//! time-indexed reservation store where *"can connection c get
-//! bandwidth b on resource x at time T+Δ?"* is a first-class query.
-//!
-//! This crate is that abstraction:
+//! A time-indexed store of *link* bookings, where *"can this transfer
+//! get bandwidth b on link l in slot T+Δ?"* is a first-class query:
 //!
 //! * [`SlottedSchedule`] — a schema-versioned, serde-snapshottable
-//!   store keyed by `(slot, resource)` holding typed [`Reservation`]
+//!   store keyed by `(slot, link)` holding typed [`Reservation`]
 //!   records with a [`ReservationState`] lifecycle
 //!   (`Requested → Confirmed → Active → Released/Expired`);
 //! * [`TopologyPathCache`] — precomputed paths between cells built from
 //!   `arm_net::topology`, with per-slot bottleneck analysis to find the
 //!   maximum assignable capacity along any path;
-//! * **moldable** reservations ([`SlottedSchedule::request_moldable`]):
-//!   when per-slot bandwidth is scarce the booking stretches its
-//!   duration — conserving total volume at a lower per-slot rate —
-//!   subject to a deadline;
 //! * **co-allocated multi-link advance reservations**
 //!   ([`SlottedSchedule::co_allocate`]): an all-or-nothing group of
 //!   link reservations admitted atomically across a path for a slot
 //!   range (the workflow/bulk-transfer workload of the related VRM
 //!   literature).
 //!
-//! The legacy per-class algorithms become *predictors that feed claims
-//! into the one store* ([`feed`]), each proven bit-identical to its
-//! pre-existing implementation by the differential tests in
-//! `tests/differential.rs`.
+//! The store's callers are the manager's `book_bulk_transfer` (which
+//! owns the one molding loop: stretch the duration over the whole path
+//! until the volume fits), `book_co_allocation` and `cancel_booking`;
+//! active bookings reach the link ledgers as `ResvClaim::Calendar`
+//! claims at each slot roll. The paper's §4/§6 per-cell algorithms do
+//! **not** go through this store — the manager's claim refresh writes
+//! their `Conn`/`Cell`/`DynPool` claims straight onto the links.
 //!
 //! ## Determinism contract
 //!
@@ -46,19 +38,15 @@
 //! a freshly restored snapshot recomputes — and the crash-recovery
 //! drill demands restore + replay be *byte-identical* to never having
 //! crashed. Folding in id order makes the query a pure function of the
-//! store contents, at a cost (O(reservations) per query) that is noise
-//! at indoor scale.
+//! store contents, at a cost of O(reservations ever taken) per query —
+//! acceptable for explicit bookings, and the reason nothing per-event
+//! is routed through here.
 
-pub mod feed;
 pub mod path_cache;
 pub mod schedule;
 
-pub use feed::{
-    feed_cafeteria, feed_default_cell, feed_meeting, feed_probabilistic, spread_shares, FeedInstall,
-};
 pub use path_cache::TopologyPathCache;
 pub use schedule::{
-    CalendarError, CoAllocOutcome, GroupId, MoldOutcome, Reservation, ReservationId,
-    ReservationState, ResourceKey, ResvOrigin, RollReport, ScheduleError, SlotIndex,
-    SlottedSchedule, CAL_SCHEMA_VERSION,
+    CalendarError, CoAllocOutcome, GroupId, Reservation, ReservationId, ReservationState,
+    ResvOrigin, RollReport, ScheduleError, SlotIndex, SlottedSchedule, CAL_SCHEMA_VERSION,
 };

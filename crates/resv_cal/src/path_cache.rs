@@ -18,13 +18,11 @@ use arm_net::ids::{CellId, LinkId, NodeId};
 use arm_net::routing::shortest_path;
 use arm_net::topology::Topology;
 
-use crate::schedule::{ResourceKey, SlotIndex, SlottedSchedule};
+use crate::schedule::{SlotIndex, SlottedSchedule};
 
 /// Precomputed paths over a static topology. See the module docs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TopologyPathCache {
-    /// The wired-backbone node uplink paths terminate at.
-    server: NodeId,
     /// Cell → ordered link list of its air-to-server path (wireless
     /// hop first). Cells with no route to the server are absent.
     uplinks: BTreeMap<CellId, Vec<LinkId>>,
@@ -55,16 +53,7 @@ impl TopologyPathCache {
                 }
             }
         }
-        TopologyPathCache {
-            server,
-            uplinks,
-            paths,
-        }
-    }
-
-    /// The server node uplinks terminate at.
-    pub fn server(&self) -> NodeId {
-        self.server
+        TopologyPathCache { uplinks, paths }
     }
 
     /// The cached air-to-server path of a cell (wireless hop first), or
@@ -104,7 +93,7 @@ impl TopologyPathCache {
         let mut min = f64::INFINITY;
         for &link in path {
             for slot in start..end {
-                let h = sched.headroom(slot, ResourceKey::Link(link));
+                let h = sched.headroom(slot, link);
                 // `f64::min` is NaN-propagation-safe here: headroom is
                 // capacity minus a finite fold, never NaN.
                 min = min.min(h);
@@ -170,14 +159,14 @@ mod tests {
         // Register capacities for every link on the c0→c1 path.
         let path: Vec<LinkId> = cache.path(c0, c1).expect("path").to_vec();
         for &l in &path {
-            sched.set_capacity(ResourceKey::Link(l), topo.link(l).capacity);
+            sched.set_capacity(l, topo.link(l).capacity);
         }
         // Untouched: the tightest pipe is c1's 1000 kbps medium.
         assert_eq!(cache.bottleneck(&sched, &path, 0, 4), 1000.0);
         // Book 600 on that medium in slots [1, 3): bottleneck drops.
         sched
             .request(
-                ResourceKey::Link(topo.wireless_link(c1)),
+                topo.wireless_link(c1),
                 1,
                 3,
                 600.0,

@@ -1,14 +1,14 @@
 //! The slotted reservation store.
 //!
-//! A [`SlottedSchedule`] answers one question — *how much of resource
-//! `r` is already promised away in slot `s`?* — and everything else
-//! (admission, molding, co-allocation, lifecycle) is built on that
-//! query. Slots are the manager's reservation slots (`ManagerConfig::
-//! slot` wide); resources are wireless cells or individual links.
+//! A [`SlottedSchedule`] answers one question — *how much of link `l`
+//! is already promised away in slot `s`?* — and everything else
+//! (admission, co-allocation, lifecycle) is built on that query. Slots
+//! are the manager's reservation slots (`ManagerConfig::slot` wide);
+//! the booked resources are directed links, wired or wireless.
 
 use std::collections::BTreeMap;
 
-use arm_net::ids::{CellId, LinkId};
+use arm_net::ids::LinkId;
 use serde::{Deserialize, Serialize};
 
 /// Slot index: sim-time ticks divided by the slot width.
@@ -20,7 +20,9 @@ const EPS: f64 = 1e-6;
 
 /// Version stamp embedded in every serialized schedule. Bump on any
 /// change to the field set of [`SlottedSchedule`] or [`Reservation`].
-pub const CAL_SCHEMA_VERSION: u32 = 1;
+/// v2 keys the store by [`LinkId`] (the `Cell` resource is gone) and
+/// drops the never-read `moldable`/`deadline` reservation fields.
+pub const CAL_SCHEMA_VERSION: u32 = 2;
 
 /// Identity of one reservation record (monotonic per store).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -39,26 +41,6 @@ pub struct GroupId(pub u64);
 impl std::fmt::Display for GroupId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "G{}", self.0)
-    }
-}
-
-/// What a reservation books capacity *on*.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum ResourceKey {
-    /// A cell's wireless medium (the per-cell aggregate claims of the
-    /// lounge algorithms live here).
-    Cell(CellId),
-    /// One directed link (wired or wireless) — the unit the path cache
-    /// and co-allocated bookings work in.
-    Link(LinkId),
-}
-
-impl std::fmt::Display for ResourceKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResourceKey::Cell(c) => write!(f, "cell:{}", c.0),
-            ResourceKey::Link(l) => write!(f, "link:{}", l.0),
-        }
     }
 }
 
@@ -110,35 +92,13 @@ impl ReservationState {
     }
 }
 
-/// Which algorithm or workload produced a reservation.
+/// Which workload produced a reservation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ResvOrigin {
-    /// §4 meeting-room booking calendar (`Δ_s`/`Δ_a` windows).
-    Meeting,
-    /// §4 cafeteria least-squares predictor.
-    Cafeteria,
-    /// §4 default one-step memory.
-    DefaultCell,
-    /// §6.3 probabilistic binomial look-ahead (eqns 3–7).
-    Probabilistic,
     /// A moldable bulk-transfer booking.
     BulkTransfer,
     /// A leg of a co-allocated multi-link group.
     CoAllocation,
-}
-
-impl ResvOrigin {
-    /// Stable lowercase label (used in reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            ResvOrigin::Meeting => "meeting",
-            ResvOrigin::Cafeteria => "cafeteria",
-            ResvOrigin::DefaultCell => "default-cell",
-            ResvOrigin::Probabilistic => "probabilistic",
-            ResvOrigin::BulkTransfer => "bulk-transfer",
-            ResvOrigin::CoAllocation => "co-allocation",
-        }
-    }
 }
 
 /// One typed reservation record.
@@ -146,18 +106,14 @@ impl ResvOrigin {
 pub struct Reservation {
     /// Store-assigned identity.
     pub id: ReservationId,
-    /// What capacity is booked on.
-    pub resource: ResourceKey,
+    /// The link capacity is booked on.
+    pub link: LinkId,
     /// First booked slot (inclusive).
     pub start: SlotIndex,
     /// One past the last booked slot (exclusive; `end > start`).
     pub end: SlotIndex,
     /// Booked rate per slot (kbps).
     pub kbps: f64,
-    /// Was this booking allowed to stretch its duration?
-    pub moldable: bool,
-    /// Latest slot a moldable booking was allowed to end at.
-    pub deadline: Option<SlotIndex>,
     /// Co-allocation group membership (all-or-nothing siblings).
     pub group: Option<GroupId>,
     /// Which algorithm/workload produced it.
@@ -167,9 +123,9 @@ pub struct Reservation {
 }
 
 impl Reservation {
-    /// Does this reservation book capacity on `resource` in `slot`?
-    pub fn books(&self, slot: SlotIndex, resource: ResourceKey) -> bool {
-        self.state.is_booked() && self.resource == resource && self.start <= slot && slot < self.end
+    /// Does this reservation book capacity on `link` in `slot`?
+    pub fn books(&self, slot: SlotIndex, link: LinkId) -> bool {
+        self.state.is_booked() && self.link == link && self.start <= slot && slot < self.end
     }
 }
 
@@ -198,8 +154,8 @@ pub enum ScheduleError {
     },
     /// Some slot lacks the headroom for the requested rate.
     Insufficient {
-        /// The constraining resource.
-        resource: ResourceKey,
+        /// The constraining link.
+        link: LinkId,
         /// The first slot that cannot fit the request.
         slot: SlotIndex,
         /// Headroom remaining in that slot (kbps).
@@ -210,8 +166,8 @@ pub enum ScheduleError {
     /// A moldable request cannot fit even fully stretched to its
     /// deadline.
     DeadlineUnmet {
-        /// The constraining resource.
-        resource: ResourceKey,
+        /// First link of the path the booking was attempted on.
+        link: LinkId,
         /// First slot of the attempted window.
         start: SlotIndex,
         /// The deadline that bounded the stretch.
@@ -240,21 +196,23 @@ impl std::fmt::Display for ScheduleError {
             }
             ScheduleError::BadRate { kbps } => write!(f, "rate {kbps} is not a finite ≥0 kbps"),
             ScheduleError::Insufficient {
-                resource,
+                link,
                 slot,
                 headroom,
                 needed,
             } => write!(
                 f,
-                "{resource} slot {slot}: {needed} kbps needed, {headroom} kbps free"
+                "link:{} slot {slot}: {needed} kbps needed, {headroom} kbps free",
+                link.0
             ),
             ScheduleError::DeadlineUnmet {
-                resource,
+                link,
                 start,
                 deadline,
             } => write!(
                 f,
-                "{resource}: no duration in [{start}, {deadline}] fits the volume"
+                "link:{}: no duration in [{start}, {deadline}] fits the volume",
+                link.0
             ),
             ScheduleError::UnknownReservation(id) => write!(f, "unknown reservation {id}"),
             ScheduleError::BadTransition { id, from } => {
@@ -298,20 +256,6 @@ impl std::fmt::Display for CalendarError {
 
 impl std::error::Error for CalendarError {}
 
-/// Outcome of a moldable request.
-#[must_use]
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MoldOutcome {
-    /// The booked reservation.
-    pub id: ReservationId,
-    /// Granted per-slot rate (kbps) — below the asked rate iff molded.
-    pub rate_kbps: f64,
-    /// Granted duration in slots — above the asked duration iff molded.
-    pub slots: u64,
-    /// Did scarcity stretch the booking beyond its base duration?
-    pub molded: bool,
-}
-
 /// Outcome of an atomic co-allocation.
 #[must_use]
 #[derive(Clone, Debug, PartialEq)]
@@ -334,16 +278,16 @@ pub struct RollReport {
 }
 
 /// The time-indexed reservation store. See the crate docs for the
-/// determinism contract; see [`Self::request`], [`Self::request_moldable`]
-/// and [`Self::co_allocate`] for the three booking flavours.
+/// determinism contract; see [`Self::request`] and
+/// [`Self::co_allocate`] for the two booking flavours.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SlottedSchedule {
     /// Schema stamp, always [`CAL_SCHEMA_VERSION`] when written by this
     /// build.
     schema: u32,
-    /// Per-slot capacity of each registered resource (kbps).
-    /// Unregistered resources are unconstrained.
-    capacities: BTreeMap<ResourceKey, f64>,
+    /// Per-slot capacity of each registered link (kbps). Unregistered
+    /// links are unconstrained.
+    capacities: BTreeMap<LinkId, f64>,
     /// Every reservation ever taken, keyed (and folded) in id order.
     reservations: BTreeMap<ReservationId, Reservation>,
     /// Co-allocation groups → member reservations.
@@ -380,39 +324,39 @@ impl SlottedSchedule {
     // Capacity registration & queries
     // ------------------------------------------------------------------
 
-    /// Register (or update) the per-slot capacity of a resource.
-    /// Non-finite or negative capacities are ignored (the resource
+    /// Register (or update) the per-slot capacity of a link.
+    /// Non-finite or negative capacities are ignored (the link
     /// stays/becomes unconstrained is *not* what we want — they leave
     /// the previous registration untouched).
-    pub fn set_capacity(&mut self, resource: ResourceKey, kbps: f64) {
+    pub fn set_capacity(&mut self, link: LinkId, kbps: f64) {
         if kbps.is_finite() && kbps >= 0.0 {
-            self.capacities.insert(resource, kbps);
+            self.capacities.insert(link, kbps);
         }
     }
 
     /// The registered per-slot capacity, or `None` if unconstrained.
-    pub fn capacity(&self, resource: ResourceKey) -> Option<f64> {
-        self.capacities.get(&resource).copied()
+    pub fn capacity(&self, link: LinkId) -> Option<f64> {
+        self.capacities.get(&link).copied()
     }
 
-    /// Total booked rate on `resource` in `slot`, folded over the live
+    /// Total booked rate on `link` in `slot`, folded over the live
     /// reservations in id order (see the crate-level determinism
     /// contract — this is deliberately *not* a cached total).
-    pub fn booked(&self, slot: SlotIndex, resource: ResourceKey) -> f64 {
+    pub fn booked(&self, slot: SlotIndex, link: LinkId) -> f64 {
         let mut total = 0.0;
         for r in self.reservations.values() {
-            if r.books(slot, resource) {
+            if r.books(slot, link) {
                 total += r.kbps;
             }
         }
         total
     }
 
-    /// Capacity still free on `resource` in `slot` (`∞` when the
-    /// resource is unconstrained).
-    pub fn headroom(&self, slot: SlotIndex, resource: ResourceKey) -> f64 {
-        match self.capacities.get(&resource) {
-            Some(cap) => cap - self.booked(slot, resource),
+    /// Capacity still free on `link` in `slot` (`∞` when the link is
+    /// unconstrained).
+    pub fn headroom(&self, slot: SlotIndex, link: LinkId) -> f64 {
+        match self.capacities.get(&link) {
+            Some(cap) => cap - self.booked(slot, link),
             None => f64::INFINITY,
         }
     }
@@ -462,30 +406,31 @@ impl SlottedSchedule {
         Ok(())
     }
 
-    fn validate_rate(kbps: f64) -> Result<(), ScheduleError> {
+    /// A bookable rate is a finite, non-negative kbps.
+    pub fn validate_rate(kbps: f64) -> Result<(), ScheduleError> {
         if !kbps.is_finite() || kbps < 0.0 {
             return Err(ScheduleError::BadRate { kbps });
         }
         Ok(())
     }
 
-    /// Would a booking of `kbps` on `resource` over `[start, end)` fit,
-    /// on top of everything already booked plus `extra` kbps the caller
-    /// is stacking on the same resource (intra-group accumulation)?
+    /// Would a booking of `kbps` on `link` over `[start, end)` fit, on
+    /// top of everything already booked plus `extra` kbps the caller
+    /// is stacking on the same link (intra-group accumulation)?
     fn fits(
         &self,
-        resource: ResourceKey,
+        link: LinkId,
         start: SlotIndex,
         end: SlotIndex,
         kbps: f64,
         extra: f64,
     ) -> Result<(), ScheduleError> {
-        if self.capacities.contains_key(&resource) {
+        if self.capacities.contains_key(&link) {
             for slot in start..end {
-                let headroom = self.headroom(slot, resource) - extra;
+                let headroom = self.headroom(slot, link) - extra;
                 if kbps > headroom + EPS {
                     return Err(ScheduleError::Insufficient {
-                        resource,
+                        link,
                         slot,
                         headroom,
                         needed: kbps,
@@ -505,13 +450,13 @@ impl SlottedSchedule {
         id
     }
 
-    /// Admission-checked fixed booking: `kbps` on `resource` for every
+    /// Admission-checked fixed booking: `kbps` on `link` for every
     /// slot in `[start, end)`. The new reservation holds capacity in
     /// state [`ReservationState::Requested`] until
     /// [confirmed](Self::confirm) or [released](Self::release).
     pub fn request(
         &mut self,
-        resource: ResourceKey,
+        link: LinkId,
         start: SlotIndex,
         end: SlotIndex,
         kbps: f64,
@@ -519,90 +464,22 @@ impl SlottedSchedule {
     ) -> Result<ReservationId, ScheduleError> {
         self.validate_range(start, end)?;
         Self::validate_rate(kbps)?;
-        self.fits(resource, start, end, kbps, 0.0)?;
+        self.fits(link, start, end, kbps, 0.0)?;
         Ok(self.insert(Reservation {
             id: ReservationId(0),
-            resource,
+            link,
             start,
             end,
             kbps,
-            moldable: false,
-            deadline: None,
             group: None,
             origin,
             state: ReservationState::Requested,
         }))
     }
 
-    /// Moldable booking: the caller wants `kbps × base_slots` of volume
-    /// starting at `start`. If some slot in the base window lacks
-    /// headroom, the duration stretches — one slot at a time, rate
-    /// scaled down to conserve volume — until the booking fits or its
-    /// end would pass `deadline` (exclusive bound on `end`).
-    ///
-    /// This is the related VRM workflow literature's moldable-job
-    /// semantics mapped onto bandwidth: scarce slots trade rate for
-    /// duration instead of rejecting outright.
-    pub fn request_moldable(
-        &mut self,
-        resource: ResourceKey,
-        start: SlotIndex,
-        base_slots: u64,
-        kbps: f64,
-        deadline: SlotIndex,
-        origin: ResvOrigin,
-    ) -> Result<MoldOutcome, ScheduleError> {
-        self.validate_range(start, start + base_slots.max(1))?;
-        Self::validate_rate(kbps)?;
-        let volume = kbps * base_slots as f64;
-        let mut last_err = ScheduleError::DeadlineUnmet {
-            resource,
-            start,
-            deadline,
-        };
-        let mut d = base_slots.max(1);
-        while start + d <= deadline {
-            let rate_kbps = volume / d as f64;
-            match self.fits(resource, start, start + d, rate_kbps, 0.0) {
-                Ok(()) => {
-                    let id = self.insert(Reservation {
-                        id: ReservationId(0),
-                        resource,
-                        start,
-                        end: start + d,
-                        kbps: rate_kbps,
-                        moldable: true,
-                        deadline: Some(deadline),
-                        group: None,
-                        origin,
-                        state: ReservationState::Requested,
-                    });
-                    return Ok(MoldOutcome {
-                        id,
-                        rate_kbps,
-                        slots: d,
-                        molded: d > base_slots,
-                    });
-                }
-                Err(e) => last_err = e,
-            }
-            d += 1;
-        }
-        // Surface the deadline as the cause; the last per-slot failure
-        // is carried when the window never even opened.
-        if start + base_slots.max(1) > deadline {
-            return Err(last_err);
-        }
-        Err(ScheduleError::DeadlineUnmet {
-            resource,
-            start,
-            deadline,
-        })
-    }
-
-    /// Atomic co-allocation: book every `(resource, kbps)` leg for
+    /// Atomic co-allocation: book every `(link, kbps)` leg for
     /// `[start, end)` or book nothing. Legs stacking on the same
-    /// resource are accumulated in leg order during the feasibility
+    /// link are accumulated in leg order during the feasibility
     /// pass, so a group cannot overcommit a shared link against itself.
     /// All legs are booked directly in [`ReservationState::Confirmed`]
     /// (a group is a commitment, not a quote). `origin` labels the
@@ -610,7 +487,7 @@ impl SlottedSchedule {
     /// though its path legs form a group).
     pub fn co_allocate(
         &mut self,
-        legs: &[(ResourceKey, f64)],
+        legs: &[(LinkId, f64)],
         start: SlotIndex,
         end: SlotIndex,
         origin: ResvOrigin,
@@ -620,24 +497,22 @@ impl SlottedSchedule {
             Self::validate_rate(*kbps)?;
         }
         // Feasibility pass over all legs before any booking.
-        let mut stacked: BTreeMap<ResourceKey, f64> = BTreeMap::new();
-        for (resource, kbps) in legs {
-            let extra = stacked.get(resource).copied().unwrap_or(0.0);
-            self.fits(*resource, start, end, *kbps, extra)?;
-            stacked.insert(*resource, extra + *kbps);
+        let mut stacked: BTreeMap<LinkId, f64> = BTreeMap::new();
+        for (link, kbps) in legs {
+            let extra = stacked.get(link).copied().unwrap_or(0.0);
+            self.fits(*link, start, end, *kbps, extra)?;
+            stacked.insert(*link, extra + *kbps);
         }
         let group = GroupId(self.next_group);
         self.next_group += 1;
         let mut ids = Vec::with_capacity(legs.len());
-        for (resource, kbps) in legs {
+        for (link, kbps) in legs {
             ids.push(self.insert(Reservation {
                 id: ReservationId(0),
-                resource: *resource,
+                link: *link,
                 start,
                 end,
                 kbps: *kbps,
-                moldable: false,
-                deadline: None,
                 group: Some(group),
                 origin,
                 state: ReservationState::Confirmed,
@@ -800,7 +675,7 @@ impl SlottedSchedule {
     }
 
     /// Internal consistency: schema matches, ids below the counters,
-    /// every capacitated resource within capacity in every booked slot,
+    /// every capacitated link within capacity in every booked slot,
     /// group members mutually consistent.
     pub fn validate(&self) -> Result<(), CalendarError> {
         if self.schema != CAL_SCHEMA_VERSION {
@@ -859,16 +734,16 @@ impl SlottedSchedule {
         }
         // Capacity honoured in every slot any live reservation touches.
         for r in self.reservations.values() {
-            if !r.state.is_booked() || !self.capacities.contains_key(&r.resource) {
+            if !r.state.is_booked() || !self.capacities.contains_key(&r.link) {
                 continue;
             }
-            let cap = self.capacities.get(&r.resource).copied().unwrap_or(0.0);
+            let cap = self.capacities.get(&r.link).copied().unwrap_or(0.0);
             for slot in r.start..r.end {
-                let total = self.booked(slot, r.resource);
+                let total = self.booked(slot, r.link);
                 if total > cap + EPS {
                     return Err(CalendarError::Invalid(format!(
-                        "{} slot {slot}: booked {total} exceeds capacity {cap}",
-                        r.resource
+                        "link:{} slot {slot}: booked {total} exceeds capacity {cap}",
+                        r.link.0
                     )));
                 }
             }
@@ -881,24 +756,16 @@ impl SlottedSchedule {
 mod tests {
     use super::*;
 
-    fn link(n: u32) -> ResourceKey {
-        ResourceKey::Link(LinkId(n))
-    }
-
-    fn cell(n: u32) -> ResourceKey {
-        ResourceKey::Cell(CellId(n))
-    }
-
     #[test]
     fn fixed_booking_lifecycle() {
         let mut s = SlottedSchedule::new();
-        s.set_capacity(link(0), 100.0);
+        s.set_capacity(LinkId(0), 100.0);
         let id = s
-            .request(link(0), 2, 4, 60.0, ResvOrigin::BulkTransfer)
+            .request(LinkId(0), 2, 4, 60.0, ResvOrigin::BulkTransfer)
             .expect("fits");
-        assert_eq!(s.booked(2, link(0)), 60.0);
-        assert_eq!(s.booked(1, link(0)), 0.0);
-        assert_eq!(s.booked(4, link(0)), 0.0);
+        assert_eq!(s.booked(2, LinkId(0)), 60.0);
+        assert_eq!(s.booked(1, LinkId(0)), 0.0);
+        assert_eq!(s.booked(4, LinkId(0)), 0.0);
         s.confirm(id).expect("requested -> confirmed");
         assert!(matches!(
             s.confirm(id),
@@ -912,88 +779,41 @@ mod tests {
         );
         let roll = s.roll_to(4);
         assert_eq!(roll.expired, vec![id]);
-        assert_eq!(s.booked(2, link(0)), 0.0, "expired books nothing");
+        assert_eq!(s.booked(2, LinkId(0)), 0.0, "expired books nothing");
     }
 
     #[test]
     fn admission_respects_capacity() {
         let mut s = SlottedSchedule::new();
-        s.set_capacity(cell(1), 100.0);
-        s.request(cell(1), 0, 3, 70.0, ResvOrigin::Meeting)
+        s.set_capacity(LinkId(1), 100.0);
+        s.request(LinkId(1), 0, 3, 70.0, ResvOrigin::BulkTransfer)
             .expect("fits");
         let err = s
-            .request(cell(1), 2, 5, 40.0, ResvOrigin::Meeting)
+            .request(LinkId(1), 2, 5, 40.0, ResvOrigin::BulkTransfer)
             .expect_err("slot 2 has only 30 free");
         assert!(matches!(err, ScheduleError::Insufficient { slot: 2, .. }));
         // Outside the contended window it fits.
-        s.request(cell(1), 3, 5, 40.0, ResvOrigin::Meeting)
+        s.request(LinkId(1), 3, 5, 40.0, ResvOrigin::BulkTransfer)
             .expect("fits after the first booking ends");
     }
 
     #[test]
     fn unregistered_resource_is_unconstrained() {
         let mut s = SlottedSchedule::new();
-        s.request(cell(9), 0, 2, 1e9, ResvOrigin::DefaultCell)
+        s.request(LinkId(9), 0, 2, 1e9, ResvOrigin::BulkTransfer)
             .expect("no capacity registered");
-        assert_eq!(s.headroom(0, cell(9)), f64::INFINITY);
-    }
-
-    #[test]
-    fn moldable_stretches_under_scarcity() {
-        let mut s = SlottedSchedule::new();
-        s.set_capacity(link(0), 100.0);
-        // 60 booked in [0, 4): only 40/slot free there.
-        s.request(link(0), 0, 4, 60.0, ResvOrigin::BulkTransfer)
-            .expect("fits");
-        // Want 80 kbps × 2 slots = 160 volume starting at 0. 80 > 40
-        // free, so it must stretch: 4 slots × 40 kbps hits capacity in
-        // [0,4) exactly.
-        let out = s
-            .request_moldable(link(0), 0, 2, 80.0, 10, ResvOrigin::BulkTransfer)
-            .expect("stretches");
-        assert!(out.molded);
-        assert_eq!(out.slots, 4);
-        assert_eq!(out.rate_kbps, 40.0);
-        // Volume conserved.
-        assert_eq!(out.rate_kbps * out.slots as f64, 160.0);
-    }
-
-    #[test]
-    fn moldable_unmolded_when_room() {
-        let mut s = SlottedSchedule::new();
-        s.set_capacity(link(0), 100.0);
-        let out = s
-            .request_moldable(link(0), 1, 3, 50.0, 10, ResvOrigin::BulkTransfer)
-            .expect("fits as asked");
-        assert!(!out.molded);
-        assert_eq!(out.slots, 3);
-        assert_eq!(out.rate_kbps, 50.0);
-    }
-
-    #[test]
-    fn moldable_deadline_unmet() {
-        let mut s = SlottedSchedule::new();
-        s.set_capacity(link(0), 100.0);
-        s.request(link(0), 0, 20, 90.0, ResvOrigin::BulkTransfer)
-            .expect("fits");
-        // 80×2=160 volume, only 10/slot free: needs 16 slots, deadline
-        // at 6 allows at most 6.
-        let err = s
-            .request_moldable(link(0), 0, 2, 80.0, 6, ResvOrigin::BulkTransfer)
-            .expect_err("cannot fit by deadline");
-        assert!(matches!(err, ScheduleError::DeadlineUnmet { .. }));
-        assert_eq!(s.live_count(), 1, "failed mold books nothing");
+        assert_eq!(s.headroom(0, LinkId(9)), f64::INFINITY);
     }
 
     #[test]
     fn co_allocation_is_atomic() {
         let mut s = SlottedSchedule::new();
-        s.set_capacity(link(0), 100.0);
-        s.set_capacity(link(1), 30.0);
+        s.set_capacity(LinkId(0), 100.0);
+        s.set_capacity(LinkId(1), 30.0);
         // Leg 2 exceeds link 1's capacity — nothing must be booked.
         let err = s
             .co_allocate(
-                &[(link(0), 50.0), (link(1), 40.0)],
+                &[(LinkId(0), 50.0), (LinkId(1), 40.0)],
                 0,
                 3,
                 ResvOrigin::CoAllocation,
@@ -1002,7 +822,7 @@ mod tests {
         assert!(matches!(
             err,
             ScheduleError::Insufficient {
-                resource: ResourceKey::Link(LinkId(1)),
+                link: LinkId(1),
                 ..
             }
         ));
@@ -1010,7 +830,7 @@ mod tests {
         // A feasible group books every leg as Confirmed.
         let out = s
             .co_allocate(
-                &[(link(0), 50.0), (link(1), 20.0)],
+                &[(LinkId(0), 50.0), (LinkId(1), 20.0)],
                 0,
                 3,
                 ResvOrigin::CoAllocation,
@@ -1029,11 +849,11 @@ mod tests {
     #[test]
     fn co_allocation_stacks_same_resource_legs() {
         let mut s = SlottedSchedule::new();
-        s.set_capacity(link(0), 100.0);
+        s.set_capacity(LinkId(0), 100.0);
         // Two 60s on the same link must be rejected together.
         let err = s
             .co_allocate(
-                &[(link(0), 60.0), (link(0), 60.0)],
+                &[(LinkId(0), 60.0), (LinkId(0), 60.0)],
                 0,
                 2,
                 ResvOrigin::CoAllocation,
@@ -1046,10 +866,10 @@ mod tests {
     #[test]
     fn releasing_one_leg_releases_the_group() {
         let mut s = SlottedSchedule::new();
-        s.set_capacity(link(0), 100.0);
+        s.set_capacity(LinkId(0), 100.0);
         let out = s
             .co_allocate(
-                &[(link(0), 10.0), (link(0), 20.0)],
+                &[(LinkId(0), 10.0), (LinkId(0), 20.0)],
                 0,
                 2,
                 ResvOrigin::CoAllocation,
@@ -1062,14 +882,14 @@ mod tests {
                 ReservationState::Released
             );
         }
-        assert_eq!(s.booked(0, link(0)), 0.0);
+        assert_eq!(s.booked(0, LinkId(0)), 0.0);
     }
 
     #[test]
     fn unconfirmed_request_expires_at_start() {
         let mut s = SlottedSchedule::new();
         let id = s
-            .request(cell(0), 1, 3, 10.0, ResvOrigin::Cafeteria)
+            .request(LinkId(0), 1, 3, 10.0, ResvOrigin::BulkTransfer)
             .expect("fits");
         let roll = s.roll_to(1);
         assert_eq!(roll.expired, vec![id]);
@@ -1084,15 +904,15 @@ mod tests {
         let mut s = SlottedSchedule::new();
         s.roll_to(5);
         assert!(matches!(
-            s.request(cell(0), 4, 6, 1.0, ResvOrigin::Meeting),
+            s.request(LinkId(0), 4, 6, 1.0, ResvOrigin::BulkTransfer),
             Err(ScheduleError::StartsInPast { .. })
         ));
         assert!(matches!(
-            s.request(cell(0), 3, 3, 1.0, ResvOrigin::Meeting),
+            s.request(LinkId(0), 3, 3, 1.0, ResvOrigin::BulkTransfer),
             Err(ScheduleError::EmptySlotRange { .. })
         ));
         assert!(matches!(
-            s.request(cell(0), 5, 6, f64::NAN, ResvOrigin::Meeting),
+            s.request(LinkId(0), 5, 6, f64::NAN, ResvOrigin::BulkTransfer),
             Err(ScheduleError::BadRate { .. })
         ));
     }
@@ -1100,18 +920,15 @@ mod tests {
     #[test]
     fn json_round_trip_is_byte_identical() {
         let mut s = SlottedSchedule::new();
-        s.set_capacity(link(3), 640.0);
-        s.set_capacity(cell(2), 1000.0);
+        s.set_capacity(LinkId(3), 640.0);
+        s.set_capacity(LinkId(2), 1000.0);
         let a = s
-            .request(link(3), 1, 4, 28.5, ResvOrigin::Probabilistic)
+            .request(LinkId(3), 1, 4, 28.5, ResvOrigin::BulkTransfer)
             .expect("fits");
         s.confirm(a).expect("confirm");
         let _ = s
-            .request_moldable(link(3), 2, 2, 300.0, 9, ResvOrigin::BulkTransfer)
-            .expect("molds");
-        let _ = s
             .co_allocate(
-                &[(link(3), 10.0), (cell(2), 12.25)],
+                &[(LinkId(3), 10.0), (LinkId(2), 12.25)],
                 3,
                 6,
                 ResvOrigin::CoAllocation,
@@ -1128,17 +945,20 @@ mod tests {
     fn schema_mismatch_is_typed() {
         let s = SlottedSchedule::new();
         let json = s.to_json().expect("serialize");
-        let doctored = json.replacen(
-            &format!("\"schema\":{CAL_SCHEMA_VERSION}"),
-            &format!("\"schema\":{}", CAL_SCHEMA_VERSION + 1),
-            1,
-        );
-        match SlottedSchedule::from_json(&doctored) {
-            Err(CalendarError::SchemaMismatch { found, expected }) => {
-                assert_eq!(found, CAL_SCHEMA_VERSION + 1);
-                assert_eq!(expected, CAL_SCHEMA_VERSION);
+        // A future version, and the previous one (cell-keyed store).
+        for skew in [CAL_SCHEMA_VERSION + 1, 1] {
+            let doctored = json.replacen(
+                &format!("\"schema\":{CAL_SCHEMA_VERSION}"),
+                &format!("\"schema\":{skew}"),
+                1,
+            );
+            match SlottedSchedule::from_json(&doctored) {
+                Err(CalendarError::SchemaMismatch { found, expected }) => {
+                    assert_eq!(found, skew);
+                    assert_eq!(expected, CAL_SCHEMA_VERSION);
+                }
+                other => panic!("expected SchemaMismatch, got {other:?}"),
             }
-            other => panic!("expected SchemaMismatch, got {other:?}"),
         }
         assert!(matches!(
             SlottedSchedule::from_json("not json"),

@@ -1,22 +1,20 @@
-//! Property tests: no random sequence of requests, moldable bookings,
-//! co-allocations, confirms, cancels, and slot rolls may ever
-//! overcommit a capacitated resource in any slot, corrupt the store's
-//! invariants, or leak booked bandwidth past expiry.
+//! Property tests: no random sequence of requests, co-allocations,
+//! confirms, cancels, and slot rolls may ever overcommit a capacitated
+//! link in any slot, corrupt the store's invariants, or leak booked
+//! bandwidth past expiry.
 
-use arm_net::ids::{CellId, LinkId};
-use arm_resv_cal::{ReservationId, ResourceKey, ResvOrigin, SlottedSchedule};
+use arm_net::ids::LinkId;
+use arm_resv_cal::{ReservationId, ResvOrigin, SlottedSchedule};
 use proptest::prelude::*;
 
 const CAPACITY: f64 = 100.0;
 const EPS: f64 = 1e-6;
 const HORIZON: u64 = 24;
 
-fn resources() -> [ResourceKey; 3] {
-    [
-        ResourceKey::Link(LinkId::from_index(0)),
-        ResourceKey::Link(LinkId::from_index(1)),
-        ResourceKey::Cell(CellId(0)),
-    ]
+/// Two capacitated links and one the store has no capacity for
+/// (exempt from the capacity check, not from the leak check).
+fn resources() -> [LinkId; 3] {
+    [LinkId(0), LinkId(1), LinkId(2)]
 }
 
 #[derive(Clone, Debug)]
@@ -26,13 +24,6 @@ enum Op {
         start: u64,
         len: u64,
         kbps: f64,
-    },
-    Moldable {
-        res: usize,
-        start: u64,
-        base: u64,
-        kbps: f64,
-        deadline_slack: u64,
     },
     CoAllocate {
         start: u64,
@@ -54,15 +45,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 kbps,
             }
         }),
-        (0usize..3, 0u64..HORIZON, 1u64..3, 1.0f64..80.0, 0u64..8).prop_map(
-            |(res, start, base, kbps, deadline_slack)| Op::Moldable {
-                res,
-                start,
-                base,
-                kbps,
-                deadline_slack,
-            }
-        ),
         (0u64..HORIZON, 1u64..4, 1.0f64..60.0).prop_map(|(start, len, kbps)| Op::CoAllocate {
             start,
             len,
@@ -100,9 +82,6 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60)
     ) {
         let mut sched = SlottedSchedule::new();
-        // Two capacitated links; the cell resource stays uncapacitated
-        // (feeder regime) and so is exempt from the capacity check but
-        // not from the leak check.
         let [l0, l1, _] = resources();
         sched.set_capacity(l0, CAPACITY);
         sched.set_capacity(l1, CAPACITY);
@@ -117,20 +96,6 @@ proptest! {
                         res[*r], s, s + len, *kbps, ResvOrigin::BulkTransfer,
                     ) {
                         issued.push(id);
-                    }
-                }
-                Op::Moldable { res: r, start, base, kbps, deadline_slack } => {
-                    let s = sched.current_slot() + start;
-                    let deadline = s + base + deadline_slack;
-                    if let Ok(out) = sched.request_moldable(
-                        res[*r], s, *base, *kbps, deadline, ResvOrigin::BulkTransfer,
-                    ) {
-                        // Molding conserves volume within EPS headroom.
-                        prop_assert!(
-                            out.rate_kbps * out.slots as f64
-                                >= kbps * *base as f64 - EPS
-                        );
-                        issued.push(out.id);
                     }
                 }
                 Op::CoAllocate { start, len, kbps } => {

@@ -42,10 +42,10 @@ use crate::ingest::{parse_event, IngestError};
 /// its own version, checked independently). v2 tracks the manager
 /// snapshot's v2 (the slotted advance-reservation calendar): a v1
 /// server artifact embeds a calendar-less manager image and cannot
-/// restore into this build. v3 and v4 likewise track the manager
-/// snapshot's v3 (sharded planner added) and v4 (planner is the only
-/// maxmin engine).
-pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+/// restore into this build. v3, v4 and v5 likewise track the manager
+/// snapshot's v3 (sharded planner added), v4 (planner is the only
+/// maxmin engine) and v5 (link-keyed calendar).
+pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// Static configuration of a server instance. Captured in every
 /// snapshot so a restore cannot silently run under different rules
@@ -570,14 +570,20 @@ impl ServerSnapshot {
         Ok(snap)
     }
 
-    /// Validate internal consistency: both schema stamps and the
-    /// embedded network ledger.
+    /// Validate internal consistency: both schema stamps, a non-zero
+    /// slot width (`apply_event` advances the slot cursor by it until
+    /// it passes the event time) and the embedded manager image.
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SERVER_SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
                 found: self.schema,
                 expected: SERVER_SNAPSHOT_SCHEMA_VERSION,
             });
+        }
+        if self.cfg.slot.ticks() == 0 {
+            return Err(SnapshotError::Invalid(
+                "server cfg.slot is zero".to_string(),
+            ));
         }
         self.manager.validate()
     }

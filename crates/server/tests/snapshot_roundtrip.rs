@@ -98,16 +98,16 @@ fn mismatched_server_schema_is_a_typed_error() {
     let server = server_at(&walk_cfg(7), 40);
     let json = server.snapshot().to_json().expect("snapshot serializes");
     assert!(
-        json.starts_with("{\"schema\":4,"),
+        json.starts_with("{\"schema\":5,"),
         "layout drifted: {json:.60}"
     );
-    // A future version, and the previous one (two maxmin engines).
-    for skew in [999u32, 3] {
-        let skewed = json.replacen("{\"schema\":4,", &format!("{{\"schema\":{skew},"), 1);
+    // A future version, and the previous one (cell-keyed calendar).
+    for skew in [999u32, 4] {
+        let skewed = json.replacen("{\"schema\":5,", &format!("{{\"schema\":{skew},"), 1);
         match ServerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 4);
+                assert_eq!(expected, 5);
                 assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -124,15 +124,15 @@ fn mismatched_manager_schema_is_a_typed_error() {
         .to_json()
         .expect("snapshot serializes");
     assert!(
-        json.starts_with("{\"schema\":4,"),
+        json.starts_with("{\"schema\":5,"),
         "layout drifted: {json:.60}"
     );
-    for skew in [42u32, 3] {
-        let skewed = json.replacen("{\"schema\":4,", &format!("{{\"schema\":{skew},"), 1);
+    for skew in [42u32, 4] {
+        let skewed = json.replacen("{\"schema\":5,", &format!("{{\"schema\":{skew},"), 1);
         match arm_core::ManagerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 4);
+                assert_eq!(expected, 5);
                 assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -140,38 +140,71 @@ fn mismatched_manager_schema_is_a_typed_error() {
     }
 }
 
-/// A planner whose routing map names a shard that does not exist would
-/// index out of bounds on the first event touching that link. Such a
-/// snapshot is refused with a typed error — by the server at decode,
-/// by the manager at restore — and never panics.
+/// Snapshots that decode cleanly but would panic or hang a restored
+/// process: a planner routing map naming a shard that does not exist
+/// (indexed out of bounds by the first event touching that link), a
+/// calendar reservation on a link the topology does not have (indexed
+/// out of bounds by the slot roll that activates it), and a zero slot
+/// width (`slot_tick` divides by the manager's, the server's slot
+/// cursor never passes an event time with its own). Each is refused
+/// with a typed error — by the server at decode, by the manager at
+/// restore — and never panics.
 #[test]
 fn corrupted_planner_routing_is_a_typed_error() {
     let server = server_at(&walk_cfg(7), 40);
-    let corrupt = |json: String| {
-        assert!(
-            json.contains("\"shards\":[],\"link_shard\":[],"),
-            "layout drifted"
-        );
-        json.replacen("\"link_shard\":[],", "\"link_shard\":[[3,99]],", 1)
-    };
-    let hostile = corrupt(server.snapshot().to_json().expect("snapshot serializes"));
-    match ServerSnapshot::from_json(&hostile) {
-        Err(SnapshotError::Invalid(why)) => assert!(why.contains("slot 99"), "{why}"),
-        other => panic!("want Invalid, got {other:?}"),
+    // (needle, hostile replacement, what the refusal names, in the
+    // manager image too?)
+    let cases = [
+        (
+            "\"shards\":[],\"link_shard\":[],",
+            "\"shards\":[],\"link_shard\":[[3,99]],",
+            "slot 99",
+            true,
+        ),
+        (
+            "\"reservations\":[],\"groups\":[],\"next_id\":0,",
+            "\"reservations\":[[0,{\"id\":0,\"link\":9999,\"start\":100,\"end\":101,\
+             \"kbps\":1.0,\"group\":null,\"origin\":\"BulkTransfer\",\
+             \"state\":\"Confirmed\"}]],\"groups\":[],\"next_id\":1,",
+            "link 9999",
+            true,
+        ),
+        (
+            "\"slot\":60000000,\"per_user_kbps\"",
+            "\"slot\":0,\"per_user_kbps\"",
+            "cfg.slot",
+            true,
+        ),
+        (
+            "\"slot\":60000000,\"checkpoint_every\"",
+            "\"slot\":0,\"checkpoint_every\"",
+            "server cfg.slot",
+            false,
+        ),
+    ];
+    let server_json = server.snapshot().to_json().expect("snapshot serializes");
+    let manager_json = server
+        .mgr
+        .snapshot()
+        .to_json()
+        .expect("snapshot serializes");
+    for (needle, hostile, names, in_manager) in cases {
+        assert!(server_json.contains(needle), "layout drifted: {needle}");
+        match ServerSnapshot::from_json(&server_json.replacen(needle, hostile, 1)) {
+            Err(SnapshotError::Invalid(why)) => assert!(why.contains(names), "{why}"),
+            other => panic!("{needle}: want Invalid, got {other:?}"),
+        }
+        if !in_manager {
+            continue;
+        }
+        assert!(manager_json.contains(needle), "layout drifted: {needle}");
+        let snap = arm_core::ManagerSnapshot::from_json(&manager_json.replacen(needle, hostile, 1))
+            .expect("well-formed JSON decodes");
+        match arm_core::ResourceManager::restore(snap, Obs::off()).err() {
+            Some(SnapshotError::Invalid(why)) => assert!(why.contains(names), "{why}"),
+            other => panic!("{needle}: want Invalid, got {other:?}"),
+        }
     }
-    let hostile = corrupt(
-        server
-            .mgr
-            .snapshot()
-            .to_json()
-            .expect("snapshot serializes"),
-    );
-    let snap = arm_core::ManagerSnapshot::from_json(&hostile).expect("well-formed JSON decodes");
-    let refused = arm_core::ResourceManager::restore(snap, Obs::off()).err();
-    assert!(
-        matches!(refused, Some(SnapshotError::Invalid(_))),
-        "want Invalid, got {refused:?}"
-    );
 }
 
 /// A calendar populated with all three booking flavours — a bulk
@@ -180,8 +213,8 @@ fn corrupted_planner_routing_is_a_typed_error() {
 /// restores to an equal store.
 #[test]
 fn calendar_bookings_round_trip_byte_identically() {
-    use arm_net::ids::CellId;
-    use arm_resv_cal::{ResourceKey, ResvOrigin};
+    use arm_net::ids::{CellId, LinkId};
+    use arm_resv_cal::ResvOrigin;
     use arm_sim::SimTime;
 
     let cfg = walk_cfg(23);
@@ -200,11 +233,11 @@ fn calendar_bookings_round_trip_byte_identically() {
         .mgr
         .calendar
         .request(
-            ResourceKey::Cell(CellId(0)),
+            LinkId(0),
             slot + 1,
             slot + 3,
             17.5,
-            ResvOrigin::Meeting,
+            ResvOrigin::BulkTransfer,
         )
         .expect("raw request books");
 

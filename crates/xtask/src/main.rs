@@ -10,7 +10,12 @@
 //!
 //! * `check` — lints + fingerprints + model sweeps (what CI runs);
 //! * `lint`  — domain lints + fingerprints only (fast; run while editing);
-//! * `model` — the model-checking sweeps only.
+//! * `model` — the model-checking sweeps only;
+//! * `results` — regenerate the reference outputs under `results/`
+//!   (every `expt_*.txt` from the `arm-bench` binary of that name, and
+//!   `sample_scenario.json`); with `--check`, write nothing into the
+//!   checkout and fail on any byte that differs from the committed
+//!   file (what CI runs).
 //!
 //! `--trace-dir <dir>` writes any counterexample as JSON into `dir`
 //! (CI uploads these as artifacts on failure). After an intentional
@@ -18,7 +23,7 @@
 //! regenerates `crates/check/fingerprints/` instead of comparing.
 
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
 use arm_check::fingerprint::{bless_fingerprints, check_fingerprints};
 use arm_check::lints::run_lints;
@@ -177,11 +182,88 @@ fn run_model_pass(trace_dir: Option<&Path>) -> Result<(), ExitCode> {
     )
 }
 
+/// Run one `arm-bench` binary from `root` and return its stdout.
+fn bench_stdout(root: &Path, bin: &str, args: &[&str]) -> Result<Vec<u8>, String> {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .current_dir(root)
+        .args([
+            "run",
+            "--quiet",
+            "--release",
+            "-p",
+            "arm-bench",
+            "--bin",
+            bin,
+            "--",
+        ])
+        .args(args)
+        .output()
+        .map_err(|e| format!("cannot run {bin}: {e}"))?;
+    if out.status.success() {
+        Ok(out.stdout)
+    } else {
+        Err(format!(
+            "{bin} exited with {}:\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        ))
+    }
+}
+
+/// Regenerate every reference output named by a committed file under
+/// `results/`. With `check`, the fresh bytes are compared against the
+/// committed ones and nothing in the checkout is written.
+fn regenerate_results(root: &Path, check: bool) -> Result<(), String> {
+    let results = root.join("results");
+    let mut names: Vec<String> = std::fs::read_dir(&results)
+        .map_err(|e| format!("cannot list {}: {e}", results.display()))?
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|n| n == "sample_scenario.json" || (n.starts_with("expt_") && n.ends_with(".txt")))
+        .collect();
+    names.sort();
+    let mut stale = 0usize;
+    for name in &names {
+        let fresh = match name.strip_suffix(".txt") {
+            Some(bin) => bench_stdout(root, bin, &[]),
+            None => bench_stdout(root, "run_scenario", &["--emit-sample"]),
+        }?;
+        let path = results.join(name);
+        if !check {
+            std::fs::write(&path, &fresh)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            println!("    wrote results/{name}");
+        } else if std::fs::read(&path).ok().as_deref() == Some(fresh.as_slice()) {
+            println!("    results/{name}: identical");
+        } else {
+            println!("results/{name}: differs from a fresh run");
+            stale += 1;
+        }
+    }
+    if stale > 0 {
+        return Err(format!(
+            "{stale} reference output(s) differ; a behaviour change must ship \
+             with `cargo xtask results` and an EXPERIMENTS.md note"
+        ));
+    }
+    Ok(())
+}
+
+fn run_results_pass(root: &Path, check: bool) -> Result<(), ExitCode> {
+    let mode = if check { "checking" } else { "regenerating" };
+    println!("==> results/ ({mode})");
+    regenerate_results(root, check).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "check".to_string());
     let mut trace_dir = None;
     let mut bless = false;
+    let mut check_results = false;
     let mut rest = Vec::new();
     while let Some(a) = args.next() {
         if a == "--trace-dir" {
@@ -194,6 +276,8 @@ fn main() -> ExitCode {
             }
         } else if a == "--bless-fingerprints" {
             bless = true;
+        } else if a == "--check" && cmd == "results" {
+            check_results = true;
         } else {
             rest.push(a);
         }
@@ -202,7 +286,7 @@ fn main() -> ExitCode {
         eprintln!("error: unexpected arguments: {rest:?}");
         return ExitCode::FAILURE;
     }
-    if bless && cmd == "model" {
+    if bless && (cmd == "model" || cmd == "results") {
         eprintln!("error: --bless-fingerprints applies to `check`/`lint` only");
         return ExitCode::FAILURE;
     }
@@ -215,10 +299,11 @@ fn main() -> ExitCode {
             .and_then(|()| run_model_pass(td)),
         "lint" => run_lint_pass(&root).and_then(|()| run_fingerprint_pass(&root, bless)),
         "model" => run_model_pass(td),
+        "results" => run_results_pass(&root, check_results),
         "help" | "--help" | "-h" => {
             println!(
                 "usage: cargo xtask [check|lint|model] [--trace-dir DIR] \
-                 [--bless-fingerprints]"
+                 [--bless-fingerprints]\n       cargo xtask results [--check]"
             );
             Ok(())
         }

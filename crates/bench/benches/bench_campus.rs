@@ -1,15 +1,14 @@
-//! Campus-scale churn through the sharded maxmin planner.
+//! Campus-scale churn through the resident maxmin engine.
 //!
 //! The workload models an entire campus rather than one floor: ~10k
 //! cells (one wireless link each, plus a sparse set of two-cell coupler
-//! connections so some shards span several links) carrying ~1M
+//! connections so some components span several links) carrying ~1M
 //! connections. Churn arrives in per-tick batches — renegotiations,
-//! handoffs between cells, capacity fades — and the planner coalesces
-//! each batch into one re-solve per dirty shard per tick
-//! ([`ShardedMaxmin::resolve_all`]), serially and then on the vendored
-//! worker pool. Results go to `BENCH_campus.json` at the repository
-//! root; the bench itself is the CI gate (≥ 100k coalesced churn
-//! events/sec on the better path).
+//! handoffs between cells, capacity fades — and the engine coalesces
+//! each batch into one re-fill per dirty component per tick
+//! ([`IncrementalMaxmin::resolve`]). Results go to `BENCH_campus.json`
+//! at the repository root; the bench itself is the CI gate (≥ 100k
+//! coalesced churn events/sec).
 //!
 //! Run with `ARM_BENCH_QUICK=1` for the CI smoke mode (a 500-cell
 //! campus, same shape); full mode is the one quoted in EXPERIMENTS.md.
@@ -17,15 +16,14 @@
 use std::time::Instant;
 
 use arm_net::ids::{ConnId, LinkId};
-use arm_pool::WorkerPool;
-use arm_qos::maxmin::sharded::ShardedMaxmin;
+use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use arm_sim::SimRng;
 
 struct Campus {
     cells: usize,
     per_cell: usize,
     /// Every `coupler_every`-th cell gets one connection spanning it and
-    /// the next cell, gluing their shards together.
+    /// the next cell, gluing their components together.
     coupler_every: usize,
 }
 
@@ -38,14 +36,8 @@ impl Campus {
 /// Build the resident campus: per-cell link capacities, `per_cell` local
 /// connections each, sparse couplers. Returns the engine plus the
 /// per-cell resident lists the handoff events move connections between.
-///
-/// The replan threshold is raised from the manager default (4096): at
-/// campus churn volume a tick carries thousands of structural events,
-/// and repartitioning after every tick would re-derive components the
-/// next tick immediately re-fuses. Exactness is unaffected — shards
-/// stay unions of true components either way.
-fn build(c: &Campus, rng: &mut SimRng) -> (ShardedMaxmin, Vec<Vec<u32>>) {
-    let mut e = ShardedMaxmin::new().with_replan_churn(100_000);
+fn build(c: &Campus, rng: &mut SimRng) -> (IncrementalMaxmin, Vec<Vec<u32>>) {
+    let mut e = IncrementalMaxmin::new();
     for l in 0..c.cells {
         e.set_link_excess(LinkId(l as u32), rng.uniform(200.0, 2000.0));
     }
@@ -79,19 +71,18 @@ fn build(c: &Campus, rng: &mut SimRng) -> (ShardedMaxmin, Vec<Vec<u32>>) {
 }
 
 /// Apply one batch of churn events (each one engine call), then let the
-/// planner coalesce the batch into one re-solve per dirty shard.
-/// Returns the number of shards that round resolved.
+/// engine coalesce the batch into one re-fill per dirty component.
+/// Returns the number of connections that round re-filled.
 ///
 /// Churn is bursty, not uniform: each tick has a moving hot window of
 /// ~2% of the cells (a class change flooding one wing) receiving 98% of
 /// the events, the rest landing anywhere. That locality is what the
-/// per-shard batching exploits — hundreds of events against a hot cell
-/// coalesce into one re-solve of its shard.
+/// dirty-set batching exploits — hundreds of events against a hot cell
+/// coalesce into one re-fill of its component.
 fn churn_tick(
-    e: &mut ShardedMaxmin,
+    e: &mut IncrementalMaxmin,
     residents: &mut [Vec<u32>],
     batch: usize,
-    pool: Option<&WorkerPool>,
     rng: &mut SimRng,
 ) -> usize {
     let cells = residents.len();
@@ -128,7 +119,8 @@ fn churn_tick(
             }
         }
     }
-    e.resolve_all(pool)
+    e.resolve();
+    e.last_resolved().len()
 }
 
 fn main() {
@@ -147,77 +139,45 @@ fn main() {
             coupler_every: 50,
         }
     };
-    let (ticks, batch) = if quick { (8, 4096) } else { (12, 32_768) };
+    let (ticks, batch) = if quick { (16, 4096) } else { (24, 32_768) };
 
     let mut rng = SimRng::new(7);
     let t0 = Instant::now();
     let (mut engine, mut residents) = build(&campus, &mut rng);
     let build_ms = t0.elapsed().as_millis();
-    // At least two workers even on a single-core runner: the pooled
-    // phase must exercise real cross-thread dispatch, and the
-    // chunked-dispatch gate below compares it against serial.
-    let default_threads = WorkerPool::with_default_threads().threads();
-    let pool = WorkerPool::new(default_threads.max(2));
     let t0 = Instant::now();
-    engine.resolve_all(Some(&pool));
+    engine.resolve();
     let cold_ms = t0.elapsed().as_millis();
     println!(
-        "campus: {} cells, {} conns, {} shards  (build {build_ms} ms, cold solve {cold_ms} ms, {} pool threads)",
+        "campus: {} cells, {} conns  (build {build_ms} ms, cold solve {cold_ms} ms)",
         campus.cells,
         engine.conn_count(),
-        engine.shard_count(),
-        pool.threads(),
     );
 
-    // Serial and pooled ticks interleave over one event stream, so both
-    // paths sample the same workload evolution (shard coarsening and
-    // resident drift bias whichever phase runs later — back-to-back
-    // phases are not a fair comparison). Shards-resolved counts expose
-    // the coalescing: one re-solve per dirty shard per tick, regardless
-    // of how many batch events hit that shard.
+    // Re-filled counts expose the coalescing: one re-fill per dirty
+    // component per tick, regardless of how many batch events hit it.
     let mut churn_rng = rng.split("churn");
-    let mut serial_secs = 0.0f64;
-    let mut pooled_secs = 0.0f64;
-    let mut serial_shards = 0usize;
-    let mut pooled_shards = 0usize;
-    for tick in 0..2 * ticks {
-        let pooled_turn = tick % 2 == 1;
-        let start = Instant::now();
-        let resolved = churn_tick(
-            &mut engine,
-            &mut residents,
-            batch,
-            if pooled_turn { Some(&pool) } else { None },
-            &mut churn_rng,
-        );
-        let secs = start.elapsed().as_secs_f64();
-        if pooled_turn {
-            pooled_secs += secs;
-            pooled_shards += resolved;
-        } else {
-            serial_secs += secs;
-            serial_shards += resolved;
-        }
+    let mut refilled = 0usize;
+    let start = Instant::now();
+    for _ in 0..ticks {
+        refilled += churn_tick(&mut engine, &mut residents, batch, &mut churn_rng);
     }
+    let secs = start.elapsed().as_secs_f64();
     let events = (ticks * batch) as f64;
-    let serial_eps = events / serial_secs;
-    let pooled_eps = events / pooled_secs;
+    let eps = events / secs;
     println!(
-        " serial: {events} churn events in {serial_secs:.3} s  ({serial_eps:.0} events/sec, {serial_shards} shard re-solves)",
-    );
-    println!(
-        " pooled: {events} churn events in {pooled_secs:.3} s  ({pooled_eps:.0} events/sec, {pooled_shards} shard re-solves)",
+        " churn: {events} events in {secs:.3} s  ({eps:.0} events/sec, {refilled} conns re-filled)",
     );
 
-    // Sanity: the resident merged allocation still matches a
-    // from-scratch centralized solve bit for bit. The full-mode problem
-    // is ~1M connections, where the from-scratch build itself takes
-    // whole seconds — exactly the cost the planner amortizes away — so
-    // the exhaustive check runs in quick mode (the sharded_prop and
+    // Sanity: the resident allocation still matches a from-scratch
+    // centralized solve bit for bit. The full-mode problem is ~1M
+    // connections, where the from-scratch build itself takes whole
+    // seconds — exactly the cost the engine amortizes away — so the
+    // exhaustive check runs in quick mode (the incremental_prop and
     // chaos suites pin full bit-identicality at every scale they cover).
     if quick {
         let fresh = engine.as_problem().solve();
-        let resident = engine.merged_allocation();
+        let resident = engine.allocation();
         assert_eq!(fresh.len(), resident.len());
         for (c, x) in &fresh {
             assert_eq!(x.to_bits(), resident[c].to_bits(), "{c:?} diverged");
@@ -225,42 +185,26 @@ fn main() {
         println!("verified: resident allocation bit-identical to from-scratch solve");
     }
 
-    let stats = engine.stats;
     let json = format!(
-        "{{\n  \"bench\": \"campus_sharded_maxmin\",\n  \"mode\": \"{}\",\n  \"cells\": {},\n  \"conns\": {},\n  \"shards\": {},\n  \"ticks\": {},\n  \"batch_events_per_tick\": {},\n  \"build_ms\": {},\n  \"cold_solve_ms\": {},\n  \"pool_threads\": {},\n  \"serial_events_per_sec\": {:.0},\n  \"serial_shard_resolves\": {},\n  \"pooled_events_per_sec\": {:.0},\n  \"pooled_shard_resolves\": {},\n  \"replans\": {}\n}}\n",
+        "{{\n  \"bench\": \"campus_maxmin\",\n  \"mode\": \"{}\",\n  \"cells\": {},\n  \"conns\": {},\n  \"ticks\": {},\n  \"batch_events_per_tick\": {},\n  \"build_ms\": {},\n  \"cold_solve_ms\": {},\n  \"events_per_sec\": {:.0},\n  \"conns_refilled\": {}\n}}\n",
         mode,
         campus.cells,
         campus.conns(),
-        engine.shard_count(),
         ticks,
         batch,
         build_ms,
         cold_ms,
-        pool.threads(),
-        serial_eps,
-        serial_shards,
-        pooled_eps,
-        pooled_shards,
-        stats.replans,
+        eps,
+        refilled,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campus.json");
     std::fs::write(path, &json).expect("write BENCH_campus.json");
     println!("wrote {path}");
 
-    // The acceptance gates: the planner must sustain at least 100k
-    // coalesced churn events per second on its better path, and the
-    // pooled dispatch must never lose to serial — the chunked
-    // per-worker batching falls back to inline resolution for small
-    // dirty sets, so handing the pool more threads can only help.
-    let best = serial_eps.max(pooled_eps);
+    // The acceptance gate: the engine must sustain at least 100k
+    // coalesced churn events per second.
     assert!(
-        best >= 100_000.0,
-        "campus churn must sustain >= 100k events/sec, got {best:.0}"
-    );
-    assert!(
-        pooled_eps >= serial_eps,
-        "pooled dispatch regressed below serial: {pooled_eps:.0} < {serial_eps:.0} \
-         at {} pool threads",
-        pool.threads(),
+        eps >= 100_000.0,
+        "campus churn must sustain >= 100k events/sec, got {eps:.0}"
     );
 }

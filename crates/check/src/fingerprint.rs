@@ -348,8 +348,8 @@ fn qos() -> QosRequest {
 
 /// A driven manager over the §7.1 office topology: live portables and
 /// connections, a handoff, calendar bookings (a molded bulk transfer
-/// and a co-allocation) and a slot roll, so every nested record shape in the
-/// snapshot is populated.
+/// and a co-allocation), a slot roll and a maxmin round, so every nested
+/// record shape in the snapshot is populated.
 fn manager_snapshot_value() -> Value {
     let sc = Scenario {
         name: "fingerprint-office".into(),
@@ -388,6 +388,14 @@ fn manager_snapshot_value() -> Value {
         .book_co_allocation(CellId(0), CellId(2), 32.0, 2, 4, SimTime::from_secs(8))
         .expect("co-allocation fits");
     mgr.slot_tick(SimTime::from_secs(60));
+    // The scenario manager never adapts; run one round's worth of engine
+    // work by hand so the engine's maps are populated too — portable 1's
+    // cell squeezed so its link saturates into a bottleneck set — and
+    // leave a dirty mark behind.
+    mgr.maxmin.sync_network(&mgr.net, &|_| true);
+    mgr.maxmin.set_link_excess(buffered, 1.0);
+    mgr.maxmin.resolve();
+    mgr.maxmin.touch_link(buffered);
     mgr.snapshot().to_value()
 }
 
@@ -521,7 +529,6 @@ fn obs_events_value() -> Value {
             t,
             conns_resolved: 3,
             conns_reused: 9,
-            shards: 2,
             cause: "admit".to_string(),
         },
         ObsEvent::AdvertiseSent {

@@ -10,9 +10,9 @@
 //!    floor at allocation clamps, and the dirty-mark discipline of the
 //!    incremental maxmin engine via `#[arm_attrs::marks_dirty]`.
 //! 2. **Bounded model checking** ([`model`]) — the distributed maxmin
-//!    and round-trip admission protocols, the worker-pool interleaving
-//!    semantics, and the sharded campus planner as explicit transition
-//!    systems, exhaustively explored over all interleavings on small
+//!    and round-trip admission protocols and the production maxmin
+//!    engine as explicit transition systems, exhaustively explored over
+//!    all interleavings (op sequences, for the engine) on small
 //!    topologies, with minimal counterexample traces on failure.
 //! 3. **Schema-drift fingerprints** ([`fingerprint`]) — every
 //!    schema-versioned serialized surface structurally fingerprinted

@@ -47,7 +47,6 @@ pub const TARGET_CRATES: &[&str] = &[
     "obs",
     "resv_cal",
     "server",
-    "pool",
 ];
 
 /// Files whose *pub* mutation surface must satisfy the full

@@ -10,14 +10,17 @@
 //! absent) at PR time. Failures come back as minimal counterexample
 //! traces ([`Counterexample`]), replayable by reading the step labels.
 //!
-//! Both models carry *mutant hooks* ([`maxmin::MaxminMutant`],
-//! [`admission::AdmissionMutant`]): known-bad variants of the handlers
-//! that the checker must catch. They exist to test the checker itself —
-//! a verifier that cannot fail its seeded mutants proves nothing.
+//! [`sharded`] walks the production maxmin engine the same way: every op
+//! sequence on small topologies against a from-scratch solve.
+//!
+//! The models carry *mutant hooks* ([`maxmin::MaxminMutant`],
+//! [`admission::AdmissionMutant`], [`sharded::EngineMutant`]): known-bad
+//! variants of the handlers that the checker must catch. They exist to
+//! test the checker itself — a verifier that cannot fail its seeded
+//! mutants proves nothing.
 
 pub mod admission;
 pub mod maxmin;
-pub mod pool;
 pub mod sharded;
 pub mod sweep;
 

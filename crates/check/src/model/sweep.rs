@@ -21,7 +21,8 @@ use super::admission::AdmissionSystem;
 use super::maxmin::MaxminSystem;
 use super::{Checker, Counterexample, TransitionSystem};
 
-/// Aggregate results of a full sweep.
+/// Aggregate results of a full sweep (the protocol sweep here, the
+/// engine sweep in [`super::sharded`]).
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct SweepReport {
     /// Model-check runs performed.
@@ -45,7 +46,7 @@ const FLOORS: [u16; 4] = [7, 4, 3, 5];
 const ACAPS: [u16; 3] = [10, 6, 8];
 
 /// Every non-empty subset of `0..n_links` as an ordered route.
-fn all_routes(n_links: u8) -> Vec<Vec<u8>> {
+pub(super) fn all_routes(n_links: u8) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for mask in 1u8..(1 << n_links) {
         out.push((0..n_links).filter(|l| mask & (1 << l) != 0).collect());
@@ -55,7 +56,7 @@ fn all_routes(n_links: u8) -> Vec<Vec<u8>> {
 
 /// Every multiset of `k` route indices drawn from `n` routes
 /// (non-decreasing index vectors).
-fn route_multisets(n: usize, k: usize) -> Vec<Vec<usize>> {
+pub(super) fn route_multisets(n: usize, k: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     let mut cur = vec![0usize; k];
     loop {
@@ -95,7 +96,7 @@ fn for_each_topology(
     Ok(())
 }
 
-fn check_into(
+pub(super) fn check_into(
     report: &mut SweepReport,
     checker: &Checker,
     name: &str,

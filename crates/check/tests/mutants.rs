@@ -9,52 +9,33 @@
 //! `cargo xtask check` relies on.
 
 use arm_check::fingerprint::{self, compare};
-use arm_check::model::pool::{PoolMutant, PoolSystem};
-use arm_check::model::sharded::{orphan_instance, ShardedMutant};
+use arm_check::model::sharded::{coupler_instance, EngineMutant};
 use arm_check::model::Checker;
 use serde::Value;
 
-/// Pool pass: a worker that loses its job when the job panics (the
-/// catch_unwind path forgetting to ship a result) must surface as a
-/// `no-lost-job` violation with a shortest trace ending in the panic.
+/// Engine pass: a `set_link_excess` that stores the new capacity but
+/// forgets its dirty mark must surface as stale resident state at the
+/// next resolve — the exactness checks against a from-scratch fill.
 #[test]
-fn pool_pass_catches_a_dropped_job() {
-    let sys = PoolSystem::new(2, 3, 0b010).with_mutant(PoolMutant::LoseJobOnPanic);
+fn engine_pass_catches_a_forgotten_dirty_mark() {
+    let sys = coupler_instance().with_mutant(EngineMutant::ForgetDirtyMark);
     let cx = Checker::default()
-        .run("pool/mutant-lost-job", &sys)
-        .expect_err("the lost-job mutant must be caught");
-    assert!(cx.property.contains("no-lost-job"), "{}", cx.property);
+        .run("engine/mutant-forget-dirty", &sys)
+        .expect_err("the forgotten-dirty-mark mutant must be caught");
     assert!(
-        !cx.steps.is_empty(),
-        "counterexample must carry a replayable trace"
-    );
-    assert!(
-        cx.steps.iter().any(|s| s.contains("panic")),
-        "trace must reach the panicking job: {:?}",
-        cx.steps
-    );
-}
-
-/// Sharded pass: a planner that forgets to clean the link→shard routing
-/// map on `remove_link` must surface as a stale-routing-entry violation.
-#[test]
-fn sharded_pass_catches_skipped_routing_cleanup() {
-    let sys = orphan_instance().with_mutant(ShardedMutant::SkipRemoveLinkCleanup);
-    let cx = Checker::default()
-        .run("sharded/mutant-skip-cleanup", &sys)
-        .expect_err("the skipped-cleanup mutant must be caught");
-    assert!(
-        cx.property.contains("retains removed link"),
+        cx.property.contains("from a from-scratch"),
         "{}",
         cx.property
     );
     assert!(
-        !cx.steps.is_empty(),
-        "counterexample must carry a replayable trace"
+        cx.steps.iter().any(|s| s.contains("add-link")),
+        "trace must include the capacity change: {:?}",
+        cx.steps
     );
-    assert!(
-        cx.steps.iter().any(|s| s.contains("remove-link")),
-        "trace must include the remove-link op: {:?}",
+    assert_eq!(
+        cx.steps.last().map(String::as_str),
+        Some("resolve"),
+        "the stale state shows at a resolve: {:?}",
         cx.steps
     );
 }

@@ -27,7 +27,6 @@
 //! walkers) claim refresh is ≈ 88 % of loop time. ROADMAP's
 //! "Incremental claim refresh" item is the plan for it.
 
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_mobility::environment::IndoorEnvironment;
@@ -165,15 +164,9 @@ pub struct ResourceManager {
     last_excess: BTreeMap<LinkId, f64>,
     /// Adaptation rounds actually run (eqn-2 triggered).
     pub adaptation_rounds: u64,
-    /// Resident maxmin engine: the sharded planner over per-component
-    /// incremental engines (public so drivers and tests can inspect its
-    /// work-saved counters).
-    pub maxmin: arm_qos::maxmin::sharded::ShardedMaxmin,
-    /// Worker pool for shard-parallel resolves, spawned by the first
-    /// adaptation round big enough to dispatch (see
-    /// [`arm_qos::conflict::resolve_network`]). Never snapshotted:
-    /// threads are process state.
-    pool: OnceCell<arm_pool::WorkerPool>,
+    /// Resident maxmin engine (public so drivers and tests can inspect
+    /// its work-saved counters).
+    pub maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin,
     /// Resident buffers for the adaptation round's conflict resolver.
     /// Pure scratch (cleared before each use), never snapshotted.
     resolve_scratch: arm_qos::conflict::ResolveScratch,
@@ -264,8 +257,7 @@ impl ResourceManager {
             multicast: MulticastState::new(),
             last_excess: BTreeMap::new(),
             adaptation_rounds: 0,
-            maxmin: arm_qos::maxmin::sharded::ShardedMaxmin::new(),
-            pool: OnceCell::new(),
+            maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
@@ -378,7 +370,6 @@ impl ResourceManager {
             last_excess: snap.last_excess,
             adaptation_rounds: snap.adaptation_rounds,
             maxmin: snap.maxmin,
-            pool: OnceCell::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
@@ -1317,31 +1308,22 @@ impl ResourceManager {
             self.adaptation_rounds += 1;
             let round_tok = self.obs.phase_start(now);
             // The engine counters feed only the `MaxminRound` event.
-            let before = self.obs.is_on().then(|| {
-                (
-                    self.maxmin.engine_stats(),
-                    self.maxmin.stats.shards_resolved,
-                )
-            });
+            let before = self.obs.is_on().then_some(self.maxmin.stats);
             let statics = self.static_portables(now);
             let is_static = |p: PortableId| statics.contains(&p);
             arm_qos::conflict::resolve_network(
                 &mut self.net,
                 &is_static,
                 &mut self.maxmin,
-                &self.pool,
                 &mut self.resolve_scratch,
             );
             self.obs.phase_end(Phase::Maxmin, round_tok, now);
-            if let Some((before, shards_before)) = before {
-                // Engine counters aggregate over shards; `shards` carries
-                // how many resolved this round.
-                let after = self.maxmin.engine_stats();
+            if let Some(before) = before {
+                let after = self.maxmin.stats;
                 self.obs.emit(ObsEvent::MaxminRound {
                     t: now,
                     conns_resolved: after.conns_resolved - before.conns_resolved,
                     conns_reused: after.conns_reused - before.conns_reused,
-                    shards: self.maxmin.stats.shards_resolved - shards_before,
                     cause: "eqn2-adaptation".to_string(),
                 });
             }

@@ -855,50 +855,3 @@ fn profile_outage_falls_back_to_even_spread_and_recovers() {
     assert!(mgr.net.link(wl_a).claim(ResvClaim::Conn(id)) >= 64.0 - 1e-9);
     assert!(mgr.net.check_invariants().is_ok());
 }
-
-/// The worker pool is spawned by the first adaptation round big enough
-/// to dispatch, never by construction: small rounds start no threads,
-/// and a round with two dirty shards of ≥ 128 connections starts them
-/// exactly when this host would give the pool more than one worker.
-#[test]
-fn worker_pool_is_spawned_by_the_first_round_that_dispatches() {
-    use arm_qos::maxmin::sharded::POOL_DISPATCH_MIN_CONNS;
-
-    let f4 = Figure4::build();
-    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
-    let cfg = ManagerConfig {
-        strategy: Strategy::None,
-        resolve_excess: true,
-        dyn_pool: None,
-        multicast: false,
-        t_th: SimDuration::from_secs(0),
-        ..Default::default()
-    };
-    let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
-    let adaptive = QosRequest::bandwidth(8.0, 1600.0)
-        .with_delay(30.0)
-        .with_jitter(30.0)
-        .with_loss(1.0);
-    // Two cells, one shard each, half the dispatch threshold apiece.
-    let per_cell = POOL_DISPATCH_MIN_CONNS as u32 / 2;
-    for i in 0..2 * per_cell {
-        let p = PortableId(i);
-        let cell = if i < per_cell { f4.c } else { f4.d };
-        mgr.portable_appears(p, cell, SimTime::ZERO);
-        mgr.request_connection(p, adaptive, SimTime::from_secs(1))
-            .expect("floors fit");
-    }
-    assert!(mgr.adaptation_rounds > 0);
-    assert!(
-        mgr.pool.get().is_none(),
-        "rounds that re-fill one cell must not spawn the pool"
-    );
-    // A handoff dirties both cells' shards in one round.
-    let resolved = mgr.maxmin.stats.shards_resolved;
-    let dropped = mgr.portable_moved(PortableId(0), f4.d, SimTime::from_secs(2));
-    assert!(dropped.is_empty());
-    assert!(mgr.maxmin.stats.shards_resolved >= resolved + 2);
-    let host_dispatches = arm_pool::WorkerPool::default_threads() > 1;
-    assert_eq!(mgr.pool.get().is_some(), host_dispatches);
-    assert!(mgr.net.check_invariants().is_ok());
-}

@@ -7,8 +7,8 @@
 //!
 //! * **complete** — every field that influences a future decision is
 //!   captured: the network ledgers, zoned profiles, per-cell policy
-//!   state, the resident maxmin planner (including its shards' dirty
-//!   sets and work counters), fault state (down links/zones, doomed
+//!   state, the resident maxmin engine (including its dirty set and
+//!   work counters), fault state (down links/zones, doomed
 //!   handoffs), and all metrics;
 //! * **exact** — serialization is byte-stable: serialize →
 //!   deserialize → re-serialize yields the identical string
@@ -30,7 +30,7 @@ use arm_mobility::environment::IndoorEnvironment;
 use arm_net::ids::{CellId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::Network;
 use arm_profiles::ZonedProfiles;
-use arm_qos::maxmin::sharded::ShardedMaxmin;
+use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use arm_reservation::cafeteria::CafeteriaPredictor;
 use arm_reservation::default_cell::OneStepMemory;
 use arm_reservation::meeting::MeetingRoomPolicy;
@@ -49,8 +49,10 @@ use crate::multicast::MulticastState;
 /// that planner the only engine: `ManagerConfig::{incremental, sharded}`
 /// and the second engine field are gone, the planner is `maxmin`; v5
 /// embeds the link-keyed v2 calendar (no `Cell` resource, no
-/// `moldable`/`deadline` reservation fields).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+/// `moldable`/`deadline` reservation fields); v6 drops the shard
+/// planner: `maxmin` is the one `IncrementalMaxmin` itself (DESIGN.md
+/// §12).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,7 +109,7 @@ pub struct ManagerSnapshot {
     pub(crate) multicast: MulticastState,
     pub(crate) last_excess: BTreeMap<LinkId, f64>,
     pub(crate) adaptation_rounds: u64,
-    pub(crate) maxmin: ShardedMaxmin,
+    pub(crate) maxmin: IncrementalMaxmin,
     pub(crate) channel_renegotiations: u64,
     pub(crate) server_node: NodeId,
     pub(crate) down_links: BTreeSet<LinkId>,
@@ -167,9 +169,9 @@ impl ManagerSnapshot {
     /// Validate internal consistency without building a manager: the
     /// schema must match, the slot width must be non-zero (slot rolls
     /// and the metrics series divide by it), the network ledgers must
-    /// balance, the planner's routing maps must agree with its shards
-    /// (every event indexes shards straight from those maps), and every
-    /// calendar reservation must name a link of the topology (an
+    /// balance, the maxmin engine's maps must agree with each other
+    /// ([`IncrementalMaxmin::check_consistency`]), and every calendar
+    /// reservation must name a link of the topology (an
     /// activating slot roll indexes the ledgers by it).
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SNAPSHOT_SCHEMA_VERSION {
@@ -185,8 +187,8 @@ impl ManagerSnapshot {
             .check_invariants()
             .map_err(SnapshotError::Invalid)?;
         self.maxmin
-            .check_routing()
-            .map_err(SnapshotError::Invalid)?;
+            .check_consistency()
+            .map_err(|e| SnapshotError::Invalid(format!("maxmin engine: {e}")))?;
         self.calendar
             .validate()
             .map_err(|e| SnapshotError::Invalid(e.to_string()))?;

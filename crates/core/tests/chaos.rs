@@ -192,7 +192,7 @@ fn replay(seed: u64, events: &[Churn]) -> u64 {
             );
         }
     }
-    mgr.maxmin.engine_stats().incremental_solves
+    mgr.maxmin.stats.incremental_solves
 }
 
 /// Random but seed-replayable churn over the Figure 4 floor, heavy on
@@ -224,7 +224,7 @@ fn churn_schedule(seed: u64, len: usize) -> Vec<Churn> {
 }
 
 /// The manager-level acceptance for the production maxmin engine: with
-/// `resolve_excess` on, the resident planner and the from-scratch
+/// `resolve_excess` on, the resident engine and the from-scratch
 /// reference solver must agree on every static connection's share **bit
 /// for bit** after every adaptation round of a fault-heavy churn
 /// schedule — including `link_failed`/`link_restored`.

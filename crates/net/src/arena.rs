@@ -3,12 +3,12 @@
 //! The solver kernels and control-plane paths want flat `Vec`s indexed
 //! by small dense integers, but the system's external identifiers
 //! ([`LinkId`](crate::ids::LinkId), [`ConnId`](crate::ids::ConnId)) are
-//! sparse from any one engine's point of view: a campus shard sees a few
-//! hundred of the million connections alive network-wide. The
-//! [`DenseInterner`] bridges the two worlds: it interns external ids
-//! into dense `u32` *slots* with stable free-list reuse, so per-slot
-//! state can live in parallel `Vec`s that are touched with plain
-//! indexing instead of `BTreeMap` walks.
+//! sparse from any one engine's point of view: ids are never reused, so a
+//! long-running manager's live connections are a thin slice of the ids
+//! it has handed out. The [`DenseInterner`] bridges the two worlds: it
+//! interns external ids into dense `u32` *slots* with stable free-list
+//! reuse, so per-slot state can live in parallel `Vec`s that are touched
+//! with plain indexing instead of `BTreeMap` walks.
 //!
 //! ## Determinism contract
 //!

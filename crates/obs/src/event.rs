@@ -64,8 +64,6 @@ pub enum ObsEvent {
         conns_resolved: u64,
         /// Connections whose cached rates were reused.
         conns_reused: u64,
-        /// Dirty shards the planner resolved this round.
-        shards: u64,
         /// What triggered the round (e.g. `admit`, `handoff`,
         /// `link-failed`, `eqn2-adaptation`).
         cause: String,

@@ -17,8 +17,9 @@ use arm_sim::stats::Histogram;
 /// the calendar kinds (`ReservationConfirmed`, `ReservationMolded`,
 /// `CoAllocationOutcome`) to the `events` section; v4 folded the three
 /// per-engine maxmin phases into one `maxmin` and dropped
-/// `MaxminRound::incremental` (one engine in production).
-pub const SCHEMA_VERSION: u32 = 4;
+/// `MaxminRound::incremental` (one engine in production); v5 dropped
+/// `MaxminRound::shards` (no shard planner).
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Summary statistics of one [`Histogram`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

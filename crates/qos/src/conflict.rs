@@ -18,16 +18,14 @@
 //! [`crate::maxmin::distributed::DistributedMaxmin`].
 //!
 //! [`resolve_network`] is the one resolver, run against the manager's
-//! resident [`ShardedMaxmin`] planner. The from-scratch solvers in the
-//! test-only `reference` module are what it is compared against.
-
-use std::cell::OnceCell;
+//! resident [`IncrementalMaxmin`] engine on the caller's thread. The
+//! from-scratch solvers in the test-only `reference` module are what it
+//! is compared against.
 
 use arm_net::ids::ConnId;
 use arm_net::{Network, PortableId};
-use arm_pool::WorkerPool;
 
-use crate::maxmin::sharded::ShardedMaxmin;
+use crate::maxmin::incremental::IncrementalMaxmin;
 
 /// Resident buffers for [`resolve_network`], so a steady-state
 /// adaptation round allocates nothing: the caller keeps one of these
@@ -36,9 +34,6 @@ use crate::maxmin::sharded::ShardedMaxmin;
 pub struct ResolveScratch {
     /// Mobile connections pinned to their floors this round.
     mobile: Vec<ConnId>,
-    /// Connections re-filled by the engine this round (the changed-only
-    /// application candidates).
-    changed: Vec<ConnId>,
     /// `(conn, target rate)` pairs pending application, decreases first.
     changes: Vec<(ConnId, f64)>,
 }
@@ -70,32 +65,30 @@ fn pin_mobiles(
     }
 }
 
-/// Apply solver targets to `candidates` only, using resident buffers.
-/// Returns the number of connections whose rate actually changed.
+/// Apply the engine's targets to the connections its last resolve
+/// re-filled, using resident buffers. Returns the number of connections
+/// whose rate actually changed.
 ///
 /// Bit-identical to
 /// [`apply_allocation`](crate::maxmin::centralized::apply_allocation)
-/// over the full allocation when every connection *outside* `candidates`
-/// already sits at its frozen target (the engines' `last_resolved`
-/// contract guarantees exactly that): such connections would contribute no change entry, and sorting
-/// the candidates ascending reproduces the full path's pre-sort scan
-/// order, so the decreases-first stable sort yields the same application
-/// sequence and therefore the same incremental ledger-sum arithmetic.
-fn apply_changed(
+/// over the full allocation: every connection *outside* `last_resolved`
+/// already sits at its frozen target (the engine's contract), so it
+/// would contribute no change entry, and ordering the entries by
+/// ascending id reproduces the full path's pre-sort scan order, so the
+/// decreases-first stable sort yields the same application sequence and
+/// therefore the same incremental ledger-sum arithmetic.
+fn apply_refilled(
     net: &mut Network,
-    candidates: &mut Vec<ConnId>,
-    rate_of: impl Fn(ConnId) -> Option<f64>,
+    engine: &IncrementalMaxmin,
     changes: &mut Vec<(ConnId, f64)>,
 ) -> usize {
-    candidates.sort_unstable();
-    candidates.dedup();
     changes.clear();
-    for id in candidates.iter() {
+    for id in engine.last_resolved() {
         let Some(c) = net.get(*id) else { continue };
         if !c.state.is_live() {
             continue;
         }
-        let Some(x) = rate_of(*id) else { continue };
+        let Some(x) = engine.rate(*id) else { continue };
         // Same malformed-input clamp as `apply_allocation`.
         let x = if x.is_finite() { x.max(0.0) } else { 0.0 };
         let target = (c.qos.b_min + x).clamp(c.qos.b_min, c.qos.b_max);
@@ -103,6 +96,8 @@ fn apply_changed(
             changes.push((*id, target));
         }
     }
+    // `last_resolved` is ascending only within each component.
+    changes.sort_unstable_by_key(|(id, _)| *id);
     changes.sort_by(|a, b| {
         let da = a.1 - net.get(a.0).map_or(0.0, |c| c.b_current);
         let db = b.1 - net.get(b.0).map_or(0.0, |c| c.b_current);
@@ -117,50 +112,30 @@ fn apply_changed(
 
 /// Re-divide the excess maxmin-fairly among static portables'
 /// connections and move the ledgers to it (§5.2), mobiles pinned at
-/// their floors. The planner is diff-synced with the network (so only
-/// genuine changes dirty anything) and re-fills only dirty shards; the
-/// resulting rates are bit-identical to a from-scratch
+/// their floors. The engine is diff-synced with the network (so only
+/// genuine changes dirty anything) and re-fills only the dirty
+/// components; the resulting rates are bit-identical to a from-scratch
 /// [`MaxminProblem`](crate::maxmin::centralized::MaxminProblem) solve
 /// because both run the same per-component water-filling on the same
-/// inputs (see the `arm_qos::maxmin::sharded` determinism contract).
+/// inputs (see the `arm_qos::maxmin::incremental` module docs).
 /// Returns the number of connections whose rate changed plus pinned
 /// mobile connections.
-///
-/// `pool` starts empty and is spawned by the first round big enough to
-/// dispatch (the planner's [`PoolDispatch::Auto`] test), and never on a
-/// host that would give it a single worker — so small deployments start
-/// no threads.
-///
-/// [`PoolDispatch::Auto`]: crate::maxmin::sharded::PoolDispatch::Auto
 pub fn resolve_network(
     net: &mut Network,
     is_static: &dyn Fn(PortableId) -> bool,
-    engine: &mut ShardedMaxmin,
-    pool: &OnceCell<WorkerPool>,
+    engine: &mut IncrementalMaxmin,
     scratch: &mut ResolveScratch,
 ) -> usize {
-    let ResolveScratch {
-        mobile,
-        changed,
-        changes,
-    } = scratch;
+    let ResolveScratch { mobile, changes } = scratch;
     // Pin mobile connections at their floors first (frees excess).
     pin_mobiles(net, is_static, mobile);
     engine.sync_network(net, &|c| is_static(c.portable));
-    changed.clear();
-    engine.resolve_all_collect(
-        || {
-            (WorkerPool::default_threads() > 1)
-                .then(|| pool.get_or_init(WorkerPool::with_default_threads))
-        },
-        changed,
-    );
-    // Per-conn `rate()` lookups instead of a merged-allocation clone:
-    // only re-filled connections are looked up or re-applied. Every
-    // other connection kept its frozen rate bit-for-bit (its shard was
-    // clean), so the steady-state round touches no other ledger entry.
-    let n = apply_changed(net, changed, |id| engine.rate(id), changes);
-    n + mobile.len()
+    engine.resolve();
+    // Only re-filled connections are looked up or re-applied (none after
+    // a clean round). Every other connection kept its frozen rate
+    // bit-for-bit (its component was clean), so the steady-state round
+    // touches no other ledger entry.
+    apply_refilled(net, engine, changes) + mobile.len()
 }
 
 /// From-scratch resolvers: rebuild the whole `MaxminProblem` from the
@@ -332,13 +307,12 @@ mod tests {
             .collect();
         let mut live = Network::new(t);
         let mut twin = live.clone();
-        let mut engine = ShardedMaxmin::new();
-        let pool = OnceCell::new();
+        let mut engine = IncrementalMaxmin::new();
         let mut scratch = ResolveScratch::default();
         // Every third portable is mobile: pinned at its floor.
         let is_static = |p: PortableId| p.0 % 3 != 0;
         let mut round = |live: &mut Network, twin: &mut Network| {
-            let n = resolve_network(live, &is_static, &mut engine, &pool, &mut scratch);
+            let n = resolve_network(live, &is_static, &mut engine, &mut scratch);
             assert_eq!(n, reference::resolve_network_with_policy(twin, &is_static));
             let rates = |net: &Network| -> Vec<(ConnId, u64)> {
                 net.live_connections()
@@ -367,8 +341,8 @@ mod tests {
         }
         round(&mut live, &mut twin);
         assert!(
-            engine.stats.shards_resolved < engine.stats.rounds * engine.shard_count() as u64,
-            "clean shards are skipped: {:?}",
+            engine.stats.conns_reused > 0,
+            "clean components are skipped: {:?}",
             engine.stats
         );
     }

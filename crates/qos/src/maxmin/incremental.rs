@@ -43,10 +43,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_net::ids::{ConnId, LinkId};
+use arm_net::{Connection, Network};
 use serde::{Deserialize, Serialize};
 
 use super::centralized::{
-    Allocation, CompScratch, ConnDemand, DenseState, MaxminProblem, SolveScratch,
+    link_index, Allocation, CompScratch, ConnDemand, DenseState, MaxminProblem, SolveScratch,
 };
 
 /// Counters describing how much work the engine has saved. Purely
@@ -68,44 +69,41 @@ pub struct EngineStats {
 ///
 /// The sparse `BTreeMap` fields are the *authoritative* (and serialized)
 /// state; the [`DenseState`] mirror and the solver scratches are derived,
-/// maintained in place by every mutator, and rebuilt wholesale on the
-/// restore path or after the shard planner's raw state surgery
-/// ([`Self::mark_mirror_stale`]). Steady-state resolves run entirely on
+/// maintained in place by every mutator, and rebuilt wholesale by the
+/// first resolve after a restore. Steady-state resolves run entirely on
 /// the mirror: flat slot-indexed arrays, epoch-stamped visited sets, no
 /// per-event allocation.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalMaxmin {
     /// Excess capacity per link, mirroring `MaxminProblem::link_excess`.
-    /// (`pub(crate)` so the shard planner in
-    /// [`super::sharded`] can move state between engines wholesale.)
-    pub(crate) link_excess: BTreeMap<LinkId, f64>,
+    link_excess: BTreeMap<LinkId, f64>,
     /// Demand side, mirroring `MaxminProblem::conns`.
-    pub(crate) conns: BTreeMap<ConnId, ConnDemand>,
+    conns: BTreeMap<ConnId, ConnDemand>,
     /// Reverse index: connections traversing each link, ascending.
-    pub(crate) index: BTreeMap<LinkId, Vec<ConnId>>,
+    index: BTreeMap<LinkId, Vec<ConnId>>,
     /// The resident solved allocation (valid when `dirty` is empty).
-    pub(crate) alloc: Allocation,
+    alloc: Allocation,
     /// Per-link bottleneck sets `M(l)`: connections frozen by that
     /// link's saturation in the last solve touching it.
-    pub(crate) bottleneck: BTreeMap<LinkId, BTreeSet<ConnId>>,
+    bottleneck: BTreeMap<LinkId, BTreeSet<ConnId>>,
     /// Links whose region must be re-filled at the next resolve.
-    pub(crate) dirty: BTreeSet<LinkId>,
+    dirty: BTreeSet<LinkId>,
     /// Work-saved counters.
     pub stats: EngineStats,
     /// Dense slot-indexed twin of the sparse fields (never serialized).
     mirror: DenseState,
-    /// Set when the sparse fields were mutated behind the mirror's back
-    /// (restore, shard surgery); the next resolve rebuilds wholesale.
+    /// Set on restore, when the sparse fields arrive without a mirror;
+    /// the next resolve rebuilds it wholesale.
     mirror_stale: bool,
     /// BFS scratch for the dirty-region closure walk.
     bfs: CompScratch,
     /// Water-filling scratch, resident across resolves.
     scratch: SolveScratch,
-    /// Connections re-filled by the most recent non-cache-hit resolve,
-    /// ascending within each component. The conflict resolver applies
-    /// rate changes from this list alone: a connection outside every
-    /// re-filled component kept its frozen rate bit-for-bit, so its
-    /// ledger target cannot have moved.
+    /// Connections re-filled by the most recent resolve (none on a cache
+    /// hit), ascending within each component. The conflict resolver
+    /// applies rate changes from this list alone: a connection outside
+    /// every re-filled component kept its frozen rate bit-for-bit, so
+    /// its ledger target cannot have moved.
     last_resolved: Vec<ConnId>,
 }
 
@@ -200,17 +198,28 @@ impl IncrementalMaxmin {
         &self.conns
     }
 
-    /// The links whose region is pending a re-fill. Exposed so the
-    /// `arm-check` sharded-planner model can verify dirty state is
-    /// conserved bit-for-bit across shard merges and replans.
+    /// The links whose region is pending a re-fill.
     pub fn dirty_links(&self) -> &BTreeSet<LinkId> {
         &self.dirty
     }
 
+    /// The solved excess rate of one connection. Only current when
+    /// [`Self::is_dirty`] is false; resolve first otherwise.
+    pub fn rate(&self, id: ConnId) -> Option<f64> {
+        self.alloc.get(&id).copied()
+    }
+
     /// Mark `link`'s region for re-fill without changing any input.
-    /// Unknown links are accepted (the closure is then empty).
+    ///
+    /// A link the engine has neither a capacity row nor a route over is
+    /// ignored: its closure is empty, so the mark could only sit in the
+    /// dirty set (and in every snapshot) until a resolve discards it —
+    /// and a manager with adaptation off marks links on every event but
+    /// never resolves.
     pub fn touch_link(&mut self, link: LinkId) {
-        self.dirty.insert(link);
+        if self.link_excess.contains_key(&link) || self.index.contains_key(&link) {
+            self.dirty.insert(link);
+        }
     }
 
     /// Set a link's excess capacity, dirtying it only if the value
@@ -326,6 +335,7 @@ impl IncrementalMaxmin {
     /// resolves allocate nothing: the BFS and kernel run on resident
     /// epoch-stamped scratch over the mirror's flat arrays.
     pub fn resolve(&mut self) -> &Allocation {
+        self.last_resolved.clear();
         if self.dirty.is_empty() {
             self.stats.cache_hits += 1;
             return &self.alloc;
@@ -336,7 +346,6 @@ impl IncrementalMaxmin {
             self.mirror_stale = false;
         }
         let dirty = std::mem::take(&mut self.dirty);
-        self.last_resolved.clear();
         let mut resolved = 0usize;
         self.bfs.begin(
             self.mirror.links.slot_count(),
@@ -386,20 +395,93 @@ impl IncrementalMaxmin {
     }
 
     /// Connections whose rate was re-filled by the most recent
-    /// non-cache-hit [`Self::resolve`] (ascending within each re-solved
-    /// component). Connections absent from this list kept their frozen
-    /// rate bit-for-bit — their component was untouched — so rate
-    /// application can be restricted to this set.
+    /// [`Self::resolve`] (ascending within each re-solved component;
+    /// empty after a cache hit). Connections absent from this list kept
+    /// their frozen rate bit-for-bit — their component was untouched —
+    /// so rate application can be restricted to this set.
     pub fn last_resolved(&self) -> &[ConnId] {
         &self.last_resolved
     }
 
-    /// Declare the dense mirror out of sync with the sparse maps. The
-    /// shard planner's raw state surgery (absorb / extract / orphan
-    /// moves) edits the `pub(crate)` maps wholesale; the next resolve
-    /// then rebuilds the mirror from the maps.
-    pub(crate) fn mark_mirror_stale(&mut self) {
-        self.mirror_stale = true;
+    /// Diff the engine's inputs against the network's current ledgers:
+    /// link excesses from every link, demand `b_max − b_min` and route
+    /// from every live connection accepted by `include`. Only genuine
+    /// changes dirty anything, so calling this every epoch costs a scan
+    /// but no re-solve work when nothing moved. Mirrors
+    /// [`MaxminProblem::from_network`] filtered by `include`.
+    pub fn sync_network(&mut self, net: &Network, include: &dyn Fn(&Connection) -> bool) {
+        let mut live_links: BTreeSet<LinkId> = BTreeSet::new();
+        for (lid, link) in net.links() {
+            live_links.insert(lid);
+            self.set_link_excess(lid, link.excess_available().max(0.0));
+        }
+        // Prune capacity entries for links the network no longer has —
+        // without this, topology churn accumulates stale `link_excess`
+        // rows forever, and a stale row constrains future solves with a
+        // phantom capacity.
+        let gone_links: Vec<LinkId> = self
+            .link_excess
+            .keys()
+            .filter(|l| !live_links.contains(l))
+            .copied()
+            .collect();
+        for l in gone_links {
+            self.remove_link(l);
+        }
+        let mut seen: BTreeSet<ConnId> = BTreeSet::new();
+        for c in net.live_connections() {
+            if c.route.links.is_empty() || !include(c) {
+                continue;
+            }
+            seen.insert(c.id);
+            self.upsert_conn(c.id, c.qos.adaptable_range(), &c.route.links);
+        }
+        let gone: Vec<ConnId> = self
+            .conns
+            .keys()
+            .filter(|id| !seen.contains(id))
+            .copied()
+            .collect();
+        for id in gone {
+            self.remove_conn(id);
+        }
+    }
+
+    /// Check the sparse maps against each other: `alloc` has exactly
+    /// the registered connections' keys, `index` is exactly the sorted
+    /// reverse of the registered routes (no empty or dangling row), and
+    /// every bottleneck set is a subset of its link's index row.
+    ///
+    /// Every mutator keeps these by construction, so this is the
+    /// predicate a deserialized engine must pass before its first
+    /// event; the `arm-check` engine sweep asserts it after every op.
+    pub fn check_consistency(&self) -> Result<(), String> {
+        if !self.alloc.keys().eq(self.conns.keys()) {
+            return Err(format!(
+                "alloc holds {} rates for {} registered conns (key sets differ)",
+                self.alloc.len(),
+                self.conns.len()
+            ));
+        }
+        let want = link_index(&self.conns);
+        if let Some((l, members)) = self.index.iter().find(|(l, m)| want.get(l) != Some(m)) {
+            return Err(format!(
+                "index row {l} lists {members:?} but the registered routes give {:?}",
+                want.get(l)
+            ));
+        }
+        if let Some(l) = want.keys().find(|l| !self.index.contains_key(l)) {
+            return Err(format!("index has no row for routed link {l}"));
+        }
+        for (l, frozen) in &self.bottleneck {
+            let members = self.index.get(l).map_or(&[][..], Vec::as_slice);
+            if let Some(c) = frozen.iter().find(|c| members.binary_search(c).is_err()) {
+                return Err(format!(
+                    "bottleneck set of {l} names {c}, not routed over it"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Test-only: cross-check the mirror against the sparse maps it
@@ -592,8 +674,113 @@ mod tests {
         e.touch_link(lid(0));
         assert!(e.is_dirty());
         assert_matches_fresh(&mut e);
-        // Touching an unknown link is harmless.
+    }
+
+    /// A manager with adaptation off marks links on every event and
+    /// never resolves: marks on links the engine does not know must not
+    /// pile up in the dirty set (and so in every checkpoint).
+    #[test]
+    fn touch_link_on_an_unknown_link_is_a_no_op() {
+        let mut e = IncrementalMaxmin::new();
         e.touch_link(lid(99));
+        assert!(!e.is_dirty(), "an empty engine knows no link");
+        e.set_link_excess(lid(0), 10.0);
+        e.upsert_conn(cid(0), 100.0, &[lid(0), lid(1)]);
+        e.resolve();
+        e.touch_link(lid(99));
+        assert!(!e.is_dirty());
+        let hits0 = e.stats.cache_hits;
+        e.resolve();
+        assert_eq!(e.stats.cache_hits, hits0 + 1);
+        // A route-only link (no capacity row) is known through the index.
+        e.touch_link(lid(1));
+        assert_eq!(e.dirty_links().iter().collect::<Vec<_>>(), [&lid(1)]);
         assert_matches_fresh(&mut e);
+    }
+
+    /// A caller that reads `last_resolved` after every resolve must not
+    /// see the previous round's list on a cache hit.
+    #[test]
+    fn clean_resolve_clears_last_resolved() {
+        let mut e = IncrementalMaxmin::new();
+        e.set_link_excess(lid(0), 10.0);
+        e.upsert_conn(cid(0), 100.0, &[lid(0)]);
+        e.upsert_conn(cid(1), 100.0, &[lid(0)]);
+        e.resolve();
+        assert_eq!(e.last_resolved(), [cid(0), cid(1)]);
+        e.resolve();
+        assert!(e.last_resolved().is_empty(), "{:?}", e.last_resolved());
+        assert_eq!(e.rate(cid(0)), Some(5.0));
+    }
+
+    fn net_with_cells(n: usize) -> Network {
+        let mut t = arm_net::topology::Topology::new();
+        let sw = t.add_switch("sw");
+        for i in 0..n {
+            let c = t.add_cell(format!("c{i}"), 1000.0, 0.0);
+            t.add_wired_duplex(sw, t.base_station(c), 100_000.0, 0.0);
+        }
+        Network::new(t)
+    }
+
+    #[test]
+    fn sync_network_round_trips_through_the_engine() {
+        let net = net_with_cells(3);
+        let mut e = IncrementalMaxmin::new();
+        e.sync_network(&net, &|_| true);
+        let fresh = MaxminProblem::from_network(&net);
+        assert_eq!(e.as_problem().link_excess, fresh.link_excess);
+        assert_eq!(e.resolve(), &fresh.solve());
+        e.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn sync_network_prunes_links_gone_from_the_network() {
+        let big = net_with_cells(3);
+        let small = net_with_cells(1);
+        let mut e = IncrementalMaxmin::new();
+        e.sync_network(&big, &|_| true);
+        assert!(e.link_excess_map().len() > small.topology().link_count());
+        // Regression: re-syncing against a network with fewer links
+        // used to leave the extra links' excess entries resident
+        // forever; they must be pruned so the engine's problem exactly
+        // mirrors a from-scratch build over the current network.
+        e.sync_network(&small, &|_| true);
+        let fresh = MaxminProblem::from_network(&small);
+        assert_eq!(
+            e.link_excess_map().keys().collect::<Vec<_>>(),
+            fresh.link_excess.keys().collect::<Vec<_>>(),
+            "stale link_excess rows survived the sync"
+        );
+        e.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn check_consistency_rejects_dangling_and_missing_rows() {
+        let mut e = IncrementalMaxmin::new();
+        e.set_link_excess(lid(0), 10.0);
+        e.upsert_conn(cid(0), 100.0, &[lid(0)]);
+        e.upsert_conn(cid(1), 100.0, &[lid(0)]);
+        e.resolve();
+        e.check_consistency().unwrap();
+        assert!(!e.bottleneck_map().is_empty());
+        let mut bad = e.clone();
+        bad.alloc.remove(&cid(1));
+        assert!(bad.check_consistency().unwrap_err().contains("alloc"));
+        let mut bad = e.clone();
+        bad.index.insert(lid(3), vec![cid(7)]);
+        assert!(bad.check_consistency().unwrap_err().contains("index row"));
+        let mut bad = e.clone();
+        bad.index.insert(lid(3), Vec::new());
+        assert!(bad.check_consistency().unwrap_err().contains("index row"));
+        let mut bad = e.clone();
+        bad.index.insert(lid(0), vec![cid(1), cid(0)]);
+        assert!(bad.check_consistency().unwrap_err().contains("index row"));
+        let mut bad = e.clone();
+        bad.index.remove(&lid(0));
+        assert!(bad.check_consistency().unwrap_err().contains("no row"));
+        let mut bad = e;
+        bad.bottleneck.entry(lid(0)).or_default().insert(cid(9));
+        assert!(bad.check_consistency().unwrap_err().contains("bottleneck"));
     }
 }

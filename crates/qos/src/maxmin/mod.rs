@@ -16,15 +16,14 @@
 //! * [`distributed`] — the event-driven ADVERTISE/UPDATE protocol of
 //!   §5.3.1, in both the flooding base variant and the `M(l)`-restricted
 //!   refinement,
-//! * [`incremental`] — a resident engine that keeps the solved
-//!   allocation, reverse link→connection index, and per-link bottleneck
-//!   sets `M(l)` between events and re-fills only the dirty region's
-//!   transitive closure, bit-identical to a from-scratch solve,
-//! * [`sharded`] — a campus-scale partition of the incremental engine
-//!   by connected component (online union-find shard planner with lazy
-//!   exact replans), resolving independent shards on a worker pool,
-//!   still bit-identical to the sequential engine — the engine the
-//!   resource manager's conflict-resolution path runs.
+//! * [`incremental`] — the resident engine the resource manager's
+//!   conflict-resolution path runs: it keeps the solved allocation, the
+//!   reverse link→connection index, and per-link bottleneck sets `M(l)`
+//!   between events and re-fills only the dirty region's transitive
+//!   closure (one connected component of the sharing graph per dirty
+//!   link), bit-identical to a from-scratch solve. Components are found
+//!   by that walk alone; nothing partitions the state ahead of it
+//!   (DESIGN.md §12 has the trial that removed the shard planner).
 //!
 //! ## Bottleneck definitions (§5.2)
 //!
@@ -41,4 +40,3 @@ pub mod advertised;
 pub mod centralized;
 pub mod distributed;
 pub mod incremental;
-pub mod sharded;

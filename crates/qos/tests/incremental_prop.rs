@@ -1,7 +1,9 @@
 //! Differential property tests for the incremental maxmin engine: after
-//! an arbitrary sequence of admit/depart/capacity-change events, the
-//! resident allocation must match `MaxminProblem::solve` from scratch
-//! (to 1e-9 — in fact bit-for-bit) and `verify_maxmin` must hold.
+//! an arbitrary sequence of admit/depart/capacity-change/link-removal
+//! events and spurious touches, the resident allocation must match
+//! `MaxminProblem::solve` from scratch (to 1e-9 — in fact bit-for-bit),
+//! `verify_maxmin` must hold, and the engine's sparse maps and dense
+//! mirror must stay consistent.
 
 use arm_net::ids::{ConnId, LinkId};
 use arm_qos::maxmin::incremental::IncrementalMaxmin;
@@ -21,6 +23,10 @@ enum Event {
     Depart { conn: u32 },
     /// A link's excess capacity changes (fade, claim churn, restoration).
     SetCapacity { link: u32, excess: f64 },
+    /// A link disappears (fault schedules do this mid-run).
+    RemoveLink { link: u32 },
+    /// Spurious refill request — must never change any output.
+    Touch { link: u32 },
 }
 
 const N_LINKS: u32 = 5;
@@ -50,6 +56,9 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         (0..N_CONN_IDS).prop_map(|conn| Event::Depart { conn }),
         (0..N_LINKS, prop_oneof![Just(0.0f64), 0.5f64..50.0])
             .prop_map(|(link, excess)| Event::SetCapacity { link, excess }),
+        (0..N_LINKS).prop_map(|link| Event::RemoveLink { link }),
+        // One past the palette: a link the engine never hears of.
+        (0..=N_LINKS).prop_map(|link| Event::Touch { link }),
     ]
 }
 
@@ -78,7 +87,11 @@ proptest! {
                 Event::SetCapacity { link, excess } => {
                     engine.set_link_excess(LinkId(*link), *excess);
                 }
+                Event::RemoveLink { link } => engine.remove_link(LinkId(*link)),
+                Event::Touch { link } => engine.touch_link(LinkId(*link)),
             }
+            prop_assert_eq!(engine.check_consistency(), Ok(()), "after {:?}", ev);
+            prop_assert_eq!(engine.check_mirror(), Ok(()), "after {:?}", ev);
             let fresh = engine.as_problem().solve();
             let incremental = engine.resolve().clone();
             prop_assert_eq!(

@@ -1,12 +1,12 @@
-//! Mirror property for [`ShardedMaxmin::sync_network`] — the sync the
-//! manager runs before every adaptation round: after syncing against
+//! Mirror property for [`IncrementalMaxmin::sync_network`] — the sync
+//! the manager runs before every adaptation round: after syncing against
 //! *any* sequence of network states — cells (and therefore links)
 //! appearing and disappearing, connections churning, rates moving — the
-//! planner's inputs must exactly equal a from-scratch
+//! engine's inputs must exactly equal a from-scratch
 //! [`MaxminProblem::from_network`] build over the current network, its
-//! routing maps must agree with its shards, its bottleneck attributions
-//! must equal a from-scratch component fill, and its allocation must be
-//! bit-identical to a fresh solve.
+//! sparse maps must agree with each other and with the dense mirror, its
+//! bottleneck attributions must equal a from-scratch component fill, and
+//! its allocation must be bit-identical to a fresh solve.
 //!
 //! This pins the two staleness fixes structurally: a pruned-link leak or
 //! a missed dirty mark shows up as a mirror divergence on some generated
@@ -20,7 +20,7 @@ use arm_net::routing::shortest_path;
 use arm_net::topology::Topology;
 use arm_net::{Connection, Network};
 use arm_qos::maxmin::centralized::{components, link_index, solve_component, MaxminProblem};
-use arm_qos::maxmin::sharded::ShardedMaxmin;
+use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use arm_sim::SimTime;
 use proptest::prelude::*;
 
@@ -114,13 +114,13 @@ fn fresh_solution(net: &Network) -> (MaxminProblem, BTreeMap<ConnId, f64>, Bottl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The resident planner, synced across arbitrary topology and
+    /// The resident engine, synced across arbitrary topology and
     /// connection churn, is indistinguishable from a from-scratch build.
     #[test]
     fn synced_engine_mirrors_from_scratch_build(
         epochs in prop::collection::vec(epoch_strategy(), 1..6),
     ) {
-        let mut engine = ShardedMaxmin::new();
+        let mut engine = IncrementalMaxmin::new();
         for (gen, ep) in epochs.iter().enumerate() {
             let mut net = net_with_cells(ep.cells);
             for (i, (cell, b_min, b_max)) in ep.conns.iter().enumerate() {
@@ -133,7 +133,8 @@ proptest! {
             for l in &ep.touches {
                 engine.touch_link(LinkId(*l));
             }
-            prop_assert_eq!(engine.check_routing(), Ok(()), "epoch {}: routing maps", gen);
+            prop_assert_eq!(engine.check_consistency(), Ok(()), "epoch {}: sparse maps", gen);
+            prop_assert_eq!(engine.check_mirror(), Ok(()), "epoch {}: dense mirror", gen);
 
             let (fresh, alloc, bn) = fresh_solution(&net);
 
@@ -162,8 +163,7 @@ proptest! {
             }
 
             // Outputs mirror exactly after the (possibly partial) refill.
-            engine.resolve_all(None);
-            let got = engine.merged_allocation();
+            let got = engine.resolve().clone();
             prop_assert_eq!(got.len(), alloc.len(), "epoch {}: allocation keys", gen);
             for (c, want) in &alloc {
                 prop_assert_eq!(
@@ -172,11 +172,12 @@ proptest! {
                 );
             }
             prop_assert_eq!(
-                engine.bottleneck_union(), bn,
+                engine.bottleneck_map(), &bn,
                 "epoch {}: bottleneck attributions diverged", gen
             );
             prop_assert!(fresh.verify_maxmin(&got).is_ok(), "epoch {}: not maxmin", gen);
-            prop_assert_eq!(engine.check_routing(), Ok(()), "epoch {}: routing maps", gen);
+            prop_assert_eq!(engine.check_consistency(), Ok(()), "epoch {}: sparse maps", gen);
+            prop_assert_eq!(engine.check_mirror(), Ok(()), "epoch {}: dense mirror", gen);
         }
     }
 }

@@ -4,7 +4,8 @@
 //! drives a [`Server`], and emits observability JSONL plus a final
 //! `RunReport`. Supports periodic checkpointing, an append-only event
 //! journal, and `--restore` (checkpoint + journal replay = crash
-//! recovery).
+//! recovery; a journal whose last append was torn by the crash is cut
+//! back to its last complete line first).
 //!
 //! ```text
 //! run_server [--scenario office|sample] [--seed N]
@@ -269,10 +270,42 @@ fn build_obs(path: Option<&Path>) -> Obs {
     }
 }
 
+/// Cut a torn final append off the journal: `append_journal` writes a
+/// line and its `\n`, so bytes after the last newline are an append a
+/// crash interrupted — never acknowledged, and not an event. The file
+/// is truncated to the last newline *before* it is reopened for append;
+/// otherwise the next event would be glued onto the fragment. Returns
+/// the complete, newline-terminated prefix.
+fn drop_torn_tail(path: &Path, mut data: Vec<u8>) -> Vec<u8> {
+    let complete = data.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
+    if complete == data.len() {
+        return data;
+    }
+    let truncated = fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|f| f.set_len(complete as u64).and_then(|()| f.sync_all()));
+    if let Err(e) = truncated {
+        fail(&format!("cannot truncate journal {}: {e}", path.display()));
+    }
+    eprintln!(
+        "run_server: journal {} ends in a torn append ({} bytes after the last newline): dropped",
+        path.display(),
+        data.len() - complete
+    );
+    data.truncate(complete);
+    data
+}
+
 fn replay_journal(driver: &mut Driver, path: &Path, cursor: u64) {
-    let data = match fs::read_to_string(path) {
-        Ok(d) => d,
+    let data = match fs::read(path) {
+        Ok(d) => drop_torn_tail(path, d),
         Err(e) => fail(&format!("cannot read journal {}: {e}", path.display())),
+    };
+    // Only the torn tail is forgiven: a complete line that does not
+    // decode means the journal cannot be trusted.
+    let Ok(data) = String::from_utf8(data) else {
+        fail("corrupt journal: a complete line is not UTF-8");
     };
     let mut replayed = 0u64;
     for line in data.lines().skip(cursor as usize) {

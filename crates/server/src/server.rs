@@ -42,10 +42,11 @@ use crate::ingest::{parse_event, IngestError};
 /// its own version, checked independently). v2 tracks the manager
 /// snapshot's v2 (the slotted advance-reservation calendar): a v1
 /// server artifact embeds a calendar-less manager image and cannot
-/// restore into this build. v3, v4 and v5 likewise track the manager
+/// restore into this build. v3 to v6 likewise track the manager
 /// snapshot's v3 (sharded planner added), v4 (planner is the only
-/// maxmin engine) and v5 (link-keyed calendar).
-pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+/// maxmin engine), v5 (link-keyed calendar) and v6 (planner dropped,
+/// one resident engine).
+pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// Static configuration of a server instance. Captured in every
 /// snapshot so a restore cannot silently run under different rules

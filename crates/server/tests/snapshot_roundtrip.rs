@@ -98,16 +98,17 @@ fn mismatched_server_schema_is_a_typed_error() {
     let server = server_at(&walk_cfg(7), 40);
     let json = server.snapshot().to_json().expect("snapshot serializes");
     assert!(
-        json.starts_with("{\"schema\":5,"),
+        json.starts_with("{\"schema\":6,"),
         "layout drifted: {json:.60}"
     );
-    // A future version, and the previous one (cell-keyed calendar).
-    for skew in [999u32, 4] {
-        let skewed = json.replacen("{\"schema\":5,", &format!("{{\"schema\":{skew},"), 1);
+    // A future version, and the previous two (shard planner;
+    // cell-keyed calendar).
+    for skew in [999u32, 5, 4] {
+        let skewed = json.replacen("{\"schema\":6,", &format!("{{\"schema\":{skew},"), 1);
         match ServerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 5);
+                assert_eq!(expected, 6);
                 assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -124,15 +125,15 @@ fn mismatched_manager_schema_is_a_typed_error() {
         .to_json()
         .expect("snapshot serializes");
     assert!(
-        json.starts_with("{\"schema\":5,"),
+        json.starts_with("{\"schema\":6,"),
         "layout drifted: {json:.60}"
     );
-    for skew in [42u32, 4] {
-        let skewed = json.replacen("{\"schema\":5,", &format!("{{\"schema\":{skew},"), 1);
+    for skew in [42u32, 5, 4] {
+        let skewed = json.replacen("{\"schema\":6,", &format!("{{\"schema\":{skew},"), 1);
         match arm_core::ManagerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 5);
+                assert_eq!(expected, 6);
                 assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -140,25 +141,43 @@ fn mismatched_manager_schema_is_a_typed_error() {
     }
 }
 
-/// Snapshots that decode cleanly but would panic or hang a restored
-/// process: a planner routing map naming a shard that does not exist
-/// (indexed out of bounds by the first event touching that link), a
-/// calendar reservation on a link the topology does not have (indexed
-/// out of bounds by the slot roll that activates it), and a zero slot
+/// Snapshots that decode cleanly but would panic, hang or silently
+/// corrupt a restored process: a maxmin engine whose maps disagree (an
+/// index row naming a connection nobody registered; a registered
+/// connection with no allocation row, which the conflict resolver
+/// would skip forever; a bottleneck set naming a connection that does
+/// not route over its link), a calendar reservation on a link the
+/// topology does not have (indexed out of bounds by the slot roll that
+/// activates it), and a zero slot
 /// width (`slot_tick` divides by the manager's, the server's slot
 /// cursor never passes an event time with its own). Each is refused
 /// with a typed error — by the server at decode, by the manager at
 /// restore — and never panics.
 #[test]
 fn corrupted_planner_routing_is_a_typed_error() {
+    // The server never adapts, so its engine's maps are all empty.
+    const ENGINE_EMPTY: &str = "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[],";
     let server = server_at(&walk_cfg(7), 40);
     // (needle, hostile replacement, what the refusal names, in the
     // manager image too?)
     let cases = [
         (
-            "\"shards\":[],\"link_shard\":[],",
-            "\"shards\":[],\"link_shard\":[[3,99]],",
-            "slot 99",
+            ENGINE_EMPTY,
+            "\"conns\":[],\"index\":[[3,[7]]],\"alloc\":[],\"bottleneck\":[],",
+            "index row l3",
+            true,
+        ),
+        (
+            ENGINE_EMPTY,
+            "\"conns\":[[7,{\"demand\":1.0,\"links\":[3]}]],\"index\":[[3,[7]]],\
+             \"alloc\":[],\"bottleneck\":[],",
+            "alloc holds 0 rates for 1 registered conns",
+            true,
+        ),
+        (
+            ENGINE_EMPTY,
+            "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[[3,[7]]],",
+            "bottleneck set of l3 names f7",
             true,
         ),
         (

@@ -1,10 +1,10 @@
 //! Workspace task runner. `cargo xtask check` is the pre-PR gate: it
 //! runs the domain lints over every library crate, the schema-drift
 //! fingerprint comparison, and the bounded model-checking sweeps
-//! (maxmin/admission protocols, worker-pool interleavings, sharded
-//! planner), and fails with actionable diagnostics (lint findings as
-//! `file:line` lines, schema drift as re-bless instructions, model
-//! failures as minimal counterexample traces).
+//! (maxmin/admission protocols, production maxmin engine), and fails
+//! with actionable diagnostics (lint findings as `file:line` lines,
+//! schema drift as re-bless instructions, model failures as minimal
+//! counterexample traces).
 //!
 //! Subcommands:
 //!
@@ -27,9 +27,8 @@ use std::process::{Command, ExitCode};
 
 use arm_check::fingerprint::{bless_fingerprints, check_fingerprints};
 use arm_check::lints::run_lints;
-use arm_check::model::pool::sweep_pool;
-use arm_check::model::sharded::sweep_sharded;
-use arm_check::model::sweep::sweep_all;
+use arm_check::model::sharded::sweep_engine;
+use arm_check::model::sweep::{sweep_all, SweepReport};
 use arm_check::model::Counterexample;
 
 /// Per-pass wall-clock budget: each proof must stay cheap enough to
@@ -134,19 +133,20 @@ fn write_trace(trace_dir: Option<&Path>, cx: &Counterexample) {
 /// Report one sweep's outcome against the shared budget.
 fn settle_sweep(
     pass: &str,
-    outcome: Result<(usize, usize, usize, u64), Box<Counterexample>>,
+    outcome: Result<SweepReport, Box<Counterexample>>,
     trace_dir: Option<&Path>,
 ) -> Result<(), ExitCode> {
     match outcome {
-        Ok((runs, states, transitions, elapsed_ms)) => {
+        Ok(r) => {
             println!(
-                "    verified: {runs} runs, {states} states, \
-                 {transitions} transitions in {elapsed_ms} ms"
+                "    verified: {} runs, {} states, {} transitions in {} ms",
+                r.runs, r.states, r.transitions, r.elapsed_ms
             );
-            if elapsed_ms > SWEEP_BUDGET_MS {
+            if r.elapsed_ms > SWEEP_BUDGET_MS {
                 eprintln!(
                     "error: {pass} sweep exceeded its {SWEEP_BUDGET_MS} ms \
-                     budget ({elapsed_ms} ms)"
+                     budget ({} ms)",
+                    r.elapsed_ms
                 );
                 return Err(ExitCode::FAILURE);
             }
@@ -163,23 +163,9 @@ fn settle_sweep(
 
 fn run_model_pass(trace_dir: Option<&Path>) -> Result<(), ExitCode> {
     println!("==> bounded model check: maxmin/admission protocols");
-    settle_sweep(
-        "protocol",
-        sweep_all().map(|r| (r.runs, r.states, r.transitions, r.elapsed_ms)),
-        trace_dir,
-    )?;
-    println!("==> bounded model check: worker-pool interleavings");
-    settle_sweep(
-        "pool",
-        sweep_pool().map(|r| (r.runs, r.states, r.transitions, r.elapsed_ms)),
-        trace_dir,
-    )?;
-    println!("==> bounded model check: sharded planner");
-    settle_sweep(
-        "sharded",
-        sweep_sharded().map(|r| (r.runs, r.states, r.transitions, r.elapsed_ms)),
-        trace_dir,
-    )
+    settle_sweep("protocol", sweep_all(), trace_dir)?;
+    println!("==> bounded model check: maxmin engine");
+    settle_sweep("engine", sweep_engine(), trace_dir)
 }
 
 /// Run one `arm-bench` binary from `root` and return its stdout.

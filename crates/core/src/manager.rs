@@ -22,10 +22,25 @@
 //!   bookkeeping: feed the cafeteria/default predictors, refresh claims.
 //!
 //! Claims are recomputed wholesale after every event from the current
-//! state — O(cells × portables) per event. That is easy to audit but
-//! not cheap: on the benchmark's `wing_rush` workload (63 cells, 240
-//! walkers) claim refresh is ≈ 88 % of loop time. ROADMAP's
-//! "Incremental claim refresh" item is the plan for it.
+//! state: every manager-owned claim is wiped and re-installed, in a
+//! fixed order, so a link's ledger is a function of the state and not
+//! of the path that led to it. One refresh costs O(cells + portables +
+//! live connections + claims written) and, in steady state, allocates
+//! only what the lounge rows need. It reads three resident structures,
+//! each kept where its source lives so the manager has nothing to
+//! invalidate:
+//!
+//! * `Network`'s per-portable connection index (derived from the
+//!   connection table in `install`/`finish`/`mark_blocked`) — a
+//!   portable's floors without a scan of every record;
+//! * each cell profile's `CountedHistory` tallies (derived from its
+//!   handoff FIFO in `record`) — level-2b predictions and transition
+//!   rows without a recount of `N_pC` events;
+//! * the path cache's uplink routes (a pure function of the static
+//!   topology) — a handoff's new route without a Dijkstra run.
+//!
+//! What the manager itself keeps between events ([`RefreshScratch`]) is
+//! buffers only: every one is cleared before it is filled.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,7 +48,7 @@ use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
-use arm_net::routing::{shortest_path, shortest_path_avoiding};
+use arm_net::routing::shortest_path_avoiding;
 use arm_net::{Connection, ConnectionState, Network, Route};
 use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
@@ -125,6 +140,27 @@ impl PortableState {
     }
 }
 
+/// Resident buffers for the claim refresh and the handoff path, so a
+/// steady-state event reuses their capacity instead of allocating.
+/// Every buffer is cleared before it is filled; none carries a decision
+/// from one event to the next, so none is snapshotted.
+#[derive(Debug, Default)]
+struct RefreshScratch {
+    /// `(connection, b_min)` of the portable being processed.
+    floors: Vec<(ConnId, f64)>,
+    /// Portables static at the refresh's `now`, ascending. Filled once
+    /// per refresh; the `B_dyn` pass and the adaptation round that
+    /// follows in the same `after_event` both read it.
+    statics: Vec<PortableId>,
+    /// Largest static allocation homed in each cell (index = cell).
+    static_max: Vec<f64>,
+    /// `(cell, room demand, neighbour demand)` per meeting room, then
+    /// `(cell, outbound demand, 0)` per cafeteria and default lounge.
+    lounges: Vec<(CellId, f64, f64)>,
+    /// Connections of the portable being handed off.
+    moving: Vec<ConnId>,
+}
+
 /// Outcome of a [`ResourceManager::book_bulk_transfer`] booking.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BulkBooking {
@@ -177,6 +213,13 @@ pub struct ResourceManager {
     /// sequences (renegotiation, handoff) — replaces a per-event
     /// `Route` clone. Pure scratch, never snapshotted.
     route_scratch: Vec<LinkId>,
+    /// Resident buffers for the claim refresh. Pure scratch, never
+    /// snapshotted.
+    scratch: RefreshScratch,
+    /// Run the from-scratch reference refresh instead (the differential
+    /// test's twin manager).
+    #[cfg(test)]
+    reference_refresh: bool,
     /// Connections force-dropped by channel fades (negative excess →
     /// re-negotiation, §5.3).
     pub channel_renegotiations: u64,
@@ -261,6 +304,9 @@ impl ResourceManager {
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
+            scratch: RefreshScratch::default(),
+            #[cfg(test)]
+            reference_refresh: false,
             channel_renegotiations: 0,
             server_node,
             down_links: BTreeSet::new(),
@@ -373,6 +419,9 @@ impl ResourceManager {
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
+            scratch: RefreshScratch::default(),
+            #[cfg(test)]
+            reference_refresh: false,
             channel_renegotiations: snap.channel_renegotiations,
             server_node: snap.server_node,
             down_links: snap.down_links,
@@ -406,17 +455,21 @@ impl ResourceManager {
             .is_some_and(|s| s.is_static(self.cfg.t_th, now))
     }
 
-    /// Every portable that is static at `now`. One scan into a set, not
-    /// a `portables` lookup per call: the conflict resolver asks twice
+    /// Collect every portable that is static at `now` into the resident
+    /// `statics` buffer, ascending. One scan per refresh, not a
+    /// `portables` lookup per question: the conflict resolver asks twice
     /// per live connection, and with 1,000 portables (most of them
-    /// mobile, so the set is small) the per-call lookups measured 29 %
+    /// mobile, so the list is short) the per-call lookups measured 29 %
     /// slower end to end.
-    fn static_portables(&self, now: SimTime) -> BTreeSet<PortableId> {
-        self.portables
-            .iter()
-            .filter(|(_, s)| s.is_static(self.cfg.t_th, now))
-            .map(|(p, _)| *p)
-            .collect()
+    fn collect_statics(&mut self, now: SimTime) {
+        let t_th = self.cfg.t_th;
+        self.scratch.statics.clear();
+        self.scratch.statics.extend(
+            self.portables
+                .iter()
+                .filter(|(_, s)| s.is_static(t_th, now))
+                .map(|(p, _)| *p),
+        );
     }
 
     /// Run the Table 2 admission round trip for an installed connection
@@ -498,7 +551,7 @@ impl ResourceManager {
         let admit_tok = self.obs.phase_start(now);
         self.metrics.requests.incr();
         let id = self.net.next_conn_id();
-        let route = self.route_for(cell);
+        let route = Self::uplink_route(&self.path_cache, cell).clone();
         self.net.install(Connection::new(
             id,
             p,
@@ -517,10 +570,7 @@ impl ResourceManager {
             self.after_event(now);
         } else {
             self.metrics.blocked.incr();
-            self.net
-                .get_mut(id)
-                .expect("invariant: installed above")
-                .state = ConnectionState::Blocked;
+            self.net.mark_blocked(id);
         }
         self.obs.emit_with(|| ObsEvent::AdmitDecision {
             t: now,
@@ -645,7 +695,9 @@ impl ResourceManager {
             policy.on_departure(now);
         }
         // Move the connections.
-        let conns: Vec<ConnId> = self.net.connections_of_portable(p).map(|c| c.id).collect();
+        let mut conns = std::mem::take(&mut self.scratch.moving);
+        conns.clear();
+        conns.extend(self.net.connections_of_portable(p).map(|c| c.id));
         let total_conns = conns.len();
         // A lost handoff signal means the advance reservations cannot
         // be consumed for this move: plain admission or drop.
@@ -654,7 +706,7 @@ impl ResourceManager {
             self.handoff_signalling_failures += 1;
         }
         let mut dropped = Vec::new();
-        for id in conns {
+        for &id in &conns {
             self.metrics.handoff_attempts.incr();
             self.mark_conn_dirty(id); // the route about to be released
             if self.handoff_connection(id, to, now, claims_usable) {
@@ -666,6 +718,7 @@ impl ResourceManager {
                 dropped.push(id);
             }
         }
+        self.scratch.moving = conns;
         // Update the portable's position and mobility clock.
         self.portables.insert(
             p,
@@ -702,17 +755,20 @@ impl ResourceManager {
         if !self.cfg.multicast {
             return;
         }
-        let state = match self.portables.get(&p) {
-            Some(s) => *s,
-            None => return,
+        let Some(state) = self.portables.get(&p).copied() else {
+            return;
         };
-        let conns = self.floors_of(p);
-        let mobile = !self.is_static(p, now);
-        let neighbors: Vec<CellId> = self.env.neighbors(state.cell).collect();
-        for (id, b_min) in conns {
+        Self::collect_floors(&self.net, &mut self.scratch.floors, p);
+        let mobile = !state.is_static(self.cfg.t_th, now);
+        for &(id, b_min) in &self.scratch.floors {
             if mobile {
-                self.multicast
-                    .establish(&mut self.net, id, state.cell, b_min, &neighbors);
+                self.multicast.establish(
+                    &mut self.net,
+                    id,
+                    state.cell,
+                    b_min,
+                    self.env.neighbors(state.cell),
+                );
             } else {
                 self.multicast.teardown(&mut self.net, id);
             }
@@ -1050,7 +1106,7 @@ impl ResourceManager {
                     .expect("invariant: shrinking to b_min never overcommits");
             }
         }
-        self.seal_failed_link(link);
+        Self::seal_link(&mut self.net, link);
         self.after_event(now);
         dropped
     }
@@ -1113,9 +1169,9 @@ impl ResourceManager {
 
     /// Claim the failed link's remaining headroom so nothing new is
     /// admitted on it (`set_claim` caps the grant to what exists).
-    fn seal_failed_link(&mut self, link: LinkId) {
-        let cap = self.net.link(link).capacity();
-        self.net.link_mut(link).set_claim(ResvClaim::Outage, cap);
+    fn seal_link(net: &mut Network, link: LinkId) {
+        let cap = net.link(link).capacity();
+        net.link_mut(link).set_claim(ResvClaim::Outage, cap);
     }
 
     /// Move `id` onto the shortest route that avoids every down link, if
@@ -1195,10 +1251,13 @@ impl ResourceManager {
         // The old cell's resources are released as the portable leaves
         // it.
         self.release_current_route(id);
-        let new_route = self.route_for(to);
         {
+            let new_route = Self::uplink_route(&self.path_cache, to);
             let c = self.net.get_mut(id).expect("invariant: live connection");
-            c.route = new_route;
+            // Field by field: `Vec::clone_from` reuses the old route's
+            // buffers.
+            c.route.nodes.clone_from(&new_route.nodes);
+            c.route.links.clone_from(&new_route.links);
             c.cell = to;
             c.b_current = b_min;
         }
@@ -1255,14 +1314,13 @@ impl ResourceManager {
         false
     }
 
-    /// Route from a cell's air interface to the backbone hub.
-    fn route_for(&self, cell: CellId) -> Route {
-        shortest_path(
-            self.net.topology(),
-            self.net.topology().air_node(cell),
-            self.server_node,
-        )
-        .expect("invariant: star backbone is connected")
+    /// Route from a cell's air interface to the backbone hub: the path
+    /// cache's copy of the shortest path (the topology is static, so a
+    /// Dijkstra run per connection would find the same one).
+    fn uplink_route(cache: &TopologyPathCache, cell: CellId) -> &Route {
+        cache
+            .uplink_route(cell)
+            .expect("invariant: star backbone is connected")
     }
 
     /// The booking-calendar policy of `c`, if `c` is a meeting room.
@@ -1309,8 +1367,9 @@ impl ResourceManager {
             let round_tok = self.obs.phase_start(now);
             // The engine counters feed only the `MaxminRound` event.
             let before = self.obs.is_on().then_some(self.maxmin.stats);
-            let statics = self.static_portables(now);
-            let is_static = |p: PortableId| statics.contains(&p);
+            // Collected by the refresh above, at the same `now`.
+            let statics = &self.scratch.statics;
+            let is_static = |p: PortableId| statics.binary_search(&p).is_ok();
             arm_qos::conflict::resolve_network(
                 &mut self.net,
                 &is_static,
@@ -1368,36 +1427,33 @@ impl ResourceManager {
 
     /// Recompute every advance claim from current state.
     fn refresh_claims(&mut self, now: SimTime) {
+        // For the `B_dyn` pass below and for the adaptation round
+        // `after_event` may run next, at the same `now`.
+        self.collect_statics(now);
+        #[cfg(test)]
+        if self.reference_refresh {
+            return self.reference_refresh_claims(now);
+        }
         let refresh_tok = self.obs.phase_start(now);
         // Wipe all wireless-link claims the manager owns. The Channel
         // claim is the channel monitor's, the Outage claim the fault
         // path's, and Calendar claims the slotted calendar's — all
         // model capacity committed elsewhere and survive every refresh.
-        let cells: Vec<CellId> = self.env.cells().map(|(id, _)| id).collect();
-        for c in &cells {
-            let wl = self.net.topology().wireless_link(*c);
-            let keys: Vec<ResvClaim> = self
-                .net
-                .link(wl)
-                .claims()
-                .map(|(k, _)| k)
-                .filter(|k| {
-                    *k != ResvClaim::Channel
-                        && *k != ResvClaim::Outage
-                        && !matches!(k, ResvClaim::Calendar(_))
-                })
-                .collect();
-            for k in keys {
-                self.net.link_mut(wl).release_claim(k);
-            }
+        for (c, _) in self.env.cells() {
+            let wl = self.net.topology().wireless_link(c);
+            self.net.link_mut(wl).retain_claims(|k| {
+                matches!(
+                    k,
+                    ResvClaim::Channel | ResvClaim::Outage | ResvClaim::Calendar(_)
+                )
+            });
         }
         // Re-tighten the outage seals before installing any advance
         // claims: terminations during an outage must not open phantom
         // headroom on a dead link, and a sealed link grants 0 to every
         // claim set after it.
-        let down: Vec<LinkId> = self.down_links.iter().copied().collect();
-        for l in down {
-            self.seal_failed_link(l);
+        for l in &self.down_links {
+            Self::seal_link(&mut self.net, *l);
         }
         match self.cfg.strategy {
             Strategy::None => {}
@@ -1405,10 +1461,10 @@ impl ResourceManager {
             Strategy::BruteForce => self.refresh_brute_force(),
             Strategy::Aggregate => self.refresh_aggregate(),
             Strategy::StaticFraction(f) => {
-                for c in &cells {
-                    let wl = self.net.topology().wireless_link(*c);
+                for (c, _) in self.env.cells() {
+                    let wl = self.net.topology().wireless_link(c);
                     let amount = self.net.link(wl).capacity() * f;
-                    self.net.link_mut(wl).set_claim(ResvClaim::Cell(*c), amount);
+                    self.net.link_mut(wl).set_claim(ResvClaim::Cell(c), amount);
                 }
             }
         }
@@ -1418,15 +1474,15 @@ impl ResourceManager {
     /// The paper's strategy: per-portable claims via the §6.4 dispatcher,
     /// lounge aggregate claims via the class policies, plus `B_dyn`.
     fn refresh_paper(&mut self, now: SimTime) {
-        // Per-portable claims (mobile portables only).
-        let portables: Vec<(PortableId, PortableState)> =
-            self.portables.iter().map(|(p, s)| (*p, *s)).collect();
-        for (p, state) in &portables {
+        // Per-portable claims (mobile portables only). The loop borrows
+        // `portables`, so what it writes it reaches field by field rather
+        // than through `&mut self` helpers.
+        for (p, state) in &self.portables {
             if state.is_static(self.cfg.t_th, now) {
                 continue; // B_dyn covers sudden movement of statics
             }
-            let floors = self.floors_of(*p);
-            if floors.is_empty() {
+            Self::collect_floors(&self.net, &mut self.scratch.floors, *p);
+            if self.scratch.floors.is_empty() {
                 continue;
             }
             if self.zone_down(state.cell) {
@@ -1437,8 +1493,8 @@ impl ResourceManager {
                 // the default algorithm's no-history behaviour — rather
                 // than not at all.
                 self.stale_profile_fallbacks += 1;
-                let total: f64 = floors.iter().map(|(_, b)| b).sum();
-                self.spread_evenly(state.cell, total);
+                let total: f64 = self.scratch.floors.iter().map(|(_, b)| b).sum();
+                Self::spread_evenly(&mut self.net, &self.env, state.cell, total);
                 continue;
             }
             let class = self.env.cell(state.cell).class;
@@ -1451,7 +1507,7 @@ impl ResourceManager {
                 ReservationDecision::PerConnection(target) => {
                     if target != state.cell {
                         let wl = self.net.topology().wireless_link(target);
-                        for (id, b) in &floors {
+                        for (id, b) in &self.scratch.floors {
                             self.net.link_mut(wl).set_claim(ResvClaim::Conn(*id), *b);
                         }
                     }
@@ -1463,20 +1519,23 @@ impl ResourceManager {
         }
         // Lounge class policies.
         self.refresh_lounge_claims(now);
-        // B_dyn pools.
+        // B_dyn pools: one sweep over the live connections for every
+        // cell's largest static allocation, then each cell's pool from
+        // its neighbours' maxima.
         if let Some(policy) = self.cfg.dyn_pool {
-            let statics = self.static_portables(now);
-            let cells: Vec<CellId> = self.env.cells().map(|(id, _)| id).collect();
-            for c in cells {
-                let neighbors: Vec<CellId> = self.env.neighbors(c).collect();
-                let is_static = |p: PortableId| statics.contains(&p);
-                arm_qos::adaptation::adjust_dyn_pool(
-                    &mut self.net,
-                    c,
-                    &neighbors,
-                    &is_static,
-                    policy,
-                );
+            let RefreshScratch {
+                statics,
+                static_max,
+                ..
+            } = &mut self.scratch;
+            let is_static = |p: PortableId| statics.binary_search(&p).is_ok();
+            arm_qos::adaptation::static_alloc_maxima(&self.net, &is_static, static_max);
+            for (c, info) in self.env.cells() {
+                let max_alloc = info
+                    .neighbors
+                    .iter()
+                    .fold(0.0_f64, |m, n| m.max(static_max[n.index()]));
+                arm_qos::adaptation::adjust_dyn_pool(&mut self.net, c, max_alloc, policy);
             }
         }
     }
@@ -1484,16 +1543,21 @@ impl ResourceManager {
     /// Aggregate claims from the lounge policies (meeting calendar,
     /// cafeteria least-squares, default one-step).
     fn refresh_lounge_claims(&mut self, now: SimTime) {
+        let per_user_kbps = self.cfg.per_user_kbps;
+        let mut lounges = std::mem::take(&mut self.scratch.lounges);
+        lounges.clear();
         // Meeting rooms.
-        let meeting_cells: Vec<CellId> = self.meeting_policies.keys().copied().collect();
-        for m in meeting_cells {
-            let (room, neighbor) = {
-                let policy = self
-                    .meeting_policies
-                    .get_mut(&m)
-                    .expect("invariant: registered");
-                (policy.room_demand(now), policy.neighbor_demand(now))
-            };
+        lounges.extend(
+            self.meeting_policies
+                .iter_mut()
+                .map(|(m, policy)| (*m, policy.room_demand(now), policy.neighbor_demand(now))),
+        );
+        let meeting_rooms = lounges.len();
+        // Cafeterias and default lounges: predicted outbound handoffs.
+        let caf = self.cafeteria_pred.iter().map(|(c, p)| (*c, p.predict()));
+        let def = self.default_pred.iter().map(|(c, p)| (*c, p.predict()));
+        lounges.extend(caf.chain(def).map(|(c, n)| (c, n * per_user_kbps, 0.0)));
+        for &(m, room, neighbor) in &lounges[..meeting_rooms] {
             if room > 0.0 {
                 let wl = self.net.topology().wireless_link(m);
                 self.net.link_mut(wl).set_claim(ResvClaim::Cell(m), room);
@@ -1502,23 +1566,19 @@ impl ResourceManager {
                 self.spread_to_neighbors(m, neighbor);
             }
         }
-        // Cafeterias and default lounges: predicted outbound handoffs.
-        let caf = self.cafeteria_pred.iter().map(|(c, p)| (*c, p.predict()));
-        let def = self.default_pred.iter().map(|(c, p)| (*c, p.predict()));
-        let predictions: Vec<(CellId, f64)> = caf.chain(def).collect();
-        for (c, predicted) in predictions {
-            let demand = predicted * self.cfg.per_user_kbps;
+        for &(c, demand, _) in &lounges[meeting_rooms..] {
             if demand > 0.0 {
                 self.spread_to_neighbors(c, demand);
             }
         }
+        self.scratch.lounges = lounges;
     }
 
     /// Split an aggregate demand from `source` over its neighbours by the
     /// profile transition row (even split without history), installing
     /// `Cell(source)` claims.
     fn spread_to_neighbors(&mut self, source: CellId, demand: f64) {
-        let neighbors: Vec<CellId> = self.env.neighbors(source).collect();
+        let neighbors = &self.env.cell(source).neighbors;
         if neighbors.is_empty() {
             return;
         }
@@ -1533,7 +1593,7 @@ impl ResourceManager {
                 .unwrap_or_default()
         };
         let known: f64 = neighbors.iter().filter_map(|n| row.get(n)).sum();
-        for n in &neighbors {
+        for n in neighbors {
             let share = if known > 0.0 {
                 row.get(n).copied().unwrap_or(0.0) / known
             } else {
@@ -1541,42 +1601,40 @@ impl ResourceManager {
             };
             let amount = demand * share;
             if amount > 0.0 {
-                self.add_cell_claim(source, *n, amount);
+                Self::add_cell_claim(&mut self.net, source, *n, amount);
             }
         }
     }
 
     /// Grow the `Cell(source)` claim on neighbour `n`'s wireless link.
-    fn add_cell_claim(&mut self, source: CellId, n: CellId, amount: f64) {
-        let wl = self.net.topology().wireless_link(n);
-        let cur = self.net.link(wl).claim(ResvClaim::Cell(source));
-        self.net
-            .link_mut(wl)
+    fn add_cell_claim(net: &mut Network, source: CellId, n: CellId, amount: f64) {
+        let wl = net.topology().wireless_link(n);
+        let cur = net.link(wl).claim(ResvClaim::Cell(source));
+        net.link_mut(wl)
             .set_claim(ResvClaim::Cell(source), cur + amount);
     }
 
     /// Even-split spread used when profile data is unavailable (zone
     /// profile-server outage): no transition row can be read, so the
     /// demand is divided uniformly over the neighbours.
-    fn spread_evenly(&mut self, source: CellId, demand: f64) {
-        let neighbors: Vec<CellId> = self.env.neighbors(source).collect();
+    fn spread_evenly(net: &mut Network, env: &IndoorEnvironment, source: CellId, demand: f64) {
+        let neighbors = &env.cell(source).neighbors;
         if neighbors.is_empty() || demand <= 0.0 {
             return;
         }
         let share = demand / neighbors.len() as f64;
         for n in neighbors {
-            self.add_cell_claim(source, n, share);
+            Self::add_cell_claim(net, source, *n, share);
         }
     }
 
     fn refresh_brute_force(&mut self) {
         let demands = self.mobile_demands();
         for (p, cell) in demands {
-            let floors = self.floors_of(p);
-            let neighbors: Vec<CellId> = self.env.neighbors(cell).collect();
-            for n in neighbors {
+            Self::collect_floors(&self.net, &mut self.scratch.floors, p);
+            for n in self.env.neighbors(cell) {
                 let wl = self.net.topology().wireless_link(n);
-                for (id, b) in &floors {
+                for (id, b) in &self.scratch.floors {
                     self.net.link_mut(wl).set_claim(ResvClaim::Conn(*id), *b);
                 }
             }
@@ -1597,12 +1655,12 @@ impl ResourceManager {
         }
     }
 
-    /// The `(connection, b_min)` floors of a portable's live connections.
-    fn floors_of(&self, p: PortableId) -> Vec<(ConnId, f64)> {
-        self.net
-            .connections_of_portable(p)
-            .map(|c| (c.id, c.qos.b_min))
-            .collect()
+    /// Collect the `(connection, b_min)` floors of a portable's live
+    /// connections into `floors` (the resident buffer). Over fields, not
+    /// `&mut self`, so a loop that borrows `portables` can call it.
+    fn collect_floors(net: &Network, floors: &mut Vec<(ConnId, f64)>, p: PortableId) {
+        floors.clear();
+        floors.extend(net.connections_of_portable(p).map(|c| (c.id, c.qos.b_min)));
     }
 
     /// Every portable with live connections and its cell (the baselines
@@ -1623,6 +1681,10 @@ impl ResourceManager {
         v.into_iter().map(|(_, p, c)| (p, c)).collect()
     }
 }
+
+#[cfg(test)]
+#[path = "manager_reference.rs"]
+mod reference;
 
 #[cfg(test)]
 #[path = "manager_tests.rs"]

@@ -1,0 +1,365 @@
+//! The claim refresh as it stood before the resident index, tallies and
+//! scratch: every helper scans — the whole connection table per
+//! portable and per neighbour cell, the whole handoff history per
+//! prediction and per lounge row — and collects into fresh `Vec`s. Kept
+//! verbatim (names prefixed, the scans spelled out here because the
+//! scanning library calls are gone) as the oracle of
+//! `tests::refresh_matches_the_scanning_reference`: a twin manager
+//! with `reference_refresh` set runs this body instead, and every
+//! link's claims must come out `to_bits`-identical after every event.
+//! Compiled for tests only, so nothing else can call it.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use arm_net::ids::{CellId, ConnId, LinkId, PortableId};
+use arm_net::link::ResvClaim;
+use arm_net::{Connection, Network};
+use arm_obs::Phase;
+use arm_profiles::prediction::{Prediction, PredictionLevel};
+use arm_profiles::CellProfile;
+use arm_qos::adaptation::DynPoolPolicy;
+use arm_reservation::dispatch::{decide_traced, ReservationDecision};
+use arm_sim::SimTime;
+
+use super::{PortableState, ResourceManager};
+use crate::strategy::Strategy;
+
+/// `Network::connections_of_portable` as a scan of every record.
+fn scan_portable(net: &Network, p: PortableId) -> impl Iterator<Item = &Connection> {
+    net.live_connections().filter(move |c| c.portable == p)
+}
+
+/// `Network::connections_in_cell`, which only the old `B_dyn` pass used.
+fn scan_cell(net: &Network, cell: CellId) -> impl Iterator<Item = &Connection> {
+    net.live_connections().filter(move |c| c.cell == cell)
+}
+
+/// `adjust_dyn_pool` scanning the table once per neighbour cell.
+fn scan_adjust_dyn_pool(
+    net: &mut Network,
+    cell: CellId,
+    neighbor_cells: &[CellId],
+    static_portables: &dyn Fn(PortableId) -> bool,
+    policy: DynPoolPolicy,
+) -> f64 {
+    let mut max_alloc: f64 = 0.0;
+    for nc in neighbor_cells {
+        for c in scan_cell(net, *nc) {
+            if static_portables(c.portable) {
+                max_alloc = max_alloc.max(c.b_current);
+            }
+        }
+    }
+    let wl = net.topology().wireless_link(cell);
+    let capacity = net.link(wl).capacity();
+    let target = policy.target_pool(capacity, max_alloc);
+    net.link_mut(wl).set_claim(ResvClaim::DynPool, target)
+}
+
+/// `CellProfile::aggregate_row` recounting the retained events.
+fn scan_aggregate_row(cp: &CellProfile) -> BTreeMap<CellId, f64> {
+    let mut counts: BTreeMap<CellId, usize> = BTreeMap::new();
+    let mut total = 0usize;
+    for ev in cp.history().events() {
+        *counts.entry(ev.next).or_insert(0) += 1;
+        total += 1;
+    }
+    counts
+        .into_iter()
+        .map(|(c, n)| (c, n as f64 / total as f64))
+        .collect()
+}
+
+impl ResourceManager {
+    /// Make this manager the differential test's reference twin.
+    pub(super) fn use_reference_refresh(&mut self) {
+        self.reference_refresh = true;
+    }
+
+    /// The three-level prediction with level 2b recounting the cell's
+    /// history. Levels 1 and 2a never touched the history, so they are
+    /// taken from the production path; whenever that path went as far
+    /// as the history (level 2b or the default), the answer is recounted
+    /// here with the scanning `most_common_next`.
+    fn reference_predict_at(&self, p: PortableId, prev: Option<CellId>, cur: CellId) -> Prediction {
+        let got = self.profiles.predict_at(p, prev, cur);
+        match got.level {
+            PredictionLevel::PortableProfile | PredictionLevel::OccupantOffice => got,
+            PredictionLevel::CellAggregate | PredictionLevel::Default => {
+                let next = self.profiles.cell(cur).and_then(|cp| {
+                    cp.history()
+                        .most_common_next(|e| e.prev == prev)
+                        .or_else(|| cp.history().most_common_next(|_| true))
+                        .map(|(c, _, _)| c)
+                });
+                Prediction {
+                    cell: next,
+                    level: if next.is_some() {
+                        PredictionLevel::CellAggregate
+                    } else {
+                        PredictionLevel::Default
+                    },
+                }
+            }
+        }
+    }
+
+    fn reference_static_portables(&self, now: SimTime) -> BTreeSet<PortableId> {
+        self.portables
+            .iter()
+            .filter(|(_, s)| s.is_static(self.cfg.t_th, now))
+            .map(|(p, _)| *p)
+            .collect()
+    }
+
+    fn reference_seal_failed_link(&mut self, link: LinkId) {
+        let cap = self.net.link(link).capacity();
+        self.net.link_mut(link).set_claim(ResvClaim::Outage, cap);
+    }
+
+    /// Recompute every advance claim from current state.
+    pub(super) fn reference_refresh_claims(&mut self, now: SimTime) {
+        let refresh_tok = self.obs.phase_start(now);
+        // Wipe all wireless-link claims the manager owns. The Channel
+        // claim is the channel monitor's, the Outage claim the fault
+        // path's, and Calendar claims the slotted calendar's — all
+        // model capacity committed elsewhere and survive every refresh.
+        let cells: Vec<CellId> = self.env.cells().map(|(id, _)| id).collect();
+        for c in &cells {
+            let wl = self.net.topology().wireless_link(*c);
+            let keys: Vec<ResvClaim> = self
+                .net
+                .link(wl)
+                .claims()
+                .map(|(k, _)| k)
+                .filter(|k| {
+                    *k != ResvClaim::Channel
+                        && *k != ResvClaim::Outage
+                        && !matches!(k, ResvClaim::Calendar(_))
+                })
+                .collect();
+            for k in keys {
+                self.net.link_mut(wl).release_claim(k);
+            }
+        }
+        // Re-tighten the outage seals before installing any advance
+        // claims: terminations during an outage must not open phantom
+        // headroom on a dead link, and a sealed link grants 0 to every
+        // claim set after it.
+        let down: Vec<LinkId> = self.down_links.iter().copied().collect();
+        for l in down {
+            self.reference_seal_failed_link(l);
+        }
+        match self.cfg.strategy {
+            Strategy::None => {}
+            Strategy::Paper => self.reference_refresh_paper(now),
+            Strategy::BruteForce => self.reference_refresh_brute_force(),
+            Strategy::Aggregate => self.reference_refresh_aggregate(),
+            Strategy::StaticFraction(f) => {
+                for c in &cells {
+                    let wl = self.net.topology().wireless_link(*c);
+                    let amount = self.net.link(wl).capacity() * f;
+                    self.net.link_mut(wl).set_claim(ResvClaim::Cell(*c), amount);
+                }
+            }
+        }
+        self.obs.phase_end(Phase::ClaimRefresh, refresh_tok, now);
+    }
+
+    /// The paper's strategy: per-portable claims via the §6.4 dispatcher,
+    /// lounge aggregate claims via the class policies, plus `B_dyn`.
+    fn reference_refresh_paper(&mut self, now: SimTime) {
+        // Per-portable claims (mobile portables only).
+        let portables: Vec<(PortableId, PortableState)> =
+            self.portables.iter().map(|(p, s)| (*p, *s)).collect();
+        for (p, state) in &portables {
+            if state.is_static(self.cfg.t_th, now) {
+                continue; // B_dyn covers sudden movement of statics
+            }
+            let floors = self.reference_floors_of(*p);
+            if floors.is_empty() {
+                continue;
+            }
+            if self.zone_down(state.cell) {
+                // Stale-profile fallback: the zone's profile server is
+                // out, so neither occupancy nor a movement prediction
+                // can be read. Reserve the portable's floors
+                // probabilistically — spread evenly over all neighbours,
+                // the default algorithm's no-history behaviour — rather
+                // than not at all.
+                self.stale_profile_fallbacks += 1;
+                let total: f64 = floors.iter().map(|(_, b)| b).sum();
+                self.reference_spread_evenly(state.cell, total);
+                continue;
+            }
+            let class = self.env.cell(state.cell).class;
+            let is_occupant = self
+                .profiles
+                .cell(state.cell)
+                .is_some_and(|cp| cp.is_occupant(*p));
+            let prediction = self.reference_predict_at(*p, state.prev_cell, state.cell);
+            match decide_traced(class, is_occupant, prediction, now, *p, &mut self.obs) {
+                ReservationDecision::PerConnection(target) => {
+                    if target != state.cell {
+                        let wl = self.net.topology().wireless_link(target);
+                        for (id, b) in &floors {
+                            self.net.link_mut(wl).set_claim(ResvClaim::Conn(*id), *b);
+                        }
+                    }
+                }
+                ReservationDecision::NoReservation
+                | ReservationDecision::ClassPolicy
+                | ReservationDecision::DefaultAlgorithm => {}
+            }
+        }
+        // Lounge class policies.
+        self.reference_refresh_lounge_claims(now);
+        // B_dyn pools.
+        if let Some(policy) = self.cfg.dyn_pool {
+            let statics = self.reference_static_portables(now);
+            let cells: Vec<CellId> = self.env.cells().map(|(id, _)| id).collect();
+            for c in cells {
+                let neighbors: Vec<CellId> = self.env.neighbors(c).collect();
+                let is_static = |p: PortableId| statics.contains(&p);
+                scan_adjust_dyn_pool(&mut self.net, c, &neighbors, &is_static, policy);
+            }
+        }
+    }
+
+    /// Aggregate claims from the lounge policies (meeting calendar,
+    /// cafeteria least-squares, default one-step).
+    fn reference_refresh_lounge_claims(&mut self, now: SimTime) {
+        // Meeting rooms.
+        let meeting_cells: Vec<CellId> = self.meeting_policies.keys().copied().collect();
+        for m in meeting_cells {
+            let (room, neighbor) = {
+                let policy = self
+                    .meeting_policies
+                    .get_mut(&m)
+                    .expect("invariant: registered");
+                (policy.room_demand(now), policy.neighbor_demand(now))
+            };
+            if room > 0.0 {
+                let wl = self.net.topology().wireless_link(m);
+                self.net.link_mut(wl).set_claim(ResvClaim::Cell(m), room);
+            }
+            if neighbor > 0.0 {
+                self.reference_spread_to_neighbors(m, neighbor);
+            }
+        }
+        // Cafeterias and default lounges: predicted outbound handoffs.
+        let caf = self.cafeteria_pred.iter().map(|(c, p)| (*c, p.predict()));
+        let def = self.default_pred.iter().map(|(c, p)| (*c, p.predict()));
+        let predictions: Vec<(CellId, f64)> = caf.chain(def).collect();
+        for (c, predicted) in predictions {
+            let demand = predicted * self.cfg.per_user_kbps;
+            if demand > 0.0 {
+                self.reference_spread_to_neighbors(c, demand);
+            }
+        }
+    }
+
+    /// Split an aggregate demand from `source` over its neighbours by the
+    /// profile transition row (even split without history), installing
+    /// `Cell(source)` claims.
+    fn reference_spread_to_neighbors(&mut self, source: CellId, demand: f64) {
+        let neighbors: Vec<CellId> = self.env.neighbors(source).collect();
+        if neighbors.is_empty() {
+            return;
+        }
+        // A profile-server outage hides the transition row; the empty
+        // row below degrades to the even split.
+        let row = if self.zone_down(source) {
+            Default::default()
+        } else {
+            self.profiles
+                .cell(source)
+                .map(scan_aggregate_row)
+                .unwrap_or_default()
+        };
+        let known: f64 = neighbors.iter().filter_map(|n| row.get(n)).sum();
+        for n in &neighbors {
+            let share = if known > 0.0 {
+                row.get(n).copied().unwrap_or(0.0) / known
+            } else {
+                1.0 / neighbors.len() as f64
+            };
+            let amount = demand * share;
+            if amount > 0.0 {
+                self.reference_add_cell_claim(source, *n, amount);
+            }
+        }
+    }
+
+    /// Grow the `Cell(source)` claim on neighbour `n`'s wireless link.
+    fn reference_add_cell_claim(&mut self, source: CellId, n: CellId, amount: f64) {
+        let wl = self.net.topology().wireless_link(n);
+        let cur = self.net.link(wl).claim(ResvClaim::Cell(source));
+        self.net
+            .link_mut(wl)
+            .set_claim(ResvClaim::Cell(source), cur + amount);
+    }
+
+    /// Even-split spread used when profile data is unavailable (zone
+    /// profile-server outage): no transition row can be read, so the
+    /// demand is divided uniformly over the neighbours.
+    fn reference_spread_evenly(&mut self, source: CellId, demand: f64) {
+        let neighbors: Vec<CellId> = self.env.neighbors(source).collect();
+        if neighbors.is_empty() || demand <= 0.0 {
+            return;
+        }
+        let share = demand / neighbors.len() as f64;
+        for n in neighbors {
+            self.reference_add_cell_claim(source, n, share);
+        }
+    }
+
+    fn reference_refresh_brute_force(&mut self) {
+        let demands = self.reference_mobile_demands();
+        for (p, cell) in demands {
+            let floors = self.reference_floors_of(p);
+            let neighbors: Vec<CellId> = self.env.neighbors(cell).collect();
+            for n in neighbors {
+                let wl = self.net.topology().wireless_link(n);
+                for (id, b) in &floors {
+                    self.net.link_mut(wl).set_claim(ResvClaim::Conn(*id), *b);
+                }
+            }
+        }
+    }
+
+    fn reference_refresh_aggregate(&mut self) {
+        let demands = self.reference_mobile_demands();
+        for (p, cell) in demands {
+            let total: f64 = scan_portable(&self.net, p).map(|c| c.qos.b_min).sum();
+            if total > 0.0 {
+                self.reference_spread_to_neighbors(cell, total);
+            }
+        }
+    }
+
+    /// The `(connection, b_min)` floors of a portable's live connections.
+    fn reference_floors_of(&self, p: PortableId) -> Vec<(ConnId, f64)> {
+        scan_portable(&self.net, p)
+            .map(|c| (c.id, c.qos.b_min))
+            .collect()
+    }
+
+    /// Every portable with live connections and its cell (the baselines
+    /// reserve for all of them, making no static/mobile distinction —
+    /// which is exactly their weakness). Ordered by when each portable
+    /// entered its current cell: reservations are first-come-first-served,
+    /// so when a link's claim headroom runs out, the latest movers lose —
+    /// exactly the race that drops late classroom arrivals under the
+    /// brute-force scheme.
+    fn reference_mobile_demands(&self) -> Vec<(PortableId, CellId)> {
+        let mut v: Vec<(SimTime, PortableId, CellId)> = self
+            .portables
+            .iter()
+            .filter(|(p, _)| scan_portable(&self.net, **p).next().is_some())
+            .map(|(p, s)| (s.entered_at, *p, s.cell))
+            .collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        v.into_iter().map(|(_, p, c)| (p, c)).collect()
+    }
+}

@@ -855,3 +855,303 @@ fn profile_outage_falls_back_to_even_spread_and_recovers() {
     assert!(mgr.net.link(wl_a).claim(ResvClaim::Conn(id)) >= 64.0 - 1e-9);
     assert!(mgr.net.check_invariants().is_ok());
 }
+
+// ----------------------------------------------------------------------
+// Refresh differential: production vs. the scanning reference
+// ----------------------------------------------------------------------
+
+/// One event of the differential's stream: `core/tests/chaos.rs`'s churn
+/// alphabet, plus the three events only the claim pipeline cares about.
+#[derive(Clone, Copy, Debug)]
+enum Churn {
+    Appear(u32, CellId),
+    Connect(u32, f64, f64),
+    Move(u32, CellId),
+    Terminate(u32),
+    Fade(CellId, f64),
+    FailWireless(CellId),
+    RestoreWireless(CellId),
+    SlotTick,
+    ProfilesDown,
+    ProfilesUp,
+}
+
+/// `core/tests/chaos.rs::churn_schedule` draw for draw (same seeding
+/// population, same `rng.index(8)` alphabet) over `cells`, with a slot
+/// roll after every 7th drawn event and a profile-server outage opening
+/// after every 19th and closing after every 31st.
+fn churn_schedule(seed: u64, len: usize, cells: &[CellId]) -> Vec<Churn> {
+    let mut rng = arm_sim::SimRng::new(seed);
+    let mut events = Vec::with_capacity(len);
+    for p in 0..6u32 {
+        let cell = cells[rng.index(cells.len())];
+        events.push(Churn::Appear(p, cell));
+        events.push(Churn::Connect(p, 100.0, 1600.0));
+    }
+    let mut drawn = 0usize;
+    while events.len() < len {
+        let p = rng.index(6) as u32;
+        let cell = cells[rng.index(cells.len())];
+        events.push(match rng.index(8) {
+            0 => Churn::Connect(p, rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0)),
+            1 => Churn::Move(p, cell),
+            2 => Churn::Terminate(p),
+            3 => Churn::Fade(cell, rng.uniform(0.3, 1.0)),
+            4 | 5 => Churn::FailWireless(cell),
+            _ => Churn::RestoreWireless(cell),
+        });
+        drawn += 1;
+        if drawn % 7 == 0 {
+            events.push(Churn::SlotTick);
+        }
+        if drawn % 19 == 0 {
+            events.push(Churn::ProfilesDown);
+        }
+        if drawn % 31 == 0 {
+            events.push(Churn::ProfilesUp);
+        }
+    }
+    events
+}
+
+/// Everything a refresh writes on one link, as bits.
+type LinkBits = (Vec<(ResvClaim, u64)>, u64, u64);
+
+fn ledger_bits(mgr: &ResourceManager) -> Vec<LinkBits> {
+    mgr.net
+        .links()
+        .map(|(_, l)| {
+            (
+                l.claims().map(|(k, v)| (k, v.to_bits())).collect(),
+                l.b_resv().to_bits(),
+                l.excess_available().to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// Apply one event to a manager (both twins go through this).
+fn apply_churn(
+    mgr: &mut ResourceManager,
+    conns: &mut std::collections::BTreeMap<u32, ConnId>,
+    ev: Churn,
+    t: SimTime,
+) {
+    use arm_net::ids::ZoneId;
+    match ev {
+        Churn::Appear(p, cell) => mgr.portable_appears(PortableId(p), cell, t),
+        Churn::Connect(p, b_min, b_max) => {
+            let qos = QosRequest::bandwidth(b_min, b_max)
+                .with_delay(10.0)
+                .with_jitter(10.0)
+                .with_loss(1.0);
+            if let Ok(id) = mgr.request_connection(PortableId(p), qos, t) {
+                conns.insert(p, id);
+            }
+        }
+        Churn::Move(p, cell) => {
+            if mgr.portable_cell(PortableId(p)) != Some(cell) {
+                mgr.portable_moved(PortableId(p), cell, t);
+            }
+        }
+        Churn::Terminate(p) => {
+            if let Some(id) = conns.remove(&p) {
+                mgr.terminate(id, t);
+            }
+        }
+        Churn::Fade(cell, f) => {
+            mgr.channel_change(cell, f, t).expect("valid fraction");
+        }
+        Churn::FailWireless(cell) => {
+            let wl = mgr.net.topology().wireless_link(cell);
+            mgr.link_failed(wl, t);
+        }
+        Churn::RestoreWireless(cell) => {
+            let wl = mgr.net.topology().wireless_link(cell);
+            mgr.link_restored(wl, t);
+        }
+        Churn::SlotTick => mgr.slot_tick(t),
+        Churn::ProfilesDown => mgr.profile_server_down(ZoneId(0), t),
+        Churn::ProfilesUp => mgr.profile_server_up(ZoneId(0), t),
+    }
+}
+
+/// The production refresh (portable index, history tallies, resident
+/// scratch, one `B_dyn` sweep) against the scanning reference kept in
+/// `manager_reference.rs`, on twin managers fed the chaos churn streams:
+/// after **every** event each link's claim map, `b_resv` and
+/// `excess_available` are the same bits, and at the end the two obs
+/// streams — every `ReservationDispatch` among them — are equal event
+/// for event. Every strategy arm, `B_dyn` on and off, eight seeds, on
+/// the Figure 4 floor (offices and corridors: per-connection claims,
+/// occupant rules) and on a small wing (meeting room with a booking,
+/// cafeteria, default lounge: the class policies and their rows). Events
+/// are 4 s apart against a 40 s `T_th`, so portables cross between
+/// mobile and static throughout.
+#[test]
+fn refresh_matches_the_scanning_reference() {
+    use arm_obs::Obs;
+    let f4 = Figure4::build();
+    let wing = arm_mobility::environment::office_wing(3);
+    let meeting = wing
+        .cells()
+        .find(|(_, c)| c.class == CellClass::Lounge(LoungeKind::MeetingRoom))
+        .map(|(id, _)| id)
+        .expect("the wing has a meeting room");
+    let floors: [(&str, &IndoorEnvironment); 2] = [("figure4", &f4.env), ("wing", &wing)];
+    let strategies = [
+        Strategy::None,
+        Strategy::Paper,
+        Strategy::BruteForce,
+        Strategy::Aggregate,
+        Strategy::StaticFraction(0.1),
+    ];
+    let mut dispatches = 0u64;
+    let mut fallbacks = 0u64;
+    let mut claims_seen = 0usize;
+    for (floor, env) in floors {
+        let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
+        for strategy in strategies {
+            for dyn_pool in [Some(DynPoolPolicy::default()), None] {
+                for seed in 0..8u64 {
+                    let twin = |reference: bool| {
+                        let net = env.build_network(1600.0, 0.0, 100_000.0);
+                        let cfg = ManagerConfig {
+                            strategy,
+                            dyn_pool,
+                            resolve_excess: true,
+                            t_th: SimDuration::from_secs(40),
+                            ..Default::default()
+                        };
+                        let mut mgr = ResourceManager::new(env.clone(), net, cfg);
+                        if floor == "wing" {
+                            let mut cal = BookingCalendar::new();
+                            cal.book(Meeting {
+                                t_start: SimTime::from_secs(90),
+                                t_end: SimTime::from_secs(300),
+                                expected: 5,
+                            });
+                            mgr.set_calendar(meeting, cal);
+                        }
+                        mgr.set_obs(Obs::recording(1 << 16));
+                        if reference {
+                            mgr.use_reference_refresh();
+                        }
+                        mgr
+                    };
+                    let (mut live, mut reference) = (twin(false), twin(true));
+                    let (mut live_conns, mut ref_conns) = Default::default();
+                    for (k, ev) in churn_schedule(seed, 90, &cells).into_iter().enumerate() {
+                        let t = SimTime::from_secs(4 * (k as u64 + 1));
+                        apply_churn(&mut live, &mut live_conns, ev, t);
+                        apply_churn(&mut reference, &mut ref_conns, ev, t);
+                        let ctx = format!(
+                            "{floor} {strategy:?} dyn_pool={} seed {seed} event {k}: {ev:?}",
+                            dyn_pool.is_some()
+                        );
+                        let bits = ledger_bits(&live);
+                        assert_eq!(bits, ledger_bits(&reference), "{ctx}");
+                        assert!(live.net.check_invariants().is_ok(), "{ctx}");
+                        claims_seen += bits
+                            .iter()
+                            .map(|(claims, _, _)| claims.len())
+                            .sum::<usize>();
+                    }
+                    assert_eq!(live_conns, ref_conns);
+                    let (a, b) = (live.take_obs(), reference.take_obs());
+                    assert_eq!(a.snapshot_events(), b.snapshot_events());
+                    dispatches += a.count(arm_obs::EventKind::ReservationDispatch);
+                    assert_eq!(
+                        format!("{:?}", live.metrics.summary()),
+                        format!("{:?}", reference.metrics.summary())
+                    );
+                    assert_eq!(
+                        live.stale_profile_fallbacks,
+                        reference.stale_profile_fallbacks
+                    );
+                    fallbacks += live.stale_profile_fallbacks;
+                }
+            }
+        }
+    }
+    // The streams did reach the paths under test.
+    eprintln!("dispatches {dispatches} fallbacks {fallbacks} claims {claims_seen}");
+    assert!(dispatches > 1000, "only {dispatches} dispatches observed");
+    assert!(fallbacks > 100, "only {fallbacks} stale-profile fallbacks");
+    assert!(claims_seen > 10_000, "only {claims_seen} claims observed");
+}
+
+/// The uplink route a connection is given — read from the path cache
+/// since `route_for` stopped running Dijkstra per connection — is the
+/// route `shortest_path` returns, node for node and link for link, for
+/// every cell of the Figure 4 office, the 63-cell wing, and a campus
+/// whose backbone is a mesh with equal-cost detours (so the cache must
+/// reproduce Dijkstra's tie-breaks, not just its hop counts). Checked on
+/// the cache and on the routes installed by a request and by a handoff.
+#[test]
+fn uplink_routes_equal_live_dijkstra_on_office_wing_and_campus() {
+    use arm_net::routing::shortest_path;
+    use arm_net::topology::Topology;
+
+    let f4 = Figure4::build();
+    let wing = arm_mobility::environment::office_wing(30);
+    let campus_env = arm_mobility::environment::office_wing(4);
+    // Campus backbone: a hub (node 0, where connections terminate) and
+    // three building switches, every pair of the four joined — two
+    // equal-cost ways from each building to the hub's neighbours — with
+    // the cells dealt round-robin onto the buildings, and one cell two
+    // switches deep.
+    let campus_net = {
+        let mut topo = Topology::new();
+        let hub = topo.add_switch("hub");
+        let buildings: Vec<_> = (0..3)
+            .map(|i| topo.add_switch(format!("building-{i}")))
+            .collect();
+        for (i, b) in buildings.iter().enumerate() {
+            topo.add_wired_duplex(hub, *b, 100_000.0, 0.0);
+            topo.add_wired_duplex(*b, buildings[(i + 1) % 3], 100_000.0, 0.0);
+        }
+        let annex = topo.add_switch("annex");
+        topo.add_wired_duplex(annex, buildings[1], 100_000.0, 0.0);
+        topo.add_wired_duplex(annex, buildings[2], 100_000.0, 0.0);
+        for (i, (_, info)) in campus_env.cells().enumerate() {
+            let c = topo.add_cell(&info.name, 1600.0, 0.0);
+            let sw = if i == 0 { annex } else { buildings[i % 3] };
+            topo.add_wired_duplex(sw, topo.base_station(c), 100_000.0, 0.0);
+        }
+        Network::new(topo)
+    };
+    let floors = [
+        (f4.env.clone(), f4.env.build_network(1600.0, 0.0, 100_000.0)),
+        (wing.clone(), wing.build_network(1600.0, 0.0, 100_000.0)),
+        (campus_env, campus_net),
+    ];
+    for (env, net) in floors {
+        let mut mgr = ResourceManager::new(env.clone(), net, ManagerConfig::default());
+        let live = |mgr: &ResourceManager, c: CellId| {
+            let topo = mgr.net.topology();
+            shortest_path(topo, topo.air_node(c), NodeId(0)).expect("connected")
+        };
+        for (c, _) in env.cells() {
+            assert_eq!(
+                ResourceManager::uplink_route(&mgr.path_cache, c),
+                &live(&mgr, c),
+                "{c:?}"
+            );
+        }
+        // And as installed: one portable per cell requests there, then
+        // hands off to a neighbour.
+        for (i, (c, info)) in env.cells().enumerate() {
+            let p = PortableId(9000 + i as u32);
+            mgr.portable_appears(p, c, SimTime::ZERO);
+            let id = mgr
+                .request_connection(p, qos(16.0), SimTime::from_secs(1))
+                .expect("an empty floor admits");
+            assert_eq!(mgr.net.get(id).expect("installed").route, live(&mgr, c));
+            let n = *info.neighbors.iter().next().expect("no isolated cells");
+            assert!(mgr.portable_moved(p, n, SimTime::from_secs(2)).is_empty());
+            assert_eq!(mgr.net.get(id).expect("live").route, live(&mgr, n));
+            mgr.terminate(id, SimTime::from_secs(3));
+        }
+    }
+}

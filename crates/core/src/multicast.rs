@@ -52,13 +52,13 @@ impl MulticastState {
         conn: ConnId,
         cell: CellId,
         b_min: f64,
-        neighbors: &[CellId],
+        neighbors: impl IntoIterator<Item = CellId>,
     ) {
         self.teardown(net, conn);
         let src = net.topology().base_station(cell);
         let mut branches = BTreeMap::new();
         for n in neighbors {
-            let dst = net.topology().base_station(*n);
+            let dst = net.topology().base_station(n);
             let Some(route) = shortest_path(net.topology(), src, dst) else {
                 self.failed_branches += 1;
                 continue;
@@ -81,7 +81,7 @@ impl MulticastState {
                 net.link_mut(*l)
                     .set_claim(ResvClaim::Conn(conn), cur + b_min);
             }
-            branches.insert(*n, wired);
+            branches.insert(n, wired);
         }
         self.active_branches += branches.len();
         if !branches.is_empty() {
@@ -129,7 +129,7 @@ mod tests {
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
         let neighbors: Vec<CellId> = f4.env.neighbors(f4.d).collect();
-        mc.establish(&mut net, conn, f4.d, 64.0, &neighbors);
+        mc.establish(&mut net, conn, f4.d, 64.0, neighbors.iter().copied());
         assert_eq!(mc.branches_of(conn).len(), neighbors.len());
         // Wireless media untouched.
         for (cell, _) in f4.env.cells() {
@@ -159,12 +159,12 @@ mod tests {
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
         let n_d: Vec<CellId> = f4.env.neighbors(f4.d).collect();
-        mc.establish(&mut net, conn, f4.d, 64.0, &n_d);
+        mc.establish(&mut net, conn, f4.d, 64.0, n_d.iter().copied());
         let before = mc.branches_of(conn);
         assert!(before.contains(&f4.a));
         // Handoff D → E: branches now cover E's neighbours only.
         let n_e: Vec<CellId> = f4.env.neighbors(f4.e).collect();
-        mc.establish(&mut net, conn, f4.e, 64.0, &n_e);
+        mc.establish(&mut net, conn, f4.e, 64.0, n_e.iter().copied());
         let after = mc.branches_of(conn);
         assert!(after.contains(&f4.b));
         assert!(!after.contains(&f4.a));
@@ -193,7 +193,7 @@ mod tests {
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
         let neighbors: Vec<CellId> = f4.env.neighbors(f4.d).collect();
-        mc.establish(&mut net, conn, f4.d, 64.0, &neighbors);
+        mc.establish(&mut net, conn, f4.d, 64.0, neighbors.iter().copied());
         // The A branch failed; the others stand.
         assert!(mc.failed_branches >= 1);
         assert!(!mc.branches_of(conn).contains(&f4.a));
@@ -205,7 +205,7 @@ mod tests {
         let (mut net, f4) = setup();
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
-        mc.establish(&mut net, conn, f4.d, 64.0, &[f4.a]);
+        mc.establish(&mut net, conn, f4.d, 64.0, [f4.a]);
         mc.teardown(&mut net, conn);
         mc.teardown(&mut net, conn);
         assert_eq!(mc.branches_of(conn).len(), 0);

@@ -1,0 +1,125 @@
+//! The allocation contract of one manager `move`, pinned by the counting
+//! global allocator — the manager-level sibling of
+//! `crates/qos/tests/zero_alloc.rs`.
+//!
+//! On the benchmark's `wing_rush` floor (63 cells, 240 walkers, the
+//! paper strategy with `B_dyn` and multicast on) at steady state, one
+//! `portable_moved` — profile update, handoff admission, multicast
+//! re-establishment and the full claim refresh behind it — performs an
+//! exact, asserted number of heap allocations. The handoff itself
+//! contributes none and the claim refresh four: they run off `Network`'s
+//! portable index, the cell profiles' resident tallies, the path cache's
+//! uplink routes and the manager's resident scratch. What is left is
+//! itemised at [`MOVE_ALLOCATIONS`]. A stray `collect()` or `clone()` anywhere under
+//! `portable_moved` compiles fine and regresses silently — this test
+//! makes it a hard failure, as an exact count rather than a wall-clock
+//! budget.
+
+use std::collections::BTreeMap;
+
+use arm_alloc_counter::{allocations_during, CountingAlloc};
+use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
+use arm_core::Strategy;
+use arm_mobility::WorkloadMix;
+use arm_net::ids::{ConnId, PortableId};
+use arm_sim::{SimDuration, SimRng, SimTime};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations of the measured move, by where they happen:
+///
+/// * 36 — multicast re-establishment of the mover's one connection
+///   toward the destination corridor's three neighbours: per neighbour
+///   one live Dijkstra run (its `best` and `prev` tables, the heap's
+///   growth, the route's `nodes` and `links`) and the branch's
+///   wired-link list, plus the branch map itself;
+/// * 4 — the claim refresh: one transition-row map per lounge spread
+///   (`CellProfile::aggregate_row`), and nothing else;
+/// * 2 — the profile update: the portable profile's majority recount for
+///   the `(prev, cur)` triplet, and a tally entry;
+/// * 0 — the handoff itself (route from the path cache into the old
+///   route's buffers, admission through resident scratch).
+///
+/// The benchmark's ledger row for the same quantity averaged over a
+/// whole `wing_rush` pass (`alloc.apply.per_event`, which also counts
+/// appearances, admissions and departures) was 695.6 before the refresh
+/// stopped scanning and collecting.
+const MOVE_ALLOCATIONS: u64 = 42;
+
+// The ceiling set for this count before it was measured.
+const _: () = assert!(MOVE_ALLOCATIONS <= 150);
+
+/// The `wing_rush` scenario (benchmark/src/gen.rs), seed 42.
+fn wing() -> Scenario {
+    Scenario {
+        name: "zero-alloc-wing".into(),
+        environment: EnvSpec::OfficeWing { offices: 30 },
+        mobility: MobilitySpec::RandomWalk {
+            population: 240,
+            mean_dwell_secs: 120,
+            span_mins: 40,
+        },
+        workload: WorkloadSpec::Paper71,
+        strategy: Strategy::Paper,
+        cell_throughput_kbps: 400.0,
+        backbone_kbps: 100_000.0,
+        wireless_error: 0.0,
+        t_th_secs: 300,
+        seed: 42,
+    }
+}
+
+#[test]
+fn one_move_on_the_steady_wing_allocates_an_exact_count() {
+    let sc = wing();
+    let (mut mgr, trace) = scenario::build_manager(&sc).expect("valid scenario");
+    assert_eq!(mgr.net.topology().cell_count(), 63);
+    let mut rng = SimRng::new(sc.seed).split("scenario-workload");
+    let mix = WorkloadMix::paper71();
+    let mut open: BTreeMap<PortableId, ConnId> = BTreeMap::new();
+    let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
+    // Replay the first twenty simulated minutes the way the scenario
+    // driver does (appear + request, move, slot ticks): everyone has
+    // appeared, histories and resident buffers are warm.
+    let warm_until = SimTime::from_mins(20);
+    let mut events = trace.events().iter();
+    let mut measured = None;
+    for ev in events.by_ref() {
+        while ev.time >= next_slot {
+            mgr.slot_tick(next_slot);
+            next_slot += SimDuration::from_mins(1);
+        }
+        match ev.from {
+            None => {
+                mgr.portable_appears(ev.portable, ev.to, ev.time);
+                if let Ok(id) = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time) {
+                    open.insert(ev.portable, id);
+                }
+            }
+            Some(_) if ev.time < warm_until => {
+                for id in mgr.portable_moved(ev.portable, ev.to, ev.time) {
+                    open.retain(|_, c| *c != id);
+                }
+            }
+            // The first move after warm-up of a portable that carries a
+            // live connection is the one measured.
+            Some(_) => {
+                if open.contains_key(&ev.portable) {
+                    measured = Some(*ev);
+                    break;
+                }
+                mgr.portable_moved(ev.portable, ev.to, ev.time);
+            }
+        }
+    }
+    let ev = measured.expect("the trace has a connected mover after warm-up");
+    assert!(mgr.net.live_connections().count() > 100, "the wing is busy");
+    let (dropped, allocs) = allocations_during(|| mgr.portable_moved(ev.portable, ev.to, ev.time));
+    assert!(dropped.is_empty(), "the measured handoff is carried");
+    assert!(mgr.net.check_invariants().is_ok());
+    assert_eq!(
+        allocs, MOVE_ALLOCATIONS,
+        "one steady-state move allocated {allocs} times, pinned at {MOVE_ALLOCATIONS}"
+    );
+}

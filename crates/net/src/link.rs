@@ -480,6 +480,34 @@ impl LinkState {
         }
     }
 
+    /// Release every claim `keep` rejects, in one pass. The released
+    /// amounts leave `b_resv` in ascending key order, each followed by
+    /// the same drift clamp — bit for bit what calling
+    /// [`release_claim`](Self::release_claim) on each of those keys in
+    /// that order does, without collecting them first.
+    pub fn retain_claims(&mut self, mut keep: impl FnMut(ResvClaim) -> bool) {
+        let Self {
+            advance, sum_resv, ..
+        } = self;
+        let mut released = false;
+        // `BTreeMap::retain` visits in ascending key order.
+        advance.retain(|k, v| {
+            if keep(*k) {
+                return true;
+            }
+            released = true;
+            *sum_resv -= *v;
+            if *sum_resv < 0.0 && *sum_resv > -EPS {
+                *sum_resv = 0.0;
+            }
+            false
+        });
+        if released {
+            // The other three sums, which `release_claim` also clamps.
+            self.clamp_sums();
+        }
+    }
+
     /// Iterate over advance claims.
     pub fn claims(&self) -> impl Iterator<Item = (ResvClaim, f64)> + '_ {
         self.advance.iter().map(|(k, v)| (*k, *v))
@@ -651,6 +679,47 @@ mod tests {
         l.set_claim(ResvClaim::DynPool, 5.0);
         l.set_claim(ResvClaim::DynPool, 0.0);
         assert_eq!(l.claims().count(), 0);
+    }
+
+    #[test]
+    fn retain_claims_is_release_claim_key_by_key() {
+        // Amounts chosen so the running float sum depends on the order
+        // and on each intermediate clamp.
+        let claims = [
+            (ResvClaim::Conn(cid(4)), 0.1),
+            (ResvClaim::Conn(cid(2)), 0.7),
+            (ResvClaim::Cell(CellId(1)), 1e-6 + 1e-9),
+            (ResvClaim::DynPool, 33.3),
+            (ResvClaim::Channel, 12.5),
+            (ResvClaim::Outage, 3.0),
+            (ResvClaim::Calendar(8), 0.3),
+        ];
+        let mut one = LinkState::new(100.0);
+        for (k, v) in claims {
+            one.set_claim(k, v);
+        }
+        let mut all = one.clone();
+        let keep = |k: ResvClaim| {
+            matches!(
+                k,
+                ResvClaim::Channel | ResvClaim::Outage | ResvClaim::Calendar(_)
+            )
+        };
+        let doomed: Vec<ResvClaim> = one.claims().map(|(k, _)| k).filter(|k| !keep(*k)).collect();
+        for k in doomed {
+            one.release_claim(k);
+        }
+        all.retain_claims(keep);
+        assert_eq!(
+            one.claims().collect::<Vec<_>>(),
+            all.claims().collect::<Vec<_>>()
+        );
+        assert_eq!(one.claims().count(), 3);
+        assert_eq!(one.b_resv().to_bits(), all.b_resv().to_bits());
+        // Nothing to release: nothing moves.
+        let before = all.b_resv().to_bits();
+        all.retain_claims(|_| true);
+        assert_eq!(all.b_resv().to_bits(), before);
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //! routes); *policy* — the full Table 2 admission test, maxmin adaptation,
 //! advance reservation — lives in `arm-qos` / `arm-reservation`.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::connection::{Connection, ConnectionState};
-use crate::ids::{CellId, ConnId, LinkId};
+use crate::ids::{ConnId, LinkId, PortableId};
 use crate::link::{LedgerError, LinkState};
 use crate::routing::Route;
 use crate::topology::Topology;
 
 /// Topology plus run-time state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Network {
     topo: Topology,
     links: Vec<LinkState>,
@@ -31,6 +33,51 @@ pub struct Network {
     /// unchanged; membership updates are binary-search + memmove, which
     /// reuses capacity instead of allocating tree nodes per churn event.
     link_conns: Vec<Vec<ConnId>>,
+    /// Connections of each portable, ascending, so per-portable queries
+    /// do not scan the whole table. Derived from `conns`: maintained by
+    /// [`Network::install`], [`Network::finish`] and
+    /// [`Network::mark_blocked`], never serialised, rebuilt on decode.
+    /// `Connection::state` is a `pub` field, so an entry may name a
+    /// record that a direct write has since made non-live; readers
+    /// filter on `is_live`. No entry is ever empty.
+    portable_conns: BTreeMap<PortableId, Vec<ConnId>>,
+}
+
+// Manual impls so the derived index stays off the wire: exactly the four
+// fields the derive emitted before the index existed (snapshot bytes and
+// schema fingerprints unchanged). A decoded network's index is rebuilt
+// from its connection table — a `portable_conns` entry in the document
+// is never read.
+impl Serialize for Network {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("topo".to_string(), self.topo.to_value()),
+            ("links".to_string(), self.links.to_value()),
+            ("conns".to_string(), self.conns.to_value()),
+            ("link_conns".to_string(), self.link_conns.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Network {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("Network: expected object"))?;
+        let conns: Vec<Option<Connection>> = serde::from_field(obj, "conns", "Network")?;
+        let mut portable_conns: BTreeMap<PortableId, Vec<ConnId>> = BTreeMap::new();
+        // Table order is id order, so each entry comes out ascending.
+        for c in conns.iter().flatten().filter(|c| c.state.is_live()) {
+            portable_conns.entry(c.portable).or_default().push(c.id);
+        }
+        Ok(Network {
+            topo: serde::from_field(obj, "topo", "Network")?,
+            links: serde::from_field(obj, "links", "Network")?,
+            conns,
+            link_conns: serde::from_field(obj, "link_conns", "Network")?,
+            portable_conns,
+        })
+    }
 }
 
 /// Insert into a sorted membership vector (no-op when present).
@@ -61,6 +108,7 @@ impl Network {
             links,
             conns: Vec::new(),
             link_conns,
+            portable_conns: BTreeMap::new(),
         }
     }
 
@@ -122,7 +170,40 @@ impl Network {
         let idx = conn.id.index();
         assert!(idx < self.conns.len(), "id not pre-allocated");
         assert!(self.conns[idx].is_none(), "id already installed");
+        if conn.state.is_live() {
+            index_insert(
+                self.portable_conns.entry(conn.portable).or_default(),
+                conn.id,
+            );
+        }
         self.conns[idx] = Some(conn);
+    }
+
+    /// Drop `id` from its portable's index entry (no-op when absent).
+    fn unindex(
+        portable_conns: &mut BTreeMap<PortableId, Vec<ConnId>>,
+        portable: PortableId,
+        id: ConnId,
+    ) {
+        if let Some(ids) = portable_conns.get_mut(&portable) {
+            index_remove(ids, id);
+            if ids.is_empty() {
+                portable_conns.remove(&portable);
+            }
+        }
+    }
+
+    /// Record that an installed connection failed admission: it holds no
+    /// resources (the attempt was rolled back) and keeps the floor it
+    /// asked for in `b_current`, so the record shows what was refused.
+    pub fn mark_blocked(&mut self, id: ConnId) {
+        let c = self
+            .conns
+            .get_mut(id.index())
+            .and_then(|c| c.as_mut())
+            .expect("precondition: mark_blocked on an installed connection");
+        c.state = ConnectionState::Blocked;
+        Self::unindex(&mut self.portable_conns, c.portable, id);
     }
 
     /// Look up a live or finished connection.
@@ -145,17 +226,15 @@ impl Network {
         self.connections().filter(|c| c.state.is_live())
     }
 
-    /// Live connections of one portable.
-    pub fn connections_of_portable(
-        &self,
-        p: crate::ids::PortableId,
-    ) -> impl Iterator<Item = &Connection> {
-        self.live_connections().filter(move |c| c.portable == p)
-    }
-
-    /// Live connections currently homed in a cell.
-    pub fn connections_in_cell(&self, cell: CellId) -> impl Iterator<Item = &Connection> {
-        self.live_connections().filter(move |c| c.cell == cell)
+    /// Live connections of one portable, ascending by id — read from
+    /// the per-portable index, not a scan of the table.
+    pub fn connections_of_portable(&self, p: PortableId) -> impl Iterator<Item = &Connection> {
+        self.portable_conns
+            .get(&p)
+            .into_iter()
+            .flatten()
+            .filter_map(move |id| self.get(*id))
+            .filter(|c| c.state.is_live())
     }
 
     // ------------------------------------------------------------------
@@ -281,6 +360,7 @@ impl Network {
             links,
             conns,
             link_conns,
+            portable_conns,
             ..
         } = self;
         let Some(c) = conns.get_mut(id.index()).and_then(|c| c.as_mut()) else {
@@ -295,16 +375,24 @@ impl Network {
         }
         c.state = state;
         c.b_current = 0.0;
+        Self::unindex(portable_conns, c.portable, id);
     }
 
-    /// Verify every link ledger and the link↔connection index agree; used
+    /// Verify every link ledger, the link↔connection index and the
+    /// portable↔connection index agree with the connection table; used
     /// by integration and property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, l) in self.links.iter().enumerate() {
             l.check_invariants()
                 .map_err(|e| format!("link l{i}: {e}"))?;
-            let from_ledger: Vec<ConnId> = l.allocs().map(|(c, _)| c).collect();
-            if from_ledger != self.link_conns[i] {
+            // Compared in place: the sweep runs under `debug_assert!` after
+            // every manager event, so its passing path allocates nothing.
+            if !l
+                .allocs()
+                .map(|(c, _)| c)
+                .eq(self.link_conns[i].iter().copied())
+            {
+                let from_ledger: Vec<ConnId> = l.allocs().map(|(c, _)| c).collect();
                 return Err(format!(
                     "link l{i}: ledger conns {:?} != index {:?}",
                     from_ledger, self.link_conns[i]
@@ -323,6 +411,28 @@ impl Network {
                     return Err(format!("live {:?} missing from {:?}", c.id, l));
                 }
             }
+            let indexed = self
+                .portable_conns
+                .get(&c.portable)
+                .is_some_and(|ids| ids.binary_search(&c.id).is_ok());
+            if !indexed {
+                return Err(format!(
+                    "live {:?} missing from the index of {:?}",
+                    c.id, c.portable
+                ));
+            }
+        }
+        for (p, ids) in &self.portable_conns {
+            if ids.is_empty() || ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "{p:?}: index entry empty or not strictly sorted: {ids:?}"
+                ));
+            }
+            for id in ids {
+                if self.get(*id).map(|c| c.portable) != Some(*p) {
+                    return Err(format!("{p:?}: index names {id:?}, which is not its own"));
+                }
+            }
         }
         Ok(())
     }
@@ -332,7 +442,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::flowspec::QosRequest;
-    use crate::ids::{NodeId, PortableId};
+    use crate::ids::{CellId, NodeId};
     use crate::routing::shortest_path;
     use arm_sim::SimTime;
 
@@ -504,15 +614,79 @@ mod tests {
     }
 
     #[test]
-    fn per_cell_and_per_portable_queries() {
+    fn per_portable_queries_follow_the_index() {
         let (mut net, c0, c1) = two_cell_net();
         let id = make_conn(&mut net, c0, c1, QosRequest::fixed(100.0));
         let route = net.get(id).unwrap().route.clone();
         net.reserve_route(id, &route, 100.0, &vec![0.0; route.links.len()], false)
             .unwrap();
-        assert_eq!(net.connections_in_cell(c0).count(), 1);
-        assert_eq!(net.connections_in_cell(c1).count(), 0);
-        assert_eq!(net.connections_of_portable(PortableId(0)).count(), 1);
-        assert_eq!(net.connections_of_portable(PortableId(9)).count(), 0);
+        let of = |net: &Network, p: u32| -> Vec<ConnId> {
+            net.connections_of_portable(PortableId(p))
+                .map(|c| c.id)
+                .collect()
+        };
+        assert_eq!(of(&net, 0), vec![id]);
+        assert!(of(&net, 9).is_empty());
+        // A refused sibling leaves the index; the record keeps its floor.
+        let refused = make_conn(&mut net, c0, c1, QosRequest::fixed(40.0));
+        assert_eq!(of(&net, 0), vec![id, refused]);
+        net.mark_blocked(refused);
+        assert_eq!(of(&net, 0), vec![id]);
+        assert_eq!(net.get(refused).unwrap().b_current, 40.0);
+        assert!(net.check_invariants().is_ok());
+        // A direct write of the `pub` state is filtered by the reader
+        // and tolerated by the invariant (the entry is merely stale).
+        net.release_route(id, &route);
+        net.get_mut(id).unwrap().state = ConnectionState::Terminated;
+        assert!(of(&net, 0).is_empty());
+        assert!(net.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn invariants_catch_a_portable_index_that_disagrees_with_the_table() {
+        let (mut net, c0, c1) = two_cell_net();
+        let id = make_conn(&mut net, c0, c1, QosRequest::fixed(100.0));
+        let route = net.get(id).unwrap().route.clone();
+        net.reserve_route(id, &route, 100.0, &vec![0.0; route.links.len()], false)
+            .unwrap();
+        assert!(net.check_invariants().is_ok());
+        // A live connection the index has lost.
+        let mut lost = net.clone();
+        lost.portable_conns.clear();
+        let err = lost.check_invariants().unwrap_err();
+        assert!(err.contains("missing from the index"), "{err}");
+        // An entry filed under somebody else.
+        let mut misfiled = net.clone();
+        misfiled.portable_conns.insert(PortableId(7), vec![id]);
+        let err = misfiled.check_invariants().unwrap_err();
+        assert!(err.contains("not its own"), "{err}");
+        // The record's portable rewritten under the index.
+        net.get_mut(id).unwrap().portable = PortableId(3);
+        assert!(net.check_invariants().is_err());
+    }
+
+    #[test]
+    fn decode_rebuilds_the_portable_index_and_never_reads_one() {
+        let (mut net, c0, c1) = two_cell_net();
+        let a = make_conn(&mut net, c0, c1, QosRequest::fixed(100.0));
+        let route = net.get(a).unwrap().route.clone();
+        net.reserve_route(a, &route, 100.0, &vec![0.0; route.links.len()], false)
+            .unwrap();
+        let b = make_conn(&mut net, c1, c0, QosRequest::fixed(50.0));
+        net.finish(b, ConnectionState::Dropped);
+        let mut doc = net.to_value();
+        let back = Network::from_value(&doc).unwrap();
+        assert_eq!(back.portable_conns, net.portable_conns);
+        assert_eq!(back.portable_conns[&PortableId(0)], vec![a]);
+        assert_eq!(back.to_value(), doc);
+        // A document that carries an index of its own is not believed.
+        let serde::Value::Object(fields) = &mut doc else {
+            panic!("a network encodes as an object");
+        };
+        let forged: BTreeMap<PortableId, Vec<ConnId>> = [(PortableId(5), vec![b])].into();
+        fields.push(("portable_conns".to_string(), forged.to_value()));
+        let back = Network::from_value(&doc).unwrap();
+        assert_eq!(back.portable_conns, net.portable_conns);
+        assert!(back.check_invariants().is_ok());
     }
 }

@@ -1,10 +1,14 @@
 //! Property-based tests for link ledgers and routing.
 
-use arm_net::ids::{CellId, ConnId, NodeId};
+use arm_net::flowspec::QosRequest;
+use arm_net::ids::{CellId, ConnId, NodeId, PortableId};
 use arm_net::link::{LinkState, ResvClaim};
-use arm_net::routing::shortest_path;
+use arm_net::routing::{shortest_path, Route};
 use arm_net::topology::Topology;
+use arm_net::{Connection, ConnectionState, Network};
+use arm_sim::SimTime;
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 /// A random ledger operation.
 #[derive(Clone, Debug)]
@@ -39,7 +43,128 @@ fn claim_key(k: u8) -> ResvClaim {
     }
 }
 
+/// One step against the connection table. `nth` picks among the records
+/// installed so far.
+#[derive(Clone, Debug)]
+enum TableOp {
+    Install {
+        portable: u32,
+    },
+    Finish {
+        nth: usize,
+        dropped: bool,
+    },
+    Block {
+        nth: usize,
+    },
+    /// A caller writing the `pub` state field behind the network's back.
+    WriteState {
+        nth: usize,
+        live: bool,
+    },
+}
+
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (0u32..5).prop_map(|portable| TableOp::Install { portable }),
+        (0u32..5).prop_map(|portable| TableOp::Install { portable }),
+        (0usize..64, any::<bool>()).prop_map(|(nth, dropped)| TableOp::Finish { nth, dropped }),
+        (0usize..64).prop_map(|nth| TableOp::Block { nth }),
+        (0usize..64, any::<bool>()).prop_map(|(nth, live)| TableOp::WriteState { nth, live }),
+    ]
+}
+
 proptest! {
+    /// The per-portable index answers exactly what a scan of the table
+    /// answers, after any mix of installs, teardowns, refusals and
+    /// direct writes of the `pub` state field; the invariant sweep
+    /// accepts every such state; and a decoded copy rebuilds the same
+    /// answers from the table alone.
+    #[test]
+    fn portable_index_matches_a_table_scan(
+        ops in prop::collection::vec(table_op_strategy(), 0..80),
+    ) {
+        let mut topo = Topology::new();
+        topo.add_switch("sw");
+        let mut net = Network::new(topo);
+        let mut ids: Vec<ConnId> = Vec::new();
+        // Records the network itself took out of the index.
+        let mut filed: Vec<ConnId> = Vec::new();
+        for op in ops {
+            let pick = |nth: usize| (!ids.is_empty()).then(|| ids[nth % ids.len()]);
+            match op {
+                TableOp::Install { portable } => {
+                    let id = net.next_conn_id();
+                    // A route with no links: live without touching a ledger.
+                    net.install(Connection::new(
+                        id,
+                        PortableId(portable),
+                        CellId(0),
+                        NodeId(0),
+                        QosRequest::fixed(10.0),
+                        Route::trivial(NodeId(0)),
+                        SimTime::ZERO,
+                    ));
+                    ids.push(id);
+                }
+                TableOp::Finish { nth, dropped } => {
+                    if let Some(id) = pick(nth) {
+                        let state = if dropped {
+                            ConnectionState::Dropped
+                        } else {
+                            ConnectionState::Terminated
+                        };
+                        if net.get(id).expect("installed").state.is_live() {
+                            filed.push(id);
+                        }
+                        net.finish(id, state);
+                    }
+                }
+                TableOp::Block { nth } => {
+                    if let Some(id) = pick(nth) {
+                        net.mark_blocked(id);
+                        filed.push(id);
+                    }
+                }
+                TableOp::WriteState { nth, live } => {
+                    // Only ever towards non-live, or between the two live
+                    // states; see the end of the test for the other way.
+                    if let Some(id) = pick(nth) {
+                        let c = net.get_mut(id).expect("installed");
+                        if c.state.is_live() {
+                            c.state = if live {
+                                ConnectionState::HandingOff
+                            } else {
+                                ConnectionState::Terminated
+                            };
+                        }
+                    }
+                }
+            }
+            prop_assert!(net.check_invariants().is_ok(), "{:?}", net.check_invariants());
+            let back = Network::from_value(&net.to_value()).expect("decodes");
+            for p in (0..5).map(PortableId) {
+                let scan: Vec<ConnId> = net
+                    .live_connections()
+                    .filter(|c| c.portable == p)
+                    .map(|c| c.id)
+                    .collect();
+                let of = |n: &Network| -> Vec<ConnId> {
+                    n.connections_of_portable(p).map(|c| c.id).collect()
+                };
+                prop_assert_eq!(&of(&net), &scan);
+                prop_assert_eq!(&of(&back), &scan);
+            }
+            prop_assert!(back.check_invariants().is_ok());
+        }
+        // The one write the index cannot follow — resurrecting a record
+        // the network has filed away — is caught, not absorbed.
+        if let Some(id) = filed.first().copied() {
+            net.get_mut(id).expect("installed").state = ConnectionState::Active;
+            prop_assert!(net.check_invariants().is_err());
+        }
+    }
+
     /// No sequence of ledger operations — successful or failed — ever
     /// breaks the ledger invariants.
     #[test]

@@ -12,7 +12,7 @@ use arm_net::ids::{CellId, PortableId};
 use serde::{Deserialize, Serialize};
 
 use crate::class::CellClass;
-use crate::history::{HandoffEvent, HandoffHistory};
+use crate::history::{CountedHistory, HandoffEvent, HandoffHistory};
 
 /// Default `N_pC`: how many of a cell's handoffs the server retains.
 pub const DEFAULT_N_PC: usize = 500;
@@ -28,7 +28,7 @@ pub struct CellProfile {
     pub neighbors: BTreeSet<CellId>,
     /// Regular occupants `ω(c)` (offices only).
     pub occupants: BTreeSet<PortableId>,
-    history: HandoffHistory,
+    history: CountedHistory,
 }
 
 impl CellProfile {
@@ -39,7 +39,7 @@ impl CellProfile {
             class,
             neighbors: BTreeSet::new(),
             occupants: BTreeSet::new(),
-            history: HandoffHistory::new(n_pc),
+            history: CountedHistory::new(n_pc),
         }
     }
 
@@ -76,30 +76,12 @@ impl CellProfile {
     /// Probabilities are empirical frequencies over the retained history;
     /// an empty row means no history for that context.
     pub fn transition_row(&self, prev: Option<CellId>) -> BTreeMap<CellId, f64> {
-        let mut counts: BTreeMap<CellId, usize> = BTreeMap::new();
-        let mut total = 0usize;
-        for ev in self.history.events().filter(|e| e.prev == prev) {
-            *counts.entry(ev.next).or_insert(0) += 1;
-            total += 1;
-        }
-        counts
-            .into_iter()
-            .map(|(c, n)| (c, n as f64 / total as f64))
-            .collect()
+        frequencies(self.history.next_counts_after(prev))
     }
 
     /// The aggregate transition probabilities over *all* previous cells.
     pub fn aggregate_row(&self) -> BTreeMap<CellId, f64> {
-        let mut counts: BTreeMap<CellId, usize> = BTreeMap::new();
-        let mut total = 0usize;
-        for ev in self.history.events() {
-            *counts.entry(ev.next).or_insert(0) += 1;
-            total += 1;
-        }
-        counts
-            .into_iter()
-            .map(|(c, n)| (c, n as f64 / total as f64))
-            .collect()
+        frequencies(self.history.next_counts())
     }
 
     /// Second-level prediction from the aggregate history: most likely
@@ -107,21 +89,34 @@ impl CellProfile {
     /// majority when the (prev) context has no history.
     pub fn predict_next(&self, prev: Option<CellId>) -> Option<CellId> {
         self.history
-            .most_common_next(|e| e.prev == prev)
-            .or_else(|| self.history.most_common_next(|_| true))
+            .most_common_next_after(prev)
+            .or_else(|| self.history.most_common_next())
             .map(|(c, _, _)| c)
     }
 
     /// Number of handoffs retained.
     pub fn history_len(&self) -> usize {
-        self.history.len()
+        self.history.history().len()
     }
 
     /// Direct history access (classification learning reads the raw
     /// event stream).
     pub fn history(&self) -> &HandoffHistory {
-        &self.history
+        self.history.history()
     }
+}
+
+/// Counts as empirical frequencies of their total.
+fn frequencies(counts: impl Iterator<Item = (CellId, usize)>) -> BTreeMap<CellId, f64> {
+    let mut total = 0usize;
+    let mut row: BTreeMap<CellId, f64> = counts
+        .inspect(|(_, n)| total += n)
+        .map(|(c, n)| (c, n as f64))
+        .collect();
+    for p in row.values_mut() {
+        *p /= total as f64;
+    }
+    row
 }
 
 #[cfg(test)]
@@ -176,6 +171,54 @@ mod tests {
         // Empty profile predicts nothing.
         let fresh = corridor();
         assert_eq!(fresh.predict_next(None), None);
+    }
+
+    /// The rows as they were computed before the history kept tallies:
+    /// a recount of the retained events per query.
+    fn recounted_row(
+        c: &CellProfile,
+        keep: impl Fn(&HandoffEvent) -> bool,
+    ) -> BTreeMap<CellId, f64> {
+        let mut counts: BTreeMap<CellId, usize> = BTreeMap::new();
+        let mut total = 0usize;
+        for e in c.history().events().filter(|e| keep(e)) {
+            *counts.entry(e.next).or_insert(0) += 1;
+            total += 1;
+        }
+        counts
+            .into_iter()
+            .map(|(c, n)| (c, n as f64 / total as f64))
+            .collect()
+    }
+
+    #[test]
+    fn rows_and_prediction_equal_a_recount_through_eviction() {
+        let mut c = CellProfile::new(CellId(50), CellClass::Corridor, 7);
+        let bits = |row: BTreeMap<CellId, f64>| -> Vec<(CellId, u64)> {
+            row.into_iter().map(|(c, p)| (c, p.to_bits())).collect()
+        };
+        for i in 0..40u32 {
+            // Thirds and sevenths: frequencies that do not round evenly.
+            c.record(ev(
+                i,
+                [None, Some(49), Some(51)][(i % 3) as usize],
+                40 + (i * i) % 5,
+            ));
+            assert_eq!(bits(c.aggregate_row()), bits(recounted_row(&c, |_| true)));
+            for prev in [None, Some(CellId(49)), Some(CellId(51)), Some(CellId(7))] {
+                assert_eq!(
+                    bits(c.transition_row(prev)),
+                    bits(recounted_row(&c, |e| e.prev == prev))
+                );
+                let scan = c
+                    .history()
+                    .most_common_next(|e| e.prev == prev)
+                    .or_else(|| c.history().most_common_next(|_| true))
+                    .map(|(n, _, _)| n);
+                assert_eq!(c.predict_next(prev), scan);
+            }
+        }
+        assert_eq!(c.history_len(), 7);
     }
 
     #[test]

@@ -40,14 +40,15 @@ pub struct Prediction {
 /// `portable_profile` may be absent (e.g. a visitor from another zone
 /// whose profile has not been transferred yet); `neighbor_profiles` are
 /// the profiles of the current cell's neighbours (for the occupant-office
-/// check).
-pub fn predict_next_cell(
+/// check) — taken as an iterator so a caller that has to look each one
+/// up pays for none of them when level 1 answers.
+pub fn predict_next_cell<'a>(
     portable: PortableId,
     prev: Option<CellId>,
     cur: CellId,
     portable_profile: Option<&PortableProfile>,
     cell_profile: &CellProfile,
-    neighbor_profiles: &[&CellProfile],
+    neighbor_profiles: impl IntoIterator<Item = &'a CellProfile>,
 ) -> Prediction {
     // Level 1: portable profile.
     if let Some(pp) = portable_profile {
@@ -115,7 +116,7 @@ mod tests {
             CellId(5),
             Some(&pp),
             &cp,
-            &[&office],
+            [&office],
         );
         // The portable's own history beats the occupant-office rule.
         assert_eq!(pred.cell, Some(CellId(9)));
@@ -137,7 +138,7 @@ mod tests {
             CellId(5),
             None,
             &cp,
-            &[&lounge, &office],
+            [&lounge, &office],
         );
         assert_eq!(pred.cell, Some(CellId(7)));
         assert_eq!(pred.level, PredictionLevel::OccupantOffice);
@@ -148,7 +149,7 @@ mod tests {
             CellId(5),
             None,
             &cp,
-            &[&lounge, &office],
+            [&lounge, &office],
         );
         assert_ne!(pred2.level, PredictionLevel::OccupantOffice);
     }
@@ -159,7 +160,7 @@ mod tests {
         for i in 0..6 {
             cp.record(hev(i, Some(4), 5, 6));
         }
-        let pred = predict_next_cell(PortableId(99), Some(CellId(4)), CellId(5), None, &cp, &[]);
+        let pred = predict_next_cell(PortableId(99), Some(CellId(4)), CellId(5), None, &cp, []);
         assert_eq!(pred.cell, Some(CellId(6)));
         assert_eq!(pred.level, PredictionLevel::CellAggregate);
     }
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn level3_default_when_nothing_known() {
         let cp = corridor(5);
-        let pred = predict_next_cell(PortableId(99), None, CellId(5), None, &cp, &[]);
+        let pred = predict_next_cell(PortableId(99), None, CellId(5), None, &cp, []);
         assert_eq!(pred.cell, None);
         assert_eq!(pred.level, PredictionLevel::Default);
     }
@@ -183,7 +184,7 @@ mod tests {
             CellId(5),
             Some(&pp),
             &cp,
-            &[],
+            [],
         );
         assert_eq!(pred.level, PredictionLevel::CellAggregate);
         assert_eq!(pred.cell, Some(CellId(6)));

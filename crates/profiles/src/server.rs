@@ -182,18 +182,13 @@ impl ProfileServer {
         let Some(cp) = self.cells.get(&cur) else {
             return fallback;
         };
-        let neighbor_profiles: Vec<&CellProfile> = cp
-            .neighbors
-            .iter()
-            .filter_map(|n| self.cells.get(n))
-            .collect();
         predict_next_cell(
             portable,
             prev,
             cur,
             self.portables.get(&portable),
             cp,
-            &neighbor_profiles,
+            cp.neighbors.iter().filter_map(|n| self.cells.get(n)),
         )
     }
 

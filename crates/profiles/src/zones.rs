@@ -167,14 +167,19 @@ impl ZonedProfiles {
         let Some(cp) = cell_server.cell(cur) else {
             return fallback;
         };
-        let neighbor_profiles: Vec<&CellProfile> =
-            cp.neighbors.iter().filter_map(|n| self.cell(*n)).collect();
         let portable_profile = self
             .portable_zone
             .get(&p)
             .and_then(|z| self.servers.get(z))
             .and_then(|s| s.portable(p));
-        crate::prediction::predict_next_cell(p, prev, cur, portable_profile, cp, &neighbor_profiles)
+        crate::prediction::predict_next_cell(
+            p,
+            prev,
+            cur,
+            portable_profile,
+            cp,
+            cp.neighbors.iter().filter_map(|n| self.cell(*n)),
+        )
     }
 
     /// The portable's current (prev, cur) context.

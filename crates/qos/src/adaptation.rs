@@ -114,28 +114,40 @@ impl DynPoolPolicy {
     }
 }
 
-/// Recompute and install the `B_dyn` claim on `cell`'s wireless link,
-/// sized to the largest current allocation among connections of the given
-/// static portables residing in `neighbor_cells`. Returns the granted
-/// pool size.
+/// The largest current allocation among connections of static portables
+/// homed in each cell, into `out` (index = cell; cleared and resized to
+/// the topology's cell count). One sweep over the live connections serves every cell's
+/// `B_dyn` sizing; `max` is exact, so folding per cell here and over a
+/// cell's neighbours in [`adjust_dyn_pool`]'s caller yields the same
+/// bits as any other visiting order.
+pub fn static_alloc_maxima(
+    net: &Network,
+    static_portables: &dyn Fn(PortableId) -> bool,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(net.topology().cell_count(), 0.0);
+    for c in net.live_connections() {
+        if static_portables(c.portable) {
+            let m = &mut out[c.cell.index()];
+            *m = m.max(c.b_current);
+        }
+    }
+}
+
+/// Install the `B_dyn` claim on `cell`'s wireless link, sized to
+/// `max_neighbor_static_alloc` — the largest current allocation among
+/// connections of static portables residing in the neighbouring cells
+/// (see [`static_alloc_maxima`]). Returns the granted pool size.
 pub fn adjust_dyn_pool(
     net: &mut Network,
     cell: CellId,
-    neighbor_cells: &[CellId],
-    static_portables: &dyn Fn(PortableId) -> bool,
+    max_neighbor_static_alloc: f64,
     policy: DynPoolPolicy,
 ) -> f64 {
-    let mut max_alloc: f64 = 0.0;
-    for nc in neighbor_cells {
-        for c in net.connections_in_cell(*nc) {
-            if static_portables(c.portable) {
-                max_alloc = max_alloc.max(c.b_current);
-            }
-        }
-    }
     let wl = net.topology().wireless_link(cell);
     let capacity = net.link(wl).capacity();
-    let target = policy.target_pool(capacity, max_alloc);
+    let target = policy.target_pool(capacity, max_neighbor_static_alloc);
     net.link_mut(wl).set_claim(ResvClaim::DynPool, target)
 }
 

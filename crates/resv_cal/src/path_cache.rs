@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use arm_net::ids::{CellId, LinkId, NodeId};
-use arm_net::routing::shortest_path;
+use arm_net::routing::{shortest_path, Route};
 use arm_net::topology::Topology;
 
 use crate::schedule::{SlotIndex, SlottedSchedule};
@@ -23,9 +23,9 @@ use crate::schedule::{SlotIndex, SlottedSchedule};
 /// Precomputed paths over a static topology. See the module docs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TopologyPathCache {
-    /// Cell → ordered link list of its air-to-server path (wireless
-    /// hop first). Cells with no route to the server are absent.
-    uplinks: BTreeMap<CellId, Vec<LinkId>>,
+    /// Cell → its air-to-server route (wireless hop first). Cells with
+    /// no route to the server are absent.
+    uplinks: BTreeMap<CellId, Route>,
     /// `(from, to)` → ordered link list of the air-to-air path.
     /// Unreachable or identical pairs are absent.
     paths: BTreeMap<(CellId, CellId), Vec<LinkId>>,
@@ -39,7 +39,7 @@ impl TopologyPathCache {
         let mut uplinks = BTreeMap::new();
         for &c in &cells {
             if let Some(route) = shortest_path(topo, topo.air_node(c), server) {
-                uplinks.insert(c, route.links);
+                uplinks.insert(c, route);
             }
         }
         let mut paths = BTreeMap::new();
@@ -59,7 +59,14 @@ impl TopologyPathCache {
     /// The cached air-to-server path of a cell (wireless hop first), or
     /// `None` if the cell cannot reach the server.
     pub fn uplink(&self, cell: CellId) -> Option<&[LinkId]> {
-        self.uplinks.get(&cell).map(Vec::as_slice)
+        self.uplinks.get(&cell).map(|r| r.links.as_slice())
+    }
+
+    /// The cached air-to-server route of a cell: exactly what
+    /// `shortest_path(topo, topo.air_node(cell), server)` returns, since
+    /// that call built it and the topology is static.
+    pub fn uplink_route(&self, cell: CellId) -> Option<&Route> {
+        self.uplinks.get(&cell)
     }
 
     /// The cached air-to-air path between two distinct cells.

@@ -152,7 +152,9 @@ fn mismatched_manager_schema_is_a_typed_error() {
 /// width (`slot_tick` divides by the manager's, the server's slot
 /// cursor never passes an event time with its own). Each is refused
 /// with a typed error — by the server at decode, by the manager at
-/// restore — and never panics.
+/// restore — and never panics. A last edit forges derived state the
+/// image never carries (the network's per-portable connection index):
+/// that one is ignored rather than refused, because decode rebuilds it.
 #[test]
 fn corrupted_planner_routing_is_a_typed_error() {
     // The server never adapts, so its engine's maps are all empty.
@@ -224,6 +226,41 @@ fn corrupted_planner_routing_is_a_typed_error() {
             other => panic!("{needle}: want Invalid, got {other:?}"),
         }
     }
+    // One more hostile edit, of the other kind: not refused but ignored.
+    // The network's per-portable connection index is derived state —
+    // rebuilt from the connection table on decode, never read from the
+    // document — so an image that brings an index of its own (filing a
+    // live connection under a portable that does not exist) restores to
+    // a server that answers from the table and re-encodes to the
+    // original bytes.
+    let needle = "\"link_conns\":";
+    assert_eq!(server_json.matches(needle).count(), 1, "layout drifted");
+    let live = server
+        .mgr
+        .net
+        .live_connections()
+        .next()
+        .expect("the walk leaves live connections");
+    let (id, owner) = (live.id, live.portable);
+    let forged = format!("\"portable_conns\":[[4000000000,[{}]]],{needle}", id.0);
+    let snap = ServerSnapshot::from_json(&server_json.replacen(needle, &forged, 1))
+        .expect("an unknown field is not an error");
+    let restored = Server::restore(snap, Obs::off()).expect("restores");
+    let of = |p: u32| -> Vec<u32> {
+        restored
+            .mgr
+            .net
+            .connections_of_portable(arm_net::ids::PortableId(p))
+            .map(|c| c.id.0)
+            .collect()
+    };
+    assert!(of(4_000_000_000).is_empty(), "the forged entry was read");
+    assert!(of(owner.0).contains(&id.0), "the index was not rebuilt");
+    assert!(restored.mgr.net.check_invariants().is_ok());
+    assert_eq!(
+        restored.snapshot().to_json().expect("snapshot serializes"),
+        server_json
+    );
 }
 
 /// A calendar populated with all three booking flavours — a bulk

@@ -16,6 +16,12 @@
 //! finding; a bump without a re-bless is a finding; an unchanged tree
 //! re-checks to zero findings.
 //!
+//! The same pass holds the codec property the snapshot `to_json`s used
+//! to re-prove on every emit and now leave to tests: for each canonical
+//! instance the one-pass text (`Serialize::write_json`) equals the tree
+//! writer's text over `to_value()`, and text → decode → text is
+//! byte-identical. A violation is a finding like any drift.
+//!
 //! The walk is purely structural: paths and JSON types, never values.
 //! The vendored serde serializes maps as arrays of `[key, value]`
 //! pairs, so every JSON object key comes from a struct field name or
@@ -27,10 +33,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-use arm_core::{Strategy, SNAPSHOT_SCHEMA_VERSION};
+use arm_core::{ManagerSnapshot, Strategy, SNAPSHOT_SCHEMA_VERSION};
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, PortableId};
 use arm_obs::{
@@ -38,7 +44,9 @@ use arm_obs::{
     PhaseSummary, RunReport,
 };
 use arm_resv_cal::{ResvOrigin, SlottedSchedule, CAL_SCHEMA_VERSION};
-use arm_server::{Server, ServerConfig, ServerEvent, SERVER_SNAPSHOT_SCHEMA_VERSION};
+use arm_server::{
+    Server, ServerConfig, ServerEvent, ServerSnapshot, SERVER_SNAPSHOT_SCHEMA_VERSION,
+};
 use arm_sim::SimTime;
 
 /// Workspace-relative directory holding the committed `.fp` files.
@@ -56,9 +64,48 @@ pub struct SchemaCase {
     pub version: u32,
     /// The canonical instance, in the vendored serde data model.
     pub value: Value,
+    /// How the instance broke the codec property (module docs), if it
+    /// did.
+    pub codec_fault: Option<String>,
+}
+
+/// Check the codec property on one typed instance and its tree.
+fn codec_fault<T: Serialize + Deserialize>(instance: &T, value: &Value) -> Option<String> {
+    fn json<S: Serialize>(x: &S) -> Result<String, String> {
+        serde_json::to_string(x).map_err(|e| e.to_string())
+    }
+    let check = || {
+        let streamed = json(instance)?;
+        if streamed != json(value)? {
+            return Err("one-pass text differs from the tree writer's over to_value()".into());
+        }
+        let back: T = serde_json::from_str(&streamed).map_err(|e| format!("decode: {e}"))?;
+        if json(&back)? != streamed {
+            return Err("text → decode → text is not byte-identical".into());
+        }
+        Ok(())
+    };
+    check().err()
 }
 
 impl SchemaCase {
+    fn of<T: Serialize + Deserialize>(
+        name: &'static str,
+        version_const: &'static str,
+        version: u32,
+        instance: &T,
+    ) -> Self {
+        let value = instance.to_value();
+        let codec_fault = codec_fault(instance, &value);
+        SchemaCase {
+            name,
+            version_const,
+            version,
+            value,
+            codec_fault,
+        }
+    }
+
     /// The structural fingerprint of the canonical instance.
     pub fn lines(&self) -> Vec<String> {
         fingerprint(&self.value)
@@ -260,6 +307,13 @@ pub fn compare(case: &SchemaCase, stored_text: &str) -> Option<DriftFinding> {
 pub fn check_fingerprints(root: &Path) -> io::Result<Vec<DriftFinding>> {
     let mut findings = Vec::new();
     for case in cases() {
+        if let Some(fault) = &case.codec_fault {
+            findings.push(DriftFinding {
+                case: case.name.to_string(),
+                file: case.rel_path(),
+                message: format!("canonical instance breaks the snapshot codec: {fault}"),
+            });
+        }
         match fs::read_to_string(case.path(root)) {
             Ok(text) => findings.extend(compare(&case, &text)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => findings.push(DriftFinding {
@@ -306,36 +360,36 @@ pub fn bless_fingerprints(root: &Path) -> io::Result<Vec<String>> {
 /// Every guarded schema surface with its canonical populated instance.
 pub fn cases() -> Vec<SchemaCase> {
     vec![
-        SchemaCase {
-            name: "manager_snapshot",
-            version_const: "arm_core::SNAPSHOT_SCHEMA_VERSION",
-            version: SNAPSHOT_SCHEMA_VERSION,
-            value: manager_snapshot_value(),
-        },
-        SchemaCase {
-            name: "server_snapshot",
-            version_const: "arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION",
-            version: SERVER_SNAPSHOT_SCHEMA_VERSION,
-            value: server_snapshot_value(),
-        },
-        SchemaCase {
-            name: "slotted_schedule",
-            version_const: "arm_resv_cal::CAL_SCHEMA_VERSION",
-            version: CAL_SCHEMA_VERSION,
-            value: slotted_schedule_value(),
-        },
-        SchemaCase {
-            name: "run_report",
-            version_const: "arm_obs::SCHEMA_VERSION",
-            version: arm_obs::SCHEMA_VERSION,
-            value: run_report_value(),
-        },
-        SchemaCase {
-            name: "obs_events",
-            version_const: "arm_obs::SCHEMA_VERSION",
-            version: arm_obs::SCHEMA_VERSION,
-            value: obs_events_value(),
-        },
+        SchemaCase::of(
+            "manager_snapshot",
+            "arm_core::SNAPSHOT_SCHEMA_VERSION",
+            SNAPSHOT_SCHEMA_VERSION,
+            &manager_snapshot(),
+        ),
+        SchemaCase::of(
+            "server_snapshot",
+            "arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION",
+            SERVER_SNAPSHOT_SCHEMA_VERSION,
+            &server_snapshot(),
+        ),
+        SchemaCase::of(
+            "slotted_schedule",
+            "arm_resv_cal::CAL_SCHEMA_VERSION",
+            CAL_SCHEMA_VERSION,
+            &slotted_schedule(),
+        ),
+        SchemaCase::of(
+            "run_report",
+            "arm_obs::SCHEMA_VERSION",
+            arm_obs::SCHEMA_VERSION,
+            &run_report(),
+        ),
+        SchemaCase::of(
+            "obs_events",
+            "arm_obs::SCHEMA_VERSION",
+            arm_obs::SCHEMA_VERSION,
+            &obs_events(),
+        ),
     ]
 }
 
@@ -350,7 +404,7 @@ fn qos() -> QosRequest {
 /// connections, a handoff, calendar bookings (a molded bulk transfer
 /// and a co-allocation), a slot roll and a maxmin round, so every nested
 /// record shape in the snapshot is populated.
-fn manager_snapshot_value() -> Value {
+fn manager_snapshot() -> ManagerSnapshot {
     let sc = Scenario {
         name: "fingerprint-office".into(),
         environment: EnvSpec::Figure4,
@@ -396,13 +450,13 @@ fn manager_snapshot_value() -> Value {
     mgr.maxmin.set_link_excess(buffered, 1.0);
     mgr.maxmin.resolve();
     mgr.maxmin.touch_link(buffered);
-    mgr.snapshot().to_value()
+    mgr.snapshot()
 }
 
 /// A driven office server: an appearance, an explicit request and a
 /// handoff, so the open/present tables and the embedded manager
 /// snapshot are all non-empty.
-fn server_snapshot_value() -> Value {
+fn server_snapshot() -> ServerSnapshot {
     let mut server =
         Server::new(ServerConfig::office(42), Obs::off()).expect("canonical config builds");
     // The office workload samples a QoS request per appearance, so an
@@ -429,13 +483,13 @@ fn server_snapshot_value() -> Value {
             .apply_event(ev)
             .expect("canonical event stream applies");
     }
-    server.snapshot().to_value()
+    server.snapshot()
 }
 
 /// A calendar holding both booking flavours (fixed-confirmed and a
 /// two-leg co-allocated group) rolled past activation, so every
 /// reservation field is engaged.
-fn slotted_schedule_value() -> Value {
+fn slotted_schedule() -> SlottedSchedule {
     let mut cal = SlottedSchedule::new();
     cal.set_capacity(LinkId(0), 600.0);
     cal.set_capacity(LinkId(1), 600.0);
@@ -452,7 +506,7 @@ fn slotted_schedule_value() -> Value {
         )
         .expect("co-allocation fits");
     cal.roll_to(2);
-    cal.to_value()
+    cal
 }
 
 fn hist() -> HistSummary {
@@ -469,7 +523,7 @@ fn hist() -> HistSummary {
 
 /// A fully populated run report: every `Option` engaged, every list
 /// non-empty, so the nested summary shapes are all fingerprinted.
-fn run_report_value() -> Value {
+fn run_report() -> RunReport {
     let mut r = RunReport::new("expt_fingerprint", "office");
     r.seed = Some(42);
     r.sim_events = Some(1234);
@@ -509,15 +563,15 @@ fn run_report_value() -> Value {
         mean_ns: 1520.5,
     }];
     r.notes = vec!["schema fingerprint reference".to_string()];
-    r.to_value()
+    r
 }
 
 /// One canonical instance of every [`ObsEvent`] variant, in schema
 /// order, wrapped in an array: a new/removed/renamed variant or field
 /// moves the fingerprint.
-fn obs_events_value() -> Value {
+fn obs_events() -> Vec<ObsEvent> {
     let t = SimTime::from_secs(7);
-    let events = vec![
+    vec![
         ObsEvent::AdmitDecision {
             t,
             conn: ConnId(1),
@@ -596,8 +650,7 @@ fn obs_events_value() -> Value {
             admitted: true,
             cause: "admitted".to_string(),
         },
-    ];
-    Value::Array(events.iter().map(Serialize::to_value).collect())
+    ]
 }
 
 #[cfg(test)]
@@ -635,6 +688,7 @@ mod tests {
         let b = cases();
         assert_eq!(a.len(), 5);
         for (ca, cb) in a.iter().zip(&b) {
+            assert_eq!(ca.codec_fault, None, "{}", ca.name);
             assert_eq!(ca.lines(), cb.lines(), "{} not deterministic", ca.name);
             // A populated instance must expose nested structure, not
             // just a flat header.
@@ -663,6 +717,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn codec_faults_are_named() {
+        assert_eq!(codec_fault(&7u32, &Value::UInt(7)), None);
+        let differs = codec_fault(&7u32, &Value::UInt(8)).expect("texts differ");
+        assert!(differs.contains("differs from the tree"), "{differs}");
+        let lossy = codec_fault(&f64::NAN, &Value::Float(f64::NAN)).expect("null is no f64");
+        assert!(lossy.starts_with("decode:"), "{lossy}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
-use arm_net::routing::shortest_path_avoiding;
+use arm_net::routing::{shortest_path, shortest_path_avoiding};
 use arm_net::{Connection, ConnectionState, Network, Route};
 use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
@@ -912,7 +912,8 @@ impl ResourceManager {
     }
 
     /// Book an all-or-nothing co-allocation of `kbps` on every link of
-    /// the cached path between two cells for `[start_slot, end_slot)`.
+    /// the shortest path between two distinct cells for
+    /// `[start_slot, end_slot)`.
     /// Either every leg is admitted (one `CoAllocationOutcome` event,
     /// `admitted: true`) or nothing is booked (`admitted: false`, with
     /// the failing leg's error as the cause).
@@ -925,11 +926,16 @@ impl ResourceManager {
         end_slot: SlotIndex,
         now: SimTime,
     ) -> Result<CoAllocOutcome, BookingError> {
-        let path: Vec<LinkId> = self
-            .path_cache
-            .path(from, to)
+        // Pair paths are computed when booked, not cached: a booking is
+        // rare and the all-pairs table cost one Dijkstra per ordered
+        // pair at every construction and restore.
+        let topo = self.net.topology();
+        let known = |c: CellId| c.index() < topo.cell_count();
+        let path: Vec<LinkId> = (from != to && known(from) && known(to))
+            .then(|| shortest_path(topo, topo.air_node(from), topo.air_node(to)))
+            .flatten()
             .ok_or(BookingError::NoPath { from, to })?
-            .to_vec();
+            .links;
         let legs: Vec<(LinkId, f64)> = path.iter().map(|l| (*l, kbps)).collect();
         match self
             .calendar

@@ -405,6 +405,34 @@ fn bulk_transfer_rejects_bad_rates_up_front() {
     assert_eq!(mgr.calendar.live_count(), 0);
 }
 
+/// A co-allocation books one leg per link of the pair's shortest path,
+/// found when it books; a self pair or a cell the topology does not
+/// have is `NoPath` and books nothing.
+#[test]
+fn co_allocation_books_the_pair_path_or_reports_no_path() {
+    let (mut mgr, f4) = figure4_manager(Strategy::None);
+    let topo = mgr.net.topology();
+    let want = shortest_path(topo, topo.air_node(f4.c), topo.air_node(f4.e))
+        .expect("C reaches E")
+        .links;
+    let out = mgr
+        .book_co_allocation(f4.c, f4.e, 16.0, 2, 4, SimTime::ZERO)
+        .expect("fits");
+    let booked: Vec<LinkId> = out
+        .ids
+        .iter()
+        .map(|id| mgr.calendar.reservation(*id).expect("booked").link)
+        .collect();
+    assert_eq!(booked, want);
+    for (from, to) in [(f4.c, f4.c), (f4.c, CellId(60_000)), (CellId(60_000), f4.c)] {
+        let err = mgr
+            .book_co_allocation(from, to, 16.0, 2, 4, SimTime::ZERO)
+            .expect_err("no such pair");
+        assert!(matches!(err, BookingError::NoPath { .. }), "{err:?}");
+    }
+    assert_eq!(mgr.calendar.live_count(), want.len());
+}
+
 #[test]
 fn multicast_branches_follow_the_mobile() {
     let (mut mgr, f4) = figure4_manager(Strategy::Paper);

@@ -144,6 +144,9 @@ impl Serialize for CountedHistory {
     fn to_value(&self) -> serde::Value {
         self.history.to_value()
     }
+    fn write_json(&self, out: &mut serde::JsonWriter) {
+        self.history.write_json(out);
+    }
 }
 
 impl Deserialize for CountedHistory {

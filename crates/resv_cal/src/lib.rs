@@ -11,9 +11,9 @@
 //!   store keyed by `(slot, link)` holding typed [`Reservation`]
 //!   records with a [`ReservationState`] lifecycle
 //!   (`Requested → Confirmed → Active → Released/Expired`);
-//! * [`TopologyPathCache`] — precomputed paths between cells built from
-//!   `arm_net::topology`, with per-slot bottleneck analysis to find the
-//!   maximum assignable capacity along any path;
+//! * [`TopologyPathCache`] — every cell's precomputed uplink path,
+//!   built from `arm_net::topology`, with per-slot bottleneck analysis
+//!   to find the maximum assignable capacity along any path;
 //! * **co-allocated multi-link advance reservations**
 //!   ([`SlottedSchedule::co_allocate`]): an all-or-nothing group of
 //!   link reservations admitted atomically across a path for a slot

@@ -1,11 +1,17 @@
-//! Precomputed topology paths with per-slot bottleneck analysis.
+//! Precomputed uplink paths with per-slot bottleneck analysis.
 //!
 //! A [`TopologyPathCache`] is built once from a [`Topology`] and holds
-//! the shortest uplink path of every cell (air node → server) plus the
-//! cell-to-cell paths (air → air). Admission then asks the cache,
+//! the shortest uplink path of every cell (air node → server): one
+//! Dijkstra per cell. Admission and every handoff then ask the cache,
 //! rather than re-running Dijkstra per request, *which links does this
-//! transfer cross* — and asks the [`SlottedSchedule`] what the tightest
+//! transfer cross* — and ask the [`SlottedSchedule`] what the tightest
 //! of those links still has free in each slot of the window.
+//!
+//! Cell-to-cell (air → air) paths are **not** cached: only
+//! `ResourceManager::book_co_allocation` wants one, a booking is rare,
+//! and the all-pairs table cost one Dijkstra per ordered pair (3,906
+//! on the 63-cell wing) at every construction and restore. The booking
+//! calls `shortest_path` itself.
 //!
 //! The cache is **not** snapshotted: it is a pure function of the
 //! static topology and is rebuilt wherever the topology is already in
@@ -20,40 +26,23 @@ use arm_net::topology::Topology;
 
 use crate::schedule::{SlotIndex, SlottedSchedule};
 
-/// Precomputed paths over a static topology. See the module docs.
+/// Precomputed uplink paths over a static topology. See the module docs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TopologyPathCache {
     /// Cell → its air-to-server route (wireless hop first). Cells with
     /// no route to the server are absent.
     uplinks: BTreeMap<CellId, Route>,
-    /// `(from, to)` → ordered link list of the air-to-air path.
-    /// Unreachable or identical pairs are absent.
-    paths: BTreeMap<(CellId, CellId), Vec<LinkId>>,
 }
 
 impl TopologyPathCache {
-    /// Precompute every uplink and cell-pair path of `topo`, with
-    /// uplinks terminating at `server`.
+    /// Precompute the uplink path of every cell of `topo`, terminating
+    /// at `server`.
     pub fn build(topo: &Topology, server: NodeId) -> Self {
-        let cells: Vec<CellId> = topo.cells().map(|(c, _)| c).collect();
-        let mut uplinks = BTreeMap::new();
-        for &c in &cells {
-            if let Some(route) = shortest_path(topo, topo.air_node(c), server) {
-                uplinks.insert(c, route);
-            }
-        }
-        let mut paths = BTreeMap::new();
-        for &from in &cells {
-            for &to in &cells {
-                if from == to {
-                    continue;
-                }
-                if let Some(route) = shortest_path(topo, topo.air_node(from), topo.air_node(to)) {
-                    paths.insert((from, to), route.links);
-                }
-            }
-        }
-        TopologyPathCache { uplinks, paths }
+        let uplinks = topo
+            .cells()
+            .filter_map(|(c, _)| Some((c, shortest_path(topo, topo.air_node(c), server)?)))
+            .collect();
+        TopologyPathCache { uplinks }
     }
 
     /// The cached air-to-server path of a cell (wireless hop first), or
@@ -69,19 +58,9 @@ impl TopologyPathCache {
         self.uplinks.get(&cell)
     }
 
-    /// The cached air-to-air path between two distinct cells.
-    pub fn path(&self, from: CellId, to: CellId) -> Option<&[LinkId]> {
-        self.paths.get(&(from, to)).map(Vec::as_slice)
-    }
-
     /// Number of cached uplink paths.
     pub fn uplink_count(&self) -> usize {
         self.uplinks.len()
-    }
-
-    /// Number of cached cell-pair paths.
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
     }
 
     /// Per-slot bottleneck: the smallest headroom any link of `path`
@@ -145,17 +124,18 @@ mod tests {
     }
 
     #[test]
-    fn caches_uplinks_and_pairs() {
+    fn caches_uplinks() {
         let (topo, sw, [c0, c1]) = two_cell_topo();
         let cache = TopologyPathCache::build(&topo, sw);
         assert_eq!(cache.uplink_count(), 2);
-        assert_eq!(cache.path_count(), 2, "c0→c1 and c1→c0");
         let up = cache.uplink(c0).expect("c0 reaches the server");
         assert_eq!(up.first().copied(), Some(topo.wireless_link(c0)));
         assert_eq!(up.len(), 2, "wireless hop + wired hop");
-        let across = cache.path(c0, c1).expect("c0 reaches c1");
-        assert_eq!(across.len(), 4);
-        assert!(cache.path(c0, c0).is_none(), "no self pairs");
+        assert_eq!(
+            cache.uplink_route(c1),
+            shortest_path(&topo, topo.air_node(c1), sw).as_ref(),
+            "the cached route is the one Dijkstra returns"
+        );
     }
 
     #[test]
@@ -164,7 +144,10 @@ mod tests {
         let cache = TopologyPathCache::build(&topo, sw);
         let mut sched = SlottedSchedule::new();
         // Register capacities for every link on the c0→c1 path.
-        let path: Vec<LinkId> = cache.path(c0, c1).expect("path").to_vec();
+        let path = shortest_path(&topo, topo.air_node(c0), topo.air_node(c1))
+            .expect("path")
+            .links;
+        assert_eq!(path.len(), 4);
         for &l in &path {
             sched.set_capacity(l, topo.link(l).capacity);
         }

@@ -635,32 +635,22 @@ impl SlottedSchedule {
     // Serialization
     // ------------------------------------------------------------------
 
-    /// Serialize, validating the round trip: the emitted string must
-    /// parse back and re-serialize to the identical bytes (the same
-    /// discipline as `ManagerSnapshot::to_json`).
+    /// Serialize: [`Self::validate`], then one pass straight to text.
+    /// Fails with [`CalendarError::Invalid`] when validation fails or a
+    /// float in the store is NaN or ±∞ (a `null` no `f64` decodes).
     pub fn to_json(&self) -> Result<String, CalendarError> {
-        let json = serde_json::to_string(self).map_err(|e| CalendarError::Parse(e.to_string()))?;
-        let back = Self::from_json(&json)?;
-        let again =
-            serde_json::to_string(&back).map_err(|e| CalendarError::Parse(e.to_string()))?;
-        if again != json {
-            return Err(CalendarError::Invalid(
-                "calendar round trip is not byte-identical".to_string(),
-            ));
-        }
-        Ok(json)
+        self.validate()?;
+        serde_json::to_string_finite(self).map_err(|e| CalendarError::Invalid(e.to_string()))
     }
 
     /// Parse a serialized schedule, checking the schema version before
     /// decoding the body (version skew reports as
     /// [`CalendarError::SchemaMismatch`], not a missing-field error).
     pub fn from_json(s: &str) -> Result<Self, CalendarError> {
-        let v: serde::Value =
-            serde_json::from_str(s).map_err(|e| CalendarError::Parse(e.to_string()))?;
+        let v = serde_json::parse_value(s).map_err(|e| CalendarError::Parse(e.to_string()))?;
         let schema = v
-            .as_object()
-            .and_then(|o| o.iter().find(|(k, _)| k == "schema"))
-            .and_then(|(_, sv)| sv.as_u64())
+            .get("schema")
+            .and_then(serde::Value::as_u64)
             .ok_or_else(|| CalendarError::Parse("missing or non-integer `schema` field".into()))?;
         if schema != u64::from(CAL_SCHEMA_VERSION) {
             return Err(CalendarError::SchemaMismatch {
@@ -939,6 +929,38 @@ mod tests {
         let back = SlottedSchedule::from_json(&json).expect("parse");
         assert_eq!(back, s);
         assert_eq!(back.to_json().expect("serialize"), json);
+    }
+
+    /// `to_json` validates, then writes once; the two states it must
+    /// refuse are one `validate()` names and one only the writer sees.
+    #[test]
+    fn invalid_and_non_finite_stores_are_refused_on_write() {
+        let mut s = SlottedSchedule::new();
+        s.set_capacity(LinkId(0), 100.0);
+        let id = s
+            .request(LinkId(0), 2, 4, 60.0, ResvOrigin::BulkTransfer)
+            .expect("fits");
+        assert!(s.to_json().is_ok());
+
+        let mut empty_range = s.clone();
+        empty_range.reservations.get_mut(&id).expect("booked").end = 2;
+        match empty_range.to_json() {
+            Err(CalendarError::Invalid(why)) => assert!(why.contains("empty range"), "{why}"),
+            other => panic!("want Invalid, got {other:?}"),
+        }
+
+        // An unbounded capacity honours every booking, so `validate()`
+        // passes; as JSON it would be a `null` no `f64` decodes.
+        let mut unbounded = s;
+        unbounded.capacities.insert(LinkId(1), f64::INFINITY);
+        assert!(unbounded.validate().is_ok());
+        match unbounded.to_json() {
+            Err(CalendarError::Invalid(why)) => {
+                assert!(why.contains("1 non-finite float"), "{why}");
+                assert!(why.contains("\"capacities\":"), "{why}");
+            }
+            other => panic!("want Invalid, got {other:?}"),
+        }
     }
 
     #[test]

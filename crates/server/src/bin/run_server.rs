@@ -229,8 +229,12 @@ impl Driver {
     }
 
     /// Write `snapshot-latest.json` atomically (tmp + rename), retrying
-    /// transient failures. A failed checkpoint is a warning, not a
-    /// crash — the previous checkpoint plus the journal still recover.
+    /// transient failures. A failed write is a warning, not a crash —
+    /// the previous checkpoint plus the journal still recover. A state
+    /// `to_json` refuses (it fails validation, or holds a NaN/±∞) ends
+    /// the process before any file is opened: the server cannot be
+    /// trusted further, and the previous checkpoint is left in place
+    /// for the restart.
     fn write_checkpoint(&mut self) {
         let Some(dir) = self.checkpoint_dir.clone() else {
             return;

@@ -13,8 +13,8 @@
 //!
 //! * **Snapshot/restore** — [`Server::snapshot`] captures the complete
 //!   state (manager ledgers, solver, workload RNG, sim clock, replay
-//!   counters) as a schema-versioned, round-trip-validated JSON
-//!   artifact; [`Server::restore`] rebuilds a bit-identical server
+//!   counters) as a schema-versioned JSON artifact, validated and
+//!   written in one pass; [`Server::restore`] rebuilds a bit-identical server
 //!   from it. Periodic checkpoints + an event journal make crashes
 //!   recoverable by *restore + replay*.
 //! * **Crash-recovery drills** — [`drill`] kills a server mid-run,

@@ -26,6 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_core::scenario::{build_manager, Scenario, WorkloadSpec};
+use arm_core::snapshot::parse_versioned;
 use arm_core::{ManagerSnapshot, ResourceManager, SnapshotError};
 use arm_mobility::WorkloadMix;
 use arm_net::flowspec::QosRequest;
@@ -532,39 +533,19 @@ impl ServerSnapshot {
         self.accepted
     }
 
-    /// Serialize, validating the round trip (serialize → parse →
-    /// re-serialize must be byte-identical), same discipline as
+    /// Serialize: [`Self::validate`], then one pass straight to text —
+    /// same discipline, same two refusals, as
     /// [`ManagerSnapshot::to_json`].
     pub fn to_json(&self) -> Result<String, SnapshotError> {
-        let json = serde_json::to_string(self).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-        let back = Self::from_json(&json)?;
-        let again =
-            serde_json::to_string(&back).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-        if again != json {
-            return Err(SnapshotError::Invalid(
-                "server snapshot round trip is not byte-identical".to_string(),
-            ));
-        }
-        Ok(json)
+        self.validate()?;
+        serde_json::to_string_finite(self).map_err(|e| SnapshotError::Invalid(e.to_string()))
     }
 
     /// Parse a snapshot, checking the server schema version before
-    /// decoding the body (the embedded manager snapshot re-checks its
-    /// own version during decode).
+    /// decoding the body, then [`Self::validate`] (which re-checks the
+    /// embedded manager snapshot's own version).
     pub fn from_json(s: &str) -> Result<Self, SnapshotError> {
-        let v: serde::Value =
-            serde_json::from_str(s).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-        let schema = v
-            .as_object()
-            .and_then(|o| o.iter().find(|(k, _)| k == "schema"))
-            .and_then(|(_, sv)| sv.as_u64())
-            .ok_or_else(|| SnapshotError::Parse("missing or non-integer `schema` field".into()))?;
-        if schema != u64::from(SERVER_SNAPSHOT_SCHEMA_VERSION) {
-            return Err(SnapshotError::SchemaMismatch {
-                found: schema as u32,
-                expected: SERVER_SNAPSHOT_SCHEMA_VERSION,
-            });
-        }
+        let v = parse_versioned(s, SERVER_SNAPSHOT_SCHEMA_VERSION)?;
         let snap: ServerSnapshot =
             serde::Deserialize::from_value(&v).map_err(|e| SnapshotError::Parse(e.to_string()))?;
         snap.validate()?;

@@ -1,6 +1,12 @@
 //! Snapshot round-trip properties: any mid-run server state must
 //! serialize → deserialize → re-serialize byte-identically, and schema
 //! skew must surface as a typed error, never a panic or a misparse.
+//!
+//! `to_json` itself no longer re-parses what it writes (it validates,
+//! then streams once); the round trip it used to run on every emit —
+//! and which never once failed — is asserted here instead, together
+//! with the property that makes one pass safe: the streamed text is the
+//! tree writer's text over `to_value()`.
 
 use arm_core::scenario::{EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{SnapshotError, Strategy};
@@ -59,9 +65,6 @@ proptest! {
         let cfg = walk_cfg(seed);
         let server = server_at(&cfg, cut);
 
-        // `to_json` internally validates serialize → parse →
-        // re-serialize equality; do the external loop again to pin the
-        // public API.
         let json = server.snapshot().to_json().expect("snapshot serializes");
         let back = ServerSnapshot::from_json(&json).expect("snapshot parses");
         let again = back.to_json().expect("restored snapshot serializes");
@@ -91,6 +94,71 @@ proptest! {
         let json2 = restored.snapshot().to_json().expect("snapshot serializes");
         prop_assert_eq!(json, json2, "restore changed state");
     }
+}
+
+/// The two codec properties, on one snapshot: `to_json` → `from_json` →
+/// `to_json` is byte-identical, and the one-pass text equals the tree
+/// writer's over `to_value()`. Returns the document's length.
+fn assert_codec_properties(snap: &ServerSnapshot, at: &str) -> usize {
+    let json = snap.to_json().expect("snapshot serializes");
+    let back = ServerSnapshot::from_json(&json).expect("snapshot parses");
+    assert!(
+        back.to_json().expect("re-serializes") == json,
+        "{at}: round trip drifted"
+    );
+    let tree = serde_json::to_string(&serde::Serialize::to_value(snap)).expect("infallible");
+    assert!(json == tree, "{at}: streamed text differs from the tree's");
+    json.len()
+}
+
+/// Every checkpoint the shipped office server cuts over the seed-42
+/// workweek — the 36 documents `office_week` writes — and the end state.
+#[test]
+fn office_week_checkpoints_round_trip_and_stream_like_the_tree() {
+    let cfg = ServerConfig::office(42);
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+    let mut server = Server::new(cfg, Obs::off()).expect("valid scenario");
+    let mut checkpoints = 0;
+    for ev in &events {
+        server.apply_event(ev).expect("generated events are valid");
+        if server.checkpoint_due() {
+            let at = format!("checkpoint at {}", server.accepted());
+            assert_codec_properties(&server.snapshot(), &at);
+            checkpoints += 1;
+        }
+    }
+    let last = assert_codec_properties(&server.snapshot(), "end of week");
+    // 35 periodic checkpoints plus `run_server`'s final one. (The byte
+    // total the benchmark pins, 15,074,164, includes its hostile lines'
+    // `rejected` count; CI's benchmark-smoke holds that number.)
+    assert_eq!(checkpoints + 1, 36);
+    assert!(
+        last > 400_000,
+        "the week's histories fill the image: {last}"
+    );
+}
+
+/// The end state of a crowded wing: tight cells, so blocked and dropped
+/// connections, consumed advance claims and long per-cell histories are
+/// all in the image.
+#[test]
+fn wing_end_state_round_trips_and_streams_like_the_tree() {
+    let mut cfg = walk_cfg(42);
+    cfg.scenario.environment = EnvSpec::OfficeWing { offices: 12 };
+    cfg.scenario.mobility = MobilitySpec::RandomWalk {
+        population: 96,
+        mean_dwell_secs: 120,
+        span_mins: 20,
+    };
+    cfg.scenario.cell_throughput_kbps = 400.0;
+    let server = server_at(&cfg, usize::MAX);
+    let m = &server.mgr.metrics;
+    assert!(
+        m.blocked.get() > 0 && m.dropped.get() > 0 && m.claims_consumed.get() > 0,
+        "the wing must be tight enough to exercise every path: {m:?}"
+    );
+    assert_codec_properties(&server.snapshot(), "wing end state");
 }
 
 #[test]
@@ -313,6 +381,64 @@ fn calendar_bookings_round_trip_byte_identically() {
         restored.mgr.calendar, server.mgr.calendar,
         "restored calendar differs"
     );
+}
+
+/// Both images of `server` are refused on write with a typed `Invalid`
+/// whose text contains every one of `names`.
+fn assert_refused_on_write(server: &Server, names: &[&str]) {
+    let results = [server.snapshot().to_json(), server.mgr.snapshot().to_json()];
+    for got in results {
+        match got {
+            Err(SnapshotError::Invalid(why)) => {
+                assert!(names.iter().all(|n| why.contains(n)), "{why}");
+            }
+            other => panic!("want Invalid naming {names:?}, got {other:?}"),
+        }
+    }
+}
+
+/// State that must never reach a checkpoint file. `mgr.net` is a public
+/// field, so a caller can set a capacity or a rate to ∞/NaN: every
+/// ledger sum still balances (`validate()` passes) but JSON would carry
+/// the value as a `null` that no `f64` field decodes — the one failure
+/// the old write-time round trip could catch and `validate()` cannot.
+/// The writer counts such floats and `to_json` refuses the document,
+/// quoting the key. A ledger that does not balance is refused before
+/// any text is produced. `run_server` asks for the document before it
+/// opens the `.tmp` file, so a refusal leaves the previous checkpoint
+/// in place.
+#[test]
+fn hostile_state_is_refused_on_write() {
+    use arm_net::ids::CellId;
+    use arm_net::link::LinkState;
+
+    // An idle link swapped for one of unbounded capacity.
+    let mut server = server_at(&walk_cfg(7), 0);
+    let air = server.mgr.net.topology().wireless_link(CellId(0));
+    *server.mgr.net.link_mut(air) = LinkState::new(f64::INFINITY);
+    assert!(server.mgr.net.check_invariants().is_ok());
+    assert_refused_on_write(&server, &["1 non-finite float", "{\"capacity\":"]);
+
+    // A live connection's current rate set to NaN.
+    let mut server = server_at(&walk_cfg(7), 40);
+    let conn = server
+        .mgr
+        .net
+        .live_connections()
+        .next()
+        .expect("the walk leaves live connections")
+        .id;
+    let route = server.mgr.net.get(conn).expect("live").route.links.clone();
+    server.mgr.net.get_mut(conn).expect("live").b_current = f64::NAN;
+    assert!(server.mgr.net.check_invariants().is_ok());
+    assert_refused_on_write(&server, &["1 non-finite float", "\"b_current\":"]);
+
+    // The same connection's ledger row wiped from its first link: not a
+    // codec matter at all, `validate()` names the imbalance.
+    server.mgr.net.get_mut(conn).expect("live").b_current = 0.0;
+    let capacity = server.mgr.net.link(route[0]).capacity();
+    *server.mgr.net.link_mut(route[0]) = LinkState::new(capacity);
+    assert_refused_on_write(&server, &["ledger conns"]);
 }
 
 #[test]

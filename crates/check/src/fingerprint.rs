@@ -1,13 +1,13 @@
 //! Schema-drift fingerprints for the persistence layer.
 //!
 //! Every schema-versioned serialized surface in the workspace — the
-//! manager snapshot, the server snapshot, the slotted reservation
-//! calendar, the obs run report and the typed event taxonomy — is
-//! serialized here from a canonical *populated* instance (every
-//! `Option` engaged, every collection non-empty, so nested record
-//! shapes are visible), structurally fingerprinted as one line per
-//! field path with its JSON type, and compared against the fingerprint
-//! committed under [`FINGERPRINT_DIR`].
+//! manager snapshot, the server snapshot, the obs run report and the
+//! typed event taxonomy — is serialized here from a canonical
+//! *populated* instance (every `Option` engaged, every collection
+//! non-empty, so nested record shapes are visible), structurally
+//! fingerprinted as one line per field path with its JSON type, and
+//! compared against the fingerprint committed under
+//! [`FINGERPRINT_DIR`].
 //!
 //! The contract (CONTRIBUTING.md): a serialized-layout change must ship
 //! with a bump of the owning `*_SCHEMA_VERSION` const **and** a
@@ -43,7 +43,6 @@ use arm_obs::{
     BenchEntry, ChaosSummary, ClaimSource, EventCount, HistSummary, MetricsSummary, Obs, ObsEvent,
     PhaseSummary, RunReport,
 };
-use arm_resv_cal::{ResvOrigin, SlottedSchedule, CAL_SCHEMA_VERSION};
 use arm_server::{
     Server, ServerConfig, ServerEvent, ServerSnapshot, SERVER_SNAPSHOT_SCHEMA_VERSION,
 };
@@ -373,12 +372,6 @@ pub fn cases() -> Vec<SchemaCase> {
             &server_snapshot(),
         ),
         SchemaCase::of(
-            "slotted_schedule",
-            "arm_resv_cal::CAL_SCHEMA_VERSION",
-            CAL_SCHEMA_VERSION,
-            &slotted_schedule(),
-        ),
-        SchemaCase::of(
             "run_report",
             "arm_obs::SCHEMA_VERSION",
             arm_obs::SCHEMA_VERSION,
@@ -401,9 +394,8 @@ fn qos() -> QosRequest {
 }
 
 /// A driven manager over the §7.1 office topology: live portables and
-/// connections, a handoff, calendar bookings (a molded bulk transfer
-/// and a co-allocation), a slot roll and a maxmin round, so every nested
-/// record shape in the snapshot is populated.
+/// connections, a handoff, a slot roll and a maxmin round, so every
+/// nested record shape in the snapshot is populated.
 fn manager_snapshot() -> ManagerSnapshot {
     let sc = Scenario {
         name: "fingerprint-office".into(),
@@ -436,11 +428,6 @@ fn manager_snapshot() -> ManagerSnapshot {
     mgr.portable_moved(PortableId(1), CellId(0), SimTime::from_secs(5));
     // The second handoff gives its profile event an engaged `prev` cell.
     mgr.portable_moved(PortableId(1), CellId(2), SimTime::from_secs(6));
-    mgr.book_bulk_transfer(CellId(0), 2, 2, 64.0, 9, SimTime::from_secs(7))
-        .expect("bulk booking fits");
-    let _group = mgr
-        .book_co_allocation(CellId(0), CellId(2), 32.0, 2, 4, SimTime::from_secs(8))
-        .expect("co-allocation fits");
     mgr.slot_tick(SimTime::from_secs(60));
     // The scenario manager never adapts; run one round's worth of engine
     // work by hand so the engine's maps are populated too — portable 1's
@@ -484,29 +471,6 @@ fn server_snapshot() -> ServerSnapshot {
             .expect("canonical event stream applies");
     }
     server.snapshot()
-}
-
-/// A calendar holding both booking flavours (fixed-confirmed and a
-/// two-leg co-allocated group) rolled past activation, so every
-/// reservation field is engaged.
-fn slotted_schedule() -> SlottedSchedule {
-    let mut cal = SlottedSchedule::new();
-    cal.set_capacity(LinkId(0), 600.0);
-    cal.set_capacity(LinkId(1), 600.0);
-    let fixed = cal
-        .request(LinkId(0), 1, 3, 64.0, ResvOrigin::BulkTransfer)
-        .expect("fixed booking fits");
-    cal.confirm(fixed).expect("requested booking confirms");
-    let _group = cal
-        .co_allocate(
-            &[(LinkId(0), 50.0), (LinkId(1), 50.0)],
-            2,
-            4,
-            ResvOrigin::CoAllocation,
-        )
-        .expect("co-allocation fits");
-    cal.roll_to(2);
-    cal
 }
 
 fn hist() -> HistSummary {
@@ -628,28 +592,6 @@ fn obs_events() -> Vec<ObsEvent> {
             reason: "malformed".to_string(),
             detail: "trailing characters".to_string(),
         },
-        ObsEvent::ReservationConfirmed {
-            t,
-            reservation: 3,
-            resource: "link:0".to_string(),
-            start_slot: 2,
-            end_slot: 4,
-            kbps: 64.0,
-        },
-        ObsEvent::ReservationMolded {
-            t,
-            reservation: 4,
-            requested_slots: 2,
-            granted_slots: 3,
-            kbps: 42.5,
-        },
-        ObsEvent::CoAllocationOutcome {
-            t,
-            group: 1,
-            legs: 2,
-            admitted: true,
-            cause: "admitted".to_string(),
-        },
     ]
 }
 
@@ -686,7 +628,7 @@ mod tests {
     fn cases_are_deterministic_and_populated() {
         let a = cases();
         let b = cases();
-        assert_eq!(a.len(), 5);
+        assert_eq!(a.len(), 4);
         for (ca, cb) in a.iter().zip(&b) {
             assert_eq!(ca.codec_fault, None, "{}", ca.name);
             assert_eq!(ca.lines(), cb.lines(), "{} not deterministic", ca.name);

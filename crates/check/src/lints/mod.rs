@@ -45,7 +45,6 @@ pub const TARGET_CRATES: &[&str] = &[
     "mobility",
     "sim",
     "obs",
-    "resv_cal",
     "server",
 ];
 

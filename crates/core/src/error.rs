@@ -62,41 +62,3 @@ impl fmt::Display for ControlError {
 }
 
 impl std::error::Error for ControlError {}
-
-/// A calendar booking entry point could not book (DESIGN.md §11).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BookingError {
-    /// The cell has no cached uplink path to the server.
-    NoUplink(CellId),
-    /// No cached path exists between the two cells.
-    NoPath {
-        /// The requested source cell.
-        from: CellId,
-        /// The requested destination cell.
-        to: CellId,
-    },
-    /// The slotted schedule refused the booking.
-    Schedule(arm_resv_cal::ScheduleError),
-}
-
-impl From<arm_resv_cal::ScheduleError> for BookingError {
-    fn from(e: arm_resv_cal::ScheduleError) -> Self {
-        BookingError::Schedule(e)
-    }
-}
-
-impl fmt::Display for BookingError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BookingError::NoUplink(cell) => {
-                write!(f, "cell {cell:?} has no uplink path to the server")
-            }
-            BookingError::NoPath { from, to } => {
-                write!(f, "no path between cells {from:?} and {to:?}")
-            }
-            BookingError::Schedule(e) => write!(f, "calendar refused the booking: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BookingError {}

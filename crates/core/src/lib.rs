@@ -44,8 +44,8 @@ pub mod scenario;
 pub mod snapshot;
 pub mod strategy;
 
-pub use error::{BookingError, ControlError};
-pub use manager::{BulkBooking, ManagerConfig, ResourceManager};
+pub use error::ControlError;
+pub use manager::{ManagerConfig, ResourceManager};
 pub use metrics::Metrics;
 pub use scenario::{Scenario, ScenarioReport};
 pub use snapshot::{ManagerSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};

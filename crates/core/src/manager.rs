@@ -36,8 +36,9 @@
 //! * each cell profile's `CountedHistory` tallies (derived from its
 //!   handoff FIFO in `record`) — level-2b predictions and transition
 //!   rows without a recount of `N_pC` events;
-//! * the path cache's uplink routes (a pure function of the static
-//!   topology) — a handoff's new route without a Dijkstra run.
+//! * every cell's uplink route (`arm_net::routing::uplink_routes`, a
+//!   pure function of the static topology) — a handoff's new route
+//!   without a Dijkstra run.
 //!
 //! What the manager itself keeps between events ([`RefreshScratch`]) is
 //! buffers only: every one is cleared before it is filled.
@@ -48,7 +49,7 @@ use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
-use arm_net::routing::{shortest_path, shortest_path_avoiding};
+use arm_net::routing::{shortest_path_avoiding, uplink_routes};
 use arm_net::{Connection, ConnectionState, Network, Route};
 use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
@@ -60,14 +61,10 @@ use arm_reservation::cafeteria::CafeteriaPredictor;
 use arm_reservation::default_cell::OneStepMemory;
 use arm_reservation::dispatch::{decide_traced, ReservationDecision};
 use arm_reservation::meeting::{BookingCalendar, MeetingRoomPolicy};
-use arm_resv_cal::{
-    CoAllocOutcome, ReservationId, ResvOrigin, ScheduleError, SlotIndex, SlottedSchedule,
-    TopologyPathCache,
-};
 use arm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::error::{BookingError, ControlError};
+use crate::error::ControlError;
 use crate::metrics::Metrics;
 use crate::multicast::MulticastState;
 use crate::snapshot::{ManagerSnapshot, SnapshotError};
@@ -161,21 +158,6 @@ struct RefreshScratch {
     moving: Vec<ConnId>,
 }
 
-/// Outcome of a [`ResourceManager::book_bulk_transfer`] booking.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BulkBooking {
-    /// The co-allocation group tying the path legs together.
-    pub group: arm_resv_cal::GroupId,
-    /// One reservation per path link, in path order.
-    pub legs: Vec<ReservationId>,
-    /// Granted per-slot rate (kbps) — below the asked rate iff molded.
-    pub rate_kbps: f64,
-    /// Granted duration in slots — above the asked duration iff molded.
-    pub slots: u64,
-    /// Did scarcity stretch the booking beyond its base duration?
-    pub molded: bool,
-}
-
 /// The integrated control plane.
 pub struct ResourceManager {
     /// The data plane (public for inspection by drivers and tests).
@@ -240,16 +222,10 @@ pub struct ResourceManager {
     pub lost_profile_updates: u64,
     /// Handoffs processed without signalling (claims unusable).
     pub handoff_signalling_failures: u64,
-    /// The slotted advance-reservation calendar (DESIGN.md §11):
-    /// time-indexed link bookings, consumed at each
-    /// slot roll by installing [`ResvClaim::Calendar`] claims for the
-    /// reservations active in the new slot. Public so drivers and
-    /// tests can book and inspect directly.
-    pub calendar: SlottedSchedule,
-    /// Precomputed topology paths for calendar bookings. A pure
+    /// Every cell's air-to-server route, indexed by cell. A pure
     /// function of the static topology — rebuilt on construction and
     /// restore, never snapshotted.
-    path_cache: TopologyPathCache,
+    uplinks: Vec<Option<Route>>,
     /// Passive observer. [`Obs::off`] by default — observation never
     /// influences any decision, so the disabled path is bit-identical
     /// (asserted by `tests/obs_differential.rs`).
@@ -284,8 +260,7 @@ impl ResourceManager {
             }
         }
         let metrics = Metrics::new(cfg.slot);
-        let calendar = Self::seed_calendar(&net);
-        let path_cache = TopologyPathCache::build(net.topology(), server_node);
+        let uplinks = uplink_routes(net.topology(), server_node);
         ResourceManager {
             net,
             env,
@@ -316,28 +291,9 @@ impl ResourceManager {
             stale_profile_fallbacks: 0,
             lost_profile_updates: 0,
             handoff_signalling_failures: 0,
-            calendar,
-            path_cache,
+            uplinks,
             obs: Obs::off(),
         }
-    }
-
-    /// An empty calendar with every link's static capacity registered,
-    /// so calendar bookings are admission-checked against the real link
-    /// speeds.
-    fn seed_calendar(net: &Network) -> SlottedSchedule {
-        let mut calendar = SlottedSchedule::new();
-        let topo = net.topology();
-        for i in 0..topo.link_count() {
-            let l = LinkId::from_index(i);
-            calendar.set_capacity(l, topo.link(l).capacity);
-        }
-        calendar
-    }
-
-    /// The precomputed path cache used by calendar bookings.
-    pub fn path_cache(&self) -> &TopologyPathCache {
-        &self.path_cache
     }
 
     /// Install an observer (replacing the default [`Obs::off`]).
@@ -386,7 +342,6 @@ impl ResourceManager {
             stale_profile_fallbacks: self.stale_profile_fallbacks,
             lost_profile_updates: self.lost_profile_updates,
             handoff_signalling_failures: self.handoff_signalling_failures,
-            calendar: self.calendar.clone(),
         }
     }
 
@@ -398,9 +353,7 @@ impl ResourceManager {
     /// ledgers come back as typed [`SnapshotError`]s, never panics.
     pub fn restore(snap: ManagerSnapshot, obs: Obs) -> Result<Self, SnapshotError> {
         snap.validate()?;
-        // The path cache is a pure function of the static topology, so
-        // it is rebuilt here rather than snapshotted.
-        let path_cache = TopologyPathCache::build(snap.net.topology(), snap.server_node);
+        let uplinks = uplink_routes(snap.net.topology(), snap.server_node);
         Ok(ResourceManager {
             net: snap.net,
             env: snap.env,
@@ -431,8 +384,7 @@ impl ResourceManager {
             stale_profile_fallbacks: snap.stale_profile_fallbacks,
             lost_profile_updates: snap.lost_profile_updates,
             handoff_signalling_failures: snap.handoff_signalling_failures,
-            calendar: snap.calendar,
-            path_cache,
+            uplinks,
             obs,
         })
     }
@@ -551,7 +503,7 @@ impl ResourceManager {
         let admit_tok = self.obs.phase_start(now);
         self.metrics.requests.incr();
         let id = self.net.next_conn_id();
-        let route = Self::uplink_route(&self.path_cache, cell).clone();
+        let route = Self::uplink_route(&self.uplinks, cell).clone();
         self.net.install(Connection::new(
             id,
             p,
@@ -775,13 +727,11 @@ impl ResourceManager {
         }
     }
 
-    /// Slot boundary: feed the aggregate predictors, consume calendar
-    /// reservations whose window opens or closes, and refresh claims.
+    /// Slot boundary: feed the aggregate predictors and refresh claims.
     pub fn slot_tick(&mut self, now: SimTime) {
         let slot = now.ticks() / self.cfg.slot.ticks();
         self.obs
             .emit_with(|| ObsEvent::ReservationSlotRolled { t: now, slot });
-        self.consume_calendar(slot);
         let pred_tok = self.obs.phase_start(now);
         let outflow = std::mem::take(&mut self.slot_outflow);
         for (cell, pred) in self.cafeteria_pred.iter_mut() {
@@ -798,194 +748,6 @@ impl ResourceManager {
             self.sync_multicast_for(p, now);
         }
         self.after_event(now);
-    }
-
-    /// Roll the calendar to `slot` and mirror the outcome into the link
-    /// ledgers: a link reservation entering `Active` installs a
-    /// [`ResvClaim::Calendar`] claim, one leaving the booked states
-    /// releases it. Expirations are processed before activations so a
-    /// back-to-back booking on a saturated link can take over the
-    /// capacity its predecessor just freed.
-    fn consume_calendar(&mut self, slot: SlotIndex) {
-        let roll = self.calendar.roll_to(slot);
-        for id in &roll.expired {
-            if let Some(r) = self.calendar.reservation(*id).copied() {
-                self.net
-                    .link_mut(r.link)
-                    .release_claim(ResvClaim::Calendar(id.0));
-            }
-        }
-        for id in &roll.activated {
-            if let Some(r) = self.calendar.reservation(*id).copied() {
-                self.net
-                    .link_mut(r.link)
-                    .set_claim(ResvClaim::Calendar(id.0), r.kbps);
-            }
-        }
-    }
-
-    fn emit_confirmed(&mut self, ids: &[ReservationId], now: SimTime) {
-        for id in ids {
-            if let Some(r) = self.calendar.reservation(*id).copied() {
-                self.obs.emit_with(|| ObsEvent::ReservationConfirmed {
-                    t: now,
-                    reservation: r.id.0,
-                    resource: format!("link:{}", r.link.0),
-                    start_slot: r.start,
-                    end_slot: r.end,
-                    kbps: r.kbps,
-                });
-            }
-        }
-    }
-
-    /// Book a moldable bulk transfer from `cell`'s air interface to the
-    /// server: `kbps × base_slots` of volume starting at `start_slot`,
-    /// booked atomically across every link of the cached uplink path.
-    /// When some slot on the path lacks headroom the booking stretches
-    /// its duration — conserving volume at a lower per-slot rate —
-    /// until it fits or its end would pass `deadline`. The booked legs
-    /// become link claims as their slots roll in ([`Self::slot_tick`]).
-    pub fn book_bulk_transfer(
-        &mut self,
-        cell: CellId,
-        start_slot: SlotIndex,
-        base_slots: u64,
-        kbps: f64,
-        deadline: SlotIndex,
-        now: SimTime,
-    ) -> Result<BulkBooking, BookingError> {
-        // Before the stretch loop: a NaN rate fits no duration, and
-        // every step of the walk to `deadline` is a path × slots fold.
-        SlottedSchedule::validate_rate(kbps)?;
-        let path: Vec<LinkId> = self
-            .path_cache
-            .uplink(cell)
-            .filter(|p| !p.is_empty())
-            .ok_or(BookingError::NoUplink(cell))?
-            .to_vec();
-        let base = base_slots.max(1);
-        let volume = kbps * base as f64;
-        let mut d = base;
-        while start_slot + d <= deadline {
-            let rate = volume / d as f64;
-            let fits =
-                self.path_cache
-                    .max_assignable(&self.calendar, &path, start_slot, start_slot + d);
-            if rate <= fits + 1e-6 {
-                let legs: Vec<(LinkId, f64)> = path.iter().map(|l| (*l, rate)).collect();
-                let out = self.calendar.co_allocate(
-                    &legs,
-                    start_slot,
-                    start_slot + d,
-                    ResvOrigin::BulkTransfer,
-                )?;
-                self.emit_confirmed(&out.ids, now);
-                if d > base {
-                    let first = out.ids.first().map_or(0, |r| r.0);
-                    self.obs.emit_with(|| ObsEvent::ReservationMolded {
-                        t: now,
-                        reservation: first,
-                        requested_slots: base,
-                        granted_slots: d,
-                        kbps: rate,
-                    });
-                }
-                return Ok(BulkBooking {
-                    group: out.group,
-                    legs: out.ids,
-                    rate_kbps: rate,
-                    slots: d,
-                    molded: d > base,
-                });
-            }
-            d += 1;
-        }
-        Err(BookingError::Schedule(ScheduleError::DeadlineUnmet {
-            link: path
-                .first()
-                .copied()
-                .expect("invariant: uplink path checked non-empty above"),
-            start: start_slot,
-            deadline,
-        }))
-    }
-
-    /// Book an all-or-nothing co-allocation of `kbps` on every link of
-    /// the shortest path between two distinct cells for
-    /// `[start_slot, end_slot)`.
-    /// Either every leg is admitted (one `CoAllocationOutcome` event,
-    /// `admitted: true`) or nothing is booked (`admitted: false`, with
-    /// the failing leg's error as the cause).
-    pub fn book_co_allocation(
-        &mut self,
-        from: CellId,
-        to: CellId,
-        kbps: f64,
-        start_slot: SlotIndex,
-        end_slot: SlotIndex,
-        now: SimTime,
-    ) -> Result<CoAllocOutcome, BookingError> {
-        // Pair paths are computed when booked, not cached: a booking is
-        // rare and the all-pairs table cost one Dijkstra per ordered
-        // pair at every construction and restore.
-        let topo = self.net.topology();
-        let known = |c: CellId| c.index() < topo.cell_count();
-        let path: Vec<LinkId> = (from != to && known(from) && known(to))
-            .then(|| shortest_path(topo, topo.air_node(from), topo.air_node(to)))
-            .flatten()
-            .ok_or(BookingError::NoPath { from, to })?
-            .links;
-        let legs: Vec<(LinkId, f64)> = path.iter().map(|l| (*l, kbps)).collect();
-        match self
-            .calendar
-            .co_allocate(&legs, start_slot, end_slot, ResvOrigin::CoAllocation)
-        {
-            Ok(out) => {
-                self.emit_confirmed(&out.ids, now);
-                self.obs.emit_with(|| ObsEvent::CoAllocationOutcome {
-                    t: now,
-                    group: out.group.0,
-                    legs: legs.len() as u64,
-                    admitted: true,
-                    cause: "admitted".to_string(),
-                });
-                Ok(out)
-            }
-            Err(e) => {
-                self.obs.emit_with(|| ObsEvent::CoAllocationOutcome {
-                    t: now,
-                    group: 0,
-                    legs: legs.len() as u64,
-                    admitted: false,
-                    cause: e.to_string(),
-                });
-                Err(BookingError::Schedule(e))
-            }
-        }
-    }
-
-    /// Cancel a calendar booking (and, for a co-allocated group, all of
-    /// its sibling legs), releasing any link claims already installed
-    /// for the current slot.
-    pub fn cancel_booking(&mut self, id: ReservationId) -> Result<(), BookingError> {
-        let group = self.calendar.reservation(id).and_then(|r| r.group);
-        self.calendar.release(id).map_err(BookingError::Schedule)?;
-        let ids: Vec<ReservationId> = match group {
-            Some(g) => self
-                .calendar
-                .group(g)
-                .map_or_else(|| vec![id], <[ReservationId]>::to_vec),
-            None => vec![id],
-        };
-        for rid in ids {
-            if let Some(r) = self.calendar.reservation(rid).copied() {
-                self.net
-                    .link_mut(r.link)
-                    .release_claim(ResvClaim::Calendar(rid.0));
-            }
-        }
-        Ok(())
     }
 
     /// The wireless channel of `cell` changed: its effective capacity is
@@ -1258,7 +1020,7 @@ impl ResourceManager {
         // it.
         self.release_current_route(id);
         {
-            let new_route = Self::uplink_route(&self.path_cache, to);
+            let new_route = Self::uplink_route(&self.uplinks, to);
             let c = self.net.get_mut(id).expect("invariant: live connection");
             // Field by field: `Vec::clone_from` reuses the old route's
             // buffers.
@@ -1320,12 +1082,12 @@ impl ResourceManager {
         false
     }
 
-    /// Route from a cell's air interface to the backbone hub: the path
-    /// cache's copy of the shortest path (the topology is static, so a
+    /// Route from a cell's air interface to the backbone hub: the
+    /// resident copy of the shortest path (the topology is static, so a
     /// Dijkstra run per connection would find the same one).
-    fn uplink_route(cache: &TopologyPathCache, cell: CellId) -> &Route {
-        cache
-            .uplink_route(cell)
+    fn uplink_route(uplinks: &[Option<Route>], cell: CellId) -> &Route {
+        uplinks[cell.index()]
+            .as_ref()
             .expect("invariant: star backbone is connected")
     }
 
@@ -1442,17 +1204,14 @@ impl ResourceManager {
         }
         let refresh_tok = self.obs.phase_start(now);
         // Wipe all wireless-link claims the manager owns. The Channel
-        // claim is the channel monitor's, the Outage claim the fault
-        // path's, and Calendar claims the slotted calendar's — all
-        // model capacity committed elsewhere and survive every refresh.
+        // claim is the channel monitor's and the Outage claim the fault
+        // path's — both model capacity committed elsewhere and survive
+        // every refresh.
         for (c, _) in self.env.cells() {
             let wl = self.net.topology().wireless_link(c);
-            self.net.link_mut(wl).retain_claims(|k| {
-                matches!(
-                    k,
-                    ResvClaim::Channel | ResvClaim::Outage | ResvClaim::Calendar(_)
-                )
-            });
+            self.net
+                .link_mut(wl)
+                .retain_claims(|k| matches!(k, ResvClaim::Channel | ResvClaim::Outage));
         }
         // Re-tighten the outage seals before installing any advance
         // claims: terminations during an outage must not open phantom

@@ -121,9 +121,9 @@ impl ResourceManager {
     pub(super) fn reference_refresh_claims(&mut self, now: SimTime) {
         let refresh_tok = self.obs.phase_start(now);
         // Wipe all wireless-link claims the manager owns. The Channel
-        // claim is the channel monitor's, the Outage claim the fault
-        // path's, and Calendar claims the slotted calendar's — all
-        // model capacity committed elsewhere and survive every refresh.
+        // claim is the channel monitor's and the Outage claim the fault
+        // path's — both model capacity committed elsewhere and survive
+        // every refresh.
         let cells: Vec<CellId> = self.env.cells().map(|(id, _)| id).collect();
         for c in &cells {
             let wl = self.net.topology().wireless_link(*c);
@@ -132,11 +132,7 @@ impl ResourceManager {
                 .link(wl)
                 .claims()
                 .map(|(k, _)| k)
-                .filter(|k| {
-                    *k != ResvClaim::Channel
-                        && *k != ResvClaim::Outage
-                        && !matches!(k, ResvClaim::Calendar(_))
-                })
+                .filter(|k| *k != ResvClaim::Channel && *k != ResvClaim::Outage)
                 .collect();
             for k in keys {
                 self.net.link_mut(wl).release_claim(k);

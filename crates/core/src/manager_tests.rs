@@ -387,52 +387,6 @@ fn meeting_room_claim_bits() {
     assert_spread_bits(&mgr, room, ns, 3.0 * 28.0);
 }
 
-/// A NaN, negative or infinite rate is refused before the stretch loop
-/// (which would otherwise walk every duration up to the deadline and
-/// report `DeadlineUnmet`), and books nothing.
-#[test]
-fn bulk_transfer_rejects_bad_rates_up_front() {
-    let (mut mgr, f4) = figure4_manager(Strategy::None);
-    for bad in [f64::NAN, -1.0, f64::INFINITY] {
-        let err = mgr
-            .book_bulk_transfer(f4.c, 1, 2, bad, 1_000, SimTime::ZERO)
-            .expect_err("bad rate");
-        assert!(
-            matches!(err, BookingError::Schedule(ScheduleError::BadRate { .. })),
-            "{bad}: {err:?}"
-        );
-    }
-    assert_eq!(mgr.calendar.live_count(), 0);
-}
-
-/// A co-allocation books one leg per link of the pair's shortest path,
-/// found when it books; a self pair or a cell the topology does not
-/// have is `NoPath` and books nothing.
-#[test]
-fn co_allocation_books_the_pair_path_or_reports_no_path() {
-    let (mut mgr, f4) = figure4_manager(Strategy::None);
-    let topo = mgr.net.topology();
-    let want = shortest_path(topo, topo.air_node(f4.c), topo.air_node(f4.e))
-        .expect("C reaches E")
-        .links;
-    let out = mgr
-        .book_co_allocation(f4.c, f4.e, 16.0, 2, 4, SimTime::ZERO)
-        .expect("fits");
-    let booked: Vec<LinkId> = out
-        .ids
-        .iter()
-        .map(|id| mgr.calendar.reservation(*id).expect("booked").link)
-        .collect();
-    assert_eq!(booked, want);
-    for (from, to) in [(f4.c, f4.c), (f4.c, CellId(60_000)), (CellId(60_000), f4.c)] {
-        let err = mgr
-            .book_co_allocation(from, to, 16.0, 2, 4, SimTime::ZERO)
-            .expect_err("no such pair");
-        assert!(matches!(err, BookingError::NoPath { .. }), "{err:?}");
-    }
-    assert_eq!(mgr.calendar.live_count(), want.len());
-}
-
 #[test]
 fn multicast_branches_follow_the_mobile() {
     let (mut mgr, f4) = figure4_manager(Strategy::Paper);
@@ -1109,13 +1063,13 @@ fn refresh_matches_the_scanning_reference() {
     assert!(claims_seen > 10_000, "only {claims_seen} claims observed");
 }
 
-/// The uplink route a connection is given — read from the path cache
-/// since `route_for` stopped running Dijkstra per connection — is the
-/// route `shortest_path` returns, node for node and link for link, for
-/// every cell of the Figure 4 office, the 63-cell wing, and a campus
-/// whose backbone is a mesh with equal-cost detours (so the cache must
+/// The uplink route a connection is given — read from the manager's
+/// route table, not from a Dijkstra run per connection — is the route
+/// `shortest_path` returns, node for node and link for link, for every
+/// cell of the Figure 4 office, the 63-cell wing, and a campus whose
+/// backbone is a mesh with equal-cost detours (so the table must
 /// reproduce Dijkstra's tie-breaks, not just its hop counts). Checked on
-/// the cache and on the routes installed by a request and by a handoff.
+/// the table and on the routes installed by a request and by a handoff.
 #[test]
 fn uplink_routes_equal_live_dijkstra_on_office_wing_and_campus() {
     use arm_net::routing::shortest_path;
@@ -1160,9 +1114,10 @@ fn uplink_routes_equal_live_dijkstra_on_office_wing_and_campus() {
             let topo = mgr.net.topology();
             shortest_path(topo, topo.air_node(c), NodeId(0)).expect("connected")
         };
+        assert_eq!(mgr.uplinks.len(), env.cells().count());
         for (c, _) in env.cells() {
             assert_eq!(
-                ResourceManager::uplink_route(&mgr.path_cache, c),
+                ResourceManager::uplink_route(&mgr.uplinks, c),
                 &live(&mgr, c),
                 "{c:?}"
             );

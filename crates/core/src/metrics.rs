@@ -65,6 +65,31 @@ impl Metrics {
             .incr(at);
     }
 
+    /// Refuse a decoded image whose own slot width, or that of any
+    /// arrival series, differs from the manager's `expected`: they are
+    /// only ever built from it, and a zero or one-tick width read from a
+    /// hostile snapshot would panic the next `record_arrival`, divide by
+    /// zero in `TimeSeries::add`, or size a series by sim-time. The
+    /// message names the offending field.
+    pub(crate) fn check_slot(&self, expected: SimDuration) -> Result<(), String> {
+        let series = self.arrivals.iter();
+        let mut widths = std::iter::once((None, self.slot))
+            .chain(series.map(|(c, ts)| (Some(*c), ts.slot_width())));
+        match widths.find(|(_, found)| *found != expected) {
+            None => Ok(()),
+            Some((cell, found)) => {
+                let field = cell.map_or("metrics.slot".to_string(), |c| {
+                    format!("metrics.arrivals[{}].slot", c.0)
+                });
+                Err(format!(
+                    "{field} is {} ticks, cfg.slot is {}",
+                    found.ticks(),
+                    expected.ticks()
+                ))
+            }
+        }
+    }
+
     /// The arrival series of one cell, if any arrivals were recorded.
     pub fn arrivals(&self, cell: CellId) -> Option<&TimeSeries> {
         self.arrivals.get(&cell)

@@ -44,7 +44,6 @@ use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use arm_reservation::cafeteria::CafeteriaPredictor;
 use arm_reservation::default_cell::OneStepMemory;
 use arm_reservation::meeting::MeetingRoomPolicy;
-use arm_resv_cal::SlottedSchedule;
 use serde::{Deserialize, Serialize};
 
 use crate::manager::{ManagerConfig, PortableState};
@@ -61,8 +60,9 @@ use crate::multicast::MulticastState;
 /// embeds the link-keyed v2 calendar (no `Cell` resource, no
 /// `moldable`/`deadline` reservation fields); v6 drops the shard
 /// planner: `maxmin` is the one `IncrementalMaxmin` itself (DESIGN.md
-/// §12).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
+/// §12); v7 drops the `calendar` section with the slotted calendar
+/// itself (DESIGN.md §11).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,7 +130,6 @@ pub struct ManagerSnapshot {
     pub(crate) stale_profile_fallbacks: u64,
     pub(crate) lost_profile_updates: u64,
     pub(crate) handoff_signalling_failures: u64,
-    pub(crate) calendar: SlottedSchedule,
 }
 
 /// Parse `s` and check its top-level `schema` stamp against `expected`
@@ -176,11 +175,10 @@ impl ManagerSnapshot {
 
     /// Validate internal consistency without building a manager: the
     /// schema must match, the slot width must be non-zero (slot rolls
-    /// and the metrics series divide by it), the network ledgers must
-    /// balance, the maxmin engine's maps must agree with each other
-    /// ([`IncrementalMaxmin::check_consistency`]), and every calendar
-    /// reservation must name a link of the topology (an
-    /// activating slot roll indexes the ledgers by it).
+    /// and the metrics series divide by it) and be the width `metrics`
+    /// and every arrival series carry, the network ledgers must
+    /// balance, and the maxmin engine's maps must agree with each other
+    /// ([`IncrementalMaxmin::check_consistency`]).
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
@@ -191,26 +189,14 @@ impl ManagerSnapshot {
         if self.cfg.slot.ticks() == 0 {
             return Err(SnapshotError::Invalid("cfg.slot is zero".to_string()));
         }
+        self.metrics
+            .check_slot(self.cfg.slot)
+            .map_err(SnapshotError::Invalid)?;
         self.net
             .check_invariants()
             .map_err(SnapshotError::Invalid)?;
         self.maxmin
             .check_consistency()
-            .map_err(|e| SnapshotError::Invalid(format!("maxmin engine: {e}")))?;
-        self.calendar
-            .validate()
-            .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        let links = self.net.topology().link_count();
-        match self
-            .calendar
-            .reservations()
-            .find(|r| r.link.index() >= links)
-        {
-            Some(r) => Err(SnapshotError::Invalid(format!(
-                "calendar reservation {} books link {} of a {links}-link topology",
-                r.id, r.link.0
-            ))),
-            None => Ok(()),
-        }
+            .map_err(|e| SnapshotError::Invalid(format!("maxmin engine: {e}")))
     }
 }

@@ -60,12 +60,6 @@ pub enum ResvClaim {
     /// link admits nothing new; not consumable by handoffs and preserved
     /// across claim refreshes until the link is restored.
     Outage,
-    /// An active slotted-calendar reservation (DESIGN.md §11), keyed by
-    /// the calendar's reservation id. Installed when the slot roll
-    /// activates a link booking and released when it expires; preserved
-    /// across claim refreshes like `Channel`/`Outage` (the calendar,
-    /// not the refresh pipeline, owns its lifetime).
-    Calendar(u64),
 }
 
 /// One connection's slice of the link.
@@ -692,19 +686,13 @@ mod tests {
             (ResvClaim::DynPool, 33.3),
             (ResvClaim::Channel, 12.5),
             (ResvClaim::Outage, 3.0),
-            (ResvClaim::Calendar(8), 0.3),
         ];
         let mut one = LinkState::new(100.0);
         for (k, v) in claims {
             one.set_claim(k, v);
         }
         let mut all = one.clone();
-        let keep = |k: ResvClaim| {
-            matches!(
-                k,
-                ResvClaim::Channel | ResvClaim::Outage | ResvClaim::Calendar(_)
-            )
-        };
+        let keep = |k: ResvClaim| matches!(k, ResvClaim::Channel | ResvClaim::Outage);
         let doomed: Vec<ResvClaim> = one.claims().map(|(k, _)| k).filter(|k| !keep(*k)).collect();
         for k in doomed {
             one.release_claim(k);
@@ -714,7 +702,11 @@ mod tests {
             one.claims().collect::<Vec<_>>(),
             all.claims().collect::<Vec<_>>()
         );
-        assert_eq!(one.claims().count(), 3);
+        assert_eq!(
+            one.claims().map(|(k, _)| k).collect::<Vec<_>>(),
+            [ResvClaim::Channel, ResvClaim::Outage],
+            "the two claims the refresh does not own survive the wipe"
+        );
         assert_eq!(one.b_resv().to_bits(), all.b_resv().to_bits());
         // Nothing to release: nothing moves.
         let before = all.b_resv().to_bits();

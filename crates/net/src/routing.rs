@@ -166,6 +166,17 @@ pub fn multicast_routes(
         .collect()
 }
 
+/// Every cell's air-to-server route (wireless hop first), indexed by
+/// [`CellId::index`](crate::ids::CellId::index): entry `c` is exactly
+/// `shortest_path(topo, topo.air_node(c), server)`, `None` for a cell
+/// that cannot reach the server. One Dijkstra per cell; the topology is
+/// static, so a holder builds the table once and never invalidates it.
+pub fn uplink_routes(topo: &Topology, server: NodeId) -> Vec<Option<Route>> {
+    topo.cells()
+        .map(|(c, _)| shortest_path(topo, topo.air_node(c), server))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +223,30 @@ mod tests {
         let a = t.add_switch("a");
         let b = t.add_switch("b");
         assert!(shortest_path(&t, a, b).is_none());
+    }
+
+    #[test]
+    fn uplink_table_is_dense_by_cell_and_none_where_unreachable() {
+        let (mut t, cells) = star();
+        // `star` adds the switch first.
+        let sw = NodeId::from_index(0);
+        // A cell whose base station is wired to nothing.
+        let island = t.add_cell("island", 1600.0, 0.0);
+        let table = uplink_routes(&t, sw);
+        assert_eq!(table.len(), t.cell_count());
+        for &c in &cells {
+            let route = table[c.index()]
+                .as_ref()
+                .expect("star cell reaches the hub");
+            assert_eq!(route.links.first().copied(), Some(t.wireless_link(c)));
+            assert_eq!(route.hop_count(), 2, "wireless hop + wired hop");
+            assert_eq!(
+                table[c.index()],
+                shortest_path(&t, t.air_node(c), sw),
+                "the table's route is the one Dijkstra returns"
+            );
+        }
+        assert_eq!(table[island.index()], None);
     }
 
     #[test]

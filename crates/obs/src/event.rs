@@ -158,50 +158,6 @@ pub enum ObsEvent {
         /// Human-readable detail (offending field or parser message).
         detail: String,
     },
-    /// A calendar reservation was confirmed in the slotted
-    /// advance-reservation store (DESIGN.md §11).
-    ReservationConfirmed {
-        /// Sim-time of the confirmation.
-        t: SimTime,
-        /// The store's reservation id.
-        reservation: u64,
-        /// The booked resource, as its stable label (`cell:N`/`link:N`).
-        resource: String,
-        /// First booked slot (inclusive).
-        start_slot: u64,
-        /// One past the last booked slot (exclusive).
-        end_slot: u64,
-        /// Booked per-slot rate (kbps).
-        kbps: f64,
-    },
-    /// A moldable booking stretched its duration under scarcity,
-    /// conserving volume at a lower per-slot rate.
-    ReservationMolded {
-        /// Sim-time of the booking.
-        t: SimTime,
-        /// The store's reservation id.
-        reservation: u64,
-        /// Duration the caller asked for (slots).
-        requested_slots: u64,
-        /// Duration actually booked (slots).
-        granted_slots: u64,
-        /// Granted per-slot rate (kbps).
-        kbps: f64,
-    },
-    /// An all-or-nothing multi-link co-allocation was decided.
-    CoAllocationOutcome {
-        /// Sim-time of the decision.
-        t: SimTime,
-        /// The co-allocation group id (0 when rejected before a group
-        /// was formed).
-        group: u64,
-        /// Number of link legs in the request.
-        legs: u64,
-        /// Whether every leg was booked.
-        admitted: bool,
-        /// Why (e.g. `admitted`, or the failing leg's error).
-        cause: String,
-    },
 }
 
 /// Discriminant-only view of [`ObsEvent`], for counting and reports.
@@ -227,17 +183,11 @@ pub enum EventKind {
     FaultInjected,
     /// [`ObsEvent::IngestRejected`].
     IngestRejected,
-    /// [`ObsEvent::ReservationConfirmed`].
-    ReservationConfirmed,
-    /// [`ObsEvent::ReservationMolded`].
-    ReservationMolded,
-    /// [`ObsEvent::CoAllocationOutcome`].
-    CoAllocationOutcome,
 }
 
 impl EventKind {
     /// Every kind, in schema order.
-    pub const ALL: [EventKind; 13] = [
+    pub const ALL: [EventKind; 10] = [
         EventKind::AdmitDecision,
         EventKind::MaxminRound,
         EventKind::AdvertiseSent,
@@ -248,9 +198,6 @@ impl EventKind {
         EventKind::ReservationDispatch,
         EventKind::FaultInjected,
         EventKind::IngestRejected,
-        EventKind::ReservationConfirmed,
-        EventKind::ReservationMolded,
-        EventKind::CoAllocationOutcome,
     ];
 
     /// Stable name (matches the `ObsEvent` variant and report schema).
@@ -266,9 +213,6 @@ impl EventKind {
             EventKind::ReservationDispatch => "ReservationDispatch",
             EventKind::FaultInjected => "FaultInjected",
             EventKind::IngestRejected => "IngestRejected",
-            EventKind::ReservationConfirmed => "ReservationConfirmed",
-            EventKind::ReservationMolded => "ReservationMolded",
-            EventKind::CoAllocationOutcome => "CoAllocationOutcome",
         }
     }
 
@@ -284,9 +228,6 @@ impl EventKind {
             EventKind::ReservationDispatch => 7,
             EventKind::FaultInjected => 8,
             EventKind::IngestRejected => 9,
-            EventKind::ReservationConfirmed => 10,
-            EventKind::ReservationMolded => 11,
-            EventKind::CoAllocationOutcome => 12,
         }
     }
 }
@@ -305,9 +246,6 @@ impl ObsEvent {
             ObsEvent::ReservationDispatch { .. } => EventKind::ReservationDispatch,
             ObsEvent::FaultInjected { .. } => EventKind::FaultInjected,
             ObsEvent::IngestRejected { .. } => EventKind::IngestRejected,
-            ObsEvent::ReservationConfirmed { .. } => EventKind::ReservationConfirmed,
-            ObsEvent::ReservationMolded { .. } => EventKind::ReservationMolded,
-            ObsEvent::CoAllocationOutcome { .. } => EventKind::CoAllocationOutcome,
         }
     }
 
@@ -323,10 +261,7 @@ impl ObsEvent {
             | ObsEvent::ReservationSlotRolled { t, .. }
             | ObsEvent::ReservationDispatch { t, .. }
             | ObsEvent::FaultInjected { t, .. }
-            | ObsEvent::IngestRejected { t, .. }
-            | ObsEvent::ReservationConfirmed { t, .. }
-            | ObsEvent::ReservationMolded { t, .. }
-            | ObsEvent::CoAllocationOutcome { t, .. } => *t,
+            | ObsEvent::IngestRejected { t, .. } => *t,
         }
     }
 }

@@ -14,12 +14,12 @@ use arm_sim::stats::Histogram;
 
 /// Bump when the report shape changes (with the pinned key list in
 /// `tests/schema.rs`). The event taxonomy counts as shape: v2 added
-/// the calendar kinds (`ReservationConfirmed`, `ReservationMolded`,
-/// `CoAllocationOutcome`) to the `events` section; v4 folded the three
+/// three slotted-calendar kinds to the `events` section; v4 folded the three
 /// per-engine maxmin phases into one `maxmin` and dropped
 /// `MaxminRound::incremental` (one engine in production); v5 dropped
-/// `MaxminRound::shards` (no shard planner).
-pub const SCHEMA_VERSION: u32 = 5;
+/// `MaxminRound::shards` (no shard planner); v6 dropped those
+/// three again, with the slotted calendar that emitted them.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Summary statistics of one [`Histogram`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -76,86 +76,6 @@ fn kill_restore_replay_is_bit_identical_under_active_faults() {
     }
 }
 
-/// A kill landing between a co-allocated booking and the slot roll
-/// that would activate it: the snapshot must carry the pending
-/// (confirmed, not-yet-active) calendar group and the replayed slot
-/// rolls must consume it identically to the uninterrupted run.
-#[test]
-fn kill_with_pending_co_allocation_mid_slot_roll_is_bit_identical() {
-    use arm_net::ids::CellId;
-    use arm_obs::Obs;
-    use arm_resv_cal::ReservationState;
-    use arm_server::{Server, ServerSnapshot};
-
-    let cfg = walk_cfg(29);
-    let events =
-        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
-    assert!(events.len() > 30, "stream too short to drill");
-    let book_at = events.len() / 3;
-
-    // Drives a server through the full stream, booking a bulk transfer
-    // and an atomic co-allocation after `book_at` events, and returns
-    // the final snapshot JSON. When `cut` is set, the server is killed
-    // right after the bookings land (while they are still pending),
-    // restored from its snapshot, and replay continues on the restored
-    // instance.
-    let run = |cut: bool| -> String {
-        let mut server = Server::new(cfg.clone(), Obs::off()).expect("valid scenario");
-        for ev in &events[..book_at] {
-            server.apply_event(ev).expect("generated events are valid");
-        }
-        let now = events[book_at - 1].time();
-        let slot = server.mgr.calendar.current_slot();
-        let bulk = server
-            .mgr
-            .book_bulk_transfer(CellId(0), slot + 2, 2, 250.0, slot + 12, now)
-            .expect("bulk transfer books");
-        let co = server
-            .mgr
-            .book_co_allocation(CellId(0), CellId(2), 32.0, slot + 2, slot + 5, now)
-            .expect("co-allocation books");
-        // The cut lands mid slot-roll: every booked leg is confirmed
-        // but none has been activated yet.
-        for id in bulk.legs.iter().chain(co.ids.iter()) {
-            let r = server.mgr.calendar.reservation(*id).expect("leg exists");
-            assert_eq!(r.state, ReservationState::Confirmed, "leg active too early");
-            assert!(r.start > server.mgr.calendar.current_slot());
-        }
-        if cut {
-            let json = server.snapshot().to_json().expect("snapshot serializes");
-            assert!(
-                json.contains("\"Confirmed\""),
-                "snapshot must carry the pending calendar group"
-            );
-            server = Server::restore(
-                ServerSnapshot::from_json(&json).expect("snapshot parses"),
-                Obs::off(),
-            )
-            .expect("restores");
-        }
-        for ev in &events[book_at..] {
-            server.apply_event(ev).expect("generated events are valid");
-        }
-        // The remaining stream spans the booked window, so the pending
-        // reservations must have been consumed by slot rolls.
-        let done = server
-            .mgr
-            .calendar
-            .reservations()
-            .filter(|r| r.state == ReservationState::Expired)
-            .count();
-        assert!(done >= 2, "bookings were never consumed by slot rolls");
-        server.snapshot().to_json().expect("snapshot serializes")
-    };
-
-    let uninterrupted = run(false);
-    let recovered = run(true);
-    assert_eq!(
-        uninterrupted, recovered,
-        "kill with pending co-allocation diverged"
-    );
-}
-
 #[test]
 fn kill_inside_a_link_outage_restores_the_outage_seal() {
     let cfg = walk_cfg(17);

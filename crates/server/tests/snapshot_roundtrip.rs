@@ -130,7 +130,7 @@ fn office_week_checkpoints_round_trip_and_stream_like_the_tree() {
     }
     let last = assert_codec_properties(&server.snapshot(), "end of week");
     // 35 periodic checkpoints plus `run_server`'s final one. (The byte
-    // total the benchmark pins, 15,074,164, includes its hostile lines'
+    // total the benchmark pins, 15,060,284, includes its hostile lines'
     // `rejected` count; CI's benchmark-smoke holds that number.)
     assert_eq!(checkpoints + 1, 36);
     assert!(
@@ -161,22 +161,54 @@ fn wing_end_state_round_trips_and_streams_like_the_tree() {
     assert_codec_properties(&server.snapshot(), "wing end state");
 }
 
+/// `json` (a v7 server or manager document of `walk_cfg(7)` cut at 40)
+/// as the previous build wrote it: stamped 6, and every manager image
+/// closed by the slotted calendar's section — empty but for the 21 link
+/// capacities and the slot cursor, as in every checkpoint the server
+/// ever cut. Byte for byte what commit `769e91d` emits for this state.
+fn as_v6(json: &str) -> String {
+    const MANAGER_TAIL: &str = "\"handoff_signalling_failures\":0}";
+    const V6_MANAGER_TAIL: &str = "\"handoff_signalling_failures\":0,\"calendar\":{\"schema\":2,\
+        \"capacities\":[[0,800.0],[1,100000.0],[2,100000.0],[3,800.0],[4,100000.0],[5,100000.0],\
+        [6,800.0],[7,100000.0],[8,100000.0],[9,800.0],[10,100000.0],[11,100000.0],[12,800.0],\
+        [13,100000.0],[14,100000.0],[15,800.0],[16,100000.0],[17,100000.0],[18,800.0],\
+        [19,100000.0],[20,100000.0]],\"reservations\":[],\"groups\":[],\"next_id\":0,\
+        \"next_group\":0,\"current_slot\":11}}";
+    assert!(
+        json.starts_with("{\"schema\":7,"),
+        "layout drifted: {json:.60}"
+    );
+    assert_eq!(json.matches(MANAGER_TAIL).count(), 1, "layout drifted");
+    // Every stamp: a server document carries its manager's too.
+    json.replace("{\"schema\":7,", "{\"schema\":6,")
+        .replacen(MANAGER_TAIL, V6_MANAGER_TAIL, 1)
+}
+
+/// `json` under each skewed stamp: a future version, the previous
+/// build's real v6 document (still carrying `"calendar"`), and the two
+/// before it (shard planner; cell-keyed calendar).
+fn skewed_documents(json: &str, future: u32) -> Vec<(u32, String)> {
+    let restamped =
+        |skew: u32| json.replacen("{\"schema\":7,", &format!("{{\"schema\":{skew},"), 1);
+    let v6 = as_v6(json);
+    assert!(v6.contains("\"calendar\""));
+    vec![
+        (future, restamped(future)),
+        (6, v6),
+        (5, restamped(5)),
+        (4, restamped(4)),
+    ]
+}
+
 #[test]
 fn mismatched_server_schema_is_a_typed_error() {
     let server = server_at(&walk_cfg(7), 40);
     let json = server.snapshot().to_json().expect("snapshot serializes");
-    assert!(
-        json.starts_with("{\"schema\":6,"),
-        "layout drifted: {json:.60}"
-    );
-    // A future version, and the previous two (shard planner;
-    // cell-keyed calendar).
-    for skew in [999u32, 5, 4] {
-        let skewed = json.replacen("{\"schema\":6,", &format!("{{\"schema\":{skew},"), 1);
+    for (skew, skewed) in skewed_documents(&json, 999) {
         match ServerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 6);
+                assert_eq!(expected, 7);
                 assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -192,16 +224,11 @@ fn mismatched_manager_schema_is_a_typed_error() {
         .snapshot()
         .to_json()
         .expect("snapshot serializes");
-    assert!(
-        json.starts_with("{\"schema\":6,"),
-        "layout drifted: {json:.60}"
-    );
-    for skew in [42u32, 5, 4] {
-        let skewed = json.replacen("{\"schema\":6,", &format!("{{\"schema\":{skew},"), 1);
+    for (skew, skewed) in skewed_documents(&json, 42) {
         match arm_core::ManagerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 6);
+                assert_eq!(expected, 7);
                 assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -214,11 +241,12 @@ fn mismatched_manager_schema_is_a_typed_error() {
 /// index row naming a connection nobody registered; a registered
 /// connection with no allocation row, which the conflict resolver
 /// would skip forever; a bottleneck set naming a connection that does
-/// not route over its link), a calendar reservation on a link the
-/// topology does not have (indexed out of bounds by the slot roll that
-/// activates it), and a zero slot
-/// width (`slot_tick` divides by the manager's, the server's slot
-/// cursor never passes an event time with its own). Each is refused
+/// not route over its link), a zero slot width (`slot_tick` divides by
+/// the manager's, the server's slot cursor never passes an event time
+/// with its own), and a `metrics` or arrival-series slot width that is
+/// not the manager's (zero panics the next `record_arrival` or divides
+/// by zero in `TimeSeries::add`; one tick sizes the series by
+/// sim-time). Each is refused
 /// with a typed error — by the server at decode, by the manager at
 /// restore — and never panics. A last edit forges derived state the
 /// image never carries (the network's per-portable connection index):
@@ -251,17 +279,33 @@ fn corrupted_planner_routing_is_a_typed_error() {
             true,
         ),
         (
-            "\"reservations\":[],\"groups\":[],\"next_id\":0,",
-            "\"reservations\":[[0,{\"id\":0,\"link\":9999,\"start\":100,\"end\":101,\
-             \"kbps\":1.0,\"group\":null,\"origin\":\"BulkTransfer\",\
-             \"state\":\"Confirmed\"}]],\"groups\":[],\"next_id\":1,",
-            "link 9999",
-            true,
-        ),
-        (
             "\"slot\":60000000,\"per_user_kbps\"",
             "\"slot\":0,\"per_user_kbps\"",
             "cfg.slot",
+            true,
+        ),
+        (
+            "\"slot\":60000000},\"portables\"",
+            "\"slot\":0},\"portables\"",
+            "metrics.slot is 0 ticks",
+            true,
+        ),
+        (
+            "\"slot\":60000000},\"portables\"",
+            "\"slot\":1},\"portables\"",
+            "metrics.slot is 1 ticks",
+            true,
+        ),
+        (
+            "\"arrivals\":[[0,{\"slot\":60000000,",
+            "\"arrivals\":[[0,{\"slot\":0,",
+            "metrics.arrivals[0].slot is 0 ticks",
+            true,
+        ),
+        (
+            "[3,{\"slot\":60000000,\"slots\":",
+            "[3,{\"slot\":1,\"slots\":",
+            "metrics.arrivals[3].slot is 1 ticks",
             true,
         ),
         (
@@ -328,58 +372,6 @@ fn corrupted_planner_routing_is_a_typed_error() {
     assert_eq!(
         restored.snapshot().to_json().expect("snapshot serializes"),
         server_json
-    );
-}
-
-/// A calendar populated with all three booking flavours — a bulk
-/// transfer, an atomic co-allocation, and a raw pending request —
-/// round-trips through the server snapshot byte-identically and
-/// restores to an equal store.
-#[test]
-fn calendar_bookings_round_trip_byte_identically() {
-    use arm_net::ids::{CellId, LinkId};
-    use arm_resv_cal::ResvOrigin;
-    use arm_sim::SimTime;
-
-    let cfg = walk_cfg(23);
-    let mut server = server_at(&cfg, 60);
-    let now = SimTime::from_secs(3600);
-    let slot = server.mgr.calendar.current_slot();
-    server
-        .mgr
-        .book_bulk_transfer(CellId(0), slot + 1, 2, 300.0, slot + 20, now)
-        .expect("bulk transfer books");
-    let _ = server
-        .mgr
-        .book_co_allocation(CellId(0), CellId(1), 24.0, slot + 2, slot + 6, now)
-        .expect("co-allocation books");
-    server
-        .mgr
-        .calendar
-        .request(
-            LinkId(0),
-            slot + 1,
-            slot + 3,
-            17.5,
-            ResvOrigin::BulkTransfer,
-        )
-        .expect("raw request books");
-
-    let json = server.snapshot().to_json().expect("snapshot serializes");
-    assert!(
-        json.contains("\"calendar\""),
-        "snapshot must embed the calendar"
-    );
-    let back = ServerSnapshot::from_json(&json).expect("snapshot parses");
-    assert_eq!(
-        back.to_json().expect("re-serializes"),
-        json,
-        "calendar-bearing snapshot round trip drifted"
-    );
-    let restored = Server::restore(back, Obs::off()).expect("restores");
-    assert_eq!(
-        restored.mgr.calendar, server.mgr.calendar,
-        "restored calendar differs"
     );
 }
 

@@ -277,9 +277,10 @@ impl Histogram {
 /// Values bucketed into fixed-width time slots — the instrument behind
 /// the paper's per-minute handoff activity plots.
 ///
-/// Serializable for snapshot/restore; a restored series with a zero
-/// slot width is rejected at the snapshot layer, which validates
-/// before handing state back to the manager.
+/// Serializable for snapshot/restore. Decoding checks nothing: the
+/// snapshot layer (`ManagerSnapshot::validate` in `arm-core`) refuses a
+/// restored series whose slot width is not the manager's own before
+/// handing state back, so a zero width never reaches [`Self::add`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TimeSeries {
     slot: SimDuration,

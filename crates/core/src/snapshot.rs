@@ -132,22 +132,48 @@ pub struct ManagerSnapshot {
     pub(crate) handoff_signalling_failures: u64,
 }
 
-/// Parse `s` and check its top-level `schema` stamp against `expected`
-/// before anything is decoded: the front half of every snapshot
-/// `from_json` (manager here, server in `arm-server`).
-pub fn parse_versioned(s: &str, expected: u32) -> Result<serde::Value, SnapshotError> {
-    let v = serde_json::parse_value(s).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-    let found = v
-        .get("schema")
-        .and_then(serde::Value::as_u64)
-        .ok_or_else(|| SnapshotError::Parse("missing or non-integer `schema` field".into()))?;
-    if found != u64::from(expected) {
-        return Err(SnapshotError::SchemaMismatch {
+/// Decode a snapshot document whose top-level `schema` stamp is
+/// `expected`: the whole of every snapshot `from_json` short of
+/// validation (manager here, server in `arm-server`).
+///
+/// The stamp is checked first, by a scan of the top-level keys that
+/// keeps nothing — the first `schema` key counts, as it does for the
+/// decoder, and every document this build writes has it at byte 1 — so
+/// a version skew reports as [`SnapshotError::SchemaMismatch`], not as
+/// a missing-field error from a drifted layout. Then the text is
+/// decoded once, straight into `T` (`Deserialize::read_json`). A
+/// document from another version that is also malformed somewhere
+/// *after* its stamp is a `SchemaMismatch`; anything else that is not
+/// a well-formed `T` is a [`SnapshotError::Parse`].
+pub fn decode_versioned<T: Deserialize>(s: &str, expected: u32) -> Result<T, SnapshotError> {
+    fn parse(e: impl std::fmt::Display) -> SnapshotError {
+        SnapshotError::Parse(e.to_string())
+    }
+    let mut scan = serde::JsonReader::new(s);
+    let mut found = None;
+    if scan.begin_object().map_err(parse)? {
+        let mut first = true;
+        while let Some(key) = scan.object_next(first).map_err(parse)? {
+            first = false;
+            if key == "schema" {
+                found = scan.value().map_err(parse)?.as_u64();
+                break;
+            }
+            scan.skip_value().map_err(parse)?;
+        }
+    }
+    match found {
+        Some(found) if found == u64::from(expected) => serde_json::from_str(s).map_err(parse),
+        Some(found) => Err(SnapshotError::SchemaMismatch {
             found: found as u32,
             expected,
-        });
+        }),
+        // No stamp: say so, unless the text is not even JSON.
+        None => Err(match serde_json::from_str::<()>(s) {
+            Err(syntax) => parse(syntax),
+            Ok(()) => parse("missing or non-integer `schema` field"),
+        }),
     }
-    Ok(v)
 }
 
 impl ManagerSnapshot {
@@ -169,8 +195,7 @@ impl ManagerSnapshot {
     /// the body (so a version skew reports as [`SnapshotError::SchemaMismatch`],
     /// not as a confusing missing-field error from a drifted layout).
     pub fn from_json(s: &str) -> Result<Self, SnapshotError> {
-        let v = parse_versioned(s, SNAPSHOT_SCHEMA_VERSION)?;
-        serde::Deserialize::from_value(&v).map_err(|e| SnapshotError::Parse(e.to_string()))
+        decode_versioned(s, SNAPSHOT_SCHEMA_VERSION)
     }
 
     /// Validate internal consistency without building a manager: the

@@ -8,12 +8,14 @@
 //! re-establishment and the full claim refresh behind it — performs an
 //! exact, asserted number of heap allocations. The handoff itself
 //! contributes none and the claim refresh four: they run off `Network`'s
-//! portable index, the cell profiles' resident tallies, the path cache's
-//! uplink routes and the manager's resident scratch. What is left is
-//! itemised at [`MOVE_ALLOCATIONS`]. A stray `collect()` or `clone()` anywhere under
+//! portable index, the cell profiles' resident tallies, the manager's
+//! table of uplink routes (`arm_net::routing::uplink_routes`, computed
+//! once) and its resident scratch. What is left is itemised at
+//! [`MOVE_ALLOCATIONS`]. A stray `collect()` or `clone()` anywhere under
 //! `portable_moved` compiles fine and regresses silently — this test
 //! makes it a hard failure, as an exact count rather than a wall-clock
-//! budget.
+//! budget. (`crates/server/tests/zero_alloc.rs` does the same for
+//! decoding one journal line.)
 
 use std::collections::BTreeMap;
 
@@ -38,7 +40,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 ///   (`CellProfile::aggregate_row`), and nothing else;
 /// * 2 — the profile update: the portable profile's majority recount for
 ///   the `(prev, cur)` triplet, and a tally entry;
-/// * 0 — the handoff itself (route from the path cache into the old
+/// * 0 — the handoff itself (route from the uplink table into the old
 ///   route's buffers, admission through resident scratch).
 ///
 /// The benchmark's ledger row for the same quantity averaged over a

@@ -156,31 +156,51 @@ impl Serialize for LinkState {
 
 impl Deserialize for LinkState {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("LinkState: expected object"))?;
-        let capacity: f64 = serde::from_field(obj, "capacity", "LinkState")?;
-        if !capacity.is_finite() || capacity <= 0.0 {
+        wire::LinkState::from_value(v)?.try_into()
+    }
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        wire::LinkState::read_json(r)?.try_into()
+    }
+}
+
+/// The fields of a [`LinkState`](super::LinkState) as the document
+/// spells them, under its name so the derive's error texts carry it.
+mod wire {
+    use super::{Alloc, BTreeMap, ConnId, ResvClaim};
+
+    #[derive(serde::Deserialize)]
+    pub(super) struct LinkState {
+        pub(super) capacity: f64,
+        /// `null` is the unlimited pool.
+        pub(super) buffer_capacity: Option<f64>,
+        pub(super) allocs: Vec<(ConnId, Alloc)>,
+        pub(super) advance: BTreeMap<ResvClaim, f64>,
+        pub(super) sum_b_min: f64,
+        pub(super) sum_b_alloc: f64,
+        pub(super) sum_resv: f64,
+        pub(super) sum_buffer: f64,
+    }
+}
+
+impl TryFrom<wire::LinkState> for LinkState {
+    type Error = serde::Error;
+
+    fn try_from(mut w: wire::LinkState) -> Result<Self, serde::Error> {
+        if !w.capacity.is_finite() || w.capacity <= 0.0 {
             return Err(serde::Error::custom(
                 "LinkState: capacity must be positive and finite",
             ));
         }
-        let buffer_capacity = match obj.iter().find(|(k, _)| k == "buffer_capacity") {
-            Some((_, serde::Value::Null)) => f64::INFINITY,
-            Some((_, v)) => f64::from_value(v)?,
-            None => return Err(serde::Error::missing_field("buffer_capacity", "LinkState")),
-        };
-        let mut allocs: Vec<(ConnId, Alloc)> = serde::from_field(obj, "allocs", "LinkState")?;
-        allocs.sort_unstable_by_key(|(c, _)| *c);
+        w.allocs.sort_unstable_by_key(|(c, _)| *c);
         Ok(LinkState {
-            capacity,
-            buffer_capacity,
-            allocs,
-            advance: serde::from_field(obj, "advance", "LinkState")?,
-            sum_b_min: serde::from_field(obj, "sum_b_min", "LinkState")?,
-            sum_b_alloc: serde::from_field(obj, "sum_b_alloc", "LinkState")?,
-            sum_resv: serde::from_field(obj, "sum_resv", "LinkState")?,
-            sum_buffer: serde::from_field(obj, "sum_buffer", "LinkState")?,
+            capacity: w.capacity,
+            buffer_capacity: w.buffer_capacity.unwrap_or(f64::INFINITY),
+            allocs: w.allocs,
+            advance: w.advance,
+            sum_b_min: w.sum_b_min,
+            sum_b_alloc: w.sum_b_alloc,
+            sum_resv: w.sum_resv,
+            sum_buffer: w.sum_buffer,
         })
     }
 }

@@ -61,22 +61,41 @@ impl Serialize for Network {
 
 impl Deserialize for Network {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("Network: expected object"))?;
-        let conns: Vec<Option<Connection>> = serde::from_field(obj, "conns", "Network")?;
+        wire::Network::from_value(v).map(Network::from)
+    }
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        wire::Network::read_json(r).map(Network::from)
+    }
+}
+
+/// The serialised fields of a [`Network`](super::Network), under its
+/// name so the derive's error texts carry it.
+mod wire {
+    use super::{ConnId, Connection, LinkState, Topology};
+
+    #[derive(serde::Deserialize)]
+    pub(super) struct Network {
+        pub(super) topo: Topology,
+        pub(super) links: Vec<LinkState>,
+        pub(super) conns: Vec<Option<Connection>>,
+        pub(super) link_conns: Vec<Vec<ConnId>>,
+    }
+}
+
+impl From<wire::Network> for Network {
+    fn from(w: wire::Network) -> Self {
         let mut portable_conns: BTreeMap<PortableId, Vec<ConnId>> = BTreeMap::new();
         // Table order is id order, so each entry comes out ascending.
-        for c in conns.iter().flatten().filter(|c| c.state.is_live()) {
+        for c in w.conns.iter().flatten().filter(|c| c.state.is_live()) {
             portable_conns.entry(c.portable).or_default().push(c.id);
         }
-        Ok(Network {
-            topo: serde::from_field(obj, "topo", "Network")?,
-            links: serde::from_field(obj, "links", "Network")?,
-            conns,
-            link_conns: serde::from_field(obj, "link_conns", "Network")?,
+        Network {
+            topo: w.topo,
+            links: w.links,
+            conns: w.conns,
+            link_conns: w.link_conns,
             portable_conns,
-        })
+        }
     }
 }
 

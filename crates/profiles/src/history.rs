@@ -151,7 +151,16 @@ impl Serialize for CountedHistory {
 
 impl Deserialize for CountedHistory {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let history = HandoffHistory::from_value(v)?;
+        HandoffHistory::from_value(v).map(Self::recount)
+    }
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        HandoffHistory::read_json(r).map(Self::recount)
+    }
+}
+
+impl CountedHistory {
+    /// A decoded FIFO with its tallies counted from its events.
+    fn recount(history: HandoffHistory) -> Self {
         let mut counted = CountedHistory {
             history,
             by_prev: BTreeMap::new(),
@@ -161,11 +170,9 @@ impl Deserialize for CountedHistory {
             *counted.by_prev.entry((ev.prev, ev.next)).or_insert(0) += 1;
             *counted.by_next.entry(ev.next).or_insert(0) += 1;
         }
-        Ok(counted)
+        counted
     }
-}
 
-impl CountedHistory {
     /// History bounded to `cap` events.
     pub fn new(cap: usize) -> Self {
         CountedHistory {

@@ -125,6 +125,24 @@ mod tests {
         }
     }
 
+    /// Nesting is capped (`serde::json::MAX_DEPTH`): such a line used
+    /// to overflow the stack inside the parser, which no caller can
+    /// catch.
+    #[test]
+    fn parse_rejects_deep_nesting_with_a_typed_error() {
+        for opener in ["[", "{\"Move\":{\"t\":", "{\"Move\":{\"zzz\":"] {
+            match parse_event(&opener.repeat(100_000)) {
+                Err(IngestError::Malformed { detail }) => {
+                    assert!(detail.starts_with("nesting deeper than 128"), "{detail}");
+                }
+                other => panic!("want Malformed, got {other:?}"),
+            }
+        }
+        // Refused at its first key, before any depth is reached.
+        let err = parse_event(&"{\"a\":".repeat(100_000)).expect_err("must reject");
+        assert_eq!(err.reason(), "malformed");
+    }
+
     #[test]
     fn reasons_are_stable_slugs() {
         let cases: [(IngestError, &str); 6] = [

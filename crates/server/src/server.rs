@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_core::scenario::{build_manager, Scenario, WorkloadSpec};
-use arm_core::snapshot::parse_versioned;
+use arm_core::snapshot::decode_versioned;
 use arm_core::{ManagerSnapshot, ResourceManager, SnapshotError};
 use arm_mobility::WorkloadMix;
 use arm_net::flowspec::QosRequest;
@@ -544,9 +544,7 @@ impl ServerSnapshot {
     /// decoding the body, then [`Self::validate`] (which re-checks the
     /// embedded manager snapshot's own version).
     pub fn from_json(s: &str) -> Result<Self, SnapshotError> {
-        let v = parse_versioned(s, SERVER_SNAPSHOT_SCHEMA_VERSION)?;
-        let snap: ServerSnapshot =
-            serde::Deserialize::from_value(&v).map_err(|e| SnapshotError::Parse(e.to_string()))?;
+        let snap: ServerSnapshot = decode_versioned(s, SERVER_SNAPSHOT_SCHEMA_VERSION)?;
         snap.validate()?;
         Ok(snap)
     }

@@ -1,0 +1,521 @@
+//! `from_json` decodes a snapshot in one pass over its text; until
+//! PR 20 it parsed the text into a `serde::Value` tree and decoded
+//! that. The tree route is still what `from_value` is, so it serves as
+//! the oracle here: on real checkpoints — the seed-42 office week's and
+//! a crowded wing's end state — damaged every way a file or a hostile
+//! author can damage them, both routes accept the same documents (and
+//! re-encode them to the same bytes) and refuse the rest with the same
+//! class of error, never a panic, a hang or a stack overflow.
+//!
+//! The one difference is deliberate and asserted below: the stamp is
+//! now checked by a scan that stops at it, so a document from another
+//! schema version that is *also* malformed somewhere after its stamp
+//! reports `SchemaMismatch`, where parsing everything first said
+//! `Parse`.
+
+use arm_core::scenario::{EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
+use arm_core::{ManagerSnapshot, SnapshotError, Strategy, SNAPSHOT_SCHEMA_VERSION};
+use arm_obs::Obs;
+use arm_server::drill::events_from_scenario;
+use arm_server::{Server, ServerConfig, ServerSnapshot, SERVER_SNAPSHOT_SCHEMA_VERSION};
+use arm_sim::{FaultSchedule, SimDuration};
+use proptest::test_runner::TestRng;
+use serde::{Deserialize, Value};
+
+/// A snapshot type with both decoders.
+trait Image: Deserialize {
+    const SCHEMA: u32;
+    fn pull(s: &str) -> Result<Self, SnapshotError>;
+    fn check(&self) -> Result<(), SnapshotError>;
+    fn encode(&self) -> Result<String, SnapshotError>;
+
+    /// `from_json` as it was: parse everything, look the stamp up in
+    /// the tree, decode the tree, validate.
+    fn tree(s: &str) -> Result<Self, SnapshotError> {
+        let parse = |e: &dyn std::fmt::Display| SnapshotError::Parse(e.to_string());
+        let v: Value = serde_json::from_str(s).map_err(|e| parse(&e))?;
+        let found = v
+            .get("schema")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| parse(&"missing or non-integer `schema` field"))?;
+        if found != u64::from(Self::SCHEMA) {
+            return Err(SnapshotError::SchemaMismatch {
+                found: found as u32,
+                expected: Self::SCHEMA,
+            });
+        }
+        let image = Self::from_value(&v).map_err(|e| parse(&e))?;
+        image.check()?;
+        Ok(image)
+    }
+}
+
+impl Image for ServerSnapshot {
+    const SCHEMA: u32 = SERVER_SNAPSHOT_SCHEMA_VERSION;
+    fn pull(s: &str) -> Result<Self, SnapshotError> {
+        ServerSnapshot::from_json(s)
+    }
+    fn check(&self) -> Result<(), SnapshotError> {
+        self.validate()
+    }
+    fn encode(&self) -> Result<String, SnapshotError> {
+        self.to_json()
+    }
+}
+
+impl Image for ManagerSnapshot {
+    const SCHEMA: u32 = SNAPSHOT_SCHEMA_VERSION;
+    fn pull(s: &str) -> Result<Self, SnapshotError> {
+        ManagerSnapshot::from_json(s)
+    }
+    /// The manager's `from_json` leaves validation to `restore`.
+    fn check(&self) -> Result<(), SnapshotError> {
+        Ok(())
+    }
+    fn encode(&self) -> Result<String, SnapshotError> {
+        self.to_json()
+    }
+}
+
+/// The outcome of a decode, as far as a caller can act on it.
+#[derive(Debug, PartialEq)]
+enum Class {
+    /// Accepted; the image re-encodes to this (or is refused on write).
+    Ok(Result<String, SnapshotError>),
+    Parse,
+    SchemaMismatch(u32),
+    Invalid,
+}
+
+fn class<T: Image>(got: Result<T, SnapshotError>) -> Class {
+    match got {
+        Ok(image) => Class::Ok(image.encode()),
+        Err(SnapshotError::Parse(_)) => Class::Parse,
+        Err(SnapshotError::SchemaMismatch { found, .. }) => Class::SchemaMismatch(found),
+        Err(SnapshotError::Invalid(_)) => Class::Invalid,
+    }
+}
+
+/// Both decoders on `doc`; they must agree. Returns the class.
+fn agree<T: Image>(doc: &str, what: &str) -> Class {
+    let (pull, tree) = (class(T::pull(doc)), class(T::tree(doc)));
+    assert!(
+        pull == tree,
+        "{what}: one pass says {pull:.200?}, the tree says {tree:.200?}"
+    );
+    pull
+}
+
+/// The office server's checkpoints over the seed-42 workweek (the
+/// documents `crash_recover` reads back) and its end state.
+fn office_week_checkpoints() -> Vec<String> {
+    let cfg = ServerConfig::office(42);
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+    let mut server = Server::new(cfg, Obs::off()).expect("valid scenario");
+    let mut docs = Vec::new();
+    for ev in &events {
+        server.apply_event(ev).expect("generated events are valid");
+        if server.checkpoint_due() {
+            docs.push(server.snapshot().to_json().expect("snapshot serializes"));
+        }
+    }
+    docs.push(server.snapshot().to_json().expect("snapshot serializes"));
+    assert_eq!(docs.len(), 36);
+    docs
+}
+
+fn walk_cfg(seed: u64) -> ServerConfig {
+    ServerConfig {
+        scenario: Scenario {
+            name: "server-walk".into(),
+            environment: EnvSpec::Figure4,
+            mobility: MobilitySpec::RandomWalk {
+                population: 8,
+                mean_dwell_secs: 90,
+                span_mins: 12,
+            },
+            workload: WorkloadSpec::Paper71,
+            strategy: Strategy::Paper,
+            cell_throughput_kbps: 800.0,
+            backbone_kbps: 100_000.0,
+            wireless_error: 0.0,
+            t_th_secs: 300,
+            seed,
+        },
+        slot: SimDuration::from_mins(1),
+        checkpoint_every: 64,
+        backlog_capacity: 64,
+    }
+}
+
+/// A server run through the first `prefix` events of its scenario.
+fn server_at(cfg: &ServerConfig, prefix: usize) -> Server {
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+    let mut server = Server::new(cfg.clone(), Obs::off()).expect("valid scenario");
+    for ev in &events[..prefix.min(events.len())] {
+        server.apply_event(ev).expect("generated events are valid");
+    }
+    server
+}
+
+/// The crowded wing of `snapshot_roundtrip.rs`: blocked and dropped
+/// connections, consumed claims and live ledgers are all in the image.
+fn wing_end_state() -> String {
+    let mut cfg = walk_cfg(42);
+    cfg.scenario.environment = EnvSpec::OfficeWing { offices: 12 };
+    cfg.scenario.mobility = MobilitySpec::RandomWalk {
+        population: 96,
+        mean_dwell_secs: 120,
+        span_mins: 20,
+    };
+    cfg.scenario.cell_throughput_kbps = 400.0;
+    server_at(&cfg, usize::MAX)
+        .snapshot()
+        .to_json()
+        .expect("snapshot serializes")
+}
+
+/// The number token at or after byte `from` that follows a `:` — a
+/// field's value — as a byte range.
+fn number_after(doc: &str, from: usize) -> Option<std::ops::Range<usize>> {
+    let bytes = doc.as_bytes();
+    let start = (from..bytes.len().saturating_sub(1))
+        .find(|&i| bytes[i] == b':' && (bytes[i + 1] == b'-' || bytes[i + 1].is_ascii_digit()))?
+        + 1;
+    let len = bytes[start..]
+        .iter()
+        .position(|b| !matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))?;
+    Some(start..start + len)
+}
+
+/// What replaces a number: out of every integer's range, out of
+/// `f64`'s, not a number at all, and the spellings JSON does not have.
+const HOSTILE_NUMBERS: &[&str] = &[
+    "18446744073709551616",
+    "-9223372036854775809",
+    "99999999999999999999999999",
+    "1e400",
+    "-1e400",
+    "1e-400",
+    "-1",
+    "0.5",
+    "null",
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    "\"7\"",
+    "[]",
+    "{}",
+    "-",
+    "1e",
+];
+
+/// A few damaged copies of `doc`, each with what was done to it.
+fn damaged(doc: &str, rng: &mut TestRng) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut at = || loop {
+        let i = rng.usize_inclusive(0, doc.len() - 1);
+        if doc.is_char_boundary(i) {
+            return i;
+        }
+    };
+    // Cut short.
+    let keep = at();
+    out.push((format!("cut to {keep} bytes"), doc[..keep].to_string()));
+    // One byte overwritten.
+    for _ in 0..2 {
+        let i = at();
+        if doc.is_char_boundary(i + 1) {
+            const WITH: &[u8] = b"\"\\{}[]:,-.e019 \x00";
+            let with = WITH[i % WITH.len()];
+            let mut bytes = doc.as_bytes().to_vec();
+            bytes[i] = with;
+            let text = String::from_utf8(bytes).expect("ASCII over ASCII");
+            out.push((format!("byte {i} set to {:?}", with as char), text));
+        }
+    }
+    // A number made hostile.
+    for _ in 0..2 {
+        if let Some(span) = number_after(doc, at()) {
+            let with = HOSTILE_NUMBERS[span.start % HOSTILE_NUMBERS.len()];
+            let mut text = doc.to_string();
+            text.replace_range(span.clone(), with);
+            out.push((format!("number at {} set to {with}", span.start), text));
+        }
+    }
+    out
+}
+
+/// Fields in another order than any writer emits, the stamp included:
+/// still the same image.
+fn reordered(doc: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    // The stamp last instead of first: the scan walks the whole
+    // document to find it.
+    let stamp = format!("{{\"schema\":{SERVER_SNAPSHOT_SCHEMA_VERSION},");
+    if let Some(rest) = doc.strip_prefix(&stamp) {
+        let body = rest.strip_suffix('}').expect("an object");
+        out.push((
+            "stamp moved to the end".to_string(),
+            format!("{{{body},\"schema\":{SERVER_SNAPSHOT_SCHEMA_VERSION}}}"),
+        ));
+        // A second, skewed stamp after the first is not looked at ...
+        out.push((
+            "a second stamp".to_string(),
+            format!("{stamp}{body},\"schema\":99}}"),
+        ));
+        // ... and one before it is the stamp.
+        out.push((
+            "a skewed stamp first".to_string(),
+            format!("{{\"schema\":99,\"schema\":{SERVER_SNAPSHOT_SCHEMA_VERSION},{rest}"),
+        ));
+    }
+    // Two neighbouring counters swapped.
+    if let (Some(a), Some(b)) = (doc.find("\"accepted\":"), doc.find("\"rejected\":")) {
+        let c = doc[b..].find(',').expect("more fields follow") + b;
+        let swapped = format!(
+            "{}{},{}{}",
+            &doc[..a],
+            &doc[b..c],
+            &doc[a..b - 1],
+            &doc[c..]
+        );
+        out.push(("accepted and rejected swapped".to_string(), swapped));
+    }
+    out
+}
+
+#[test]
+fn office_week_checkpoints_decode_alike_however_damaged() {
+    let mut rng = TestRng::deterministic(42);
+    let docs = office_week_checkpoints();
+    let mut classes = std::collections::BTreeMap::new();
+    let mut tally = |class: &Class| {
+        let name = match class {
+            Class::Ok(_) => "ok",
+            Class::Parse => "parse",
+            Class::SchemaMismatch(_) => "schema",
+            Class::Invalid => "invalid",
+        };
+        *classes.entry(name).or_insert(0usize) += 1;
+    };
+    for (i, doc) in docs.iter().enumerate() {
+        // Every checkpoint is damaged; every sixth also decodes whole
+        // and reordered (a whole decode through the tree is the slow
+        // part of this test).
+        if i % 6 == 0 {
+            let whole = agree::<ServerSnapshot>(doc, &format!("checkpoint {i}"));
+            assert_eq!(whole, Class::Ok(Ok(doc.clone())));
+            for (how, text) in reordered(doc) {
+                let what = format!("checkpoint {i}, {how}");
+                let class = agree::<ServerSnapshot>(&text, &what);
+                if how == "a skewed stamp first" {
+                    assert_eq!(class, Class::SchemaMismatch(99), "{what}");
+                } else {
+                    assert_eq!(class, Class::Ok(Ok(doc.clone())), "{what}");
+                }
+                tally(&class);
+            }
+        }
+        for (how, text) in damaged(doc, &mut rng) {
+            tally(&agree::<ServerSnapshot>(
+                &text,
+                &format!("checkpoint {i}, {how}"),
+            ));
+        }
+    }
+    // The damage is not all of one kind.
+    assert!(classes["parse"] >= 50, "{classes:?}");
+    assert!(classes["ok"] >= 10, "{classes:?}");
+    assert!(classes.contains_key("schema"), "{classes:?}");
+}
+
+#[test]
+fn wing_end_state_decodes_alike_however_damaged() {
+    let mut rng = TestRng::deterministic(7);
+    let doc = wing_end_state();
+    assert_eq!(
+        agree::<ServerSnapshot>(&doc, "wing"),
+        Class::Ok(Ok(doc.clone()))
+    );
+    for (how, text) in reordered(&doc) {
+        agree::<ServerSnapshot>(&text, &format!("wing, {how}"));
+    }
+    for _ in 0..12 {
+        for (how, text) in damaged(&doc, &mut rng) {
+            agree::<ServerSnapshot>(&text, &format!("wing, {how}"));
+        }
+    }
+}
+
+/// The hostile edits of `snapshot_roundtrip.rs` (PR 15): documents that
+/// decode and must then be refused by validation — `Invalid`, by both
+/// routes — plus, around each, every hostile number in its place.
+#[test]
+fn hostile_edits_are_refused_alike() {
+    const ENGINE_EMPTY: &str = "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[],";
+    let table = [
+        (
+            ENGINE_EMPTY,
+            "\"conns\":[],\"index\":[[3,[7]]],\"alloc\":[],\"bottleneck\":[],",
+        ),
+        (
+            ENGINE_EMPTY,
+            "\"conns\":[[7,{\"demand\":1.0,\"links\":[3]}]],\"index\":[[3,[7]]],\
+             \"alloc\":[],\"bottleneck\":[],",
+        ),
+        (
+            ENGINE_EMPTY,
+            "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[[3,[7]]],",
+        ),
+        (
+            "\"slot\":60000000,\"per_user_kbps\"",
+            "\"slot\":0,\"per_user_kbps\"",
+        ),
+        (
+            "\"slot\":60000000},\"portables\"",
+            "\"slot\":0},\"portables\"",
+        ),
+        (
+            "\"slot\":60000000},\"portables\"",
+            "\"slot\":1},\"portables\"",
+        ),
+        (
+            "\"arrivals\":[[0,{\"slot\":60000000,",
+            "\"arrivals\":[[0,{\"slot\":0,",
+        ),
+        (
+            "[3,{\"slot\":60000000,\"slots\":",
+            "[3,{\"slot\":1,\"slots\":",
+        ),
+        (
+            "\"slot\":60000000,\"checkpoint_every\"",
+            "\"slot\":0,\"checkpoint_every\"",
+        ),
+    ];
+    let server = server_at(&walk_cfg(7), 40);
+    let server_json = server.snapshot().to_json().expect("snapshot serializes");
+    let manager_json = server
+        .mgr
+        .snapshot()
+        .to_json()
+        .expect("snapshot serializes");
+    for (needle, hostile) in table {
+        assert!(server_json.contains(needle), "layout drifted: {needle}");
+        let edited = server_json.replacen(needle, hostile, 1);
+        assert_eq!(
+            agree::<ServerSnapshot>(&edited, needle),
+            Class::Invalid,
+            "{needle}"
+        );
+        if manager_json.contains(needle) {
+            // Decodes; `restore` is what refuses it.
+            let edited = manager_json.replacen(needle, hostile, 1);
+            assert!(matches!(
+                agree::<ManagerSnapshot>(&edited, needle),
+                Class::Ok(_)
+            ));
+        }
+        // The number the edit targets, and the one after it.
+        let at = server_json.find(needle).expect("present");
+        for from in [at, at + needle.len()] {
+            let Some(span) = number_after(&server_json, from) else {
+                continue;
+            };
+            for with in HOSTILE_NUMBERS {
+                let mut text = server_json.clone();
+                text.replace_range(span.clone(), with);
+                agree::<ServerSnapshot>(&text, &format!("{needle}: {with} at {}", span.start));
+            }
+        }
+    }
+    // Every number of the small image, made hostile one way each.
+    let mut from = 0;
+    let mut tried = 0;
+    while let Some(span) = number_after(&manager_json, from) {
+        let with = HOSTILE_NUMBERS[tried % HOSTILE_NUMBERS.len()];
+        let mut text = manager_json.clone();
+        text.replace_range(span.clone(), with);
+        agree::<ManagerSnapshot>(&text, &format!("manager: {with} at {}", span.start));
+        from = span.end;
+        tried += 1;
+    }
+    assert!(tried > 200, "{tried} numbers tried");
+}
+
+/// The documented difference. Skewed *and* damaged after the stamp:
+/// the scan has its answer at byte 12 and never sees the damage.
+#[test]
+fn a_skewed_stamp_is_reported_before_damage_behind_it() {
+    let server = server_at(&walk_cfg(7), 40);
+    let current = server.snapshot().to_json().expect("snapshot serializes");
+    let skewed = current.replacen("{\"schema\":7,", "{\"schema\":6,", 1);
+    assert_ne!(skewed, current, "layout drifted");
+    // Whole, both routes say which version it is.
+    assert_eq!(
+        agree::<ServerSnapshot>(&skewed, "v6"),
+        Class::SchemaMismatch(6)
+    );
+    for damaged in [&skewed[..skewed.len() / 2], &format!("{skewed}]")] {
+        assert_eq!(
+            class(ServerSnapshot::pull(damaged)),
+            Class::SchemaMismatch(6)
+        );
+        assert_eq!(class(ServerSnapshot::tree(damaged)), Class::Parse);
+    }
+    // Damage before the stamp's value is still a parse error ...
+    for cut in ["{\"schema\":", "{\"sche", "{\"schema\":-6,"] {
+        assert_eq!(agree::<ServerSnapshot>(cut, cut), Class::Parse);
+    }
+    // ... and so is a current document damaged anywhere.
+    assert_eq!(
+        agree::<ServerSnapshot>(&format!("{current}]"), "trailing bracket"),
+        Class::Parse
+    );
+}
+
+/// One line of a hundred thousand brackets used to overflow the stack
+/// inside the parser (`SIGABRT`, not an error) — as a checkpoint file
+/// it killed a restart. Nesting is capped at 128 now.
+#[test]
+fn deep_nesting_is_a_typed_parse_error() {
+    let server = server_at(&walk_cfg(7), 40);
+    let current = server.snapshot().to_json().expect("snapshot serializes");
+    let stamp = "{\"schema\":7,";
+    for opener in ["[", "{\"a\":"] {
+        let bomb = opener.repeat(100_000);
+        let documents = [
+            bomb.clone(),
+            // Where a known field's value belongs, and an unknown one's.
+            current.replacen(stamp, &format!("{stamp}\"cfg\":{bomb},"), 1),
+            current.replacen(stamp, &format!("{stamp}\"zzz\":{bomb},"), 1),
+            // Before the stamp, where only the scan goes.
+            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":7,"), 1),
+        ];
+        for doc in &documents {
+            for got in [
+                class(ServerSnapshot::pull(doc)),
+                class(ManagerSnapshot::pull(doc)),
+            ] {
+                assert_eq!(got, Class::Parse);
+            }
+            match ServerSnapshot::from_json(doc) {
+                Err(SnapshotError::Parse(why)) => {
+                    assert!(why.contains("nesting deeper than 128"), "{why}");
+                }
+                other => panic!("want Parse, got {other:?}"),
+            }
+        }
+    }
+    // Nothing a server writes comes near the cap.
+    let deepest = current
+        .bytes()
+        .scan(0i32, |depth, b| {
+            *depth += i32::from(matches!(b, b'[' | b'{')) - i32::from(matches!(b, b']' | b'}'));
+            Some(*depth)
+        })
+        .max();
+    assert!(deepest < Some(32), "{deepest:?}");
+}

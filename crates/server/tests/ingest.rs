@@ -296,3 +296,70 @@ fn degraded_mode_sheds_to_the_guaranteed_floor() {
         .expect("valid event");
     assert!(!server.degraded());
 }
+
+/// One input line of a hundred thousand `[` used to recurse the parser
+/// off the end of the stack: the process died of `SIGABRT` with every
+/// admitted connection. Through the real binary, over stdin: the line
+/// is one more counted rejection, the line after it is served, and the
+/// process exits cleanly. The same text as a checkpoint file is a
+/// refused snapshot (exit 1 with a message), not a crash.
+#[test]
+fn a_deeply_nested_line_does_not_kill_run_server() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let appear = |secs: u64, portable: u32| {
+        line(&ServerEvent::Appear {
+            t: SimTime::from_secs(secs),
+            portable: arm_net::ids::PortableId(portable),
+            cell: arm_net::ids::CellId(0),
+        })
+    };
+    let bomb = "[".repeat(100_000);
+    let keyed_bomb = "{\"a\":".repeat(100_000);
+    let input = [
+        appear(10, 0),
+        bomb.clone(),
+        appear(11, 1),
+        keyed_bomb,
+        appear(12, 2),
+    ]
+    .join("\n")
+        + "\n";
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_run_server"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run_server starts");
+    let mut stdin = child.stdin.take().expect("piped");
+    // The server reads as this writes, so the pipe cannot fill; if the
+    // server dies the write fails, and the exit status says why.
+    let _ = stdin.write_all(input.as_bytes());
+    drop(stdin);
+    let out = child.wait_with_output().expect("run_server exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(
+        stderr.contains("(3 accepted, 2 rejected, 0 shed)"),
+        "{stderr}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("arm-deepsnap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let snapshot = dir.join("snapshot-latest.json");
+    std::fs::write(&snapshot, &bomb).expect("snapshot written");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_server"))
+        .args(["--restore", snapshot.to_str().expect("UTF-8 temp path")])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run_server starts");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("snapshot rejected") && stderr.contains("nesting deeper than 128"),
+        "{stderr}"
+    );
+}

@@ -432,11 +432,11 @@ fn manager_snapshot() -> ManagerSnapshot {
     // The scenario manager never adapts; run one round's worth of engine
     // work by hand so the engine's maps are populated too — portable 1's
     // cell squeezed so its link saturates into a bottleneck set — and
-    // leave a dirty mark behind.
+    // leave a dirty mark behind (a capacity change not yet resolved).
     mgr.maxmin.sync_network(&mgr.net, &|_| true);
     mgr.maxmin.set_link_excess(buffered, 1.0);
     mgr.maxmin.resolve();
-    mgr.maxmin.touch_link(buffered);
+    mgr.maxmin.set_link_excess(buffered, 0.5);
     mgr.snapshot()
 }
 

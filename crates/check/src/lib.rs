@@ -7,8 +7,8 @@
 //!    Rust lexer) over every library crate, enforcing the invariants
 //!    that generic tooling cannot know: `total_cmp` on rate-typed
 //!    floats, no unsanctioned panics in protocol code, the `b_min`
-//!    floor at allocation clamps, and the dirty-mark discipline of the
-//!    incremental maxmin engine via `#[arm_attrs::marks_dirty]`.
+//!    floor at allocation clamps, ordered containers and no wall clock
+//!    in simulation state.
 //! 2. **Bounded model checking** ([`model`]) — the distributed maxmin
 //!    and round-trip admission protocols and the production maxmin
 //!    engine as explicit transition systems, exhaustively explored over

@@ -2,11 +2,10 @@
 //!
 //! Machine-checked repo policy: the recurring footgun classes PRs 1–2
 //! fixed by hand (NaN-unsafe orderings, panics in library code, rate
-//! clamps that lose the `b_min` floor, allocation mutations that forget
-//! to invalidate the resident [`IncrementalMaxmin`] cache) are enforced
-//! here at `cargo xtask check` time. Rules run over the token stream of
-//! every library source file in the six domain crates, with `#[cfg(test)]`
-//! regions masked out.
+//! clamps that lose the `b_min` floor) are enforced here at `cargo xtask
+//! check` time. Rules run over the token stream of every library source
+//! file in the [`TARGET_CRATES`], with `#[cfg(test)]` regions masked
+//! out.
 //!
 //! Escapes are explicit and audited: an `expect`/`panic!` whose message
 //! starts with `invariant:` or `precondition:` is sanctioned (PR 1's
@@ -18,8 +17,6 @@
 //! ```
 //!
 //! A suppression without a justification text is itself a finding.
-//!
-//! [`IncrementalMaxmin`]: ../../arm_qos/maxmin/incremental/struct.IncrementalMaxmin.html
 
 mod rules;
 
@@ -48,17 +45,10 @@ pub const TARGET_CRATES: &[&str] = &[
     "server",
 ];
 
-/// Files whose *pub* mutation surface must satisfy the full
-/// `marks-dirty` call-graph rule (every public fn that reaches a raw
-/// ledger mutator must be annotated `#[arm_attrs::marks_dirty]` and
-/// reach an engine invalidation method).
-const MARKS_DIRTY_SURFACE: &[&str] = &["crates/core/src/manager.rs"];
-
 /// One lint violation.
 #[derive(Clone, Debug, Serialize, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule slug (`no-panic`, `total-cmp`, `clamp-floor`, `marks-dirty`,
-    /// `must-use-outcome`, `bad-allow`).
+    /// Rule slug, one of `rules::RULES`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -86,18 +76,6 @@ struct Allow {
     has_reason: bool,
 }
 
-/// A function item found by the item scanner.
-#[derive(Clone, Debug)]
-pub(crate) struct FnInfo {
-    pub name: String,
-    pub line: u32,
-    pub is_pub: bool,
-    /// Carries `#[arm_attrs::marks_dirty]` (or bare `#[marks_dirty]`).
-    pub marks_dirty: bool,
-    /// Token index range of the body, empty for bodyless trait fns.
-    pub body: std::ops::Range<usize>,
-}
-
 /// A `pub struct`/`pub enum` item (for the `must-use-outcome` rule).
 #[derive(Clone, Debug)]
 pub(crate) struct TypeInfo {
@@ -114,9 +92,6 @@ pub(crate) struct FileCtx {
     pub code: Vec<SpannedTok>,
     /// Per-token mask: true inside `#[cfg(test)]` / `#[test]` items.
     pub test_mask: Vec<bool>,
-    /// Does the full `marks-dirty` surface rule apply here?
-    pub dirty_surface: bool,
-    pub fns: Vec<FnInfo>,
     pub types: Vec<TypeInfo>,
     allows: Vec<Allow>,
 }
@@ -216,13 +191,11 @@ pub(crate) fn analyze(rel: &str, text: &str) -> FileCtx {
         }
     }
     let test_mask = test_mask(&code);
-    let (fns, types) = scan_items(&code);
+    let types = scan_types(&code);
     FileCtx {
         rel: rel.to_string(),
         code,
         test_mask,
-        dirty_surface: MARKS_DIRTY_SURFACE.contains(&rel),
-        fns,
         types,
         allows,
     }
@@ -344,10 +317,9 @@ fn match_brace(code: &[SpannedTok], open: usize) -> usize {
     code.len().saturating_sub(1)
 }
 
-/// Linear item scanner: catalogues fns (with bodies skipped over) and
-/// pub types, descending into `mod`/`impl`/`trait` bodies.
-fn scan_items(code: &[SpannedTok]) -> (Vec<FnInfo>, Vec<TypeInfo>) {
-    let mut fns = Vec::new();
+/// Linear item scanner: catalogues pub types, skipping over fn items
+/// and descending into `mod`/`impl`/`trait` bodies.
+fn scan_types(code: &[SpannedTok]) -> Vec<TypeInfo> {
     let mut types = Vec::new();
     let mut pending_attr_idents: Vec<String> = Vec::new();
     let mut saw_pub = false;
@@ -382,24 +354,9 @@ fn scan_items(code: &[SpannedTok]) -> (Vec<FnInfo>, Vec<TypeInfo>) {
                 }
             }
             Tok::Ident(s) if s == "fn" => {
-                let name = match code.get(i + 1).map(|t| &t.tok) {
-                    Some(Tok::Ident(n)) => n.clone(),
-                    _ => String::new(),
-                };
-                let line = code[i].line;
-                let end = item_end(code, i);
-                // The body is the brace block, if any, inside [i, end).
-                let body = body_range(code, i, end);
-                fns.push(FnInfo {
-                    name,
-                    line,
-                    is_pub: saw_pub,
-                    marks_dirty: pending_attr_idents.iter().any(|a| a == "marks_dirty"),
-                    body,
-                });
                 pending_attr_idents.clear();
                 saw_pub = false;
-                i = end;
+                i = item_end(code, i);
             }
             Tok::Ident(s) if s == "struct" || s == "enum" || s == "union" => {
                 let name = match code.get(i + 1).map(|t| &t.tok) {
@@ -443,28 +400,7 @@ fn scan_items(code: &[SpannedTok]) -> (Vec<FnInfo>, Vec<TypeInfo>) {
             _ => i += 1,
         }
     }
-    (fns, types)
-}
-
-/// The token range of the brace-delimited body of the item spanning
-/// `[start, end)`, or an empty range for bodyless items.
-fn body_range(code: &[SpannedTok], start: usize, end: usize) -> std::ops::Range<usize> {
-    let mut paren = 0i32;
-    let mut brack = 0i32;
-    let mut j = start;
-    while j < end {
-        match code[j].tok {
-            Tok::Punct('(') => paren += 1,
-            Tok::Punct(')') => paren -= 1,
-            Tok::Punct('[') => brack += 1,
-            Tok::Punct(']') => brack -= 1,
-            Tok::Punct(';') if paren == 0 && brack == 0 => return 0..0,
-            Tok::Punct('{') if paren == 0 && brack == 0 => return j..end,
-            _ => {}
-        }
-        j += 1;
-    }
-    0..0
+    types
 }
 
 #[cfg(test)]
@@ -561,35 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn annotated_fn_must_reach_a_mark() {
-        let bad = r#"
-            impl M {
-                #[arm_attrs::marks_dirty]
-                pub fn admit(&mut self) { self.net.reserve(); }
-            }
-        "#;
-        let f = findings(bad);
-        assert!(f.iter().any(|x| x.rule == "marks-dirty"), "{f:?}");
-        let ok = r#"
-            impl M {
-                #[arm_attrs::marks_dirty]
-                pub fn admit(&mut self) { self.net.reserve(); self.mark_conn_dirty(id); }
-            }
-        "#;
-        assert!(findings(ok).is_empty(), "{:?}", findings(ok));
-        // Indirect via another annotated fn is fine too.
-        let via = r#"
-            impl M {
-                #[arm_attrs::marks_dirty]
-                pub fn admit(&mut self) { self.inner(); }
-                #[arm_attrs::marks_dirty]
-                fn inner(&mut self) { self.mark_link_dirty(l); }
-            }
-        "#;
-        assert!(findings(via).is_empty(), "{:?}", findings(via));
-    }
-
-    #[test]
     fn pub_outcome_type_needs_must_use() {
         let f = findings("pub struct FooOutcome { pub x: f64 }");
         assert!(f.iter().any(|x| x.rule == "must-use-outcome"), "{f:?}");
@@ -632,18 +539,5 @@ mod tests {
         // SystemTime is equally banned.
         let st = findings("pub fn f() -> std::time::SystemTime { std::time::SystemTime::now() }");
         assert!(st.iter().any(|x| x.rule == "wall-clock"), "{st:?}");
-    }
-
-    #[test]
-    fn manager_surface_rule_requires_annotation() {
-        let src = r#"
-            impl M {
-                pub fn mutate(&mut self) { self.net.set_conn_rate(id, b_min).ok(); }
-            }
-        "#;
-        let ctx = analyze("crates/core/src/manager.rs", src);
-        let mut out = Vec::new();
-        rules::run_all(&ctx, &mut out);
-        assert!(out.iter().any(|x| x.rule == "marks-dirty"), "{out:?}");
     }
 }

@@ -5,8 +5,6 @@
 //! in `RULES`, document it in `DESIGN.md` §8, and seed a known-bad
 //! source snippet in `lints::tests` proving the rule fires.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use super::{FileCtx, Finding};
 use crate::lexer::{SpannedTok, Tok};
 
@@ -15,7 +13,6 @@ pub const RULES: &[&str] = &[
     "no-panic",
     "total-cmp",
     "clamp-floor",
-    "marks-dirty",
     "must-use-outcome",
     "unordered-iter",
     "wall-clock",
@@ -26,24 +23,6 @@ pub const RULES: &[&str] = &[
 /// whose whole purpose is measuring wall time (its measurements feed
 /// reports, never simulation state).
 const WALL_CLOCK_WHITELIST: &[&str] = &["crates/obs/src/timers.rs", "crates/obs/src/lib.rs"];
-
-/// The `IncrementalMaxmin` invalidation methods (and the manager's
-/// wrappers around them) that satisfy the `marks-dirty` rule.
-const MARK_METHODS: &[&str] = &[
-    "mark_conn_dirty",
-    "mark_link_dirty",
-    "touch_link",
-    "sync_network",
-    "upsert_conn",
-    "remove_conn",
-    "set_link_excess",
-    "remove_link",
-];
-
-/// Raw ledger mutators: reaching one of these from a public fn on the
-/// marks-dirty surface requires the `#[arm_attrs::marks_dirty]`
-/// annotation plus a reachable mark method.
-const RAW_MUTATORS: &[&str] = &["reserve_route", "release_route", "set_conn_rate"];
 
 /// Identifier fragments that classify a receiver as allocation/rate
 /// typed for the `clamp-floor` rule.
@@ -62,7 +41,6 @@ pub fn run_all(ctx: &FileCtx, out: &mut Vec<Finding>) {
     no_panic(ctx, out);
     total_cmp(ctx, out);
     clamp_floor(ctx, out);
-    marks_dirty(ctx, out);
     must_use_outcome(ctx, out);
     unordered_iter(ctx, out);
     wall_clock(ctx, out);
@@ -292,96 +270,6 @@ fn second_arg(code: &[SpannedTok], open: usize) -> Option<&[SpannedTok]> {
         j += 1;
     }
     None
-}
-
-/// `marks-dirty`: the cache-invalidation discipline of the resident
-/// incremental maxmin engine, as a call-graph rule.
-///
-/// (a) Every fn annotated `#[arm_attrs::marks_dirty]` must reach an
-///     engine mark method through local calls.
-/// (b) On the declared mutation surface (`manager.rs`), every public fn
-///     that reaches a raw ledger mutator must carry the annotation —
-///     so new mutation entry points cannot silently skip invalidation.
-fn marks_dirty(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    let fns = &ctx.fns;
-    if fns.is_empty() {
-        return;
-    }
-    let names: BTreeSet<&str> = fns.iter().map(|f| f.name.as_str()).collect();
-    // Per-fn: idents in body, restricted to interesting sets.
-    let mut calls: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    let mut direct_mark: BTreeMap<&str, bool> = BTreeMap::new();
-    let mut direct_mut: BTreeMap<&str, bool> = BTreeMap::new();
-    for f in fns {
-        let body = &ctx.code[f.body.clone()];
-        let mut local: BTreeSet<&str> = BTreeSet::new();
-        let mut dm = false;
-        let mut dmu = false;
-        for t in body {
-            if let Tok::Ident(s) = &t.tok {
-                if MARK_METHODS.contains(&s.as_str()) {
-                    dm = true;
-                }
-                if RAW_MUTATORS.contains(&s.as_str()) {
-                    dmu = true;
-                }
-                if let Some(n) = names.get(s.as_str()) {
-                    local.insert(n);
-                }
-            }
-        }
-        calls.entry(f.name.as_str()).or_default().extend(local);
-        *direct_mark.entry(f.name.as_str()).or_default() |= dm;
-        *direct_mut.entry(f.name.as_str()).or_default() |= dmu;
-    }
-    let reaches = |start: &str, direct: &BTreeMap<&str, bool>| -> bool {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut stack = vec![start];
-        while let Some(f) = stack.pop() {
-            if !seen.insert(f) {
-                continue;
-            }
-            if direct.get(f).copied().unwrap_or(false) {
-                return true;
-            }
-            if let Some(cs) = calls.get(f) {
-                stack.extend(cs.iter().copied());
-            }
-        }
-        false
-    };
-    for f in fns {
-        if f.body.is_empty() {
-            continue;
-        }
-        if f.marks_dirty && !reaches(&f.name, &direct_mark) {
-            ctx.push(
-                out,
-                "marks-dirty",
-                f.line,
-                format!(
-                    "`{}` is annotated #[arm_attrs::marks_dirty] but no mark \
-                     method (mark_conn_dirty/mark_link_dirty/…) is reachable \
-                     from its body",
-                    f.name
-                ),
-            );
-        }
-        if ctx.dirty_surface && f.is_pub && !f.marks_dirty && reaches(&f.name, &direct_mut) {
-            ctx.push(
-                out,
-                "marks-dirty",
-                f.line,
-                format!(
-                    "public fn `{}` reaches a raw ledger mutator \
-                     (reserve_route/release_route/set_conn_rate) without \
-                     #[arm_attrs::marks_dirty] — annotate it and invalidate \
-                     the incremental engine",
-                    f.name
-                ),
-            );
-        }
-    }
 }
 
 /// `must-use-outcome`: public result-like types (`…Outcome`,

@@ -14,23 +14,18 @@
 //!   restore runs) and the dense mirror cross-check hold after every op;
 //! * **inputs mirror the ops bit-for-bit** — capacities, demands and
 //!   routes equal the problem built from the same ops;
-//! * **`touch_link` leaves no vacuous dirt** — touching a link the
-//!   engine does not know changes nothing;
 //! * **resolves are exact** — after every resolve the resident
 //!   allocation (`f64::to_bits`) equals a from-scratch
 //!   [`MaxminProblem::solve`] and the non-empty bottleneck sets equal a
 //!   from-scratch reference fill of every component, and nothing is
 //!   left dirty;
-//! * **`last_resolved` covers every moved rate** — the conflict
-//!   resolver re-applies that list alone;
+//! * **`last_resolved` covers every moved rate**;
 //! * **no op sequence forces a redundant re-solve** — `resolve` on a
 //!   clean engine performs zero solves, changes no allocation bit and
 //!   reports nothing re-filled.
 //!
-//! The module keeps the name of the shard-planner model whose engine
-//! half it is (DESIGN.md §13.2); components merging and splitting under
-//! churn are still what the built topologies exercise, only now inside
-//! the engine's own component walk.
+//! Components merging and splitting under churn are what the built
+//! topologies exercise (DESIGN.md §13.2).
 //!
 //! [`EngineMutant`] carries the seeded known-bad variant
 //! (checker-of-the-checker, mirroring `maxmin::MaxminMutant`).
@@ -90,7 +85,7 @@ impl ConnSpec {
 /// richer built topologies inside the state budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Churn {
-    /// This link may be removed / re-added / touched.
+    /// This link may be removed / re-added.
     Link(LinkId),
     /// This connection may be removed / re-added / rehomed.
     Conn(ConnId),
@@ -356,8 +351,8 @@ impl TransitionSystem for EngineSystem {
 
     /// Every enabled op (presence-dependent; see [`Churn`]) applied to
     /// the engine and to the problem it describes, with the
-    /// transition-level checks (vacuous touch, redundant resolve,
-    /// resolve exactness) run on the way. A failed check is recorded in
+    /// transition-level checks (redundant resolve, resolve exactness)
+    /// run on the way. A failed check is recorded in
     /// `violation`; the invariant turns it into a counterexample at the
     /// successor state.
     fn successors(&self, s: &EngineState) -> Vec<(String, EngineState)> {
@@ -390,14 +385,6 @@ impl TransitionSystem for EngineSystem {
                     }
                 });
             }
-            let known = s.engine.link_excess_map().contains_key(l)
-                || s.engine.link_index_map().contains_key(l);
-            step(format!("touch-link-{l}"), &|n| {
-                n.engine.touch_link(*l);
-                if !known && make_key(&n.engine, &None) != s.key {
-                    n.fail(format!("touch_link on unknown {l} changed the engine"));
-                }
-            });
         }
         for c in &self.conns {
             if !self.churn.contains(&Churn::Conn(c.id)) {
@@ -548,7 +535,7 @@ fn canonical() -> Vec<EngineSystem> {
             ],
         ),
         // A capacity-only link nobody routes over, plus conn churn: the
-        // remove_link / touch_link paths on a link with an empty closure.
+        // remove_link path on a link with an empty closure.
         EngineSystem::built(
             "engine/orphan",
             vec![(lid(0), 10.0), (lid(1), 4.5), (lid(2), 6.0)],

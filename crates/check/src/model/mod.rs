@@ -10,18 +10,18 @@
 //! absent) at PR time. Failures come back as minimal counterexample
 //! traces ([`Counterexample`]), replayable by reading the step labels.
 //!
-//! [`sharded`] walks the production maxmin engine the same way: every op
+//! [`engine`] walks the production maxmin engine the same way: every op
 //! sequence on small topologies against a from-scratch solve.
 //!
 //! The models carry *mutant hooks* ([`maxmin::MaxminMutant`],
-//! [`admission::AdmissionMutant`], [`sharded::EngineMutant`]): known-bad
+//! [`admission::AdmissionMutant`], [`engine::EngineMutant`]): known-bad
 //! variants of the handlers that the checker must catch. They exist to
 //! test the checker itself — a verifier that cannot fail its seeded
 //! mutants proves nothing.
 
 pub mod admission;
+pub mod engine;
 pub mod maxmin;
-pub mod sharded;
 pub mod sweep;
 
 use std::collections::HashMap;

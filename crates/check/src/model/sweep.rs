@@ -22,7 +22,7 @@ use super::maxmin::MaxminSystem;
 use super::{Checker, Counterexample, TransitionSystem};
 
 /// Aggregate results of a full sweep (the protocol sweep here, the
-/// engine sweep in [`super::sharded`]).
+/// engine sweep in [`super::engine`]).
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct SweepReport {
     /// Model-check runs performed.

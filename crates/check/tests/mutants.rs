@@ -9,7 +9,7 @@
 //! `cargo xtask check` relies on.
 
 use arm_check::fingerprint::{self, compare};
-use arm_check::model::sharded::{coupler_instance, EngineMutant};
+use arm_check::model::engine::{coupler_instance, EngineMutant};
 use arm_check::model::Checker;
 use serde::Value;
 

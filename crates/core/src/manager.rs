@@ -488,7 +488,6 @@ impl ResourceManager {
     }
 
     /// A new-connection request from a tracked portable (§5.1).
-    #[arm_attrs::marks_dirty]
     pub fn request_connection(
         &mut self,
         p: PortableId,
@@ -517,7 +516,6 @@ impl ResourceManager {
         let outcome = self.admit(id, mobility, RequestKind::New);
         let admitted = outcome.is_ok();
         if admitted {
-            self.mark_conn_dirty(id);
             self.sync_multicast_for(p, now);
             self.after_event(now);
         } else {
@@ -542,7 +540,6 @@ impl ResourceManager {
     /// is restored and the connection continues under its previous
     /// bounds (re-negotiation failure must not kill an ongoing
     /// connection).
-    #[arm_attrs::marks_dirty]
     pub fn renegotiate(
         &mut self,
         id: ConnId,
@@ -573,7 +570,6 @@ impl ResourceManager {
         let outcome = self.admit(id, mobility, RequestKind::New);
         let admitted = outcome.is_ok();
         if admitted {
-            self.mark_conn_dirty(id);
             self.sync_multicast_for(p, now);
         } else {
             self.metrics.blocked.incr();
@@ -586,7 +582,6 @@ impl ResourceManager {
             }
             self.admit(id, mobility, RequestKind::New)
                 .expect("invariant: restoring the previous reservation always fits");
-            self.mark_conn_dirty(id);
         }
         self.after_event(now);
         let cell = self.net.get(id).map_or(CellId(0), |c| c.cell);
@@ -607,10 +602,8 @@ impl ResourceManager {
     }
 
     /// Normal connection teardown.
-    #[arm_attrs::marks_dirty]
     pub fn terminate(&mut self, id: ConnId, now: SimTime) {
         if self.net.get(id).is_some_and(|c| c.state.is_live()) {
-            self.mark_conn_dirty(id);
             self.multicast.teardown(&mut self.net, id);
             self.net.finish(id, ConnectionState::Terminated);
             self.metrics.completed.incr();
@@ -620,7 +613,6 @@ impl ResourceManager {
 
     /// A tracked portable hands off `from → to`. Returns the ids of
     /// connections dropped in the process.
-    #[arm_attrs::marks_dirty]
     pub fn portable_moved(&mut self, p: PortableId, to: CellId, now: SimTime) -> Vec<ConnId> {
         let state = *self
             .portables
@@ -660,9 +652,7 @@ impl ResourceManager {
         let mut dropped = Vec::new();
         for &id in &conns {
             self.metrics.handoff_attempts.incr();
-            self.mark_conn_dirty(id); // the route about to be released
             if self.handoff_connection(id, to, now, claims_usable) {
-                self.mark_conn_dirty(id); // the newly admitted route
                 self.metrics.handoff_successes.incr();
             } else {
                 self.metrics.dropped.incr();
@@ -761,7 +751,6 @@ impl ResourceManager {
     /// notified to do re-negotiation"). Returns the dropped connections,
     /// or [`ControlError::BadChannelFraction`] for a fraction outside
     /// `(0, 1]` (scenario input, so an error rather than a panic).
-    #[arm_attrs::marks_dirty]
     pub fn channel_change(
         &mut self,
         cell: CellId,
@@ -804,7 +793,6 @@ impl ResourceManager {
         self.net
             .link_mut(wl)
             .set_claim(ResvClaim::Channel, target_loss);
-        self.mark_link_dirty(wl);
         self.after_event(now);
         Ok(victims)
     }
@@ -836,7 +824,6 @@ impl ResourceManager {
     /// nothing new is admitted until restoration. Idempotent: a second
     /// failure of a down link is a no-op. Returns the dropped
     /// connections.
-    #[arm_attrs::marks_dirty]
     pub fn link_failed(&mut self, link: LinkId, now: SimTime) -> Vec<ConnId> {
         if !self.down_links.insert(link) {
             return Vec::new();
@@ -846,7 +833,6 @@ impl ResourceManager {
             t: now,
             fault: format!("link-failed:{link}"),
         });
-        self.mark_link_dirty(link);
         // Owned copy: the loop below re-routes and drops, mutating the
         // membership index the slice borrows (cold path, failure only).
         let ids = self.net.conn_ids_on_link(link).to_vec();
@@ -855,7 +841,6 @@ impl ResourceManager {
             if !self.net.get(id).is_some_and(|c| c.state.is_live()) {
                 continue;
             }
-            self.mark_conn_dirty(id); // squeezed, re-routed, or dropped
             if self.cfg.drop_on_link_failure {
                 self.multicast.teardown(&mut self.net, id);
                 self.net.finish(id, ConnectionState::Dropped);
@@ -879,10 +864,11 @@ impl ResourceManager {
         dropped
     }
 
-    /// The link comes back. Its outage seal is lifted, connections are
-    /// re-routed back onto their shortest paths, and the normal
-    /// adaptation path re-grows squeezed rates. Idempotent.
-    #[arm_attrs::marks_dirty]
+    /// The link comes back. Its outage seal is lifted and connections
+    /// are re-routed back onto their shortest paths. Squeezed rates
+    /// re-grow at the next adaptation round, whichever event opens it:
+    /// `conflict::resolve_network` returns every static connection to
+    /// its maxmin target. Idempotent.
     pub fn link_restored(&mut self, link: LinkId, now: SimTime) {
         if !self.down_links.remove(&link) {
             return;
@@ -892,12 +878,9 @@ impl ResourceManager {
             fault: format!("link-restored:{link}"),
         });
         self.net.link_mut(link).release_claim(ResvClaim::Outage);
-        self.mark_link_dirty(link);
         let ids: Vec<ConnId> = self.net.live_connections().map(|c| c.id).collect();
         for id in ids {
-            if self.try_reroute(id) {
-                self.mark_conn_dirty(id);
-            }
+            self.try_reroute(id);
         }
         self.after_event(now);
     }
@@ -1105,28 +1088,6 @@ impl ResourceManager {
     // ------------------------------------------------------------------
     // Claim refresh
     // ------------------------------------------------------------------
-
-    /// Dirty a connection's current route in the resident maxmin engine.
-    ///
-    /// Called at every admit/release/handoff/failure site. Correctness
-    /// does not hinge on these marks — `conflict::resolve_network`
-    /// diff-syncs the engine against the ledgers before each round — but
-    /// eager marks keep the dirty set honest while the eqn-2 gate holds
-    /// adaptation closed across several events.
-    fn mark_conn_dirty(&mut self, id: ConnId) {
-        // Disjoint field borrows: the route is read from `net` while the
-        // engine takes the marks — no per-event route clone.
-        if let Some(c) = self.net.get(id) {
-            for l in &c.route.links {
-                self.maxmin.touch_link(*l);
-            }
-        }
-    }
-
-    /// Dirty one link in the resident maxmin engine.
-    fn mark_link_dirty(&mut self, l: LinkId) {
-        self.maxmin.touch_link(l);
-    }
 
     fn after_event(&mut self, now: SimTime) {
         self.refresh_claims(now);

@@ -714,6 +714,50 @@ fn link_failure_squeezes_riders_and_seals_admission() {
     assert!(mgr.net.check_invariants().is_ok());
 }
 
+/// A wired hop fails and comes back while eqn 2's gate stays shut (the
+/// wireless excess never moves and δ is out of reach): the rider is
+/// squeezed to its floor, yet every input of the maxmin problem is back
+/// to its old bits before any round runs. The round another cell's
+/// admission opens must still return the rider to its frozen share.
+#[test]
+fn a_rider_squeezed_inside_a_closed_gate_regrows_at_the_next_round() {
+    let f4 = Figure4::build();
+    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
+    let cfg = ManagerConfig {
+        strategy: Strategy::None,
+        resolve_excess: true,
+        dyn_pool: None,
+        t_th: SimDuration::from_secs(0),
+        delta: 5000.0,
+        ..Default::default()
+    };
+    let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
+    let adaptive = QosRequest::bandwidth(100.0, 1600.0)
+        .with_delay(10.0)
+        .with_jitter(10.0)
+        .with_loss(1.0);
+    let rider = PortableId(1);
+    mgr.portable_appears(rider, f4.c, SimTime::ZERO);
+    let id = mgr
+        .request_connection(rider, adaptive, SimTime::from_secs(1))
+        .unwrap();
+    assert_eq!(mgr.net.get(id).unwrap().b_current, 1600.0);
+    let wired = mgr.net.get(id).unwrap().route.links[1];
+    let rounds = mgr.adaptation_rounds;
+    mgr.link_failed(wired, SimTime::from_secs(10));
+    assert_eq!(mgr.net.get(id).unwrap().b_current, 100.0);
+    mgr.link_restored(wired, SimTime::from_secs(20));
+    assert_eq!(mgr.adaptation_rounds, rounds, "the gate stayed shut");
+    assert_eq!(mgr.net.get(id).unwrap().b_current, 100.0);
+    let other = PortableId(2);
+    mgr.portable_appears(other, f4.a, SimTime::from_secs(30));
+    mgr.request_connection(other, adaptive, SimTime::from_secs(31))
+        .unwrap();
+    assert_eq!(mgr.adaptation_rounds, rounds + 1);
+    assert_eq!(mgr.net.get(id).unwrap().b_current, 1600.0);
+    assert!(mgr.net.check_invariants().is_ok());
+}
+
 #[test]
 fn link_failure_drop_policy_drops_riders() {
     let f4 = Figure4::build();

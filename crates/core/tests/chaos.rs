@@ -16,7 +16,8 @@ use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{ManagerConfig, ResourceManager, Strategy};
 use arm_mobility::environment::Figure4;
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::{CellId, ConnId, PortableId};
+use arm_net::ids::{CellId, ConnId, NodeId, PortableId};
+use arm_net::routing::shortest_path;
 use arm_qos::maxmin::centralized::MaxminProblem;
 use arm_sim::{FaultSchedule, FaultScheduleParams, SimDuration, SimRng, SimTime};
 
@@ -101,20 +102,26 @@ enum Churn {
     Fade(CellId, f64),
     FailWireless(CellId),
     RestoreWireless(CellId),
+    /// The backbone hop of the cell's uplink fails / comes back.
+    FailWired(CellId),
+    RestoreWired(CellId),
 }
 
 /// Replay `events` against a fresh Figure-4 manager with the excess
-/// resolver on. After every event that ran an adaptation round, a
-/// from-scratch [`MaxminProblem`] solve over the resulting network must
-/// reproduce the resident engine's share of every static connection
-/// **bit for bit**, and the ledgers must sit at those targets. The
+/// resolver on and eqn 2's threshold at `delta`. After every event that
+/// ran an adaptation round, a from-scratch [`MaxminProblem`] solve over
+/// the resulting network must reproduce the resident engine's share of
+/// every static connection **bit for bit**, and the ledger of every one
+/// of them must sit at that target — whether or not the round re-filled
+/// it: with `delta > 0` the gate stays shut across squeezes and outages
+/// that leave no trace in the round's inputs. The
 /// oracle is valid because a link's `excess_available()` is
 /// `C − resv − Σb_min`, independent of current rates: a solved network
 /// is a fixed point of the reference solver. (The ledger check allows
 /// the resolver's 1e-9 application dead band — a target that moved by
 /// an ulp is deliberately not re-applied — the engine check does not.)
 /// Returns the engine's solve count.
-fn replay(seed: u64, events: &[Churn]) -> u64 {
+fn replay(seed: u64, delta: f64, events: &[Churn]) -> u64 {
     let f4 = Figure4::build();
     let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
     let cfg = ManagerConfig {
@@ -122,9 +129,15 @@ fn replay(seed: u64, events: &[Churn]) -> u64 {
         resolve_excess: true,
         dyn_pool: None,
         t_th: SimDuration::from_secs(0),
+        delta,
         ..Default::default()
     };
     let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
+    let wired_hop = |mgr: &ResourceManager, cell: CellId| {
+        let topo = mgr.net.topology();
+        let uplink = shortest_path(topo, topo.air_node(cell), NodeId(0));
+        uplink.expect("star backbone is connected").links[1]
+    };
     let mut conns: std::collections::BTreeMap<u32, ConnId> = Default::default();
     for (k, ev) in events.iter().enumerate() {
         let t = SimTime::from_secs(k as u64 + 1);
@@ -163,6 +176,14 @@ fn replay(seed: u64, events: &[Churn]) -> u64 {
                 let wl = mgr.net.topology().wireless_link(cell);
                 mgr.link_restored(wl, t);
             }
+            Churn::FailWired(cell) => {
+                let l = wired_hop(&mgr, cell);
+                mgr.link_failed(l, t);
+            }
+            Churn::RestoreWired(cell) => {
+                let l = wired_hop(&mgr, cell);
+                mgr.link_restored(l, t);
+            }
         }
         assert!(mgr.net.check_invariants().is_ok(), "event {k}: {ev:?}");
         if mgr.adaptation_rounds == rounds_before {
@@ -178,16 +199,16 @@ fn replay(seed: u64, events: &[Churn]) -> u64 {
             assert_eq!(
                 mgr.maxmin.rate(id).map(f64::to_bits),
                 Some(x.to_bits()),
-                "seed {seed}: engine share of {id:?} is {:?} but the reference \
-                 solve says {x} after event {k}: {ev:?}",
+                "seed {seed} δ={delta}: engine share of {id:?} is {:?} but the \
+                 reference solve says {x} after event {k}: {ev:?}",
                 mgr.maxmin.rate(id)
             );
             let c = mgr.net.get(id).expect("solved connections are live");
             let want = (c.qos.b_min + x).clamp(c.qos.b_min, c.qos.b_max);
             assert!(
                 (c.b_current - want).abs() <= 1e-9,
-                "seed {seed}: {id:?} at {} but the reference solve says {want} \
-                 after event {k}: {ev:?}",
+                "seed {seed} δ={delta}: {id:?} at {} but the reference solve \
+                 says {want} after event {k}: {ev:?}",
                 c.b_current
             );
         }
@@ -196,28 +217,45 @@ fn replay(seed: u64, events: &[Churn]) -> u64 {
 }
 
 /// Random but seed-replayable churn over the Figure 4 floor, heavy on
-/// link failures and restorations.
+/// link failures and restorations, wireless and wired. Failures aim at
+/// a portable's cell and restorations at the link that failed last, so
+/// outages that open and close between two rounds are common.
 fn churn_schedule(seed: u64, len: usize) -> Vec<Churn> {
     let f4 = Figure4::build();
     let cells = [f4.a, f4.b, f4.c, f4.d, f4.e, f4.f, f4.g];
     let mut rng = SimRng::new(seed);
     let mut events = Vec::with_capacity(len);
     // Seed a population so every schedule exercises live connections.
+    let mut home = [f4.a; 6];
     for p in 0..6u32 {
         let cell = cells[rng.index(cells.len())];
+        home[p as usize] = cell;
         events.push(Churn::Appear(p, cell));
         events.push(Churn::Connect(p, 100.0, 1600.0));
     }
+    let (mut wireless_down, mut wired_down) = (Vec::new(), Vec::new());
     while events.len() < len {
         let p = rng.index(6) as u32;
         let cell = cells[rng.index(cells.len())];
-        events.push(match rng.index(8) {
+        let target = home[rng.index(6)];
+        events.push(match rng.index(12) {
             0 => Churn::Connect(p, rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0)),
-            1 => Churn::Move(p, cell),
+            1 => {
+                home[p as usize] = cell;
+                Churn::Move(p, cell)
+            }
             2 => Churn::Terminate(p),
             3 => Churn::Fade(cell, rng.uniform(0.3, 1.0)),
-            4 | 5 => Churn::FailWireless(cell),
-            _ => Churn::RestoreWireless(cell),
+            4 | 5 => {
+                wireless_down.push(target);
+                Churn::FailWireless(target)
+            }
+            6 | 7 => Churn::RestoreWireless(wireless_down.pop().unwrap_or(cell)),
+            8 | 9 => {
+                wired_down.push(target);
+                Churn::FailWired(target)
+            }
+            _ => Churn::RestoreWired(wired_down.pop().unwrap_or(cell)),
         });
     }
     events
@@ -227,12 +265,19 @@ fn churn_schedule(seed: u64, len: usize) -> Vec<Churn> {
 /// `resolve_excess` on, the resident engine and the from-scratch
 /// reference solver must agree on every static connection's share **bit
 /// for bit** after every adaptation round of a fault-heavy churn
-/// schedule — including `link_failed`/`link_restored`.
+/// schedule — including `link_failed`/`link_restored` on either hop —
+/// with eqn 2's gate wide open, throttled, and all but shut.
 #[test]
 fn resident_engine_matches_the_reference_solve_under_chaos() {
-    for seed in 0..4u64 {
-        let solves = replay(seed, &churn_schedule(seed, 60));
-        assert!(solves > 0, "seed {seed}: rounds must run on the engine");
+    for seed in 0..16u64 {
+        let events = churn_schedule(seed, 60);
+        for delta in [0.0, 200.0, 5000.0] {
+            let solves = replay(seed, delta, &events);
+            assert!(
+                solves > 0,
+                "seed {seed} δ={delta}: rounds must run on the engine"
+            );
+        }
     }
 }
 

@@ -25,6 +25,7 @@
 use arm_net::ids::ConnId;
 use arm_net::{Network, PortableId};
 
+use crate::maxmin::centralized::apply_allocation;
 use crate::maxmin::incremental::IncrementalMaxmin;
 
 /// Resident buffers for [`resolve_network`], so a steady-state
@@ -65,59 +66,23 @@ fn pin_mobiles(
     }
 }
 
-/// Apply the engine's targets to the connections its last resolve
-/// re-filled, using resident buffers. Returns the number of connections
-/// whose rate actually changed.
-///
-/// Bit-identical to
-/// [`apply_allocation`](crate::maxmin::centralized::apply_allocation)
-/// over the full allocation: every connection *outside* `last_resolved`
-/// already sits at its frozen target (the engine's contract), so it
-/// would contribute no change entry, and ordering the entries by
-/// ascending id reproduces the full path's pre-sort scan order, so the
-/// decreases-first stable sort yields the same application sequence and
-/// therefore the same incremental ledger-sum arithmetic.
-fn apply_refilled(
-    net: &mut Network,
-    engine: &IncrementalMaxmin,
-    changes: &mut Vec<(ConnId, f64)>,
-) -> usize {
-    changes.clear();
-    for id in engine.last_resolved() {
-        let Some(c) = net.get(*id) else { continue };
-        if !c.state.is_live() {
-            continue;
-        }
-        let Some(x) = engine.rate(*id) else { continue };
-        // Same malformed-input clamp as `apply_allocation`.
-        let x = if x.is_finite() { x.max(0.0) } else { 0.0 };
-        let target = (c.qos.b_min + x).clamp(c.qos.b_min, c.qos.b_max);
-        if (target - c.b_current).abs() > 1e-9 {
-            changes.push((*id, target));
-        }
-    }
-    // `last_resolved` is ascending only within each component.
-    changes.sort_unstable_by_key(|(id, _)| *id);
-    changes.sort_by(|a, b| {
-        let da = a.1 - net.get(a.0).map_or(0.0, |c| c.b_current);
-        let db = b.1 - net.get(b.0).map_or(0.0, |c| c.b_current);
-        da.total_cmp(&db)
-    });
-    for &(id, target) in changes.iter() {
-        net.set_conn_rate(id, target)
-            .expect("invariant: maxmin allocation is feasible");
-    }
-    changes.len()
-}
-
 /// Re-divide the excess maxmin-fairly among static portables'
 /// connections and move the ledgers to it (§5.2), mobiles pinned at
-/// their floors. The engine is diff-synced with the network (so only
-/// genuine changes dirty anything) and re-fills only the dirty
-/// components; the resulting rates are bit-identical to a from-scratch
+/// their floors. The round reconciles the engine with the network it is
+/// handed and owes nothing to what the caller did in between: the
+/// engine is diff-synced against the ledgers (only genuine input
+/// changes dirty anything), re-fills the dirty components, and then
+/// every connection it holds — re-filled or frozen — is compared with
+/// its ledger rate and moved onto its target. A frozen rate stays valid
+/// while its component's inputs are unchanged, but the ledger can leave
+/// it with no input change at all (a squeeze and an outage seal that
+/// both come and go while eqn 2's gate is shut); the comparison needs
+/// no re-solve to repair that. The resulting rates are bit-identical to
+/// a from-scratch
 /// [`MaxminProblem`](crate::maxmin::centralized::MaxminProblem) solve
 /// because both run the same per-component water-filling on the same
-/// inputs (see the `arm_qos::maxmin::incremental` module docs).
+/// inputs (see the `arm_qos::maxmin::incremental` module docs) and the
+/// same [`apply_allocation`](crate::maxmin::centralized::apply_allocation).
 /// Returns the number of connections whose rate changed plus pinned
 /// mobile connections.
 pub fn resolve_network(
@@ -130,12 +95,7 @@ pub fn resolve_network(
     // Pin mobile connections at their floors first (frees excess).
     pin_mobiles(net, is_static, mobile);
     engine.sync_network(net, &|c| is_static(c.portable));
-    engine.resolve();
-    // Only re-filled connections are looked up or re-applied (none after
-    // a clean round). Every other connection kept its frozen rate
-    // bit-for-bit (its component was clean), so the steady-state round
-    // touches no other ledger entry.
-    apply_refilled(net, engine, changes) + mobile.len()
+    apply_allocation(net, engine.resolve(), changes) + mobile.len()
 }
 
 /// From-scratch resolvers: rebuild the whole `MaxminProblem` from the
@@ -159,7 +119,7 @@ pub(crate) mod reference {
             .live_connections()
             .map(|c| (c.id, c.b_current))
             .collect();
-        apply_allocation(net, &alloc);
+        apply_allocation(net, &alloc, &mut Vec::new());
         before
             .into_iter()
             .filter(|(id, old)| {
@@ -192,7 +152,7 @@ pub(crate) mod reference {
                     .is_some_and(|c| (c.qos.b_min + **x - c.b_current).abs() > 1e-9)
             })
             .count();
-        apply_allocation(net, &alloc);
+        apply_allocation(net, &alloc, &mut Vec::new());
         changed + mobile.len()
     }
 }
@@ -200,7 +160,6 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxmin::centralized::apply_allocation;
     use arm_net::flowspec::QosRequest;
     use arm_net::ids::{CellId, NodeId};
     use arm_net::routing::shortest_path;
@@ -347,6 +306,36 @@ mod tests {
         );
     }
 
+    /// The ledger can leave a frozen target with no input change (here
+    /// a direct `set_conn_rate`; through the manager, a squeeze and an
+    /// outage seal that both come and go inside one closed eqn-2 gate).
+    /// The next round must put it back without re-solving anything.
+    /// `tests/zero_alloc.rs` pins the same round at zero allocations.
+    #[test]
+    fn resolve_network_restores_a_rate_knocked_off_its_frozen_target() {
+        let (mut net, cell) = one_cell_net();
+        let a = admit_local(&mut net, cell, 0, QosRequest::bandwidth(100.0, 2000.0));
+        let b = admit_local(&mut net, cell, 1, QosRequest::bandwidth(100.0, 2000.0));
+        let mut engine = IncrementalMaxmin::new();
+        let mut scratch = ResolveScratch::default();
+        let is_static = |_: PortableId| true;
+        resolve_network(&mut net, &is_static, &mut engine, &mut scratch);
+        let target = net.get(a).unwrap().b_current;
+        assert_eq!(target, 500.0);
+        net.set_conn_rate(a, 100.0).unwrap();
+        let before = engine.stats;
+        let changed = resolve_network(&mut net, &is_static, &mut engine, &mut scratch);
+        assert_eq!(changed, 1);
+        assert_eq!(net.get(a).unwrap().b_current.to_bits(), target.to_bits());
+        assert_eq!(net.get(b).unwrap().b_current.to_bits(), target.to_bits());
+        assert_eq!(
+            engine.stats.incremental_solves, before.incremental_solves,
+            "no input changed: the frozen allocation is still valid"
+        );
+        assert_eq!(engine.stats.cache_hits, before.cache_hits + 1);
+        assert!(net.check_invariants().is_ok());
+    }
+
     #[test]
     fn malformed_allocation_degrades_to_floor_not_panic() {
         // Regression: a NaN or negative excess entry (impossible from
@@ -359,7 +348,7 @@ mod tests {
         let mut alloc = std::collections::BTreeMap::new();
         alloc.insert(a, f64::NAN);
         alloc.insert(b, -50.0);
-        apply_allocation(&mut net, &alloc);
+        apply_allocation(&mut net, &alloc, &mut Vec::new());
         assert_eq!(net.get(a).unwrap().b_current, 100.0);
         assert_eq!(net.get(b).unwrap().b_current, 100.0);
         assert!(net.check_invariants().is_ok());

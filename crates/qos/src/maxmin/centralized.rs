@@ -855,19 +855,33 @@ impl SolveScratch {
 
 /// Apply a solved allocation to the network ledgers: every live
 /// connection's rate becomes `b_min + excess`. Decreases are applied
-/// first so increases always fit.
-pub fn apply_allocation(net: &mut Network, alloc: &Allocation) {
-    let mut changes: Vec<(ConnId, f64)> = Vec::new();
-    for c in net.live_connections() {
-        if let Some(x) = alloc.get(&c.id) {
-            // A non-finite or negative excess never reaches the ledger:
-            // clamp to zero so a malformed allocation degrades to "hold
-            // the floor" instead of panicking inside `f64::clamp`.
-            let x = if x.is_finite() { x.max(0.0) } else { 0.0 };
-            let target = (c.qos.b_min + x).clamp(c.qos.b_min, c.qos.b_max);
-            if (target - c.b_current).abs() > 1e-9 {
-                changes.push((c.id, target));
-            }
+/// first so increases always fit. `changes` is a buffer the caller may
+/// keep between rounds so a steady-state round reuses its capacity.
+/// Returns the number of connections whose rate changed.
+///
+/// Every connection in `alloc` is compared with its ledger rate, not
+/// only those a solve just moved: the ledger can leave a target that
+/// did not move (a rider squeezed to its floor across an outage), and
+/// this comparison is what brings it back.
+pub fn apply_allocation(
+    net: &mut Network,
+    alloc: &Allocation,
+    changes: &mut Vec<(ConnId, f64)>,
+) -> usize {
+    changes.clear();
+    // Ascending id, so the stable sort below applies equal moves in id
+    // order and the ledger sums see one fixed sequence of additions.
+    for (id, x) in alloc {
+        let Some(c) = net.get(*id).filter(|c| c.state.is_live()) else {
+            continue;
+        };
+        // A non-finite or negative excess never reaches the ledger:
+        // clamp to zero so a malformed allocation degrades to "hold
+        // the floor" instead of panicking inside `f64::clamp`.
+        let x = if x.is_finite() { x.max(0.0) } else { 0.0 };
+        let target = (c.qos.b_min + x).clamp(c.qos.b_min, c.qos.b_max);
+        if (target - c.b_current).abs() > 1e-9 {
+            changes.push((*id, target));
         }
     }
     // Decreases first. `total_cmp` keeps the sort well-defined even if a
@@ -877,10 +891,11 @@ pub fn apply_allocation(net: &mut Network, alloc: &Allocation) {
         let db = b.1 - net.get(b.0).map_or(0.0, |c| c.b_current);
         da.total_cmp(&db)
     });
-    for (id, target) in changes {
+    for &(id, target) in changes.iter() {
         net.set_conn_rate(id, target)
             .expect("invariant: maxmin allocation is feasible");
     }
+    changes.len()
 }
 
 #[cfg(test)]

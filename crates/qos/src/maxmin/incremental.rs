@@ -100,10 +100,9 @@ pub struct IncrementalMaxmin {
     /// Water-filling scratch, resident across resolves.
     scratch: SolveScratch,
     /// Connections re-filled by the most recent resolve (none on a cache
-    /// hit), ascending within each component. The conflict resolver
-    /// applies rate changes from this list alone: a connection outside
-    /// every re-filled component kept its frozen rate bit-for-bit, so
-    /// its ledger target cannot have moved.
+    /// hit), ascending within each component. A read-out for benches
+    /// and the engine model; the conflict resolver compares every
+    /// connection with its ledger and does not read it.
     last_resolved: Vec<ConnId>,
 }
 
@@ -183,11 +182,6 @@ impl IncrementalMaxmin {
         &self.link_excess
     }
 
-    /// The resident reverse `LinkId → [ConnId]` index (members ascending).
-    pub fn link_index_map(&self) -> &BTreeMap<LinkId, Vec<ConnId>> {
-        &self.index
-    }
-
     /// All resident per-link bottleneck sets `M(l)`.
     pub fn bottleneck_map(&self) -> &BTreeMap<LinkId, BTreeSet<ConnId>> {
         &self.bottleneck
@@ -207,19 +201,6 @@ impl IncrementalMaxmin {
     /// [`Self::is_dirty`] is false; resolve first otherwise.
     pub fn rate(&self, id: ConnId) -> Option<f64> {
         self.alloc.get(&id).copied()
-    }
-
-    /// Mark `link`'s region for re-fill without changing any input.
-    ///
-    /// A link the engine has neither a capacity row nor a route over is
-    /// ignored: its closure is empty, so the mark could only sit in the
-    /// dirty set (and in every snapshot) until a resolve discards it —
-    /// and a manager with adaptation off marks links on every event but
-    /// never resolves.
-    pub fn touch_link(&mut self, link: LinkId) {
-        if self.link_excess.contains_key(&link) || self.index.contains_key(&link) {
-            self.dirty.insert(link);
-        }
     }
 
     /// Set a link's excess capacity, dirtying it only if the value
@@ -242,8 +223,8 @@ impl IncrementalMaxmin {
     /// [`MaxminProblem`] semantics for unknown links).
     ///
     /// Dirtying is unconditional: a link that never had an excess entry
-    /// can still sit on registered routes (it was `touch_link`ed or only
-    /// ever appeared in upserted routes), and its bottleneck set is
+    /// can still sit on registered routes (it only ever appeared in
+    /// upserted routes), and its bottleneck set is
     /// dropped here either way — so the traversing connections' region
     /// must be re-filled regardless.
     pub fn remove_link(&mut self, link: LinkId) {
@@ -397,8 +378,9 @@ impl IncrementalMaxmin {
     /// Connections whose rate was re-filled by the most recent
     /// [`Self::resolve`] (ascending within each re-solved component;
     /// empty after a cache hit). Connections absent from this list kept
-    /// their frozen rate bit-for-bit — their component was untouched —
-    /// so rate application can be restricted to this set.
+    /// their frozen rate bit-for-bit — their component was untouched.
+    /// Their *ledger* rate may still have left that target, so rate
+    /// application cannot be restricted to this set.
     pub fn last_resolved(&self) -> &[ConnId] {
         &self.last_resolved
     }
@@ -410,36 +392,35 @@ impl IncrementalMaxmin {
     /// but no re-solve work when nothing moved. Mirrors
     /// [`MaxminProblem::from_network`] filtered by `include`.
     pub fn sync_network(&mut self, net: &Network, include: &dyn Fn(&Connection) -> bool) {
-        let mut live_links: BTreeSet<LinkId> = BTreeSet::new();
         for (lid, link) in net.links() {
-            live_links.insert(lid);
             self.set_link_excess(lid, link.excess_available().max(0.0));
         }
-        // Prune capacity entries for links the network no longer has —
-        // without this, topology churn accumulates stale `link_excess`
-        // rows forever, and a stale row constrains future solves with a
-        // phantom capacity.
+        // Prune capacity entries for links the network no longer has
+        // (its link ids are dense) — without this, topology churn
+        // accumulates stale `link_excess` rows forever, and a stale row
+        // constrains future solves with a phantom capacity.
+        let link_count = net.topology().link_count();
         let gone_links: Vec<LinkId> = self
             .link_excess
             .keys()
-            .filter(|l| !live_links.contains(l))
+            .filter(|l| l.index() >= link_count)
             .copied()
             .collect();
         for l in gone_links {
             self.remove_link(l);
         }
-        let mut seen: BTreeSet<ConnId> = BTreeSet::new();
-        for c in net.live_connections() {
-            if c.route.links.is_empty() || !include(c) {
-                continue;
-            }
-            seen.insert(c.id);
+        let tracked = |c: &Connection| !c.route.links.is_empty() && include(c);
+        for c in net.live_connections().filter(|c| tracked(c)) {
             self.upsert_conn(c.id, c.qos.adaptable_range(), &c.route.links);
         }
+        // Empty in steady state, so nothing is allocated for it.
         let gone: Vec<ConnId> = self
             .conns
             .keys()
-            .filter(|id| !seen.contains(id))
+            .filter(|id| {
+                !net.get(**id)
+                    .is_some_and(|c| c.state.is_live() && tracked(c))
+            })
             .copied()
             .collect();
         for id in gone {
@@ -662,39 +643,6 @@ mod tests {
         assert!(e.is_dirty(), "remove_link must dirty unconditionally");
         e.resolve();
         assert_eq!(e.stats.incremental_solves, solves0 + 1);
-        assert_matches_fresh(&mut e);
-    }
-
-    #[test]
-    fn touch_link_refills_without_input_change() {
-        let mut e = IncrementalMaxmin::new();
-        e.set_link_excess(lid(0), 10.0);
-        e.upsert_conn(cid(0), 100.0, &[lid(0)]);
-        e.resolve();
-        e.touch_link(lid(0));
-        assert!(e.is_dirty());
-        assert_matches_fresh(&mut e);
-    }
-
-    /// A manager with adaptation off marks links on every event and
-    /// never resolves: marks on links the engine does not know must not
-    /// pile up in the dirty set (and so in every checkpoint).
-    #[test]
-    fn touch_link_on_an_unknown_link_is_a_no_op() {
-        let mut e = IncrementalMaxmin::new();
-        e.touch_link(lid(99));
-        assert!(!e.is_dirty(), "an empty engine knows no link");
-        e.set_link_excess(lid(0), 10.0);
-        e.upsert_conn(cid(0), 100.0, &[lid(0), lid(1)]);
-        e.resolve();
-        e.touch_link(lid(99));
-        assert!(!e.is_dirty());
-        let hits0 = e.stats.cache_hits;
-        e.resolve();
-        assert_eq!(e.stats.cache_hits, hits0 + 1);
-        // A route-only link (no capacity row) is known through the index.
-        e.touch_link(lid(1));
-        assert_eq!(e.dirty_links().iter().collect::<Vec<_>>(), [&lid(1)]);
         assert_matches_fresh(&mut e);
     }
 

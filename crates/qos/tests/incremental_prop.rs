@@ -25,8 +25,6 @@ enum Event {
     SetCapacity { link: u32, excess: f64 },
     /// A link disappears (fault schedules do this mid-run).
     RemoveLink { link: u32 },
-    /// Spurious refill request — must never change any output.
-    Touch { link: u32 },
 }
 
 const N_LINKS: u32 = 5;
@@ -57,8 +55,6 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         (0..N_LINKS, prop_oneof![Just(0.0f64), 0.5f64..50.0])
             .prop_map(|(link, excess)| Event::SetCapacity { link, excess }),
         (0..N_LINKS).prop_map(|link| Event::RemoveLink { link }),
-        // One past the palette: a link the engine never hears of.
-        (0..=N_LINKS).prop_map(|link| Event::Touch { link }),
     ]
 }
 
@@ -88,7 +84,6 @@ proptest! {
                     engine.set_link_excess(LinkId(*link), *excess);
                 }
                 Event::RemoveLink { link } => engine.remove_link(LinkId(*link)),
-                Event::Touch { link } => engine.touch_link(LinkId(*link)),
             }
             prop_assert_eq!(engine.check_consistency(), Ok(()), "after {:?}", ev);
             prop_assert_eq!(engine.check_mirror(), Ok(()), "after {:?}", ev);

@@ -33,9 +33,6 @@ struct Epoch {
     cells: usize,
     /// Connections: (home cell index, b_min, b_max).
     conns: Vec<(usize, f64, f64)>,
-    /// Links to `touch_link` after the sync (spurious refill requests —
-    /// must never change the mirror).
-    touches: Vec<u32>,
 }
 
 fn epoch_strategy() -> impl Strategy<Value = Epoch> {
@@ -48,12 +45,7 @@ fn epoch_strategy() -> impl Strategy<Value = Epoch> {
             ),
             0..6,
         );
-        let touches = prop::collection::vec(0u32..12, 0..3);
-        (Just(cells), conns, touches).prop_map(|(cells, conns, touches)| Epoch {
-            cells,
-            conns,
-            touches,
-        })
+        (Just(cells), conns).prop_map(|(cells, conns)| Epoch { cells, conns })
     })
 }
 
@@ -130,9 +122,6 @@ proptest! {
                 admit_local(&mut net, CellId(*cell as u32), (gen * 16 + i) as u32, qos);
             }
             engine.sync_network(&net, &|_| true);
-            for l in &ep.touches {
-                engine.touch_link(LinkId(*l));
-            }
             prop_assert_eq!(engine.check_consistency(), Ok(()), "epoch {}: sparse maps", gen);
             prop_assert_eq!(engine.check_mirror(), Ok(()), "epoch {}: dense mirror", gen);
 

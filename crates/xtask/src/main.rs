@@ -27,7 +27,7 @@ use std::process::{Command, ExitCode};
 
 use arm_check::fingerprint::{bless_fingerprints, check_fingerprints};
 use arm_check::lints::run_lints;
-use arm_check::model::sharded::sweep_engine;
+use arm_check::model::engine::sweep_engine;
 use arm_check::model::sweep::{sweep_all, SweepReport};
 use arm_check::model::Counterexample;
 

@@ -394,8 +394,8 @@ fn qos() -> QosRequest {
 }
 
 /// A driven manager over the §7.1 office topology: live portables and
-/// connections, a handoff, a slot roll and a maxmin round, so every
-/// nested record shape in the snapshot is populated.
+/// connections, a handoff and a slot roll, so every nested record shape
+/// in the snapshot is populated.
 fn manager_snapshot() -> ManagerSnapshot {
     let sc = Scenario {
         name: "fingerprint-office".into(),
@@ -429,14 +429,6 @@ fn manager_snapshot() -> ManagerSnapshot {
     // The second handoff gives its profile event an engaged `prev` cell.
     mgr.portable_moved(PortableId(1), CellId(2), SimTime::from_secs(6));
     mgr.slot_tick(SimTime::from_secs(60));
-    // The scenario manager never adapts; run one round's worth of engine
-    // work by hand so the engine's maps are populated too — portable 1's
-    // cell squeezed so its link saturates into a bottleneck set — and
-    // leave a dirty mark behind (a capacity change not yet resolved).
-    mgr.maxmin.sync_network(&mgr.net, &|_| true);
-    mgr.maxmin.set_link_excess(buffered, 1.0);
-    mgr.maxmin.resolve();
-    mgr.maxmin.set_link_excess(buffered, 0.5);
     mgr.snapshot()
 }
 

@@ -1,28 +1,29 @@
 //! Exhaustive sweep of the production maxmin engine.
 //!
 //! `arm_qos::maxmin::incremental::IncrementalMaxmin` is the one engine
-//! the resource manager runs: resident allocation, reverse index and
-//! bottleneck sets, re-filling only the connected components a dirty
-//! link reaches. The proptests in `crates/qos/tests/` sample op
+//! the resource manager runs: the problem, its reverse index and its
+//! solved allocation resident in one slot-indexed state, plus bottleneck
+//! sets, re-filling only the connected components a dirty link reaches.
+//! The proptests in `crates/qos/tests/` sample op
 //! sequences against it; this module *enumerates* them. Every state
 //! holds a real engine next to the plain [`MaxminProblem`] the same ops
 //! describe, and the checker walks every reachable op sequence over
 //! bounded topologies (≤4 links, ≤6 connections), checking that
 //!
-//! * **the engine's maps stay consistent** —
-//!   [`IncrementalMaxmin::check_consistency`] (the predicate snapshot
-//!   restore runs) and the dense mirror cross-check hold after every op;
+//! * **the engine's structure stays sound** —
+//!   [`IncrementalMaxmin::check_invariants`] (interners, `members` ⇄
+//!   `routes`, no orphan slot, bottleneck sets ⊆ routes) holds after
+//!   every op;
 //! * **inputs mirror the ops bit-for-bit** — capacities, demands and
-//!   routes equal the problem built from the same ops;
+//!   routes ([`IncrementalMaxmin::as_problem`]) equal the problem built
+//!   from the same ops with no engine in the loop;
 //! * **resolves are exact** — after every resolve the resident
 //!   allocation (`f64::to_bits`) equals a from-scratch
 //!   [`MaxminProblem::solve`] and the non-empty bottleneck sets equal a
 //!   from-scratch reference fill of every component, and nothing is
 //!   left dirty;
-//! * **`last_resolved` covers every moved rate**;
 //! * **no op sequence forces a redundant re-solve** — `resolve` on a
-//!   clean engine performs zero solves, changes no allocation bit and
-//!   reports nothing re-filled.
+//!   clean engine performs zero solves and changes no allocation bit.
 //!
 //! Components merging and splitting under churn are what the built
 //! topologies exercise (DESIGN.md §13.2).
@@ -39,7 +40,6 @@ use arm_qos::maxmin::centralized::{
     components, link_index, solve_component, ConnDemand, MaxminProblem,
 };
 use arm_qos::maxmin::incremental::IncrementalMaxmin;
-use serde::{Deserialize, Serialize, Value};
 
 use super::sweep::{all_routes, check_into, route_multisets, SweepReport};
 use super::{Checker, Counterexample, TransitionSystem};
@@ -52,9 +52,9 @@ pub enum EngineMutant {
     #[default]
     None,
     /// `set_link_excess` stores the new capacity but forgets its dirty
-    /// mark (emulated by striking the link from the engine's serialized
-    /// dirty set): the next resolve is a cache hit over stale resident
-    /// state. Violates resolve exactness.
+    /// mark (emulated by [`IncrementalMaxmin::forget_dirty_mark`]): the
+    /// next resolve is a cache hit over stale resident state. Violates
+    /// resolve exactness.
     ForgetDirtyMark,
 }
 
@@ -105,7 +105,8 @@ pub struct EngineSystem {
     mutant: EngineMutant,
 }
 
-/// The visited-set key: the engine's whole sparse state, bit-exact.
+/// The visited-set key: the engine's whole state by external id,
+/// bit-exact (slot numbers are history, not state).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct Key {
     violation: Option<String>,
@@ -154,9 +155,9 @@ impl fmt::Debug for EngineState {
     }
 }
 
-/// Bit-exact image of an allocation.
-fn alloc_bits(alloc: &BTreeMap<ConnId, f64>) -> Vec<(u32, u64)> {
-    alloc.iter().map(|(c, x)| (c.0, x.to_bits())).collect()
+/// Bit-exact image of an allocation, ascending by connection.
+fn alloc_bits(alloc: impl IntoIterator<Item = (ConnId, f64)>) -> Vec<(u32, u64)> {
+    alloc.into_iter().map(|(c, x)| (c.0, x.to_bits())).collect()
 }
 
 /// Non-empty bottleneck rows (an emptied row is inert bookkeeping the
@@ -190,9 +191,9 @@ fn reference_bottlenecks(p: &MaxminProblem) -> BTreeMap<LinkId, BTreeSet<ConnId>
 /// with routes.
 type Inputs = (Vec<(u32, u64)>, Vec<(u32, u64, Vec<u32>)>);
 
-fn input_bits(link_excess: &BTreeMap<LinkId, f64>, conns: &BTreeMap<ConnId, ConnDemand>) -> Inputs {
-    let links = link_excess.iter().map(|(l, x)| (l.0, x.to_bits()));
-    let conns = conns.iter().map(|(c, d)| {
+fn input_bits(p: &MaxminProblem) -> Inputs {
+    let links = p.link_excess.iter().map(|(l, x)| (l.0, x.to_bits()));
+    let conns = p.conns.iter().map(|(c, d)| {
         let route = d.links.iter().map(|l| l.0).collect();
         (c.0, d.demand.to_bits(), route)
     });
@@ -202,28 +203,11 @@ fn input_bits(link_excess: &BTreeMap<LinkId, f64>, conns: &BTreeMap<ConnId, Conn
 fn make_key(engine: &IncrementalMaxmin, violation: &Option<String>) -> Key {
     Key {
         violation: violation.clone(),
-        inputs: input_bits(engine.link_excess_map(), engine.conns_map()),
-        alloc: alloc_bits(engine.allocation()),
+        inputs: input_bits(&engine.as_problem()),
+        alloc: alloc_bits(engine.rates()),
         dirty: engine.dirty_links().iter().map(|l| l.0).collect(),
         bottleneck: nonempty_rows(engine.bottleneck_map()),
     }
-}
-
-/// [`EngineMutant::ForgetDirtyMark`]: the engine as it would be had the
-/// last mutator not dirtied `link` — same maps, one dirty mark fewer.
-fn without_dirty_mark(engine: &IncrementalMaxmin, link: LinkId) -> IncrementalMaxmin {
-    let Value::Object(mut fields) = engine.to_value() else {
-        unreachable!("invariant: the engine serializes as an object");
-    };
-    for (name, v) in &mut fields {
-        if name == "dirty" {
-            let mut dirty = engine.dirty_links().clone();
-            dirty.remove(&link);
-            *v = dirty.to_value();
-        }
-    }
-    IncrementalMaxmin::from_value(&Value::Object(fields))
-        .expect("invariant: an edited dirty set still decodes")
 }
 
 impl EngineSystem {
@@ -290,23 +274,20 @@ impl EngineState {
     fn resolve_checked(&mut self) {
         let was_dirty = self.engine.is_dirty();
         let solves_before = self.engine.stats.incremental_solves;
-        let before = self.engine.allocation().clone();
+        let before = alloc_bits(self.engine.rates());
         self.engine.resolve();
         let solves = self.engine.stats.incremental_solves - solves_before;
-        let after = self.engine.allocation();
-        let refilled = self.engine.last_resolved();
+        let after = alloc_bits(self.engine.rates());
         if !was_dirty && solves > 0 {
             self.fail(format!(
                 "redundant re-solve: resolve on a clean engine performed \
                  {solves} incremental solves"
             ));
-        } else if !was_dirty && alloc_bits(after) != alloc_bits(&before) {
+        } else if !was_dirty && after != before {
             self.fail("clean resolve changed allocation bits".to_string());
-        } else if !was_dirty && !refilled.is_empty() {
-            self.fail(format!("clean resolve reports {refilled:?} re-filled"));
         } else if self.engine.is_dirty() {
             self.fail("resolve left dirt behind".to_string());
-        } else if alloc_bits(after) != alloc_bits(&self.truth.solve()) {
+        } else if after != alloc_bits(self.truth.solve()) {
             self.fail(
                 "resolved allocation diverges from a from-scratch \
                  MaxminProblem::solve on the same inputs"
@@ -316,10 +297,6 @@ impl EngineState {
             != nonempty_rows(&reference_bottlenecks(&self.truth))
         {
             self.fail("bottleneck sets diverge from a from-scratch reference fill".to_string());
-        } else if let Some((c, _)) = after.iter().find(|(c, x)| {
-            before.get(c).map(|y| y.to_bits()) != Some(x.to_bits()) && !refilled.contains(c)
-        }) {
-            self.fail(format!("{c} moved but is missing from last_resolved"));
         }
     }
 }
@@ -381,7 +358,7 @@ impl TransitionSystem for EngineSystem {
                     n.engine.set_link_excess(*l, *x);
                     n.truth.link_excess.insert(*l, *x);
                     if self.mutant == EngineMutant::ForgetDirtyMark {
-                        n.engine = without_dirty_mark(&n.engine, *l);
+                        n.engine.forget_dirty_mark(*l);
                     }
                 });
             }
@@ -417,10 +394,9 @@ impl TransitionSystem for EngineSystem {
         if let Some(v) = &s.violation {
             return Err(v.clone());
         }
-        s.engine.check_consistency()?;
-        s.engine.check_mirror()?;
+        s.engine.check_invariants()?;
         // Input mirror: the engine's problem equals the ops', bit-wise.
-        if s.key.inputs != input_bits(&s.truth.link_excess, &s.truth.conns) {
+        if s.key.inputs != input_bits(&s.truth) {
             return Err(format!(
                 "inputs diverge from the applied ops: engine {:?} vs {:?}",
                 s.engine.as_problem(),

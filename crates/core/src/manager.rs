@@ -183,7 +183,9 @@ pub struct ResourceManager {
     /// Adaptation rounds actually run (eqn-2 triggered).
     pub adaptation_rounds: u64,
     /// Resident maxmin engine (public so drivers and tests can inspect
-    /// its work-saved counters).
+    /// its work-saved counters). A cache over `net`, never snapshotted:
+    /// every round diff-syncs it first, so a restored manager's empty
+    /// engine ends its first round holding the bits a warm one would.
     pub maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin,
     /// Resident buffers for the adaptation round's conflict resolver.
     /// Pure scratch (cleared before each use), never snapshotted.
@@ -314,7 +316,8 @@ impl ResourceManager {
     }
 
     /// Capture the complete control-plane state as a schema-versioned
-    /// [`ManagerSnapshot`] (everything except the passive observer).
+    /// [`ManagerSnapshot`] (everything except the passive observer and
+    /// the maxmin cache).
     /// See `crate::snapshot` for the completeness/exactness contract.
     pub fn snapshot(&self) -> ManagerSnapshot {
         ManagerSnapshot {
@@ -332,7 +335,6 @@ impl ResourceManager {
             multicast: self.multicast.clone(),
             last_excess: self.last_excess.clone(),
             adaptation_rounds: self.adaptation_rounds,
-            maxmin: self.maxmin.clone(),
             channel_renegotiations: self.channel_renegotiations,
             server_node: self.server_node,
             down_links: self.down_links.clone(),
@@ -368,7 +370,7 @@ impl ResourceManager {
             multicast: snap.multicast,
             last_excess: snap.last_excess,
             adaptation_rounds: snap.adaptation_rounds,
-            maxmin: snap.maxmin,
+            maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),

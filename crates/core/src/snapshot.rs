@@ -7,9 +7,8 @@
 //!
 //! * **complete** — every field that influences a future decision is
 //!   captured: the network ledgers, zoned profiles, per-cell policy
-//!   state, the resident maxmin engine (including its dirty set and
-//!   work counters), fault state (down links/zones, doomed
-//!   handoffs), and all metrics;
+//!   state, eqn 2's `t⁻` excesses and round count, fault state (down
+//!   links/zones, doomed handoffs), and all metrics;
 //! * **exact** — serialization is byte-stable: serialize →
 //!   deserialize → re-serialize yields the identical string. This is
 //!   a property of the codec, not of any one state, and
@@ -29,10 +28,26 @@
 //!   [`SnapshotError::SchemaMismatch`], never a panic or a silent
 //!   misparse.
 //!
-//! The one deliberate exclusion is the observer ([`arm_obs::Obs`]):
-//! observation is passive (bit-identical on/off, pinned by
-//! `tests/obs_differential.rs`), so the restoring caller supplies
-//! whatever observer the new process wants.
+//! There are two deliberate exclusions, each because no decision reads
+//! what is left out:
+//!
+//! * the observer ([`arm_obs::Obs`]): observation is passive
+//!   (bit-identical on/off, pinned by `tests/obs_differential.rs`), so
+//!   the restoring caller supplies whatever observer the new process
+//!   wants;
+//! * the resident maxmin engine ([`crate::ResourceManager::maxmin`]):
+//!   it is a cache. Eqn 2's gate reads only the network and
+//!   `last_excess`; the round it opens diff-syncs the engine against
+//!   the network before solving and then compares *every* connection
+//!   with its ledger, and the engine's allocation is bit-identical to a
+//!   from-scratch solve of the same inputs. A restored manager starts
+//!   with an empty engine, its first round fills every component once,
+//!   and the rates it applies are the uninterrupted run's — at every
+//!   cut, pinned by `tests/chaos.rs`'s restore-anywhere twin. What does
+//!   differ is the engine's work counters, and therefore the first
+//!   `MaxminRound` obs event after a restore, which reports every
+//!   registered connection as re-filled; the obs stream was never part
+//!   of the byte-identity claim.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,7 +55,6 @@ use arm_mobility::environment::IndoorEnvironment;
 use arm_net::ids::{CellId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::Network;
 use arm_profiles::ZonedProfiles;
-use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use arm_reservation::cafeteria::CafeteriaPredictor;
 use arm_reservation::default_cell::OneStepMemory;
 use arm_reservation::meeting::MeetingRoomPolicy;
@@ -61,8 +75,10 @@ use crate::multicast::MulticastState;
 /// `moldable`/`deadline` reservation fields); v6 drops the shard
 /// planner: `maxmin` is the one `IncrementalMaxmin` itself (DESIGN.md
 /// §12); v7 drops the `calendar` section with the slotted calendar
-/// itself (DESIGN.md §11).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
+/// itself (DESIGN.md §11); v8 drops the `maxmin` section: the engine is
+/// a cache and is rebuilt by the first round after a restore (DESIGN.md
+/// §10.2).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,7 +136,6 @@ pub struct ManagerSnapshot {
     pub(crate) multicast: MulticastState,
     pub(crate) last_excess: BTreeMap<LinkId, f64>,
     pub(crate) adaptation_rounds: u64,
-    pub(crate) maxmin: IncrementalMaxmin,
     pub(crate) channel_renegotiations: u64,
     pub(crate) server_node: NodeId,
     pub(crate) down_links: BTreeSet<LinkId>,
@@ -201,9 +216,8 @@ impl ManagerSnapshot {
     /// Validate internal consistency without building a manager: the
     /// schema must match, the slot width must be non-zero (slot rolls
     /// and the metrics series divide by it) and be the width `metrics`
-    /// and every arrival series carry, the network ledgers must
-    /// balance, and the maxmin engine's maps must agree with each other
-    /// ([`IncrementalMaxmin::check_consistency`]).
+    /// and every arrival series carry, and the network ledgers must
+    /// balance.
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
@@ -217,11 +231,6 @@ impl ManagerSnapshot {
         self.metrics
             .check_slot(self.cfg.slot)
             .map_err(SnapshotError::Invalid)?;
-        self.net
-            .check_invariants()
-            .map_err(SnapshotError::Invalid)?;
-        self.maxmin
-            .check_consistency()
-            .map_err(|e| SnapshotError::Invalid(format!("maxmin engine: {e}")))
+        self.net.check_invariants().map_err(SnapshotError::Invalid)
     }
 }

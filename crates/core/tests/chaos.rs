@@ -107,8 +107,85 @@ enum Churn {
     RestoreWired(CellId),
 }
 
-/// Replay `events` against a fresh Figure-4 manager with the excess
-/// resolver on and eqn 2's threshold at `delta`. After every event that
+/// A fresh Figure-4 manager with the excess resolver on and eqn 2's
+/// threshold at `delta`.
+fn chaos_manager(delta: f64) -> ResourceManager {
+    let f4 = Figure4::build();
+    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
+    let cfg = ManagerConfig {
+        strategy: Strategy::None,
+        resolve_excess: true,
+        dyn_pool: None,
+        t_th: SimDuration::from_secs(0),
+        delta,
+        ..Default::default()
+    };
+    ResourceManager::new(f4.env.clone(), net, cfg)
+}
+
+/// Portable → its open connection, as the driver of a schedule knows it.
+type Conns = std::collections::BTreeMap<u32, ConnId>;
+
+/// The time of the `k`-th event of a schedule.
+fn at(k: usize) -> SimTime {
+    SimTime::from_secs(k as u64 + 1)
+}
+
+/// Apply the `k`-th event of a schedule.
+fn apply(mgr: &mut ResourceManager, conns: &mut Conns, k: usize, ev: Churn) {
+    let t = at(k);
+    let wired_hop = |mgr: &ResourceManager, cell: CellId| {
+        let topo = mgr.net.topology();
+        let uplink = shortest_path(topo, topo.air_node(cell), NodeId(0));
+        uplink.expect("star backbone is connected").links[1]
+    };
+    match ev {
+        Churn::Appear(p, cell) => mgr.portable_appears(PortableId(p), cell, t),
+        Churn::Connect(p, b_min, b_max) => {
+            let qos = QosRequest::bandwidth(b_min, b_max)
+                .with_delay(10.0)
+                .with_jitter(10.0)
+                .with_loss(1.0);
+            if let Ok(id) = mgr.request_connection(PortableId(p), qos, t) {
+                conns.insert(p, id);
+            }
+        }
+        Churn::Move(p, cell) => {
+            // The manager treats a move to the current cell as a
+            // caller bug; the random schedule can produce one.
+            if mgr.portable_cell(PortableId(p)) != Some(cell) {
+                mgr.portable_moved(PortableId(p), cell, t);
+            }
+        }
+        Churn::Terminate(p) => {
+            if let Some(id) = conns.remove(&p) {
+                mgr.terminate(id, t);
+            }
+        }
+        Churn::Fade(cell, f) => {
+            mgr.channel_change(cell, f, t).expect("valid fraction");
+        }
+        Churn::FailWireless(cell) => {
+            let wl = mgr.net.topology().wireless_link(cell);
+            mgr.link_failed(wl, t);
+        }
+        Churn::RestoreWireless(cell) => {
+            let wl = mgr.net.topology().wireless_link(cell);
+            mgr.link_restored(wl, t);
+        }
+        Churn::FailWired(cell) => {
+            let l = wired_hop(mgr, cell);
+            mgr.link_failed(l, t);
+        }
+        Churn::RestoreWired(cell) => {
+            let l = wired_hop(mgr, cell);
+            mgr.link_restored(l, t);
+        }
+    }
+    assert!(mgr.net.check_invariants().is_ok(), "event {k}: {ev:?}");
+}
+
+/// Replay `events` against a [`chaos_manager`]. After every event that
 /// ran an adaptation round, a from-scratch [`MaxminProblem`] solve over
 /// the resulting network must reproduce the resident engine's share of
 /// every static connection **bit for bit**, and the ledger of every one
@@ -122,70 +199,12 @@ enum Churn {
 /// an ulp is deliberately not re-applied — the engine check does not.)
 /// Returns the engine's solve count.
 fn replay(seed: u64, delta: f64, events: &[Churn]) -> u64 {
-    let f4 = Figure4::build();
-    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
-    let cfg = ManagerConfig {
-        strategy: Strategy::None,
-        resolve_excess: true,
-        dyn_pool: None,
-        t_th: SimDuration::from_secs(0),
-        delta,
-        ..Default::default()
-    };
-    let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
-    let wired_hop = |mgr: &ResourceManager, cell: CellId| {
-        let topo = mgr.net.topology();
-        let uplink = shortest_path(topo, topo.air_node(cell), NodeId(0));
-        uplink.expect("star backbone is connected").links[1]
-    };
-    let mut conns: std::collections::BTreeMap<u32, ConnId> = Default::default();
+    let mut mgr = chaos_manager(delta);
+    let mut conns = Conns::new();
     for (k, ev) in events.iter().enumerate() {
-        let t = SimTime::from_secs(k as u64 + 1);
+        let t = at(k);
         let rounds_before = mgr.adaptation_rounds;
-        match *ev {
-            Churn::Appear(p, cell) => mgr.portable_appears(PortableId(p), cell, t),
-            Churn::Connect(p, b_min, b_max) => {
-                let qos = QosRequest::bandwidth(b_min, b_max)
-                    .with_delay(10.0)
-                    .with_jitter(10.0)
-                    .with_loss(1.0);
-                if let Ok(id) = mgr.request_connection(PortableId(p), qos, t) {
-                    conns.insert(p, id);
-                }
-            }
-            Churn::Move(p, cell) => {
-                // The manager treats a move to the current cell as a
-                // caller bug; the random schedule can produce one.
-                if mgr.portable_cell(PortableId(p)) != Some(cell) {
-                    mgr.portable_moved(PortableId(p), cell, t);
-                }
-            }
-            Churn::Terminate(p) => {
-                if let Some(id) = conns.remove(&p) {
-                    mgr.terminate(id, t);
-                }
-            }
-            Churn::Fade(cell, f) => {
-                mgr.channel_change(cell, f, t).expect("valid fraction");
-            }
-            Churn::FailWireless(cell) => {
-                let wl = mgr.net.topology().wireless_link(cell);
-                mgr.link_failed(wl, t);
-            }
-            Churn::RestoreWireless(cell) => {
-                let wl = mgr.net.topology().wireless_link(cell);
-                mgr.link_restored(wl, t);
-            }
-            Churn::FailWired(cell) => {
-                let l = wired_hop(&mgr, cell);
-                mgr.link_failed(l, t);
-            }
-            Churn::RestoreWired(cell) => {
-                let l = wired_hop(&mgr, cell);
-                mgr.link_restored(l, t);
-            }
-        }
-        assert!(mgr.net.check_invariants().is_ok(), "event {k}: {ev:?}");
+        apply(&mut mgr, &mut conns, k, *ev);
         if mgr.adaptation_rounds == rounds_before {
             continue;
         }
@@ -214,6 +233,82 @@ fn replay(seed: u64, delta: f64, events: &[Churn]) -> u64 {
         }
     }
     mgr.maxmin.stats.incremental_solves
+}
+
+/// Everything an event leaves behind that a manager restored earlier in
+/// the schedule must reproduce.
+#[derive(Debug, PartialEq)]
+struct Mark {
+    rates: Vec<(ConnId, u64)>,
+    rounds: u64,
+    /// The engine's share of every live connection (`None`: not held),
+    /// read only after an event that ran an adaptation round — between
+    /// rounds a freshly restored engine is empty where the original is
+    /// warm, and nothing reads either.
+    shares: Option<Vec<(ConnId, Option<u64>)>>,
+    metrics: String,
+}
+
+fn mark(mgr: &ResourceManager, rounds_before: u64) -> Mark {
+    let shares = || {
+        let share = |c: &arm_net::Connection| (c.id, mgr.maxmin.rate(c.id).map(f64::to_bits));
+        let mut v: Vec<_> = mgr.net.live_connections().map(share).collect();
+        v.sort();
+        v
+    };
+    Mark {
+        rates: rate_bits(mgr),
+        rounds: mgr.adaptation_rounds,
+        shares: (mgr.adaptation_rounds != rounds_before).then(shares),
+        metrics: format!("{:?}", mgr.metrics.summary()),
+    }
+}
+
+/// The restore-anywhere twin: one uninterrupted run of `events` leaves a
+/// [`Mark`] and a snapshot after every event; then, from **every** cut,
+/// a manager restored through the snapshot's bytes — whose maxmin
+/// engine therefore starts empty — runs the suffix and must leave the
+/// same mark after each later event and the same snapshot bytes at the
+/// end. This is the licence for keeping the engine out of the snapshot:
+/// nothing it holds influences a decision. Returns the uninterrupted
+/// run's marks.
+fn restore_anywhere(seed: u64, delta: f64, events: &[Churn]) -> Vec<Mark> {
+    use arm_core::ManagerSnapshot;
+    use arm_obs::Obs;
+
+    let mut mgr = chaos_manager(delta);
+    let mut conns = Conns::new();
+    let mut marks = Vec::with_capacity(events.len());
+    let mut cuts = Vec::with_capacity(events.len());
+    for (k, ev) in events.iter().enumerate() {
+        let rounds = mgr.adaptation_rounds;
+        apply(&mut mgr, &mut conns, k, *ev);
+        marks.push(mark(&mgr, rounds));
+        let json = mgr.snapshot().to_json().expect("snapshot serializes");
+        cuts.push((json, conns.clone()));
+    }
+    let end = &cuts.last().expect("non-empty schedule").0;
+    for (cut, (json, conns)) in cuts.iter().enumerate() {
+        let snap = ManagerSnapshot::from_json(json).expect("snapshot parses");
+        let mut twin = ResourceManager::restore(snap, Obs::off()).expect("snapshot restores");
+        assert_eq!(twin.maxmin.conn_count(), 0, "a restored engine is empty");
+        let mut conns = conns.clone();
+        for (k, ev) in events.iter().enumerate().skip(cut + 1) {
+            let rounds = twin.adaptation_rounds;
+            apply(&mut twin, &mut conns, k, *ev);
+            assert_eq!(
+                mark(&twin, rounds),
+                marks[k],
+                "seed {seed} δ={delta}: restored after event {cut}, diverged at event {k}: {ev:?}"
+            );
+        }
+        assert_eq!(
+            &twin.snapshot().to_json().expect("snapshot serializes"),
+            end,
+            "seed {seed} δ={delta}: restored after event {cut}, final snapshot bytes differ"
+        );
+    }
+    marks
 }
 
 /// Random but seed-replayable churn over the Figure 4 floor, heavy on
@@ -279,6 +374,47 @@ fn resident_engine_matches_the_reference_solve_under_chaos() {
             );
         }
     }
+}
+
+/// The same schedules, cut everywhere: restored at any event, a manager
+/// with an empty engine is indistinguishable from the one that kept
+/// its engine warm (see [`restore_anywhere`]).
+#[test]
+fn a_manager_restored_at_any_cut_matches_the_uninterrupted_run() {
+    for seed in 0..16u64 {
+        let events = churn_schedule(seed, 60);
+        for delta in [0.0, 200.0, 5000.0] {
+            let marks = restore_anywhere(seed, delta, &events);
+            let rounds = marks.last().expect("non-empty").rounds;
+            assert!(rounds > 0, "seed {seed} δ={delta}: rounds must run");
+        }
+    }
+}
+
+/// PR 21's defect shape, as a cut: δ = 5000, a static `[100, 1600]`
+/// rider whose wired hop fails and comes back inside a closed gate. The
+/// snapshot taken right there — rider at its floor, every maxmin input
+/// back to its old bits, no round since — restores to an empty engine;
+/// the round another cell's admission then opens must regrow the rider
+/// exactly as the warm engine's frozen target does.
+#[test]
+fn a_cut_inside_a_closed_gate_with_a_rider_squeezed_restores_alike() {
+    let f4 = Figure4::build();
+    let events = [
+        Churn::Appear(1, f4.c),
+        Churn::Connect(1, 100.0, 1600.0),
+        Churn::FailWired(f4.c),
+        Churn::RestoreWired(f4.c),
+        Churn::Appear(2, f4.a),
+        Churn::Connect(2, 100.0, 1600.0),
+    ];
+    let marks = restore_anywhere(0, 5000.0, &events);
+    let rider = |m: &Mark| f64::from_bits(m.rates[0].1);
+    assert_eq!(rider(&marks[1]), 1600.0);
+    assert_eq!(rider(&marks[3]), 100.0, "squeezed to its floor");
+    assert_eq!(marks[3].rounds, marks[1].rounds, "the gate stayed shut");
+    assert_eq!(marks[5].rounds, marks[1].rounds + 1);
+    assert_eq!(rider(&marks[5]), 1600.0, "regrown by the next round");
 }
 
 /// The acceptance bar for the fault layer's zero-cost claim: a chaos run

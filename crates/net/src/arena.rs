@@ -25,8 +25,9 @@
 //!   slot never aliases live state (checked by the arena property
 //!   tests).
 //!
-//! Snapshot formats deliberately keep the sparse external encoding and
-//! interners are rebuilt on restore — see DESIGN.md §14.
+//! Slot numbers never reach a snapshot: the one resident holder of an
+//! interner, the maxmin engine, is a cache outside every persistent
+//! format and starts empty after a restore — see DESIGN.md §14.2.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -67,9 +68,9 @@ impl_arena_key!(
 
 /// An id ↔ dense-slot interner with stable free-list reuse.
 ///
-/// Not serialized anywhere: persistent formats keep external ids and the
-/// owning engine rebuilds its interner (and every parallel `Vec` hanging
-/// off it) from the sparse maps on restore.
+/// Not serialized anywhere: persistent formats keep external ids, and
+/// the engine that owns an interner is rebuilt from the network by its
+/// first round after a restore.
 #[derive(Clone, Debug)]
 pub struct DenseInterner<I: ArenaKey> {
     /// External → slot. Ordered, so [`Self::iter`] walks external order.

@@ -25,8 +25,7 @@
 //!   reservation pool `b_resv,l`, per-connection allocations, and the
 //!   excess-bandwidth accounting (`b'_av,l`) that drives the maxmin
 //!   machinery of §5.2,
-//! * [`connection`] — connection lifecycle records,
-//! * [`message`] — ADVERTISE / UPDATE control packets (§5.3.1).
+//! * [`connection`] — connection lifecycle records.
 //!
 //! Everything is a plain, deterministic data structure — the event loop
 //! lives in `arm-sim`, and algorithms live in `arm-qos` and friends.
@@ -39,7 +38,6 @@ pub mod connection;
 pub mod flowspec;
 pub mod ids;
 pub mod link;
-pub mod message;
 pub mod network;
 pub mod routing;
 pub mod topology;

@@ -95,7 +95,8 @@ pub fn resolve_network(
     // Pin mobile connections at their floors first (frees excess).
     pin_mobiles(net, is_static, mobile);
     engine.sync_network(net, &|c| is_static(c.portable));
-    apply_allocation(net, engine.resolve(), changes) + mobile.len()
+    engine.resolve();
+    apply_allocation(net, engine.rates(), changes) + mobile.len()
 }
 
 /// From-scratch resolvers: rebuild the whole `MaxminProblem` from the
@@ -119,7 +120,7 @@ pub(crate) mod reference {
             .live_connections()
             .map(|c| (c.id, c.b_current))
             .collect();
-        apply_allocation(net, &alloc, &mut Vec::new());
+        apply_allocation(net, alloc, &mut Vec::new());
         before
             .into_iter()
             .filter(|(id, old)| {
@@ -152,7 +153,7 @@ pub(crate) mod reference {
                     .is_some_and(|c| (c.qos.b_min + **x - c.b_current).abs() > 1e-9)
             })
             .count();
-        apply_allocation(net, &alloc, &mut Vec::new());
+        apply_allocation(net, alloc, &mut Vec::new());
         changed + mobile.len()
     }
 }
@@ -348,7 +349,7 @@ mod tests {
         let mut alloc = std::collections::BTreeMap::new();
         alloc.insert(a, f64::NAN);
         alloc.insert(b, -50.0);
-        apply_allocation(&mut net, &alloc, &mut Vec::new());
+        apply_allocation(&mut net, alloc, &mut Vec::new());
         assert_eq!(net.get(a).unwrap().b_current, 100.0);
         assert_eq!(net.get(b).unwrap().b_current, 100.0);
         assert!(net.check_invariants().is_ok());

@@ -16,7 +16,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use arm_net::ids::{ConnId, LinkId};
 use arm_net::{DenseInterner, Network};
-use serde::{Deserialize, Serialize};
 
 /// A maxmin allocation problem over excess capacities and excess demands.
 ///
@@ -47,7 +46,7 @@ pub struct MaxminProblem {
 }
 
 /// One connection's demand side.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConnDemand {
     /// `b_max − b_min`.
     pub demand: f64,
@@ -92,14 +91,13 @@ impl MaxminProblem {
     /// bipartite link/connection sharing graph, and each component is
     /// filled independently by [`DenseState::solve_component_dense`] —
     /// the *same* kernel the incremental engine
-    /// ([`crate::maxmin::incremental`]) runs on its resident mirror, so a
+    /// ([`crate::maxmin::incremental`]) runs on its resident state, so a
     /// partial re-solve is bit-identical to a from-scratch one. (The
     /// map-walking [`solve_component`] reference stays as the
     /// differential oracle the property tests compare both against.)
     pub fn solve(&self) -> Allocation {
         let mut alloc: Allocation = self.conns.keys().map(|c| (*c, 0.0)).collect();
-        let mut dense = DenseState::default();
-        dense.rebuild(&self.link_excess, &self.conns, &alloc);
+        let mut dense = DenseState::from_problem(self);
         let mut bfs = CompScratch::default();
         let mut scratch = SolveScratch::default();
         bfs.begin(dense.links.slot_count(), dense.conns.slot_count());
@@ -390,9 +388,9 @@ pub fn solve_component(
 /// interned into dense `u32` slots, with every per-link and per-conn
 /// quantity in a parallel `Vec`. This is the production layout the
 /// solvers run on — the incremental engine keeps one resident as its
-/// mirror and maintains it in place across churn, so a steady-state
-/// resolve walks flat arrays instead of `BTreeMap` nodes and allocates
-/// nothing.
+/// whole state and maintains it in place across churn, so a
+/// steady-state resolve walks flat arrays instead of `BTreeMap` nodes
+/// and allocates nothing.
 ///
 /// The map-walking [`solve_component`] remains the reference
 /// implementation; the property tests assert the two produce
@@ -421,18 +419,6 @@ pub struct DenseState {
 }
 
 impl DenseState {
-    /// Drop everything, keeping allocated capacity where possible.
-    pub fn clear(&mut self) {
-        self.links.clear();
-        self.conns.clear();
-        self.excess.clear();
-        self.has_excess.clear();
-        self.members.clear();
-        self.demand.clear();
-        self.routes.clear();
-        self.alloc.clear();
-    }
-
     /// Intern `l`, sizing the per-link columns and resetting any state a
     /// previous occupant of a recycled slot left behind.
     pub fn ensure_link(&mut self, l: LinkId) -> u32 {
@@ -541,25 +527,39 @@ impl DenseState {
         self.conns.release(id);
     }
 
-    /// Rebuild wholesale from the sparse maps (restore path, and the
-    /// from-scratch [`MaxminProblem::solve`]).
-    pub fn rebuild(
-        &mut self,
-        link_excess: &BTreeMap<LinkId, f64>,
-        conns: &BTreeMap<ConnId, ConnDemand>,
-        alloc: &Allocation,
-    ) {
-        self.clear();
-        for (l, v) in link_excess {
-            self.set_excess(*l, *v);
+    /// The arrays for a problem's sparse maps, every allocation at zero
+    /// (what the from-scratch [`MaxminProblem::solve`] fills).
+    pub fn from_problem(problem: &MaxminProblem) -> Self {
+        let mut dense = DenseState::default();
+        for (l, v) in &problem.link_excess {
+            dense.set_excess(*l, *v);
         }
-        for (c, d) in conns {
-            self.add_conn(*c, d.demand, &d.links);
+        for (c, d) in &problem.conns {
+            dense.add_conn(*c, d.demand, &d.links);
         }
-        for (c, x) in alloc {
-            if let Some(s) = self.conns.get(*c) {
-                self.alloc[s as usize] = *x;
-            }
+        dense
+    }
+
+    /// The inverse of [`Self::from_problem`]: the problem these arrays hold,
+    /// as sparse maps keyed by external id.
+    pub fn problem(&self) -> MaxminProblem {
+        let link_excess = self
+            .links
+            .iter()
+            .filter(|(_, l)| self.has_excess[*l as usize])
+            .map(|(id, l)| (id, self.excess[l as usize]))
+            .collect();
+        let conns = self.conns.iter().map(|(id, c)| {
+            let route = self.routes[c as usize].iter();
+            let d = ConnDemand {
+                demand: self.demand[c as usize],
+                links: route.map(|l| self.links.external(*l)).collect(),
+            };
+            (id, d)
+        });
+        MaxminProblem {
+            link_excess,
+            conns: conns.collect(),
         }
     }
 
@@ -712,79 +712,40 @@ impl DenseState {
         }
     }
 
-    /// Cross-check the dense view against the sparse maps it mirrors;
-    /// used by property tests.
-    pub fn check_mirrors(
-        &self,
-        link_excess: &BTreeMap<LinkId, f64>,
-        conns: &BTreeMap<ConnId, ConnDemand>,
-        alloc: &Allocation,
-    ) -> Result<(), String> {
+    /// Structural self-check, used by the property tests and the
+    /// `arm-check` engine sweep: both interners are sound, each live
+    /// link's `members` are live conn slots in strictly ascending
+    /// *external* id order, `members` and `routes` are each other's
+    /// reverse, and no live link slot is an orphan (no capacity entry
+    /// and no member — the mutator that orphans a slot releases it).
+    pub fn check_invariants(&self) -> Result<(), String> {
         self.links
             .check_invariants()
             .map_err(|e| format!("links: {e}"))?;
         self.conns
             .check_invariants()
             .map_err(|e| format!("conns: {e}"))?;
-        for (l, v) in link_excess {
-            let Some(s) = self.links.get(*l) else {
-                return Err(format!("{l:?} missing from dense view"));
-            };
-            let i = s as usize;
-            if !self.has_excess[i] || self.excess[i].to_bits() != v.to_bits() {
-                return Err(format!("{l:?} excess mismatch"));
+        for (l, ls) in self.links.iter() {
+            let members = &self.members[ls as usize];
+            if members.is_empty() && !self.has_excess[ls as usize] {
+                return Err(format!("{l:?} holds a slot with no capacity and no member"));
             }
-        }
-        let with_excess = self.has_excess.iter().filter(|b| **b).count();
-        if with_excess != link_excess.len() {
-            return Err(format!(
-                "dense has {with_excess} capacity rows, sparse {}",
-                link_excess.len()
-            ));
-        }
-        if self.conns.len() != conns.len() {
-            return Err(format!(
-                "dense has {} conns, sparse {}",
-                self.conns.len(),
-                conns.len()
-            ));
-        }
-        for (c, d) in conns {
-            let Some(s) = self.conns.get(*c) else {
-                return Err(format!("{c:?} missing from dense view"));
-            };
-            let i = s as usize;
-            if self.demand[i].to_bits() != d.demand.to_bits() {
-                return Err(format!("{c:?} demand mismatch"));
-            }
-            let route: Vec<LinkId> = self.routes[i]
-                .iter()
-                .map(|l| self.links.external(*l))
-                .collect();
-            if route != d.links {
-                return Err(format!("{c:?} route mismatch: {route:?} vs {:?}", d.links));
-            }
-            let a = alloc.get(c).copied().unwrap_or(0.0);
-            if self.alloc[i].to_bits() != a.to_bits() {
-                return Err(format!("{c:?} alloc mismatch"));
-            }
-            for l in &self.routes[i] {
-                let li = *l as usize;
-                if self.members[li]
-                    .binary_search_by_key(c, |m| self.conns.external(*m))
-                    .is_err()
-                {
-                    return Err(format!("{c:?} absent from members of its route"));
-                }
-            }
-        }
-        for (li, members) in self.members.iter().enumerate() {
-            if !self.links.is_live(li as u32) {
-                continue;
+            let routed = |m: &u32| self.conns.is_live(*m) && self.routes[*m as usize].contains(&ls);
+            if let Some(m) = members.iter().find(|m| !routed(m)) {
+                return Err(format!(
+                    "conn slot {m}, a member of {l:?}, is not routed over it"
+                ));
             }
             let ext: Vec<ConnId> = members.iter().map(|m| self.conns.external(*m)).collect();
             if ext.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("members of link slot {li} not ascending: {ext:?}"));
+                return Err(format!("members of {l:?} not ascending: {ext:?}"));
+            }
+        }
+        for (c, cs) in self.conns.iter() {
+            let listed =
+                |l: &u32| self.links.is_live(*l) && self.members[*l as usize].contains(&cs);
+            if !self.routes[cs as usize].iter().all(listed) {
+                return Err(format!("{c:?} absent from members of its route"));
             }
         }
         Ok(())
@@ -853,11 +814,14 @@ impl SolveScratch {
     }
 }
 
-/// Apply a solved allocation to the network ledgers: every live
-/// connection's rate becomes `b_min + excess`. Decreases are applied
-/// first so increases always fit. `changes` is a buffer the caller may
-/// keep between rounds so a steady-state round reuses its capacity.
-/// Returns the number of connections whose rate changed.
+/// Apply a solved allocation — `(connection, excess rate)` pairs in
+/// ascending `ConnId` order, as an [`Allocation`] or
+/// [`IncrementalMaxmin::rates`](super::incremental::IncrementalMaxmin::rates)
+/// yields them — to the network ledgers: every live connection's rate
+/// becomes `b_min + excess`. Decreases are applied first so increases
+/// always fit. `changes` is a buffer the caller may keep between rounds
+/// so a steady-state round reuses its capacity. Returns the number of
+/// connections whose rate changed.
 ///
 /// Every connection in `alloc` is compared with its ledger rate, not
 /// only those a solve just moved: the ledger can leave a target that
@@ -865,14 +829,14 @@ impl SolveScratch {
 /// this comparison is what brings it back.
 pub fn apply_allocation(
     net: &mut Network,
-    alloc: &Allocation,
+    alloc: impl IntoIterator<Item = (ConnId, f64)>,
     changes: &mut Vec<(ConnId, f64)>,
 ) -> usize {
     changes.clear();
     // Ascending id, so the stable sort below applies equal moves in id
     // order and the ledger sums see one fixed sequence of additions.
     for (id, x) in alloc {
-        let Some(c) = net.get(*id).filter(|c| c.state.is_live()) else {
+        let Some(c) = net.get(id).filter(|c| c.state.is_live()) else {
             continue;
         };
         // A non-finite or negative excess never reaches the ledger:
@@ -881,7 +845,7 @@ pub fn apply_allocation(
         let x = if x.is_finite() { x.max(0.0) } else { 0.0 };
         let target = (c.qos.b_min + x).clamp(c.qos.b_min, c.qos.b_max);
         if (target - c.b_current).abs() > 1e-9 {
-            changes.push((*id, target));
+            changes.push((id, target));
         }
     }
     // Decreases first. `total_cmp` keeps the sort well-defined even if a

@@ -1,11 +1,17 @@
 //! Differential property tests for the incremental maxmin engine: after
 //! an arbitrary sequence of admit/depart/capacity-change/link-removal
-//! events and spurious touches, the resident allocation must match
-//! `MaxminProblem::solve` from scratch (to 1e-9 — in fact bit-for-bit),
-//! `verify_maxmin` must hold, and the engine's sparse maps and dense
-//! mirror must stay consistent.
+//! events, the engine's inputs must equal — bit for bit — a shadow
+//! `MaxminProblem` built from the same events with no engine in the
+//! loop, its resident allocation must match that shadow's from-scratch
+//! `solve` (to 1e-9 — in fact bit-for-bit), `verify_maxmin` must hold,
+//! and the engine's structural invariants must stay intact.
+//!
+//! The shadow is what keeps the reference independent: `as_problem()`
+//! reads the same arrays the answer is computed from, so a reference
+//! derived from it would follow the engine into any input it mangled.
 
 use arm_net::ids::{ConnId, LinkId};
+use arm_qos::maxmin::centralized::{Allocation, ConnDemand, MaxminProblem};
 use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use proptest::prelude::*;
 
@@ -25,6 +31,18 @@ enum Event {
     SetCapacity { link: u32, excess: f64 },
     /// A link disappears (fault schedules do this mid-run).
     RemoveLink { link: u32 },
+}
+
+/// Bit-exact image of a problem: capacities, then demands with routes.
+type Bits = (Vec<(LinkId, u64)>, Vec<(ConnId, u64, Vec<LinkId>)>);
+
+fn bits(p: &MaxminProblem) -> Bits {
+    let links = p.link_excess.iter().map(|(l, x)| (*l, x.to_bits()));
+    let conns = p
+        .conns
+        .iter()
+        .map(|(c, d)| (*c, d.demand.to_bits(), d.links.clone()));
+    (links.collect(), conns.collect())
 }
 
 const N_LINKS: u32 = 5;
@@ -70,25 +88,39 @@ proptest! {
         events in prop::collection::vec(event_strategy(), 1..24),
     ) {
         let mut engine = IncrementalMaxmin::new();
+        let mut shadow = MaxminProblem::default();
         for (i, c) in caps.iter().enumerate() {
             engine.set_link_excess(LinkId(i as u32), *c);
+            shadow.link_excess.insert(LinkId(i as u32), *c);
         }
         for ev in &events {
             match ev {
                 Event::Admit { conn, demand, links } => {
-                    let ls: Vec<LinkId> = links.iter().map(|l| LinkId(*l)).collect();
-                    engine.upsert_conn(ConnId(*conn), *demand, &ls);
+                    let links: Vec<LinkId> = links.iter().map(|l| LinkId(*l)).collect();
+                    engine.upsert_conn(ConnId(*conn), *demand, &links);
+                    shadow.conns.insert(ConnId(*conn), ConnDemand { demand: *demand, links });
                 }
-                Event::Depart { conn } => engine.remove_conn(ConnId(*conn)),
+                Event::Depart { conn } => {
+                    engine.remove_conn(ConnId(*conn));
+                    shadow.conns.remove(&ConnId(*conn));
+                }
                 Event::SetCapacity { link, excess } => {
                     engine.set_link_excess(LinkId(*link), *excess);
+                    shadow.link_excess.insert(LinkId(*link), *excess);
                 }
-                Event::RemoveLink { link } => engine.remove_link(LinkId(*link)),
+                Event::RemoveLink { link } => {
+                    engine.remove_link(LinkId(*link));
+                    shadow.link_excess.remove(&LinkId(*link));
+                }
             }
-            prop_assert_eq!(engine.check_consistency(), Ok(()), "after {:?}", ev);
-            prop_assert_eq!(engine.check_mirror(), Ok(()), "after {:?}", ev);
-            let fresh = engine.as_problem().solve();
-            let incremental = engine.resolve().clone();
+            prop_assert_eq!(engine.check_invariants(), Ok(()), "after {:?}", ev);
+            prop_assert_eq!(
+                bits(&engine.as_problem()), bits(&shadow),
+                "inputs diverged from the applied events after {:?}", ev
+            );
+            let fresh = shadow.solve();
+            engine.resolve();
+            let incremental: Allocation = engine.rates().collect();
             prop_assert_eq!(
                 fresh.len(),
                 incremental.len(),
@@ -108,8 +140,9 @@ proptest! {
                     c, ev, got, want
                 );
             }
-            let verdict = engine.as_problem().verify_maxmin(&incremental);
+            let verdict = shadow.verify_maxmin(&incremental);
             prop_assert!(verdict.is_ok(), "not maxmin after {:?}: {:?}", ev, verdict);
+            prop_assert_eq!(engine.check_invariants(), Ok(()), "after resolving {:?}", ev);
         }
     }
 

@@ -41,12 +41,13 @@ use crate::ingest::{parse_event, IngestError};
 /// Version stamp embedded in every [`ServerSnapshot`]. Bump on any
 /// change to its field set (the embedded [`ManagerSnapshot`] carries
 /// its own version, checked independently). v2 tracks the manager
-/// snapshot's v2 (the slotted advance-reservation calendar). v3 to v7
+/// snapshot's v2 (the slotted advance-reservation calendar). v3 to v8
 /// likewise track the manager snapshot's v3 (sharded planner added),
 /// v4 (planner is the only maxmin engine), v5 (link-keyed calendar),
-/// v6 (planner dropped, one resident engine) and v7 (the calendar
-/// section is gone again).
-pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 7;
+/// v6 (planner dropped, one resident engine), v7 (the calendar
+/// section is gone again) and v8 (the maxmin engine is a cache and
+/// leaves the image).
+pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 8;
 
 /// Static configuration of a server instance. Captured in every
 /// snapshot so a restore cannot silently run under different rules

@@ -350,26 +350,13 @@ fn wing_end_state_decodes_alike_however_damaged() {
     }
 }
 
-/// The hostile edits of `snapshot_roundtrip.rs` (PR 15): documents that
+/// The hostile edits of `snapshot_roundtrip.rs` (PR 15; its three
+/// engine rows went with the engine's image in v8): documents that
 /// decode and must then be refused by validation — `Invalid`, by both
 /// routes — plus, around each, every hostile number in its place.
 #[test]
 fn hostile_edits_are_refused_alike() {
-    const ENGINE_EMPTY: &str = "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[],";
     let table = [
-        (
-            ENGINE_EMPTY,
-            "\"conns\":[],\"index\":[[3,[7]]],\"alloc\":[],\"bottleneck\":[],",
-        ),
-        (
-            ENGINE_EMPTY,
-            "\"conns\":[[7,{\"demand\":1.0,\"links\":[3]}]],\"index\":[[3,[7]]],\
-             \"alloc\":[],\"bottleneck\":[],",
-        ),
-        (
-            ENGINE_EMPTY,
-            "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[[3,[7]]],",
-        ),
         (
             "\"slot\":60000000,\"per_user_kbps\"",
             "\"slot\":0,\"per_user_kbps\"",
@@ -451,7 +438,7 @@ fn hostile_edits_are_refused_alike() {
 fn a_skewed_stamp_is_reported_before_damage_behind_it() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let skewed = current.replacen("{\"schema\":7,", "{\"schema\":6,", 1);
+    let skewed = current.replacen("{\"schema\":8,", "{\"schema\":6,", 1);
     assert_ne!(skewed, current, "layout drifted");
     // Whole, both routes say which version it is.
     assert_eq!(
@@ -483,7 +470,7 @@ fn a_skewed_stamp_is_reported_before_damage_behind_it() {
 fn deep_nesting_is_a_typed_parse_error() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let stamp = "{\"schema\":7,";
+    let stamp = "{\"schema\":8,";
     for opener in ["[", "{\"a\":"] {
         let bomb = opener.repeat(100_000);
         let documents = [
@@ -492,7 +479,7 @@ fn deep_nesting_is_a_typed_parse_error() {
             current.replacen(stamp, &format!("{stamp}\"cfg\":{bomb},"), 1),
             current.replacen(stamp, &format!("{stamp}\"zzz\":{bomb},"), 1),
             // Before the stamp, where only the scan goes.
-            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":7,"), 1),
+            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":8,"), 1),
         ];
         for doc in &documents {
             for got in [

@@ -161,12 +161,36 @@ fn wing_end_state_round_trips_and_streams_like_the_tree() {
     assert_codec_properties(&server.snapshot(), "wing end state");
 }
 
-/// `json` (a v7 server or manager document of `walk_cfg(7)` cut at 40)
-/// as the previous build wrote it: stamped 6, and every manager image
-/// closed by the slotted calendar's section — empty but for the 21 link
-/// capacities and the slot cursor, as in every checkpoint the server
-/// ever cut. Byte for byte what commit `769e91d` emits for this state.
-fn as_v6(json: &str) -> String {
+/// `json` (a v8 server or manager document of `walk_cfg(7)` cut at 40)
+/// as the previous build wrote it: stamped 7, and every manager image
+/// carrying the maxmin engine's section — all empty, as in every
+/// checkpoint the server ever cut (it never adapts). Byte for byte what
+/// commit `45078ab` emits for this state: 172 bytes more.
+fn as_v7(json: &str) -> String {
+    const AFTER: &str = "\"channel_renegotiations\":";
+    const V7_MAXMIN: &str = "\"maxmin\":{\"link_excess\":[],\"conns\":[],\"index\":[],\
+        \"alloc\":[],\"bottleneck\":[],\"dirty\":[],\"stats\":{\"incremental_solves\":0,\
+        \"cache_hits\":0,\"conns_resolved\":0,\"conns_reused\":0}},";
+    assert!(
+        json.starts_with("{\"schema\":8,"),
+        "layout drifted: {json:.60}"
+    );
+    assert_eq!(json.matches(AFTER).count(), 1, "layout drifted");
+    // Every stamp: a server document carries its manager's too.
+    let v7 = json.replace("{\"schema\":8,", "{\"schema\":7,").replacen(
+        AFTER,
+        &format!("{V7_MAXMIN}{AFTER}"),
+        1,
+    );
+    assert_eq!(v7.len(), json.len() + 172);
+    v7
+}
+
+/// `v7` (see [`as_v7`]) as the build before that wrote it: stamped 6,
+/// and every manager image closed by the slotted calendar's section —
+/// empty but for the 21 link capacities and the slot cursor. Byte for
+/// byte what commit `769e91d` emits for this state.
+fn as_v6(v7: &str) -> String {
     const MANAGER_TAIL: &str = "\"handoff_signalling_failures\":0}";
     const V6_MANAGER_TAIL: &str = "\"handoff_signalling_failures\":0,\"calendar\":{\"schema\":2,\
         \"capacities\":[[0,800.0],[1,100000.0],[2,100000.0],[3,800.0],[4,100000.0],[5,100000.0],\
@@ -174,26 +198,24 @@ fn as_v6(json: &str) -> String {
         [13,100000.0],[14,100000.0],[15,800.0],[16,100000.0],[17,100000.0],[18,800.0],\
         [19,100000.0],[20,100000.0]],\"reservations\":[],\"groups\":[],\"next_id\":0,\
         \"next_group\":0,\"current_slot\":11}}";
-    assert!(
-        json.starts_with("{\"schema\":7,"),
-        "layout drifted: {json:.60}"
-    );
-    assert_eq!(json.matches(MANAGER_TAIL).count(), 1, "layout drifted");
-    // Every stamp: a server document carries its manager's too.
-    json.replace("{\"schema\":7,", "{\"schema\":6,")
+    assert_eq!(v7.matches(MANAGER_TAIL).count(), 1, "layout drifted");
+    v7.replace("{\"schema\":7,", "{\"schema\":6,")
         .replacen(MANAGER_TAIL, V6_MANAGER_TAIL, 1)
 }
 
 /// `json` under each skewed stamp: a future version, the previous
-/// build's real v6 document (still carrying `"calendar"`), and the two
-/// before it (shard planner; cell-keyed calendar).
+/// build's real v7 document (still carrying `"maxmin"`), the real v6
+/// one before it (`"calendar"` too), and the two before that (shard
+/// planner; cell-keyed calendar).
 fn skewed_documents(json: &str, future: u32) -> Vec<(u32, String)> {
     let restamped =
-        |skew: u32| json.replacen("{\"schema\":7,", &format!("{{\"schema\":{skew},"), 1);
-    let v6 = as_v6(json);
-    assert!(v6.contains("\"calendar\""));
+        |skew: u32| json.replacen("{\"schema\":8,", &format!("{{\"schema\":{skew},"), 1);
+    let v7 = as_v7(json);
+    let v6 = as_v6(&v7);
+    assert!(v7.contains("\"maxmin\"") && v6.contains("\"calendar\""));
     vec![
         (future, restamped(future)),
+        (7, v7),
         (6, v6),
         (5, restamped(5)),
         (4, restamped(4)),
@@ -208,7 +230,7 @@ fn mismatched_server_schema_is_a_typed_error() {
         match ServerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 7);
+                assert_eq!(expected, 8);
                 assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -228,7 +250,7 @@ fn mismatched_manager_schema_is_a_typed_error() {
         match arm_core::ManagerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 7);
+                assert_eq!(expected, 8);
                 assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -237,47 +259,27 @@ fn mismatched_manager_schema_is_a_typed_error() {
 }
 
 /// Snapshots that decode cleanly but would panic, hang or silently
-/// corrupt a restored process: a maxmin engine whose maps disagree (an
-/// index row naming a connection nobody registered; a registered
-/// connection with no allocation row, which the conflict resolver
-/// would skip forever; a bottleneck set naming a connection that does
-/// not route over its link), a zero slot width (`slot_tick` divides by
+/// corrupt a restored process: a zero slot width (`slot_tick` divides by
 /// the manager's, the server's slot cursor never passes an event time
 /// with its own), and a `metrics` or arrival-series slot width that is
 /// not the manager's (zero panics the next `record_arrival` or divides
 /// by zero in `TimeSeries::add`; one tick sizes the series by
-/// sim-time). Each is refused
+/// sim-time). (Through v7 three more rows forged a maxmin engine whose
+/// maps disagreed. A hostile engine image can no longer be written:
+/// the engine is a cache that no snapshot carries, a restore starts
+/// from an empty one, and a document that still has a `"maxmin"`
+/// section is a v7 document — `SchemaMismatch`, see
+/// `mismatched_*_schema_is_a_typed_error`.) Each is refused
 /// with a typed error — by the server at decode, by the manager at
 /// restore — and never panics. A last edit forges derived state the
 /// image never carries (the network's per-portable connection index):
 /// that one is ignored rather than refused, because decode rebuilds it.
 #[test]
 fn corrupted_planner_routing_is_a_typed_error() {
-    // The server never adapts, so its engine's maps are all empty.
-    const ENGINE_EMPTY: &str = "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[],";
     let server = server_at(&walk_cfg(7), 40);
     // (needle, hostile replacement, what the refusal names, in the
     // manager image too?)
     let cases = [
-        (
-            ENGINE_EMPTY,
-            "\"conns\":[],\"index\":[[3,[7]]],\"alloc\":[],\"bottleneck\":[],",
-            "index row l3",
-            true,
-        ),
-        (
-            ENGINE_EMPTY,
-            "\"conns\":[[7,{\"demand\":1.0,\"links\":[3]}]],\"index\":[[3,[7]]],\
-             \"alloc\":[],\"bottleneck\":[],",
-            "alloc holds 0 rates for 1 registered conns",
-            true,
-        ),
-        (
-            ENGINE_EMPTY,
-            "\"conns\":[],\"index\":[],\"alloc\":[],\"bottleneck\":[[3,[7]]],",
-            "bottleneck set of l3 names f7",
-            true,
-        ),
         (
             "\"slot\":60000000,\"per_user_kbps\"",
             "\"slot\":0,\"per_user_kbps\"",

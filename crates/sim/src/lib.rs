@@ -35,7 +35,6 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, Model, StopCondition};
 pub use event::EventId;

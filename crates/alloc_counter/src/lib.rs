@@ -10,11 +10,14 @@
 //! resident buffers to their high-water mark), then assert
 //! [`allocation_count`] does not move across subsequent events.
 //!
-//! The counter is a relaxed atomic: cheap enough to leave in every
-//! allocation, precise enough for delta assertions on a single test
-//! thread. Run zero-allocation tests with `--test-threads=1` (or in
-//! their own process) — the counter is process-global, so a concurrent
-//! test's allocations would show up in the delta.
+//! The tally is per thread (a `const`-initialised `thread_local!`
+//! `Cell`, so bumping it neither allocates nor registers a destructor):
+//! a delta taken on one thread counts that thread's allocations only.
+//! `cargo test` runs each `#[test]` on its own thread, so zero-allocation
+//! tests need neither `--test-threads=1` nor a lock around the measured
+//! section — the harness reporting a sibling test, or the sibling
+//! itself, allocates on another thread. Work the measured closure hands
+//! to a thread it spawns is, by the same rule, not counted.
 //!
 //! This crate is the workspace's only home for `unsafe`: implementing
 //! `GlobalAlloc` requires it, and the production crates all
@@ -22,13 +25,21 @@
 //! tally — every call forwards verbatim to [`System`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Number of `alloc`/`realloc` calls since process start. `dealloc` is
-/// deliberately not counted: freeing a buffer that was allocated during
-/// warm-up is benign, while any *new* allocation is the regression the
-/// tests hunt.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Number of `alloc`/`realloc` calls this thread has made. `dealloc`
+    /// is deliberately not counted: freeing a buffer that was allocated
+    /// during warm-up is benign, while any *new* allocation is the
+    /// regression the tests hunt.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation against the calling thread. `try_with`: the
+/// allocator must not panic, whatever state the thread is in.
+fn tally() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// A [`System`]-backed allocator that counts allocations.
 ///
@@ -39,11 +50,12 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards directly to `System`, which upholds the
-// `GlobalAlloc` contract; the added atomic counter does not touch the
-// returned memory.
+// `GlobalAlloc` contract; the added thread-local tally does not touch
+// the returned memory and, being `const`-initialised without a
+// destructor, never re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         System.alloc(layout)
     }
 
@@ -52,23 +64,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         System.alloc_zeroed(layout)
     }
 }
 
-/// Total allocations (alloc + realloc + alloc_zeroed) so far. Take a
-/// reading before and after the section under test and compare.
+/// The calling thread's allocations (alloc + realloc + alloc_zeroed) so
+/// far. Take a reading before and after the section under test, on the
+/// same thread, and compare.
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Run `f` and return how many allocations it performed.
+/// Run `f` and return how many allocations it performed on this thread.
 pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = allocation_count();
     let out = f();
@@ -99,5 +112,30 @@ mod tests {
         assert_eq!(refill, 0, "reusing capacity must not allocate");
         let (_, boxed) = allocations_during(|| std::hint::black_box(Box::new(7u64)));
         assert!(boxed >= 1, "boxing must allocate, counted {boxed}");
+    }
+
+    #[test]
+    fn another_threads_allocations_are_not_counted() {
+        let (theirs, ours) = allocations_during(|| {
+            std::thread::scope(|s| {
+                let busy = || {
+                    for i in 0..1000u64 {
+                        std::hint::black_box(Box::new(i));
+                    }
+                };
+                s.spawn(move || allocations_during(busy).1)
+                    .join()
+                    .expect("the counting thread does not panic")
+            })
+        });
+        assert!(
+            theirs >= 1000,
+            "the spawned thread counts its own: {theirs}"
+        );
+        // What is counted here is the spawn itself (packet, handle, name).
+        assert!(
+            ours < 100,
+            "{ours} foreign allocations leaked into the tally"
+        );
     }
 }

@@ -134,7 +134,7 @@ pub fn run_with_faults_obs(
     let checking = !faults.is_empty();
     let map = FaultMap {
         links: mgr.net.topology().link_count() as u32,
-        zones: mgr.profiles.zone_count().max(1) as u32,
+        zones: mgr.profiles().zone_count().max(1) as u32,
         portables: {
             let set: BTreeSet<PortableId> = trace.events().iter().map(|e| e.portable).collect();
             set.into_iter().collect()

@@ -26,9 +26,9 @@
 //! fixed order, so a link's ledger is a function of the state and not
 //! of the path that led to it. One refresh costs O(cells + portables +
 //! live connections + claims written) and, in steady state, allocates
-//! only what the lounge rows need. It reads three resident structures,
-//! each kept where its source lives so the manager has nothing to
-//! invalidate:
+//! only what the lounge rows need. It reads four resident structures,
+//! the first three kept where their source lives so the manager has
+//! nothing to invalidate:
 //!
 //! * `Network`'s per-portable connection index (derived from the
 //!   connection table in `install`/`finish`/`mark_blocked`) — a
@@ -36,11 +36,15 @@
 //! * each cell profile's `CountedHistory` tallies (derived from its
 //!   handoff FIFO in `record`) — level-2b predictions and transition
 //!   rows without a recount of `N_pC` events;
-//! * every cell's uplink route (`arm_net::routing::uplink_routes`, a
-//!   pure function of the static topology) — a handoff's new route
-//!   without a Dijkstra run.
+//! * every cell's uplink route and wired legs toward each neighbour
+//!   (`arm_net::routing::{uplink_routes, neighbor_legs}`, pure functions
+//!   of the static topology) — a handoff's new route and its multicast
+//!   branches without a Dijkstra run;
+//! * beside each tracked portable, what the §6.4 dispatcher last read
+//!   for it ([`DispatchMemo`]) — the one cache the manager does
+//!   invalidate, at the two places its inputs change.
 //!
-//! What the manager itself keeps between events ([`RefreshScratch`]) is
+//! What else the manager keeps between events ([`RefreshScratch`]) is
 //! buffers only: every one is cleared before it is filled.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,9 +53,10 @@ use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
-use arm_net::routing::{shortest_path_avoiding, uplink_routes};
+use arm_net::routing::{neighbor_legs, shortest_path_avoiding, uplink_routes, NeighborLegs};
 use arm_net::{Connection, ConnectionState, Network, Route};
 use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
+use arm_profiles::prediction::Prediction;
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
 use arm_qos::adaptation::{DynPoolPolicy, StaticMobileTest};
 use arm_qos::admission::{
@@ -137,6 +142,44 @@ impl PortableState {
     }
 }
 
+/// What the §6.4 dispatcher read for a portable the last time its
+/// claims were refreshed: `ZonedProfiles::dispatch_inputs` for the
+/// portable's `(prev_cell, cell)`. That is a pure function of the
+/// portable's own profile, of `cell`'s handoff history and of data fixed
+/// at construction, so it is kept until one of the two changes:
+///
+/// * the portable's own profile changes only inside `portable_appears`
+///   and `portable_moved`, both of which replace its [`Tracked`] entry —
+///   and with it this memo;
+/// * `cell`'s history changes only where `portable_moved` records a
+///   handoff out of `cell`, which bumps `cell_revs[cell]` away from the
+///   stamp below.
+///
+/// Derived state, never snapshotted: a restored manager starts without
+/// memos and recomputes the same function from the restored profiles.
+#[derive(Clone, Copy, Debug)]
+struct DispatchMemo {
+    /// `cell_revs[cell]` when the inputs were read.
+    cell_rev: u64,
+    is_occupant: bool,
+    prediction: Prediction,
+}
+
+/// A tracked portable: its snapshotted state and the memo derived from
+/// it. Built only by [`Tracked::new`], so replacing the state drops the
+/// memo.
+#[derive(Debug)]
+struct Tracked {
+    state: PortableState,
+    memo: Option<DispatchMemo>,
+}
+
+impl Tracked {
+    fn new(state: PortableState) -> Self {
+        Tracked { state, memo: None }
+    }
+}
+
 /// Resident buffers for the claim refresh and the handoff path, so a
 /// steady-state event reuses their capacity instead of allocating.
 /// Every buffer is cleared before it is filled; none carries a decision
@@ -156,6 +199,8 @@ struct RefreshScratch {
     lounges: Vec<(CellId, f64, f64)>,
     /// Connections of the portable being handed off.
     moving: Vec<ConnId>,
+    /// Every tracked portable, for the slot tick's multicast re-sync.
+    tracked: Vec<PortableId>,
 }
 
 /// The integrated control plane.
@@ -163,13 +208,20 @@ pub struct ResourceManager {
     /// The data plane (public for inspection by drivers and tests).
     pub net: Network,
     env: IndoorEnvironment,
-    /// The universe of zones and their profile servers (public for
-    /// prediction inspection).
-    pub profiles: ZonedProfiles,
+    /// The universe of zones and their profile servers. Private, and
+    /// mutated only in `portable_appears` and `portable_moved`: the
+    /// dispatch memos are sound because nothing else can change a
+    /// profile. Read through [`profiles`](Self::profiles).
+    profiles: ZonedProfiles,
     cfg: ManagerConfig,
     /// Run metrics.
     pub metrics: Metrics,
-    portables: BTreeMap<PortableId, PortableState>,
+    portables: BTreeMap<PortableId, Tracked>,
+    /// Handoffs recorded out of each cell (index = cell) since this
+    /// process built the manager — the stamp of [`DispatchMemo`]. Not
+    /// snapshotted: memos are not either, so a restored manager counts
+    /// from zero again.
+    cell_revs: Vec<u64>,
     meeting_policies: BTreeMap<CellId, MeetingRoomPolicy>,
     cafeteria_pred: BTreeMap<CellId, CafeteriaPredictor>,
     default_pred: BTreeMap<CellId, OneStepMemory>,
@@ -228,6 +280,10 @@ pub struct ResourceManager {
     /// function of the static topology — rebuilt on construction and
     /// restore, never snapshotted.
     uplinks: Vec<Option<Route>>,
+    /// Every cell's wired multicast legs toward each of its neighbours,
+    /// indexed by cell. Like `uplinks`: derived from the static topology
+    /// and floor plan on construction and restore, never snapshotted.
+    branch_legs: Vec<NeighborLegs>,
     /// Passive observer. [`Obs::off`] by default — observation never
     /// influences any decision, so the disabled path is bit-identical
     /// (asserted by `tests/obs_differential.rs`).
@@ -263,7 +319,10 @@ impl ResourceManager {
         }
         let metrics = Metrics::new(cfg.slot);
         let uplinks = uplink_routes(net.topology(), server_node);
+        let branch_legs = neighbor_legs(net.topology(), |c| env.neighbors(c));
+        let cell_revs = vec![0; env.cell_count()];
         ResourceManager {
+            cell_revs,
             net,
             env,
             profiles,
@@ -294,8 +353,14 @@ impl ResourceManager {
             lost_profile_updates: 0,
             handoff_signalling_failures: 0,
             uplinks,
+            branch_legs,
             obs: Obs::off(),
         }
+    }
+
+    /// The zones and their profile servers, read-only.
+    pub fn profiles(&self) -> &ZonedProfiles {
+        &self.profiles
     }
 
     /// Install an observer (replacing the default [`Obs::off`]).
@@ -327,7 +392,7 @@ impl ResourceManager {
             profiles: self.profiles.clone(),
             cfg: self.cfg.clone(),
             metrics: self.metrics.clone(),
-            portables: self.portables.clone(),
+            portables: self.portables.iter().map(|(p, t)| (*p, t.state)).collect(),
             meeting_policies: self.meeting_policies.clone(),
             cafeteria_pred: self.cafeteria_pred.clone(),
             default_pred: self.default_pred.clone(),
@@ -356,13 +421,20 @@ impl ResourceManager {
     pub fn restore(snap: ManagerSnapshot, obs: Obs) -> Result<Self, SnapshotError> {
         snap.validate()?;
         let uplinks = uplink_routes(snap.net.topology(), snap.server_node);
+        let branch_legs = neighbor_legs(snap.net.topology(), |c| snap.env.neighbors(c));
+        let cell_revs = vec![0; snap.env.cell_count()];
         Ok(ResourceManager {
+            cell_revs,
             net: snap.net,
             env: snap.env,
             profiles: snap.profiles,
             cfg: snap.cfg,
             metrics: snap.metrics,
-            portables: snap.portables,
+            portables: snap
+                .portables
+                .into_iter()
+                .map(|(p, state)| (p, Tracked::new(state)))
+                .collect(),
             meeting_policies: snap.meeting_policies,
             cafeteria_pred: snap.cafeteria_pred,
             default_pred: snap.default_pred,
@@ -387,6 +459,7 @@ impl ResourceManager {
             lost_profile_updates: snap.lost_profile_updates,
             handoff_signalling_failures: snap.handoff_signalling_failures,
             uplinks,
+            branch_legs,
             obs,
         })
     }
@@ -399,14 +472,14 @@ impl ResourceManager {
 
     /// Where a portable currently is.
     pub fn portable_cell(&self, p: PortableId) -> Option<CellId> {
-        self.portables.get(&p).map(|s| s.cell)
+        self.portables.get(&p).map(|t| t.state.cell)
     }
 
     /// Is the portable static (dwelled ≥ `T_th`)?
     pub fn is_static(&self, p: PortableId, now: SimTime) -> bool {
         self.portables
             .get(&p)
-            .is_some_and(|s| s.is_static(self.cfg.t_th, now))
+            .is_some_and(|t| t.state.is_static(self.cfg.t_th, now))
     }
 
     /// Collect every portable that is static at `now` into the resident
@@ -421,7 +494,7 @@ impl ResourceManager {
         self.scratch.statics.extend(
             self.portables
                 .iter()
-                .filter(|(_, s)| s.is_static(t_th, now))
+                .filter(|(_, t)| t.state.is_static(t_th, now))
                 .map(|(p, _)| *p),
         );
     }
@@ -470,11 +543,11 @@ impl ResourceManager {
     pub fn portable_appears(&mut self, p: PortableId, cell: CellId, now: SimTime) {
         self.portables.insert(
             p,
-            PortableState {
+            Tracked::new(PortableState {
                 cell,
                 prev_cell: None,
                 entered_at: now,
-            },
+            }),
         );
         if self.zone_down(cell) {
             // The zone's profile server is out: the first-sighting
@@ -500,6 +573,7 @@ impl ResourceManager {
             .portables
             .get(&p)
             .expect("precondition: portable must appear before requesting connections")
+            .state
             .cell;
         let admit_tok = self.obs.phase_start(now);
         self.metrics.requests.incr();
@@ -616,10 +690,11 @@ impl ResourceManager {
     /// A tracked portable hands off `from → to`. Returns the ids of
     /// connections dropped in the process.
     pub fn portable_moved(&mut self, p: PortableId, to: CellId, now: SimTime) -> Vec<ConnId> {
-        let state = *self
+        let state = self
             .portables
             .get(&p)
-            .expect("precondition: portable must appear before moving");
+            .expect("precondition: portable must appear before moving")
+            .state;
         let from = state.cell;
         assert_ne!(from, to, "no-op move");
         let handoff_tok = self.obs.phase_start(now);
@@ -630,6 +705,8 @@ impl ResourceManager {
         } else {
             self.profiles
                 .record_handoff(p, state.prev_cell, from, to, now);
+            // `from`'s history just changed under every memo read there.
+            self.cell_revs[from.index()] += 1;
         }
         self.metrics.record_arrival(to, now);
         *self.slot_outflow.entry(from).or_insert(0) += 1;
@@ -666,11 +743,11 @@ impl ResourceManager {
         // Update the portable's position and mobility clock.
         self.portables.insert(
             p,
-            PortableState {
+            Tracked::new(PortableState {
                 cell: to,
                 prev_cell: Some(from),
                 entered_at: now,
-            },
+            }),
         );
         self.sync_multicast_for(p, now);
         self.after_event(now);
@@ -699,7 +776,7 @@ impl ResourceManager {
         if !self.cfg.multicast {
             return;
         }
-        let Some(state) = self.portables.get(&p).copied() else {
+        let Some(state) = self.portables.get(&p).map(|t| t.state) else {
             return;
         };
         Self::collect_floors(&self.net, &mut self.scratch.floors, p);
@@ -709,9 +786,8 @@ impl ResourceManager {
                 self.multicast.establish(
                     &mut self.net,
                     id,
-                    state.cell,
                     b_min,
-                    self.env.neighbors(state.cell),
+                    &self.branch_legs[state.cell.index()],
                 );
             } else {
                 self.multicast.teardown(&mut self.net, id);
@@ -735,10 +811,13 @@ impl ResourceManager {
         self.obs.phase_end(Phase::PredictionUpdate, pred_tok, now);
         // Static transitions since the last slot retire their multicast
         // branches here (slot granularity is ample: T_th is minutes).
-        let ps: Vec<PortableId> = self.portables.keys().copied().collect();
-        for p in ps {
-            self.sync_multicast_for(p, now);
+        let mut tracked = std::mem::take(&mut self.scratch.tracked);
+        tracked.clear();
+        tracked.extend(self.portables.keys());
+        for p in &tracked {
+            self.sync_multicast_for(*p, now);
         }
+        self.scratch.tracked = tracked;
         self.after_event(now);
     }
 
@@ -976,7 +1055,13 @@ impl ResourceManager {
 
     /// Is the profile server owning `cell` currently out?
     fn zone_down(&self, cell: CellId) -> bool {
-        !self.down_zones.is_empty() && self.down_zones.contains(&self.profiles.zone_of(cell))
+        Self::zone_is_down(&self.down_zones, &self.profiles, cell)
+    }
+
+    /// [`zone_down`](Self::zone_down) over fields, for the refresh loop
+    /// that holds `portables` mutably.
+    fn zone_is_down(down_zones: &BTreeSet<ZoneId>, profiles: &ZonedProfiles, cell: CellId) -> bool {
+        !down_zones.is_empty() && down_zones.contains(&profiles.zone_of(cell))
     }
 
     // ------------------------------------------------------------------
@@ -1205,7 +1290,7 @@ impl ResourceManager {
         // Per-portable claims (mobile portables only). The loop borrows
         // `portables`, so what it writes it reaches field by field rather
         // than through `&mut self` helpers.
-        for (p, state) in &self.portables {
+        for (p, Tracked { state, memo }) in &mut self.portables {
             if state.is_static(self.cfg.t_th, now) {
                 continue; // B_dyn covers sudden movement of statics
             }
@@ -1213,7 +1298,7 @@ impl ResourceManager {
             if self.scratch.floors.is_empty() {
                 continue;
             }
-            if self.zone_down(state.cell) {
+            if Self::zone_is_down(&self.down_zones, &self.profiles, state.cell) {
                 // Stale-profile fallback: the zone's profile server is
                 // out, so neither occupancy nor a movement prediction
                 // can be read. Reserve the portable's floors
@@ -1226,12 +1311,31 @@ impl ResourceManager {
                 continue;
             }
             let class = self.env.cell(state.cell).class;
-            let is_occupant = self
-                .profiles
-                .cell(state.cell)
-                .is_some_and(|cp| cp.is_occupant(*p));
-            let prediction = self.profiles.predict_at(*p, state.prev_cell, state.cell);
-            match decide_traced(class, is_occupant, prediction, now, *p, &mut self.obs) {
+            // The dispatcher's inputs: kept while nothing they were read
+            // from has changed (see `DispatchMemo`), read afresh — one
+            // resolution of zone, server and profiles — otherwise.
+            let cell_rev = self.cell_revs[state.cell.index()];
+            let kept = match *memo {
+                Some(kept) if kept.cell_rev == cell_rev => kept,
+                _ => {
+                    let (is_occupant, prediction) =
+                        self.profiles
+                            .dispatch_inputs(*p, state.prev_cell, state.cell);
+                    *memo.insert(DispatchMemo {
+                        cell_rev,
+                        is_occupant,
+                        prediction,
+                    })
+                }
+            };
+            match decide_traced(
+                class,
+                kept.is_occupant,
+                kept.prediction,
+                now,
+                *p,
+                &mut self.obs,
+            ) {
                 ReservationDecision::PerConnection(target) => {
                     if target != state.cell {
                         let wl = self.net.topology().wireless_link(target);
@@ -1403,7 +1507,7 @@ impl ResourceManager {
             .portables
             .iter()
             .filter(|(p, _)| self.net.connections_of_portable(**p).next().is_some())
-            .map(|(p, s)| (s.entered_at, *p, s.cell))
+            .map(|(p, t)| (t.state.entered_at, *p, t.state.cell))
             .collect();
         v.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         v.into_iter().map(|(_, p, c)| (p, c)).collect()

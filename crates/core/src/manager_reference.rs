@@ -107,7 +107,7 @@ impl ResourceManager {
     fn reference_static_portables(&self, now: SimTime) -> BTreeSet<PortableId> {
         self.portables
             .iter()
-            .filter(|(_, s)| s.is_static(self.cfg.t_th, now))
+            .filter(|(_, t)| t.state.is_static(self.cfg.t_th, now))
             .map(|(p, _)| *p)
             .collect()
     }
@@ -167,7 +167,7 @@ impl ResourceManager {
     fn reference_refresh_paper(&mut self, now: SimTime) {
         // Per-portable claims (mobile portables only).
         let portables: Vec<(PortableId, PortableState)> =
-            self.portables.iter().map(|(p, s)| (*p, *s)).collect();
+            self.portables.iter().map(|(p, t)| (*p, t.state)).collect();
         for (p, state) in &portables {
             if state.is_static(self.cfg.t_th, now) {
                 continue; // B_dyn covers sudden movement of statics
@@ -353,7 +353,7 @@ impl ResourceManager {
             .portables
             .iter()
             .filter(|(p, _)| scan_portable(&self.net, **p).next().is_some())
-            .map(|(p, s)| (s.entered_at, *p, s.cell))
+            .map(|(p, t)| (t.state.entered_at, *p, t.state.cell))
             .collect();
         v.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         v.into_iter().map(|(_, p, c)| (p, c)).collect()

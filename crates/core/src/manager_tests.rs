@@ -2,7 +2,7 @@
 
 use arm_mobility::environment::{Figure4, IndoorEnvironment};
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::{CellId, PortableId};
+use arm_net::ids::{CellId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
 use arm_profiles::{CellClass, LoungeKind};
 use arm_reservation::meeting::{BookingCalendar, Meeting};
@@ -608,7 +608,6 @@ fn delta_throttles_adaptation_rounds() {
 
 #[test]
 fn cross_zone_handoff_transfers_the_profile() {
-    use arm_net::ids::ZoneId;
     // Figure 4 split into two zones: {A, C, D} west, {B, E, F, G} east.
     let mut f4 = Figure4::build();
     for cell in [f4.b, f4.e, f4.f, f4.g] {
@@ -629,19 +628,19 @@ fn cross_zone_handoff_transfers_the_profile() {
     mgr.portable_moved(p, f4.d, SimTime::from_secs(100));
     let dropped = mgr.portable_moved(p, f4.e, SimTime::from_secs(110));
     assert!(dropped.is_empty());
-    assert_eq!(mgr.profiles.transfers, 1, "profile handed over once");
+    assert_eq!(mgr.profiles().transfers, 1, "profile handed over once");
     // The east zone now holds the portable's profile with its history.
-    let east = mgr.profiles.server(ZoneId(1)).expect("zone 1 exists");
+    let east = mgr.profiles().server(ZoneId(1)).expect("zone 1 exists");
     assert!(east.portable(p).is_some());
     assert!(mgr
-        .profiles
+        .profiles()
         .server(ZoneId(0))
         .unwrap()
         .portable(p)
         .is_none());
     // Moving back transfers again.
     mgr.portable_moved(p, f4.d, SimTime::from_secs(120));
-    assert_eq!(mgr.profiles.transfers, 2);
+    assert_eq!(mgr.profiles().transfers, 2);
     assert!(mgr.net.check_invariants().is_ok());
 }
 
@@ -846,7 +845,6 @@ fn handoff_signalling_failure_forfeits_the_claims() {
 
 #[test]
 fn profile_outage_falls_back_to_even_spread_and_recovers() {
-    use arm_net::ids::ZoneId;
     let (mut mgr, f4) = figure4_manager(Strategy::Paper);
     let p = PortableId(50);
     // Teach the profile the C → D → A habit.
@@ -898,15 +896,17 @@ enum Churn {
     FailWireless(CellId),
     RestoreWireless(CellId),
     SlotTick,
-    ProfilesDown,
-    ProfilesUp,
+    ProfilesDown(ZoneId),
+    ProfilesUp(ZoneId),
 }
 
 /// `core/tests/chaos.rs::churn_schedule` draw for draw (same seeding
 /// population, same `rng.index(8)` alphabet) over `cells`, with a slot
-/// roll after every 7th drawn event and a profile-server outage opening
-/// after every 19th and closing after every 31st.
-fn churn_schedule(seed: u64, len: usize, cells: &[CellId]) -> Vec<Churn> {
+/// roll after every 7th drawn event, a profile-server outage opening
+/// after every 19th (the zones taking turns) and every outage closing
+/// after every 31st, and after every 23rd the drawn portable appearing
+/// again, in the drawn cell, while still tracked.
+fn churn_schedule(seed: u64, len: usize, cells: &[CellId], zones: u32) -> Vec<Churn> {
     let mut rng = arm_sim::SimRng::new(seed);
     let mut events = Vec::with_capacity(len);
     for p in 0..6u32 {
@@ -931,10 +931,13 @@ fn churn_schedule(seed: u64, len: usize, cells: &[CellId]) -> Vec<Churn> {
             events.push(Churn::SlotTick);
         }
         if drawn % 19 == 0 {
-            events.push(Churn::ProfilesDown);
+            events.push(Churn::ProfilesDown(ZoneId((drawn / 19) as u32 % zones)));
+        }
+        if drawn % 23 == 0 {
+            events.push(Churn::Appear(p, cell));
         }
         if drawn % 31 == 0 {
-            events.push(Churn::ProfilesUp);
+            events.extend((0..zones).map(|z| Churn::ProfilesUp(ZoneId(z))));
         }
     }
     events
@@ -963,7 +966,6 @@ fn apply_churn(
     ev: Churn,
     t: SimTime,
 ) {
-    use arm_net::ids::ZoneId;
     match ev {
         Churn::Appear(p, cell) => mgr.portable_appears(PortableId(p), cell, t),
         Churn::Connect(p, b_min, b_max) => {
@@ -997,23 +999,46 @@ fn apply_churn(
             mgr.link_restored(wl, t);
         }
         Churn::SlotTick => mgr.slot_tick(t),
-        Churn::ProfilesDown => mgr.profile_server_down(ZoneId(0), t),
-        Churn::ProfilesUp => mgr.profile_server_up(ZoneId(0), t),
+        Churn::ProfilesDown(zone) => mgr.profile_server_down(zone, t),
+        Churn::ProfilesUp(zone) => mgr.profile_server_up(zone, t),
     }
 }
 
-/// The production refresh (portable index, history tallies, resident
-/// scratch, one `B_dyn` sweep) against the scanning reference kept in
-/// `manager_reference.rs`, on twin managers fed the chaos churn streams:
-/// after **every** event each link's claim map, `b_resv` and
-/// `excess_available` are the same bits, and at the end the two obs
-/// streams — every `ReservationDispatch` among them — are equal event
-/// for event. Every strategy arm, `B_dyn` on and off, eight seeds, on
-/// the Figure 4 floor (offices and corridors: per-connection claims,
-/// occupant rules) and on a small wing (meeting room with a booking,
-/// cafeteria, default lounge: the class policies and their rows). Events
-/// are 4 s apart against a 40 s `T_th`, so portables cross between
-/// mobile and static throughout.
+/// An obs stream with each `MaxminRound`'s work counters blanked: the
+/// restored twin's engine — a cache — starts cold, so how many
+/// connections a round re-solved or reused (not whether it ran, nor
+/// what it decided) is the one thing the mid-stream restore may change.
+fn rounds_uncounted(events: Vec<ObsEvent>) -> Vec<ObsEvent> {
+    let uncounted = |ev| match ev {
+        ObsEvent::MaxminRound { t, cause, .. } => ObsEvent::MaxminRound {
+            t,
+            conns_resolved: 0,
+            conns_reused: 0,
+            cause,
+        },
+        other => other,
+    };
+    events.into_iter().map(uncounted).collect()
+}
+
+/// The production refresh (portable index, history tallies, dispatch
+/// memos, resident scratch, one `B_dyn` sweep) against the scanning
+/// reference kept in `manager_reference.rs` — which recomputes every
+/// prediction on every refresh, so it is the memo's oracle — on twin
+/// managers fed the chaos churn streams: after **every** event each
+/// link's claim map, `b_resv` and `excess_available` are the same bits,
+/// and at the end the two obs streams — every `ReservationDispatch`
+/// among them — are equal event for event (see [`rounds_uncounted`]). Every strategy arm, `B_dyn`
+/// on and off, eight seeds, on the Figure 4 floor (offices and
+/// corridors: per-connection claims, occupant rules), on the same floor
+/// cut into two zones (moves land anywhere, so profiles cross the
+/// boundary and either side's server goes out) and on a small wing
+/// (meeting room with a booking, cafeteria, default lounge: the class
+/// policies and their rows). Events are 4 s apart against a 40 s `T_th`,
+/// so portables cross between mobile and static throughout. Half way
+/// through each stream the production twin is replaced by its own
+/// `snapshot → to_json → from_json → restore`: from there a manager with
+/// no memos runs against a reference that never stopped.
 #[test]
 fn refresh_matches_the_scanning_reference() {
     use arm_obs::Obs;
@@ -1024,7 +1049,15 @@ fn refresh_matches_the_scanning_reference() {
         .find(|(_, c)| c.class == CellClass::Lounge(LoungeKind::MeetingRoom))
         .map(|(id, _)| id)
         .expect("the wing has a meeting room");
-    let floors: [(&str, &IndoorEnvironment); 2] = [("figure4", &f4.env), ("wing", &wing)];
+    let mut zoned = f4.env.clone();
+    for cell in [f4.b, f4.e, f4.f, f4.g] {
+        zoned.set_zone(cell, ZoneId(1));
+    }
+    let floors: [(&str, &IndoorEnvironment, u32); 3] = [
+        ("figure4", &f4.env, 1),
+        ("two-zones", &zoned, 2),
+        ("wing", &wing, 1),
+    ];
     let strategies = [
         Strategy::None,
         Strategy::Paper,
@@ -1035,7 +1068,7 @@ fn refresh_matches_the_scanning_reference() {
     let mut dispatches = 0u64;
     let mut fallbacks = 0u64;
     let mut claims_seen = 0usize;
-    for (floor, env) in floors {
+    for (floor, env, zones) in floors {
         let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
         for strategy in strategies {
             for dyn_pool in [Some(DynPoolPolicy::default()), None] {
@@ -1067,8 +1100,15 @@ fn refresh_matches_the_scanning_reference() {
                     };
                     let (mut live, mut reference) = (twin(false), twin(true));
                     let (mut live_conns, mut ref_conns) = Default::default();
-                    for (k, ev) in churn_schedule(seed, 90, &cells).into_iter().enumerate() {
+                    let schedule = churn_schedule(seed, 90, &cells, zones);
+                    for (k, ev) in schedule.into_iter().enumerate() {
                         let t = SimTime::from_secs(4 * (k as u64 + 1));
+                        if k == 45 {
+                            let json = live.snapshot().to_json().expect("snapshot serializes");
+                            let snap = ManagerSnapshot::from_json(&json).expect("snapshot parses");
+                            live = ResourceManager::restore(snap, live.take_obs())
+                                .expect("a live manager's snapshot restores");
+                        }
                         apply_churn(&mut live, &mut live_conns, ev, t);
                         apply_churn(&mut reference, &mut ref_conns, ev, t);
                         let ctx = format!(
@@ -1085,7 +1125,13 @@ fn refresh_matches_the_scanning_reference() {
                     }
                     assert_eq!(live_conns, ref_conns);
                     let (a, b) = (live.take_obs(), reference.take_obs());
-                    assert_eq!(a.snapshot_events(), b.snapshot_events());
+                    let (ea, eb) = (
+                        rounds_uncounted(a.snapshot_events()),
+                        rounds_uncounted(b.snapshot_events()),
+                    );
+                    let differ = ea.iter().zip(&eb).find(|(x, y)| x != y);
+                    assert_eq!(differ, None, "{floor} {strategy:?} seed {seed}");
+                    assert_eq!(ea.len(), eb.len(), "{floor} {strategy:?} seed {seed}");
                     dispatches += a.count(arm_obs::EventKind::ReservationDispatch);
                     assert_eq!(
                         format!("{:?}", live.metrics.summary()),
@@ -1107,16 +1153,11 @@ fn refresh_matches_the_scanning_reference() {
     assert!(claims_seen > 10_000, "only {claims_seen} claims observed");
 }
 
-/// The uplink route a connection is given — read from the manager's
-/// route table, not from a Dijkstra run per connection — is the route
-/// `shortest_path` returns, node for node and link for link, for every
-/// cell of the Figure 4 office, the 63-cell wing, and a campus whose
-/// backbone is a mesh with equal-cost detours (so the table must
-/// reproduce Dijkstra's tie-breaks, not just its hop counts). Checked on
-/// the table and on the routes installed by a request and by a handoff.
-#[test]
-fn uplink_routes_equal_live_dijkstra_on_office_wing_and_campus() {
-    use arm_net::routing::shortest_path;
+/// The floors the route tables are proved on: the Figure 4 office, the
+/// 63-cell wing, and a campus whose backbone is a mesh with equal-cost
+/// detours (so a table must reproduce Dijkstra's tie-breaks, not just
+/// its hop counts).
+fn office_wing_and_campus() -> [(IndoorEnvironment, Network); 3] {
     use arm_net::topology::Topology;
 
     let f4 = Figure4::build();
@@ -1147,12 +1188,23 @@ fn uplink_routes_equal_live_dijkstra_on_office_wing_and_campus() {
         }
         Network::new(topo)
     };
-    let floors = [
+    [
         (f4.env.clone(), f4.env.build_network(1600.0, 0.0, 100_000.0)),
         (wing.clone(), wing.build_network(1600.0, 0.0, 100_000.0)),
         (campus_env, campus_net),
-    ];
-    for (env, net) in floors {
+    ]
+}
+
+/// The uplink route a connection is given — read from the manager's
+/// route table, not from a Dijkstra run per connection — is the route
+/// `shortest_path` returns, node for node and link for link, for every
+/// cell of [`office_wing_and_campus`]. Checked on the table and on the
+/// routes installed by a request and by a handoff.
+#[test]
+fn uplink_routes_equal_live_dijkstra_on_office_wing_and_campus() {
+    use arm_net::routing::shortest_path;
+
+    for (env, net) in office_wing_and_campus() {
         let mut mgr = ResourceManager::new(env.clone(), net, ManagerConfig::default());
         let live = |mgr: &ResourceManager, c: CellId| {
             let topo = mgr.net.topology();
@@ -1181,4 +1233,105 @@ fn uplink_routes_equal_live_dijkstra_on_office_wing_and_campus() {
             mgr.terminate(id, SimTime::from_secs(3));
         }
     }
+}
+
+/// The wired legs a multicast branch reserves — read from the manager's
+/// neighbour route table — are the wired links of the route
+/// `shortest_path` returns between the two base stations, for every
+/// `(cell, neighbour)` of [`office_wing_and_campus`]: one single-source
+/// run per cell finds what a run per neighbour found. Checked on the
+/// table and on the claims a handoff's re-established branches hold.
+#[test]
+fn branch_legs_equal_live_dijkstra_on_office_wing_and_campus() {
+    use arm_net::routing::shortest_path;
+
+    for (env, net) in office_wing_and_campus() {
+        let mut mgr = ResourceManager::new(env.clone(), net, ManagerConfig::default());
+        let live = |mgr: &ResourceManager, c: CellId, n: CellId| -> Vec<LinkId> {
+            let topo = mgr.net.topology();
+            let route =
+                shortest_path(topo, topo.base_station(c), topo.base_station(n)).expect("connected");
+            let wired = |l: &LinkId| topo.link(*l).wireless_cell.is_none();
+            route.links.into_iter().filter(wired).collect()
+        };
+        assert_eq!(mgr.branch_legs.len(), env.cell_count());
+        for (c, info) in env.cells() {
+            let row = &mgr.branch_legs[c.index()];
+            let listed: Vec<CellId> = row.iter().map(|(n, _)| *n).collect();
+            assert_eq!(listed, info.neighbors.iter().copied().collect::<Vec<_>>());
+            for (n, legs) in row {
+                assert_eq!(legs.as_ref(), Some(&live(&mgr, c, *n)), "{c:?} → {n:?}");
+            }
+        }
+        // And as reserved: a portable in every cell hands off to a
+        // neighbour; its connection's claim on each wired link is one
+        // floor per branch crossing it.
+        for (i, (c, info)) in env.cells().enumerate() {
+            let p = PortableId(9000 + i as u32);
+            mgr.portable_appears(p, c, SimTime::ZERO);
+            let id = mgr
+                .request_connection(p, qos(16.0), SimTime::from_secs(1))
+                .expect("an empty floor admits");
+            let to = *info.neighbors.iter().next().expect("no isolated cells");
+            assert!(mgr.portable_moved(p, to, SimTime::from_secs(2)).is_empty());
+            let mut expected = std::collections::BTreeMap::new();
+            for n in env.neighbors(to) {
+                for l in live(&mgr, to, n) {
+                    *expected.entry(l).or_insert(0.0) += 16.0;
+                }
+            }
+            assert_eq!(
+                mgr.multicast.branches_of(id),
+                env.neighbors(to).collect::<Vec<_>>()
+            );
+            for (l, link) in mgr.net.links() {
+                if mgr.net.topology().link(l).wireless_cell.is_none() {
+                    let want = expected.get(&l).copied().unwrap_or(0.0);
+                    assert_eq!(link.claim(ResvClaim::Conn(id)), want, "{to:?} {l:?}");
+                }
+            }
+            mgr.terminate(id, SimTime::from_secs(3));
+        }
+    }
+}
+
+/// A neighbour whose base station is wired to nothing has no legs in
+/// the table: its branch counts as failed, the others stand, and nothing
+/// panics.
+#[test]
+fn an_unwired_neighbour_is_a_failed_branch() {
+    let f4 = Figure4::build();
+    let net = {
+        let mut topo = arm_net::topology::Topology::new();
+        let sw = topo.add_switch("backbone");
+        for (id, info) in f4.env.cells() {
+            let c = topo.add_cell(&info.name, 1600.0, 0.0);
+            if id != f4.a {
+                topo.add_wired_duplex(sw, topo.base_station(c), 100_000.0, 0.0);
+            }
+        }
+        Network::new(topo)
+    };
+    let mut mgr = ResourceManager::new(f4.env.clone(), net, ManagerConfig::default());
+    let legs = |c: CellId, n: CellId| {
+        let row = &mgr.branch_legs[c.index()];
+        row.iter()
+            .find(|(m, _)| *m == n)
+            .map(|(_, legs)| legs.is_some())
+    };
+    assert_eq!(legs(f4.d, f4.a), Some(false));
+    assert_eq!(legs(f4.a, f4.d), Some(false));
+    assert_eq!(legs(f4.d, f4.e), Some(true));
+    let p = PortableId(50);
+    mgr.portable_appears(p, f4.c, SimTime::ZERO);
+    let id = mgr
+        .request_connection(p, qos(64.0), SimTime::from_secs(1))
+        .expect("C is wired");
+    assert_eq!(mgr.multicast.failed_branches, 0);
+    assert!(mgr
+        .portable_moved(p, f4.d, SimTime::from_secs(2))
+        .is_empty());
+    assert_eq!(mgr.multicast.failed_branches, 1);
+    assert_eq!(mgr.multicast.branches_of(id), vec![f4.c, f4.e]);
+    assert!(mgr.net.check_invariants().is_ok());
 }

@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 
 use arm_net::ids::{CellId, ConnId, LinkId};
 use arm_net::link::ResvClaim;
-use arm_net::routing::shortest_path;
 use arm_net::Network;
 use serde::{Deserialize, Serialize};
 
@@ -41,47 +40,38 @@ impl MulticastState {
         Self::default()
     }
 
-    /// (Re)establish the multicast branches for `conn`, homed in `cell`,
-    /// toward `neighbors`. Existing branches are torn down first (the
-    /// neighbour set changes with every handoff). Reserves `b_min` on the
-    /// *wired* links of each branch under [`ResvClaim::Conn`]; the
-    /// wireless media are deliberately excluded.
+    /// (Re)establish the multicast branches for `conn` along `legs`, its
+    /// home cell's row of the manager's neighbour route table
+    /// (`arm_net::routing::neighbor_legs`). Existing branches are torn
+    /// down first (the neighbour set changes with every handoff).
+    /// Reserves `b_min` on the *wired* links of each branch under
+    /// [`ResvClaim::Conn`]; the wireless media are deliberately excluded.
     pub fn establish(
         &mut self,
         net: &mut Network,
         conn: ConnId,
-        cell: CellId,
         b_min: f64,
-        neighbors: impl IntoIterator<Item = CellId>,
+        legs: &[(CellId, Option<Vec<LinkId>>)],
     ) {
         self.teardown(net, conn);
-        let src = net.topology().base_station(cell);
         let mut branches = BTreeMap::new();
-        for n in neighbors {
-            let dst = net.topology().base_station(n);
-            let Some(route) = shortest_path(net.topology(), src, dst) else {
+        for (n, wired) in legs {
+            // Admission on the wired legs only: every link must fit the
+            // floor beside its existing floors and claims. A neighbour
+            // the backbone cannot reach fails the same way.
+            let Some(wired) = wired
+                .as_ref()
+                .filter(|w| w.iter().all(|l| net.link(*l).admits(b_min)))
+            else {
                 self.failed_branches += 1;
                 continue;
             };
-            // Admission on the wired legs only: every link must fit the
-            // floor beside its existing floors and claims.
-            let wired: Vec<LinkId> = route
-                .links
-                .iter()
-                .copied()
-                .filter(|l| net.topology().link(*l).wireless_cell.is_none())
-                .collect();
-            let ok = wired.iter().all(|l| net.link(*l).admits(b_min));
-            if !ok {
-                self.failed_branches += 1;
-                continue;
-            }
-            for l in &wired {
+            for l in wired {
                 let cur = net.link(*l).claim(ResvClaim::Conn(conn));
                 net.link_mut(*l)
                     .set_claim(ResvClaim::Conn(conn), cur + b_min);
             }
-            branches.insert(n, wired);
+            branches.insert(*n, wired.clone());
         }
         self.active_branches += branches.len();
         if !branches.is_empty() {
@@ -115,22 +105,26 @@ impl MulticastState {
 mod tests {
     use super::*;
     use arm_mobility::environment::Figure4;
+    use arm_net::routing::{neighbor_legs, shortest_path, NeighborLegs};
 
-    fn setup() -> (Network, Figure4) {
+    fn setup() -> (Network, Figure4, Vec<NeighborLegs>) {
         let f4 = Figure4::build();
         // Modest backbone so multicast reservations can actually fail.
         let net = f4.env.build_network(1600.0, 0.0, 1000.0);
-        (net, f4)
+        let legs = neighbor_legs(net.topology(), |c| f4.env.neighbors(c));
+        (net, f4, legs)
     }
 
     #[test]
     fn branches_reserve_only_wired_links() {
-        let (mut net, f4) = setup();
+        let (mut net, f4, legs) = setup();
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
-        let neighbors: Vec<CellId> = f4.env.neighbors(f4.d).collect();
-        mc.establish(&mut net, conn, f4.d, 64.0, neighbors.iter().copied());
-        assert_eq!(mc.branches_of(conn).len(), neighbors.len());
+        mc.establish(&mut net, conn, 64.0, &legs[f4.d.index()]);
+        assert_eq!(
+            mc.branches_of(conn),
+            f4.env.neighbors(f4.d).collect::<Vec<_>>()
+        );
         // Wireless media untouched.
         for (cell, _) in f4.env.cells() {
             let wl = net.topology().wireless_link(cell);
@@ -155,16 +149,14 @@ mod tests {
 
     #[test]
     fn reestablish_moves_branches_with_the_portable() {
-        let (mut net, f4) = setup();
+        let (mut net, f4, legs) = setup();
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
-        let n_d: Vec<CellId> = f4.env.neighbors(f4.d).collect();
-        mc.establish(&mut net, conn, f4.d, 64.0, n_d.iter().copied());
+        mc.establish(&mut net, conn, 64.0, &legs[f4.d.index()]);
         let before = mc.branches_of(conn);
         assert!(before.contains(&f4.a));
         // Handoff D → E: branches now cover E's neighbours only.
-        let n_e: Vec<CellId> = f4.env.neighbors(f4.e).collect();
-        mc.establish(&mut net, conn, f4.e, 64.0, n_e.iter().copied());
+        mc.establish(&mut net, conn, 64.0, &legs[f4.e.index()]);
         let after = mc.branches_of(conn);
         assert!(after.contains(&f4.b));
         assert!(!after.contains(&f4.a));
@@ -179,7 +171,7 @@ mod tests {
 
     #[test]
     fn branch_failure_is_nonfatal_and_counted() {
-        let (mut net, f4) = setup();
+        let (mut net, f4, legs) = setup();
         // Saturate the backbone toward A.
         let bs_a = net.topology().base_station(f4.a);
         let hub = arm_net::ids::NodeId(0);
@@ -192,8 +184,7 @@ mod tests {
         }
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
-        let neighbors: Vec<CellId> = f4.env.neighbors(f4.d).collect();
-        mc.establish(&mut net, conn, f4.d, 64.0, neighbors.iter().copied());
+        mc.establish(&mut net, conn, 64.0, &legs[f4.d.index()]);
         // The A branch failed; the others stand.
         assert!(mc.failed_branches >= 1);
         assert!(!mc.branches_of(conn).contains(&f4.a));
@@ -202,10 +193,11 @@ mod tests {
 
     #[test]
     fn teardown_is_idempotent() {
-        let (mut net, f4) = setup();
+        let (mut net, f4, legs) = setup();
         let mut mc = MulticastState::new();
         let conn = ConnId(0);
-        mc.establish(&mut net, conn, f4.d, 64.0, [f4.a]);
+        mc.establish(&mut net, conn, 64.0, &legs[f4.d.index()][..1]);
+        assert_eq!(mc.branches_of(conn), vec![f4.a]);
         mc.teardown(&mut net, conn);
         mc.teardown(&mut net, conn);
         assert_eq!(mc.branches_of(conn).len(), 0);

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{LinkId, NodeId};
+use crate::ids::{CellId, LinkId, NodeId};
 use crate::topology::Topology;
 
 /// A loop-free path: the node sequence and the capacity resources of each
@@ -80,41 +80,40 @@ pub fn shortest_path_avoiding(
     dst: NodeId,
     avoid: &std::collections::BTreeSet<LinkId>,
 ) -> Option<Route> {
-    if src == dst {
-        return Some(Route::trivial(src));
-    }
-    const UNSEEN: u64 = u64::MAX;
-    // Cost packs (hops, delay in ns) lexicographically into a u64-pair.
-    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    struct Cost {
-        hops: u32,
-        delay_ns: u64,
-    }
+    route_to(&predecessors(topo, src, &[dst], avoid), src, dst)
+}
+
+/// Dijkstra from `src` by `(hops, total prop delay)`: every reached
+/// node's predecessor hop on its shortest path. The search stops once
+/// every node of `targets` is settled (or nothing is left to reach);
+/// the entries on their paths are by then what a run toward each one
+/// alone leaves — a settled node's entry never changes, and every node
+/// on a path settles before its end — which is what lets one run per
+/// source stand in for a run per destination.
+fn predecessors(
+    topo: &Topology,
+    src: NodeId,
+    targets: &[NodeId],
+    avoid: &std::collections::BTreeSet<LinkId>,
+) -> Vec<Option<(NodeId, LinkId)>> {
     let n = topo.node_count();
-    let mut best = vec![
-        Cost {
-            hops: u32::MAX,
-            delay_ns: UNSEEN,
-        };
-        n
-    ];
+    let mut pending = targets.to_vec();
+    // Cost is (hops, delay in ns), compared lexicographically.
+    let mut best = vec![(u32::MAX, u64::MAX); n];
     // (cost, node) min-heap via BinaryHeap<Reverse<_>> with node index as
     // the final deterministic tie-break.
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let mut heap = BinaryHeap::new();
     let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-    best[src.index()] = Cost {
-        hops: 0,
-        delay_ns: 0,
-    };
+    best[src.index()] = (0, 0);
     heap.push(Reverse((0u32, 0u64, src.index())));
     while let Some(Reverse((hops, delay_ns, u))) = heap.pop() {
-        let cur = best[u];
-        if (hops, delay_ns) != (cur.hops, cur.delay_ns) {
+        if (hops, delay_ns) != best[u] {
             continue; // stale entry
         }
-        if u == dst.index() {
+        pending.retain(|t| t.index() != u);
+        if pending.is_empty() {
             break;
         }
         for edge in topo.out_edges(NodeId::from_index(u)) {
@@ -123,20 +122,24 @@ pub fn shortest_path_avoiding(
             }
             let v = edge.to.index();
             let spec = topo.link(edge.link);
-            let cand = Cost {
-                hops: hops + 1,
-                delay_ns: delay_ns + (spec.prop_delay * 1e9) as u64,
-            };
-            if (cand.hops, cand.delay_ns) < (best[v].hops, best[v].delay_ns) {
+            let cand = (hops + 1, delay_ns + (spec.prop_delay * 1e9) as u64);
+            if cand < best[v] {
                 best[v] = cand;
                 prev[v] = Some((NodeId::from_index(u), edge.link));
-                heap.push(Reverse((cand.hops, cand.delay_ns, v)));
+                heap.push(Reverse((cand.0, cand.1, v)));
             }
         }
     }
-    if best[dst.index()].hops == u32::MAX {
-        return None;
+    prev
+}
+
+/// The route `src → dst` read off a predecessor table of `src`, `None`
+/// when the search never reached `dst`.
+fn route_to(prev: &[Option<(NodeId, LinkId)>], src: NodeId, dst: NodeId) -> Option<Route> {
+    if src == dst {
+        return Some(Route::trivial(src));
     }
+    prev[dst.index()]?;
     // Walk predecessors back to the source.
     let mut nodes = vec![dst];
     let mut links = Vec::new();
@@ -158,8 +161,8 @@ pub fn shortest_path_avoiding(
 pub fn multicast_routes(
     topo: &Topology,
     src: NodeId,
-    cells: &[crate::ids::CellId],
-) -> Vec<(crate::ids::CellId, Option<Route>)> {
+    cells: &[CellId],
+) -> Vec<(CellId, Option<Route>)> {
     cells
         .iter()
         .map(|c| (*c, shortest_path(topo, src, topo.air_node(*c))))
@@ -177,10 +180,47 @@ pub fn uplink_routes(topo: &Topology, server: NodeId) -> Vec<Option<Route>> {
         .collect()
 }
 
+/// One cell's §4 multicast fan-out: each neighbour, ascending, with the
+/// wired links of the route between the two base stations — `None` for
+/// a neighbour the backbone cannot reach.
+pub type NeighborLegs = Vec<(CellId, Option<Vec<LinkId>>)>;
+
+/// Every cell's [`NeighborLegs`], indexed by
+/// [`CellId::index`](crate::ids::CellId::index): the legs toward
+/// neighbour `n` of cell `c` are exactly the wired links of
+/// `shortest_path(topo, topo.base_station(c), topo.base_station(n))`.
+/// One Dijkstra per cell, run until its last neighbour is settled,
+/// however many neighbours it has; like [`uplink_routes`], built once
+/// over the static topology and never invalidated. `neighbors` is the
+/// floor plan's relation — the topology knows only the wiring.
+pub fn neighbor_legs<I: IntoIterator<Item = CellId>>(
+    topo: &Topology,
+    neighbors: impl Fn(CellId) -> I,
+) -> Vec<NeighborLegs> {
+    let avoid = std::collections::BTreeSet::new();
+    topo.cells()
+        .map(|(c, ports)| {
+            let src = ports.base_station;
+            let ns: Vec<CellId> = neighbors(c).into_iter().collect();
+            let targets: Vec<NodeId> = ns.iter().map(|n| topo.base_station(*n)).collect();
+            let prev = predecessors(topo, src, &targets, &avoid);
+            ns.into_iter()
+                .map(|n| {
+                    let legs = route_to(&prev, src, topo.base_station(n)).map(|route| {
+                        let mut links = route.links;
+                        links.retain(|l| topo.link(*l).wireless_cell.is_none());
+                        links
+                    });
+                    (n, legs)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::CellId;
 
     /// Star backbone: one switch, three cells.
     fn star() -> (Topology, Vec<CellId>) {
@@ -247,6 +287,39 @@ mod tests {
             );
         }
         assert_eq!(table[island.index()], None);
+    }
+
+    #[test]
+    fn neighbour_table_holds_the_wired_links_of_each_live_route() {
+        let (mut t, cells) = star();
+        let island = t.add_cell("island", 1600.0, 0.0);
+        // A ring of the three star cells, with the island hung off cell 0.
+        let ring = |c: CellId| -> Vec<CellId> {
+            let i = cells.iter().position(|x| *x == c);
+            let mut ns: Vec<CellId> = match i {
+                Some(i) => vec![cells[(i + 1) % 3], cells[(i + 2) % 3]],
+                None => vec![cells[0]],
+            };
+            if c == cells[0] {
+                ns.push(island);
+            }
+            ns
+        };
+        let table = neighbor_legs(&t, ring);
+        assert_eq!(table.len(), t.cell_count());
+        for (c, _) in t.cells() {
+            let row = &table[c.index()];
+            assert_eq!(row.iter().map(|(n, _)| *n).collect::<Vec<_>>(), ring(c));
+            for (n, legs) in row {
+                let live = shortest_path(&t, t.base_station(c), t.base_station(*n)).map(|r| {
+                    let wired = |l: &LinkId| t.link(*l).wireless_cell.is_none();
+                    r.links.into_iter().filter(wired).collect::<Vec<_>>()
+                });
+                assert_eq!(legs, &live, "{c:?} → {n:?}");
+                assert_eq!(legs.is_none(), c == island || *n == island);
+                assert!(legs.as_ref().is_none_or(|l| l.len() == 2), "bs → sw → bs");
+            }
+        }
     }
 
     #[test]

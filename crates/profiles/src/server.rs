@@ -97,11 +97,6 @@ impl ProfileServer {
         self.cells.get(&c)
     }
 
-    /// Mutable cell profile lookup (classification updates, occupants).
-    pub fn cell_mut(&mut self, c: CellId) -> Option<&mut CellProfile> {
-        self.cells.get_mut(&c)
-    }
-
     /// Portable profile lookup.
     pub fn portable(&self, p: PortableId) -> Option<&PortableProfile> {
         self.portables.get(&p)
@@ -221,17 +216,17 @@ mod tests {
             CellClass::Corridor,
             [CellId(1), CellId(2), CellId(3)],
         );
-        s.register_cell_simple(CellId(1), CellClass::Office, [CellId(0)]);
+        s.register_cell(
+            CellProfile::with_default_capacity(CellId(1), CellClass::Office)
+                .with_neighbors([CellId(0)])
+                .with_occupants([PortableId(1)]),
+        );
         s.register_cell_simple(CellId(2), CellClass::Office, [CellId(0)]);
         s.register_cell_simple(
             CellId(3),
             CellClass::Lounge(LoungeKind::Default),
             [CellId(0)],
         );
-        s.cell_mut(CellId(1))
-            .unwrap()
-            .occupants
-            .insert(PortableId(1));
         s
     }
 

@@ -86,12 +86,6 @@ impl ZonedProfiles {
         self.servers.get(zone)?.cell(c)
     }
 
-    /// Mutable cell profile lookup.
-    pub fn cell_mut(&mut self, c: CellId) -> Option<&mut CellProfile> {
-        let zone = *self.zone_of.get(&c)?;
-        self.servers.get_mut(&zone)?.cell_mut(c)
-    }
-
     /// First sighting of a portable.
     pub fn portable_entered(&mut self, p: PortableId, cell: CellId) {
         let zone = self.zone_of(cell);
@@ -149,37 +143,48 @@ impl ZonedProfiles {
         }
     }
 
-    /// Three-level prediction at an explicit context. The portable's
-    /// profile is consulted in whatever zone currently holds it; the cell
-    /// profiles in the zone owning `cur`.
+    /// Three-level prediction at an explicit context.
     pub fn predict_at(&self, p: PortableId, prev: Option<CellId>, cur: CellId) -> Prediction {
-        let fallback = Prediction {
-            cell: None,
-            level: PredictionLevel::Default,
-        };
-        let cur_zone = match self.zone_of.get(&cur) {
-            Some(z) => *z,
-            None => return fallback,
-        };
-        let Some(cell_server) = self.servers.get(&cur_zone) else {
-            return fallback;
-        };
-        let Some(cp) = cell_server.cell(cur) else {
-            return fallback;
+        self.dispatch_inputs(p, prev, cur).1
+    }
+
+    /// What the §6.4 dispatcher reads for `p` in context `(prev, cur)` —
+    /// is `p` a regular occupant of `cur`, and the three-level
+    /// prediction — from one resolution of `cur`'s zone, server and
+    /// profile. The portable's profile is consulted in whatever zone
+    /// currently holds it; the cell profiles in the zones owning them.
+    ///
+    /// A pure function of `p`'s own profile, `cur`'s handoff history and
+    /// data fixed at registration (classes, neighbours, occupants): the
+    /// answer stands until `p` itself moves or a handoff out of `cur` is
+    /// recorded, which is what lets a caller keep it.
+    pub fn dispatch_inputs(
+        &self,
+        p: PortableId,
+        prev: Option<CellId>,
+        cur: CellId,
+    ) -> (bool, Prediction) {
+        let Some(cp) = self.cell(cur) else {
+            let fallback = Prediction {
+                cell: None,
+                level: PredictionLevel::Default,
+            };
+            return (false, fallback);
         };
         let portable_profile = self
             .portable_zone
             .get(&p)
             .and_then(|z| self.servers.get(z))
             .and_then(|s| s.portable(p));
-        crate::prediction::predict_next_cell(
+        let prediction = crate::prediction::predict_next_cell(
             p,
             prev,
             cur,
             portable_profile,
             cp,
             cp.neighbors.iter().filter_map(|n| self.cell(*n)),
-        )
+        );
+        (cp.is_occupant(p), prediction)
     }
 
     /// The portable's current (prev, cur) context.

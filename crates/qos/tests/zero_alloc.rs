@@ -4,12 +4,8 @@
 //! admission round trip and on the ADVERTISE/UPDATE packet path must
 //! perform **no** heap allocation. A stray `collect()` or `clone()` on
 //! these paths compiles fine and regresses silently — this test makes
-//! it a hard failure.
-//!
-//! The allocation counter is process-global, so the measuring sections
-//! serialize on a mutex.
-
-use std::sync::Mutex;
+//! it a hard failure. The counter tallies per thread, so the two tests
+//! measure side by side.
 
 use arm_alloc_counter::{allocations_during, CountingAlloc};
 use arm_net::flowspec::{QosRequest, TrafficSpec};
@@ -25,10 +21,6 @@ use arm_sim::{Engine, SimDuration, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Serializes the measured sections against each other (the counter is
-/// process-global and the default test runner is multi-threaded).
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Two cells joined by one switch (the admission testbed).
 fn testbed() -> (Network, CellId, CellId) {
@@ -85,7 +77,6 @@ fn admission_cycle(
 
 #[test]
 fn admission_round_trip_is_allocation_free_in_steady_state() {
-    let _guard = SERIAL.lock().expect("serial lock");
     let (mut net, c0, c1) = testbed();
     let qos = QosRequest::bandwidth(64.0, 256.0)
         .with_delay(2.0)
@@ -132,7 +123,6 @@ fn adaptation_cycle(engine: &mut Engine<DistributedMaxmin>, excess: f64) {
 
 #[test]
 fn advertise_update_path_is_allocation_free_in_steady_state() {
-    let _guard = SERIAL.lock().expect("serial lock");
     let mut proto = DistributedMaxmin::new(Variant::Refined, SimDuration::from_millis(1));
     proto.add_link(LinkId(0), 30.0);
     proto.add_link(LinkId(1), 100.0);

@@ -1,8 +1,7 @@
 //! Zero-allocation contract for the adaptation round's repair path: a
 //! round that finds a ledger rate knocked off its frozen target — no
 //! input changed, so nothing is re-solved — puts it back on resident
-//! buffers alone. Pinned by the counting global allocator; alone in its
-//! binary because the counter is process-global (see `zero_alloc.rs`).
+//! buffers alone. Pinned by the counting global allocator.
 
 use arm_alloc_counter::{allocations_during, CountingAlloc};
 use arm_net::flowspec::QosRequest;

@@ -89,7 +89,7 @@ pub fn events_from_scenario(
 ) -> Result<Vec<ServerEvent>, DrillError> {
     let (mgr, trace) = arm_core::scenario::build_manager(sc)?;
     let links = mgr.net.topology().link_count() as u32;
-    let zones = mgr.profiles.zone_count().max(1) as u32;
+    let zones = mgr.profiles().zone_count().max(1) as u32;
     let portables: Vec<PortableId> = {
         let set: BTreeSet<PortableId> = trace.events().iter().map(|e| e.portable).collect();
         set.into_iter().collect()

@@ -301,7 +301,7 @@ impl Server {
         }
         let cells = self.mgr.net.topology().cell_count();
         let links = self.mgr.net.topology().link_count();
-        let zones = self.mgr.profiles.zone_count().max(1);
+        let zones = self.mgr.profiles().zone_count().max(1);
         let check_cell = |c: arm_net::ids::CellId| {
             if (c.0 as usize) < cells {
                 Ok(())

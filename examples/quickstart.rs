@@ -57,7 +57,7 @@ fn main() {
         t += SimDuration::from_secs(30);
         mgr.portable_moved(user, f4.c, t);
     }
-    let pred = mgr.profiles.predict(user);
+    let pred = mgr.profiles().predict(user);
     println!(
         "profile learned: from C (having come from D) the user heads to {:?} (level {:?})",
         pred.cell, pred.level

@@ -37,7 +37,6 @@ fn office_cfg(seed: u64) -> ServerConfig {
             t_th_secs: 300,
             seed,
         },
-        slot: SimDuration::from_mins(1),
         checkpoint_every: 256,
         backlog_capacity: 1024,
     }

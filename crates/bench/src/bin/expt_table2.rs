@@ -105,7 +105,7 @@ fn main() {
                 out.b_granted, out.d_min, out.loss
             ));
             // Clean up for the next variant.
-            net.finish(id, arm_net::ConnectionState::Terminated);
+            net.finish(id);
         }
     }
 

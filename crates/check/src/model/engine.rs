@@ -2,8 +2,8 @@
 //!
 //! `arm_qos::maxmin::incremental::IncrementalMaxmin` is the one engine
 //! the resource manager runs: the problem, its reverse index and its
-//! solved allocation resident in one slot-indexed state, plus bottleneck
-//! sets, re-filling only the connected components a dirty link reaches.
+//! solved allocation resident in one slot-indexed state, re-filling
+//! only the connected components a dirty link reaches.
 //! The proptests in `crates/qos/tests/` sample op
 //! sequences against it; this module *enumerates* them. Every state
 //! holds a real engine next to the plain [`MaxminProblem`] the same ops
@@ -12,16 +12,13 @@
 //!
 //! * **the engine's structure stays sound** —
 //!   [`IncrementalMaxmin::check_invariants`] (interners, `members` ⇄
-//!   `routes`, no orphan slot, bottleneck sets ⊆ routes) holds after
-//!   every op;
+//!   `routes`, no orphan slot) holds after every op;
 //! * **inputs mirror the ops bit-for-bit** — capacities, demands and
 //!   routes ([`IncrementalMaxmin::as_problem`]) equal the problem built
 //!   from the same ops with no engine in the loop;
 //! * **resolves are exact** — after every resolve the resident
 //!   allocation (`f64::to_bits`) equals a from-scratch
-//!   [`MaxminProblem::solve`] and the non-empty bottleneck sets equal a
-//!   from-scratch reference fill of every component, and nothing is
-//!   left dirty;
+//!   [`MaxminProblem::solve`], and nothing is left dirty;
 //! * **no op sequence forces a redundant re-solve** — `resolve` on a
 //!   clean engine performs zero solves and changes no allocation bit.
 //!
@@ -31,14 +28,12 @@
 //! [`EngineMutant`] carries the seeded known-bad variant
 //! (checker-of-the-checker, mirroring `maxmin::MaxminMutant`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use arm_net::ids::{ConnId, LinkId};
-use arm_qos::maxmin::centralized::{
-    components, link_index, solve_component, ConnDemand, MaxminProblem,
-};
+use arm_qos::maxmin::centralized::{ConnDemand, MaxminProblem};
 use arm_qos::maxmin::incremental::IncrementalMaxmin;
 
 use super::sweep::{all_routes, check_into, route_multisets, SweepReport};
@@ -113,7 +108,6 @@ struct Key {
     inputs: Inputs,
     alloc: Vec<(u32, u64)>,
     dirty: Vec<u32>,
-    bottleneck: Vec<(u32, Vec<u32>)>,
 }
 
 /// One explicit state: the real engine, the problem the ops so far
@@ -160,33 +154,6 @@ fn alloc_bits(alloc: impl IntoIterator<Item = (ConnId, f64)>) -> Vec<(u32, u64)>
     alloc.into_iter().map(|(c, x)| (c.0, x.to_bits())).collect()
 }
 
-/// Non-empty bottleneck rows (an emptied row is inert bookkeeping the
-/// engine keeps until its link is next re-filled).
-fn nonempty_rows(map: &BTreeMap<LinkId, BTreeSet<ConnId>>) -> Vec<(u32, Vec<u32>)> {
-    map.iter()
-        .filter(|(_, m)| !m.is_empty())
-        .map(|(l, m)| (l.0, m.iter().map(|c| c.0).collect()))
-        .collect()
-}
-
-/// From-scratch bottleneck attributions: the map-walking reference fill
-/// of every component, no resident state.
-fn reference_bottlenecks(p: &MaxminProblem) -> BTreeMap<LinkId, BTreeSet<ConnId>> {
-    let index = link_index(&p.conns);
-    let (mut alloc, mut bn) = (BTreeMap::new(), BTreeMap::new());
-    for comp in components(&p.conns, &index) {
-        solve_component(
-            &p.link_excess,
-            &p.conns,
-            &index,
-            &comp,
-            &mut alloc,
-            Some(&mut bn),
-        );
-    }
-    bn
-}
-
 /// Bit-exact image of a problem's inputs: capacities, then demands
 /// with routes.
 type Inputs = (Vec<(u32, u64)>, Vec<(u32, u64, Vec<u32>)>);
@@ -206,7 +173,6 @@ fn make_key(engine: &IncrementalMaxmin, violation: &Option<String>) -> Key {
         inputs: input_bits(&engine.as_problem()),
         alloc: alloc_bits(engine.rates()),
         dirty: engine.dirty_links().iter().map(|l| l.0).collect(),
-        bottleneck: nonempty_rows(engine.bottleneck_map()),
     }
 }
 
@@ -293,10 +259,6 @@ impl EngineState {
                  MaxminProblem::solve on the same inputs"
                     .to_string(),
             );
-        } else if nonempty_rows(self.engine.bottleneck_map())
-            != nonempty_rows(&reference_bottlenecks(&self.truth))
-        {
-            self.fail("bottleneck sets diverge from a from-scratch reference fill".to_string());
         }
     }
 }

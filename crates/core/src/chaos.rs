@@ -32,7 +32,7 @@ use arm_sim::{
 };
 
 use crate::error::ControlError;
-use crate::manager::ResourceManager;
+use crate::manager::{ResourceManager, SLOT};
 use crate::scenario::{build_manager, Scenario, ScenarioReport, WorkloadSpec};
 
 /// What a faulted run produced, beyond the ordinary report.
@@ -144,7 +144,7 @@ pub fn run_with_faults_obs(
     let mut rng = SimRng::new(sc.seed).split("scenario-workload");
     let mix = WorkloadMix::paper71();
     let mut open: BTreeMap<PortableId, ConnId> = BTreeMap::new();
-    let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
+    let mut next_slot = SimTime::ZERO + SLOT;
     let mut moves = 0u64;
     let mut faults_applied = 0usize;
     let mut invariant_checks = 0u64;
@@ -210,7 +210,7 @@ pub fn run_with_faults_obs(
         }
         while ev.time >= next_slot {
             mgr.slot_tick(next_slot);
-            next_slot += SimDuration::from_mins(1);
+            next_slot += SLOT;
         }
         match ev.from {
             None => {

@@ -23,7 +23,7 @@ use arm_reservation::meeting::{BookingCalendar, Meeting};
 use arm_sim::stats::TimeSeries;
 use arm_sim::{SimDuration, SimRng, SimTime};
 
-use crate::manager::{ManagerConfig, ResourceManager};
+use crate::manager::{ManagerConfig, ResourceManager, SLOT};
 use crate::strategy::Strategy;
 
 /// Everything Figure 5 plots, for one (algorithm, class-size) run.
@@ -82,7 +82,6 @@ pub fn run_trace(
     let net = menv.env.build_network(1600.0, 0.0, 100_000.0);
     let cfg = ManagerConfig {
         strategy,
-        slot: SimDuration::from_mins(1),
         ..Default::default()
     };
     let mut mgr = ResourceManager::new(menv.env.clone(), net, cfg);
@@ -136,11 +135,11 @@ pub fn run_trace(
     let mut open_conns: BTreeMap<PortableId, ConnId> = BTreeMap::new();
     let mut dropped_conns = 0u64;
     let mut walkby_drops = 0u64;
-    let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
+    let mut next_slot = SimTime::ZERO + SLOT;
     for ev in trace.events() {
         while ev.time >= next_slot {
             mgr.slot_tick(next_slot);
-            next_slot += SimDuration::from_mins(1);
+            next_slot += SLOT;
         }
         match ev.from {
             None => {

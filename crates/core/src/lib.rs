@@ -45,7 +45,7 @@ pub mod snapshot;
 pub mod strategy;
 
 pub use error::ControlError;
-pub use manager::{ManagerConfig, ResourceManager};
+pub use manager::{ManagerConfig, ResourceManager, SLOT};
 pub use metrics::Metrics;
 pub use scenario::{Scenario, ScenarioReport};
 pub use snapshot::{ManagerSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};

@@ -54,7 +54,7 @@ use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
 use arm_net::routing::{neighbor_legs, shortest_path_avoiding, uplink_routes, NeighborLegs};
-use arm_net::{Connection, ConnectionState, Network, Route};
+use arm_net::{Connection, Network, Route};
 use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
 use arm_profiles::prediction::Prediction;
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
@@ -75,6 +75,17 @@ use crate::multicast::MulticastState;
 use crate::snapshot::{ManagerSnapshot, SnapshotError};
 use crate::strategy::Strategy;
 
+/// The slot width: the period of [`ResourceManager::slot_tick`], which
+/// the aggregate (lounge) predictors count outflow over. Every driver —
+/// the batch loops, the chaos harness, `arm-server` — ticks at this one
+/// width, so it is a constant, not a setting two configs must agree on.
+pub const SLOT: SimDuration = SimDuration::from_mins(1);
+
+/// Expected bandwidth per not-yet-seen user (kbps), used to size
+/// aggregate claims (meeting room, cafeteria, default): the §7.1
+/// workload mean, 0.75·16 + 0.25·64.
+const PER_USER_KBPS: f64 = 28.0;
+
 /// Manager configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ManagerConfig {
@@ -82,16 +93,8 @@ pub struct ManagerConfig {
     pub strategy: Strategy,
     /// Static/mobile dwell threshold `T_th`.
     pub t_th: SimDuration,
-    /// Scheduling discipline for the Table 2 tests.
-    pub discipline: Discipline,
     /// `B_dyn` pool policy; `None` disables the pool.
     pub dyn_pool: Option<DynPoolPolicy>,
-    /// Slot width for the aggregate (lounge) policies and metrics series.
-    pub slot: SimDuration,
-    /// Expected bandwidth per not-yet-seen user (kbps), used to size
-    /// aggregate claims (meeting room, cafeteria, default) — the §7.1
-    /// workload mean of 28 kbps by default.
-    pub per_user_kbps: f64,
     /// Run maxmin conflict resolution after each event (needed only when
     /// connections have adaptable ranges; fixed-rate experiments skip it
     /// for speed).
@@ -103,11 +106,6 @@ pub struct ManagerConfig {
     /// this does not trigger an adaptation round (shrinkage always
     /// does). Controls the frequency/benefit trade-off of adaptation.
     pub delta: f64,
-    /// Policy for connections riding a link that fails: `false`
-    /// (default) squeezes them to `b_min` (re-routing around the
-    /// failure where the topology allows) and lets them ride out the
-    /// outage; `true` drops them outright.
-    pub drop_on_link_failure: bool,
 }
 
 impl Default for ManagerConfig {
@@ -115,14 +113,10 @@ impl Default for ManagerConfig {
         ManagerConfig {
             strategy: Strategy::Paper,
             t_th: SimDuration::from_mins(5),
-            discipline: Discipline::Wfq,
             dyn_pool: Some(DynPoolPolicy::default()),
-            slot: SimDuration::from_mins(1),
-            per_user_kbps: 28.0,
             resolve_excess: false,
             multicast: true,
             delta: 0.0,
-            drop_on_link_failure: false,
         }
     }
 }
@@ -305,7 +299,7 @@ impl ResourceManager {
                 CellClass::Lounge(LoungeKind::MeetingRoom) => {
                     meeting_policies.insert(
                         id,
-                        MeetingRoomPolicy::new(BookingCalendar::new(), cfg.per_user_kbps),
+                        MeetingRoomPolicy::new(BookingCalendar::new(), PER_USER_KBPS),
                     );
                 }
                 CellClass::Lounge(LoungeKind::Cafeteria) => {
@@ -317,7 +311,6 @@ impl ResourceManager {
                 _ => {}
             }
         }
-        let metrics = Metrics::new(cfg.slot);
         let uplinks = uplink_routes(net.topology(), server_node);
         let branch_legs = neighbor_legs(net.topology(), |c| env.neighbors(c));
         let cell_revs = vec![0; env.cell_count()];
@@ -327,7 +320,7 @@ impl ResourceManager {
             env,
             profiles,
             cfg,
-            metrics,
+            metrics: Metrics::default(),
             portables: BTreeMap::new(),
             meeting_policies,
             cafeteria_pred,
@@ -466,7 +459,7 @@ impl ResourceManager {
 
     /// Replace a meeting room's booking calendar.
     pub fn set_calendar(&mut self, cell: CellId, calendar: BookingCalendar) {
-        let policy = MeetingRoomPolicy::new(calendar, self.cfg.per_user_kbps);
+        let policy = MeetingRoomPolicy::new(calendar, PER_USER_KBPS);
         self.meeting_policies.insert(cell, policy);
     }
 
@@ -500,7 +493,7 @@ impl ResourceManager {
     }
 
     /// Run the Table 2 admission round trip for an installed connection
-    /// under the configured discipline.
+    /// under WFQ, the one discipline the manager schedules with.
     fn admit(
         &mut self,
         conn: ConnId,
@@ -509,7 +502,7 @@ impl ResourceManager {
     ) -> Result<(), arm_qos::Rejection> {
         let req = AdmissionRequest {
             conn,
-            discipline: self.cfg.discipline,
+            discipline: Discipline::Wfq,
             mobility,
             kind,
         };
@@ -625,14 +618,13 @@ impl ResourceManager {
         new_qos
             .validate()
             .expect("precondition: caller validates the request");
-        let (p, old_qos, live) = {
+        let (p, old_qos) = {
             let c = self
                 .net
                 .get(id)
-                .expect("precondition: renegotiate on unknown connection");
-            (c.portable, c.qos, c.state.is_live())
+                .expect("precondition: renegotiate on a live connection");
+            (c.portable, c.qos)
         };
-        assert!(live, "renegotiate on a finished connection");
         let admit_tok = self.obs.phase_start(now);
         self.metrics.requests.incr();
         // Release the current reservation, swap in the new bounds.
@@ -679,9 +671,9 @@ impl ResourceManager {
 
     /// Normal connection teardown.
     pub fn terminate(&mut self, id: ConnId, now: SimTime) {
-        if self.net.get(id).is_some_and(|c| c.state.is_live()) {
+        if self.net.get(id).is_some() {
             self.multicast.teardown(&mut self.net, id);
-            self.net.finish(id, ConnectionState::Terminated);
+            self.net.finish(id);
             self.metrics.completed.incr();
             self.after_event(now);
         }
@@ -708,7 +700,6 @@ impl ResourceManager {
             // `from`'s history just changed under every memo read there.
             self.cell_revs[from.index()] += 1;
         }
-        self.metrics.record_arrival(to, now);
         *self.slot_outflow.entry(from).or_insert(0) += 1;
         // Meeting-room arrival/departure counters.
         if let Some(policy) = self.meeting_policy_mut(to) {
@@ -797,7 +788,7 @@ impl ResourceManager {
 
     /// Slot boundary: feed the aggregate predictors and refresh claims.
     pub fn slot_tick(&mut self, now: SimTime) {
-        let slot = now.ticks() / self.cfg.slot.ticks();
+        let slot = now.ticks() / SLOT.ticks();
         self.obs
             .emit_with(|| ObsEvent::ReservationSlotRolled { t: now, slot });
         let pred_tok = self.obs.phase_start(now);
@@ -867,7 +858,7 @@ impl ResourceManager {
             }
             let v = vs.remove(0);
             self.multicast.teardown(&mut self.net, v);
-            self.net.finish(v, ConnectionState::Dropped);
+            self.net.finish(v);
             self.channel_renegotiations += 1;
             victims.push(v);
         }
@@ -898,36 +889,26 @@ impl ResourceManager {
     }
 
     /// A link (wired or wireless) fails. Connections riding it are
-    /// re-routed around the failure where the topology allows, squeezed
-    /// to `b_min` otherwise, and dropped only under the explicit
-    /// [`ManagerConfig::drop_on_link_failure`] policy. The link's
-    /// remaining headroom is sealed with a [`ResvClaim::Outage`] claim so
-    /// nothing new is admitted until restoration. Idempotent: a second
-    /// failure of a down link is a no-op. Returns the dropped
-    /// connections.
-    pub fn link_failed(&mut self, link: LinkId, now: SimTime) -> Vec<ConnId> {
+    /// re-routed around the failure where the topology allows and
+    /// squeezed to `b_min` otherwise, to ride out the outage at their
+    /// guaranteed floor; none is dropped. The link's remaining headroom
+    /// is sealed with a [`ResvClaim::Outage`] claim so nothing new is
+    /// admitted until restoration. Idempotent: a second failure of a
+    /// down link is a no-op.
+    pub fn link_failed(&mut self, link: LinkId, now: SimTime) {
         if !self.down_links.insert(link) {
-            return Vec::new();
+            return;
         }
         self.link_failures += 1;
         self.obs.emit_with(|| ObsEvent::FaultInjected {
             t: now,
             fault: format!("link-failed:{link}"),
         });
-        // Owned copy: the loop below re-routes and drops, mutating the
-        // membership index the slice borrows (cold path, failure only).
+        // Owned copy: the loop below re-routes, mutating the membership
+        // index the slice borrows (cold path, failure only).
         let ids = self.net.conn_ids_on_link(link).to_vec();
-        let mut dropped = Vec::new();
         for id in ids {
-            if !self.net.get(id).is_some_and(|c| c.state.is_live()) {
-                continue;
-            }
-            if self.cfg.drop_on_link_failure {
-                self.multicast.teardown(&mut self.net, id);
-                self.net.finish(id, ConnectionState::Dropped);
-                self.metrics.dropped.incr();
-                dropped.push(id);
-            } else if !self.try_reroute(id) {
+            if !self.try_reroute(id) {
                 // Ride out the outage at the guaranteed floor.
                 let b_min = self
                     .net
@@ -942,7 +923,6 @@ impl ResourceManager {
         }
         Self::seal_link(&mut self.net, link);
         self.after_event(now);
-        dropped
     }
 
     /// The link comes back. Its outage seal is lifted and connections
@@ -1107,12 +1087,10 @@ impl ResourceManager {
             RequestKind::New
         };
         if self.admit(id, MobilityClass::Mobile, kind).is_ok() {
-            let c = self.net.get_mut(id).expect("invariant: live connection");
-            c.handoffs += 1;
             return true;
         }
         if !claims_usable {
-            self.net.finish(id, ConnectionState::Dropped);
+            self.net.finish(id);
             return false;
         }
         // Draw down consumable aggregate claims, most specific first.
@@ -1140,15 +1118,13 @@ impl ResourceManager {
                     kbps: drawn,
                     source,
                 });
-                let c = self.net.get_mut(id).expect("invariant: live connection");
-                c.handoffs += 1;
                 return true;
             }
             // Put the drawn amount back; it didn't help.
             let cur = self.net.link(wl).claim(key);
             self.net.link_mut(wl).set_claim(key, cur + drawn);
         }
-        self.net.finish(id, ConnectionState::Dropped);
+        self.net.finish(id);
         false
     }
 
@@ -1375,7 +1351,6 @@ impl ResourceManager {
     /// Aggregate claims from the lounge policies (meeting calendar,
     /// cafeteria least-squares, default one-step).
     fn refresh_lounge_claims(&mut self, now: SimTime) {
-        let per_user_kbps = self.cfg.per_user_kbps;
         let mut lounges = std::mem::take(&mut self.scratch.lounges);
         lounges.clear();
         // Meeting rooms.
@@ -1388,7 +1363,7 @@ impl ResourceManager {
         // Cafeterias and default lounges: predicted outbound handoffs.
         let caf = self.cafeteria_pred.iter().map(|(c, p)| (*c, p.predict()));
         let def = self.default_pred.iter().map(|(c, p)| (*c, p.predict()));
-        lounges.extend(caf.chain(def).map(|(c, n)| (c, n * per_user_kbps, 0.0)));
+        lounges.extend(caf.chain(def).map(|(c, n)| (c, n * PER_USER_KBPS, 0.0)));
         for &(m, room, neighbor) in &lounges[..meeting_rooms] {
             if room > 0.0 {
                 let wl = self.net.topology().wireless_link(m);

@@ -21,7 +21,7 @@ use arm_qos::adaptation::DynPoolPolicy;
 use arm_reservation::dispatch::{decide_traced, ReservationDecision};
 use arm_sim::SimTime;
 
-use super::{PortableState, ResourceManager};
+use super::{PortableState, ResourceManager, PER_USER_KBPS};
 use crate::strategy::Strategy;
 
 /// `Network::connections_of_portable` as a scan of every record.
@@ -248,7 +248,7 @@ impl ResourceManager {
         let def = self.default_pred.iter().map(|(c, p)| (*c, p.predict()));
         let predictions: Vec<(CellId, f64)> = caf.chain(def).collect();
         for (c, predicted) in predictions {
-            let demand = predicted * self.cfg.per_user_kbps;
+            let demand = predicted * PER_USER_KBPS;
             if demand > 0.0 {
                 self.reference_spread_to_neighbors(c, demand);
             }

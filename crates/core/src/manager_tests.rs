@@ -98,10 +98,7 @@ fn handoff_drops_when_target_is_full() {
     assert_eq!(dropped, vec![id]);
     assert_eq!(mgr.metrics.dropped.get(), 1);
     assert!((mgr.metrics.p_d() - 1.0).abs() < 1e-12);
-    assert_eq!(
-        mgr.net.get(id).unwrap().state,
-        arm_net::ConnectionState::Dropped
-    );
+    assert!(mgr.net.get(id).is_none(), "a dropped record is retired");
     assert!(mgr.net.check_invariants().is_ok());
 }
 
@@ -277,7 +274,7 @@ fn dyn_pool_rescues_sudden_static_movement() {
     let dropped = mgr.portable_moved(p, f4.d, t + SimDuration::from_secs(1));
     assert!(dropped.is_empty(), "B_dyn should rescue the handoff");
     assert_eq!(mgr.metrics.claims_consumed.get(), 1);
-    assert!(mgr.net.get(id).unwrap().state.is_live());
+    assert!(mgr.net.get(id).is_some());
 }
 
 #[test]
@@ -444,8 +441,7 @@ fn renegotiation_upgrades_and_restores_on_failure() {
     // its previous bounds.
     let err = mgr.renegotiate(id, qos(1500.0), SimTime::from_secs(4));
     assert!(err.is_err());
-    let c = mgr.net.get(id).unwrap();
-    assert!(c.state.is_live());
+    let c = mgr.net.get(id).expect("still live");
     assert_eq!(c.qos.b_min, 512.0);
     assert_eq!(mgr.net.link(wl).sum_b_min(), 1512.0);
     assert!(mgr.net.check_invariants().is_ok());
@@ -554,7 +550,8 @@ fn deep_fade_drops_youngest_first() {
         .expect("valid fraction");
     assert_eq!(victims, vec![ids[2], ids[1]]);
     assert_eq!(mgr.channel_renegotiations, 2);
-    assert!(mgr.net.get(ids[0]).unwrap().state.is_live());
+    assert!(mgr.net.get(ids[0]).is_some());
+    assert!(mgr.net.get(ids[1]).is_none() && mgr.net.get(ids[2]).is_none());
     assert!(mgr.net.check_invariants().is_ok());
     // New admissions respect the faded capacity.
     let p = PortableId(80);
@@ -683,12 +680,10 @@ fn link_failure_squeezes_riders_and_seals_admission() {
     let ids: Vec<_> = mgr.net.live_connections().map(|c| c.id).collect();
     let wl = mgr.net.topology().wireless_link(f4.c);
     // Star topology: no detour exists, so the riders squeeze to b_min.
-    let dropped = mgr.link_failed(wl, SimTime::from_secs(10));
-    assert!(dropped.is_empty(), "default policy never drops");
+    mgr.link_failed(wl, SimTime::from_secs(10));
     assert!(mgr.is_link_down(wl));
     for id in &ids {
-        let c = mgr.net.get(*id).unwrap();
-        assert!(c.state.is_live());
+        let c = mgr.net.get(*id).expect("a link failure never drops");
         assert!((c.b_current - 200.0).abs() < 1e-6, "rate {}", c.b_current);
     }
     // The outage seal blocks new admissions on the dead link.
@@ -698,7 +693,7 @@ fn link_failure_squeezes_riders_and_seals_admission() {
         .request_connection(p, qos(64.0), SimTime::from_secs(11))
         .is_err());
     // A second failure of the same link is an idempotent no-op.
-    assert!(mgr.link_failed(wl, SimTime::from_secs(12)).is_empty());
+    mgr.link_failed(wl, SimTime::from_secs(12));
     assert_eq!(mgr.link_failures, 1);
     assert!(mgr.net.check_invariants().is_ok());
     // Restoration lifts the seal: rates re-grow and admission works.
@@ -758,32 +753,6 @@ fn a_rider_squeezed_inside_a_closed_gate_regrows_at_the_next_round() {
 }
 
 #[test]
-fn link_failure_drop_policy_drops_riders() {
-    let f4 = Figure4::build();
-    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
-    let cfg = ManagerConfig {
-        strategy: Strategy::None,
-        drop_on_link_failure: true,
-        ..Default::default()
-    };
-    let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
-    let p = PortableId(50);
-    mgr.portable_appears(p, f4.c, SimTime::ZERO);
-    let id = mgr
-        .request_connection(p, qos(64.0), SimTime::from_secs(1))
-        .unwrap();
-    let wl = mgr.net.topology().wireless_link(f4.c);
-    let dropped = mgr.link_failed(wl, SimTime::from_secs(10));
-    assert_eq!(dropped, vec![id]);
-    assert_eq!(
-        mgr.net.get(id).unwrap().state,
-        arm_net::ConnectionState::Dropped
-    );
-    assert_eq!(mgr.metrics.dropped.get(), 1);
-    assert!(mgr.net.check_invariants().is_ok());
-}
-
-#[test]
 fn wired_link_failure_blocks_the_cell_until_restored() {
     let (mut mgr, f4) = figure4_manager(Strategy::None);
     let p = PortableId(50);
@@ -794,9 +763,8 @@ fn wired_link_failure_blocks_the_cell_until_restored() {
     // The backbone hop of C's route fails; the star offers no detour,
     // so the fixed-rate connection just rides at its floor.
     let wired = mgr.net.get(id).unwrap().route.links[1];
-    let dropped = mgr.link_failed(wired, SimTime::from_secs(10));
-    assert!(dropped.is_empty());
-    assert!(mgr.net.get(id).unwrap().state.is_live());
+    mgr.link_failed(wired, SimTime::from_secs(10));
+    assert!(mgr.net.get(id).is_some());
     let q = PortableId(51);
     mgr.portable_appears(q, f4.c, SimTime::from_secs(10));
     assert!(mgr
@@ -839,7 +807,7 @@ fn handoff_signalling_failure_forfeits_the_claims() {
         .unwrap();
     let dropped = mgr.portable_moved(p, f4.e, t + SimDuration::from_secs(3));
     assert!(dropped.is_empty());
-    assert!(mgr.net.get(id2).unwrap().state.is_live());
+    assert!(mgr.net.get(id2).is_some());
     assert!(mgr.net.check_invariants().is_ok());
 }
 

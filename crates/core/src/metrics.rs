@@ -1,13 +1,11 @@
 //! Run metrics: the quantities the paper reports.
 
-use arm_net::ids::CellId;
 use arm_obs::MetricsSummary;
-use arm_sim::stats::{Counter, TimeSeries};
-use arm_sim::{SimDuration, SimTime};
+use arm_sim::stats::Counter;
 use serde::{Deserialize, Serialize};
 
-/// Counters and series collected over one simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Counters collected over one simulation run.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Metrics {
     /// New-connection requests offered.
     pub requests: Counter,
@@ -25,27 +23,9 @@ pub struct Metrics {
     /// Handoffs satisfied by consuming an advance claim or pool rather
     /// than free capacity.
     pub claims_consumed: Counter,
-    /// Handoff arrivals per cell per slot (the Figure 2/5 series).
-    arrivals: std::collections::BTreeMap<CellId, TimeSeries>,
-    slot: SimDuration,
 }
 
 impl Metrics {
-    /// Fresh metrics with the given series slot width.
-    pub fn new(slot: SimDuration) -> Self {
-        Metrics {
-            requests: Counter::new(),
-            blocked: Counter::new(),
-            completed: Counter::new(),
-            handoff_attempts: Counter::new(),
-            handoff_successes: Counter::new(),
-            dropped: Counter::new(),
-            claims_consumed: Counter::new(),
-            arrivals: Default::default(),
-            slot,
-        }
-    }
-
     /// New-connection blocking probability `P_b`.
     pub fn p_b(&self) -> f64 {
         self.blocked.ratio_of(&self.requests)
@@ -55,44 +35,6 @@ impl Metrics {
     /// attempts that killed their connection.
     pub fn p_d(&self) -> f64 {
         self.dropped.ratio_of(&self.handoff_attempts)
-    }
-
-    /// Record a handoff arrival into `cell` for the activity series.
-    pub fn record_arrival(&mut self, cell: CellId, at: SimTime) {
-        self.arrivals
-            .entry(cell)
-            .or_insert_with(|| TimeSeries::new(self.slot))
-            .incr(at);
-    }
-
-    /// Refuse a decoded image whose own slot width, or that of any
-    /// arrival series, differs from the manager's `expected`: they are
-    /// only ever built from it, and a zero or one-tick width read from a
-    /// hostile snapshot would panic the next `record_arrival`, divide by
-    /// zero in `TimeSeries::add`, or size a series by sim-time. The
-    /// message names the offending field.
-    pub(crate) fn check_slot(&self, expected: SimDuration) -> Result<(), String> {
-        let series = self.arrivals.iter();
-        let mut widths = std::iter::once((None, self.slot))
-            .chain(series.map(|(c, ts)| (Some(*c), ts.slot_width())));
-        match widths.find(|(_, found)| *found != expected) {
-            None => Ok(()),
-            Some((cell, found)) => {
-                let field = cell.map_or("metrics.slot".to_string(), |c| {
-                    format!("metrics.arrivals[{}].slot", c.0)
-                });
-                Err(format!(
-                    "{field} is {} ticks, cfg.slot is {}",
-                    found.ticks(),
-                    expected.ticks()
-                ))
-            }
-        }
-    }
-
-    /// The arrival series of one cell, if any arrivals were recorded.
-    pub fn arrivals(&self, cell: CellId) -> Option<&TimeSeries> {
-        self.arrivals.get(&cell)
     }
 
     /// These metrics as the run-report summary section.
@@ -117,7 +59,7 @@ mod tests {
 
     #[test]
     fn probabilities() {
-        let mut m = Metrics::new(SimDuration::from_mins(1));
+        let mut m = Metrics::default();
         m.requests.add(10);
         m.blocked.add(2);
         m.handoff_attempts.add(50);
@@ -125,14 +67,14 @@ mod tests {
         assert!((m.p_b() - 0.2).abs() < 1e-12);
         assert!((m.p_d() - 0.1).abs() < 1e-12);
         // Empty metrics report zero, not NaN.
-        let empty = Metrics::new(SimDuration::from_mins(1));
+        let empty = Metrics::default();
         assert_eq!(empty.p_b(), 0.0);
         assert_eq!(empty.p_d(), 0.0);
     }
 
     #[test]
     fn summary_mirrors_counters() {
-        let mut m = Metrics::new(SimDuration::from_mins(1));
+        let mut m = Metrics::default();
         m.requests.add(10);
         m.blocked.add(2);
         m.completed.add(7);
@@ -150,14 +92,5 @@ mod tests {
         assert_eq!(s.claims_consumed, 3);
         assert!((s.p_b - m.p_b()).abs() < 1e-15);
         assert!((s.p_d - m.p_d()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn arrival_series_per_cell() {
-        let mut m = Metrics::new(SimDuration::from_mins(1));
-        m.record_arrival(CellId(3), SimTime::from_secs(30));
-        m.record_arrival(CellId(3), SimTime::from_secs(90));
-        assert_eq!(m.arrivals(CellId(3)).unwrap().values(), &[1.0, 1.0]);
-        assert!(m.arrivals(CellId(9)).is_none());
     }
 }

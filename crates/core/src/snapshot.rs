@@ -5,10 +5,11 @@
 //! last [`ManagerSnapshot`], then re-apply the journaled event suffix.
 //! For that discipline to be trustworthy the snapshot must be
 //!
-//! * **complete** — every field that influences a future decision is
-//!   captured: the network ledgers, zoned profiles, per-cell policy
-//!   state, eqn 2's `t⁻` excesses and round count, fault state (down
-//!   links/zones, doomed handoffs), and all metrics;
+//! * **complete** — every field that influences a future decision or a
+//!   report is captured: the network ledgers and the records of the
+//!   live connections, zoned profiles, per-cell policy state, eqn 2's
+//!   `t⁻` excesses and round count, fault state (down links/zones,
+//!   doomed handoffs), and the metrics counters;
 //! * **exact** — serialization is byte-stable: serialize →
 //!   deserialize → re-serialize yields the identical string. This is
 //!   a property of the codec, not of any one state, and
@@ -28,8 +29,9 @@
 //!   [`SnapshotError::SchemaMismatch`], never a panic or a silent
 //!   misparse.
 //!
-//! There are two deliberate exclusions, each because no decision reads
-//! what is left out:
+//! The test for membership is "read by a decision, a report or an obs
+//! event". Two things the manager holds fail it and are deliberately
+//! left out of the image:
 //!
 //! * the observer ([`arm_obs::Obs`]): observation is passive
 //!   (bit-identical on/off, pinned by `tests/obs_differential.rs`), so
@@ -48,6 +50,15 @@
 //!   `MaxminRound` obs event after a restore, which reports every
 //!   registered connection as re-filled; the obs stream was never part
 //!   of the byte-identity claim.
+//!
+//! And three things v8 carried are no longer state anywhere, because
+//! they were written on every event and read by nothing (DESIGN.md
+//! §10.2): the records of finished, dropped and refused connections
+//! (`Network` retires a record with its connection; the slot stays, as
+//! `null`, so ids are never reissued), with `Connection::{state,
+//! handoffs}`; the per-cell per-minute `metrics.arrivals` series; and
+//! the slot width, which was two settable copies of one value and is
+//! now [`crate::SLOT`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,8 +88,12 @@ use crate::multicast::MulticastState;
 /// §12); v7 drops the `calendar` section with the slotted calendar
 /// itself (DESIGN.md §11); v8 drops the `maxmin` section: the engine is
 /// a cache and is rebuilt by the first round after a restore (DESIGN.md
-/// §10.2).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
+/// §10.2); v9 drops what nothing read: terminal connection records and
+/// `Connection::{state, handoffs}`, `metrics.{arrivals, slot}`, and
+/// four `cfg` knobs (`discipline`, `slot`, `per_user_kbps` and the
+/// drop-on-failure policy) — one value at every caller, now constants
+/// (DESIGN.md §10.2).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -214,10 +229,7 @@ impl ManagerSnapshot {
     }
 
     /// Validate internal consistency without building a manager: the
-    /// schema must match, the slot width must be non-zero (slot rolls
-    /// and the metrics series divide by it) and be the width `metrics`
-    /// and every arrival series carry, and the network ledgers must
-    /// balance.
+    /// schema must match and the network ledgers must balance.
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
@@ -225,12 +237,6 @@ impl ManagerSnapshot {
                 expected: SNAPSHOT_SCHEMA_VERSION,
             });
         }
-        if self.cfg.slot.ticks() == 0 {
-            return Err(SnapshotError::Invalid("cfg.slot is zero".to_string()));
-        }
-        self.metrics
-            .check_slot(self.cfg.slot)
-            .map_err(SnapshotError::Invalid)?;
         self.net.check_invariants().map_err(SnapshotError::Invalid)
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! A connection is one QoS-bounded flow between two endpoints, one (or
 //! both) of which is a portable on a wireless cell. The record keeps the
-//! negotiated bounds, the current route, the current end-to-end allocated
-//! rate, and lifecycle state; per-link numbers live in the link ledgers.
+//! negotiated bounds, the current route and the current end-to-end
+//! allocated rate; per-link numbers live in the link ledgers. A record
+//! exists exactly while its connection is live: `Network::finish` and
+//! `Network::mark_blocked` take it out of the table.
 
 use arm_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -11,30 +13,6 @@ use serde::{Deserialize, Serialize};
 use crate::flowspec::QosRequest;
 use crate::ids::{CellId, ConnId, NodeId, PortableId};
 use crate::routing::Route;
-
-/// Where a connection is in its life.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConnectionState {
-    /// Admitted and transferring.
-    Active,
-    /// Mid-handoff: the old cell's resources are being moved to the new
-    /// cell (transient; most operations treat it as active).
-    HandingOff,
-    /// Finished normally.
-    Terminated,
-    /// Dropped mid-lifetime because a handoff could not be accommodated —
-    /// the event counted by the paper's `P_d`.
-    Dropped,
-    /// Never admitted — counted by `P_b`.
-    Blocked,
-}
-
-impl ConnectionState {
-    /// Is the connection consuming resources right now?
-    pub fn is_live(self) -> bool {
-        matches!(self, ConnectionState::Active | ConnectionState::HandingOff)
-    }
-}
 
 /// One QoS-bounded flow.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -55,14 +33,10 @@ pub struct Connection {
     /// Current route (wireless hop first when the portable is the source).
     pub route: Route,
     /// Current end-to-end allocated rate (kbps), in
-    /// `[qos.b_min, qos.b_max]` while live.
+    /// `[qos.b_min, qos.b_max]`.
     pub b_current: f64,
-    /// Lifecycle state.
-    pub state: ConnectionState,
     /// Admission time.
     pub started: SimTime,
-    /// Handoffs survived so far.
-    pub handoffs: u32,
 }
 
 impl Connection {
@@ -84,9 +58,7 @@ impl Connection {
             qos,
             route,
             b_current: qos.b_min,
-            state: ConnectionState::Active,
             started,
-            handoffs: 0,
         }
     }
 
@@ -123,7 +95,6 @@ mod tests {
     fn starts_at_minimum_rate() {
         let c = conn(16.0, 64.0);
         assert_eq!(c.b_current, 16.0);
-        assert_eq!(c.state, ConnectionState::Active);
         assert!(!c.is_satisfied());
         assert_eq!(c.residual_demand(), 48.0);
     }
@@ -140,14 +111,5 @@ mod tests {
     fn fixed_rate_is_born_satisfied() {
         let c = conn(16.0, 16.0);
         assert!(c.is_satisfied());
-    }
-
-    #[test]
-    fn state_liveness() {
-        assert!(ConnectionState::Active.is_live());
-        assert!(ConnectionState::HandingOff.is_live());
-        assert!(!ConnectionState::Terminated.is_live());
-        assert!(!ConnectionState::Dropped.is_live());
-        assert!(!ConnectionState::Blocked.is_live());
     }
 }

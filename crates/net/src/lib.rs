@@ -43,7 +43,7 @@ pub mod routing;
 pub mod topology;
 
 pub use arena::{ArenaKey, DenseInterner};
-pub use connection::{Connection, ConnectionState};
+pub use connection::Connection;
 pub use flowspec::{QosRequest, TrafficSpec};
 pub use ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 pub use link::LinkState;

@@ -286,11 +286,6 @@ impl LinkState {
         self.pos(conn).ok().map(|i| &self.allocs[i].1)
     }
 
-    /// True if the connection is allocated here.
-    pub fn has_conn(&self, conn: ConnId) -> bool {
-        self.pos(conn).is_ok()
-    }
-
     // ------------------------------------------------------------------
     // Admission / release
     // ------------------------------------------------------------------

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::connection::{Connection, ConnectionState};
+use crate::connection::Connection;
 use crate::ids::{ConnId, LinkId, PortableId};
 use crate::link::{LedgerError, LinkState};
 use crate::routing::Route;
@@ -25,6 +25,13 @@ use crate::topology::Topology;
 pub struct Network {
     topo: Topology,
     links: Vec<LinkState>,
+    /// One slot per id ever issued (index = ConnId). A slot holds a
+    /// record exactly while its connection is live: it starts `None`
+    /// ([`Network::next_conn_id`]), is filled by [`Network::install`] and
+    /// goes back to `None` in [`Network::finish`] /
+    /// [`Network::mark_blocked`]. Slots are never removed, so ids are
+    /// never reissued — across a snapshot too, which writes `null` for a
+    /// retired slot.
     conns: Vec<Option<Connection>>,
     /// Live connections traversing each link (index = LinkId), kept
     /// sorted ascending. A sorted `Vec<ConnId>` serializes to the same
@@ -37,9 +44,7 @@ pub struct Network {
     /// do not scan the whole table. Derived from `conns`: maintained by
     /// [`Network::install`], [`Network::finish`] and
     /// [`Network::mark_blocked`], never serialised, rebuilt on decode.
-    /// `Connection::state` is a `pub` field, so an entry may name a
-    /// record that a direct write has since made non-live; readers
-    /// filter on `is_live`. No entry is ever empty.
+    /// No entry is ever empty.
     portable_conns: BTreeMap<PortableId, Vec<ConnId>>,
 }
 
@@ -86,7 +91,7 @@ impl From<wire::Network> for Network {
     fn from(w: wire::Network) -> Self {
         let mut portable_conns: BTreeMap<PortableId, Vec<ConnId>> = BTreeMap::new();
         // Table order is id order, so each entry comes out ascending.
-        for c in w.conns.iter().flatten().filter(|c| c.state.is_live()) {
+        for c in w.conns.iter().flatten() {
             portable_conns.entry(c.portable).or_default().push(c.id);
         }
         Network {
@@ -189,12 +194,10 @@ impl Network {
         let idx = conn.id.index();
         assert!(idx < self.conns.len(), "id not pre-allocated");
         assert!(self.conns[idx].is_none(), "id already installed");
-        if conn.state.is_live() {
-            index_insert(
-                self.portable_conns.entry(conn.portable).or_default(),
-                conn.id,
-            );
-        }
+        index_insert(
+            self.portable_conns.entry(conn.portable).or_default(),
+            conn.id,
+        );
         self.conns[idx] = Some(conn);
     }
 
@@ -212,20 +215,18 @@ impl Network {
         }
     }
 
-    /// Record that an installed connection failed admission: it holds no
-    /// resources (the attempt was rolled back) and keeps the floor it
-    /// asked for in `b_current`, so the record shows what was refused.
+    /// An installed connection failed admission: it holds no resources
+    /// (the attempt was rolled back), so its record is simply retired.
     pub fn mark_blocked(&mut self, id: ConnId) {
         let c = self
             .conns
             .get_mut(id.index())
-            .and_then(|c| c.as_mut())
+            .and_then(Option::take)
             .expect("precondition: mark_blocked on an installed connection");
-        c.state = ConnectionState::Blocked;
         Self::unindex(&mut self.portable_conns, c.portable, id);
     }
 
-    /// Look up a live or finished connection.
+    /// Look up a live connection (`None` once finished or refused).
     pub fn get(&self, id: ConnId) -> Option<&Connection> {
         self.conns.get(id.index()).and_then(|c| c.as_ref())
     }
@@ -235,14 +236,10 @@ impl Network {
         self.conns.get_mut(id.index()).and_then(|c| c.as_mut())
     }
 
-    /// Iterate over all connection records (any state).
-    pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.conns.iter().filter_map(|c| c.as_ref())
-    }
-
-    /// Iterate over live connections.
+    /// Iterate over live connections, ascending by id — every record
+    /// the table holds.
     pub fn live_connections(&self) -> impl Iterator<Item = &Connection> {
-        self.connections().filter(|c| c.state.is_live())
+        self.conns.iter().flatten()
     }
 
     /// Live connections of one portable, ascending by id — read from
@@ -253,7 +250,6 @@ impl Network {
             .into_iter()
             .flatten()
             .filter_map(move |id| self.get(*id))
-            .filter(|c| c.state.is_live())
     }
 
     // ------------------------------------------------------------------
@@ -369,37 +365,21 @@ impl Network {
         Ok(())
     }
 
-    /// Tear down a live connection with the given terminal state,
-    /// releasing all its links.
-    pub fn finish(&mut self, id: ConnId, state: ConnectionState) {
-        debug_assert!(!state.is_live());
-        // Split-borrow so the route is released in place — teardown is
-        // on the churn path and needs no route clone.
-        let Self {
-            links,
-            conns,
-            link_conns,
-            portable_conns,
-            ..
-        } = self;
-        let Some(c) = conns.get_mut(id.index()).and_then(|c| c.as_mut()) else {
+    /// Tear down a live connection — completed or dropped, the network
+    /// keeps no record of which — releasing all its links and retiring
+    /// its record. A no-op on an id that is not live.
+    pub fn finish(&mut self, id: ConnId) {
+        let Some(c) = self.conns.get_mut(id.index()).and_then(Option::take) else {
             return;
         };
-        if !c.state.is_live() {
-            return;
-        }
-        for l in &c.route.links {
-            let _ = links[l.index()].release(id);
-            index_remove(&mut link_conns[l.index()], id);
-        }
-        c.state = state;
-        c.b_current = 0.0;
-        Self::unindex(portable_conns, c.portable, id);
+        self.release_route_links(id, &c.route.links);
+        Self::unindex(&mut self.portable_conns, c.portable, id);
     }
 
-    /// Verify every link ledger, the link↔connection index and the
-    /// portable↔connection index agree with the connection table; used
-    /// by integration and property tests.
+    /// Verify every link ledger and the link↔connection index agree with
+    /// the connection table, and that the portable↔connection index is
+    /// exactly the table grouped by portable; used by integration and
+    /// property tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, l) in self.links.iter().enumerate() {
             l.check_invariants()
@@ -421,6 +401,15 @@ impl Network {
                 return Err(format!(
                     "link l{i}: membership index not strictly sorted: {:?}",
                     self.link_conns[i]
+                ));
+            }
+            // A row outlives no record: callers walk `conn_ids_on_link`
+            // and look each id up without a liveness test.
+            let here = LinkId::from_index(i);
+            let routed = |c: &ConnId| self.get(*c).is_some_and(|c| c.route.links.contains(&here));
+            if let Some(c) = self.link_conns[i].iter().find(|c| !routed(c)) {
+                return Err(format!(
+                    "link l{i}: holds {c:?}, which is not routed over it"
                 ));
             }
         }
@@ -513,9 +502,10 @@ mod tests {
         net.release_route(id, &route);
         assert_eq!(net.link(wl).sum_b_min(), 0.0);
         assert_eq!(net.conn_count_on_link(wl), 0);
-        // release_route is mechanical; the caller records the new state
+        // release_route is mechanical; the caller retires the record
         // before the network is consistent again.
-        net.get_mut(id).unwrap().state = ConnectionState::Terminated;
+        assert!(net.check_invariants().is_err());
+        net.finish(id);
         assert!(net.check_invariants().is_ok());
     }
 
@@ -572,7 +562,8 @@ mod tests {
         assert_eq!(net.link(wl0).sum_b_min(), 0.0);
         assert_eq!(net.conn_count_on_link(wl0), 0);
         // The caller records the admission failure.
-        net.get_mut(id).unwrap().state = ConnectionState::Blocked;
+        assert!(net.check_invariants().is_err());
+        net.mark_blocked(id);
         assert!(net.check_invariants().is_ok());
     }
 
@@ -621,15 +612,39 @@ mod tests {
         let route = net.get(id).unwrap().route.clone();
         net.reserve_route(id, &route, 100.0, &vec![0.0; route.links.len()], false)
             .unwrap();
-        net.finish(id, ConnectionState::Terminated);
-        assert_eq!(net.get(id).unwrap().state, ConnectionState::Terminated);
-        assert_eq!(net.get(id).unwrap().b_current, 0.0);
+        net.finish(id);
+        assert!(net.get(id).is_none());
         assert_eq!(net.live_connections().count(), 0);
         let wl = net.topology().wireless_link(c0);
         assert_eq!(net.link(wl).sum_b_min(), 0.0);
         // Idempotent.
-        net.finish(id, ConnectionState::Terminated);
+        net.finish(id);
         assert!(net.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn a_retired_id_is_never_reissued() {
+        let (mut net, c0, c1) = two_cell_net();
+        let done = make_conn(&mut net, c0, c1, QosRequest::fixed(100.0));
+        let refused = make_conn(&mut net, c0, c1, QosRequest::fixed(40.0));
+        net.finish(done);
+        net.mark_blocked(refused);
+        assert!(net.get(done).is_none() && net.get(refused).is_none());
+        assert!(net.get_mut(done).is_none());
+        assert!(net.connections_of_portable(PortableId(0)).next().is_none());
+        let next = make_conn(&mut net, c0, c1, QosRequest::fixed(10.0));
+        assert_eq!(next, ConnId::from_index(2));
+        let route = net.get(next).unwrap().route.clone();
+        net.reserve_route(next, &route, 10.0, &vec![0.0; route.links.len()], false)
+            .unwrap();
+        assert_eq!(
+            net.live_connections().map(|c| c.id).collect::<Vec<_>>(),
+            [next]
+        );
+        assert!(net.check_invariants().is_ok());
+        // A decoded table continues the same sequence.
+        let mut back = Network::from_value(&net.to_value()).unwrap();
+        assert_eq!(back.next_conn_id(), ConnId::from_index(3));
     }
 
     #[test]
@@ -646,18 +661,15 @@ mod tests {
         };
         assert_eq!(of(&net, 0), vec![id]);
         assert!(of(&net, 9).is_empty());
-        // A refused sibling leaves the index; the record keeps its floor.
+        // A refused sibling leaves the index with its record.
         let refused = make_conn(&mut net, c0, c1, QosRequest::fixed(40.0));
         assert_eq!(of(&net, 0), vec![id, refused]);
         net.mark_blocked(refused);
         assert_eq!(of(&net, 0), vec![id]);
-        assert_eq!(net.get(refused).unwrap().b_current, 40.0);
         assert!(net.check_invariants().is_ok());
-        // A direct write of the `pub` state is filtered by the reader
-        // and tolerated by the invariant (the entry is merely stale).
-        net.release_route(id, &route);
-        net.get_mut(id).unwrap().state = ConnectionState::Terminated;
+        net.finish(id);
         assert!(of(&net, 0).is_empty());
+        assert!(net.portable_conns.is_empty());
         assert!(net.check_invariants().is_ok());
     }
 
@@ -679,6 +691,13 @@ mod tests {
         misfiled.portable_conns.insert(PortableId(7), vec![id]);
         let err = misfiled.check_invariants().unwrap_err();
         assert!(err.contains("not its own"), "{err}");
+        // An entry that outlived its record: the index must equal the
+        // table, so a stale id is an error, not a tolerated leftover.
+        let mut stale = net.clone();
+        stale.conns[id.index()] = None;
+        stale.release_route(id, &route);
+        let err = stale.check_invariants().unwrap_err();
+        assert!(err.contains("not its own"), "{err}");
         // The record's portable rewritten under the index.
         net.get_mut(id).unwrap().portable = PortableId(3);
         assert!(net.check_invariants().is_err());
@@ -692,7 +711,7 @@ mod tests {
         net.reserve_route(a, &route, 100.0, &vec![0.0; route.links.len()], false)
             .unwrap();
         let b = make_conn(&mut net, c1, c0, QosRequest::fixed(50.0));
-        net.finish(b, ConnectionState::Dropped);
+        net.finish(b);
         let mut doc = net.to_value();
         let back = Network::from_value(&doc).unwrap();
         assert_eq!(back.portable_conns, net.portable_conns);

@@ -5,7 +5,7 @@ use arm_net::ids::{CellId, ConnId, NodeId, PortableId};
 use arm_net::link::{LinkState, ResvClaim};
 use arm_net::routing::{shortest_path, Route};
 use arm_net::topology::Topology;
-use arm_net::{Connection, ConnectionState, Network};
+use arm_net::{Connection, Network};
 use arm_sim::SimTime;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -43,43 +43,38 @@ fn claim_key(k: u8) -> ResvClaim {
     }
 }
 
-/// One step against the connection table. `nth` picks among the records
-/// installed so far.
+/// One step against the connection table. `nth` picks among the ids
+/// issued so far, live or retired.
 #[derive(Clone, Debug)]
 enum TableOp {
-    Install {
-        portable: u32,
-    },
-    Finish {
-        nth: usize,
-        dropped: bool,
-    },
-    Block {
-        nth: usize,
-    },
-    /// A caller writing the `pub` state field behind the network's back.
-    WriteState {
-        nth: usize,
-        live: bool,
-    },
+    Install { portable: u32 },
+    Finish { nth: usize },
+    Block { nth: usize },
 }
 
 fn table_op_strategy() -> impl Strategy<Value = TableOp> {
     prop_oneof![
         (0u32..5).prop_map(|portable| TableOp::Install { portable }),
         (0u32..5).prop_map(|portable| TableOp::Install { portable }),
-        (0usize..64, any::<bool>()).prop_map(|(nth, dropped)| TableOp::Finish { nth, dropped }),
+        (0usize..64).prop_map(|nth| TableOp::Finish { nth }),
         (0usize..64).prop_map(|nth| TableOp::Block { nth }),
-        (0usize..64, any::<bool>()).prop_map(|(nth, live)| TableOp::WriteState { nth, live }),
     ]
 }
 
+/// The compact JSON text of a network.
+fn network_json(net: &Network) -> String {
+    let mut out = serde::JsonWriter::new();
+    net.write_json(&mut out);
+    out.into_string()
+}
+
 proptest! {
-    /// The per-portable index answers exactly what a scan of the table
-    /// answers, after any mix of installs, teardowns, refusals and
-    /// direct writes of the `pub` state field; the invariant sweep
-    /// accepts every such state; and a decoded copy rebuilds the same
-    /// answers from the table alone.
+    /// The table holds exactly the live records, after any mix of
+    /// installs, teardowns and refusals: a retired id reads `None` and is
+    /// never issued again, the per-portable index answers what a model
+    /// of the live set answers, the invariant sweep accepts every such
+    /// state, and the JSON text — retired slots and all — decodes to a
+    /// network that writes the same bytes and issues the same next id.
     #[test]
     fn portable_index_matches_a_table_scan(
         ops in prop::collection::vec(table_op_strategy(), 0..80),
@@ -87,14 +82,15 @@ proptest! {
         let mut topo = Topology::new();
         topo.add_switch("sw");
         let mut net = Network::new(topo);
-        let mut ids: Vec<ConnId> = Vec::new();
-        // Records the network itself took out of the index.
-        let mut filed: Vec<ConnId> = Vec::new();
+        // Every id issued, in order, and the portable of each live one.
+        let mut issued: Vec<ConnId> = Vec::new();
+        let mut live: std::collections::BTreeMap<ConnId, PortableId> = Default::default();
         for op in ops {
-            let pick = |nth: usize| (!ids.is_empty()).then(|| ids[nth % ids.len()]);
+            let pick = |nth: usize| (!issued.is_empty()).then(|| issued[nth % issued.len()]);
             match op {
                 TableOp::Install { portable } => {
                     let id = net.next_conn_id();
+                    prop_assert_eq!(id, ConnId::from_index(issued.len()), "an id was reissued");
                     // A route with no links: live without touching a ledger.
                     net.install(Connection::new(
                         id,
@@ -105,63 +101,43 @@ proptest! {
                         Route::trivial(NodeId(0)),
                         SimTime::ZERO,
                     ));
-                    ids.push(id);
+                    issued.push(id);
+                    live.insert(id, PortableId(portable));
                 }
-                TableOp::Finish { nth, dropped } => {
+                // `finish` is a no-op on a retired id.
+                TableOp::Finish { nth } => {
                     if let Some(id) = pick(nth) {
-                        let state = if dropped {
-                            ConnectionState::Dropped
-                        } else {
-                            ConnectionState::Terminated
-                        };
-                        if net.get(id).expect("installed").state.is_live() {
-                            filed.push(id);
-                        }
-                        net.finish(id, state);
+                        net.finish(id);
+                        live.remove(&id);
                     }
                 }
+                // `mark_blocked` requires an installed record.
                 TableOp::Block { nth } => {
-                    if let Some(id) = pick(nth) {
+                    if let Some(id) = pick(nth).filter(|id| live.contains_key(id)) {
                         net.mark_blocked(id);
-                        filed.push(id);
-                    }
-                }
-                TableOp::WriteState { nth, live } => {
-                    // Only ever towards non-live, or between the two live
-                    // states; see the end of the test for the other way.
-                    if let Some(id) = pick(nth) {
-                        let c = net.get_mut(id).expect("installed");
-                        if c.state.is_live() {
-                            c.state = if live {
-                                ConnectionState::HandingOff
-                            } else {
-                                ConnectionState::Terminated
-                            };
-                        }
+                        live.remove(&id);
                     }
                 }
             }
             prop_assert!(net.check_invariants().is_ok(), "{:?}", net.check_invariants());
-            let back = Network::from_value(&net.to_value()).expect("decodes");
+            for id in &issued {
+                prop_assert_eq!(net.get(*id).map(|c| c.portable), live.get(id).copied());
+            }
+            prop_assert!(net.live_connections().map(|c| c.id).eq(live.keys().copied()));
+            let text = network_json(&net);
+            let mut back = Network::read_json(&mut serde::JsonReader::new(&text)).expect("decodes");
+            prop_assert_eq!(network_json(&back), text);
+            prop_assert!(back.check_invariants().is_ok());
             for p in (0..5).map(PortableId) {
-                let scan: Vec<ConnId> = net
-                    .live_connections()
-                    .filter(|c| c.portable == p)
-                    .map(|c| c.id)
-                    .collect();
+                let want: Vec<ConnId> =
+                    live.iter().filter(|(_, q)| **q == p).map(|(id, _)| *id).collect();
                 let of = |n: &Network| -> Vec<ConnId> {
                     n.connections_of_portable(p).map(|c| c.id).collect()
                 };
-                prop_assert_eq!(&of(&net), &scan);
-                prop_assert_eq!(&of(&back), &scan);
+                prop_assert_eq!(&of(&net), &want);
+                prop_assert_eq!(&of(&back), &want);
             }
-            prop_assert!(back.check_invariants().is_ok());
-        }
-        // The one write the index cannot follow — resurrecting a record
-        // the network has filed away — is caught, not absorbed.
-        if let Some(id) = filed.first().copied() {
-            net.get_mut(id).expect("installed").state = ConnectionState::Active;
-            prop_assert!(net.check_invariants().is_err());
+            prop_assert_eq!(back.next_conn_id(), ConnId::from_index(issued.len()));
         }
     }
 

@@ -305,7 +305,7 @@ fn buffer_pool_rejection() {
     let rej = admit(&mut net, req(id)).unwrap_err();
     assert_eq!(rej.test, TestKind::Buffer);
     assert_eq!(rej.link, Some(wl0));
-    net.get_mut(id).unwrap().state = arm_net::ConnectionState::Blocked;
+    net.mark_blocked(id);
     assert!(net.check_invariants().is_ok());
 }
 

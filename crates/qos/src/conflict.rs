@@ -297,7 +297,7 @@ mod tests {
         }
         round(&mut live, &mut twin);
         for net in [&mut live, &mut twin] {
-            net.finish(ids[4], arm_net::ConnectionState::Terminated);
+            net.finish(ids[4]);
         }
         round(&mut live, &mut twin);
         assert!(
@@ -361,7 +361,7 @@ mod tests {
         let a = admit_local(&mut net, cell, 0, QosRequest::bandwidth(100.0, 2000.0));
         let b = admit_local(&mut net, cell, 1, QosRequest::bandwidth(100.0, 2000.0));
         reference::resolve_network(&mut net);
-        net.finish(b, arm_net::ConnectionState::Terminated);
+        net.finish(b);
         reference::resolve_network(&mut net);
         assert!((net.get(a).unwrap().b_current - 1000.0).abs() < 1e-6);
         assert!(net.check_invariants().is_ok());

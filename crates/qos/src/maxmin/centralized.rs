@@ -106,13 +106,13 @@ impl MaxminProblem {
         // once (components are disjoint, so visit order is immaterial).
         let seeds: Vec<u32> = dense.links.iter().map(|(_, s)| s).collect();
         for seed in seeds {
-            dense.component_of(seed, &mut bfs, |_| {});
+            dense.component_of(seed, &mut bfs);
             if bfs.comp.is_empty() {
                 continue;
             }
             let mut comp = std::mem::take(&mut bfs.comp);
             comp.sort_unstable_by_key(|s| dense.conns.external(*s));
-            dense.solve_component_dense(&comp, &mut scratch, false);
+            dense.solve_component_dense(&comp, &mut scratch);
             for &c in &comp {
                 alloc.insert(dense.conns.external(c), dense.alloc[c as usize]);
             }
@@ -281,18 +281,12 @@ pub fn components(
 /// first; entries outside `comp` are never read or written (links of a
 /// component are traversed only by its members, so headroom sums see
 /// component allocations only).
-///
-/// When `bottleneck` is given, each connection frozen by link saturation
-/// (rather than by meeting its demand) is recorded against the saturated
-/// links that froze it — the resident per-link bottleneck sets `M(l)` of
-/// §5.3.1 kept by the incremental engine.
 pub fn solve_component(
     link_excess: &BTreeMap<LinkId, f64>,
     conns: &BTreeMap<ConnId, ConnDemand>,
     index: &BTreeMap<LinkId, Vec<ConnId>>,
     comp: &[ConnId],
     alloc: &mut Allocation,
-    mut bottleneck: Option<&mut BTreeMap<LinkId, BTreeSet<ConnId>>>,
 ) {
     for c in comp {
         alloc.insert(*c, 0.0);
@@ -360,15 +354,6 @@ pub fn solve_component(
                 return true;
             }
             is_active.remove(c);
-            if let Some(bn) = bottleneck.as_deref_mut() {
-                if !demand_met {
-                    for l in &d.links {
-                        if saturated.binary_search(l).is_ok() {
-                            bn.entry(*l).or_default().insert(*c);
-                        }
-                    }
-                }
-            }
             false
         });
         if active.len() == before {
@@ -565,10 +550,8 @@ impl DenseState {
 
     /// Collect the connected component reachable from link slot `seed`
     /// into `bfs.comp` (conn slots, unsorted), skipping territory
-    /// already visited in this [`CompScratch::begin`] epoch. `on_link`
-    /// fires once per newly visited link (the incremental engine drops
-    /// stale bottleneck attributions there).
-    pub fn component_of(&self, seed: u32, bfs: &mut CompScratch, mut on_link: impl FnMut(LinkId)) {
+    /// already visited in this [`CompScratch::begin`] epoch.
+    pub fn component_of(&self, seed: u32, bfs: &mut CompScratch) {
         bfs.comp.clear();
         bfs.ensure(self.links.slot_count(), self.conns.slot_count());
         if bfs.link_seen[seed as usize] == bfs.mark {
@@ -578,7 +561,6 @@ impl DenseState {
         bfs.frontier.clear();
         bfs.frontier.push(seed);
         while let Some(l) = bfs.frontier.pop() {
-            on_link(self.links.external(l));
             for &c in &self.members[l as usize] {
                 if bfs.conn_seen[c as usize] == bfs.mark {
                     continue;
@@ -602,16 +584,8 @@ impl DenseState {
     /// bit for bit.
     ///
     /// `comp` holds the component's conn slots in ascending *external*
-    /// id order. When `record_frozen` is set, `(link, conn)` slot pairs
-    /// frozen by link saturation are left in `scratch.frozen` for the
-    /// caller to fold into its bottleneck sets.
-    pub fn solve_component_dense(
-        &mut self,
-        comp: &[u32],
-        scratch: &mut SolveScratch,
-        record_frozen: bool,
-    ) {
-        scratch.frozen.clear();
+    /// id order.
+    pub fn solve_component_dense(&mut self, comp: &[u32], scratch: &mut SolveScratch) {
         scratch.ensure(self.links.slot_count(), self.conns.slot_count());
         for &c in comp {
             self.alloc[c as usize] = 0.0;
@@ -685,7 +659,6 @@ impl DenseState {
                 active,
                 active_mark: active_marks,
                 sat_mark: sat_marks,
-                frozen,
                 ..
             } = scratch;
             let (demand, alloc, routes) = (&self.demand, &self.alloc, &self.routes);
@@ -697,13 +670,6 @@ impl DenseState {
                     return true;
                 }
                 active_marks[i] = 0;
-                if record_frozen && !demand_met {
-                    for l in &routes[i] {
-                        if sat_marks[*l as usize] == sat_mark {
-                            frozen.push((*l, *c));
-                        }
-                    }
-                }
                 false
             });
             if scratch.active.len() == before {
@@ -794,10 +760,6 @@ pub struct SolveScratch {
     active: Vec<u32>,
     comp_links: Vec<u32>,
     headroom: Vec<(u32, f64, usize)>,
-    /// `(link slot, conn slot)` pairs frozen by link saturation in the
-    /// last kernel run (when recording was requested). May contain
-    /// duplicates when a route repeats a link; consumers fold into sets.
-    pub frozen: Vec<(u32, u32)>,
 }
 
 impl SolveScratch {
@@ -836,7 +798,7 @@ pub fn apply_allocation(
     // Ascending id, so the stable sort below applies equal moves in id
     // order and the ledger sums see one fixed sequence of additions.
     for (id, x) in alloc {
-        let Some(c) = net.get(id).filter(|c| c.state.is_live()) else {
+        let Some(c) = net.get(id) else {
             continue;
         };
         // A non-finite or negative excess never reaches the ledger:

@@ -146,14 +146,6 @@ pub enum Ev {
         /// Attempt the lost packet belonged to.
         attempt: u32,
     },
-    /// End of a link's coalescing window (see
-    /// [`DistributedMaxmin::with_batch_window`]): fire the wake-ups for
-    /// every `ChangeExcess` the link absorbed during the window. Never
-    /// scheduled when batching is off (the default).
-    FlushLink {
-        /// The link whose batched changes flush now.
-        link: LinkId,
-    },
 }
 
 /// Seeded control-plane fault state (loss + reordering delay).
@@ -260,12 +252,6 @@ pub struct DistributedMaxmin {
     /// Passive observer; `None` (the default) costs one branch per
     /// packet and never perturbs the protocol.
     obs: Option<SharedObs>,
-    /// Coalescing window for `ChangeExcess` bursts; `None` (the
-    /// default) wakes connections immediately, leaving every event
-    /// sequence bit-identical to the unbatched protocol.
-    batch_window: Option<SimDuration>,
-    /// Links with a flush armed (sorted). Non-empty only while batching.
-    batched: Vec<LinkId>,
     /// Resident wake-candidate buffer for [`Self::wake_inconsistent`].
     wake_buf: Vec<ConnId>,
 }
@@ -288,21 +274,8 @@ impl DistributedMaxmin {
             stats: ProtocolStats::default(),
             faults: None,
             obs: None,
-            batch_window: None,
-            batched: Vec::new(),
             wake_buf: Vec::new(),
         }
-    }
-
-    /// Coalesce `ChangeExcess` bursts per link: instead of waking a
-    /// link's connections at every excess change, arm one flush `window`
-    /// after the first change and wake once with the latest excess.
-    /// Later changes inside the window ride the same flush. Off by
-    /// default; with no window, event sequences are bit-identical to
-    /// the unbatched protocol.
-    pub fn with_batch_window(mut self, window: SimDuration) -> Self {
-        self.batch_window = Some(window);
-        self
     }
 
     /// Attach a shared observer; ADVERTISE sends and UPDATE receives
@@ -450,11 +423,6 @@ impl DistributedMaxmin {
         self.stats
     }
 
-    /// The rate `link` currently quotes to `conn`.
-    pub fn link_mu_for(&self, link: LinkId, conn: ConnId) -> f64 {
-        self.links.get(&link).map_or(0.0, |l| l.mu_for(conn))
-    }
-
     /// Current `M(l)` of a link.
     pub fn bottleneck_set(&self, link: LinkId) -> Vec<ConnId> {
         self.links
@@ -463,10 +431,9 @@ impl DistributedMaxmin {
             .unwrap_or_default()
     }
 
-    /// Is the protocol quiescent (no process active or queued, and no
-    /// batched flush armed)?
+    /// Is the protocol quiescent (no process active or queued)?
     pub fn is_quiescent(&self) -> bool {
-        self.active.is_none() && self.pending.is_empty() && self.batched.is_empty()
+        self.active.is_none() && self.pending.is_empty()
     }
 
     // ------------------------------------------------------------------
@@ -952,28 +919,8 @@ impl Model for DistributedMaxmin {
                     let ctl = self.links.entry(link).or_default();
                     ctl.excess = excess.max(0.0);
                 }
-                match self.batch_window {
-                    None => {
-                        self.wake_inconsistent(link, None, ctx);
-                        self.maybe_activate(ctx);
-                    }
-                    Some(w) => {
-                        // The new excess is already applied above; only
-                        // the wake-up is deferred. Later changes inside
-                        // the window ride the flush already armed.
-                        if let Err(at) = self.batched.binary_search(&link) {
-                            self.batched.insert(at, link);
-                            ctx.schedule_after(w, Ev::FlushLink { link });
-                        }
-                    }
-                }
-            }
-            Ev::FlushLink { link } => {
-                if let Ok(at) = self.batched.binary_search(&link) {
-                    self.batched.remove(at);
-                    self.wake_inconsistent(link, None, ctx);
-                    self.maybe_activate(ctx);
-                }
+                self.wake_inconsistent(link, None, ctx);
+                self.maybe_activate(ctx);
             }
         }
     }
@@ -1054,57 +1001,6 @@ mod tests {
                 &[(0, 100.0, &[0]), (1, 100.0, &[0]), (2, 100.0, &[0])],
             );
         }
-    }
-
-    /// A burst of excess changes on one link inside the batch window
-    /// coalesces to a single wake at the latest excess: the protocol
-    /// converges to the final value's maxmin rates with no more (in
-    /// practice far fewer) sessions than the unbatched run.
-    #[test]
-    fn batch_window_coalesces_excess_bursts() {
-        let burst: &[f64] = &[10.0, 17.0, 23.0, 5.0, 30.0];
-        let run = |window: Option<SimDuration>| {
-            let mut proto = DistributedMaxmin::new(Variant::Refined, SimDuration::from_millis(1));
-            if let Some(w) = window {
-                proto = proto.with_batch_window(w);
-            }
-            proto.add_link(lid(0), 0.0);
-            proto.add_conn(cid(0), vec![lid(0)], 100.0);
-            proto.add_conn(cid(1), vec![lid(0)], 100.0);
-            let mut engine = Engine::new(proto).with_event_budget(2_000_000);
-            // Spaced wider than one adaptation session but inside the
-            // batch window, so the unbatched run converges per change
-            // while the batched run wakes once at the final excess.
-            for (i, x) in burst.iter().enumerate() {
-                engine.schedule_at(
-                    SimTime::ZERO + SimDuration::from_millis(i as u64 * 10),
-                    Ev::ChangeExcess {
-                        link: lid(0),
-                        excess: *x,
-                    },
-                );
-            }
-            let stop = engine.run();
-            assert_eq!(stop, arm_sim::StopCondition::QueueEmpty);
-            assert!(engine.model().is_quiescent());
-            (engine.model().rates().clone(), engine.model().stats())
-        };
-        let (plain_rates, plain_stats) = run(None);
-        let (batch_rates, batch_stats) = run(Some(SimDuration::from_millis(60)));
-        // Both converge to the final excess (30) split two ways.
-        for rates in [&plain_rates, &batch_rates] {
-            for c in [cid(0), cid(1)] {
-                let r = rates.get(&c).copied().unwrap_or(0.0);
-                assert!((r - 15.0).abs() < 1e-6, "{c:?} got {r}");
-            }
-        }
-        // Coalescing runs fewer sessions than waking per change.
-        assert!(
-            batch_stats.sessions < plain_stats.sessions,
-            "batched {} vs plain {}",
-            batch_stats.sessions,
-            plain_stats.sessions
-        );
     }
 
     #[test]

@@ -7,15 +7,19 @@
 //! Every admission, departure, handoff, and link event used to rebuild
 //! the whole maxmin problem and re-run progressive filling over all
 //! links and connections. Explicit-rate schemes (the paper's §5.3.1,
-//! Charny-style allocation) avoid that by keeping per-link bottleneck
-//! sets `M(l)` resident and only reworking what an event touched. This
-//! module is the centralized analogue: an engine that keeps the problem
-//! and its solved allocation resident between events as one
-//! slot-indexed [`DenseState`], beside per-link bottleneck sets, marks
-//! links *dirty* on each mutation, and on [`IncrementalMaxmin::resolve`]
-//! re-runs water-filling restricted to the dirty region's transitive
-//! closure — connections sharing a dirty link, links those connections
-//! traverse, to a fixed point — reusing frozen rates everywhere else.
+//! Charny-style allocation) avoid that by keeping per-link state
+//! resident and only reworking what an event touched. This module is
+//! the centralized analogue: an engine that keeps the problem and its
+//! solved allocation resident between events as one slot-indexed
+//! [`DenseState`], marks links *dirty* on each mutation, and on
+//! [`IncrementalMaxmin::resolve`] re-runs water-filling restricted to
+//! the dirty region's transitive closure — connections sharing a dirty
+//! link, links those connections traverse, to a fixed point — reusing
+//! frozen rates everywhere else.
+//! The paper's bottleneck sets `M(l)` are not kept: a switch advertises
+//! from `M(l)`, this engine recomputes, and nothing reads them
+//! ([`distributed`](super::distributed) derives them where the protocol
+//! needs them).
 //!
 //! ## Why the partial re-solve is exact (and bit-identical)
 //!
@@ -50,7 +54,7 @@
 //! identical demand bits and route, is a no-op. A resolve with an empty
 //! dirty set leaves the resident allocation untouched (a cache hit).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use arm_net::ids::{ConnId, LinkId};
 use arm_net::{Connection, Network};
@@ -84,9 +88,6 @@ pub struct IncrementalMaxmin {
     /// The problem and its resident allocation (current for every
     /// component no dirty link reaches).
     state: DenseState,
-    /// Per-link bottleneck sets `M(l)`: connections frozen by that
-    /// link's saturation in the last solve touching it.
-    bottleneck: BTreeMap<LinkId, BTreeSet<ConnId>>,
     /// Links whose region must be re-filled at the next resolve.
     dirty: BTreeSet<LinkId>,
     /// Work-saved counters.
@@ -124,12 +125,6 @@ impl IncrementalMaxmin {
         self.state.conns.len()
     }
 
-    /// The resident per-link bottleneck sets `M(l)`: connections frozen
-    /// by that link's saturation in the last solve that touched it.
-    pub fn bottleneck_map(&self) -> &BTreeMap<LinkId, BTreeSet<ConnId>> {
-        &self.bottleneck
-    }
-
     /// The links whose region is pending a re-fill.
     pub fn dirty_links(&self) -> &BTreeSet<LinkId> {
         &self.dirty
@@ -161,13 +156,11 @@ impl IncrementalMaxmin {
     ///
     /// Dirtying is unconditional: a link that never had an excess entry
     /// can still sit on registered routes (it only ever appeared in
-    /// upserted routes), and its bottleneck set is
-    /// dropped here either way — so the traversing connections' region
-    /// must be re-filled regardless.
+    /// upserted routes), so the traversing connections' region must be
+    /// re-filled regardless.
     pub fn remove_link(&mut self, link: LinkId) {
         self.state.remove_excess(link);
         self.dirty.insert(link);
-        self.bottleneck.remove(&link);
     }
 
     /// Insert or update a connection. A re-upsert with bit-identical
@@ -187,19 +180,14 @@ impl IncrementalMaxmin {
         self.state.add_conn(id, demand, links);
     }
 
-    /// Remove a connection, dirtying its route's links and striking it
-    /// from their bottleneck sets.
+    /// Remove a connection, dirtying its route's links.
     pub fn remove_conn(&mut self, id: ConnId) {
         let Some(c) = self.state.conns.get(id) else {
             return;
         };
-        for l in &self.state.routes[c as usize] {
-            let l = self.state.links.external(*l);
-            self.dirty.insert(l);
-            if let Some(m) = self.bottleneck.get_mut(&l) {
-                m.remove(&id);
-            }
-        }
+        let s = &self.state;
+        self.dirty
+            .extend(s.routes[c as usize].iter().map(|l| s.links.external(*l)));
         self.state.remove_conn(id);
     }
 
@@ -222,32 +210,18 @@ impl IncrementalMaxmin {
         self.bfs
             .begin(self.state.links.slot_count(), self.state.conns.slot_count());
         for seed in &dirty {
+            // A link the engine never learned about has an empty closure.
             let Some(seed_slot) = self.state.links.get(*seed) else {
-                // A link the engine never learned about: its closure is
-                // empty, but stale bottleneck attributions still die
-                // with the dirty mark (reference behaviour).
-                self.bottleneck.remove(seed);
                 continue;
             };
-            let (state, bfs, bottleneck) = (&self.state, &mut self.bfs, &mut self.bottleneck);
-            state.component_of(seed_slot, bfs, |l| {
-                // Stale bottleneck attributions die with the region.
-                bottleneck.remove(&l);
-            });
+            self.state.component_of(seed_slot, &mut self.bfs);
             if self.bfs.comp.is_empty() {
                 continue;
             }
             let mut comp = std::mem::take(&mut self.bfs.comp);
             comp.sort_unstable_by_key(|s| self.state.conns.external(*s));
             resolved += comp.len();
-            self.state
-                .solve_component_dense(&comp, &mut self.scratch, true);
-            for &(l, c) in &self.scratch.frozen {
-                self.bottleneck
-                    .entry(self.state.links.external(l))
-                    .or_default()
-                    .insert(self.state.conns.external(c));
-            }
+            self.state.solve_component_dense(&comp, &mut self.scratch);
             comp.clear();
             self.bfs.comp = comp;
         }
@@ -291,34 +265,18 @@ impl IncrementalMaxmin {
             .conns
             .iter()
             .map(|(id, _)| id)
-            .filter(|id| {
-                !net.get(*id)
-                    .is_some_and(|c| c.state.is_live() && tracked(c))
-            })
+            .filter(|id| !net.get(*id).is_some_and(tracked))
             .collect();
         for id in gone {
             self.remove_conn(id);
         }
     }
 
-    /// Check the engine's structure: [`DenseState::check_invariants`],
-    /// and every bottleneck set names only connections routed over its
-    /// link. Every mutator keeps these by construction; the proptests
-    /// and the `arm-check` engine sweep assert it after every op.
+    /// Check the engine's structure ([`DenseState::check_invariants`]).
+    /// Every mutator keeps it by construction; the proptests and the
+    /// `arm-check` engine sweep assert it after every op.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let s = &self.state;
-        s.check_invariants()?;
-        for (l, frozen) in &self.bottleneck {
-            let slot = s.links.get(*l);
-            let members = slot.map_or(&[][..], |slot| &s.members[slot as usize]);
-            let routed = |c: &ConnId| s.conns.get(*c).is_some_and(|m| members.contains(&m));
-            if let Some(c) = frozen.iter().find(|c| !routed(c)) {
-                return Err(format!(
-                    "bottleneck set of {l} names {c}, not routed over it"
-                ));
-            }
-        }
-        Ok(())
+        self.state.check_invariants()
     }
 
     /// Strike `link` from the dirty set without re-filling its region —
@@ -461,29 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn bottleneck_sets_track_saturating_links() {
-        let mut e = IncrementalMaxmin::new();
-        e.set_link_excess(lid(0), 10.0);
-        e.set_link_excess(lid(1), 4.0);
-        e.upsert_conn(cid(0), 100.0, &[lid(0), lid(1)]);
-        e.upsert_conn(cid(1), 100.0, &[lid(0)]);
-        e.upsert_conn(cid(2), 100.0, &[lid(1)]);
-        e.resolve();
-        // Link 1 (capacity 4, two conns at 2) froze conns 0 and 2.
-        let m1 = e.bottleneck_map().get(&lid(1)).expect("link 1 saturates");
-        assert!(m1.contains(&cid(0)) && m1.contains(&cid(2)), "{m1:?}");
-        // Conn 1 meets link 0's remaining headroom; it is frozen by
-        // link 0's saturation in the final round.
-        let m0 = e.bottleneck_map().get(&lid(0)).expect("link 0 saturates");
-        assert!(m0.contains(&cid(1)), "{m0:?}");
-        // Departure of conn 2 rebuilds M(1) without stale members.
-        e.remove_conn(cid(2));
-        e.resolve();
-        let m1 = e.bottleneck_map().get(&lid(1)).expect("still saturating");
-        assert!(!m1.contains(&cid(2)), "{m1:?}");
-    }
-
-    #[test]
     fn remove_link_without_excess_entry_still_dirties_its_region() {
         let mut e = IncrementalMaxmin::new();
         e.set_link_excess(lid(0), 10.0);
@@ -494,8 +429,7 @@ mod tests {
         let solves0 = e.stats.incremental_solves;
         // Regression: removing a link the engine only knows through
         // routes used to skip the dirty mark (no excess entry to
-        // remove), leaving conn 0's region stale while its bottleneck
-        // attribution was dropped anyway.
+        // remove), leaving conn 0's region stale.
         e.remove_link(lid(1));
         assert!(e.is_dirty(), "remove_link must dirty unconditionally");
         e.resolve();
@@ -556,7 +490,6 @@ mod tests {
         e.upsert_conn(cid(1), 100.0, &[lid(0)]);
         e.resolve();
         e.check_invariants().unwrap();
-        assert!(!e.bottleneck_map().is_empty());
         let link = e.state.links.get(lid(0)).unwrap() as usize;
         let conn = |c| e.state.conns.get(cid(c)).unwrap();
         let refusal = |bad: &IncrementalMaxmin| bad.check_invariants().unwrap_err();
@@ -573,11 +506,8 @@ mod tests {
         let mut bad = e.clone();
         bad.state.ensure_link(lid(3));
         assert!(refusal(&bad).contains("no capacity and no member"));
-        let mut bad = e.clone();
+        let mut bad = e;
         bad.state.conns.release(cid(1));
         assert!(refusal(&bad).contains("not routed over it"));
-        let mut bad = e;
-        bad.bottleneck.entry(lid(0)).or_default().insert(cid(9));
-        assert!(refusal(&bad).contains("bottleneck set"));
     }
 }

@@ -4,18 +4,17 @@
 //! appearing and disappearing, connections churning, rates moving — the
 //! engine's inputs must exactly equal a from-scratch
 //! [`MaxminProblem::from_network`] build over the current network, its
-//! structural invariants must hold, its bottleneck attributions must
-//! equal a from-scratch component fill, and its allocation must be
-//! bit-identical to a fresh solve.
+//! structural invariants must hold, and its allocation must be
+//! bit-identical to a from-scratch component fill.
 //!
 //! This pins the two staleness fixes structurally: a pruned-link leak or
 //! a missed dirty mark shows up as a mirror divergence on some generated
 //! sequence, not just on the hand-written regression cases.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId};
+use arm_net::ids::{CellId, ConnId, NodeId, PortableId};
 use arm_net::routing::shortest_path;
 use arm_net::topology::Topology;
 use arm_net::{Connection, Network};
@@ -81,26 +80,16 @@ fn admit_local(net: &mut Network, cell: CellId, portable: u32, qos: QosRequest) 
     id
 }
 
-type Bottlenecks = BTreeMap<LinkId, BTreeSet<ConnId>>;
-
-/// From-scratch oracle: problem, allocation, and bottleneck
-/// attributions, all built with no resident state.
-fn fresh_solution(net: &Network) -> (MaxminProblem, BTreeMap<ConnId, f64>, Bottlenecks) {
+/// From-scratch oracle: problem and allocation, both built with no
+/// resident state.
+fn fresh_solution(net: &Network) -> (MaxminProblem, BTreeMap<ConnId, f64>) {
     let p = MaxminProblem::from_network(net);
     let index = link_index(&p.conns);
     let mut alloc = BTreeMap::new();
-    let mut bn = BTreeMap::new();
     for comp in components(&p.conns, &index) {
-        solve_component(
-            &p.link_excess,
-            &p.conns,
-            &index,
-            &comp,
-            &mut alloc,
-            Some(&mut bn),
-        );
+        solve_component(&p.link_excess, &p.conns, &index, &comp, &mut alloc);
     }
-    (p, alloc, bn)
+    (p, alloc)
 }
 
 proptest! {
@@ -124,7 +113,7 @@ proptest! {
             engine.sync_network(&net, &|_| true);
             prop_assert_eq!(engine.check_invariants(), Ok(()), "epoch {}", gen);
 
-            let (fresh, alloc, bn) = fresh_solution(&net);
+            let (fresh, alloc) = fresh_solution(&net);
 
             // Inputs mirror exactly: capacities (bit-equal f64s), conn
             // demands and routes.
@@ -160,10 +149,6 @@ proptest! {
                     "epoch {}: {:?} allocation not bit-identical", gen, c
                 );
             }
-            prop_assert_eq!(
-                engine.bottleneck_map(), &bn,
-                "epoch {}: bottleneck attributions diverged", gen
-            );
             prop_assert!(fresh.verify_maxmin(&got).is_ok(), "epoch {}: not maxmin", gen);
             prop_assert_eq!(engine.check_invariants(), Ok(()), "epoch {}", gen);
         }

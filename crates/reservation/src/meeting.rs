@@ -137,12 +137,6 @@ impl MeetingRoomPolicy {
         }
     }
 
-    /// Override the timers.
-    pub fn with_timers(mut self, timers: MeetingTimers) -> Self {
-        self.timers = timers;
-        self
-    }
-
     /// The calendar.
     pub fn calendar(&self) -> &BookingCalendar {
         &self.calendar

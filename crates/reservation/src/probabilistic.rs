@@ -168,12 +168,6 @@ impl ProbabilisticReservation {
         dist[..=cap_units].iter().sum()
     }
 
-    /// Eqn 6 check with the *current* population as the admitted counts.
-    pub fn meets_target(&self, types: &[TypeState]) -> bool {
-        let admitted: Vec<u32> = types.iter().map(|t| t.n_current).collect();
-        self.nonblocking_prob(types, &admitted) >= 1.0 - self.cfg.p_qos
-    }
-
     /// Call-admission decision: may one more connection of
     /// `types[new_idx]` be admitted without violating eqn 6 for the
     /// existing connections at `t + T`?

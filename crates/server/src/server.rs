@@ -27,12 +27,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use arm_core::scenario::{build_manager, Scenario, WorkloadSpec};
 use arm_core::snapshot::decode_versioned;
-use arm_core::{ManagerSnapshot, ResourceManager, SnapshotError};
+use arm_core::{ManagerSnapshot, ResourceManager, SnapshotError, SLOT};
 use arm_mobility::WorkloadMix;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{ConnId, PortableId};
 use arm_obs::{Obs, ObsEvent, RunReport};
-use arm_sim::{SimDuration, SimRng, SimTime};
+use arm_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::event::ServerEvent;
@@ -45,9 +45,12 @@ use crate::ingest::{parse_event, IngestError};
 /// likewise track the manager snapshot's v3 (sharded planner added),
 /// v4 (planner is the only maxmin engine), v5 (link-keyed calendar),
 /// v6 (planner dropped, one resident engine), v7 (the calendar
-/// section is gone again) and v8 (the maxmin engine is a cache and
-/// leaves the image).
-pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 8;
+/// section is gone again), v8 (the maxmin engine is a cache and
+/// leaves the image) and v9 (what nothing read is gone: terminal
+/// connection records, the arrivals series, four one-valued manager
+/// knobs — and this config's own `slot`, a second copy of
+/// [`arm_core::SLOT`]).
+pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 9;
 
 /// Static configuration of a server instance. Captured in every
 /// snapshot so a restore cannot silently run under different rules
@@ -57,9 +60,6 @@ pub struct ServerConfig {
     /// The scenario whose environment, network, strategy, and workload
     /// parameters the server runs.
     pub scenario: Scenario,
-    /// The periodic maintenance interval (the batch runners' 1-minute
-    /// slot tick).
-    pub slot: SimDuration,
     /// Checkpoint after every `checkpoint_every` accepted events
     /// (0 disables periodic checkpoints).
     pub checkpoint_every: u64,
@@ -84,7 +84,6 @@ impl ServerConfig {
                 t_th_secs: 300,
                 seed,
             },
-            slot: SimDuration::from_mins(1),
             checkpoint_every: 256,
             backlog_capacity: 1024,
         }
@@ -130,7 +129,7 @@ impl Server {
         let (mut mgr, _trace) = build_manager(&cfg.scenario)?;
         mgr.set_obs(obs);
         let rng = SimRng::new(cfg.scenario.seed).split("scenario-workload");
-        let next_slot = SimTime::ZERO + cfg.slot;
+        let next_slot = SimTime::ZERO + SLOT;
         Ok(Server {
             cfg,
             mgr,
@@ -205,7 +204,7 @@ impl Server {
         while t >= self.next_slot {
             let slot = self.next_slot;
             self.mgr.slot_tick(slot);
-            self.next_slot += self.cfg.slot;
+            self.next_slot += SLOT;
         }
         match ev {
             ServerEvent::Appear { t, portable, cell } => {
@@ -258,8 +257,7 @@ impl Server {
                 }
             }
             ServerEvent::LinkDown { t, link } => {
-                let dropped = self.mgr.link_failed(*link, *t);
-                self.open.retain(|_, c| !dropped.contains(c));
+                self.mgr.link_failed(*link, *t);
             }
             ServerEvent::LinkUp { t, link } => {
                 self.mgr.link_restored(*link, *t);
@@ -550,20 +548,14 @@ impl ServerSnapshot {
         Ok(snap)
     }
 
-    /// Validate internal consistency: both schema stamps, a non-zero
-    /// slot width (`apply_event` advances the slot cursor by it until
-    /// it passes the event time) and the embedded manager image.
+    /// Validate internal consistency: both schema stamps and the
+    /// embedded manager image.
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SERVER_SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
                 found: self.schema,
                 expected: SERVER_SNAPSHOT_SCHEMA_VERSION,
             });
-        }
-        if self.cfg.slot.ticks() == 0 {
-            return Err(SnapshotError::Invalid(
-                "server cfg.slot is zero".to_string(),
-            ));
         }
         self.manager.validate()
     }

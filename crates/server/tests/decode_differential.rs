@@ -18,7 +18,7 @@ use arm_core::{ManagerSnapshot, SnapshotError, Strategy, SNAPSHOT_SCHEMA_VERSION
 use arm_obs::Obs;
 use arm_server::drill::events_from_scenario;
 use arm_server::{Server, ServerConfig, ServerSnapshot, SERVER_SNAPSHOT_SCHEMA_VERSION};
-use arm_sim::{FaultSchedule, SimDuration};
+use arm_sim::FaultSchedule;
 use proptest::test_runner::TestRng;
 use serde::{Deserialize, Value};
 
@@ -143,7 +143,6 @@ fn walk_cfg(seed: u64) -> ServerConfig {
             t_th_secs: 300,
             seed,
         },
-        slot: SimDuration::from_mins(1),
         checkpoint_every: 64,
         backlog_capacity: 64,
     }
@@ -351,35 +350,31 @@ fn wing_end_state_decodes_alike_however_damaged() {
 }
 
 /// The hostile edits of `snapshot_roundtrip.rs` (PR 15; its three
-/// engine rows went with the engine's image in v8): documents that
-/// decode and must then be refused by validation — `Invalid`, by both
-/// routes — plus, around each, every hostile number in its place.
+/// engine rows went with the engine's image in v8, and v9 swapped its
+/// six slot-width rows — the slots are gone — for six kinds of damage
+/// to the network image): documents that decode and must then be
+/// refused by validation — `Invalid`, by both routes — plus, around
+/// each, every hostile number in its place.
 #[test]
 fn hostile_edits_are_refused_alike() {
     let table = [
+        ("\"sum_resv\":56.0", "\"sum_resv\":5.0"),
         (
-            "\"slot\":60000000,\"per_user_kbps\"",
-            "\"slot\":0,\"per_user_kbps\"",
+            "\"capacity\":800.0,\"buffer_capacity\":null,\"allocs\":[],\"advance\":[[{\"Conn\":4},16.0]",
+            "\"capacity\":8.0,\"buffer_capacity\":null,\"allocs\":[],\"advance\":[[{\"Conn\":4},16.0]",
         ),
+        ("[],[4],[],[4],[3,7]", "[],[],[],[4],[3,7]"),
         (
-            "\"slot\":60000000},\"portables\"",
-            "\"slot\":0},\"portables\"",
+            "\"links\":[15,17]},\"b_current\"",
+            "\"links\":[15,16]},\"b_current\"",
         ),
+        ("{\"id\":1,\"portable\":30003", "{\"id\":2,\"portable\":30003"),
         (
-            "\"slot\":60000000},\"portables\"",
-            "\"slot\":1},\"portables\"",
-        ),
-        (
-            "\"arrivals\":[[0,{\"slot\":60000000,",
-            "\"arrivals\":[[0,{\"slot\":0,",
-        ),
-        (
-            "[3,{\"slot\":60000000,\"slots\":",
-            "[3,{\"slot\":1,\"slots\":",
-        ),
-        (
-            "\"slot\":60000000,\"checkpoint_every\"",
-            "\"slot\":0,\"checkpoint_every\"",
+            "{\"id\":7,\"portable\":30001,\"cell\":4,\"remote\":0,\"qos\":{\"b_min\":16.0,\
+             \"b_max\":16.0,\"delay_bound\":30.0,\"jitter_bound\":30.0,\"loss_bound\":1.0,\
+             \"traffic\":{\"sigma\":1.6,\"rho\":16.0,\"l_max\":1.0}},\"route\":{\"nodes\":[10,9,0],\
+             \"links\":[12,14]},\"b_current\":16.0,\"started\":466338073}",
+            "null",
         ),
     ];
     let server = server_at(&walk_cfg(7), 40);
@@ -438,7 +433,7 @@ fn hostile_edits_are_refused_alike() {
 fn a_skewed_stamp_is_reported_before_damage_behind_it() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let skewed = current.replacen("{\"schema\":8,", "{\"schema\":6,", 1);
+    let skewed = current.replacen("{\"schema\":9,", "{\"schema\":6,", 1);
     assert_ne!(skewed, current, "layout drifted");
     // Whole, both routes say which version it is.
     assert_eq!(
@@ -470,7 +465,7 @@ fn a_skewed_stamp_is_reported_before_damage_behind_it() {
 fn deep_nesting_is_a_typed_parse_error() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let stamp = "{\"schema\":8,";
+    let stamp = "{\"schema\":9,";
     for opener in ["[", "{\"a\":"] {
         let bomb = opener.repeat(100_000);
         let documents = [
@@ -479,7 +474,7 @@ fn deep_nesting_is_a_typed_parse_error() {
             current.replacen(stamp, &format!("{stamp}\"cfg\":{bomb},"), 1),
             current.replacen(stamp, &format!("{stamp}\"zzz\":{bomb},"), 1),
             // Before the stamp, where only the scan goes.
-            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":8,"), 1),
+            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":9,"), 1),
         ];
         for doc in &documents {
             for got in [

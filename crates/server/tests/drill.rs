@@ -4,8 +4,9 @@
 
 use arm_core::scenario::{EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::Strategy;
+use arm_obs::Obs;
 use arm_server::drill::{events_from_scenario, run_with_kill_restore};
-use arm_server::{ServerConfig, ServerEvent};
+use arm_server::{Server, ServerConfig, ServerEvent, ServerSnapshot};
 use arm_sim::{FaultSchedule, FaultScheduleParams, SimDuration, SimRng};
 
 fn walk_cfg(seed: u64) -> ServerConfig {
@@ -26,7 +27,6 @@ fn walk_cfg(seed: u64) -> ServerConfig {
             t_th_secs: 300,
             seed,
         },
-        slot: SimDuration::from_mins(1),
         checkpoint_every: 64,
         backlog_capacity: 64,
     }
@@ -97,4 +97,75 @@ fn kill_inside_a_link_outage_restores_the_outage_seal() {
         out.snapshot_json.contains("Outage"),
         "snapshot taken mid-outage must carry the Outage seal"
     );
+}
+
+/// A kill right after a handoff drop, and one right after a refused
+/// admission: the checkpoint holds `null` where the connection's record
+/// was, the restored table issues the ids the uninterrupted one does,
+/// and the two runs end in the same report and the same image bytes.
+#[test]
+fn kill_right_after_a_drop_and_a_block_is_bit_identical() {
+    // A crowded wing with tight cells, so both happen early.
+    let mut cfg = walk_cfg(42);
+    cfg.scenario.environment = EnvSpec::OfficeWing { offices: 12 };
+    cfg.scenario.mobility = MobilitySpec::RandomWalk {
+        population: 96,
+        mean_dwell_secs: 120,
+        span_mins: 20,
+    };
+    cfg.scenario.cell_throughput_kbps = 400.0;
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+
+    // Run A, noting the event that first dropped and first blocked.
+    let mut live = Server::new(cfg.clone(), Obs::off()).expect("valid scenario");
+    let (mut drop_cut, mut block_cut) = (None, None);
+    for (i, ev) in events.iter().enumerate() {
+        live.apply_event(ev).expect("generated events are valid");
+        let m = &live.mgr.metrics;
+        if m.dropped.get() > 0 {
+            drop_cut.get_or_insert(i + 1);
+        }
+        if m.blocked.get() > 0 {
+            block_cut.get_or_insert(i + 1);
+        }
+    }
+    let end_image = live.snapshot().to_json().expect("snapshot serializes");
+
+    for (what, cut) in [("drop", drop_cut), ("block", block_cut)] {
+        let cut = cut.unwrap_or_else(|| panic!("the wing never saw a {what}"));
+        let out = run_with_kill_restore(&cfg, &events, cut).expect("drill runs");
+        assert_eq!(
+            out.uninterrupted, out.recovered,
+            "kill after the first {what} ({cut}/{}) diverged",
+            out.total_events
+        );
+        // The retired slot is in the checkpoint as `null`, and every
+        // record that is there is live.
+        let snap = ServerSnapshot::from_json(&out.snapshot_json).expect("parses");
+        let mut restored = Server::restore(snap, Obs::off()).expect("restores");
+        let table = out
+            .snapshot_json
+            .split_once("\"conns\":[")
+            .and_then(|(_, rest)| rest.split_once("],\"link_conns\""))
+            .expect("a connection table")
+            .0;
+        assert!(
+            table.contains("null"),
+            "{what}: no retired slot in {table:.200}"
+        );
+        assert_eq!(
+            table.matches("{\"id\":").count(),
+            restored.mgr.net.live_connections().count()
+        );
+        for ev in &events[cut..] {
+            restored
+                .apply_event(ev)
+                .expect("generated events are valid");
+        }
+        assert!(
+            restored.snapshot().to_json().expect("snapshot serializes") == end_image,
+            "kill after the first {what}: end images differ"
+        );
+    }
 }

@@ -5,7 +5,7 @@ use arm_core::scenario::{EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::Strategy;
 use arm_obs::{Obs, ObsEvent};
 use arm_server::{IngestError, LineOutcome, Server, ServerConfig, ServerEvent};
-use arm_sim::{SimDuration, SimTime};
+use arm_sim::SimTime;
 
 fn cfg(seed: u64) -> ServerConfig {
     ServerConfig {
@@ -25,7 +25,6 @@ fn cfg(seed: u64) -> ServerConfig {
             t_th_secs: 300,
             seed,
         },
-        slot: SimDuration::from_mins(1),
         checkpoint_every: 0,
         backlog_capacity: 16,
     }

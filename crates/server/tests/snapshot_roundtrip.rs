@@ -13,7 +13,7 @@ use arm_core::{SnapshotError, Strategy};
 use arm_obs::Obs;
 use arm_server::drill::events_from_scenario;
 use arm_server::{Server, ServerConfig, ServerSnapshot};
-use arm_sim::{FaultSchedule, SimDuration};
+use arm_sim::FaultSchedule;
 use proptest::prelude::*;
 
 /// A small random-walk configuration: fast to run, still exercising
@@ -36,7 +36,6 @@ fn walk_cfg(seed: u64) -> ServerConfig {
             t_th_secs: 300,
             seed,
         },
-        slot: SimDuration::from_mins(1),
         checkpoint_every: 64,
         backlog_capacity: 64,
     }
@@ -130,8 +129,8 @@ fn office_week_checkpoints_round_trip_and_stream_like_the_tree() {
     }
     let last = assert_codec_properties(&server.snapshot(), "end of week");
     // 35 periodic checkpoints plus `run_server`'s final one. (The byte
-    // total the benchmark pins, 15,060,284, includes its hostile lines'
-    // `rejected` count; CI's benchmark-smoke holds that number.)
+    // total the benchmark writes, 13,752,818, includes its hostile
+    // lines' `rejected` count; CI's benchmark-smoke holds that number.)
     assert_eq!(checkpoints + 1, 36);
     assert!(
         last > 400_000,
@@ -161,11 +160,65 @@ fn wing_end_state_round_trips_and_streams_like_the_tree() {
     assert_codec_properties(&server.snapshot(), "wing end state");
 }
 
-/// `json` (a v8 server or manager document of `walk_cfg(7)` cut at 40)
-/// as the previous build wrote it: stamped 7, and every manager image
-/// carrying the maxmin engine's section — all empty, as in every
-/// checkpoint the server ever cut (it never adapts). Byte for byte what
-/// commit `45078ab` emits for this state: 172 bytes more.
+/// `json` (a v9 server or manager document of `walk_cfg(7)` cut at 40)
+/// with the fields back that v8 wrote and v9 does not: the manager's
+/// `discipline`, `slot` and `per_user_kbps` (its fourth knob, the
+/// link-failure policy flag, is left out: one more unknown bool), the
+/// server's own `slot`, `metrics.{arrivals, slot}`, and `state`/
+/// `handoffs` on every connection record. The stamps are untouched.
+/// (What v9 no longer *holds* cannot come back: the series is empty
+/// and the four retired slots stay `null`, where commit `9c44c5f`
+/// wrote `Terminated` rows.)
+fn with_v8_fields(json: &str) -> String {
+    let mut out = json.to_string();
+    // (after this, insert that, in the manager image only?)
+    let edits = [
+        ("\"t_th\":300000000,", "\"discipline\":\"Wfq\",", true),
+        (
+            "\"max_fraction\":0.2},",
+            "\"slot\":60000000,\"per_user_kbps\":28.0,",
+            true,
+        ),
+        (
+            "\"claims_consumed\":{\"count\":0}",
+            ",\"arrivals\":[],\"slot\":60000000",
+            true,
+        ),
+        ("\"seed\":7},", "\"slot\":60000000,", false),
+        ("\"b_current\":16.0,", "\"state\":\"Active\",", true),
+    ];
+    let is_server = json.contains("\"checkpoint_every\"");
+    for (after, insert, in_manager) in edits {
+        if !in_manager && !is_server {
+            continue;
+        }
+        assert!(out.contains(after), "layout drifted: {after}");
+        out = out.replace(after, &format!("{after}{insert}"));
+    }
+    // `handoffs` closed every record, after `started`.
+    let mut from = 0;
+    while let Some(at) = out[from..].find("\"started\":") {
+        let close = from + at + out[from + at..].find('}').expect("a record closes");
+        out.insert_str(close, ",\"handoffs\":0");
+        from = close;
+    }
+    out
+}
+
+/// [`with_v8_fields`], stamped 8 throughout: the shape the previous
+/// build (`9c44c5f`) wrote.
+fn as_v8(json: &str) -> String {
+    assert!(
+        json.starts_with("{\"schema\":9,"),
+        "layout drifted: {json:.60}"
+    );
+    with_v8_fields(json).replace("{\"schema\":9,", "{\"schema\":8,")
+}
+
+/// `json` (a v8 document, see [`as_v8`]) as the build before wrote it:
+/// stamped 7, and every manager image carrying the maxmin engine's
+/// section — all empty, as in every checkpoint the server ever cut (it
+/// never adapts): 172 bytes more, as commit `45078ab` emits them.
 fn as_v7(json: &str) -> String {
     const AFTER: &str = "\"channel_renegotiations\":";
     const V7_MAXMIN: &str = "\"maxmin\":{\"link_excess\":[],\"conns\":[],\"index\":[],\
@@ -204,17 +257,21 @@ fn as_v6(v7: &str) -> String {
 }
 
 /// `json` under each skewed stamp: a future version, the previous
-/// build's real v7 document (still carrying `"maxmin"`), the real v6
-/// one before it (`"calendar"` too), and the two before that (shard
-/// planner; cell-keyed calendar).
+/// build's v8 document (`"arrivals"`, `"state"`, three `"slot"`s), the
+/// v7 one before it (still carrying `"maxmin"`), the v6 one before that
+/// (`"calendar"` too), and the two earlier still (shard planner;
+/// cell-keyed calendar).
 fn skewed_documents(json: &str, future: u32) -> Vec<(u32, String)> {
     let restamped =
-        |skew: u32| json.replacen("{\"schema\":8,", &format!("{{\"schema\":{skew},"), 1);
-    let v7 = as_v7(json);
+        |skew: u32| json.replacen("{\"schema\":9,", &format!("{{\"schema\":{skew},"), 1);
+    let v8 = as_v8(json);
+    let v7 = as_v7(&v8);
     let v6 = as_v6(&v7);
+    assert!(v8.contains("\"arrivals\"") && v8.contains("\"state\":\"Active\""));
     assert!(v7.contains("\"maxmin\"") && v6.contains("\"calendar\""));
     vec![
         (future, restamped(future)),
+        (8, v8),
         (7, v7),
         (6, v6),
         (5, restamped(5)),
@@ -230,7 +287,7 @@ fn mismatched_server_schema_is_a_typed_error() {
         match ServerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 8);
+                assert_eq!(expected, 9);
                 assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -250,7 +307,7 @@ fn mismatched_manager_schema_is_a_typed_error() {
         match arm_core::ManagerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 8);
+                assert_eq!(expected, 9);
                 assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -258,17 +315,46 @@ fn mismatched_manager_schema_is_a_typed_error() {
     }
 }
 
-/// Snapshots that decode cleanly but would panic, hang or silently
-/// corrupt a restored process: a zero slot width (`slot_tick` divides by
-/// the manager's, the server's slot cursor never passes an event time
-/// with its own), and a `metrics` or arrival-series slot width that is
-/// not the manager's (zero panics the next `record_arrival` or divides
-/// by zero in `TimeSeries::add`; one tick sizes the series by
-/// sim-time). (Through v7 three more rows forged a maxmin engine whose
-/// maps disagreed. A hostile engine image can no longer be written:
-/// the engine is a cache that no snapshot carries, a restore starts
-/// from an empty one, and a document that still has a `"maxmin"`
-/// section is a v7 document — `SchemaMismatch`, see
+/// What v8 wrote and v9 dropped is, in a v9 document, so many unknown
+/// fields: ignored like any other (the forged `portable_conns` below),
+/// not believed and not refused. The image restores and re-encodes to
+/// the bytes it had without them.
+#[test]
+fn fields_v9_dropped_are_ignored_in_a_v9_document() {
+    let server = server_at(&walk_cfg(7), 40);
+    let json = server.snapshot().to_json().expect("snapshot serializes");
+    let padded = with_v8_fields(&json);
+    for key in [
+        "\"arrivals\":",
+        "\"state\":\"Active\"",
+        "\"slot\":",
+        "\"handoffs\":",
+    ] {
+        assert!(padded.contains(key) && !json.contains(key), "{key}");
+    }
+    let snap = ServerSnapshot::from_json(&padded).expect("unknown fields are not errors");
+    assert_eq!(snap.to_json().expect("re-serializes"), json);
+    let restored = Server::restore(snap, Obs::off()).expect("restores");
+    assert_eq!(
+        restored.snapshot().to_json().expect("snapshot serializes"),
+        json
+    );
+}
+
+/// Snapshots that decode cleanly but would panic or silently corrupt a
+/// restored process, all of them now damage to the network image — the
+/// one section whose parts must agree with each other: a running sum
+/// that is not the sum of its claims, a capacity below what is already
+/// promised, a link's membership row that lost a connection, a record
+/// routed over a link that holds nothing for it, a record filed under
+/// another id, and a record retired (`null`) behind its ledger rows —
+/// callers look up every id on a link without a liveness test. (Through
+/// v7 three more rows forged a maxmin engine whose maps disagreed, and
+/// through v8 six forged a slot width: zero, or not the manager's. A
+/// hostile engine image or slot can no longer be written — the engine
+/// is a cache no snapshot carries, the width is `arm_core::SLOT` — and
+/// a document that still has a `"maxmin"` section or three `"slot"`s is
+/// a v7 or v8 document: `SchemaMismatch`, see
 /// `mismatched_*_schema_is_a_typed_error`.) Each is refused
 /// with a typed error — by the server at decode, by the manager at
 /// restore — and never panics. A last edit forges derived state the
@@ -277,44 +363,32 @@ fn mismatched_manager_schema_is_a_typed_error() {
 #[test]
 fn corrupted_planner_routing_is_a_typed_error() {
     let server = server_at(&walk_cfg(7), 40);
-    // (needle, hostile replacement, what the refusal names, in the
-    // manager image too?)
+    // (needle, hostile replacement, what the refusal names)
     let cases = [
+        ("\"sum_resv\":56.0", "\"sum_resv\":5.0", "sum_resv drift"),
         (
-            "\"slot\":60000000,\"per_user_kbps\"",
-            "\"slot\":0,\"per_user_kbps\"",
-            "cfg.slot",
-            true,
+            "\"capacity\":800.0,\"buffer_capacity\":null,\"allocs\":[],\"advance\":[[{\"Conn\":4},16.0]",
+            "\"capacity\":8.0,\"buffer_capacity\":null,\"allocs\":[],\"advance\":[[{\"Conn\":4},16.0]",
+            "> capacity 8",
+        ),
+        ("[],[4],[],[4],[3,7]", "[],[],[],[4],[3,7]", "ledger conns"),
+        (
+            "\"links\":[15,17]},\"b_current\"",
+            "\"links\":[15,16]},\"b_current\"",
+            "l17: holds f1, which is not routed over it",
         ),
         (
-            "\"slot\":60000000},\"portables\"",
-            "\"slot\":0},\"portables\"",
-            "metrics.slot is 0 ticks",
-            true,
+            "{\"id\":1,\"portable\":30003",
+            "{\"id\":2,\"portable\":30003",
+            "missing from",
         ),
         (
-            "\"slot\":60000000},\"portables\"",
-            "\"slot\":1},\"portables\"",
-            "metrics.slot is 1 ticks",
-            true,
-        ),
-        (
-            "\"arrivals\":[[0,{\"slot\":60000000,",
-            "\"arrivals\":[[0,{\"slot\":0,",
-            "metrics.arrivals[0].slot is 0 ticks",
-            true,
-        ),
-        (
-            "[3,{\"slot\":60000000,\"slots\":",
-            "[3,{\"slot\":1,\"slots\":",
-            "metrics.arrivals[3].slot is 1 ticks",
-            true,
-        ),
-        (
-            "\"slot\":60000000,\"checkpoint_every\"",
-            "\"slot\":0,\"checkpoint_every\"",
-            "server cfg.slot",
-            false,
+            "{\"id\":7,\"portable\":30001,\"cell\":4,\"remote\":0,\"qos\":{\"b_min\":16.0,\
+             \"b_max\":16.0,\"delay_bound\":30.0,\"jitter_bound\":30.0,\"loss_bound\":1.0,\
+             \"traffic\":{\"sigma\":1.6,\"rho\":16.0,\"l_max\":1.0}},\"route\":{\"nodes\":[10,9,0],\
+             \"links\":[12,14]},\"b_current\":16.0,\"started\":466338073}",
+            "null",
+            "l12: holds f7, which is not routed over it",
         ),
     ];
     let server_json = server.snapshot().to_json().expect("snapshot serializes");
@@ -323,14 +397,11 @@ fn corrupted_planner_routing_is_a_typed_error() {
         .snapshot()
         .to_json()
         .expect("snapshot serializes");
-    for (needle, hostile, names, in_manager) in cases {
+    for (needle, hostile, names) in cases {
         assert!(server_json.contains(needle), "layout drifted: {needle}");
         match ServerSnapshot::from_json(&server_json.replacen(needle, hostile, 1)) {
             Err(SnapshotError::Invalid(why)) => assert!(why.contains(names), "{why}"),
             other => panic!("{needle}: want Invalid, got {other:?}"),
-        }
-        if !in_manager {
-            continue;
         }
         assert!(manager_json.contains(needle), "layout drifted: {needle}");
         let snap = arm_core::ManagerSnapshot::from_json(&manager_json.replacen(needle, hostile, 1))

@@ -297,11 +297,6 @@ impl TimeSeries {
         }
     }
 
-    /// Slot width.
-    pub fn slot_width(&self) -> SimDuration {
-        self.slot
-    }
-
     /// Add `amount` to the slot containing `at`.
     pub fn add(&mut self, at: SimTime, amount: f64) {
         let idx = (at.ticks() / self.slot.ticks()) as usize;

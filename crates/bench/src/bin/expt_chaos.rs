@@ -7,34 +7,20 @@
 //! Replays `schedules` (default 20) independently seeded
 //! [`FaultSchedule`]s — link outages, profile-server outages,
 //! control-plane degradation windows, handoff-signalling failures —
-//! against the full §7.1 workweek, asserting the degradation invariants
-//! after every event: the ledger stays consistent (no oversubscription),
-//! every live connection keeps its guaranteed floor `b_min`, and the
-//! distributed maxmin protocol still converges to the centralized oracle
-//! under the injected control-plane loss. A run that survives prints a
-//! per-schedule summary row; any violation panics the process.
+//! against the full §7.1 workweek through the server's event loop
+//! (`arm_server::drill::run_with_faults`), asserting the degradation
+//! invariants after every event: the ledger stays consistent (no
+//! oversubscription), every live connection keeps its guaranteed floor
+//! `b_min`, and the distributed maxmin protocol still converges to the
+//! centralized oracle under the injected control-plane loss. A run that
+//! survives prints a per-schedule summary row; any violation panics the
+//! process.
 
 use arm_bench::report;
-use arm_core::chaos::{run_with_faults, run_with_faults_obs};
-use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-use arm_core::Strategy;
 use arm_obs::{ChaosSummary, Obs, RunReport};
+use arm_server::drill::run_with_faults;
+use arm_server::ServerConfig;
 use arm_sim::{FaultSchedule, FaultScheduleParams, SimDuration, SimRng};
-
-fn office_scenario(seed: u64) -> Scenario {
-    Scenario {
-        name: "chaos-office".into(),
-        environment: EnvSpec::Figure4,
-        mobility: MobilitySpec::OfficeCase,
-        workload: WorkloadSpec::Paper71,
-        strategy: Strategy::Paper,
-        cell_throughput_kbps: 1600.0,
-        backbone_kbps: 100_000.0,
-        wireless_error: 0.0,
-        t_th_secs: 300,
-        seed,
-    }
-}
 
 fn main() {
     let schedules: u64 = std::env::args()
@@ -45,23 +31,9 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    let sc = office_scenario(11);
+    let cfg = ServerConfig::office(11);
 
     println!("== Chaos soak: §7.1 office case, {schedules} fault schedules ==\n");
-
-    // Zero-cost sanity: the empty schedule reproduces the plain runner
-    // bit for bit.
-    let plain = scenario::run(&sc).expect("valid scenario");
-    let empty = run_with_faults(&sc, &FaultSchedule::empty()).expect("valid scenario");
-    assert_eq!(
-        format!("{plain:?}"),
-        format!("{:?}", empty.report),
-        "empty schedule must be bit-identical to the plain run"
-    );
-    println!(
-        "empty schedule: bit-identical to the plain run (p_b={:.4})\n",
-        plain.p_b
-    );
 
     let params = FaultScheduleParams {
         span: SimDuration::from_mins(40 * 60), // the §7.1 workweek
@@ -81,22 +53,26 @@ fn main() {
         let seed = base_seed + i;
         let sched = FaultSchedule::generate(&params, &SimRng::new(seed));
         // The first schedule runs with a recording observer installed —
-        // observation is strictly passive (asserted by the core
+        // observation is strictly passive (asserted by the server's
         // differential tests), so the printed row is identical either
         // way; the report additionally gets event counts and phase
         // timers from a representative faulted run.
-        let out = if i == 0 {
-            let (out, obs) = run_with_faults_obs(&sc, &sched, Obs::recording(8192))
-                .unwrap_or_else(|e| panic!("schedule {seed}: scenario rejected: {e}"));
-            obs.fill_report(&mut rep);
-            out
+        let obs = if i == 0 {
+            Obs::recording(8192)
         } else {
-            run_with_faults(&sc, &sched)
-                .unwrap_or_else(|e| panic!("schedule {seed}: scenario rejected: {e}"))
+            Obs::off()
         };
-        assert_eq!(out.faults_applied, sched.len(), "every fault must land");
-        let s = out.summary(1);
-        chaos_total.schedules += 1;
+        let (mut server, s) = run_with_faults(&cfg, &sched, obs)
+            .unwrap_or_else(|e| panic!("schedule {seed}: scenario rejected: {e}"));
+        if i == 0 {
+            server.mgr.take_obs().fill_report(&mut rep);
+        }
+        assert_eq!(
+            s.faults_applied,
+            sched.len() as u64,
+            "every fault must land"
+        );
+        chaos_total.schedules += s.schedules;
         chaos_total.faults_applied += s.faults_applied;
         chaos_total.invariant_checks += s.invariant_checks;
         chaos_total.lossy_maxmin_checks += s.lossy_maxmin_checks;
@@ -104,18 +80,19 @@ fn main() {
         chaos_total.stale_profile_fallbacks += s.stale_profile_fallbacks;
         chaos_total.handoff_signalling_failures += s.handoff_signalling_failures;
         chaos_total.lost_profile_updates += s.lost_profile_updates;
+        let m = &server.mgr.metrics;
         println!(
             "{:>4} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8.4} {:>8.4} {:>8}",
             seed,
-            out.faults_applied,
-            out.invariant_checks,
-            out.link_failures,
-            out.stale_profile_fallbacks,
-            out.handoff_signalling_failures,
-            out.lost_profile_updates,
-            out.report.p_b,
-            out.report.p_d,
-            out.report.dropped,
+            s.faults_applied,
+            s.invariant_checks,
+            s.link_failures,
+            s.stale_profile_fallbacks,
+            s.handoff_signalling_failures,
+            s.lost_profile_updates,
+            m.p_b(),
+            m.p_d(),
+            m.dropped.get(),
         );
     }
     println!(

@@ -4,10 +4,25 @@
 //! cargo run --release -p arm-bench --bin run_scenario -- --emit-sample > my.json
 //! cargo run --release -p arm-bench --bin run_scenario -- my.json
 //! ```
+//!
+//! The scenario's trace is replayed through the server's event loop
+//! (`arm_server::drill`), and what a server run reports is printed: the
+//! `RunReport` JSON with its `MetricsSummary`.
 
 use arm_bench::report as run_report;
-use arm_core::scenario::{self, Scenario};
-use arm_obs::RunReport;
+use arm_core::scenario::Scenario;
+use arm_obs::Obs;
+use arm_server::drill::{run_with_faults, DrillError};
+use arm_server::ServerConfig;
+use arm_sim::FaultSchedule;
+
+fn reject(e: DrillError) -> ! {
+    match e {
+        DrillError::Control(e) => eprintln!("scenario rejected: {e}"),
+        other => eprintln!("{other}"),
+    }
+    std::process::exit(2);
+}
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| {
@@ -29,20 +44,11 @@ fn main() {
         eprintln!("invalid scenario: {e}");
         std::process::exit(2);
     });
-    let report = scenario::run(&sc).unwrap_or_else(|e| {
-        eprintln!("scenario rejected: {e}");
-        std::process::exit(2);
-    });
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&report).expect("serialises")
-    );
+    let cfg = ServerConfig::from(sc);
+    let (server, _) =
+        run_with_faults(&cfg, &FaultSchedule::empty(), Obs::off()).unwrap_or_else(|e| reject(e));
 
-    let mut rep = RunReport::new("run_scenario", &report.name);
-    rep.seed = Some(sc.seed);
-    rep.notes.push(format!(
-        "strategy {}: requests={} blocked={} p_b={:.5} p_d={:.5} moves={}",
-        report.strategy, report.requests, report.blocked, report.p_b, report.p_d, report.moves
-    ));
+    let rep = server.report("run_scenario");
+    println!("{}", rep.to_json().expect("serialises"));
     run_report::emit_or_warn(&rep);
 }

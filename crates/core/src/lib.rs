@@ -25,16 +25,14 @@
 //! * [`driver`] — end-to-end experiment drivers for §7.1 (office
 //!   prediction), Figure 5 (meeting room), and Figure 6 (probabilistic
 //!   default algorithm),
-//! * [`chaos`] — the fault-injection harness: replays a seeded
-//!   `arm_sim::FaultSchedule` (link outages, profile-server outages,
-//!   control-plane loss windows, handoff-signalling failures) against a
-//!   scenario run and asserts the degradation invariants after every
-//!   event.
+//! * [`scenario`] — declarative scenarios and the manager they build.
+//!   Replaying one, with or without a seeded `arm_sim::FaultSchedule`,
+//!   is `arm_server::drill`'s job: the server's event loop is the one
+//!   replayer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod driver;
 pub mod error;
 pub mod manager;
@@ -47,6 +45,6 @@ pub mod strategy;
 pub use error::ControlError;
 pub use manager::{ManagerConfig, ResourceManager, SLOT};
 pub use metrics::Metrics;
-pub use scenario::{Scenario, ScenarioReport};
+pub use scenario::Scenario;
 pub use snapshot::{ManagerSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 pub use strategy::Strategy;

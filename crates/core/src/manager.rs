@@ -77,7 +77,7 @@ use crate::strategy::Strategy;
 
 /// The slot width: the period of [`ResourceManager::slot_tick`], which
 /// the aggregate (lounge) predictors count outflow over. Every driver —
-/// the batch loops, the chaos harness, `arm-server` — ticks at this one
+/// the experiment drivers' loops, `arm-server` — ticks at this one
 /// width, so it is a constant, not a setting two configs must agree on.
 pub const SLOT: SimDuration = SimDuration::from_mins(1);
 

@@ -1,11 +1,13 @@
 //! Declarative scenarios: a JSON-serialisable description of an
 //! environment, a mobility pattern, a workload, and a manager
-//! configuration, plus a one-call runner.
+//! configuration, plus [`build_manager`], which turns one into a
+//! validated manager and its mobility trace.
 //!
 //! This is the downstream-user entry point: describe an experiment in a
 //! file, run it with `cargo run -p arm-bench --bin run_scenario -- my.json`,
 //! get the paper's metrics back. Every example and experiment in this
-//! repository can be expressed as a [`Scenario`].
+//! repository can be expressed as a [`Scenario`]; `arm_server::drill`
+//! replays one through the server's event loop.
 
 use serde::{Deserialize, Serialize};
 
@@ -113,47 +115,13 @@ impl Scenario {
     }
 }
 
-/// What a run produced.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ScenarioReport {
-    /// Scenario label.
-    pub name: String,
-    /// Strategy label.
-    pub strategy: String,
-    /// Connections requested.
-    pub requests: u64,
-    /// Requests blocked (`P_b` numerator).
-    pub blocked: u64,
-    /// Handoff attempts.
-    pub handoff_attempts: u64,
-    /// Connections dropped mid-life (`P_d` numerator).
-    pub dropped: u64,
-    /// Blocking probability.
-    pub p_b: f64,
-    /// Handoff dropping probability.
-    pub p_d: f64,
-    /// Handoffs satisfied from an advance claim or pool.
-    pub claims_consumed: u64,
-    /// Movement events replayed.
-    pub moves: u64,
-}
-
-/// Build and run a scenario end to end.
-///
-/// Delegates to [`crate::chaos::run_with_faults`] with the empty fault
-/// schedule — the fault-free path is the same code, so a chaos run with
-/// no faults produces bit-identical reports.
-pub fn run(sc: &Scenario) -> Result<ScenarioReport, ControlError> {
-    Ok(crate::chaos::run_with_faults(sc, &arm_sim::FaultSchedule::empty())?.report)
-}
-
 /// Build the manager (with its environment, network, and calendar) and
 /// the mobility trace a scenario describes.
 ///
-/// Public so long-running drivers (`arm-server`) can construct the same
-/// validated manager the batch runners use and then feed it events from
-/// elsewhere — the returned trace is the scenario's *suggested* workload
-/// and may be ignored, replayed, or converted to a server event stream.
+/// `arm-server` builds every server this way and then feeds it events
+/// from elsewhere — the returned trace is the scenario's *suggested*
+/// workload and may be ignored or converted to a server event stream
+/// (`arm_server::drill::events_from_scenario`).
 pub fn build_manager(sc: &Scenario) -> Result<(ResourceManager, MobilityTrace), ControlError> {
     let (env, trace) = build_env_and_trace(sc)?;
     let net = env.build_network(sc.cell_throughput_kbps, sc.wireless_error, sc.backbone_kbps);
@@ -303,14 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_scenario_runs_clean() {
-        let report = run(&Scenario::sample()).expect("valid scenario");
-        assert_eq!(report.dropped, 0, "the paper strategy holds the lecture");
-        assert!(report.requests > 35);
-        assert!(report.moves > 100);
-    }
-
-    #[test]
     fn random_walk_scenario_runs_on_every_env() {
         for env in [
             EnvSpec::Figure4,
@@ -333,25 +293,9 @@ mod tests {
                 t_th_secs: 300,
                 seed: 5,
             };
-            let report = run(&sc).expect("valid scenario");
-            assert!(report.moves > 0);
-            assert_eq!(
-                report.handoff_attempts,
-                report.dropped + (report.handoff_attempts - report.dropped)
-            );
+            let (_, trace) = build_manager(&sc).expect("valid scenario");
+            assert!(trace.events().iter().any(|e| e.from.is_some()), "moves");
         }
-    }
-
-    #[test]
-    fn workload_none_tracks_mobility_only() {
-        let sc = Scenario {
-            workload: WorkloadSpec::None,
-            ..Scenario::sample()
-        };
-        let report = run(&sc).expect("valid scenario");
-        assert_eq!(report.requests, 0);
-        assert_eq!(report.handoff_attempts, 0);
-        assert!(report.moves > 0);
     }
 
     #[test]
@@ -361,7 +305,9 @@ mod tests {
             mobility: MobilitySpec::Meeting { attendees: 10 },
             ..Scenario::sample()
         };
-        let err = run(&sc).expect_err("scenario-input mismatch must be recoverable");
+        let err = build_manager(&sc)
+            .map(|_| ())
+            .expect_err("scenario-input mismatch must be recoverable");
         assert!(matches!(err, ControlError::IncompatibleScenario { .. }));
     }
 
@@ -403,7 +349,9 @@ mod tests {
             nan_workload,
             negative_workload,
         ] {
-            let err = run(&sc).expect_err("out-of-range parameter must be recoverable");
+            let err = build_manager(&sc)
+                .map(|_| ())
+                .expect_err("out-of-range parameter must be recoverable");
             assert!(matches!(err, ControlError::BadParameter { .. }), "{err}");
         }
     }

@@ -1,17 +1,10 @@
-//! Chaos soak: the §7.1 office case under randomized fault schedules.
-//!
-//! Twenty independently seeded [`FaultSchedule`]s replay against the
-//! full workweek scenario. `run_with_faults` asserts the degradation
-//! invariants (ledger consistency, per-connection floors, lossy maxmin
-//! convergence) after **every** event, so the assertions here only need
-//! to confirm the schedules actually exercised the fault paths — any
-//! invariant violation or panic inside the run fails the test on its
-//! own.
-//!
-//! The soak is split into chunks of five schedules so the test harness
-//! can run them on parallel threads.
+//! Manager-level chaos: the resource manager driven directly through
+//! fault-heavy churn — link failures and restorations on either hop,
+//! fades, admissions, moves — checked against the reference maxmin
+//! solve after every adaptation round and restored from every cut.
+//! (The scenario-level soak, fault schedules replayed through the
+//! server's event loop, is `crates/server/tests/chaos.rs`.)
 
-use arm_core::chaos::run_with_faults;
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{ManagerConfig, ResourceManager, Strategy};
 use arm_mobility::environment::Figure4;
@@ -19,7 +12,7 @@ use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, NodeId, PortableId};
 use arm_net::routing::shortest_path;
 use arm_qos::maxmin::centralized::MaxminProblem;
-use arm_sim::{FaultSchedule, FaultScheduleParams, SimDuration, SimRng, SimTime};
+use arm_sim::{SimDuration, SimRng, SimTime};
 
 fn office_scenario(seed: u64) -> Scenario {
     Scenario {
@@ -34,62 +27,6 @@ fn office_scenario(seed: u64) -> Scenario {
         t_th_secs: 300,
         seed,
     }
-}
-
-fn soak_params() -> FaultScheduleParams {
-    FaultScheduleParams {
-        span: SimDuration::from_mins(40 * 60), // the §7.1 workweek
-        links: 20,
-        zones: 1,
-        portables: 30,
-        ..FaultScheduleParams::default()
-    }
-}
-
-/// Run schedules seeded `seeds` against the office case. Invariants are
-/// asserted inside `run_with_faults` after every event.
-fn soak(seeds: std::ops::Range<u64>) {
-    let sc = office_scenario(11);
-    let params = soak_params();
-    for seed in seeds {
-        let sched = FaultSchedule::generate(&params, &SimRng::new(seed));
-        assert!(!sched.is_empty(), "schedule {seed} generated no faults");
-        let out = run_with_faults(&sc, &sched)
-            .unwrap_or_else(|e| panic!("schedule {seed}: scenario rejected: {e}"));
-        assert_eq!(
-            out.faults_applied,
-            sched.len(),
-            "schedule {seed}: every fault must be applied"
-        );
-        assert!(
-            out.invariant_checks > 0,
-            "schedule {seed}: invariants must be swept"
-        );
-        assert!(
-            out.report.requests > 0,
-            "schedule {seed}: the workload must still run"
-        );
-    }
-}
-
-#[test]
-fn soak_schedules_00_to_04() {
-    soak(0..5);
-}
-
-#[test]
-fn soak_schedules_05_to_09() {
-    soak(5..10);
-}
-
-#[test]
-fn soak_schedules_10_to_14() {
-    soak(10..15);
-}
-
-#[test]
-fn soak_schedules_15_to_19() {
-    soak(15..20);
 }
 
 /// One manager-level churn event.
@@ -415,20 +352,6 @@ fn a_cut_inside_a_closed_gate_with_a_rider_squeezed_restores_alike() {
     assert_eq!(marks[3].rounds, marks[1].rounds, "the gate stayed shut");
     assert_eq!(marks[5].rounds, marks[1].rounds + 1);
     assert_eq!(rider(&marks[5]), 1600.0, "regrown by the next round");
-}
-
-/// The acceptance bar for the fault layer's zero-cost claim: a chaos run
-/// with the empty schedule produces a report bit-identical to the plain
-/// §7 runner.
-#[test]
-fn empty_schedule_reproduces_the_plain_run_bit_for_bit() {
-    let sc = office_scenario(42);
-    let plain = scenario::run(&sc).expect("valid scenario");
-    let chaos = run_with_faults(&sc, &FaultSchedule::empty()).expect("valid scenario");
-    assert_eq!(format!("{plain:?}"), format!("{:?}", chaos.report));
-    assert_eq!(chaos.faults_applied, 0);
-    assert_eq!(chaos.invariant_checks, 0);
-    assert_eq!(chaos.lossy_maxmin_checks, 0);
 }
 
 /// Rate bits of every live connection, sorted — the bit-exact state

@@ -1,74 +1,17 @@
-//! The observability layer's zero-interference contract.
+//! The observability layer's zero-interference contract, on the path
+//! only a directly driven manager takes.
 //!
-//! Observation must be strictly passive: running the same scenario with
-//! `Obs::off()` (the default everywhere) and with a recording observer
-//! installed must produce **bit-identical** scenario reports. The
-//! recording run additionally has to actually observe something — a
-//! silent observer would trivially pass the differential check.
+//! Observation must be strictly passive; the scenario-level halves of
+//! that contract (a plain and a faulted replay, observer off vs on) are
+//! `crates/server/tests/obs_differential.rs`. Scenarios leave the eqn-2
+//! adaptation path off, so its emission point is exercised here.
 
-use arm_core::chaos::{run_with_faults, run_with_faults_obs};
-use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{ManagerConfig, ResourceManager, Strategy};
 use arm_mobility::environment::Figure4;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::PortableId;
 use arm_obs::{EventKind, Obs};
-use arm_sim::{FaultSchedule, FaultScheduleParams, SimDuration, SimRng, SimTime};
-
-fn office_scenario(seed: u64) -> Scenario {
-    Scenario {
-        name: "obs-differential".into(),
-        environment: EnvSpec::Figure4,
-        mobility: MobilitySpec::OfficeCase,
-        workload: WorkloadSpec::Paper71,
-        strategy: Strategy::Paper,
-        cell_throughput_kbps: 1600.0,
-        backbone_kbps: 100_000.0,
-        wireless_error: 0.0,
-        t_th_secs: 300,
-        seed,
-    }
-}
-
-#[test]
-fn recording_observer_leaves_the_run_bit_identical() {
-    let sc = office_scenario(23);
-    let off = scenario::run(&sc).expect("valid scenario");
-    let (out, obs) = run_with_faults_obs(&sc, &FaultSchedule::empty(), Obs::recording(4096))
-        .expect("valid scenario");
-    assert_eq!(format!("{off:?}"), format!("{:?}", out.report));
-    // The observer saw the run: admissions, slot rolls, claim activity,
-    // and phase timers all fired. (Maxmin rounds need the eqn-2
-    // adaptation path, which scenarios leave off — covered below.)
-    assert!(out.report.requests > 0);
-    assert!(obs.total_events() > 0, "recording run observed nothing");
-    assert!(obs.count(EventKind::AdmitDecision) >= out.report.requests);
-    assert!(obs.count(EventKind::ReservationSlotRolled) > 0);
-    assert!(obs.count(EventKind::HandoffOutcome) > 0);
-    assert!(!obs.snapshot_events().is_empty());
-    assert!(obs.phase_summaries().iter().any(|p| p.spans > 0));
-}
-
-#[test]
-fn recording_observer_leaves_a_faulted_run_bit_identical() {
-    let sc = office_scenario(31);
-    let params = FaultScheduleParams {
-        span: SimDuration::from_mins(40 * 60),
-        links: 20,
-        zones: 1,
-        portables: 30,
-        ..FaultScheduleParams::default()
-    };
-    let sched = FaultSchedule::generate(&params, &SimRng::new(5));
-    let off = run_with_faults(&sc, &sched).expect("valid scenario");
-    let (on, obs) = run_with_faults_obs(&sc, &sched, Obs::recording(4096)).expect("valid scenario");
-    assert_eq!(format!("{:?}", off.report), format!("{:?}", on.report));
-    assert_eq!(off.faults_applied, on.faults_applied);
-    assert_eq!(off.invariant_checks, on.invariant_checks);
-    assert_eq!(off.link_failures, on.link_failures);
-    // Fault entry points were traced.
-    assert!(obs.count(EventKind::FaultInjected) > 0);
-}
+use arm_sim::{SimDuration, SimTime};
 
 /// Scenarios leave the eqn-2 adaptation path off; drive it directly so
 /// the [`EventKind::MaxminRound`] emission point is exercised too.

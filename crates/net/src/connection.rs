@@ -61,17 +61,6 @@ impl Connection {
             started,
         }
     }
-
-    /// Is this connection "satisfied" in the maxmin sense — already at its
-    /// maximum useful rate?
-    pub fn is_satisfied(&self) -> bool {
-        self.b_current >= self.qos.b_max - 1e-9
-    }
-
-    /// How much more bandwidth the connection could use.
-    pub fn residual_demand(&self) -> f64 {
-        (self.qos.b_max - self.b_current).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -95,21 +84,5 @@ mod tests {
     fn starts_at_minimum_rate() {
         let c = conn(16.0, 64.0);
         assert_eq!(c.b_current, 16.0);
-        assert!(!c.is_satisfied());
-        assert_eq!(c.residual_demand(), 48.0);
-    }
-
-    #[test]
-    fn satisfaction_at_b_max() {
-        let mut c = conn(16.0, 64.0);
-        c.b_current = 64.0;
-        assert!(c.is_satisfied());
-        assert_eq!(c.residual_demand(), 0.0);
-    }
-
-    #[test]
-    fn fixed_rate_is_born_satisfied() {
-        let c = conn(16.0, 16.0);
-        assert!(c.is_satisfied());
     }
 }

@@ -8,10 +8,11 @@
 //! algorithm"; the paper does not innovate here, so we provide a standard
 //! Dijkstra over the directed edge graph, minimising hop count with
 //! propagation delay as a tie-break. Multicast fan-out (the pre-setup of
-//! routes into every neighbouring cell, §4) is computed as independent
-//! unicast routes that the caller may overlap-count — adequate because
-//! indoor backbones are small trees or meshes where shared prefixes are
-//! found naturally by identical shortest-path prefixes.
+//! routes into every neighbouring cell, §4) is [`neighbor_legs`]: one
+//! unicast route per neighbour, read off a single Dijkstra per cell,
+//! which the caller may overlap-count — adequate because indoor
+//! backbones are small trees or meshes where shared prefixes are found
+//! naturally by identical shortest-path prefixes.
 
 use serde::{Deserialize, Serialize};
 
@@ -153,20 +154,6 @@ fn route_to(prev: &[Option<(NodeId, LinkId)>], src: NodeId, dst: NodeId) -> Opti
     nodes.reverse();
     links.reverse();
     Some(Route { nodes, links })
-}
-
-/// Routes from `src` to the air node of every listed cell — the multicast
-/// pre-setup of §4 (packets are multicast to pre-allocated buffers in all
-/// neighbouring cells of a mobile's current cell).
-pub fn multicast_routes(
-    topo: &Topology,
-    src: NodeId,
-    cells: &[CellId],
-) -> Vec<(CellId, Option<Route>)> {
-    cells
-        .iter()
-        .map(|c| (*c, shortest_path(topo, src, topo.air_node(*c))))
-        .collect()
 }
 
 /// Every cell's air-to-server route (wireless hop first), indexed by
@@ -367,20 +354,6 @@ mod tests {
         let r = shortest_path(&t, a, b).unwrap();
         assert_eq!(r.links, vec![fast]);
         assert_ne!(r.links, vec![slow]);
-    }
-
-    #[test]
-    fn multicast_covers_all_neighbours() {
-        let (t, cells) = star();
-        let src = t.base_station(cells[0]);
-        let routes = multicast_routes(&t, src, &cells[1..]);
-        assert_eq!(routes.len(), 2);
-        for (cell, r) in routes {
-            let r = r.expect("reachable");
-            assert_eq!(r.destination(), t.air_node(cell));
-            // bs0 → sw → bsX → airX
-            assert_eq!(r.hop_count(), 3);
-        }
     }
 
     #[test]

@@ -381,13 +381,10 @@ fn main() -> ExitCode {
     } else {
         let cfg = match args.scenario.as_str() {
             "office" => ServerConfig::office(args.seed),
-            "sample" => ServerConfig {
-                scenario: arm_core::Scenario {
-                    seed: args.seed,
-                    ..arm_core::Scenario::sample()
-                },
-                ..ServerConfig::office(args.seed)
-            },
+            "sample" => ServerConfig::from(arm_core::Scenario {
+                seed: args.seed,
+                ..arm_core::Scenario::sample()
+            }),
             other => fail(&format!("unknown scenario {other} (want office|sample)")),
         };
         let cfg = ServerConfig {

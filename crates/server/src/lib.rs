@@ -17,10 +17,12 @@
 //!   written in one pass; [`Server::restore`] rebuilds a bit-identical server
 //!   from it. Periodic checkpoints + an event journal make crashes
 //!   recoverable by *restore + replay*.
-//! * **Crash-recovery drills** — [`drill`] kills a server mid-run,
-//!   restores from its checkpoint, replays the journaled suffix, and
-//!   proves the final report **byte-identical** to the uninterrupted
-//!   run — including under active fault schedules.
+//! * **Replays and crash-recovery drills** — [`drill`] is the one way a
+//!   scenario and a fault schedule are replayed (`run_scenario`, the
+//!   chaos soak and the benchmark all feed this event loop). Its drill
+//!   kills a server mid-run, restores from its checkpoint, replays the
+//!   journaled suffix, and proves the final report **byte-identical**
+//!   to the uninterrupted run — including under active fault schedules.
 //! * **Graceful degradation** — ingestion rejects bad lines with typed
 //!   errors ([`ingest`]) instead of dying; the input queue is bounded
 //!   with watermark backpressure ([`backlog`]); transient side-effect

@@ -71,19 +71,28 @@ impl ServerConfig {
     /// The §7.1 office scenario under the paper strategy — the
     /// configuration the soak drills run.
     pub fn office(seed: u64) -> Self {
+        Scenario {
+            name: "server-office".into(),
+            environment: arm_core::scenario::EnvSpec::Figure4,
+            mobility: arm_core::scenario::MobilitySpec::OfficeCase,
+            workload: WorkloadSpec::Paper71,
+            strategy: arm_core::Strategy::Paper,
+            cell_throughput_kbps: 1600.0,
+            backbone_kbps: 100_000.0,
+            wireless_error: 0.0,
+            t_th_secs: 300,
+            seed,
+        }
+        .into()
+    }
+}
+
+impl From<Scenario> for ServerConfig {
+    /// `scenario` with a checkpoint every 256 accepted events and a
+    /// 1024-line input queue.
+    fn from(scenario: Scenario) -> Self {
         ServerConfig {
-            scenario: Scenario {
-                name: "server-office".into(),
-                environment: arm_core::scenario::EnvSpec::Figure4,
-                mobility: arm_core::scenario::MobilitySpec::OfficeCase,
-                workload: WorkloadSpec::Paper71,
-                strategy: arm_core::Strategy::Paper,
-                cell_throughput_kbps: 1600.0,
-                backbone_kbps: 100_000.0,
-                wireless_error: 0.0,
-                t_th_secs: 300,
-                seed,
-            },
+            scenario,
             checkpoint_every: 256,
             backlog_capacity: 1024,
         }
@@ -122,15 +131,21 @@ pub struct Server {
 
 impl Server {
     /// Build a fresh server from a validated scenario. The scenario's
-    /// own mobility trace is ignored — events arrive from the stream —
-    /// but the manager, network, and calendar are built by exactly the
-    /// code path the batch runners use.
+    /// own mobility trace is ignored — events arrive from the stream
+    /// ([`crate::drill::events_from_scenario`] converts it into one).
     pub fn new(cfg: ServerConfig, obs: Obs) -> Result<Self, arm_core::ControlError> {
-        let (mut mgr, _trace) = build_manager(&cfg.scenario)?;
+        let (mgr, _trace) = build_manager(&cfg.scenario)?;
+        Ok(Server::with_manager(cfg, mgr, obs))
+    }
+
+    /// A fresh server around `mgr`, which must be what
+    /// [`build_manager`] returned for `cfg.scenario` — lets a replay
+    /// keep the trace [`Server::new`] would discard.
+    pub(crate) fn with_manager(cfg: ServerConfig, mut mgr: ResourceManager, obs: Obs) -> Self {
         mgr.set_obs(obs);
         let rng = SimRng::new(cfg.scenario.seed).split("scenario-workload");
         let next_slot = SimTime::ZERO + SLOT;
-        Ok(Server {
+        Server {
             cfg,
             mgr,
             rng,
@@ -143,7 +158,7 @@ impl Server {
             rejected: 0,
             shed: 0,
             queue_pressure: false,
-        })
+        }
     }
 
     /// Events accepted and applied so far (the replay cursor: a restore
@@ -200,7 +215,8 @@ impl Server {
             return Err(self.reject(e));
         }
         let t = ev.time();
-        // Periodic maintenance first, exactly like the batch loop.
+        // Periodic maintenance first: every event, fault or trace, runs
+        // after the slot ticks due at or before its time.
         while t >= self.next_slot {
             let slot = self.next_slot;
             self.mgr.slot_tick(slot);
@@ -210,9 +226,6 @@ impl Server {
             ServerEvent::Appear { t, portable, cell } => {
                 self.present.insert(*portable);
                 self.mgr.portable_appears(*portable, *cell, *t);
-                // Sample unconditionally so the workload RNG stream
-                // stays aligned with the batch runners (and across
-                // degraded windows).
                 let qos = match &self.cfg.scenario.workload {
                     WorkloadSpec::Paper71 => Some(self.mix.sample(&mut self.rng)),
                     WorkloadSpec::Fixed { kbps } => Some(
@@ -344,7 +357,7 @@ impl Server {
             ServerEvent::Depart { portable, .. } => check_present(*portable),
             // Doom marks are valid for any portable — the mark simply
             // waits in the doomed set until (if ever) that portable
-            // hands off, matching the chaos harness's semantics.
+            // hands off.
             ServerEvent::FailNextHandoff { .. } => Ok(()),
             ServerEvent::Request {
                 portable,

@@ -2,8 +2,8 @@
 //!
 //! Everything stochastic in the workspace flows through [`SimRng`]:
 //!
-//! * **exponential** connection holding times (`1/μ` in §6.3),
-//! * **Poisson** new-connection arrival processes (`λ` in §6.3),
+//! * **exponential** connection holding times (`1/μ` in §6.3) and the
+//!   gaps of Poisson new-connection arrival processes (`λ` in §6.3),
 //! * **Bernoulli** handoff-vs-terminate decisions (`h_q`),
 //! * **binomial** counts (the probabilistic reservation model, eqns 3–4),
 //! * weighted **choice** (next-cell selection from a cell-profile row),
@@ -148,40 +148,6 @@ impl SimRng {
         k
     }
 
-    /// Poisson variate with the given mean, via Knuth's product method for
-    /// small means and a normal approximation above 30 (counts per slot in
-    /// the cafeteria model stay far below that in practice).
-    pub fn poisson(&mut self, mean: f64) -> u32 {
-        assert!(
-            mean >= 0.0,
-            "precondition: Poisson mean must be non-negative"
-        );
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean < 30.0 {
-            let l = (-mean).exp();
-            let mut k = 0u32;
-            let mut p = 1.0;
-            loop {
-                p *= self.unit();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            // Normal approximation with continuity correction.
-            let g = self.gaussian();
-            let v = mean + mean.sqrt() * g + 0.5;
-            if v < 0.0 {
-                0
-            } else {
-                v as u32
-            }
-        }
-    }
-
     /// Standard normal variate (Box–Muller; one value per call).
     pub fn gaussian(&mut self) -> f64 {
         let u1 = 1.0 - self.unit();
@@ -221,30 +187,58 @@ impl SimRng {
 
 // Snapshot support: a stream is its originating seed plus the raw
 // xoshiro256++ state words, so a restored stream resumes exactly where
-// the checkpoint left it (not at the seed). Manual impls because the
-// inner generator lives in the vendored `rand` crate.
+// the checkpoint left it (not at the seed). The inner generator lives
+// in the vendored `rand` crate, so the codec is the derived one of a
+// wire twin, converted at the edges.
 impl serde::Serialize for SimRng {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("state".to_string(), self.inner.state().to_vec().to_value()),
-        ])
+        wire::SimRng::from(self).to_value()
+    }
+    fn write_json(&self, out: &mut serde::JsonWriter) {
+        wire::SimRng::from(self).write_json(out);
     }
 }
 
 impl serde::Deserialize for SimRng {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("SimRng: expected object"))?;
-        let seed: u64 = serde::from_field(obj, "seed", "SimRng")?;
-        let words: Vec<u64> = serde::from_field(obj, "state", "SimRng")?;
-        let state: [u64; 4] = words
+        wire::SimRng::from_value(v)?.try_into()
+    }
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        wire::SimRng::read_json(r)?.try_into()
+    }
+}
+
+/// The fields of a [`SimRng`](super::SimRng) as the document spells
+/// them, under its name so the derive's error texts carry it.
+mod wire {
+    #[derive(serde::Serialize, serde::Deserialize)]
+    pub(super) struct SimRng {
+        pub(super) seed: u64,
+        /// The xoshiro256++ state: exactly 4 words.
+        pub(super) state: Vec<u64>,
+    }
+
+    impl From<&super::SimRng> for SimRng {
+        fn from(rng: &super::SimRng) -> Self {
+            SimRng {
+                seed: rng.seed,
+                state: rng.inner.state().to_vec(),
+            }
+        }
+    }
+}
+
+impl TryFrom<wire::SimRng> for SimRng {
+    type Error = serde::Error;
+
+    fn try_from(w: wire::SimRng) -> Result<Self, serde::Error> {
+        let state: [u64; 4] = w
+            .state
             .try_into()
             .map_err(|_| serde::Error::custom("SimRng: state must hold exactly 4 words"))?;
         Ok(SimRng {
             inner: SmallRng::from_state(state),
-            seed,
+            seed: w.seed,
         })
     }
 }
@@ -343,20 +337,6 @@ mod tests {
         assert!((mean - 6.0).abs() < 0.05, "mean={mean}");
         assert_eq!(rng.binomial(10, 0.0), 0);
         assert_eq!(rng.binomial(10, 1.0), 10);
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large() {
-        let mut rng = SimRng::new(4);
-        for target in [0.5, 4.0, 50.0] {
-            let n = 100_000;
-            let mean: f64 = (0..n).map(|_| f64::from(rng.poisson(target))).sum::<f64>() / n as f64;
-            assert!(
-                (mean - target).abs() < target.max(1.0) * 0.03,
-                "target={target} mean={mean}"
-            );
-        }
-        assert_eq!(rng.poisson(0.0), 0);
     }
 
     #[test]

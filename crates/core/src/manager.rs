@@ -25,14 +25,15 @@
 //! state: every manager-owned claim is wiped and re-installed, in a
 //! fixed order, so a link's ledger is a function of the state and not
 //! of the path that led to it. One refresh costs O(cells + portables +
-//! live connections + claims written) and, in steady state, allocates
-//! only what the lounge rows need. It reads four resident structures,
-//! the first three kept where their source lives so the manager has
-//! nothing to invalidate:
+//! live connections + claims written) over flat tables and, in steady
+//! state, allocates nothing. It reads four resident structures, the
+//! first three kept where their source lives so the manager has nothing
+//! to invalidate:
 //!
 //! * `Network`'s per-portable connection index (derived from the
 //!   connection table in `install`/`finish`/`mark_blocked`) — a
-//!   portable's floors without a scan of every record;
+//!   portable's floors without a scan of every record, merge-joined with
+//!   the ascending portables rather than looked up once per portable;
 //! * each cell profile's `CountedHistory` tallies (derived from its
 //!   handoff FIFO in `record`) — level-2b predictions and transition
 //!   rows without a recount of `N_pC` events;
@@ -54,7 +55,7 @@ use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
 use arm_net::routing::{neighbor_legs, shortest_path_avoiding, uplink_routes, NeighborLegs};
-use arm_net::{Connection, Network, Route};
+use arm_net::{Connection, LinkState, Network, Route, Topology};
 use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
 use arm_profiles::prediction::Prediction;
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
@@ -191,6 +192,9 @@ struct RefreshScratch {
     /// `(cell, room demand, neighbour demand)` per meeting room, then
     /// `(cell, outbound demand, 0)` per cafeteria and default lounge.
     lounges: Vec<(CellId, f64, f64)>,
+    /// The transition row of the cell whose aggregate demand is being
+    /// spread (`CellProfile::aggregate_row_into`), ascending by cell.
+    row: Vec<(CellId, f64)>,
     /// Connections of the portable being handed off.
     moving: Vec<ConnId>,
     /// Every tracked portable, for the slot tick's multicast re-sync.
@@ -1265,13 +1269,18 @@ impl ResourceManager {
     fn refresh_paper(&mut self, now: SimTime) {
         // Per-portable claims (mobile portables only). The loop borrows
         // `portables`, so what it writes it reaches field by field rather
-        // than through `&mut self` helpers.
+        // than through `&mut self` helpers. Both `portables` and the
+        // network's portable index ascend by id, so each portable's
+        // connections come from a merge-join, not an index descent.
+        let (topo, mut by_portable, links) = self.net.ledgers_by_portable();
+        let floors = &mut self.scratch.floors;
         for (p, Tracked { state, memo }) in &mut self.portables {
             if state.is_static(self.cfg.t_th, now) {
                 continue; // B_dyn covers sudden movement of statics
             }
-            Self::collect_floors(&self.net, &mut self.scratch.floors, *p);
-            if self.scratch.floors.is_empty() {
+            floors.clear();
+            floors.extend(by_portable.seek(*p).map(|c| (c.id, c.qos.b_min)));
+            if floors.is_empty() {
                 continue;
             }
             if Self::zone_is_down(&self.down_zones, &self.profiles, state.cell) {
@@ -1282,8 +1291,8 @@ impl ResourceManager {
                 // the default algorithm's no-history behaviour — rather
                 // than not at all.
                 self.stale_profile_fallbacks += 1;
-                let total: f64 = self.scratch.floors.iter().map(|(_, b)| b).sum();
-                Self::spread_evenly(&mut self.net, &self.env, state.cell, total);
+                let total: f64 = floors.iter().map(|(_, b)| b).sum();
+                Self::spread_evenly(topo, links, &self.env, state.cell, total);
                 continue;
             }
             let class = self.env.cell(state.cell).class;
@@ -1314,9 +1323,9 @@ impl ResourceManager {
             ) {
                 ReservationDecision::PerConnection(target) => {
                     if target != state.cell {
-                        let wl = self.net.topology().wireless_link(target);
-                        for (id, b) in &self.scratch.floors {
-                            self.net.link_mut(wl).set_claim(ResvClaim::Conn(*id), *b);
+                        let link = &mut links[topo.wireless_link(target).index()];
+                        for (id, b) in floors.iter() {
+                            link.set_claim(ResvClaim::Conn(*id), *b);
                         }
                     }
                 }
@@ -1327,17 +1336,26 @@ impl ResourceManager {
         }
         // Lounge class policies.
         self.refresh_lounge_claims(now);
-        // B_dyn pools: one sweep over the live connections for every
-        // cell's largest static allocation, then each cell's pool from
-        // its neighbours' maxima.
+        // B_dyn pools: every cell's largest static allocation, folded
+        // over the static portables' own connections (the statics and
+        // the portable index both ascend, so again a merge-join), then
+        // each cell's pool from its neighbours' maxima. `max` is exact,
+        // so the visiting order cannot move a bit.
         if let Some(policy) = self.cfg.dyn_pool {
             let RefreshScratch {
                 statics,
                 static_max,
                 ..
             } = &mut self.scratch;
-            let is_static = |p: PortableId| statics.binary_search(&p).is_ok();
-            arm_qos::adaptation::static_alloc_maxima(&self.net, &is_static, static_max);
+            static_max.clear();
+            static_max.resize(self.net.topology().cell_count(), 0.0);
+            let mut by_portable = self.net.by_portable();
+            for p in statics.iter() {
+                for c in by_portable.seek(*p) {
+                    let m = &mut static_max[c.cell.index()];
+                    *m = m.max(c.b_current);
+                }
+            }
             for (c, info) in self.env.cells() {
                 let max_alloc = info
                     .neighbors
@@ -1391,47 +1409,58 @@ impl ResourceManager {
         }
         // A profile-server outage hides the transition row; the empty
         // row below degrades to the even split.
-        let row = if self.zone_down(source) {
-            Default::default()
-        } else {
-            self.profiles
-                .cell(source)
-                .map(arm_profiles::CellProfile::aggregate_row)
-                .unwrap_or_default()
+        let row = &mut self.scratch.row;
+        row.clear();
+        if !Self::zone_is_down(&self.down_zones, &self.profiles, source) {
+            if let Some(cp) = self.profiles.cell(source) {
+                cp.aggregate_row_into(row);
+            }
+        }
+        let get = |n: &CellId| {
+            row.binary_search_by_key(n, |(c, _)| *c)
+                .ok()
+                .map(|i| &row[i].1)
         };
-        let known: f64 = neighbors.iter().filter_map(|n| row.get(n)).sum();
+        let known: f64 = neighbors.iter().filter_map(get).sum();
         for n in neighbors {
             let share = if known > 0.0 {
-                row.get(n).copied().unwrap_or(0.0) / known
+                get(n).copied().unwrap_or(0.0) / known
             } else {
                 1.0 / neighbors.len() as f64
             };
             let amount = demand * share;
             if amount > 0.0 {
-                Self::add_cell_claim(&mut self.net, source, *n, amount);
+                let wl = self.net.topology().wireless_link(*n);
+                Self::add_cell_claim(self.net.link_mut(wl), source, amount);
             }
         }
     }
 
-    /// Grow the `Cell(source)` claim on neighbour `n`'s wireless link.
-    fn add_cell_claim(net: &mut Network, source: CellId, n: CellId, amount: f64) {
-        let wl = net.topology().wireless_link(n);
-        let cur = net.link(wl).claim(ResvClaim::Cell(source));
-        net.link_mut(wl)
-            .set_claim(ResvClaim::Cell(source), cur + amount);
+    /// Grow the `Cell(source)` claim on a neighbour's wireless link.
+    fn add_cell_claim(link: &mut LinkState, source: CellId, amount: f64) {
+        let cur = link.claim(ResvClaim::Cell(source));
+        link.set_claim(ResvClaim::Cell(source), cur + amount);
     }
 
     /// Even-split spread used when profile data is unavailable (zone
     /// profile-server outage): no transition row can be read, so the
-    /// demand is divided uniformly over the neighbours.
-    fn spread_evenly(net: &mut Network, env: &IndoorEnvironment, source: CellId, demand: f64) {
+    /// demand is divided uniformly over the neighbours. Over the
+    /// ledgers (index = `LinkId`), for the refresh loop that holds them
+    /// split from the rest of the network.
+    fn spread_evenly(
+        topo: &Topology,
+        links: &mut [LinkState],
+        env: &IndoorEnvironment,
+        source: CellId,
+        demand: f64,
+    ) {
         let neighbors = &env.cell(source).neighbors;
         if neighbors.is_empty() || demand <= 0.0 {
             return;
         }
         let share = demand / neighbors.len() as f64;
         for n in neighbors {
-            Self::add_cell_claim(net, source, *n, share);
+            Self::add_cell_claim(&mut links[topo.wireless_link(*n).index()], source, share);
         }
     }
 

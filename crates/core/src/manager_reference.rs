@@ -56,7 +56,7 @@ fn scan_adjust_dyn_pool(
     net.link_mut(wl).set_claim(ResvClaim::DynPool, target)
 }
 
-/// `CellProfile::aggregate_row` recounting the retained events.
+/// `CellProfile::aggregate_row_into` recounting the retained events.
 fn scan_aggregate_row(cp: &CellProfile) -> BTreeMap<CellId, f64> {
     let mut counts: BTreeMap<CellId, usize> = BTreeMap::new();
     let mut total = 0usize;

@@ -104,17 +104,18 @@ impl std::error::Error for LedgerError {}
 
 /// Reservation and allocation state of one link.
 ///
-/// Allocations are a flat `Vec` sorted by `ConnId` — binary-searched
-/// lookups, in-place inserts/removals that reuse capacity (so the
-/// steady-state admission round trip allocates nothing), and the same
-/// ascending iteration order (and serialized bytes) as the former
-/// `BTreeMap<ConnId, Alloc>` layout.
+/// Both tables are flat `Vec`s sorted by key — allocations by `ConnId`,
+/// advance claims by `ResvClaim` — with binary-searched lookups and
+/// in-place inserts/removals that reuse capacity, so neither the
+/// steady-state admission round trip nor a claim refresh allocates. Each
+/// iterates (and serializes) in the same ascending order as the
+/// `BTreeMap` it replaced.
 #[derive(Clone, Debug)]
 pub struct LinkState {
     capacity: f64,
     buffer_capacity: f64,
     allocs: Vec<(ConnId, Alloc)>,
-    advance: BTreeMap<ResvClaim, f64>,
+    advance: Vec<(ResvClaim, f64)>,
     sum_b_min: f64,
     sum_b_alloc: f64,
     sum_resv: f64,
@@ -128,12 +129,14 @@ pub struct LinkState {
 // explicitly as `null` and restored as `INFINITY`, keeping the
 // serialize → deserialize → re-serialize cycle byte-identical.
 //
-// The sorted-`Vec` allocation table serializes exactly like the former
-// `BTreeMap<ConnId, Alloc>`: the vendored serde encodes maps as arrays
-// of `[key, value]` pairs and tuples as arrays, and the table is kept
-// ascending by `ConnId` — so snapshot bytes and the committed schema
-// fingerprints are unchanged. Deserialize re-sorts defensively so a
-// hand-edited snapshot cannot smuggle in an unordered table.
+// The two sorted-`Vec` tables serialize exactly like the `BTreeMap`s
+// they replaced: the vendored serde encodes maps as arrays of
+// `[key, value]` pairs and tuples as arrays, and each table is kept
+// ascending by key — so snapshot bytes and the committed schema
+// fingerprints are unchanged. Deserialize re-sorts the allocations
+// defensively and reads the claims through a map, so a hand-edited
+// snapshot cannot smuggle in an unordered table, and duplicate claim
+// keys resolve as a map resolves them (the last one wins).
 impl Serialize for LinkState {
     fn to_value(&self) -> serde::Value {
         let buffer_capacity = if self.buffer_capacity.is_finite() {
@@ -196,7 +199,7 @@ impl TryFrom<wire::LinkState> for LinkState {
             capacity: w.capacity,
             buffer_capacity: w.buffer_capacity.unwrap_or(f64::INFINITY),
             allocs: w.allocs,
-            advance: w.advance,
+            advance: w.advance.into_iter().collect(),
             sum_b_min: w.sum_b_min,
             sum_b_alloc: w.sum_b_alloc,
             sum_resv: w.sum_resv,
@@ -217,7 +220,7 @@ impl LinkState {
             capacity,
             buffer_capacity: f64::INFINITY,
             allocs: Vec::new(),
-            advance: BTreeMap::new(),
+            advance: Vec::new(),
             sum_b_min: 0.0,
             sum_b_alloc: 0.0,
             sum_resv: 0.0,
@@ -450,9 +453,15 @@ impl LinkState {
     // Advance reservations
     // ------------------------------------------------------------------
 
+    /// Position of `key` in the sorted claim table.
+    #[inline]
+    fn claim_pos(&self, key: ResvClaim) -> Result<usize, usize> {
+        self.advance.binary_search_by_key(&key, |(k, _)| *k)
+    }
+
     /// Current size of one claim (0 if absent).
     pub fn claim(&self, key: ResvClaim) -> f64 {
-        self.advance.get(&key).copied().unwrap_or(0.0)
+        self.claim_pos(key).map_or(0.0, |i| self.advance[i].1)
     }
 
     /// Set a claim to an absolute amount, replacing any previous amount
@@ -463,14 +472,20 @@ impl LinkState {
     /// so that `Σ b_min + b_resv ≤ C_l`. Returns the granted amount.
     pub fn set_claim(&mut self, key: ResvClaim, amount: f64) -> f64 {
         assert!(amount >= 0.0);
-        let old = self.claim(key);
+        let at = self.claim_pos(key);
+        let old = at.map_or(0.0, |i| self.advance[i].1);
         let headroom = (self.capacity - self.sum_b_min - (self.sum_resv - old)).max(0.0);
         let granted = amount.min(headroom);
         if granted <= EPS {
-            self.advance.remove(&key);
+            if let Ok(i) = at {
+                self.advance.remove(i);
+            }
             self.sum_resv -= old;
         } else {
-            self.advance.insert(key, granted);
+            match at {
+                Ok(i) => self.advance[i].1 = granted,
+                Err(i) => self.advance.insert(i, (key, granted)),
+            }
             self.sum_resv += granted - old;
         }
         self.clamp_sums();
@@ -479,13 +494,14 @@ impl LinkState {
 
     /// Remove a claim entirely, returning the released amount.
     pub fn release_claim(&mut self, key: ResvClaim) -> f64 {
-        match self.advance.remove(&key) {
-            Some(v) => {
+        match self.claim_pos(key) {
+            Ok(i) => {
+                let v = self.advance.remove(i).1;
                 self.sum_resv -= v;
                 self.clamp_sums();
                 v
             }
-            None => 0.0,
+            Err(_) => 0.0,
         }
     }
 
@@ -499,8 +515,8 @@ impl LinkState {
             advance, sum_resv, ..
         } = self;
         let mut released = false;
-        // `BTreeMap::retain` visits in ascending key order.
-        advance.retain(|k, v| {
+        // `Vec::retain` visits in order, and the table is ascending.
+        advance.retain(|(k, v)| {
             if keep(*k) {
                 return true;
             }
@@ -531,7 +547,7 @@ impl LinkState {
         let b_min: f64 = self.allocs.iter().map(|(_, a)| a.b_min).sum();
         let b_alloc: f64 = self.allocs.iter().map(|(_, a)| a.b_alloc).sum();
         let buffer: f64 = self.allocs.iter().map(|(_, a)| a.buffer).sum();
-        let resv: f64 = self.advance.values().sum();
+        let resv: f64 = self.advance.iter().map(|(_, v)| v).sum();
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + a.abs() + b.abs());
         if !close(b_min, self.sum_b_min) {
             return Err(format!("sum_b_min drift: {} vs {}", b_min, self.sum_b_min));

@@ -104,6 +104,40 @@ impl From<wire::Network> for Network {
     }
 }
 
+/// A forward cursor over the per-portable connection index
+/// ([`Network::by_portable`]). A walk whose portables ascend merge-joins
+/// with the index — each [`seek`](Self::seek) steps past the entries
+/// below its portable — instead of descending it once per portable.
+pub struct ByPortable<'a> {
+    conns: &'a [Option<Connection>],
+    index: std::iter::Peekable<std::collections::btree_map::Iter<'a, PortableId, Vec<ConnId>>>,
+}
+
+impl<'a> ByPortable<'a> {
+    fn new(
+        conns: &'a [Option<Connection>],
+        portable_conns: &'a BTreeMap<PortableId, Vec<ConnId>>,
+    ) -> Self {
+        ByPortable {
+            conns,
+            index: portable_conns.iter().peekable(),
+        }
+    }
+
+    /// Live connections of `p`, ascending by id. `p` must not be below
+    /// the portable of any earlier call: entries passed over are gone.
+    pub fn seek(&mut self, p: PortableId) -> impl Iterator<Item = &'a Connection> + 'a {
+        while self.index.next_if(|(q, _)| **q < p).is_some() {}
+        let ids: &'a [ConnId] = match self.index.peek() {
+            Some((q, ids)) if **q == p => ids,
+            _ => &[],
+        };
+        let conns = self.conns;
+        ids.iter()
+            .filter_map(move |id| conns.get(id.index()).and_then(Option::as_ref))
+    }
+}
+
 /// Insert into a sorted membership vector (no-op when present).
 #[inline]
 fn index_insert(set: &mut Vec<ConnId>, conn: ConnId) {
@@ -250,6 +284,21 @@ impl Network {
             .into_iter()
             .flatten()
             .filter_map(move |id| self.get(*id))
+    }
+
+    /// The connection table read through the per-portable index, for a
+    /// pass that visits portables in ascending order.
+    pub fn by_portable(&self) -> ByPortable<'_> {
+        ByPortable::new(&self.conns, &self.portable_conns)
+    }
+
+    /// One split borrow for a pass that reads connections portable by
+    /// portable while it writes ledgers: the topology, the connection
+    /// table through the per-portable index, and every link's ledger
+    /// (index = `LinkId`).
+    pub fn ledgers_by_portable(&mut self) -> (&Topology, ByPortable<'_>, &mut [LinkState]) {
+        let by_portable = ByPortable::new(&self.conns, &self.portable_conns);
+        (&self.topo, by_portable, &mut self.links)
     }
 
     // ------------------------------------------------------------------

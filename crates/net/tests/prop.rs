@@ -10,7 +10,9 @@ use arm_sim::SimTime;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// A random ledger operation.
+/// A random ledger operation. `AdmitHandoff` consumes the connection's
+/// own claim; `RetainClaims` keeps the claims whose [`claim_kind`] bit is
+/// set in `kinds`.
 #[derive(Clone, Debug)]
 enum Op {
     Admit { conn: u32, b_min: f64, buffer: f64 },
@@ -18,6 +20,8 @@ enum Op {
     SetAlloc { conn: u32, b: f64 },
     SetClaim { key: u8, amount: f64 },
     ReleaseClaim { key: u8 },
+    AdmitHandoff { conn: u32, b_min: f64 },
+    RetainClaims { kinds: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -29,8 +33,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         (0u32..8).prop_map(|conn| Op::Release { conn }),
         (0u32..8, 0.0f64..120.0).prop_map(|(conn, b)| Op::SetAlloc { conn, b }),
-        (0u8..4, 0.0f64..80.0).prop_map(|(key, amount)| Op::SetClaim { key, amount }),
-        (0u8..4).prop_map(|key| Op::ReleaseClaim { key }),
+        (0u8..8, 0.0f64..80.0).prop_map(|(key, amount)| Op::SetClaim { key, amount }),
+        (0u8..8).prop_map(|key| Op::ReleaseClaim { key }),
+        (0u32..8, 0.1f64..50.0).prop_map(|(conn, b_min)| Op::AdmitHandoff { conn, b_min }),
+        (0u8..32).prop_map(|kinds| Op::RetainClaims { kinds }),
     ]
 }
 
@@ -39,7 +45,83 @@ fn claim_key(k: u8) -> ResvClaim {
         0 => ResvClaim::DynPool,
         1 => ResvClaim::Cell(CellId(0)),
         2 => ResvClaim::Cell(CellId(1)),
-        _ => ResvClaim::Conn(ConnId(99)),
+        3 => ResvClaim::Conn(ConnId(99)),
+        4 => ResvClaim::Conn(ConnId(2)),
+        5 => ResvClaim::Channel,
+        6 => ResvClaim::Outage,
+        _ => ResvClaim::Conn(ConnId(5)),
+    }
+}
+
+/// Which of the five claim owners `k` belongs to, as a bit.
+fn claim_kind(k: ResvClaim) -> u8 {
+    1 << match k {
+        ResvClaim::Conn(_) => 0,
+        ResvClaim::Cell(_) => 1,
+        ResvClaim::DynPool => 2,
+        ResvClaim::Channel => 3,
+        ResvClaim::Outage => 4,
+    }
+}
+
+/// The claim table as it was kept before it went flat — a `BTreeMap` —
+/// with `b_resv` as the running sum the ledger's claim operations kept
+/// over it: the same expressions, the same order, the same clamp.
+#[derive(Default)]
+struct ClaimModel {
+    advance: std::collections::BTreeMap<ResvClaim, f64>,
+    sum_resv: f64,
+}
+
+impl ClaimModel {
+    const EPS: f64 = 1e-6;
+
+    fn clamp(&mut self) {
+        if self.sum_resv < 0.0 && self.sum_resv > -Self::EPS {
+            self.sum_resv = 0.0;
+        }
+    }
+
+    /// `set_claim` on a link of `capacity` whose floors sum to `sum_b_min`.
+    fn set(&mut self, key: ResvClaim, amount: f64, capacity: f64, sum_b_min: f64) -> f64 {
+        let old = self.advance.get(&key).copied().unwrap_or(0.0);
+        let headroom = (capacity - sum_b_min - (self.sum_resv - old)).max(0.0);
+        let granted = amount.min(headroom);
+        if granted <= Self::EPS {
+            self.advance.remove(&key);
+            self.sum_resv -= old;
+        } else {
+            self.advance.insert(key, granted);
+            self.sum_resv += granted - old;
+        }
+        self.clamp();
+        granted
+    }
+
+    fn release(&mut self, key: ResvClaim) -> f64 {
+        match self.advance.remove(&key) {
+            Some(v) => {
+                self.sum_resv -= v;
+                self.clamp();
+                v
+            }
+            None => 0.0,
+        }
+    }
+
+    /// `BTreeMap::retain`: released in ascending key order, each clamped.
+    fn retain(&mut self, keep: impl Fn(ResvClaim) -> bool) {
+        let Self { advance, sum_resv } = self;
+        advance.retain(|k, v| {
+            if keep(*k) {
+                return true;
+            }
+            *sum_resv -= *v;
+            if *sum_resv < 0.0 && *sum_resv > -Self::EPS {
+                *sum_resv = 0.0;
+            }
+            false
+        });
     }
 }
 
@@ -128,6 +210,9 @@ proptest! {
             let mut back = Network::read_json(&mut serde::JsonReader::new(&text)).expect("decodes");
             prop_assert_eq!(network_json(&back), text);
             prop_assert!(back.check_invariants().is_ok());
+            // The merge-join cursor, walked in ascending portable order
+            // (every other portable skipped), answers the same.
+            let mut cursor = net.by_portable();
             for p in (0..5).map(PortableId) {
                 let want: Vec<ConnId> =
                     live.iter().filter(|(_, q)| **q == p).map(|(id, _)| *id).collect();
@@ -136,17 +221,25 @@ proptest! {
                 };
                 prop_assert_eq!(&of(&net), &want);
                 prop_assert_eq!(&of(&back), &want);
+                if p.0 % 2 == 0 {
+                    let joined: Vec<ConnId> = cursor.seek(p).map(|c| c.id).collect();
+                    prop_assert_eq!(&joined, &want);
+                }
             }
             prop_assert_eq!(back.next_conn_id(), ConnId::from_index(issued.len()));
         }
     }
 
     /// No sequence of ledger operations — successful or failed — ever
-    /// breaks the ledger invariants.
+    /// breaks the ledger invariants, and the flat claim table is, bit for
+    /// bit, the `BTreeMap` it replaced: the same claims in the same key
+    /// order, and the same running `b_resv`.
     #[test]
     fn ledger_never_breaks_under_random_ops(ops in prop::collection::vec(op_strategy(), 0..200)) {
         let mut l = LinkState::new(100.0).with_buffer_capacity(50.0);
+        let mut model = ClaimModel::default();
         for op in ops {
+            let (capacity, sum_b_min) = (l.capacity(), l.sum_b_min());
             match op {
                 Op::Admit { conn, b_min, buffer } => {
                     let _ = l.admit(ConnId(conn), b_min, buffer);
@@ -160,11 +253,29 @@ proptest! {
                 Op::SetClaim { key, amount } => {
                     let granted = l.set_claim(claim_key(key), amount);
                     prop_assert!(granted <= amount + 1e-9);
+                    let want = model.set(claim_key(key), amount, capacity, sum_b_min);
+                    prop_assert_eq!(granted.to_bits(), want.to_bits());
                 }
                 Op::ReleaseClaim { key } => {
-                    let _ = l.release_claim(claim_key(key));
+                    let released = l.release_claim(claim_key(key));
+                    prop_assert_eq!(released.to_bits(), model.release(claim_key(key)).to_bits());
+                }
+                Op::AdmitHandoff { conn, b_min } => {
+                    if l.admit_handoff(ConnId(conn), b_min, 0.0).is_ok() {
+                        model.release(ResvClaim::Conn(ConnId(conn)));
+                    }
+                }
+                Op::RetainClaims { kinds } => {
+                    let keep = |k: ResvClaim| kinds & claim_kind(k) != 0;
+                    l.retain_claims(keep);
+                    model.retain(keep);
                 }
             }
+            let flat: Vec<(ResvClaim, u64)> = l.claims().map(|(k, v)| (k, v.to_bits())).collect();
+            let tree: Vec<(ResvClaim, u64)> =
+                model.advance.iter().map(|(k, v)| (*k, v.to_bits())).collect();
+            prop_assert_eq!(flat, tree);
+            prop_assert_eq!(l.b_resv().to_bits(), model.sum_resv.to_bits());
             prop_assert!(l.check_invariants().is_ok(), "{:?}", l.check_invariants());
             // The paper's guarantee: floors plus advance reservations fit.
             prop_assert!(l.sum_b_min() + l.b_resv() <= l.capacity() + 1e-6);

@@ -76,12 +76,16 @@ impl CellProfile {
     /// Probabilities are empirical frequencies over the retained history;
     /// an empty row means no history for that context.
     pub fn transition_row(&self, prev: Option<CellId>) -> BTreeMap<CellId, f64> {
-        frequencies(self.history.next_counts_after(prev))
+        let mut row = Vec::new();
+        frequencies(self.history.next_counts_after(prev), &mut row);
+        row.into_iter().collect()
     }
 
-    /// The aggregate transition probabilities over *all* previous cells.
-    pub fn aggregate_row(&self) -> BTreeMap<CellId, f64> {
-        frequencies(self.history.next_counts())
+    /// The aggregate transition probabilities over *all* previous cells,
+    /// ascending by cell, into `row` (cleared first; a caller's resident
+    /// buffer, so a steady-state read allocates nothing).
+    pub fn aggregate_row_into(&self, row: &mut Vec<(CellId, f64)>) {
+        frequencies(self.history.next_counts(), row);
     }
 
     /// Second-level prediction from the aggregate history: most likely
@@ -106,17 +110,19 @@ impl CellProfile {
     }
 }
 
-/// Counts as empirical frequencies of their total.
-fn frequencies(counts: impl Iterator<Item = (CellId, usize)>) -> BTreeMap<CellId, f64> {
+/// Counts (ascending by cell) as empirical frequencies of their total,
+/// into `row`.
+fn frequencies(counts: impl Iterator<Item = (CellId, usize)>, row: &mut Vec<(CellId, f64)>) {
+    row.clear();
     let mut total = 0usize;
-    let mut row: BTreeMap<CellId, f64> = counts
-        .inspect(|(_, n)| total += n)
-        .map(|(c, n)| (c, n as f64))
-        .collect();
-    for p in row.values_mut() {
+    row.extend(
+        counts
+            .inspect(|(_, n)| total += n)
+            .map(|(c, n)| (c, n as f64)),
+    );
+    for (_, p) in row.iter_mut() {
         *p /= total as f64;
     }
-    row
 }
 
 #[cfg(test)]
@@ -197,6 +203,7 @@ mod tests {
         let bits = |row: BTreeMap<CellId, f64>| -> Vec<(CellId, u64)> {
             row.into_iter().map(|(c, p)| (c, p.to_bits())).collect()
         };
+        let mut aggregate = Vec::new();
         for i in 0..40u32 {
             // Thirds and sevenths: frequencies that do not round evenly.
             c.record(ev(
@@ -204,7 +211,11 @@ mod tests {
                 [None, Some(49), Some(51)][(i % 3) as usize],
                 40 + (i * i) % 5,
             ));
-            assert_eq!(bits(c.aggregate_row()), bits(recounted_row(&c, |_| true)));
+            c.aggregate_row_into(&mut aggregate);
+            assert_eq!(
+                bits(aggregate.iter().copied().collect()),
+                bits(recounted_row(&c, |_| true))
+            );
             for prev in [None, Some(CellId(49)), Some(CellId(51)), Some(CellId(7))] {
                 assert_eq!(
                     bits(c.transition_row(prev)),
@@ -230,10 +241,16 @@ mod tests {
         for i in 7..10 {
             c.record(ev(i, Some(51), 49));
         }
-        let row = c.aggregate_row();
-        let sum: f64 = row.values().sum();
+        // A stale row in the buffer is replaced, not appended to.
+        let mut row = vec![(CellId(7), 1.0)];
+        c.aggregate_row_into(&mut row);
+        assert_eq!(
+            row.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+            [CellId(49), CellId(51)]
+        );
+        let sum: f64 = row.iter().map(|(_, p)| p).sum();
         assert!((sum - 1.0).abs() < 1e-12);
-        assert!((row[&CellId(51)] - 0.7).abs() < 1e-12);
+        assert!((row[1].1 - 0.7).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! least a connection (with the maximum allocated bandwidth) from a
 //! static portable that is residing in its neighboring cells".
 
-use arm_net::ids::{CellId, ConnId, LinkId, PortableId};
+use arm_net::ids::{CellId, ConnId, LinkId};
 use arm_net::link::ResvClaim;
 use arm_net::Network;
 use arm_sim::{SimDuration, SimTime};
@@ -114,31 +114,10 @@ impl DynPoolPolicy {
     }
 }
 
-/// The largest current allocation among connections of static portables
-/// homed in each cell, into `out` (index = cell; cleared and resized to
-/// the topology's cell count). One sweep over the live connections serves every cell's
-/// `B_dyn` sizing; `max` is exact, so folding per cell here and over a
-/// cell's neighbours in [`adjust_dyn_pool`]'s caller yields the same
-/// bits as any other visiting order.
-pub fn static_alloc_maxima(
-    net: &Network,
-    static_portables: &dyn Fn(PortableId) -> bool,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.resize(net.topology().cell_count(), 0.0);
-    for c in net.live_connections() {
-        if static_portables(c.portable) {
-            let m = &mut out[c.cell.index()];
-            *m = m.max(c.b_current);
-        }
-    }
-}
-
 /// Install the `B_dyn` claim on `cell`'s wireless link, sized to
 /// `max_neighbor_static_alloc` — the largest current allocation among
-/// connections of static portables residing in the neighbouring cells
-/// (see [`static_alloc_maxima`]). Returns the granted pool size.
+/// connections of static portables residing in the neighbouring cells.
+/// Returns the granted pool size.
 pub fn adjust_dyn_pool(
     net: &mut Network,
     cell: CellId,

@@ -427,6 +427,93 @@ fn hostile_edits_are_refused_alike() {
     assert!(tried > 200, "{tried} numbers tried");
 }
 
+/// The first link ledger in `doc` holding at least two advance claims:
+/// the byte range of its `advance` array and the text of each
+/// `[key, value]` pair, in document order.
+fn advance_claims(doc: &str) -> Option<(std::ops::Range<usize>, Vec<&str>)> {
+    const FIELD: &str = "\"advance\":";
+    let mut from = 0;
+    while let Some(at) = doc[from..].find(FIELD) {
+        let open = from + at + FIELD.len();
+        from = open;
+        let (mut depth, mut start, mut pairs) = (0, open, Vec::new());
+        for (i, b) in doc.bytes().enumerate().skip(open) {
+            match b {
+                b'[' | b'{' => {
+                    depth += 1;
+                    if depth == 2 {
+                        start = i;
+                    }
+                }
+                b']' | b'}' => {
+                    depth -= 1;
+                    if depth == 1 {
+                        pairs.push(&doc[start..=i]);
+                    }
+                    if depth == 0 {
+                        if pairs.len() >= 2 {
+                            return Some((open..i + 1, pairs));
+                        }
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
+/// A claim table is written ascending with one entry per key, but a
+/// hand-edited one may be neither: it decodes as a map reads it — the
+/// order is not kept and the last of two equal keys wins — by both
+/// routes, so an unsorted table with a shadowed duplicate is the same
+/// image, and a duplicate that overrides a claim is a ledger that no
+/// longer sums to its `b_resv` and is refused.
+#[test]
+fn unsorted_and_duplicate_claim_keys_decode_as_a_map_reads_them() {
+    let server = server_at(&walk_cfg(7), 40);
+    let server_json = server.snapshot().to_json().expect("snapshot serializes");
+    let manager_json = server
+        .mgr
+        .snapshot()
+        .to_json()
+        .expect("snapshot serializes");
+    let (span, pairs) = advance_claims(&server_json).expect("a link holds two claims");
+    let first = pairs[0];
+    let other_amount = format!("{},1234.5]", &first[..first.rfind(',').expect("a pair")]);
+    let reversed: Vec<&str> = pairs.iter().rev().copied().collect();
+    let table = |pairs: &[&str]| format!("[{}]", pairs.join(","));
+    let shadowed = [&[other_amount.as_str()][..], &reversed].concat();
+    let overriding = [&reversed[..], &[other_amount.as_str()]].concat();
+    for (how, advance, same_image) in [
+        ("reversed", table(&reversed), true),
+        ("reversed, an earlier duplicate", table(&shadowed), true),
+        ("reversed, a later duplicate", table(&overriding), false),
+    ] {
+        let mut edited = server_json.clone();
+        edited.replace_range(span.clone(), &advance);
+        let want = if same_image {
+            Class::Ok(Ok(server_json.clone()))
+        } else {
+            Class::Invalid
+        };
+        assert_eq!(agree::<ServerSnapshot>(&edited, how), want, "{how}");
+        // The manager image holds the same table. Its decode does not
+        // validate; writing it back (like `restore`) does.
+        let needle = &server_json[span.clone()];
+        assert!(manager_json.contains(needle), "layout drifted");
+        let edited = manager_json.replacen(needle, &advance, 1);
+        let got = agree::<ManagerSnapshot>(&edited, how);
+        if same_image {
+            assert_eq!(got, Class::Ok(Ok(manager_json.clone())), "{how}");
+        } else {
+            let refused = matches!(got, Class::Ok(Err(SnapshotError::Invalid(_))));
+            assert!(refused, "{how}: {got:.300?}");
+        }
+    }
+}
+
 /// The documented difference. Skewed *and* damaged after the stamp:
 /// the scan has its answer at byte 12 and never sees the damage.
 #[test]

@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod claim_plan;
 pub mod driver;
 pub mod error;
 pub mod manager;
@@ -42,6 +43,7 @@ pub mod scenario;
 pub mod snapshot;
 pub mod strategy;
 
+pub use claim_plan::RefreshStats;
 pub use error::ControlError;
 pub use manager::{ManagerConfig, ResourceManager, SLOT};
 pub use metrics::Metrics;

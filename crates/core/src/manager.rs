@@ -21,19 +21,21 @@
 //! * [`slot_tick`](ResourceManager::slot_tick) — aggregate-policy
 //!   bookkeeping: feed the cafeteria/default predictors, refresh claims.
 //!
-//! Claims are recomputed wholesale after every event from the current
-//! state: every manager-owned claim is wiped and re-installed, in a
-//! fixed order, so a link's ledger is a function of the state and not
-//! of the path that led to it. One refresh costs O(cells + portables +
-//! live connections + claims written) over flat tables and, in steady
-//! state, allocates nothing. It reads four resident structures, the
-//! first three kept where their source lives so the manager has nothing
-//! to invalidate:
+//! Claims are recomputed after every event from the current state, as
+//! if every manager-owned claim were wiped and re-installed in a fixed
+//! order, so a link's ledger is a function of the state and not of the
+//! path that led to it. Each refresh builds every wireless link's
+//! *plan* — the writes that wholesale wipe-and-reinstall would make on
+//! it — and hands them to one guarded apply step (`claim_plan`), which
+//! re-writes only the links whose plan or ledger changed since a run
+//! that changed nothing. In steady state a refresh allocates nothing.
+//! It reads five resident structures, the first three kept where their
+//! source lives:
 //!
 //! * `Network`'s per-portable connection index (derived from the
 //!   connection table in `install`/`finish`/`mark_blocked`) — a
-//!   portable's floors without a scan of every record, merge-joined with
-//!   the ascending portables rather than looked up once per portable;
+//!   portable's floors without a scan of every record — and its record
+//!   of the portables whose connections changed since the last refresh;
 //! * each cell profile's `CountedHistory` tallies (derived from its
 //!   handoff FIFO in `record`) — level-2b predictions and transition
 //!   rows without a recount of `N_pC` events;
@@ -42,11 +44,18 @@
 //!   of the static topology) — a handoff's new route and its multicast
 //!   branches without a Dijkstra run;
 //! * beside each tracked portable, what the §6.4 dispatcher last read
-//!   for it ([`DispatchMemo`]) — the one cache the manager does
-//!   invalidate, at the two places its inputs change.
+//!   for it ([`DispatchMemo`]) and what it decided ([`Dispatched`]) —
+//!   kept until an input of the dispatch changes — and per cell, its
+//!   tracked portables and what says when they must be looked at again
+//!   ([`CellWatch`]);
+//! * every wireless link's plan, its per-portable part kept between
+//!   refreshes, and what the link last ran with the ledger revision that
+//!   run left (`claim_plan::Plans`).
 //!
-//! What else the manager keeps between events ([`RefreshScratch`]) is
-//! buffers only: every one is cleared before it is filled.
+//! None of it is snapshotted: a restored manager re-dispatches every
+//! portable and re-runs every link at its first refresh. What else the
+//! manager keeps between events ([`RefreshScratch`]) is buffers only:
+//! every one is cleared before it is filled.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,7 +64,7 @@ use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
 use arm_net::routing::{neighbor_legs, shortest_path_avoiding, uplink_routes, NeighborLegs};
-use arm_net::{Connection, LinkState, Network, Route, Topology};
+use arm_net::{Connection, Network, Route};
 use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
 use arm_profiles::prediction::Prediction;
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
@@ -70,6 +79,7 @@ use arm_reservation::meeting::{BookingCalendar, MeetingRoomPolicy};
 use arm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::claim_plan::{ClaimWrite, Plans, RefreshStats};
 use crate::error::ControlError;
 use crate::metrics::Metrics;
 use crate::multicast::MulticastState;
@@ -150,6 +160,12 @@ impl PortableState {
 ///   handoff out of `cell`, which bumps `cell_revs[cell]` away from the
 ///   stamp below.
 ///
+/// A prediction answered at level 1 or 2a never read the history
+/// (`PredictionLevel::reads_cell_history`), so it outlives a stamp move;
+/// one answered at level 2b or 3 then re-reads level 2b alone
+/// (`ZonedProfiles::aggregate_prediction`): levels 1 and 2a, which said
+/// nothing, read nothing that moved.
+///
 /// Derived state, never snapshotted: a restored manager starts without
 /// memos and recomputes the same function from the restored profiles.
 #[derive(Clone, Copy, Debug)]
@@ -160,18 +176,243 @@ struct DispatchMemo {
     prediction: Prediction,
 }
 
-/// A tracked portable: its snapshotted state and the memo derived from
+impl DispatchMemo {
+    /// Does the memo still hold while `cell`'s revision is `cell_rev`?
+    fn holds_at(&self, cell_rev: u64) -> bool {
+        self.cell_rev == cell_rev || !self.prediction.level.reads_cell_history()
+    }
+}
+
+/// What a portable's last dispatch in the claim refresh came to, kept
+/// while no input of that dispatch changes (see
+/// `ResourceManager::plan_paper`). A stale-profile fallback is never
+/// kept: it runs again at every refresh, as it is counted at every one.
+#[derive(Clone, Copy, Debug)]
+enum Dispatched {
+    /// Static: no per-portable claims (`B_dyn` covers it).
+    Static,
+    /// Mobile without live connections: nothing to reserve.
+    NoFloors,
+    /// Mobile with floors: what the §6.4 dispatcher decided, re-emitted
+    /// as a `ReservationDispatch` at every refresh.
+    Decided(ReservationDecision),
+}
+
+/// A tracked portable: its snapshotted state and what is derived from
 /// it. Built only by [`Tracked::new`], so replacing the state drops the
-/// memo.
+/// memo and the cached dispatch.
 #[derive(Debug)]
 struct Tracked {
     state: PortableState,
     memo: Option<DispatchMemo>,
+    dispatched: Option<Dispatched>,
 }
 
 impl Tracked {
     fn new(state: PortableState) -> Self {
-        Tracked { state, memo: None }
+        Tracked {
+            state,
+            memo: None,
+            dispatched: None,
+        }
+    }
+
+    /// Would dispatching the portable again decide what it last did?
+    /// True while none of the inputs of that dispatch has changed: it
+    /// is as static or mobile as it was, its connections are not among
+    /// those the network recorded as changed, its zone's profile server
+    /// is up, and its memo holds at its cell's revision `cell_rev`.
+    fn dispatch_holds(
+        &self,
+        mobile: bool,
+        floors_changed: bool,
+        zone_down: bool,
+        cell_rev: u64,
+    ) -> bool {
+        match self.dispatched {
+            Some(Dispatched::Static) => !mobile,
+            Some(Dispatched::NoFloors) => mobile && !floors_changed,
+            Some(Dispatched::Decided(_)) => {
+                mobile
+                    && !floors_changed
+                    && !zone_down
+                    && self.memo.is_some_and(|m| m.holds_at(cell_rev))
+            }
+            None => false,
+        }
+    }
+}
+
+/// One cell's tracked portables, and what says when the dispatch pass
+/// must look at them again. A portable whose cell is not looked at
+/// cannot need a dispatch: nothing arrived (a replaced `Tracked` entry
+/// always arrives somewhere), the cell's revision did not move, no
+/// member that was mobile has reached `T_th` yet, and the zone's profile
+/// server is up and was up. Derived from `portables` by
+/// `ResourceManager::track`, never snapshotted.
+#[derive(Debug)]
+struct CellWatch {
+    /// Tracked portables in the cell, ascending.
+    members: Vec<PortableId>,
+    /// Look at the cell at the next pass whatever else holds: a member
+    /// arrived, or the zone's profile server was out at the last look.
+    pending: bool,
+    /// `cell_revs[cell]` at the last look.
+    seen_rev: u64,
+    /// The earliest instant at which a member that was mobile at its
+    /// last look turns static.
+    next_flip: SimTime,
+    /// The current pass looks at the cell.
+    due: bool,
+}
+
+impl CellWatch {
+    fn new() -> Self {
+        CellWatch {
+            members: Vec::new(),
+            pending: true,
+            seen_rev: 0,
+            next_flip: SimTime::MAX,
+            due: false,
+        }
+    }
+}
+
+/// What looking at one portable reads and writes, borrowed field by
+/// field from the manager so that the dispatch pass can hold
+/// `portables` at the same time (`ResourceManager::plan_paper`).
+struct DispatchPass<'a> {
+    now: SimTime,
+    t_th: SimDuration,
+    env: &'a IndoorEnvironment,
+    profiles: &'a ZonedProfiles,
+    net: &'a Network,
+    down_zones: &'a BTreeSet<ZoneId>,
+    cell_revs: &'a [u64],
+    /// Portables whose connections changed, ascending.
+    changed: &'a [PortableId],
+    obs: &'a mut Obs,
+    plans: &'a mut Plans,
+    watch: &'a mut [CellWatch],
+    statics: &'a mut Vec<PortableId>,
+    floors: &'a mut Vec<(ConnId, f64)>,
+    fresh: &'a mut Vec<(CellId, ClaimWrite)>,
+    stats: &'a mut RefreshStats,
+    fallbacks: &'a mut u64,
+    /// Every portable's connections count as changed
+    /// (`Network::drain_changed_portables`).
+    all_changed: bool,
+}
+
+impl DispatchPass<'_> {
+    /// Look at `p`: keep `statics` and its cell's next flip current, and
+    /// dispatch it again unless its kept dispatch holds.
+    fn look(&mut self, p: PortableId, t: &mut Tracked) {
+        let cell = t.state.cell;
+        let floors_changed = self.all_changed || self.changed.binary_search(&p).is_ok();
+        let mobile = !t.state.is_static(self.t_th, self.now);
+        match (self.statics.binary_search(&p), mobile) {
+            (Err(at), false) => self.statics.insert(at, p),
+            (Ok(at), true) => {
+                self.statics.remove(at);
+            }
+            _ => {}
+        }
+        if mobile {
+            let w = &mut self.watch[cell.index()];
+            w.next_flip = w.next_flip.min(t.state.entered_at + self.t_th);
+        }
+        let zone_down = ResourceManager::zone_is_down(self.down_zones, self.profiles, cell);
+        let cell_rev = self.cell_revs[cell.index()];
+        if t.dispatch_holds(mobile, floors_changed, zone_down, cell_rev) {
+            if let Some(Dispatched::Decided(decision)) = t.dispatched {
+                self.emit_kept(p, decision);
+            }
+            return;
+        }
+        self.stats.redispatched += 1;
+        let Tracked {
+            state,
+            memo,
+            dispatched,
+        } = t;
+        self.fresh.clear();
+        *dispatched = if !mobile {
+            Some(Dispatched::Static) // B_dyn covers sudden movement of statics
+        } else {
+            self.floors.clear();
+            self.floors.extend(
+                self.net
+                    .connections_of_portable(p)
+                    .map(|c| (c.id, c.qos.b_min)),
+            );
+            if self.floors.is_empty() {
+                Some(Dispatched::NoFloors)
+            } else if zone_down {
+                // Stale-profile fallback: the zone's profile server is
+                // out, so neither occupancy nor a movement prediction can
+                // be read. Reserve the portable's floors probabilistically
+                // — spread evenly over all neighbours, the default
+                // algorithm's no-history behaviour — rather than not at
+                // all.
+                *self.fallbacks += 1;
+                let total: f64 = self.floors.iter().map(|(_, b)| b).sum();
+                ResourceManager::spread_evenly(self.env, cell, total, self.fresh);
+                None
+            } else {
+                let class = self.env.cell(cell).class;
+                // The dispatcher's inputs: kept while nothing they were
+                // read from has changed (see `DispatchMemo`); level 2b
+                // alone read again when only the cell's history moved
+                // under an answer from it; all read afresh — one
+                // resolution of zone, server and profiles — otherwise.
+                let kept = match *memo {
+                    Some(kept) if kept.holds_at(cell_rev) => kept,
+                    Some(kept) => *memo.insert(DispatchMemo {
+                        cell_rev,
+                        is_occupant: kept.is_occupant,
+                        prediction: self.profiles.aggregate_prediction(state.prev_cell, cell),
+                    }),
+                    None => {
+                        let (is_occupant, prediction) =
+                            self.profiles.dispatch_inputs(p, state.prev_cell, cell);
+                        *memo.insert(DispatchMemo {
+                            cell_rev,
+                            is_occupant,
+                            prediction,
+                        })
+                    }
+                };
+                let decision = decide_traced(
+                    class,
+                    kept.is_occupant,
+                    kept.prediction,
+                    self.now,
+                    p,
+                    self.obs,
+                );
+                if let ReservationDecision::PerConnection(target) = decision {
+                    if target != cell {
+                        let conn = |&(id, b): &(ConnId, f64)| {
+                            (target, ClaimWrite::Set(ResvClaim::Conn(id), b))
+                        };
+                        self.fresh.extend(self.floors.iter().map(conn));
+                    }
+                }
+                Some(Dispatched::Decided(decision))
+            }
+        };
+        self.plans.set_portable_writes(p, self.fresh);
+    }
+
+    /// Emit a kept decision as the dispatch would have.
+    fn emit_kept(&mut self, p: PortableId, decision: ReservationDecision) {
+        let now = self.now;
+        self.obs.emit_with(|| ObsEvent::ReservationDispatch {
+            t: now,
+            portable: p,
+            decision: decision.label().to_string(),
+        });
     }
 }
 
@@ -183,10 +424,12 @@ impl Tracked {
 struct RefreshScratch {
     /// `(connection, b_min)` of the portable being processed.
     floors: Vec<(ConnId, f64)>,
-    /// Portables static at the refresh's `now`, ascending. Filled once
-    /// per refresh; the `B_dyn` pass and the adaptation round that
-    /// follows in the same `after_event` both read it.
-    statics: Vec<PortableId>,
+    /// Per-portable writes of the portable being re-dispatched, by the
+    /// cell whose wireless link they go to.
+    fresh: Vec<(CellId, ClaimWrite)>,
+    /// Portables whose connections changed since the last refresh
+    /// (`Network::drain_changed_portables`), ascending.
+    changed: Vec<PortableId>,
     /// Largest static allocation homed in each cell (index = cell).
     static_max: Vec<f64>,
     /// `(cell, room demand, neighbour demand)` per meeting room, then
@@ -250,6 +493,24 @@ pub struct ResourceManager {
     /// Resident buffers for the claim refresh. Pure scratch, never
     /// snapshotted.
     scratch: RefreshScratch,
+    /// Every wireless link's plan and last run. Derived, never
+    /// snapshotted.
+    plans: Plans,
+    /// Portables static at the last refresh's `now`, ascending: what the
+    /// `B_dyn` pass and the adaptation round that follows in the same
+    /// `after_event` read. The paper strategy's dispatch pass keeps it as
+    /// it looks at portables; the others collect it at every refresh.
+    /// Derived, never snapshotted.
+    statics: Vec<PortableId>,
+    /// Per cell (index = cell): its tracked portables and when the
+    /// dispatch pass must look at them again. Derived, never snapshotted.
+    watch: Vec<CellWatch>,
+    /// The `now` of the last dispatch pass: a pass at an earlier instant
+    /// looks at every cell, as portables may have turned mobile again.
+    last_pass: Option<SimTime>,
+    /// Work counters of the claim refresh, read through
+    /// [`refresh_stats`](Self::refresh_stats).
+    refresh_stats: RefreshStats,
     /// Run the from-scratch reference refresh instead (the differential
     /// test's twin manager).
     #[cfg(test)]
@@ -318,8 +579,14 @@ impl ResourceManager {
         let uplinks = uplink_routes(net.topology(), server_node);
         let branch_legs = neighbor_legs(net.topology(), |c| env.neighbors(c));
         let cell_revs = vec![0; env.cell_count()];
+        let plans = Plans::new(env.cell_count());
         ResourceManager {
             cell_revs,
+            plans,
+            statics: Vec::new(),
+            watch: (0..env.cell_count()).map(|_| CellWatch::new()).collect(),
+            last_pass: None,
+            refresh_stats: RefreshStats::default(),
             net,
             env,
             profiles,
@@ -358,6 +625,13 @@ impl ResourceManager {
     /// The zones and their profile servers, read-only.
     pub fn profiles(&self) -> &ZonedProfiles {
         &self.profiles
+    }
+
+    /// What the claim refresh has done since this manager was built or
+    /// restored: refreshes run, wireless links re-written and let stand,
+    /// portables re-dispatched.
+    pub fn refresh_stats(&self) -> RefreshStats {
+        self.refresh_stats
     }
 
     /// Install an observer (replacing the default [`Obs::off`]).
@@ -420,18 +694,33 @@ impl ResourceManager {
         let uplinks = uplink_routes(snap.net.topology(), snap.server_node);
         let branch_legs = neighbor_legs(snap.net.topology(), |c| snap.env.neighbors(c));
         let cell_revs = vec![0; snap.env.cell_count()];
+        let plans = Plans::new(snap.env.cell_count());
+        let portables: BTreeMap<PortableId, Tracked> = snap
+            .portables
+            .into_iter()
+            .map(|(p, state)| (p, Tracked::new(state)))
+            .collect();
+        let mut watch: Vec<CellWatch> = (0..snap.env.cell_count())
+            .map(|_| CellWatch::new())
+            .collect();
+        for (p, t) in &portables {
+            if let Some(w) = watch.get_mut(t.state.cell.index()) {
+                w.members.push(*p);
+            }
+        }
         Ok(ResourceManager {
             cell_revs,
+            plans,
+            statics: Vec::new(),
+            watch,
+            last_pass: None,
+            refresh_stats: RefreshStats::default(),
             net: snap.net,
             env: snap.env,
             profiles: snap.profiles,
             cfg: snap.cfg,
             metrics: snap.metrics,
-            portables: snap
-                .portables
-                .into_iter()
-                .map(|(p, state)| (p, Tracked::new(state)))
-                .collect(),
+            portables,
             meeting_policies: snap.meeting_policies,
             cafeteria_pred: snap.cafeteria_pred,
             default_pred: snap.default_pred,
@@ -479,16 +768,17 @@ impl ResourceManager {
             .is_some_and(|t| t.state.is_static(self.cfg.t_th, now))
     }
 
-    /// Collect every portable that is static at `now` into the resident
-    /// `statics` buffer, ascending. One scan per refresh, not a
+    /// Collect every portable that is static at `now` into `statics`,
+    /// ascending, for the strategies whose refresh does not keep the
+    /// list as it goes (the paper's does). One scan per refresh, not a
     /// `portables` lookup per question: the conflict resolver asks twice
     /// per live connection, and with 1,000 portables (most of them
     /// mobile, so the list is short) the per-call lookups measured 29 %
     /// slower end to end.
     fn collect_statics(&mut self, now: SimTime) {
         let t_th = self.cfg.t_th;
-        self.scratch.statics.clear();
-        self.scratch.statics.extend(
+        self.statics.clear();
+        self.statics.extend(
             self.portables
                 .iter()
                 .filter(|(_, t)| t.state.is_static(t_th, now))
@@ -536,15 +826,32 @@ impl ResourceManager {
     // Entry points
     // ------------------------------------------------------------------
 
+    /// Replace `p`'s tracked state — the one place an entry is written,
+    /// so its memo and kept dispatch go with the old state — and file `p`
+    /// under its new cell's watch, which the next pass looks at.
+    fn track(&mut self, p: PortableId, state: PortableState) {
+        if let Some(old) = self.portables.insert(p, Tracked::new(state)) {
+            let left = &mut self.watch[old.state.cell.index()].members;
+            if let Ok(at) = left.binary_search(&p) {
+                left.remove(at);
+            }
+        }
+        let w = &mut self.watch[state.cell.index()];
+        if let Err(at) = w.members.binary_search(&p) {
+            w.members.insert(at, p);
+        }
+        w.pending = true;
+    }
+
     /// A portable appears (powers on) in a cell.
     pub fn portable_appears(&mut self, p: PortableId, cell: CellId, now: SimTime) {
-        self.portables.insert(
+        self.track(
             p,
-            Tracked::new(PortableState {
+            PortableState {
                 cell,
                 prev_cell: None,
                 entered_at: now,
-            }),
+            },
         );
         if self.zone_down(cell) {
             // The zone's profile server is out: the first-sighting
@@ -736,13 +1043,13 @@ impl ResourceManager {
         }
         self.scratch.moving = conns;
         // Update the portable's position and mobility clock.
-        self.portables.insert(
+        self.track(
             p,
-            Tracked::new(PortableState {
+            PortableState {
                 cell: to,
                 prev_cell: Some(from),
                 entered_at: now,
-            }),
+            },
         );
         self.sync_multicast_for(p, now);
         self.after_event(now);
@@ -1163,8 +1470,8 @@ impl ResourceManager {
             let round_tok = self.obs.phase_start(now);
             // The engine counters feed only the `MaxminRound` event.
             let before = self.obs.is_on().then_some(self.maxmin.stats);
-            // Collected by the refresh above, at the same `now`.
-            let statics = &self.scratch.statics;
+            // Kept by the refresh above, at the same `now`.
+            let statics = &self.statics;
             let is_static = |p: PortableId| statics.binary_search(&p).is_ok();
             arm_qos::conflict::resolve_network(
                 &mut self.net,
@@ -1221,137 +1528,177 @@ impl ResourceManager {
         false
     }
 
-    /// Recompute every advance claim from current state.
+    /// Recompute every advance claim from current state: build every
+    /// wireless link's plan — what wiping the claims the manager owns
+    /// and re-installing them would write there — then run the one
+    /// guarded apply step (`claim_plan::Plans::apply`). The `Channel`
+    /// claim is the channel monitor's and the `Outage` claim the fault
+    /// path's; both model capacity committed elsewhere and survive the
+    /// wipe.
     fn refresh_claims(&mut self, now: SimTime) {
-        // For the `B_dyn` pass below and for the adaptation round
-        // `after_event` may run next, at the same `now`.
-        self.collect_statics(now);
         #[cfg(test)]
         if self.reference_refresh {
+            self.collect_statics(now);
             return self.reference_refresh_claims(now);
         }
-        let refresh_tok = self.obs.phase_start(now);
-        // Wipe all wireless-link claims the manager owns. The Channel
-        // claim is the channel monitor's and the Outage claim the fault
-        // path's — both model capacity committed elsewhere and survive
-        // every refresh.
-        for (c, _) in self.env.cells() {
-            let wl = self.net.topology().wireless_link(c);
-            self.net
-                .link_mut(wl)
-                .retain_claims(|k| matches!(k, ResvClaim::Channel | ResvClaim::Outage));
+        // The statics are for the `B_dyn` pass and for the adaptation
+        // round `after_event` may run next, at the same `now`; the
+        // paper's dispatch pass keeps them itself, inside the span.
+        if !matches!(self.cfg.strategy, Strategy::Paper) {
+            self.collect_statics(now);
         }
-        // Re-tighten the outage seals before installing any advance
-        // claims: terminations during an outage must not open phantom
-        // headroom on a dead link, and a sealed link grants 0 to every
-        // claim set after it.
+        let refresh_tok = self.obs.phase_start(now);
+        self.refresh_stats.refreshes += 1;
+        // Drained at every refresh, whatever the strategy reads of it.
+        let all_changed = self.net.drain_changed_portables(&mut self.scratch.changed);
+        self.plans.begin();
+        // Each outage seal is its link's first write: terminations during
+        // an outage must not open phantom headroom on a dead link, and a
+        // sealed link grants 0 to every claim set after it. A wired link
+        // has no plan; its seal is re-tightened here.
         for l in &self.down_links {
-            Self::seal_link(&mut self.net, *l);
+            let cell = self.net.topology().link(*l).wireless_cell;
+            match cell.and_then(|c| self.plans.link(c)) {
+                Some(plan) => plan.seal(),
+                None => Self::seal_link(&mut self.net, *l),
+            }
         }
         match self.cfg.strategy {
             Strategy::None => {}
-            Strategy::Paper => self.refresh_paper(now),
-            Strategy::BruteForce => self.refresh_brute_force(),
-            Strategy::Aggregate => self.refresh_aggregate(),
+            Strategy::Paper => self.plan_paper(now, all_changed),
+            Strategy::BruteForce => self.plan_brute_force(),
+            Strategy::Aggregate => self.plan_aggregate(),
             Strategy::StaticFraction(f) => {
                 for (c, _) in self.env.cells() {
                     let wl = self.net.topology().wireless_link(c);
                     let amount = self.net.link(wl).capacity() * f;
-                    self.net.link_mut(wl).set_claim(ResvClaim::Cell(c), amount);
+                    self.plans
+                        .push(c, ClaimWrite::Set(ResvClaim::Cell(c), amount));
                 }
             }
         }
+        self.plans.apply(&mut self.net, &mut self.refresh_stats);
         self.obs.phase_end(Phase::ClaimRefresh, refresh_tok, now);
     }
 
     /// The paper's strategy: per-portable claims via the §6.4 dispatcher,
     /// lounge aggregate claims via the class policies, plus `B_dyn`.
-    fn refresh_paper(&mut self, now: SimTime) {
-        // Per-portable claims (mobile portables only). The loop borrows
-        // `portables`, so what it writes it reaches field by field rather
-        // than through `&mut self` helpers. Both `portables` and the
-        // network's portable index ascend by id, so each portable's
-        // connections come from a merge-join, not an index descent.
-        let (topo, mut by_portable, links) = self.net.ledgers_by_portable();
-        let floors = &mut self.scratch.floors;
-        for (p, Tracked { state, memo }) in &mut self.portables {
-            if state.is_static(self.cfg.t_th, now) {
-                continue; // B_dyn covers sudden movement of statics
-            }
-            floors.clear();
-            floors.extend(by_portable.seek(*p).map(|c| (c.id, c.qos.b_min)));
-            if floors.is_empty() {
-                continue;
-            }
-            if Self::zone_is_down(&self.down_zones, &self.profiles, state.cell) {
-                // Stale-profile fallback: the zone's profile server is
-                // out, so neither occupancy nor a movement prediction
-                // can be read. Reserve the portable's floors
-                // probabilistically — spread evenly over all neighbours,
-                // the default algorithm's no-history behaviour — rather
-                // than not at all.
-                self.stale_profile_fallbacks += 1;
-                let total: f64 = floors.iter().map(|(_, b)| b).sum();
-                Self::spread_evenly(topo, links, &self.env, state.cell, total);
-                continue;
-            }
-            let class = self.env.cell(state.cell).class;
-            // The dispatcher's inputs: kept while nothing they were read
-            // from has changed (see `DispatchMemo`), read afresh — one
-            // resolution of zone, server and profiles — otherwise.
-            let cell_rev = self.cell_revs[state.cell.index()];
-            let kept = match *memo {
-                Some(kept) if kept.cell_rev == cell_rev => kept,
-                _ => {
-                    let (is_occupant, prediction) =
-                        self.profiles
-                            .dispatch_inputs(*p, state.prev_cell, state.cell);
-                    *memo.insert(DispatchMemo {
-                        cell_rev,
-                        is_occupant,
-                        prediction,
-                    })
-                }
-            };
-            match decide_traced(
-                class,
-                kept.is_occupant,
-                kept.prediction,
-                now,
-                *p,
-                &mut self.obs,
-            ) {
-                ReservationDecision::PerConnection(target) => {
-                    if target != state.cell {
-                        let link = &mut links[topo.wireless_link(target).index()];
-                        for (id, b) in floors.iter() {
-                            link.set_claim(ResvClaim::Conn(*id), *b);
-                        }
-                    }
-                }
-                ReservationDecision::NoReservation
-                | ReservationDecision::ClassPolicy
-                | ReservationDecision::DefaultAlgorithm => {}
+    ///
+    /// The dispatch pass looks at the portables the network recorded as
+    /// changed and at every member of each cell its [`CellWatch`] says
+    /// to look at, and dispatches again exactly those whose kept
+    /// dispatch no longer holds ([`Tracked::dispatch_holds`]). Every
+    /// other portable's writes stand in the plans from its last
+    /// dispatch. With an observer recording, the pass walks every
+    /// portable in ascending order and emits each kept decision, so the
+    /// obs stream is that of a dispatch per portable. `all_changed`
+    /// counts every portable's connections as changed, so every cell is
+    /// looked at.
+    fn plan_paper(&mut self, now: SimTime, all_changed: bool) {
+        // A pass at an earlier instant than the last may find statics
+        // mobile again: it looks at every cell.
+        let backwards = self.last_pass.is_some_and(|t| now < t);
+        self.last_pass = Some(now);
+        for (i, w) in self.watch.iter_mut().enumerate() {
+            let zone_down =
+                Self::zone_is_down(&self.down_zones, &self.profiles, CellId::from_index(i));
+            w.due = all_changed
+                || backwards
+                || w.pending
+                || zone_down
+                || w.seen_rev != self.cell_revs[i]
+                || now >= w.next_flip;
+            if w.due {
+                // Looked at again once the zone's server is back.
+                w.pending = zone_down;
+                w.seen_rev = self.cell_revs[i];
+                w.next_flip = SimTime::MAX;
             }
         }
+        let ResourceManager {
+            portables,
+            env,
+            profiles,
+            net,
+            cfg,
+            obs,
+            plans,
+            scratch,
+            cell_revs,
+            down_zones,
+            watch,
+            statics,
+            refresh_stats,
+            stale_profile_fallbacks,
+            ..
+        } = self;
+        let mut pass = DispatchPass {
+            now,
+            t_th: cfg.t_th,
+            env,
+            profiles,
+            net,
+            down_zones,
+            cell_revs,
+            changed: &scratch.changed,
+            obs,
+            plans,
+            watch,
+            statics,
+            floors: &mut scratch.floors,
+            fresh: &mut scratch.fresh,
+            stats: refresh_stats,
+            fallbacks: stale_profile_fallbacks,
+            all_changed,
+        };
+        // A portable is looked at once: with its due cell, or else for
+        // its changed connections.
+        let changed = pass.changed;
+        if pass.obs.is_on() {
+            for (p, t) in portables.iter_mut() {
+                if pass.watch[t.state.cell.index()].due || changed.binary_search(p).is_ok() {
+                    pass.look(*p, t);
+                } else if let Some(Dispatched::Decided(decision)) = t.dispatched {
+                    pass.emit_kept(*p, decision);
+                }
+            }
+        } else {
+            for i in 0..pass.watch.len() {
+                if !pass.watch[i].due {
+                    continue;
+                }
+                // By index: looking writes the watch's `next_flip`.
+                for k in 0..pass.watch[i].members.len() {
+                    let p = pass.watch[i].members[k];
+                    if let Some(t) = portables.get_mut(&p) {
+                        pass.look(p, t);
+                    }
+                }
+            }
+            for p in changed {
+                if let Some(t) = portables.get_mut(p) {
+                    if !pass.watch[t.state.cell.index()].due {
+                        pass.look(*p, t);
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(self.watch_is_exact(now), Ok(()));
         // Lounge class policies.
-        self.refresh_lounge_claims(now);
+        self.plan_lounges(now);
         // B_dyn pools: every cell's largest static allocation, folded
-        // over the static portables' own connections (the statics and
-        // the portable index both ascend, so again a merge-join), then
-        // each cell's pool from its neighbours' maxima. `max` is exact,
-        // so the visiting order cannot move a bit.
+        // over the static portables' own connections, then each cell's
+        // pool from its neighbours' maxima. `max` is exact, so the
+        // visiting order cannot move a bit. The statics are few (16 of
+        // 240 portables on an average `wing_rush` refresh), so each is
+        // looked up in the portable index rather than merge-joined with
+        // the whole of it.
         if let Some(policy) = self.cfg.dyn_pool {
-            let RefreshScratch {
-                statics,
-                static_max,
-                ..
-            } = &mut self.scratch;
+            let static_max = &mut self.scratch.static_max;
             static_max.clear();
             static_max.resize(self.net.topology().cell_count(), 0.0);
-            let mut by_portable = self.net.by_portable();
-            for p in statics.iter() {
-                for c in by_portable.seek(*p) {
+            for p in &self.statics {
+                for c in self.net.connections_of_portable(*p) {
                     let m = &mut static_max[c.cell.index()];
                     *m = m.max(c.b_current);
                 }
@@ -1361,14 +1708,62 @@ impl ResourceManager {
                     .neighbors
                     .iter()
                     .fold(0.0_f64, |m, n| m.max(static_max[n.index()]));
-                arm_qos::adaptation::adjust_dyn_pool(&mut self.net, c, max_alloc, policy);
+                let wl = self.net.topology().wireless_link(c);
+                let pool = policy.target_pool(self.net.link(wl).capacity(), max_alloc);
+                self.plans.set_dyn_pool(c, pool);
             }
         }
     }
 
+    /// What the dispatch pass at `now` must have left: every portable it
+    /// did not look at (its cell was not due, its connections did not
+    /// change) still holds its kept dispatch, `statics` is the static
+    /// portables, and each cell's watch lists its members. The scan the
+    /// pass replaces, run in debug builds after every pass.
+    fn watch_is_exact(&self, now: SimTime) -> Result<(), String> {
+        let t_th = self.cfg.t_th;
+        // Compared in place: the pass runs after every event, and a
+        // passing check allocates nothing (`tests/zero_alloc.rs` counts
+        // debug builds too).
+        let statics = || {
+            self.portables
+                .iter()
+                .filter(|(_, t)| t.state.is_static(t_th, now))
+                .map(|(p, _)| *p)
+        };
+        if !statics().eq(self.statics.iter().copied()) {
+            let statics: Vec<PortableId> = statics().collect();
+            return Err(format!("statics {:?}, kept {:?}", statics, self.statics));
+        }
+        for (p, t) in &self.portables {
+            let cell = t.state.cell;
+            if self.watch[cell.index()].members.binary_search(p).is_err() {
+                return Err(format!("{p:?} missing from the watch of {cell:?}"));
+            }
+            let looked_at =
+                self.watch[cell.index()].due || self.scratch.changed.binary_search(p).is_ok();
+            if looked_at {
+                continue;
+            }
+            let mobile = !t.state.is_static(t_th, now);
+            let zone_down = Self::zone_is_down(&self.down_zones, &self.profiles, cell);
+            if !t.dispatch_holds(mobile, false, zone_down, self.cell_revs[cell.index()]) {
+                return Err(format!("{p:?} needed a dispatch and was not looked at"));
+            }
+        }
+        let watched: usize = self.watch.iter().map(|w| w.members.len()).sum();
+        if watched != self.portables.len() {
+            return Err(format!(
+                "{watched} watched, {} tracked",
+                self.portables.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Aggregate claims from the lounge policies (meeting calendar,
     /// cafeteria least-squares, default one-step).
-    fn refresh_lounge_claims(&mut self, now: SimTime) {
+    fn plan_lounges(&mut self, now: SimTime) {
         let mut lounges = std::mem::take(&mut self.scratch.lounges);
         lounges.clear();
         // Meeting rooms.
@@ -1384,8 +1779,8 @@ impl ResourceManager {
         lounges.extend(caf.chain(def).map(|(c, n)| (c, n * PER_USER_KBPS, 0.0)));
         for &(m, room, neighbor) in &lounges[..meeting_rooms] {
             if room > 0.0 {
-                let wl = self.net.topology().wireless_link(m);
-                self.net.link_mut(wl).set_claim(ResvClaim::Cell(m), room);
+                self.plans
+                    .push(m, ClaimWrite::Set(ResvClaim::Cell(m), room));
             }
             if neighbor > 0.0 {
                 self.spread_to_neighbors(m, neighbor);
@@ -1400,8 +1795,8 @@ impl ResourceManager {
     }
 
     /// Split an aggregate demand from `source` over its neighbours by the
-    /// profile transition row (even split without history), installing
-    /// `Cell(source)` claims.
+    /// profile transition row (even split without history), adding to
+    /// their `Cell(source)` claims.
     fn spread_to_neighbors(&mut self, source: CellId, demand: f64) {
         let neighbors = &self.env.cell(source).neighbors;
         if neighbors.is_empty() {
@@ -1430,54 +1825,45 @@ impl ResourceManager {
             };
             let amount = demand * share;
             if amount > 0.0 {
-                let wl = self.net.topology().wireless_link(*n);
-                Self::add_cell_claim(self.net.link_mut(wl), source, amount);
+                self.plans
+                    .push(*n, ClaimWrite::Add(ResvClaim::Cell(source), amount));
             }
         }
     }
 
-    /// Grow the `Cell(source)` claim on a neighbour's wireless link.
-    fn add_cell_claim(link: &mut LinkState, source: CellId, amount: f64) {
-        let cur = link.claim(ResvClaim::Cell(source));
-        link.set_claim(ResvClaim::Cell(source), cur + amount);
-    }
-
     /// Even-split spread used when profile data is unavailable (zone
     /// profile-server outage): no transition row can be read, so the
-    /// demand is divided uniformly over the neighbours. Over the
-    /// ledgers (index = `LinkId`), for the refresh loop that holds them
-    /// split from the rest of the network.
+    /// demand is divided uniformly over the neighbours. Appended to
+    /// `out` by neighbour, for the dispatch pass that holds `portables`.
     fn spread_evenly(
-        topo: &Topology,
-        links: &mut [LinkState],
         env: &IndoorEnvironment,
         source: CellId,
         demand: f64,
+        out: &mut Vec<(CellId, ClaimWrite)>,
     ) {
         let neighbors = &env.cell(source).neighbors;
         if neighbors.is_empty() || demand <= 0.0 {
             return;
         }
         let share = demand / neighbors.len() as f64;
-        for n in neighbors {
-            Self::add_cell_claim(&mut links[topo.wireless_link(*n).index()], source, share);
-        }
+        let add = ClaimWrite::Add(ResvClaim::Cell(source), share);
+        out.extend(neighbors.iter().map(|n| (*n, add)));
     }
 
-    fn refresh_brute_force(&mut self) {
+    fn plan_brute_force(&mut self) {
         let demands = self.mobile_demands();
         for (p, cell) in demands {
             Self::collect_floors(&self.net, &mut self.scratch.floors, p);
             for n in self.env.neighbors(cell) {
-                let wl = self.net.topology().wireless_link(n);
                 for (id, b) in &self.scratch.floors {
-                    self.net.link_mut(wl).set_claim(ResvClaim::Conn(*id), *b);
+                    self.plans
+                        .push(n, ClaimWrite::Set(ResvClaim::Conn(*id), *b));
                 }
             }
         }
     }
 
-    fn refresh_aggregate(&mut self) {
+    fn plan_aggregate(&mut self) {
         let demands = self.mobile_demands();
         for (p, cell) in demands {
             let total: f64 = self

@@ -1,19 +1,22 @@
-//! The claim refresh as it stood before the resident index, tallies and
-//! scratch: every helper scans — the whole connection table per
-//! portable and per neighbour cell, the whole handoff history per
-//! prediction and per lounge row — and collects into fresh `Vec`s. Kept
-//! verbatim (names prefixed, the scans spelled out here because the
-//! scanning library calls are gone) as the oracle of
-//! `tests::refresh_matches_the_scanning_reference`: a twin manager
-//! with `reference_refresh` set runs this body instead, and every
-//! link's claims must come out `to_bits`-identical after every event.
-//! Compiled for tests only, so nothing else can call it.
+//! The claim refresh as it stood before the resident index, tallies,
+//! scratch and plans: wholesale — every manager-owned claim on every
+//! wireless link wiped and re-installed after every event — and every
+//! helper scans — the whole connection table per portable and per
+//! neighbour cell, the whole handoff history per prediction and per
+//! lounge row — and collects into fresh `Vec`s. Kept verbatim (names
+//! prefixed, the scans spelled out here because the scanning library
+//! calls are gone) as the oracle of the `tests::refresh_matches_*`
+//! differentials: a twin manager with `reference_refresh` set runs this
+//! body instead, and every link's claims must come out `to_bits`-identical
+//! after every event. [`reference_rewrite`] is its share on one link,
+//! the guarded apply step's oracle. Compiled for tests only, so nothing
+//! else can call it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_net::ids::{CellId, ConnId, LinkId, PortableId};
 use arm_net::link::ResvClaim;
-use arm_net::{Connection, Network};
+use arm_net::{Connection, LinkState, Network};
 use arm_obs::Phase;
 use arm_profiles::prediction::{Prediction, PredictionLevel};
 use arm_profiles::CellProfile;
@@ -22,6 +25,7 @@ use arm_reservation::dispatch::{decide_traced, ReservationDecision};
 use arm_sim::SimTime;
 
 use super::{PortableState, ResourceManager, PER_USER_KBPS};
+use crate::claim_plan::ClaimWrite;
 use crate::strategy::Strategy;
 
 /// `Network::connections_of_portable` as a scan of every record.
@@ -34,7 +38,8 @@ fn scan_cell(net: &Network, cell: CellId) -> impl Iterator<Item = &Connection> {
     net.live_connections().filter(move |c| c.cell == cell)
 }
 
-/// `adjust_dyn_pool` scanning the table once per neighbour cell.
+/// The `B_dyn` install (`adaptation::adjust_dyn_pool`, since deleted)
+/// scanning the table once per neighbour cell.
 fn scan_adjust_dyn_pool(
     net: &mut Network,
     cell: CellId,
@@ -68,6 +73,34 @@ fn scan_aggregate_row(cp: &CellProfile) -> BTreeMap<CellId, f64> {
         .into_iter()
         .map(|(c, n)| (c, n as f64 / total as f64))
         .collect()
+}
+
+/// One link's share of the wholesale refresh, unguarded: release every
+/// claim the refresh owns key by key, as [`reference_refresh_claims`]
+/// does, then make `writes` in order — what the guarded apply step must
+/// agree with whenever it lets a link stand.
+///
+/// [`reference_refresh_claims`]: ResourceManager::reference_refresh_claims
+pub(super) fn reference_rewrite(link: &mut LinkState, writes: &[ClaimWrite]) {
+    let keys: Vec<ResvClaim> = link
+        .claims()
+        .map(|(k, _)| k)
+        .filter(|k| *k != ResvClaim::Channel && *k != ResvClaim::Outage)
+        .collect();
+    for k in keys {
+        link.release_claim(k);
+    }
+    for w in writes {
+        match *w {
+            ClaimWrite::Set(k, amount) => {
+                link.set_claim(k, amount);
+            }
+            ClaimWrite::Add(k, amount) => {
+                let cur = link.claim(k);
+                link.set_claim(k, cur + amount);
+            }
+        }
+    }
 }
 
 impl ResourceManager {

@@ -866,6 +866,7 @@ enum Churn {
     SlotTick,
     ProfilesDown(ZoneId),
     ProfilesUp(ZoneId),
+    Renegotiate(u32, f64, f64),
 }
 
 /// `core/tests/chaos.rs::churn_schedule` draw for draw (same seeding
@@ -969,6 +970,18 @@ fn apply_churn(
         Churn::SlotTick => mgr.slot_tick(t),
         Churn::ProfilesDown(zone) => mgr.profile_server_down(zone, t),
         Churn::ProfilesUp(zone) => mgr.profile_server_up(zone, t),
+        Churn::Renegotiate(p, b_min, b_max) => {
+            // The record may be gone: dropped in a handoff or a fade.
+            if let Some(&id) = conns.get(&p).filter(|id| mgr.net.get(**id).is_some()) {
+                let qos = QosRequest::bandwidth(b_min, b_max)
+                    .with_delay(10.0)
+                    .with_jitter(10.0)
+                    .with_loss(1.0);
+                // A refusal keeps the old bounds; either way both twins
+                // see the same outcome.
+                let _ = mgr.renegotiate(id, qos, t);
+            }
+        }
     }
 }
 
@@ -1119,6 +1132,276 @@ fn refresh_matches_the_scanning_reference() {
     assert!(dispatches > 1000, "only {dispatches} dispatches observed");
     assert!(fallbacks > 100, "only {fallbacks} stale-profile fallbacks");
     assert!(claims_seen > 10_000, "only {claims_seen} claims observed");
+}
+
+/// Drive a production manager and its reference twin (`make(false)`,
+/// `make(true)`) through `schedule`, comparing every link's claims,
+/// `b_resv` and excess with `to_bits` after every event; just before
+/// event `restore_at` the production twin is replaced by its own
+/// `snapshot → to_json → from_json → restore`. At the end the obs
+/// streams, the metrics and the stale-profile fallbacks must agree too.
+/// Returns the production twin's `ReservationDispatch` count.
+fn assert_twins_agree(
+    make: &dyn Fn(bool) -> ResourceManager,
+    schedule: &[(SimTime, Churn)],
+    restore_at: usize,
+    ctx: &str,
+) -> u64 {
+    let (mut live, mut reference) = (make(false), make(true));
+    let (mut live_conns, mut ref_conns) = Default::default();
+    for (k, &(t, ev)) in schedule.iter().enumerate() {
+        if k == restore_at {
+            let json = live.snapshot().to_json().expect("snapshot serializes");
+            let snap = ManagerSnapshot::from_json(&json).expect("snapshot parses");
+            live = ResourceManager::restore(snap, live.take_obs())
+                .expect("a live manager's snapshot restores");
+        }
+        apply_churn(&mut live, &mut live_conns, ev, t);
+        apply_churn(&mut reference, &mut ref_conns, ev, t);
+        assert_eq!(
+            ledger_bits(&live),
+            ledger_bits(&reference),
+            "{ctx} event {k}: {ev:?}"
+        );
+        assert!(live.net.check_invariants().is_ok(), "{ctx} event {k}");
+    }
+    assert_eq!(live_conns, ref_conns, "{ctx}");
+    let (a, b) = (live.take_obs(), reference.take_obs());
+    let (ea, eb) = (
+        rounds_uncounted(a.snapshot_events()),
+        rounds_uncounted(b.snapshot_events()),
+    );
+    let differ = ea.iter().zip(&eb).position(|(x, y)| x != y);
+    assert_eq!(differ, None, "{ctx}: obs streams part");
+    assert_eq!(ea.len(), eb.len(), "{ctx}");
+    assert_eq!(
+        format!("{:?}", live.metrics.summary()),
+        format!("{:?}", reference.metrics.summary()),
+        "{ctx}"
+    );
+    assert_eq!(
+        live.stale_profile_fallbacks, reference.stale_profile_fallbacks,
+        "{ctx}"
+    );
+    a.count(arm_obs::EventKind::ReservationDispatch)
+}
+
+/// [`churn_schedule`] with a re-negotiation after every 5th event: a
+/// drawn portable asks for new bounds on its open connection, so floors
+/// change under a portable that neither moved nor connected — through
+/// `Network::get_mut` alone.
+fn churn_with_renegotiation(seed: u64, len: usize, cells: &[CellId], zones: u32) -> Vec<Churn> {
+    let mut rng = arm_sim::SimRng::new(seed).split("renegotiation");
+    let mut events = Vec::with_capacity(len + len / 5);
+    for (k, ev) in churn_schedule(seed, len, cells, zones)
+        .into_iter()
+        .enumerate()
+    {
+        events.push(ev);
+        if k % 5 == 4 {
+            events.push(Churn::Renegotiate(
+                rng.index(6) as u32,
+                rng.uniform(50.0, 400.0),
+                rng.uniform(400.0, 1600.0),
+            ));
+        }
+    }
+    events
+}
+
+/// [`refresh_matches_the_scanning_reference`]'s twins, every strategy,
+/// `B_dyn` on and off, on the Figure 4 floor, the same floor in two
+/// zones and the small wing, fed [`churn_with_renegotiation`]: a
+/// portable whose floors change without a move or a new connection is
+/// dispatched again.
+#[test]
+fn refresh_matches_the_reference_under_renegotiation() {
+    use arm_obs::Obs;
+    let f4 = Figure4::build();
+    let wing = arm_mobility::environment::office_wing(3);
+    let mut zoned = f4.env.clone();
+    for cell in [f4.b, f4.e, f4.f, f4.g] {
+        zoned.set_zone(cell, ZoneId(1));
+    }
+    let floors: [(&str, &IndoorEnvironment, u32); 3] = [
+        ("figure4", &f4.env, 1),
+        ("two-zones", &zoned, 2),
+        ("wing", &wing, 1),
+    ];
+    let mut dispatches = 0;
+    for (floor, env, zones) in floors {
+        let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
+        for strategy in [
+            Strategy::None,
+            Strategy::Paper,
+            Strategy::BruteForce,
+            Strategy::Aggregate,
+            Strategy::StaticFraction(0.1),
+        ] {
+            for dyn_pool in [Some(DynPoolPolicy::default()), None] {
+                for seed in 0..6u64 {
+                    let make = |reference: bool| {
+                        let net = env.build_network(1600.0, 0.0, 100_000.0);
+                        let cfg = ManagerConfig {
+                            strategy,
+                            dyn_pool,
+                            resolve_excess: true,
+                            t_th: SimDuration::from_secs(40),
+                            ..Default::default()
+                        };
+                        let mut mgr = ResourceManager::new(env.clone(), net, cfg);
+                        mgr.set_obs(Obs::recording(1 << 16));
+                        if reference {
+                            mgr.use_reference_refresh();
+                        }
+                        mgr
+                    };
+                    let schedule: Vec<(SimTime, Churn)> =
+                        churn_with_renegotiation(seed, 90, &cells, zones)
+                            .into_iter()
+                            .enumerate()
+                            .map(|(k, ev)| (SimTime::from_secs(4 * (k as u64 + 1)), ev))
+                            .collect();
+                    let ctx = format!(
+                        "{floor} {strategy:?} dyn_pool={} seed {seed}",
+                        dyn_pool.is_some()
+                    );
+                    dispatches += assert_twins_agree(&make, &schedule, 50, &ctx);
+                }
+            }
+        }
+    }
+    assert!(dispatches > 1000, "only {dispatches} dispatches observed");
+}
+
+/// The differential at the benchmark's scale: `wing_rush`'s floor
+/// (`office_wing(30)`, 63 cells) and its 240 random walkers over 40
+/// minutes, the paper strategy with `B_dyn` on and off, 16 seeds, the
+/// observer off (the production path), the production twin restored
+/// from its own snapshot half way. Beside the trace's appearances and
+/// moves and the slot ticks, a drawn portable re-negotiates after every
+/// 37th event and hangs up after every 53rd, the moved-to cell fades
+/// after every 211th, and zone 0's profile server is out for one stretch
+/// of 200 events. Slow against the scanning reference in a debug build:
+/// `cargo test --release -p arm-core --lib -- --ignored`.
+#[test]
+#[ignore = "benchmark scale; run in release"]
+fn refresh_matches_the_reference_at_benchmark_scale() {
+    use crate::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
+    for dyn_pool in [Some(DynPoolPolicy::default()), None] {
+        for seed in 0..16u64 {
+            let sc = Scenario {
+                name: "wide-differential".into(),
+                environment: EnvSpec::OfficeWing { offices: 30 },
+                mobility: MobilitySpec::RandomWalk {
+                    population: 240,
+                    mean_dwell_secs: 120,
+                    span_mins: 40,
+                },
+                workload: WorkloadSpec::Paper71,
+                strategy: Strategy::Paper,
+                cell_throughput_kbps: 400.0,
+                backbone_kbps: 100_000.0,
+                wireless_error: 0.0,
+                t_th_secs: 300,
+                seed,
+            };
+            let make = |reference: bool| {
+                let (mut mgr, _) = scenario::build_manager(&sc).expect("valid scenario");
+                mgr.cfg.dyn_pool = dyn_pool;
+                if reference {
+                    mgr.use_reference_refresh();
+                }
+                mgr
+            };
+            let (_, trace) = scenario::build_manager(&sc).expect("valid scenario");
+            let mut rng = arm_sim::SimRng::new(seed).split("wide-differential");
+            let mix = arm_mobility::WorkloadMix::paper71();
+            let mut schedule = Vec::new();
+            let mut next_slot = SimTime::ZERO + SLOT;
+            for (k, ev) in trace.events().iter().enumerate() {
+                while ev.time >= next_slot {
+                    schedule.push((next_slot, Churn::SlotTick));
+                    next_slot += SLOT;
+                }
+                let p = ev.portable.0;
+                match ev.from {
+                    None => {
+                        let q = mix.sample(&mut rng);
+                        schedule.push((ev.time, Churn::Appear(p, ev.to)));
+                        schedule.push((ev.time, Churn::Connect(p, q.b_min, q.b_max)));
+                    }
+                    Some(_) => schedule.push((ev.time, Churn::Move(p, ev.to))),
+                }
+                let drawn = rng.index(240) as u32;
+                if k % 37 == 36 {
+                    let b = rng.uniform(8.0, 96.0);
+                    schedule.push((ev.time, Churn::Renegotiate(drawn, b, b)));
+                }
+                if k % 53 == 52 {
+                    schedule.push((ev.time, Churn::Terminate(drawn)));
+                }
+                if k % 211 == 210 {
+                    schedule.push((ev.time, Churn::Fade(ev.to, rng.uniform(0.5, 1.0))));
+                }
+                if k == 1000 {
+                    schedule.push((ev.time, Churn::ProfilesDown(ZoneId(0))));
+                }
+                if k == 1200 {
+                    schedule.push((ev.time, Churn::ProfilesUp(ZoneId(0))));
+                }
+            }
+            let ctx = format!("wing seed {seed} dyn_pool={}", dyn_pool.is_some());
+            assert_twins_agree(&make, &schedule, schedule.len() / 2, &ctx);
+        }
+    }
+}
+
+/// The guard's third condition, on a hand-built link where it is the
+/// only one that matters. A `Channel` claim of 0.1 and a plan of three
+/// `Cell` spreads — 0.1, 0.6, 0.9 — whose wipe-and-replay moves `b_resv`
+/// by an ULP at each of the first three re-runs and by nothing at the
+/// fourth. The plan never changes and nothing else writes the ledger, so
+/// a guard that looked only at the plan and the revision would let the
+/// link stand from the second refresh on, one ULP away from what the
+/// wholesale refresh (`reference::reference_rewrite`) leaves.
+#[test]
+fn the_no_op_guard_reruns_until_a_run_changes_nothing() {
+    use crate::claim_plan::{ClaimWrite, LinkPlan};
+    use arm_net::LinkState;
+    let writes =
+        [(0, 0.1), (1, 0.6), (2, 0.9)].map(|(c, v)| ClaimWrite::Add(ResvClaim::Cell(CellId(c)), v));
+    let mut guarded = LinkState::new(100.0);
+    guarded.set_claim(ResvClaim::Channel, 0.1);
+    let mut wholesale = guarded.clone();
+    let bits = |l: &LinkState| {
+        let claims: Vec<(ResvClaim, u64)> = l.claims().map(|(k, v)| (k, v.to_bits())).collect();
+        (claims, l.sum_bits())
+    };
+    let mut plan = LinkPlan::default();
+    let mut scratch = Vec::new();
+    let mut reran = Vec::new();
+    let mut resv = Vec::new();
+    for step in 0..6 {
+        plan.begin();
+        for w in writes {
+            plan.push(w);
+        }
+        reran.push(plan.apply(&mut guarded, &mut scratch));
+        super::reference::reference_rewrite(&mut wholesale, &writes);
+        assert_eq!(bits(&guarded), bits(&wholesale), "refresh {step}");
+        resv.push(guarded.b_resv().to_bits());
+    }
+    assert_eq!(reran, [true, true, true, true, false, false]);
+    assert!(resv[0] != resv[1] && resv[1] != resv[2] && resv[2] == resv[3]);
+    // Any write to the ledger, even one that changes no bit, puts the
+    // link back on the re-run path.
+    guarded.release_claim(ResvClaim::Outage);
+    plan.begin();
+    for w in writes {
+        plan.push(w);
+    }
+    assert!(plan.apply(&mut guarded, &mut scratch));
 }
 
 /// The floors the route tables are proved on: the Figure 4 office, the

@@ -5,13 +5,14 @@
 //! On the benchmark's `wing_rush` floor (63 cells, 240 walkers, the
 //! paper strategy with `B_dyn` and multicast on) at steady state, one
 //! `portable_moved` — profile update, handoff admission, multicast
-//! re-establishment and the full claim refresh behind it — performs an
+//! re-establishment and the claim refresh behind it — performs an
 //! exact, asserted number of heap allocations. Neither the handoff nor
 //! the claim refresh contributes any: they run off `Network`'s portable
 //! index, the links' flat claim tables, the cell profiles' resident
 //! tallies, the manager's uplink and neighbour route tables
 //! (`arm_net::routing::{uplink_routes, neighbor_legs}`, computed once),
-//! the dispatch memo beside each portable and the resident scratch.
+//! the dispatch memo beside each portable, the claim plans and the
+//! resident scratch.
 //! What is left is itemised at
 //! [`MOVE_ALLOCATIONS`]. A stray `collect()` or `clone()` anywhere under
 //! `portable_moved` compiles fine and regresses silently — this test
@@ -41,9 +42,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 ///   capacity;
 /// * 2 — the profile update: the portable profile's majority recount for
 ///   the `(prev, cur)` triplet, and a tally entry;
-/// * 0 — the claim refresh (claims into the flat tables, each lounge's
-///   transition row into a resident buffer via
-///   `CellProfile::aggregate_row_into`);
+/// * 0 — the claim refresh: the mover is filed under its new cell's
+///   watch, its writes move between the plans' per-portable parts, the
+///   links the guard re-runs replay into the flat claim tables, and each
+///   lounge's transition row goes into a resident buffer
+///   (`CellProfile::aggregate_row_into`) — every buffer within the
+///   capacity earlier events left it;
 /// * 0 — the handoff itself (route from the uplink table into the old
 ///   route's buffers, admission through resident scratch).
 ///

@@ -102,6 +102,31 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
+/// Where a ledger stands in its history of writes
+/// ([`LinkState::revision`]). Two readings are equal only if they were
+/// taken of the same ledger with no write between them: every ledger —
+/// built, decoded or cloned — starts a lineage no other ledger in the
+/// process shares, and every write counts one more within it. A ledger
+/// swapped in under a reader that kept a reading therefore never
+/// matches that reading.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Revision {
+    lineage: u64,
+    writes: u64,
+}
+
+impl Revision {
+    /// The start of a lineage no other ledger has.
+    fn fresh() -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(0);
+        Revision {
+            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
+            writes: 0,
+        }
+    }
+}
+
 /// Reservation and allocation state of one link.
 ///
 /// Both tables are flat `Vec`s sorted by key — allocations by `ConnId`,
@@ -110,7 +135,13 @@ impl std::error::Error for LedgerError {}
 /// steady-state admission round trip nor a claim refresh allocates. Each
 /// iterates (and serializes) in the same ascending order as the
 /// `BTreeMap` it replaced.
-#[derive(Clone, Debug)]
+///
+/// Every `&mut self` method moves the [`revision`](Self::revision) —
+/// failed operations too — so a reader that saw revision `r` knows the
+/// ledger has not been written since if it still reads `r`. The revision
+/// is not serialised: a decoded ledger, like a built or cloned one,
+/// starts a [`Revision`] lineage of its own.
+#[derive(Debug)]
 pub struct LinkState {
     capacity: f64,
     buffer_capacity: f64,
@@ -120,6 +151,20 @@ pub struct LinkState {
     sum_b_alloc: f64,
     sum_resv: f64,
     sum_buffer: f64,
+    rev: Revision,
+}
+
+/// A copy with the same bits and a lineage of its own, so that it can
+/// never be taken for the original at a reading of the original's.
+impl Clone for LinkState {
+    fn clone(&self) -> Self {
+        LinkState {
+            allocs: self.allocs.clone(),
+            advance: self.advance.clone(),
+            rev: Revision::fresh(),
+            ..*self
+        }
+    }
 }
 
 // Snapshot support. Manual impls because `buffer_capacity` defaults to
@@ -204,6 +249,7 @@ impl TryFrom<wire::LinkState> for LinkState {
             sum_b_alloc: w.sum_b_alloc,
             sum_resv: w.sum_resv,
             sum_buffer: w.sum_buffer,
+            rev: Revision::fresh(),
         })
     }
 }
@@ -225,13 +271,37 @@ impl LinkState {
             sum_b_alloc: 0.0,
             sum_resv: 0.0,
             sum_buffer: 0.0,
+            rev: Revision::fresh(),
         }
     }
 
     /// Bound the buffer pool (kilobits).
     pub fn with_buffer_capacity(mut self, b: f64) -> Self {
+        self.bump();
         self.buffer_capacity = b;
         self
+    }
+
+    /// Where the ledger stands in its history of writes: equal readings
+    /// bracket no write (see [`Revision`]).
+    pub fn revision(&self) -> Revision {
+        self.rev
+    }
+
+    #[inline]
+    fn bump(&mut self) {
+        self.rev.writes = self.rev.writes.wrapping_add(1);
+    }
+
+    /// The four running sums as bits: `Σ b_min`, `Σ b_alloc`, `b_resv`,
+    /// `Σ buffer`.
+    pub fn sum_bits(&self) -> [u64; 4] {
+        [
+            self.sum_b_min.to_bits(),
+            self.sum_b_alloc.to_bits(),
+            self.sum_resv.to_bits(),
+            self.sum_buffer.to_bits(),
+        ]
     }
 
     /// Link speed `C_l`.
@@ -331,6 +401,7 @@ impl LinkState {
         buffer: f64,
         consume_claim: bool,
     ) -> Result<(), LedgerError> {
+        self.bump();
         assert!(b_min >= 0.0 && buffer >= 0.0);
         let Err(at) = self.pos(conn) else {
             return Err(LedgerError::DuplicateConn);
@@ -406,6 +477,7 @@ impl LinkState {
 
     /// Release a connection entirely, returning its allocation.
     pub fn release(&mut self, conn: ConnId) -> Result<Alloc, LedgerError> {
+        self.bump();
         let at = self.pos(conn).map_err(|_| LedgerError::UnknownConn)?;
         let alloc = self.allocs.remove(at).1;
         self.sum_b_min -= alloc.b_min;
@@ -421,6 +493,7 @@ impl LinkState {
     /// always allowed (they can only improve feasibility); increases must
     /// fit beside the advance reservations.
     pub fn set_alloc(&mut self, conn: ConnId, b_alloc: f64) -> Result<(), LedgerError> {
+        self.bump();
         let at = self.pos(conn).map_err(|_| LedgerError::UnknownConn)?;
         let cur = &self.allocs[at].1;
         if b_alloc + EPS < cur.b_min {
@@ -439,6 +512,7 @@ impl LinkState {
 
     /// Set a connection's reserved buffer (buffer adaptation, §5.3).
     pub fn set_buffer(&mut self, conn: ConnId, buffer: f64) -> Result<(), LedgerError> {
+        self.bump();
         let at = self.pos(conn).map_err(|_| LedgerError::UnknownConn)?;
         let new_sum = self.sum_buffer - self.allocs[at].1.buffer + buffer;
         if new_sum > self.buffer_capacity + EPS {
@@ -471,6 +545,7 @@ impl LinkState {
     /// but never beyond what squeezing could recover: the grant is capped
     /// so that `Σ b_min + b_resv ≤ C_l`. Returns the granted amount.
     pub fn set_claim(&mut self, key: ResvClaim, amount: f64) -> f64 {
+        self.bump();
         assert!(amount >= 0.0);
         let at = self.claim_pos(key);
         let old = at.map_or(0.0, |i| self.advance[i].1);
@@ -494,6 +569,7 @@ impl LinkState {
 
     /// Remove a claim entirely, returning the released amount.
     pub fn release_claim(&mut self, key: ResvClaim) -> f64 {
+        self.bump();
         match self.claim_pos(key) {
             Ok(i) => {
                 let v = self.advance.remove(i).1;
@@ -511,6 +587,7 @@ impl LinkState {
     /// [`release_claim`](Self::release_claim) on each of those keys in
     /// that order does, without collecting them first.
     pub fn retain_claims(&mut self, mut keep: impl FnMut(ResvClaim) -> bool) {
+        self.bump();
         let Self {
             advance, sum_resv, ..
         } = self;

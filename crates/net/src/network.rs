@@ -21,7 +21,7 @@ use crate::routing::Route;
 use crate::topology::Topology;
 
 /// Topology plus run-time state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Network {
     topo: Topology,
     links: Vec<LinkState>,
@@ -46,6 +46,32 @@ pub struct Network {
     /// [`Network::mark_blocked`], never serialised, rebuilt on decode.
     /// No entry is ever empty.
     portable_conns: BTreeMap<PortableId, Vec<ConnId>>,
+    /// Portables whose connections may have changed since the last
+    /// [`Network::drain_changed_portables`]: the owner of every record
+    /// installed, retired, re-rated or handed out by `get_mut`.
+    /// Unordered, may repeat; never serialised (a decoded network starts
+    /// empty and unseen).
+    changed: Vec<PortableId>,
+    /// Built, decoded or cloned since the last drain: a reader that kept
+    /// state from before cannot know it was this network's, so every
+    /// portable counts as changed, recorded or not.
+    unseen: bool,
+}
+
+/// A copy that a reader of the original's change record cannot take for
+/// the original: it starts unseen.
+impl Clone for Network {
+    fn clone(&self) -> Self {
+        Network {
+            topo: self.topo.clone(),
+            links: self.links.clone(),
+            conns: self.conns.clone(),
+            link_conns: self.link_conns.clone(),
+            portable_conns: self.portable_conns.clone(),
+            changed: self.changed.clone(),
+            unseen: true,
+        }
+    }
 }
 
 // Manual impls so the derived index stays off the wire: exactly the four
@@ -100,41 +126,9 @@ impl From<wire::Network> for Network {
             conns: w.conns,
             link_conns: w.link_conns,
             portable_conns,
+            changed: Vec::new(),
+            unseen: true,
         }
-    }
-}
-
-/// A forward cursor over the per-portable connection index
-/// ([`Network::by_portable`]). A walk whose portables ascend merge-joins
-/// with the index — each [`seek`](Self::seek) steps past the entries
-/// below its portable — instead of descending it once per portable.
-pub struct ByPortable<'a> {
-    conns: &'a [Option<Connection>],
-    index: std::iter::Peekable<std::collections::btree_map::Iter<'a, PortableId, Vec<ConnId>>>,
-}
-
-impl<'a> ByPortable<'a> {
-    fn new(
-        conns: &'a [Option<Connection>],
-        portable_conns: &'a BTreeMap<PortableId, Vec<ConnId>>,
-    ) -> Self {
-        ByPortable {
-            conns,
-            index: portable_conns.iter().peekable(),
-        }
-    }
-
-    /// Live connections of `p`, ascending by id. `p` must not be below
-    /// the portable of any earlier call: entries passed over are gone.
-    pub fn seek(&mut self, p: PortableId) -> impl Iterator<Item = &'a Connection> + 'a {
-        while self.index.next_if(|(q, _)| **q < p).is_some() {}
-        let ids: &'a [ConnId] = match self.index.peek() {
-            Some((q, ids)) if **q == p => ids,
-            _ => &[],
-        };
-        let conns = self.conns;
-        ids.iter()
-            .filter_map(move |id| conns.get(id.index()).and_then(Option::as_ref))
     }
 }
 
@@ -167,7 +161,33 @@ impl Network {
             conns: Vec::new(),
             link_conns,
             portable_conns: BTreeMap::new(),
+            changed: Vec::new(),
+            unseen: true,
         }
+    }
+
+    /// Record that `p`'s connections or floors may have changed. When
+    /// the buffer is full it is compacted before it grows, so without a
+    /// drain it stays within twice the distinct portables recorded.
+    fn note_changed(&mut self, p: PortableId) {
+        if self.changed.len() == self.changed.capacity() {
+            self.changed.sort_unstable();
+            self.changed.dedup();
+        }
+        self.changed.push(p);
+    }
+
+    /// Move the portables recorded since the last drain into `into`
+    /// (its old contents dropped), ascending and without repeats. The
+    /// two buffers trade places, so neither allocates in steady state.
+    /// True if the network was built, decoded or cloned since the last
+    /// drain: then every portable counts as changed, listed or not.
+    pub fn drain_changed_portables(&mut self, into: &mut Vec<PortableId>) -> bool {
+        into.clear();
+        std::mem::swap(into, &mut self.changed);
+        into.sort_unstable();
+        into.dedup();
+        std::mem::replace(&mut self.unseen, false)
     }
 
     /// The static graph.
@@ -228,6 +248,7 @@ impl Network {
         let idx = conn.id.index();
         assert!(idx < self.conns.len(), "id not pre-allocated");
         assert!(self.conns[idx].is_none(), "id already installed");
+        self.note_changed(conn.portable);
         index_insert(
             self.portable_conns.entry(conn.portable).or_default(),
             conn.id,
@@ -257,6 +278,7 @@ impl Network {
             .get_mut(id.index())
             .and_then(Option::take)
             .expect("precondition: mark_blocked on an installed connection");
+        self.note_changed(c.portable);
         Self::unindex(&mut self.portable_conns, c.portable, id);
     }
 
@@ -265,8 +287,12 @@ impl Network {
         self.conns.get(id.index()).and_then(|c| c.as_ref())
     }
 
-    /// Mutable lookup.
+    /// Mutable lookup. The record's portable counts as changed (see
+    /// [`drain_changed_portables`](Self::drain_changed_portables)): the
+    /// caller may rewrite its floors.
     pub fn get_mut(&mut self, id: ConnId) -> Option<&mut Connection> {
+        let p = self.get(id)?.portable;
+        self.note_changed(p);
         self.conns.get_mut(id.index()).and_then(|c| c.as_mut())
     }
 
@@ -284,21 +310,6 @@ impl Network {
             .into_iter()
             .flatten()
             .filter_map(move |id| self.get(*id))
-    }
-
-    /// The connection table read through the per-portable index, for a
-    /// pass that visits portables in ascending order.
-    pub fn by_portable(&self) -> ByPortable<'_> {
-        ByPortable::new(&self.conns, &self.portable_conns)
-    }
-
-    /// One split borrow for a pass that reads connections portable by
-    /// portable while it writes ledgers: the topology, the connection
-    /// table through the per-portable index, and every link's ledger
-    /// (index = `LinkId`).
-    pub fn ledgers_by_portable(&mut self) -> (&Topology, ByPortable<'_>, &mut [LinkState]) {
-        let by_portable = ByPortable::new(&self.conns, &self.portable_conns);
-        (&self.topo, by_portable, &mut self.links)
     }
 
     // ------------------------------------------------------------------
@@ -406,11 +417,13 @@ impl Network {
                 }
             }
         }
-        conns
+        let c = conns
             .get_mut(id.index())
             .and_then(|c| c.as_mut())
-            .expect("invariant: checked above")
-            .b_current = rate;
+            .expect("invariant: checked above");
+        c.b_current = rate;
+        let p = c.portable;
+        self.note_changed(p);
         Ok(())
     }
 
@@ -421,6 +434,7 @@ impl Network {
         let Some(c) = self.conns.get_mut(id.index()).and_then(Option::take) else {
             return;
         };
+        self.note_changed(c.portable);
         self.release_route_links(id, &c.route.links);
         Self::unindex(&mut self.portable_conns, c.portable, id);
     }
@@ -623,12 +637,33 @@ mod tests {
         let route = net.get(id).unwrap().route.clone();
         net.reserve_route(id, &route, 100.0, &vec![0.0; route.links.len()], false)
             .unwrap();
+        let mut changed = Vec::new();
+        assert!(
+            net.drain_changed_portables(&mut changed),
+            "a new network is unseen"
+        );
         net.set_conn_rate(id, 500.0).unwrap();
         assert_eq!(net.get(id).unwrap().b_current, 500.0);
         for l in &route.links {
             assert_eq!(net.link(*l).alloc(id).unwrap().b_alloc, 500.0);
         }
         assert!(net.check_invariants().is_ok());
+        // A re-rate, and a record handed out for writing, name its
+        // portable; a read does not.
+        assert!(!net.drain_changed_portables(&mut changed));
+        assert_eq!(changed, [PortableId(0)]);
+        let _ = net.get(id);
+        assert!(!net.drain_changed_portables(&mut changed));
+        assert!(changed.is_empty());
+        net.get_mut(id).unwrap().qos.b_min = 200.0;
+        net.get_mut(id).unwrap().qos.b_min = 100.0;
+        assert!(!net.drain_changed_portables(&mut changed));
+        assert_eq!(changed, [PortableId(0)], "recorded once, however often");
+        // A copy cannot be taken for the network a reader last drained.
+        let mut copy = net.clone();
+        assert!(copy.drain_changed_portables(&mut changed));
+        assert!(!copy.drain_changed_portables(&mut changed));
+        assert!(!net.drain_changed_portables(&mut changed));
     }
 
     #[test]

@@ -143,6 +143,32 @@ fn table_op_strategy() -> impl Strategy<Value = TableOp> {
     ]
 }
 
+/// Every bit of a ledger a write can move: the claims, the allocations
+/// (`b_min`, `b_alloc`, buffer) and the four running sums.
+type LedgerBits = (Vec<(ResvClaim, u64)>, Vec<(ConnId, [u64; 3])>, [u64; 4]);
+
+fn ledger_bits(l: &LinkState) -> LedgerBits {
+    (
+        l.claims().map(|(k, v)| (k, v.to_bits())).collect(),
+        l.allocs()
+            .map(|(c, a)| {
+                (
+                    c,
+                    [a.b_min.to_bits(), a.b_alloc.to_bits(), a.buffer.to_bits()],
+                )
+            })
+            .collect(),
+        l.sum_bits(),
+    )
+}
+
+/// The compact JSON text of a ledger.
+fn link_json(l: &LinkState) -> String {
+    let mut out = serde::JsonWriter::new();
+    l.write_json(&mut out);
+    out.into_string()
+}
+
 /// The compact JSON text of a network.
 fn network_json(net: &Network) -> String {
     let mut out = serde::JsonWriter::new();
@@ -157,6 +183,9 @@ proptest! {
     /// of the live set answers, the invariant sweep accepts every such
     /// state, and the JSON text — retired slots and all — decodes to a
     /// network that writes the same bytes and issues the same next id.
+    /// The network records the owner of every record it installs or
+    /// retires, nobody else's, and a decoded network has recorded nothing
+    /// but says it is unseen, as a new one does.
     #[test]
     fn portable_index_matches_a_table_scan(
         ops in prop::collection::vec(table_op_strategy(), 0..80),
@@ -167,10 +196,14 @@ proptest! {
         // Every id issued, in order, and the portable of each live one.
         let mut issued: Vec<ConnId> = Vec::new();
         let mut live: std::collections::BTreeMap<ConnId, PortableId> = Default::default();
+        let mut changed = Vec::new();
+        prop_assert!(net.drain_changed_portables(&mut changed), "a new network is unseen");
         for op in ops {
+            let mut touched = None;
             let pick = |nth: usize| (!issued.is_empty()).then(|| issued[nth % issued.len()]);
             match op {
                 TableOp::Install { portable } => {
+                    touched = Some(PortableId(portable));
                     let id = net.next_conn_id();
                     prop_assert_eq!(id, ConnId::from_index(issued.len()), "an id was reissued");
                     // A route with no links: live without touching a ledger.
@@ -190,18 +223,20 @@ proptest! {
                 TableOp::Finish { nth } => {
                     if let Some(id) = pick(nth) {
                         net.finish(id);
-                        live.remove(&id);
+                        touched = live.remove(&id);
                     }
                 }
                 // `mark_blocked` requires an installed record.
                 TableOp::Block { nth } => {
                     if let Some(id) = pick(nth).filter(|id| live.contains_key(id)) {
                         net.mark_blocked(id);
-                        live.remove(&id);
+                        touched = live.remove(&id);
                     }
                 }
             }
             prop_assert!(net.check_invariants().is_ok(), "{:?}", net.check_invariants());
+            prop_assert!(!net.drain_changed_portables(&mut changed));
+            prop_assert_eq!(&changed, &touched.into_iter().collect::<Vec<_>>());
             for id in &issued {
                 prop_assert_eq!(net.get(*id).map(|c| c.portable), live.get(id).copied());
             }
@@ -210,9 +245,8 @@ proptest! {
             let mut back = Network::read_json(&mut serde::JsonReader::new(&text)).expect("decodes");
             prop_assert_eq!(network_json(&back), text);
             prop_assert!(back.check_invariants().is_ok());
-            // The merge-join cursor, walked in ascending portable order
-            // (every other portable skipped), answers the same.
-            let mut cursor = net.by_portable();
+            prop_assert!(back.drain_changed_portables(&mut changed), "a decoded network is unseen");
+            prop_assert!(changed.is_empty(), "a decoded network recorded {:?}", changed);
             for p in (0..5).map(PortableId) {
                 let want: Vec<ConnId> =
                     live.iter().filter(|(_, q)| **q == p).map(|(id, _)| *id).collect();
@@ -221,10 +255,6 @@ proptest! {
                 };
                 prop_assert_eq!(&of(&net), &want);
                 prop_assert_eq!(&of(&back), &want);
-                if p.0 % 2 == 0 {
-                    let joined: Vec<ConnId> = cursor.seek(p).map(|c| c.id).collect();
-                    prop_assert_eq!(&joined, &want);
-                }
             }
             prop_assert_eq!(back.next_conn_id(), ConnId::from_index(issued.len()));
         }
@@ -233,13 +263,18 @@ proptest! {
     /// No sequence of ledger operations — successful or failed — ever
     /// breaks the ledger invariants, and the flat claim table is, bit for
     /// bit, the `BTreeMap` it replaced: the same claims in the same key
-    /// order, and the same running `b_resv`.
+    /// order, and the same running `b_resv`. A write that moves any bit
+    /// of the ledger moves its revision, and the revision is nobody's to
+    /// supply: a decoded ledger, whatever the document says, and a cloned
+    /// one each start at a revision no ledger has had, and the decoded
+    /// one writes the document's bytes back.
     #[test]
     fn ledger_never_breaks_under_random_ops(ops in prop::collection::vec(op_strategy(), 0..200)) {
         let mut l = LinkState::new(100.0).with_buffer_capacity(50.0);
         let mut model = ClaimModel::default();
         for op in ops {
             let (capacity, sum_b_min) = (l.capacity(), l.sum_b_min());
+            let (bits, rev) = (ledger_bits(&l), l.revision());
             match op {
                 Op::Admit { conn, b_min, buffer } => {
                     let _ = l.admit(ConnId(conn), b_min, buffer);
@@ -279,6 +314,23 @@ proptest! {
             prop_assert!(l.check_invariants().is_ok(), "{:?}", l.check_invariants());
             // The paper's guarantee: floors plus advance reservations fit.
             prop_assert!(l.sum_b_min() + l.b_resv() <= l.capacity() + 1e-6);
+            if ledger_bits(&l) != bits {
+                prop_assert_ne!(l.revision(), rev, "a write moved ledger bits, not the revision");
+            }
+            let copy = l.clone();
+            prop_assert_eq!(ledger_bits(&copy), ledger_bits(&l));
+            let mut read = vec![rev, l.revision(), copy.revision()];
+            prop_assert_ne!(read[2], read[1], "a clone took its original's revision");
+            let text = link_json(&l);
+            prop_assert!(!text.contains("rev"), "{}", text);
+            let forged = text.replacen('{', "{\"rev\":12345,", 1);
+            for doc in [&text, &forged] {
+                let back = LinkState::read_json(&mut serde::JsonReader::new(doc)).expect("decodes");
+                prop_assert!(!read.contains(&back.revision()), "a decoded ledger took a revision already read");
+                read.push(back.revision());
+                prop_assert_eq!(ledger_bits(&back), ledger_bits(&l));
+                prop_assert_eq!(link_json(&back), text.clone());
+            }
         }
     }
 

@@ -68,17 +68,37 @@ pub fn predict_next_cell<'a>(
             };
         }
     }
-    // Level 2b: the cell's aggregate handoff history.
-    if let Some(next) = cell_profile.predict_next(prev) {
-        return Prediction {
+    aggregate_prediction(prev, cell_profile)
+}
+
+impl PredictionLevel {
+    /// Does an answer at this level depend on the current cell's handoff
+    /// history? Levels 1 and 2a read only the portable's own profile and
+    /// data fixed at registration, and they are tried first, so an answer
+    /// from either stands whatever the history does; a level-2b or
+    /// level-3 answer is
+    /// [`ZonedProfiles::aggregate_prediction`](crate::ZonedProfiles::aggregate_prediction)'s.
+    pub fn reads_cell_history(self) -> bool {
+        matches!(
+            self,
+            PredictionLevel::CellAggregate | PredictionLevel::Default
+        )
+    }
+}
+
+/// Levels 2b and 3 alone: the cell's aggregate handoff history, else the
+/// default. What [`predict_next_cell`] returns when levels 1 and 2a have
+/// nothing to say.
+pub(crate) fn aggregate_prediction(prev: Option<CellId>, cell_profile: &CellProfile) -> Prediction {
+    match cell_profile.predict_next(prev) {
+        Some(next) => Prediction {
             cell: Some(next),
             level: PredictionLevel::CellAggregate,
-        };
-    }
-    // Level 3: default.
-    Prediction {
-        cell: None,
-        level: PredictionLevel::Default,
+        },
+        None => Prediction {
+            cell: None,
+            level: PredictionLevel::Default,
+        },
     }
 }
 

@@ -187,6 +187,21 @@ impl ZonedProfiles {
         (cp.is_occupant(p), prediction)
     }
 
+    /// Levels 2b and 3 of [`dispatch_inputs`](Self::dispatch_inputs)'
+    /// prediction alone: `cur`'s aggregate handoff history, else the
+    /// default. What that prediction is when levels 1 and 2a have nothing
+    /// to say — so a caller that saw them say nothing, and has seen only
+    /// `cur`'s history change since, need not ask them again.
+    pub fn aggregate_prediction(&self, prev: Option<CellId>, cur: CellId) -> Prediction {
+        match self.cell(cur) {
+            Some(cp) => crate::prediction::aggregate_prediction(prev, cp),
+            None => Prediction {
+                cell: None,
+                level: PredictionLevel::Default,
+            },
+        }
+    }
+
     /// The portable's current (prev, cur) context.
     pub fn context(&self, p: PortableId) -> Option<(Option<CellId>, CellId)> {
         self.contexts.get(&p).copied()

@@ -21,8 +21,7 @@
 //! least a connection (with the maximum allocated bandwidth) from a
 //! static portable that is residing in its neighboring cells".
 
-use arm_net::ids::{CellId, ConnId, LinkId};
-use arm_net::link::ResvClaim;
+use arm_net::ids::{ConnId, LinkId};
 use arm_net::Network;
 use arm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -112,22 +111,6 @@ impl DynPoolPolicy {
         let hi = self.max_fraction * cell_capacity;
         max_neighbor_static_alloc.clamp(lo, hi)
     }
-}
-
-/// Install the `B_dyn` claim on `cell`'s wireless link, sized to
-/// `max_neighbor_static_alloc` — the largest current allocation among
-/// connections of static portables residing in the neighbouring cells.
-/// Returns the granted pool size.
-pub fn adjust_dyn_pool(
-    net: &mut Network,
-    cell: CellId,
-    max_neighbor_static_alloc: f64,
-    policy: DynPoolPolicy,
-) -> f64 {
-    let wl = net.topology().wireless_link(cell);
-    let capacity = net.link(wl).capacity();
-    let target = policy.target_pool(capacity, max_neighbor_static_alloc);
-    net.link_mut(wl).set_claim(ResvClaim::DynPool, target)
 }
 
 /// Connections at `link` that would be told to re-negotiate if the excess

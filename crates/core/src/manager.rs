@@ -452,7 +452,9 @@ pub struct ResourceManager {
     /// The universe of zones and their profile servers. Private, and
     /// mutated only in `portable_appears` and `portable_moved`: the
     /// dispatch memos are sound because nothing else can change a
-    /// profile. Read through [`profiles`](Self::profiles).
+    /// profile. ([`cache_history_rows`](Self::cache_history_rows) encodes
+    /// rows ahead of a checkpoint and changes no answer a profile gives.)
+    /// Read through [`profiles`](Self::profiles).
     profiles: ZonedProfiles,
     cfg: ManagerConfig,
     /// Run metrics.
@@ -625,6 +627,14 @@ impl ResourceManager {
     /// The zones and their profile servers, read-only.
     pub fn profiles(&self) -> &ZonedProfiles {
         &self.profiles
+    }
+
+    /// Encode every handoff history's rows recorded since the last call
+    /// ([`ZonedProfiles::cache_rows`]), so that the next snapshot's text
+    /// copies them: called by a server about to checkpoint. Moves no
+    /// decision and no byte of any snapshot.
+    pub fn cache_history_rows(&mut self) {
+        self.profiles.cache_rows();
     }
 
     /// What the claim refresh has done since this manager was built or

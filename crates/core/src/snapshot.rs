@@ -92,8 +92,10 @@ use crate::multicast::MulticastState;
 /// `Connection::{state, handoffs}`, `metrics.{arrivals, slot}`, and
 /// four `cfg` knobs (`discipline`, `slot`, `per_user_kbps` and the
 /// drop-on-failure policy) — one value at every caller, now constants
+/// (DESIGN.md §10.2); v10 writes each retained handoff as a row,
+/// `[portable, prev|null, cur, next, time]`, not an object of five keys
 /// (DESIGN.md §10.2).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -200,6 +200,31 @@ impl Serialize for LinkState {
             ("sum_buffer".to_string(), self.sum_buffer.to_value()),
         ])
     }
+    /// The text of [`to_value`](Serialize::to_value)'s tree, with no tree
+    /// built: that tree is kept as the oracle this is tested against.
+    fn write_json(&self, out: &mut serde::JsonWriter) {
+        out.raw("{\"capacity\":");
+        out.f64(self.capacity);
+        out.raw(",\"buffer_capacity\":");
+        if self.buffer_capacity.is_finite() {
+            out.f64(self.buffer_capacity);
+        } else {
+            out.raw("null");
+        }
+        out.raw(",\"allocs\":");
+        self.allocs.write_json(out);
+        out.raw(",\"advance\":");
+        self.advance.write_json(out);
+        out.raw(",\"sum_b_min\":");
+        out.f64(self.sum_b_min);
+        out.raw(",\"sum_b_alloc\":");
+        out.f64(self.sum_b_alloc);
+        out.raw(",\"sum_resv\":");
+        out.f64(self.sum_resv);
+        out.raw(",\"sum_buffer\":");
+        out.f64(self.sum_buffer);
+        out.raw("}");
+    }
 }
 
 impl Deserialize for LinkState {

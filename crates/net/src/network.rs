@@ -88,6 +88,19 @@ impl Serialize for Network {
             ("link_conns".to_string(), self.link_conns.to_value()),
         ])
     }
+    /// The text of [`to_value`](Serialize::to_value)'s tree, with no tree
+    /// built: that tree is kept as the oracle this is tested against.
+    fn write_json(&self, out: &mut serde::JsonWriter) {
+        out.raw("{\"topo\":");
+        self.topo.write_json(out);
+        out.raw(",\"links\":");
+        self.links.write_json(out);
+        out.raw(",\"conns\":");
+        self.conns.write_json(out);
+        out.raw(",\"link_conns\":");
+        self.link_conns.write_json(out);
+        out.raw("}");
+    }
 }
 
 impl Deserialize for Network {

@@ -108,6 +108,11 @@ impl CellProfile {
     pub fn history(&self) -> &HandoffHistory {
         self.history.history()
     }
+
+    /// [`HandoffHistory::cache_rows`] on this profile's history.
+    pub fn cache_rows(&mut self) {
+        self.history.cache_rows();
+    }
 }
 
 /// Counts (ascending by cell) as empirical frequencies of their total,

@@ -1,3 +1,7 @@
+// Audited: every expect in this file is an `invariant:`/`precondition:`
+// panic (see the arm-check `no-panic` lint).
+#![allow(clippy::expect_used)]
+
 //! Bounded handoff history.
 //!
 //! The profile server "maintains the following information about the last
@@ -6,17 +10,26 @@
 //! bounded FIFO both profile kinds aggregate from; [`CountedHistory`] is
 //! the cell profile's, with the per-`next` tallies its predictions read
 //! kept resident instead of recounted per query.
+//!
+//! These rings are most of a checkpoint, and between two checkpoints
+//! only a tenth of their rows are new. So a ring keeps the encoded text
+//! of its older rows ([`HandoffHistory::cache_rows`]) and a checkpoint
+//! copies that text instead of encoding the rows again (DESIGN.md
+//! §10.2).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 use arm_net::ids::{CellId, PortableId};
 use arm_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 /// One observed handoff: the portable moved `prev → cur → next` (where
 /// `prev` may be unknown for a portable's first movement).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Encoded as a row, `[portable, prev|null, cur, next, time]`: five
+/// numbers, no keys.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HandoffEvent {
     /// Who moved.
     pub portable: PortableId,
@@ -30,12 +43,212 @@ pub struct HandoffEvent {
     pub time: SimTime,
 }
 
+impl Serialize for HandoffEvent {
+    fn to_value(&self) -> serde::Value {
+        wire::HandoffEvent::from(*self).to_value()
+    }
+    fn write_json(&self, out: &mut JsonWriter) {
+        wire::HandoffEvent::from(*self).write_json(out);
+    }
+}
+
+impl Deserialize for HandoffEvent {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        wire::HandoffEvent::from_value(v).map(Self::from)
+    }
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        wire::HandoffEvent::read_json(r).map(Self::from)
+    }
+}
+
+/// The documents' spelling of a [`HandoffEvent`](super::HandoffEvent)
+/// and a [`HandoffHistory`](super::HandoffHistory), under their names so
+/// the derive's error texts carry them.
+mod wire {
+    use std::collections::VecDeque;
+
+    use arm_net::ids::{CellId, PortableId};
+    use arm_sim::SimTime;
+
+    /// `[portable, prev|null, cur, next, time]`.
+    #[derive(serde::Serialize, serde::Deserialize)]
+    pub(super) struct HandoffEvent(PortableId, Option<CellId>, CellId, CellId, SimTime);
+
+    impl From<super::HandoffEvent> for HandoffEvent {
+        fn from(e: super::HandoffEvent) -> Self {
+            HandoffEvent(e.portable, e.prev, e.cur, e.next, e.time)
+        }
+    }
+
+    impl From<HandoffEvent> for super::HandoffEvent {
+        fn from(HandoffEvent(portable, prev, cur, next, time): HandoffEvent) -> Self {
+            super::HandoffEvent {
+                portable,
+                prev,
+                cur,
+                next,
+                time,
+            }
+        }
+    }
+
+    #[derive(serde::Serialize, serde::Deserialize)]
+    pub(super) struct HandoffHistory {
+        pub(super) cap: usize,
+        pub(super) events: VecDeque<super::HandoffEvent>,
+        pub(super) total_recorded: u64,
+    }
+}
+
 /// A FIFO of the most recent `cap` handoff events.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HandoffHistory {
     cap: usize,
     events: VecDeque<HandoffEvent>,
     total_recorded: u64,
+    /// The encoded rows of the oldest retained events. Derived, never
+    /// serialised: a decoded history starts with none, and a clone
+    /// carries the original's, which describe its events too.
+    rows: RowCache,
+}
+
+/// The encoded rows of a [`HandoffHistory`]'s oldest `lens.len()`
+/// retained events.
+///
+/// Invariant: `lens.len()` is at most the number of retained events,
+/// and `text[start..]` is, for each of the oldest `lens.len()` of them
+/// in order, a `,` and then exactly the text
+/// [`HandoffEvent::write_json`] writes for it; `lens` holds those
+/// pieces' byte lengths, comma included. Only
+/// [`HandoffHistory::cache_rows`] appends (after every event it has
+/// already encoded), and only an eviction removes (the oldest), which
+/// is what keeps the text and the ring in step.
+#[derive(Clone, Debug, Default)]
+struct RowCache {
+    text: String,
+    /// Where the first live piece starts: the bytes before it belong to
+    /// evicted events, and are dropped once they outweigh the live ones.
+    start: usize,
+    lens: VecDeque<u8>,
+}
+
+impl RowCache {
+    /// How many of the oldest events have their rows here.
+    fn len(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// The cached rows joined by commas: the live pieces with the first
+    /// one's comma cut off.
+    fn rows(&self) -> &str {
+        self.text.get(self.start + 1..).unwrap_or_default()
+    }
+
+    /// Forget the oldest cached row (the ring evicted its event), if
+    /// there is one.
+    fn pop_front(&mut self) {
+        if let Some(len) = self.lens.pop_front() {
+            self.start += usize::from(len);
+            // Compact once the dead prefix is at least as long as what
+            // is live: the live bytes moved are never more than the dead
+            // bytes dropped, each of which was evicted once.
+            if self.start * 2 >= self.text.len() {
+                self.text.drain(..self.start);
+                self.start = 0;
+            }
+        }
+    }
+
+    /// Encode `events` — the retained events after the cached ones,
+    /// oldest first — onto the end.
+    fn extend<'a>(&mut self, events: impl Iterator<Item = &'a HandoffEvent>) {
+        let mut out = JsonWriter::from(std::mem::take(&mut self.text));
+        for ev in events {
+            let from = out.len();
+            out.raw(",");
+            ev.write_json(&mut out);
+            // `,[` + four u32s + a u64 + four `,` + `]` is 67 bytes.
+            let len = u8::try_from(out.len() - from)
+                .expect("invariant: an encoded handoff row is at most 67 bytes");
+            self.lens.push_back(len);
+        }
+        self.text = out.into_string();
+    }
+}
+
+// The document is `{"cap":…,"events":[rows…],"total_recorded":…}`,
+// the derived codec of `wire::HandoffHistory`. `to_value` builds that
+// tree from the events alone — the oracle `write_json` is tested
+// against — and `write_json` copies the cached rows as one slice and
+// encodes only the rest.
+impl Serialize for HandoffHistory {
+    fn to_value(&self) -> serde::Value {
+        wire::HandoffHistory {
+            cap: self.cap,
+            events: self.events.clone(),
+            total_recorded: self.total_recorded,
+        }
+        .to_value()
+    }
+    fn write_json(&self, out: &mut JsonWriter) {
+        out.raw("{\"cap\":");
+        out.uint(self.cap as u64);
+        out.raw(",\"events\":[");
+        let cached = self.rows.len();
+        out.raw(self.rows.rows());
+        for (i, ev) in self.events.range(cached..).enumerate() {
+            if cached + i > 0 {
+                out.raw(",");
+            }
+            ev.write_json(out);
+        }
+        out.raw("],\"total_recorded\":");
+        out.uint(self.total_recorded);
+        out.raw("}");
+    }
+}
+
+impl Deserialize for HandoffHistory {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        wire::HandoffHistory::from_value(v)?.try_into()
+    }
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
+        wire::HandoffHistory::read_json(r)?.try_into()
+    }
+}
+
+/// A decoded history must be one [`HandoffHistory::record`] can keep
+/// bounded: with `cap == 0` or more events than `cap` its eviction
+/// (`len == cap`) never fires again, and the ring — and a cell's tallies
+/// with it — would grow without limit.
+impl TryFrom<wire::HandoffHistory> for HandoffHistory {
+    type Error = serde::Error;
+
+    fn try_from(w: wire::HandoffHistory) -> Result<Self, serde::Error> {
+        if w.cap == 0 {
+            return Err(serde::Error::custom("HandoffHistory: cap must be positive"));
+        }
+        if w.events.len() > w.cap {
+            return Err(serde::Error::custom(format!(
+                "HandoffHistory: {} events exceed cap {}",
+                w.events.len(),
+                w.cap
+            )));
+        }
+        if w.total_recorded < w.events.len() as u64 {
+            return Err(serde::Error::custom(format!(
+                "HandoffHistory: total_recorded {} is below the {} events retained",
+                w.total_recorded,
+                w.events.len()
+            )));
+        }
+        Ok(HandoffHistory {
+            cap: w.cap,
+            events: w.events,
+            total_recorded: w.total_recorded,
+            rows: RowCache::default(),
+        })
+    }
 }
 
 impl HandoffHistory {
@@ -46,12 +259,16 @@ impl HandoffHistory {
             cap,
             events: VecDeque::with_capacity(cap.min(1024)),
             total_recorded: 0,
+            rows: RowCache::default(),
         }
     }
 
     /// Record an event, evicting (and returning) the oldest when full.
+    /// Encodes nothing: an evicted event's cached row is dropped, and
+    /// the new event waits for the next [`cache_rows`](Self::cache_rows).
     pub fn record(&mut self, ev: HandoffEvent) -> Option<HandoffEvent> {
         let evicted = if self.events.len() == self.cap {
+            self.rows.pop_front();
             self.events.pop_front()
         } else {
             None
@@ -59,6 +276,15 @@ impl HandoffHistory {
         self.events.push_back(ev);
         self.total_recorded += 1;
         evicted
+    }
+
+    /// Encode the rows of the events recorded since the last call, so
+    /// that the next [`write_json`](Serialize::write_json) copies every
+    /// row instead of encoding it. Changes no answer the history gives
+    /// and no byte it writes.
+    pub fn cache_rows(&mut self) {
+        let cached = self.rows.len();
+        self.rows.extend(self.events.range(cached..));
     }
 
     /// Events currently retained, oldest first.
@@ -129,7 +355,8 @@ fn majority(counts: impl IntoIterator<Item = (CellId, usize)>) -> Option<(CellId
 /// O(neighbours) instead of a recount of up to `N_pC` events each.
 ///
 /// The tallies are derived state: incremented on push and decremented
-/// on eviction inside [`record`](Self::record), the only mutator;
+/// on eviction inside [`record`](Self::record), the only mutator of the
+/// events ([`cache_rows`](Self::cache_rows) touches only their text);
 /// never serialised (the encoding is exactly the inner
 /// [`HandoffHistory`]'s); recounted from the events on decode, so a
 /// document cannot supply its own. No tally is ever zero.
@@ -190,6 +417,11 @@ impl CountedHistory {
         }
         *self.by_prev.entry((ev.prev, ev.next)).or_insert(0) += 1;
         *self.by_next.entry(ev.next).or_insert(0) += 1;
+    }
+
+    /// [`HandoffHistory::cache_rows`] on the FIFO.
+    pub fn cache_rows(&mut self) {
+        self.history.cache_rows();
     }
 
     /// The event FIFO itself.
@@ -290,7 +522,106 @@ mod tests {
         assert_eq!(next, CellId(3));
     }
 
+    /// The tree writer's text over `to_value()`: the oracle.
+    fn tree_text(h: &HandoffHistory) -> String {
+        let mut out = JsonWriter::new();
+        h.to_value().write_json(&mut out);
+        out.into_string()
+    }
+
+    fn text(h: &HandoffHistory) -> String {
+        let mut out = JsonWriter::new();
+        h.write_json(&mut out);
+        out.into_string()
+    }
+
+    fn decode(text: &str) -> Result<HandoffHistory, serde::Error> {
+        let mut r = serde::JsonReader::new(text);
+        let h = HandoffHistory::read_json(&mut r)?;
+        r.finish().map(|()| h)
+    }
+
+    #[test]
+    fn a_handoff_is_a_row() {
+        let mut h = HandoffHistory::new(3);
+        h.record(ev(4, None, 1, 2));
+        h.record(ev(4, Some(1), 2, 3));
+        let want = r#"{"cap":3,"events":[[4,null,1,2,0],[4,1,2,3,0]],"total_recorded":2}"#;
+        assert_eq!(tree_text(&h), want);
+        assert_eq!(text(&h), want);
+        h.cache_rows();
+        assert_eq!(text(&h), want);
+    }
+
+    #[test]
+    fn a_document_outside_the_bounds_is_refused() {
+        let row = "[1,null,2,3,4]";
+        for (doc, why) in [
+            (
+                r#"{"cap":0,"events":[],"total_recorded":0}"#.to_string(),
+                "cap must be positive",
+            ),
+            (
+                format!(r#"{{"cap":1,"events":[{row},{row}],"total_recorded":2}}"#),
+                "2 events exceed cap 1",
+            ),
+            (
+                format!(r#"{{"cap":2,"events":[{row},{row}],"total_recorded":1}}"#),
+                "total_recorded 1 is below the 2 events retained",
+            ),
+        ] {
+            let err = decode(&doc)
+                .err()
+                .map(|e| e.to_string())
+                .unwrap_or_default();
+            assert!(err.contains(why), "{doc}: {err}");
+            let tree: serde::Value = serde::JsonReader::new(&doc).value().expect("well-formed");
+            assert!(HandoffHistory::from_value(&tree).is_err(), "{doc}");
+        }
+        assert!(decode(r#"{"cap":2,"events":[[1,null,2,3,4]],"total_recorded":9}"#).is_ok());
+    }
+
     proptest::proptest! {
+        /// Whatever interleaving of records, row caching, clones and
+        /// round trips a history sees, its text is the tree writer's over
+        /// its events, and a cold copy's (one that has cached nothing).
+        #[test]
+        fn cached_text_equals_the_tree(
+            cap in 1usize..7,
+            // (step: 0–3 record, 4–5 cache, 6 clone, 7 round trip;
+            //  portable; prev: 0 = unknown, else cell prev-1; cur; next; time)
+            steps in proptest::collection::vec(
+                (0u8..8, 0u32..3, 0u32..4, 0u32..3, 0u32..3, 0u64..1_000_000_000_000),
+                0..60,
+            ),
+        ) {
+            let mut h = HandoffHistory::new(cap);
+            for (step, p, prev, cur, next, t) in steps {
+                match step {
+                    0..=3 => {
+                        h.record(HandoffEvent {
+                            portable: PortableId(p),
+                            prev: prev.checked_sub(1).map(CellId),
+                            cur: CellId(cur),
+                            next: CellId(next),
+                            time: SimTime::from_ticks(t),
+                        });
+                    }
+                    4 | 5 => h.cache_rows(),
+                    6 => h = h.clone(),
+                    _ => h = decode(&text(&h)).expect("decodes"),
+                }
+                let warm = text(&h);
+                proptest::prop_assert_eq!(&warm, &tree_text(&h));
+                let cold = HandoffHistory::from_value(&h.to_value()).expect("decodes");
+                proptest::prop_assert_eq!(cold.rows.len(), 0);
+                proptest::prop_assert_eq!(&warm, &text(&cold));
+                proptest::prop_assert!(h.rows.len() <= h.len());
+                let live: usize = h.rows.lens.iter().map(|n| usize::from(*n)).sum();
+                proptest::prop_assert_eq!(live, h.rows.text.len() - h.rows.start);
+            }
+        }
+
         /// Over any record sequence on a small cap (so eviction runs),
         /// the tallies answer what a recount of the retained events
         /// answers, hold no zero, and are rebuilt — not read — on decode.

@@ -83,6 +83,11 @@ impl PortableProfile {
         self.history.len()
     }
 
+    /// [`HandoffHistory::cache_rows`] on this profile's history.
+    pub fn cache_rows(&mut self) {
+        self.history.cache_rows();
+    }
+
     /// All aggregated triplets (for Table 1 style dumps).
     pub fn triplets(&self) -> impl Iterator<Item = (Option<CellId>, CellId, CellId)> + '_ {
         self.triplets.iter().map(|((p, c), n)| (*p, *c, *n))

@@ -195,6 +195,15 @@ impl ProfileServer {
         self.portables.remove(&p)
     }
 
+    /// [`HandoffHistory::cache_rows`](crate::HandoffHistory::cache_rows)
+    /// on every profile this server holds.
+    pub fn cache_rows(&mut self) {
+        self.cells.values_mut().for_each(CellProfile::cache_rows);
+        self.portables
+            .values_mut()
+            .for_each(PortableProfile::cache_rows);
+    }
+
     /// Adopt a profile arriving from another zone.
     pub fn adopt_portable(&mut self, profile: PortableProfile, cell: CellId) {
         self.contexts.insert(profile.portable, (None, cell));

@@ -202,6 +202,15 @@ impl ZonedProfiles {
         }
     }
 
+    /// [`HandoffHistory::cache_rows`](crate::HandoffHistory::cache_rows)
+    /// on every profile of every zone: the next encoding copies each
+    /// retained handoff's row instead of writing it again.
+    pub fn cache_rows(&mut self) {
+        self.servers
+            .values_mut()
+            .for_each(ProfileServer::cache_rows);
+    }
+
     /// The portable's current (prev, cur) context.
     pub fn context(&self, p: PortableId) -> Option<(Option<CellId>, CellId)> {
         self.contexts.get(&p).copied()

@@ -49,8 +49,9 @@ use crate::ingest::{parse_event, IngestError};
 /// leaves the image) and v9 (what nothing read is gone: terminal
 /// connection records, the arrivals series, four one-valued manager
 /// knobs — and this config's own `slot`, a second copy of
-/// [`arm_core::SLOT`]).
-pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 9;
+/// [`arm_core::SLOT`]) and v10 (a retained handoff is a five-number
+/// row).
+pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 10;
 
 /// Static configuration of a server instance. Captured in every
 /// snapshot so a restore cannot silently run under different rules
@@ -297,6 +298,13 @@ impl Server {
         }
         self.last_time = t;
         self.accepted += 1;
+        // A checkpoint is due after this event: bring the history rows'
+        // text up to date here, where `&mut` is at hand, so that
+        // `snapshot` (`&self`) copies them. Not at `record`: a server
+        // that never checkpoints would pay for text nothing reads.
+        if self.checkpoint_due() {
+            self.mgr.cache_history_rows();
+        }
         Ok(())
     }
 

@@ -427,6 +427,72 @@ fn hostile_edits_are_refused_alike() {
     assert!(tried > 200, "{tried} numbers tried");
 }
 
+/// The first handoff history in `doc` retaining at least `rows` events:
+/// the byte ranges of its `cap` and `total_recorded` values, and how
+/// many events it retains.
+fn history_with(
+    doc: &str,
+    rows: usize,
+) -> Option<(std::ops::Range<usize>, std::ops::Range<usize>, usize)> {
+    const OPEN: &str = "\"history\":{\"cap\":";
+    let mut from = 0;
+    while let Some(at) = doc[from..].find(OPEN) {
+        let cap = number_after(doc, from + at)?;
+        // Rows are flat arrays, so the first `],"total_recorded":` after
+        // the cap closes this history's events.
+        let close = cap.end + doc[cap.end..].find("],\"total_recorded\":")?;
+        let events = doc[cap.end..close].matches('[').count() - 1;
+        let total = number_after(doc, close)?;
+        if events >= rows {
+            return Some((cap, total, events));
+        }
+        from = close;
+    }
+    None
+}
+
+/// One history of `doc` made into one `record` could not keep bounded —
+/// no room at all, more events than room, fewer recorded than retained —
+/// is refused at decode by both routes; at its bounds it is an image.
+fn history_bounds_are_checked<T: Image>(doc: &str) {
+    let (cap, total, events) = history_with(doc, 2).expect("a history retains two events");
+    let fewer = (events - 1).to_string();
+    for (span, with) in [
+        (&cap, "0"),
+        (&cap, fewer.as_str()),
+        (&total, fewer.as_str()),
+    ] {
+        let mut edited = doc.to_string();
+        edited.replace_range(span.clone(), with);
+        let what = format!("{with} at {}", span.start);
+        assert_eq!(agree::<T>(&edited, &what), Class::Parse, "{what}");
+    }
+    let mut edited = doc.to_string();
+    edited.replace_range(cap, &events.to_string());
+    assert_eq!(
+        agree::<T>(&edited, "cap = len"),
+        Class::Ok(Ok(edited.clone()))
+    );
+}
+
+/// A decoded history outside its bounds used to be accepted, and then
+/// grew without limit: `record` evicts only when `len == cap`, which
+/// never holds again once `len > cap` (or `cap == 0`).
+#[test]
+fn a_history_outside_its_bounds_is_refused_alike() {
+    let server = server_at(&walk_cfg(7), 40);
+    history_bounds_are_checked::<ServerSnapshot>(
+        &server.snapshot().to_json().expect("snapshot serializes"),
+    );
+    history_bounds_are_checked::<ManagerSnapshot>(
+        &server
+            .mgr
+            .snapshot()
+            .to_json()
+            .expect("snapshot serializes"),
+    );
+}
+
 /// The first link ledger in `doc` holding at least two advance claims:
 /// the byte range of its `advance` array and the text of each
 /// `[key, value]` pair, in document order.
@@ -520,7 +586,7 @@ fn unsorted_and_duplicate_claim_keys_decode_as_a_map_reads_them() {
 fn a_skewed_stamp_is_reported_before_damage_behind_it() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let skewed = current.replacen("{\"schema\":9,", "{\"schema\":6,", 1);
+    let skewed = current.replacen("{\"schema\":10,", "{\"schema\":6,", 1);
     assert_ne!(skewed, current, "layout drifted");
     // Whole, both routes say which version it is.
     assert_eq!(
@@ -552,7 +618,7 @@ fn a_skewed_stamp_is_reported_before_damage_behind_it() {
 fn deep_nesting_is_a_typed_parse_error() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let stamp = "{\"schema\":9,";
+    let stamp = "{\"schema\":10,";
     for opener in ["[", "{\"a\":"] {
         let bomb = opener.repeat(100_000);
         let documents = [
@@ -561,7 +627,7 @@ fn deep_nesting_is_a_typed_parse_error() {
             current.replacen(stamp, &format!("{stamp}\"cfg\":{bomb},"), 1),
             current.replacen(stamp, &format!("{stamp}\"zzz\":{bomb},"), 1),
             // Before the stamp, where only the scan goes.
-            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":9,"), 1),
+            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":10,"), 1),
         ];
         for doc in &documents {
             for got in [

@@ -129,11 +129,16 @@ fn office_week_checkpoints_round_trip_and_stream_like_the_tree() {
     }
     let last = assert_codec_properties(&server.snapshot(), "end of week");
     // 35 periodic checkpoints plus `run_server`'s final one. (The byte
-    // total the benchmark writes, 13,752,818, includes its hostile
+    // total the benchmark writes, 6,193,816, includes its hostile
     // lines' `rejected` count; CI's benchmark-smoke holds that number.)
     assert_eq!(checkpoints + 1, 36);
+    // Each checkpoint above was written from warm row caches
+    // (`apply_event` fills them when one is due), so the round trip is
+    // also warm text = cold text. The end state is 199,493 bytes at
+    // seed 42, most of them handoff rows (a row is about 30 bytes; it
+    // was 38 more while a handoff was an object of five keys).
     assert!(
-        last > 400_000,
+        last > 180_000,
         "the week's histories fill the image: {last}"
     );
 }
@@ -160,8 +165,48 @@ fn wing_end_state_round_trips_and_streams_like_the_tree() {
     assert_codec_properties(&server.snapshot(), "wing end state");
 }
 
-/// `json` (a v9 server or manager document of `walk_cfg(7)` cut at 40)
-/// with the fields back that v8 wrote and v9 does not: the manager's
+/// `json` (a current server or manager document) as the build before
+/// wrote it: stamped 9 throughout, and every retained handoff an object
+/// of five keys where v10 writes a row of five numbers.
+fn as_v9(json: &str) -> String {
+    const OPEN: &str = "\"events\":[";
+    const CLOSE: &str = "],\"total_recorded\":";
+    assert!(
+        json.starts_with("{\"schema\":10,"),
+        "layout drifted: {json:.60}"
+    );
+    let mut out = String::new();
+    let mut rest = json;
+    let mut rows_seen = 0;
+    while let Some(at) = rest.find(OPEN) {
+        let (head, tail) = rest.split_at(at + OPEN.len());
+        out.push_str(head);
+        let end = tail.find(CLOSE).expect("a history's events close");
+        let rows = &tail[..end];
+        if !rows.is_empty() {
+            let objects: Vec<String> = rows[1..rows.len() - 1]
+                .split("],[")
+                .map(|row| {
+                    let fields: Vec<&str> = row.split(',').collect();
+                    assert_eq!(fields.len(), 5, "a row has five numbers: {row}");
+                    format!(
+                        "{{\"portable\":{},\"prev\":{},\"cur\":{},\"next\":{},\"time\":{}}}",
+                        fields[0], fields[1], fields[2], fields[3], fields[4]
+                    )
+                })
+                .collect();
+            rows_seen += objects.len();
+            out.push_str(&objects.join(","));
+        }
+        rest = &tail[end..];
+    }
+    out.push_str(rest);
+    assert!(rows_seen > 0, "the document retains handoffs");
+    out.replace("{\"schema\":10,", "{\"schema\":9,")
+}
+
+/// `json` (a v9 server or manager document of `walk_cfg(7)` cut at 40,
+/// or a current one) with the fields back that v8 wrote and v9 does not: the manager's
 /// `discipline`, `slot` and `per_user_kbps` (its fourth knob, the
 /// link-failure policy flag, is left out: one more unknown bool), the
 /// server's own `slot`, `metrics.{arrivals, slot}`, and `state`/
@@ -257,20 +302,23 @@ fn as_v6(v7: &str) -> String {
 }
 
 /// `json` under each skewed stamp: a future version, the previous
-/// build's v8 document (`"arrivals"`, `"state"`, three `"slot"`s), the
+/// build's v9 document (handoffs as objects), the v8 one before it
+/// (`"arrivals"`, `"state"`, three `"slot"`s), the
 /// v7 one before it (still carrying `"maxmin"`), the v6 one before that
 /// (`"calendar"` too), and the two earlier still (shard planner;
 /// cell-keyed calendar).
 fn skewed_documents(json: &str, future: u32) -> Vec<(u32, String)> {
     let restamped =
-        |skew: u32| json.replacen("{\"schema\":9,", &format!("{{\"schema\":{skew},"), 1);
-    let v8 = as_v8(json);
+        |skew: u32| json.replacen("{\"schema\":10,", &format!("{{\"schema\":{skew},"), 1);
+    let v9 = as_v9(json);
+    let v8 = as_v8(&v9);
     let v7 = as_v7(&v8);
     let v6 = as_v6(&v7);
     assert!(v8.contains("\"arrivals\"") && v8.contains("\"state\":\"Active\""));
     assert!(v7.contains("\"maxmin\"") && v6.contains("\"calendar\""));
     vec![
         (future, restamped(future)),
+        (9, v9),
         (8, v8),
         (7, v7),
         (6, v6),
@@ -287,7 +335,7 @@ fn mismatched_server_schema_is_a_typed_error() {
         match ServerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 9);
+                assert_eq!(expected, 10);
                 assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -307,7 +355,7 @@ fn mismatched_manager_schema_is_a_typed_error() {
         match arm_core::ManagerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 9);
+                assert_eq!(expected, 10);
                 assert_eq!(expected, arm_core::SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -315,8 +363,8 @@ fn mismatched_manager_schema_is_a_typed_error() {
     }
 }
 
-/// What v8 wrote and v9 dropped is, in a v9 document, so many unknown
-/// fields: ignored like any other (the forged `portable_conns` below),
+/// What v8 wrote and v9 dropped is, in a v9 document (and in every later
+/// one), so many unknown fields: ignored like any other (the forged `portable_conns` below),
 /// not believed and not refused. The image restores and re-encodes to
 /// the bytes it had without them.
 #[test]

@@ -56,8 +56,30 @@ impl Deserialize for HandoffEvent {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         wire::HandoffEvent::from_value(v).map(Self::from)
     }
+    /// The row as the writer spells it is read in one pass
+    /// ([`JsonReader::uint_row`](serde::JsonReader::uint_row)). Any other
+    /// spelling, and a row whose ids do not fit a `u32` or whose `null`
+    /// is not in the `prev` slot, is read by the derived codec, which
+    /// accepts it or says why not; so the pass accepts a subset of what
+    /// that codec accepts, with the same values.
     fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
-        wire::HandoffEvent::read_json(r).map(Self::from)
+        let row = r.uint_row(|[portable, prev, cur, next, time]| {
+            let id = |slot: Option<u64>| slot.and_then(|u| u32::try_from(u).ok());
+            Some(HandoffEvent {
+                portable: PortableId(id(portable)?),
+                prev: match prev {
+                    None => None,
+                    Some(_) => Some(CellId(id(prev)?)),
+                },
+                cur: CellId(id(cur)?),
+                next: CellId(id(next)?),
+                time: SimTime::from_ticks(time?),
+            })
+        });
+        match row {
+            Some(ev) => Ok(ev),
+            None => wire::HandoffEvent::read_json(r).map(Self::from),
+        }
     }
 }
 
@@ -212,9 +234,64 @@ impl Deserialize for HandoffHistory {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         wire::HandoffHistory::from_value(v)?.try_into()
     }
+    /// The derived codec's loop over the keys (the first of two equal
+    /// keys counts, an unknown key is skipped), except that `events`
+    /// after `cap` is read into a ring sized as [`HandoffHistory::new`]
+    /// sizes one, and refused at row `cap + 1` before that row is read.
     fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
-        wire::HandoffHistory::read_json(r)?.try_into()
+        if !r.begin_object()? {
+            return Err(r.wrong_shape("HandoffHistory: expected object"));
+        }
+        let (mut cap, mut events, mut total_recorded) = (None, None, None);
+        let mut last = None;
+        while let Some(i) = r.field(&["cap", "events", "total_recorded"], last)? {
+            match i {
+                0 if cap.is_none() => cap = Some(usize::read_json(r)?),
+                1 if events.is_none() => events = Some(read_events(r, cap)?),
+                2 if total_recorded.is_none() => total_recorded = Some(u64::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+            last = Some(i);
+        }
+        let missing = |field| serde::Error::missing_field(field, "HandoffHistory");
+        wire::HandoffHistory {
+            cap: cap.ok_or_else(|| missing("cap"))?,
+            events: events.ok_or_else(|| missing("events"))?,
+            total_recorded: total_recorded.ok_or_else(|| missing("total_recorded"))?,
+        }
+        .try_into()
     }
+}
+
+/// A history's `events`, read with its `cap` known (`None`: not yet
+/// read, and the events decode as any `VecDeque` does). A ring of the
+/// first `cap.min(1024)` rows is reserved up front, so a restored
+/// ring's first `record` does not grow it, and a document that holds
+/// more rows than `cap` is refused at the first one too many, however
+/// many follow.
+fn read_events(
+    r: &mut serde::JsonReader<'_>,
+    cap: Option<usize>,
+) -> Result<VecDeque<HandoffEvent>, serde::Error> {
+    let Some(cap) = cap else {
+        return VecDeque::read_json(r);
+    };
+    if !r.begin_array()? {
+        return VecDeque::read_json(r);
+    }
+    let mut events = VecDeque::with_capacity(cap.min(1024));
+    while r.array_next(events.is_empty())? {
+        if events.len() == cap {
+            return Err(too_many(cap + 1, cap));
+        }
+        events.push_back(HandoffEvent::read_json(r)?);
+    }
+    Ok(events)
+}
+
+/// The refusal of a history holding `events` rows where `cap` fit.
+fn too_many(events: usize, cap: usize) -> serde::Error {
+    serde::Error::custom(format!("HandoffHistory: {events} events exceed cap {cap}"))
 }
 
 /// A decoded history must be one [`HandoffHistory::record`] can keep
@@ -229,11 +306,7 @@ impl TryFrom<wire::HandoffHistory> for HandoffHistory {
             return Err(serde::Error::custom("HandoffHistory: cap must be positive"));
         }
         if w.events.len() > w.cap {
-            return Err(serde::Error::custom(format!(
-                "HandoffHistory: {} events exceed cap {}",
-                w.events.len(),
-                w.cap
-            )));
+            return Err(too_many(w.events.len(), w.cap));
         }
         if w.total_recorded < w.events.len() as u64 {
             return Err(serde::Error::custom(format!(
@@ -541,6 +614,170 @@ mod tests {
         r.finish().map(|()| h)
     }
 
+    /// A row's text decoded by the one-pass reader, by the derived codec
+    /// it falls back to, and through the tree: each the event, or the
+    /// error's text.
+    fn three_ways(text: &str) -> [Result<HandoffEvent, String>; 3] {
+        let read = |f: fn(&mut serde::JsonReader<'_>) -> Result<HandoffEvent, serde::Error>| {
+            let mut r = serde::JsonReader::new(text);
+            f(&mut r)
+                .and_then(|ev| r.finish().map(|()| ev))
+                .map_err(|e| e.to_string())
+        };
+        let mut r = serde::JsonReader::new(text);
+        let tree = r
+            .value()
+            .and_then(|v| r.finish().map(|()| v))
+            .and_then(|v| HandoffEvent::from_value(&v))
+            .map_err(|e| e.to_string());
+        [
+            read(HandoffEvent::read_json),
+            read(|r| wire::HandoffEvent::read_json(r).map(HandoffEvent::from)),
+            tree,
+        ]
+    }
+
+    /// The one pass reads a subset of the spellings the derived codec
+    /// reads, into the same values; everywhere else the codec answers,
+    /// so every route gives the same event or the same error text.
+    #[test]
+    fn every_row_spelling_decodes_as_the_tree_decodes_it() {
+        let at = |t: u64| SimTime::from_ticks(t);
+        let row = |p, prev: Option<u32>, t| HandoffEvent {
+            time: at(t),
+            ..ev(p, prev, 2, 3)
+        };
+        let table: &[(&str, Result<HandoffEvent, &str>)] = &[
+            ("[1,null,2,3,4]", Ok(row(1, None, 4))),
+            (
+                "[1,0,2,3,18446744073709551615]",
+                Ok(row(1, Some(0), u64::MAX)),
+            ),
+            (
+                "[4294967295,4294967295,2,3,4]",
+                Ok(row(u32::MAX, Some(u32::MAX), 4)),
+            ),
+            ("[1, null,2,3,4]", Ok(row(1, None, 4))),
+            (" [ 1 ,null ,2,3,4 ] ", Ok(row(1, None, 4))),
+            ("[-0,null,2,3,4]", Ok(row(0, None, 4))),
+            ("[01,null,2,3,04]", Ok(row(1, None, 4))),
+            ("[1.0,null,2,3,4]", Ok(row(1, None, 4))),
+            ("[1,null,2,3,4e0]", Ok(row(1, None, 4))),
+            ("[1,null,2,3,1E1]", Ok(row(1, None, 10))),
+            // 2^64 is a float on every route, and saturates into a u64.
+            (
+                "[1,null,2,3,18446744073709551616]",
+                Ok(row(1, None, u64::MAX)),
+            ),
+            ("[-1,null,2,3,4]", Err("expected u32, got Int(-1)")),
+            ("[1,null,2,3,-4]", Err("expected u64, got Int(-4)")),
+            ("[1.5,null,2,3,4]", Err("expected u32, got Float(1.5)")),
+            (
+                "[4294967296,null,2,3,4]",
+                Err("u32 out of range: 4294967296"),
+            ),
+            ("[1,4294967296,2,3,4]", Err("u32 out of range: 4294967296")),
+            (
+                "[1,null,2,3,184467440737095516160]",
+                Err("expected u64, got Float("),
+            ),
+            ("[null,null,2,3,4]", Err("expected u32, got Null")),
+            ("[1,null,null,3,4]", Err("expected u32, got Null")),
+            ("[1,null,2,null,4]", Err("expected u32, got Null")),
+            ("[1,null,2,3,null]", Err("expected u64, got Null")),
+            (
+                "[1,null,2,3]",
+                Err("HandoffEvent: expected 5-element array"),
+            ),
+            (
+                "[1,null,2,3,4,5]",
+                Err("HandoffEvent: expected 5-element array"),
+            ),
+            ("[1,[],2,3,4]", Err("expected u32, got Array([])")),
+            ("[1,null,2,3,4", Err("expected `,` or `]` at byte 13")),
+            ("[1,null,2,3,", Err("unexpected character at byte 12")),
+            ("[1,nul,2,3,4]", Err("unexpected character at byte 3")),
+            ("{}", Err("HandoffEvent: expected 5-element array")),
+        ];
+        for (text, want) in table {
+            let [fast, derived, tree] = three_ways(text);
+            assert_eq!(fast, derived, "{text}");
+            assert_eq!(fast, tree, "{text}");
+            match want {
+                Ok(ev) => assert_eq!(fast.as_ref(), Ok(ev), "{text}"),
+                Err(why) => {
+                    let err = fast.as_ref().err().map(String::as_str).unwrap_or_default();
+                    assert!(err.contains(why), "{text}: {err}");
+                }
+            }
+        }
+
+        // A row as the 128th bracket is read; as the 129th it is refused
+        // with the tree's text.
+        for open in [serde::json::MAX_DEPTH - 1, serde::json::MAX_DEPTH] {
+            let text = format!("{}[1,null,2,3,4]{}", "[".repeat(open), "]".repeat(open));
+            let fast =
+                |decode: fn(&mut serde::JsonReader<'_>) -> Result<HandoffEvent, serde::Error>| {
+                    let mut r = serde::JsonReader::new(&text);
+                    for _ in 0..open {
+                        assert_eq!(r.begin_array(), Ok(true));
+                    }
+                    decode(&mut r).map_err(|e| e.to_string())
+                };
+            let mut tree = serde::JsonReader::new(&text)
+                .value()
+                .map_err(|e| e.to_string());
+            for _ in 0..open {
+                tree = tree.map(|v| v.as_array().expect("nested")[0].clone());
+            }
+            let tree = tree.and_then(|v| HandoffEvent::from_value(&v).map_err(|e| e.to_string()));
+            let got = fast(HandoffEvent::read_json);
+            assert_eq!(
+                got,
+                fast(|r| wire::HandoffEvent::read_json(r).map(HandoffEvent::from))
+            );
+            assert_eq!(got, tree, "{open}");
+            if open < serde::json::MAX_DEPTH {
+                assert_eq!(got, Ok(row(1, None, 4)));
+            } else {
+                assert_eq!(got, Err(format!("nesting deeper than 128 at byte {open}")));
+            }
+        }
+    }
+
+    /// A ring decoded with its `cap` first is sized as `new` sizes one,
+    /// so the first `record` after a restore does not grow it; one whose
+    /// `events` come first decodes as any `VecDeque` does. Either way it
+    /// is the same history.
+    #[test]
+    fn a_decoded_ring_is_sized_from_its_cap() {
+        // Four rows: what a `Vec` grown row by row holds with no room left.
+        let rows = "[[1,null,2,3,4],[1,2,3,4,5],[1,3,4,5,6],[1,4,5,6,7]]";
+        for (doc, sized) in [
+            (
+                format!(r#"{{"cap":500,"events":{rows},"total_recorded":9}}"#),
+                true,
+            ),
+            (
+                format!(r#"{{"events":{rows},"cap":500,"total_recorded":9}}"#),
+                false,
+            ),
+            (
+                format!(r#"{{"cap":5000,"events":{rows},"total_recorded":9}}"#),
+                true,
+            ),
+        ] {
+            let mut h = decode(&doc).expect("decodes");
+            assert_eq!(text(&h), tree_text(&h));
+            let reserved = h.events.capacity();
+            if sized {
+                assert!(reserved >= h.cap.min(1024), "{doc}: {reserved}");
+            }
+            h.record(ev(1, Some(3), 4, 5));
+            assert_eq!(h.events.capacity() == reserved, sized, "{doc}");
+        }
+    }
+
     #[test]
     fn a_handoff_is_a_row() {
         let mut h = HandoffHistory::new(3);
@@ -579,6 +816,68 @@ mod tests {
             assert!(HandoffHistory::from_value(&tree).is_err(), "{doc}");
         }
         assert!(decode(r#"{"cap":2,"events":[[1,null,2,3,4]],"total_recorded":9}"#).is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Rows spelt every way a hand or a hostile author might — each
+        /// slot any magnitude, in or out of its type's range, canonical or
+        /// not, four to six of them — decode by the one pass exactly as
+        /// by the derived codec (the same event or the same error text),
+        /// and to the same event as through the tree, or are refused by
+        /// both. (Their error texts may differ: on a row of the wrong
+        /// length with a bad slot, or a malformed one with a mistyped
+        /// slot, the tree reports what it meets first, the typed read
+        /// what it does.) About one row in twelve is canonical and in
+        /// range, so the one pass reads it; one in ten is accepted.
+        #[test]
+        fn row_spellings_decode_alike(
+            // (value, shift: the slot's number is `value >> shift`, so
+            //  every magnitude comes up; spelling: 0–8 not canonical,
+            //  9–23 a small number, 24–31 the number itself)
+            slots in proptest::collection::vec((0u64..u64::MAX, 0u32..64, 0u8..32), 6),
+            // (0: four slots, 1: six, else five; where a space goes, if
+            //  anywhere; 0: unterminated)
+            (arity, space, close) in (0u8..8, 0usize..160, 0u8..16),
+        ) {
+            let arity = match arity {
+                0 => 4,
+                1 => 6,
+                _ => 5,
+            };
+            let mut text = String::from("[");
+            for (i, (value, shift, spelling)) in slots.iter().take(arity).enumerate() {
+                if i > 0 {
+                    text.push(',');
+                }
+                let v = value >> shift;
+                text.push_str(&match spelling {
+                    0 => "null".to_string(),
+                    1 => format!("-{v}"),
+                    2 => format!("0{v}"),
+                    3 => format!("{v}.0"),
+                    4 => format!("{v}e0"),
+                    5 => format!("{v}0000000000"),
+                    6 => format!("\"{v}\""),
+                    7 => format!("[{v}]"),
+                    8 => "null".to_string(),
+                    9..=23 => (v % 1000).to_string(),
+                    _ => v.to_string(),
+                });
+            }
+            if close > 0 {
+                text.push(']');
+            }
+            if space < text.len() {
+                text.insert(space, ' ');
+            }
+            let [fast, derived, tree] = three_ways(&text);
+            proptest::prop_assert_eq!(&fast, &derived, "{}", text);
+            if fast.is_ok() || tree.is_ok() {
+                proptest::prop_assert_eq!(&fast, &tree, "{}", text);
+            }
+        }
     }
 
     proptest::proptest! {

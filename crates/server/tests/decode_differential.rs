@@ -176,13 +176,15 @@ fn wing_end_state() -> String {
         .expect("snapshot serializes")
 }
 
-/// The number token at or after byte `from` that follows a `:` — a
-/// field's value — as a byte range.
+/// The number token at or after byte `from` that follows a `:`, a `[`
+/// or a `,` — a field's value or an array's element, such as a slot of
+/// a handoff row — as a byte range.
 fn number_after(doc: &str, from: usize) -> Option<std::ops::Range<usize>> {
     let bytes = doc.as_bytes();
-    let start = (from..bytes.len().saturating_sub(1))
-        .find(|&i| bytes[i] == b':' && (bytes[i + 1] == b'-' || bytes[i + 1].is_ascii_digit()))?
-        + 1;
+    let start = (from..bytes.len().saturating_sub(1)).find(|&i| {
+        matches!(bytes[i], b':' | b'[' | b',')
+            && (bytes[i + 1] == b'-' || bytes[i + 1].is_ascii_digit())
+    })? + 1;
     let len = bytes[start..]
         .iter()
         .position(|b| !matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))?;
@@ -467,6 +469,24 @@ fn history_bounds_are_checked<T: Image>(doc: &str) {
         let what = format!("{with} at {}", span.start);
         assert_eq!(agree::<T>(&edited, &what), Class::Parse, "{what}");
     }
+    // A hundred thousand rows: the one pass refuses the history at row
+    // `cap + 1`, before it reads (let alone keeps) the rest; the tree
+    // holds them all first. The same class either way.
+    const EVENTS: &str = ",\"events\":[";
+    let rows = cap.end + EVENTS.len();
+    assert_eq!(&doc[cap.end..rows], EVENTS, "layout drifted");
+    let row = &doc[rows..=rows + doc[rows..].find(']').expect("a row")];
+    let close = rows
+        + doc[rows..]
+            .find("],\"total_recorded\":")
+            .expect("events close");
+    let flood = format!(
+        "{}{}{}",
+        &doc[..rows],
+        vec![row; 100_000].join(","),
+        &doc[close..]
+    );
+    assert_eq!(agree::<T>(&flood, "100,000 rows"), Class::Parse);
     let mut edited = doc.to_string();
     edited.replace_range(cap, &events.to_string());
     assert_eq!(

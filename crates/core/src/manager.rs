@@ -19,7 +19,8 @@
 //!   refresh,
 //! * [`terminate`](ResourceManager::terminate) — normal teardown,
 //! * [`slot_tick`](ResourceManager::slot_tick) — aggregate-policy
-//!   bookkeeping: feed the cafeteria/default predictors, refresh claims.
+//!   bookkeeping: feed the cafeteria/default predictors, retire the
+//!   multicast branches of portables that settled, refresh claims.
 //!
 //! Claims are recomputed after every event from the current state, as
 //! if every manager-owned claim were wiped and re-installed in a fixed
@@ -440,8 +441,9 @@ struct RefreshScratch {
     row: Vec<(CellId, f64)>,
     /// Connections of the portable being handed off.
     moving: Vec<ConnId>,
-    /// Every tracked portable, for the slot tick's multicast re-sync.
-    tracked: Vec<PortableId>,
+    /// `(portable, connection)` of every branched connection whose
+    /// portable settled, for the slot tick's retirement, ascending.
+    settled: Vec<(PortableId, ConnId)>,
 }
 
 /// The integrated control plane.
@@ -517,6 +519,11 @@ pub struct ResourceManager {
     /// test's twin manager).
     #[cfg(test)]
     reference_refresh: bool,
+    /// Re-sync every tracked portable's multicast branches at each slot
+    /// tick instead of retiring the settled ones' (the differential
+    /// test's twin manager).
+    #[cfg(test)]
+    reference_resync: bool,
     /// Connections force-dropped by channel fades (negative excess →
     /// re-negotiation, §5.3).
     pub channel_renegotiations: u64,
@@ -609,6 +616,8 @@ impl ResourceManager {
             scratch: RefreshScratch::default(),
             #[cfg(test)]
             reference_refresh: false,
+            #[cfg(test)]
+            reference_resync: false,
             channel_renegotiations: 0,
             server_node,
             down_links: BTreeSet::new(),
@@ -745,6 +754,8 @@ impl ResourceManager {
             scratch: RefreshScratch::default(),
             #[cfg(test)]
             reference_refresh: false,
+            #[cfg(test)]
+            reference_resync: false,
             channel_renegotiations: snap.channel_renegotiations,
             server_node: snap.server_node,
             down_links: snap.down_links,
@@ -1080,8 +1091,9 @@ impl ResourceManager {
         dropped
     }
 
-    /// §4 multicast maintenance for one portable: a *mobile* portable's
-    /// live connections get wired branches toward the current cell's
+    /// §4 multicast set-up for one portable, at its admission, handoff
+    /// or accepted re-negotiation: a *mobile* portable's live
+    /// connections get wired branches toward the current cell's
     /// neighbours; a static portable's branches are torn down ("no
     /// multicast routes … corresponding to this [B_dyn] fraction").
     fn sync_multicast_for(&mut self, p: PortableId, now: SimTime) {
@@ -1107,7 +1119,18 @@ impl ResourceManager {
         }
     }
 
-    /// Slot boundary: feed the aggregate predictors and refresh claims.
+    /// Slot boundary: feed the aggregate predictors, retire the §4
+    /// multicast branches of every portable that is static now, and
+    /// refresh claims.
+    ///
+    /// A mobile portable's branches are not touched: a branch is set up
+    /// at admission, at handoff and at an accepted re-negotiation, and
+    /// stands until its portable settles (here), moves, or the
+    /// connection ends or is dropped. A branch refused for want of
+    /// headroom or over a down link is therefore retried at the
+    /// portable's next set-up, not every slot. The tick's multicast
+    /// work is the settled portables' teardowns, and it allocates
+    /// nothing in steady state.
     pub fn slot_tick(&mut self, now: SimTime) {
         let slot = now.ticks() / SLOT.ticks();
         self.obs
@@ -1121,16 +1144,44 @@ impl ResourceManager {
             pred.observe(f64::from(outflow.get(cell).copied().unwrap_or(0)));
         }
         self.obs.phase_end(Phase::PredictionUpdate, pred_tok, now);
-        // Static transitions since the last slot retire their multicast
-        // branches here (slot granularity is ample: T_th is minutes).
-        let mut tracked = std::mem::take(&mut self.scratch.tracked);
-        tracked.clear();
-        tracked.extend(self.portables.keys());
-        for p in &tracked {
-            self.sync_multicast_for(*p, now);
-        }
-        self.scratch.tracked = tracked;
+        self.retire_settled_branches(now);
         self.after_event(now);
+    }
+
+    /// Tear down the branches of every connection whose portable is
+    /// static at `now` (slot granularity is ample: `T_th` is minutes),
+    /// in ascending portable order and each portable's connections
+    /// ascending: a ledger's running sums depend on the order of its
+    /// releases, and this is the order a per-portable sweep makes them
+    /// in (`reference_resync_multicast`, the tests' oracle).
+    fn retire_settled_branches(&mut self, now: SimTime) {
+        #[cfg(test)]
+        if self.reference_resync {
+            return self.reference_resync_multicast(now);
+        }
+        if !self.cfg.multicast {
+            return;
+        }
+        let t_th = self.cfg.t_th;
+        let mut settled = std::mem::take(&mut self.scratch.settled);
+        settled.clear();
+        for id in self.multicast.connections() {
+            let Some(p) = self.net.get(id).map(|c| c.portable) else {
+                continue;
+            };
+            if self
+                .portables
+                .get(&p)
+                .is_some_and(|t| t.state.is_static(t_th, now))
+            {
+                settled.push((p, id));
+            }
+        }
+        settled.sort_unstable();
+        for &(_, id) in &settled {
+            self.multicast.teardown(&mut self.net, id);
+        }
+        self.scratch.settled = settled;
     }
 
     /// The wireless channel of `cell` changed: its effective capacity is

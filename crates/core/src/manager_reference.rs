@@ -11,6 +11,12 @@
 //! after every event. [`reference_rewrite`] is its share on one link,
 //! the guarded apply step's oracle. Compiled for tests only, so nothing
 //! else can call it.
+//!
+//! Beside it, the slot tick's per-portable multicast re-sync
+//! ([`reference_resync_multicast`]), the oracle of
+//! `tests::retire_matches_the_full_resync_on_a_wide_backbone`.
+//!
+//! [`reference_resync_multicast`]: ResourceManager::reference_resync_multicast
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,6 +113,23 @@ impl ResourceManager {
     /// Make this manager the differential test's reference twin.
     pub(super) fn use_reference_refresh(&mut self) {
         self.reference_refresh = true;
+    }
+
+    /// Make this manager the multicast differential's reference twin.
+    pub(super) fn use_reference_resync(&mut self) {
+        self.reference_resync = true;
+    }
+
+    /// The slot tick's multicast pass as it stood before it only
+    /// retired: every tracked portable's branches re-synced — a mobile
+    /// portable's torn down and admitted again toward its cell's
+    /// neighbours, a static one's torn down — in ascending portable
+    /// order, the set collected into a fresh `Vec`.
+    pub(super) fn reference_resync_multicast(&mut self, now: SimTime) {
+        let tracked: Vec<PortableId> = self.portables.keys().copied().collect();
+        for p in tracked {
+            self.sync_multicast_for(p, now);
+        }
     }
 
     /// The three-level prediction with level 2b recounting the cell's

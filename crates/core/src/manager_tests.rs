@@ -1586,3 +1586,207 @@ fn an_unwired_neighbour_is_a_failed_branch() {
     assert_eq!(mgr.multicast.branches_of(id), vec![f4.c, f4.e]);
     assert!(mgr.net.check_invariants().is_ok());
 }
+
+/// One wired link's claims and running sums, as bits.
+type WiredBits = (Vec<(ResvClaim, u64)>, [u64; 4]);
+
+/// Every wired link's [`WiredBits`].
+fn wired_bits(mgr: &ResourceManager) -> Vec<WiredBits> {
+    mgr.net
+        .links()
+        .filter(|(l, _)| mgr.net.topology().link(*l).wireless_cell.is_none())
+        .map(|(_, l)| {
+            (
+                l.claims().map(|(k, v)| (k, v.to_bits())).collect(),
+                l.sum_bits(),
+            )
+        })
+        .collect()
+}
+
+/// Every wired link's ledger revision.
+fn wired_revisions(mgr: &ResourceManager) -> Vec<arm_net::link::Revision> {
+    mgr.net
+        .links()
+        .filter(|(l, _)| mgr.net.topology().link(*l).wireless_cell.is_none())
+        .map(|(_, l)| l.revision())
+        .collect()
+}
+
+/// The slot tick that only retires the settled portables' branches
+/// against the per-portable re-sync it replaced (a twin manager with
+/// `reference_resync` set), on the office week and the `wing_rush` wing
+/// at seeds 42 and 7, replayed the way the scenario driver does
+/// (appear and request, move, slot ticks): on a backbone wide enough
+/// that no branch is refused, after **every** event, ticks included,
+/// the two `MulticastState`s are equal, and so is every wired link's
+/// claim table and running sums, bit for bit. The re-sync tore every
+/// mobile portable's branches down and admitted them again at each
+/// tick; with room for all of them, that changed nothing.
+#[test]
+fn retire_matches_the_full_resync_on_a_wide_backbone() {
+    use crate::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
+    use arm_mobility::WorkloadMix;
+    use arm_sim::SimRng;
+
+    let office = |seed| Scenario {
+        name: "retire-office".into(),
+        environment: EnvSpec::Figure4,
+        mobility: MobilitySpec::OfficeCase,
+        workload: WorkloadSpec::Paper71,
+        strategy: Strategy::Paper,
+        cell_throughput_kbps: 1600.0,
+        backbone_kbps: 100_000.0,
+        wireless_error: 0.0,
+        t_th_secs: 300,
+        seed,
+    };
+    let wing = |seed| Scenario {
+        name: "retire-wing".into(),
+        environment: EnvSpec::OfficeWing { offices: 30 },
+        mobility: MobilitySpec::RandomWalk {
+            population: 240,
+            mean_dwell_secs: 120,
+            span_mins: 40,
+        },
+        cell_throughput_kbps: 400.0,
+        ..office(seed)
+    };
+    for sc in [office(42), office(7), wing(42), wing(7)] {
+        let ctx = format!("{} seed {}", sc.name, sc.seed);
+        let (mut live, trace) = scenario::build_manager(&sc).expect("valid scenario");
+        let (mut reference, _) = scenario::build_manager(&sc).expect("valid scenario");
+        reference.use_reference_resync();
+        let mut rng = SimRng::new(sc.seed).split("scenario-workload");
+        let mix = WorkloadMix::paper71();
+        let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
+        let (mut retired, mut peak) = (0usize, 0usize);
+        let mut agree = |live: &ResourceManager, reference: &ResourceManager, what: &str| {
+            assert_eq!(live.multicast, reference.multicast, "{ctx}: {what}");
+            assert_eq!(wired_bits(live), wired_bits(reference), "{ctx}: {what}");
+            peak = peak.max(live.multicast.active_branches);
+        };
+        for ev in trace.events() {
+            while ev.time >= next_slot {
+                let before = live.multicast.active_branches;
+                live.slot_tick(next_slot);
+                reference.slot_tick(next_slot);
+                retired += before - live.multicast.active_branches;
+                agree(&live, &reference, &format!("tick {next_slot:?}"));
+                next_slot += SimDuration::from_mins(1);
+            }
+            match ev.from {
+                None => {
+                    let q = mix.sample(&mut rng);
+                    for mgr in [&mut live, &mut reference] {
+                        mgr.portable_appears(ev.portable, ev.to, ev.time);
+                        let _ = mgr.request_connection(ev.portable, q, ev.time);
+                    }
+                }
+                Some(_) => {
+                    let dropped = live.portable_moved(ev.portable, ev.to, ev.time);
+                    assert_eq!(
+                        dropped,
+                        reference.portable_moved(ev.portable, ev.to, ev.time)
+                    );
+                }
+            }
+            agree(&live, &reference, &format!("{ev:?}"));
+        }
+        assert_eq!(
+            live.multicast.failed_branches, 0,
+            "{ctx}: the backbone is wide"
+        );
+        // The streams reached the paths under test.
+        assert!(peak > 50, "{ctx}: at most {peak} branches at once");
+        assert!(
+            retired > 50,
+            "{ctx}: only {retired} branches retired at a tick"
+        );
+    }
+}
+
+/// The behaviour the retiring tick changes, on a backbone that cannot
+/// carry every branch: cell A's base station is wired to nothing, so a
+/// branch toward A is refused whenever it is set up. The refusal stands
+/// across slot ticks — `failed_branches` counts set-up attempts, and
+/// the per-portable re-sync (the reference twin) counted one more at
+/// every tick — and the branch is tried again at the portable's next
+/// handoff toward A. A tick at which nobody settles writes no wired
+/// ledger at all.
+#[test]
+fn a_refused_branch_waits_for_the_next_handoff() {
+    let f4 = Figure4::build();
+    let build = |reference: bool| {
+        let mut topo = arm_net::topology::Topology::new();
+        let sw = topo.add_switch("backbone");
+        for (id, info) in f4.env.cells() {
+            let c = topo.add_cell(&info.name, 1600.0, 0.0);
+            if id != f4.a {
+                topo.add_wired_duplex(sw, topo.base_station(c), 100_000.0, 0.0);
+            }
+        }
+        let mut mgr =
+            ResourceManager::new(f4.env.clone(), Network::new(topo), ManagerConfig::default());
+        if reference {
+            mgr.use_reference_resync();
+        }
+        mgr
+    };
+    let (mut mgr, mut reference) = (build(false), build(true));
+    let p = PortableId(50);
+    let mut id = None;
+    for m in [&mut mgr, &mut reference] {
+        m.portable_appears(p, f4.c, SimTime::ZERO);
+        id = Some(
+            m.request_connection(p, qos(64.0), SimTime::from_secs(1))
+                .expect("C is wired"),
+        );
+        assert!(m.portable_moved(p, f4.d, SimTime::from_secs(2)).is_empty());
+        assert_eq!(m.multicast.failed_branches, 1);
+    }
+    let id = id.expect("admitted");
+    // Three ticks inside T_th (5 min): p is mobile throughout.
+    for min in 1..=3 {
+        let revs = wired_revisions(&mgr);
+        mgr.slot_tick(SimTime::from_mins(min));
+        reference.slot_tick(SimTime::from_mins(min));
+        assert_eq!(mgr.multicast.failed_branches, 1, "tick {min}");
+        assert_eq!(
+            mgr.multicast.branches_of(id),
+            vec![f4.c, f4.e],
+            "tick {min}"
+        );
+        assert_eq!(
+            wired_revisions(&mgr),
+            revs,
+            "tick {min} wrote a wired ledger"
+        );
+        // The re-sync tried A again, every minute.
+        assert_eq!(reference.multicast.failed_branches, 1 + min, "tick {min}");
+        assert_eq!(wired_bits(&mgr), wired_bits(&reference), "tick {min}");
+    }
+    // Away from A and back: D → E sets up E's branches, E → D tries A
+    // once more.
+    let t = SimTime::from_mins(3) + SimDuration::from_secs(30);
+    assert!(mgr.portable_moved(p, f4.e, t).is_empty());
+    assert_eq!(mgr.multicast.failed_branches, 1);
+    assert_eq!(
+        mgr.multicast.branches_of(id),
+        f4.env.neighbors(f4.e).collect::<Vec<_>>()
+    );
+    assert!(mgr
+        .portable_moved(p, f4.d, t + SimDuration::from_secs(30))
+        .is_empty());
+    assert_eq!(mgr.multicast.failed_branches, 2);
+    assert_eq!(mgr.multicast.branches_of(id), vec![f4.c, f4.e]);
+    // Settled: the next tick after T_th in D retires the branches, and
+    // writes the wired ledgers they held.
+    let revs = wired_revisions(&mgr);
+    mgr.slot_tick(SimTime::from_mins(10));
+    assert!(mgr.multicast.branches_of(id).is_empty());
+    assert_eq!(mgr.multicast.active_branches, 0);
+    assert_ne!(wired_revisions(&mgr), revs);
+    assert_eq!(mgr.multicast.failed_branches, 2);
+    assert!(mgr.net.check_invariants().is_ok());
+}

@@ -246,7 +246,7 @@ impl Server {
             }
             ServerEvent::Move { t, portable, to } => {
                 let dropped = self.mgr.portable_moved(*portable, *to, *t);
-                self.open.retain(|_, c| !dropped.contains(c));
+                self.forget(&dropped);
             }
             ServerEvent::Depart { t, portable } => {
                 if let Some(id) = self.open.remove(portable) {
@@ -289,7 +289,7 @@ impl Server {
                 // Range-checked in `validate`, so this cannot fail; the
                 // victims still need unlinking from the open map.
                 if let Ok(dropped) = self.mgr.channel_change(*cell, *fraction, *t) {
-                    self.open.retain(|_, c| !dropped.contains(c));
+                    self.forget(&dropped);
                 }
             }
             ServerEvent::QueuePressure { on, .. } => {
@@ -306,6 +306,14 @@ impl Server {
             self.mgr.cache_history_rows();
         }
         Ok(())
+    }
+
+    /// Unlink dropped connections from the open map. Most moves and
+    /// fades drop nothing, and then the map is not walked.
+    fn forget(&mut self, dropped: &[ConnId]) {
+        if !dropped.is_empty() {
+            self.open.retain(|_, c| !dropped.contains(c));
+        }
     }
 
     /// Semantic validation against the current state: time ordering,
@@ -360,7 +368,13 @@ impl Server {
             }
             ServerEvent::Move { portable, to, .. } => {
                 check_present(*portable)?;
-                check_cell(*to)
+                check_cell(*to)?;
+                if self.mgr.portable_cell(*portable) == Some(*to) {
+                    return Err(IngestError::InvalidParameter {
+                        detail: format!("portable {} is already in cell {}", portable.0, to.0),
+                    });
+                }
+                Ok(())
             }
             ServerEvent::Depart { portable, .. } => check_present(*portable),
             // Doom marks are valid for any portable — the mark simply

@@ -362,3 +362,105 @@ fn a_deeply_nested_line_does_not_kill_run_server() {
         "{stderr}"
     );
 }
+
+/// The server's image as text, its rejection counter set back by
+/// `forgiven` (the one field a refused line moves).
+fn image_less_rejections(server: &Server, forgiven: u64) -> String {
+    let snap = server.snapshot();
+    let text = snap.to_json().expect("serializable");
+    let (a, r) = (server.accepted(), server.rejected());
+    let counters = format!("\"accepted\":{a},\"rejected\":{r},");
+    assert_eq!(text.matches(&counters).count(), 1, "{counters}");
+    let restored = format!("\"accepted\":{a},\"rejected\":{},", r - forgiven);
+    text.replace(&counters, &restored)
+}
+
+/// A `Move` to the cell the portable is already in is a no-op move the
+/// manager cannot make: it is refused as an invalid parameter, like a
+/// second `Appear`, is counted, and leaves the state as it was — the
+/// manager's snapshot bytes unchanged, the server's changed only in its
+/// rejection counter. A stream with such a line after every appearance
+/// and move ends byte-identical (that counter aside) to the stream
+/// without them.
+#[test]
+fn a_move_to_the_portables_own_cell_is_refused() {
+    use arm_net::ids::{CellId, PortableId};
+
+    // The line as it arrives, after portable 7 appeared in cell 2.
+    let mut server = Server::new(cfg(5), Obs::off()).expect("valid scenario");
+    let appear = line(&ServerEvent::Appear {
+        t: SimTime::from_ticks(1000),
+        portable: PortableId(7),
+        cell: CellId(2),
+    });
+    assert_eq!(server.ingest_line(&appear), LineOutcome::Accepted);
+    let (manager, image) = (
+        server.mgr.snapshot().to_json().expect("serializable"),
+        image_less_rejections(&server, 0),
+    );
+    match server.ingest_line(r#"{"Move":{"t":2000,"portable":7,"to":2}}"#) {
+        LineOutcome::Rejected(e) => {
+            assert!(matches!(e, IngestError::InvalidParameter { .. }), "{e}");
+            assert_eq!(e.reason(), "invalid-parameter");
+        }
+        LineOutcome::Accepted => panic!("a no-op move was accepted"),
+    }
+    assert_eq!((server.accepted(), server.rejected()), (1, 1));
+    assert_eq!(
+        server.mgr.snapshot().to_json().expect("serializable"),
+        manager
+    );
+    assert_eq!(image_less_rejections(&server, 1), image);
+
+    // Interleaved through a whole stream with connections.
+    let mut sc = cfg(5).scenario;
+    sc.workload = WorkloadSpec::Paper71;
+    sc.mobility = MobilitySpec::RandomWalk {
+        population: 12,
+        mean_dwell_secs: 60,
+        span_mins: 20,
+    };
+    let events = arm_server::drill::events_from_scenario(&sc, &arm_sim::FaultSchedule::empty())
+        .expect("valid scenario");
+    let config = || ServerConfig {
+        scenario: sc.clone(),
+        ..cfg(5)
+    };
+    let mut plain = Server::new(config(), Obs::off()).expect("valid scenario");
+    let mut noisy = Server::new(config(), Obs::off()).expect("valid scenario");
+    let (mut refused, mut carried) = (0, 0);
+    for ev in &events {
+        let l = line(ev);
+        assert_eq!(plain.ingest_line(&l), LineOutcome::Accepted, "{l}");
+        assert_eq!(noisy.ingest_line(&l), LineOutcome::Accepted, "{l}");
+        carried = carried.max(plain.open_connections().len());
+        let stay = match *ev {
+            ServerEvent::Appear { t, portable, cell } => Some((t, portable, cell)),
+            ServerEvent::Move { t, portable, to } => Some((t, portable, to)),
+            _ => None,
+        };
+        if let Some((t, portable, to)) = stay {
+            let l = line(&ServerEvent::Move { t, portable, to });
+            assert!(
+                matches!(
+                    noisy.ingest_line(&l),
+                    LineOutcome::Rejected(IngestError::InvalidParameter { .. })
+                ),
+                "{l}"
+            );
+            refused += 1;
+        }
+    }
+    assert!(refused > 100, "only {refused} no-op moves interleaved");
+    assert!(carried > 5, "at most {carried} connections open at once");
+    assert_eq!(noisy.rejected(), refused);
+    assert_eq!(noisy.accepted(), plain.accepted());
+    assert_eq!(
+        noisy.mgr.snapshot().to_json().expect("serializable"),
+        plain.mgr.snapshot().to_json().expect("serializable")
+    );
+    assert_eq!(
+        image_less_rejections(&noisy, refused),
+        image_less_rejections(&plain, 0)
+    );
+}

@@ -2,13 +2,13 @@
 //!
 //! Four prongs, driven by `cargo xtask check`:
 //!
-//! 1. **Domain lints** ([`lints`]) — a token-stream walker (the
-//!    workspace vendors no `syn`, so [`lexer`] provides a purpose-built
-//!    Rust lexer) over every library crate, enforcing the invariants
-//!    that generic tooling cannot know: `total_cmp` on rate-typed
-//!    floats, no unsanctioned panics in protocol code, the `b_min`
-//!    floor at allocation clamps, ordered containers and no wall clock
-//!    in simulation state.
+//! 1. **Domain lints** — clippy carries most of the policy (no panics
+//!    outside `arm_sim::Audited`, ordered containers, no wall clock, no
+//!    bare `#[allow]`) through a policy line in each target crate's
+//!    `lib.rs` and the root `clippy.toml`; [`lints`] is a text scan for
+//!    the three rules clippy cannot express: `total_cmp` on rate-typed
+//!    floats, the `b_min` floor at allocation clamps, and `#[must_use]`
+//!    verdict types.
 //! 2. **Bounded model checking** ([`model`]) — the distributed maxmin
 //!    and round-trip admission protocols and the production maxmin
 //!    engine as explicit transition systems, exhaustively explored over
@@ -18,13 +18,12 @@
 //!    schema-versioned serialized surface structurally fingerprinted
 //!    against `crates/check/fingerprints/`; a layout change without a
 //!    `*_SCHEMA_VERSION` bump (plus a re-bless) fails the gate.
-//! 4. **CI gates** — miri, sanitizers, `cargo-deny`, clippy: wired in
+//! 4. **CI gates** — miri, sanitizers, `cargo-deny`: wired in
 //!    `.github/workflows/ci.yml`, not here.
 //!
-//! See `DESIGN.md` §8 for the rule catalogue and how to add a rule,
-//! and §13 for the verification passes added on top.
+//! See `DESIGN.md` §8 for the lint policy and how to add a rule, and
+//! §13 for the verification passes added on top.
 
 pub mod fingerprint;
-pub mod lexer;
 pub mod lints;
 pub mod model;

@@ -1,9 +1,9 @@
-//! The repo must pass its own domain lints.
+//! The repo must pass its own domain lint scan.
 //!
-//! This is satellite discipline for `cargo xtask check`: every finding
-//! the lint pass can produce was fixed (or explicitly audited) when the
-//! pass landed, and this test keeps the tree at zero findings so CI
-//! failures always point at the offending diff, never at pre-existing
+//! The scan covers the three rules clippy cannot express (`total-cmp`,
+//! `clamp-floor`, `must-use-outcome`); clippy carries the rest
+//! (`tests/policy.rs`). This test keeps the tree at zero findings so a
+//! failure always points at the offending diff, never at pre-existing
 //! noise.
 
 use std::path::Path;
@@ -21,10 +21,6 @@ fn workspace_is_lint_clean() {
     assert!(
         findings.is_empty(),
         "domain lint findings in the tree:\n{}",
-        findings
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
+        findings.join("\n")
     );
 }

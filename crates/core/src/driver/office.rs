@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The §7.1 office-case experiment.
 //!
 //! Replays the Figure 4 workweek trace, feeding the profile server, and
@@ -20,7 +16,7 @@ use arm_mobility::MobilityTrace;
 use arm_net::ids::PortableId;
 use arm_profiles::prediction::PredictionLevel;
 use arm_profiles::ProfileServer;
-use arm_sim::SimRng;
+use arm_sim::{Audited, SimRng};
 
 /// Accuracy accounting for one population.
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,16 +122,16 @@ pub fn analyze(f4: &Figure4, trace: &MobilityTrace) -> OfficeCaseResult {
                 .saturating_since(dwell_start.get(&ev.portable).copied().unwrap_or(ev.time))
                 .as_secs_f64();
             let n_neighbors = f4.env.neighbors(from).count() as f64;
-            *reserved.get_mut("brute-force").expect("invariant: seeded") += dwell * n_neighbors;
+            *reserved.get_mut("brute-force").invariant("seeded") += dwell * n_neighbors;
             // Aggregate spreads one user's worth across neighbours: one
             // cell-equivalent total.
-            *reserved.get_mut("aggregate").expect("invariant: seeded") += dwell;
+            *reserved.get_mut("aggregate").invariant("seeded") += dwell;
             // The paper's scheme reserves in exactly one cell — and only
             // while the portable is *mobile*: once it dwells past T_th
             // (5 min) it is reclassified static and its claim released
             // (§3.4.2), so long office/corridor sojourns cost nothing.
             if pred.cell.is_some() {
-                *reserved.get_mut("prediction").expect("invariant: seeded") += dwell.min(300.0);
+                *reserved.get_mut("prediction").invariant("seeded") += dwell.min(300.0);
             }
             // A handoff consumes one reservation-equivalent.
             useful += dwell;

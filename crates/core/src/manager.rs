@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The integrated resource manager (the paper's Figure 1).
 //!
 //! One [`ResourceManager`] owns the network, the zone's profile server,
@@ -77,7 +73,7 @@ use arm_reservation::cafeteria::CafeteriaPredictor;
 use arm_reservation::default_cell::OneStepMemory;
 use arm_reservation::dispatch::{decide_traced, ReservationDecision};
 use arm_reservation::meeting::{BookingCalendar, MeetingRoomPolicy};
-use arm_sim::{SimDuration, SimTime};
+use arm_sim::{Audited, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::claim_plan::{ClaimWrite, Plans, RefreshStats};
@@ -828,7 +824,7 @@ impl ResourceManager {
     /// route. The links go through the resident scratch — no per-event
     /// `Route` clone.
     fn release_current_route(&mut self, id: ConnId) {
-        let c = self.net.get(id).expect("invariant: live connection");
+        let c = self.net.get(id).invariant("live connection");
         self.route_scratch.clear();
         self.route_scratch.extend_from_slice(&c.route.links);
         self.net.release_route_links(id, &self.route_scratch);
@@ -897,7 +893,7 @@ impl ResourceManager {
         let cell = self
             .portables
             .get(&p)
-            .expect("precondition: portable must appear before requesting connections")
+            .precondition("portable must appear before requesting connections")
             .state
             .cell;
         let admit_tok = self.obs.phase_start(now);
@@ -949,12 +945,12 @@ impl ResourceManager {
     ) -> Result<(), arm_qos::Rejection> {
         new_qos
             .validate()
-            .expect("precondition: caller validates the request");
+            .precondition("caller validates the request");
         let (p, old_qos) = {
             let c = self
                 .net
                 .get(id)
-                .expect("precondition: renegotiate on a live connection");
+                .precondition("renegotiate on a live connection");
             (c.portable, c.qos)
         };
         let admit_tok = self.obs.phase_start(now);
@@ -962,7 +958,7 @@ impl ResourceManager {
         // Release the current reservation, swap in the new bounds.
         self.release_current_route(id);
         {
-            let c = self.net.get_mut(id).expect("invariant: checked above");
+            let c = self.net.get_mut(id).invariant("checked above");
             c.qos = new_qos;
             c.b_current = new_qos.b_min;
         }
@@ -976,12 +972,12 @@ impl ResourceManager {
             // Restore the previous bounds; the resources were just
             // freed, so re-admission under them cannot fail.
             {
-                let c = self.net.get_mut(id).expect("invariant: checked above");
+                let c = self.net.get_mut(id).invariant("checked above");
                 c.qos = old_qos;
                 c.b_current = old_qos.b_min;
             }
             self.admit(id, mobility, RequestKind::New)
-                .expect("invariant: restoring the previous reservation always fits");
+                .invariant("restoring the previous reservation always fits");
         }
         self.after_event(now);
         let cell = self.net.get(id).map_or(CellId(0), |c| c.cell);
@@ -1017,7 +1013,7 @@ impl ResourceManager {
         let state = self
             .portables
             .get(&p)
-            .expect("precondition: portable must appear before moving")
+            .precondition("portable must appear before moving")
             .state;
         let from = state.cell;
         assert_ne!(from, to, "no-op move");
@@ -1282,15 +1278,10 @@ impl ResourceManager {
         for id in ids {
             if !self.try_reroute(id) {
                 // Ride out the outage at the guaranteed floor.
-                let b_min = self
-                    .net
-                    .get(id)
-                    .expect("invariant: live connection")
-                    .qos
-                    .b_min;
+                let b_min = self.net.get(id).invariant("live connection").qos.b_min;
                 self.net
                     .set_conn_rate(id, b_min)
-                    .expect("invariant: shrinking to b_min never overcommits");
+                    .invariant("shrinking to b_min never overcommits");
             }
         }
         Self::seal_link(&mut self.net, link);
@@ -1362,7 +1353,7 @@ impl ResourceManager {
     /// that differs from its current route and has room; true on success.
     fn try_reroute(&mut self, id: ConnId) -> bool {
         let (cell, old_route, b_min) = {
-            let c = self.net.get(id).expect("invariant: live connection");
+            let c = self.net.get(id).invariant("live connection");
             (c.cell, c.route.clone(), c.qos.b_min)
         };
         let new_route = {
@@ -1382,7 +1373,7 @@ impl ResourceManager {
         }
         self.net.release_route(id, &old_route);
         {
-            let c = self.net.get_mut(id).expect("invariant: live connection");
+            let c = self.net.get_mut(id).invariant("live connection");
             c.route = new_route;
             c.b_current = b_min;
         }
@@ -1396,12 +1387,12 @@ impl ResourceManager {
         // resources were just freed, so restoring cannot fail — and let
         // the caller squeeze instead.
         {
-            let c = self.net.get_mut(id).expect("invariant: live connection");
+            let c = self.net.get_mut(id).invariant("live connection");
             c.route = old_route;
             c.b_current = b_min;
         }
         self.admit(id, MobilityClass::Mobile, RequestKind::Handoff)
-            .expect("invariant: restoring the previous reservation always fits");
+            .invariant("restoring the previous reservation always fits");
         false
     }
 
@@ -1435,7 +1426,7 @@ impl ResourceManager {
         claims_usable: bool,
     ) -> bool {
         let (b_min, from) = {
-            let c = self.net.get(id).expect("invariant: live connection");
+            let c = self.net.get(id).invariant("live connection");
             (c.qos.b_min, c.cell)
         };
         // The old cell's resources are released as the portable leaves
@@ -1443,7 +1434,7 @@ impl ResourceManager {
         self.release_current_route(id);
         {
             let new_route = Self::uplink_route(&self.uplinks, to);
-            let c = self.net.get_mut(id).expect("invariant: live connection");
+            let c = self.net.get_mut(id).invariant("live connection");
             // Field by field: `Vec::clone_from` reuses the old route's
             // buffers.
             c.route.nodes.clone_from(&new_route.nodes);
@@ -1506,7 +1497,7 @@ impl ResourceManager {
     fn uplink_route(uplinks: &[Option<Route>], cell: CellId) -> &Route {
         uplinks[cell.index()]
             .as_ref()
-            .expect("invariant: star backbone is connected")
+            .invariant("star backbone is connected")
     }
 
     /// The booking-calendar policy of `c`, if `c` is a meeting room.

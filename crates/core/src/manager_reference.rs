@@ -28,7 +28,7 @@ use arm_profiles::prediction::{Prediction, PredictionLevel};
 use arm_profiles::CellProfile;
 use arm_qos::adaptation::DynPoolPolicy;
 use arm_reservation::dispatch::{decide_traced, ReservationDecision};
-use arm_sim::SimTime;
+use arm_sim::{Audited, SimTime};
 
 use super::{PortableState, ResourceManager, PER_USER_KBPS};
 use crate::claim_plan::ClaimWrite;
@@ -285,10 +285,7 @@ impl ResourceManager {
         let meeting_cells: Vec<CellId> = self.meeting_policies.keys().copied().collect();
         for m in meeting_cells {
             let (room, neighbor) = {
-                let policy = self
-                    .meeting_policies
-                    .get_mut(&m)
-                    .expect("invariant: registered");
+                let policy = self.meeting_policies.get_mut(&m).invariant("registered");
                 (policy.room_demand(now), policy.neighbor_demand(now))
             };
             if room > 0.0 {

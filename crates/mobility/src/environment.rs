@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Cell maps.
 //!
 //! An [`IndoorEnvironment`] is the logical floor plan: cells with a
@@ -16,6 +12,7 @@ use arm_net::ids::{CellId, PortableId, ZoneId};
 use arm_net::topology::Topology;
 use arm_net::Network;
 use arm_profiles::{CellClass, LoungeKind};
+use arm_sim::Audited;
 use serde::{Deserialize, Serialize};
 
 /// One cell of the floor plan.
@@ -251,15 +248,9 @@ pub fn office_wing(n_offices: usize) -> IndoorEnvironment {
     let meeting = env.add_cell("meeting-room", CellClass::Lounge(LoungeKind::MeetingRoom));
     env.connect(meeting, corridor[0]);
     let cafeteria = env.add_cell("cafeteria", CellClass::Lounge(LoungeKind::Cafeteria));
-    env.connect(
-        cafeteria,
-        *corridor.last().expect("invariant: non-empty corridor"),
-    );
+    env.connect(cafeteria, *corridor.last().invariant("non-empty corridor"));
     let lounge = env.add_cell("lounge", CellClass::Lounge(LoungeKind::Default));
-    env.connect(
-        lounge,
-        *corridor.last().expect("invariant: non-empty corridor"),
-    );
+    env.connect(lounge, *corridor.last().invariant("non-empty corridor"));
     env
 }
 

@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The general dwell-and-move walker.
 //!
 //! Every specific model reduces to: a portable dwells in its current cell
@@ -11,7 +7,7 @@
 //! differ only in their `next` function and dwell distribution.
 
 use arm_net::ids::{CellId, PortableId};
-use arm_sim::{SimDuration, SimRng, SimTime};
+use arm_sim::{Audited, SimDuration, SimRng, SimTime};
 
 use crate::environment::IndoorEnvironment;
 use crate::trace::{MobilityTrace, MoveEvent};
@@ -76,9 +72,7 @@ impl<'a> Walker<'a> {
 
     /// Move to a neighbouring cell after `travel` time.
     pub fn step_to(&mut self, next: CellId, travel: SimDuration) -> &mut Self {
-        let from = self
-            .at
-            .expect("precondition: walker must appear before moving");
+        let from = self.at.precondition("walker must appear before moving");
         assert!(
             self.env.are_neighbors(from, next),
             "{from:?} and {next:?} are not neighbours"
@@ -112,9 +106,7 @@ impl<'a> Walker<'a> {
         travel: SimDuration,
     ) -> &mut Self {
         for _ in 0..steps {
-            let here = self
-                .at
-                .expect("precondition: walker must appear before wandering");
+            let here = self.at.precondition("walker must appear before wandering");
             let neighbors: Vec<CellId> = self.env.neighbors(here).collect();
             if neighbors.is_empty() {
                 break;

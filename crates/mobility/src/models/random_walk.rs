@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The default-lounge pattern: memoryless random movement (§6.2.3).
 //!
 //! A population of portables wanders the environment: exponential dwell
@@ -11,7 +7,7 @@
 //! predictable beyond the one-step-memory baseline).
 
 use arm_net::ids::{CellId, PortableId};
-use arm_sim::{SimDuration, SimRng, SimTime};
+use arm_sim::{Audited, SimDuration, SimRng, SimTime};
 
 use crate::environment::IndoorEnvironment;
 use crate::trace::MobilityTrace;
@@ -67,7 +63,7 @@ pub fn generate(
         w.appear(cells[prng.index(cells.len())]);
         let end = SimTime::ZERO + params.span;
         while w.now() < end {
-            let here = w.position().expect("invariant: appeared");
+            let here = w.position().invariant("appeared");
             let neighbors: Vec<CellId> = env.neighbors(here).collect();
             if neighbors.is_empty() {
                 break;

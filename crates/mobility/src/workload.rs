@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Connection workload generators.
 //!
 //! Two workloads drive the paper's experiments:
@@ -17,7 +13,7 @@
 
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, PortableId};
-use arm_sim::{SimDuration, SimRng, SimTime};
+use arm_sim::{Audited, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// A weighted mix of per-user connection requests.
@@ -48,7 +44,7 @@ impl WorkloadMix {
         let weights: Vec<f64> = self.entries.iter().map(|(w, _)| *w).collect();
         let idx = rng
             .weighted_choice(&weights)
-            .expect("precondition: mix has positive weights");
+            .precondition("mix has positive weights");
         self.entries[idx].1
     }
 

@@ -115,6 +115,7 @@ impl<I: ArenaKey> DenseInterner<I> {
                 s
             }
             None => {
+                #[expect(clippy::panic, reason = "invariant: arena slot overflow")]
                 let s = u32::try_from(self.rev.len()).unwrap_or_else(|_| {
                     panic!("invariant: arena slot overflow");
                 });

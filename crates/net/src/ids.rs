@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Strongly typed identifiers.
 //!
 //! Each entity class in the system model gets its own index newtype so a
@@ -10,6 +6,7 @@
 //! environment), which lets hot paths use `Vec` indexing rather than hash
 //! maps.
 
+use arm_sim::Audited;
 use core::fmt;
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +29,7 @@ macro_rules! define_id {
             /// Construct from a dense index.
             #[inline]
             pub fn from_index(i: usize) -> Self {
-                $name(u32::try_from(i).expect("invariant: id index overflow"))
+                $name(u32::try_from(i).invariant("id index overflow"))
             }
         }
 

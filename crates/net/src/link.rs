@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Per-link reservation ledgers.
 //!
 //! A [`LinkState`] tracks, for one capacity resource `l`:
@@ -712,6 +708,10 @@ impl LinkState {
     #[inline]
     fn debug_check(&self) {
         #[cfg(debug_assertions)]
+        #[expect(
+            clippy::panic,
+            reason = "invariant: every ledger op keeps the link consistent"
+        )]
         if let Err(e) = self.check_invariants() {
             panic!("invariant: ledger invariant violated: {e}");
         }

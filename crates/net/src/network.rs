@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The assembled network: topology + per-link ledgers + connection table.
 //!
 //! [`Network`] is the mutable state every algorithm crate operates on. It
@@ -12,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use arm_sim::Audited;
 use serde::{Deserialize, Serialize};
 
 use crate::connection::Connection;
@@ -290,7 +287,7 @@ impl Network {
             .conns
             .get_mut(id.index())
             .and_then(Option::take)
-            .expect("precondition: mark_blocked on an installed connection");
+            .precondition("mark_blocked on an installed connection");
         self.note_changed(c.portable);
         Self::unindex(&mut self.portable_conns, c.portable, id);
     }
@@ -371,7 +368,7 @@ impl Network {
                     for l in &route_links[..done] {
                         self.links[l.index()]
                             .release(conn)
-                            .expect("invariant: rollback of just-reserved link");
+                            .invariant("rollback of just-reserved link");
                         index_remove(&mut self.link_conns[l.index()], conn);
                     }
                     return Err((*l, e));
@@ -409,7 +406,7 @@ impl Network {
         let c = conns
             .get(id.index())
             .and_then(|c| c.as_ref())
-            .expect("precondition: set_conn_rate on unknown connection");
+            .precondition("set_conn_rate on unknown connection");
         let (b_min, b_max, old) = (c.qos.b_min, c.qos.b_max, c.b_current);
         assert!(
             rate >= b_min - 1e-9 && rate <= b_max + 1e-9,
@@ -424,7 +421,7 @@ impl Network {
                     for l in &c.route.links[..done] {
                         links[l.index()]
                             .set_alloc(id, old)
-                            .expect("invariant: rollback of rate change");
+                            .invariant("rollback of rate change");
                     }
                     return Err((*l, e));
                 }
@@ -433,7 +430,7 @@ impl Network {
         let c = conns
             .get_mut(id.index())
             .and_then(|c| c.as_mut())
-            .expect("invariant: checked above");
+            .invariant("checked above");
         c.b_current = rate;
         let p = c.portable;
         self.note_changed(p);

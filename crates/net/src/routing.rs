@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Route computation over the backbone.
 //!
 //! §4's overview assumes "an appropriate route found by a routing
@@ -14,6 +10,7 @@
 //! backbones are small trees or meshes where shared prefixes are found
 //! naturally by identical shortest-path prefixes.
 
+use arm_sim::Audited;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{CellId, LinkId, NodeId};
@@ -37,18 +34,12 @@ impl Route {
 
     /// Source node.
     pub fn source(&self) -> NodeId {
-        *self
-            .nodes
-            .first()
-            .expect("invariant: route has at least one node")
+        *self.nodes.first().invariant("route has at least one node")
     }
 
     /// Destination node.
     pub fn destination(&self) -> NodeId {
-        *self
-            .nodes
-            .last()
-            .expect("invariant: route has at least one node")
+        *self.nodes.last().invariant("route has at least one node")
     }
 
     /// Whether the route traverses the given link resource.
@@ -146,7 +137,7 @@ fn route_to(prev: &[Option<(NodeId, LinkId)>], src: NodeId, dst: NodeId) -> Opti
     let mut links = Vec::new();
     let mut cur = dst;
     while cur != src {
-        let (p, l) = prev[cur.index()].expect("invariant: predecessor chain broken");
+        let (p, l) = prev[cur.index()].invariant("predecessor chain broken");
         nodes.push(p);
         links.push(l);
         cur = p;

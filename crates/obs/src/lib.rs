@@ -1,3 +1,22 @@
+// Repo policy (DESIGN.md §8.1), enforced by clippy in non-test code:
+// no panics, no unordered containers or wall clock (`clippy.toml`), and
+// no bare `#[allow]`. An audited panic goes through `arm_sim::Audited`;
+// any other exception is `#[expect(lint, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 //! Structured observability for the resource-management stack.
 //!
 //! Three pieces (DESIGN.md §9):
@@ -24,7 +43,6 @@ use std::cell::RefCell;
 use std::fmt;
 use std::path::PathBuf;
 use std::rc::Rc;
-use std::time::Instant;
 
 use arm_sim::time::SimTime;
 
@@ -174,10 +192,7 @@ impl Obs {
     #[inline]
     pub fn phase_start(&self, now: SimTime) -> PhaseToken {
         if self.on {
-            PhaseToken {
-                wall: Some(Instant::now()),
-                sim_start: now,
-            }
+            PhaseToken::start(now)
         } else {
             PhaseToken::inert()
         }

@@ -20,6 +20,12 @@
 //! When observation is off, [`Obs::phase_start`](crate::Obs::phase_start)
 //! skips the `Instant::now()` syscall entirely and `phase_end` is a
 //! no-op, so the disabled overhead is two branches.
+//!
+//! This module is the workspace's one reader of the wall clock.
+#![expect(
+    clippy::disallowed_types,
+    reason = "phase timers measure wall time; it feeds reports, never simulation state"
+)]
 
 use std::time::Instant;
 
@@ -86,6 +92,15 @@ pub struct PhaseToken {
 }
 
 impl PhaseToken {
+    /// A token that started now on both clocks.
+    #[inline]
+    pub(crate) fn start(now: SimTime) -> Self {
+        PhaseToken {
+            wall: Some(Instant::now()),
+            sim_start: now,
+        }
+    }
+
     /// A token that records nothing (the disabled path).
     pub(crate) fn inert() -> Self {
         PhaseToken {

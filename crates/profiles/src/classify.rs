@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Learning a cell's class from its observed behaviour (§6.4).
 //!
 //! "In the case that a cell does not have its cell profile, the base
@@ -21,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use arm_sim::SimDuration;
+use arm_sim::{Audited, SimDuration};
 
 use crate::cell::CellProfile;
 use crate::class::{CellClass, LoungeKind};
@@ -126,7 +122,7 @@ pub fn features(profile: &CellProfile, slot: SimDuration) -> CellFeatures {
         if total < 2 {
             continue;
         }
-        let max = *nexts.values().max().expect("invariant: non-empty") as f64;
+        let max = *nexts.values().max().invariant("non-empty") as f64;
         consistency_num += max;
         consistency_den += total as f64;
     }
@@ -153,8 +149,8 @@ pub fn features(profile: &CellProfile, slot: SimDuration) -> CellFeatures {
     let (spike_fraction, smoothness, slot_autocorr) = if slots.is_empty() {
         (0.0, 0.0, 0.0)
     } else {
-        let first = *slots.keys().next().expect("invariant: non-empty");
-        let last = *slots.keys().last().expect("invariant: non-empty");
+        let first = *slots.keys().next().invariant("non-empty");
+        let last = *slots.keys().last().invariant("non-empty");
         let series: Vec<f64> = (first..=last)
             .map(|k| slots.get(&k).copied().unwrap_or(0.0))
             .collect();

@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Bounded handoff history.
 //!
 //! The profile server "maintains the following information about the last
@@ -21,7 +17,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 use arm_net::ids::{CellId, PortableId};
-use arm_sim::SimTime;
+use arm_sim::{Audited, SimTime};
 use serde::{Deserialize, JsonWriter, Serialize};
 
 /// One observed handoff: the portable moved `prev → cur → next` (where
@@ -191,7 +187,7 @@ impl RowCache {
             ev.write_json(&mut out);
             // `,[` + four u32s + a u64 + four `,` + `]` is 67 bytes.
             let len = u8::try_from(out.len() - from)
-                .expect("invariant: an encoded handoff row is at most 67 bytes");
+                .invariant("an encoded handoff row is at most 67 bytes");
             self.lens.push_back(len);
         }
         self.text = out.into_string();

@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Zones and cross-zone profile hand-over (§3.4.1/§3.4.3).
 //!
 //! "The universe is divided into distinct geographical regions called
@@ -19,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use arm_net::ids::{CellId, PortableId, ZoneId};
-use arm_sim::SimTime;
+use arm_sim::{Audited, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::cell::CellProfile;
@@ -67,7 +63,7 @@ impl ZonedProfiles {
         *self
             .zone_of
             .get(&cell)
-            .expect("precondition: cell registered with a zone")
+            .precondition("cell registered with a zone")
     }
 
     /// Number of zones.

@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The round-trip admission test of Table 2.
 //!
 //! Admission control "converts end-to-end QoS requirements into per-hop
@@ -45,6 +41,7 @@ pub mod wfq;
 use arm_net::ids::{ConnId, LinkId};
 use arm_net::link::LedgerError;
 use arm_net::Network;
+use arm_sim::Audited;
 use serde::{Deserialize, Serialize};
 
 use crate::maxmin::advertised::advertised_rate_iter;
@@ -226,13 +223,13 @@ pub fn admit_with(
     let qos = {
         let c = net
             .get(req.conn)
-            .expect("precondition: connection must be installed");
+            .precondition("connection must be installed");
         route_links.clear();
         route_links.extend_from_slice(&c.route.links);
         c.qos
     };
     qos.validate()
-        .expect("precondition: caller validates the QoS request");
+        .precondition("caller validates the QoS request");
     let n = route_links.len();
     hop_delays.clear();
     fwd_buffers.clear();
@@ -387,7 +384,7 @@ pub fn admit_with(
             grant = grant.min(room);
         }
         net.set_conn_rate(req.conn, grant.max(b_min))
-            .expect("invariant: grant was clamped to fit");
+            .invariant("grant was clamped to fit");
     }
 
     Ok(AdmissionGrant {

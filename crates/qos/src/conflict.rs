@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Resource-conflict resolution (§5.2).
 //!
 //! Conflicts arise in two situations: (a) excess resources appear and
@@ -24,6 +20,7 @@
 
 use arm_net::ids::ConnId;
 use arm_net::{Network, PortableId};
+use arm_sim::Audited;
 
 use crate::maxmin::centralized::apply_allocation;
 use crate::maxmin::incremental::IncrementalMaxmin;
@@ -56,12 +53,12 @@ fn pin_mobiles(
     );
     for id in mobile.iter() {
         let (floor, cur) = {
-            let c = net.get(*id).expect("invariant: live connection");
+            let c = net.get(*id).invariant("live connection");
             (c.qos.b_min, c.b_current)
         };
         if cur > floor + 1e-9 {
             net.set_conn_rate(*id, floor)
-                .expect("invariant: decreasing to floor always fits");
+                .invariant("decreasing to floor always fits");
         }
     }
 }

@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Centralized water-filling reference solver.
 //!
 //! Computes the exact maxmin-fair allocation of excess bandwidth by
@@ -16,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use arm_net::ids::{ConnId, LinkId};
 use arm_net::{DenseInterner, Network};
+use arm_sim::Audited;
 
 /// A maxmin allocation problem over excess capacities and excess demands.
 ///
@@ -337,7 +334,7 @@ pub fn solve_component(
             .fold(f64::INFINITY, f64::min);
         let inc = link_limit.min(demand_limit).max(0.0);
         for c in &active {
-            *alloc.get_mut(c).expect("invariant: active conn in alloc") += inc;
+            *alloc.get_mut(c).invariant("active conn in alloc") += inc;
         }
         // Freeze: demand met, or on a saturated link.
         let saturated: Vec<LinkId> = headroom
@@ -819,7 +816,7 @@ pub fn apply_allocation(
     });
     for &(id, target) in changes.iter() {
         net.set_conn_rate(id, target)
-            .expect("invariant: maxmin allocation is feasible");
+            .invariant("maxmin allocation is feasible");
     }
     changes.len()
 }

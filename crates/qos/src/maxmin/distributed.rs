@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The event-driven distributed rate-allocation protocol (§5.3.1).
 //!
 //! Adapted from Charny/Clark/Jain's explicit-rate congestion-control
@@ -62,7 +58,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use arm_net::ids::{ConnId, LinkId};
 use arm_obs::{ObsEvent, SharedObs};
 use arm_sim::engine::{Ctx, Model};
-use arm_sim::{SimDuration, SimRng};
+use arm_sim::{Audited, SimDuration, SimRng};
 
 use super::advertised::advertised_rate_for_iter;
 
@@ -495,21 +491,15 @@ impl DistributedMaxmin {
     /// Send the two ADVERTISE packets of the active session's phase.
     fn launch_phase(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let (origin, conn, gid, phase, attempt) = {
-            let s = self
-                .active
-                .as_ref()
-                .expect("invariant: launch with active session");
+            let s = self.active.as_ref().invariant("launch with active session");
             (s.origin, s.conn, s.gid, s.phase, s.attempt)
         };
-        let cctl = self
-            .conns
-            .get(&conn)
-            .expect("invariant: validated at activation");
+        let cctl = self.conns.get(&conn).invariant("validated at activation");
         let pos = cctl
             .links
             .iter()
             .position(|l| *l == origin)
-            .expect("invariant: validated at activation");
+            .invariant("validated at activation");
         let n = cctl.links.len();
         // The initiator stamps its own quote for the connection, capped
         // by the connection's residual demand (the paper's artificial
@@ -584,10 +574,7 @@ impl DistributedMaxmin {
             }
         };
         {
-            let ctl = self
-                .links
-                .get_mut(&lid)
-                .expect("invariant: link registered");
+            let ctl = self.links.get_mut(&lid).invariant("link registered");
             let mu = ctl.mu_for(pkt.conn);
             // `M(l)` maintenance: add j if μ_l ≤ b_stamp (this link binds
             // the connection), remove j if μ_l > b_stamp (it is clamped
@@ -704,7 +691,7 @@ impl DistributedMaxmin {
         // simultaneously acts on the UPDATE first — trivially satisfied).
         let changed = (rate - old_rate).abs() > TOL;
         for l in &links {
-            let ctl = self.links.get_mut(l).expect("invariant: link registered");
+            let ctl = self.links.get_mut(l).invariant("link registered");
             ctl.recorded.insert(conn, rate);
         }
         if changed {
@@ -718,10 +705,7 @@ impl DistributedMaxmin {
         }
         // Restore the route before anything re-inspects this connection.
         let demand = {
-            let c = self
-                .conns
-                .get_mut(&conn)
-                .expect("invariant: not removed above");
+            let c = self.conns.get_mut(&conn).invariant("not removed above");
             c.links = links;
             c.demand
         };
@@ -906,7 +890,7 @@ impl Model for DistributedMaxmin {
                     .as_ref()
                     .is_some_and(|s| s.gid == gid && s.phase == phase && s.attempt == attempt);
                 if stalled {
-                    let s = self.active.as_mut().expect("invariant: checked above");
+                    let s = self.active.as_mut().invariant("checked above");
                     s.attempt += 1;
                     s.up_returned = None;
                     s.down_returned = None;

@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Incremental maxmin re-solve with churn-aware caching.
 //!
 //! Every admission, departure, handoff, and link event used to rebuild

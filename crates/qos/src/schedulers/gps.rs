@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The fluid Generalized Processor Sharing reference.
 //!
 //! GPS serves every backlogged flow simultaneously at a rate proportional
@@ -15,6 +11,8 @@
 //! The simulation is event-driven over arrival instants and backlog
 //! depletion moments; with the full arrival sequence known, the finish
 //! times are exact (no discretisation).
+
+use arm_sim::Audited;
 
 use super::{Departure, Packet};
 
@@ -74,10 +72,7 @@ pub fn finish_times(packets: &[Packet], weights: &[f64], capacity: f64) -> Vec<D
                 continue;
             }
             let rate = capacity * weights[f] / active_weight;
-            let head_remaining = queues[f]
-                .front()
-                .expect("invariant: backlogged flow has a head")
-                .1;
+            let head_remaining = queues[f].front().invariant("backlogged flow has a head").1;
             let dt = head_remaining / rate;
             if dt < dt_deplete {
                 dt_deplete = dt;
@@ -124,7 +119,7 @@ pub fn finish_times(packets: &[Packet], weights: &[f64], capacity: f64) -> Vec<D
         .enumerate()
         .map(|(i, p)| Departure {
             packet: *p,
-            departure: out[i].expect("invariant: every packet finishes"),
+            departure: out[i].invariant("every packet finishes"),
         })
         .collect()
 }

@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! Packetized WFQ (PGPS).
 //!
 //! WFQ transmits packets, one at a time at the full link rate, in
@@ -18,6 +14,8 @@
 //! packet at the guaranteed rate, the second the packetization penalty.
 //! Both inequalities are asserted by this module's tests on greedy and
 //! randomised conformant traffic.
+
+use arm_sim::Audited;
 
 use super::{gps, Departure, Packet};
 
@@ -85,7 +83,7 @@ pub fn simulate(packets: &[Packet], weights: &[f64], capacity: f64) -> Vec<Depar
         .enumerate()
         .map(|(i, p)| Departure {
             packet: *p,
-            departure: departures[i].expect("invariant: all served"),
+            departure: departures[i].invariant("all served"),
         })
         .collect()
 }

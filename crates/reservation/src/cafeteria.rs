@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The cafeteria predictor (§6.2.2).
 //!
 //! "The algorithm for prediction of the number of handoffs
@@ -30,6 +26,7 @@
 
 use std::collections::VecDeque;
 
+use arm_sim::Audited;
 use serde::{Deserialize, Serialize};
 
 /// Closed-form least-squares fit of `n = a·t + m` over the last three
@@ -90,7 +87,7 @@ impl CafeteriaPredictor {
     pub fn predict(&self) -> f64 {
         match self.window.len() {
             0 => 0.0,
-            1 | 2 => self.window.back().expect("invariant: non-empty").max(0.0),
+            1 | 2 => self.window.back().invariant("non-empty").max(0.0),
             _ => predict_next(self.window[0], self.window[1], self.window[2], self.t),
         }
     }

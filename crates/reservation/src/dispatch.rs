@@ -1,7 +1,3 @@
-// Audited: every expect in this file is an `invariant:`/`precondition:`
-// panic (see the arm-check `no-panic` lint).
-#![allow(clippy::expect_used)]
-
 //! The §6.4 summary dispatcher.
 //!
 //! Given a mobile portable's three-level prediction and the class of its
@@ -25,6 +21,7 @@ use arm_obs::{Obs, ObsEvent};
 use arm_profiles::prediction::{Prediction, PredictionLevel};
 use arm_profiles::CellClass;
 use arm_sim::time::SimTime;
+use arm_sim::Audited;
 
 /// What the §6.4 dispatcher tells the resource manager to do for one
 /// mobile portable.
@@ -65,9 +62,7 @@ pub fn decide(
     // Rule 1: the portable's own profile always wins.
     if prediction.level == PredictionLevel::PortableProfile {
         return ReservationDecision::PerConnection(
-            prediction
-                .cell
-                .expect("invariant: level-1 prediction has a cell"),
+            prediction.cell.invariant("level-1 prediction has a cell"),
         );
     }
     match current_class {
@@ -75,17 +70,13 @@ pub fn decide(
             match prediction.level {
                 // Rule 2(office).1: neighbouring office occupancy.
                 PredictionLevel::OccupantOffice => ReservationDecision::PerConnection(
-                    prediction
-                        .cell
-                        .expect("invariant: occupant prediction has a cell"),
+                    prediction.cell.invariant("occupant prediction has a cell"),
                 ),
                 // Rule 2(office).2: the portable belongs here.
                 _ if is_occupant_of_current => ReservationDecision::NoReservation,
                 // Rule 2(office).3: aggregate history.
                 PredictionLevel::CellAggregate => ReservationDecision::PerConnection(
-                    prediction
-                        .cell
-                        .expect("invariant: aggregate prediction has a cell"),
+                    prediction.cell.invariant("aggregate prediction has a cell"),
                 ),
                 _ => ReservationDecision::DefaultAlgorithm,
             }
@@ -93,7 +84,7 @@ pub fn decide(
         CellClass::Corridor => match prediction.level {
             PredictionLevel::OccupantOffice | PredictionLevel::CellAggregate => {
                 ReservationDecision::PerConnection(
-                    prediction.cell.expect("invariant: prediction has a cell"),
+                    prediction.cell.invariant("prediction has a cell"),
                 )
             }
             _ => ReservationDecision::DefaultAlgorithm,

@@ -302,6 +302,10 @@ pub fn run_with_faults(
 /// run: ledger consistency (which includes no oversubscription) and the
 /// guaranteed floor of every live connection.
 fn assert_invariants(mgr: &ResourceManager, after: &ServerEvent) {
+    #[expect(
+        clippy::panic,
+        reason = "invariant: a faulted run keeps the ledger conserved"
+    )]
     if let Err(e) = mgr.net.check_invariants() {
         panic!("invariant: ledger conservation violated after {after:?}: {e}");
     }

@@ -1,6 +1,21 @@
-// Panic discipline: unwraps/expects are banned in library code (same
-// rule as arm-core, enforced by the arm-check `no-panic` lint).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Repo policy (DESIGN.md §8.1), enforced by clippy in non-test code:
+// no panics, no unordered containers or wall clock (`clippy.toml`), and
+// no bare `#[allow]`. An audited panic goes through `arm_sim::Audited`;
+// any other exception is `#[expect(lint, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 //! # arm-server — the long-running resource-manager server
 //!

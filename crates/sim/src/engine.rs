@@ -9,6 +9,7 @@
 use crate::event::EventId;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
+use crate::Audited;
 
 /// Scheduling context handed to the model on every dispatch.
 pub struct Ctx<'a, E> {
@@ -151,7 +152,7 @@ impl<M: Model> Engine<M> {
             let (_, _, ev) = self
                 .queue
                 .pop()
-                .expect("invariant: a successful peek means pop returns an event");
+                .invariant("a successful peek means pop returns an event");
             dispatched += 1;
             self.dispatched_total += 1;
             let mut stop = false;

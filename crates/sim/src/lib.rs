@@ -1,3 +1,22 @@
+// Repo policy (DESIGN.md §8.1), enforced by clippy in non-test code:
+// no panics, no unordered containers or wall clock (`clippy.toml`), and
+// no bare `#[allow]`. An audited panic goes through `arm_sim::Audited`;
+// any other exception is `#[expect(lint, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_types,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 //! # arm-sim — deterministic discrete-event simulation kernel
 //!
 //! The substrate every other crate in this workspace runs on. Lu &
@@ -28,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audited;
 pub mod engine;
 pub mod event;
 pub mod faults;
@@ -36,6 +56,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use audited::Audited;
 pub use engine::{Engine, Model, StopCondition};
 pub use event::EventId;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultScheduleParams};

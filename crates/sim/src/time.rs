@@ -12,6 +12,8 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
+use crate::Audited;
+
 /// Number of ticks per second of virtual time.
 pub const TICKS_PER_SECOND: u64 = 1_000_000;
 
@@ -179,7 +181,7 @@ impl Sub<SimDuration> for SimTime {
         SimTime(
             self.0
                 .checked_sub(rhs.0)
-                .expect("invariant: SimTime subtraction must not cross t=0"),
+                .invariant("SimTime subtraction must not cross t=0"),
         )
     }
 }
@@ -214,7 +216,7 @@ impl Sub for SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                .expect("invariant: SimDuration subtraction must not go negative"),
+                .invariant("SimDuration subtraction must not go negative"),
         )
     }
 }
@@ -225,7 +227,7 @@ impl SubAssign for SimDuration {
         self.0 = self
             .0
             .checked_sub(rhs.0)
-            .expect("invariant: SimDuration subtraction must not go negative");
+            .invariant("SimDuration subtraction must not go negative");
     }
 }
 

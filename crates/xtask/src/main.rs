@@ -1,16 +1,18 @@
 //! Workspace task runner. `cargo xtask check` is the pre-PR gate: it
-//! runs the domain lints over every library crate, the schema-drift
+//! runs clippy with the workspace's domain policy (`-D warnings`), the
+//! domain lint scan over every library crate, the schema-drift
 //! fingerprint comparison, and the bounded model-checking sweeps
 //! (maxmin/admission protocols, production maxmin engine), and fails
-//! with actionable diagnostics (lint findings as `file:line` lines,
-//! schema drift as re-bless instructions, model failures as minimal
-//! counterexample traces).
+//! with actionable diagnostics (clippy and lint findings as
+//! `file:line` lines, schema drift as re-bless instructions, model
+//! failures as minimal counterexample traces).
 //!
 //! Subcommands:
 //!
-//! * `check` — lints + fingerprints + model sweeps (what CI runs);
-//! * `lint`  — domain lints + fingerprints only (fast; run while editing);
-//! * `model` — the model-checking sweeps only;
+//! * `check` — clippy + lint scan + fingerprints + model sweeps;
+//! * `lint`  — clippy + lint scan + fingerprints (run while editing;
+//!   CI's `lint` job);
+//! * `model` — the model-checking sweeps only (CI's `check` job);
 //! * `results` — regenerate the reference outputs under `results/`
 //!   (every `expt_*.txt` from the `arm-bench` binary of that name, and
 //!   `sample_scenario.json`); with `--check`, write nothing into the
@@ -46,8 +48,44 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+fn cargo() -> std::ffi::OsString {
+    std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into())
+}
+
+/// Clippy carries most of the domain policy: the policy line in each
+/// target crate's `lib.rs` plus `clippy.toml` (DESIGN.md §8.1).
+fn run_clippy_pass(root: &Path) -> Result<(), ExitCode> {
+    println!("==> clippy (domain policy, -D warnings)");
+    let args = [
+        "clippy",
+        "--workspace",
+        "--all-targets",
+        "--",
+        "-D",
+        "warnings",
+    ];
+    match Command::new(cargo()).current_dir(root).args(args).status() {
+        Ok(s) if s.success() => {
+            println!("    clean");
+            Ok(())
+        }
+        outcome => {
+            eprintln!("error: cargo clippy failed: {outcome:?}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Clippy, then the scan for the rules clippy cannot express, then the
+/// schema fingerprints.
+fn run_lint_passes(root: &Path, bless: bool) -> Result<(), ExitCode> {
+    run_clippy_pass(root)?;
+    run_lint_pass(root)?;
+    run_fingerprint_pass(root, bless)
+}
+
 fn run_lint_pass(root: &Path) -> Result<(), ExitCode> {
-    println!("==> domain lints ({})", root.display());
+    println!("==> domain lint scan ({})", root.display());
     match run_lints(root) {
         Ok(findings) if findings.is_empty() => {
             println!("    clean");
@@ -170,8 +208,7 @@ fn run_model_pass(trace_dir: Option<&Path>) -> Result<(), ExitCode> {
 
 /// Run one `arm-bench` binary from `root` and return its stdout.
 fn bench_stdout(root: &Path, bin: &str, args: &[&str]) -> Result<Vec<u8>, String> {
-    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
-    let out = Command::new(cargo)
+    let out = Command::new(cargo())
         .current_dir(root)
         .args([
             "run",
@@ -280,10 +317,8 @@ fn main() -> ExitCode {
     let root = workspace_root();
     let td = trace_dir.as_deref();
     let result = match cmd.as_str() {
-        "check" => run_lint_pass(&root)
-            .and_then(|()| run_fingerprint_pass(&root, bless))
-            .and_then(|()| run_model_pass(td)),
-        "lint" => run_lint_pass(&root).and_then(|()| run_fingerprint_pass(&root, bless)),
+        "check" => run_lint_passes(&root, bless).and_then(|()| run_model_pass(td)),
+        "lint" => run_lint_passes(&root, bless),
         "model" => run_model_pass(td),
         "results" => run_results_pass(&root, check_results),
         "help" | "--help" | "-h" => {

@@ -91,17 +91,25 @@ fn main() {
     println!("\nReservation cost (user-cell-seconds held in advance):\n");
     for (scheme, cost) in &r.reserved_cell_seconds {
         println!(
-            "  {scheme:>12}: {:>12.0}  ({:.2}× the useful minimum)",
+            "  {scheme:>12}: {:>12.0}  ({:.2}× the dwell total)",
             cost,
-            cost / r.useful_cell_seconds.max(1.0)
+            cost / r.dwell_cell_seconds.max(1.0)
         );
     }
+    let brute = r.reserved_cell_seconds["brute-force"];
+    let predicted = r.reserved_cell_seconds["prediction"];
     println!(
-        "\n  (useful minimum — one cell reserved exactly until each handoff: {:.0})",
-        r.useful_cell_seconds
+        "\n  (dwell total — one cell held for the whole of every dwell: {:.0};",
+        r.dwell_cell_seconds
+    );
+    println!("   brute force over it is the dwell-weighted mean neighbour count)");
+    println!(
+        "  brute force holds {:.1}× what prediction holds",
+        brute / predicted.max(1.0)
     );
     println!("\nPaper's conclusions: occupants are deterministically predictable;");
-    println!("brute force multiplies the reservation bill by the neighbour count.");
+    println!("brute force is wasteful: it holds every neighbour for the whole dwell,");
+    println!("where prediction holds one cell until the portable turns static.");
 
     let mut rep = RunReport::new("expt_sec71", "section-7.1-office-case");
     rep.seed = Some(seed);
@@ -119,9 +127,9 @@ fn main() {
     }
     for (scheme, cost) in &r.reserved_cell_seconds {
         rep.notes.push(format!(
-            "reservation cost {scheme}: {:.0} user-cell-seconds ({:.2}x useful minimum)",
+            "reservation cost {scheme}: {:.0} user-cell-seconds ({:.2}x dwell total)",
             cost,
-            cost / r.useful_cell_seconds.max(1.0)
+            cost / r.dwell_cell_seconds.max(1.0)
         ));
     }
     report::emit_or_warn(&rep);

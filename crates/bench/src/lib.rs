@@ -21,7 +21,7 @@
 pub mod report {
     //! Run-report emission for the experiment binaries.
     //!
-    //! Every `expt_*` binary builds an [`RunReport`](arm_obs::RunReport)
+    //! Every `expt_*` binary builds an [`arm_obs::RunReport`]
     //! alongside its human-readable stdout and hands it to [`emit`],
     //! which writes `<dir>/<bin>.json` where `<dir>` is
     //! `$ARM_RUN_REPORT_DIR` (CI sets this to the artifact directory) or

@@ -14,7 +14,7 @@
 //!
 //! Deterministic protocol machinery — phase advancement after both
 //! packets return, session completion, the refined wake policy, FIFO
-//! activation — is folded into action application ([`settle`]), so the
+//! activation — is folded into action application (`MaxminSystem::settle`), so the
 //! state space contains exactly the schedules a real deployment could
 //! exhibit.
 //!

@@ -47,10 +47,6 @@ pub struct Fig6Point {
     pub p_b: f64,
     /// Handoff dropping probability.
     pub p_d: f64,
-    /// Offered new connections.
-    pub offered: u64,
-    /// Handoff attempts.
-    pub handoffs: u64,
 }
 
 /// Experiment parameters.
@@ -249,8 +245,6 @@ pub fn run(policy: AdmissionPolicy, params: Fig6Params) -> Fig6Point {
     Fig6Point {
         p_b: m.blocked as f64 / m.offered.max(1) as f64,
         p_d: m.dropped as f64 / m.handoff_attempts.max(1) as f64,
-        offered: m.offered,
-        handoffs: m.handoff_attempts,
     }
 }
 
@@ -290,9 +284,8 @@ mod tests {
         // λ/μ per cell: type 1 offers 30×0.2 = 6 erlangs of bandwidth 1
         // plus handoffs; type 2 offers 1 erlang of bandwidth 4 — the cell
         // mostly fits, so blocking is modest but handoff drops happen.
-        assert!(p.offered > 10_000, "offered={}", p.offered);
-        assert!(p.handoffs > 1000);
         assert!(p.p_b < 0.2);
+        assert!(p.p_d > 0.0);
     }
 
     #[test]
@@ -366,9 +359,8 @@ mod tests {
     fn determinism() {
         let a = run(AdmissionPolicy::None, quick());
         let b = run(AdmissionPolicy::None, quick());
-        assert_eq!(a.offered, b.offered);
-        assert_eq!(a.handoffs, b.handoffs);
-        assert!((a.p_b - b.p_b).abs() < 1e-15);
+        assert_eq!(a.p_b.to_bits(), b.p_b.to_bits());
+        assert_eq!(a.p_d.to_bits(), b.p_d.to_bits());
     }
 
     #[test]

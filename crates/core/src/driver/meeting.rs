@@ -31,8 +31,6 @@ use crate::strategy::Strategy;
 pub struct MeetingRunResult {
     /// Strategy label.
     pub strategy: String,
-    /// Number of attendees.
-    pub attendees: usize,
     /// Offered load against the 1.6 Mbps classroom medium.
     pub offered_load: f64,
     /// Attendee connections dropped while entering or leaving the
@@ -72,7 +70,7 @@ pub fn run(strategy: Strategy, attendees: usize, seed: u64) -> MeetingRunResult 
 
 /// Run one strategy against a pre-generated trace (so every strategy sees
 /// the *same* handoffs, as in the paper).
-pub fn run_trace(
+pub(crate) fn run_trace(
     strategy: Strategy,
     menv: &MeetingEnv,
     params: &MeetingParams,
@@ -175,7 +173,6 @@ pub fn run_trace(
     let corridor_activity = trace.arrivals_series(menv.x, SimDuration::from_mins(1));
     MeetingRunResult {
         strategy: strategy.label(),
-        attendees: params.attendees,
         offered_load: mix.offered_load(params.attendees, 1600.0),
         drops: dropped_conns,
         walkby_drops,

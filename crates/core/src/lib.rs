@@ -28,13 +28,13 @@
 //! and connection workloads (`arm-mobility`) on the discrete-event kernel
 //! (`arm-sim`).
 //!
-//! * [`manager`] — [`ResourceManager`]: the per-event control plane
+//! * `manager` — [`ResourceManager`]: the per-event control plane
 //!   (connection requests, handoffs, terminations, slot ticks),
 //! * [`strategy`] — which advance-reservation scheme runs: the paper's
 //!   profile-based algorithm or one of the §7 baselines,
-//! * [`multicast`] — §4's wired-backbone multicast pre-setup toward a
+//! * `multicast` — §4's wired-backbone multicast pre-setup toward a
 //!   mobile's neighbouring cells (failures non-fatal, per the paper),
-//! * [`metrics`] — `P_b`, `P_d`, utilisation, per-slot activity,
+//! * `metrics` — `P_b`, `P_d`, utilisation, per-slot activity,
 //! * [`driver`] — end-to-end experiment drivers for §7.1 (office
 //!   prediction), Figure 5 (meeting room), and Figure 6 (probabilistic
 //!   default algorithm),
@@ -48,10 +48,10 @@
 
 mod claim_plan;
 pub mod driver;
-pub mod error;
-pub mod manager;
-pub mod metrics;
-pub mod multicast;
+mod error;
+mod manager;
+mod metrics;
+mod multicast;
 pub mod scenario;
 pub mod snapshot;
 pub mod strategy;

@@ -1241,19 +1241,9 @@ impl ResourceManager {
     // Fault injection entry points
     // ------------------------------------------------------------------
 
-    /// Links currently failed by fault injection.
-    pub fn down_links(&self) -> &BTreeSet<LinkId> {
-        &self.down_links
-    }
-
     /// Is this link currently failed?
     pub fn is_link_down(&self, l: LinkId) -> bool {
         self.down_links.contains(&l)
-    }
-
-    /// Zones whose profile server is currently out.
-    pub fn down_zones(&self) -> &BTreeSet<ZoneId> {
-        &self.down_zones
     }
 
     /// A link (wired or wireless) fails. Connections riding it are

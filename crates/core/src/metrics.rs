@@ -12,7 +12,7 @@ pub struct Metrics {
     /// New-connection requests rejected (`P_b` numerator).
     pub blocked: Counter,
     /// Connections that completed normally.
-    pub completed: Counter,
+    pub(crate) completed: Counter,
     /// Handoff attempts (one per live connection per cell change).
     pub handoff_attempts: Counter,
     /// Handoffs that found resources (possibly via a claim or pool).

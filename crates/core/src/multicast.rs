@@ -45,14 +45,14 @@ pub struct MulticastState {
     /// connection's rows are contiguous, and so are a branch's.
     rows: Vec<Row>,
     /// Branch set-up attempts that failed admission (non-fatal).
-    pub failed_branches: u64,
+    pub(crate) failed_branches: u64,
     /// Branches currently established.
     pub active_branches: usize,
 }
 
 impl MulticastState {
     /// Fresh, empty state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -63,7 +63,7 @@ impl MulticastState {
     /// with every handoff), and the new rows take the old ones' place.
     /// Reserves `b_min` on the *wired* links of each branch under
     /// [`ResvClaim::Conn`]; the wireless media are deliberately excluded.
-    pub fn establish(
+    pub(crate) fn establish(
         &mut self,
         net: &mut Network,
         conn: ConnId,
@@ -103,7 +103,7 @@ impl MulticastState {
 
     /// Tear down every branch of `conn` (termination, drop, a portable
     /// that settled, or before re-establishing after a handoff).
-    pub fn teardown(&mut self, net: &mut Network, conn: ConnId) {
+    pub(crate) fn teardown(&mut self, net: &mut Network, conn: ConnId) {
         let old = self.release(net, conn);
         self.rows.drain(old);
     }
@@ -130,7 +130,8 @@ impl MulticastState {
     }
 
     /// The neighbours currently receiving `conn`'s multicast.
-    pub fn branches_of(&self, conn: ConnId) -> Vec<CellId> {
+    #[cfg(test)]
+    pub(crate) fn branches_of(&self, conn: ConnId) -> Vec<CellId> {
         let mut cells: Vec<CellId> = self.rows[self.span(conn)].iter().map(|r| r.1).collect();
         cells.dedup();
         cells

@@ -209,11 +209,6 @@ pub fn decode_versioned<T: Deserialize>(s: &str, expected: u32) -> Result<T, Sna
 }
 
 impl ManagerSnapshot {
-    /// The schema version this snapshot carries.
-    pub fn schema(&self) -> u32 {
-        self.schema
-    }
-
     /// Serialize: [`Self::validate`], then one pass straight to text.
     /// Fails with [`SnapshotError::Invalid`] — and yields no document —
     /// when validation fails or any float in the image is NaN or ±∞

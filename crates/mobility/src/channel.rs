@@ -109,21 +109,6 @@ pub fn generate(
     Ok(out)
 }
 
-/// Generate and merge the sequences of several cells.
-pub fn generate_all(
-    cells: &[CellId],
-    params: &ChannelParams,
-    span: SimDuration,
-    rng: &mut SimRng,
-) -> Result<Vec<ChannelEvent>, BadFractionError> {
-    let mut out = Vec::new();
-    for c in cells {
-        out.extend(generate(*c, params, span, rng)?);
-    }
-    out.sort_by(|a, b| a.time.cmp(&b.time).then(a.cell.cmp(&b.cell)));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,22 +173,15 @@ mod tests {
     fn per_cell_streams_are_independent() {
         let params = ChannelParams::default();
         let mut rng = SimRng::new(4);
-        let evs = generate_all(
-            &[CellId(0), CellId(1)],
-            &params,
-            SimDuration::from_mins(120),
-            &mut rng,
-        )
-        .expect("valid params");
-        let c0: Vec<_> = evs.iter().filter(|e| e.cell == CellId(0)).collect();
-        let c1: Vec<_> = evs.iter().filter(|e| e.cell == CellId(1)).collect();
+        let span = SimDuration::from_mins(120);
+        let c0 = generate(CellId(0), &params, span, &mut rng).expect("valid params");
+        let c1 = generate(CellId(1), &params, span, &mut rng).expect("valid params");
         assert!(!c0.is_empty() && !c1.is_empty());
         assert_ne!(
             c0.first().map(|e| e.time),
             c1.first().map(|e| e.time),
             "distinct fade schedules"
         );
-        assert!(evs.windows(2).all(|w| w[0].time <= w[1].time));
     }
 
     #[test]

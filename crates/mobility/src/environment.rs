@@ -25,9 +25,9 @@ pub struct CellInfo {
     /// Symmetric neighbour set.
     pub neighbors: BTreeSet<CellId>,
     /// Regular occupants (offices).
-    pub occupants: BTreeSet<PortableId>,
+    pub(crate) occupants: BTreeSet<PortableId>,
     /// Zone this cell belongs to (default: zone 0).
-    pub zone: ZoneId,
+    pub(crate) zone: ZoneId,
 }
 
 /// A logical floor plan.
@@ -69,7 +69,7 @@ impl IndoorEnvironment {
     }
 
     /// Register a regular occupant of an office cell.
-    pub fn add_occupant(&mut self, cell: CellId, p: PortableId) {
+    pub(crate) fn add_occupant(&mut self, cell: CellId, p: PortableId) {
         debug_assert!(self.cells[cell.index()].class.tracks_occupants());
         self.cells[cell.index()].occupants.insert(p);
     }
@@ -100,14 +100,6 @@ impl IndoorEnvironment {
     /// Are `a` and `b` neighbours?
     pub fn are_neighbors(&self, a: CellId, b: CellId) -> bool {
         self.cells[a.index()].neighbors.contains(&b)
-    }
-
-    /// Cells of a given class.
-    pub fn cells_of_class(&self, class: CellClass) -> Vec<CellId> {
-        self.cells()
-            .filter(|(_, c)| c.class == class)
-            .map(|(id, _)| id)
-            .collect()
     }
 
     /// Find a cell by name.
@@ -311,13 +303,10 @@ mod tests {
         let env = office_wing(4);
         // 4 corridors + 4 offices + meeting + cafeteria + lounge.
         assert_eq!(env.cell_count(), 11);
-        assert_eq!(env.cells_of_class(CellClass::Office).len(), 4);
-        assert_eq!(env.cells_of_class(CellClass::Corridor).len(), 4);
-        assert_eq!(
-            env.cells_of_class(CellClass::Lounge(LoungeKind::MeetingRoom))
-                .len(),
-            1
-        );
+        let of_class = |class| env.cells().filter(|(_, c)| c.class == class).count();
+        assert_eq!(of_class(CellClass::Office), 4);
+        assert_eq!(of_class(CellClass::Corridor), 4);
+        assert_eq!(of_class(CellClass::Lounge(LoungeKind::MeetingRoom)), 1);
         let m = env.by_name("meeting-room").unwrap();
         let c0 = env.by_name("corridor-0").unwrap();
         assert!(env.are_neighbors(m, c0));

@@ -50,6 +50,6 @@ pub mod models;
 pub mod trace;
 pub mod workload;
 
-pub use environment::{Figure4, IndoorEnvironment};
-pub use trace::{MobilityTrace, MoveEvent};
-pub use workload::{ConnRequest, ConnTypeSpec, WorkloadMix};
+pub use environment::IndoorEnvironment;
+pub use trace::MobilityTrace;
+pub use workload::WorkloadMix;

@@ -17,9 +17,9 @@ use super::markov::Walker;
 #[derive(Clone, Debug)]
 pub struct CafeteriaEnv {
     /// The floor plan.
-    pub env: IndoorEnvironment,
+    pub(crate) env: IndoorEnvironment,
     /// The corridor outside.
-    pub k: CellId,
+    pub(crate) k: CellId,
     /// The cafeteria.
     pub f: CellId,
 }
@@ -63,7 +63,7 @@ impl Default for CafeteriaParams {
 }
 
 /// Triangular intensity (per minute) at time `t`.
-pub fn intensity(params: &CafeteriaParams, t: SimTime) -> f64 {
+pub(crate) fn intensity(params: &CafeteriaParams, t: SimTime) -> f64 {
     let dt = t.saturating_since(params.open).as_secs_f64();
     let ramp = params.ramp.as_secs_f64();
     if dt <= 0.0 || dt >= 2.0 * ramp {

@@ -7,14 +7,14 @@
 //! differ only in their `next` function and dwell distribution.
 
 use arm_net::ids::{CellId, PortableId};
-use arm_sim::{Audited, SimDuration, SimRng, SimTime};
+use arm_sim::{Audited, SimDuration, SimTime};
 
 use crate::environment::IndoorEnvironment;
 use crate::trace::{MobilityTrace, MoveEvent};
 
 /// A scripted walker emitting a consistent movement chain for one
 /// portable.
-pub struct Walker<'a> {
+pub(crate) struct Walker<'a> {
     env: &'a IndoorEnvironment,
     portable: PortableId,
     at: Option<CellId>,
@@ -24,7 +24,7 @@ pub struct Walker<'a> {
 
 impl<'a> Walker<'a> {
     /// A walker for `portable` starting at virtual time `start`.
-    pub fn new(env: &'a IndoorEnvironment, portable: PortableId, start: SimTime) -> Self {
+    pub(crate) fn new(env: &'a IndoorEnvironment, portable: PortableId, start: SimTime) -> Self {
         Walker {
             env,
             portable,
@@ -35,17 +35,17 @@ impl<'a> Walker<'a> {
     }
 
     /// Where the walker currently is.
-    pub fn position(&self) -> Option<CellId> {
+    pub(crate) fn position(&self) -> Option<CellId> {
         self.at
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Appear at `cell` (first event) or teleport-check move to it.
-    pub fn appear(&mut self, cell: CellId) -> &mut Self {
+    pub(crate) fn appear(&mut self, cell: CellId) -> &mut Self {
         assert!(self.at.is_none(), "walker already placed");
         self.trace.push(MoveEvent {
             time: self.now,
@@ -58,20 +58,20 @@ impl<'a> Walker<'a> {
     }
 
     /// Wait in place.
-    pub fn dwell(&mut self, d: SimDuration) -> &mut Self {
+    pub(crate) fn dwell(&mut self, d: SimDuration) -> &mut Self {
         self.now += d;
         self
     }
 
     /// Jump the clock to an absolute time (must not go backwards).
-    pub fn at_time(&mut self, t: SimTime) -> &mut Self {
+    pub(crate) fn at_time(&mut self, t: SimTime) -> &mut Self {
         assert!(t >= self.now, "walker time went backwards");
         self.now = t;
         self
     }
 
     /// Move to a neighbouring cell after `travel` time.
-    pub fn step_to(&mut self, next: CellId, travel: SimDuration) -> &mut Self {
+    pub(crate) fn step_to(&mut self, next: CellId, travel: SimDuration) -> &mut Self {
         let from = self.at.precondition("walker must appear before moving");
         assert!(
             self.env.are_neighbors(from, next),
@@ -88,19 +88,12 @@ impl<'a> Walker<'a> {
         self
     }
 
-    /// Walk along an explicit cell path with a travel time per hop.
-    pub fn walk_path(&mut self, path: &[CellId], per_hop: SimDuration) -> &mut Self {
-        for c in path {
-            self.step_to(*c, per_hop);
-        }
-        self
-    }
-
     /// Take `steps` random-neighbour steps with the given dwell mean and
     /// per-hop travel time.
-    pub fn wander(
+    #[cfg(test)]
+    pub(crate) fn wander(
         &mut self,
-        rng: &mut SimRng,
+        rng: &mut arm_sim::SimRng,
         steps: usize,
         mean_dwell: SimDuration,
         travel: SimDuration,
@@ -119,7 +112,7 @@ impl<'a> Walker<'a> {
     }
 
     /// Finish and return the trace.
-    pub fn into_trace(self) -> MobilityTrace {
+    pub(crate) fn into_trace(self) -> MobilityTrace {
         self.trace.finish()
     }
 }
@@ -136,7 +129,8 @@ mod tests {
         w.appear(f4.c)
             .dwell(SimDuration::from_secs(30))
             .step_to(f4.d, SimDuration::from_secs(20))
-            .walk_path(&[f4.e, f4.b], SimDuration::from_secs(20));
+            .step_to(f4.e, SimDuration::from_secs(20))
+            .step_to(f4.b, SimDuration::from_secs(20));
         let t = w.into_trace();
         assert!(t.check_consistency().is_ok());
         assert_eq!(t.len(), 4);
@@ -155,7 +149,7 @@ mod tests {
     #[test]
     fn wander_stays_on_the_graph() {
         let f4 = Figure4::build();
-        let mut rng = SimRng::new(11);
+        let mut rng = arm_sim::SimRng::new(11);
         let mut w = Walker::new(&f4.env, PortableId(9), SimTime::ZERO);
         w.appear(f4.c).wander(
             &mut rng,

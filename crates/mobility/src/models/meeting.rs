@@ -30,11 +30,11 @@ pub struct MeetingEnv {
     /// The floor plan.
     pub env: IndoorEnvironment,
     /// West corridor segment (walk-by entry/exit).
-    pub w: CellId,
+    pub(crate) w: CellId,
     /// The corridor segment outside the classroom.
     pub x: CellId,
     /// East corridor segment (walk-by entry/exit).
-    pub y: CellId,
+    pub(crate) y: CellId,
     /// The classroom (a meeting-room lounge).
     pub m: CellId,
 }
@@ -100,7 +100,7 @@ impl Default for MeetingParams {
 impl MeetingParams {
     /// The walk-by intensity (per minute) at time `t`: surging in the
     /// 10 minutes around the class start and after the end.
-    pub fn walkby_intensity(&self, t: SimTime) -> f64 {
+    pub(crate) fn walkby_intensity(&self, t: SimTime) -> f64 {
         let t_end = self.t_start + self.duration;
         let start_lo = self.t_start.saturating_sub(self.arrival_window);
         let start_hi = self.t_start + self.arrival_slack;

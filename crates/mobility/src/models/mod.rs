@@ -8,11 +8,11 @@
 //!   traffic,
 //! * [`cafeteria`] — a slow lunch-hour ramp of visitors,
 //! * [`random_walk`] — memoryless wandering (the default-lounge pattern),
-//! * [`markov`] — the general dwell-and-move walker the other models are
+//! * `markov` — the general dwell-and-move walker the other models are
 //!   built from.
 
 pub mod cafeteria;
-pub mod markov;
+pub(crate) mod markov;
 pub mod meeting;
 pub mod office_case;
 pub mod random_walk;

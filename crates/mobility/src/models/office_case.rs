@@ -46,7 +46,7 @@ pub struct FanOut {
 
 impl FanOut {
     /// Total traversals.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.to_a + self.to_b + self.to_fg
     }
 }

@@ -39,7 +39,7 @@ impl Default for RandomWalkParams {
 }
 
 /// First portable id used by this generator.
-pub const WANDERER_BASE: u32 = 30_000;
+pub(crate) const WANDERER_BASE: u32 = 30_000;
 
 /// Generate the wander trace: each portable appears at a random cell at
 /// a random offset and walks until the span ends.

@@ -33,18 +33,18 @@ pub struct MobilityTrace {
 
 impl MobilityTrace {
     /// An empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Append an event (sorting is deferred to [`finish`](Self::finish)).
-    pub fn push(&mut self, ev: MoveEvent) {
+    /// Append an event (sorting is deferred to `finish`).
+    pub(crate) fn push(&mut self, ev: MoveEvent) {
         self.events.push(ev);
         self.sorted = false;
     }
 
     /// Sort by (time, portable) — a stable, deterministic replay order.
-    pub fn finish(mut self) -> Self {
+    pub(crate) fn finish(mut self) -> Self {
         self.events
             .sort_by(|a, b| a.time.cmp(&b.time).then(a.portable.cmp(&b.portable)));
         self.sorted = true;
@@ -52,12 +52,12 @@ impl MobilityTrace {
     }
 
     /// Merge another trace into this one (re-sorts).
-    pub fn merge(mut self, other: MobilityTrace) -> Self {
+    pub(crate) fn merge(mut self, other: MobilityTrace) -> Self {
         self.events.extend(other.events);
         self.finish()
     }
 
-    /// The events (sorted iff [`finish`](Self::finish) ran last).
+    /// The events (sorted iff `finish` ran last).
     pub fn events(&self) -> &[MoveEvent] {
         &self.events
     }

@@ -49,7 +49,7 @@ impl WorkloadMix {
     }
 
     /// Expected bandwidth per sampled connection (kbps).
-    pub fn mean_rate(&self) -> f64 {
+    pub(crate) fn mean_rate(&self) -> f64 {
         let total_w: f64 = self.entries.iter().map(|(w, _)| *w).sum();
         self.entries.iter().map(|(w, q)| w * q.b_min).sum::<f64>() / total_w
     }
@@ -107,11 +107,11 @@ pub struct ConnRequest {
     /// Arrival time.
     pub time: SimTime,
     /// The cell where the request originates.
-    pub cell: CellId,
+    pub(crate) cell: CellId,
     /// Index into the type list.
-    pub type_idx: usize,
+    pub(crate) type_idx: usize,
     /// Synthetic owner id (unique per request).
-    pub portable: PortableId,
+    pub(crate) portable: PortableId,
 }
 
 /// Generate Poisson new-connection arrivals for every `(cell, type)`

@@ -183,7 +183,8 @@ impl<I: ArenaKey> DenseInterner<I> {
     }
 
     /// Drop all ids and retire all slots, keeping allocated capacity.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.fwd.clear();
         self.rev.clear();
         self.live.clear();

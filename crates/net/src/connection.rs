@@ -27,7 +27,7 @@ pub struct Connection {
     pub cell: CellId,
     /// Fixed wired endpoint (e.g. a server on the backbone). The wireless
     /// endpoint is implied by `cell`.
-    pub remote: NodeId,
+    pub(crate) remote: NodeId,
     /// Negotiated QoS bounds.
     pub qos: QosRequest,
     /// Current route (wireless hop first when the portable is the source).

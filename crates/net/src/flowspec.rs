@@ -37,14 +37,8 @@ impl TrafficSpec {
         }
     }
 
-    /// Override the maximum packet size.
-    pub fn with_l_max(mut self, l_max: f64) -> Self {
-        self.l_max = l_max;
-        self
-    }
-
     /// Sanity: all fields nonnegative, packet fits in the burst.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self) -> Result<(), SpecError> {
         if !(self.sigma >= 0.0 && self.rho >= 0.0 && self.l_max > 0.0) {
             return Err(SpecError::NonPositive);
         }
@@ -183,10 +177,9 @@ mod tests {
             .with_delay(0.1)
             .with_jitter(0.02)
             .with_loss(0.01)
-            .with_traffic(TrafficSpec::new(4.0, 16.0).with_l_max(0.5));
+            .with_traffic(TrafficSpec::new(4.0, 16.0));
         assert!(q.validate().is_ok());
         assert_eq!(q.adaptable_range(), 48.0);
-        assert_eq!(q.traffic.l_max, 0.5);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!   reservation pool `b_resv,l`, per-connection allocations, and the
 //!   excess-bandwidth accounting (`b'_av,l`) that drives the maxmin
 //!   machinery of §5.2,
-//! * [`connection`] — connection lifecycle records.
+//! * `connection` — connection lifecycle records.
 //!
 //! Everything is a plain, deterministic data structure — the event loop
 //! lives in `arm-sim`, and algorithms live in `arm-qos` and friends.
@@ -47,19 +47,17 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod connection;
+mod connection;
 pub mod flowspec;
 pub mod ids;
 pub mod link;
-pub mod network;
+mod network;
 pub mod routing;
 pub mod topology;
 
-pub use arena::{ArenaKey, DenseInterner};
+pub use arena::DenseInterner;
 pub use connection::Connection;
-pub use flowspec::{QosRequest, TrafficSpec};
-pub use ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
+pub use ids::PortableId;
 pub use link::LinkState;
 pub use network::Network;
 pub use routing::Route;
-pub use topology::{LinkSpec, NodeKind, Topology};

@@ -352,17 +352,6 @@ impl LinkState {
         self.capacity - self.sum_resv - self.sum_b_min
     }
 
-    /// Bandwidth not yet handed to anyone:
-    /// `C_l − b_resv,l − Σ b_alloc,i`.
-    pub fn unallocated(&self) -> f64 {
-        self.capacity - self.sum_resv - self.sum_b_alloc
-    }
-
-    /// Number of ongoing connections `N_l`.
-    pub fn conn_count(&self) -> usize {
-        self.allocs.len()
-    }
-
     /// Iterate over ongoing connections and their allocations,
     /// ascending by `ConnId`.
     pub fn allocs(&self) -> impl Iterator<Item = (ConnId, &Alloc)> {
@@ -528,19 +517,6 @@ impl LinkState {
         self.sum_b_alloc = new_sum;
         self.allocs[at].1.b_alloc = b_alloc;
         self.debug_check();
-        Ok(())
-    }
-
-    /// Set a connection's reserved buffer (buffer adaptation, §5.3).
-    pub fn set_buffer(&mut self, conn: ConnId, buffer: f64) -> Result<(), LedgerError> {
-        self.bump();
-        let at = self.pos(conn).map_err(|_| LedgerError::UnknownConn)?;
-        let new_sum = self.sum_buffer - self.allocs[at].1.buffer + buffer;
-        if new_sum > self.buffer_capacity + EPS {
-            return Err(LedgerError::BufferExhausted);
-        }
-        self.sum_buffer = new_sum;
-        self.allocs[at].1.buffer = buffer;
         Ok(())
     }
 
@@ -750,7 +726,6 @@ mod tests {
         l.admit(cid(2), 20.0, 0.0).unwrap();
         l.set_alloc(cid(1), 60.0).unwrap();
         assert_eq!(l.sum_b_alloc(), 80.0);
-        assert_eq!(l.unallocated(), 20.0);
         // excess_available ignores allocations above floors (it's the
         // pool being divided), so it stays at C − Σ b_min.
         assert_eq!(l.excess_available(), 60.0);
@@ -759,7 +734,7 @@ mod tests {
         assert_eq!(l.set_alloc(cid(9), 10.0), Err(LedgerError::UnknownConn));
         l.set_alloc(cid(1), 20.0).unwrap();
         l.set_alloc(cid(2), 80.0).unwrap();
-        assert_eq!(l.unallocated(), 0.0);
+        assert_eq!(l.sum_b_alloc(), 100.0);
     }
 
     #[test]
@@ -874,9 +849,6 @@ mod tests {
             Err(LedgerError::BufferExhausted)
         );
         l.admit(cid(2), 10.0, 2.0).unwrap();
-        assert_eq!(l.set_buffer(cid(2), 3.0), Err(LedgerError::BufferExhausted));
-        l.set_buffer(cid(1), 1.0).unwrap();
-        l.set_buffer(cid(2), 3.0).unwrap();
     }
 
     #[test]

@@ -236,11 +236,6 @@ impl Network {
         &self.link_conns[l.index()]
     }
 
-    /// Number of live connections traversing a link (`N_l`).
-    pub fn conn_count_on_link(&self, l: LinkId) -> usize {
-        self.link_conns[l.index()].len()
-    }
-
     // ------------------------------------------------------------------
     // Connection table
     // ------------------------------------------------------------------
@@ -570,11 +565,11 @@ mod tests {
         assert!(net.check_invariants().is_ok());
         let wl = net.topology().wireless_link(c0);
         assert_eq!(net.link(wl).sum_b_min(), 100.0);
-        assert_eq!(net.conn_count_on_link(wl), 1);
+        assert_eq!(net.conn_ids_on_link(wl).len(), 1);
 
         net.release_route(id, &route);
         assert_eq!(net.link(wl).sum_b_min(), 0.0);
-        assert_eq!(net.conn_count_on_link(wl), 0);
+        assert_eq!(net.conn_ids_on_link(wl).len(), 0);
         // release_route is mechanical; the caller retires the record
         // before the network is consistent again.
         assert!(net.check_invariants().is_err());
@@ -633,7 +628,7 @@ mod tests {
         // First hops were rolled back.
         let wl0 = net.topology().wireless_link(c0);
         assert_eq!(net.link(wl0).sum_b_min(), 0.0);
-        assert_eq!(net.conn_count_on_link(wl0), 0);
+        assert_eq!(net.conn_ids_on_link(wl0).len(), 0);
         // The caller records the admission failure.
         assert!(net.check_invariants().is_err());
         net.mark_blocked(id);

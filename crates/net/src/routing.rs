@@ -42,11 +42,6 @@ impl Route {
         *self.nodes.last().invariant("route has at least one node")
     }
 
-    /// Whether the route traverses the given link resource.
-    pub fn uses_link(&self, l: LinkId) -> bool {
-        self.links.contains(&l)
-    }
-
     /// The trivial single-node route.
     pub fn trivial(n: NodeId) -> Self {
         Route {
@@ -222,8 +217,8 @@ mod tests {
         assert_eq!(r.hop_count(), 4);
         assert_eq!(r.source(), t.air_node(cells[0]));
         assert_eq!(r.destination(), t.air_node(cells[1]));
-        assert!(r.uses_link(t.wireless_link(cells[0])));
-        assert!(r.uses_link(t.wireless_link(cells[1])));
+        assert!(r.links.contains(&t.wireless_link(cells[0])));
+        assert!(r.links.contains(&t.wireless_link(cells[1])));
     }
 
     #[test]
@@ -315,7 +310,7 @@ mod tests {
         avoid.insert(direct.links[0]);
         let detour = shortest_path_avoiding(&t, a, b, &avoid).unwrap();
         assert_eq!(detour.hop_count(), 2);
-        assert!(!detour.uses_link(direct.links[0]));
+        assert!(!detour.links.contains(&direct.links[0]));
         // Avoiding every outbound link makes the destination unreachable.
         for e in t.out_edges(a) {
             avoid.insert(e.link);

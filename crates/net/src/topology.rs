@@ -18,7 +18,7 @@ use crate::ids::{CellId, LinkId, NodeId};
 
 /// What a node is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// A backbone packet switch (WFQ or RCSP scheduler, per Table 2).
     Switch,
     /// The base station serving a cell.
@@ -31,10 +31,10 @@ pub enum NodeKind {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LinkSpec {
     /// Link speed `C_l` (kbps).
-    pub capacity: f64,
+    pub(crate) capacity: f64,
     /// Propagation delay (seconds). The paper omits propagation delay "for
     /// simplicity of presentation"; we carry it but default it to zero.
-    pub prop_delay: f64,
+    pub(crate) prop_delay: f64,
     /// Per-link packet error probability `p_e,l` (wireless links are
     /// error-prone; wired links typically 0).
     pub error_prob: f64,
@@ -46,7 +46,7 @@ pub struct LinkSpec {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Node {
     /// What the node is.
-    pub kind: NodeKind,
+    pub(crate) kind: NodeKind,
     /// Debug name.
     pub name: String,
 }
@@ -55,7 +55,7 @@ pub struct Node {
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct Edge {
     /// Tail.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Head.
     pub to: NodeId,
     /// The capacity resource this edge consumes.
@@ -64,13 +64,13 @@ pub struct Edge {
 
 /// Per-cell wiring produced by [`Topology::add_cell`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CellPorts {
+pub(crate) struct CellPorts {
     /// The base-station node.
-    pub base_station: NodeId,
+    pub(crate) base_station: NodeId,
     /// The air node (portable side of the medium).
-    pub air: NodeId,
+    pub(crate) air: NodeId,
     /// The shared wireless medium resource.
-    pub wireless: LinkId,
+    pub(crate) wireless: LinkId,
 }
 
 /// The static network graph.
@@ -163,7 +163,8 @@ impl Topology {
 
     /// Add a one-way wired link (used by tests that need asymmetric
     /// bottlenecks).
-    pub fn add_wired_simplex(
+    #[cfg(test)]
+    pub(crate) fn add_wired_simplex(
         &mut self,
         a: NodeId,
         b: NodeId,
@@ -200,7 +201,7 @@ impl Topology {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -224,13 +225,8 @@ impl Topology {
         &self.links[id.index()]
     }
 
-    /// Cell wiring.
-    pub fn cell(&self, id: CellId) -> &CellPorts {
-        &self.cells[id.index()]
-    }
-
     /// All cells.
-    pub fn cells(&self) -> impl Iterator<Item = (CellId, &CellPorts)> {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (CellId, &CellPorts)> {
         self.cells
             .iter()
             .enumerate()
@@ -240,11 +236,6 @@ impl Topology {
     /// Outgoing edges of a node.
     pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
         self.out_adj[n.index()].iter().map(move |i| &self.edges[*i])
-    }
-
-    /// All edges.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
     }
 
     /// The base-station node of a cell.

@@ -25,7 +25,8 @@ pub enum ClaimSource {
 
 impl ClaimSource {
     /// Stable lowercase label (used in reports).
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ClaimSource::CellTo => "cell-to",
             ClaimSource::CellFrom => "cell-from",
@@ -234,7 +235,7 @@ impl EventKind {
 
 impl ObsEvent {
     /// This event's kind.
-    pub fn kind(&self) -> EventKind {
+    pub(crate) fn kind(&self) -> EventKind {
         match self {
             ObsEvent::AdmitDecision { .. } => EventKind::AdmitDecision,
             ObsEvent::MaxminRound { .. } => EventKind::MaxminRound,
@@ -246,22 +247,6 @@ impl ObsEvent {
             ObsEvent::ReservationDispatch { .. } => EventKind::ReservationDispatch,
             ObsEvent::FaultInjected { .. } => EventKind::FaultInjected,
             ObsEvent::IngestRejected { .. } => EventKind::IngestRejected,
-        }
-    }
-
-    /// The sim-time the event happened at.
-    pub fn time(&self) -> SimTime {
-        match self {
-            ObsEvent::AdmitDecision { t, .. }
-            | ObsEvent::MaxminRound { t, .. }
-            | ObsEvent::AdvertiseSent { t, .. }
-            | ObsEvent::UpdateRecv { t, .. }
-            | ObsEvent::HandoffOutcome { t, .. }
-            | ObsEvent::ClaimConsumed { t, .. }
-            | ObsEvent::ReservationSlotRolled { t, .. }
-            | ObsEvent::ReservationDispatch { t, .. }
-            | ObsEvent::FaultInjected { t, .. }
-            | ObsEvent::IngestRejected { t, .. } => *t,
         }
     }
 }
@@ -292,7 +277,6 @@ mod tests {
         let back: ObsEvent = serde_json::from_str(&json).expect("round trip");
         assert_eq!(back, ev);
         assert_eq!(back.kind(), EventKind::AdmitDecision);
-        assert_eq!(back.time(), SimTime::from_secs(3));
     }
 
     #[test]

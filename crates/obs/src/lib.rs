@@ -24,7 +24,7 @@
 //! 1. **Typed events** ([`ObsEvent`]) emitted at every decision point —
 //!    admission, maxmin rounds, ADVERTISE/UPDATE exchanges, handoffs,
 //!    claim drawdowns, slot rolls, dispatch, fault injection — routed to
-//!    a pluggable [`TraceSink`] (in-memory ring or JSONL stream).
+//!    a pluggable trace sink (in-memory ring or JSONL stream).
 //! 2. **Phase timers** ([`Phase`]) giving wall-clock *and* sim-time
 //!    distributions per control-plane phase, backed by the simulator's
 //!    own `Histogram`.
@@ -34,7 +34,7 @@
 //!
 //! The cardinal rule: observation is *passive*. No instrumented
 //! component ever reads back anything from the observer, so
-//! [`ObsConfig::off`] (the default everywhere) is guaranteed to leave
+//! an off [`ObsConfig`] (the default everywhere) is guaranteed to leave
 //! results bit-identical — asserted by the differential test in
 //! `arm_core`. The disabled cost is one branch per site and no
 //! syscalls.
@@ -45,47 +45,34 @@ use std::path::PathBuf;
 use std::rc::Rc;
 
 use arm_sim::time::SimTime;
+use sink::{JsonlSink, RingSink, TraceSink};
+use timers::PhaseTimers;
 
-pub mod event;
-pub mod report;
-pub mod sink;
-pub mod timers;
+mod event;
+mod report;
+mod sink;
+mod timers;
 
 pub use event::{ClaimSource, EventKind, ObsEvent};
 pub use report::{
     BenchEntry, ChaosSummary, EventCount, HistSummary, MetricsSummary, PhaseSummary, RunReport,
     SCHEMA_VERSION,
 };
-pub use sink::{JsonlSink, RingSink, TraceSink};
-pub use timers::{Phase, PhaseTimers, PhaseToken};
+pub use timers::{Phase, PhaseToken};
 
 /// How to build an [`Obs`] for a run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Master switch. Off means: no sink, no counters, no timers, no
     /// syscalls — bit-identical results.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Ring capacity when no JSONL path is given.
-    pub ring_capacity: usize,
+    pub(crate) ring_capacity: usize,
     /// Stream events to this JSONL file instead of the ring.
-    pub jsonl_path: Option<PathBuf>,
+    pub(crate) jsonl_path: Option<PathBuf>,
 }
 
 impl ObsConfig {
-    /// Observation disabled (the default for every entry point).
-    pub fn off() -> Self {
-        ObsConfig::default()
-    }
-
-    /// In-memory ring retaining the last `capacity` events.
-    pub fn ring(capacity: usize) -> Self {
-        ObsConfig {
-            enabled: true,
-            ring_capacity: capacity,
-            jsonl_path: None,
-        }
-    }
-
     /// Stream events to a JSONL file.
     pub fn jsonl(path: PathBuf) -> Self {
         ObsConfig {
@@ -150,7 +137,7 @@ impl Obs {
     }
 
     /// An enabled observer with a custom sink.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
+    pub(crate) fn with_sink(sink: Box<dyn TraceSink>) -> Self {
         Obs {
             on: true,
             sink: Some(sink),
@@ -233,21 +220,9 @@ impl Obs {
         self.timers.summaries()
     }
 
-    /// The phase timers (read access for tests / reports).
-    pub fn timers(&self) -> &PhaseTimers {
-        &self.timers
-    }
-
     /// The sink's retained events (empty when off or write-through).
     pub fn snapshot_events(&self) -> Vec<ObsEvent> {
         self.sink.as_ref().map(|s| s.snapshot()).unwrap_or_default()
-    }
-
-    /// Flush the sink.
-    pub fn flush(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            sink.flush();
-        }
     }
 
     /// Fill a report's `phases` and `events` sections from this observer.
@@ -328,8 +303,13 @@ mod tests {
 
     #[test]
     fn config_builds_matching_observer() {
-        assert!(!ObsConfig::off().build().expect("build").is_on());
-        assert!(ObsConfig::ring(4).build().expect("build").is_on());
+        assert!(!ObsConfig::default().build().expect("build").is_on());
+        let ring = ObsConfig {
+            enabled: true,
+            ring_capacity: 4,
+            jsonl_path: None,
+        };
+        assert!(ring.build().expect("build").is_on());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub struct HistSummary {
 
 impl HistSummary {
     /// Summarise a histogram.
-    pub fn of(h: &Histogram) -> Self {
+    pub(crate) fn of(h: &Histogram) -> Self {
         HistSummary {
             count: h.count(),
             mean: h.mean(),
@@ -78,7 +78,7 @@ pub struct EventCount {
 }
 
 /// The §7 scenario-level outcome metrics (mirrors
-/// `arm_core::metrics::Metrics`).
+/// `arm_core::Metrics`).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSummary {
     /// New-connection requests.
@@ -135,7 +135,7 @@ pub struct BenchEntry {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Schema version ([`SCHEMA_VERSION`]).
-    pub schema: u32,
+    pub(crate) schema: u32,
     /// The emitting binary (e.g. `expt_fig2`).
     pub bin: String,
     /// The scenario or experiment label within the bin.

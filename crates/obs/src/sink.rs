@@ -5,7 +5,7 @@
 //! an invariant failure) and [`JsonlSink`] streams every event as one
 //! JSON line to a writer (artifacts, offline analysis). Sinks observe —
 //! they never mutate model state and are not consulted by it, which is
-//! what makes the `ObsConfig::off()` bit-identicality guarantee cheap
+//! what makes the observation-off bit-identicality guarantee cheap
 //! to uphold.
 
 use std::collections::VecDeque;
@@ -16,12 +16,9 @@ use std::path::Path;
 use crate::event::ObsEvent;
 
 /// A consumer of emitted events.
-pub trait TraceSink {
+pub(crate) trait TraceSink {
     /// Accept one event.
     fn record(&mut self, ev: &ObsEvent);
-
-    /// Flush any buffered output.
-    fn flush(&mut self) {}
 
     /// The retained events, oldest first (empty for write-through sinks).
     fn snapshot(&self) -> Vec<ObsEvent> {
@@ -31,43 +28,28 @@ pub trait TraceSink {
 
 /// Keeps the most recent `capacity` events in memory.
 #[derive(Clone, Debug, Default)]
-pub struct RingSink {
+pub(crate) struct RingSink {
     capacity: usize,
     buf: VecDeque<ObsEvent>,
-    dropped: u64,
 }
 
 impl RingSink {
-    /// A ring retaining at most `capacity` events (0 retains nothing but
-    /// still counts drops).
-    pub fn new(capacity: usize) -> Self {
+    /// A ring retaining at most `capacity` events (0 retains nothing).
+    pub(crate) fn new(capacity: usize) -> Self {
         RingSink {
             capacity,
             buf: VecDeque::with_capacity(capacity.min(1024)),
-            dropped: 0,
         }
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &ObsEvent> {
-        self.buf.iter()
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&mut self, ev: &ObsEvent) {
         if self.capacity == 0 {
-            self.dropped += 1;
             return;
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.dropped += 1;
         }
         self.buf.push_back(ev.clone());
     }
@@ -79,61 +61,31 @@ impl TraceSink for RingSink {
 
 /// Streams each event as one JSON line.
 ///
-/// I/O errors are counted, not propagated: observation must never turn
-/// into a control-plane failure mid-run. Check [`JsonlSink::errors`]
-/// (or the final flush) if the artifact matters.
+/// I/O errors are swallowed, not propagated: observation must never
+/// turn into a control-plane failure mid-run.
 #[derive(Debug)]
-pub struct JsonlSink<W: Write> {
+pub(crate) struct JsonlSink<W: Write> {
     w: W,
-    lines: u64,
-    errors: u64,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wrap a writer.
-    pub fn new(w: W) -> Self {
-        JsonlSink {
-            w,
-            lines: 0,
-            errors: 0,
-        }
-    }
-
-    /// Lines successfully written.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Serialization or write errors swallowed so far.
-    pub fn errors(&self) -> u64 {
-        self.errors
+    pub(crate) fn new(w: W) -> Self {
+        JsonlSink { w }
     }
 }
 
 impl JsonlSink<BufWriter<File>> {
     /// Create (truncate) a JSONL file at `path`.
-    pub fn create(path: &Path) -> io::Result<Self> {
+    pub(crate) fn create(path: &Path) -> io::Result<Self> {
         Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
     }
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, ev: &ObsEvent) {
-        match serde_json::to_string(ev) {
-            Ok(line) => {
-                if writeln!(self.w, "{line}").is_ok() {
-                    self.lines += 1;
-                } else {
-                    self.errors += 1;
-                }
-            }
-            Err(_) => self.errors += 1,
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.w.flush().is_err() {
-            self.errors += 1;
+        if let Ok(line) = serde_json::to_string(ev) {
+            let _ = writeln!(self.w, "{line}");
         }
     }
 }
@@ -162,9 +114,7 @@ mod tests {
         s.record(&ev(3));
         let snap = s.snapshot();
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].time(), SimTime::from_secs(2));
-        assert_eq!(snap[1].time(), SimTime::from_secs(3));
-        assert_eq!(s.dropped(), 1);
+        assert_eq!(snap, vec![ev(2), ev(3)]);
     }
 
     #[test]
@@ -172,7 +122,6 @@ mod tests {
         let mut s = RingSink::new(0);
         s.record(&ev(1));
         assert!(s.snapshot().is_empty());
-        assert_eq!(s.dropped(), 1);
     }
 
     #[test]
@@ -180,15 +129,12 @@ mod tests {
         let mut s = JsonlSink::new(Vec::new());
         s.record(&ev(1));
         s.record(&ev(2));
-        s.flush();
-        assert_eq!(s.lines(), 2);
-        assert_eq!(s.errors(), 0);
         let text = String::from_utf8(s.w).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for (i, line) in lines.iter().enumerate() {
             let back: ObsEvent = serde_json::from_str(line).expect("parseable");
-            assert_eq!(back.time(), SimTime::from_secs(i as u64 + 1));
+            assert_eq!(back, ev(i as u64 + 1));
         }
     }
 }

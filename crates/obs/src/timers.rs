@@ -52,7 +52,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in schema order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::Admission,
         Phase::Maxmin,
         Phase::PredictionUpdate,
@@ -61,7 +61,7 @@ impl Phase {
     ];
 
     /// Stable kebab-case label (used in reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Admission => "admission",
             Phase::Maxmin => "maxmin",
@@ -112,11 +112,11 @@ impl PhaseToken {
 
 /// One phase's paired distributions.
 #[derive(Clone, Debug)]
-pub struct PhaseTimer {
+pub(crate) struct PhaseTimer {
     /// Wall-clock cost per span, microseconds.
-    pub wall_us: Histogram,
+    pub(crate) wall_us: Histogram,
     /// Sim-time elapsed per span, microseconds.
-    pub sim_us: Histogram,
+    pub(crate) sim_us: Histogram,
     spans: u64,
 }
 
@@ -133,16 +133,11 @@ impl PhaseTimer {
             spans: 0,
         }
     }
-
-    /// Spans recorded.
-    pub fn spans(&self) -> u64 {
-        self.spans
-    }
 }
 
 /// All phase timers, indexed by [`Phase`].
 #[derive(Clone, Debug)]
-pub struct PhaseTimers {
+pub(crate) struct PhaseTimers {
     timers: Vec<PhaseTimer>,
 }
 
@@ -154,14 +149,14 @@ impl Default for PhaseTimers {
 
 impl PhaseTimers {
     /// Fresh, empty timers for every phase.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PhaseTimers {
             timers: Phase::ALL.iter().map(|_| PhaseTimer::new()).collect(),
         }
     }
 
     /// Record one finished span.
-    pub fn record(&mut self, phase: Phase, token: PhaseToken, now: SimTime) {
+    pub(crate) fn record(&mut self, phase: Phase, token: PhaseToken, now: SimTime) {
         let Some(started) = token.wall else {
             return;
         };
@@ -176,15 +171,8 @@ impl PhaseTimers {
         timer.spans += 1;
     }
 
-    /// This phase's timer.
-    pub fn get(&self, phase: Phase) -> &PhaseTimer {
-        // Construction guarantees one timer per phase; fall back to the
-        // first slot rather than indexing (no-panic discipline).
-        self.timers.get(phase.index()).unwrap_or(&self.timers[0])
-    }
-
     /// Summaries for every phase that recorded at least one span.
-    pub fn summaries(&self) -> Vec<PhaseSummary> {
+    pub(crate) fn summaries(&self) -> Vec<PhaseSummary> {
         Phase::ALL
             .iter()
             .zip(&self.timers)
@@ -207,7 +195,6 @@ mod tests {
     fn inert_token_records_nothing() {
         let mut timers = PhaseTimers::new();
         timers.record(Phase::Admission, PhaseToken::inert(), SimTime::from_secs(5));
-        assert_eq!(timers.get(Phase::Admission).spans(), 0);
         assert!(timers.summaries().is_empty());
     }
 
@@ -219,14 +206,13 @@ mod tests {
             sim_start: SimTime::from_secs(1),
         };
         timers.record(Phase::Maxmin, tok, SimTime::from_secs(3));
-        let t = timers.get(Phase::Maxmin);
-        assert_eq!(t.spans(), 1);
-        assert_eq!(t.sim_us.count(), 1);
-        // 2 s of sim time = 2e6 µs.
-        assert!((t.sim_us.max() - 2.0e6).abs() < 1.0);
         let sums = timers.summaries();
         assert_eq!(sums.len(), 1);
         assert_eq!(sums[0].phase, "maxmin");
+        assert_eq!(sums[0].spans, 1);
+        assert_eq!(sums[0].sim_us.count, 1);
+        // 2 s of sim time = 2e6 µs.
+        assert!((sums[0].sim_us.max - 2.0e6).abs() < 1.0);
     }
 
     #[test]

@@ -15,19 +15,19 @@ use crate::class::CellClass;
 use crate::history::{CountedHistory, HandoffEvent, HandoffHistory};
 
 /// Default `N_pC`: how many of a cell's handoffs the server retains.
-pub const DEFAULT_N_PC: usize = 500;
+pub(crate) const DEFAULT_N_PC: usize = 500;
 
 /// One cell's profile.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CellProfile {
     /// Whose profile this is.
-    pub cell: CellId,
+    pub(crate) cell: CellId,
     /// Location-dependent class (may be relearned, §6.4).
     pub class: CellClass,
     /// Neighbour set `η(c)`.
     pub neighbors: BTreeSet<CellId>,
     /// Regular occupants `ω(c)` (offices only).
-    pub occupants: BTreeSet<PortableId>,
+    pub(crate) occupants: BTreeSet<PortableId>,
     history: CountedHistory,
 }
 
@@ -91,7 +91,7 @@ impl CellProfile {
     /// Second-level prediction from the aggregate history: most likely
     /// next cell given the previous cell, falling back to the overall
     /// majority when the (prev) context has no history.
-    pub fn predict_next(&self, prev: Option<CellId>) -> Option<CellId> {
+    pub(crate) fn predict_next(&self, prev: Option<CellId>) -> Option<CellId> {
         self.history
             .most_common_next_after(prev)
             .or_else(|| self.history.most_common_next())
@@ -99,7 +99,8 @@ impl CellProfile {
     }
 
     /// Number of handoffs retained.
-    pub fn history_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn history_len(&self) -> usize {
         self.history.history().len()
     }
 
@@ -110,7 +111,7 @@ impl CellProfile {
     }
 
     /// [`HandoffHistory::cache_rows`] on this profile's history.
-    pub fn cache_rows(&mut self) {
+    pub(crate) fn cache_rows(&mut self) {
         self.history.cache_rows();
     }
 }

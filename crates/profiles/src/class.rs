@@ -51,11 +51,6 @@ impl CellClass {
     pub fn tracks_occupants(&self) -> bool {
         matches!(self, CellClass::Office)
     }
-
-    /// Does this class carry a booking calendar?
-    pub fn has_calendar(&self) -> bool {
-        matches!(self, CellClass::Lounge(LoungeKind::MeetingRoom))
-    }
 }
 
 impl std::fmt::Display for CellClass {
@@ -78,8 +73,6 @@ mod tests {
     fn taxonomy_properties() {
         assert!(CellClass::Office.tracks_occupants());
         assert!(!CellClass::Corridor.tracks_occupants());
-        assert!(CellClass::Lounge(LoungeKind::MeetingRoom).has_calendar());
-        assert!(!CellClass::Lounge(LoungeKind::Cafeteria).has_calendar());
         assert_eq!(CellClass::Office.handoff_activity(), "predictable");
         assert_eq!(
             CellClass::Lounge(LoungeKind::MeetingRoom).handoff_activity(),

@@ -15,7 +15,7 @@
 //! * **cafeteria** — activity varies slowly from slot to slot,
 //! * **default** — none of the above.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use arm_sim::{Audited, SimDuration};
 
@@ -28,25 +28,25 @@ use crate::class::{CellClass, LoungeKind};
 #[derive(Clone, Copy, Debug)]
 pub struct ClassifierConfig {
     /// Minimum events before attempting classification at all.
-    pub min_events: usize,
+    pub(crate) min_events: usize,
     /// Office: at most this many distinct users…
-    pub office_max_users: usize,
+    pub(crate) office_max_users: usize,
     /// …who account for at least this fraction of handoffs.
-    pub office_regular_fraction: f64,
+    pub(crate) office_regular_fraction: f64,
     /// Corridor: average per-previous-cell directional consistency.
-    pub corridor_consistency: f64,
+    pub(crate) corridor_consistency: f64,
     /// Corridor: at most this fraction of departures may turn back the
     /// way they came (a dead-end room bounces everyone back).
-    pub corridor_max_turnaround: f64,
+    pub(crate) corridor_max_turnaround: f64,
     /// Meeting room: fraction of events inside the busiest 10% of slots.
-    pub meeting_spike_fraction: f64,
+    pub(crate) meeting_spike_fraction: f64,
     /// Cafeteria: mean |slot-to-slot delta| relative to the mean level.
-    pub cafeteria_smoothness: f64,
+    pub(crate) cafeteria_smoothness: f64,
     /// Cafeteria: minimum lag-1 autocorrelation of the slot series (a
     /// systematic ramp correlates; stationary noise does not).
-    pub cafeteria_min_autocorr: f64,
+    pub(crate) cafeteria_min_autocorr: f64,
     /// Slot width used to build the activity series.
-    pub slot: SimDuration,
+    pub(crate) slot: SimDuration,
 }
 
 impl Default for ClassifierConfig {
@@ -68,30 +68,30 @@ impl Default for ClassifierConfig {
 /// Feature vector the classifier derives from a cell profile; exposed so
 /// experiment binaries can print it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CellFeatures {
+pub(crate) struct CellFeatures {
     /// Number of handoff events inspected.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Distinct portables observed.
-    pub distinct_users: usize,
+    pub(crate) distinct_users: usize,
     /// Fraction of handoffs from the `office_max_users` busiest users.
-    pub regular_fraction: f64,
+    pub(crate) regular_fraction: f64,
     /// Weighted mean of max transition probability per previous cell.
-    pub directional_consistency: f64,
+    pub(crate) directional_consistency: f64,
     /// Fraction of events inside the busiest 10% of active slots.
-    pub spike_fraction: f64,
+    pub(crate) spike_fraction: f64,
     /// Mean |Δ| between consecutive slots divided by the mean slot level.
-    pub smoothness: f64,
+    pub(crate) smoothness: f64,
     /// Fraction of departures that return where they came from
     /// (`next == prev`). Near 1 for dead-end rooms, near 0 for corridors
     /// with through-traffic.
-    pub turnaround_fraction: f64,
+    pub(crate) turnaround_fraction: f64,
     /// Lag-1 autocorrelation of the slot series: high for a systematic
     /// ramp (cafeteria), near zero for stationary random traffic.
-    pub slot_autocorr: f64,
+    pub(crate) slot_autocorr: f64,
 }
 
 /// Extract classification features from a cell's handoff history.
-pub fn features(profile: &CellProfile, slot: SimDuration) -> CellFeatures {
+pub(crate) fn features(profile: &CellProfile, slot: SimDuration) -> CellFeatures {
     let events: Vec<_> = profile.history().events().copied().collect();
     let n = events.len();
     // Users.
@@ -227,7 +227,10 @@ pub fn classify(profile: &CellProfile, cfg: &ClassifierConfig) -> Option<CellCla
 /// The set of portables that look like regular occupants: those whose
 /// share of the observed handoffs exceeds `1 / (distinct_users + 1)`
 /// by a factor of two (used when promoting a learned office).
-pub fn infer_occupants(profile: &CellProfile) -> BTreeSet<arm_net::ids::PortableId> {
+#[cfg(test)]
+pub(crate) fn infer_occupants(
+    profile: &CellProfile,
+) -> std::collections::BTreeSet<arm_net::ids::PortableId> {
     let mut per_user: BTreeMap<arm_net::ids::PortableId, usize> = BTreeMap::new();
     let mut total = 0usize;
     for e in profile.history().events() {
@@ -235,7 +238,7 @@ pub fn infer_occupants(profile: &CellProfile) -> BTreeSet<arm_net::ids::Portable
         total += 1;
     }
     if total == 0 {
-        return BTreeSet::new();
+        return std::collections::BTreeSet::new();
     }
     let users = per_user.len().max(1);
     let threshold = 2.0 / (users as f64 + 1.0);

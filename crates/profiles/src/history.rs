@@ -232,7 +232,7 @@ impl Deserialize for HandoffHistory {
     }
     /// The derived codec's loop over the keys (the first of two equal
     /// keys counts, an unknown key is skipped), except that `events`
-    /// after `cap` is read into a ring sized as [`HandoffHistory::new`]
+    /// after `cap` is read into a ring sized as `HandoffHistory::new`
     /// sizes one, and refused at row `cap + 1` before that row is read.
     fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::Error> {
         if !r.begin_object()? {
@@ -322,7 +322,7 @@ impl TryFrom<wire::HandoffHistory> for HandoffHistory {
 
 impl HandoffHistory {
     /// History bounded to `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         assert!(cap > 0);
         HandoffHistory {
             cap,
@@ -335,7 +335,7 @@ impl HandoffHistory {
     /// Record an event, evicting (and returning) the oldest when full.
     /// Encodes nothing: an evicted event's cached row is dropped, and
     /// the new event waits for the next [`cache_rows`](Self::cache_rows).
-    pub fn record(&mut self, ev: HandoffEvent) -> Option<HandoffEvent> {
+    pub(crate) fn record(&mut self, ev: HandoffEvent) -> Option<HandoffEvent> {
         let evicted = if self.events.len() == self.cap {
             self.rows.pop_front();
             self.events.pop_front()
@@ -351,7 +351,7 @@ impl HandoffHistory {
     /// that the next [`write_json`](Serialize::write_json) copies every
     /// row instead of encoding it. Changes no answer the history gives
     /// and no byte it writes.
-    pub fn cache_rows(&mut self) {
+    pub(crate) fn cache_rows(&mut self) {
         let cached = self.rows.len();
         self.rows.extend(self.events.range(cached..));
     }
@@ -362,22 +362,19 @@ impl HandoffHistory {
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// Is the history empty?
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Lifetime count of recorded events (including evicted ones).
-    pub fn total_recorded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_recorded(&self) -> u64 {
         self.total_recorded
     }
 
     /// The retention bound.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
@@ -430,7 +427,7 @@ fn majority(counts: impl IntoIterator<Item = (CellId, usize)>) -> Option<(CellId
 /// [`HandoffHistory`]'s); recounted from the events on decode, so a
 /// document cannot supply its own. No tally is ever zero.
 #[derive(Clone, Debug)]
-pub struct CountedHistory {
+pub(crate) struct CountedHistory {
     history: HandoffHistory,
     by_prev: BTreeMap<(Option<CellId>, CellId), usize>,
     by_next: BTreeMap<CellId, usize>,
@@ -470,7 +467,7 @@ impl CountedHistory {
     }
 
     /// History bounded to `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         CountedHistory {
             history: HandoffHistory::new(cap),
             by_prev: BTreeMap::new(),
@@ -479,7 +476,7 @@ impl CountedHistory {
     }
 
     /// Record an event, evicting the oldest when full.
-    pub fn record(&mut self, ev: HandoffEvent) {
+    pub(crate) fn record(&mut self, ev: HandoffEvent) {
         if let Some(old) = self.history.record(ev) {
             decrement(&mut self.by_prev, (old.prev, old.next));
             decrement(&mut self.by_next, old.next);
@@ -489,18 +486,18 @@ impl CountedHistory {
     }
 
     /// [`HandoffHistory::cache_rows`] on the FIFO.
-    pub fn cache_rows(&mut self) {
+    pub(crate) fn cache_rows(&mut self) {
         self.history.cache_rows();
     }
 
     /// The event FIFO itself.
-    pub fn history(&self) -> &HandoffHistory {
+    pub(crate) fn history(&self) -> &HandoffHistory {
         &self.history
     }
 
     /// How many retained events whose previous cell was `prev` went to
     /// each `next` cell, ascending by cell.
-    pub fn next_counts_after(
+    pub(crate) fn next_counts_after(
         &self,
         prev: Option<CellId>,
     ) -> impl Iterator<Item = (CellId, usize)> + '_ {
@@ -511,19 +508,22 @@ impl CountedHistory {
 
     /// How many retained events went to each `next` cell, ascending by
     /// cell.
-    pub fn next_counts(&self) -> impl Iterator<Item = (CellId, usize)> + '_ {
+    pub(crate) fn next_counts(&self) -> impl Iterator<Item = (CellId, usize)> + '_ {
         self.by_next.iter().map(|(next, n)| (*next, *n))
     }
 
     /// [`HandoffHistory::most_common_next`] with the filter
     /// `e.prev == prev`, from the tallies.
-    pub fn most_common_next_after(&self, prev: Option<CellId>) -> Option<(CellId, usize, usize)> {
+    pub(crate) fn most_common_next_after(
+        &self,
+        prev: Option<CellId>,
+    ) -> Option<(CellId, usize, usize)> {
         majority(self.next_counts_after(prev))
     }
 
     /// [`HandoffHistory::most_common_next`] over every retained event,
     /// from the tallies.
-    pub fn most_common_next(&self) -> Option<(CellId, usize, usize)> {
+    pub(crate) fn most_common_next(&self) -> Option<(CellId, usize, usize)> {
         majority(self.next_counts())
     }
 }

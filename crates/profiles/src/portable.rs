@@ -14,14 +14,14 @@ use serde::{Deserialize, Serialize};
 use crate::history::{HandoffEvent, HandoffHistory};
 
 /// Default `N_pP`: how many of a portable's handoffs the server retains.
-pub const DEFAULT_N_PP: usize = 100;
+pub(crate) const DEFAULT_N_PP: usize = 100;
 
 /// One portable's aggregated movement history.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PortableProfile {
     /// Whose profile this is (Table 1: every profile carries the
     /// identification of the entity).
-    pub portable: PortableId,
+    pub(crate) portable: PortableId,
     history: HandoffHistory,
     /// Aggregate: (prev, cur) → next-predicted-cell, recomputed lazily.
     triplets: BTreeMap<(Option<CellId>, CellId), CellId>,
@@ -29,7 +29,7 @@ pub struct PortableProfile {
 
 impl PortableProfile {
     /// Fresh profile retaining `n_pp` handoffs.
-    pub fn new(portable: PortableId, n_pp: usize) -> Self {
+    pub(crate) fn new(portable: PortableId, n_pp: usize) -> Self {
         PortableProfile {
             portable,
             history: HandoffHistory::new(n_pp),
@@ -37,14 +37,9 @@ impl PortableProfile {
         }
     }
 
-    /// Fresh profile with the default retention.
-    pub fn with_default_capacity(portable: PortableId) -> Self {
-        Self::new(portable, DEFAULT_N_PP)
-    }
-
     /// Record one handoff of this portable and refresh the affected
     /// triplet.
-    pub fn record(&mut self, ev: HandoffEvent) {
+    pub(crate) fn record(&mut self, ev: HandoffEvent) {
         debug_assert_eq!(ev.portable, self.portable);
         self.history.record(ev);
         // Recompute the triplet for this (prev, cur) context from the
@@ -62,7 +57,7 @@ impl PortableProfile {
     /// with the current cell id, the base station checks the
     /// next-predicted-cell field". `None` means the profile has no
     /// history for this movement context.
-    pub fn next_predicted(&self, prev: Option<CellId>, cur: CellId) -> Option<CellId> {
+    pub(crate) fn next_predicted(&self, prev: Option<CellId>, cur: CellId) -> Option<CellId> {
         self.triplets.get(&(prev, cur)).copied().or_else(|| {
             // A portable whose exact (prev, cur) context is unknown may
             // still have history for the current cell with a different
@@ -84,7 +79,7 @@ impl PortableProfile {
     }
 
     /// [`HandoffHistory::cache_rows`] on this profile's history.
-    pub fn cache_rows(&mut self) {
+    pub(crate) fn cache_rows(&mut self) {
         self.history.cache_rows();
     }
 
@@ -159,7 +154,7 @@ mod tests {
 
     #[test]
     fn empty_profile_predicts_nothing() {
-        let p = PortableProfile::with_default_capacity(PortableId(1));
+        let p = PortableProfile::new(PortableId(1), DEFAULT_N_PP);
         assert_eq!(p.next_predicted(Some(CellId(0)), CellId(1)), None);
         assert_eq!(p.next_predicted(None, CellId(1)), None);
         assert_eq!(p.history_len(), 0);

@@ -42,7 +42,7 @@ pub struct Prediction {
 /// the profiles of the current cell's neighbours (for the occupant-office
 /// check) — taken as an iterator so a caller that has to look each one
 /// up pays for none of them when level 1 answers.
-pub fn predict_next_cell<'a>(
+pub(crate) fn predict_next_cell<'a>(
     portable: PortableId,
     prev: Option<CellId>,
     cur: CellId,
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn level1_portable_profile_wins() {
-        let mut pp = PortableProfile::with_default_capacity(PortableId(1));
+        let mut pp = PortableProfile::new(PortableId(1), crate::portable::DEFAULT_N_PP);
         pp.record(hev(1, Some(0), 5, 9));
         let cp = corridor(5);
         let office = CellProfile::with_default_capacity(CellId(7), CellClass::Office)
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn empty_portable_profile_falls_through() {
-        let pp = PortableProfile::with_default_capacity(PortableId(1));
+        let pp = PortableProfile::new(PortableId(1), crate::portable::DEFAULT_N_PP);
         let mut cp = corridor(5);
         cp.record(hev(3, Some(4), 5, 6));
         let pred = predict_next_cell(

@@ -18,7 +18,6 @@ use arm_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::cell::{CellProfile, DEFAULT_N_PC};
-use crate::class::CellClass;
 use crate::history::HandoffEvent;
 use crate::portable::{PortableProfile, DEFAULT_N_PP};
 use crate::prediction::{predict_next_cell, Prediction};
@@ -27,13 +26,18 @@ use crate::prediction::{predict_next_cell, Prediction};
 ///
 /// ```
 /// use arm_net::ids::{CellId, PortableId, ZoneId};
-/// use arm_profiles::{CellClass, PredictionLevel, ProfileServer};
+/// use arm_profiles::prediction::PredictionLevel;
+/// use arm_profiles::{CellClass, CellProfile, ProfileServer};
 /// use arm_sim::SimTime;
 ///
 /// let mut server = ProfileServer::new(ZoneId(0));
-/// server.register_cell_simple(CellId(0), CellClass::Corridor, [CellId(1)]);
-/// server.register_cell_simple(CellId(1), CellClass::Corridor, [CellId(0), CellId(2)]);
-/// server.register_cell_simple(CellId(2), CellClass::Office, [CellId(1)]);
+/// let cell = |id, class, neighbors: &[u32]| {
+///     CellProfile::with_default_capacity(CellId(id), class)
+///         .with_neighbors(neighbors.iter().map(|n| CellId(*n)))
+/// };
+/// server.register_cell(cell(0, CellClass::Corridor, &[1]));
+/// server.register_cell(cell(1, CellClass::Corridor, &[0, 2]));
+/// server.register_cell(cell(2, CellClass::Office, &[1]));
 ///
 /// // A commuter walks 0 → 1 → 2 a few times…
 /// let p = PortableId(7);
@@ -50,7 +54,7 @@ use crate::prediction::{predict_next_cell, Prediction};
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ProfileServer {
     /// The zone this server is responsible for.
-    pub zone: ZoneId,
+    pub(crate) zone: ZoneId,
     cells: BTreeMap<CellId, CellProfile>,
     portables: BTreeMap<PortableId, PortableProfile>,
     /// Last known (prev, cur) context per portable, updated on handoff.
@@ -66,7 +70,7 @@ impl ProfileServer {
     }
 
     /// A server with explicit `N_pP` / `N_pC`.
-    pub fn with_capacities(zone: ZoneId, n_pp: usize, n_pc: usize) -> Self {
+    pub(crate) fn with_capacities(zone: ZoneId, n_pp: usize, n_pc: usize) -> Self {
         ProfileServer {
             zone,
             cells: BTreeMap::new(),
@@ -82,16 +86,6 @@ impl ProfileServer {
         self.cells.insert(profile.cell, profile);
     }
 
-    /// Convenience: register a cell by id/class with neighbours.
-    pub fn register_cell_simple(
-        &mut self,
-        cell: CellId,
-        class: CellClass,
-        neighbors: impl IntoIterator<Item = CellId>,
-    ) {
-        self.register_cell(CellProfile::new(cell, class, self.n_pc).with_neighbors(neighbors));
-    }
-
     /// Cell profile lookup.
     pub fn cell(&self, c: CellId) -> Option<&CellProfile> {
         self.cells.get(&c)
@@ -100,11 +94,6 @@ impl ProfileServer {
     /// Portable profile lookup.
     pub fn portable(&self, p: PortableId) -> Option<&PortableProfile> {
         self.portables.get(&p)
-    }
-
-    /// Portables currently tracked.
-    pub fn portable_count(&self) -> usize {
-        self.portables.len()
     }
 
     /// The portable's last known (previous, current) cell context.
@@ -148,21 +137,6 @@ impl ProfileServer {
         self.contexts.entry(portable).or_insert((None, cell));
     }
 
-    /// Run the three-level prediction for a portable in its current
-    /// context.
-    pub fn predict(&self, portable: PortableId) -> Prediction {
-        let (prev, cur) = match self.contexts.get(&portable) {
-            Some(c) => *c,
-            None => {
-                return Prediction {
-                    cell: None,
-                    level: crate::prediction::PredictionLevel::Default,
-                }
-            }
-        };
-        self.predict_at(portable, prev, cur)
-    }
-
     /// Run the three-level prediction for an explicit context.
     pub fn predict_at(
         &self,
@@ -190,14 +164,14 @@ impl ProfileServer {
     /// Remove and return a portable's profile — "the base station …
     /// passes on the cached portable-profile to the next cell" — for a
     /// cross-zone move.
-    pub fn extract_portable(&mut self, p: PortableId) -> Option<PortableProfile> {
+    pub(crate) fn extract_portable(&mut self, p: PortableId) -> Option<PortableProfile> {
         self.contexts.remove(&p);
         self.portables.remove(&p)
     }
 
     /// [`HandoffHistory::cache_rows`](crate::HandoffHistory::cache_rows)
     /// on every profile this server holds.
-    pub fn cache_rows(&mut self) {
+    pub(crate) fn cache_rows(&mut self) {
         self.cells.values_mut().for_each(CellProfile::cache_rows);
         self.portables
             .values_mut()
@@ -205,7 +179,7 @@ impl ProfileServer {
     }
 
     /// Adopt a profile arriving from another zone.
-    pub fn adopt_portable(&mut self, profile: PortableProfile, cell: CellId) {
+    pub(crate) fn adopt_portable(&mut self, profile: PortableProfile, cell: CellId) {
         self.contexts.insert(profile.portable, (None, cell));
         self.portables.insert(profile.portable, profile);
     }
@@ -214,13 +188,34 @@ impl ProfileServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class::LoungeKind;
+    use crate::class::{CellClass, LoungeKind};
     use crate::prediction::PredictionLevel;
+
+    fn register_cell_simple(
+        s: &mut ProfileServer,
+        cell: CellId,
+        class: CellClass,
+        neighbors: impl IntoIterator<Item = CellId>,
+    ) {
+        s.register_cell(CellProfile::with_default_capacity(cell, class).with_neighbors(neighbors));
+    }
+
+    /// The prediction for a portable in its tracked context.
+    fn predict(s: &ProfileServer, p: PortableId) -> Prediction {
+        match s.context(p) {
+            Some((prev, cur)) => s.predict_at(p, prev, cur),
+            None => Prediction {
+                cell: None,
+                level: PredictionLevel::Default,
+            },
+        }
+    }
 
     fn server() -> ProfileServer {
         let mut s = ProfileServer::new(ZoneId(0));
         // Corridor 0 between offices 1 and 2 and a lounge 3.
-        s.register_cell_simple(
+        register_cell_simple(
+            &mut s,
             CellId(0),
             CellClass::Corridor,
             [CellId(1), CellId(2), CellId(3)],
@@ -230,8 +225,9 @@ mod tests {
                 .with_neighbors([CellId(0)])
                 .with_occupants([PortableId(1)]),
         );
-        s.register_cell_simple(CellId(2), CellClass::Office, [CellId(0)]);
-        s.register_cell_simple(
+        register_cell_simple(&mut s, CellId(2), CellClass::Office, [CellId(0)]);
+        register_cell_simple(
+            &mut s,
             CellId(3),
             CellClass::Lounge(LoungeKind::Default),
             [CellId(0)],
@@ -256,7 +252,7 @@ mod tests {
         // Re-establish the context as "came from 3, now in 0".
         s.contexts
             .insert(PortableId(5), (Some(CellId(3)), CellId(0)));
-        let pred = s.predict(PortableId(5));
+        let pred = predict(&s, PortableId(5));
         assert_eq!(pred.cell, Some(CellId(2)));
         assert_eq!(pred.level, PredictionLevel::PortableProfile);
         // The cell profile aggregated the same movements.
@@ -268,7 +264,7 @@ mod tests {
         let mut s = server();
         s.portable_entered(PortableId(1), CellId(0));
         // No personal history, but portable 1 occupies office 1.
-        let pred = s.predict(PortableId(1));
+        let pred = predict(&s, PortableId(1));
         assert_eq!(pred.cell, Some(CellId(1)));
         assert_eq!(pred.level, PredictionLevel::OccupantOffice);
     }
@@ -289,7 +285,7 @@ mod tests {
         s.portable_entered(PortableId(99), CellId(0));
         s.contexts
             .insert(PortableId(99), (Some(CellId(1)), CellId(0)));
-        let pred = s.predict(PortableId(99));
+        let pred = predict(&s, PortableId(99));
         // Portable 99's own single-context profile is empty; but wait —
         // it has no profile history at all, so level 2b fires.
         assert_eq!(pred.cell, Some(CellId(3)));
@@ -300,18 +296,18 @@ mod tests {
     fn unknown_everything_defaults() {
         let mut s = server();
         s.portable_entered(PortableId(42), CellId(3));
-        let pred = s.predict(PortableId(42));
+        let pred = predict(&s, PortableId(42));
         assert_eq!(pred.level, PredictionLevel::Default);
         assert_eq!(pred.cell, None);
         // Never-seen portable too.
-        assert_eq!(s.predict(PortableId(77)).level, PredictionLevel::Default);
+        assert_eq!(predict(&s, PortableId(77)).level, PredictionLevel::Default);
     }
 
     #[test]
     fn profile_transfer_between_zones() {
         let mut s1 = server();
         let mut s2 = ProfileServer::new(ZoneId(1));
-        s2.register_cell_simple(CellId(9), CellClass::Corridor, []);
+        register_cell_simple(&mut s2, CellId(9), CellClass::Corridor, []);
         s1.portable_entered(PortableId(5), CellId(0));
         s1.record_handoff(
             PortableId(5),
@@ -331,12 +327,12 @@ mod tests {
     #[test]
     fn portable_count_tracks_zone_population() {
         let mut s = server();
-        assert_eq!(s.portable_count(), 0);
+        assert_eq!(s.portables.len(), 0);
         s.portable_entered(PortableId(1), CellId(0));
         s.portable_entered(PortableId(2), CellId(0));
         s.portable_entered(PortableId(1), CellId(3)); // re-entry, no dup
-        assert_eq!(s.portable_count(), 2);
+        assert_eq!(s.portables.len(), 2);
         s.extract_portable(PortableId(1));
-        assert_eq!(s.portable_count(), 1);
+        assert_eq!(s.portables.len(), 1);
     }
 }

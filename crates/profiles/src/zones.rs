@@ -198,18 +198,13 @@ impl ZonedProfiles {
         }
     }
 
-    /// [`HandoffHistory::cache_rows`](crate::HandoffHistory::cache_rows)
+    /// `HandoffHistory::cache_rows`
     /// on every profile of every zone: the next encoding copies each
     /// retained handoff's row instead of writing it again.
     pub fn cache_rows(&mut self) {
         self.servers
             .values_mut()
             .for_each(ProfileServer::cache_rows);
-    }
-
-    /// The portable's current (prev, cur) context.
-    pub fn context(&self, p: PortableId) -> Option<(Option<CellId>, CellId)> {
-        self.contexts.get(&p).copied()
     }
 }
 
@@ -271,7 +266,10 @@ mod tests {
         let moved = z.server(ZoneId(1)).unwrap().portable(p).expect("adopted");
         assert!(moved.history_len() >= 9);
         // Context survived: the portable is in 3, having come from 2.
-        assert_eq!(z.context(p), Some((Some(CellId(2)), CellId(3))));
+        assert_eq!(
+            z.contexts.get(&p).copied(),
+            Some((Some(CellId(2)), CellId(3)))
+        );
     }
 
     #[test]
@@ -324,6 +322,9 @@ mod tests {
         z.record_handoff(p, None, CellId(0), CellId(1), SimTime::ZERO);
         assert_eq!(z.transfers, 0);
         assert_eq!(z.zone_count(), 1);
-        assert_eq!(z.context(p), Some((Some(CellId(0)), CellId(1))));
+        assert_eq!(
+            z.contexts.get(&p).copied(),
+            Some((Some(CellId(0)), CellId(1)))
+        );
     }
 }

@@ -69,7 +69,7 @@ pub fn decide(
 #[derive(Clone, Copy, Debug)]
 pub struct StaticMobileTest {
     /// The dwell threshold `T_th`.
-    pub t_th: SimDuration,
+    pub(crate) t_th: SimDuration,
 }
 
 impl StaticMobileTest {

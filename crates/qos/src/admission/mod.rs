@@ -12,7 +12,7 @@
 //! * delay — accumulate the per-hop worst case
 //!   `d_l,j := L_max/b_min,j + L_max/C_l`,
 //! * jitter — `(σ_j + l·L_max)/b_min,j ≤ σ̄`,
-//! * buffer — discipline-specific demand ([`wfq`], [`rcsp`]),
+//! * buffer — discipline-specific demand (`wfq`, `rcsp`),
 //! * loss — accumulate `p_e,l`.
 //!
 //! **Destination**:
@@ -35,8 +35,8 @@
 //! A *handoff* connection runs the same test but may consume its own
 //! advance-reserved claim (`b_resv,l`), and is treated as mobile.
 
-pub mod rcsp;
-pub mod wfq;
+pub(crate) mod rcsp;
+pub(crate) mod wfq;
 
 use arm_net::ids::{ConnId, LinkId};
 use arm_net::link::LedgerError;
@@ -92,7 +92,7 @@ pub struct AdmissionRequest {
 
 /// Which Table 2 row failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TestKind {
+pub(crate) enum TestKind {
     /// Bandwidth row (forward).
     Bandwidth,
     /// Delay row (destination).
@@ -110,10 +110,10 @@ pub enum TestKind {
 #[must_use]
 pub struct Rejection {
     /// Which test failed.
-    pub test: TestKind,
+    pub(crate) test: TestKind,
     /// The link at which it failed (`None` for end-to-end destination
     /// tests).
-    pub link: Option<LinkId>,
+    pub(crate) link: Option<LinkId>,
 }
 
 impl std::fmt::Display for Rejection {
@@ -155,11 +155,11 @@ pub struct AdmissionGrant {
     /// Rate granted on the reverse pass (kbps).
     pub b_granted: f64,
     /// The stamped rate collected on the forward pass (excess kbps).
-    pub b_stamp: f64,
+    pub(crate) b_stamp: f64,
     /// Worst-case end-to-end delay `d_min,j` (seconds).
-    pub d_min: f64,
+    pub(crate) d_min: f64,
     /// Achieved end-to-end loss probability.
-    pub loss: f64,
+    pub(crate) loss: f64,
 }
 
 /// Resident buffers for [`admit_with`], so a steady-state admission
@@ -177,10 +177,10 @@ pub struct AdmissionScratch {
     fwd_buffers: Vec<f64>,
     /// Reverse-pass relaxed per-hop delay budgets `d'_l,j`, summing to
     /// the requested bound. Valid after an `Ok` from [`admit_with`].
-    pub budgets: Vec<f64>,
+    pub(crate) budgets: Vec<f64>,
     /// Reverse-pass per-hop buffer reservations (kilobits). Valid after
     /// an `Ok` from [`admit_with`].
-    pub rev_buffers: Vec<f64>,
+    pub(crate) rev_buffers: Vec<f64>,
 }
 
 /// Run the full Table 2 round trip for an installed connection and, on
@@ -400,7 +400,7 @@ pub fn admit_with(
 /// admission shortcut: the forward packet collects
 /// `min(b_max − b_min, min_l μ_l)`). Streams the recorded rates straight
 /// off the link's membership index — no per-hop rate vector.
-pub fn link_advertised_rate(net: &Network, lid: LinkId) -> f64 {
+pub(crate) fn link_advertised_rate(net: &Network, lid: LinkId) -> f64 {
     let ls = net.link(lid);
     let n = net.conns_on_link(lid).count();
     advertised_rate_iter(ls.excess_available(), n, || {

@@ -16,7 +16,13 @@
 
 /// Worst-case buffer demand on the forward pass. `d_prev` is the previous
 /// hop's delay budget (`None` at the first hop), `d_cur` the local one.
-pub fn buffer_demand(sigma: f64, l_max: f64, b_max: f64, d_prev: Option<f64>, d_cur: f64) -> f64 {
+pub(crate) fn buffer_demand(
+    sigma: f64,
+    l_max: f64,
+    b_max: f64,
+    d_prev: Option<f64>,
+    d_cur: f64,
+) -> f64 {
     match d_prev {
         None => sigma + l_max + b_max * d_cur,
         Some(dp) => sigma + l_max + b_max * (dp + d_cur),
@@ -25,7 +31,13 @@ pub fn buffer_demand(sigma: f64, l_max: f64, b_max: f64, d_prev: Option<f64>, d_
 
 /// Buffer actually reserved on the reverse pass, from the granted rate
 /// and relaxed budgets.
-pub fn buffer_reserved(sigma: f64, l_max: f64, b: f64, d_prev: Option<f64>, d_cur: f64) -> f64 {
+pub(crate) fn buffer_reserved(
+    sigma: f64,
+    l_max: f64,
+    b: f64,
+    d_prev: Option<f64>,
+    d_cur: f64,
+) -> f64 {
     match d_prev {
         None => sigma + l_max + b * d_cur,
         Some(dp) => sigma + b * (dp + d_cur),

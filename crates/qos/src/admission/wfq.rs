@@ -7,7 +7,7 @@
 //! the forward and reverse passes reserve the same amount.
 
 /// Buffer needed at hop `l` (1-indexed): `σ + l·L_max` (kilobits).
-pub fn buffer_demand(sigma: f64, l_max: f64, hop: usize) -> f64 {
+pub(crate) fn buffer_demand(sigma: f64, l_max: f64, hop: usize) -> f64 {
     debug_assert!(hop >= 1);
     sigma + hop as f64 * l_max
 }

@@ -79,7 +79,7 @@ fn pin_mobiles(
 /// [`MaxminProblem`](crate::maxmin::centralized::MaxminProblem) solve
 /// because both run the same per-component water-filling on the same
 /// inputs (see the `arm_qos::maxmin::incremental` module docs) and the
-/// same [`apply_allocation`](crate::maxmin::centralized::apply_allocation).
+/// same `apply_allocation`.
 /// Returns the number of connections whose rate changed plus pinned
 /// mobile connections.
 pub fn resolve_network(
@@ -110,7 +110,7 @@ pub(crate) mod reference {
     /// Recompute the maxmin division of excess bandwidth over the whole
     /// network and apply it to every live connection. Returns the number
     /// of connections whose rate changed.
-    pub fn resolve_network(net: &mut Network) -> usize {
+    pub(crate) fn resolve_network(net: &mut Network) -> usize {
         let problem = MaxminProblem::from_network(net);
         let alloc = problem.solve();
         let before: Vec<(ConnId, f64)> = net
@@ -130,7 +130,7 @@ pub(crate) mod reference {
     /// Like [`resolve_network`], but honouring the paper's static/mobile
     /// policy: connections of *mobile* portables are pinned at `b_min`,
     /// so only static portables' connections compete for the excess.
-    pub fn resolve_network_with_policy(
+    pub(crate) fn resolve_network_with_policy(
         net: &mut Network,
         is_static: &dyn Fn(PortableId) -> bool,
     ) -> usize {

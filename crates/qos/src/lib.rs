@@ -53,5 +53,4 @@ pub mod conflict;
 pub mod maxmin;
 pub mod schedulers;
 
-pub use admission::{admit, AdmissionOutcome, AdmissionRequest, Discipline, Rejection};
-pub use maxmin::centralized::MaxminProblem;
+pub use admission::Rejection;

@@ -38,7 +38,7 @@ pub fn advertised_rate(excess: f64, recorded: &[f64]) -> f64 {
 /// steady-state admission builds no per-hop rate vector. Bit-identical
 /// to the slice form: the streaming sum/max fold in yield order, exactly
 /// as the collected `Vec` did.
-pub fn advertised_rate_iter<I, F>(excess: f64, n: usize, recorded: F) -> f64
+pub(crate) fn advertised_rate_iter<I, F>(excess: f64, n: usize, recorded: F) -> f64
 where
     I: Iterator<Item = f64>,
     F: Fn() -> I,
@@ -81,7 +81,8 @@ where
 }
 
 /// Is connection `i` restricted at a link quoting `mu`?
-pub fn is_restricted(recorded_rate: f64, mu: f64) -> bool {
+#[cfg(test)]
+pub(crate) fn is_restricted(recorded_rate: f64, mu: f64) -> bool {
     recorded_rate <= mu + EPS
 }
 

@@ -84,9 +84,9 @@ impl MaxminProblem {
     /// worst case, which is trivial at the scale of indoor environments.
     ///
     /// Internally the problem is lowered onto the dense slot-indexed
-    /// [`DenseState`], decomposed into the connected components of the
+    /// `DenseState`, decomposed into the connected components of the
     /// bipartite link/connection sharing graph, and each component is
-    /// filled independently by [`DenseState::solve_component_dense`] —
+    /// filled independently by `DenseState::solve_component_dense` —
     /// the *same* kernel the incremental engine
     /// ([`crate::maxmin::incremental`]) runs on its resident state, so a
     /// partial re-solve is bit-identical to a from-scratch one. (The
@@ -116,35 +116,6 @@ impl MaxminProblem {
             bfs.comp = comp;
         }
         alloc
-    }
-
-    /// Is `link` a *connection bottleneck* for `conn` under `alloc`
-    /// (§5.2): the link minimising the excess bandwidth available to the
-    /// connection along its path, while the connection is unsatisfied?
-    pub fn is_connection_bottleneck(&self, alloc: &Allocation, conn: ConnId, link: LinkId) -> bool {
-        let Some(d) = self.conns.get(&conn) else {
-            return false;
-        };
-        if !d.links.contains(&link) {
-            return false;
-        }
-        let avail = |l: &LinkId| self.available_to(alloc, conn, *l);
-        let min = d.links.iter().map(avail).fold(f64::INFINITY, f64::min);
-        (avail(&link) - min).abs() < 1e-9
-    }
-
-    /// Excess bandwidth available to `conn` at `link`: the link's
-    /// remaining headroom plus what the connection already holds there.
-    pub fn available_to(&self, alloc: &Allocation, conn: ConnId, link: LinkId) -> f64 {
-        let cap = self.link_excess.get(&link).copied().unwrap_or(0.0);
-        let used: f64 = self
-            .conns
-            .iter()
-            .filter(|(_, d)| d.links.contains(&link))
-            .map(|(c, _)| alloc.get(c).copied().unwrap_or(0.0))
-            .sum();
-        let own = alloc.get(&conn).copied().unwrap_or(0.0);
-        cap - used + own
     }
 
     /// Verify that `alloc` satisfies the maxmin optimality criterion:
@@ -378,32 +349,32 @@ pub fn solve_component(
 /// implementation; the property tests assert the two produce
 /// bit-identical allocations on the same inputs.
 #[derive(Clone, Debug, Default)]
-pub struct DenseState {
+pub(crate) struct DenseState {
     /// Link interner: every link known through a capacity entry *or* a
     /// registered route (route-only links carry connectivity but no
     /// constraint, mirroring unknown-link semantics).
-    pub links: DenseInterner<LinkId>,
+    pub(crate) links: DenseInterner<LinkId>,
     /// Connection interner (conns with a registered demand).
-    pub conns: DenseInterner<ConnId>,
+    pub(crate) conns: DenseInterner<ConnId>,
     /// Excess capacity per link slot (meaningful iff `has_excess`).
-    pub excess: Vec<f64>,
+    pub(crate) excess: Vec<f64>,
     /// Does this link slot have a capacity entry (`link_excess` row)?
-    pub has_excess: Vec<bool>,
+    pub(crate) has_excess: Vec<bool>,
     /// Member conn slots per link slot, ascending *external* `ConnId` —
     /// the float-summation order of the reference implementation.
-    pub members: Vec<Vec<u32>>,
+    pub(crate) members: Vec<Vec<u32>>,
     /// Excess demand per conn slot.
-    pub demand: Vec<f64>,
+    pub(crate) demand: Vec<f64>,
     /// Route link slots per conn slot, in route order (dups preserved).
-    pub routes: Vec<Vec<u32>>,
+    pub(crate) routes: Vec<Vec<u32>>,
     /// Current allocation per conn slot.
-    pub alloc: Vec<f64>,
+    pub(crate) alloc: Vec<f64>,
 }
 
 impl DenseState {
     /// Intern `l`, sizing the per-link columns and resetting any state a
     /// previous occupant of a recycled slot left behind.
-    pub fn ensure_link(&mut self, l: LinkId) -> u32 {
+    pub(crate) fn ensure_link(&mut self, l: LinkId) -> u32 {
         if let Some(s) = self.links.get(l) {
             return s;
         }
@@ -422,7 +393,7 @@ impl DenseState {
 
     /// Intern `c`, sizing the per-conn columns and resetting recycled
     /// slot state.
-    pub fn ensure_conn(&mut self, c: ConnId) -> u32 {
+    pub(crate) fn ensure_conn(&mut self, c: ConnId) -> u32 {
         if let Some(s) = self.conns.get(c) {
             return s;
         }
@@ -440,7 +411,7 @@ impl DenseState {
     }
 
     /// Set (or create) a link's capacity entry.
-    pub fn set_excess(&mut self, l: LinkId, v: f64) {
+    pub(crate) fn set_excess(&mut self, l: LinkId, v: f64) {
         let s = self.ensure_link(l) as usize;
         self.excess[s] = v;
         self.has_excess[s] = true;
@@ -449,7 +420,7 @@ impl DenseState {
     /// Drop a link's capacity entry. The slot survives while routes
     /// still traverse the link (connectivity without constraint) and is
     /// released once orphaned.
-    pub fn remove_excess(&mut self, l: LinkId) {
+    pub(crate) fn remove_excess(&mut self, l: LinkId) {
         let Some(s) = self.links.get(l) else {
             return;
         };
@@ -463,7 +434,7 @@ impl DenseState {
 
     /// Register a connection (not currently present — callers detach
     /// first on re-route) with its demand and route.
-    pub fn add_conn(&mut self, id: ConnId, demand: f64, route: &[LinkId]) {
+    pub(crate) fn add_conn(&mut self, id: ConnId, demand: f64, route: &[LinkId]) {
         debug_assert!(self.conns.get(id).is_none(), "add_conn on live conn");
         let c = self.ensure_conn(id);
         let i = c as usize;
@@ -485,7 +456,7 @@ impl DenseState {
     }
 
     /// Remove a connection and release slots its departure orphans.
-    pub fn remove_conn(&mut self, id: ConnId) {
+    pub(crate) fn remove_conn(&mut self, id: ConnId) {
         let Some(c) = self.conns.get(id) else {
             return;
         };
@@ -511,7 +482,7 @@ impl DenseState {
 
     /// The arrays for a problem's sparse maps, every allocation at zero
     /// (what the from-scratch [`MaxminProblem::solve`] fills).
-    pub fn from_problem(problem: &MaxminProblem) -> Self {
+    pub(crate) fn from_problem(problem: &MaxminProblem) -> Self {
         let mut dense = DenseState::default();
         for (l, v) in &problem.link_excess {
             dense.set_excess(*l, *v);
@@ -524,7 +495,7 @@ impl DenseState {
 
     /// The inverse of [`Self::from_problem`]: the problem these arrays hold,
     /// as sparse maps keyed by external id.
-    pub fn problem(&self) -> MaxminProblem {
+    pub(crate) fn problem(&self) -> MaxminProblem {
         let link_excess = self
             .links
             .iter()
@@ -548,7 +519,7 @@ impl DenseState {
     /// Collect the connected component reachable from link slot `seed`
     /// into `bfs.comp` (conn slots, unsorted), skipping territory
     /// already visited in this [`CompScratch::begin`] epoch.
-    pub fn component_of(&self, seed: u32, bfs: &mut CompScratch) {
+    pub(crate) fn component_of(&self, seed: u32, bfs: &mut CompScratch) {
         bfs.comp.clear();
         bfs.ensure(self.links.slot_count(), self.conns.slot_count());
         if bfs.link_seen[seed as usize] == bfs.mark {
@@ -582,7 +553,7 @@ impl DenseState {
     ///
     /// `comp` holds the component's conn slots in ascending *external*
     /// id order.
-    pub fn solve_component_dense(&mut self, comp: &[u32], scratch: &mut SolveScratch) {
+    pub(crate) fn solve_component_dense(&mut self, comp: &[u32], scratch: &mut SolveScratch) {
         scratch.ensure(self.links.slot_count(), self.conns.slot_count());
         for &c in comp {
             self.alloc[c as usize] = 0.0;
@@ -681,7 +652,7 @@ impl DenseState {
     /// *external* id order, `members` and `routes` are each other's
     /// reverse, and no live link slot is an orphan (no capacity entry
     /// and no member — the mutator that orphans a slot releases it).
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         self.links
             .check_invariants()
             .map_err(|e| format!("links: {e}"))?;
@@ -718,19 +689,19 @@ impl DenseState {
 /// Epoch-stamped BFS scratch for [`DenseState::component_of`]: no
 /// per-resolve clears, no allocations once warmed up.
 #[derive(Clone, Debug, Default)]
-pub struct CompScratch {
+pub(crate) struct CompScratch {
     mark: u64,
     link_seen: Vec<u64>,
     conn_seen: Vec<u64>,
     frontier: Vec<u32>,
     /// Component output: conn slots, unsorted.
-    pub comp: Vec<u32>,
+    pub(crate) comp: Vec<u32>,
 }
 
 impl CompScratch {
     /// Open a new visited epoch (one per resolve: components found under
     /// the same epoch are disjoint).
-    pub fn begin(&mut self, n_links: usize, n_conns: usize) {
+    pub(crate) fn begin(&mut self, n_links: usize, n_conns: usize) {
         self.mark += 1;
         self.ensure(n_links, n_conns);
     }
@@ -749,7 +720,7 @@ impl CompScratch {
 /// per-slot flags are epoch stamps, so reuse across resolves costs
 /// neither clears nor allocations.
 #[derive(Clone, Debug, Default)]
-pub struct SolveScratch {
+pub(crate) struct SolveScratch {
     clock: u64,
     active_mark: Vec<u64>,
     sat_mark: Vec<u64>,
@@ -786,7 +757,7 @@ impl SolveScratch {
 /// only those a solve just moved: the ledger can leave a target that
 /// did not move (a rider squeezed to its floor across an outage), and
 /// this comparison is what brings it back.
-pub fn apply_allocation(
+pub(crate) fn apply_allocation(
     net: &mut Network,
     alloc: impl IntoIterator<Item = (ConnId, f64)>,
     changes: &mut Vec<(ConnId, f64)>,
@@ -890,11 +861,6 @@ mod tests {
         assert!((a[&cid(1)] - 8.0).abs() < 1e-9, "{a:?}");
         assert!((a[&cid(2)] - 2.0).abs() < 1e-9, "{a:?}");
         assert!(p.verify_maxmin(&a).is_ok());
-        // Link 1 is a connection bottleneck for conn 0. (Link 0 is too:
-        // conn 1 absorbs all slack there, leaving conn 0 exactly its
-        // share — both links bind at the optimum.)
-        assert!(p.is_connection_bottleneck(&a, cid(0), lid(1)));
-        assert!(p.is_connection_bottleneck(&a, cid(0), lid(0)));
     }
 
     #[test]
@@ -910,10 +876,6 @@ mod tests {
         assert!((a[&cid(1)] - 5.0).abs() < 1e-9);
         assert!((a[&cid(2)] - 2.0).abs() < 1e-9);
         assert!(p.verify_maxmin(&a).is_ok());
-        assert!(p.is_connection_bottleneck(&a, cid(0), lid(1)));
-        assert!(!p.is_connection_bottleneck(&a, cid(0), lid(0)));
-        // A link the connection doesn't traverse is never its bottleneck.
-        assert!(!p.is_connection_bottleneck(&a, cid(1), lid(1)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! resident and only reworking what an event touched. This module is
 //! the centralized analogue: an engine that keeps the problem and its
 //! solved allocation resident between events as one slot-indexed
-//! [`DenseState`], marks links *dirty* on each mutation, and on
+//! `DenseState`, marks links *dirty* on each mutation, and on
 //! [`IncrementalMaxmin::resolve`] re-runs water-filling restricted to
 //! the dirty region's transitive closure — connections sharing a dirty
 //! link, links those connections traverse, to a fixed point — reusing
@@ -25,7 +25,7 @@
 //! allocations never appear in another's headroom sums: progressive
 //! filling factors exactly across components. [`MaxminProblem::solve`]
 //! itself is implemented as per-component runs of
-//! [`DenseState::solve_component_dense`], and the engine re-runs *that
+//! `DenseState::solve_component_dense`, and the engine re-runs *that
 //! same routine* on the same inputs — so after any event sequence the
 //! resident allocation is byte-for-byte the allocation a from-scratch
 //! solve would produce. The differential property test in
@@ -74,7 +74,7 @@ pub struct EngineStats {
 
 /// Resident incremental maxmin solver (see module docs).
 ///
-/// The [`DenseState`] arrays *are* the engine's state — capacities,
+/// The `DenseState` arrays *are* the engine's state — capacities,
 /// demands, routes, the reverse member index and the solved allocation,
 /// each held once, in the flat slot-indexed layout the kernel runs on.
 /// Steady-state resolves walk those arrays with epoch-stamped visited
@@ -191,7 +191,7 @@ impl IncrementalMaxmin {
     /// current ([`Self::rates`], [`Self::rate`]). Each dirty link's
     /// transitive closure — one connected component of the sharing
     /// graph — is re-run through the dense water-filling kernel
-    /// ([`DenseState::solve_component_dense`], bit-identical to the
+    /// (`DenseState::solve_component_dense`, bit-identical to the
     /// [`centralized::solve_component`](super::centralized::solve_component)
     /// reference); everything else keeps its frozen rate. Steady-state
     /// resolves allocate nothing: the BFS and kernel run on resident
@@ -268,7 +268,7 @@ impl IncrementalMaxmin {
         }
     }
 
-    /// Check the engine's structure ([`DenseState::check_invariants`]).
+    /// Check the engine's structure (`DenseState::check_invariants`).
     /// Every mutator keeps it by construction; the proptests and the
     /// `arm-check` engine sweep assert it after every op.
     pub fn check_invariants(&self) -> Result<(), String> {

@@ -37,12 +37,6 @@ pub fn least_squares_params(n_tm2: f64, n_tm1: f64, n_t: f64, t: f64) -> (f64, f
     (a, m)
 }
 
-/// The intercept exactly as printed in §6.2.2 — kept for the erratum
-/// test, not used by the predictor.
-pub fn paper_printed_intercept(n_tm2: f64, n_tm1: f64, n_t: f64, t: f64) -> f64 {
-    ((5.0 + 3.0 * t) * n_tm2 + 2.0 * n_tm1 - (3.0 * t + 1.0) * n_t) / 6.0
-}
-
 /// Predict the next slot's handoff count from the last three.
 pub fn predict_next(n_tm2: f64, n_tm1: f64, n_t: f64, t: f64) -> f64 {
     let (a, m) = least_squares_params(n_tm2, n_tm1, n_t, t);
@@ -93,7 +87,8 @@ impl CafeteriaPredictor {
     }
 
     /// Number of observations so far (capped view: window size).
-    pub fn observations(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn observations(&self) -> usize {
         self.window.len()
     }
 }
@@ -194,6 +189,11 @@ mod tests {
         q.observe(9.0);
         q.observe(5.0);
         assert_eq!(q.predict(), 5.0);
+    }
+
+    /// The intercept exactly as printed in §6.2.2, for the erratum test.
+    fn paper_printed_intercept(n_tm2: f64, n_tm1: f64, n_t: f64, t: f64) -> f64 {
+        ((5.0 + 3.0 * t) * n_tm2 + 2.0 * n_tm1 - (3.0 * t + 1.0) * n_t) / 6.0
     }
 
     #[test]

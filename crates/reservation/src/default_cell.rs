@@ -40,11 +40,6 @@ impl OneStepMemory {
     pub fn predict(&self) -> f64 {
         self.last
     }
-
-    /// Has anything been observed yet?
-    pub fn warmed_up(&self) -> bool {
-        self.seen_any
-    }
 }
 
 #[cfg(test)]
@@ -55,12 +50,12 @@ mod tests {
     fn predicts_the_last_observation() {
         let mut p = OneStepMemory::new();
         assert_eq!(p.predict(), 0.0);
-        assert!(!p.warmed_up());
+        assert!(!p.seen_any);
         p.observe(7.0);
         assert_eq!(p.predict(), 7.0);
         p.observe(3.0);
         assert_eq!(p.predict(), 3.0);
-        assert!(p.warmed_up());
+        assert!(p.seen_any);
     }
 
     #[test]
@@ -74,6 +69,6 @@ mod tests {
         assert_eq!(p.predict(), 0.0);
         p.observe(f64::NEG_INFINITY);
         assert_eq!(p.predict(), 0.0);
-        assert!(p.warmed_up());
+        assert!(p.seen_any);
     }
 }

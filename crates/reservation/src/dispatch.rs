@@ -54,7 +54,7 @@ impl ReservationDecision {
 ///
 /// `is_occupant_of_current` — is the portable a regular occupant of its
 /// *current* cell (meaningful when that cell is an office)?
-pub fn decide(
+pub(crate) fn decide(
     current_class: CellClass,
     is_occupant_of_current: bool,
     prediction: Prediction,
@@ -93,12 +93,12 @@ pub fn decide(
     }
 }
 
-/// [`decide`], with the outcome emitted as a
+/// `decide`, with the outcome emitted as a
 /// [`ReservationDispatch`](ObsEvent::ReservationDispatch) trace event.
 ///
 /// The decision is computed first and observed after, so an attached
 /// observer can never influence it; with `obs` off this is exactly
-/// [`decide`] plus one branch.
+/// `decide` plus one branch.
 pub fn decide_traced(
     current_class: CellClass,
     is_occupant_of_current: bool,

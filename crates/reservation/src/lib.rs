@@ -51,7 +51,3 @@ pub mod default_cell;
 pub mod dispatch;
 pub mod meeting;
 pub mod probabilistic;
-
-pub use dispatch::{decide, ReservationDecision};
-pub use meeting::{BookingCalendar, Meeting, MeetingRoomPolicy};
-pub use probabilistic::{ProbabilisticConfig, ProbabilisticReservation};

@@ -66,14 +66,9 @@ impl BookingCalendar {
         self.meetings.sort_by_key(|m| m.t_start);
     }
 
-    /// All bookings in start order.
-    pub fn meetings(&self) -> &[Meeting] {
-        &self.meetings
-    }
-
     /// The booking whose extended window (`T_s − δ_before` to
     /// `T_a + δ_after`) contains `now`.
-    pub fn active(
+    pub(crate) fn active(
         &self,
         now: SimTime,
         before: SimDuration,
@@ -88,15 +83,15 @@ impl BookingCalendar {
 
 /// Timer configuration (paper values as defaults).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct MeetingTimers {
+pub(crate) struct MeetingTimers {
     /// Δ_s: how long before `T_s` arrival reservations begin (10 min).
-    pub delta_s: SimDuration,
+    pub(crate) delta_s: SimDuration,
     /// Release-unused timer after `T_s` (5 min).
-    pub release_start: SimDuration,
+    pub(crate) release_start: SimDuration,
     /// Δ_a: how long before `T_a` neighbour reservations begin (5 min).
-    pub delta_a: SimDuration,
+    pub(crate) delta_a: SimDuration,
     /// Neighbour release timer after `T_a` (15 min).
-    pub release_end: SimDuration,
+    pub(crate) release_end: SimDuration,
 }
 
 impl Default for MeetingTimers {
@@ -135,21 +130,6 @@ impl MeetingRoomPolicy {
             n_arrived: 0,
             n_left: 0,
         }
-    }
-
-    /// The calendar.
-    pub fn calendar(&self) -> &BookingCalendar {
-        &self.calendar
-    }
-
-    /// Arrivals counted for the current meeting.
-    pub fn n_arrived(&self) -> u32 {
-        self.n_arrived
-    }
-
-    /// Departures counted for the current meeting.
-    pub fn n_left(&self) -> u32 {
-        self.n_left
     }
 
     /// Which meeting is in its extended window at `now`, resetting the
@@ -297,17 +277,17 @@ mod tests {
         for _ in 0..35 {
             p.on_arrival(SimTime::from_mins(55));
         }
-        assert_eq!(p.n_arrived(), 35);
+        assert_eq!(p.n_arrived, 35);
         // The second meeting's window: counters start fresh.
         assert_eq!(p.room_demand(SimTime::from_mins(195)), 10.0 * 28.0);
-        assert_eq!(p.n_arrived(), 0);
+        assert_eq!(p.n_arrived, 0);
     }
 
     #[test]
     fn arrivals_outside_any_window_are_ignored() {
         let mut p = policy();
         p.on_arrival(SimTime::from_mins(10));
-        assert_eq!(p.n_arrived(), 0);
+        assert_eq!(p.n_arrived, 0);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 use serde::{Deserialize, Serialize};
 
 /// Stay probability `p_s = e^{−μT}`.
-pub fn p_stay(mu: f64, t_window: f64) -> f64 {
+pub(crate) fn p_stay(mu: f64, t_window: f64) -> f64 {
     (-mu * t_window).exp()
 }
 
 /// Handoff-in probability `p_m = (1 − e^{−μT})·h`.
-pub fn p_move(mu: f64, t_window: f64, h: f64) -> f64 {
+pub(crate) fn p_move(mu: f64, t_window: f64, h: f64) -> f64 {
     (1.0 - (-mu * t_window).exp()) * h
 }
 

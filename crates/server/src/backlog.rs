@@ -59,20 +59,9 @@ impl Backlog {
         }
     }
 
-    /// Lines currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// True while pressure is asserted (filled to capacity, not yet
-    /// drained below the low watermark).
-    pub fn pressured(&self) -> bool {
-        self.pressured
     }
 
     /// The low watermark: pressure clears when the queue drains below
@@ -121,7 +110,7 @@ mod tests {
         assert_eq!(b.push("a".into()), PushOutcome::Accepted);
         assert_eq!(b.push("b".into()), PushOutcome::AcceptedPressureOn);
         assert_eq!(b.push("c".into()), PushOutcome::Refused, "bounded");
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.queue.len(), 2);
     }
 
     #[test]
@@ -131,12 +120,12 @@ mod tests {
             assert_eq!(b.push((*line).to_string()), PushOutcome::Accepted, "{i}");
         }
         assert_eq!(b.push("d".into()), PushOutcome::AcceptedPressureOn);
-        assert!(b.pressured());
+        assert!(b.pressured);
         // Draining to 3, then 2 (= low watermark) keeps pressure; 1 clears.
         assert_eq!(b.pop(), PopOutcome::Line("a".into()));
         assert_eq!(b.pop(), PopOutcome::Line("b".into()));
         assert_eq!(b.pop(), PopOutcome::LinePressureOff("c".into()));
-        assert!(!b.pressured());
+        assert!(!b.pressured);
         assert_eq!(b.pop(), PopOutcome::Line("d".into()));
         assert_eq!(b.pop(), PopOutcome::Empty);
     }
@@ -146,10 +135,10 @@ mod tests {
         let mut b = Backlog::new(2);
         let _ = b.push("a".into());
         let _ = b.push("b".into());
-        assert!(b.pressured());
+        assert!(b.pressured);
         let _ = b.pop();
         let _ = b.pop();
-        assert!(!b.pressured());
+        assert!(!b.pressured);
         let _ = b.push("c".into());
         assert_eq!(b.push("d".into()), PushOutcome::AcceptedPressureOn);
     }
@@ -159,6 +148,6 @@ mod tests {
         let mut b = Backlog::new(0);
         assert_eq!(b.push("a".into()), PushOutcome::AcceptedPressureOn);
         assert_eq!(b.push("b".into()), PushOutcome::Refused);
-        assert!(b.is_empty() || b.len() == 1);
+        assert!(b.is_empty() || b.queue.len() == 1);
     }
 }

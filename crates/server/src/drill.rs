@@ -24,7 +24,7 @@
 //!   a counter) shows up as a byte diff. `tests/drill.rs` runs it in
 //!   the suite, `expt_soak` in CI.
 //!
-//! [`run_to_completion`] is the primitive under the drill: it drives a
+//! `run_to_completion` is the primitive under the drill: it drives a
 //! fresh server through an arbitrary event stream.
 
 use arm_core::scenario::{build_manager, Scenario};
@@ -226,7 +226,10 @@ pub struct DrillOutcome {
 
 /// Drive a fresh server through `events` to completion and return it
 /// (observation off — drills compare pure state).
-pub fn run_to_completion(cfg: &ServerConfig, events: &[ServerEvent]) -> Result<Server, DrillError> {
+pub(crate) fn run_to_completion(
+    cfg: &ServerConfig,
+    events: &[ServerEvent],
+) -> Result<Server, DrillError> {
     let mut server = Server::new(cfg.clone(), Obs::off())?;
     for ev in events {
         server.apply_event(ev)?;

@@ -41,7 +41,7 @@
 //! * **Graceful degradation** — ingestion rejects bad lines with typed
 //!   errors ([`ingest`]) instead of dying; the input queue is bounded
 //!   with watermark backpressure ([`backlog`]); transient side-effect
-//!   failures retry under a capped backoff ([`retry`]); and while the
+//!   failures retry under a capped backoff ([`RetryPolicy`]); and while the
 //!   queue is pressured or a profile server is down, admissions are
 //!   squeezed to their guaranteed floor instead of queueing or
 //!   blocking.
@@ -53,12 +53,12 @@
 
 pub mod backlog;
 pub mod drill;
-pub mod event;
+mod event;
 pub mod ingest;
-pub mod retry;
-pub mod server;
+mod retry;
+mod server;
 
-pub use backlog::{Backlog, PopOutcome, PushOutcome};
+pub use backlog::{Backlog, PopOutcome};
 pub use event::ServerEvent;
 pub use ingest::IngestError;
 pub use retry::RetryPolicy;

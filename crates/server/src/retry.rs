@@ -6,7 +6,7 @@
 //! attempt count with exponentially growing, capped delays. Bounded is
 //! the point — an unbounded retry loop turns a dead disk into a hung
 //! server, while a bounded one surfaces the error to the degradation
-//! logic after a known worst-case stall (`max_total_delay`).
+//! logic after a known worst-case stall (the sum of every backoff delay).
 
 use std::time::Duration;
 
@@ -14,11 +14,11 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included). Zero behaves as one.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Delay before the second attempt.
-    pub base: Duration,
+    pub(crate) base: Duration,
     /// Ceiling on any single delay.
-    pub cap: Duration,
+    pub(crate) cap: Duration,
 }
 
 impl Default for RetryPolicy {
@@ -36,19 +36,12 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The delay before attempt `attempt` (0-based; attempt 0 has no
     /// delay). Doubles each retry, saturating at [`RetryPolicy::cap`].
-    pub fn backoff_delay(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_delay(&self, attempt: u32) -> Duration {
         if attempt == 0 {
             return Duration::ZERO;
         }
         let factor = 1u32 << (attempt - 1).min(20);
         self.base.saturating_mul(factor).min(self.cap)
-    }
-
-    /// Worst-case total stall if every attempt fails.
-    pub fn max_total_delay(&self) -> Duration {
-        (0..self.attempts)
-            .map(|a| self.backoff_delay(a))
-            .fold(Duration::ZERO, Duration::saturating_add)
     }
 
     /// Run `op` until it succeeds or the attempt budget is spent,
@@ -151,9 +144,7 @@ mod tests {
     #[test]
     fn worst_case_stall_is_known() {
         let p = RetryPolicy::default();
-        assert_eq!(
-            p.max_total_delay(),
-            Duration::from_millis(10 + 20 + 40 + 80)
-        );
+        let worst: Duration = (0..p.attempts).map(|a| p.backoff_delay(a)).sum();
+        assert_eq!(worst, Duration::from_millis(10 + 20 + 40 + 80));
     }
 }

@@ -555,11 +555,6 @@ pub struct ServerSnapshot {
 }
 
 impl ServerSnapshot {
-    /// The schema version this snapshot carries.
-    pub fn schema(&self) -> u32 {
-        self.schema
-    }
-
     /// Accepted-event count at capture time (the journal replay
     /// cursor).
     pub fn accepted(&self) -> u64 {

@@ -2,8 +2,8 @@
 //!
 //! [`Engine`] owns an [`EventQueue`] and repeatedly dispatches the earliest
 //! event to a user-supplied [`Model`]. The model receives a [`Ctx`] through
-//! which it can read the clock and schedule or cancel further events — the
-//! only ways a model may influence the future, which is what keeps runs
+//! which it can read the clock and schedule further events — the only
+//! way a model may influence the future, which is what keeps runs
 //! reproducible.
 
 use crate::event::EventId;
@@ -14,7 +14,6 @@ use crate::Audited;
 /// Scheduling context handed to the model on every dispatch.
 pub struct Ctx<'a, E> {
     queue: &'a mut EventQueue<E>,
-    stop_requested: &'a mut bool,
 }
 
 impl<'a, E> Ctx<'a, E> {
@@ -23,24 +22,9 @@ impl<'a, E> Ctx<'a, E> {
         self.queue.now()
     }
 
-    /// Schedule an event at an absolute instant.
-    pub fn schedule_at(&mut self, at: SimTime, ev: E) -> EventId {
-        self.queue.schedule_at(at, ev)
-    }
-
     /// Schedule an event after a delay from now.
     pub fn schedule_after(&mut self, after: crate::time::SimDuration, ev: E) -> EventId {
         self.queue.schedule_after(after, ev)
-    }
-
-    /// Cancel a pending event.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
-    /// Ask the engine to stop after this dispatch returns.
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
     }
 }
 
@@ -60,8 +44,6 @@ pub enum StopCondition {
     QueueEmpty,
     /// The time horizon passed; the clock stops at the horizon.
     HorizonReached,
-    /// The model called [`Ctx::stop`].
-    ModelStopped,
     /// The event budget was exhausted (runaway-model guard).
     EventBudgetExhausted,
 }
@@ -116,11 +98,6 @@ impl<M: Model> Engine<M> {
         self.queue.now()
     }
 
-    /// Number of live pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Events dispatched so far, across every run of this engine.
     pub fn dispatched(&self) -> u64 {
         self.dispatched_total
@@ -131,12 +108,12 @@ impl<M: Model> Engine<M> {
         self.queue.schedule_at(at, ev)
     }
 
-    /// Run until the queue drains or the model stops.
+    /// Run until the queue drains.
     pub fn run(&mut self) -> StopCondition {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run until the queue drains, the model stops, or the next event would
+    /// Run until the queue drains or the next event would
     /// fire strictly after `horizon`. Events *at* the horizon still fire.
     pub fn run_until(&mut self, horizon: SimTime) -> StopCondition {
         let mut dispatched: u64 = 0;
@@ -155,15 +132,10 @@ impl<M: Model> Engine<M> {
                 .invariant("a successful peek means pop returns an event");
             dispatched += 1;
             self.dispatched_total += 1;
-            let mut stop = false;
             let mut ctx = Ctx {
                 queue: &mut self.queue,
-                stop_requested: &mut stop,
             };
             self.model.handle(ev, &mut ctx);
-            if stop {
-                return StopCondition::ModelStopped;
-            }
         }
     }
 }
@@ -184,9 +156,7 @@ mod tests {
         type Event = ();
         fn handle(&mut self, _ev: (), ctx: &mut Ctx<'_, ()>) {
             self.fired.push(ctx.now());
-            if self.fired.len() >= self.stop_after {
-                ctx.stop();
-            } else {
+            if self.fired.len() < self.stop_after {
                 ctx.schedule_after(self.period, ());
             }
         }
@@ -201,7 +171,7 @@ mod tests {
         });
         engine.schedule_at(SimTime::from_secs(1), ());
         let stop = engine.run();
-        assert_eq!(stop, StopCondition::ModelStopped);
+        assert_eq!(stop, StopCondition::QueueEmpty);
         assert_eq!(engine.dispatched(), 4);
         assert_eq!(
             engine.model().fired,
@@ -226,7 +196,7 @@ mod tests {
         assert_eq!(stop, StopCondition::HorizonReached);
         // Fired at 5 and 15; the event at 25 is beyond the horizon.
         assert_eq!(engine.model().fired.len(), 2);
-        assert_eq!(engine.pending(), 1);
+        assert_eq!(engine.now(), SimTime::from_secs(15));
     }
 
     #[test]
@@ -257,8 +227,8 @@ mod tests {
         impl Model for Storm {
             type Event = ();
             fn handle(&mut self, _ev: (), ctx: &mut Ctx<'_, ()>) {
-                // Re-arms itself forever at the same instant + 1 tick.
-                ctx.schedule_after(SimDuration::from_ticks(1), ());
+                // Re-arms itself forever, 1 ms later each time.
+                ctx.schedule_after(SimDuration::from_millis(1), ());
             }
         }
         let mut engine = Engine::new(Storm).with_event_budget(1000);

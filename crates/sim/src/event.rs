@@ -16,16 +16,11 @@ pub struct EventId(pub(crate) u64);
 
 impl EventId {
     /// A sentinel id that no real event will ever carry.
-    pub const NONE: EventId = EventId(u64::MAX);
+    pub(crate) const NONE: EventId = EventId(u64::MAX);
 
     /// True if this is the sentinel id.
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self == Self::NONE
-    }
-
-    /// Raw value, exposed for logging/trace output only.
-    pub fn raw(self) -> u64 {
-        self.0
     }
 }
 

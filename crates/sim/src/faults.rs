@@ -139,7 +139,7 @@ impl FaultSchedule {
     }
 
     /// Build a schedule from explicit events (stably sorted by time).
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
+    pub(crate) fn from_events(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| e.time);
         FaultSchedule { events }
     }

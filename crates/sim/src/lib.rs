@@ -29,9 +29,9 @@
 //!   ticks) so runs are exactly reproducible and never drift,
 //! * [`EventQueue`] — a calendar queue with stable FIFO ordering among
 //!   same-timestamp events and O(log n) cancellation,
-//! * [`Engine`] / [`Model`] — a synchronous event loop in the smoltcp
+//! * [`Engine`] / [`Model`](engine::Model) — a synchronous event loop in the smoltcp
 //!   spirit (no async runtime; the network being simulated is virtual),
-//! * [`rng`] — a seeded, splittable random source plus the distributions
+//! * [`SimRng`] — a seeded, splittable random source plus the distributions
 //!   the paper's workload model needs (exponential holding times, Poisson
 //!   arrivals, Bernoulli handoff decisions, binomial counts),
 //! * [`stats`] — counters, time-weighted averages, histograms and series
@@ -47,17 +47,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audited;
+mod audited;
 pub mod engine;
-pub mod event;
-pub mod faults;
-pub mod queue;
-pub mod rng;
+mod event;
+mod faults;
+mod queue;
+mod rng;
 pub mod stats;
 pub mod time;
 
 pub use audited::Audited;
-pub use engine::{Engine, Model, StopCondition};
+pub use engine::{Engine, StopCondition};
 pub use event::EventId;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultScheduleParams};
 pub use queue::EventQueue;

@@ -37,8 +37,6 @@ pub struct EventQueue<E> {
     cancelled: Vec<u64>,
     next_seq: u64,
     now: SimTime,
-    scheduled_total: u64,
-    fired_total: u64,
 }
 
 struct Entry<E> {
@@ -80,13 +78,11 @@ impl<E> EventQueue<E> {
             cancelled: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
-            fired_total: 0,
         }
     }
 
     /// Current virtual time: the timestamp of the last event popped.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -103,7 +99,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         // Fresh ids are strictly increasing, so the sorted Vec appends.
         self.pending.push(seq);
         self.heap.push(Reverse(Entry {
@@ -115,7 +110,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` to fire `after` from now.
-    pub fn schedule_after(&mut self, after: crate::time::SimDuration, payload: E) -> EventId {
+    pub(crate) fn schedule_after(
+        &mut self,
+        after: crate::time::SimDuration,
+        payload: E,
+    ) -> EventId {
         self.schedule_at(self.now + after, payload)
     }
 
@@ -150,14 +149,13 @@ impl<E> EventQueue<E> {
                 self.pending.remove(at);
             }
             self.now = entry.time;
-            self.fired_total += 1;
             return Some((entry.time, EventId(entry.seq), entry.payload));
         }
         None
     }
 
     /// Timestamp of the next live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         // Drain tombstones off the top so the answer is accurate.
         while let Some(Reverse(entry)) = self.heap.peek() {
             if let Ok(at) = self.cancelled.binary_search(&entry.seq) {
@@ -177,17 +175,7 @@ impl<E> EventQueue<E> {
 
     /// True if no live events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever scheduled (for run reports).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Total events ever fired (for run reports).
-    pub fn fired_total(&self) -> u64 {
-        self.fired_total
+        self.pending.is_empty()
     }
 }
 
@@ -260,16 +248,5 @@ mod tests {
         q.schedule_at(SimTime::from_secs(10), "x");
         q.pop();
         q.schedule_at(SimTime::from_secs(9), "y");
-    }
-
-    #[test]
-    fn counters() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(SimTime::from_secs(1), 1);
-        q.schedule_at(SimTime::from_secs(2), 2);
-        q.cancel(a);
-        while q.pop().is_some() {}
-        assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.fired_total(), 1);
     }
 }

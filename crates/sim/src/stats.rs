@@ -20,11 +20,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add one.
     pub fn incr(&mut self) {
         self.count += 1;
@@ -64,8 +59,6 @@ pub struct TimeWeighted {
     weighted_sum: f64,
     start: SimTime,
     started: bool,
-    min: f64,
-    max: f64,
 }
 
 impl Default for TimeWeighted {
@@ -83,8 +76,6 @@ impl TimeWeighted {
             weighted_sum: 0.0,
             start: SimTime::ZERO,
             started: false,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -100,8 +91,6 @@ impl TimeWeighted {
         }
         self.last_time = now;
         self.last_value = value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
     }
 
     /// Time-weighted mean over `[first record, now]`.
@@ -116,29 +105,6 @@ impl TimeWeighted {
         }
         (self.weighted_sum + self.last_value * tail) / total
     }
-
-    /// Smallest value ever recorded (0 if none).
-    pub fn min(&self) -> f64 {
-        if self.started {
-            self.min
-        } else {
-            0.0
-        }
-    }
-
-    /// Largest value ever recorded (0 if none).
-    pub fn max(&self) -> f64 {
-        if self.started {
-            self.max
-        } else {
-            0.0
-        }
-    }
-
-    /// The most recently recorded value.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
 }
 
 /// Fixed-bin histogram over `[lo, hi)` with overflow/underflow bins.
@@ -151,7 +117,6 @@ pub struct Histogram {
     overflow: u64,
     count: u64,
     sum: f64,
-    sum_sq: f64,
     min: f64,
     max: f64,
 }
@@ -168,7 +133,6 @@ impl Histogram {
             overflow: 0,
             count: 0,
             sum: 0.0,
-            sum_sq: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -178,7 +142,6 @@ impl Histogram {
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;
-        self.sum_sq += x * x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
         if x < self.lo {
@@ -204,16 +167,6 @@ impl Histogram {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Sample standard deviation (0 if fewer than 2 samples).
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let var = (self.sum_sq - self.sum * self.sum / n) / (n - 1.0);
-        var.max(0.0).sqrt()
     }
 
     /// Smallest sample ever recorded (0 if empty).
@@ -334,15 +287,6 @@ impl TimeSeries {
         v
     }
 
-    /// `(slot_start_seconds, value)` pairs for printing.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i as f64 * self.slot.as_secs_f64(), *v))
-            .collect()
-    }
-
     /// Sum over every slot.
     pub fn total(&self) -> f64 {
         self.slots.iter().sum()
@@ -364,14 +308,14 @@ mod tests {
 
     #[test]
     fn counter_and_ratio() {
-        let mut drops = Counter::new();
-        let mut attempts = Counter::new();
+        let mut drops = Counter::default();
+        let mut attempts = Counter::default();
         attempts.add(10);
         drops.incr();
         drops.incr();
         assert_eq!(drops.get(), 2);
         assert!((drops.ratio_of(&attempts) - 0.2).abs() < 1e-12);
-        assert_eq!(Counter::new().ratio_of(&Counter::new()), 0.0);
+        assert_eq!(Counter::default().ratio_of(&Counter::default()), 0.0);
     }
 
     #[test]
@@ -381,9 +325,6 @@ mod tests {
         tw.record(SimTime::from_secs(10), 20.0);
         // 10s at 10.0, then 10s at 20.0 → mean 15.0 at t=20.
         assert!((tw.mean(SimTime::from_secs(20)) - 15.0).abs() < 1e-9);
-        assert_eq!(tw.min(), 10.0);
-        assert_eq!(tw.max(), 20.0);
-        assert_eq!(tw.current(), 20.0);
     }
 
     #[test]
@@ -409,7 +350,6 @@ mod tests {
         assert_eq!(bins[9], 1); // 9.9
         assert_eq!(h.count(), 6);
         assert!((h.mean() - 25.9 / 6.0).abs() < 1e-9);
-        assert!(h.stddev() > 0.0);
     }
 
     #[test]
@@ -546,8 +486,6 @@ mod tests {
         assert_eq!(ts.values(), &[2.0, 1.0, 0.0, 5.0]);
         assert_eq!(ts.total(), 8.0);
         assert_eq!(ts.peak_slot(), Some(3));
-        let pts = ts.points();
-        assert_eq!(pts[1], (60.0, 1.0));
     }
 
     #[test]

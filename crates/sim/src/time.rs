@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::Audited;
 
 /// Number of ticks per second of virtual time.
-pub const TICKS_PER_SECOND: u64 = 1_000_000;
+pub(crate) const TICKS_PER_SECOND: u64 = 1_000_000;
 
 /// An instant in virtual time (ticks since simulation start).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -53,7 +53,7 @@ impl SimTime {
 
     /// Construct from fractional seconds, rounding to the nearest tick.
     #[inline]
-    pub fn from_secs_f64(secs: f64) -> Self {
+    pub(crate) fn from_secs_f64(secs: f64) -> Self {
         debug_assert!(secs >= 0.0, "SimTime cannot be negative");
         SimTime((secs * TICKS_PER_SECOND as f64).round() as u64)
     }
@@ -92,17 +92,6 @@ impl SimTime {
 }
 
 impl SimDuration {
-    /// The empty duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
-
-    /// Construct from raw ticks.
-    #[inline]
-    pub const fn from_ticks(ticks: u64) -> Self {
-        SimDuration(ticks)
-    }
-
     /// Construct from whole seconds.
     #[inline]
     pub const fn from_secs(secs: u64) -> Self {
@@ -119,12 +108,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * (TICKS_PER_SECOND / 1000))
-    }
-
-    /// Construct from whole microseconds.
-    #[inline]
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * (TICKS_PER_SECOND / 1_000_000))
     }
 
     /// Construct from fractional seconds, rounding to the nearest tick.
@@ -148,7 +131,7 @@ impl SimDuration {
 
     /// True if this is the zero duration.
     #[inline]
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
@@ -280,7 +263,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).ticks(), 3 * TICKS_PER_SECOND);
         assert_eq!(SimTime::from_mins(2), SimTime::from_secs(120));
         assert_eq!(SimDuration::from_millis(1500).as_secs_f64(), 1.5);
-        assert_eq!(SimDuration::from_micros(250).ticks(), 250);
         assert_eq!(SimTime::from_secs_f64(0.5).ticks(), TICKS_PER_SECOND / 2);
     }
 
@@ -305,16 +287,15 @@ mod tests {
         );
         assert_eq!(
             SimTime::from_secs(1).saturating_since(SimTime::from_secs(5)),
-            SimDuration::ZERO
+            SimDuration::from_secs(0)
         );
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
-        assert_eq!(SimDuration::MAX.saturating_mul(3), SimDuration::MAX);
     }
 
     #[test]
     #[should_panic(expected = "invariant: SimTime subtraction must not cross t=0")]
     fn sub_underflow_panics() {
-        let _ = SimTime::ZERO - SimDuration::from_ticks(1);
+        let _ = SimTime::ZERO - SimDuration::from_millis(1);
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //! regression in any layer of the stack shows up as an end-to-end
 //! slowdown.
 //!
-//! * `fig5_meeting_*` — the Figure 5 replay (trace generation + full
-//!   resource-manager run) per strategy,
+//! * `fig5_meeting_*` — the Figure 5 replay (trace generation + the
+//!   server's event loop) per strategy,
 //! * `fig6_point` — one Figure 6 simulation point,
 //! * `sec71_office_case` — the §7.1 workweek analysis,
 //! * `trace_generation` — the mobility generators alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use arm_bench::fig5;
 use arm_core::driver::fig6::{self, AdmissionPolicy, Fig6Params};
-use arm_core::driver::meeting as meeting_driver;
 use arm_core::driver::office;
 use arm_core::Strategy;
 use arm_mobility::environment::Figure4;
@@ -25,7 +25,7 @@ fn bench_fig5(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("run35", strategy.label()),
             &strategy,
-            |b, s| b.iter(|| meeting_driver::run(*s, 35, 42)),
+            |b, s| b.iter(|| fig5::run(*s, 35, 42)),
         );
     }
     group.finish();

@@ -7,8 +7,7 @@
 //! expectations, 61%/96%; the paper's 59%/94% reflect its particular
 //! draw.)
 
-use arm_bench::{ascii_series, report, table_row};
-use arm_core::driver::meeting;
+use arm_bench::{ascii_series, fig5, report, table_row};
 use arm_obs::RunReport;
 use arm_sim::SimTime;
 
@@ -36,7 +35,7 @@ fn main() {
     let mut rep = RunReport::new("expt_fig5", "figure-5-meeting-room");
     rep.seed = Some(seed);
     for n in [35usize, 55] {
-        for r in meeting::compare(n, seed) {
+        for r in fig5::compare(n, seed) {
             rep.notes.push(format!(
                 "N={n} {}: drops={} walkby={} blocks={}",
                 r.strategy, r.drops, r.walkby_drops, r.blocks
@@ -62,7 +61,7 @@ fn main() {
     // The four series of Figure 5 for both class sizes (the run is
     // strategy-independent for the series; use the meeting algorithm's).
     for n in [35usize, 55] {
-        let runs = meeting::compare(n, seed);
+        let runs = fig5::compare(n, seed);
         let r = &runs[2];
         let label = if n == 35 {
             "lecture of 35"

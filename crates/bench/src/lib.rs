@@ -13,10 +13,15 @@
 //! | `expt_sec71`  | §7.1 — office-case fan-out, prediction accuracy, waste |
 //! | `expt_maxmin` | Theorem 1 — distributed convergence + message counts |
 //!
+//! [`fig5`] is Figure 5's runner: the meeting scenario replayed through
+//! the server's event loop.
+//!
 //! Criterion benchmarks (`cargo bench -p arm-bench`) measure the
 //! algorithmic kernels: admission-test throughput (WFQ vs RCSP),
 //! maxmin solving (centralized vs distributed, flooding vs refined),
 //! the probabilistic admission decision, and whole-experiment runs.
+
+pub mod fig5;
 
 pub mod report {
     //! Run-report emission for the experiment binaries.

@@ -433,8 +433,8 @@ fn manager_snapshot() -> ManagerSnapshot {
 }
 
 /// A driven office server: an appearance, an explicit request and a
-/// handoff, so the open/present tables and the embedded manager
-/// snapshot are all non-empty.
+/// handoff, so the present set and the embedded manager snapshot are
+/// non-empty.
 fn server_snapshot() -> ServerSnapshot {
     let mut server =
         Server::new(ServerConfig::office(42), Obs::off()).expect("canonical config builds");

@@ -7,7 +7,10 @@
 //! file, run it with `cargo run -p arm-bench --bin run_scenario -- my.json`,
 //! get the paper's metrics back. Every example and experiment in this
 //! repository can be expressed as a [`Scenario`]; `arm_server::drill`
-//! replays one through the server's event loop.
+//! replays one through the server's event loop. Figure 5
+//! (`arm_bench::fig5`) is the meeting scenario under
+//! [`WorkloadSpec::None`], its connections requested by `Request` events
+//! of its own.
 
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +71,8 @@ pub enum WorkloadSpec {
         /// Rate in kbps.
         kbps: f64,
     },
-    /// No connections (mobility/prediction only).
+    /// No connections from the scenario (mobility/prediction only, or a
+    /// stream that carries its own `Request` events).
     None,
 }
 
@@ -98,7 +102,8 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A ready-to-edit sample (the Figure 5 lecture).
+    /// A ready-to-edit sample (the Figure 5 lecture; `arm_bench::fig5`
+    /// builds every Figure 5 run on it).
     pub fn sample() -> Self {
         Scenario {
             name: "lecture-of-35".into(),

@@ -10,12 +10,10 @@
 //! for portables one of whose inputs changed. A change that makes either
 //! do more work, or less, moves these numbers.
 
-use std::collections::BTreeMap;
-
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{ManagerSnapshot, RefreshStats, ResourceManager, Strategy};
 use arm_mobility::WorkloadMix;
-use arm_net::ids::{CellId, ConnId, PortableId};
+use arm_net::ids::CellId;
 use arm_net::link::ResvClaim;
 use arm_obs::Obs;
 use arm_sim::{SimDuration, SimRng, SimTime};
@@ -66,7 +64,6 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
     assert_eq!(cells, 63);
     let mut rng = SimRng::new(sc.seed).split("scenario-workload");
     let mix = WorkloadMix::paper71();
-    let mut open: BTreeMap<PortableId, ConnId> = BTreeMap::new();
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
     for ev in trace.events() {
         while ev.time >= next_slot {
@@ -76,14 +73,10 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
         match ev.from {
             None => {
                 mgr.portable_appears(ev.portable, ev.to, ev.time);
-                if let Ok(id) = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time) {
-                    open.insert(ev.portable, id);
-                }
+                let _ = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time);
             }
             Some(_) => {
-                for id in mgr.portable_moved(ev.portable, ev.to, ev.time) {
-                    open.retain(|_, c| *c != id);
-                }
+                mgr.portable_moved(ev.portable, ev.to, ev.time);
             }
         }
     }

@@ -20,14 +20,11 @@
 //! budget. (`crates/server/tests/zero_alloc.rs` does the same for
 //! decoding one journal line.)
 
-use std::collections::BTreeMap;
-
 use arm_alloc_counter::{allocations_during, CountingAlloc};
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{ResourceManager, Strategy};
 use arm_mobility::trace::MoveEvent;
 use arm_mobility::WorkloadMix;
-use arm_net::ids::{ConnId, PortableId};
 use arm_sim::{SimDuration, SimRng, SimTime};
 
 #[global_allocator]
@@ -87,24 +84,23 @@ fn wing() -> Scenario {
 
 /// A manager on the [`wing`], replayed the way the scenario driver
 /// does (appear + request, move, slot ticks) up to the first move at or
-/// after twenty simulated minutes that `stop` accepts, given the open
-/// connections and the next slot boundary: everyone has appeared,
+/// after twenty simulated minutes that `stop` accepts, given the
+/// manager and the next slot boundary: everyone has appeared,
 /// histories and resident buffers are warm. Returns the manager, that
 /// move, not applied, and the next slot boundary, whose tick has not
 /// run either.
 fn warm_wing(
-    stop: impl Fn(&MoveEvent, &BTreeMap<PortableId, ConnId>, SimTime) -> bool,
+    stop: impl Fn(&MoveEvent, &ResourceManager, SimTime) -> bool,
 ) -> (ResourceManager, MoveEvent, SimTime) {
     let sc = wing();
     let (mut mgr, trace) = scenario::build_manager(&sc).expect("valid scenario");
     assert_eq!(mgr.net.topology().cell_count(), 63);
     let mut rng = SimRng::new(sc.seed).split("scenario-workload");
     let mix = WorkloadMix::paper71();
-    let mut open: BTreeMap<PortableId, ConnId> = BTreeMap::new();
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
     let warm_until = SimTime::from_mins(20);
     for ev in trace.events() {
-        if ev.time >= warm_until && ev.from.is_some() && stop(ev, &open, next_slot) {
+        if ev.time >= warm_until && ev.from.is_some() && stop(ev, &mgr, next_slot) {
             return (mgr, *ev, next_slot);
         }
         while ev.time >= next_slot {
@@ -114,14 +110,10 @@ fn warm_wing(
         match ev.from {
             None => {
                 mgr.portable_appears(ev.portable, ev.to, ev.time);
-                if let Ok(id) = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time) {
-                    open.insert(ev.portable, id);
-                }
+                let _ = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time);
             }
             Some(_) => {
-                for id in mgr.portable_moved(ev.portable, ev.to, ev.time) {
-                    open.retain(|_, c| *c != id);
-                }
+                mgr.portable_moved(ev.portable, ev.to, ev.time);
             }
         }
     }
@@ -132,7 +124,12 @@ fn warm_wing(
 fn one_move_on_the_steady_wing_allocates_an_exact_count() {
     // The first move after warm-up of a portable that carries a live
     // connection, after the ticks due at its time.
-    let (mut mgr, ev, mut next_slot) = warm_wing(|ev, open, _| open.contains_key(&ev.portable));
+    let (mut mgr, ev, mut next_slot) = warm_wing(|ev, mgr, _| {
+        mgr.net
+            .connections_of_portable(ev.portable)
+            .next()
+            .is_some()
+    });
     while ev.time >= next_slot {
         mgr.slot_tick(next_slot);
         next_slot += SimDuration::from_mins(1);

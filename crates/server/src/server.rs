@@ -23,7 +23,7 @@
 //! server admits more calls at lower quality rather than blocking or
 //! buffering unboundedly.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use arm_core::scenario::{build_manager, Scenario, WorkloadSpec};
 use arm_core::snapshot::decode_versioned;
@@ -50,8 +50,10 @@ use crate::ingest::{parse_event, IngestError};
 /// connection records, the arrivals series, four one-valued manager
 /// knobs — and this config's own `slot`, a second copy of
 /// [`arm_core::SLOT`]) and v10 (a retained handoff is a five-number
-/// row).
-pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 10;
+/// row). v11 is the server's own: the open-connection map and the slot
+/// cursor leave the image, since the manager's per-portable connection
+/// index and `last_time` determine them; the manager stays at v10.
+pub const SERVER_SNAPSHOT_SCHEMA_VERSION: u32 = 11;
 
 /// Static configuration of a server instance. Captured in every
 /// snapshot so a restore cannot silently run under different rules
@@ -120,9 +122,7 @@ pub struct Server {
     pub mgr: ResourceManager,
     rng: SimRng,
     mix: WorkloadMix,
-    open: BTreeMap<PortableId, ConnId>,
     present: BTreeSet<PortableId>,
-    next_slot: SimTime,
     last_time: SimTime,
     accepted: u64,
     rejected: u64,
@@ -145,15 +145,12 @@ impl Server {
     pub(crate) fn with_manager(cfg: ServerConfig, mut mgr: ResourceManager, obs: Obs) -> Self {
         mgr.set_obs(obs);
         let rng = SimRng::new(cfg.scenario.seed).split("scenario-workload");
-        let next_slot = SimTime::ZERO + SLOT;
         Server {
             cfg,
             mgr,
             rng,
             mix: WorkloadMix::paper71(),
-            open: BTreeMap::new(),
             present: BTreeSet::new(),
-            next_slot,
             last_time: SimTime::ZERO,
             accepted: 0,
             rejected: 0,
@@ -181,11 +178,6 @@ impl Server {
     /// The high-water mark of accepted event time.
     pub fn last_time(&self) -> SimTime {
         self.last_time
-    }
-
-    /// Open connections keyed by owner.
-    pub fn open_connections(&self) -> &BTreeMap<PortableId, ConnId> {
-        &self.open
     }
 
     /// Is the server currently shedding quality? True while the input
@@ -217,11 +209,12 @@ impl Server {
         }
         let t = ev.time();
         // Periodic maintenance first: every event, fault or trace, runs
-        // after the slot ticks due at or before its time.
-        while t >= self.next_slot {
-            let slot = self.next_slot;
+        // after the slot ticks due at or before its time. The ticks at or
+        // before `last_time` have run already.
+        let mut slot = SimTime::ZERO + SLOT * (self.last_time.ticks() / SLOT.ticks() + 1);
+        while t >= slot {
             self.mgr.slot_tick(slot);
-            self.next_slot += SLOT;
+            slot += SLOT;
         }
         match ev {
             ServerEvent::Appear { t, portable, cell } => {
@@ -239,17 +232,14 @@ impl Server {
                 };
                 if let Some(q) = qos {
                     let q = self.maybe_shed(q);
-                    if let Ok(id) = self.mgr.request_connection(*portable, q, *t) {
-                        self.open.insert(*portable, id);
-                    }
+                    let _ = self.mgr.request_connection(*portable, q, *t);
                 }
             }
             ServerEvent::Move { t, portable, to } => {
-                let dropped = self.mgr.portable_moved(*portable, *to, *t);
-                self.forget(&dropped);
+                self.mgr.portable_moved(*portable, *to, *t);
             }
             ServerEvent::Depart { t, portable } => {
-                if let Some(id) = self.open.remove(portable) {
+                if let Some(id) = self.connection_of(*portable) {
                     self.mgr.terminate(id, *t);
                 }
                 self.present.remove(portable);
@@ -266,9 +256,7 @@ impl Server {
                         .with_jitter(30.0)
                         .with_loss(1.0),
                 );
-                if let Ok(id) = self.mgr.request_connection(*portable, q, *t) {
-                    self.open.insert(*portable, id);
-                }
+                let _ = self.mgr.request_connection(*portable, q, *t);
             }
             ServerEvent::LinkDown { t, link } => {
                 self.mgr.link_failed(*link, *t);
@@ -286,11 +274,8 @@ impl Server {
                 self.mgr.fail_next_handoff(*portable);
             }
             ServerEvent::ChannelChange { t, cell, fraction } => {
-                // Range-checked in `validate`, so this cannot fail; the
-                // victims still need unlinking from the open map.
-                if let Ok(dropped) = self.mgr.channel_change(*cell, *fraction, *t) {
-                    self.forget(&dropped);
-                }
+                // Range-checked in `validate`, so this cannot fail.
+                let _ = self.mgr.channel_change(*cell, *fraction, *t);
             }
             ServerEvent::QueuePressure { on, .. } => {
                 self.queue_pressure = *on;
@@ -308,12 +293,11 @@ impl Server {
         Ok(())
     }
 
-    /// Unlink dropped connections from the open map. Most moves and
-    /// fades drop nothing, and then the map is not walked.
-    fn forget(&mut self, dropped: &[ConnId]) {
-        if !dropped.is_empty() {
-            self.open.retain(|_, c| !dropped.contains(c));
-        }
+    /// The connection `p` holds, if any: the network's per-portable
+    /// index, and at most one, since `validate` refuses a second
+    /// `Request`.
+    fn connection_of(&self, p: PortableId) -> Option<ConnId> {
+        self.mgr.net.connections_of_portable(p).next().map(|c| c.id)
     }
 
     /// Semantic validation against the current state: time ordering,
@@ -395,7 +379,7 @@ impl Server {
                         detail: format!("inverted bounds: b_max {b_max_kbps} < b_min {b_min_kbps}"),
                     });
                 }
-                if self.open.contains_key(portable) {
+                if self.connection_of(*portable).is_some() {
                     return Err(IngestError::InvalidParameter {
                         detail: format!("portable {} already has an open connection", portable.0),
                     });
@@ -474,9 +458,7 @@ impl Server {
             cfg: self.cfg.clone(),
             manager: self.mgr.snapshot(),
             rng: self.rng.clone(),
-            open: self.open.clone(),
             present: self.present.clone(),
-            next_slot: self.next_slot,
             last_time: self.last_time,
             accepted: self.accepted,
             rejected: self.rejected,
@@ -502,9 +484,7 @@ impl Server {
             mgr,
             rng: snap.rng,
             mix: WorkloadMix::paper71(),
-            open: snap.open,
             present: snap.present,
-            next_slot: snap.next_slot,
             last_time: snap.last_time,
             accepted: snap.accepted,
             rejected: snap.rejected,
@@ -534,8 +514,10 @@ impl Server {
 }
 
 /// Complete serializable image of a [`Server`], embedding the manager
-/// snapshot plus the server's own replay state (workload RNG, open/
-/// present maps, slot cursor, counters, degraded flag).
+/// snapshot plus the server's own replay state (workload RNG, present
+/// set, counters, degraded flag). It holds only what the rest of the
+/// image cannot determine: the open connections are the manager's
+/// per-portable index, and the next slot tick follows `last_time`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServerSnapshot {
     /// Schema stamp, always [`SERVER_SNAPSHOT_SCHEMA_VERSION`] when
@@ -544,9 +526,7 @@ pub struct ServerSnapshot {
     cfg: ServerConfig,
     manager: ManagerSnapshot,
     rng: SimRng,
-    open: BTreeMap<PortableId, ConnId>,
     present: BTreeSet<PortableId>,
-    next_slot: SimTime,
     last_time: SimTime,
     accepted: u64,
     rejected: u64,

@@ -87,7 +87,7 @@ fn one_mobile_portable() -> Server {
         cell: CellId(0),
     };
     server.apply_event(&appear).expect("valid event");
-    assert_eq!(server.open_connections().len(), 1);
+    assert_eq!(server.mgr.net.live_connections().count(), 1);
     assert_eq!(server.mgr.stale_profile_fallbacks, 0);
     server
 }

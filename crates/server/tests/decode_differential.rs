@@ -606,7 +606,8 @@ fn unsorted_and_duplicate_claim_keys_decode_as_a_map_reads_them() {
 fn a_skewed_stamp_is_reported_before_damage_behind_it() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let skewed = current.replacen("{\"schema\":10,", "{\"schema\":6,", 1);
+    let stamp = format!("{{\"schema\":{SERVER_SNAPSHOT_SCHEMA_VERSION},");
+    let skewed = current.replacen(&stamp, "{\"schema\":6,", 1);
     assert_ne!(skewed, current, "layout drifted");
     // Whole, both routes say which version it is.
     assert_eq!(
@@ -638,30 +639,35 @@ fn a_skewed_stamp_is_reported_before_damage_behind_it() {
 fn deep_nesting_is_a_typed_parse_error() {
     let server = server_at(&walk_cfg(7), 40);
     let current = server.snapshot().to_json().expect("snapshot serializes");
-    let stamp = "{\"schema\":10,";
+    let manager = server
+        .mgr
+        .snapshot()
+        .to_json()
+        .expect("snapshot serializes");
     for opener in ["[", "{\"a\":"] {
         let bomb = opener.repeat(100_000);
-        let documents = [
-            bomb.clone(),
-            // Where a known field's value belongs, and an unknown one's.
-            current.replacen(stamp, &format!("{stamp}\"cfg\":{bomb},"), 1),
-            current.replacen(stamp, &format!("{stamp}\"zzz\":{bomb},"), 1),
-            // Before the stamp, where only the scan goes.
-            current.replacen(stamp, &format!("{{\"zzz\":{bomb},\"schema\":10,"), 1),
-        ];
-        for doc in &documents {
-            for got in [
-                class(ServerSnapshot::pull(doc)),
-                class(ManagerSnapshot::pull(doc)),
-            ] {
-                assert_eq!(got, Class::Parse);
-            }
+        let bombed = |doc: &str, schema: u32| {
+            let stamp = format!("{{\"schema\":{schema},");
+            [
+                bomb.clone(),
+                // Where a known field's value belongs, and an unknown one's.
+                doc.replacen(&stamp, &format!("{stamp}\"cfg\":{bomb},"), 1),
+                doc.replacen(&stamp, &format!("{stamp}\"zzz\":{bomb},"), 1),
+                // Before the stamp, where only the scan goes.
+                doc.replacen(&stamp, &format!("{{\"zzz\":{bomb},{}", &stamp[1..]), 1),
+            ]
+        };
+        for doc in &bombed(&current, SERVER_SNAPSHOT_SCHEMA_VERSION) {
+            assert_eq!(class(ServerSnapshot::pull(doc)), Class::Parse);
             match ServerSnapshot::from_json(doc) {
                 Err(SnapshotError::Parse(why)) => {
                     assert!(why.contains("nesting deeper than 128"), "{why}");
                 }
                 other => panic!("want Parse, got {other:?}"),
             }
+        }
+        for doc in &bombed(&manager, SNAPSHOT_SCHEMA_VERSION) {
+            assert_eq!(class(ManagerSnapshot::pull(doc)), Class::Parse);
         }
     }
     // Nothing a server writes comes near the cap.

@@ -4,10 +4,10 @@
 
 use arm_core::scenario::{EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::Strategy;
-use arm_obs::Obs;
+use arm_obs::{EventKind, Obs};
 use arm_server::drill::{events_from_scenario, run_with_kill_restore};
 use arm_server::{Server, ServerConfig, ServerEvent, ServerSnapshot};
-use arm_sim::{FaultSchedule, FaultScheduleParams, SimDuration, SimRng};
+use arm_sim::{FaultSchedule, FaultScheduleParams, SimDuration, SimRng, SimTime};
 
 fn walk_cfg(seed: u64) -> ServerConfig {
     ServerConfig {
@@ -167,5 +167,80 @@ fn kill_right_after_a_drop_and_a_block_is_bit_identical() {
             restored.snapshot().to_json().expect("snapshot serializes") == end_image,
             "kill after the first {what}: end images differ"
         );
+    }
+}
+
+/// Kill after `events[..cut]`, restore, replay the rest: every slot
+/// tick due by the last event runs exactly once across the crash, as in
+/// the uninterrupted run, and the two end in the same image bytes.
+fn assert_recovers(cfg: &ServerConfig, events: &[ServerEvent], cut: usize, what: &str) {
+    let ticks = |server: &Server| server.mgr.obs.count(EventKind::ReservationSlotRolled);
+    let run = |mut server: Server, events: &[ServerEvent]| {
+        for ev in events {
+            server.apply_event(ev).expect("valid event");
+        }
+        server
+    };
+    let fresh = || Server::new(cfg.clone(), Obs::recording(0)).expect("valid scenario");
+    let live = run(fresh(), events);
+    let victim = run(fresh(), &events[..cut]);
+    let json = victim.snapshot().to_json().expect("snapshot serializes");
+    let snap = ServerSnapshot::from_json(&json).expect("parses");
+    let restored = Server::restore(snap, Obs::recording(0)).expect("restores");
+    let restored = run(restored, &events[cut..]);
+    let due = events.last().expect("a stream").time().ticks() / arm_core::SLOT.ticks();
+    assert_eq!(ticks(&live), due, "{what}: the uninterrupted run");
+    assert_eq!(
+        ticks(&victim) + ticks(&restored),
+        due,
+        "{what}: across the crash"
+    );
+    assert!(
+        restored.snapshot().to_json().expect("snapshot serializes")
+            == live.snapshot().to_json().expect("snapshot serializes"),
+        "{what}: end images differ"
+    );
+}
+
+/// The checkpoint carries no slot cursor: a restore derives the next
+/// tick from `last_time`. A kill right after a handoff at exactly
+/// `k·SLOT` (tick `k` ran before it, the `>=` edge) and one right after
+/// a mid-slot handoff, each followed by an event several slots later,
+/// replay every tick exactly once.
+#[test]
+fn kill_at_a_slot_edge_and_mid_slot_replays_each_tick_once() {
+    let cfg = walk_cfg(11);
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+    let slot = arm_core::SLOT.ticks();
+    let later = |t: SimTime| ServerEvent::QueuePressure {
+        t: SimTime::from_ticks((t.ticks() / slot + 3) * slot + slot / 2),
+        on: false,
+    };
+    // The first handoff with a slot boundary since the event before it,
+    // moved back onto that boundary.
+    let edge = (1..events.len())
+        .find_map(|i| match events[i] {
+            ServerEvent::Move { t, portable, to } => {
+                let k = t.ticks() / slot * slot;
+                (k > events[i - 1].time().ticks()).then(|| {
+                    let t = SimTime::from_ticks(k);
+                    (i, ServerEvent::Move { t, portable, to })
+                })
+            }
+            _ => None,
+        })
+        .expect("a handoff follows a slot boundary");
+    let mid = (edge.0 + 1..events.len())
+        .find(|&i| matches!(events[i], ServerEvent::Move { t, .. } if t.ticks() % slot != 0))
+        .expect("a mid-slot handoff");
+    for (what, i, ev) in [
+        ("slot edge", edge.0, edge.1),
+        ("mid slot", mid, events[mid].clone()),
+    ] {
+        let mut stream = events[..i].to_vec();
+        stream.push(ev.clone());
+        stream.push(later(ev.time()));
+        assert_recovers(&cfg, &stream, i + 1, what);
     }
 }

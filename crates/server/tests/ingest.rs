@@ -266,8 +266,12 @@ fn degraded_mode_sheds_to_the_guaranteed_floor() {
         })
         .expect("valid event");
     assert_eq!(server.shed(), 1, "adaptive request squeezed");
-    let id = *server.open_connections().get(&p).expect("admitted");
-    let conn = server.mgr.net.get(id).expect("installed");
+    let conn = server
+        .mgr
+        .net
+        .connections_of_portable(p)
+        .next()
+        .expect("admitted");
     assert_eq!(conn.qos.b_max, conn.qos.b_min, "admitted at the floor");
 
     // Pressure off: back to full-quality admissions.
@@ -433,7 +437,7 @@ fn a_move_to_the_portables_own_cell_is_refused() {
         let l = line(ev);
         assert_eq!(plain.ingest_line(&l), LineOutcome::Accepted, "{l}");
         assert_eq!(noisy.ingest_line(&l), LineOutcome::Accepted, "{l}");
-        carried = carried.max(plain.open_connections().len());
+        carried = carried.max(plain.mgr.net.live_connections().count());
         let stay = match *ev {
             ServerEvent::Appear { t, portable, cell } => Some((t, portable, cell)),
             ServerEvent::Move { t, portable, to } => Some((t, portable, to)),

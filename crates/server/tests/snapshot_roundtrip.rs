@@ -12,7 +12,7 @@ use arm_core::scenario::{EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{SnapshotError, Strategy};
 use arm_obs::Obs;
 use arm_server::drill::events_from_scenario;
-use arm_server::{Server, ServerConfig, ServerSnapshot};
+use arm_server::{Server, ServerConfig, ServerSnapshot, SERVER_SNAPSHOT_SCHEMA_VERSION};
 use arm_sim::FaultSchedule;
 use proptest::prelude::*;
 
@@ -129,12 +129,12 @@ fn office_week_checkpoints_round_trip_and_stream_like_the_tree() {
     }
     let last = assert_codec_properties(&server.snapshot(), "end of week");
     // 35 periodic checkpoints plus `run_server`'s final one. (The byte
-    // total the benchmark writes, 6,193,816, includes its hostile
+    // total the benchmark writes, 6,179,387, includes its hostile
     // lines' `rejected` count; CI's benchmark-smoke holds that number.)
     assert_eq!(checkpoints + 1, 36);
     // Each checkpoint above was written from warm row caches
     // (`apply_event` fills them when one is due), so the round trip is
-    // also warm text = cold text. The end state is 199,493 bytes at
+    // also warm text = cold text. The end state is 199,458 bytes at
     // seed 42, most of them handoff rows (a row is about 30 bytes; it
     // was 38 more while a handoff was an object of five keys).
     assert!(
@@ -165,7 +165,53 @@ fn wing_end_state_round_trips_and_streams_like_the_tree() {
     assert_codec_properties(&server.snapshot(), "wing end state");
 }
 
-/// `json` (a current server or manager document) as the build before
+/// The two fields a v10 server document held and v11 derives: the
+/// open-connection map (the manager's per-portable connection index)
+/// and the slot cursor (the slot boundary after `last_time`), as
+/// `server` would have written them.
+fn v10_fields(server: &Server) -> (String, String) {
+    let mut open: Vec<_> = server
+        .mgr
+        .net
+        .live_connections()
+        .map(|c| (c.portable, c.id))
+        .collect();
+    open.sort_unstable();
+    let open: Vec<String> = open
+        .iter()
+        .map(|(p, c)| format!("[{},{}]", p.0, c.0))
+        .collect();
+    let slot = arm_core::SLOT.ticks();
+    let next_slot = (server.last_time().ticks() / slot + 1) * slot;
+    (format!("[{}]", open.join(",")), next_slot.to_string())
+}
+
+/// A server document with `open` and `next_slot` spliced in where v10
+/// wrote them.
+fn with_v10_fields(json: &str, open: &str, next_slot: &str) -> String {
+    for key in ["\"present\":", "\"last_time\":"] {
+        assert_eq!(json.matches(key).count(), 1, "layout drifted: {key}");
+    }
+    json.replacen("\"present\":", &format!("\"open\":{open},\"present\":"), 1)
+        .replacen(
+            "\"last_time\":",
+            &format!("\"next_slot\":{next_slot},\"last_time\":"),
+            1,
+        )
+}
+
+/// `server`'s document as the build before wrote it: the server stamped
+/// 10 (the stamp its manager still carries), with its open-connection
+/// map and slot cursor.
+fn as_v10(server: &Server) -> String {
+    let json = server.snapshot().to_json().expect("snapshot serializes");
+    let stamp = format!("{{\"schema\":{SERVER_SNAPSHOT_SCHEMA_VERSION},");
+    assert!(json.starts_with(&stamp), "layout drifted: {json:.60}");
+    let (open, next_slot) = v10_fields(server);
+    with_v10_fields(&json, &open, &next_slot).replacen(&stamp, "{\"schema\":10,", 1)
+}
+
+/// `json` (a v10 server or manager document) as the build before
 /// wrote it: stamped 9 throughout, and every retained handoff an object
 /// of five keys where v10 writes a row of five numbers.
 fn as_v9(json: &str) -> String {
@@ -301,8 +347,8 @@ fn as_v6(v7: &str) -> String {
         .replacen(MANAGER_TAIL, V6_MANAGER_TAIL, 1)
 }
 
-/// `json` under each skewed stamp: a future version, the previous
-/// build's v9 document (handoffs as objects), the v8 one before it
+/// `json` (a v10 document) under each skewed stamp: a future version,
+/// the v9 document before it (handoffs as objects), the v8 one before it
 /// (`"arrivals"`, `"state"`, three `"slot"`s), the
 /// v7 one before it (still carrying `"maxmin"`), the v6 one before that
 /// (`"calendar"` too), and the two earlier still (shard planner;
@@ -330,12 +376,16 @@ fn skewed_documents(json: &str, future: u32) -> Vec<(u32, String)> {
 #[test]
 fn mismatched_server_schema_is_a_typed_error() {
     let server = server_at(&walk_cfg(7), 40);
-    let json = server.snapshot().to_json().expect("snapshot serializes");
-    for (skew, skewed) in skewed_documents(&json, 999) {
+    let v10 = as_v10(&server);
+    assert!(v10.contains("\"open\":[[") && v10.contains("\"next_slot\":"));
+    for (skew, skewed) in skewed_documents(&v10, 999)
+        .into_iter()
+        .chain([(10, v10.clone())])
+    {
         match ServerSnapshot::from_json(&skewed) {
             Err(SnapshotError::SchemaMismatch { found, expected }) => {
                 assert_eq!(found, skew);
-                assert_eq!(expected, 10);
+                assert_eq!(expected, 11);
                 assert_eq!(expected, arm_server::SERVER_SNAPSHOT_SCHEMA_VERSION);
             }
             other => panic!("want SchemaMismatch, got {other:?}"),
@@ -386,6 +436,36 @@ fn fields_v9_dropped_are_ignored_in_a_v9_document() {
     assert_eq!(
         restored.snapshot().to_json().expect("snapshot serializes"),
         json
+    );
+}
+
+/// What v10 held and v11 derives is, in a v11 document, two unknown
+/// fields — and not believed. A cursor edited back to time zero would
+/// re-run every slot tick since, and a map naming a connection nobody
+/// holds would keep a phantom: the image restores to the honest server,
+/// which then runs on exactly like the one that was never saved.
+#[test]
+fn fields_v11_derives_are_not_believed_in_a_v11_document() {
+    let cfg = walk_cfg(7);
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+    let server = server_at(&cfg, 40);
+    let json = server.snapshot().to_json().expect("snapshot serializes");
+    let hostile = with_v10_fields(&json, "[[9999,123456]]", "0");
+    let snap = ServerSnapshot::from_json(&hostile).expect("unknown fields are not errors");
+    assert_eq!(snap.to_json().expect("re-serializes"), json);
+    let mut restored = Server::restore(snap, Obs::off()).expect("restores");
+    let mut honest = server;
+    for ev in &events[40..] {
+        restored
+            .apply_event(ev)
+            .expect("generated events are valid");
+        honest.apply_event(ev).expect("generated events are valid");
+    }
+    assert!(
+        restored.snapshot().to_json().expect("snapshot serializes")
+            == honest.snapshot().to_json().expect("snapshot serializes"),
+        "the forged cursor or map was believed"
     );
 }
 

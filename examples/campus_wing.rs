@@ -11,9 +11,7 @@ use arm_core::{ManagerConfig, ResourceManager, Strategy};
 use arm_mobility::environment::office_wing;
 use arm_mobility::models::random_walk::{self, RandomWalkParams};
 use arm_mobility::WorkloadMix;
-use arm_net::ids::{ConnId, PortableId};
 use arm_sim::{SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
 
 fn main() {
     let env = office_wing(6);
@@ -54,7 +52,6 @@ fn main() {
         };
         let mut mgr = ResourceManager::new(env.clone(), net, cfg);
         let mut rng = SimRng::new(7).split("rates");
-        let mut open: BTreeMap<PortableId, ConnId> = BTreeMap::new();
         let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
         for ev in trace.events() {
             while ev.time >= next_slot {
@@ -64,16 +61,10 @@ fn main() {
             match ev.from {
                 None => {
                     mgr.portable_appears(ev.portable, ev.to, ev.time);
-                    if let Ok(id) =
-                        mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time)
-                    {
-                        open.insert(ev.portable, id);
-                    }
+                    let _ = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time);
                 }
                 Some(_) => {
-                    for id in mgr.portable_moved(ev.portable, ev.to, ev.time) {
-                        open.retain(|_, c| *c != id);
-                    }
+                    mgr.portable_moved(ev.portable, ev.to, ev.time);
                 }
             }
         }

@@ -6,16 +6,16 @@
 //! style activity series and the drop comparison.
 //!
 //! ```text
-//! cargo run --release -p arm-core --example lecture_day
+//! cargo run --release -p arm-bench --example lecture_day
 //! ```
 
-use arm_core::driver::meeting;
+use arm_bench::fig5;
 
 fn main() {
     println!("lecture day — who survives the class change?\n");
     for (label, n) in [("lecture of 35", 35usize), ("laboratory of 55", 55)] {
         println!("== {label} ==");
-        let results = meeting::compare(n, 42);
+        let results = fig5::compare(n, 42);
         for r in &results {
             println!(
                 "  {:<12} offered load {:>4.0}%  attendee drops {:>3}  walk-by drops {:>3}",

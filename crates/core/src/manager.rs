@@ -54,6 +54,7 @@
 //! manager keeps between events ([`RefreshScratch`]) is buffers only:
 //! every one is cleared before it is filled.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use arm_mobility::environment::IndoorEnvironment;
@@ -442,6 +443,79 @@ struct RefreshScratch {
     settled: Vec<(PortableId, ConnId)>,
 }
 
+/// What the next adaptation round must look at (DESIGN §7): the
+/// portables with a connection-record write since the last round, as
+/// each refresh drains them from `Network`, plus — added at the round —
+/// those whose static/mobile status flipped. Every other connection is
+/// where the last round left it. Fed only while rounds can run, so it
+/// cannot grow without bound. A cache: never snapshotted; a restored
+/// manager's network is decoded, and so counts every portable as
+/// written.
+#[derive(Debug, Default)]
+struct RoundFeed {
+    /// Portables written since the last round, ascending.
+    touched: Vec<PortableId>,
+    /// The network was built, decoded or cloned since the last round:
+    /// every portable counts as written. Sticky until the round.
+    all: bool,
+    /// The statics the last round saw, ascending.
+    statics: Vec<PortableId>,
+    /// The round's candidate connections, ascending.
+    conns: Vec<ConnId>,
+}
+
+impl RoundFeed {
+    /// Fold one refresh's drain of the network's write log in.
+    fn note(&mut self, changed: &[PortableId], all: bool) {
+        self.all |= all;
+        if !self.all && !changed.is_empty() {
+            self.touched.extend_from_slice(changed);
+            self.touched.sort_unstable();
+            self.touched.dedup();
+        }
+    }
+
+    /// Fill `conns` with the round's candidates, ascending: the
+    /// connections of every portable written since the last round or in
+    /// exactly one of `statics` and the last round's statics — of every
+    /// portable in the network's per-portable index when the network is
+    /// new to the feed. Resets the feed for the next round.
+    fn fill(&mut self, net: &Network, statics: &[PortableId]) {
+        if std::mem::take(&mut self.all) {
+            self.touched.clear();
+            self.touched.extend(net.portables_with_connections());
+        } else {
+            // The symmetric difference, by a merge of the sorted lists.
+            let (now, then) = (statics, &self.statics);
+            let (mut i, mut j) = (0, 0);
+            while i < now.len() && j < then.len() {
+                match now[i].cmp(&then[j]) {
+                    Ordering::Less => {
+                        self.touched.push(now[i]);
+                        i += 1;
+                    }
+                    Ordering::Greater => {
+                        self.touched.push(then[j]);
+                        j += 1;
+                    }
+                    Ordering::Equal => (i, j) = (i + 1, j + 1),
+                }
+            }
+            self.touched.extend_from_slice(&now[i..]);
+            self.touched.extend_from_slice(&then[j..]);
+            self.touched.sort_unstable();
+            self.touched.dedup();
+        }
+        self.statics.clear();
+        self.statics.extend_from_slice(statics);
+        self.conns.clear();
+        for p in self.touched.drain(..) {
+            self.conns.extend_from_slice(net.conn_ids_of_portable(p));
+        }
+        self.conns.sort_unstable();
+    }
+}
+
 /// The integrated control plane.
 pub struct ResourceManager {
     /// The data plane (public for inspection by drivers and tests).
@@ -483,6 +557,9 @@ pub struct ResourceManager {
     /// Resident buffers for the adaptation round's conflict resolver.
     /// Pure scratch (cleared before each use), never snapshotted.
     resolve_scratch: arm_qos::conflict::ResolveScratch,
+    /// What the next adaptation round must look at. Derived, never
+    /// snapshotted.
+    round_feed: RoundFeed,
     /// Resident buffers for the admission round trip. Pure scratch,
     /// never snapshotted.
     admission_scratch: AdmissionScratch,
@@ -515,6 +592,10 @@ pub struct ResourceManager {
     /// test's twin manager).
     #[cfg(test)]
     reference_refresh: bool,
+    /// Run the whole-table adaptation round instead, every live
+    /// connection a candidate (the round differential's twin manager).
+    #[cfg(test)]
+    reference_round: bool,
     /// Re-sync every tracked portable's multicast branches at each slot
     /// tick instead of retiring the settled ones' (the differential
     /// test's twin manager).
@@ -607,11 +688,14 @@ impl ResourceManager {
             adaptation_rounds: 0,
             maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
+            round_feed: RoundFeed::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
             scratch: RefreshScratch::default(),
             #[cfg(test)]
             reference_refresh: false,
+            #[cfg(test)]
+            reference_round: false,
             #[cfg(test)]
             reference_resync: false,
             channel_renegotiations: 0,
@@ -745,11 +829,14 @@ impl ResourceManager {
             adaptation_rounds: snap.adaptation_rounds,
             maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
+            round_feed: RoundFeed::default(),
             admission_scratch: AdmissionScratch::default(),
             route_scratch: Vec::new(),
             scratch: RefreshScratch::default(),
             #[cfg(test)]
             reference_refresh: false,
+            #[cfg(test)]
+            reference_round: false,
             #[cfg(test)]
             reference_resync: false,
             channel_renegotiations: snap.channel_renegotiations,
@@ -787,11 +874,12 @@ impl ResourceManager {
 
     /// Collect every portable that is static at `now` into `statics`,
     /// ascending, for the strategies whose refresh does not keep the
-    /// list as it goes (the paper's does). One scan per refresh, not a
-    /// `portables` lookup per question: the conflict resolver asks twice
-    /// per live connection, and with 1,000 portables (most of them
-    /// mobile, so the list is short) the per-call lookups measured 29 %
-    /// slower end to end.
+    /// list as it goes (the paper's does). The adaptation round reads
+    /// the list twice: it diffs it against the last round's to find the
+    /// portables whose status flipped, and its pin and sync ask it of
+    /// each candidate connection. One scan of every portable per
+    /// refresh, the last whole-table term of a round under these
+    /// strategies.
     fn collect_statics(&mut self, now: SimTime) {
         let t_th = self.cfg.t_th;
         self.statics.clear();
@@ -1513,11 +1601,17 @@ impl ResourceManager {
             // The engine counters feed only the `MaxminRound` event.
             let before = self.obs.is_on().then_some(self.maxmin.stats);
             // Kept by the refresh above, at the same `now`.
+            self.round_feed.fill(&self.net, &self.statics);
+            #[cfg(test)]
+            if self.reference_round {
+                self.round_feed.conns = self.net.live_connections().map(|c| c.id).collect();
+            }
             let statics = &self.statics;
             let is_static = |p: PortableId| statics.binary_search(&p).is_ok();
             arm_qos::conflict::resolve_network(
                 &mut self.net,
                 &is_static,
+                &self.round_feed.conns,
                 &mut self.maxmin,
                 &mut self.resolve_scratch,
             );
@@ -1578,6 +1672,12 @@ impl ResourceManager {
     /// path's; both model capacity committed elsewhere and survive the
     /// wipe.
     fn refresh_claims(&mut self, now: SimTime) {
+        // Drained at every refresh, whatever the strategy reads of it,
+        // and kept for the next adaptation round when rounds can run.
+        let all_changed = self.net.drain_changed_portables(&mut self.scratch.changed);
+        if self.cfg.resolve_excess {
+            self.round_feed.note(&self.scratch.changed, all_changed);
+        }
         #[cfg(test)]
         if self.reference_refresh {
             self.collect_statics(now);
@@ -1591,8 +1691,6 @@ impl ResourceManager {
         }
         let refresh_tok = self.obs.phase_start(now);
         self.refresh_stats.refreshes += 1;
-        // Drained at every refresh, whatever the strategy reads of it.
-        let all_changed = self.net.drain_changed_portables(&mut self.scratch.changed);
         self.plans.begin();
         // Each outage seal is its link's first write: terminations during
         // an outage must not open phantom headroom on a dead link, and a
@@ -1953,3 +2051,7 @@ mod reference;
 #[cfg(test)]
 #[path = "manager_tests.rs"]
 mod tests;
+
+#[cfg(test)]
+#[path = "manager_round_tests.rs"]
+mod round_tests;

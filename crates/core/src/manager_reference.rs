@@ -115,6 +115,13 @@ impl ResourceManager {
         self.reference_refresh = true;
     }
 
+    /// Make this manager the round differential's reference twin: its
+    /// adaptation rounds take every live connection, read off the table,
+    /// as a candidate.
+    pub(super) fn use_reference_round(&mut self) {
+        self.reference_round = true;
+    }
+
     /// Make this manager the multicast differential's reference twin.
     pub(super) fn use_reference_resync(&mut self) {
         self.reference_resync = true;

@@ -17,14 +17,20 @@
 //! [`MOVE_ALLOCATIONS`]. A stray `collect()` or `clone()` anywhere under
 //! `portable_moved` compiles fine and regresses silently — this test
 //! makes it a hard failure, as an exact count rather than a wall-clock
-//! budget. (`crates/server/tests/zero_alloc.rs` does the same for
-//! decoding one journal line.)
+//! budget. [`ROUND_MOVE_ALLOCATIONS`] pins the same for a move that
+//! runs an adaptation round, on `adapt_rush`'s adaptive wing.
+//! (`crates/server/tests/zero_alloc.rs` does the same for decoding one
+//! journal line.)
 
 use arm_alloc_counter::{allocations_during, CountingAlloc};
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-use arm_core::{ResourceManager, Strategy};
+use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_mobility::environment::office_wing;
+use arm_mobility::models::random_walk::{self, RandomWalkParams};
 use arm_mobility::trace::MoveEvent;
 use arm_mobility::WorkloadMix;
+use arm_net::flowspec::QosRequest;
+use arm_net::ids::CellId;
 use arm_sim::{SimDuration, SimRng, SimTime};
 
 #[global_allocator]
@@ -164,4 +170,105 @@ fn one_slot_tick_on_the_steady_wing_allocates_nothing() {
         allocs, 0,
         "one steady-state slot tick allocated {allocs} times"
     );
+}
+
+/// Allocations of one steady move on an adaptive wing with adaptation
+/// rounds on (`adapt_rush`'s configuration), by where they happen:
+///
+/// * 1 — the profile update;
+/// * 1 — the slot's outflow tally: this is the first handoff out of a
+///   cell since the last slot tick, and the tally is a fresh map each
+///   slot;
+/// * 1 — the adaptation round: two portables turned static since the
+///   last round and their connections join the engine, one into a
+///   connection slot no connection has used before (its route buffer);
+/// * 0 — the rest of the round: the candidates are gathered into the
+///   round feed's resident buffers, pinned, diff-synced, re-filled on
+///   the engine's resident scratch and moved onto their targets through
+///   the resolver's resident change list.
+///
+/// It was 6 while the engine's dirty set was a `BTreeSet`: a fresh leaf
+/// at the first mark of every round, and more nodes as marks split it.
+const ROUND_MOVE_ALLOCATIONS: u64 = 3;
+
+// Above this a re-pin is a finding, not a number to update.
+const _: () = assert!(ROUND_MOVE_ALLOCATIONS <= 5);
+
+/// One move, 20 minutes into `benchmark/src/gen.rs::adapt_rush` at
+/// two fifths of its population (seed 42): every portable holds one
+/// adaptive `[16, 1600]` connection, a fade or its recovery follows
+/// every fourth trace event, and the move runs an adaptation round.
+#[test]
+fn one_move_with_adaptation_rounds_allocates_an_exact_count() {
+    let seed = 42;
+    let env = office_wing(10);
+    let params = RandomWalkParams {
+        population: 400,
+        mean_dwell: SimDuration::from_secs(120),
+        span: SimDuration::from_mins(30),
+        ..Default::default()
+    };
+    let trace = random_walk::generate(&env, &params, &mut SimRng::new(seed));
+    let net = env.build_network(1600.0, 0.0, 100_000.0);
+    let cfg = ManagerConfig {
+        strategy: Strategy::None,
+        resolve_excess: true,
+        ..Default::default()
+    };
+    let cells = env.cell_count();
+    let mut mgr = ResourceManager::new(env, net, cfg);
+    let adaptive = QosRequest::bandwidth(16.0, 1600.0)
+        .with_delay(30.0)
+        .with_jitter(30.0)
+        .with_loss(1.0);
+    let mut faded = vec![false; cells];
+    let mut fade_rng = SimRng::new(seed).split("bench-fades");
+    let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
+    for (i, ev) in trace.events().iter().enumerate() {
+        while ev.time >= next_slot {
+            mgr.slot_tick(next_slot);
+            next_slot += SimDuration::from_mins(1);
+        }
+        let carries = || {
+            mgr.net
+                .connections_of_portable(ev.portable)
+                .next()
+                .is_some()
+        };
+        if ev.time >= SimTime::from_mins(20) && ev.from.is_some() && carries() {
+            let rounds = mgr.adaptation_rounds;
+            let (dropped, allocs) =
+                allocations_during(|| mgr.portable_moved(ev.portable, ev.to, ev.time));
+            assert!(dropped.is_empty(), "the measured handoff is carried");
+            assert_eq!(mgr.adaptation_rounds, rounds + 1, "the move ran a round");
+            assert!(mgr.net.check_invariants().is_ok());
+            assert_eq!(
+                allocs, ROUND_MOVE_ALLOCATIONS,
+                "one steady move with rounds on allocated {allocs} times, \
+                 pinned at {ROUND_MOVE_ALLOCATIONS}"
+            );
+            return;
+        }
+        match ev.from {
+            None => {
+                mgr.portable_appears(ev.portable, ev.to, ev.time);
+                let _ = mgr.request_connection(ev.portable, adaptive, ev.time);
+            }
+            Some(_) => {
+                mgr.portable_moved(ev.portable, ev.to, ev.time);
+            }
+        }
+        if (i + 1) % 4 == 0 {
+            let c = fade_rng.index(cells);
+            faded[c] = !faded[c];
+            let fraction = if faded[c] {
+                fade_rng.uniform(0.4, 0.8)
+            } else {
+                1.0
+            };
+            mgr.channel_change(CellId::from_index(c), fraction, ev.time)
+                .expect("valid fraction");
+        }
+    }
+    panic!("the trace has no such move after warm-up");
 }

@@ -310,11 +310,21 @@ impl Network {
     /// Live connections of one portable, ascending by id — read from
     /// the per-portable index, not a scan of the table.
     pub fn connections_of_portable(&self, p: PortableId) -> impl Iterator<Item = &Connection> {
-        self.portable_conns
-            .get(&p)
-            .into_iter()
-            .flatten()
+        self.conn_ids_of_portable(p)
+            .iter()
             .filter_map(move |id| self.get(*id))
+    }
+
+    /// Ids of one portable's live connections, ascending — borrowed
+    /// from the per-portable index, no per-call allocation.
+    pub fn conn_ids_of_portable(&self, p: PortableId) -> &[ConnId] {
+        self.portable_conns.get(&p).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every portable holding a live connection, ascending — the keys
+    /// of the per-portable index.
+    pub fn portables_with_connections(&self) -> impl Iterator<Item = PortableId> + '_ {
+        self.portable_conns.keys().copied()
     }
 
     // ------------------------------------------------------------------

@@ -30,70 +30,74 @@ use crate::maxmin::incremental::IncrementalMaxmin;
 /// alive across rounds and the buffers' capacity is reused.
 #[derive(Clone, Debug, Default)]
 pub struct ResolveScratch {
-    /// Mobile connections pinned to their floors this round.
-    mobile: Vec<ConnId>,
     /// `(conn, target rate)` pairs pending application, decreases first.
     changes: Vec<(ConnId, f64)>,
 }
 
-/// Pin every mobile portable's connection at its floor (§3.4.2 — "the
-/// QoS for its connections are kept at the pre-negotiated minimum
-/// level"), filling `mobile` with their ids, so only static portables'
-/// connections compete for the excess.
+/// Pin each mobile portable's connection among `conns` at its floor
+/// (§3.4.2 — "the QoS for its connections are kept at the
+/// pre-negotiated minimum level"), in the order given, so only static
+/// portables' connections compete for the excess. Returns the number of
+/// connections moved.
 fn pin_mobiles(
     net: &mut Network,
     is_static: &dyn Fn(PortableId) -> bool,
-    mobile: &mut Vec<ConnId>,
-) {
-    mobile.clear();
-    mobile.extend(
-        net.live_connections()
-            .filter(|c| !is_static(c.portable))
-            .map(|c| c.id),
-    );
-    for id in mobile.iter() {
-        let (floor, cur) = {
-            let c = net.get(*id).invariant("live connection");
-            (c.qos.b_min, c.b_current)
+    conns: &[ConnId],
+) -> usize {
+    let mut pinned = 0;
+    for id in conns {
+        let Some(c) = net.get(*id) else {
+            continue;
         };
-        if cur > floor + 1e-9 {
+        if !is_static(c.portable) && c.b_current > c.qos.b_min + 1e-9 {
+            let floor = c.qos.b_min;
             net.set_conn_rate(*id, floor)
                 .invariant("decreasing to floor always fits");
+            pinned += 1;
         }
     }
+    pinned
 }
 
 /// Re-divide the excess maxmin-fairly among static portables'
 /// connections and move the ledgers to it (§5.2), mobiles pinned at
 /// their floors. The round reconciles the engine with the network it is
-/// handed and owes nothing to what the caller did in between: the
-/// engine is diff-synced against the ledgers (only genuine input
-/// changes dirty anything), re-fills the dirty components, and then
-/// every connection it holds — re-filled or frozen — is compared with
-/// its ledger rate and moved onto its target. A frozen rate stays valid
-/// while its component's inputs are unchanged, but the ledger can leave
-/// it with no input change at all (a squeeze and an outage seal that
-/// both come and go while eqn 2's gate is shut); the comparison needs
-/// no re-solve to repair that. The resulting rates are bit-identical to
-/// a from-scratch
+/// handed: the engine is diff-synced against the ledgers (only genuine
+/// input changes dirty anything), re-fills the dirty components, and
+/// then every connection it holds — re-filled or frozen — is compared
+/// with its ledger rate and moved onto its target. A frozen rate stays
+/// valid while its component's inputs are unchanged, but the ledger can
+/// leave it with no input change at all (a squeeze and an outage seal
+/// that both come and go while eqn 2's gate is shut); the comparison
+/// needs no re-solve to repair that. The resulting rates are
+/// bit-identical to a from-scratch
 /// [`MaxminProblem`](crate::maxmin::centralized::MaxminProblem) solve
 /// because both run the same per-component water-filling on the same
 /// inputs (see the `arm_qos::maxmin::incremental` module docs) and the
 /// same `apply_allocation`.
-/// Returns the number of connections whose rate changed plus pinned
-/// mobile connections.
+///
+/// `conns` (ascending) are the candidates the pin and the sync walk:
+/// every live connection whose record was written, or whose portable's
+/// `is_static` verdict flipped, since the previous round on this
+/// engine. Every other connection is where that round left it — a
+/// mobile one at its floor, a static one's inputs in the engine — so
+/// walking it would change nothing. Links and the engine's own
+/// connections are walked whole.
+///
+/// Returns the number of rate moves: mobiles pinned plus connections
+/// moved onto their targets.
 pub fn resolve_network(
     net: &mut Network,
     is_static: &dyn Fn(PortableId) -> bool,
+    conns: &[ConnId],
     engine: &mut IncrementalMaxmin,
     scratch: &mut ResolveScratch,
 ) -> usize {
-    let ResolveScratch { mobile, changes } = scratch;
     // Pin mobile connections at their floors first (frees excess).
-    pin_mobiles(net, is_static, mobile);
-    engine.sync_network(net, &|c| is_static(c.portable));
+    let pinned = pin_mobiles(net, is_static, conns);
+    engine.sync_network(net, conns, &|c| is_static(c.portable));
     engine.resolve();
-    apply_allocation(net, engine.rates(), changes) + mobile.len()
+    pinned + apply_allocation(net, engine.rates(), &mut scratch.changes)
 }
 
 /// From-scratch resolvers: rebuild the whole `MaxminProblem` from the
@@ -130,13 +134,14 @@ pub(crate) mod reference {
     /// Like [`resolve_network`], but honouring the paper's static/mobile
     /// policy: connections of *mobile* portables are pinned at `b_min`,
     /// so only static portables' connections compete for the excess.
+    /// Returns the number of rate moves: pins plus re-rated statics.
     pub(crate) fn resolve_network_with_policy(
         net: &mut Network,
         is_static: &dyn Fn(PortableId) -> bool,
     ) -> usize {
-        // Pin mobile connections at their floors first (frees excess).
-        let mut mobile: Vec<ConnId> = Vec::new();
-        pin_mobiles(net, is_static, &mut mobile);
+        // Pin every mobile connection at its floor first (frees excess).
+        let live: Vec<ConnId> = net.live_connections().map(|c| c.id).collect();
+        let pinned = pin_mobiles(net, is_static, &live);
         // Solve maxmin over static connections only.
         let mut problem = MaxminProblem::from_network(net);
         problem
@@ -151,7 +156,7 @@ pub(crate) mod reference {
             })
             .count();
         apply_allocation(net, alloc, &mut Vec::new());
-        changed + mobile.len()
+        pinned + changed
     }
 }
 
@@ -251,6 +256,9 @@ mod tests {
     /// The resolver against the from-scratch reference on twin
     /// networks, through admissions, a capacity fade and a departure:
     /// same count returned, same rate on every connection bit for bit.
+    /// The resolver is handed only the connections of the portables the
+    /// network logged a write for since the last round (every one on
+    /// the first); the reference walks the whole table.
     #[test]
     fn resident_resolver_matches_the_reference_bit_for_bit() {
         let mut t = Topology::new();
@@ -268,8 +276,19 @@ mod tests {
         let mut scratch = ResolveScratch::default();
         // Every third portable is mobile: pinned at its floor.
         let is_static = |p: PortableId| p.0 % 3 != 0;
+        let (mut touched, mut conns) = (Vec::new(), Vec::new());
         let mut round = |live: &mut Network, twin: &mut Network| {
-            let n = resolve_network(live, &is_static, &mut engine, &mut scratch);
+            let all = live.drain_changed_portables(&mut touched);
+            conns.clear();
+            if all {
+                conns.extend(live.live_connections().map(|c| c.id));
+            } else {
+                for p in &touched {
+                    conns.extend_from_slice(live.conn_ids_of_portable(*p));
+                }
+                conns.sort_unstable();
+            }
+            let n = resolve_network(live, &is_static, &conns, &mut engine, &mut scratch);
             assert_eq!(n, reference::resolve_network_with_policy(twin, &is_static));
             let rates = |net: &Network| -> Vec<(ConnId, u64)> {
                 net.live_connections()
@@ -317,12 +336,12 @@ mod tests {
         let mut engine = IncrementalMaxmin::new();
         let mut scratch = ResolveScratch::default();
         let is_static = |_: PortableId| true;
-        resolve_network(&mut net, &is_static, &mut engine, &mut scratch);
+        resolve_network(&mut net, &is_static, &[a, b], &mut engine, &mut scratch);
         let target = net.get(a).unwrap().b_current;
         assert_eq!(target, 500.0);
         net.set_conn_rate(a, 100.0).unwrap();
         let before = engine.stats;
-        let changed = resolve_network(&mut net, &is_static, &mut engine, &mut scratch);
+        let changed = resolve_network(&mut net, &is_static, &[a], &mut engine, &mut scratch);
         assert_eq!(changed, 1);
         assert_eq!(net.get(a).unwrap().b_current.to_bits(), target.to_bits());
         assert_eq!(net.get(b).unwrap().b_current.to_bits(), target.to_bits());

@@ -39,8 +39,9 @@
 //! round that uses it ([`crate::conflict::resolve_network`]) diff-syncs
 //! it against the network first, so an empty engine and a warm one end
 //! the round holding the same bits. A restored manager starts from
-//! [`IncrementalMaxmin::new`] and its first round fills every component
-//! once (DESIGN.md §10.2). With no wire format to feed, every datum
+//! [`IncrementalMaxmin::new`]; its network is decoded, so its first
+//! round takes every connection as a candidate and fills every
+//! component once (DESIGN.md §7, §10.2). With no wire format to feed, every datum
 //! lives in exactly one place and every mutator writes it once.
 //!
 //! ## Churn-aware caching
@@ -49,8 +50,6 @@
 //! excess to the value it already has, or re-upserting a connection with
 //! identical demand bits and route, is a no-op. A resolve with an empty
 //! dirty set leaves the resident allocation untouched (a cache hit).
-
-use std::collections::BTreeSet;
 
 use arm_net::ids::{ConnId, LinkId};
 use arm_net::{Connection, Network};
@@ -70,6 +69,16 @@ pub struct EngineStats {
     /// Connections whose frozen rate was reused (registered minus
     /// re-filled, summed over incremental solves).
     pub conns_reused: u64,
+    /// Connections the syncs looked at ([`IncrementalMaxmin::sync_network`]'s
+    /// candidates, which an adaptation round's pin walks too).
+    pub conns_synced: u64,
+}
+
+/// Mark `link` in the sorted dirty list (no-op when present).
+fn mark(dirty: &mut Vec<LinkId>, link: LinkId) {
+    if let Err(at) = dirty.binary_search(&link) {
+        dirty.insert(at, link);
+    }
 }
 
 /// Resident incremental maxmin solver (see module docs).
@@ -84,14 +93,19 @@ pub struct IncrementalMaxmin {
     /// The problem and its resident allocation (current for every
     /// component no dirty link reaches).
     state: DenseState,
-    /// Links whose region must be re-filled at the next resolve.
-    dirty: BTreeSet<LinkId>,
+    /// Links whose region must be re-filled at the next resolve,
+    /// ascending and without repeats: a sorted `Vec` keeps its capacity
+    /// across resolves, where a set would allocate a node at the first
+    /// mark of each.
+    dirty: Vec<LinkId>,
     /// Work-saved counters.
     pub stats: EngineStats,
     /// BFS scratch for the dirty-region closure walk.
     bfs: CompScratch,
     /// Water-filling scratch, resident across resolves.
     scratch: SolveScratch,
+    /// The connections a sync drops, resident across syncs.
+    gone: Vec<ConnId>,
 }
 
 impl IncrementalMaxmin {
@@ -122,7 +136,7 @@ impl IncrementalMaxmin {
     }
 
     /// The links whose region is pending a re-fill.
-    pub fn dirty_links(&self) -> &BTreeSet<LinkId> {
+    pub fn dirty_links(&self) -> &[LinkId] {
         &self.dirty
     }
 
@@ -142,7 +156,7 @@ impl IncrementalMaxmin {
         });
         if !unchanged {
             self.state.set_excess(link, excess);
-            self.dirty.insert(link);
+            mark(&mut self.dirty, link);
         }
     }
 
@@ -156,7 +170,7 @@ impl IncrementalMaxmin {
     /// re-filled regardless.
     pub fn remove_link(&mut self, link: LinkId) {
         self.state.remove_excess(link);
-        self.dirty.insert(link);
+        mark(&mut self.dirty, link);
     }
 
     /// Insert or update a connection. A re-upsert with bit-identical
@@ -172,7 +186,9 @@ impl IncrementalMaxmin {
             }
             self.remove_conn(id);
         }
-        self.dirty.extend(links);
+        for l in links {
+            mark(&mut self.dirty, *l);
+        }
         self.state.add_conn(id, demand, links);
     }
 
@@ -182,8 +198,9 @@ impl IncrementalMaxmin {
             return;
         };
         let s = &self.state;
-        self.dirty
-            .extend(s.routes[c as usize].iter().map(|l| s.links.external(*l)));
+        for l in &s.routes[c as usize] {
+            mark(&mut self.dirty, s.links.external(*l));
+        }
         self.state.remove_conn(id);
     }
 
@@ -201,7 +218,7 @@ impl IncrementalMaxmin {
             self.stats.cache_hits += 1;
             return;
         }
-        let dirty = std::mem::take(&mut self.dirty);
+        let mut dirty = std::mem::take(&mut self.dirty);
         let mut resolved = 0usize;
         self.bfs
             .begin(self.state.links.slot_count(), self.state.conns.slot_count());
@@ -221,6 +238,8 @@ impl IncrementalMaxmin {
             comp.clear();
             self.bfs.comp = comp;
         }
+        dirty.clear();
+        self.dirty = dirty;
         self.stats.incremental_solves += 1;
         self.stats.conns_resolved += resolved as u64;
         self.stats.conns_reused += (self.state.conns.len() - resolved) as u64;
@@ -228,11 +247,24 @@ impl IncrementalMaxmin {
 
     /// Diff the engine's inputs against the network's current ledgers:
     /// link excesses from every link, demand `b_max − b_min` and route
-    /// from every live connection accepted by `include`. Only genuine
-    /// changes dirty anything, so calling this every epoch costs a scan
-    /// but no re-solve work when nothing moved. Mirrors
-    /// [`MaxminProblem::from_network`] filtered by `include`.
-    pub fn sync_network(&mut self, net: &Network, include: &dyn Fn(&Connection) -> bool) {
+    /// from each live connection in `conns` accepted by `include`. Only
+    /// genuine changes dirty anything, so calling this every epoch costs
+    /// a walk but no re-solve work when nothing moved.
+    ///
+    /// `conns` (ascending) are the candidates: every connection whose
+    /// demand, route or `include` verdict may differ from the last sync.
+    /// Any other live connection is taken to be as that sync left it.
+    /// With every live connection as a candidate this mirrors
+    /// [`MaxminProblem::from_network`] filtered by `include`; a
+    /// connection the engine holds that is gone or no longer accepted is
+    /// dropped whether or not it is a candidate.
+    pub fn sync_network(
+        &mut self,
+        net: &Network,
+        conns: &[ConnId],
+        include: &dyn Fn(&Connection) -> bool,
+    ) {
+        self.stats.conns_synced += conns.len() as u64;
         for (lid, link) in net.links() {
             self.set_link_excess(lid, link.excess_available().max(0.0));
         }
@@ -252,20 +284,26 @@ impl IncrementalMaxmin {
             self.remove_link(l);
         }
         let tracked = |c: &Connection| !c.route.links.is_empty() && include(c);
-        for c in net.live_connections().filter(|c| tracked(c)) {
-            self.upsert_conn(c.id, c.qos.adaptable_range(), &c.route.links);
+        for c in conns.iter().filter_map(|id| net.get(*id)) {
+            if tracked(c) {
+                self.upsert_conn(c.id, c.qos.adaptable_range(), &c.route.links);
+            }
         }
-        // Empty in steady state, so nothing is allocated for it.
-        let gone: Vec<ConnId> = self
-            .state
-            .conns
-            .iter()
-            .map(|(id, _)| id)
-            .filter(|id| !net.get(*id).is_some_and(tracked))
-            .collect();
-        for id in gone {
-            self.remove_conn(id);
+        // Into a resident buffer: a static portable that moves leaves
+        // the engine at the next round.
+        let mut gone = std::mem::take(&mut self.gone);
+        gone.clear();
+        gone.extend(
+            self.state
+                .conns
+                .iter()
+                .map(|(id, _)| id)
+                .filter(|id| !net.get(*id).is_some_and(tracked)),
+        );
+        for id in &gone {
+            self.remove_conn(*id);
         }
+        self.gone = gone;
     }
 
     /// Check the engine's structure (`DenseState::check_invariants`).
@@ -281,7 +319,9 @@ impl IncrementalMaxmin {
     /// it: the resident allocation is stale afterwards by design.
     #[doc(hidden)]
     pub fn forget_dirty_mark(&mut self, link: LinkId) {
-        self.dirty.remove(&link);
+        if let Ok(at) = self.dirty.binary_search(&link) {
+            self.dirty.remove(at);
+        }
     }
 
     /// A from-scratch [`MaxminProblem`] over the engine's current
@@ -447,7 +487,7 @@ mod tests {
     fn sync_network_round_trips_through_the_engine() {
         let net = net_with_cells(3);
         let mut e = IncrementalMaxmin::new();
-        e.sync_network(&net, &|_| true);
+        e.sync_network(&net, &[], &|_| true);
         let fresh = MaxminProblem::from_network(&net);
         assert_eq!(e.as_problem().link_excess, fresh.link_excess);
         e.resolve();
@@ -460,13 +500,13 @@ mod tests {
         let big = net_with_cells(3);
         let small = net_with_cells(1);
         let mut e = IncrementalMaxmin::new();
-        e.sync_network(&big, &|_| true);
+        e.sync_network(&big, &[], &|_| true);
         assert!(e.as_problem().link_excess.len() > small.topology().link_count());
         // Regression: re-syncing against a network with fewer links
         // used to leave the extra links' excess entries resident
         // forever; they must be pruned so the engine's problem exactly
         // mirrors a from-scratch build over the current network.
-        e.sync_network(&small, &|_| true);
+        e.sync_network(&small, &[], &|_| true);
         let fresh = MaxminProblem::from_network(&small);
         assert_eq!(
             e.as_problem().link_excess.keys().collect::<Vec<_>>(),

@@ -110,7 +110,9 @@ proptest! {
                 let qos = QosRequest::bandwidth(*b_min, b_min.max(*b_max));
                 admit_local(&mut net, CellId(*cell as u32), (gen * 16 + i) as u32, qos);
             }
-            engine.sync_network(&net, &|_| true);
+            // A new network each epoch: every connection is a candidate.
+            let live: Vec<ConnId> = net.live_connections().map(|c| c.id).collect();
+            engine.sync_network(&net, &live, &|_| true);
             prop_assert_eq!(engine.check_invariants(), Ok(()), "epoch {}", gen);
 
             let (fresh, alloc) = fresh_solution(&net);

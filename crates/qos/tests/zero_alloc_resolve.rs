@@ -54,7 +54,7 @@ fn restoring_a_knocked_off_rate_is_allocation_free() {
     let is_static = |_: PortableId| true;
     let mut round = |net: &mut Network, engine: &mut IncrementalMaxmin| {
         net.set_conn_rate(ids[0], qos.b_min).expect("floor fits");
-        resolve_network(net, &is_static, engine, &mut scratch)
+        resolve_network(net, &is_static, &ids, engine, &mut scratch)
     };
     // Warm-up: the first round solves, the second grows `changes`.
     round(&mut net, &mut engine);

@@ -31,6 +31,9 @@ use arm_net::ids::{CellId, PortableId};
 use arm_net::link::{ResvClaim, Revision};
 use arm_net::{LinkState, Network};
 
+#[cfg(test)]
+use crate::manager::{Mutant, Twin};
+
 /// One write of the refresh on a wireless link's claim table.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ClaimWrite {
@@ -155,8 +158,14 @@ impl LinkPlan {
         &mut self,
         link: &mut LinkState,
         before: &mut Vec<(ResvClaim, u64)>,
+        #[cfg(test)] twin: Twin,
     ) -> bool {
-        if self.ran_noop && self.ran_rev == Some(link.revision()) && self.as_ran() {
+        let (noop, same_rev) = (self.ran_noop, self.ran_rev == Some(link.revision()));
+        #[cfg(test)]
+        let noop = noop || twin.is(Mutant::GuardWithoutNoOp);
+        #[cfg(test)]
+        let same_rev = same_rev || twin.is(Mutant::GuardIgnoresRevision);
+        if noop && same_rev && self.as_ran() {
             return false;
         }
         let sums = link.sum_bits();
@@ -275,10 +284,20 @@ impl Plans {
 
     /// The one apply step: every wireless link in cell order, each
     /// re-run or let stand by [`LinkPlan::apply`].
-    pub(crate) fn apply(&mut self, net: &mut Network, stats: &mut RefreshStats) {
+    pub(crate) fn apply(
+        &mut self,
+        net: &mut Network,
+        stats: &mut RefreshStats,
+        #[cfg(test)] twin: Twin,
+    ) {
         for (i, plan) in self.links.iter_mut().enumerate() {
             let wl = net.topology().wireless_link(CellId::from_index(i));
-            if plan.apply(net.link_mut(wl), &mut self.before) {
+            if plan.apply(
+                net.link_mut(wl),
+                &mut self.before,
+                #[cfg(test)]
+                twin,
+            ) {
                 stats.links_rerun += 1;
             } else {
                 stats.links_skipped += 1;

@@ -58,7 +58,7 @@ pub mod strategy;
 
 pub use claim_plan::RefreshStats;
 pub use error::ControlError;
-pub use manager::{ManagerConfig, ResourceManager, SLOT};
+pub use manager::{ManagerConfig, ResourceManager, MAX_EVENT_GAP, SLOT};
 pub use metrics::Metrics;
 pub use scenario::Scenario;
 pub use snapshot::{ManagerSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};

@@ -90,6 +90,15 @@ use crate::strategy::Strategy;
 /// width, so it is a constant, not a setting two configs must agree on.
 pub const SLOT: SimDuration = SimDuration::from_mins(1);
 
+/// The furthest an event may lie past the last one a server accepted:
+/// a year of slots. A server ticks at every [`SLOT`] boundary it
+/// crosses, so the cost of a step is linear in its length, and a step to
+/// `u64::MAX` ticks would never end; a server refuses a line further
+/// ahead than this instead. A year is far longer than any gap in a
+/// shipped stream (the office week's overnight gaps are hours), so it
+/// is a constant, not a setting.
+pub const MAX_EVENT_GAP: SimDuration = SimDuration::from_mins(365 * 24 * 60);
+
 /// Expected bandwidth per not-yet-seen user (kbps), used to size
 /// aggregate claims (meeting room, cafeteria, default): the §7.1
 /// workload mean, 0.75·16 + 0.25·64.
@@ -300,6 +309,8 @@ struct DispatchPass<'a> {
     /// Every portable's connections count as changed
     /// (`Network::drain_changed_portables`).
     all_changed: bool,
+    #[cfg(test)]
+    twin: Twin,
 }
 
 impl DispatchPass<'_> {
@@ -322,7 +333,17 @@ impl DispatchPass<'_> {
         }
         let zone_down = ResourceManager::zone_is_down(self.down_zones, self.profiles, cell);
         let cell_rev = self.cell_revs[cell.index()];
-        if t.dispatch_holds(mobile, floors_changed, zone_down, cell_rev) {
+        #[cfg(test)]
+        let cell_rev = match t.memo {
+            Some(m) if self.twin.is(Mutant::MemoIgnoresStamp) => m.cell_rev,
+            _ => cell_rev,
+        };
+        let holds = t.dispatch_holds(mobile, floors_changed, zone_down, cell_rev);
+        #[cfg(test)]
+        let holds = holds
+            || self.twin.is(Mutant::DispatchBlindToMobile)
+                && t.dispatch_holds(!mobile, floors_changed, zone_down, cell_rev);
+        if holds {
             if let Some(Dispatched::Decided(decision)) = t.dispatched {
                 self.emit_kept(p, decision);
             }
@@ -405,6 +426,10 @@ impl DispatchPass<'_> {
 
     /// Emit a kept decision as the dispatch would have.
     fn emit_kept(&mut self, p: PortableId, decision: ReservationDecision) {
+        #[cfg(test)]
+        if self.twin.is(Mutant::KeptDispatchUnemitted) {
+            return;
+        }
         let now = self.now;
         self.obs.emit_with(|| ObsEvent::ReservationDispatch {
             t: now,
@@ -588,19 +613,10 @@ pub struct ResourceManager {
     /// Work counters of the claim refresh, read through
     /// [`refresh_stats`](Self::refresh_stats).
     refresh_stats: RefreshStats,
-    /// Run the from-scratch reference refresh instead (the differential
-    /// test's twin manager).
+    /// Which body the twin tests run: production, a seeded mutant of
+    /// it, or a whole-table reference (`manager_reference.rs`).
     #[cfg(test)]
-    reference_refresh: bool,
-    /// Run the whole-table adaptation round instead, every live
-    /// connection a candidate (the round differential's twin manager).
-    #[cfg(test)]
-    reference_round: bool,
-    /// Re-sync every tracked portable's multicast branches at each slot
-    /// tick instead of retiring the settled ones' (the differential
-    /// test's twin manager).
-    #[cfg(test)]
-    reference_resync: bool,
+    twin: Twin,
     /// Connections force-dropped by channel fades (negative excess →
     /// re-negotiation, §5.3).
     pub channel_renegotiations: u64,
@@ -693,11 +709,7 @@ impl ResourceManager {
             route_scratch: Vec::new(),
             scratch: RefreshScratch::default(),
             #[cfg(test)]
-            reference_refresh: false,
-            #[cfg(test)]
-            reference_round: false,
-            #[cfg(test)]
-            reference_resync: false,
+            twin: Twin::Production,
             channel_renegotiations: 0,
             server_node,
             down_links: BTreeSet::new(),
@@ -834,11 +846,7 @@ impl ResourceManager {
             route_scratch: Vec::new(),
             scratch: RefreshScratch::default(),
             #[cfg(test)]
-            reference_refresh: false,
-            #[cfg(test)]
-            reference_round: false,
-            #[cfg(test)]
-            reference_resync: false,
+            twin: Twin::Production,
             channel_renegotiations: snap.channel_renegotiations,
             server_node: snap.server_node,
             down_links: snap.down_links,
@@ -936,6 +944,10 @@ impl ResourceManager {
     /// under its new cell's watch, which the next pass looks at.
     fn track(&mut self, p: PortableId, state: PortableState) {
         if let Some(old) = self.portables.insert(p, Tracked::new(state)) {
+            #[cfg(test)]
+            if self.twin.is(Mutant::MemoCarriedAcrossMove) {
+                self.portables.get_mut(&p).invariant("just tracked").memo = old.memo;
+            }
             let left = &mut self.watch[old.state.cell.index()].members;
             if let Ok(at) = left.binary_search(&p) {
                 left.remove(at);
@@ -944,6 +956,10 @@ impl ResourceManager {
         let w = &mut self.watch[state.cell.index()];
         if let Err(at) = w.members.binary_search(&p) {
             w.members.insert(at, p);
+        }
+        #[cfg(test)]
+        if self.twin.is(Mutant::ArrivalNotPending) {
+            return;
         }
         w.pending = true;
     }
@@ -1115,6 +1131,15 @@ impl ResourceManager {
                 .record_handoff(p, state.prev_cell, from, to, now);
             // `from`'s history just changed under every memo read there.
             self.cell_revs[from.index()] += 1;
+            #[cfg(test)]
+            match self.twin {
+                Twin::Mutant(Mutant::HandoffBumpsNoRevision) => self.cell_revs[from.index()] -= 1,
+                Twin::Mutant(Mutant::DestinationRevisionBumped) => {
+                    self.cell_revs[from.index()] -= 1;
+                    self.cell_revs[to.index()] += 1;
+                }
+                _ => {}
+            }
         }
         *self.slot_outflow.entry(from).or_insert(0) += 1;
         // Meeting-room arrival/departure counters.
@@ -1237,12 +1262,14 @@ impl ResourceManager {
     /// in ascending portable order and each portable's connections
     /// ascending: a ledger's running sums depend on the order of its
     /// releases, and this is the order a per-portable sweep makes them
-    /// in (`reference_resync_multicast`, the tests' oracle).
+    /// in (`reference_resync_multicast`, the `WholeTableAndResync` twin).
     fn retire_settled_branches(&mut self, now: SimTime) {
         #[cfg(test)]
-        if self.reference_resync {
+        if self.twin == Twin::WholeTableAndResync {
             return self.reference_resync_multicast(now);
         }
+        #[cfg(test)]
+        let now = now + SLOT * u64::from(self.twin.is(Mutant::RetireOneSlotEarly));
         if !self.cfg.multicast {
             return;
         }
@@ -1601,9 +1628,13 @@ impl ResourceManager {
             // The engine counters feed only the `MaxminRound` event.
             let before = self.obs.is_on().then_some(self.maxmin.stats);
             // Kept by the refresh above, at the same `now`.
+            #[cfg(test)]
+            if self.twin.is(Mutant::NoStaticsDiff) {
+                self.round_feed.statics.clone_from(&self.statics);
+            }
             self.round_feed.fill(&self.net, &self.statics);
             #[cfg(test)]
-            if self.reference_round {
+            if self.twin.whole_table() {
                 self.round_feed.conns = self.net.live_connections().map(|c| c.id).collect();
             }
             let statics = &self.statics;
@@ -1676,10 +1707,14 @@ impl ResourceManager {
         // and kept for the next adaptation round when rounds can run.
         let all_changed = self.net.drain_changed_portables(&mut self.scratch.changed);
         if self.cfg.resolve_excess {
+            #[cfg(test)]
+            if self.twin.is(Mutant::FeedForgetsNewNetwork) {
+                self.round_feed.all = false;
+            }
             self.round_feed.note(&self.scratch.changed, all_changed);
         }
         #[cfg(test)]
-        if self.reference_refresh {
+        if self.twin.whole_table() {
             self.collect_statics(now);
             return self.reference_refresh_claims(now);
         }
@@ -1717,7 +1752,12 @@ impl ResourceManager {
                 }
             }
         }
-        self.plans.apply(&mut self.net, &mut self.refresh_stats);
+        self.plans.apply(
+            &mut self.net,
+            &mut self.refresh_stats,
+            #[cfg(test)]
+            self.twin,
+        );
         self.obs.phase_end(Phase::ClaimRefresh, refresh_tok, now);
     }
 
@@ -1790,6 +1830,8 @@ impl ResourceManager {
             stats: refresh_stats,
             fallbacks: stale_profile_fallbacks,
             all_changed,
+            #[cfg(test)]
+            twin: self.twin,
         };
         // A portable is looked at once: with its due cell, or else for
         // its changed connections.
@@ -1823,7 +1865,7 @@ impl ResourceManager {
                 }
             }
         }
-        debug_assert_eq!(self.watch_is_exact(now), Ok(()));
+        debug_assert_eq!(self.watch_is_exact(now), Ok(()), "watch_is_exact");
         // Lounge class policies.
         self.plan_lounges(now);
         // B_dyn pools: every cell's largest static allocation, folded
@@ -2047,11 +2089,13 @@ impl ResourceManager {
 #[cfg(test)]
 #[path = "manager_reference.rs"]
 mod reference;
+#[cfg(test)]
+pub(crate) use reference::{Mutant, Twin};
 
 #[cfg(test)]
 #[path = "manager_tests.rs"]
 mod tests;
 
 #[cfg(test)]
-#[path = "manager_round_tests.rs"]
-mod round_tests;
+#[path = "manager_twins.rs"]
+mod twins;

@@ -1,22 +1,15 @@
+//! What a manager runs when it is not the production body ([`Twin`]).
+//!
 //! The claim refresh as it stood before the resident index, tallies,
-//! scratch and plans: wholesale — every manager-owned claim on every
-//! wireless link wiped and re-installed after every event — and every
-//! helper scans — the whole connection table per portable and per
-//! neighbour cell, the whole handoff history per prediction and per
-//! lounge row — and collects into fresh `Vec`s. Kept verbatim (names
-//! prefixed, the scans spelled out here because the scanning library
-//! calls are gone) as the oracle of the `tests::refresh_matches_*`
-//! differentials: a twin manager with `reference_refresh` set runs this
-//! body instead, and every link's claims must come out `to_bits`-identical
-//! after every event. [`reference_rewrite`] is its share on one link,
-//! the guarded apply step's oracle. Compiled for tests only, so nothing
-//! else can call it.
-//!
-//! Beside it, the slot tick's per-portable multicast re-sync
-//! ([`reference_resync_multicast`]), the oracle of
-//! `tests::retire_matches_the_full_resync_on_a_wide_backbone`.
-//!
-//! [`reference_resync_multicast`]: ResourceManager::reference_resync_multicast
+//! buffers and plans: every manager-owned claim on every wireless link
+//! wiped and re-installed after every event, every helper a scan of the
+//! whole connection table or handoff history, collected into fresh
+//! `Vec`s — kept verbatim, names prefixed. [`reference_rewrite`] is its
+//! share on one link. Beside it, the slot tick's per-portable multicast
+//! re-sync; the whole-table adaptation round is one line in
+//! `after_event`. And the seeded mutants ([`Mutant`]), each switched on
+//! at one site in `manager.rs` or `claim_plan.rs`. Compiled for tests
+//! only, so nothing else can call any of it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -109,22 +102,66 @@ pub(super) fn reference_rewrite(link: &mut LinkState, writes: &[ClaimWrite]) {
     }
 }
 
+/// Which body a manager runs (`manager_twins.rs`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Twin {
+    Production,
+    /// Production with one seeded fault.
+    Mutant(Mutant),
+    /// The scanning refresh and the whole-table adaptation round, every
+    /// live connection a candidate.
+    WholeTable,
+    /// [`Twin::WholeTable`], and the slot tick re-syncs every tracked
+    /// portable's branches instead of retiring the settled ones'. Parts
+    /// from production on the churn streams (DESIGN §11).
+    WholeTableAndResync,
+}
+
+impl Twin {
+    /// Is this the production body with the seeded fault `m`?
+    pub(crate) fn is(self, m: Mutant) -> bool {
+        self == Twin::Mutant(m)
+    }
+
+    /// Do the claim refresh and the adaptation round run whole-table?
+    pub(super) fn whole_table(self) -> bool {
+        matches!(self, Twin::WholeTable | Twin::WholeTableAndResync)
+    }
+}
+
+/// A seeded fault of an incremental path, each switched on at one site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Mutant {
+    /// The apply step's guard ignores the ledger revision.
+    GuardIgnoresRevision,
+    /// The guard skips a link whose last run was not a no-op.
+    GuardWithoutNoOp,
+    /// `Tracked::dispatch_holds` blind to a static↔mobile flip.
+    DispatchBlindToMobile,
+    /// A kept `ReservationDispatch` not emitted while obs records.
+    KeptDispatchUnemitted,
+    /// An arrival does not set its cell's `pending`.
+    ArrivalNotPending,
+    /// A dispatch memo held across a stamp move whatever level answered.
+    MemoIgnoresStamp,
+    /// A recorded handoff bumps no revision.
+    HandoffBumpsNoRevision,
+    /// The revision bumped for the destination cell, not the source.
+    DestinationRevisionBumped,
+    /// A memo carried across the portable's own move.
+    MemoCarriedAcrossMove,
+    /// The slot tick retires branches one slot early.
+    RetireOneSlotEarly,
+    /// The round's candidates omit the statics diff.
+    NoStaticsDiff,
+    /// `RoundFeed::all` dropped at a refresh that runs no round.
+    FeedForgetsNewNetwork,
+}
+
 impl ResourceManager {
-    /// Make this manager the differential test's reference twin.
-    pub(super) fn use_reference_refresh(&mut self) {
-        self.reference_refresh = true;
-    }
-
-    /// Make this manager the round differential's reference twin: its
-    /// adaptation rounds take every live connection, read off the table,
-    /// as a candidate.
-    pub(super) fn use_reference_round(&mut self) {
-        self.reference_round = true;
-    }
-
-    /// Make this manager the multicast differential's reference twin.
-    pub(super) fn use_reference_resync(&mut self) {
-        self.reference_resync = true;
+    /// Run `twin`'s body from the next event on.
+    pub(super) fn set_twin(&mut self, twin: Twin) {
+        self.twin = twin;
     }
 
     /// The slot tick's multicast pass as it stood before it only

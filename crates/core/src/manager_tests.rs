@@ -848,515 +848,6 @@ fn profile_outage_falls_back_to_even_spread_and_recovers() {
     assert!(mgr.net.check_invariants().is_ok());
 }
 
-// ----------------------------------------------------------------------
-// Refresh differential: production vs. the scanning reference
-// ----------------------------------------------------------------------
-
-/// One event of the differential's stream: `core/tests/chaos.rs`'s churn
-/// alphabet, plus the three events only the claim pipeline cares about.
-#[derive(Clone, Copy, Debug)]
-enum Churn {
-    Appear(u32, CellId),
-    Connect(u32, f64, f64),
-    Move(u32, CellId),
-    Terminate(u32),
-    Fade(CellId, f64),
-    FailWireless(CellId),
-    RestoreWireless(CellId),
-    SlotTick,
-    ProfilesDown(ZoneId),
-    ProfilesUp(ZoneId),
-    Renegotiate(u32, f64, f64),
-}
-
-/// `core/tests/chaos.rs::churn_schedule` draw for draw (same seeding
-/// population, same `rng.index(8)` alphabet) over `cells`, with a slot
-/// roll after every 7th drawn event, a profile-server outage opening
-/// after every 19th (the zones taking turns) and every outage closing
-/// after every 31st, and after every 23rd the drawn portable appearing
-/// again, in the drawn cell, while still tracked.
-fn churn_schedule(seed: u64, len: usize, cells: &[CellId], zones: u32) -> Vec<Churn> {
-    let mut rng = arm_sim::SimRng::new(seed);
-    let mut events = Vec::with_capacity(len);
-    for p in 0..6u32 {
-        let cell = cells[rng.index(cells.len())];
-        events.push(Churn::Appear(p, cell));
-        events.push(Churn::Connect(p, 100.0, 1600.0));
-    }
-    let mut drawn = 0usize;
-    while events.len() < len {
-        let p = rng.index(6) as u32;
-        let cell = cells[rng.index(cells.len())];
-        events.push(match rng.index(8) {
-            0 => Churn::Connect(p, rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0)),
-            1 => Churn::Move(p, cell),
-            2 => Churn::Terminate(p),
-            3 => Churn::Fade(cell, rng.uniform(0.3, 1.0)),
-            4 | 5 => Churn::FailWireless(cell),
-            _ => Churn::RestoreWireless(cell),
-        });
-        drawn += 1;
-        if drawn % 7 == 0 {
-            events.push(Churn::SlotTick);
-        }
-        if drawn % 19 == 0 {
-            events.push(Churn::ProfilesDown(ZoneId((drawn / 19) as u32 % zones)));
-        }
-        if drawn % 23 == 0 {
-            events.push(Churn::Appear(p, cell));
-        }
-        if drawn % 31 == 0 {
-            events.extend((0..zones).map(|z| Churn::ProfilesUp(ZoneId(z))));
-        }
-    }
-    events
-}
-
-/// Everything a refresh writes on one link, as bits.
-type LinkBits = (Vec<(ResvClaim, u64)>, u64, u64);
-
-fn ledger_bits(mgr: &ResourceManager) -> Vec<LinkBits> {
-    mgr.net
-        .links()
-        .map(|(_, l)| {
-            (
-                l.claims().map(|(k, v)| (k, v.to_bits())).collect(),
-                l.b_resv().to_bits(),
-                l.excess_available().to_bits(),
-            )
-        })
-        .collect()
-}
-
-/// Apply one event to a manager (both twins go through this).
-fn apply_churn(
-    mgr: &mut ResourceManager,
-    conns: &mut std::collections::BTreeMap<u32, ConnId>,
-    ev: Churn,
-    t: SimTime,
-) {
-    match ev {
-        Churn::Appear(p, cell) => mgr.portable_appears(PortableId(p), cell, t),
-        Churn::Connect(p, b_min, b_max) => {
-            let qos = QosRequest::bandwidth(b_min, b_max)
-                .with_delay(10.0)
-                .with_jitter(10.0)
-                .with_loss(1.0);
-            if let Ok(id) = mgr.request_connection(PortableId(p), qos, t) {
-                conns.insert(p, id);
-            }
-        }
-        Churn::Move(p, cell) => {
-            if mgr.portable_cell(PortableId(p)) != Some(cell) {
-                mgr.portable_moved(PortableId(p), cell, t);
-            }
-        }
-        Churn::Terminate(p) => {
-            if let Some(id) = conns.remove(&p) {
-                mgr.terminate(id, t);
-            }
-        }
-        Churn::Fade(cell, f) => {
-            mgr.channel_change(cell, f, t).expect("valid fraction");
-        }
-        Churn::FailWireless(cell) => {
-            let wl = mgr.net.topology().wireless_link(cell);
-            mgr.link_failed(wl, t);
-        }
-        Churn::RestoreWireless(cell) => {
-            let wl = mgr.net.topology().wireless_link(cell);
-            mgr.link_restored(wl, t);
-        }
-        Churn::SlotTick => mgr.slot_tick(t),
-        Churn::ProfilesDown(zone) => mgr.profile_server_down(zone, t),
-        Churn::ProfilesUp(zone) => mgr.profile_server_up(zone, t),
-        Churn::Renegotiate(p, b_min, b_max) => {
-            // The record may be gone: dropped in a handoff or a fade.
-            if let Some(&id) = conns.get(&p).filter(|id| mgr.net.get(**id).is_some()) {
-                let qos = QosRequest::bandwidth(b_min, b_max)
-                    .with_delay(10.0)
-                    .with_jitter(10.0)
-                    .with_loss(1.0);
-                // A refusal keeps the old bounds; either way both twins
-                // see the same outcome.
-                let _ = mgr.renegotiate(id, qos, t);
-            }
-        }
-    }
-}
-
-/// An obs stream with each `MaxminRound`'s work counters blanked: the
-/// restored twin's engine — a cache — starts cold, so how many
-/// connections a round re-solved or reused (not whether it ran, nor
-/// what it decided) is the one thing the mid-stream restore may change.
-fn rounds_uncounted(events: Vec<ObsEvent>) -> Vec<ObsEvent> {
-    let uncounted = |ev| match ev {
-        ObsEvent::MaxminRound { t, cause, .. } => ObsEvent::MaxminRound {
-            t,
-            conns_resolved: 0,
-            conns_reused: 0,
-            cause,
-        },
-        other => other,
-    };
-    events.into_iter().map(uncounted).collect()
-}
-
-/// The production refresh (portable index, history tallies, dispatch
-/// memos, resident scratch, one `B_dyn` sweep) against the scanning
-/// reference kept in `manager_reference.rs` — which recomputes every
-/// prediction on every refresh, so it is the memo's oracle — on twin
-/// managers fed the chaos churn streams: after **every** event each
-/// link's claim map, `b_resv` and `excess_available` are the same bits,
-/// and at the end the two obs streams — every `ReservationDispatch`
-/// among them — are equal event for event (see [`rounds_uncounted`]). Every strategy arm, `B_dyn`
-/// on and off, eight seeds, on the Figure 4 floor (offices and
-/// corridors: per-connection claims, occupant rules), on the same floor
-/// cut into two zones (moves land anywhere, so profiles cross the
-/// boundary and either side's server goes out) and on a small wing
-/// (meeting room with a booking, cafeteria, default lounge: the class
-/// policies and their rows). Events are 4 s apart against a 40 s `T_th`,
-/// so portables cross between mobile and static throughout. Half way
-/// through each stream the production twin is replaced by its own
-/// `snapshot → to_json → from_json → restore`: from there a manager with
-/// no memos runs against a reference that never stopped.
-#[test]
-fn refresh_matches_the_scanning_reference() {
-    use arm_obs::Obs;
-    let f4 = Figure4::build();
-    let wing = arm_mobility::environment::office_wing(3);
-    let meeting = wing
-        .cells()
-        .find(|(_, c)| c.class == CellClass::Lounge(LoungeKind::MeetingRoom))
-        .map(|(id, _)| id)
-        .expect("the wing has a meeting room");
-    let mut zoned = f4.env.clone();
-    for cell in [f4.b, f4.e, f4.f, f4.g] {
-        zoned.set_zone(cell, ZoneId(1));
-    }
-    let floors: [(&str, &IndoorEnvironment, u32); 3] = [
-        ("figure4", &f4.env, 1),
-        ("two-zones", &zoned, 2),
-        ("wing", &wing, 1),
-    ];
-    let strategies = [
-        Strategy::None,
-        Strategy::Paper,
-        Strategy::BruteForce,
-        Strategy::Aggregate,
-        Strategy::StaticFraction(0.1),
-    ];
-    let mut dispatches = 0u64;
-    let mut fallbacks = 0u64;
-    let mut claims_seen = 0usize;
-    for (floor, env, zones) in floors {
-        let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
-        for strategy in strategies {
-            for dyn_pool in [Some(DynPoolPolicy::default()), None] {
-                for seed in 0..8u64 {
-                    let twin = |reference: bool| {
-                        let net = env.build_network(1600.0, 0.0, 100_000.0);
-                        let cfg = ManagerConfig {
-                            strategy,
-                            dyn_pool,
-                            resolve_excess: true,
-                            t_th: SimDuration::from_secs(40),
-                            ..Default::default()
-                        };
-                        let mut mgr = ResourceManager::new(env.clone(), net, cfg);
-                        if floor == "wing" {
-                            let mut cal = BookingCalendar::new();
-                            cal.book(Meeting {
-                                t_start: SimTime::from_secs(90),
-                                t_end: SimTime::from_secs(300),
-                                expected: 5,
-                            });
-                            mgr.set_calendar(meeting, cal);
-                        }
-                        mgr.set_obs(Obs::recording(1 << 16));
-                        if reference {
-                            mgr.use_reference_refresh();
-                        }
-                        mgr
-                    };
-                    let (mut live, mut reference) = (twin(false), twin(true));
-                    let (mut live_conns, mut ref_conns) = Default::default();
-                    let schedule = churn_schedule(seed, 90, &cells, zones);
-                    for (k, ev) in schedule.into_iter().enumerate() {
-                        let t = SimTime::from_secs(4 * (k as u64 + 1));
-                        if k == 45 {
-                            let json = live.snapshot().to_json().expect("snapshot serializes");
-                            let snap = ManagerSnapshot::from_json(&json).expect("snapshot parses");
-                            live = ResourceManager::restore(snap, live.take_obs())
-                                .expect("a live manager's snapshot restores");
-                        }
-                        apply_churn(&mut live, &mut live_conns, ev, t);
-                        apply_churn(&mut reference, &mut ref_conns, ev, t);
-                        let ctx = format!(
-                            "{floor} {strategy:?} dyn_pool={} seed {seed} event {k}: {ev:?}",
-                            dyn_pool.is_some()
-                        );
-                        let bits = ledger_bits(&live);
-                        assert_eq!(bits, ledger_bits(&reference), "{ctx}");
-                        assert!(live.net.check_invariants().is_ok(), "{ctx}");
-                        claims_seen += bits
-                            .iter()
-                            .map(|(claims, _, _)| claims.len())
-                            .sum::<usize>();
-                    }
-                    assert_eq!(live_conns, ref_conns);
-                    let (a, b) = (live.take_obs(), reference.take_obs());
-                    let (ea, eb) = (
-                        rounds_uncounted(a.snapshot_events()),
-                        rounds_uncounted(b.snapshot_events()),
-                    );
-                    let differ = ea.iter().zip(&eb).find(|(x, y)| x != y);
-                    assert_eq!(differ, None, "{floor} {strategy:?} seed {seed}");
-                    assert_eq!(ea.len(), eb.len(), "{floor} {strategy:?} seed {seed}");
-                    dispatches += a.count(arm_obs::EventKind::ReservationDispatch);
-                    assert_eq!(
-                        format!("{:?}", live.metrics.summary()),
-                        format!("{:?}", reference.metrics.summary())
-                    );
-                    assert_eq!(
-                        live.stale_profile_fallbacks,
-                        reference.stale_profile_fallbacks
-                    );
-                    fallbacks += live.stale_profile_fallbacks;
-                }
-            }
-        }
-    }
-    // The streams did reach the paths under test.
-    eprintln!("dispatches {dispatches} fallbacks {fallbacks} claims {claims_seen}");
-    assert!(dispatches > 1000, "only {dispatches} dispatches observed");
-    assert!(fallbacks > 100, "only {fallbacks} stale-profile fallbacks");
-    assert!(claims_seen > 10_000, "only {claims_seen} claims observed");
-}
-
-/// Drive a production manager and its reference twin (`make(false)`,
-/// `make(true)`) through `schedule`, comparing every link's claims,
-/// `b_resv` and excess with `to_bits` after every event; just before
-/// event `restore_at` the production twin is replaced by its own
-/// `snapshot → to_json → from_json → restore`. At the end the obs
-/// streams, the metrics and the stale-profile fallbacks must agree too.
-/// Returns the production twin's `ReservationDispatch` count.
-fn assert_twins_agree(
-    make: &dyn Fn(bool) -> ResourceManager,
-    schedule: &[(SimTime, Churn)],
-    restore_at: usize,
-    ctx: &str,
-) -> u64 {
-    let (mut live, mut reference) = (make(false), make(true));
-    let (mut live_conns, mut ref_conns) = Default::default();
-    for (k, &(t, ev)) in schedule.iter().enumerate() {
-        if k == restore_at {
-            let json = live.snapshot().to_json().expect("snapshot serializes");
-            let snap = ManagerSnapshot::from_json(&json).expect("snapshot parses");
-            live = ResourceManager::restore(snap, live.take_obs())
-                .expect("a live manager's snapshot restores");
-        }
-        apply_churn(&mut live, &mut live_conns, ev, t);
-        apply_churn(&mut reference, &mut ref_conns, ev, t);
-        assert_eq!(
-            ledger_bits(&live),
-            ledger_bits(&reference),
-            "{ctx} event {k}: {ev:?}"
-        );
-        assert!(live.net.check_invariants().is_ok(), "{ctx} event {k}");
-    }
-    assert_eq!(live_conns, ref_conns, "{ctx}");
-    let (a, b) = (live.take_obs(), reference.take_obs());
-    let (ea, eb) = (
-        rounds_uncounted(a.snapshot_events()),
-        rounds_uncounted(b.snapshot_events()),
-    );
-    let differ = ea.iter().zip(&eb).position(|(x, y)| x != y);
-    assert_eq!(differ, None, "{ctx}: obs streams part");
-    assert_eq!(ea.len(), eb.len(), "{ctx}");
-    assert_eq!(
-        format!("{:?}", live.metrics.summary()),
-        format!("{:?}", reference.metrics.summary()),
-        "{ctx}"
-    );
-    assert_eq!(
-        live.stale_profile_fallbacks, reference.stale_profile_fallbacks,
-        "{ctx}"
-    );
-    a.count(arm_obs::EventKind::ReservationDispatch)
-}
-
-/// [`churn_schedule`] with a re-negotiation after every 5th event: a
-/// drawn portable asks for new bounds on its open connection, so floors
-/// change under a portable that neither moved nor connected — through
-/// `Network::get_mut` alone.
-fn churn_with_renegotiation(seed: u64, len: usize, cells: &[CellId], zones: u32) -> Vec<Churn> {
-    let mut rng = arm_sim::SimRng::new(seed).split("renegotiation");
-    let mut events = Vec::with_capacity(len + len / 5);
-    for (k, ev) in churn_schedule(seed, len, cells, zones)
-        .into_iter()
-        .enumerate()
-    {
-        events.push(ev);
-        if k % 5 == 4 {
-            events.push(Churn::Renegotiate(
-                rng.index(6) as u32,
-                rng.uniform(50.0, 400.0),
-                rng.uniform(400.0, 1600.0),
-            ));
-        }
-    }
-    events
-}
-
-/// [`refresh_matches_the_scanning_reference`]'s twins, every strategy,
-/// `B_dyn` on and off, on the Figure 4 floor, the same floor in two
-/// zones and the small wing, fed [`churn_with_renegotiation`]: a
-/// portable whose floors change without a move or a new connection is
-/// dispatched again.
-#[test]
-fn refresh_matches_the_reference_under_renegotiation() {
-    use arm_obs::Obs;
-    let f4 = Figure4::build();
-    let wing = arm_mobility::environment::office_wing(3);
-    let mut zoned = f4.env.clone();
-    for cell in [f4.b, f4.e, f4.f, f4.g] {
-        zoned.set_zone(cell, ZoneId(1));
-    }
-    let floors: [(&str, &IndoorEnvironment, u32); 3] = [
-        ("figure4", &f4.env, 1),
-        ("two-zones", &zoned, 2),
-        ("wing", &wing, 1),
-    ];
-    let mut dispatches = 0;
-    for (floor, env, zones) in floors {
-        let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
-        for strategy in [
-            Strategy::None,
-            Strategy::Paper,
-            Strategy::BruteForce,
-            Strategy::Aggregate,
-            Strategy::StaticFraction(0.1),
-        ] {
-            for dyn_pool in [Some(DynPoolPolicy::default()), None] {
-                for seed in 0..6u64 {
-                    let make = |reference: bool| {
-                        let net = env.build_network(1600.0, 0.0, 100_000.0);
-                        let cfg = ManagerConfig {
-                            strategy,
-                            dyn_pool,
-                            resolve_excess: true,
-                            t_th: SimDuration::from_secs(40),
-                            ..Default::default()
-                        };
-                        let mut mgr = ResourceManager::new(env.clone(), net, cfg);
-                        mgr.set_obs(Obs::recording(1 << 16));
-                        if reference {
-                            mgr.use_reference_refresh();
-                        }
-                        mgr
-                    };
-                    let schedule: Vec<(SimTime, Churn)> =
-                        churn_with_renegotiation(seed, 90, &cells, zones)
-                            .into_iter()
-                            .enumerate()
-                            .map(|(k, ev)| (SimTime::from_secs(4 * (k as u64 + 1)), ev))
-                            .collect();
-                    let ctx = format!(
-                        "{floor} {strategy:?} dyn_pool={} seed {seed}",
-                        dyn_pool.is_some()
-                    );
-                    dispatches += assert_twins_agree(&make, &schedule, 50, &ctx);
-                }
-            }
-        }
-    }
-    assert!(dispatches > 1000, "only {dispatches} dispatches observed");
-}
-
-/// The differential at the benchmark's scale: `wing_rush`'s floor
-/// (`office_wing(30)`, 63 cells) and its 240 random walkers over 40
-/// minutes, the paper strategy with `B_dyn` on and off, 16 seeds, the
-/// observer off (the production path), the production twin restored
-/// from its own snapshot half way. Beside the trace's appearances and
-/// moves and the slot ticks, a drawn portable re-negotiates after every
-/// 37th event and hangs up after every 53rd, the moved-to cell fades
-/// after every 211th, and zone 0's profile server is out for one stretch
-/// of 200 events. Slow against the scanning reference in a debug build:
-/// `cargo test --release -p arm-core --lib -- --ignored`.
-#[test]
-#[ignore = "benchmark scale; run in release"]
-fn refresh_matches_the_reference_at_benchmark_scale() {
-    use crate::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-    for dyn_pool in [Some(DynPoolPolicy::default()), None] {
-        for seed in 0..16u64 {
-            let sc = Scenario {
-                name: "wide-differential".into(),
-                environment: EnvSpec::OfficeWing { offices: 30 },
-                mobility: MobilitySpec::RandomWalk {
-                    population: 240,
-                    mean_dwell_secs: 120,
-                    span_mins: 40,
-                },
-                workload: WorkloadSpec::Paper71,
-                strategy: Strategy::Paper,
-                cell_throughput_kbps: 400.0,
-                backbone_kbps: 100_000.0,
-                wireless_error: 0.0,
-                t_th_secs: 300,
-                seed,
-            };
-            let make = |reference: bool| {
-                let (mut mgr, _) = scenario::build_manager(&sc).expect("valid scenario");
-                mgr.cfg.dyn_pool = dyn_pool;
-                if reference {
-                    mgr.use_reference_refresh();
-                }
-                mgr
-            };
-            let (_, trace) = scenario::build_manager(&sc).expect("valid scenario");
-            let mut rng = arm_sim::SimRng::new(seed).split("wide-differential");
-            let mix = arm_mobility::WorkloadMix::paper71();
-            let mut schedule = Vec::new();
-            let mut next_slot = SimTime::ZERO + SLOT;
-            for (k, ev) in trace.events().iter().enumerate() {
-                while ev.time >= next_slot {
-                    schedule.push((next_slot, Churn::SlotTick));
-                    next_slot += SLOT;
-                }
-                let p = ev.portable.0;
-                match ev.from {
-                    None => {
-                        let q = mix.sample(&mut rng);
-                        schedule.push((ev.time, Churn::Appear(p, ev.to)));
-                        schedule.push((ev.time, Churn::Connect(p, q.b_min, q.b_max)));
-                    }
-                    Some(_) => schedule.push((ev.time, Churn::Move(p, ev.to))),
-                }
-                let drawn = rng.index(240) as u32;
-                if k % 37 == 36 {
-                    let b = rng.uniform(8.0, 96.0);
-                    schedule.push((ev.time, Churn::Renegotiate(drawn, b, b)));
-                }
-                if k % 53 == 52 {
-                    schedule.push((ev.time, Churn::Terminate(drawn)));
-                }
-                if k % 211 == 210 {
-                    schedule.push((ev.time, Churn::Fade(ev.to, rng.uniform(0.5, 1.0))));
-                }
-                if k == 1000 {
-                    schedule.push((ev.time, Churn::ProfilesDown(ZoneId(0))));
-                }
-                if k == 1200 {
-                    schedule.push((ev.time, Churn::ProfilesUp(ZoneId(0))));
-                }
-            }
-            let ctx = format!("wing seed {seed} dyn_pool={}", dyn_pool.is_some());
-            assert_twins_agree(&make, &schedule, schedule.len() / 2, &ctx);
-        }
-    }
-}
-
 /// The guard's third condition, on a hand-built link where it is the
 /// only one that matters. A `Channel` claim of 0.1 and a plan of three
 /// `Cell` spreads — 0.1, 0.6, 0.9 — whose wipe-and-replay moves `b_resv`
@@ -1387,7 +878,7 @@ fn the_no_op_guard_reruns_until_a_run_changes_nothing() {
         for w in writes {
             plan.push(w);
         }
-        reran.push(plan.apply(&mut guarded, &mut scratch));
+        reran.push(plan.apply(&mut guarded, &mut scratch, Twin::Production));
         super::reference::reference_rewrite(&mut wholesale, &writes);
         assert_eq!(bits(&guarded), bits(&wholesale), "refresh {step}");
         resv.push(guarded.b_resv().to_bits());
@@ -1401,7 +892,7 @@ fn the_no_op_guard_reruns_until_a_run_changes_nothing() {
     for w in writes {
         plan.push(w);
     }
-    assert!(plan.apply(&mut guarded, &mut scratch));
+    assert!(plan.apply(&mut guarded, &mut scratch, Twin::Production));
 }
 
 /// The floors the route tables are proved on: the Figure 4 office, the
@@ -1613,99 +1104,6 @@ fn wired_revisions(mgr: &ResourceManager) -> Vec<arm_net::link::Revision> {
         .collect()
 }
 
-/// The slot tick that only retires the settled portables' branches
-/// against the per-portable re-sync it replaced (a twin manager with
-/// `reference_resync` set), on the office week and the `wing_rush` wing
-/// at seeds 42 and 7, replayed the way the scenario driver does
-/// (appear and request, move, slot ticks): on a backbone wide enough
-/// that no branch is refused, after **every** event, ticks included,
-/// the two `MulticastState`s are equal, and so is every wired link's
-/// claim table and running sums, bit for bit. The re-sync tore every
-/// mobile portable's branches down and admitted them again at each
-/// tick; with room for all of them, that changed nothing.
-#[test]
-fn retire_matches_the_full_resync_on_a_wide_backbone() {
-    use crate::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-    use arm_mobility::WorkloadMix;
-    use arm_sim::SimRng;
-
-    let office = |seed| Scenario {
-        name: "retire-office".into(),
-        environment: EnvSpec::Figure4,
-        mobility: MobilitySpec::OfficeCase,
-        workload: WorkloadSpec::Paper71,
-        strategy: Strategy::Paper,
-        cell_throughput_kbps: 1600.0,
-        backbone_kbps: 100_000.0,
-        wireless_error: 0.0,
-        t_th_secs: 300,
-        seed,
-    };
-    let wing = |seed| Scenario {
-        name: "retire-wing".into(),
-        environment: EnvSpec::OfficeWing { offices: 30 },
-        mobility: MobilitySpec::RandomWalk {
-            population: 240,
-            mean_dwell_secs: 120,
-            span_mins: 40,
-        },
-        cell_throughput_kbps: 400.0,
-        ..office(seed)
-    };
-    for sc in [office(42), office(7), wing(42), wing(7)] {
-        let ctx = format!("{} seed {}", sc.name, sc.seed);
-        let (mut live, trace) = scenario::build_manager(&sc).expect("valid scenario");
-        let (mut reference, _) = scenario::build_manager(&sc).expect("valid scenario");
-        reference.use_reference_resync();
-        let mut rng = SimRng::new(sc.seed).split("scenario-workload");
-        let mix = WorkloadMix::paper71();
-        let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
-        let (mut retired, mut peak) = (0usize, 0usize);
-        let mut agree = |live: &ResourceManager, reference: &ResourceManager, what: &str| {
-            assert_eq!(live.multicast, reference.multicast, "{ctx}: {what}");
-            assert_eq!(wired_bits(live), wired_bits(reference), "{ctx}: {what}");
-            peak = peak.max(live.multicast.active_branches);
-        };
-        for ev in trace.events() {
-            while ev.time >= next_slot {
-                let before = live.multicast.active_branches;
-                live.slot_tick(next_slot);
-                reference.slot_tick(next_slot);
-                retired += before - live.multicast.active_branches;
-                agree(&live, &reference, &format!("tick {next_slot:?}"));
-                next_slot += SimDuration::from_mins(1);
-            }
-            match ev.from {
-                None => {
-                    let q = mix.sample(&mut rng);
-                    for mgr in [&mut live, &mut reference] {
-                        mgr.portable_appears(ev.portable, ev.to, ev.time);
-                        let _ = mgr.request_connection(ev.portable, q, ev.time);
-                    }
-                }
-                Some(_) => {
-                    let dropped = live.portable_moved(ev.portable, ev.to, ev.time);
-                    assert_eq!(
-                        dropped,
-                        reference.portable_moved(ev.portable, ev.to, ev.time)
-                    );
-                }
-            }
-            agree(&live, &reference, &format!("{ev:?}"));
-        }
-        assert_eq!(
-            live.multicast.failed_branches, 0,
-            "{ctx}: the backbone is wide"
-        );
-        // The streams reached the paths under test.
-        assert!(peak > 50, "{ctx}: at most {peak} branches at once");
-        assert!(
-            retired > 50,
-            "{ctx}: only {retired} branches retired at a tick"
-        );
-    }
-}
-
 /// The behaviour the retiring tick changes, on a backbone that cannot
 /// carry every branch: cell A's base station is wired to nothing, so a
 /// branch toward A is refused whenever it is set up. The refusal stands
@@ -1729,7 +1127,7 @@ fn a_refused_branch_waits_for_the_next_handoff() {
         let mut mgr =
             ResourceManager::new(f4.env.clone(), Network::new(topo), ManagerConfig::default());
         if reference {
-            mgr.use_reference_resync();
+            mgr.set_twin(Twin::WholeTableAndResync);
         }
         mgr
     };

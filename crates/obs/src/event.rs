@@ -153,8 +153,8 @@ pub enum ObsEvent {
         /// Sim-time of the last accepted event when the line arrived.
         t: SimTime,
         /// Stable reason slug (`malformed`, `non-finite`,
-        /// `negative-rate`, `out-of-order`, `unknown-entity`,
-        /// `invalid-parameter`).
+        /// `negative-rate`, `out-of-order`, `too-far-ahead`,
+        /// `unknown-entity`, `invalid-parameter`).
         reason: String,
         /// Human-readable detail (offending field or parser message).
         detail: String,

@@ -42,6 +42,14 @@ pub enum IngestError {
         /// The server's high-water mark (ticks).
         last_ticks: u64,
     },
+    /// The event lies more than [`arm_core::MAX_EVENT_GAP`] past the
+    /// high-water mark: ticking every slot up to it could take hours.
+    TooFarAhead {
+        /// The event's time (ticks).
+        event_ticks: u64,
+        /// The server's high-water mark (ticks).
+        last_ticks: u64,
+    },
     /// The event names a cell, link, zone, or portable the server does
     /// not know.
     UnknownEntity {
@@ -65,6 +73,7 @@ impl IngestError {
             IngestError::NonFinite { .. } => "non-finite",
             IngestError::NegativeRate { .. } => "negative-rate",
             IngestError::OutOfOrder { .. } => "out-of-order",
+            IngestError::TooFarAhead { .. } => "too-far-ahead",
             IngestError::UnknownEntity { .. } => "unknown-entity",
             IngestError::InvalidParameter { .. } => "invalid-parameter",
         }
@@ -85,6 +94,13 @@ impl fmt::Display for IngestError {
             } => write!(
                 f,
                 "event at tick {event_ticks} precedes high-water mark {last_ticks}"
+            ),
+            IngestError::TooFarAhead {
+                event_ticks,
+                last_ticks,
+            } => write!(
+                f,
+                "event at tick {event_ticks} is more than a year of slots past high-water mark {last_ticks}"
             ),
             IngestError::UnknownEntity { what } => write!(f, "unknown entity: {what}"),
             IngestError::InvalidParameter { detail } => write!(f, "invalid parameter: {detail}"),
@@ -145,7 +161,7 @@ mod tests {
 
     #[test]
     fn reasons_are_stable_slugs() {
-        let cases: [(IngestError, &str); 6] = [
+        let cases: [(IngestError, &str); 7] = [
             (IngestError::Malformed { detail: "x".into() }, "malformed"),
             (IngestError::NonFinite { what: "b_min_kbps" }, "non-finite"),
             (
@@ -161,6 +177,13 @@ mod tests {
                     last_ticks: 2,
                 },
                 "out-of-order",
+            ),
+            (
+                IngestError::TooFarAhead {
+                    event_ticks: 2,
+                    last_ticks: 1,
+                },
+                "too-far-ahead",
             ),
             (
                 IngestError::UnknownEntity {

@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 
 use arm_core::scenario::{build_manager, Scenario, WorkloadSpec};
 use arm_core::snapshot::decode_versioned;
-use arm_core::{ManagerSnapshot, ResourceManager, SnapshotError, SLOT};
+use arm_core::{ManagerSnapshot, ResourceManager, SnapshotError, MAX_EVENT_GAP, SLOT};
 use arm_mobility::WorkloadMix;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{ConnId, PortableId};
@@ -300,12 +300,19 @@ impl Server {
         self.mgr.net.connections_of_portable(p).next().map(|c| c.id)
     }
 
-    /// Semantic validation against the current state: time ordering,
-    /// entity bounds, rate sanity. Touches nothing.
+    /// Semantic validation against the current state: time ordering
+    /// (no step back, none further than [`MAX_EVENT_GAP`] ahead), entity
+    /// bounds, rate sanity. Touches nothing.
     fn validate(&self, ev: &ServerEvent) -> Result<(), IngestError> {
         let t = ev.time();
         if t < self.last_time {
             return Err(IngestError::OutOfOrder {
+                event_ticks: t.ticks(),
+                last_ticks: self.last_time.ticks(),
+            });
+        }
+        if t.since(self.last_time) > MAX_EVENT_GAP {
+            return Err(IngestError::TooFarAhead {
                 event_ticks: t.ticks(),
                 last_ticks: self.last_time.ticks(),
             });

@@ -468,3 +468,36 @@ fn a_move_to_the_portables_own_cell_is_refused() {
         image_less_rejections(&plain, 0)
     );
 }
+
+/// A line at the last tick there is used to run the slot loop forever:
+/// every tick up to it is a slot boundary to run, and the boundary
+/// after `SimTime::MAX` saturates back onto it. Such a line, and one
+/// just past a year of slots, are refused as too far ahead, at once,
+/// and change the server's image only in its rejection counter.
+#[test]
+fn a_line_at_the_end_of_time_is_refused_at_once() {
+    use arm_core::MAX_EVENT_GAP;
+    use std::time::{Duration, Instant};
+
+    let mut server = Server::new(cfg(9), Obs::off()).expect("valid scenario");
+    let pressure = |ticks| format!(r#"{{"QueuePressure":{{"t":{ticks},"on":false}}}}"#);
+    assert_eq!(server.ingest_line(&pressure(1000)), LineOutcome::Accepted);
+    let image = image_less_rejections(&server, 0);
+    let started = Instant::now();
+    for ticks in [u64::MAX, 1000 + MAX_EVENT_GAP.ticks() + 1] {
+        match server.ingest_line(&pressure(ticks)) {
+            LineOutcome::Rejected(e) => {
+                assert!(matches!(e, IngestError::TooFarAhead { .. }), "{e}");
+                assert_eq!(e.reason(), "too-far-ahead");
+            }
+            LineOutcome::Accepted => panic!("a line at tick {ticks} was accepted"),
+        }
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+    assert_eq!((server.accepted(), server.rejected()), (1, 2));
+    assert_eq!(image_less_rejections(&server, 2), image);
+}

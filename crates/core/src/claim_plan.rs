@@ -83,6 +83,11 @@ pub struct RefreshStats {
     /// Portables dispatched again (`Strategy::Paper`), stale-profile
     /// fallbacks included.
     pub redispatched: u64,
+    /// Portables the static set's keeper looked at, under every
+    /// strategy: each flip popped from its queue, and each portable of a
+    /// rebuild's scan (the first refresh after `new` or `restore`, or
+    /// one at an earlier instant than the last).
+    pub statics_looked: u64,
 }
 
 /// One wireless link's plan and what the link last ran.

@@ -26,7 +26,7 @@
 //! it — and hands them to one guarded apply step (`claim_plan`), which
 //! re-writes only the links whose plan or ledger changed since a run
 //! that changed nothing. In steady state a refresh allocates nothing.
-//! It reads five resident structures, the first three kept where their
+//! It reads six resident structures, the first three kept where their
 //! source lives:
 //!
 //! * `Network`'s per-portable connection index (derived from the
@@ -45,17 +45,20 @@
 //!   kept until an input of the dispatch changes — and per cell, its
 //!   tracked portables and what says when they must be looked at again
 //!   ([`CellWatch`]);
+//! * the portables static at the last refresh, and a queue of the
+//!   instants at which the mobile ones turn static ([`Statics`]);
 //! * every wireless link's plan, its per-portable part kept between
 //!   refreshes, and what the link last ran with the ledger revision that
 //!   run left (`claim_plan::Plans`).
 //!
 //! None of it is snapshotted: a restored manager re-dispatches every
-//! portable and re-runs every link at its first refresh. What else the
+//! portable, re-runs every link and rebuilds the static set by one scan
+//! at its first refresh. What else the
 //! manager keeps between events ([`RefreshScratch`]) is buffers only:
 //! every one is cleared before it is filled.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
@@ -151,6 +154,14 @@ impl PortableState {
     /// Has the portable dwelled in its current cell for at least `t_th`?
     fn is_static(&self, t_th: SimDuration, now: SimTime) -> bool {
         StaticMobileTest::new(t_th).is_static(self.entered_at, now)
+    }
+
+    /// The instant from which [`is_static`](Self::is_static) holds, at
+    /// or after `entered_at`: `None` when it lies past [`SimTime::MAX`],
+    /// so that the portable never turns static.
+    fn turns_static_at(&self, t_th: SimDuration) -> Option<SimTime> {
+        let ticks = self.entered_at.ticks().checked_add(t_th.ticks())?;
+        Some(SimTime::from_ticks(ticks))
     }
 }
 
@@ -254,21 +265,19 @@ impl Tracked {
 /// must look at them again. A portable whose cell is not looked at
 /// cannot need a dispatch: nothing arrived (a replaced `Tracked` entry
 /// always arrives somewhere), the cell's revision did not move, no
-/// member that was mobile has reached `T_th` yet, and the zone's profile
-/// server is up and was up. Derived from `portables` by
-/// `ResourceManager::track`, never snapshotted.
+/// member turned static, and the zone's profile server is up and was
+/// up. Derived from `portables` by `ResourceManager::track` and from the
+/// flips of [`Statics`], never snapshotted.
 #[derive(Debug)]
 struct CellWatch {
     /// Tracked portables in the cell, ascending.
     members: Vec<PortableId>,
     /// Look at the cell at the next pass whatever else holds: a member
-    /// arrived, or the zone's profile server was out at the last look.
+    /// arrived or turned static, or the zone's profile server was out at
+    /// the last look.
     pending: bool,
     /// `cell_revs[cell]` at the last look.
     seen_rev: u64,
-    /// The earliest instant at which a member that was mobile at its
-    /// last look turns static.
-    next_flip: SimTime,
     /// The current pass looks at the cell.
     due: bool,
 }
@@ -279,7 +288,6 @@ impl CellWatch {
             members: Vec::new(),
             pending: true,
             seen_rev: 0,
-            next_flip: SimTime::MAX,
             due: false,
         }
     }
@@ -290,7 +298,6 @@ impl CellWatch {
 /// `portables` at the same time (`ResourceManager::plan_paper`).
 struct DispatchPass<'a> {
     now: SimTime,
-    t_th: SimDuration,
     env: &'a IndoorEnvironment,
     profiles: &'a ZonedProfiles,
     net: &'a Network,
@@ -300,8 +307,9 @@ struct DispatchPass<'a> {
     changed: &'a [PortableId],
     obs: &'a mut Obs,
     plans: &'a mut Plans,
-    watch: &'a mut [CellWatch],
-    statics: &'a mut Vec<PortableId>,
+    watch: &'a [CellWatch],
+    /// The portables static at `now`, ascending (`Statics::list`).
+    statics: &'a [PortableId],
     floors: &'a mut Vec<(ConnId, f64)>,
     fresh: &'a mut Vec<(CellId, ClaimWrite)>,
     stats: &'a mut RefreshStats,
@@ -314,23 +322,11 @@ struct DispatchPass<'a> {
 }
 
 impl DispatchPass<'_> {
-    /// Look at `p`: keep `statics` and its cell's next flip current, and
-    /// dispatch it again unless its kept dispatch holds.
+    /// Look at `p`: dispatch it again unless its kept dispatch holds.
     fn look(&mut self, p: PortableId, t: &mut Tracked) {
         let cell = t.state.cell;
         let floors_changed = self.all_changed || self.changed.binary_search(&p).is_ok();
-        let mobile = !t.state.is_static(self.t_th, self.now);
-        match (self.statics.binary_search(&p), mobile) {
-            (Err(at), false) => self.statics.insert(at, p),
-            (Ok(at), true) => {
-                self.statics.remove(at);
-            }
-            _ => {}
-        }
-        if mobile {
-            let w = &mut self.watch[cell.index()];
-            w.next_flip = w.next_flip.min(t.state.entered_at + self.t_th);
-        }
+        let mobile = self.statics.binary_search(&p).is_err();
         let zone_down = ResourceManager::zone_is_down(self.down_zones, self.profiles, cell);
         let cell_rev = self.cell_revs[cell.index()];
         #[cfg(test)]
@@ -541,6 +537,29 @@ impl RoundFeed {
     }
 }
 
+/// The portables static at the last refresh's `now`, kept as they
+/// change rather than collected at every refresh (DESIGN §7). A
+/// portable's status changes at two kinds of instant only: where
+/// `ResourceManager::track` restarts its dwell clock, which takes it out
+/// of `list`, and where that dwell reaches `T_th`, which `flips` holds
+/// until a refresh reaches it. Derived, never snapshotted: the first
+/// refresh after `new` or `restore` rebuilds both by one scan
+/// (`ResourceManager::collect_statics`), as does a refresh at an earlier
+/// instant than the last, which may find statics mobile again.
+#[derive(Debug, Default)]
+struct Statics {
+    /// The portables static at `at`, ascending.
+    list: Vec<PortableId>,
+    /// `(entered_at + T_th, p)` of every track whose flip was not yet due
+    /// at `at`, ascending. Tracks come in time order and `T_th` is fixed,
+    /// so a new entry goes last; only one made after a refresh back in
+    /// time can go before others. An entry whose portable was tracked
+    /// again since is stale: its instant is no longer the portable's flip.
+    flips: VecDeque<(SimTime, PortableId)>,
+    /// The `now` of the last refresh; `None` until the first rebuild.
+    at: Option<SimTime>,
+}
+
 /// The integrated control plane.
 pub struct ResourceManager {
     /// The data plane (public for inspection by drivers and tests).
@@ -569,9 +588,10 @@ pub struct ResourceManager {
     slot_outflow: BTreeMap<CellId, u32>,
     /// §4 multicast branches per connection (public for inspection).
     pub multicast: MulticastState,
-    /// Per-wireless-link excess observed at the last adaptation round
-    /// (`b'_av,l(t⁻)` of eqn 2).
-    last_excess: BTreeMap<LinkId, f64>,
+    /// The excess each cell's wireless link had at the end of the last
+    /// adaptation round (`b'_av,l(t⁻)` of eqn 2), indexed by cell;
+    /// `None` before the first round. The snapshot keys it by link.
+    last_excess: Vec<Option<f64>>,
     /// Adaptation rounds actually run (eqn-2 triggered).
     pub adaptation_rounds: u64,
     /// Resident maxmin engine (public so drivers and tests can inspect
@@ -598,18 +618,15 @@ pub struct ResourceManager {
     /// Every wireless link's plan and last run. Derived, never
     /// snapshotted.
     plans: Plans,
-    /// Portables static at the last refresh's `now`, ascending: what the
-    /// `B_dyn` pass and the adaptation round that follows in the same
-    /// `after_event` read. The paper strategy's dispatch pass keeps it as
-    /// it looks at portables; the others collect it at every refresh.
-    /// Derived, never snapshotted.
-    statics: Vec<PortableId>,
+    /// Portables static at the last refresh's `now`, and when the mobile
+    /// ones turn static: what the dispatch pass, the `B_dyn` pass and the
+    /// adaptation round that follows in the same `after_event` read.
+    /// Kept by `track` and at the start of every refresh. Derived, never
+    /// snapshotted.
+    statics: Statics,
     /// Per cell (index = cell): its tracked portables and when the
     /// dispatch pass must look at them again. Derived, never snapshotted.
     watch: Vec<CellWatch>,
-    /// The `now` of the last dispatch pass: a pass at an earlier instant
-    /// looks at every cell, as portables may have turned mobile again.
-    last_pass: Option<SimTime>,
     /// Work counters of the claim refresh, read through
     /// [`refresh_stats`](Self::refresh_stats).
     refresh_stats: RefreshStats,
@@ -682,12 +699,12 @@ impl ResourceManager {
         let branch_legs = neighbor_legs(net.topology(), |c| env.neighbors(c));
         let cell_revs = vec![0; env.cell_count()];
         let plans = Plans::new(env.cell_count());
+        let last_excess = vec![None; env.cell_count()];
         ResourceManager {
             cell_revs,
             plans,
-            statics: Vec::new(),
+            statics: Statics::default(),
             watch: (0..env.cell_count()).map(|_| CellWatch::new()).collect(),
-            last_pass: None,
             refresh_stats: RefreshStats::default(),
             net,
             env,
@@ -700,7 +717,7 @@ impl ResourceManager {
             default_pred,
             slot_outflow: BTreeMap::new(),
             multicast: MulticastState::new(),
-            last_excess: BTreeMap::new(),
+            last_excess,
             adaptation_rounds: 0,
             maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
@@ -740,7 +757,8 @@ impl ResourceManager {
 
     /// What the claim refresh has done since this manager was built or
     /// restored: refreshes run, wireless links re-written and let stand,
-    /// portables re-dispatched.
+    /// portables re-dispatched, portables the static set's keeper looked
+    /// at.
     pub fn refresh_stats(&self) -> RefreshStats {
         self.refresh_stats
     }
@@ -767,6 +785,7 @@ impl ResourceManager {
     /// the maxmin cache).
     /// See `crate::snapshot` for the completeness/exactness contract.
     pub fn snapshot(&self) -> ManagerSnapshot {
+        let topo = self.net.topology();
         ManagerSnapshot {
             schema: crate::snapshot::SNAPSHOT_SCHEMA_VERSION,
             net: self.net.clone(),
@@ -780,7 +799,12 @@ impl ResourceManager {
             default_pred: self.default_pred.clone(),
             slot_outflow: self.slot_outflow.clone(),
             multicast: self.multicast.clone(),
-            last_excess: self.last_excess.clone(),
+            last_excess: self
+                .last_excess
+                .iter()
+                .enumerate()
+                .filter_map(|(i, v)| Some((topo.wireless_link(CellId::from_index(i)), (*v)?)))
+                .collect(),
             adaptation_rounds: self.adaptation_rounds,
             channel_renegotiations: self.channel_renegotiations,
             server_node: self.server_node,
@@ -819,12 +843,17 @@ impl ResourceManager {
                 w.members.push(*p);
             }
         }
+        // `validate` refused a key that is no cell's wireless link.
+        let mut last_excess = vec![None; snap.env.cell_count()];
+        for (l, excess) in &snap.last_excess {
+            let cell = snap.net.topology().link(*l).wireless_cell;
+            last_excess[cell.invariant("validated").index()] = Some(*excess);
+        }
         Ok(ResourceManager {
             cell_revs,
             plans,
-            statics: Vec::new(),
+            statics: Statics::default(),
             watch,
-            last_pass: None,
             refresh_stats: RefreshStats::default(),
             net: snap.net,
             env: snap.env,
@@ -837,7 +866,7 @@ impl ResourceManager {
             default_pred: snap.default_pred,
             slot_outflow: snap.slot_outflow,
             multicast: snap.multicast,
-            last_excess: snap.last_excess,
+            last_excess,
             adaptation_rounds: snap.adaptation_rounds,
             maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
@@ -880,23 +909,67 @@ impl ResourceManager {
             .is_some_and(|t| t.state.is_static(self.cfg.t_th, now))
     }
 
-    /// Collect every portable that is static at `now` into `statics`,
-    /// ascending, for the strategies whose refresh does not keep the
-    /// list as it goes (the paper's does). The adaptation round reads
-    /// the list twice: it diffs it against the last round's to find the
-    /// portables whose status flipped, and its pin and sync ask it of
-    /// each candidate connection. One scan of every portable per
-    /// refresh, the last whole-table term of a round under these
-    /// strategies.
+    /// Rebuild [`Statics`] at `now` by one scan of every portable: the
+    /// static ones into the list, ascending, and each mobile one's flip
+    /// into the queue. Run at the first refresh after `new` or
+    /// `restore` and at a refresh at an earlier instant than the last —
+    /// every other refresh only pops the flips that are due
+    /// ([`keep_statics`](Self::keep_statics)) — and, as the reference,
+    /// at every refresh of the whole-table twin.
     fn collect_statics(&mut self, now: SimTime) {
         let t_th = self.cfg.t_th;
-        self.statics.clear();
-        self.statics.extend(
-            self.portables
-                .iter()
-                .filter(|(_, t)| t.state.is_static(t_th, now))
-                .map(|(p, _)| *p),
-        );
+        let Statics { list, flips, at } = &mut self.statics;
+        list.clear();
+        flips.clear();
+        for (p, t) in &self.portables {
+            if t.state.is_static(t_th, now) {
+                list.push(*p);
+            } else if let Some(flip) = t.state.turns_static_at(t_th) {
+                flips.push_back((flip, *p));
+            }
+        }
+        flips.make_contiguous().sort_unstable();
+        *at = Some(now);
+        self.refresh_stats.statics_looked += self.portables.len() as u64;
+    }
+
+    /// Bring [`Statics`] from the last refresh's instant to `now`: pop
+    /// every flip due by `now`, add its portable to the list and mark its
+    /// cell's watch pending, unless the portable was tracked again since
+    /// (the entry is stale: `track` took it out, queued its new flip and
+    /// marked its new cell). Rebuilds instead, and says so, when there is
+    /// no last refresh or `now` is earlier than it.
+    fn keep_statics(&mut self, now: SimTime) -> bool {
+        if self.statics.at.map_or(true, |at| now < at) {
+            self.collect_statics(now);
+            return true;
+        }
+        let t_th = self.cfg.t_th;
+        let Statics { list, flips, at } = &mut self.statics;
+        *at = Some(now);
+        while let Some(&(flip, p)) = flips.front() {
+            if flip > now {
+                break;
+            }
+            flips.pop_front();
+            self.refresh_stats.statics_looked += 1;
+            let tracked = self.portables.get(&p);
+            let current = tracked.filter(|t| t.state.turns_static_at(t_th) == Some(flip));
+            #[cfg(test)]
+            let current = current.or(tracked.filter(|_| self.twin.is(Mutant::StaleFlipHonoured)));
+            if let Some(t) = current {
+                if let Err(at) = list.binary_search(&p) {
+                    list.insert(at, p);
+                }
+                // The dispatch pass looks at a portable that turned static.
+                #[cfg(test)]
+                if self.twin.is(Mutant::FlipNotPending) {
+                    continue;
+                }
+                self.watch[t.state.cell.index()].pending = true;
+            }
+        }
+        false
     }
 
     /// Run the Table 2 admission round trip for an installed connection
@@ -952,6 +1025,17 @@ impl ResourceManager {
             if let Ok(at) = left.binary_search(&p) {
                 left.remove(at);
             }
+        }
+        // Its dwell clock restarts: mobile until its flip.
+        let found = self.statics.list.binary_search(&p).ok();
+        #[cfg(test)]
+        let found = found.filter(|_| !self.twin.is(Mutant::TrackKeepsStatic));
+        if let Some(at) = found {
+            self.statics.list.remove(at);
+        }
+        if let Some(flip) = state.turns_static_at(self.cfg.t_th) {
+            let flips = &mut self.statics.flips;
+            flips.insert(flips.partition_point(|&(f, _)| f <= flip), (flip, p));
         }
         let w = &mut self.watch[state.cell.index()];
         if let Err(at) = w.members.binary_search(&p) {
@@ -1628,16 +1712,16 @@ impl ResourceManager {
             // The engine counters feed only the `MaxminRound` event.
             let before = self.obs.is_on().then_some(self.maxmin.stats);
             // Kept by the refresh above, at the same `now`.
+            let statics = &self.statics.list;
             #[cfg(test)]
             if self.twin.is(Mutant::NoStaticsDiff) {
-                self.round_feed.statics.clone_from(&self.statics);
+                self.round_feed.statics.clone_from(statics);
             }
-            self.round_feed.fill(&self.net, &self.statics);
+            self.round_feed.fill(&self.net, statics);
             #[cfg(test)]
             if self.twin.whole_table() {
                 self.round_feed.conns = self.net.live_connections().map(|c| c.id).collect();
             }
-            let statics = &self.statics;
             let is_static = |p: PortableId| statics.binary_search(&p).is_ok();
             arm_qos::conflict::resolve_network(
                 &mut self.net,
@@ -1659,8 +1743,7 @@ impl ResourceManager {
             // Record the post-round excess as eqn 2's t⁻ state.
             for (c, _) in self.env.cells() {
                 let wl = self.net.topology().wireless_link(c);
-                self.last_excess
-                    .insert(wl, self.net.link(wl).excess_available());
+                self.last_excess[c.index()] = Some(self.net.link(wl).excess_available());
             }
         }
         debug_assert!(self.net.check_invariants().is_ok());
@@ -1674,9 +1757,8 @@ impl ResourceManager {
         for (cell, _) in self.env.cells() {
             let wl = self.net.topology().wireless_link(cell);
             let new_excess = self.net.link(wl).excess_available();
-            let prev_excess = match self.last_excess.get(&wl) {
-                Some(v) => *v,
-                None => return true, // first sight of this link
+            let Some(prev_excess) = self.last_excess[cell.index()] else {
+                return true; // first sight of this link
             };
             let shares: f64 = self
                 .net
@@ -1718,12 +1800,9 @@ impl ResourceManager {
             self.collect_statics(now);
             return self.reference_refresh_claims(now);
         }
-        // The statics are for the `B_dyn` pass and for the adaptation
-        // round `after_event` may run next, at the same `now`; the
-        // paper's dispatch pass keeps them itself, inside the span.
-        if !matches!(self.cfg.strategy, Strategy::Paper) {
-            self.collect_statics(now);
-        }
+        // The statics are for the dispatch pass, the `B_dyn` pass and the
+        // adaptation round `after_event` may run next, at the same `now`.
+        let rebuilt = self.keep_statics(now);
         let refresh_tok = self.obs.phase_start(now);
         self.refresh_stats.refreshes += 1;
         self.plans.begin();
@@ -1740,7 +1819,7 @@ impl ResourceManager {
         }
         match self.cfg.strategy {
             Strategy::None => {}
-            Strategy::Paper => self.plan_paper(now, all_changed),
+            Strategy::Paper => self.plan_paper(now, all_changed, rebuilt),
             Strategy::BruteForce => self.plan_brute_force(),
             Strategy::Aggregate => self.plan_aggregate(),
             Strategy::StaticFraction(f) => {
@@ -1773,26 +1852,19 @@ impl ResourceManager {
     /// portable in ascending order and emits each kept decision, so the
     /// obs stream is that of a dispatch per portable. `all_changed`
     /// counts every portable's connections as changed, so every cell is
-    /// looked at.
-    fn plan_paper(&mut self, now: SimTime, all_changed: bool) {
-        // A pass at an earlier instant than the last may find statics
-        // mobile again: it looks at every cell.
-        let backwards = self.last_pass.is_some_and(|t| now < t);
-        self.last_pass = Some(now);
+    /// looked at. So is every cell after `rebuilt`, a rebuild of the
+    /// statics: at the first refresh, or at one at an earlier instant
+    /// than the last, which may find statics mobile again.
+    fn plan_paper(&mut self, now: SimTime, all_changed: bool, rebuilt: bool) {
         for (i, w) in self.watch.iter_mut().enumerate() {
             let zone_down =
                 Self::zone_is_down(&self.down_zones, &self.profiles, CellId::from_index(i));
-            w.due = all_changed
-                || backwards
-                || w.pending
-                || zone_down
-                || w.seen_rev != self.cell_revs[i]
-                || now >= w.next_flip;
+            w.due =
+                all_changed || rebuilt || w.pending || zone_down || w.seen_rev != self.cell_revs[i];
             if w.due {
                 // Looked at again once the zone's server is back.
                 w.pending = zone_down;
                 w.seen_rev = self.cell_revs[i];
-                w.next_flip = SimTime::MAX;
             }
         }
         let ResourceManager {
@@ -1800,7 +1872,6 @@ impl ResourceManager {
             env,
             profiles,
             net,
-            cfg,
             obs,
             plans,
             scratch,
@@ -1812,9 +1883,9 @@ impl ResourceManager {
             stale_profile_fallbacks,
             ..
         } = self;
+        let statics = &statics.list;
         let mut pass = DispatchPass {
             now,
-            t_th: cfg.t_th,
             env,
             profiles,
             net,
@@ -1845,15 +1916,10 @@ impl ResourceManager {
                 }
             }
         } else {
-            for i in 0..pass.watch.len() {
-                if !pass.watch[i].due {
-                    continue;
-                }
-                // By index: looking writes the watch's `next_flip`.
-                for k in 0..pass.watch[i].members.len() {
-                    let p = pass.watch[i].members[k];
-                    if let Some(t) = portables.get_mut(&p) {
-                        pass.look(p, t);
+            for w in pass.watch.iter().filter(|w| w.due) {
+                for p in &w.members {
+                    if let Some(t) = portables.get_mut(p) {
+                        pass.look(*p, t);
                     }
                 }
             }
@@ -1879,7 +1945,7 @@ impl ResourceManager {
             let static_max = &mut self.scratch.static_max;
             static_max.clear();
             static_max.resize(self.net.topology().cell_count(), 0.0);
-            for p in &self.statics {
+            for p in &self.statics.list {
                 for c in self.net.connections_of_portable(*p) {
                     let m = &mut static_max[c.cell.index()];
                     *m = m.max(c.b_current);
@@ -1913,9 +1979,12 @@ impl ResourceManager {
                 .filter(|(_, t)| t.state.is_static(t_th, now))
                 .map(|(p, _)| *p)
         };
-        if !statics().eq(self.statics.iter().copied()) {
+        if !statics().eq(self.statics.list.iter().copied()) {
             let statics: Vec<PortableId> = statics().collect();
-            return Err(format!("statics {:?}, kept {:?}", statics, self.statics));
+            return Err(format!(
+                "statics {:?}, kept {:?}",
+                statics, self.statics.list
+            ));
         }
         for (p, t) in &self.portables {
             let cell = t.state.cell;

@@ -156,6 +156,13 @@ pub(crate) enum Mutant {
     NoStaticsDiff,
     /// `RoundFeed::all` dropped at a refresh that runs no round.
     FeedForgetsNewNetwork,
+    /// The statics keeper honours a queued flip of a portable tracked
+    /// again since.
+    StaleFlipHonoured,
+    /// `track` leaves a static portable in the static set.
+    TrackKeepsStatic,
+    /// A portable's flip does not mark its cell's watch pending.
+    FlipNotPending,
 }
 
 impl ResourceManager {

@@ -1188,3 +1188,156 @@ fn a_refused_branch_waits_for_the_next_handoff() {
     assert_eq!(mgr.multicast.failed_branches, 2);
     assert!(mgr.net.check_invariants().is_ok());
 }
+
+// ----------------------------------------------------------------------
+// The static set's keeper, under a strategy with no dispatch pass
+// ----------------------------------------------------------------------
+
+/// A `Strategy::None` manager on Figure 4 with a `T_th` of 5 minutes.
+fn statics_manager(t_th: SimDuration) -> (ResourceManager, Figure4) {
+    let f4 = Figure4::build();
+    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
+    let cfg = ManagerConfig {
+        strategy: Strategy::None,
+        t_th,
+        ..Default::default()
+    };
+    (ResourceManager::new(f4.env.clone(), net, cfg), f4)
+}
+
+/// A refresh at an earlier instant than the last rebuilds the static set
+/// by one scan and finds a portable that was static mobile again; its
+/// flip is queued anew and due where it was.
+#[test]
+fn a_refresh_back_in_time_finds_statics_mobile_again() {
+    let (mut mgr, f4) = statics_manager(SimDuration::from_mins(5));
+    let p = PortableId(1);
+    mgr.portable_appears(p, f4.c, SimTime::from_mins(1));
+    mgr.slot_tick(SimTime::from_mins(7));
+    assert_eq!(mgr.statics.list, [p]);
+    assert!(mgr.statics.flips.is_empty());
+    // The first refresh's scan, then the flip popped at 7 min.
+    assert_eq!(mgr.refresh_stats().statics_looked, 2);
+    mgr.slot_tick(SimTime::from_mins(2));
+    assert!(mgr.statics.list.is_empty(), "static again back in time");
+    assert_eq!(mgr.statics.flips.len(), 1);
+    assert_eq!(mgr.refresh_stats().statics_looked, 3, "one rescan");
+    mgr.slot_tick(SimTime::from_mins(5));
+    assert!(mgr.statics.list.is_empty());
+    mgr.slot_tick(SimTime::from_mins(6));
+    assert_eq!(mgr.statics.list, [p]);
+    assert_eq!(mgr.refresh_stats().statics_looked, 4);
+    // After time went back, a track can flip before one queued earlier:
+    // `q` entered at 10 min is queued for 15, `r` at 3 min for 8.
+    let (q, r) = (PortableId(2), PortableId(3));
+    mgr.portable_appears(q, f4.d, SimTime::from_mins(10));
+    mgr.slot_tick(SimTime::from_mins(2));
+    mgr.portable_appears(r, f4.e, SimTime::from_mins(3));
+    mgr.slot_tick(SimTime::from_mins(8));
+    assert_eq!(mgr.statics.list, [p, r]);
+    mgr.slot_tick(SimTime::from_mins(15));
+    assert_eq!(mgr.statics.list, [p, q, r]);
+}
+
+/// A restored manager's first refresh rebuilds the static set by one
+/// scan and holds what the live manager kept; so does every later one.
+#[test]
+fn a_restored_manager_keeps_the_live_statics() {
+    let (mut mgr, f4) = statics_manager(SimDuration::from_mins(5));
+    for (k, cell) in [f4.a, f4.b, f4.c, f4.d].into_iter().enumerate() {
+        let at = SimTime::from_mins(2 * k as u64);
+        mgr.portable_appears(PortableId(k as u32), cell, at);
+    }
+    mgr.portable_moved(PortableId(0), f4.c, SimTime::from_mins(7));
+    let json = mgr.snapshot().to_json().expect("snapshot serializes");
+    let snap = ManagerSnapshot::from_json(&json).expect("snapshot parses");
+    let mut restored = ResourceManager::restore(snap, Obs::off()).expect("restores");
+    let (p0, p1, p2, p3) = (PortableId(0), PortableId(1), PortableId(2), PortableId(3));
+    for (mins, want) in [(9, vec![p1, p2]), (12, vec![p0, p1, p2, p3])] {
+        let t = SimTime::from_mins(mins);
+        mgr.slot_tick(t);
+        restored.slot_tick(t);
+        assert_eq!(mgr.statics.list, want, "at {mins} min");
+        assert_eq!(restored.statics.list, want, "restored, at {mins} min");
+    }
+    // One scan of four, then the flips of p3 and p0.
+    assert_eq!(restored.refresh_stats().statics_looked, 6);
+}
+
+/// A `T_th` so large that no portable's flip lies before the end of
+/// time queues nothing, and nothing turns static.
+#[test]
+fn no_flip_is_queued_that_never_falls_due() {
+    let forever = SimTime::MAX.since(SimTime::ZERO);
+    let (mut mgr, f4) = statics_manager(forever);
+    for k in 0..4u32 {
+        mgr.portable_appears(PortableId(k), f4.c, SimTime::from_secs(1 + u64::from(k)));
+    }
+    mgr.portable_moved(PortableId(0), f4.d, SimTime::from_mins(1));
+    mgr.slot_tick(SimTime::from_mins(60));
+    assert!(mgr.statics.flips.is_empty());
+    assert!(mgr.statics.list.is_empty());
+}
+
+/// After a steady random walk the queue holds no more entries than there
+/// were tracks within the last `T_th` — every older flip was popped —
+/// and the kept set is the scan's.
+#[test]
+fn the_flip_queue_holds_only_the_last_t_th_of_tracks() {
+    use arm_mobility::environment::office_wing;
+    use arm_mobility::models::random_walk::{self, RandomWalkParams};
+    use arm_sim::SimRng;
+
+    let t_th = SimDuration::from_mins(2);
+    let env = office_wing(4);
+    let net = env.build_network(1600.0, 0.0, 100_000.0);
+    let cfg = ManagerConfig {
+        strategy: Strategy::None,
+        t_th,
+        ..Default::default()
+    };
+    let params = RandomWalkParams {
+        population: 60,
+        mean_dwell: SimDuration::from_secs(90),
+        span: SimDuration::from_mins(30),
+        ..Default::default()
+    };
+    let trace = random_walk::generate(&env, &params, &mut SimRng::new(11));
+    let mut mgr = ResourceManager::new(env, net, cfg);
+    let mut next_slot = SimTime::ZERO + SLOT;
+    for ev in trace.events() {
+        while ev.time >= next_slot {
+            mgr.slot_tick(next_slot);
+            next_slot += SLOT;
+        }
+        match ev.from {
+            None => mgr.portable_appears(ev.portable, ev.to, ev.time),
+            Some(_) => {
+                mgr.portable_moved(ev.portable, ev.to, ev.time);
+            }
+        }
+    }
+    let now = trace.events().last().expect("a walk").time;
+    let recent = trace
+        .events()
+        .iter()
+        .filter(|ev| ev.time + t_th > now)
+        .count();
+    let queued = mgr.statics.flips.len();
+    assert!(queued > 0, "a steady walk keeps portables mobile");
+    assert!(
+        queued <= recent,
+        "{queued} flips queued, {recent} recent tracks"
+    );
+    let scan: Vec<PortableId> = mgr
+        .portables
+        .iter()
+        .filter(|(_, t)| t.state.is_static(t_th, now))
+        .map(|(p, _)| *p)
+        .collect();
+    assert!(!scan.is_empty(), "a steady walk has statics");
+    assert_eq!(mgr.statics.list, scan);
+    // Far fewer looks than a scan per refresh.
+    let stats = mgr.refresh_stats();
+    assert!(stats.statics_looked * 4 < stats.refreshes * 60, "{stats:?}");
+}

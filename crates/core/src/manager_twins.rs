@@ -480,7 +480,7 @@ fn trace_stream(
 /// `benchmark/src/gen.rs::adapt_rush`, smaller: 120 wanderers on a
 /// ten-office wing for 12 minutes with one adaptive connection each, a
 /// fade or recovery after every 4th trace event. Even seeds run no
-/// claims, odd seeds the paper's, whose dispatch pass keeps the statics.
+/// claims, odd seeds the paper's, whose dispatch pass reads the statics.
 fn rush(seed: u64) -> (impl Fn(Twin) -> ResourceManager, Vec<(SimTime, Op)>) {
     let env = office_wing(10);
     let params = RandomWalkParams {
@@ -859,6 +859,9 @@ fn every_mutant_is_caught() {
         (RetireOneSlotEarly, figure4(Strategy::Paper, 0), Divergence),
         (NoStaticsDiff, figure4(Strategy::Paper, 0), Divergence),
         (FeedForgetsNewNetwork, chaos, Divergence),
+        (StaleFlipHonoured, figure4(Strategy::None, 1), Divergence),
+        (TrackKeepsStatic, figure4(Strategy::None, 1), Divergence),
+        (FlipNotPending, figure4(Strategy::Paper, 0), DebugCheck),
     ];
     for (mutant, case, how) in cases {
         if how == DebugCheck && !cfg!(debug_assertions) {

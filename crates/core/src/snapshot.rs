@@ -151,6 +151,8 @@ pub struct ManagerSnapshot {
     pub(crate) default_pred: BTreeMap<CellId, OneStepMemory>,
     pub(crate) slot_outflow: BTreeMap<CellId, u32>,
     pub(crate) multicast: MulticastState,
+    /// Eqn 2's `t⁻` record, by wireless link; the manager keeps it by
+    /// cell, and `validate` refuses a key that is no cell's.
     pub(crate) last_excess: BTreeMap<LinkId, f64>,
     pub(crate) adaptation_rounds: u64,
     pub(crate) channel_renegotiations: u64,
@@ -226,7 +228,9 @@ impl ManagerSnapshot {
     }
 
     /// Validate internal consistency without building a manager: the
-    /// schema must match and the network ledgers must balance.
+    /// schema must match, the network ledgers must balance, and every
+    /// link eqn 2's `t⁻` record names must be some cell's wireless link
+    /// (the manager keeps the record by cell).
     pub fn validate(&self) -> Result<(), SnapshotError> {
         if self.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch {
@@ -234,6 +238,20 @@ impl ManagerSnapshot {
                 expected: SNAPSHOT_SCHEMA_VERSION,
             });
         }
-        self.net.check_invariants().map_err(SnapshotError::Invalid)
+        self.net
+            .check_invariants()
+            .map_err(SnapshotError::Invalid)?;
+        let topo = self.net.topology();
+        for l in self.last_excess.keys() {
+            let cell = (l.index() < topo.link_count())
+                .then(|| topo.link(*l).wireless_cell)
+                .flatten();
+            if !cell.is_some_and(|c| c.index() < self.env.cell_count()) {
+                return Err(SnapshotError::Invalid(format!(
+                    "last_excess names {l}, which is no cell's wireless link"
+                )));
+            }
+        }
+        Ok(())
     }
 }

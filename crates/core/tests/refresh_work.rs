@@ -88,6 +88,7 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
             links_rerun: 15_692,
             links_skipped: 258_736,
             redispatched: 13_519,
+            statics_looked: 3_535,
         }
     );
     assert_eq!(
@@ -120,6 +121,7 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
             links_rerun: cells,
             links_skipped: 0,
             redispatched: tracked,
+            statics_looked: tracked,
         }
     );
     assert_eq!(wireless_bits(&restored), wireless_bits(&mgr));

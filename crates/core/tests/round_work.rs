@@ -8,6 +8,10 @@
 //! pinned here, with the engine's re-fill counters, which must not move
 //! when the walk shrinks: the same upserts reach the engine in the same
 //! order.
+//!
+//! So is what the static set those rounds read cost to keep: the flips
+//! its keeper popped and the one scan of its first refresh, beside the
+//! scan of every tracked portable at every refresh that it replaces.
 
 use std::collections::BTreeMap;
 
@@ -27,13 +31,18 @@ const WHOLE_TABLE_CONNS: u64 = 566_411;
 const INCREMENTAL_SOLVES: u64 = 3_374;
 const CACHE_HITS: u64 = 6;
 const CONNS_RESOLVED: u64 = 4_378;
+/// Portables the static set's keeper looked at (`RefreshStats`).
+const STATICS_LOOKED: u64 = 2_103;
+/// What a scan per refresh looked at: every tracked portable at each.
+const WHOLE_SCAN_PORTABLES: u64 = 648_347;
 
 /// `benchmark/src/gen.rs::adapt_rush` at a fifth of its population,
 /// seed 42: wanderers on a ten-office wing, each with one adaptive
 /// `[16, 1600]` connection, a fade or its recovery on a random cell
 /// after every fourth trace event, slot ticks due before each event.
-/// Returns the manager's counters and the whole-table count.
-fn adaptive_wing_run() -> (ResourceManager, u64) {
+/// Returns the manager's counters, the whole-table count and the
+/// whole-scan count.
+fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
     let seed = 42;
     let env = office_wing(10);
     let params = RandomWalkParams {
@@ -64,6 +73,7 @@ fn adaptive_wing_run() -> (ResourceManager, u64) {
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
     let mut conns: BTreeMap<_, ConnId> = BTreeMap::new();
     let mut whole_table = 0u64;
+    let (mut tracked, mut whole_scan) = (0u64, 0u64);
     // Every live connection, at each event that ran a round: a round
     // moves rates, never adds or retires a connection.
     let tally = |mgr: &ResourceManager, before: u64, whole_table: &mut u64| {
@@ -72,6 +82,9 @@ fn adaptive_wing_run() -> (ResourceManager, u64) {
         }
     };
     for (i, ev) in trace.events().iter().enumerate() {
+        // Every tracked portable, at each refresh the event runs.
+        let refreshes = mgr.refresh_stats().refreshes;
+        tracked += u64::from(ev.from.is_none());
         while ev.time >= next_slot {
             let before = mgr.adaptation_rounds;
             mgr.slot_tick(next_slot);
@@ -111,13 +124,14 @@ fn adaptive_wing_run() -> (ResourceManager, u64) {
                 .expect("valid fraction");
             tally(&mgr, before, &mut whole_table);
         }
+        whole_scan += (mgr.refresh_stats().refreshes - refreshes) * tracked;
     }
-    (mgr, whole_table)
+    (mgr, whole_table, whole_scan)
 }
 
 #[test]
 fn a_round_looks_only_at_what_changed() {
-    let (mgr, whole_table) = adaptive_wing_run();
+    let (mgr, whole_table, _) = adaptive_wing_run();
     let stats = mgr.maxmin.stats;
     assert_eq!(mgr.adaptation_rounds, 3_380, "rounds run");
     assert_eq!(
@@ -137,5 +151,19 @@ fn a_round_looks_only_at_what_changed() {
         stats.conns_synced, CONNS_SYNCED,
         "the rounds looked at {} connections, pinned at {CONNS_SYNCED}",
         stats.conns_synced
+    );
+}
+
+#[test]
+fn the_static_set_is_kept_without_a_scan() {
+    let (mgr, _, whole_scan) = adaptive_wing_run();
+    let looked = mgr.refresh_stats().statics_looked;
+    assert_eq!(
+        whole_scan, WHOLE_SCAN_PORTABLES,
+        "the whole-scan formula moved"
+    );
+    assert_eq!(
+        looked, STATICS_LOOKED,
+        "the keeper looked at {looked} portables, pinned at {STATICS_LOOKED}"
     );
 }

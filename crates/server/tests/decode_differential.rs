@@ -356,7 +356,8 @@ fn wing_end_state_decodes_alike_however_damaged() {
 /// six slot-width rows — the slots are gone — for six kinds of damage
 /// to the network image): documents that decode and must then be
 /// refused by validation — `Invalid`, by both routes — plus, around
-/// each, every hostile number in its place.
+/// each, every hostile number in its place. A last row names a wired
+/// link in eqn 2's `t⁻` record, which is kept by cell.
 #[test]
 fn hostile_edits_are_refused_alike() {
     let table = [
@@ -378,6 +379,7 @@ fn hostile_edits_are_refused_alike() {
              \"links\":[12,14]},\"b_current\":16.0,\"started\":466338073}",
             "null",
         ),
+        ("\"last_excess\":[]", "\"last_excess\":[[14,5.0]]"),
     ];
     let server = server_at(&walk_cfg(7), 40);
     let server_json = server.snapshot().to_json().expect("snapshot serializes");

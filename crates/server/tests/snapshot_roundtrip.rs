@@ -476,7 +476,9 @@ fn fields_v11_derives_are_not_believed_in_a_v11_document() {
 /// promised, a link's membership row that lost a connection, a record
 /// routed over a link that holds nothing for it, a record filed under
 /// another id, and a record retired (`null`) behind its ledger rows —
-/// callers look up every id on a link without a liveness test. (Through
+/// callers look up every id on a link without a liveness test — and eqn
+/// 2's `t⁻` record naming a link that is no cell's wireless link, which
+/// the manager, keeping the record by cell, could not place. (Through
 /// v7 three more rows forged a maxmin engine whose maps disagreed, and
 /// through v8 six forged a slot width: zero, or not the manager's. A
 /// hostile engine image or slot can no longer be written — the engine
@@ -517,6 +519,18 @@ fn corrupted_planner_routing_is_a_typed_error() {
              \"links\":[12,14]},\"b_current\":16.0,\"started\":466338073}",
             "null",
             "l12: holds f7, which is not routed over it",
+        ),
+        // Eqn 2's t⁻ record, kept by cell, naming a wired link and a
+        // link that does not exist.
+        (
+            "\"last_excess\":[]",
+            "\"last_excess\":[[14,5.0]]",
+            "last_excess names l14, which is no cell's wireless link",
+        ),
+        (
+            "\"last_excess\":[]",
+            "\"last_excess\":[[99,5.0]]",
+            "last_excess names l99",
         ),
     ];
     let server_json = server.snapshot().to_json().expect("snapshot serializes");

@@ -9,7 +9,7 @@
 //! 3. **Multicast pre-setup**: the wired bandwidth the §4 branches hold.
 
 use arm_bench::report;
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::Figure4;
 use arm_mobility::models::office_case::{self, OfficeCaseParams};
 use arm_net::flowspec::QosRequest;
@@ -49,38 +49,52 @@ fn bdyn_sweep(rep: &mut RunReport) {
             ..Default::default()
         };
         let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
+        let mut apply = |ev| mgr.apply(&ev).expect("a well-formed event").decision;
+        let appear = |i, cell| ManagerEvent::Appear {
+            t: SimTime::ZERO,
+            portable: PortableId(i),
+            cell,
+        };
+        let request = |i, t| ManagerEvent::Request {
+            t,
+            portable: PortableId(i),
+            qos: qos(150.0),
+        };
+        let move_to = |i, to, t| ManagerEvent::Move {
+            t,
+            portable: PortableId(i),
+            to,
+        };
         // 6 statics in A (each 150 kbps), the target cell D loaded to the
         // brim by other users.
         let mut t = SimTime::ZERO;
         for i in 0..6u32 {
-            let p = PortableId(i);
-            mgr.portable_appears(p, f4.a, SimTime::ZERO);
+            apply(appear(i, f4.a));
             t = SimTime::from_mins(10) + SimDuration::from_secs(u64::from(i));
-            mgr.request_connection(p, qos(150.0), t).expect("admits");
+            let admitted = apply(request(i, t));
+            assert!(matches!(admitted, Decision::Admitted(_)), "admits");
         }
         let mut blocked = 0u32;
         for i in 100..110u32 {
-            let p = PortableId(i);
-            mgr.portable_appears(p, f4.d, SimTime::ZERO);
+            apply(appear(i, f4.d));
             t += SimDuration::from_secs(1);
-            if mgr.request_connection(p, qos(150.0), t).is_err() {
+            if let Decision::Blocked(_) = apply(request(i, t)) {
                 blocked += 1;
             }
         }
         // The statics suddenly move into D, one per minute.
         let mut rescued = 0u32;
         for i in 0..6u32 {
-            let p = PortableId(i);
             t += SimDuration::from_mins(1);
-            if mgr.portable_moved(p, f4.d, t).is_empty() {
-                rescued += 1;
+            if let Decision::Handoff { dropped, .. } = apply(move_to(i, f4.d, t)) {
+                rescued += u32::from(dropped.is_empty());
             }
             // They return so the next mover faces the same pool.
             t += SimDuration::from_secs(5);
-            let _ = mgr.portable_moved(p, f4.a, t);
+            apply(move_to(i, f4.a, t));
             // …and dwell long enough to be static again.
             t += SimDuration::from_mins(6);
-            mgr.slot_tick(t);
+            apply(ManagerEvent::SlotTick { t });
         }
         println!(
             "{:>8.0}% {:>14} {:>14} {:>10}",
@@ -178,10 +192,15 @@ fn multicast_cost(rep: &mut RunReport) {
         // Ten mobiles with 64 kbps connections spread over the corridors.
         let cells = [f4.c, f4.d, f4.e, f4.f, f4.g];
         for i in 0..10u32 {
-            let p = PortableId(i);
-            mgr.portable_appears(p, cells[i as usize % cells.len()], SimTime::ZERO);
-            mgr.request_connection(p, qos(64.0), SimTime::from_secs(1 + u64::from(i)))
-                .expect("admits");
+            let portable = PortableId(i);
+            let cell = cells[i as usize % cells.len()];
+            let (t, qos) = (SimTime::ZERO, qos(64.0));
+            let appear = ManagerEvent::Appear { t, portable, cell };
+            let _ = mgr.apply(&appear).expect("a well-formed event");
+            let t = SimTime::from_secs(1 + u64::from(i));
+            let request = ManagerEvent::Request { t, portable, qos };
+            let admitted = mgr.apply(&request).expect("a well-formed event").decision;
+            assert!(matches!(admitted, Decision::Admitted(_)), "admits");
         }
         // Sum the advance claims on wired links.
         let mut wired_resv = 0.0;
@@ -195,12 +214,12 @@ fn multicast_cost(rep: &mut RunReport) {
             "multicast {}: wired advance reservations {:>8.0} kbps, active branches {}",
             if enabled { "on " } else { "off" },
             wired_resv,
-            mgr.multicast.active_branches
+            mgr.multicast().active_branches
         );
         rep.notes.push(format!(
             "multicast {}: {wired_resv:.0} kbps wired reservations, {} branches",
             if enabled { "on" } else { "off" },
-            mgr.multicast.active_branches
+            mgr.multicast().active_branches
         ));
     }
     println!("(the branches buy transient-free handoffs at the price of wired");

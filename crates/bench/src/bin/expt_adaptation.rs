@@ -10,16 +10,18 @@
 //! adaptation rounds for excess utilisation.
 
 use arm_bench::report;
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
-use arm_mobility::channel::{self, ChannelParams};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, ResourceManager, Strategy};
+use arm_mobility::channel::{self, ChannelEvent, ChannelParams};
 use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::PortableId;
+use arm_net::ids::{CellId, PortableId};
 use arm_obs::RunReport;
 use arm_profiles::CellClass;
 use arm_sim::{SimDuration, SimRng, SimTime};
 
-fn build(delta: f64) -> (ResourceManager, arm_net::ids::CellId) {
+/// The office cell with three adaptive `[100, 1600]` connections in
+/// it, under eqn 2's threshold `delta`.
+fn build(delta: f64) -> (ResourceManager, CellId) {
     let mut env = IndoorEnvironment::new();
     let cell = env.add_cell("office", CellClass::Office);
     let corridor = env.add_cell("corridor", CellClass::Corridor);
@@ -33,7 +35,30 @@ fn build(delta: f64) -> (ResourceManager, arm_net::ids::CellId) {
         delta,
         ..Default::default()
     };
-    (ResourceManager::new(env, net, cfg), cell)
+    let mut mgr = ResourceManager::new(env, net, cfg);
+    for i in 0..3u32 {
+        let (t, portable) = (SimTime::ZERO, PortableId(i));
+        let appear = ManagerEvent::Appear { t, portable, cell };
+        let _ = mgr.apply(&appear).expect("a well-formed event");
+        let qos = QosRequest::bandwidth(100.0, 1600.0)
+            .with_delay(10.0)
+            .with_jitter(10.0)
+            .with_loss(1.0);
+        let t = SimTime::from_secs(u64::from(i) + 1);
+        let request = ManagerEvent::Request { t, portable, qos };
+        let admitted = mgr.apply(&request).expect("a well-formed event").decision;
+        assert!(matches!(admitted, Decision::Admitted(_)), "admits");
+    }
+    (mgr, cell)
+}
+
+/// Apply one generated fade.
+fn fade(mgr: &mut ResourceManager, ev: &ChannelEvent) -> Decision {
+    let (t, cell, fraction) = (ev.time, ev.cell, ev.effective_fraction);
+    let fade = ManagerEvent::ChannelChange { t, cell, fraction };
+    mgr.apply(&fade)
+        .expect("generated fractions are valid")
+        .decision
 }
 
 fn main() {
@@ -51,16 +76,6 @@ fn main() {
 
     // Part 1: the allocation trace under fades (δ = 0).
     let (mut mgr, cell) = build(0.0);
-    for i in 0..3u32 {
-        let p = PortableId(i);
-        mgr.portable_appears(p, cell, SimTime::ZERO);
-        let q = QosRequest::bandwidth(100.0, 1600.0)
-            .with_delay(10.0)
-            .with_jitter(10.0)
-            .with_loss(1.0);
-        mgr.request_connection(p, q, SimTime::from_secs(u64::from(i) + 1))
-            .expect("admits");
-    }
     let fades =
         channel::generate(cell, &params, span, &mut SimRng::new(seed)).expect("in-range fraction");
     println!("time(s)  effective-capacity  aggregate-allocation");
@@ -75,10 +90,12 @@ fn main() {
     };
     show(&mgr, SimTime::from_secs(3), 1.0);
     for ev in &fades {
-        let victims = mgr
-            .channel_change(ev.cell, ev.effective_fraction, ev.time)
-            .expect("generated fractions are valid");
-        assert!(victims.is_empty(), "floors (300) always fit a 50% fade");
+        let no_drop = Decision::Faded { dropped: vec![] };
+        assert_eq!(
+            fade(&mut mgr, ev),
+            no_drop,
+            "floors (300) always fit a 50% fade"
+        );
         show(&mgr, ev.time, ev.effective_fraction);
     }
     println!(
@@ -101,25 +118,14 @@ fn main() {
         "δ (kbps)", "rounds", "mean excess utilised"
     );
     for delta in [0.0, 25.0, 100.0, 400.0, 1600.0] {
-        let (mut mgr, cell) = build(delta);
-        for i in 0..3u32 {
-            let p = PortableId(i);
-            mgr.portable_appears(p, cell, SimTime::ZERO);
-            let q = QosRequest::bandwidth(100.0, 1600.0)
-                .with_delay(10.0)
-                .with_jitter(10.0)
-                .with_loss(1.0);
-            mgr.request_connection(p, q, SimTime::from_secs(u64::from(i) + 1))
-                .expect("admits");
-        }
+        let (mut mgr, _) = build(delta);
         // Integrate allocation over the fade schedule.
         let mut weighted = 0.0;
         let mut last_t = SimTime::from_secs(3);
         let mut last_total: f64 = mgr.net.live_connections().map(|c| c.b_current).sum();
         for ev in &fades {
             weighted += last_total * ev.time.since(last_t).as_secs_f64();
-            mgr.channel_change(ev.cell, ev.effective_fraction, ev.time)
-                .expect("generated fractions are valid");
+            fade(&mut mgr, ev);
             last_t = ev.time;
             last_total = mgr.net.live_connections().map(|c| c.b_current).sum();
         }

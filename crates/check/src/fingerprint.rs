@@ -36,12 +36,12 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize, Value};
 
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-use arm_core::{ManagerSnapshot, Strategy, SNAPSHOT_SCHEMA_VERSION};
+use arm_core::{Decision, ManagerEvent, ManagerSnapshot, Strategy, SNAPSHOT_SCHEMA_VERSION};
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, LinkId, PortableId};
 use arm_obs::{
-    BenchEntry, ChaosSummary, ClaimSource, EventCount, HistSummary, MetricsSummary, Obs, ObsEvent,
-    PhaseSummary, RunReport,
+    AdmitCause, BenchEntry, ChaosSummary, ClaimSource, EventCount, Fault, HandoffCause,
+    HistSummary, MetricsSummary, Obs, ObsEvent, PhaseSummary, RunReport,
 };
 use arm_server::{
     Server, ServerConfig, ServerEvent, ServerSnapshot, SERVER_SNAPSHOT_SCHEMA_VERSION,
@@ -419,16 +419,28 @@ fn manager_snapshot() -> ManagerSnapshot {
         .clone()
         .with_buffer_capacity(50_000.0);
     *mgr.net.link_mut(buffered) = bounded;
-    mgr.portable_appears(PortableId(0), CellId(0), SimTime::from_secs(1));
-    mgr.portable_appears(PortableId(1), CellId(1), SimTime::from_secs(2));
-    mgr.request_connection(PortableId(0), qos(), SimTime::from_secs(3))
-        .expect("uncontended admission");
-    mgr.request_connection(PortableId(1), qos(), SimTime::from_secs(4))
-        .expect("uncontended admission");
-    mgr.portable_moved(PortableId(1), CellId(0), SimTime::from_secs(5));
-    // The second handoff gives its profile event an engaged `prev` cell.
-    mgr.portable_moved(PortableId(1), CellId(2), SimTime::from_secs(6));
-    mgr.slot_tick(SimTime::from_secs(60));
+    let at = SimTime::from_secs;
+    let (p0, p1, qos) = (PortableId(0), PortableId(1), qos());
+    let appear = |t, portable, cell| ManagerEvent::Appear { t, portable, cell };
+    let request = |t, portable| ManagerEvent::Request { t, portable, qos };
+    let move_to = |t, portable, to| ManagerEvent::Move { t, portable, to };
+    let events = [
+        appear(at(1), p0, CellId(0)),
+        appear(at(2), p1, CellId(1)),
+        request(at(3), p0),
+        request(at(4), p1),
+        move_to(at(5), p1, CellId(0)),
+        // The second handoff gives its profile event an engaged `prev` cell.
+        move_to(at(6), p1, CellId(2)),
+        ManagerEvent::SlotTick { t: at(60) },
+    ];
+    for ev in &events {
+        let outcome = mgr.apply(ev).expect("a well-formed event");
+        assert!(
+            !matches!(outcome.decision, Decision::Blocked(_)),
+            "uncontended admission"
+        );
+    }
     mgr.snapshot()
 }
 
@@ -532,14 +544,12 @@ fn obs_events() -> Vec<ObsEvent> {
             t,
             conn: ConnId(1),
             cell: CellId(0),
-            admitted: true,
-            cause: "admitted".to_string(),
+            cause: AdmitCause::Admitted,
         },
         ObsEvent::MaxminRound {
             t,
             conns_resolved: 3,
             conns_reused: 9,
-            cause: "admit".to_string(),
         },
         ObsEvent::AdvertiseSent {
             t,
@@ -560,7 +570,7 @@ fn obs_events() -> Vec<ObsEvent> {
             to: CellId(1),
             carried: 2,
             dropped: 0,
-            cause: "completed".to_string(),
+            cause: HandoffCause::Completed,
         },
         ObsEvent::ClaimConsumed {
             t,
@@ -577,7 +587,7 @@ fn obs_events() -> Vec<ObsEvent> {
         },
         ObsEvent::FaultInjected {
             t,
-            fault: "link-failed".to_string(),
+            fault: Fault::LinkFailed(LinkId(0)),
         },
         ObsEvent::IngestRejected {
             t,

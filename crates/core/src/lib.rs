@@ -28,8 +28,11 @@
 //! and connection workloads (`arm-mobility`) on the discrete-event kernel
 //! (`arm-sim`).
 //!
-//! * `manager` — [`ResourceManager`]: the per-event control plane
-//!   (connection requests, handoffs, terminations, slot ticks),
+//! * `manager` — [`ResourceManager`]: the per-event control plane,
+//!   entered through [`ResourceManager::apply`] with one
+//!   [`ManagerEvent`] (connection requests, handoffs, terminations,
+//!   faults, slot ticks), which refuses a malformed event with a typed
+//!   [`Refused`] before it touches anything and reports an [`Outcome`],
 //! * [`strategy`] — which advance-reservation scheme runs: the paper's
 //!   profile-based algorithm or one of the §7 baselines,
 //! * `multicast` — §4's wired-backbone multicast pre-setup toward a
@@ -49,6 +52,7 @@
 mod claim_plan;
 pub mod driver;
 mod error;
+mod event;
 mod manager;
 mod metrics;
 mod multicast;
@@ -58,6 +62,7 @@ pub mod strategy;
 
 pub use claim_plan::RefreshStats;
 pub use error::ControlError;
+pub use event::{Decision, ManagerEvent, Outcome, Refused};
 pub use manager::{ManagerConfig, ResourceManager, MAX_EVENT_GAP, SLOT};
 pub use metrics::Metrics;
 pub use scenario::Scenario;

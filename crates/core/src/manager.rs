@@ -1,22 +1,24 @@
 //! The integrated resource manager (the paper's Figure 1).
 //!
 //! One [`ResourceManager`] owns the network, the zone's profile server,
-//! the per-cell class policies, and the metrics, and exposes the four
-//! control-plane entry points the simulation drivers call:
+//! the per-cell class policies, and the metrics. Every driver enters it
+//! the same way: [`apply`](ResourceManager::apply) takes one
+//! [`ManagerEvent`], refuses a malformed one with a typed [`Refused`]
+//! before it touches anything ([`check`](ResourceManager::check)), and
+//! otherwise runs the event's arm and reports an [`Outcome`]. The arms:
 //!
-//! * [`request_connection`](ResourceManager::request_connection) — §5.1
-//!   admission (with conflict resolution squeezing ongoing connections
-//!   within their bounds),
-//! * [`portable_moved`](ResourceManager::portable_moved) — handoff
-//!   processing: profile updates, per-connection handoff admission that
-//!   may consume advance claims (its own predicted claim, the destination
-//!   cell's aggregate claim, the source cell's departure claim, or the
-//!   `B_dyn` pool — in that order), drop accounting, and reservation
-//!   refresh,
-//! * [`terminate`](ResourceManager::terminate) — normal teardown,
-//! * [`slot_tick`](ResourceManager::slot_tick) — aggregate-policy
-//!   bookkeeping: feed the cafeteria/default predictors, retire the
-//!   multicast branches of portables that settled, refresh claims.
+//! * `Request` — §5.1 admission (with conflict resolution squeezing
+//!   ongoing connections within their bounds),
+//! * `Move` — handoff processing: profile updates, per-connection
+//!   handoff admission that may consume advance claims (its own
+//!   predicted claim, the destination cell's aggregate claim, the source
+//!   cell's departure claim, or the `B_dyn` pool — in that order), drop
+//!   accounting, and reservation refresh,
+//! * `Terminate` — normal teardown,
+//! * `SlotTick` — aggregate-policy bookkeeping: feed the
+//!   cafeteria/default predictors, retire the multicast branches of
+//!   portables that settled, refresh claims,
+//! * `Appear`, `Renegotiate`, `ChannelChange` and the fault events.
 //!
 //! Claims are recomputed after every event from the current state, as
 //! if every manager-owned claim were wiped and re-installed in a fixed
@@ -66,13 +68,14 @@ use arm_net::ids::{CellId, ConnId, LinkId, NodeId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
 use arm_net::routing::{neighbor_legs, shortest_path_avoiding, uplink_routes, NeighborLegs};
 use arm_net::{Connection, Network, Route};
-use arm_obs::{ClaimSource, Obs, ObsEvent, Phase};
+use arm_obs::{AdmitCause, ClaimSource, Fault, HandoffCause, Obs, ObsEvent, Phase};
 use arm_profiles::prediction::Prediction;
 use arm_profiles::{CellClass, LoungeKind, ZonedProfiles};
 use arm_qos::adaptation::{DynPoolPolicy, StaticMobileTest};
 use arm_qos::admission::{
     admit_with, AdmissionRequest, AdmissionScratch, Discipline, MobilityClass, RequestKind,
 };
+use arm_qos::maxmin::incremental::IncrementalMaxmin;
 use arm_reservation::cafeteria::CafeteriaPredictor;
 use arm_reservation::default_cell::OneStepMemory;
 use arm_reservation::dispatch::{decide_traced, ReservationDecision};
@@ -82,6 +85,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::claim_plan::{ClaimWrite, Plans, RefreshStats};
 use crate::error::ControlError;
+use crate::event::{check_qos, known, Decision, ManagerEvent, Outcome, Refused};
 use crate::metrics::Metrics;
 use crate::multicast::MulticastState;
 use crate::snapshot::{ManagerSnapshot, SnapshotError};
@@ -586,19 +590,21 @@ pub struct ResourceManager {
     default_pred: BTreeMap<CellId, OneStepMemory>,
     /// Handoffs out of each cell in the current slot.
     slot_outflow: BTreeMap<CellId, u32>,
-    /// §4 multicast branches per connection (public for inspection).
-    pub multicast: MulticastState,
+    /// §4 multicast branches per connection, read through
+    /// [`multicast`](Self::multicast).
+    multicast: MulticastState,
     /// The excess each cell's wireless link had at the end of the last
     /// adaptation round (`b'_av,l(t⁻)` of eqn 2), indexed by cell;
     /// `None` before the first round. The snapshot keys it by link.
     last_excess: Vec<Option<f64>>,
     /// Adaptation rounds actually run (eqn-2 triggered).
     pub adaptation_rounds: u64,
-    /// Resident maxmin engine (public so drivers and tests can inspect
-    /// its work-saved counters). A cache over `net`, never snapshotted:
-    /// every round diff-syncs it first, so a restored manager's empty
-    /// engine ends its first round holding the bits a warm one would.
-    pub maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin,
+    /// Resident maxmin engine, read through [`maxmin`](Self::maxmin)
+    /// (drivers and tests inspect its work-saved counters). A cache over
+    /// `net`, never snapshotted: every round diff-syncs it first, so a
+    /// restored manager's empty engine ends its first round holding the
+    /// bits a warm one would.
+    maxmin: IncrementalMaxmin,
     /// Resident buffers for the adaptation round's conflict resolver.
     /// Pure scratch (cleared before each use), never snapshotted.
     resolve_scratch: arm_qos::conflict::ResolveScratch,
@@ -719,7 +725,7 @@ impl ResourceManager {
             multicast: MulticastState::new(),
             last_excess,
             adaptation_rounds: 0,
-            maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
+            maxmin: IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             round_feed: RoundFeed::default(),
             admission_scratch: AdmissionScratch::default(),
@@ -745,6 +751,16 @@ impl ResourceManager {
     /// The zones and their profile servers, read-only.
     pub fn profiles(&self) -> &ZonedProfiles {
         &self.profiles
+    }
+
+    /// The §4 multicast branches, read-only.
+    pub fn multicast(&self) -> &MulticastState {
+        &self.multicast
+    }
+
+    /// The resident maxmin engine, read-only.
+    pub fn maxmin(&self) -> &IncrementalMaxmin {
+        &self.maxmin
     }
 
     /// Encode every handoff history's rows recorded since the last call
@@ -868,7 +884,7 @@ impl ResourceManager {
             multicast: snap.multicast,
             last_excess,
             adaptation_rounds: snap.adaptation_rounds,
-            maxmin: arm_qos::maxmin::incremental::IncrementalMaxmin::new(),
+            maxmin: IncrementalMaxmin::new(),
             resolve_scratch: arm_qos::conflict::ResolveScratch::default(),
             round_feed: RoundFeed::default(),
             admission_scratch: AdmissionScratch::default(),
@@ -1012,6 +1028,130 @@ impl ResourceManager {
     // Entry points
     // ------------------------------------------------------------------
 
+    /// Would [`apply`](Self::apply) take `ev`? Refuses what an arm would
+    /// panic on or silently corrupt state with: an unknown cell, link or
+    /// zone; an untracked portable; a move to its own cell; a bad
+    /// fraction or rate; a second open connection; a `Terminate` or
+    /// `Renegotiate` with no open connection; an `Appear` for a portable
+    /// that still holds one. No time-order rule: an event may lie before
+    /// the last one (a server keeps its own). Touches nothing.
+    pub fn check(&self, ev: &ManagerEvent) -> Result<(), Refused> {
+        let topo = self.net.topology();
+        let cell_known = |c: CellId| known("cell", c.0, topo.cell_count());
+        match *ev {
+            ManagerEvent::Appear { portable, cell, .. } => {
+                cell_known(cell)?;
+                match self.connection_of(portable) {
+                    Some(_) => Err(Refused::StillConnected(portable)),
+                    None => Ok(()),
+                }
+            }
+            ManagerEvent::Request { portable, qos, .. } => {
+                self.cell_of(portable)?;
+                check_qos(&qos)?;
+                match self.connection_of(portable) {
+                    Some(_) => Err(Refused::Connected(portable)),
+                    None => Ok(()),
+                }
+            }
+            ManagerEvent::Renegotiate { portable, qos, .. } => {
+                self.open_connection(portable)?;
+                check_qos(&qos)
+            }
+            ManagerEvent::Terminate { portable, .. } => self.open_connection(portable).map(drop),
+            ManagerEvent::Move { portable, to, .. } => {
+                let cell = self.cell_of(portable)?;
+                cell_known(to)?;
+                if cell == to {
+                    return Err(Refused::SameCell(portable, cell));
+                }
+                Ok(())
+            }
+            ManagerEvent::ChannelChange { cell, fraction, .. } => {
+                cell_known(cell)?;
+                if !fraction.is_finite() {
+                    return Err(Refused::NonFinite { what: "fraction" });
+                }
+                if !(fraction > 0.0 && fraction <= 1.0) {
+                    return Err(Refused::BadFraction(fraction));
+                }
+                Ok(())
+            }
+            ManagerEvent::LinkDown { link, .. } | ManagerEvent::LinkUp { link, .. } => {
+                known("link", link.0, topo.link_count())
+            }
+            // A floor with no zone set still has zone 0.
+            ManagerEvent::ProfileServerDown { zone, .. }
+            | ManagerEvent::ProfileServerUp { zone, .. } => {
+                known("zone", zone.0, self.profiles.zone_count().max(1))
+            }
+            ManagerEvent::FailNextHandoff { .. } | ManagerEvent::SlotTick { .. } => Ok(()),
+        }
+    }
+
+    /// [`check`](Self::check) `ev`, then run it. A refused event changes
+    /// nothing.
+    pub fn apply(&mut self, ev: &ManagerEvent) -> Result<Outcome, Refused> {
+        self.check(ev)?;
+        let rounds = self.adaptation_rounds;
+        let mut decision = Decision::Applied;
+        match *ev {
+            ManagerEvent::Appear { t, portable, cell } => self.portable_appears(portable, cell, t),
+            ManagerEvent::Request { t, portable, qos } => {
+                let admitted = self.request_connection(portable, qos, t);
+                decision = admitted.map_or_else(Decision::Blocked, Decision::Admitted);
+            }
+            ManagerEvent::Renegotiate { t, portable, qos } => {
+                let id = self.open_connection(portable).invariant("checked");
+                let accepted = self.renegotiate(id, qos, t);
+                decision = accepted.map_or_else(Decision::Blocked, |()| Decision::Admitted(id));
+            }
+            ManagerEvent::Terminate { t, portable } => {
+                let id = self.open_connection(portable).invariant("checked");
+                self.terminate(id, t);
+            }
+            ManagerEvent::Move { t, portable, to } => {
+                let signalling_failed = self.doomed_handoffs.contains(&portable);
+                let dropped = self.portable_moved(portable, to, t);
+                decision = Decision::Handoff {
+                    dropped,
+                    signalling_failed,
+                };
+            }
+            ManagerEvent::ChannelChange { t, cell, fraction } => {
+                let dropped = self.channel_change(cell, fraction, t).invariant("checked");
+                decision = Decision::Faded { dropped };
+            }
+            ManagerEvent::LinkDown { t, link } => self.link_failed(link, t),
+            ManagerEvent::LinkUp { t, link } => self.link_restored(link, t),
+            ManagerEvent::ProfileServerDown { t, zone } => self.profile_server_down(zone, t),
+            ManagerEvent::ProfileServerUp { t, zone } => self.profile_server_up(zone, t),
+            ManagerEvent::FailNextHandoff { portable, .. } => self.fail_next_handoff(portable),
+            ManagerEvent::SlotTick { t } => self.slot_tick(t),
+        }
+        Ok(Outcome {
+            decision,
+            round_ran: self.adaptation_rounds > rounds,
+        })
+    }
+
+    /// The cell of a tracked portable.
+    fn cell_of(&self, p: PortableId) -> Result<CellId, Refused> {
+        self.portable_cell(p).ok_or(Refused::Untracked(p))
+    }
+
+    /// The open connection of a tracked portable.
+    fn open_connection(&self, p: PortableId) -> Result<ConnId, Refused> {
+        self.cell_of(p)?;
+        self.connection_of(p).ok_or(Refused::NotConnected(p))
+    }
+
+    /// The connection `p` holds, if any: at most one, since
+    /// [`check`](Self::check) refuses a second `Request`.
+    fn connection_of(&self, p: PortableId) -> Option<ConnId> {
+        self.net.conn_ids_of_portable(p).first().copied()
+    }
+
     /// Replace `p`'s tracked state — the one place an entry is written,
     /// so its memo and kept dispatch go with the old state — and file `p`
     /// under its new cell's watch, which the next pass looks at.
@@ -1048,7 +1188,9 @@ impl ResourceManager {
         w.pending = true;
     }
 
-    /// A portable appears (powers on) in a cell.
+    /// A portable appears (powers on) in a cell: `apply`'s `Appear` arm.
+    /// Public for one outside caller, the frozen benchmark's
+    /// `adapt_rush` driver; every other driver goes through `apply`.
     pub fn portable_appears(&mut self, p: PortableId, cell: CellId, now: SimTime) {
         self.track(
             p,
@@ -1071,7 +1213,9 @@ impl ResourceManager {
         self.refresh_claims(now);
     }
 
-    /// A new-connection request from a tracked portable (§5.1).
+    /// A new-connection request from a tracked portable (§5.1):
+    /// `apply`'s `Request` arm. Public for the frozen benchmark's
+    /// `adapt_rush` driver alone.
     pub fn request_connection(
         &mut self,
         p: PortableId,
@@ -1111,8 +1255,11 @@ impl ResourceManager {
             t: now,
             conn: id,
             cell,
-            admitted,
-            cause: if admitted { "admitted" } else { "blocked" }.to_string(),
+            cause: if admitted {
+                AdmitCause::Admitted
+            } else {
+                AdmitCause::Blocked
+            },
         });
         self.obs.phase_end(Phase::Admission, admit_tok, now);
         outcome.map(|()| id)
@@ -1125,7 +1272,7 @@ impl ResourceManager {
     /// is restored and the connection continues under its previous
     /// bounds (re-negotiation failure must not kill an ongoing
     /// connection).
-    pub fn renegotiate(
+    fn renegotiate(
         &mut self,
         id: ConnId,
         new_qos: QosRequest,
@@ -1173,19 +1320,18 @@ impl ResourceManager {
             t: now,
             conn: id,
             cell,
-            admitted,
             cause: if admitted {
-                "renegotiate-accepted"
+                AdmitCause::RenegotiateAccepted
             } else {
-                "renegotiate-rejected"
-            }
-            .to_string(),
+                AdmitCause::RenegotiateRejected
+            },
         });
         self.obs.phase_end(Phase::Admission, admit_tok, now);
         outcome
     }
 
-    /// Normal connection teardown.
+    /// Normal connection teardown: `apply`'s `Terminate` arm. Public for
+    /// the frozen benchmark's `adapt_rush` driver alone.
     pub fn terminate(&mut self, id: ConnId, now: SimTime) {
         if self.net.get(id).is_some() {
             self.multicast.teardown(&mut self.net, id);
@@ -1195,8 +1341,9 @@ impl ResourceManager {
         }
     }
 
-    /// A tracked portable hands off `from → to`. Returns the ids of
-    /// connections dropped in the process.
+    /// A tracked portable hands off `from → to`: `apply`'s `Move` arm.
+    /// Returns the ids of connections dropped in the process. Public for
+    /// the frozen benchmark's `adapt_rush` driver alone.
     pub fn portable_moved(&mut self, p: PortableId, to: CellId, now: SimTime) -> Vec<ConnId> {
         let state = self
             .portables
@@ -1275,9 +1422,9 @@ impl ResourceManager {
             carried: (total_conns - dropped.len()) as u64,
             dropped: dropped.len() as u64,
             cause: if claims_usable {
-                "completed".to_string()
+                HandoffCause::Completed
             } else {
-                "signalling-failed".to_string()
+                HandoffCause::SignallingFailed
             },
         });
         self.obs.phase_end(Phase::Handoff, handoff_tok, now);
@@ -1324,6 +1471,9 @@ impl ResourceManager {
     /// portable's next set-up, not every slot. The tick's multicast
     /// work is the settled portables' teardowns, and it allocates
     /// nothing in steady state.
+    ///
+    /// `apply`'s `SlotTick` arm; public for the frozen benchmark's
+    /// `adapt_rush` driver alone.
     pub fn slot_tick(&mut self, now: SimTime) {
         let slot = now.ticks() / SLOT.ticks();
         self.obs
@@ -1389,7 +1539,10 @@ impl ResourceManager {
     /// youngest-first (§5.3: "if b'_av,l < 0, then some connections are
     /// notified to do re-negotiation"). Returns the dropped connections,
     /// or [`ControlError::BadChannelFraction`] for a fraction outside
-    /// `(0, 1]` (scenario input, so an error rather than a panic).
+    /// `(0, 1]`.
+    ///
+    /// `apply`'s `ChannelChange` arm; public for the frozen benchmark's
+    /// `adapt_rush` driver alone.
     pub fn channel_change(
         &mut self,
         cell: CellId,
@@ -1452,14 +1605,14 @@ impl ResourceManager {
     /// is sealed with a [`ResvClaim::Outage`] claim so nothing new is
     /// admitted until restoration. Idempotent: a second failure of a
     /// down link is a no-op.
-    pub fn link_failed(&mut self, link: LinkId, now: SimTime) {
+    fn link_failed(&mut self, link: LinkId, now: SimTime) {
         if !self.down_links.insert(link) {
             return;
         }
         self.link_failures += 1;
         self.obs.emit_with(|| ObsEvent::FaultInjected {
             t: now,
-            fault: format!("link-failed:{link}"),
+            fault: Fault::LinkFailed(link),
         });
         // Owned copy: the loop below re-routes, mutating the membership
         // index the slice borrows (cold path, failure only).
@@ -1482,13 +1635,13 @@ impl ResourceManager {
     /// re-grow at the next adaptation round, whichever event opens it:
     /// `conflict::resolve_network` returns every static connection to
     /// its maxmin target. Idempotent.
-    pub fn link_restored(&mut self, link: LinkId, now: SimTime) {
+    fn link_restored(&mut self, link: LinkId, now: SimTime) {
         if !self.down_links.remove(&link) {
             return;
         }
         self.obs.emit_with(|| ObsEvent::FaultInjected {
             t: now,
-            fault: format!("link-restored:{link}"),
+            fault: Fault::LinkRestored(link),
         });
         self.net.link_mut(link).release_claim(ResvClaim::Outage);
         let ids: Vec<ConnId> = self.net.live_connections().map(|c| c.id).collect();
@@ -1502,11 +1655,11 @@ impl ResourceManager {
     /// cells fall back to the even-spread default and profile updates
     /// are lost until [`profile_server_up`](Self::profile_server_up).
     /// Idempotent.
-    pub fn profile_server_down(&mut self, zone: ZoneId, now: SimTime) {
+    fn profile_server_down(&mut self, zone: ZoneId, now: SimTime) {
         if self.down_zones.insert(zone) {
             self.obs.emit_with(|| ObsEvent::FaultInjected {
                 t: now,
-                fault: format!("profile-server-down:{zone}"),
+                fault: Fault::ProfileServerDown(zone),
             });
             self.after_event(now);
         }
@@ -1514,11 +1667,11 @@ impl ResourceManager {
 
     /// The zone's profile server recovers (with whatever state it had
     /// when it went down — updates during the outage are lost).
-    pub fn profile_server_up(&mut self, zone: ZoneId, now: SimTime) {
+    fn profile_server_up(&mut self, zone: ZoneId, now: SimTime) {
         if self.down_zones.remove(&zone) {
             self.obs.emit_with(|| ObsEvent::FaultInjected {
                 t: now,
-                fault: format!("profile-server-up:{zone}"),
+                fault: Fault::ProfileServerUp(zone),
             });
             self.after_event(now);
         }
@@ -1527,7 +1680,7 @@ impl ResourceManager {
     /// The next handoff attempted by `p` loses its signalling: advance
     /// claims cannot be consumed for it and its connections must pass
     /// plain admission at the destination or be dropped.
-    pub fn fail_next_handoff(&mut self, p: PortableId) {
+    fn fail_next_handoff(&mut self, p: PortableId) {
         self.doomed_handoffs.insert(p);
     }
 
@@ -1737,7 +1890,6 @@ impl ResourceManager {
                     t: now,
                     conns_resolved: after.conns_resolved - before.conns_resolved,
                     conns_reused: after.conns_reused - before.conns_reused,
-                    cause: "eqn2-adaptation".to_string(),
                 });
             }
             // Record the post-round excess as eqn 2's t⁻ state.

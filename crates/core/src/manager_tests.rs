@@ -2,7 +2,7 @@
 
 use arm_mobility::environment::{Figure4, IndoorEnvironment};
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::{CellId, PortableId, ZoneId};
+use arm_net::ids::{CellId, LinkId, PortableId, ZoneId};
 use arm_net::link::ResvClaim;
 use arm_profiles::{CellClass, LoungeKind};
 use arm_reservation::meeting::{BookingCalendar, Meeting};
@@ -62,6 +62,83 @@ fn blocking_when_cell_full() {
     assert_eq!(admitted, 25);
     assert_eq!(mgr.metrics.blocked.get(), 5);
     assert!((mgr.metrics.p_b() - 5.0 / 30.0).abs() < 1e-12);
+}
+
+/// A request blocked in a saturated cell names that cell's wireless
+/// link and Table 2's bandwidth row.
+#[test]
+fn a_blocked_request_names_its_link_and_table_2_row() {
+    let (mut mgr, f4) = figure4_manager(Strategy::None);
+    let (t, cell, qos) = (SimTime::from_secs(1), f4.c, qos(64.0));
+    let mut blocked = Vec::new();
+    for i in 0..26 {
+        let portable = PortableId(100 + i);
+        let appear = ManagerEvent::Appear { t, portable, cell };
+        let _ = mgr.apply(&appear).expect("well-formed");
+        let request = ManagerEvent::Request { t, portable, qos };
+        if let Decision::Blocked(r) = mgr.apply(&request).expect("well-formed").decision {
+            blocked.push(r);
+        }
+    }
+    // 1600 / 64 = 25 connections fit; the 26th is the one blocked.
+    let [r] = blocked[..] else {
+        panic!("one blocked request, got {blocked:?}");
+    };
+    assert_eq!(r.link(), Some(mgr.net.topology().wireless_link(f4.c)));
+    assert_eq!(r.test(), arm_qos::TestKind::Bandwidth);
+}
+
+/// `check` refuses what an arm would panic on or silently corrupt state
+/// with, and `apply` of a refused event leaves the snapshot's bytes as
+/// they were.
+#[test]
+fn refused_events_change_nothing() {
+    let (mut mgr, f4) = figure4_manager(Strategy::Paper);
+    let (p, stranger) = (PortableId(1), PortableId(9));
+    let mut t = SimTime::from_secs(1);
+    let appear = |t, portable, cell| ManagerEvent::Appear { t, portable, cell };
+    let request = |t, portable, qos| ManagerEvent::Request { t, portable, qos };
+    let _ = mgr.apply(&appear(t, p, f4.c)).expect("well-formed");
+    let _ = mgr.apply(&request(t, p, qos(64.0))).expect("well-formed");
+    t += SimDuration::from_secs(1);
+    let renegotiate = |portable, qos| ManagerEvent::Renegotiate { t, portable, qos };
+    let move_to = |portable, to| ManagerEvent::Move { t, portable, to };
+    let hang_up = |portable| ManagerEvent::Terminate { t, portable };
+    let (cell, fraction, link, zone) = (f4.c, 1.5, LinkId(99), ZoneId(7));
+    let fade = ManagerEvent::ChannelChange { t, cell, fraction };
+    let cut = ManagerEvent::LinkDown { t, link };
+    let outage = ManagerEvent::ProfileServerDown { t, zone };
+    let (cells, links) = (f4.env.cell_count(), mgr.net.topology().link_count());
+    let unknown = |what, id, have| Refused::Unknown { what, id, have };
+    let (q16, inverted, nan) = (qos(16.0), QosRequest::bandwidth(64.0, 16.0), qos(f64::NAN));
+    let non_finite = Refused::NonFinite { what: "b_min_kbps" };
+    let refused = [
+        (appear(t, p, f4.d), Refused::StillConnected(p)),
+        (request(t, p, q16), Refused::Connected(p)),
+        (request(t, stranger, q16), Refused::Untracked(stranger)),
+        (renegotiate(p, inverted), Refused::Inverted(64.0, 16.0)),
+        (renegotiate(p, nan), non_finite),
+        (move_to(p, f4.c), Refused::SameCell(p, f4.c)),
+        (move_to(p, CellId(99)), unknown("cell", 99, cells)),
+        (hang_up(stranger), Refused::Untracked(stranger)),
+        (fade, Refused::BadFraction(1.5)),
+        (cut, unknown("link", 99, links)),
+        (outage, unknown("zone", 7, 1)),
+    ];
+    let bytes = |mgr: &ResourceManager| mgr.snapshot().to_json().expect("serializes");
+    let before = bytes(&mgr);
+    for (ev, why) in refused {
+        assert_eq!(mgr.check(&ev), Err(why.clone()), "{ev:?}");
+        assert_eq!(mgr.apply(&ev), Err(why), "{ev:?}");
+        assert_eq!(bytes(&mgr), before, "{ev:?} changed state");
+    }
+    // Once its connection has ended, the portable may appear again
+    // anywhere: the office week does it daily.
+    let _ = mgr.apply(&hang_up(p)).expect("an open connection");
+    let again = mgr.apply(&appear(t, p, f4.d)).map(|o| o.decision);
+    assert_eq!(again, Ok(Decision::Applied));
+    assert_eq!(mgr.portable_cell(p), Some(f4.d));
+    assert_eq!(mgr.apply(&hang_up(p)), Err(Refused::NotConnected(p)));
 }
 
 #[test]

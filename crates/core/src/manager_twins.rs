@@ -20,29 +20,6 @@ use arm_sim::SimRng;
 use super::*;
 use crate::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 
-/// One call into the manager: the union of every stream's alphabet.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Appear(u32, CellId),
-    Connect(u32, QosRequest),
-    Move(u32, CellId),
-    Terminate(u32),
-    /// New bounds for the portable's open connection, if it has one.
-    Renegotiate(u32, QosRequest),
-    Fade(CellId, f64),
-    FailWireless(CellId),
-    RestoreWireless(CellId),
-    /// The backbone hop of the cell's uplink fails / comes back.
-    FailWired(CellId),
-    RestoreWired(CellId),
-    ProfilesDown(ZoneId),
-    ProfilesUp(ZoneId),
-    SlotTick,
-}
-
-/// Portable → its open connection, as the stream's caller knows it.
-type Conns = BTreeMap<u32, ConnId>;
-
 /// A request with the churn and chaos streams' delay, jitter and loss.
 fn shaped(b_min: f64, b_max: f64) -> QosRequest {
     QosRequest::bandwidth(b_min, b_max)
@@ -59,45 +36,17 @@ fn manager(env: &IndoorEnvironment, cfg: ManagerConfig, twin: Twin) -> ResourceM
     mgr
 }
 
-/// Apply `op` at `t`; the connections it dropped.
-fn apply(mgr: &mut ResourceManager, conns: &mut Conns, t: SimTime, op: Op) -> Vec<ConnId> {
-    let wired_hop = |mgr: &ResourceManager, cell: CellId| {
-        let topo = mgr.net.topology();
+/// Each cell's wireless link and the backbone hop of its uplink, by
+/// cell: the links a stream's faults name.
+fn fault_links(env: &IndoorEnvironment) -> Vec<[LinkId; 2]> {
+    let net = env.build_network(1600.0, 0.0, 100_000.0);
+    let topo = net.topology();
+    let links = |(cell, _)| {
         let uplink = shortest_path(topo, topo.air_node(cell), NodeId(0));
-        uplink.invariant("star backbone is connected").links[1]
+        let uplink = uplink.invariant("star backbone is connected");
+        [topo.wireless_link(cell), uplink.links[1]]
     };
-    match op {
-        Op::Appear(p, cell) => mgr.portable_appears(PortableId(p), cell, t),
-        Op::Connect(p, qos) => {
-            if let Ok(id) = mgr.request_connection(PortableId(p), qos, t) {
-                conns.insert(p, id);
-            }
-        }
-        Op::Move(p, cell) if mgr.portable_cell(PortableId(p)) != Some(cell) => {
-            return mgr.portable_moved(PortableId(p), cell, t);
-        }
-        Op::Move(..) => {}
-        Op::Terminate(p) => {
-            if let Some(id) = conns.remove(&p) {
-                mgr.terminate(id, t);
-            }
-        }
-        Op::Renegotiate(p, qos) => {
-            // The record may be gone: dropped in a handoff or a fade.
-            if let Some(&id) = conns.get(&p).filter(|id| mgr.net.get(**id).is_some()) {
-                let _ = mgr.renegotiate(id, qos, t);
-            }
-        }
-        Op::Fade(cell, f) => return mgr.channel_change(cell, f, t).expect("valid fraction"),
-        Op::FailWireless(cell) => mgr.link_failed(mgr.net.topology().wireless_link(cell), t),
-        Op::RestoreWireless(cell) => mgr.link_restored(mgr.net.topology().wireless_link(cell), t),
-        Op::FailWired(cell) => mgr.link_failed(wired_hop(mgr, cell), t),
-        Op::RestoreWired(cell) => mgr.link_restored(wired_hop(mgr, cell), t),
-        Op::ProfilesDown(zone) => mgr.profile_server_down(zone, t),
-        Op::ProfilesUp(zone) => mgr.profile_server_up(zone, t),
-        Op::SlotTick => mgr.slot_tick(t),
-    }
-    Vec::new()
+    env.cells().map(links).collect()
 }
 
 /// One link's running sums, claims and allocations, as bits.
@@ -112,11 +61,11 @@ struct State {
     stats: EngineStats,
     rounds: u64,
     metrics: MetricsSummary,
-    dropped: Vec<ConnId>,
+    applied: Result<Outcome, Refused>,
 }
 
 impl State {
-    fn of(mgr: &ResourceManager, dropped: Vec<ConnId>) -> State {
+    fn of(mgr: &ResourceManager, applied: Result<Outcome, Refused>) -> State {
         let ledger = |l: &arm_net::LinkState| -> LedgerBits {
             let alloc = |a: &arm_net::link::Alloc| {
                 [a.b_min.to_bits(), a.b_alloc.to_bits(), a.buffer.to_bits()]
@@ -138,7 +87,7 @@ impl State {
             },
             rounds: mgr.adaptation_rounds,
             metrics: mgr.metrics.summary(),
-            dropped,
+            applied,
         }
     }
 
@@ -150,7 +99,7 @@ impl State {
             .or_else(|| first("engine stats", &[self.stats], &[other.stats]))
             .or_else(|| first("rounds", &[self.rounds], &[other.rounds]))
             .or_else(|| first("metrics", &[&self.metrics], &[&other.metrics]))
-            .or_else(|| first("dropped", &self.dropped, &other.dropped))
+            .or_else(|| first("outcome", &[&self.applied], &[&other.applied]))
     }
 }
 
@@ -179,11 +128,10 @@ struct Reach {
 /// restored subject's engine, a cache, starts cold.
 fn rounds_uncounted(obs: &Obs) -> Vec<ObsEvent> {
     let uncounted = |ev| match ev {
-        ObsEvent::MaxminRound { t, cause, .. } => ObsEvent::MaxminRound {
+        ObsEvent::MaxminRound { t, .. } => ObsEvent::MaxminRound {
             t,
             conns_resolved: 0,
             conns_reused: 0,
-            cause,
         },
         other => other,
     };
@@ -210,15 +158,12 @@ fn write_then_decode(mgr: &mut ResourceManager, now: SimTime) {
 /// The cut points: the first event from a third and from two thirds of
 /// `ops` on whose round gate stays shut while the next event's opens (a
 /// network new to the round feed outlives a refresh), else the third.
-fn cuts(make: &dyn Fn(Twin) -> ResourceManager, ops: &[(SimTime, Op)]) -> [usize; 2] {
+fn cuts(make: &dyn Fn(Twin) -> ResourceManager, ops: &[ManagerEvent]) -> [usize; 2] {
     let mut mgr = make(Twin::Production);
     let mut ran = Vec::with_capacity(ops.len());
     if mgr.cfg.resolve_excess {
-        let mut conns = Conns::new();
-        for &(t, op) in ops {
-            let before = mgr.adaptation_rounds;
-            apply(&mut mgr, &mut conns, t, op);
-            ran.push(mgr.adaptation_rounds > before);
+        for ev in ops {
+            ran.push(mgr.apply(ev).is_ok_and(|outcome| outcome.round_ran));
         }
     }
     [ops.len() / 3, 2 * ops.len() / 3].map(|from| {
@@ -238,13 +183,13 @@ fn first_divergence(
     make: &dyn Fn(Twin) -> ResourceManager,
     reference: Twin,
     subject: Twin,
-    ops: &[(SimTime, Op)],
+    ops: &[ManagerEvent],
 ) -> Result<Reach, String> {
     let [decode_at, restore_at] = cuts(make, ops);
     let (mut sub, mut refr) = (make(subject), make(reference));
-    let (mut sub_conns, mut ref_conns) = (Conns::new(), Conns::new());
     let mut reach = Reach::default();
-    for (k, &(t, op)) in ops.iter().enumerate() {
+    for (k, op) in ops.iter().enumerate() {
+        let t = op.time();
         if k == decode_at {
             write_then_decode(&mut sub, t);
             write_then_decode(&mut refr, t);
@@ -257,10 +202,10 @@ fn first_divergence(
             refr.maxmin = IncrementalMaxmin::new();
         }
         let branches = sub.multicast.active_branches;
-        let dropped = apply(&mut sub, &mut sub_conns, t, op);
-        let ours = State::of(&sub, dropped);
-        let dropped = apply(&mut refr, &mut ref_conns, t, op);
-        if let Some(what) = ours.difference(&State::of(&refr, dropped)) {
+        let applied = sub.apply(op);
+        let ours = State::of(&sub, applied);
+        let applied = refr.apply(op);
+        if let Some(what) = ours.difference(&State::of(&refr, applied)) {
             return Err(format!("after event {k}, {op:?}: {what}"));
         }
         // Debug builds check this inside every `after_event`.
@@ -268,7 +213,7 @@ fn first_divergence(
             let broken = |e| format!("after event {k}, {op:?}: {e}");
             sub.net.check_invariants().map_err(broken)?;
         }
-        if matches!(op, Op::SlotTick) {
+        if matches!(op, ManagerEvent::SlotTick { .. }) {
             reach.retired += branches.saturating_sub(sub.multicast.active_branches);
         }
         reach.peak_branches = reach.peak_branches.max(sub.multicast.active_branches);
@@ -300,7 +245,7 @@ fn production_agrees(
     what: &str,
     make: &dyn Fn(Twin) -> ResourceManager,
     reference: Twin,
-    ops: &[(SimTime, Op)],
+    ops: &[ManagerEvent],
 ) -> Reach {
     first_divergence(make, reference, Twin::Production, ops)
         .unwrap_or_else(|d| panic!("{what}: parted {d}"))
@@ -311,44 +256,56 @@ fn production_agrees(
 // ----------------------------------------------------------------------
 
 /// 90 events of `core/tests/chaos.rs::churn_schedule` draw for draw
-/// over `cells`; after every 7th drawn event a slot roll, every 19th a
-/// profile-server outage (zones in turn), every 31st every outage's
-/// end, every 23rd the drawn portable appearing again while tracked.
-fn churn_schedule(seed: u64, cells: &[CellId], zones: u32) -> Vec<Op> {
+/// over `env`'s cells, untimed ([`timed`] places them); after every 7th
+/// drawn event a slot roll, every 19th a profile-server outage (zones in
+/// turn), every 31st every outage's end, every 23rd the drawn portable
+/// appearing again while tracked (refused while it holds a connection).
+fn churn_schedule(seed: u64, env: &IndoorEnvironment, zones: u32) -> Vec<ManagerEvent> {
+    let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
+    let links = fault_links(env);
+    let wireless = |cell: CellId| links[cell.index()][0];
+    let t = SimTime::ZERO;
     let mut rng = SimRng::new(seed);
     let mut events = Vec::new();
     for p in 0..6u32 {
-        let cell = cells[rng.index(cells.len())];
-        events.push(Op::Appear(p, cell));
-        events.push(Op::Connect(p, shaped(100.0, 1600.0)));
+        let (portable, cell) = (PortableId(p), cells[rng.index(cells.len())]);
+        events.push(ManagerEvent::Appear { t, portable, cell });
+        let qos = shaped(100.0, 1600.0);
+        events.push(ManagerEvent::Request { t, portable, qos });
     }
     let mut drawn = 0usize;
     while events.len() < 90 {
-        let p = rng.index(6) as u32;
+        let portable = PortableId(rng.index(6) as u32);
         let cell = cells[rng.index(cells.len())];
+        let (to, link) = (cell, wireless(cell));
         events.push(match rng.index(8) {
-            0 => Op::Connect(
-                p,
-                shaped(rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0)),
-            ),
-            1 => Op::Move(p, cell),
-            2 => Op::Terminate(p),
-            3 => Op::Fade(cell, rng.uniform(0.3, 1.0)),
-            4 | 5 => Op::FailWireless(cell),
-            _ => Op::RestoreWireless(cell),
+            0 => {
+                let qos = shaped(rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0));
+                ManagerEvent::Request { t, portable, qos }
+            }
+            1 => ManagerEvent::Move { t, portable, to },
+            2 => ManagerEvent::Terminate { t, portable },
+            3 => {
+                let fraction = rng.uniform(0.3, 1.0);
+                ManagerEvent::ChannelChange { t, cell, fraction }
+            }
+            4 | 5 => ManagerEvent::LinkDown { t, link },
+            _ => ManagerEvent::LinkUp { t, link },
         });
         drawn += 1;
         if drawn % 7 == 0 {
-            events.push(Op::SlotTick);
+            events.push(ManagerEvent::SlotTick { t });
         }
         if drawn % 19 == 0 {
-            events.push(Op::ProfilesDown(ZoneId((drawn / 19) as u32 % zones)));
+            let zone = ZoneId((drawn / 19) as u32 % zones);
+            events.push(ManagerEvent::ProfileServerDown { t, zone });
         }
         if drawn % 23 == 0 {
-            events.push(Op::Appear(p, cell));
+            events.push(ManagerEvent::Appear { t, portable, cell });
         }
         if drawn % 31 == 0 {
-            events.extend((0..zones).map(|z| Op::ProfilesUp(ZoneId(z))));
+            let up = |z| ManagerEvent::ProfileServerUp { t, zone: ZoneId(z) };
+            events.extend((0..zones).map(up));
         }
     }
     events
@@ -356,15 +313,15 @@ fn churn_schedule(seed: u64, cells: &[CellId], zones: u32) -> Vec<Op> {
 
 /// [`churn_schedule`] with a re-negotiation after every 5th event: floors
 /// change through `Network::get_mut` alone.
-fn churn_with_renegotiation(seed: u64, cells: &[CellId], zones: u32) -> Vec<Op> {
+fn churn_with_renegotiation(seed: u64, env: &IndoorEnvironment, zones: u32) -> Vec<ManagerEvent> {
     let mut rng = SimRng::new(seed).split("renegotiation");
     let mut events = Vec::new();
-    for (k, ev) in churn_schedule(seed, cells, zones).into_iter().enumerate() {
+    for (k, ev) in churn_schedule(seed, env, zones).into_iter().enumerate() {
         events.push(ev);
         if k % 5 == 4 {
-            let p = rng.index(6) as u32;
+            let (t, portable) = (SimTime::ZERO, PortableId(rng.index(6) as u32));
             let qos = shaped(rng.uniform(50.0, 400.0), rng.uniform(400.0, 1600.0));
-            events.push(Op::Renegotiate(p, qos));
+            events.push(ManagerEvent::Renegotiate { t, portable, qos });
         }
     }
     events
@@ -419,10 +376,12 @@ fn churn_manager(
 
 /// `stream` at `seeds` on every churn floor and strategy, `B_dyn` on and
 /// off, against [`Twin::WholeTable`]; what they reached, summed.
-fn churn_agrees(seeds: std::ops::Range<u64>, stream: fn(u64, &[CellId], u32) -> Vec<Op>) -> Reach {
+fn churn_agrees(
+    seeds: std::ops::Range<u64>,
+    stream: fn(u64, &IndoorEnvironment, u32) -> Vec<ManagerEvent>,
+) -> Reach {
     let mut total = Reach::default();
     for (floor, env, zones) in churn_floors() {
-        let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
         for strategy in [
             Strategy::None,
             Strategy::Paper,
@@ -432,7 +391,7 @@ fn churn_agrees(seeds: std::ops::Range<u64>, stream: fn(u64, &[CellId], u32) -> 
         ] {
             for dyn_pool in [Some(DynPoolPolicy::default()), None] {
                 for seed in seeds.clone() {
-                    let ops = timed(stream(seed, &cells, zones), 4);
+                    let ops = timed(stream(seed, &env, zones), 4);
                     let make = |twin| churn_manager(&env, strategy, dyn_pool, twin);
                     let on = dyn_pool.is_some();
                     let what = format!("{floor} {strategy:?} dyn_pool={on} seed {seed}");
@@ -447,41 +406,43 @@ fn churn_agrees(seeds: std::ops::Range<u64>, stream: fn(u64, &[CellId], u32) -> 
     total
 }
 
-/// `ops` at `secs`, `2·secs`, … seconds.
-fn timed(ops: Vec<Op>, secs: u64) -> Vec<(SimTime, Op)> {
-    let at = |k: usize| SimTime::from_secs(secs * (k as u64 + 1));
-    ops.into_iter()
-        .enumerate()
-        .map(|(k, op)| (at(k), op))
-        .collect()
+/// `events` at `secs`, `2·secs`, … seconds: each event's time is its
+/// place in the stream.
+fn timed(mut events: Vec<ManagerEvent>, secs: u64) -> Vec<ManagerEvent> {
+    for (k, ev) in events.iter_mut().enumerate() {
+        *ev.time_mut() = SimTime::from_secs(secs * (k as u64 + 1));
+    }
+    events
 }
 
 /// `trace` as a replay runs it — the slot ticks due, then each
-/// appearance or move — with what `after(k, event, ops)` appends.
+/// appearance or move — with what `after(k, event, events)` appends.
 fn trace_stream(
     trace: &MobilityTrace,
-    mut after: impl FnMut(usize, &MoveEvent, &mut Vec<(SimTime, Op)>),
-) -> Vec<(SimTime, Op)> {
-    let mut ops = Vec::new();
+    mut after: impl FnMut(usize, &MoveEvent, &mut Vec<ManagerEvent>),
+) -> Vec<ManagerEvent> {
+    let mut events = Vec::new();
     let mut next_slot = SimTime::ZERO + SLOT;
     for (k, ev) in trace.events().iter().enumerate() {
         while ev.time >= next_slot {
-            ops.push((next_slot, Op::SlotTick));
+            events.push(ManagerEvent::SlotTick { t: next_slot });
             next_slot += SLOT;
         }
-        let p = ev.portable.0;
-        let op = ev.from.map_or(Op::Appear(p, ev.to), |_| Op::Move(p, ev.to));
-        ops.push((ev.time, op));
-        after(k, ev, &mut ops);
+        let (t, portable, cell, to) = (ev.time, ev.portable, ev.to, ev.to);
+        events.push(match ev.from {
+            None => ManagerEvent::Appear { t, portable, cell },
+            Some(_) => ManagerEvent::Move { t, portable, to },
+        });
+        after(k, ev, &mut events);
     }
-    ops
+    events
 }
 
 /// `benchmark/src/gen.rs::adapt_rush`, smaller: 120 wanderers on a
 /// ten-office wing for 12 minutes with one adaptive connection each, a
 /// fade or recovery after every 4th trace event. Even seeds run no
 /// claims, odd seeds the paper's, whose dispatch pass reads the statics.
-fn rush(seed: u64) -> (impl Fn(Twin) -> ResourceManager, Vec<(SimTime, Op)>) {
+fn rush(seed: u64) -> (impl Fn(Twin) -> ResourceManager, Vec<ManagerEvent>) {
     let env = office_wing(10);
     let params = RandomWalkParams {
         population: 120,
@@ -494,7 +455,7 @@ fn rush(seed: u64) -> (impl Fn(Twin) -> ResourceManager, Vec<(SimTime, Op)>) {
     for ev in trace.events() {
         last.insert(ev.portable, ev.time);
     }
-    let adaptive = QosRequest::bandwidth(16.0, 1600.0)
+    let qos = QosRequest::bandwidth(16.0, 1600.0)
         .with_delay(30.0)
         .with_jitter(30.0)
         .with_loss(1.0);
@@ -502,12 +463,12 @@ fn rush(seed: u64) -> (impl Fn(Twin) -> ResourceManager, Vec<(SimTime, Op)>) {
     let mut faded = vec![false; cells];
     let mut fade_rng = SimRng::new(seed).split("bench-fades");
     let ops = trace_stream(&trace, |i, ev, ops| {
-        let p = ev.portable.0;
+        let (t, portable) = (ev.time, ev.portable);
         if ev.from.is_none() {
-            ops.push((ev.time, Op::Connect(p, adaptive)));
+            ops.push(ManagerEvent::Request { t, portable, qos });
         }
         if last[&ev.portable] == ev.time {
-            ops.push((ev.time, Op::Terminate(p)));
+            ops.push(ManagerEvent::Terminate { t, portable });
         }
         if (i + 1) % 4 == 0 {
             let c = fade_rng.index(cells);
@@ -517,7 +478,8 @@ fn rush(seed: u64) -> (impl Fn(Twin) -> ResourceManager, Vec<(SimTime, Op)>) {
             } else {
                 1.0
             };
-            ops.push((ev.time, Op::Fade(CellId::from_index(c), fraction)));
+            let cell = CellId::from_index(c);
+            ops.push(ManagerEvent::ChannelChange { t, cell, fraction });
         }
     });
     let strategy = [Strategy::None, Strategy::Paper][seed as usize % 2];
@@ -534,44 +496,61 @@ fn rush(seed: u64) -> (impl Fn(Twin) -> ResourceManager, Vec<(SimTime, Op)>) {
 
 /// 60 events of `core/tests/chaos.rs::churn_schedule` draw for draw, one
 /// a second: heavy on wireless and wired failures and restorations.
-fn chaos_stream(seed: u64) -> Vec<(SimTime, Op)> {
+fn chaos_stream(seed: u64) -> Vec<ManagerEvent> {
     let f4 = Figure4::build();
+    let links = fault_links(&f4.env);
+    let wireless = |cell: CellId| links[cell.index()][0];
+    let wired = |cell: CellId| links[cell.index()][1];
     let cells = [f4.a, f4.b, f4.c, f4.d, f4.e, f4.f, f4.g];
+    let t = SimTime::ZERO;
     let mut rng = SimRng::new(seed);
     let mut events = Vec::new();
     let mut home = [f4.a; 6];
     for p in 0..6u32 {
-        let cell = cells[rng.index(cells.len())];
+        let (portable, cell) = (PortableId(p), cells[rng.index(cells.len())]);
         home[p as usize] = cell;
-        events.push(Op::Appear(p, cell));
-        events.push(Op::Connect(p, shaped(100.0, 1600.0)));
+        events.push(ManagerEvent::Appear { t, portable, cell });
+        let qos = shaped(100.0, 1600.0);
+        events.push(ManagerEvent::Request { t, portable, qos });
     }
     let (mut wireless_down, mut wired_down) = (Vec::new(), Vec::new());
     while events.len() < 60 {
-        let p = rng.index(6) as u32;
+        let portable = PortableId(rng.index(6) as u32);
         let cell = cells[rng.index(cells.len())];
         let target = home[rng.index(6)];
+        let to = cell;
         events.push(match rng.index(12) {
-            0 => Op::Connect(
-                p,
-                shaped(rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0)),
-            ),
-            1 => {
-                home[p as usize] = cell;
-                Op::Move(p, cell)
+            0 => {
+                let qos = shaped(rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0));
+                ManagerEvent::Request { t, portable, qos }
             }
-            2 => Op::Terminate(p),
-            3 => Op::Fade(cell, rng.uniform(0.3, 1.0)),
+            1 => {
+                home[portable.0 as usize] = to;
+                ManagerEvent::Move { t, portable, to }
+            }
+            2 => ManagerEvent::Terminate { t, portable },
+            3 => {
+                let fraction = rng.uniform(0.3, 1.0);
+                ManagerEvent::ChannelChange { t, cell, fraction }
+            }
             4 | 5 => {
                 wireless_down.push(target);
-                Op::FailWireless(target)
+                let link = wireless(target);
+                ManagerEvent::LinkDown { t, link }
             }
-            6 | 7 => Op::RestoreWireless(wireless_down.pop().unwrap_or(cell)),
+            6 | 7 => {
+                let link = wireless(wireless_down.pop().unwrap_or(cell));
+                ManagerEvent::LinkUp { t, link }
+            }
             8 | 9 => {
                 wired_down.push(target);
-                Op::FailWired(target)
+                let link = wired(target);
+                ManagerEvent::LinkDown { t, link }
             }
-            _ => Op::RestoreWired(wired_down.pop().unwrap_or(cell)),
+            _ => {
+                let link = wired(wired_down.pop().unwrap_or(cell));
+                ManagerEvent::LinkUp { t, link }
+            }
         });
     }
     timed(events, 1)
@@ -638,7 +617,8 @@ fn scenario_agrees(sc: &Scenario) {
     let mix = WorkloadMix::paper71();
     let ops = trace_stream(&trace, |_, ev, ops| {
         if ev.from.is_none() {
-            ops.push((ev.time, Op::Connect(ev.portable.0, mix.sample(&mut rng))));
+            let (t, portable, qos) = (ev.time, ev.portable, mix.sample(&mut rng));
+            ops.push(ManagerEvent::Request { t, portable, qos });
         }
     });
     let what = format!("{} seed {}", sc.name, sc.seed);
@@ -738,25 +718,29 @@ fn the_wing_matches_the_whole_table_at_benchmark_scale() {
             let mut rng = SimRng::new(seed).split("wide-differential");
             let mix = WorkloadMix::paper71();
             let ops = trace_stream(&trace, |k, ev, ops| {
-                let at = |op| (ev.time, op);
+                let (t, portable) = (ev.time, ev.portable);
                 if ev.from.is_none() {
                     let q = mix.sample(&mut rng);
-                    ops.push(at(Op::Connect(ev.portable.0, shaped(q.b_min, q.b_max))));
+                    let qos = shaped(q.b_min, q.b_max);
+                    ops.push(ManagerEvent::Request { t, portable, qos });
                 }
-                let drawn = rng.index(240) as u32;
+                let portable = PortableId(rng.index(240) as u32);
                 if k % 37 == 36 {
                     let b = rng.uniform(8.0, 96.0);
-                    ops.push(at(Op::Renegotiate(drawn, shaped(b, b))));
+                    let qos = shaped(b, b);
+                    ops.push(ManagerEvent::Renegotiate { t, portable, qos });
                 }
                 if k % 53 == 52 {
-                    ops.push(at(Op::Terminate(drawn)));
+                    ops.push(ManagerEvent::Terminate { t, portable });
                 }
                 if k % 211 == 210 {
-                    ops.push(at(Op::Fade(ev.to, rng.uniform(0.5, 1.0))));
+                    let (cell, fraction) = (ev.to, rng.uniform(0.5, 1.0));
+                    ops.push(ManagerEvent::ChannelChange { t, cell, fraction });
                 }
+                let zone = ZoneId(0);
                 match k {
-                    1000 => ops.push(at(Op::ProfilesDown(ZoneId(0)))),
-                    1200 => ops.push(at(Op::ProfilesUp(ZoneId(0)))),
+                    1000 => ops.push(ManagerEvent::ProfileServerDown { t, zone }),
+                    1200 => ops.push(ManagerEvent::ProfileServerUp { t, zone }),
                     _ => {}
                 }
             });
@@ -783,17 +767,16 @@ enum Caught {
 type Case = (
     Box<dyn Fn(Twin) -> ResourceManager>,
     Twin,
-    Vec<(SimTime, Op)>,
+    Vec<ManagerEvent>,
 );
 
 /// A churn stream on floor `floor` of [`churn_floors`], `B_dyn` on.
 fn churn_case(floor: usize, strategy: Strategy, seed: u64, renegotiate: bool) -> Case {
     let (_, env, zones) = churn_floors().into_iter().nth(floor).expect("three floors");
-    let cells: Vec<CellId> = env.cells().map(|(id, _)| id).collect();
     let ops = if renegotiate {
-        churn_with_renegotiation(seed, &cells, zones)
+        churn_with_renegotiation(seed, &env, zones)
     } else {
-        churn_schedule(seed, &cells, zones)
+        churn_schedule(seed, &env, zones)
     };
     let pool = Some(DynPoolPolicy::default());
     let make = move |twin| churn_manager(&env, strategy, pool, twin);
@@ -828,7 +811,11 @@ fn every_mutant_is_caught() {
     );
     let cases = [
         (GuardIgnoresRevision, figure4(Strategy::None, 1), Divergence),
-        (GuardWithoutNoOp, figure4(Strategy::Paper, 5), Divergence),
+        (
+            GuardWithoutNoOp,
+            churn_case(2, Strategy::Paper, 0, false),
+            Divergence,
+        ),
         (
             DispatchBlindToMobile,
             churn_case(2, Strategy::Paper, 3, true),
@@ -875,10 +862,11 @@ fn every_mutant_is_caught() {
 }
 
 /// Where the re-sync parts from production (DESIGN §11): a settled
-/// portable appears again elsewhere while tracked. Production sets
-/// branches up only at admission, handoff and accepted re-negotiation;
-/// the re-sync sets them up at the next tick. The server refuses such
-/// an `Appear`.
+/// portable appears again elsewhere while it holds a connection.
+/// Production sets branches up only at admission, handoff and accepted
+/// re-negotiation; the re-sync sets them up at the next tick. `apply`
+/// refuses such an `Appear` (`manager_tests::refused_events_change_nothing`);
+/// this drives the raw arms to pin what they do with one.
 #[test]
 fn a_reappearance_while_tracked_parts_the_resync_reference() {
     let f4 = Figure4::build();

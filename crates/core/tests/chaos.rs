@@ -6,7 +6,7 @@
 //! server's event loop, is `crates/server/tests/chaos.rs`.)
 
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::Figure4;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::{CellId, ConnId, NodeId, PortableId};
@@ -29,21 +29,6 @@ fn office_scenario(seed: u64) -> Scenario {
     }
 }
 
-/// One manager-level churn event.
-#[derive(Clone, Copy, Debug)]
-enum Churn {
-    Appear(u32, CellId),
-    Connect(u32, f64, f64),
-    Move(u32, CellId),
-    Terminate(u32),
-    Fade(CellId, f64),
-    FailWireless(CellId),
-    RestoreWireless(CellId),
-    /// The backbone hop of the cell's uplink fails / comes back.
-    FailWired(CellId),
-    RestoreWired(CellId),
-}
-
 /// A fresh Figure-4 manager with the excess resolver on and eqn 2's
 /// threshold at `delta`.
 fn chaos_manager(delta: f64) -> ResourceManager {
@@ -60,65 +45,11 @@ fn chaos_manager(delta: f64) -> ResourceManager {
     ResourceManager::new(f4.env.clone(), net, cfg)
 }
 
-/// Portable → its open connection, as the driver of a schedule knows it.
-type Conns = std::collections::BTreeMap<u32, ConnId>;
-
-/// The time of the `k`-th event of a schedule.
-fn at(k: usize) -> SimTime {
-    SimTime::from_secs(k as u64 + 1)
-}
-
-/// Apply the `k`-th event of a schedule.
-fn apply(mgr: &mut ResourceManager, conns: &mut Conns, k: usize, ev: Churn) {
-    let t = at(k);
-    let wired_hop = |mgr: &ResourceManager, cell: CellId| {
-        let topo = mgr.net.topology();
-        let uplink = shortest_path(topo, topo.air_node(cell), NodeId(0));
-        uplink.expect("star backbone is connected").links[1]
-    };
-    match ev {
-        Churn::Appear(p, cell) => mgr.portable_appears(PortableId(p), cell, t),
-        Churn::Connect(p, b_min, b_max) => {
-            let qos = QosRequest::bandwidth(b_min, b_max)
-                .with_delay(10.0)
-                .with_jitter(10.0)
-                .with_loss(1.0);
-            if let Ok(id) = mgr.request_connection(PortableId(p), qos, t) {
-                conns.insert(p, id);
-            }
-        }
-        Churn::Move(p, cell) => {
-            // The manager treats a move to the current cell as a
-            // caller bug; the random schedule can produce one.
-            if mgr.portable_cell(PortableId(p)) != Some(cell) {
-                mgr.portable_moved(PortableId(p), cell, t);
-            }
-        }
-        Churn::Terminate(p) => {
-            if let Some(id) = conns.remove(&p) {
-                mgr.terminate(id, t);
-            }
-        }
-        Churn::Fade(cell, f) => {
-            mgr.channel_change(cell, f, t).expect("valid fraction");
-        }
-        Churn::FailWireless(cell) => {
-            let wl = mgr.net.topology().wireless_link(cell);
-            mgr.link_failed(wl, t);
-        }
-        Churn::RestoreWireless(cell) => {
-            let wl = mgr.net.topology().wireless_link(cell);
-            mgr.link_restored(wl, t);
-        }
-        Churn::FailWired(cell) => {
-            let l = wired_hop(mgr, cell);
-            mgr.link_failed(l, t);
-        }
-        Churn::RestoreWired(cell) => {
-            let l = wired_hop(mgr, cell);
-            mgr.link_restored(l, t);
-        }
-    }
+/// Apply the `k`-th event of a schedule. The random schedule can make
+/// one the manager refuses (a move to the portable's own cell, a
+/// hang-up with nothing open); it changes nothing.
+fn step(mgr: &mut ResourceManager, k: usize, ev: &ManagerEvent) {
+    let _ = mgr.apply(ev);
     assert!(mgr.net.check_invariants().is_ok(), "event {k}: {ev:?}");
 }
 
@@ -135,13 +66,12 @@ fn apply(mgr: &mut ResourceManager, conns: &mut Conns, k: usize, ev: Churn) {
 /// the resolver's 1e-9 application dead band — a target that moved by
 /// an ulp is deliberately not re-applied — the engine check does not.)
 /// Returns the engine's solve count.
-fn replay(seed: u64, delta: f64, events: &[Churn]) -> u64 {
+fn replay(seed: u64, delta: f64, events: &[ManagerEvent]) -> u64 {
     let mut mgr = chaos_manager(delta);
-    let mut conns = Conns::new();
     for (k, ev) in events.iter().enumerate() {
-        let t = at(k);
+        let t = ev.time();
         let rounds_before = mgr.adaptation_rounds;
-        apply(&mut mgr, &mut conns, k, *ev);
+        step(&mut mgr, k, ev);
         if mgr.adaptation_rounds == rounds_before {
             continue;
         }
@@ -153,11 +83,11 @@ fn replay(seed: u64, delta: f64, events: &[Churn]) -> u64 {
         });
         for (id, x) in problem.solve() {
             assert_eq!(
-                mgr.maxmin.rate(id).map(f64::to_bits),
+                mgr.maxmin().rate(id).map(f64::to_bits),
                 Some(x.to_bits()),
                 "seed {seed} δ={delta}: engine share of {id:?} is {:?} but the \
                  reference solve says {x} after event {k}: {ev:?}",
-                mgr.maxmin.rate(id)
+                mgr.maxmin().rate(id)
             );
             let c = mgr.net.get(id).expect("solved connections are live");
             let want = (c.qos.b_min + x).clamp(c.qos.b_min, c.qos.b_max);
@@ -169,7 +99,7 @@ fn replay(seed: u64, delta: f64, events: &[Churn]) -> u64 {
             );
         }
     }
-    mgr.maxmin.stats.incremental_solves
+    mgr.maxmin().stats.incremental_solves
 }
 
 /// Everything an event leaves behind that a manager restored earlier in
@@ -188,7 +118,7 @@ struct Mark {
 
 fn mark(mgr: &ResourceManager, rounds_before: u64) -> Mark {
     let shares = || {
-        let share = |c: &arm_net::Connection| (c.id, mgr.maxmin.rate(c.id).map(f64::to_bits));
+        let share = |c: &arm_net::Connection| (c.id, mgr.maxmin().rate(c.id).map(f64::to_bits));
         let mut v: Vec<_> = mgr.net.live_connections().map(share).collect();
         v.sort();
         v
@@ -209,30 +139,27 @@ fn mark(mgr: &ResourceManager, rounds_before: u64) -> Mark {
 /// end. This is the licence for keeping the engine out of the snapshot:
 /// nothing it holds influences a decision. Returns the uninterrupted
 /// run's marks.
-fn restore_anywhere(seed: u64, delta: f64, events: &[Churn]) -> Vec<Mark> {
+fn restore_anywhere(seed: u64, delta: f64, events: &[ManagerEvent]) -> Vec<Mark> {
     use arm_core::ManagerSnapshot;
     use arm_obs::Obs;
 
     let mut mgr = chaos_manager(delta);
-    let mut conns = Conns::new();
     let mut marks = Vec::with_capacity(events.len());
     let mut cuts = Vec::with_capacity(events.len());
     for (k, ev) in events.iter().enumerate() {
         let rounds = mgr.adaptation_rounds;
-        apply(&mut mgr, &mut conns, k, *ev);
+        step(&mut mgr, k, ev);
         marks.push(mark(&mgr, rounds));
-        let json = mgr.snapshot().to_json().expect("snapshot serializes");
-        cuts.push((json, conns.clone()));
+        cuts.push(mgr.snapshot().to_json().expect("snapshot serializes"));
     }
-    let end = &cuts.last().expect("non-empty schedule").0;
-    for (cut, (json, conns)) in cuts.iter().enumerate() {
+    let end = cuts.last().expect("non-empty schedule");
+    for (cut, json) in cuts.iter().enumerate() {
         let snap = ManagerSnapshot::from_json(json).expect("snapshot parses");
         let mut twin = ResourceManager::restore(snap, Obs::off()).expect("snapshot restores");
-        assert_eq!(twin.maxmin.conn_count(), 0, "a restored engine is empty");
-        let mut conns = conns.clone();
+        assert_eq!(twin.maxmin().conn_count(), 0, "a restored engine is empty");
         for (k, ev) in events.iter().enumerate().skip(cut + 1) {
             let rounds = twin.adaptation_rounds;
-            apply(&mut twin, &mut conns, k, *ev);
+            step(&mut twin, k, ev);
             assert_eq!(
                 mark(&twin, rounds),
                 marks[k],
@@ -240,8 +167,8 @@ fn restore_anywhere(seed: u64, delta: f64, events: &[Churn]) -> Vec<Mark> {
             );
         }
         assert_eq!(
-            &twin.snapshot().to_json().expect("snapshot serializes"),
-            end,
+            twin.snapshot().to_json().expect("snapshot serializes"),
+            *end,
             "seed {seed} δ={delta}: restored after event {cut}, final snapshot bytes differ"
         );
     }
@@ -249,48 +176,89 @@ fn restore_anywhere(seed: u64, delta: f64, events: &[Churn]) -> Vec<Mark> {
 }
 
 /// Random but seed-replayable churn over the Figure 4 floor, heavy on
-/// link failures and restorations, wireless and wired. Failures aim at
-/// a portable's cell and restorations at the link that failed last, so
-/// outages that open and close between two rounds are common.
-fn churn_schedule(seed: u64, len: usize) -> Vec<Churn> {
+/// link failures and restorations, wireless and wired, one event a
+/// second. Failures aim at a portable's cell and restorations at the
+/// link that failed last, so outages that open and close between two
+/// rounds are common. A wired fault names the backbone hop of its
+/// cell's uplink.
+fn churn_schedule(seed: u64, len: usize) -> Vec<ManagerEvent> {
     let f4 = Figure4::build();
     let cells = [f4.a, f4.b, f4.c, f4.d, f4.e, f4.f, f4.g];
+    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
+    let topo = net.topology();
+    let wireless = |cell| topo.wireless_link(cell);
+    let wired = |cell| {
+        let uplink = shortest_path(topo, topo.air_node(cell), NodeId(0));
+        uplink.expect("star backbone is connected").links[1]
+    };
     let mut rng = SimRng::new(seed);
     let mut events = Vec::with_capacity(len);
+    let t = |events: &Vec<ManagerEvent>| SimTime::from_secs(events.len() as u64 + 1);
     // Seed a population so every schedule exercises live connections.
     let mut home = [f4.a; 6];
     for p in 0..6u32 {
         let cell = cells[rng.index(cells.len())];
         home[p as usize] = cell;
-        events.push(Churn::Appear(p, cell));
-        events.push(Churn::Connect(p, 100.0, 1600.0));
+        let (portable, qos) = (PortableId(p), shaped(100.0, 1600.0));
+        events.push(ManagerEvent::Appear {
+            t: t(&events),
+            portable,
+            cell,
+        });
+        events.push(ManagerEvent::Request {
+            t: t(&events),
+            portable,
+            qos,
+        });
     }
     let (mut wireless_down, mut wired_down) = (Vec::new(), Vec::new());
     while events.len() < len {
-        let p = rng.index(6) as u32;
+        let (t, portable) = (t(&events), PortableId(rng.index(6) as u32));
         let cell = cells[rng.index(cells.len())];
-        let target = home[rng.index(6)];
+        let (to, target) = (cell, home[rng.index(6)]);
         events.push(match rng.index(12) {
-            0 => Churn::Connect(p, rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0)),
-            1 => {
-                home[p as usize] = cell;
-                Churn::Move(p, cell)
+            0 => {
+                let qos = shaped(rng.uniform(50.0, 200.0), rng.uniform(400.0, 1600.0));
+                ManagerEvent::Request { t, portable, qos }
             }
-            2 => Churn::Terminate(p),
-            3 => Churn::Fade(cell, rng.uniform(0.3, 1.0)),
+            1 => {
+                home[portable.0 as usize] = to;
+                ManagerEvent::Move { t, portable, to }
+            }
+            2 => ManagerEvent::Terminate { t, portable },
+            3 => {
+                let fraction = rng.uniform(0.3, 1.0);
+                ManagerEvent::ChannelChange { t, cell, fraction }
+            }
             4 | 5 => {
                 wireless_down.push(target);
-                Churn::FailWireless(target)
+                let link = wireless(target);
+                ManagerEvent::LinkDown { t, link }
             }
-            6 | 7 => Churn::RestoreWireless(wireless_down.pop().unwrap_or(cell)),
+            6 | 7 => {
+                let link = wireless(wireless_down.pop().unwrap_or(cell));
+                ManagerEvent::LinkUp { t, link }
+            }
             8 | 9 => {
                 wired_down.push(target);
-                Churn::FailWired(target)
+                let link = wired(target);
+                ManagerEvent::LinkDown { t, link }
             }
-            _ => Churn::RestoreWired(wired_down.pop().unwrap_or(cell)),
+            _ => {
+                let link = wired(wired_down.pop().unwrap_or(cell));
+                ManagerEvent::LinkUp { t, link }
+            }
         });
     }
     events
+}
+
+/// A request with the schedules' delay, jitter and loss.
+fn shaped(b_min: f64, b_max: f64) -> QosRequest {
+    QosRequest::bandwidth(b_min, b_max)
+        .with_delay(10.0)
+        .with_jitter(10.0)
+        .with_loss(1.0)
 }
 
 /// The manager-level acceptance for the production maxmin engine: with
@@ -337,13 +305,21 @@ fn a_manager_restored_at_any_cut_matches_the_uninterrupted_run() {
 #[test]
 fn a_cut_inside_a_closed_gate_with_a_rider_squeezed_restores_alike() {
     let f4 = Figure4::build();
+    let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
+    let topo = net.topology();
+    let uplink = shortest_path(topo, topo.air_node(f4.c), NodeId(0));
+    let link = uplink.expect("star backbone is connected").links[1];
+    let (p1, p2, qos) = (PortableId(1), PortableId(2), shaped(100.0, 1600.0));
+    let t = SimTime::from_secs;
+    let appear = |t, portable, cell| ManagerEvent::Appear { t, portable, cell };
+    let request = |t, portable| ManagerEvent::Request { t, portable, qos };
     let events = [
-        Churn::Appear(1, f4.c),
-        Churn::Connect(1, 100.0, 1600.0),
-        Churn::FailWired(f4.c),
-        Churn::RestoreWired(f4.c),
-        Churn::Appear(2, f4.a),
-        Churn::Connect(2, 100.0, 1600.0),
+        appear(t(1), p1, f4.c),
+        request(t(2), p1),
+        ManagerEvent::LinkDown { t: t(3), link },
+        ManagerEvent::LinkUp { t: t(4), link },
+        appear(t(5), p2, f4.a),
+        request(t(6), p2),
     ];
     let marks = restore_anywhere(0, 5000.0, &events);
     let rider = |m: &Mark| f64::from_bits(m.rates[0].1);
@@ -384,22 +360,27 @@ fn snapshot_during_link_outage_restores_the_seal_and_readmission() {
         t += SimDuration::from_secs(1);
         t
     };
-    let qos = || {
-        QosRequest::bandwidth(100.0, 400.0)
-            .with_delay(30.0)
-            .with_jitter(30.0)
-            .with_loss(1.0)
-    };
+    let qos = QosRequest::bandwidth(100.0, 400.0)
+        .with_delay(30.0)
+        .with_jitter(30.0)
+        .with_loss(1.0);
+    let apply = |mgr: &mut ResourceManager, ev| mgr.apply(&ev).expect("a well-formed event");
     for p in 0..3u32 {
-        mgr.portable_appears(PortableId(p), CellId(p), tick());
-        mgr.request_connection(PortableId(p), qos(), tick())
-            .expect("uncontended admission");
+        let (portable, cell) = (PortableId(p), CellId(p));
+        let t = tick();
+        let _ = apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+        let t = tick();
+        let admitted = apply(&mut mgr, ManagerEvent::Request { t, portable, qos }).decision;
+        assert!(
+            matches!(admitted, Decision::Admitted(_)),
+            "uncontended admission"
+        );
     }
     // Fail cell 0's wireless link mid-run: the remaining headroom is
     // sealed with an Outage claim.
-    let wl = mgr.net.topology().wireless_link(CellId(0));
-    mgr.link_failed(wl, tick());
-    let sealed = mgr.net.link(wl).claim(ResvClaim::Outage);
+    let link = mgr.net.topology().wireless_link(CellId(0));
+    let _ = apply(&mut mgr, ManagerEvent::LinkDown { t: tick(), link });
+    let sealed = mgr.net.link(link).claim(ResvClaim::Outage);
     assert!(sealed > 0.0, "outage must seal the link's headroom");
 
     // Snapshot through bytes while the outage is active.
@@ -408,29 +389,37 @@ fn snapshot_during_link_outage_restores_the_seal_and_readmission() {
     let mut restored = ResourceManager::restore(snap, Obs::off()).expect("snapshot restores");
 
     assert_eq!(
-        restored.net.link(wl).claim(ResvClaim::Outage).to_bits(),
+        restored.net.link(link).claim(ResvClaim::Outage).to_bits(),
         sealed.to_bits(),
         "outage seal must survive the round trip bit-for-bit"
     );
-    assert!(restored.is_link_down(wl), "down-link set must survive");
+    assert!(restored.is_link_down(link), "down-link set must survive");
     assert_eq!(rate_bits(&mgr), rate_bits(&restored));
 
     // From here on, original and restored must stay in lockstep.
     // During the outage, a request in the sealed cell is refused by
     // both...
+    let (portable, after) = (PortableId(9), |s| t + SimDuration::from_secs(s));
+    let (cell, request) = (CellId(0), |t| ManagerEvent::Request { t, portable, qos });
     for m in [&mut mgr, &mut restored] {
-        m.portable_appears(PortableId(9), CellId(0), t + SimDuration::from_secs(1));
-        let refused = m
-            .request_connection(PortableId(9), qos(), t + SimDuration::from_secs(2))
-            .is_err();
-        assert!(refused, "sealed link must refuse new admissions");
+        let t = after(1);
+        let _ = apply(m, ManagerEvent::Appear { t, portable, cell });
+        let refused = apply(m, request(after(2))).decision;
+        assert!(
+            matches!(refused, Decision::Blocked(_)),
+            "sealed link must refuse new admissions"
+        );
     }
     // ...and after restoration, the same request is admitted by both
     // at identical rates.
     for m in [&mut mgr, &mut restored] {
-        m.link_restored(wl, t + SimDuration::from_secs(3));
-        m.request_connection(PortableId(9), qos(), t + SimDuration::from_secs(4))
-            .expect("restored link must re-admit");
+        let t = after(3);
+        let _ = apply(m, ManagerEvent::LinkUp { t, link });
+        let admitted = apply(m, request(after(4))).decision;
+        assert!(
+            matches!(admitted, Decision::Admitted(_)),
+            "restored link must re-admit"
+        );
         assert!(m.net.check_invariants().is_ok());
     }
     assert_eq!(

@@ -6,7 +6,7 @@
 //! `crates/server/tests/obs_differential.rs`. Scenarios leave the eqn-2
 //! adaptation path off, so its emission point is exercised here.
 
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::Figure4;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::PortableId;
@@ -32,17 +32,22 @@ fn maxmin_rounds_are_traced_on_the_adaptation_path() {
         .with_delay(10.0)
         .with_jitter(10.0)
         .with_loss(1.0);
+    let mut apply = |ev| mgr.apply(&ev).expect("a well-formed event");
+    let cell = f4.c;
     for i in 0..2u32 {
-        let p = PortableId(i);
-        mgr.portable_appears(p, f4.c, SimTime::ZERO);
-        mgr.request_connection(p, adaptive, SimTime::from_secs(1 + u64::from(i)))
-            .expect("admits");
+        let (t, portable) = (SimTime::ZERO, PortableId(i));
+        let _ = apply(ManagerEvent::Appear { t, portable, cell });
+        let t = SimTime::from_secs(1 + u64::from(i));
+        let qos = adaptive;
+        let admitted = apply(ManagerEvent::Request { t, portable, qos });
+        assert!(matches!(admitted.decision, Decision::Admitted(_)), "admits");
     }
     // Fade and recovery both trigger the eqn-2 maxmin re-solve.
-    mgr.channel_change(f4.c, 0.4, SimTime::from_secs(10))
-        .expect("valid fraction");
-    mgr.channel_change(f4.c, 1.0, SimTime::from_secs(60))
-        .expect("valid fraction");
+    for (secs, fraction) in [(10, 0.4), (60, 1.0)] {
+        let t = SimTime::from_secs(secs);
+        let fade = apply(ManagerEvent::ChannelChange { t, cell, fraction });
+        assert!(fade.round_ran);
+    }
     let obs = mgr.take_obs();
     assert!(obs.count(EventKind::MaxminRound) > 0);
     assert!(obs.count(EventKind::AdmitDecision) >= 2);

@@ -11,7 +11,7 @@
 //! do more work, or less, moves these numbers.
 
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-use arm_core::{ManagerSnapshot, RefreshStats, ResourceManager, Strategy};
+use arm_core::{ManagerEvent, ManagerSnapshot, RefreshStats, ResourceManager, Strategy};
 use arm_mobility::WorkloadMix;
 use arm_net::ids::CellId;
 use arm_net::link::ResvClaim;
@@ -65,19 +65,22 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
     let mut rng = SimRng::new(sc.seed).split("scenario-workload");
     let mix = WorkloadMix::paper71();
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
+    let apply = |mgr: &mut ResourceManager, ev| {
+        let _ = mgr.apply(&ev).expect("the trace is well-formed");
+    };
     for ev in trace.events() {
         while ev.time >= next_slot {
-            mgr.slot_tick(next_slot);
+            apply(&mut mgr, ManagerEvent::SlotTick { t: next_slot });
             next_slot += SimDuration::from_mins(1);
         }
+        let (t, portable, cell, to) = (ev.time, ev.portable, ev.to, ev.to);
         match ev.from {
             None => {
-                mgr.portable_appears(ev.portable, ev.to, ev.time);
-                let _ = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time);
+                apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+                let qos = mix.sample(&mut rng);
+                apply(&mut mgr, ManagerEvent::Request { t, portable, qos });
             }
-            Some(_) => {
-                mgr.portable_moved(ev.portable, ev.to, ev.time);
-            }
+            Some(_) => apply(&mut mgr, ManagerEvent::Move { t, portable, to }),
         }
     }
     let stats = mgr.refresh_stats();
@@ -110,9 +113,9 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
     let snap = ManagerSnapshot::from_json(&json).expect("snapshot parses");
     let mut restored = ResourceManager::restore(snap, Obs::off()).expect("restores");
     assert_eq!(restored.refresh_stats(), RefreshStats::default());
-    let t = next_slot;
-    restored.slot_tick(t);
-    mgr.slot_tick(t);
+    let tick = ManagerEvent::SlotTick { t: next_slot };
+    apply(&mut restored, tick);
+    apply(&mut mgr, tick);
     let tracked = 240;
     assert_eq!(
         restored.refresh_stats(),

@@ -15,11 +15,11 @@
 
 use std::collections::BTreeMap;
 
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::office_wing;
 use arm_mobility::models::random_walk::{self, RandomWalkParams};
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::{CellId, ConnId};
+use arm_net::ids::CellId;
 use arm_sim::{SimDuration, SimRng, SimTime};
 
 /// Connections the rounds' pin and sync looked at.
@@ -71,14 +71,15 @@ fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
     let mut faded = vec![false; cells];
     let mut fade_rng = SimRng::new(seed).split("bench-fades");
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
-    let mut conns: BTreeMap<_, ConnId> = BTreeMap::new();
     let mut whole_table = 0u64;
     let (mut tracked, mut whole_scan) = (0u64, 0u64);
     // Every live connection, at each event that ran a round: a round
-    // moves rates, never adds or retires a connection.
-    let tally = |mgr: &ResourceManager, before: u64, whole_table: &mut u64| {
-        if mgr.adaptation_rounds > before {
-            *whole_table += mgr.net.live_connections().count() as u64;
+    // moves rates, never adds or retires a connection. A hang-up of a
+    // connection a handoff or a fade already dropped is refused and
+    // changes nothing.
+    let mut apply = |mgr: &mut ResourceManager, ev| {
+        if mgr.apply(&ev).is_ok_and(|outcome| outcome.round_ran) {
+            whole_table += mgr.net.live_connections().count() as u64;
         }
     };
     for (i, ev) in trace.events().iter().enumerate() {
@@ -86,30 +87,20 @@ fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
         let refreshes = mgr.refresh_stats().refreshes;
         tracked += u64::from(ev.from.is_none());
         while ev.time >= next_slot {
-            let before = mgr.adaptation_rounds;
-            mgr.slot_tick(next_slot);
-            tally(&mgr, before, &mut whole_table);
+            apply(&mut mgr, ManagerEvent::SlotTick { t: next_slot });
             next_slot += SimDuration::from_mins(1);
         }
-        let before = mgr.adaptation_rounds;
+        let (t, portable, cell, to) = (ev.time, ev.portable, ev.to, ev.to);
         match ev.from {
             None => {
-                mgr.portable_appears(ev.portable, ev.to, ev.time);
-                if let Ok(id) = mgr.request_connection(ev.portable, adaptive, ev.time) {
-                    conns.insert(ev.portable, id);
-                }
+                apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+                let qos = adaptive;
+                apply(&mut mgr, ManagerEvent::Request { t, portable, qos });
             }
-            Some(_) => {
-                mgr.portable_moved(ev.portable, ev.to, ev.time);
-            }
+            Some(_) => apply(&mut mgr, ManagerEvent::Move { t, portable, to }),
         }
-        tally(&mgr, before, &mut whole_table);
         if last[&ev.portable] == ev.time {
-            if let Some(id) = conns.remove(&ev.portable) {
-                let before = mgr.adaptation_rounds;
-                mgr.terminate(id, ev.time);
-                tally(&mgr, before, &mut whole_table);
-            }
+            apply(&mut mgr, ManagerEvent::Terminate { t, portable });
         }
         if (i + 1) % 4 == 0 {
             let c = fade_rng.index(cells);
@@ -119,10 +110,8 @@ fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
             } else {
                 1.0
             };
-            let before = mgr.adaptation_rounds;
-            mgr.channel_change(CellId::from_index(c), fraction, ev.time)
-                .expect("valid fraction");
-            tally(&mgr, before, &mut whole_table);
+            let cell = CellId::from_index(c);
+            apply(&mut mgr, ManagerEvent::ChannelChange { t, cell, fraction });
         }
         whole_scan += (mgr.refresh_stats().refreshes - refreshes) * tracked;
     }
@@ -132,7 +121,7 @@ fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
 #[test]
 fn a_round_looks_only_at_what_changed() {
     let (mgr, whole_table, _) = adaptive_wing_run();
-    let stats = mgr.maxmin.stats;
+    let stats = mgr.maxmin().stats;
     assert_eq!(mgr.adaptation_rounds, 3_380, "rounds run");
     assert_eq!(
         (

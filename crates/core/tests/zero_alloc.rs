@@ -24,7 +24,7 @@
 
 use arm_alloc_counter::{allocations_during, CountingAlloc};
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::office_wing;
 use arm_mobility::models::random_walk::{self, RandomWalkParams};
 use arm_mobility::trace::MoveEvent;
@@ -110,20 +110,36 @@ fn warm_wing(
             return (mgr, *ev, next_slot);
         }
         while ev.time >= next_slot {
-            mgr.slot_tick(next_slot);
+            apply(&mut mgr, ManagerEvent::SlotTick { t: next_slot });
             next_slot += SimDuration::from_mins(1);
         }
+        let (t, portable, cell, to) = (ev.time, ev.portable, ev.to, ev.to);
         match ev.from {
             None => {
-                mgr.portable_appears(ev.portable, ev.to, ev.time);
-                let _ = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time);
+                apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+                let qos = mix.sample(&mut rng);
+                apply(&mut mgr, ManagerEvent::Request { t, portable, qos });
             }
             Some(_) => {
-                mgr.portable_moved(ev.portable, ev.to, ev.time);
+                apply(&mut mgr, ManagerEvent::Move { t, portable, to });
             }
         }
     }
     panic!("the trace has no such move after warm-up");
+}
+
+/// Apply one event of a well-formed stream; what it decided.
+fn apply(mgr: &mut ResourceManager, ev: ManagerEvent) -> Decision {
+    mgr.apply(&ev).expect("a well-formed event").decision
+}
+
+/// The measured move: its handoff must carry every connection.
+fn carried(decision: Decision) {
+    let no_drop = Decision::Handoff {
+        dropped: Vec::new(),
+        signalling_failed: false,
+    };
+    assert_eq!(decision, no_drop, "the measured handoff is carried");
 }
 
 #[test]
@@ -137,12 +153,14 @@ fn one_move_on_the_steady_wing_allocates_an_exact_count() {
             .is_some()
     });
     while ev.time >= next_slot {
-        mgr.slot_tick(next_slot);
+        apply(&mut mgr, ManagerEvent::SlotTick { t: next_slot });
         next_slot += SimDuration::from_mins(1);
     }
     assert!(mgr.net.live_connections().count() > 100, "the wing is busy");
-    let (dropped, allocs) = allocations_during(|| mgr.portable_moved(ev.portable, ev.to, ev.time));
-    assert!(dropped.is_empty(), "the measured handoff is carried");
+    let (t, portable, to) = (ev.time, ev.portable, ev.to);
+    let (decision, allocs) =
+        allocations_during(|| apply(&mut mgr, ManagerEvent::Move { t, portable, to }));
+    carried(decision);
     assert!(mgr.net.check_invariants().is_ok());
     assert_eq!(
         allocs, MOVE_ALLOCATIONS,
@@ -159,11 +177,11 @@ fn one_move_on_the_steady_wing_allocates_an_exact_count() {
 fn one_slot_tick_on_the_steady_wing_allocates_nothing() {
     // The first tick due after warm-up, before the move it rides on.
     let (mut mgr, _, slot) = warm_wing(|ev, _, next_slot| ev.time >= next_slot);
-    let before = mgr.multicast.active_branches;
-    let ((), allocs) = allocations_during(|| mgr.slot_tick(slot));
+    let before = mgr.multicast().active_branches;
+    let (_, allocs) = allocations_during(|| apply(&mut mgr, ManagerEvent::SlotTick { t: slot }));
     assert!(mgr.net.check_invariants().is_ok());
     assert!(
-        mgr.multicast.active_branches < before,
+        mgr.multicast().active_branches < before,
         "a portable settled at the measured tick ({before} branches before)"
     );
     assert_eq!(
@@ -226,9 +244,10 @@ fn one_move_with_adaptation_rounds_allocates_an_exact_count() {
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
     for (i, ev) in trace.events().iter().enumerate() {
         while ev.time >= next_slot {
-            mgr.slot_tick(next_slot);
+            apply(&mut mgr, ManagerEvent::SlotTick { t: next_slot });
             next_slot += SimDuration::from_mins(1);
         }
+        let (t, portable, cell, to) = (ev.time, ev.portable, ev.to, ev.to);
         let carries = || {
             mgr.net
                 .connections_of_portable(ev.portable)
@@ -236,11 +255,11 @@ fn one_move_with_adaptation_rounds_allocates_an_exact_count() {
                 .is_some()
         };
         if ev.time >= SimTime::from_mins(20) && ev.from.is_some() && carries() {
-            let rounds = mgr.adaptation_rounds;
-            let (dropped, allocs) =
-                allocations_during(|| mgr.portable_moved(ev.portable, ev.to, ev.time));
-            assert!(dropped.is_empty(), "the measured handoff is carried");
-            assert_eq!(mgr.adaptation_rounds, rounds + 1, "the move ran a round");
+            let move_to = ManagerEvent::Move { t, portable, to };
+            let (outcome, allocs) = allocations_during(|| mgr.apply(&move_to));
+            let outcome = outcome.expect("a well-formed event");
+            assert!(outcome.round_ran, "the move ran a round");
+            carried(outcome.decision);
             assert!(mgr.net.check_invariants().is_ok());
             assert_eq!(
                 allocs, ROUND_MOVE_ALLOCATIONS,
@@ -251,11 +270,12 @@ fn one_move_with_adaptation_rounds_allocates_an_exact_count() {
         }
         match ev.from {
             None => {
-                mgr.portable_appears(ev.portable, ev.to, ev.time);
-                let _ = mgr.request_connection(ev.portable, adaptive, ev.time);
+                apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+                let qos = adaptive;
+                apply(&mut mgr, ManagerEvent::Request { t, portable, qos });
             }
             Some(_) => {
-                mgr.portable_moved(ev.portable, ev.to, ev.time);
+                apply(&mut mgr, ManagerEvent::Move { t, portable, to });
             }
         }
         if (i + 1) % 4 == 0 {
@@ -266,8 +286,8 @@ fn one_move_with_adaptation_rounds_allocates_an_exact_count() {
             } else {
                 1.0
             };
-            mgr.channel_change(CellId::from_index(c), fraction, ev.time)
-                .expect("valid fraction");
+            let cell = CellId::from_index(c);
+            apply(&mut mgr, ManagerEvent::ChannelChange { t, cell, fraction });
         }
     }
     panic!("the trace has no such move after warm-up");

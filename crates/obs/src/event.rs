@@ -2,13 +2,13 @@
 //!
 //! Every observable state change in the manager/maxmin/reservation
 //! pipeline maps to exactly one [`ObsEvent`] variant carrying the
-//! sim-time it happened at, the ids involved, and a short `cause`
-//! string for the *why*. The taxonomy is deliberately closed: sinks,
+//! sim-time it happened at, the ids involved, and a typed cause for
+//! the *why* ([`AdmitCause`], [`HandoffCause`], [`Fault`]). The taxonomy is deliberately closed: sinks,
 //! counters, and the report schema all enumerate [`EventKind`], so a
 //! new event class is an explicit schema change, never an ad-hoc
 //! format string (see DESIGN.md §9).
 
-use arm_net::ids::{CellId, ConnId, LinkId, PortableId};
+use arm_net::ids::{CellId, ConnId, LinkId, PortableId, ZoneId};
 use arm_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -35,6 +35,43 @@ impl ClaimSource {
     }
 }
 
+/// Why an admission decision went the way it did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum AdmitCause {
+    /// A new connection was admitted.
+    Admitted,
+    /// A new connection was blocked.
+    Blocked,
+    /// A re-negotiation's new bounds were admitted.
+    RenegotiateAccepted,
+    /// A re-negotiation was refused; the connection keeps its old bounds.
+    RenegotiateRejected,
+}
+
+/// How a handoff's signalling went.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum HandoffCause {
+    /// Signalled: advance claims were usable.
+    Completed,
+    /// The signalling was lost: plain admission at the destination.
+    SignallingFailed,
+}
+
+/// An injected fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Fault {
+    /// A link failed.
+    LinkFailed(LinkId),
+    /// A failed link came back.
+    LinkRestored(LinkId),
+    /// A zone's profile server stopped answering.
+    ProfileServerDown(ZoneId),
+    /// A zone's profile server recovered.
+    ProfileServerUp(ZoneId),
+    /// The distributed protocol lost a control packet.
+    ControlPacketLost,
+}
+
 /// One structured trace event.
 ///
 /// Variants correspond 1:1 to the decision points named in the paper's
@@ -52,10 +89,8 @@ pub enum ObsEvent {
         conn: ConnId,
         /// The cell the portable requested from.
         cell: CellId,
-        /// Whether the request was admitted.
-        admitted: bool,
-        /// Why (e.g. `admitted`, `blocked`).
-        cause: String,
+        /// What was decided, and for which kind of request.
+        cause: AdmitCause,
     },
     /// One maxmin re-solve over the network.
     MaxminRound {
@@ -65,9 +100,6 @@ pub enum ObsEvent {
         conns_resolved: u64,
         /// Connections whose cached rates were reused.
         conns_reused: u64,
-        /// What triggered the round (e.g. `admit`, `handoff`,
-        /// `link-failed`, `eqn2-adaptation`).
-        cause: String,
     },
     /// The distributed protocol sent an ADVERTISE packet.
     AdvertiseSent {
@@ -105,8 +137,8 @@ pub enum ObsEvent {
         carried: u64,
         /// Connections dropped by the handoff.
         dropped: u64,
-        /// Why (e.g. `completed`, `signalling-failed`).
-        cause: String,
+        /// Whether the handoff was signalled.
+        cause: HandoffCause,
     },
     /// A handoff drew bandwidth down from an advance-reservation claim.
     ClaimConsumed {
@@ -142,8 +174,8 @@ pub enum ObsEvent {
     FaultInjected {
         /// Sim-time of the injection.
         t: SimTime,
-        /// What was injected (e.g. `link-failed`, `profile-server-down`).
-        fault: String,
+        /// What was injected, and where.
+        fault: Fault,
     },
     /// The server ingestion layer rejected one input line. The stream
     /// always continues past a rejection — this event (plus the
@@ -269,8 +301,7 @@ mod tests {
             t: SimTime::from_secs(3),
             conn: ConnId(7),
             cell: CellId(2),
-            admitted: false,
-            cause: "blocked".to_string(),
+            cause: AdmitCause::Blocked,
         };
         let json = serde_json::to_string(&ev).expect("serializable");
         assert!(json.contains("AdmitDecision"), "{json}");

@@ -53,7 +53,7 @@ mod report;
 mod sink;
 mod timers;
 
-pub use event::{ClaimSource, EventKind, ObsEvent};
+pub use event::{AdmitCause, ClaimSource, EventKind, Fault, HandoffCause, ObsEvent};
 pub use report::{
     BenchEntry, ChaosSummary, EventCount, HistSummary, MetricsSummary, PhaseSummary, RunReport,
     SCHEMA_VERSION,
@@ -251,8 +251,11 @@ mod tests {
             t: SimTime::from_secs(sec),
             conn: ConnId(1),
             cell: CellId(2),
-            admitted,
-            cause: if admitted { "admitted" } else { "blocked" }.to_string(),
+            cause: if admitted {
+                AdmitCause::Admitted
+            } else {
+                AdmitCause::Blocked
+            },
         }
     }
 

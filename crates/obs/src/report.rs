@@ -18,8 +18,11 @@ use arm_sim::stats::Histogram;
 /// per-engine maxmin phases into one `maxmin` and dropped
 /// `MaxminRound::incremental` (one engine in production); v5 dropped
 /// `MaxminRound::shards` (no shard planner); v6 dropped those
-/// three again, with the slotted calendar that emitted them.
-pub const SCHEMA_VERSION: u32 = 6;
+/// three again, with the slotted calendar that emitted them; v7 typed
+/// three `String` fields (`AdmitDecision::cause`, which absorbed
+/// `admitted`, `HandoffOutcome::cause` and `FaultInjected::fault`) and
+/// dropped `MaxminRound::cause` (one place opens a round).
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Summary statistics of one [`Histogram`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -101,8 +101,7 @@ mod tests {
             t: SimTime::from_secs(sec),
             conn: ConnId(1),
             cell: CellId(2),
-            admitted: true,
-            cause: "admitted".to_string(),
+            cause: crate::AdmitCause::Admitted,
         }
     }
 

@@ -62,7 +62,7 @@ fn populated() -> RunReport {
 #[test]
 fn schema_version_is_pinned() {
     assert_eq!(
-        SCHEMA_VERSION, 6,
+        SCHEMA_VERSION, 7,
         "schema version changed: update every pinned key list in this file"
     );
 }

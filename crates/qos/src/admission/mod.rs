@@ -92,7 +92,7 @@ pub struct AdmissionRequest {
 
 /// Which Table 2 row failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum TestKind {
+pub enum TestKind {
     /// Bandwidth row (forward).
     Bandwidth,
     /// Delay row (destination).
@@ -114,6 +114,19 @@ pub struct Rejection {
     /// The link at which it failed (`None` for end-to-end destination
     /// tests).
     pub(crate) link: Option<LinkId>,
+}
+
+impl Rejection {
+    /// The Table 2 row that failed.
+    pub fn test(&self) -> TestKind {
+        self.test
+    }
+
+    /// The link at which it failed; `None` for an end-to-end
+    /// destination test.
+    pub fn link(&self) -> Option<LinkId> {
+        self.link
+    }
 }
 
 impl std::fmt::Display for Rejection {

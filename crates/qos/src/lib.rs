@@ -53,4 +53,4 @@ pub mod conflict;
 pub mod maxmin;
 pub mod schedulers;
 
-pub use admission::Rejection;
+pub use admission::{Rejection, TestKind};

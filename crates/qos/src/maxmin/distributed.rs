@@ -837,7 +837,7 @@ impl Model for DistributedMaxmin {
                             let t = ctx.now();
                             o.borrow_mut().emit_with(|| ObsEvent::FaultInjected {
                                 t,
-                                fault: "control-packet-lost".to_string(),
+                                fault: arm_obs::Fault::ControlPacketLost,
                             });
                         }
                         self.arm_recovery(&pkt, ctx);

@@ -10,6 +10,8 @@
 use std::error::Error;
 use std::fmt;
 
+use arm_core::Refused;
+
 use crate::event::ServerEvent;
 
 /// Why a line (or decoded event) was rejected.
@@ -109,6 +111,24 @@ impl fmt::Display for IngestError {
 }
 
 impl Error for IngestError {}
+
+impl From<Refused> for IngestError {
+    /// The manager's refusal under the slug its class of fault has on
+    /// the wire: an unknown id, a non-finite or non-positive number, or
+    /// any other misuse.
+    fn from(r: Refused) -> Self {
+        match r {
+            Refused::Unknown { .. } | Refused::Untracked(_) => IngestError::UnknownEntity {
+                what: r.to_string(),
+            },
+            Refused::NonFinite { what } => IngestError::NonFinite { what },
+            Refused::NonPositive { what, value } => IngestError::NegativeRate { what, value },
+            _ => IngestError::InvalidParameter {
+                detail: r.to_string(),
+            },
+        }
+    }
+}
 
 /// Decode one JSONL line into a [`ServerEvent`].
 ///

@@ -27,12 +27,14 @@ use std::collections::BTreeSet;
 
 use arm_core::scenario::{build_manager, Scenario, WorkloadSpec};
 use arm_core::snapshot::decode_versioned;
-use arm_core::{ManagerSnapshot, ResourceManager, SnapshotError, MAX_EVENT_GAP, SLOT};
+use arm_core::{
+    ManagerEvent, ManagerSnapshot, ResourceManager, SnapshotError, MAX_EVENT_GAP, SLOT,
+};
 use arm_mobility::WorkloadMix;
 use arm_net::flowspec::QosRequest;
-use arm_net::ids::{ConnId, PortableId};
+use arm_net::ids::PortableId;
 use arm_obs::{Obs, ObsEvent, RunReport};
-use arm_sim::{SimRng, SimTime};
+use arm_sim::{Audited, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::event::ServerEvent;
@@ -112,6 +114,14 @@ pub enum LineOutcome {
     /// [`ObsEvent::IngestRejected`]); the server state is unchanged and
     /// the stream continues.
     Rejected(IngestError),
+}
+
+/// A wire request's bounds, with the server's delay, jitter and loss.
+fn shaped(b_min: f64, b_max: f64) -> QosRequest {
+    QosRequest::bandwidth(b_min, b_max)
+        .with_delay(30.0)
+        .with_jitter(30.0)
+        .with_loss(1.0)
 }
 
 /// The long-running resource-manager process state.
@@ -200,85 +210,50 @@ impl Server {
         }
     }
 
-    /// Validate and apply one decoded event. Validation is complete
-    /// before any state changes, so a rejected event has no effect at
-    /// all (not even a slot tick).
+    /// Validate and apply one decoded event: validate, run the slot
+    /// ticks due, [`ResourceManager::apply`], count. Validation is
+    /// complete before any state changes, so a rejected event has no
+    /// effect at all (not even a slot tick).
     pub fn apply_event(&mut self, ev: &ServerEvent) -> Result<(), IngestError> {
-        if let Err(e) = self.validate(ev) {
-            return Err(self.reject(e));
-        }
+        let mev = match self.validate(ev) {
+            Ok(mev) => mev,
+            Err(e) => return Err(self.reject(e)),
+        };
         let t = ev.time();
         // Periodic maintenance first: every event, fault or trace, runs
         // after the slot ticks due at or before its time. The ticks at or
         // before `last_time` have run already.
         let mut slot = SimTime::ZERO + SLOT * (self.last_time.ticks() / SLOT.ticks() + 1);
         while t >= slot {
-            self.mgr.slot_tick(slot);
+            self.run(ManagerEvent::SlotTick { t: slot });
             slot += SLOT;
         }
         match ev {
-            ServerEvent::Appear { t, portable, cell } => {
+            ServerEvent::Appear { portable, .. } => {
                 self.present.insert(*portable);
-                self.mgr.portable_appears(*portable, *cell, *t);
-                let qos = match &self.cfg.scenario.workload {
-                    WorkloadSpec::Paper71 => Some(self.mix.sample(&mut self.rng)),
-                    WorkloadSpec::Fixed { kbps } => Some(
-                        QosRequest::fixed(*kbps)
-                            .with_delay(30.0)
-                            .with_jitter(30.0)
-                            .with_loss(1.0),
-                    ),
-                    WorkloadSpec::None => None,
-                };
-                if let Some(q) = qos {
-                    let q = self.maybe_shed(q);
-                    let _ = self.mgr.request_connection(*portable, q, *t);
-                }
             }
-            ServerEvent::Move { t, portable, to } => {
-                self.mgr.portable_moved(*portable, *to, *t);
-            }
-            ServerEvent::Depart { t, portable } => {
-                if let Some(id) = self.connection_of(*portable) {
-                    self.mgr.terminate(id, *t);
-                }
+            ServerEvent::Depart { portable, .. } => {
                 self.present.remove(portable);
             }
-            ServerEvent::Request {
-                t,
-                portable,
-                b_min_kbps,
-                b_max_kbps,
-            } => {
-                let q = self.maybe_shed(
-                    QosRequest::bandwidth(*b_min_kbps, *b_max_kbps)
-                        .with_delay(30.0)
-                        .with_jitter(30.0)
-                        .with_loss(1.0),
-                );
-                let _ = self.mgr.request_connection(*portable, q, *t);
+            ServerEvent::QueuePressure { on, .. } => self.queue_pressure = *on,
+            _ => {}
+        }
+        if let Some(mut mev) = mev {
+            if let ManagerEvent::Request { qos, .. } = &mut mev {
+                *qos = self.maybe_shed(*qos);
             }
-            ServerEvent::LinkDown { t, link } => {
-                self.mgr.link_failed(*link, *t);
-            }
-            ServerEvent::LinkUp { t, link } => {
-                self.mgr.link_restored(*link, *t);
-            }
-            ServerEvent::ProfileServerDown { t, zone } => {
-                self.mgr.profile_server_down(*zone, *t);
-            }
-            ServerEvent::ProfileServerUp { t, zone } => {
-                self.mgr.profile_server_up(*zone, *t);
-            }
-            ServerEvent::FailNextHandoff { portable, .. } => {
-                self.mgr.fail_next_handoff(*portable);
-            }
-            ServerEvent::ChannelChange { t, cell, fraction } => {
-                // Range-checked in `validate`, so this cannot fail.
-                let _ = self.mgr.channel_change(*cell, *fraction, *t);
-            }
-            ServerEvent::QueuePressure { on, .. } => {
-                self.queue_pressure = *on;
+            self.run(mev);
+        }
+        if let ServerEvent::Appear { t, portable, .. } = *ev {
+            // A sampled workload opens the user's connection at once.
+            let qos = match &self.cfg.scenario.workload {
+                WorkloadSpec::Paper71 => Some(self.mix.sample(&mut self.rng)),
+                WorkloadSpec::Fixed { kbps } => Some(shaped(*kbps, *kbps)),
+                WorkloadSpec::None => None,
+            };
+            if let Some(q) = qos {
+                let qos = self.maybe_shed(q);
+                self.run(ManagerEvent::Request { t, portable, qos });
             }
         }
         self.last_time = t;
@@ -293,17 +268,49 @@ impl Server {
         Ok(())
     }
 
-    /// The connection `p` holds, if any: the network's per-portable
-    /// index, and at most one, since `validate` refuses a second
-    /// `Request`.
-    fn connection_of(&self, p: PortableId) -> Option<ConnId> {
-        self.mgr.net.connections_of_portable(p).next().map(|c| c.id)
+    /// Apply an event `validate` passed (or a tick, or the sampled
+    /// request of a validated `Appear`, which the scenario's validation
+    /// makes well-formed): the manager takes it.
+    fn run(&mut self, ev: ManagerEvent) {
+        let _ = self.mgr.apply(&ev).invariant("validated before it ran");
     }
 
-    /// Semantic validation against the current state: time ordering
-    /// (no step back, none further than [`MAX_EVENT_GAP`] ahead), entity
-    /// bounds, rate sanity. Touches nothing.
-    fn validate(&self, ev: &ServerEvent) -> Result<(), IngestError> {
+    /// The manager's part of `ev`: none for `QueuePressure`, nor for a
+    /// `Depart` with no open connection.
+    fn manager_event(&self, ev: &ServerEvent) -> Option<ManagerEvent> {
+        use {ManagerEvent as M, ServerEvent as S};
+        Some(match *ev {
+            S::Appear { t, portable, cell } => M::Appear { t, portable, cell },
+            S::Move { t, portable, to } => M::Move { t, portable, to },
+            S::Depart { t, portable } => {
+                self.mgr.net.connections_of_portable(portable).next()?;
+                M::Terminate { t, portable }
+            }
+            S::Request {
+                t,
+                portable,
+                b_min_kbps,
+                b_max_kbps,
+            } => {
+                let qos = shaped(b_min_kbps, b_max_kbps);
+                M::Request { t, portable, qos }
+            }
+            S::LinkDown { t, link } => M::LinkDown { t, link },
+            S::LinkUp { t, link } => M::LinkUp { t, link },
+            S::ProfileServerDown { t, zone } => M::ProfileServerDown { t, zone },
+            S::ProfileServerUp { t, zone } => M::ProfileServerUp { t, zone },
+            S::FailNextHandoff { t, portable } => M::FailNextHandoff { t, portable },
+            S::ChannelChange { t, cell, fraction } => M::ChannelChange { t, cell, fraction },
+            S::QueuePressure { .. } => return None,
+        })
+    }
+
+    /// Validation against the current state: the wire's own rules —
+    /// time ordering (no step back, none further than
+    /// [`MAX_EVENT_GAP`] ahead) and the present set — and the manager's
+    /// [`check`](ResourceManager::check) of the event's part for it.
+    /// Touches nothing; the manager's part on success.
+    fn validate(&self, ev: &ServerEvent) -> Result<Option<ManagerEvent>, IngestError> {
         let t = ev.time();
         if t < self.last_time {
             return Err(IngestError::OutOfOrder {
@@ -317,115 +324,28 @@ impl Server {
                 last_ticks: self.last_time.ticks(),
             });
         }
-        let cells = self.mgr.net.topology().cell_count();
-        let links = self.mgr.net.topology().link_count();
-        let zones = self.mgr.profiles().zone_count().max(1);
-        let check_cell = |c: arm_net::ids::CellId| {
-            if (c.0 as usize) < cells {
-                Ok(())
-            } else {
-                Err(IngestError::UnknownEntity {
-                    what: format!("cell {} (have {cells})", c.0),
-                })
+        if let ServerEvent::Move { portable, .. }
+        | ServerEvent::Depart { portable, .. }
+        | ServerEvent::Request { portable, .. } = *ev
+        {
+            if !self.present.contains(&portable) {
+                return Err(IngestError::UnknownEntity {
+                    what: format!("portable {} (not present)", portable.0),
+                });
             }
-        };
-        let check_present = |p: PortableId| {
-            if self.present.contains(&p) {
-                Ok(())
-            } else {
-                Err(IngestError::UnknownEntity {
-                    what: format!("portable {} (not present)", p.0),
-                })
-            }
-        };
-        let check_rate = |what: &'static str, v: f64| {
-            if !v.is_finite() {
-                Err(IngestError::NonFinite { what })
-            } else if v <= 0.0 {
-                Err(IngestError::NegativeRate { what, value: v })
-            } else {
-                Ok(())
-            }
-        };
-        match ev {
-            ServerEvent::Appear { portable, cell, .. } => {
-                check_cell(*cell)?;
-                if self.present.contains(portable) {
-                    return Err(IngestError::InvalidParameter {
-                        detail: format!("portable {} is already present", portable.0),
-                    });
-                }
-                Ok(())
-            }
-            ServerEvent::Move { portable, to, .. } => {
-                check_present(*portable)?;
-                check_cell(*to)?;
-                if self.mgr.portable_cell(*portable) == Some(*to) {
-                    return Err(IngestError::InvalidParameter {
-                        detail: format!("portable {} is already in cell {}", portable.0, to.0),
-                    });
-                }
-                Ok(())
-            }
-            ServerEvent::Depart { portable, .. } => check_present(*portable),
-            // Doom marks are valid for any portable — the mark simply
-            // waits in the doomed set until (if ever) that portable
-            // hands off.
-            ServerEvent::FailNextHandoff { .. } => Ok(()),
-            ServerEvent::Request {
-                portable,
-                b_min_kbps,
-                b_max_kbps,
-                ..
-            } => {
-                check_present(*portable)?;
-                check_rate("b_min_kbps", *b_min_kbps)?;
-                check_rate("b_max_kbps", *b_max_kbps)?;
-                if b_max_kbps < b_min_kbps {
-                    return Err(IngestError::InvalidParameter {
-                        detail: format!("inverted bounds: b_max {b_max_kbps} < b_min {b_min_kbps}"),
-                    });
-                }
-                if self.connection_of(*portable).is_some() {
-                    return Err(IngestError::InvalidParameter {
-                        detail: format!("portable {} already has an open connection", portable.0),
-                    });
-                }
-                Ok(())
-            }
-            ServerEvent::LinkDown { link, .. } | ServerEvent::LinkUp { link, .. } => {
-                if (link.0 as usize) < links {
-                    Ok(())
-                } else {
-                    Err(IngestError::UnknownEntity {
-                        what: format!("link {} (have {links})", link.0),
-                    })
-                }
-            }
-            ServerEvent::ProfileServerDown { zone, .. }
-            | ServerEvent::ProfileServerUp { zone, .. } => {
-                if (zone.0 as usize) < zones {
-                    Ok(())
-                } else {
-                    Err(IngestError::UnknownEntity {
-                        what: format!("zone {} (have {zones})", zone.0),
-                    })
-                }
-            }
-            ServerEvent::ChannelChange { cell, fraction, .. } => {
-                check_cell(*cell)?;
-                if !fraction.is_finite() {
-                    return Err(IngestError::NonFinite { what: "fraction" });
-                }
-                if !(*fraction > 0.0 && *fraction <= 1.0) {
-                    return Err(IngestError::InvalidParameter {
-                        detail: format!("channel fraction {fraction} outside (0, 1]"),
-                    });
-                }
-                Ok(())
-            }
-            ServerEvent::QueuePressure { .. } => Ok(()),
         }
+        let mev = self.manager_event(ev);
+        if let Some(mev) = &mev {
+            self.mgr.check(mev)?;
+        }
+        if let ServerEvent::Appear { portable, .. } = ev {
+            if self.present.contains(portable) {
+                return Err(IngestError::InvalidParameter {
+                    detail: format!("portable {} is already present", portable.0),
+                });
+            }
+        }
+        Ok(mev)
     }
 
     /// Count and surface a rejection, then hand the error back.

@@ -10,7 +10,7 @@
 //! cargo run --release -p arm-core --example adaptive_streams
 //! ```
 
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, Outcome, ResourceManager, Strategy};
 use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::PortableId;
@@ -44,13 +44,25 @@ fn main() {
     println!("arrivals (each admission re-runs maxmin conflict resolution):");
     for (i, (name, lo, hi)) in specs.iter().enumerate() {
         t += SimDuration::from_secs(10);
-        let p = PortableId(i as u32);
-        mgr.portable_appears(p, office, SimTime::ZERO);
+        let portable = PortableId(i as u32);
+        let appear = ManagerEvent::Appear {
+            t: SimTime::ZERO,
+            portable,
+            cell: office,
+        };
+        let _ = mgr.apply(&appear).expect("a well-formed event");
         let qos = QosRequest::bandwidth(*lo, *hi)
             .with_delay(5.0)
             .with_jitter(5.0)
             .with_loss(1.0);
-        let id = mgr.request_connection(p, qos, t).expect("admits");
+        let request = ManagerEvent::Request { t, portable, qos };
+        let Ok(Outcome {
+            decision: Decision::Admitted(id),
+            ..
+        }) = mgr.apply(&request)
+        else {
+            panic!("admits");
+        };
         conns.push((*name, id));
         let rates: Vec<String> = conns
             .iter()
@@ -60,7 +72,9 @@ fn main() {
     }
 
     println!("\ndeparture of video-a frees its share:");
-    mgr.terminate(conns[0].1, t + SimDuration::from_secs(60));
+    let (t, portable) = (t + SimDuration::from_secs(60), PortableId(0));
+    let hang_up = ManagerEvent::Terminate { t, portable };
+    let _ = mgr.apply(&hang_up).expect("video-a holds its connection");
     for (n, c) in &conns[1..] {
         println!(
             "  {n}: {:.0} kbps",

@@ -7,7 +7,7 @@
 //! cargo run --release -p arm-core --example campus_wing
 //! ```
 
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::office_wing;
 use arm_mobility::models::random_walk::{self, RandomWalkParams};
 use arm_mobility::WorkloadMix;
@@ -53,19 +53,22 @@ fn main() {
         let mut mgr = ResourceManager::new(env.clone(), net, cfg);
         let mut rng = SimRng::new(7).split("rates");
         let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
+        let mut apply = |ev| {
+            let _ = mgr.apply(&ev).expect("the trace is well-formed");
+        };
         for ev in trace.events() {
             while ev.time >= next_slot {
-                mgr.slot_tick(next_slot);
+                apply(ManagerEvent::SlotTick { t: next_slot });
                 next_slot += SimDuration::from_mins(1);
             }
+            let (t, portable, cell, to) = (ev.time, ev.portable, ev.to, ev.to);
             match ev.from {
                 None => {
-                    mgr.portable_appears(ev.portable, ev.to, ev.time);
-                    let _ = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time);
+                    apply(ManagerEvent::Appear { t, portable, cell });
+                    let qos = mix.sample(&mut rng);
+                    apply(ManagerEvent::Request { t, portable, qos });
                 }
-                Some(_) => {
-                    mgr.portable_moved(ev.portable, ev.to, ev.time);
-                }
+                Some(_) => apply(ManagerEvent::Move { t, portable, to }),
             }
         }
         println!(

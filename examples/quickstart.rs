@@ -5,11 +5,20 @@
 //! cargo run --release -p arm-core --example quickstart
 //! ```
 
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::Figure4;
 use arm_net::flowspec::QosRequest;
 use arm_net::ids::PortableId;
 use arm_sim::{SimDuration, SimTime};
+
+/// Every event goes in through `ResourceManager::apply`, which refuses a
+/// malformed one (an unknown cell, a move to the portable's own cell,
+/// ...) before it touches anything, and otherwise says what it decided.
+fn apply(mgr: &mut ResourceManager, ev: ManagerEvent) -> Decision {
+    mgr.apply(&ev)
+        .expect("the walk below is well-formed")
+        .decision
+}
 
 fn main() {
     // 1. The paper's Figure 4 floor plan: offices A and B, corridors C–G,
@@ -29,16 +38,16 @@ fn main() {
 
     // 3. A user appears in corridor C and opens an adaptive video
     //    connection: guaranteed 64 kbps, usable up to 600 kbps.
-    let user = PortableId(42);
-    let t0 = SimTime::ZERO;
-    mgr.portable_appears(user, f4.c, t0);
+    let (mut t, portable, cell) = (SimTime::ZERO, PortableId(42), f4.c);
+    apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
     let qos = QosRequest::bandwidth(64.0, 600.0)
         .with_delay(1.0)
         .with_jitter(1.0)
         .with_loss(0.05);
-    let conn = mgr
-        .request_connection(user, qos, t0)
-        .expect("an empty cell admits the request");
+    let request = ManagerEvent::Request { t, portable, qos };
+    let Decision::Admitted(conn) = apply(&mut mgr, request) else {
+        panic!("an empty cell admits the request");
+    };
     println!(
         "admitted {conn} in cell C at {} kbps (floor {} kbps)",
         mgr.net.get(conn).expect("installed").b_current,
@@ -46,18 +55,17 @@ fn main() {
     );
 
     // 4. Teach the profile server a habit: C → D → A, four times.
-    let mut t = t0;
+    let mut move_to = |mgr: &mut ResourceManager, to, dwell| {
+        t += SimDuration::from_secs(dwell);
+        apply(mgr, ManagerEvent::Move { t, portable, to })
+    };
     for _ in 0..4 {
-        t += SimDuration::from_secs(60);
-        mgr.portable_moved(user, f4.d, t);
-        t += SimDuration::from_secs(30);
-        mgr.portable_moved(user, f4.a, t);
-        t += SimDuration::from_secs(120);
-        mgr.portable_moved(user, f4.d, t);
-        t += SimDuration::from_secs(30);
-        mgr.portable_moved(user, f4.c, t);
+        move_to(&mut mgr, f4.d, 60);
+        move_to(&mut mgr, f4.a, 30);
+        move_to(&mut mgr, f4.d, 120);
+        move_to(&mut mgr, f4.c, 30);
     }
-    let pred = mgr.profiles().predict(user);
+    let pred = mgr.profiles().predict(portable);
     println!(
         "profile learned: from C (having come from D) the user heads to {:?} (level {:?})",
         pred.cell, pred.level
@@ -66,18 +74,16 @@ fn main() {
     // 5. Move along the habitual path: entering D triggers an advance
     //    reservation in the predicted office A, which the next handoff
     //    then consumes.
-    t += SimDuration::from_secs(60);
-    let dropped = mgr.portable_moved(user, f4.d, t);
-    assert!(dropped.is_empty());
+    let carried =
+        |d: Decision| matches!(d, Decision::Handoff { dropped, .. } if dropped.is_empty());
+    assert!(carried(move_to(&mut mgr, f4.d, 60)));
     let wl_a = mgr.net.topology().wireless_link(f4.a);
     let claim = mgr
         .net
         .link(wl_a)
         .claim(arm_net::link::ResvClaim::Conn(conn));
     println!("advance reservation waiting in office A: {claim} kbps");
-    t += SimDuration::from_secs(30);
-    let dropped = mgr.portable_moved(user, f4.a, t);
-    assert!(dropped.is_empty());
+    assert!(carried(move_to(&mut mgr, f4.a, 30)));
     println!(
         "handed off into office A without renegotiation ({} of {} handoffs \
          succeeded this run)",
@@ -88,7 +94,7 @@ fn main() {
     // 6. After dwelling past T_th the portable turns static and its rate
     //    is upgraded toward b_max by the maxmin conflict resolver.
     t += SimDuration::from_mins(6);
-    mgr.slot_tick(t);
+    apply(&mut mgr, ManagerEvent::SlotTick { t });
     println!(
         "now static in A: rate adapted up to {} kbps (b_max {})",
         mgr.net.get(conn).expect("live").b_current,

@@ -2,7 +2,7 @@
 //! end-to-end on the full stack (sim kernel → network → QoS → profiles →
 //! reservation → manager).
 
-use arm_core::{ManagerConfig, ResourceManager, Strategy};
+use arm_core::{Decision, ManagerConfig, ManagerEvent, ResourceManager, Strategy};
 use arm_mobility::environment::{office_wing, Figure4};
 use arm_mobility::models::office_case::{self, OfficeCaseParams};
 use arm_mobility::models::random_walk::{self, RandomWalkParams};
@@ -11,7 +11,19 @@ use arm_net::flowspec::QosRequest;
 use arm_net::ids::{ConnId, PortableId};
 use arm_qos::maxmin::centralized::MaxminProblem;
 use arm_sim::{SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
+
+/// Apply one event; what it decided.
+fn apply(mgr: &mut ResourceManager, ev: ManagerEvent) -> Decision {
+    mgr.apply(&ev).expect("a well-formed event").decision
+}
+
+/// The connection an admitted request opened.
+fn admitted(d: Decision) -> ConnId {
+    match d {
+        Decision::Admitted(id) => id,
+        other => panic!("admits: {other:?}"),
+    }
+}
 
 fn qos(kbps: f64) -> QosRequest {
     QosRequest::fixed(kbps)
@@ -37,24 +49,21 @@ fn replay(
     let mut mgr = ResourceManager::new(env.clone(), net, cfg);
     let mix = WorkloadMix::paper71();
     let mut rng = SimRng::new(seed).split("rates");
-    let mut open: BTreeMap<PortableId, ConnId> = BTreeMap::new();
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
     for ev in trace.events() {
         while ev.time >= next_slot {
-            mgr.slot_tick(next_slot);
+            apply(&mut mgr, ManagerEvent::SlotTick { t: next_slot });
             next_slot += SimDuration::from_mins(1);
         }
+        let (t, portable, cell, to) = (ev.time, ev.portable, ev.to, ev.to);
         match ev.from {
             None => {
-                mgr.portable_appears(ev.portable, ev.to, ev.time);
-                if let Ok(id) = mgr.request_connection(ev.portable, mix.sample(&mut rng), ev.time) {
-                    open.insert(ev.portable, id);
-                }
+                apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+                let qos = mix.sample(&mut rng);
+                apply(&mut mgr, ManagerEvent::Request { t, portable, qos });
             }
             Some(_) => {
-                for id in mgr.portable_moved(ev.portable, ev.to, ev.time) {
-                    open.retain(|_, c| *c != id);
-                }
+                apply(&mut mgr, ManagerEvent::Move { t, portable, to });
             }
         }
     }
@@ -139,27 +148,27 @@ fn static_portables_get_upgraded_mobile_stay_at_floor() {
     let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
     // A static resident of A and a fresh mover, both adaptive 64–600.
     let resident = PortableId(1);
-    mgr.portable_appears(resident, f4.a, SimTime::ZERO);
-    let adaptive = QosRequest::bandwidth(64.0, 600.0)
+    let appear = |t, portable, cell| ManagerEvent::Appear { t, portable, cell };
+    apply(&mut mgr, appear(SimTime::ZERO, resident, f4.a));
+    let qos = QosRequest::bandwidth(64.0, 600.0)
         .with_delay(10.0)
         .with_jitter(10.0)
         .with_loss(1.0);
-    let rc = mgr
-        .request_connection(resident, adaptive, SimTime::from_mins(10))
-        .expect("admits");
+    let request = |t, portable| ManagerEvent::Request { t, portable, qos };
+    let rc = admitted(apply(&mut mgr, request(SimTime::from_mins(10), resident)));
     // Static: upgraded to b_max immediately (alone in the cell).
     assert!((mgr.net.get(rc).unwrap().b_current - 600.0).abs() < 1e-6);
 
     let mover = PortableId(2);
-    mgr.portable_appears(mover, f4.c, SimTime::from_mins(10));
-    let mc = mgr
-        .request_connection(mover, adaptive, SimTime::from_mins(10))
-        .expect("admits");
+    apply(&mut mgr, appear(SimTime::from_mins(10), mover, f4.c));
+    let mc = admitted(apply(&mut mgr, request(SimTime::from_mins(10), mover)));
     // Mobile: pinned at the floor.
     assert!((mgr.net.get(mc).unwrap().b_current - 64.0).abs() < 1e-6);
     // The mover hands off twice; still at floor.
-    mgr.portable_moved(mover, f4.d, SimTime::from_mins(11));
-    mgr.portable_moved(mover, f4.e, SimTime::from_mins(12));
+    for (min, to) in [(11, f4.d), (12, f4.e)] {
+        let (t, portable) = (SimTime::from_mins(min), mover);
+        apply(&mut mgr, ManagerEvent::Move { t, portable, to });
+    }
     assert!((mgr.net.get(mc).unwrap().b_current - 64.0).abs() < 1e-6);
 }
 
@@ -183,19 +192,18 @@ fn ledger_totals_match_maxmin_reference_after_churn() {
             .with_jitter(10.0)
             .with_loss(1.0)
     };
-    let mut ids = Vec::new();
     for (i, (lo, hi)) in [(64.0, 900.0), (64.0, 900.0), (16.0, 200.0), (128.0, 1600.0)]
         .iter()
         .enumerate()
     {
-        let p = PortableId(i as u32);
-        mgr.portable_appears(p, f4.c, SimTime::ZERO);
-        ids.push(
-            mgr.request_connection(p, adaptive(*lo, *hi), SimTime::from_secs(i as u64 + 1))
-                .expect("admits"),
-        );
+        let portable = PortableId(i as u32);
+        let (t, cell) = (SimTime::ZERO, f4.c);
+        apply(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+        let (t, qos) = (SimTime::from_secs(i as u64 + 1), adaptive(*lo, *hi));
+        admitted(apply(&mut mgr, ManagerEvent::Request { t, portable, qos }));
     }
-    mgr.terminate(ids[1], SimTime::from_secs(10));
+    let (t, portable) = (SimTime::from_secs(10), PortableId(1));
+    apply(&mut mgr, ManagerEvent::Terminate { t, portable });
     // Reference solution from the current ledgers.
     let problem = MaxminProblem::from_network(&mgr.net);
     let alloc = problem.solve();
@@ -248,22 +256,29 @@ fn meeting_room_claims_survive_competing_load() {
     });
     mgr.set_calendar(meeting_cell, cal);
     // Competing load next door.
+    let (cell, qos) = (corridor0, qos(28.0));
+    let appear = |t, portable| ManagerEvent::Appear { t, portable, cell };
+    let request = |t, portable| ManagerEvent::Request { t, portable, qos };
     for i in 0..15u32 {
         let p = PortableId(500 + i);
-        mgr.portable_appears(p, corridor0, SimTime::ZERO);
-        let _ = mgr.request_connection(p, qos(28.0), SimTime::from_secs(1 + u64::from(i)));
+        apply(&mut mgr, appear(SimTime::ZERO, p));
+        apply(&mut mgr, request(SimTime::from_secs(1 + u64::from(i)), p));
     }
-    mgr.slot_tick(SimTime::from_mins(21));
+    let t = SimTime::from_mins(21);
+    apply(&mut mgr, ManagerEvent::SlotTick { t });
     // Attendees stream in through corridor-0 during the window.
     let mut drops = 0;
     for i in 0..12u32 {
-        let p = PortableId(600 + i);
+        let portable = PortableId(600 + i);
         let t = SimTime::from_mins(22) + SimDuration::from_secs(u64::from(i) * 30);
-        mgr.portable_appears(p, corridor0, t);
-        if mgr.request_connection(p, qos(28.0), t).is_ok() {
-            drops += mgr
-                .portable_moved(p, meeting_cell, t + SimDuration::from_secs(20))
-                .len();
+        apply(&mut mgr, appear(t, portable));
+        if let Decision::Admitted(_) = apply(&mut mgr, request(t, portable)) {
+            let (t, to) = (t + SimDuration::from_secs(20), meeting_cell);
+            if let Decision::Handoff { dropped, .. } =
+                apply(&mut mgr, ManagerEvent::Move { t, portable, to })
+            {
+                drops += dropped.len();
+            }
         }
     }
     assert_eq!(drops, 0, "booked attendees must not be dropped");

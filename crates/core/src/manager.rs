@@ -453,6 +453,9 @@ struct RefreshScratch {
     /// Portables whose connections changed since the last refresh
     /// (`Network::drain_changed_portables`), ascending.
     changed: Vec<PortableId>,
+    /// Connections ended since the last refresh (`Network::drain_ended`),
+    /// ascending.
+    ended: Vec<ConnId>,
     /// Largest static allocation homed in each cell (index = cell).
     static_max: Vec<f64>,
     /// `(cell, room demand, neighbour demand)` per meeting room, then
@@ -469,17 +472,20 @@ struct RefreshScratch {
 }
 
 /// What the next adaptation round must look at (DESIGN §7): the
-/// portables with a connection-record write since the last round, as
-/// each refresh drains them from `Network`, plus — added at the round —
-/// those whose static/mobile status flipped. Every other connection is
-/// where the last round left it. Fed only while rounds can run, so it
-/// cannot grow without bound. A cache: never snapshotted; a restored
-/// manager's network is decoded, and so counts every portable as
-/// written.
+/// portables with a connection-record write since the last round and
+/// the connections ended since, as each refresh drains them from
+/// `Network`, plus — added at the round — the portables whose
+/// static/mobile status flipped. Every other connection is where the
+/// last round left it. Fed only while rounds can run, so it cannot grow
+/// without bound. A cache: never snapshotted; a restored manager's
+/// network is decoded, and so counts every portable as written.
 #[derive(Debug, Default)]
 struct RoundFeed {
     /// Portables written since the last round, ascending.
     touched: Vec<PortableId>,
+    /// Connections ended since the last round, as the refreshes drained
+    /// them.
+    ending: Vec<ConnId>,
     /// The network was built, decoded or cloned since the last round:
     /// every portable counts as written. Sticky until the round.
     all: bool,
@@ -487,26 +493,38 @@ struct RoundFeed {
     statics: Vec<PortableId>,
     /// The round's candidate connections, ascending.
     conns: Vec<ConnId>,
+    /// The round's ended connections, ascending.
+    ended: Vec<ConnId>,
 }
 
 impl RoundFeed {
-    /// Fold one refresh's drain of the network's write log in.
-    fn note(&mut self, changed: &[PortableId], all: bool) {
+    /// Fold one refresh's drain of the network's logs in.
+    fn note(&mut self, changed: &[PortableId], ended: &[ConnId], all: bool) {
         self.all |= all;
-        if !self.all && !changed.is_empty() {
+        if self.all {
+            return;
+        }
+        if !changed.is_empty() {
             self.touched.extend_from_slice(changed);
             self.touched.sort_unstable();
             self.touched.dedup();
         }
+        self.ending.extend_from_slice(ended);
     }
 
     /// Fill `conns` with the round's candidates, ascending: the
     /// connections of every portable written since the last round or in
     /// exactly one of `statics` and the last round's statics — of every
     /// portable in the network's per-portable index when the network is
-    /// new to the feed. Resets the feed for the next round.
-    fn fill(&mut self, net: &Network, statics: &[PortableId]) {
-        if std::mem::take(&mut self.all) {
+    /// new to the feed — and `ended` with the connections ended since
+    /// the last round, ascending. True when the network is new: then the
+    /// round must walk everything. Resets the feed for the next round.
+    fn fill(&mut self, net: &Network, statics: &[PortableId]) -> bool {
+        self.ended.clear();
+        std::mem::swap(&mut self.ended, &mut self.ending);
+        self.ended.sort_unstable();
+        let whole = std::mem::take(&mut self.all);
+        if whole {
             self.touched.clear();
             self.touched.extend(net.portables_with_connections());
         } else {
@@ -538,6 +556,7 @@ impl RoundFeed {
             self.conns.extend_from_slice(net.conn_ids_of_portable(p));
         }
         self.conns.sort_unstable();
+        whole
     }
 }
 
@@ -1870,7 +1889,9 @@ impl ResourceManager {
             if self.twin.is(Mutant::NoStaticsDiff) {
                 self.round_feed.statics.clone_from(statics);
             }
-            self.round_feed.fill(&self.net, statics);
+            let whole = self.round_feed.fill(&self.net, statics);
+            #[cfg(test)]
+            let whole = whole || self.twin.whole_table();
             #[cfg(test)]
             if self.twin.whole_table() {
                 self.round_feed.conns = self.net.live_connections().map(|c| c.id).collect();
@@ -1880,6 +1901,7 @@ impl ResourceManager {
                 &mut self.net,
                 &is_static,
                 &self.round_feed.conns,
+                (!whole).then_some(self.round_feed.ended.as_slice()),
                 &mut self.maxmin,
                 &mut self.resolve_scratch,
             );
@@ -1940,12 +1962,19 @@ impl ResourceManager {
         // Drained at every refresh, whatever the strategy reads of it,
         // and kept for the next adaptation round when rounds can run.
         let all_changed = self.net.drain_changed_portables(&mut self.scratch.changed);
+        self.net.drain_ended(&mut self.scratch.ended);
         if self.cfg.resolve_excess {
             #[cfg(test)]
             if self.twin.is(Mutant::FeedForgetsNewNetwork) {
                 self.round_feed.all = false;
             }
-            self.round_feed.note(&self.scratch.changed, all_changed);
+            #[cfg(test)]
+            if self.twin.is(Mutant::EndedNotFed) {
+                self.scratch.ended.clear();
+            }
+            let scratch = &self.scratch;
+            self.round_feed
+                .note(&scratch.changed, &scratch.ended, all_changed);
         }
         #[cfg(test)]
         if self.twin.whole_table() {

@@ -156,6 +156,9 @@ pub(crate) enum Mutant {
     NoStaticsDiff,
     /// `RoundFeed::all` dropped at a refresh that runs no round.
     FeedForgetsNewNetwork,
+    /// A refresh drops the connections the network ended instead of
+    /// feeding them to the next round.
+    EndedNotFed,
     /// The statics keeper honours a queued flip of a portable tracked
     /// again since.
     StaleFlipHonoured,

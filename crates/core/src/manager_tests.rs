@@ -1418,3 +1418,65 @@ fn the_flip_queue_holds_only_the_last_t_th_of_tracks() {
     let stats = mgr.refresh_stats();
     assert!(stats.statics_looked * 4 < stats.refreshes * 60, "{stats:?}");
 }
+
+/// A connection ends while eqn 2's gate stays shut (δ is out of reach of
+/// the capacity it frees), then its portable opens another, whose
+/// admission opens the gate. Nothing names the ended id at that round
+/// but the network's log of ended connections: the portable's index
+/// lists only the new one. The round must drop the ended id from the
+/// engine, as the whole-table round does, and leave the same rates.
+#[test]
+fn a_round_drops_a_connection_that_ended_while_the_gate_was_shut() {
+    let f4 = Figure4::build();
+    let run = |twin: Twin| {
+        let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
+        let cfg = ManagerConfig {
+            strategy: Strategy::None,
+            resolve_excess: true,
+            dyn_pool: None,
+            t_th: SimDuration::from_secs(0),
+            delta: 5000.0,
+            ..Default::default()
+        };
+        let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
+        mgr.set_twin(twin);
+        let adaptive = QosRequest::bandwidth(100.0, 1600.0)
+            .with_delay(10.0)
+            .with_jitter(10.0)
+            .with_loss(1.0);
+        let (a, b, cell) = (PortableId(1), PortableId(2), f4.c);
+        let round_ran = |mgr: &mut ResourceManager, ev| mgr.apply(&ev).expect("accepted").round_ran;
+        for (portable, t) in [(a, 1), (b, 2)] {
+            let (t, qos) = (SimTime::from_secs(t), adaptive);
+            round_ran(&mut mgr, ManagerEvent::Appear { t, portable, cell });
+            let request = ManagerEvent::Request { t, portable, qos };
+            assert!(round_ran(&mut mgr, request), "an admission shrinks");
+        }
+        let ended = mgr.connection_of(a).expect("a is connected");
+        let (t, portable) = (SimTime::from_secs(10), a);
+        let hang_up = ManagerEvent::Terminate { t, portable };
+        assert!(!round_ran(&mut mgr, hang_up), "the gate stays shut");
+        assert!(mgr.maxmin().rate(ended).is_some(), "no round ran yet");
+        // A higher floor than the ended one's: the excess falls below
+        // the last round's record, and a shrinkage always opens the gate.
+        let t = SimTime::from_secs(20);
+        let qos = QosRequest::bandwidth(200.0, 1600.0).with_delay(10.0);
+        let request = ManagerEvent::Request { t, portable, qos };
+        assert!(round_ran(&mut mgr, request));
+        assert_eq!(mgr.maxmin().rate(ended), None, "{ended:?} left the engine");
+        let rates: Vec<(ConnId, u64)> = mgr
+            .net
+            .live_connections()
+            .map(|c| (c.id, c.b_current.to_bits()))
+            .collect();
+        let engine: Vec<(ConnId, u64)> = mgr
+            .maxmin()
+            .rates()
+            .map(|(c, x)| (c, x.to_bits()))
+            .collect();
+        (rates, engine)
+    };
+    let (rates, engine) = run(Twin::Production);
+    assert_eq!(rates.len(), 2);
+    assert_eq!((rates, engine), run(Twin::WholeTable));
+}

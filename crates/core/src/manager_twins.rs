@@ -57,7 +57,7 @@ struct State {
     ledgers: Vec<LedgerBits>,
     rates: Vec<(ConnId, u64)>,
     multicast: MulticastState,
-    /// `conns_synced` blanked: the whole-table round looks at more.
+    /// The walk counters blanked: the whole-table round looks at more.
     stats: EngineStats,
     rounds: u64,
     metrics: MetricsSummary,
@@ -83,6 +83,8 @@ impl State {
             multicast: mgr.multicast.clone(),
             stats: EngineStats {
                 conns_synced: 0,
+                links_synced: 0,
+                conns_compared: 0,
                 ..mgr.maxmin.stats
             },
             rounds: mgr.adaptation_rounds,
@@ -846,6 +848,7 @@ fn every_mutant_is_caught() {
         (RetireOneSlotEarly, figure4(Strategy::Paper, 0), Divergence),
         (NoStaticsDiff, figure4(Strategy::Paper, 0), Divergence),
         (FeedForgetsNewNetwork, chaos, Divergence),
+        (EndedNotFed, figure4(Strategy::None, 0), Divergence),
         (StaleFlipHonoured, figure4(Strategy::None, 1), Divergence),
         (TrackKeepsStatic, figure4(Strategy::None, 1), Divergence),
         (FlipNotPending, figure4(Strategy::Paper, 0), DebugCheck),

@@ -9,6 +9,13 @@
 //! when the walk shrinks: the same upserts reach the engine in the same
 //! order.
 //!
+//! The sync's link loop and the comparison of solved rates with the
+//! ledger are pinned the same way: the links whose excess a sync wrote
+//! (those that moved since the engine last held them) beside every link
+//! at every round, and the connections a round compared (those its
+//! re-fill reached, and its candidates) beside every connection the
+//! engine held at every round.
+//!
 //! So is what the static set those rounds read cost to keep: the flips
 //! its keeper popped and the one scan of its first refresh, beside the
 //! scan of every tracked portable at every refresh that it replaces.
@@ -31,6 +38,15 @@ const WHOLE_TABLE_CONNS: u64 = 566_411;
 const INCREMENTAL_SOLVES: u64 = 3_374;
 const CACHE_HITS: u64 = 6;
 const CONNS_RESOLVED: u64 = 4_378;
+/// Links whose excess the rounds' syncs wrote.
+const LINKS_SYNCED: u64 = 23_233;
+/// What the whole-table link loop wrote: every link at every round.
+const WHOLE_TABLE_LINKS: u64 = 233_220;
+/// Connections the rounds compared with their ledger rate.
+const CONNS_COMPARED: u64 = 7_955;
+/// What the whole-table comparison looked at: every connection the
+/// engine held, at every round.
+const WHOLE_ENGINE_CONNS: u64 = 39_985;
 /// Portables the static set's keeper looked at (`RefreshStats`).
 const STATICS_LOOKED: u64 = 2_103;
 /// What a scan per refresh looked at: every tracked portable at each.
@@ -40,9 +56,9 @@ const WHOLE_SCAN_PORTABLES: u64 = 648_347;
 /// seed 42: wanderers on a ten-office wing, each with one adaptive
 /// `[16, 1600]` connection, a fade or its recovery on a random cell
 /// after every fourth trace event, slot ticks due before each event.
-/// Returns the manager's counters, the whole-table count and the
+/// Returns the manager's counters, the whole-table counts and the
 /// whole-scan count.
-fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
+fn adaptive_wing_run() -> (ResourceManager, WholeTable, u64) {
     let seed = 42;
     let env = office_wing(10);
     let params = RandomWalkParams {
@@ -71,15 +87,17 @@ fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
     let mut faded = vec![false; cells];
     let mut fade_rng = SimRng::new(seed).split("bench-fades");
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
-    let mut whole_table = 0u64;
+    let mut whole = WholeTable::default();
     let (mut tracked, mut whole_scan) = (0u64, 0u64);
-    // Every live connection, at each event that ran a round: a round
-    // moves rates, never adds or retires a connection. A hang-up of a
-    // connection a handoff or a fade already dropped is refused and
-    // changes nothing.
+    // Every live connection, every link and every connection the engine
+    // holds, at each event that ran a round: a round moves rates, never
+    // adds or retires a connection. A hang-up of a connection a handoff
+    // or a fade already dropped is refused and changes nothing.
     let mut apply = |mgr: &mut ResourceManager, ev| {
         if mgr.apply(&ev).is_ok_and(|outcome| outcome.round_ran) {
-            whole_table += mgr.net.live_connections().count() as u64;
+            whole.conns += mgr.net.live_connections().count() as u64;
+            whole.links += mgr.net.topology().link_count() as u64;
+            whole.engine_conns += mgr.maxmin().conn_count() as u64;
         }
     };
     for (i, ev) in trace.events().iter().enumerate() {
@@ -115,12 +133,24 @@ fn adaptive_wing_run() -> (ResourceManager, u64, u64) {
         }
         whole_scan += (mgr.refresh_stats().refreshes - refreshes) * tracked;
     }
-    (mgr, whole_table, whole_scan)
+    (mgr, whole, whole_scan)
+}
+
+/// What the whole-table round's walks would have looked at over the
+/// same rounds.
+#[derive(Debug, Default)]
+struct WholeTable {
+    /// Live connections, at every round.
+    conns: u64,
+    /// Links, at every round.
+    links: u64,
+    /// Connections the engine held, at every round.
+    engine_conns: u64,
 }
 
 #[test]
 fn a_round_looks_only_at_what_changed() {
-    let (mgr, whole_table, _) = adaptive_wing_run();
+    let (mgr, whole, _) = adaptive_wing_run();
     let stats = mgr.maxmin().stats;
     assert_eq!(mgr.adaptation_rounds, 3_380, "rounds run");
     assert_eq!(
@@ -133,13 +163,21 @@ fn a_round_looks_only_at_what_changed() {
         "the engine's work moved: {stats:?}"
     );
     assert_eq!(
-        whole_table, WHOLE_TABLE_CONNS,
-        "the whole-table formula moved"
+        (whole.conns, whole.links, whole.engine_conns),
+        (WHOLE_TABLE_CONNS, WHOLE_TABLE_LINKS, WHOLE_ENGINE_CONNS),
+        "the whole-table formulas moved"
     );
     assert_eq!(
         stats.conns_synced, CONNS_SYNCED,
         "the rounds looked at {} connections, pinned at {CONNS_SYNCED}",
         stats.conns_synced
+    );
+    assert_eq!(
+        (stats.links_synced, stats.conns_compared),
+        (LINKS_SYNCED, CONNS_COMPARED),
+        "the rounds wrote {} links and compared {} connections",
+        stats.links_synced,
+        stats.conns_compared
     );
 }
 

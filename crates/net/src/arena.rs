@@ -177,6 +177,11 @@ impl<I: ArenaKey> DenseInterner<I> {
         self.rev.len()
     }
 
+    /// The largest live id, if any.
+    pub fn last(&self) -> Option<I> {
+        self.fwd.last_key_value().map(|(k, _)| *k)
+    }
+
     /// Live `(external, slot)` pairs in ascending external order.
     pub fn iter(&self) -> impl Iterator<Item = (I, u32)> + '_ {
         self.fwd.iter().map(|(k, v)| (*k, *v))

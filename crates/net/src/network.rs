@@ -49,6 +49,11 @@ pub struct Network {
     /// Unordered, may repeat; never serialised (a decoded network starts
     /// empty and unseen).
     changed: Vec<PortableId>,
+    /// Connections retired since the last [`Network::drain_ended`], by
+    /// [`Network::finish`] and [`Network::mark_blocked`], in the order
+    /// they ended. Never serialised. Ids are never reissued, so it holds
+    /// no repeats; a reader that drains at every event keeps it short.
+    ended: Vec<ConnId>,
     /// Built, decoded or cloned since the last drain: a reader that kept
     /// state from before cannot know it was this network's, so every
     /// portable counts as changed, recorded or not.
@@ -66,6 +71,7 @@ impl Clone for Network {
             link_conns: self.link_conns.clone(),
             portable_conns: self.portable_conns.clone(),
             changed: self.changed.clone(),
+            ended: self.ended.clone(),
             unseen: true,
         }
     }
@@ -137,6 +143,7 @@ impl From<wire::Network> for Network {
             link_conns: w.link_conns,
             portable_conns,
             changed: Vec::new(),
+            ended: Vec::new(),
             unseen: true,
         }
     }
@@ -172,6 +179,7 @@ impl Network {
             link_conns,
             portable_conns: BTreeMap::new(),
             changed: Vec::new(),
+            ended: Vec::new(),
             unseen: true,
         }
     }
@@ -198,6 +206,17 @@ impl Network {
         into.sort_unstable();
         into.dedup();
         std::mem::replace(&mut self.unseen, false)
+    }
+
+    /// Move the connections ended since the last drain into `into` (its
+    /// old contents dropped), ascending. The two buffers trade places,
+    /// so neither allocates in steady state. A network new to the reader
+    /// ([`drain_changed_portables`](Self::drain_changed_portables) says
+    /// which) may have ended others before this log began.
+    pub fn drain_ended(&mut self, into: &mut Vec<ConnId>) {
+        into.clear();
+        std::mem::swap(into, &mut self.ended);
+        into.sort_unstable();
     }
 
     /// The static graph.
@@ -284,6 +303,7 @@ impl Network {
             .and_then(Option::take)
             .precondition("mark_blocked on an installed connection");
         self.note_changed(c.portable);
+        self.ended.push(id);
         Self::unindex(&mut self.portable_conns, c.portable, id);
     }
 
@@ -450,6 +470,7 @@ impl Network {
             return;
         };
         self.note_changed(c.portable);
+        self.ended.push(id);
         self.release_route_links(id, &c.route.links);
         Self::unindex(&mut self.portable_conns, c.portable, id);
     }
@@ -519,6 +540,9 @@ impl Network {
                     return Err(format!("{p:?}: index names {id:?}, which is not its own"));
                 }
             }
+        }
+        if let Some(id) = self.ended.iter().find(|id| self.get(**id).is_some()) {
+            return Err(format!("{id:?} logged as ended, but live"));
         }
         Ok(())
     }
@@ -719,6 +743,30 @@ mod tests {
         // Idempotent.
         net.finish(id);
         assert!(net.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn every_end_is_logged_once_and_drained_ascending() {
+        let (mut net, c0, c1) = two_cell_net();
+        let ids: Vec<ConnId> = (0..3)
+            .map(|_| make_conn(&mut net, c0, c1, QosRequest::fixed(10.0)))
+            .collect();
+        for id in &ids[1..] {
+            let route = net.get(*id).unwrap().route.clone();
+            net.reserve_route(*id, &route, 10.0, &vec![0.0; route.links.len()], false)
+                .unwrap();
+        }
+        let mut ended = vec![ConnId(99)];
+        net.drain_ended(&mut ended);
+        assert!(ended.is_empty(), "installs end nothing");
+        net.finish(ids[2]);
+        net.mark_blocked(ids[0]);
+        net.finish(ids[2]);
+        assert!(net.check_invariants().is_ok());
+        net.drain_ended(&mut ended);
+        assert_eq!(ended, [ids[0], ids[2]]);
+        net.drain_ended(&mut ended);
+        assert!(ended.is_empty());
     }
 
     #[test]

@@ -64,25 +64,31 @@ fn pin_mobiles(
 /// their floors. The round reconciles the engine with the network it is
 /// handed: the engine is diff-synced against the ledgers (only genuine
 /// input changes dirty anything), re-fills the dirty components, and
-/// then every connection it holds — re-filled or frozen — is compared
-/// with its ledger rate and moved onto its target. A frozen rate stays
-/// valid while its component's inputs are unchanged, but the ledger can
-/// leave it with no input change at all (a squeeze and an outage seal
-/// that both come and go while eqn 2's gate is shut); the comparison
-/// needs no re-solve to repair that. The resulting rates are
+/// then each connection whose target or ledger rate may have moved is
+/// compared with its ledger rate and moved onto its target: those the
+/// re-fill reached, and the candidates the engine holds. A frozen rate
+/// stays valid while its component's inputs are unchanged, but the
+/// ledger can leave it with no input change at all (a squeeze and an
+/// outage seal that both come and go while eqn 2's gate is shut); such
+/// a rate write is logged, so the connection is a candidate, and the
+/// comparison needs no re-solve to repair it. The resulting rates are
 /// bit-identical to a from-scratch
 /// [`MaxminProblem`](crate::maxmin::centralized::MaxminProblem) solve
 /// because both run the same per-component water-filling on the same
 /// inputs (see the `arm_qos::maxmin::incremental` module docs) and the
-/// same `apply_allocation`.
+/// same `apply_allocation`, which meets the moves in the same order.
 ///
 /// `conns` (ascending) are the candidates the pin and the sync walk:
 /// every live connection whose record was written, or whose portable's
 /// `is_static` verdict flipped, since the previous round on this
-/// engine. Every other connection is where that round left it — a
-/// mobile one at its floor, a static one's inputs in the engine — so
-/// walking it would change nothing. Links and the engine's own
-/// connections are walked whole.
+/// engine. `ended` (ascending) are the connections the network ended
+/// since that round. Every other connection is where that round left
+/// it — a mobile one at its floor, a static one's inputs in the engine
+/// and its ledger rate on its target — so walking it would change
+/// nothing. With `ended` `None` the network is new to the engine:
+/// `conns` must be every live connection, and the sync and the
+/// comparison walk every link and every connection the engine holds
+/// ([`IncrementalMaxmin::sync_network`]).
 ///
 /// Returns the number of rate moves: mobiles pinned plus connections
 /// moved onto their targets.
@@ -90,14 +96,23 @@ pub fn resolve_network(
     net: &mut Network,
     is_static: &dyn Fn(PortableId) -> bool,
     conns: &[ConnId],
+    ended: Option<&[ConnId]>,
     engine: &mut IncrementalMaxmin,
     scratch: &mut ResolveScratch,
 ) -> usize {
     // Pin mobile connections at their floors first (frees excess).
     let pinned = pin_mobiles(net, is_static, conns);
-    engine.sync_network(net, conns, &|c| is_static(c.portable));
+    engine.sync_network(net, conns, ended, &|c| is_static(c.portable));
     engine.resolve();
-    pinned + apply_allocation(net, engine.rates(), &mut scratch.changes)
+    let changes = &mut scratch.changes;
+    if ended.is_some() {
+        let compared = engine.touched_rates().len() as u64;
+        engine.stats.conns_compared += compared;
+        pinned + apply_allocation(net, engine.touched_rates(), changes)
+    } else {
+        engine.stats.conns_compared += engine.conn_count() as u64;
+        pinned + apply_allocation(net, engine.rates(), changes)
+    }
 }
 
 /// From-scratch resolvers: rebuild the whole `MaxminProblem` from the
@@ -276,9 +291,10 @@ mod tests {
         let mut scratch = ResolveScratch::default();
         // Every third portable is mobile: pinned at its floor.
         let is_static = |p: PortableId| p.0 % 3 != 0;
-        let (mut touched, mut conns) = (Vec::new(), Vec::new());
+        let (mut touched, mut conns, mut ended) = (Vec::new(), Vec::new(), Vec::new());
         let mut round = |live: &mut Network, twin: &mut Network| {
             let all = live.drain_changed_portables(&mut touched);
+            live.drain_ended(&mut ended);
             conns.clear();
             if all {
                 conns.extend(live.live_connections().map(|c| c.id));
@@ -288,7 +304,8 @@ mod tests {
                 }
                 conns.sort_unstable();
             }
-            let n = resolve_network(live, &is_static, &conns, &mut engine, &mut scratch);
+            let ended = (!all).then_some(ended.as_slice());
+            let n = resolve_network(live, &is_static, &conns, ended, &mut engine, &mut scratch);
             assert_eq!(n, reference::resolve_network_with_policy(twin, &is_static));
             let rates = |net: &Network| -> Vec<(ConnId, u64)> {
                 net.live_connections()
@@ -336,12 +353,27 @@ mod tests {
         let mut engine = IncrementalMaxmin::new();
         let mut scratch = ResolveScratch::default();
         let is_static = |_: PortableId| true;
-        resolve_network(&mut net, &is_static, &[a, b], &mut engine, &mut scratch);
+        resolve_network(
+            &mut net,
+            &is_static,
+            &[a, b],
+            None,
+            &mut engine,
+            &mut scratch,
+        );
         let target = net.get(a).unwrap().b_current;
         assert_eq!(target, 500.0);
         net.set_conn_rate(a, 100.0).unwrap();
         let before = engine.stats;
-        let changed = resolve_network(&mut net, &is_static, &[a], &mut engine, &mut scratch);
+        let logged = Some(&[][..]);
+        let changed = resolve_network(
+            &mut net,
+            &is_static,
+            &[a],
+            logged,
+            &mut engine,
+            &mut scratch,
+        );
         assert_eq!(changed, 1);
         assert_eq!(net.get(a).unwrap().b_current.to_bits(), target.to_bits());
         assert_eq!(net.get(b).unwrap().b_current.to_bits(), target.to_bits());

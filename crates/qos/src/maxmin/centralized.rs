@@ -410,11 +410,12 @@ impl DenseState {
         s
     }
 
-    /// Set (or create) a link's capacity entry.
-    pub(crate) fn set_excess(&mut self, l: LinkId, v: f64) {
-        let s = self.ensure_link(l) as usize;
-        self.excess[s] = v;
-        self.has_excess[s] = true;
+    /// Set (or create) a link's capacity entry; returns its slot.
+    pub(crate) fn set_excess(&mut self, l: LinkId, v: f64) -> u32 {
+        let s = self.ensure_link(l);
+        self.excess[s as usize] = v;
+        self.has_excess[s as usize] = true;
+        s
     }
 
     /// Drop a link's capacity entry. The slot survives while routes
@@ -433,8 +434,8 @@ impl DenseState {
     }
 
     /// Register a connection (not currently present — callers detach
-    /// first on re-route) with its demand and route.
-    pub(crate) fn add_conn(&mut self, id: ConnId, demand: f64, route: &[LinkId]) {
+    /// first on re-route) with its demand and route; returns its slot.
+    pub(crate) fn add_conn(&mut self, id: ConnId, demand: f64, route: &[LinkId]) -> u32 {
         debug_assert!(self.conns.get(id).is_none(), "add_conn on live conn");
         let c = self.ensure_conn(id);
         let i = c as usize;
@@ -453,6 +454,7 @@ impl DenseState {
                 members.insert(at, c);
             }
         }
+        c
     }
 
     /// Remove a connection and release slots its departure orphans.

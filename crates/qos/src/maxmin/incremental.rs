@@ -72,6 +72,13 @@ pub struct EngineStats {
     /// Connections the syncs looked at ([`IncrementalMaxmin::sync_network`]'s
     /// candidates, which an adaptation round's pin walks too).
     pub conns_synced: u64,
+    /// Links whose excess the syncs wrote: every link of the network at
+    /// a whole sync, else only those whose excess moved since the
+    /// engine last held it.
+    pub links_synced: u64,
+    /// Connections the rounds compared with their ledger rate
+    /// ([`crate::conflict::resolve_network`]).
+    pub conns_compared: u64,
 }
 
 /// Mark `link` in the sorted dirty list (no-op when present).
@@ -106,6 +113,17 @@ pub struct IncrementalMaxmin {
     scratch: SolveScratch,
     /// The connections a sync drops, resident across syncs.
     gone: Vec<ConnId>,
+    /// The excess bits the engine holds for each link, and the link's
+    /// slot, by `LinkId::index()`, over the links of the largest network
+    /// synced. `Some` only where the engine holds exactly that excess:
+    /// [`Self::set_link_excess`] and [`Self::remove_link`] keep it so, and
+    /// the sync's link loop skips such a link on one compare, or writes
+    /// its new excess into the slot with no interner lookup.
+    seen: Vec<Option<(u64, u32)>>,
+    /// `(connection, slot)` of each connection the last sync upserted and
+    /// each the resolves since re-filled, ascending, without repeats
+    /// ([`Self::touched_rates`]).
+    touched: Vec<(ConnId, u32)>,
 }
 
 impl IncrementalMaxmin {
@@ -155,8 +173,23 @@ impl IncrementalMaxmin {
             s.has_excess[l as usize] && s.excess[l as usize].to_bits() == excess.to_bits()
         });
         if !unchanged {
-            self.state.set_excess(link, excess);
-            mark(&mut self.dirty, link);
+            let slot = self.state.set_excess(link, excess);
+            self.excess_moved(link, slot, excess);
+        }
+    }
+
+    /// `link`'s excess, at `slot`, was just set to `excess`: dirty it and
+    /// remember what the engine holds.
+    fn excess_moved(&mut self, link: LinkId, slot: u32, excess: f64) {
+        mark(&mut self.dirty, link);
+        self.see(link, Some((excess.to_bits(), slot)));
+    }
+
+    /// Record what the engine now holds for `link` in [`Self::seen`]
+    /// (nothing past its end: a link it does not cover is never skipped).
+    fn see(&mut self, link: LinkId, held: Option<(u64, u32)>) {
+        if let Some(seen) = self.seen.get_mut(link.index()) {
+            *seen = held;
         }
     }
 
@@ -171,25 +204,31 @@ impl IncrementalMaxmin {
     pub fn remove_link(&mut self, link: LinkId) {
         self.state.remove_excess(link);
         mark(&mut self.dirty, link);
+        self.see(link, None);
     }
 
     /// Insert or update a connection. A re-upsert with bit-identical
     /// demand and an equal route is a no-op; otherwise the old and new
     /// routes' links are dirtied.
     pub fn upsert_conn(&mut self, id: ConnId, demand: f64, links: &[LinkId]) {
+        self.upsert(id, demand, links);
+    }
+
+    /// [`Self::upsert_conn`], returning the connection's slot.
+    fn upsert(&mut self, id: ConnId, demand: f64, links: &[LinkId]) -> u32 {
         let s = &self.state;
         if let Some(c) = s.conns.get(id) {
             let route = s.routes[c as usize].iter().map(|l| s.links.external(*l));
             if s.demand[c as usize].to_bits() == demand.to_bits() && route.eq(links.iter().copied())
             {
-                return;
+                return c;
             }
             self.remove_conn(id);
         }
         for l in links {
             mark(&mut self.dirty, *l);
         }
-        self.state.add_conn(id, demand, links);
+        self.state.add_conn(id, demand, links)
     }
 
     /// Remove a connection, dirtying its route's links.
@@ -235,14 +274,31 @@ impl IncrementalMaxmin {
             comp.sort_unstable_by_key(|s| self.state.conns.external(*s));
             resolved += comp.len();
             self.state.solve_component_dense(&comp, &mut self.scratch);
+            let conns = &self.state.conns;
+            self.touched
+                .extend(comp.iter().map(|s| (conns.external(*s), *s)));
             comp.clear();
             self.bfs.comp = comp;
         }
         dirty.clear();
         self.dirty = dirty;
+        self.touched.sort_unstable_by_key(|(id, _)| *id);
+        self.touched.dedup_by_key(|(id, _)| *id);
         self.stats.incremental_solves += 1;
         self.stats.conns_resolved += resolved as u64;
         self.stats.conns_reused += (self.state.conns.len() - resolved) as u64;
+    }
+
+    /// The connections the last sync upserted (its candidates the engine
+    /// holds) and those the resolves since re-filled, with their solved
+    /// excess rates, ascending: after a sync and a resolve, the only ones
+    /// whose solved rate, or whose ledger rate under a candidate sync, may
+    /// have moved since the sync before. Read through the slots the sync
+    /// and the resolve recorded, so only current until the next mutator
+    /// call.
+    pub fn touched_rates(&self) -> impl ExactSizeIterator<Item = (ConnId, f64)> + '_ {
+        let alloc = &self.state.alloc;
+        self.touched.iter().map(|(id, c)| (*id, alloc[*c as usize]))
     }
 
     /// Diff the engine's inputs against the network's current ledgers:
@@ -254,52 +310,90 @@ impl IncrementalMaxmin {
     /// `conns` (ascending) are the candidates: every connection whose
     /// demand, route or `include` verdict may differ from the last sync.
     /// Any other live connection is taken to be as that sync left it.
-    /// With every live connection as a candidate this mirrors
-    /// [`MaxminProblem::from_network`] filtered by `include`; a
-    /// connection the engine holds that is gone or no longer accepted is
-    /// dropped whether or not it is a candidate.
+    /// `ended` (ascending) names every connection the network ended since
+    /// that sync. A connection the engine holds that is gone or no longer
+    /// accepted is dropped if it is among `conns` or `ended`: it can only
+    /// have left by ending, by a write to its record or by an `include`
+    /// flip, and the last two make it a candidate.
+    ///
+    /// `ended` is `None` when the network is new to the engine (built,
+    /// decoded or cloned since it last synced): then `conns` must be every
+    /// live connection, every connection the engine holds is checked, and
+    /// every link's excess is written through the interner. This whole
+    /// sync mirrors [`MaxminProblem::from_network`] filtered by `include`.
     pub fn sync_network(
         &mut self,
         net: &Network,
         conns: &[ConnId],
+        ended: Option<&[ConnId]>,
         include: &dyn Fn(&Connection) -> bool,
     ) {
         self.stats.conns_synced += conns.len() as u64;
+        self.touched.clear();
+        let link_count = net.topology().link_count();
+        if self.seen.len() < link_count {
+            self.seen.resize(link_count, None);
+        }
         for (lid, link) in net.links() {
-            self.set_link_excess(lid, link.excess_available().max(0.0));
+            let excess = link.excess_available().max(0.0);
+            match self.seen[lid.index()] {
+                Some((bits, slot)) if ended.is_some() => {
+                    if bits != excess.to_bits() {
+                        self.stats.links_synced += 1;
+                        self.state.excess[slot as usize] = excess;
+                        self.excess_moved(lid, slot, excess);
+                    }
+                }
+                _ => {
+                    self.stats.links_synced += 1;
+                    self.set_link_excess(lid, excess);
+                }
+            }
         }
         // Prune capacity entries for links the network no longer has
         // (its link ids are dense) — without this, topology churn
         // accumulates stale capacity rows forever, and a stale row
-        // constrains future solves with a phantom capacity.
-        let link_count = net.topology().link_count();
-        let s = &self.state;
-        let gone_links: Vec<LinkId> = s
+        // constrains future solves with a phantom capacity. Only the
+        // largest id the engine holds says whether there are any.
+        if self
+            .state
             .links
-            .iter()
-            .filter(|(l, slot)| l.index() >= link_count && s.has_excess[*slot as usize])
-            .map(|(l, _)| l)
-            .collect();
-        for l in gone_links {
-            self.remove_link(l);
+            .last()
+            .is_some_and(|l| l.index() >= link_count)
+        {
+            let s = &self.state;
+            let gone_links: Vec<LinkId> = s
+                .links
+                .iter()
+                .filter(|(l, slot)| l.index() >= link_count && s.has_excess[*slot as usize])
+                .map(|(l, _)| l)
+                .collect();
+            for l in gone_links {
+                self.remove_link(l);
+            }
         }
         let tracked = |c: &Connection| !c.route.links.is_empty() && include(c);
         for c in conns.iter().filter_map(|id| net.get(*id)) {
             if tracked(c) {
-                self.upsert_conn(c.id, c.qos.adaptable_range(), &c.route.links);
+                let slot = self.upsert(c.id, c.qos.adaptable_range(), &c.route.links);
+                self.touched.push((c.id, slot));
             }
         }
-        // Into a resident buffer: a static portable that moves leaves
-        // the engine at the next round.
+        // Into a resident buffer, ascending: a static portable that moves
+        // leaves the engine at the next round.
         let mut gone = std::mem::take(&mut self.gone);
         gone.clear();
-        gone.extend(
-            self.state
-                .conns
-                .iter()
-                .map(|(id, _)| id)
-                .filter(|id| !net.get(*id).is_some_and(tracked)),
-        );
+        let state = &self.state;
+        let left =
+            |id: &ConnId| state.conns.get(*id).is_some() && !net.get(*id).is_some_and(tracked);
+        match ended {
+            None => gone.extend(state.conns.iter().map(|(id, _)| id).filter(left)),
+            Some(ended) => {
+                gone.extend(conns.iter().chain(ended).copied().filter(left));
+                gone.sort_unstable();
+                gone.dedup();
+            }
+        }
         for id in &gone {
             self.remove_conn(*id);
         }
@@ -310,7 +404,19 @@ impl IncrementalMaxmin {
     /// Every mutator keeps it by construction; the proptests and the
     /// `arm-check` engine sweep assert it after every op.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.state.check_invariants()
+        self.state.check_invariants()?;
+        let s = &self.state;
+        for (i, seen) in self.seen.iter().enumerate() {
+            let link = LinkId::from_index(i);
+            let held = s.links.get(link).filter(|l| s.has_excess[*l as usize]);
+            let held = held.map(|l| (s.excess[l as usize].to_bits(), l));
+            if seen.is_some() && *seen != held {
+                return Err(format!(
+                    "{link:?}: seen {seen:?}, but the engine holds {held:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Strike `link` from the dirty set without re-filling its region —
@@ -487,7 +593,7 @@ mod tests {
     fn sync_network_round_trips_through_the_engine() {
         let net = net_with_cells(3);
         let mut e = IncrementalMaxmin::new();
-        e.sync_network(&net, &[], &|_| true);
+        e.sync_network(&net, &[], None, &|_| true);
         let fresh = MaxminProblem::from_network(&net);
         assert_eq!(e.as_problem().link_excess, fresh.link_excess);
         e.resolve();
@@ -500,19 +606,40 @@ mod tests {
         let big = net_with_cells(3);
         let small = net_with_cells(1);
         let mut e = IncrementalMaxmin::new();
-        e.sync_network(&big, &[], &|_| true);
+        e.sync_network(&big, &[], None, &|_| true);
         assert!(e.as_problem().link_excess.len() > small.topology().link_count());
         // Regression: re-syncing against a network with fewer links
         // used to leave the extra links' excess entries resident
         // forever; they must be pruned so the engine's problem exactly
         // mirrors a from-scratch build over the current network.
-        e.sync_network(&small, &[], &|_| true);
+        e.sync_network(&small, &[], None, &|_| true);
         let fresh = MaxminProblem::from_network(&small);
         assert_eq!(
             e.as_problem().link_excess.keys().collect::<Vec<_>>(),
             fresh.link_excess.keys().collect::<Vec<_>>(),
             "stale link_excess rows survived the sync"
         );
+        e.check_invariants().unwrap();
+    }
+
+    /// A sync that knows the network skips every link whose excess the
+    /// engine already holds, and writes one the engine dropped since.
+    #[test]
+    fn a_link_the_engine_dropped_is_written_again() {
+        let net = net_with_cells(2);
+        let mut e = IncrementalMaxmin::new();
+        e.sync_network(&net, &[], None, &|_| true);
+        let links = net.topology().link_count() as u64;
+        assert_eq!(e.stats.links_synced, links, "a whole sync writes all");
+        e.sync_network(&net, &[], Some(&[]), &|_| true);
+        assert_eq!(e.stats.links_synced, links, "nothing moved");
+        let wl = net.topology().wireless_link(arm_net::ids::CellId(1));
+        e.remove_link(wl);
+        e.check_invariants().unwrap();
+        e.sync_network(&net, &[], Some(&[]), &|_| true);
+        assert_eq!(e.stats.links_synced, links + 1);
+        let fresh = MaxminProblem::from_network(&net);
+        assert_eq!(e.as_problem().link_excess, fresh.link_excess);
         e.check_invariants().unwrap();
     }
 
@@ -542,8 +669,11 @@ mod tests {
         let mut bad = e.clone();
         bad.state.ensure_link(lid(3));
         assert!(refusal(&bad).contains("no capacity and no member"));
-        let mut bad = e;
+        let mut bad = e.clone();
         bad.state.conns.release(cid(1));
         assert!(refusal(&bad).contains("not routed over it"));
+        let mut bad = e;
+        bad.seen = vec![Some((9.0f64.to_bits(), 0))];
+        assert!(refusal(&bad).contains("seen"), "{}", refusal(&bad));
     }
 }

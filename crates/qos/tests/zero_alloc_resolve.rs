@@ -52,19 +52,24 @@ fn restoring_a_knocked_off_rate_is_allocation_free() {
     let mut engine = IncrementalMaxmin::new();
     let mut scratch = ResolveScratch::default();
     let is_static = |_: PortableId| true;
-    let mut round = |net: &mut Network, engine: &mut IncrementalMaxmin| {
+    // The first round sees a network new to the engine; the later ones
+    // know it, and no connection ends.
+    let mut round = |net: &mut Network, engine: &mut IncrementalMaxmin, ended| {
         net.set_conn_rate(ids[0], qos.b_min).expect("floor fits");
-        resolve_network(net, &is_static, &ids, engine, &mut scratch)
+        resolve_network(net, &is_static, &ids, ended, engine, &mut scratch)
     };
     // Warm-up: the first round solves, the second grows `changes`.
-    round(&mut net, &mut engine);
-    round(&mut net, &mut engine);
+    round(&mut net, &mut engine, None);
+    round(&mut net, &mut engine, Some(&[]));
     let target = net.get(ids[0]).expect("live").b_current;
     assert_eq!(target, 800.0);
     let solves = engine.stats.incremental_solves;
 
-    let (restored, allocs) =
-        allocations_during(|| (0..16).map(|_| round(&mut net, &mut engine)).sum::<usize>());
+    let (restored, allocs) = allocations_during(|| {
+        (0..16)
+            .map(|_| round(&mut net, &mut engine, Some(&[])))
+            .sum::<usize>()
+    });
     assert_eq!(restored, 16, "one rate restored per round");
     assert_eq!(net.get(ids[0]).expect("live").b_current, target);
     assert_eq!(engine.stats.incremental_solves, solves);

@@ -59,7 +59,6 @@
 //! manager keeps between events ([`RefreshScratch`]) is buffers only:
 //! every one is cleared before it is filled.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use arm_mobility::environment::IndoorEnvironment;
@@ -474,23 +473,23 @@ struct RefreshScratch {
 /// What the next adaptation round must look at (DESIGN §7): the
 /// portables with a connection-record write since the last round and
 /// the connections ended since, as each refresh drains them from
-/// `Network`, plus — added at the round — the portables whose
-/// static/mobile status flipped. Every other connection is where the
-/// last round left it. Fed only while rounds can run, so it cannot grow
-/// without bound. A cache: never snapshotted; a restored manager's
-/// network is decoded, and so counts every portable as written.
+/// `Network`, and the portables whose static/mobile status flipped, as
+/// each refresh drains them from [`Statics`]. Every other connection is
+/// where the last round left it. Fed only while rounds can run, so it
+/// cannot grow without bound. A cache: never snapshotted; a restored
+/// manager's network is decoded, and so counts every portable as
+/// written.
 #[derive(Debug, Default)]
 struct RoundFeed {
-    /// Portables written since the last round, ascending.
+    /// Portables written or flipped since the last round, ascending.
     touched: Vec<PortableId>,
     /// Connections ended since the last round, as the refreshes drained
     /// them.
     ending: Vec<ConnId>,
-    /// The network was built, decoded or cloned since the last round:
-    /// every portable counts as written. Sticky until the round.
+    /// The network was built, decoded or cloned, or the statics were
+    /// rebuilt, since the last round: every portable counts as written.
+    /// Sticky until the round.
     all: bool,
-    /// The statics the last round saw, ascending.
-    statics: Vec<PortableId>,
     /// The round's candidate connections, ascending.
     conns: Vec<ConnId>,
     /// The round's ended connections, ascending.
@@ -498,14 +497,22 @@ struct RoundFeed {
 }
 
 impl RoundFeed {
-    /// Fold one refresh's drain of the network's logs in.
-    fn note(&mut self, changed: &[PortableId], ended: &[ConnId], all: bool) {
+    /// Fold one refresh's drain of the network's logs and of the
+    /// statics' flip log in; `all` when every portable counts as written.
+    fn note(
+        &mut self,
+        changed: &[PortableId],
+        ended: &[ConnId],
+        flipped: &[PortableId],
+        all: bool,
+    ) {
         self.all |= all;
         if self.all {
             return;
         }
-        if !changed.is_empty() {
+        if !changed.is_empty() || !flipped.is_empty() {
             self.touched.extend_from_slice(changed);
+            self.touched.extend_from_slice(flipped);
             self.touched.sort_unstable();
             self.touched.dedup();
         }
@@ -513,13 +520,13 @@ impl RoundFeed {
     }
 
     /// Fill `conns` with the round's candidates, ascending: the
-    /// connections of every portable written since the last round or in
-    /// exactly one of `statics` and the last round's statics — of every
-    /// portable in the network's per-portable index when the network is
-    /// new to the feed — and `ended` with the connections ended since
-    /// the last round, ascending. True when the network is new: then the
-    /// round must walk everything. Resets the feed for the next round.
-    fn fill(&mut self, net: &Network, statics: &[PortableId]) -> bool {
+    /// connections of every portable written or flipped since the last
+    /// round — of every portable in the network's per-portable index when
+    /// the network is new to the feed or the statics were rebuilt — and
+    /// `ended` with the connections ended since the last round,
+    /// ascending. True when the round is whole: then it must walk
+    /// everything. Resets the feed for the next round.
+    fn fill(&mut self, net: &Network) -> bool {
         self.ended.clear();
         std::mem::swap(&mut self.ended, &mut self.ending);
         self.ended.sort_unstable();
@@ -527,30 +534,7 @@ impl RoundFeed {
         if whole {
             self.touched.clear();
             self.touched.extend(net.portables_with_connections());
-        } else {
-            // The symmetric difference, by a merge of the sorted lists.
-            let (now, then) = (statics, &self.statics);
-            let (mut i, mut j) = (0, 0);
-            while i < now.len() && j < then.len() {
-                match now[i].cmp(&then[j]) {
-                    Ordering::Less => {
-                        self.touched.push(now[i]);
-                        i += 1;
-                    }
-                    Ordering::Greater => {
-                        self.touched.push(then[j]);
-                        j += 1;
-                    }
-                    Ordering::Equal => (i, j) = (i + 1, j + 1),
-                }
-            }
-            self.touched.extend_from_slice(&now[i..]);
-            self.touched.extend_from_slice(&then[j..]);
-            self.touched.sort_unstable();
-            self.touched.dedup();
         }
-        self.statics.clear();
-        self.statics.extend_from_slice(statics);
         self.conns.clear();
         for p in self.touched.drain(..) {
             self.conns.extend_from_slice(net.conn_ids_of_portable(p));
@@ -565,10 +549,12 @@ impl RoundFeed {
 /// portable's status changes at two kinds of instant only: where
 /// `ResourceManager::track` restarts its dwell clock, which takes it out
 /// of `list`, and where that dwell reaches `T_th`, which `flips` holds
-/// until a refresh reaches it. Derived, never snapshotted: the first
-/// refresh after `new` or `restore` rebuilds both by one scan
-/// (`ResourceManager::collect_statics`), as does a refresh at an earlier
-/// instant than the last, which may find statics mobile again.
+/// until a refresh reaches it. Each change goes into `flipped` as it is
+/// made, for the next adaptation round. Derived, never snapshotted: the
+/// first refresh after `new` or `restore` rebuilds the list and the queue
+/// by one scan (`ResourceManager::collect_statics`), as does a refresh at
+/// an earlier instant than the last, which may find statics mobile
+/// again; a rebuild logs no flip and makes the next round whole.
 #[derive(Debug, Default)]
 struct Statics {
     /// The portables static at `at`, ascending.
@@ -579,6 +565,10 @@ struct Statics {
     /// time can go before others. An entry whose portable was tracked
     /// again since is stale: its instant is no longer the portable's flip.
     flips: VecDeque<(SimTime, PortableId)>,
+    /// Portables whose status flipped since the last refresh drained the
+    /// log, as they flipped (a portable may repeat): each one
+    /// `keep_statics` added to `list` and each one `track` took out.
+    flipped: Vec<PortableId>,
     /// The `now` of the last refresh; `None` until the first rebuild.
     at: Option<SimTime>,
 }
@@ -950,12 +940,19 @@ impl ResourceManager {
     /// `restore` and at a refresh at an earlier instant than the last —
     /// every other refresh only pops the flips that are due
     /// ([`keep_statics`](Self::keep_statics)) — and, as the reference,
-    /// at every refresh of the whole-table twin.
+    /// at every refresh of the whole-table twin. It logs no flip, so the
+    /// round after it is whole.
     fn collect_statics(&mut self, now: SimTime) {
         let t_th = self.cfg.t_th;
-        let Statics { list, flips, at } = &mut self.statics;
+        let Statics {
+            list,
+            flips,
+            flipped,
+            at,
+        } = &mut self.statics;
         list.clear();
         flips.clear();
+        flipped.clear();
         for (p, t) in &self.portables {
             if t.state.is_static(t_th, now) {
                 list.push(*p);
@@ -969,10 +966,10 @@ impl ResourceManager {
     }
 
     /// Bring [`Statics`] from the last refresh's instant to `now`: pop
-    /// every flip due by `now`, add its portable to the list and mark its
-    /// cell's watch pending, unless the portable was tracked again since
-    /// (the entry is stale: `track` took it out, queued its new flip and
-    /// marked its new cell). Rebuilds instead, and says so, when there is
+    /// every flip due by `now`, add its portable to the list and the flip
+    /// log and mark its cell's watch pending, unless the portable was
+    /// tracked again since (the entry is stale: `track` took it out,
+    /// logged that, queued its new flip and marked its new cell). Rebuilds instead, and says so, when there is
     /// no last refresh or `now` is earlier than it.
     fn keep_statics(&mut self, now: SimTime) -> bool {
         if self.statics.at.map_or(true, |at| now < at) {
@@ -980,7 +977,12 @@ impl ResourceManager {
             return true;
         }
         let t_th = self.cfg.t_th;
-        let Statics { list, flips, at } = &mut self.statics;
+        let Statics {
+            list,
+            flips,
+            flipped,
+            at,
+        } = &mut self.statics;
         *at = Some(now);
         while let Some(&(flip, p)) = flips.front() {
             if flip > now {
@@ -995,6 +997,7 @@ impl ResourceManager {
             if let Some(t) = current {
                 if let Err(at) = list.binary_search(&p) {
                     list.insert(at, p);
+                    flipped.push(p);
                 }
                 // The dispatch pass looks at a portable that turned static.
                 #[cfg(test)]
@@ -1191,6 +1194,7 @@ impl ResourceManager {
         let found = found.filter(|_| !self.twin.is(Mutant::TrackKeepsStatic));
         if let Some(at) = found {
             self.statics.list.remove(at);
+            self.statics.flipped.push(p);
         }
         if let Some(flip) = state.turns_static_at(self.cfg.t_th) {
             let flips = &mut self.statics.flips;
@@ -1883,19 +1887,15 @@ impl ResourceManager {
             let round_tok = self.obs.phase_start(now);
             // The engine counters feed only the `MaxminRound` event.
             let before = self.obs.is_on().then_some(self.maxmin.stats);
-            // Kept by the refresh above, at the same `now`.
-            let statics = &self.statics.list;
-            #[cfg(test)]
-            if self.twin.is(Mutant::NoStaticsDiff) {
-                self.round_feed.statics.clone_from(statics);
-            }
-            let whole = self.round_feed.fill(&self.net, statics);
+            let whole = self.round_feed.fill(&self.net);
             #[cfg(test)]
             let whole = whole || self.twin.whole_table();
             #[cfg(test)]
             if self.twin.whole_table() {
                 self.round_feed.conns = self.net.live_connections().map(|c| c.id).collect();
             }
+            // Kept by the refresh above, at the same `now`.
+            let statics = &self.statics.list;
             let is_static = |p: PortableId| statics.binary_search(&p).is_ok();
             arm_qos::conflict::resolve_network(
                 &mut self.net,
@@ -1959,10 +1959,19 @@ impl ResourceManager {
     /// path's; both model capacity committed elsewhere and survive the
     /// wipe.
     fn refresh_claims(&mut self, now: SimTime) {
-        // Drained at every refresh, whatever the strategy reads of it,
-        // and kept for the next adaptation round when rounds can run.
+        // Drained at every refresh, whatever the strategy reads of it.
         let all_changed = self.net.drain_changed_portables(&mut self.scratch.changed);
         self.net.drain_ended(&mut self.scratch.ended);
+        #[cfg(test)]
+        if self.twin.whole_table() {
+            self.collect_statics(now);
+            return self.reference_refresh_claims(now);
+        }
+        // The statics are for the dispatch pass, the `B_dyn` pass and the
+        // adaptation round `after_event` may run next, at the same `now`.
+        let rebuilt = self.keep_statics(now);
+        // The three logs are kept for the next adaptation round when
+        // rounds can run. A rebuild logs no flip: its round is whole.
         if self.cfg.resolve_excess {
             #[cfg(test)]
             if self.twin.is(Mutant::FeedForgetsNewNetwork) {
@@ -1972,18 +1981,16 @@ impl ResourceManager {
             if self.twin.is(Mutant::EndedNotFed) {
                 self.scratch.ended.clear();
             }
-            let scratch = &self.scratch;
+            #[cfg(test)]
+            if self.twin.is(Mutant::FlipNotFed) {
+                self.statics.flipped.clear();
+            }
+            let (scratch, flipped) = (&self.scratch, &self.statics.flipped);
+            let all = all_changed || rebuilt;
             self.round_feed
-                .note(&scratch.changed, &scratch.ended, all_changed);
+                .note(&scratch.changed, &scratch.ended, flipped, all);
         }
-        #[cfg(test)]
-        if self.twin.whole_table() {
-            self.collect_statics(now);
-            return self.reference_refresh_claims(now);
-        }
-        // The statics are for the dispatch pass, the `B_dyn` pass and the
-        // adaptation round `after_event` may run next, at the same `now`.
-        let rebuilt = self.keep_statics(now);
+        self.statics.flipped.clear();
         let refresh_tok = self.obs.phase_start(now);
         self.refresh_stats.refreshes += 1;
         self.plans.begin();

@@ -152,8 +152,9 @@ pub(crate) enum Mutant {
     MemoCarriedAcrossMove,
     /// The slot tick retires branches one slot early.
     RetireOneSlotEarly,
-    /// The round's candidates omit the statics diff.
-    NoStaticsDiff,
+    /// A refresh drops the statics' flip log instead of feeding it to
+    /// the next round.
+    FlipNotFed,
     /// `RoundFeed::all` dropped at a refresh that runs no round.
     FeedForgetsNewNetwork,
     /// A refresh drops the connections the network ended instead of
@@ -190,7 +191,7 @@ impl ResourceManager {
     /// history. Levels 1 and 2a never touched the history, so they are
     /// taken from the production path; whenever that path went as far
     /// as the history (level 2b or the default), the answer is recounted
-    /// here with the scanning `most_common_next`.
+    /// here with the scanning `majority_next`.
     fn reference_predict_at(&self, p: PortableId, prev: Option<CellId>, cur: CellId) -> Prediction {
         let got = self.profiles.predict_at(p, prev, cur);
         match got.level {
@@ -198,8 +199,8 @@ impl ResourceManager {
             PredictionLevel::CellAggregate | PredictionLevel::Default => {
                 let next = self.profiles.cell(cur).and_then(|cp| {
                     cp.history()
-                        .most_common_next(|e| e.prev == prev)
-                        .or_else(|| cp.history().most_common_next(|_| true))
+                        .majority_next(|e| e.prev == prev)
+                        .or_else(|| cp.history().majority_next(|_| true))
                         .map(|(c, _, _)| c)
                 });
                 Prediction {

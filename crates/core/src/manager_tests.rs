@@ -1480,3 +1480,61 @@ fn a_round_drops_a_connection_that_ended_while_the_gate_was_shut() {
     assert_eq!(rates.len(), 2);
     assert_eq!((rates, engine), run(Twin::WholeTable));
 }
+
+/// A portable that turns static with no write to its connection between
+/// two rounds is a candidate of the second: the refresh feeds the
+/// statics' flip to the round, which re-pins the connection from its
+/// floor to its share of the excess, as the whole-table round does.
+#[test]
+fn a_round_re_pins_a_portable_that_turned_static_since_the_last() {
+    let f4 = Figure4::build();
+    let run = |twin: Twin| {
+        let net = f4.env.build_network(1600.0, 0.0, 100_000.0);
+        let cfg = ManagerConfig {
+            strategy: Strategy::None,
+            resolve_excess: true,
+            dyn_pool: None,
+            t_th: SimDuration::from_secs(60),
+            delta: 5000.0,
+            ..Default::default()
+        };
+        let mut mgr = ResourceManager::new(f4.env.clone(), net, cfg);
+        mgr.set_twin(twin);
+        let adaptive = QosRequest::bandwidth(100.0, 1600.0)
+            .with_delay(10.0)
+            .with_jitter(10.0)
+            .with_loss(1.0);
+        let (a, b, cell) = (PortableId(1), PortableId(2), f4.c);
+        let connect = |mgr: &mut ResourceManager, portable, secs| {
+            let (t, qos) = (SimTime::from_secs(secs), adaptive);
+            assert!(mgr
+                .apply(&ManagerEvent::Appear { t, portable, cell })
+                .is_ok());
+            let request = ManagerEvent::Request { t, portable, qos };
+            mgr.apply(&request).expect("accepted").round_ran
+        };
+        assert!(connect(&mut mgr, a, 1), "an admission shrinks");
+        let pinned = mgr.connection_of(a).expect("a is connected");
+        let rate = |mgr: &ResourceManager| mgr.net.get(pinned).expect("live").b_current;
+        assert_eq!(rate(&mgr), 100.0, "mobile: pinned at its floor");
+        // `a` turns static at 61 s; `b`'s admission at 70 s writes only
+        // `b`'s connection and opens the gate (a shrinkage).
+        assert!(connect(&mut mgr, b, 70));
+        assert!(mgr.is_static(a, SimTime::from_secs(70)));
+        assert!(rate(&mgr) > 100.0, "static: re-pinned to its share");
+        let rates: Vec<(ConnId, u64)> = mgr
+            .net
+            .live_connections()
+            .map(|c| (c.id, c.b_current.to_bits()))
+            .collect();
+        let engine: Vec<(ConnId, u64)> = mgr
+            .maxmin()
+            .rates()
+            .map(|(c, x)| (c, x.to_bits()))
+            .collect();
+        (rates, engine)
+    };
+    let (rates, engine) = run(Twin::Production);
+    assert_eq!(rates.len(), 2);
+    assert_eq!((rates, engine), run(Twin::WholeTable));
+}

@@ -659,7 +659,7 @@ fn renegotiation_churn_matches_the_whole_table() {
 }
 
 /// The rush, seeds 0..8: portables turn static with no write to their
-/// records, so the round finds them through the statics diff.
+/// records, so the round finds them through the statics' flip log.
 #[test]
 fn rush_streams_match_the_whole_table_and_resync() {
     for seed in 0..8u64 {
@@ -846,7 +846,7 @@ fn every_mutant_is_caught() {
             Divergence,
         ),
         (RetireOneSlotEarly, figure4(Strategy::Paper, 0), Divergence),
-        (NoStaticsDiff, figure4(Strategy::Paper, 0), Divergence),
+        (FlipNotFed, figure4(Strategy::Paper, 0), Divergence),
         (FeedForgetsNewNetwork, chaos, Divergence),
         (EndedNotFed, figure4(Strategy::None, 0), Divergence),
         (StaleFlipHonoured, figure4(Strategy::None, 1), Divergence),

@@ -38,8 +38,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations of the measured move, by where they happen:
 ///
-/// * 2 — the profile update: the portable profile's majority recount for
-///   the `(prev, cur)` triplet, and a tally entry;
+/// * 1 — the profile update: a tally entry. The portable profile's
+///   majority vote for the `(prev, cur)` triplet counts the ring in
+///   place (`HandoffHistory::majority_next`) — it was the second
+///   allocation here while it recounted into a fresh map per handoff;
 /// * 0 — multicast re-establishment of the mover's one connection
 ///   toward the destination corridor's three neighbours, legs read from
 ///   the neighbour route table: its rows in `MulticastState`'s flat
@@ -62,8 +64,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// kept its own wired-link list in a map per connection (4 of them:
 /// three lists and the map's leaf), and 12 while the claim tables were
 /// B-trees (two nodes among the branch claims' inserts) and every
-/// lounge spread built its transition row as a fresh map (four).
-const MOVE_ALLOCATIONS: u64 = 2;
+/// lounge spread built its transition row as a fresh map (four), and 2
+/// while the triplet's majority was a recount into a fresh map.
+const MOVE_ALLOCATIONS: u64 = 1;
 
 // Above this a re-pin is a finding, not a number to update.
 const _: () = assert!(MOVE_ALLOCATIONS <= 5);
@@ -193,21 +196,24 @@ fn one_slot_tick_on_the_steady_wing_allocates_nothing() {
 /// Allocations of one steady move on an adaptive wing with adaptation
 /// rounds on (`adapt_rush`'s configuration), by where they happen:
 ///
-/// * 1 — the profile update;
+/// * 0 — the profile update: the triplet's majority counts the ring in
+///   place (it was 1 while it recounted into a fresh map per handoff);
 /// * 1 — the slot's outflow tally: this is the first handoff out of a
 ///   cell since the last slot tick, and the tally is a fresh map each
 ///   slot;
 /// * 1 — the adaptation round: two portables turned static since the
 ///   last round and their connections join the engine, one into a
 ///   connection slot no connection has used before (its route buffer);
-/// * 0 — the rest of the round: the candidates are gathered into the
-///   round feed's resident buffers, pinned, diff-synced, re-filled on
-///   the engine's resident scratch and moved onto their targets through
-///   the resolver's resident change list.
+/// * 0 — the rest of the round: the candidates — the written portables'
+///   connections and, from the statics' flip log, the flipped ones' —
+///   are gathered into the round feed's resident buffers, pinned,
+///   diff-synced, re-filled on the engine's resident scratch and moved
+///   onto their targets through the resolver's resident change list.
 ///
 /// It was 6 while the engine's dirty set was a `BTreeSet`: a fresh leaf
-/// at the first mark of every round, and more nodes as marks split it.
-const ROUND_MOVE_ALLOCATIONS: u64 = 3;
+/// at the first mark of every round, and more nodes as marks split it,
+/// and 3 while the triplet's majority was a recount into a fresh map.
+const ROUND_MOVE_ALLOCATIONS: u64 = 2;
 
 // Above this a re-pin is a finding, not a number to update.
 const _: () = assert!(ROUND_MOVE_ALLOCATIONS <= 5);

@@ -378,9 +378,55 @@ impl HandoffHistory {
         self.cap
     }
 
-    /// Most common `next` cell among events matching the filter, with its
-    /// frequency (count, total-matching).
-    pub fn most_common_next<F>(&self, filter: F) -> Option<(CellId, usize, usize)>
+    /// Most common `next` cell among events matching the filter — the
+    /// smaller cell id on a tie — with its frequency (count,
+    /// total-matching). Allocates nothing: each pass over the ring counts
+    /// the smallest `next` above the last one counted, so the distinct
+    /// cells come in ascending order, and the passes stop once the
+    /// events not yet counted could not outvote the leader (a later cell
+    /// must beat it outright). A portable's handoffs out of one context
+    /// go to a few cells, one of them mostly, so that is a pass or two.
+    pub fn majority_next<F>(&self, filter: F) -> Option<(CellId, usize, usize)>
+    where
+        F: Fn(&HandoffEvent) -> bool,
+    {
+        // The smallest matching `next` above `above`, with its count, and
+        // how many events match.
+        let least_above = |above: Option<CellId>| {
+            let (mut least, mut matching) = (None, 0);
+            for next in self.events.iter().filter(|e| filter(e)).map(|e| e.next) {
+                matching += 1;
+                if above.is_some_and(|a| next <= a) {
+                    continue;
+                }
+                least = match least {
+                    Some((c, n)) if c == next => Some((c, n + 1)),
+                    Some((c, n)) if c < next => Some((c, n)),
+                    _ => Some((next, 1)),
+                };
+            }
+            (least, matching)
+        };
+        let (first, total) = least_above(None);
+        let (mut best, mut best_n) = first?;
+        let (mut last, mut counted) = (best, best_n);
+        while total - counted > best_n {
+            let Some((c, n)) = least_above(Some(last)).0 else {
+                break;
+            };
+            if n > best_n {
+                (best, best_n) = (c, n);
+            }
+            (last, counted) = (c, counted + n);
+        }
+        Some((best, best_n, total))
+    }
+
+    /// [`majority_next`](Self::majority_next) by a recount into a fresh
+    /// map, as the profiles computed it per handoff: the oracle, compiled
+    /// for tests only.
+    #[cfg(test)]
+    pub(crate) fn most_common_next<F>(&self, filter: F) -> Option<(CellId, usize, usize)>
     where
         F: Fn(&HandoffEvent) -> bool,
     {
@@ -399,7 +445,7 @@ impl HandoffHistory {
 
 /// The entry with the highest count — the smaller cell id on a tie —
 /// with its count and the sum of all counts: what
-/// [`HandoffHistory::most_common_next`] computes from a recount, computed
+/// [`HandoffHistory::majority_next`] computes from the ring, computed
 /// from tallies (kept apart from it so each can check the other).
 fn majority(counts: impl IntoIterator<Item = (CellId, usize)>) -> Option<(CellId, usize, usize)> {
     let mut total = 0;
@@ -512,7 +558,7 @@ impl CountedHistory {
         self.by_next.iter().map(|(next, n)| (*next, *n))
     }
 
-    /// [`HandoffHistory::most_common_next`] with the filter
+    /// [`HandoffHistory::majority_next`] with the filter
     /// `e.prev == prev`, from the tallies.
     pub(crate) fn most_common_next_after(
         &self,
@@ -521,7 +567,7 @@ impl CountedHistory {
         majority(self.next_counts_after(prev))
     }
 
-    /// [`HandoffHistory::most_common_next`] over every retained event,
+    /// [`HandoffHistory::majority_next`] over every retained event,
     /// from the tallies.
     pub(crate) fn most_common_next(&self) -> Option<(CellId, usize, usize)> {
         majority(self.next_counts())
@@ -572,13 +618,17 @@ mod tests {
         h.record(ev(1, Some(0), 1, 2));
         h.record(ev(1, Some(0), 1, 3));
         h.record(ev(2, Some(0), 1, 3)); // different portable
-        let (next, n, total) = h.most_common_next(|e| e.portable == PortableId(1)).unwrap();
+        let (next, n, total) = h.majority_next(|e| e.portable == PortableId(1)).unwrap();
         assert_eq!(next, CellId(2));
         assert_eq!(n, 2);
         assert_eq!(total, 3);
-        assert!(h
-            .most_common_next(|e| e.portable == PortableId(9))
-            .is_none());
+        assert!(h.majority_next(|e| e.portable == PortableId(9)).is_none());
+        for p in [1, 2, 9].map(PortableId) {
+            assert_eq!(
+                h.majority_next(|e| e.portable == p),
+                h.most_common_next(|e| e.portable == p)
+            );
+        }
     }
 
     #[test]
@@ -587,8 +637,8 @@ mod tests {
         h.record(ev(1, None, 1, 5));
         h.record(ev(1, None, 1, 3));
         // Equal counts: the smaller cell id wins (reverse-id tiebreak).
-        let (next, _, _) = h.most_common_next(|_| true).unwrap();
-        assert_eq!(next, CellId(3));
+        assert_eq!(h.majority_next(|_| true), Some((CellId(3), 1, 2)));
+        assert_eq!(h.most_common_next(|_| true), Some((CellId(3), 1, 2)));
     }
 
     /// The tree writer's text over `to_value()`: the oracle.
@@ -918,8 +968,9 @@ mod tests {
         }
 
         /// Over any record sequence on a small cap (so eviction runs),
-        /// the tallies answer what a recount of the retained events
-        /// answers, hold no zero, and are rebuilt — not read — on decode.
+        /// the tallies and the ring's own majority answer what a recount
+        /// of the retained events answers, the tallies hold no zero, and
+        /// they are rebuilt — not read — on decode.
         #[test]
         fn tallies_equal_a_recount(
             cap in 1usize..7,
@@ -944,6 +995,10 @@ mod tests {
                     h.most_common_next(),
                     h.history().most_common_next(|_| true)
                 );
+                proptest::prop_assert_eq!(
+                    h.history().majority_next(|_| true),
+                    h.history().most_common_next(|_| true)
+                );
                 for prev in [None, Some(0), Some(1), Some(2), Some(7)].map(|p| p.map(CellId)) {
                     proptest::prop_assert_eq!(
                         h.next_counts_after(prev).collect::<BTreeMap<_, _>>(),
@@ -951,6 +1006,10 @@ mod tests {
                     );
                     proptest::prop_assert_eq!(
                         h.most_common_next_after(prev),
+                        h.history().most_common_next(|e| e.prev == prev)
+                    );
+                    proptest::prop_assert_eq!(
+                        h.history().majority_next(|e| e.prev == prev),
                         h.history().most_common_next(|e| e.prev == prev)
                     );
                 }

@@ -47,7 +47,7 @@ impl PortableProfile {
         let key = (ev.prev, ev.cur);
         if let Some((next, _, _)) = self
             .history
-            .most_common_next(|e| e.prev == ev.prev && e.cur == ev.cur)
+            .majority_next(|e| e.prev == ev.prev && e.cur == ev.cur)
         {
             self.triplets.insert(key, next);
         }
@@ -67,7 +67,7 @@ impl PortableProfile {
                 None
             } else {
                 self.history
-                    .most_common_next(|e| e.cur == cur)
+                    .majority_next(|e| e.cur == cur)
                     .map(|(c, _, _)| c)
             }
         })
@@ -158,6 +158,76 @@ mod tests {
         assert_eq!(p.next_predicted(Some(CellId(0)), CellId(1)), None);
         assert_eq!(p.next_predicted(None, CellId(1)), None);
         assert_eq!(p.history_len(), 0);
+    }
+
+    /// The triplet table and first-level prediction as they were kept
+    /// before the allocation-free majority: every handoff recounts its
+    /// context's retained events into a fresh map
+    /// ([`HandoffHistory::most_common_next`]).
+    struct Recount {
+        history: HandoffHistory,
+        triplets: BTreeMap<(Option<CellId>, CellId), CellId>,
+    }
+
+    impl Recount {
+        fn record(&mut self, ev: HandoffEvent) {
+            self.history.record(ev);
+            if let Some((next, _, _)) = self
+                .history
+                .most_common_next(|e| e.prev == ev.prev && e.cur == ev.cur)
+            {
+                self.triplets.insert((ev.prev, ev.cur), next);
+            }
+        }
+
+        fn next_predicted(&self, prev: Option<CellId>, cur: CellId) -> Option<CellId> {
+            self.triplets.get(&(prev, cur)).copied().or_else(|| {
+                if prev.is_some() {
+                    None
+                } else {
+                    self.history
+                        .most_common_next(|e| e.cur == cur)
+                        .map(|(c, _, _)| c)
+                }
+            })
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// Over any handoff stream on a small `N_pP` — so eviction runs,
+        /// ties come up among four cells and a third of the handoffs have
+        /// no previous cell — the profile's triplet table and every
+        /// prediction it makes equal the recount's after every handoff.
+        #[test]
+        fn triplets_and_predictions_equal_a_recount(
+            n_pp in 1usize..7,
+            // (prev: 0 = unknown, else cell prev-1; cur; next)
+            moves in proptest::collection::vec((0u32..3, 0u32..3, 0u32..4), 0..60),
+        ) {
+            let mut p = PortableProfile::new(PortableId(7), n_pp);
+            let mut oracle = Recount {
+                history: HandoffHistory::new(n_pp),
+                triplets: BTreeMap::new(),
+            };
+            for (prev, cur, next) in moves {
+                let ev = ev(prev.checked_sub(1), cur, next);
+                p.record(ev);
+                oracle.record(ev);
+                let table = oracle.triplets.iter().map(|((p, c), n)| (*p, *c, *n));
+                proptest::prop_assert!(p.triplets().eq(table));
+                for cur in (0..3).map(CellId) {
+                    for prev in [None, Some(CellId(0)), Some(CellId(1)), Some(CellId(5))] {
+                        proptest::prop_assert_eq!(
+                            p.next_predicted(prev, cur),
+                            oracle.next_predicted(prev, cur)
+                        );
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(p.history_len(), oracle.history.len());
+        }
     }
 
     #[test]

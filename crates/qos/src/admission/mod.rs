@@ -167,8 +167,10 @@ pub struct AdmissionOutcome {
 pub struct AdmissionGrant {
     /// Rate granted on the reverse pass (kbps).
     pub b_granted: f64,
-    /// The stamped rate collected on the forward pass (excess kbps).
-    pub(crate) b_stamp: f64,
+    /// The stamped rate collected on the forward pass (excess kbps),
+    /// computed only for the one grant that reads it: a static
+    /// portable's new request.
+    pub(crate) b_stamp: Option<f64>,
     /// Worst-case end-to-end delay `d_min,j` (seconds).
     pub(crate) d_min: f64,
     /// Achieved end-to-end loss probability.
@@ -204,12 +206,25 @@ pub struct AdmissionScratch {
 ///
 /// Allocating convenience wrapper over [`admit_with`]; hot callers keep
 /// a resident [`AdmissionScratch`] and call that directly.
+///
+/// Every outcome carries the stamp, as Table 2's printout shows it: where
+/// the grant does not read it, it is collected here, before the grant
+/// writes the ledgers the forward pass would have read it from.
 pub fn admit(net: &mut Network, req: AdmissionRequest) -> Result<AdmissionOutcome, Rejection> {
+    let unread = (!reads_stamp(req)).then(|| {
+        let c = net
+            .get(req.conn)
+            .precondition("connection must be installed");
+        stamped_rate(net, &c.route.links, c.qos.adaptable_range())
+    });
     let mut scratch = AdmissionScratch::default();
     let g = admit_with(net, req, &mut scratch)?;
     Ok(AdmissionOutcome {
         b_granted: g.b_granted,
-        b_stamp: g.b_stamp,
+        b_stamp: g
+            .b_stamp
+            .or(unread)
+            .invariant("every request is stamped once"),
         d_min: g.d_min,
         hop_delay_budgets: std::mem::take(&mut scratch.budgets),
         hop_buffers: std::mem::take(&mut scratch.rev_buffers),
@@ -218,9 +233,11 @@ pub fn admit(net: &mut Network, req: AdmissionRequest) -> Result<AdmissionOutcom
 }
 
 /// [`admit`] against caller-resident scratch buffers. Identical
-/// semantics and arithmetic; the per-hop outputs are left in
+/// decisions, grants and ledger writes; the per-hop outputs are left in
 /// `scratch.budgets` / `scratch.rev_buffers` instead of being returned
-/// by value.
+/// by value, and the stamp is collected only for a request whose grant
+/// reads it, a static portable's new request — every handoff and every
+/// mobile portable's request skips a walk of each hop's connection list.
 pub fn admit_with(
     net: &mut Network,
     req: AdmissionRequest,
@@ -252,7 +269,7 @@ pub fn admit_with(
         // Degenerate single-node route: nothing to reserve.
         return Ok(AdmissionGrant {
             b_granted: qos.b_min,
-            b_stamp: 0.0,
+            b_stamp: reads_stamp(req).then_some(0.0),
             d_min: 0.0,
             loss: 0.0,
         });
@@ -264,7 +281,6 @@ pub fn admit_with(
     // ---------------- forward pass ----------------
     let mut sum_inv_c = 0.0; // Σ L_max / C_i
     let mut survive = 1.0; // Π (1 − p_e,i)
-    let mut b_stamp = qos.adaptable_range();
     for (hop0, lid) in route_links.iter().enumerate() {
         let hop = hop0 + 1; // Table 2 indexes hops from 1
         let ls = net.link(*lid);
@@ -312,10 +328,6 @@ pub fn admit_with(
         // Loss row: accumulate survival probability.
         let p = net.topology().link(*lid).error_prob;
         survive *= 1.0 - p;
-
-        // Stamped rate: clamped by each link's advertised rate (§5.3.1).
-        let mu = link_advertised_rate(net, *lid);
-        b_stamp = b_stamp.min(mu.max(0.0));
     }
 
     // ---------------- destination tests ----------------
@@ -347,11 +359,10 @@ pub fn admit_with(
     budgets.extend(hop_delays.iter().map(|d| d + slack));
 
     // Granted rate: static portables take their stamped excess share;
-    // mobile (and handoff) connections are pinned to the floor.
-    let b_granted = match (req.mobility, req.kind) {
-        (MobilityClass::Static, RequestKind::New) => b_min + b_stamp,
-        _ => b_min,
-    };
+    // mobile (and handoff) connections are pinned to the floor. The
+    // forward pass wrote nothing, so the stamp reads the ledgers it saw.
+    let b_stamp = reads_stamp(req).then(|| stamped_rate(net, route_links, qos.adaptable_range()));
+    let b_granted = b_stamp.map_or(b_min, |s| b_min + s);
 
     // Buffers recomputed from the granted rate and relaxed budgets
     // (Table 2's reverse-pass buffer column).
@@ -408,6 +419,25 @@ pub fn admit_with(
     })
 }
 
+/// Does the grant read the stamp? Only a static portable's new request is
+/// granted `b_min + b_stamp`; a mobile portable's, and every handoff, is
+/// pinned at `b_min` (§3.4.2).
+fn reads_stamp(req: AdmissionRequest) -> bool {
+    (req.mobility, req.kind) == (MobilityClass::Static, RequestKind::New)
+}
+
+/// The stamped rate the forward packet collects along `links` (§5.3.1):
+/// `min(b_max − b_min, min_l μ_l)`, each `μ_l` floored at zero, folded in
+/// route order; zero on an empty route, which reserves nothing.
+fn stamped_rate(net: &Network, links: &[LinkId], adaptable: f64) -> f64 {
+    if links.is_empty() {
+        return 0.0;
+    }
+    links.iter().fold(adaptable, |stamp, lid| {
+        stamp.min(link_advertised_rate(net, *lid).max(0.0))
+    })
+}
+
 /// The advertised rate `μ_l` a link would quote a newcomer, computed from
 /// the current excess allocations of its ongoing connections (§5.3.1's
 /// admission shortcut: the forward packet collects
@@ -422,5 +452,7 @@ pub(crate) fn link_advertised_rate(net: &Network, lid: LinkId) -> f64 {
     })
 }
 
+#[cfg(test)]
+pub(crate) mod reference;
 #[cfg(test)]
 mod tests;

@@ -349,3 +349,114 @@ fn second_static_admission_shares_fairly() {
     assert!((ra - 800.0).abs() < 1e-6, "ra={ra}");
     assert!((rb - 800.0).abs() < 1e-6, "rb={rb}");
 }
+
+/// Every ledger's bits, link by link — its four running sums, every
+/// allocation and every claim — then every live connection's rate: what
+/// two admissions must leave alike. (Not the revision: a clone starts a
+/// lineage of its own.)
+fn ledger_bits(net: &Network) -> Vec<String> {
+    let mut out = Vec::new();
+    for (lid, ls) in net.links() {
+        out.push(format!("{lid:?} {:x?}", ls.sum_bits()));
+        for (c, a) in ls.allocs() {
+            let bits = [a.b_min, a.b_alloc, a.buffer].map(f64::to_bits);
+            out.push(format!("{lid:?} {c:?} {bits:x?}"));
+        }
+        for (k, x) in ls.claims() {
+            out.push(format!("{lid:?} {k:?} {:x}", x.to_bits()));
+        }
+    }
+    for c in net.live_connections() {
+        out.push(format!("{:?} {:x}", c.id, c.b_current.to_bits()));
+    }
+    out
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+    /// On a random load — up to eight earlier admissions, static and
+    /// mobile, one wireless medium's buffer pool perhaps cut short — a
+    /// request of every mobility, kind and discipline, with bounds loose
+    /// and tight enough to fail every Table 2 row, and perhaps an
+    /// advance claim of its own: the grant that collects the stamp only
+    /// where it reads it decides, grants and writes every ledger bit for
+    /// bit as the oracle that stamps every request, and the allocating
+    /// [`admit`] reports the oracle's stamp.
+    #[test]
+    fn the_grant_matches_the_oracle_that_stamps_every_request(
+        load in proptest::collection::vec(
+            (0usize..3, 0usize..3, 16.0f64..400.0, 0.0f64..1200.0, proptest::prelude::any::<bool>()),
+            0..9,
+        ),
+        (short_pool, pool, claim) in (0usize..4, 5.0f64..60.0, 0.0f64..300.0),
+        (src, dst, b_min, range) in (0usize..3, 0usize..3, 16.0f64..400.0, 0.0f64..1200.0),
+        (delay, jitter, loss, sigma) in (0.05f64..3.0, 0.05f64..2.0, 0.0f64..0.05, 0.0f64..32.0),
+        (stat, handoff, rcsp) in (
+            proptest::prelude::any::<bool>(),
+            proptest::prelude::any::<bool>(),
+            proptest::prelude::any::<bool>(),
+        ),
+    ) {
+        let mut t = Topology::new();
+        let sw = t.add_switch("sw");
+        let cells = [0.0, 0.01, 0.02].map(|err| t.add_cell("c", 1600.0, err));
+        for c in cells {
+            t.add_wired_duplex(sw, t.base_station(c), 10_000.0, 0.0);
+        }
+        let mut net = Network::new(t);
+        if let Some(c) = cells.get(short_pool) {
+            let wl = net.topology().wireless_link(*c);
+            *net.link_mut(wl) = arm_net::LinkState::new(1600.0).with_buffer_capacity(pool);
+        }
+        let mobility = |stat| if stat { MobilityClass::Static } else { MobilityClass::Mobile };
+        for (s, d, b_min, range, stat) in load {
+            let id = install(&mut net, cells[s], cells[d], QosRequest::bandwidth(b_min, b_min + range));
+            let req = AdmissionRequest { mobility: mobility(stat), ..req(id) };
+            if admit(&mut net, req).is_err() {
+                net.mark_blocked(id);
+            }
+        }
+        let qos = QosRequest::bandwidth(b_min, b_min + range)
+            .with_delay(delay)
+            .with_jitter(jitter)
+            .with_loss(loss)
+            .with_traffic(TrafficSpec::new(sigma, b_min));
+        let id = install(&mut net, cells[src], cells[dst], qos);
+        for lid in net.get(id).unwrap().route.links.clone() {
+            net.link_mut(lid).set_claim(ResvClaim::Conn(id), claim);
+        }
+        let req = AdmissionRequest {
+            conn: id,
+            discipline: if rcsp { Discipline::Rcsp } else { Discipline::Wfq },
+            mobility: mobility(stat),
+            kind: if handoff { RequestKind::Handoff } else { RequestKind::New },
+        };
+        let (mut fast, mut slow, mut whole) = (net.clone(), net.clone(), net);
+        let (mut fast_scratch, mut slow_scratch) = (AdmissionScratch::default(), AdmissionScratch::default());
+        let got = admit_with(&mut fast, req, &mut fast_scratch);
+        let want = reference::admit_with(&mut slow, req, &mut slow_scratch);
+        let outcome = admit(&mut whole, req);
+        proptest::prop_assert_eq!(ledger_bits(&fast), ledger_bits(&slow));
+        proptest::prop_assert_eq!(ledger_bits(&whole), ledger_bits(&slow));
+        match (got, want, outcome) {
+            (Ok(g), Ok(w), Ok(out)) => {
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(g.b_granted.to_bits(), w.b_granted.to_bits());
+                proptest::prop_assert_eq!(g.d_min.to_bits(), w.d_min.to_bits());
+                proptest::prop_assert_eq!(g.loss.to_bits(), w.loss.to_bits());
+                let stamped = reads_stamp(req).then_some(w.b_stamp.to_bits());
+                proptest::prop_assert_eq!(g.b_stamp.map(f64::to_bits), stamped);
+                proptest::prop_assert_eq!(bits(&fast_scratch.budgets), bits(&slow_scratch.budgets));
+                proptest::prop_assert_eq!(bits(&fast_scratch.rev_buffers), bits(&slow_scratch.rev_buffers));
+                proptest::prop_assert_eq!(out.b_stamp.to_bits(), w.b_stamp.to_bits());
+                proptest::prop_assert_eq!(out.b_granted.to_bits(), w.b_granted.to_bits());
+            }
+            (Err(g), Err(w), Err(out)) => {
+                proptest::prop_assert_eq!(g, w);
+                proptest::prop_assert_eq!(out, w);
+            }
+            (g, w, out) => panic!("{g:?} vs the oracle's {w:?} (admit: {out:?})"),
+        }
+    }
+}

@@ -6,7 +6,8 @@
 //! order, then the strategy's aggregate writes (the lounge spreads, or a
 //! baseline's claims), then `B_dyn`. Wiping and replaying a plan is a
 //! deterministic function of the ledger and the plan. [`Plans::apply`]
-//! does it on every link except where all three of these hold:
+//! does it on every link it looks at except where all three of these
+//! hold:
 //!
 //! * the plan equals, bit for bit, the plan the link last ran;
 //! * the link's [`revision`](LinkState::revision) is the one it had when
@@ -21,15 +22,27 @@
 //! ledger can still move `b_resv` by an ULP
 //! (`manager_tests::the_no_op_guard_reruns_until_a_run_changes_nothing`).
 //!
-//! The per-portable part of every plan persists between refreshes and
-//! is edited only where a portable's writes change
-//! ([`Plans::set_portable_writes`]), which marks the link's plan
-//! changed. The seal, the aggregate writes and `B_dyn` are rebuilt every
-//! refresh and compared, bit for bit, with what the link last ran.
+//! Every part of a plan persists between refreshes and is edited only
+//! where it changes, bit for bit: the per-portable part by
+//! [`Plans::set_portable_writes`], the aggregate writes by
+//! [`Plans::commit`], `B_dyn` by [`Plans::set_dyn_pool`] and the seal by
+//! [`Plans::reseal`]. An edit marks the plan changed and queues its link.
+//! The apply step looks at the queued links, at the links the network
+//! logged as written ([`Network::drain_written_links`]) and at the links
+//! whose last run was not a no-op, which it queues again itself. Every
+//! other link passes all three conditions, so not looking at it is the
+//! guard letting it stand.
+//!
+//! Two kept inputs feed the aggregate writes and `B_dyn` where they
+//! change: [`Spreads`], each lounge's writes with the demand and the
+//! transition-row stamp they were built from, and [`Pools`], each cell's
+//! largest static allocation.
 
-use arm_net::ids::{CellId, PortableId};
+use arm_mobility::environment::IndoorEnvironment;
+use arm_net::ids::{CellId, LinkId, PortableId};
 use arm_net::link::{ResvClaim, Revision};
 use arm_net::{LinkState, Network};
+use arm_qos::adaptation::DynPoolPolicy;
 
 #[cfg(test)]
 use crate::manager::{Mutant, Twin};
@@ -76,9 +89,12 @@ impl ClaimWrite {
 pub struct RefreshStats {
     /// Claim refreshes run.
     pub refreshes: u64,
+    /// Wireless links the apply step looked at: the links it wiped and
+    /// re-wrote plus those its guard let stand.
+    pub links_looked: u64,
     /// Wireless links wiped and re-written.
     pub links_rerun: u64,
-    /// Wireless links the guard let stand.
+    /// Wireless links looked at and let stand by the guard.
     pub links_skipped: u64,
     /// Portables dispatched again (`Strategy::Paper`), stale-profile
     /// fallbacks included.
@@ -88,52 +104,45 @@ pub struct RefreshStats {
     /// rebuild's scan (the first refresh after `new` or `restore`, or
     /// one at an earlier instant than the last).
     pub statics_looked: u64,
+    /// `B_dyn` pools computed (`Strategy::Paper` with a pool policy).
+    pub pools_recomputed: u64,
 }
 
 /// One wireless link's plan and what the link last ran.
 #[derive(Debug, Default)]
 pub(crate) struct LinkPlan {
     /// The outage seal, `set_claim(Outage, capacity)`, goes first.
-    /// Rebuilt every refresh.
     sealed: bool,
     /// Per-portable writes, ascending by portable, each portable's in
-    /// the order it made them. Kept between refreshes.
+    /// the order it made them.
     portable: Vec<(PortableId, ClaimWrite)>,
-    /// `portable` was edited since the link last ran.
-    portable_changed: bool,
-    /// Aggregate writes after the per-portable ones. Rebuilt every
-    /// refresh.
+    /// Aggregate writes after the per-portable ones.
     tail: Vec<ClaimWrite>,
-    /// `set_claim(DynPool, amount)`, last. Rebuilt every refresh.
+    /// The aggregate writes being rebuilt, until [`commit`](Self::commit)
+    /// compares them with `tail`.
+    staged: Vec<ClaimWrite>,
+    /// `set_claim(DynPool, amount)`, last.
     dyn_pool: Option<f64>,
-    /// `sealed`, `tail` and `dyn_pool` as the last run had them.
-    ran_sealed: bool,
-    ran_tail: Vec<ClaimWrite>,
-    ran_dyn_pool: Option<f64>,
+    /// The plan was edited since the link last ran (or it never ran).
+    changed: bool,
     /// The ledger's revision when the last run ended; `None` before the
     /// first.
     ran_rev: Option<Revision>,
     /// The last run left the claim table and the four sums bit-identical.
     ran_noop: bool,
+    /// In [`Plans`]' queue.
+    queued: bool,
+    /// The apply step that last looked at the link ([`Plans::serial`]).
+    looked: u64,
 }
 
 impl LinkPlan {
-    /// Seal the link first.
-    pub(crate) fn seal(&mut self) {
-        self.sealed = true;
-    }
-
-    /// Append an aggregate write.
-    pub(crate) fn push(&mut self, w: ClaimWrite) {
-        self.tail.push(w);
-    }
-
     fn remove_portable(&mut self, p: PortableId) {
         let lo = self.portable.partition_point(|(q, _)| *q < p);
         let hi = lo + self.portable[lo..].partition_point(|(q, _)| *q == p);
         if lo < hi {
             self.portable.drain(lo..hi);
-            self.portable_changed = true;
+            self.changed = true;
         }
     }
 
@@ -141,20 +150,30 @@ impl LinkPlan {
     fn insert_portable(&mut self, p: PortableId, w: ClaimWrite) {
         let at = self.portable.partition_point(|(q, _)| *q <= p);
         self.portable.insert(at, (p, w));
-        self.portable_changed = true;
+        self.changed = true;
     }
 
-    /// Is the plan, bit for bit, the one the link last ran?
-    fn as_ran(&self) -> bool {
-        !self.portable_changed
-            && self.sealed == self.ran_sealed
-            && self.dyn_pool.map(f64::to_bits) == self.ran_dyn_pool.map(f64::to_bits)
-            && self.tail.len() == self.ran_tail.len()
+    /// Append an aggregate write to the ones being rebuilt.
+    pub(crate) fn stage(&mut self, w: ClaimWrite) {
+        self.staged.push(w);
+    }
+
+    /// Make the staged writes the aggregate writes; true, and the plan
+    /// changed, unless they are bit for bit the ones it has. Either way
+    /// nothing is left staged.
+    pub(crate) fn commit(&mut self) -> bool {
+        let same = self.staged.len() == self.tail.len()
             && self
-                .tail
+                .staged
                 .iter()
-                .zip(&self.ran_tail)
-                .all(|(a, b)| a.same_bits(*b))
+                .zip(&self.tail)
+                .all(|(a, b)| a.same_bits(*b));
+        if !same {
+            std::mem::swap(&mut self.staged, &mut self.tail);
+            self.changed = true;
+        }
+        self.staged.clear();
+        !same
     }
 
     /// Wipe and replay the plan on `link` unless the guard proves that
@@ -170,7 +189,7 @@ impl LinkPlan {
         let noop = noop || twin.is(Mutant::GuardWithoutNoOp);
         #[cfg(test)]
         let same_rev = same_rev || twin.is(Mutant::GuardIgnoresRevision);
-        if noop && same_rev && self.as_ran() {
+        if noop && same_rev && !self.changed {
             return false;
         }
         let sums = link.sum_bits();
@@ -199,24 +218,15 @@ impl LinkPlan {
                 .map(|(k, v)| (k, v.to_bits()))
                 .eq(before.iter().copied());
         self.ran_rev = Some(link.revision());
-        self.portable_changed = false;
-        self.ran_sealed = self.sealed;
-        std::mem::swap(&mut self.tail, &mut self.ran_tail);
-        self.ran_dyn_pool = self.dyn_pool;
+        self.changed = false;
         true
-    }
-
-    /// Start the next refresh: no seal, aggregate writes or pool yet.
-    pub(crate) fn begin(&mut self) {
-        self.sealed = false;
-        self.tail.clear();
-        self.dyn_pool = None;
     }
 }
 
-/// Every wireless link's plan (index = cell), and the per-portable
-/// writes by portable. Derived state: a new or restored manager starts
-/// with none run, so its first refresh re-runs every link.
+/// Every wireless link's plan (index = cell), the per-portable writes by
+/// portable, and the links the next apply step must look at. Derived
+/// state: a new or restored manager starts with none run and every link
+/// queued, so its first refresh re-runs every link.
 #[derive(Debug, Default)]
 pub(crate) struct Plans {
     links: Vec<LinkPlan>,
@@ -224,41 +234,110 @@ pub(crate) struct Plans {
     /// plans, ascending by portable, each portable's in order: where a
     /// portable's writes are when they have to be taken out.
     by_portable: Vec<(PortableId, CellId, ClaimWrite)>,
+    /// Links the next apply step looks at, each once
+    /// (`LinkPlan::queued`): plans edited since, and links whose last
+    /// run was not a no-op.
+    queue: Vec<CellId>,
+    /// The sealed links, ascending.
+    sealed: Vec<CellId>,
+    /// Apply steps run; the one that last looked at a link is its
+    /// `LinkPlan::looked`.
+    serial: u64,
+    /// Scratch: the queue being looked at, and the next seals.
+    looking: Vec<CellId>,
+    sealing: Vec<CellId>,
     /// Scratch for [`LinkPlan::apply`].
     before: Vec<(ResvClaim, u64)>,
 }
 
 impl Plans {
-    /// Plans for `cells` wireless links, none run.
+    /// Plans for `cells` wireless links, none run, every one queued.
     pub(crate) fn new(cells: usize) -> Self {
-        Plans {
+        let mut plans = Plans {
             links: (0..cells).map(|_| LinkPlan::default()).collect(),
-            by_portable: Vec::new(),
-            before: Vec::new(),
+            ..Plans::default()
+        };
+        for i in 0..cells {
+            plans.touch(CellId::from_index(i));
+        }
+        plans
+    }
+
+    /// Queue `cell`'s link for the next apply step.
+    fn enqueue(&mut self, cell: CellId) {
+        let plan = &mut self.links[cell.index()];
+        if !plan.queued {
+            plan.queued = true;
+            self.queue.push(cell);
         }
     }
 
-    /// Start a refresh: every plan's rebuilt parts empty.
-    pub(crate) fn begin(&mut self) {
-        for plan in &mut self.links {
-            plan.begin();
+    /// `cell`'s plan changed: mark it and queue its link.
+    fn touch(&mut self, cell: CellId) {
+        self.links[cell.index()].changed = true;
+        self.enqueue(cell);
+    }
+
+    /// Seal exactly the links of `cells`, each first in its plan.
+    pub(crate) fn reseal(&mut self, cells: impl Iterator<Item = CellId>) {
+        let mut next = std::mem::take(&mut self.sealing);
+        next.clear();
+        next.extend(cells);
+        next.sort_unstable();
+        next.dedup();
+        if next != self.sealed {
+            for k in 0..self.sealed.len() {
+                let c = self.sealed[k];
+                if next.binary_search(&c).is_err() {
+                    self.links[c.index()].sealed = false;
+                    self.touch(c);
+                }
+            }
+            for &c in &next {
+                if !self.links[c.index()].sealed {
+                    self.links[c.index()].sealed = true;
+                    self.touch(c);
+                }
+            }
+            std::mem::swap(&mut self.sealed, &mut next);
+        }
+        self.sealing = next;
+    }
+
+    /// `cell`'s wireless link's plan.
+    pub(crate) fn link(&mut self, cell: CellId) -> &mut LinkPlan {
+        &mut self.links[cell.index()]
+    }
+
+    /// Make the aggregate writes staged on `cell`'s plan its own; the
+    /// plan changes unless they are the ones it has.
+    pub(crate) fn commit(&mut self, cell: CellId) {
+        if self.links[cell.index()].commit() {
+            self.enqueue(cell);
         }
     }
 
-    /// `cell`'s wireless link's plan, if it has one.
-    pub(crate) fn link(&mut self, cell: CellId) -> Option<&mut LinkPlan> {
-        self.links.get_mut(cell.index())
-    }
-
-    /// Append an aggregate write to `cell`'s wireless link's plan.
-    pub(crate) fn push(&mut self, cell: CellId, w: ClaimWrite) {
-        self.links[cell.index()].push(w);
+    /// [`commit`](Self::commit) every link's staged writes: the
+    /// baselines stage every link's at every refresh.
+    pub(crate) fn commit_all(&mut self) {
+        for i in 0..self.links.len() {
+            self.commit(CellId::from_index(i));
+        }
     }
 
     /// End `cell`'s wireless link's plan with `set_claim(DynPool,
-    /// amount)`.
+    /// amount)`; the plan changes unless it already does, bit for bit.
     pub(crate) fn set_dyn_pool(&mut self, cell: CellId, amount: f64) {
-        self.links[cell.index()].dyn_pool = Some(amount);
+        let pool = &mut self.links[cell.index()].dyn_pool;
+        if pool.map(f64::to_bits) != Some(amount.to_bits()) {
+            *pool = Some(amount);
+            self.touch(cell);
+        }
+    }
+
+    /// `cell`'s `B_dyn` write, if its plan has one.
+    pub(crate) fn dyn_pool(&self, cell: CellId) -> Option<f64> {
+        self.links[cell.index()].dyn_pool
     }
 
     /// Make `fresh` — `(cell, write)` in the order they are made — the
@@ -277,26 +356,52 @@ impl Plans {
         {
             return;
         }
-        for (_, cell, _) in old {
+        for k in lo..hi {
+            let cell = self.by_portable[k].1;
             self.links[cell.index()].remove_portable(p);
+            self.enqueue(cell);
         }
         for &(cell, w) in fresh {
             self.links[cell.index()].insert_portable(p, w);
+            self.enqueue(cell);
         }
         self.by_portable
             .splice(lo..hi, fresh.iter().map(|&(c, w)| (p, c, w)));
     }
 
-    /// The one apply step: every wireless link in cell order, each
-    /// re-run or let stand by [`LinkPlan::apply`].
+    /// The one apply step: every queued link, every link of `written`
+    /// (the network's log since the last step) and, with `everything`,
+    /// every link, each re-run or let stand by [`LinkPlan::apply`]. A
+    /// link whose run was not a no-op is queued for the next step. The
+    /// order does not matter: a run reads and writes its own ledger
+    /// alone.
     pub(crate) fn apply(
         &mut self,
         net: &mut Network,
+        written: &[LinkId],
+        everything: bool,
         stats: &mut RefreshStats,
         #[cfg(test)] twin: Twin,
     ) {
-        for (i, plan) in self.links.iter_mut().enumerate() {
-            let wl = net.topology().wireless_link(CellId::from_index(i));
+        self.serial += 1;
+        if everything {
+            for i in 0..self.links.len() {
+                self.enqueue(CellId::from_index(i));
+            }
+        }
+        for l in written {
+            if let Some(cell) = net.topology().link(*l).wireless_cell {
+                self.enqueue(cell);
+            }
+        }
+        let mut looking = std::mem::take(&mut self.looking);
+        std::mem::swap(&mut looking, &mut self.queue);
+        for cell in looking.drain(..) {
+            let wl = net.topology().wireless_link(cell);
+            let plan = &mut self.links[cell.index()];
+            plan.queued = false;
+            plan.looked = self.serial;
+            stats.links_looked += 1;
             if plan.apply(
                 net.link_mut(wl),
                 &mut self.before,
@@ -307,6 +412,425 @@ impl Plans {
             } else {
                 stats.links_skipped += 1;
             }
+            if !plan.ran_noop {
+                self.enqueue(cell);
+            }
         }
+        self.looking = looking;
+    }
+
+    /// What the last apply step must have left: every link it did not
+    /// look at passes the full guard — its plan is the one it last ran,
+    /// its ledger was not written since, and that run was a no-op. The
+    /// walk the step replaces, run in debug builds after every refresh;
+    /// a passing check allocates nothing.
+    pub(crate) fn unlooked_would_stand(&self, net: &Network) -> Result<(), String> {
+        let topo = net.topology();
+        for (i, plan) in self.links.iter().enumerate() {
+            if plan.looked == self.serial {
+                continue;
+            }
+            let cell = CellId::from_index(i);
+            let rev = net.link(topo.wireless_link(cell)).revision();
+            if plan.changed || !plan.ran_noop || plan.ran_rev != Some(rev) {
+                return Err(format!(
+                    "{cell:?} not looked at: changed {}, last run a no-op {}, ledger unwritten {}",
+                    plan.changed,
+                    plan.ran_noop,
+                    plan.ran_rev == Some(rev)
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `B_dyn`'s input kept between refreshes: every cell's largest static
+/// allocation, folded over the connections of the static portables
+/// homed there. A cell's pool is then a `max` over its neighbours' and
+/// a clamp by its own link's capacity. `max` is exact, so a pool
+/// computed from these is the bits of one computed from scratch.
+///
+/// A refresh re-folds only the cells a static connection left or joined
+/// or whose static connection changed — the cells of the portables whose
+/// connections the network logged as changed or whose static status
+/// flipped — and recomputes the pool of every cell that has one of them
+/// as a neighbour, and of every cell whose link's capacity moved. A new
+/// network or a rebuilt static set re-folds everything. Derived state,
+/// never snapshotted.
+#[derive(Debug, Default)]
+pub(crate) struct Pools {
+    /// Per cell: `(portable, b_current)` of each connection of a static
+    /// portable homed there, ascending by portable.
+    homed: Vec<Vec<(PortableId, f64)>>,
+    /// `(portable, cell)` for every portable with an entry in `homed`
+    /// there, ascending: where a portable's entries are.
+    homes: Vec<(PortableId, CellId)>,
+    /// Per cell: the largest `b_current` in `homed`, 0 when none.
+    static_max: Vec<f64>,
+    /// Per cell: the link capacity its pool was computed from.
+    capacity: Vec<f64>,
+    /// Per cell: the cells that have it as a neighbour, whose pools read
+    /// its `static_max`.
+    readers: Vec<Vec<CellId>>,
+    /// Per cell: bit 0 in `refold`, bit 1 in `repool`.
+    due: Vec<u8>,
+    /// Scratch: cells to re-fold and cells whose pool to recompute.
+    refold: Vec<CellId>,
+    repool: Vec<CellId>,
+    /// A [`keep`](Self::keep) has run.
+    kept: bool,
+}
+
+impl Pools {
+    /// Nothing kept yet for `env`'s cells: the first
+    /// [`keep`](Self::keep) re-folds everything.
+    pub(crate) fn new(env: &IndoorEnvironment) -> Self {
+        let cells = env.cell_count();
+        let mut readers = vec![Vec::new(); cells];
+        for (c, info) in env.cells() {
+            for n in &info.neighbors {
+                readers[n.index()].push(c);
+            }
+        }
+        Pools {
+            homed: vec![Vec::new(); cells],
+            static_max: vec![0.0; cells],
+            capacity: vec![0.0; cells],
+            readers,
+            due: vec![0; cells],
+            ..Pools::default()
+        }
+    }
+
+    fn refold(&mut self, c: CellId) {
+        if self.due[c.index()] & 1 == 0 {
+            self.due[c.index()] |= 1;
+            self.refold.push(c);
+        }
+    }
+
+    fn repool(&mut self, c: CellId) {
+        if self.due[c.index()] & 2 == 0 {
+            self.due[c.index()] |= 2;
+            self.repool.push(c);
+        }
+    }
+
+    /// Take `p`'s connections out of `homed`.
+    fn remove(&mut self, p: PortableId) {
+        let lo = self.homes.partition_point(|(q, _)| *q < p);
+        let hi = lo + self.homes[lo..].partition_point(|(q, _)| *q == p);
+        for k in lo..hi {
+            let c = self.homes[k].1;
+            let homed = &mut self.homed[c.index()];
+            let from = homed.partition_point(|(q, _)| *q < p);
+            let to = from + homed[from..].partition_point(|(q, _)| *q == p);
+            homed.drain(from..to);
+            self.refold(c);
+        }
+        self.homes.drain(lo..hi);
+    }
+
+    /// Put the static portable `p`'s connections into `homed`.
+    fn add(&mut self, net: &Network, p: PortableId) {
+        for c in net.connections_of_portable(p) {
+            let homed = &mut self.homed[c.cell.index()];
+            let at = homed.partition_point(|(q, _)| *q <= p);
+            homed.insert(at, (p, c.b_current));
+            if let Err(at) = self.homes.binary_search(&(p, c.cell)) {
+                self.homes.insert(at, (p, c.cell));
+            }
+            self.refold(c.cell);
+        }
+    }
+
+    /// Bring the kept folds to `statics` (the static portables,
+    /// ascending) and to `net`, and set every pool that may have moved in
+    /// `plans`. `touched` are the portables whose connections changed or
+    /// whose static status flipped since the last call; `written` the
+    /// links the network logged as written since; `whole` says that
+    /// neither can be trusted (a new network, a rebuilt static set).
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one pass over the refresh's inputs, borrowed field by field"
+    )]
+    pub(crate) fn keep(
+        &mut self,
+        env: &IndoorEnvironment,
+        net: &Network,
+        statics: &[PortableId],
+        touched: impl Iterator<Item = PortableId>,
+        written: &[LinkId],
+        whole: bool,
+        policy: DynPoolPolicy,
+        plans: &mut Plans,
+        stats: &mut RefreshStats,
+        #[cfg(test)] twin: Twin,
+    ) {
+        let topo = net.topology();
+        if whole || !self.kept {
+            self.kept = true;
+            for homed in &mut self.homed {
+                homed.clear();
+            }
+            self.homes.clear();
+            for p in statics {
+                self.add(net, *p);
+            }
+            for i in 0..self.homed.len() {
+                self.refold(CellId::from_index(i));
+                self.repool(CellId::from_index(i));
+            }
+        } else {
+            for p in touched {
+                self.remove(p);
+                if statics.binary_search(&p).is_ok() {
+                    self.add(net, p);
+                }
+            }
+            for l in written {
+                if let Some(c) = topo.link(*l).wireless_cell {
+                    if net.link(*l).capacity().to_bits() != self.capacity[c.index()].to_bits() {
+                        self.repool(c);
+                    }
+                }
+            }
+        }
+        let mut refold = std::mem::take(&mut self.refold);
+        for c in refold.drain(..) {
+            self.due[c.index()] &= !1;
+            let m = self.homed[c.index()]
+                .iter()
+                .fold(0.0_f64, |m, (_, b)| m.max(*b));
+            if m.to_bits() == self.static_max[c.index()].to_bits() {
+                continue;
+            }
+            self.static_max[c.index()] = m;
+            #[cfg(test)]
+            if twin.is(Mutant::NeighborPoolsNotDue) {
+                self.repool(c);
+                continue;
+            }
+            for k in 0..self.readers[c.index()].len() {
+                self.repool(self.readers[c.index()][k]);
+            }
+        }
+        self.refold = refold;
+        let mut repool = std::mem::take(&mut self.repool);
+        for c in repool.drain(..) {
+            self.due[c.index()] &= !2;
+            let capacity = net.link(topo.wireless_link(c)).capacity();
+            self.capacity[c.index()] = capacity;
+            plans.set_dyn_pool(c, policy.target_pool(capacity, self.max_around(env, c)));
+            stats.pools_recomputed += 1;
+        }
+        self.repool = repool;
+    }
+
+    /// The largest kept static allocation among `c`'s neighbours.
+    fn max_around(&self, env: &IndoorEnvironment, c: CellId) -> f64 {
+        env.cell(c)
+            .neighbors
+            .iter()
+            .fold(0.0_f64, |m, n| m.max(self.static_max[n.index()]))
+    }
+
+    /// Every cell's kept fold is the one from scratch over `statics`'
+    /// connections, and every pool in `plans` is the one from scratch.
+    /// Run in debug builds after every refresh that keeps pools; a
+    /// passing check allocates nothing.
+    pub(crate) fn check(
+        &self,
+        env: &IndoorEnvironment,
+        net: &Network,
+        statics: &[PortableId],
+        policy: DynPoolPolicy,
+        plans: &Plans,
+    ) -> Result<(), String> {
+        for (c, _) in env.cells() {
+            let scratch = statics
+                .iter()
+                .flat_map(|p| net.connections_of_portable(*p))
+                .filter(|conn| conn.cell == c)
+                .fold(0.0_f64, |m, conn| m.max(conn.b_current));
+            let kept = self.static_max[c.index()];
+            if scratch.to_bits() != kept.to_bits() {
+                return Err(format!("{c:?}: static max {kept}, from scratch {scratch}"));
+            }
+        }
+        for (c, _) in env.cells() {
+            let capacity = net.link(net.topology().wireless_link(c)).capacity();
+            let pool = policy.target_pool(capacity, self.max_around(env, c));
+            if plans.dyn_pool(c).map(f64::to_bits) != Some(pool.to_bits()) {
+                return Err(format!(
+                    "{c:?}: pool {:?}, from scratch {pool}",
+                    plans.dyn_pool(c)
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One lounge's aggregate writes as last built, and what they were built
+/// from.
+#[derive(Debug)]
+struct Spread {
+    source: CellId,
+    /// The demands the writes were built from, as bits: on the lounge's
+    /// own cell and spread over its neighbours. `None` before the first
+    /// build.
+    demand: Option<[u64; 2]>,
+    /// The source's transition-row stamp at the build: its handoff
+    /// history's revision (`cell_revs`) and whether its zone's profile
+    /// server was out.
+    row: (u64, bool),
+    /// `(cell, write)` in the order the spread makes them.
+    writes: Vec<(CellId, ClaimWrite)>,
+}
+
+/// Every lounge's aggregate writes under `Strategy::Paper`, kept between
+/// refreshes and rebuilt where a lounge's demand bits or transition-row
+/// stamp moved; a link's aggregate writes are then re-staged only where
+/// a lounge's writes on it changed. Derived state, never snapshotted: a
+/// new or restored manager, or one given a new calendar, lists its
+/// lounges again and re-stages every link.
+#[derive(Debug, Default)]
+pub(crate) struct Spreads {
+    /// In plan order: meeting rooms, cafeterias, default lounges, each
+    /// ascending by cell. Empty until listed.
+    list: Vec<Spread>,
+    /// `list` no longer names the manager's lounges.
+    stale: bool,
+    /// Per cell: the spreads that may write on it, ascending.
+    by_target: Vec<Vec<usize>>,
+    /// Per cell: in `restage`.
+    due: Vec<bool>,
+    /// Scratch: links whose aggregate writes to re-stage, and one
+    /// spread's writes being rebuilt.
+    restage: Vec<CellId>,
+    fresh: Vec<(CellId, ClaimWrite)>,
+}
+
+impl Spreads {
+    /// None listed: the first refresh lists them.
+    pub(crate) fn new() -> Self {
+        Spreads {
+            stale: true,
+            ..Spreads::default()
+        }
+    }
+
+    /// The lounges changed (a calendar was set): list them again at the
+    /// next refresh.
+    pub(crate) fn invalidate(&mut self) {
+        self.stale = true;
+    }
+
+    /// Must [`list_again`](Self::list_again) run before the next build?
+    pub(crate) fn is_stale(&self) -> bool {
+        self.stale
+    }
+
+    /// List the lounges by their cells, `sources`, in plan order, none
+    /// built, and re-stage every link. A lounge writes on its own cell
+    /// (a meeting room's claim) and on its neighbours (a spread).
+    pub(crate) fn list_again(
+        &mut self,
+        env: &IndoorEnvironment,
+        sources: impl Iterator<Item = CellId>,
+    ) {
+        let cells = env.cell_count();
+        self.list.clear();
+        self.by_target = vec![Vec::new(); cells];
+        self.due = vec![false; cells];
+        self.restage.clear();
+        for (i, source) in sources.enumerate() {
+            self.by_target[source.index()].push(i);
+            for n in &env.cell(source).neighbors {
+                self.by_target[n.index()].push(i);
+            }
+            self.list.push(Spread {
+                source,
+                demand: None,
+                row: (0, false),
+                writes: Vec::new(),
+            });
+        }
+        for i in 0..cells {
+            mark(&mut self.due, &mut self.restage, CellId::from_index(i));
+        }
+        self.stale = false;
+    }
+
+    /// The `k`-th lounge's demands are `demand` and its row stamp is
+    /// `row`: does it need building? Then `build` writes its writes into
+    /// the buffer it is given, and every link where they differ from the
+    /// last build's is marked for re-staging.
+    pub(crate) fn rebuild_if_moved(
+        &mut self,
+        k: usize,
+        demand: [f64; 2],
+        row: (u64, bool),
+        build: impl FnOnce(&mut Vec<(CellId, ClaimWrite)>),
+    ) {
+        let bits = demand.map(f64::to_bits);
+        let spread = &self.list[k];
+        if spread.demand == Some(bits) && spread.row == row {
+            return;
+        }
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        build(&mut fresh);
+        let spread = &mut self.list[k];
+        spread.demand = Some(bits);
+        spread.row = row;
+        let same = fresh.len() == spread.writes.len()
+            && fresh
+                .iter()
+                .zip(&spread.writes)
+                .all(|((c, v), (d, w))| c == d && v.same_bits(*w));
+        if !same {
+            // `fresh` takes the old writes: both sets' links re-stage.
+            std::mem::swap(&mut fresh, &mut spread.writes);
+            let Spreads {
+                list, due, restage, ..
+            } = self;
+            for &(c, _) in fresh.iter().chain(&list[k].writes) {
+                mark(due, restage, c);
+            }
+        }
+        self.fresh = fresh;
+    }
+
+    /// The `k`-th lounge's source cell.
+    pub(crate) fn source(&self, k: usize) -> CellId {
+        self.list[k].source
+    }
+
+    /// Re-stage the aggregate writes of every marked link from the
+    /// spreads that may write on it, in plan order, and commit them.
+    pub(crate) fn restage(&mut self, plans: &mut Plans) {
+        for c in self.restage.drain(..) {
+            self.due[c.index()] = false;
+            let plan = plans.link(c);
+            for &i in &self.by_target[c.index()] {
+                for &(target, w) in &self.list[i].writes {
+                    if target == c {
+                        plan.stage(w);
+                    }
+                }
+            }
+            plans.commit(c);
+        }
+    }
+}
+
+/// Mark `c`'s aggregate writes for re-staging, once.
+fn mark(due: &mut [bool], restage: &mut Vec<CellId>, c: CellId) {
+    if !due[c.index()] {
+        due[c.index()] = true;
+        restage.push(c);
     }
 }

@@ -23,18 +23,19 @@
 //! Claims are recomputed after every event from the current state, as
 //! if every manager-owned claim were wiped and re-installed in a fixed
 //! order, so a link's ledger is a function of the state and not of the
-//! path that led to it. Each refresh builds every wireless link's
-//! *plan* — the writes that wholesale wipe-and-reinstall would make on
-//! it — and hands them to one guarded apply step (`claim_plan`), which
-//! re-writes only the links whose plan or ledger changed since a run
-//! that changed nothing. In steady state a refresh allocates nothing.
-//! It reads six resident structures, the first three kept where their
-//! source lives:
+//! path that led to it. Each wireless link keeps a *plan* — the writes
+//! that wholesale wipe-and-reinstall would make on it — which a refresh
+//! edits only where an input of it changed, and one guarded apply step
+//! (`claim_plan`) re-writes only the links whose plan or ledger changed
+//! since a run that changed nothing, looking at no other link. In
+//! steady state a refresh allocates nothing. It reads seven resident
+//! structures, the first three kept where their source lives:
 //!
 //! * `Network`'s per-portable connection index (derived from the
 //!   connection table in `install`/`finish`/`mark_blocked`) — a
-//!   portable's floors without a scan of every record — and its record
-//!   of the portables whose connections changed since the last refresh;
+//!   portable's floors without a scan of every record — and its logs of
+//!   the portables whose connections changed and of the wireless links
+//!   whose ledger was written since the last refresh;
 //! * each cell profile's `CountedHistory` tallies (derived from its
 //!   handoff FIFO in `record`) — level-2b predictions and transition
 //!   rows without a recount of `N_pC` events;
@@ -46,16 +47,21 @@
 //!   for it ([`DispatchMemo`]) and what it decided ([`Dispatched`]) —
 //!   kept until an input of the dispatch changes — and per cell, its
 //!   tracked portables and what says when they must be looked at again
-//!   ([`CellWatch`]);
+//!   ([`CellWatch`]), with a queue of the cells that can be due
+//!   ([`Watches`]);
 //! * the portables static at the last refresh, and a queue of the
 //!   instants at which the mobile ones turn static ([`Statics`]);
-//! * every wireless link's plan, its per-portable part kept between
-//!   refreshes, and what the link last ran with the ledger revision that
-//!   run left (`claim_plan::Plans`).
+//! * every wireless link's plan, how the link last ran it with the
+//!   ledger revision that run left, and the queue of links the next
+//!   apply step looks at (`claim_plan::Plans`);
+//! * each lounge's aggregate writes with the demand and transition-row
+//!   stamp they were built from (`claim_plan::Spreads`), and each cell's
+//!   largest static allocation, `B_dyn`'s input (`claim_plan::Pools`).
 //!
 //! None of it is snapshotted: a restored manager re-dispatches every
-//! portable, re-runs every link and rebuilds the static set by one scan
-//! at its first refresh. What else the
+//! portable, re-runs every link, rebuilds every spread and pool and
+//! rebuilds the static set by one scan at its first refresh. What else
+//! the
 //! manager keeps between events ([`RefreshScratch`]) is buffers only:
 //! every one is cleared before it is filled.
 
@@ -82,7 +88,7 @@ use arm_reservation::meeting::{BookingCalendar, MeetingRoomPolicy};
 use arm_sim::{Audited, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::claim_plan::{ClaimWrite, Plans, RefreshStats};
+use crate::claim_plan::{ClaimWrite, Plans, Pools, RefreshStats, Spreads};
 use crate::error::ControlError;
 use crate::event::{check_qos, known, Decision, ManagerEvent, Outcome, Refused};
 use crate::metrics::Metrics;
@@ -283,16 +289,56 @@ struct CellWatch {
     seen_rev: u64,
     /// The current pass looks at the cell.
     due: bool,
+    /// In [`Watches`]' queue.
+    queued: bool,
 }
 
-impl CellWatch {
-    fn new() -> Self {
-        CellWatch {
-            members: Vec::new(),
-            pending: true,
-            seen_rev: 0,
-            due: false,
+/// Every cell's watch (index = cell), and the cells the next pass must
+/// ask whether to look at: each cell whose watch turned pending, whose
+/// `cell_revs` entry moved or whose zone's profile server went out since
+/// the last pass, and each cell that pass found in a zone still out. No
+/// other cell can be due, so the pass asks no other.
+#[derive(Debug)]
+struct Watches {
+    cells: Vec<CellWatch>,
+    /// Cells to ask at the next pass, each once (`CellWatch::queued`).
+    queue: Vec<CellId>,
+}
+
+impl Watches {
+    /// `cells` empty watches, every one pending and queued.
+    fn new(cells: usize) -> Self {
+        let mut w = Watches {
+            cells: (0..cells)
+                .map(|_| CellWatch {
+                    members: Vec::new(),
+                    pending: false,
+                    seen_rev: 0,
+                    due: false,
+                    queued: false,
+                })
+                .collect(),
+            queue: Vec::with_capacity(cells),
+        };
+        for i in 0..cells {
+            w.pend(CellId::from_index(i));
         }
+        w
+    }
+
+    /// Ask about `cell` at the next pass.
+    fn queue(&mut self, cell: CellId) {
+        let w = &mut self.cells[cell.index()];
+        if !w.queued {
+            w.queued = true;
+            self.queue.push(cell);
+        }
+    }
+
+    /// Look at `cell` at the next pass.
+    fn pend(&mut self, cell: CellId) {
+        self.cells[cell.index()].pending = true;
+        self.queue(cell);
     }
 }
 
@@ -455,11 +501,16 @@ struct RefreshScratch {
     /// Connections ended since the last refresh (`Network::drain_ended`),
     /// ascending.
     ended: Vec<ConnId>,
-    /// Largest static allocation homed in each cell (index = cell).
-    static_max: Vec<f64>,
-    /// `(cell, room demand, neighbour demand)` per meeting room, then
-    /// `(cell, outbound demand, 0)` per cafeteria and default lounge.
-    lounges: Vec<(CellId, f64, f64)>,
+    /// Wireless links written since the last refresh
+    /// (`Network::drain_written_links`).
+    written: Vec<LinkId>,
+    /// Cells the watch queue named, being asked; then the cells the
+    /// dispatch pass looks at.
+    asked: Vec<CellId>,
+    due: Vec<CellId>,
+    /// Writes of the baseline strategies, `(cell, write)` in the order
+    /// made.
+    staged: Vec<(CellId, ClaimWrite)>,
     /// The transition row of the cell whose aggregate demand is being
     /// spread (`CellProfile::aggregate_row_into`), ascending by cell.
     row: Vec<(CellId, f64)>,
@@ -641,7 +692,13 @@ pub struct ResourceManager {
     statics: Statics,
     /// Per cell (index = cell): its tracked portables and when the
     /// dispatch pass must look at them again. Derived, never snapshotted.
-    watch: Vec<CellWatch>,
+    watch: Watches,
+    /// `B_dyn`'s kept input: every cell's largest static allocation.
+    /// Derived, never snapshotted.
+    pools: Pools,
+    /// Every lounge's aggregate writes and what they were built from.
+    /// Derived, never snapshotted.
+    spreads: Spreads,
     /// Work counters of the claim refresh, read through
     /// [`refresh_stats`](Self::refresh_stats).
     refresh_stats: RefreshStats,
@@ -719,7 +776,9 @@ impl ResourceManager {
             cell_revs,
             plans,
             statics: Statics::default(),
-            watch: (0..env.cell_count()).map(|_| CellWatch::new()).collect(),
+            watch: Watches::new(env.cell_count()),
+            pools: Pools::new(&env),
+            spreads: Spreads::new(),
             refresh_stats: RefreshStats::default(),
             net,
             env,
@@ -860,11 +919,9 @@ impl ResourceManager {
             .into_iter()
             .map(|(p, state)| (p, Tracked::new(state)))
             .collect();
-        let mut watch: Vec<CellWatch> = (0..snap.env.cell_count())
-            .map(|_| CellWatch::new())
-            .collect();
+        let mut watch = Watches::new(snap.env.cell_count());
         for (p, t) in &portables {
-            if let Some(w) = watch.get_mut(t.state.cell.index()) {
+            if let Some(w) = watch.cells.get_mut(t.state.cell.index()) {
                 w.members.push(*p);
             }
         }
@@ -879,6 +936,8 @@ impl ResourceManager {
             plans,
             statics: Statics::default(),
             watch,
+            pools: Pools::new(&snap.env),
+            spreads: Spreads::new(),
             refresh_stats: RefreshStats::default(),
             net: snap.net,
             env: snap.env,
@@ -920,6 +979,7 @@ impl ResourceManager {
     pub fn set_calendar(&mut self, cell: CellId, calendar: BookingCalendar) {
         let policy = MeetingRoomPolicy::new(calendar, PER_USER_KBPS);
         self.meeting_policies.insert(cell, policy);
+        self.spreads.invalidate();
     }
 
     /// Where a portable currently is.
@@ -1004,7 +1064,7 @@ impl ResourceManager {
                 if self.twin.is(Mutant::FlipNotPending) {
                     continue;
                 }
-                self.watch[t.state.cell.index()].pending = true;
+                self.watch.pend(t.state.cell);
             }
         }
         false
@@ -1183,7 +1243,7 @@ impl ResourceManager {
             if self.twin.is(Mutant::MemoCarriedAcrossMove) {
                 self.portables.get_mut(&p).invariant("just tracked").memo = old.memo;
             }
-            let left = &mut self.watch[old.state.cell.index()].members;
+            let left = &mut self.watch.cells[old.state.cell.index()].members;
             if let Ok(at) = left.binary_search(&p) {
                 left.remove(at);
             }
@@ -1200,15 +1260,15 @@ impl ResourceManager {
             let flips = &mut self.statics.flips;
             flips.insert(flips.partition_point(|&(f, _)| f <= flip), (flip, p));
         }
-        let w = &mut self.watch[state.cell.index()];
-        if let Err(at) = w.members.binary_search(&p) {
-            w.members.insert(at, p);
+        let members = &mut self.watch.cells[state.cell.index()].members;
+        if let Err(at) = members.binary_search(&p) {
+            members.insert(at, p);
         }
         #[cfg(test)]
         if self.twin.is(Mutant::ArrivalNotPending) {
             return;
         }
-        w.pending = true;
+        self.watch.pend(state.cell);
     }
 
     /// A portable appears (powers on) in a cell: `apply`'s `Appear` arm.
@@ -1394,6 +1454,7 @@ impl ResourceManager {
                 }
                 _ => {}
             }
+            self.watch.queue(from);
         }
         *self.slot_outflow.entry(from).or_insert(0) += 1;
         // Meeting-room arrival/departure counters.
@@ -1684,6 +1745,13 @@ impl ResourceManager {
                 t: now,
                 fault: Fault::ProfileServerDown(zone),
             });
+            // Its cells are looked at while it is out; each pass that
+            // finds one still out queues it again.
+            for (c, _) in self.env.cells() {
+                if self.profiles.zone_of(c) == zone {
+                    self.watch.queue(c);
+                }
+            }
             self.after_event(now);
         }
     }
@@ -1951,17 +2019,23 @@ impl ResourceManager {
         false
     }
 
-    /// Recompute every advance claim from current state: build every
+    /// Recompute every advance claim from current state: bring every
     /// wireless link's plan — what wiping the claims the manager owns
-    /// and re-installing them would write there — then run the one
-    /// guarded apply step (`claim_plan::Plans::apply`). The `Channel`
-    /// claim is the channel monitor's and the `Outage` claim the fault
-    /// path's; both model capacity committed elsewhere and survive the
-    /// wipe.
+    /// and re-installing them would write there — up to date where an
+    /// input of it changed, then run the one guarded apply step
+    /// (`claim_plan::Plans::apply`) over the links that can need it.
+    /// The `Channel` claim is the channel monitor's and the `Outage`
+    /// claim the fault path's; both model capacity committed elsewhere
+    /// and survive the wipe.
     fn refresh_claims(&mut self, now: SimTime) {
-        // Drained at every refresh, whatever the strategy reads of it.
+        // Drained at every refresh, whatever the strategy reads of them.
         let all_changed = self.net.drain_changed_portables(&mut self.scratch.changed);
         self.net.drain_ended(&mut self.scratch.ended);
+        self.net.drain_written_links(&mut self.scratch.written);
+        #[cfg(test)]
+        if self.twin.is(Mutant::WriteUnlogged) {
+            self.scratch.written.clear();
+        }
         #[cfg(test)]
         if self.twin.whole_table() {
             self.collect_statics(now);
@@ -1981,28 +2055,30 @@ impl ResourceManager {
             if self.twin.is(Mutant::EndedNotFed) {
                 self.scratch.ended.clear();
             }
+            let flipped: &[PortableId] = &self.statics.flipped;
             #[cfg(test)]
-            if self.twin.is(Mutant::FlipNotFed) {
-                self.statics.flipped.clear();
-            }
-            let (scratch, flipped) = (&self.scratch, &self.statics.flipped);
+            let flipped = if self.twin.is(Mutant::FlipNotFed) {
+                &[]
+            } else {
+                flipped
+            };
             let all = all_changed || rebuilt;
             self.round_feed
-                .note(&scratch.changed, &scratch.ended, flipped, all);
+                .note(&self.scratch.changed, &self.scratch.ended, flipped, all);
         }
-        self.statics.flipped.clear();
         let refresh_tok = self.obs.phase_start(now);
         self.refresh_stats.refreshes += 1;
-        self.plans.begin();
         // Each outage seal is its link's first write: terminations during
         // an outage must not open phantom headroom on a dead link, and a
         // sealed link grants 0 to every claim set after it. A wired link
         // has no plan; its seal is re-tightened here.
+        let topo = self.net.topology();
+        let wireless = |l: &LinkId| topo.link(*l).wireless_cell;
+        self.plans
+            .reseal(self.down_links.iter().filter_map(wireless));
         for l in &self.down_links {
-            let cell = self.net.topology().link(*l).wireless_cell;
-            match cell.and_then(|c| self.plans.link(c)) {
-                Some(plan) => plan.seal(),
-                None => Self::seal_link(&mut self.net, *l),
+            if self.net.topology().link(*l).wireless_cell.is_none() {
+                Self::seal_link(&mut self.net, *l);
             }
         }
         match self.cfg.strategy {
@@ -2011,21 +2087,47 @@ impl ResourceManager {
             Strategy::BruteForce => self.plan_brute_force(),
             Strategy::Aggregate => self.plan_aggregate(),
             Strategy::StaticFraction(f) => {
+                self.scratch.staged.clear();
                 for (c, _) in self.env.cells() {
                     let wl = self.net.topology().wireless_link(c);
                     let amount = self.net.link(wl).capacity() * f;
-                    self.plans
-                        .push(c, ClaimWrite::Set(ResvClaim::Cell(c), amount));
+                    let w = ClaimWrite::Set(ResvClaim::Cell(c), amount);
+                    self.scratch.staged.push((c, w));
                 }
+                self.commit_staged();
             }
         }
+        self.statics.flipped.clear();
         self.plans.apply(
             &mut self.net,
+            &self.scratch.written,
+            all_changed,
             &mut self.refresh_stats,
             #[cfg(test)]
             self.twin,
         );
+        // What the apply step wrote, each run recorded as its link's
+        // last: nothing for the next refresh to look at.
+        self.net.drain_written_links(&mut self.scratch.written);
         self.obs.phase_end(Phase::ClaimRefresh, refresh_tok, now);
+        debug_assert_eq!(self.refresh_is_exact(), Ok(()), "refresh_is_exact");
+    }
+
+    /// What the refresh must have left: every link the apply step did not
+    /// look at would have passed the full guard, and under the paper's
+    /// strategy every `B_dyn` pool is the one computed from scratch. The
+    /// walks the refresh replaces, run in debug builds after every
+    /// refresh; a passing check allocates nothing.
+    fn refresh_is_exact(&self) -> Result<(), String> {
+        self.plans.unlooked_would_stand(&self.net)?;
+        match (self.cfg.strategy, self.cfg.dyn_pool) {
+            (Strategy::Paper, Some(policy)) => {
+                let statics = &self.statics.list;
+                self.pools
+                    .check(&self.env, &self.net, statics, policy, &self.plans)
+            }
+            _ => Ok(()),
+        }
     }
 
     /// The paper's strategy: per-portable claims via the §6.4 dispatcher,
@@ -2034,27 +2136,44 @@ impl ResourceManager {
     /// The dispatch pass looks at the portables the network recorded as
     /// changed and at every member of each cell its [`CellWatch`] says
     /// to look at, and dispatches again exactly those whose kept
-    /// dispatch no longer holds ([`Tracked::dispatch_holds`]). Every
-    /// other portable's writes stand in the plans from its last
-    /// dispatch. With an observer recording, the pass walks every
-    /// portable in ascending order and emits each kept decision, so the
-    /// obs stream is that of a dispatch per portable. `all_changed`
-    /// counts every portable's connections as changed, so every cell is
-    /// looked at. So is every cell after `rebuilt`, a rebuild of the
-    /// statics: at the first refresh, or at one at an earlier instant
-    /// than the last, which may find statics mobile again.
+    /// dispatch no longer holds ([`Tracked::dispatch_holds`]). Only the
+    /// cells [`Watches`] queued are asked. Every other portable's writes
+    /// stand in the plans from its last dispatch. With an observer
+    /// recording, the pass walks every portable in ascending order and
+    /// emits each kept decision, so the obs stream is that of a dispatch
+    /// per portable. `all_changed` counts every portable's connections
+    /// as changed, so every cell is looked at. So is every cell after
+    /// `rebuilt`, a rebuild of the statics: at the first refresh, or at
+    /// one at an earlier instant than the last, which may find statics
+    /// mobile again.
     fn plan_paper(&mut self, now: SimTime, all_changed: bool, rebuilt: bool) {
-        for (i, w) in self.watch.iter_mut().enumerate() {
-            let zone_down =
-                Self::zone_is_down(&self.down_zones, &self.profiles, CellId::from_index(i));
-            w.due =
-                all_changed || rebuilt || w.pending || zone_down || w.seen_rev != self.cell_revs[i];
-            if w.due {
-                // Looked at again once the zone's server is back.
-                w.pending = zone_down;
-                w.seen_rev = self.cell_revs[i];
+        let whole = all_changed || rebuilt;
+        if whole {
+            for i in 0..self.watch.cells.len() {
+                self.watch.queue(CellId::from_index(i));
             }
         }
+        let mut asked = std::mem::take(&mut self.scratch.asked);
+        asked.clear();
+        std::mem::swap(&mut asked, &mut self.watch.queue);
+        self.scratch.due.clear();
+        for &c in &asked {
+            let zone_down = Self::zone_is_down(&self.down_zones, &self.profiles, c);
+            let rev = self.cell_revs[c.index()];
+            let w = &mut self.watch.cells[c.index()];
+            w.queued = false;
+            if whole || w.pending || zone_down || w.seen_rev != rev {
+                w.due = true;
+                // Looked at again once the zone's server is back.
+                w.pending = zone_down;
+                w.seen_rev = rev;
+                self.scratch.due.push(c);
+                if zone_down {
+                    self.watch.queue(c);
+                }
+            }
+        }
+        self.scratch.asked = asked;
         let ResourceManager {
             portables,
             env,
@@ -2071,7 +2190,6 @@ impl ResourceManager {
             stale_profile_fallbacks,
             ..
         } = self;
-        let statics = &statics.list;
         let mut pass = DispatchPass {
             now,
             env,
@@ -2082,8 +2200,8 @@ impl ResourceManager {
             changed: &scratch.changed,
             obs,
             plans,
-            watch,
-            statics,
+            watch: &watch.cells,
+            statics: &statics.list,
             floors: &mut scratch.floors,
             fresh: &mut scratch.fresh,
             stats: refresh_stats,
@@ -2104,8 +2222,8 @@ impl ResourceManager {
                 }
             }
         } else {
-            for w in pass.watch.iter().filter(|w| w.due) {
-                for p in &w.members {
+            for c in &scratch.due {
+                for p in &pass.watch[c.index()].members {
                     if let Some(t) = portables.get_mut(p) {
                         pass.look(*p, t);
                     }
@@ -2120,34 +2238,37 @@ impl ResourceManager {
             }
         }
         debug_assert_eq!(self.watch_is_exact(now), Ok(()), "watch_is_exact");
+        for c in &self.scratch.due {
+            self.watch.cells[c.index()].due = false;
+        }
         // Lounge class policies.
         self.plan_lounges(now);
-        // B_dyn pools: every cell's largest static allocation, folded
-        // over the static portables' own connections, then each cell's
-        // pool from its neighbours' maxima. `max` is exact, so the
-        // visiting order cannot move a bit. The statics are few (16 of
-        // 240 portables on an average `wing_rush` refresh), so each is
-        // looked up in the portable index rather than merge-joined with
-        // the whole of it.
+        // B_dyn pools, where a static allocation around them moved.
         if let Some(policy) = self.cfg.dyn_pool {
-            let static_max = &mut self.scratch.static_max;
-            static_max.clear();
-            static_max.resize(self.net.topology().cell_count(), 0.0);
-            for p in &self.statics.list {
-                for c in self.net.connections_of_portable(*p) {
-                    let m = &mut static_max[c.cell.index()];
-                    *m = m.max(c.b_current);
-                }
-            }
-            for (c, info) in self.env.cells() {
-                let max_alloc = info
-                    .neighbors
-                    .iter()
-                    .fold(0.0_f64, |m, n| m.max(static_max[n.index()]));
-                let wl = self.net.topology().wireless_link(c);
-                let pool = policy.target_pool(self.net.link(wl).capacity(), max_alloc);
-                self.plans.set_dyn_pool(c, pool);
-            }
+            let ResourceManager {
+                env,
+                net,
+                plans,
+                scratch,
+                statics,
+                pools,
+                refresh_stats,
+                ..
+            } = self;
+            let touched = scratch.changed.iter().chain(&statics.flipped).copied();
+            pools.keep(
+                env,
+                net,
+                &statics.list,
+                touched,
+                &scratch.written,
+                whole,
+                policy,
+                plans,
+                refresh_stats,
+                #[cfg(test)]
+                self.twin,
+            );
         }
     }
 
@@ -2176,11 +2297,15 @@ impl ResourceManager {
         }
         for (p, t) in &self.portables {
             let cell = t.state.cell;
-            if self.watch[cell.index()].members.binary_search(p).is_err() {
+            if self.watch.cells[cell.index()]
+                .members
+                .binary_search(p)
+                .is_err()
+            {
                 return Err(format!("{p:?} missing from the watch of {cell:?}"));
             }
             let looked_at =
-                self.watch[cell.index()].due || self.scratch.changed.binary_search(p).is_ok();
+                self.watch.cells[cell.index()].due || self.scratch.changed.binary_search(p).is_ok();
             if looked_at {
                 continue;
             }
@@ -2190,7 +2315,7 @@ impl ResourceManager {
                 return Err(format!("{p:?} needed a dispatch and was not looked at"));
             }
         }
-        let watched: usize = self.watch.iter().map(|w| w.members.len()).sum();
+        let watched: usize = self.watch.cells.iter().map(|w| w.members.len()).sum();
         if watched != self.portables.len() {
             return Err(format!(
                 "{watched} watched, {} tracked",
@@ -2201,52 +2326,77 @@ impl ResourceManager {
     }
 
     /// Aggregate claims from the lounge policies (meeting calendar,
-    /// cafeteria least-squares, default one-step).
+    /// cafeteria least-squares, default one-step). Every lounge's demand
+    /// is read at every refresh — a meeting room's moves with `now` —
+    /// and its spread is rebuilt only where the demand bits or the
+    /// transition row's stamp moved (`claim_plan::Spreads`).
     fn plan_lounges(&mut self, now: SimTime) {
-        let mut lounges = std::mem::take(&mut self.scratch.lounges);
-        lounges.clear();
-        // Meeting rooms.
-        lounges.extend(
-            self.meeting_policies
-                .iter_mut()
-                .map(|(m, policy)| (*m, policy.room_demand(now), policy.neighbor_demand(now))),
-        );
-        let meeting_rooms = lounges.len();
-        // Cafeterias and default lounges: predicted outbound handoffs.
-        let caf = self.cafeteria_pred.iter().map(|(c, p)| (*c, p.predict()));
-        let def = self.default_pred.iter().map(|(c, p)| (*c, p.predict()));
-        lounges.extend(caf.chain(def).map(|(c, n)| (c, n * PER_USER_KBPS, 0.0)));
-        for &(m, room, neighbor) in &lounges[..meeting_rooms] {
-            if room > 0.0 {
-                self.plans
-                    .push(m, ClaimWrite::Set(ResvClaim::Cell(m), room));
-            }
-            if neighbor > 0.0 {
-                self.spread_to_neighbors(m, neighbor);
-            }
+        if self.spreads.is_stale() {
+            let rooms = self.meeting_policies.keys();
+            let predicted = self.cafeteria_pred.keys().chain(self.default_pred.keys());
+            let sources = rooms.chain(predicted).copied();
+            self.spreads.list_again(&self.env, sources);
         }
-        for &(c, demand, _) in &lounges[meeting_rooms..] {
-            if demand > 0.0 {
-                self.spread_to_neighbors(c, demand);
-            }
+        let ResourceManager {
+            env,
+            profiles,
+            down_zones,
+            cell_revs,
+            meeting_policies,
+            cafeteria_pred,
+            default_pred,
+            spreads,
+            plans,
+            scratch,
+            ..
+        } = self;
+        // `[own cell, neighbours]`: a meeting room's rules (a) and (b);
+        // a cafeteria's or default lounge's predicted outbound handoffs.
+        let rooms = meeting_policies
+            .values_mut()
+            .map(|policy| [policy.room_demand(now), policy.neighbor_demand(now)]);
+        let predicted = cafeteria_pred.values().map(CafeteriaPredictor::predict);
+        let predicted = predicted.chain(default_pred.values().map(OneStepMemory::predict));
+        let demands = rooms.chain(predicted.map(|n| [0.0, n * PER_USER_KBPS]));
+        let row = &mut scratch.row;
+        for (k, demand) in demands.enumerate() {
+            let source = spreads.source(k);
+            let zone_down = Self::zone_is_down(down_zones, profiles, source);
+            let stamp = (cell_revs[source.index()], zone_down);
+            spreads.rebuild_if_moved(k, demand, stamp, |out| {
+                let [own, spread] = demand;
+                if own > 0.0 {
+                    out.push((source, ClaimWrite::Set(ResvClaim::Cell(source), own)));
+                }
+                if spread > 0.0 {
+                    Self::spread_to_neighbors(env, profiles, zone_down, row, source, spread, out);
+                }
+            });
         }
-        self.scratch.lounges = lounges;
+        spreads.restage(plans);
     }
 
     /// Split an aggregate demand from `source` over its neighbours by the
-    /// profile transition row (even split without history), adding to
-    /// their `Cell(source)` claims.
-    fn spread_to_neighbors(&mut self, source: CellId, demand: f64) {
-        let neighbors = &self.env.cell(source).neighbors;
+    /// profile transition row (even split without history), appending
+    /// each neighbour's `Cell(source)` share to `out`. A profile-server
+    /// outage (`zone_down`) hides the row, and the spread degrades to the
+    /// even split. `row` is the resident buffer the row is read into.
+    fn spread_to_neighbors(
+        env: &IndoorEnvironment,
+        profiles: &ZonedProfiles,
+        zone_down: bool,
+        row: &mut Vec<(CellId, f64)>,
+        source: CellId,
+        demand: f64,
+        out: &mut Vec<(CellId, ClaimWrite)>,
+    ) {
+        let neighbors = &env.cell(source).neighbors;
         if neighbors.is_empty() {
             return;
         }
-        // A profile-server outage hides the transition row; the empty
-        // row below degrades to the even split.
-        let row = &mut self.scratch.row;
         row.clear();
-        if !Self::zone_is_down(&self.down_zones, &self.profiles, source) {
-            if let Some(cp) = self.profiles.cell(source) {
+        if !zone_down {
+            if let Some(cp) = profiles.cell(source) {
                 cp.aggregate_row_into(row);
             }
         }
@@ -2264,8 +2414,7 @@ impl ResourceManager {
             };
             let amount = demand * share;
             if amount > 0.0 {
-                self.plans
-                    .push(*n, ClaimWrite::Add(ResvClaim::Cell(source), amount));
+                out.push((*n, ClaimWrite::Add(ResvClaim::Cell(source), amount)));
             }
         }
     }
@@ -2289,21 +2438,34 @@ impl ResourceManager {
         out.extend(neighbors.iter().map(|n| (*n, add)));
     }
 
+    /// Stage a baseline's writes (`scratch.staged`, in the order made) on
+    /// their links and commit every link: a baseline rebuilds every
+    /// link's aggregate writes at every refresh.
+    fn commit_staged(&mut self) {
+        for &(c, w) in &self.scratch.staged {
+            self.plans.link(c).stage(w);
+        }
+        self.plans.commit_all();
+    }
+
     fn plan_brute_force(&mut self) {
         let demands = self.mobile_demands();
+        self.scratch.staged.clear();
         for (p, cell) in demands {
             Self::collect_floors(&self.net, &mut self.scratch.floors, p);
             for n in self.env.neighbors(cell) {
                 for (id, b) in &self.scratch.floors {
-                    self.plans
-                        .push(n, ClaimWrite::Set(ResvClaim::Conn(*id), *b));
+                    let w = ClaimWrite::Set(ResvClaim::Conn(*id), *b);
+                    self.scratch.staged.push((n, w));
                 }
             }
         }
+        self.commit_staged();
     }
 
     fn plan_aggregate(&mut self) {
         let demands = self.mobile_demands();
+        self.scratch.staged.clear();
         for (p, cell) in demands {
             let total: f64 = self
                 .net
@@ -2311,9 +2473,13 @@ impl ResourceManager {
                 .map(|c| c.qos.b_min)
                 .sum();
             if total > 0.0 {
-                self.spread_to_neighbors(cell, total);
+                let zone_down = self.zone_down(cell);
+                let (env, profiles, scratch) = (&self.env, &self.profiles, &mut self.scratch);
+                let (row, out) = (&mut scratch.row, &mut scratch.staged);
+                Self::spread_to_neighbors(env, profiles, zone_down, row, cell, total, out);
             }
         }
+        self.commit_staged();
     }
 
     /// Collect the `(connection, b_min)` floors of a portable's live

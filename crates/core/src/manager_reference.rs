@@ -167,6 +167,12 @@ pub(crate) enum Mutant {
     TrackKeepsStatic,
     /// A portable's flip does not mark its cell's watch pending.
     FlipNotPending,
+    /// A ledger write reaches no log: the refresh drops the network's
+    /// log of the wireless links written since the last one.
+    WriteUnlogged,
+    /// A static allocation's change makes its own cell's `B_dyn` pool
+    /// due, not the pools of the cells it neighbours.
+    NeighborPoolsNotDue,
 }
 
 impl ResourceManager {

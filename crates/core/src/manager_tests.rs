@@ -951,10 +951,10 @@ fn the_no_op_guard_reruns_until_a_run_changes_nothing() {
     let mut reran = Vec::new();
     let mut resv = Vec::new();
     for step in 0..6 {
-        plan.begin();
         for w in writes {
-            plan.push(w);
+            plan.stage(w);
         }
+        assert_eq!(plan.commit(), step == 0, "the plan changes once");
         reran.push(plan.apply(&mut guarded, &mut scratch, Twin::Production));
         super::reference::reference_rewrite(&mut wholesale, &writes);
         assert_eq!(bits(&guarded), bits(&wholesale), "refresh {step}");
@@ -965,10 +965,6 @@ fn the_no_op_guard_reruns_until_a_run_changes_nothing() {
     // Any write to the ledger, even one that changes no bit, puts the
     // link back on the re-run path.
     guarded.release_claim(ResvClaim::Outage);
-    plan.begin();
-    for w in writes {
-        plan.push(w);
-    }
     assert!(plan.apply(&mut guarded, &mut scratch, Twin::Production));
 }
 

@@ -753,6 +753,51 @@ fn the_wing_matches_the_whole_table_at_benchmark_scale() {
     }
 }
 
+/// The whole seed-42 office week against [`Twin::WholeTable`]: Figure 4,
+/// the paper strategy, `B_dyn` on, obs off, every portable hanging up
+/// at its last event as a server's `Depart` has it, and a booking
+/// calendar on office A whose meetings open and close claim windows
+/// through the week. Slow in a debug build: `cargo test --release -p
+/// arm-core --lib -- --ignored`.
+#[test]
+#[ignore = "benchmark scale; run in release"]
+fn the_office_week_matches_the_whole_table_at_benchmark_scale() {
+    let sc = office_week(42);
+    let (_, trace) = scenario::build_manager(&sc).expect("valid scenario");
+    let mut last = BTreeMap::new();
+    for ev in trace.events() {
+        last.insert(ev.portable, ev.time);
+    }
+    let mut rng = SimRng::new(sc.seed).split("scenario-workload");
+    let mix = WorkloadMix::paper71();
+    let ops = trace_stream(&trace, |_, ev, ops| {
+        let (t, portable) = (ev.time, ev.portable);
+        if ev.from.is_none() {
+            let qos = mix.sample(&mut rng);
+            ops.push(ManagerEvent::Request { t, portable, qos });
+        }
+        if last[&portable] == t {
+            ops.push(ManagerEvent::Terminate { t, portable });
+        }
+    });
+    let office_a = Figure4::build().a;
+    let mut calendar = BookingCalendar::new();
+    for hour in (2..40).step_by(5) {
+        calendar.book(Meeting {
+            t_start: SimTime::from_mins(60 * hour),
+            t_end: SimTime::from_mins(60 * hour + 50),
+            expected: 4,
+        });
+    }
+    let make = |twin| {
+        let mut mgr = scenario_manager(&sc, Some(DynPoolPolicy::default()), twin);
+        mgr.set_calendar(office_a, calendar.clone());
+        mgr
+    };
+    let reach = production_agrees("office week seed 42", &make, Twin::WholeTable, &ops);
+    assert!(reach.claims > 10_000, "{reach:?}");
+}
+
 // ----------------------------------------------------------------------
 // Seeded mutants
 // ----------------------------------------------------------------------
@@ -761,7 +806,8 @@ fn the_wing_matches_the_whole_table_at_benchmark_scale() {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Caught {
     Divergence,
-    /// The subject's debug check of the dispatch pass, `watch_is_exact`.
+    /// The subject's debug checks of the dispatch pass (`watch_is_exact`)
+    /// and of the whole refresh (`refresh_is_exact`).
     DebugCheck,
 }
 
@@ -791,7 +837,7 @@ fn catch(mutant: Mutant, (make, reference, ops): &Case) -> Option<(Caught, Strin
     match catch_unwind(AssertUnwindSafe(run)) {
         Ok(run) => run.err().map(|what| (Caught::Divergence, what)),
         Err(panic) => match panic.downcast_ref::<String>() {
-            Some(what) if what.contains("watch_is_exact") => {
+            Some(what) if what.contains("watch_is_exact") || what.contains("refresh_is_exact") => {
                 Some((Caught::DebugCheck, what.clone()))
             }
             _ => resume_unwind(panic),
@@ -806,13 +852,20 @@ fn every_mutant_is_caught() {
     use Caught::{DebugCheck, Divergence};
     use Mutant::*;
     let figure4 = |strategy, seed| churn_case(0, strategy, seed, false);
+    // Caught by the refresh's own check where it runs, else by what
+    // the skipped work leaves behind.
+    let checked = if cfg!(debug_assertions) {
+        DebugCheck
+    } else {
+        Divergence
+    };
     let chaos: Case = (
         Box::new(|twin| chaos_manager(5000.0, twin)),
         Twin::WholeTableAndResync,
         chaos_stream(1),
     );
     let cases = [
-        (GuardIgnoresRevision, figure4(Strategy::None, 1), Divergence),
+        (GuardIgnoresRevision, figure4(Strategy::None, 1), checked),
         (
             GuardWithoutNoOp,
             churn_case(2, Strategy::Paper, 0, false),
@@ -852,6 +905,8 @@ fn every_mutant_is_caught() {
         (StaleFlipHonoured, figure4(Strategy::None, 1), Divergence),
         (TrackKeepsStatic, figure4(Strategy::None, 1), Divergence),
         (FlipNotPending, figure4(Strategy::Paper, 0), DebugCheck),
+        (WriteUnlogged, figure4(Strategy::Paper, 1), checked),
+        (NeighborPoolsNotDue, figure4(Strategy::Paper, 0), checked),
     ];
     for (mutant, case, how) in cases {
         if how == DebugCheck && !cfg!(debug_assertions) {

@@ -1,14 +1,21 @@
 //! The claim refresh's work, pinned as exact counts
 //! (`ResourceManager::refresh_stats`) on the benchmark's `wing_rush`
-//! floor: 63 cells, 240 walkers, the paper strategy with `B_dyn` and
-//! multicast on, seed 42 — every event of the 40-minute trace, the way
-//! the scenario driver replays it (appear + request, move, slot ticks).
+//! floor — 63 cells, 240 walkers, the paper strategy with `B_dyn` and
+//! multicast on, seed 42, every event of the 40-minute trace — and on
+//! the seed-42 office week (Figure 4, seven cells, the §7.1 workweek),
+//! each the way the scenario driver replays it (appear + request, move,
+//! slot ticks).
 //!
-//! A wholesale refresh re-writes all 63 wireless links every time; the
-//! guarded apply step re-writes only those whose plan or ledger changed
-//! since a run that changed nothing, and the dispatcher runs again only
-//! for portables one of whose inputs changed. A change that makes either
-//! do more work, or less, moves these numbers.
+//! A wholesale refresh re-writes every wireless link every time. The
+//! apply step looks only at the links whose plan changed, whose ledger
+//! was written or whose last run was not a no-op, and its guard re-runs
+//! those whose plan or ledger changed since a run that changed nothing;
+//! `B_dyn` pools are recomputed only around a static allocation that
+//! moved; the dispatcher runs again only for portables one of whose
+//! inputs changed. A change that makes any of them do more work, or
+//! less, moves these numbers. `links_rerun`, `redispatched` and
+//! `statics_looked` are also what a walk over every link makes: looking
+//! at fewer links re-runs the same ones.
 
 use arm_core::scenario::{self, EnvSpec, MobilitySpec, Scenario, WorkloadSpec};
 use arm_core::{ManagerEvent, ManagerSnapshot, RefreshStats, ResourceManager, Strategy};
@@ -56,18 +63,26 @@ fn wireless_bits(mgr: &ResourceManager) -> Vec<LinkBits> {
         .collect()
 }
 
-#[test]
-fn the_refresh_on_the_wing_does_exactly_this_much_work() {
-    let sc = wing();
-    let (mut mgr, trace) = scenario::build_manager(&sc).expect("valid scenario");
-    let cells = mgr.net.topology().cell_count() as u64;
-    assert_eq!(cells, 63);
+/// The seed-42 office week (`benchmark/src/gen.rs::office_week`'s
+/// scenario): Figure 4, the §7.1 mix, the paper strategy.
+fn office_week() -> Scenario {
+    Scenario {
+        name: "refresh-work-office".into(),
+        environment: EnvSpec::Figure4,
+        mobility: MobilitySpec::OfficeCase,
+        cell_throughput_kbps: 1600.0,
+        ..wing()
+    }
+}
+
+/// `sc`'s manager after every event of its trace, the way the scenario
+/// driver replays it (appear + request, move, slot ticks), and the next
+/// slot boundary.
+fn replay(sc: &Scenario) -> (ResourceManager, SimTime) {
+    let (mut mgr, trace) = scenario::build_manager(sc).expect("valid scenario");
     let mut rng = SimRng::new(sc.seed).split("scenario-workload");
     let mix = WorkloadMix::paper71();
     let mut next_slot = SimTime::ZERO + SimDuration::from_mins(1);
-    let apply = |mgr: &mut ResourceManager, ev| {
-        let _ = mgr.apply(&ev).expect("the trace is well-formed");
-    };
     for ev in trace.events() {
         while ev.time >= next_slot {
             apply(&mut mgr, ManagerEvent::SlotTick { t: next_slot });
@@ -83,26 +98,38 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
             Some(_) => apply(&mut mgr, ManagerEvent::Move { t, portable, to }),
         }
     }
+    (mgr, next_slot)
+}
+
+fn apply(mgr: &mut ResourceManager, ev: ManagerEvent) {
+    let _ = mgr.apply(&ev).expect("the trace is well-formed");
+}
+
+#[test]
+fn the_refresh_on_the_wing_does_exactly_this_much_work() {
+    let (mut mgr, next_slot) = replay(&wing());
+    let cells = mgr.net.topology().cell_count() as u64;
+    assert_eq!(cells, 63);
     let stats = mgr.refresh_stats();
     assert_eq!(
         stats,
         RefreshStats {
             refreshes: 4_356,
+            links_looked: 15_692,
             links_rerun: 15_692,
-            links_skipped: 258_736,
+            links_skipped: 0,
             redispatched: 13_519,
             statics_looked: 3_535,
+            pools_recomputed: 1_162,
         }
     );
-    assert_eq!(
-        stats.links_rerun + stats.links_skipped,
-        stats.refreshes * cells
-    );
-    // The wholesale refresh re-wrote refreshes × 63 links.
+    assert_eq!(stats.links_rerun + stats.links_skipped, stats.links_looked);
+    // The wholesale refresh re-wrote refreshes × 63 links, and looking
+    // at every link meant as many looks; a refresh looks at under 4.
     assert!(
-        stats.links_rerun * 10 <= stats.refreshes * cells,
-        "{} of {} wireless-link re-runs",
-        stats.links_rerun,
+        stats.links_looked * 16 <= stats.refreshes * cells,
+        "{} of {} wireless-link looks",
+        stats.links_looked,
         stats.refreshes * cells
     );
 
@@ -121,11 +148,32 @@ fn the_refresh_on_the_wing_does_exactly_this_much_work() {
         restored.refresh_stats(),
         RefreshStats {
             refreshes: 1,
+            links_looked: cells,
             links_rerun: cells,
             links_skipped: 0,
             redispatched: tracked,
             statics_looked: tracked,
+            pools_recomputed: cells,
         }
     );
     assert_eq!(wireless_bits(&restored), wireless_bits(&mgr));
+}
+
+#[test]
+fn the_refresh_on_the_office_week_does_exactly_this_much_work() {
+    let (mgr, _) = replay(&office_week());
+    let stats = mgr.refresh_stats();
+    assert_eq!(
+        stats,
+        RefreshStats {
+            refreshes: 11_598,
+            links_looked: 29_214,
+            links_rerun: 29_214,
+            links_skipped: 0,
+            redispatched: 13_964,
+            statics_looked: 9_159,
+            pools_recomputed: 708,
+        }
+    );
+    assert_eq!(stats.links_rerun + stats.links_skipped, stats.links_looked);
 }

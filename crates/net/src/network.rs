@@ -54,10 +54,51 @@ pub struct Network {
     /// they ended. Never serialised. Ids are never reissued, so it holds
     /// no repeats; a reader that drains at every event keeps it short.
     ended: Vec<ConnId>,
+    /// Wireless links whose ledger may have been written since the last
+    /// [`Network::drain_written_links`]. Never serialised.
+    written: WriteLog,
     /// Built, decoded or cloned since the last drain: a reader that kept
     /// state from before cannot know it was this network's, so every
     /// portable counts as changed, recorded or not.
     unseen: bool,
+}
+
+/// The wireless links whose ledger may have been written since the last
+/// drain: each one handed out by [`Network::link_mut`] or walked by a
+/// route, rate or teardown path, logged once. A wired link is never
+/// logged.
+#[derive(Clone, Debug)]
+struct WriteLog {
+    /// Logged links, in the order they were first written since the
+    /// drain.
+    links: Vec<LinkId>,
+    /// Per link (index = LinkId): `None` for a wired link, else whether
+    /// it is in `links`.
+    logged: Vec<Option<bool>>,
+}
+
+impl WriteLog {
+    fn new(topo: &Topology) -> Self {
+        let logged = (0..topo.link_count())
+            .map(|i| {
+                topo.link(LinkId::from_index(i))
+                    .wireless_cell
+                    .map(|_| false)
+            })
+            .collect();
+        WriteLog {
+            links: Vec::new(),
+            logged,
+        }
+    }
+
+    #[inline]
+    fn note(&mut self, l: LinkId) {
+        if let Some(Some(logged @ false)) = self.logged.get_mut(l.index()) {
+            *logged = true;
+            self.links.push(l);
+        }
+    }
 }
 
 /// A copy that a reader of the original's change record cannot take for
@@ -72,6 +113,7 @@ impl Clone for Network {
             portable_conns: self.portable_conns.clone(),
             changed: self.changed.clone(),
             ended: self.ended.clone(),
+            written: self.written.clone(),
             unseen: true,
         }
     }
@@ -137,6 +179,7 @@ impl From<wire::Network> for Network {
             portable_conns.entry(c.portable).or_default().push(c.id);
         }
         Network {
+            written: WriteLog::new(&w.topo),
             topo: w.topo,
             links: w.links,
             conns: w.conns,
@@ -173,6 +216,7 @@ impl Network {
             .collect();
         let link_conns = vec![Vec::new(); topo.link_count()];
         Network {
+            written: WriteLog::new(&topo),
             topo,
             links,
             conns: Vec::new(),
@@ -219,6 +263,23 @@ impl Network {
         into.sort_unstable();
     }
 
+    /// Move the wireless links whose ledger may have been written since
+    /// the last drain into `into` (its old contents dropped), each once,
+    /// in the order first written. The two buffers trade places, so
+    /// neither allocates in steady state. Every path that can write a
+    /// ledger logs its wireless links: [`link_mut`](Self::link_mut), the
+    /// route reserve (a rolled-back attempt too) and release, the rate
+    /// change and the teardown. A network new to the reader
+    /// ([`drain_changed_portables`](Self::drain_changed_portables) says
+    /// which) may have been written before this log began.
+    pub fn drain_written_links(&mut self, into: &mut Vec<LinkId>) {
+        into.clear();
+        std::mem::swap(into, &mut self.written.links);
+        for l in into.iter() {
+            self.written.logged[l.index()] = Some(false);
+        }
+    }
+
     /// The static graph.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -229,8 +290,10 @@ impl Network {
         &self.links[l.index()]
     }
 
-    /// Mutable ledger of one link.
+    /// Mutable ledger of one link, logged as written
+    /// ([`drain_written_links`](Self::drain_written_links)).
     pub fn link_mut(&mut self, l: LinkId) -> &mut LinkState {
+        self.written.note(l);
         &mut self.links[l.index()]
     }
 
@@ -382,6 +445,7 @@ impl Network {
         assert_eq!(buffers.len(), route_links.len());
         let mut done = 0;
         for (i, l) in route_links.iter().enumerate() {
+            self.written.note(*l);
             let r = if as_handoff {
                 self.links[l.index()].admit_handoff(conn, b_min, buffers[i])
             } else {
@@ -415,6 +479,7 @@ impl Network {
     /// [`Self::release_route`] over a bare link slice.
     pub fn release_route_links(&mut self, conn: ConnId, route_links: &[LinkId]) {
         for l in route_links {
+            self.written.note(*l);
             let _ = self.links[l.index()].release(conn);
             index_remove(&mut self.link_conns[l.index()], conn);
         }
@@ -427,7 +492,12 @@ impl Network {
         // Split-borrow the connection table and the link ledgers so the
         // route is walked in place — no per-call route clone on this hot
         // path (every adaptation round calls this per changed conn).
-        let Self { links, conns, .. } = self;
+        let Self {
+            links,
+            conns,
+            written,
+            ..
+        } = self;
         let c = conns
             .get(id.index())
             .and_then(|c| c.as_ref())
@@ -440,6 +510,7 @@ impl Network {
         let rate = rate.clamp(b_min, b_max);
         let mut done = 0;
         for l in &c.route.links {
+            written.note(*l);
             match links[l.index()].set_alloc(id, rate) {
                 Ok(()) => done += 1,
                 Err(e) => {
@@ -767,6 +838,50 @@ mod tests {
         assert_eq!(ended, [ids[0], ids[2]]);
         net.drain_ended(&mut ended);
         assert!(ended.is_empty());
+    }
+
+    /// Every path that can write a ledger logs its wireless links, once
+    /// each until the drain, and never a wired one.
+    #[test]
+    fn every_ledger_write_logs_its_wireless_links() {
+        let (mut net, c0, c1) = two_cell_net();
+        let (w0, w1) = (
+            net.topology().wireless_link(c0),
+            net.topology().wireless_link(c1),
+        );
+        let mut written = vec![LinkId(99)];
+        net.drain_written_links(&mut written);
+        assert!(written.is_empty(), "a new network logged nothing");
+        let a = make_conn(&mut net, c0, c1, QosRequest::bandwidth(100.0, 1600.0));
+        net.drain_written_links(&mut written);
+        assert!(written.is_empty(), "an install writes no ledger");
+        let route = net.get(a).unwrap().route.clone();
+        let buffers = vec![0.0; route.links.len()];
+        net.reserve_route(a, &route, 100.0, &buffers, false)
+            .unwrap();
+        net.drain_written_links(&mut written);
+        assert_eq!(written, [w0, w1], "both ends of the route, wired hops not");
+        net.set_conn_rate(a, 200.0).unwrap();
+        net.drain_written_links(&mut written);
+        assert_eq!(written, [w0, w1]);
+        net.link_mut(w1);
+        net.link_mut(w1);
+        net.drain_written_links(&mut written);
+        assert_eq!(written, [w1], "logged once, however often");
+        // A refused attempt moved the revision of the link it failed on.
+        let b = make_conn(&mut net, c0, c1, QosRequest::fixed(1550.0));
+        let route_b = net.get(b).unwrap().route.clone();
+        let buffers = vec![0.0; route_b.links.len()];
+        assert!(net
+            .reserve_route(b, &route_b, 1550.0, &buffers, false)
+            .is_err());
+        net.drain_written_links(&mut written);
+        assert_eq!(written, [w0]);
+        net.finish(a);
+        net.drain_written_links(&mut written);
+        assert_eq!(written, [w0, w1]);
+        net.drain_written_links(&mut written);
+        assert!(written.is_empty());
     }
 
     #[test]

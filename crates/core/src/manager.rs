@@ -66,6 +66,7 @@
 //! every one is cleared before it is filled.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use arm_mobility::environment::IndoorEnvironment;
 use arm_net::flowspec::QosRequest;
@@ -635,7 +636,13 @@ pub struct ResourceManager {
     /// profile. ([`cache_history_rows`](Self::cache_history_rows) encodes
     /// rows ahead of a checkpoint and changes no answer a profile gives.)
     /// Read through [`profiles`](Self::profiles).
-    profiles: ZonedProfiles,
+    ///
+    /// Shared with every [`ManagerSnapshot`] taken since the last write:
+    /// [`snapshot`](Self::snapshot) captures it by a reference count,
+    /// and each of the three writers goes through [`Arc::make_mut`],
+    /// which copies the profiles only while such a snapshot is still
+    /// alive (DESIGN.md §10.2).
+    profiles: Arc<ZonedProfiles>,
     cfg: ManagerConfig,
     /// Run metrics.
     pub metrics: Metrics,
@@ -782,7 +789,7 @@ impl ResourceManager {
             refresh_stats: RefreshStats::default(),
             net,
             env,
-            profiles,
+            profiles: Arc::new(profiles),
             cfg,
             metrics: Metrics::default(),
             portables: BTreeMap::new(),
@@ -836,7 +843,7 @@ impl ResourceManager {
     /// copies them: called by a server about to checkpoint. Moves no
     /// decision and no byte of any snapshot.
     pub fn cache_history_rows(&mut self) {
-        self.profiles.cache_rows();
+        Arc::make_mut(&mut self.profiles).cache_rows();
     }
 
     /// What the claim refresh has done since this manager was built or
@@ -874,7 +881,7 @@ impl ResourceManager {
             schema: crate::snapshot::SNAPSHOT_SCHEMA_VERSION,
             net: self.net.clone(),
             env: self.env.clone(),
-            profiles: self.profiles.clone(),
+            profiles: Arc::clone(&self.profiles),
             cfg: self.cfg.clone(),
             metrics: self.metrics.clone(),
             portables: self.portables.iter().map(|(p, t)| (*p, t.state)).collect(),
@@ -1288,7 +1295,7 @@ impl ResourceManager {
             // update is lost (the profile stays stale after recovery).
             self.lost_profile_updates += 1;
         } else {
-            self.profiles.portable_entered(p, cell);
+            Arc::make_mut(&mut self.profiles).portable_entered(p, cell);
         }
         if let Some(policy) = self.meeting_policy_mut(cell) {
             policy.on_arrival(now);
@@ -1441,8 +1448,7 @@ impl ResourceManager {
         if self.zone_down(from) || self.zone_down(to) {
             self.lost_profile_updates += 1;
         } else {
-            self.profiles
-                .record_handoff(p, state.prev_cell, from, to, now);
+            Arc::make_mut(&mut self.profiles).record_handoff(p, state.prev_cell, from, to, now);
             // `from`'s history just changed under every memo read there.
             self.cell_revs[from.index()] += 1;
             #[cfg(test)]
@@ -1933,15 +1939,10 @@ impl ResourceManager {
             .invariant("star backbone is connected")
     }
 
-    /// The booking-calendar policy of `c`, if `c` is a meeting room.
+    /// The booking-calendar policy installed on `c`, if any: a meeting
+    /// room's from `new`, any cell's from `set_calendar`.
     fn meeting_policy_mut(&mut self, c: CellId) -> Option<&mut MeetingRoomPolicy> {
-        let is_meeting_room = matches!(
-            self.env.cell(c).class,
-            CellClass::Lounge(LoungeKind::MeetingRoom)
-        );
-        self.meeting_policies
-            .get_mut(&c)
-            .filter(|_| is_meeting_room)
+        self.meeting_policies.get_mut(&c)
     }
 
     // ------------------------------------------------------------------

@@ -288,6 +288,105 @@ fn meeting_calendar_drives_room_claims() {
     assert!((mgr.net.link(wl_m).claim(ResvClaim::Cell(m)) - 19.0 * 28.0).abs() < 1e-9);
 }
 
+/// The capture before the profiles were shared: a deep copy of them.
+fn deep_snapshot(mgr: &ResourceManager) -> ManagerSnapshot {
+    ManagerSnapshot {
+        profiles: Arc::new(ZonedProfiles::clone(&mgr.profiles)),
+        ..mgr.snapshot()
+    }
+}
+
+/// A snapshot shares the live profiles until the manager's next profile
+/// write copies them, and only a write made while a snapshot is alive
+/// copies: whatever the manager records after a capture, the held image
+/// still encodes its capture-time bytes, as the deep copy does.
+#[test]
+fn a_held_snapshot_encodes_what_a_deep_copy_encodes() {
+    let (mut mgr, f4) = figure4_manager(Strategy::Paper);
+    let walk = [
+        f4.c, f4.d, f4.a, f4.d, f4.e, f4.b, f4.e, f4.f, f4.g, f4.f, f4.e, f4.d,
+    ];
+    let mut at: Vec<usize> = (0..4).collect();
+    for (i, &w) in at.iter().enumerate() {
+        mgr.portable_appears(
+            PortableId(300 + i as u32),
+            walk[w],
+            SimTime::from_secs(i as u64),
+        );
+    }
+    let mut now = SimTime::from_secs(10);
+    let mut step = |mgr: &mut ResourceManager, at: &mut Vec<usize>| {
+        for (i, w) in at.iter_mut().enumerate() {
+            *w = (*w + 1) % walk.len();
+            now += SimDuration::from_secs(7);
+            mgr.portable_moved(PortableId(300 + i as u32), walk[*w], now);
+        }
+    };
+    for round in 0..12 {
+        let held = mgr.snapshot();
+        assert!(
+            Arc::ptr_eq(&held.profiles, &mgr.profiles),
+            "captured by a count"
+        );
+        let deep = deep_snapshot(&mgr);
+        let bytes = held.to_json().expect("encodes");
+        step(&mut mgr, &mut at);
+        if round % 3 == 0 {
+            mgr.cache_history_rows();
+        }
+        assert!(
+            !Arc::ptr_eq(&held.profiles, &mgr.profiles),
+            "the first write copied"
+        );
+        assert_eq!(held.to_json().expect("encodes"), bytes, "round {round}");
+        assert_eq!(deep.to_json().expect("encodes"), bytes, "round {round}");
+        assert_ne!(mgr.snapshot().to_json().expect("encodes"), bytes);
+        drop(held);
+        // With no snapshot alive, a write copies nothing.
+        let live = Arc::as_ptr(&mgr.profiles);
+        step(&mut mgr, &mut at);
+        mgr.cache_history_rows();
+        assert_eq!(Arc::as_ptr(&mgr.profiles), live, "round {round}");
+    }
+}
+
+/// A calendar counts arrivals on whatever cell it is installed on, not
+/// only on a meeting room: booked on office A, the `Cell(A)` claim falls
+/// with each attendee who appears there.
+#[test]
+fn a_calendar_off_a_meeting_room_counts_its_arrivals() {
+    let (mut mgr, f4) = figure4_manager(Strategy::Paper);
+    let a = f4.a;
+    assert!(!matches!(
+        f4.env.cell(a).class,
+        CellClass::Lounge(LoungeKind::MeetingRoom)
+    ));
+    let mut cal = BookingCalendar::new();
+    cal.book(Meeting {
+        t_start: SimTime::from_mins(60),
+        t_end: SimTime::from_mins(110),
+        expected: 4,
+    });
+    mgr.set_calendar(a, cal);
+    let wl_a = mgr.net.topology().wireless_link(a);
+    let claim = |mgr: &ResourceManager| mgr.net.link(wl_a).claim(ResvClaim::Cell(a));
+    mgr.slot_tick(SimTime::from_mins(50));
+    assert_eq!(claim(&mgr).to_bits(), (4.0 * 28.0f64).to_bits());
+    for i in 0..4u32 {
+        mgr.portable_appears(
+            PortableId(700 + i),
+            a,
+            SimTime::from_mins(51 + u64::from(i)),
+        );
+        let outstanding = f64::from(3 - i);
+        assert_eq!(
+            claim(&mgr).to_bits(),
+            (outstanding * 28.0).to_bits(),
+            "after {i}"
+        );
+    }
+}
+
 #[test]
 fn static_fraction_strategy_pins_claims() {
     let (mut mgr, f4) = figure4_manager(Strategy::StaticFraction(0.25));

@@ -61,6 +61,7 @@
 //! now [`crate::SLOT`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use arm_mobility::environment::IndoorEnvironment;
 use arm_net::ids::{CellId, LinkId, NodeId, PortableId, ZoneId};
@@ -96,6 +97,12 @@ use crate::multicast::MulticastState;
 /// `[portable, prev|null, cur, next, time]`, not an object of five keys
 /// (DESIGN.md §10.2).
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
+
+/// What a document holds besides its handoff rows — the network, the
+/// profiles' other fields, the portables, the policies — allowed for in
+/// [`ManagerSnapshot::len_hint`]: 37–44 KB in the seed-42 office week's
+/// checkpoints, 58 KB at the end of a crowded 12-office wing.
+const REST_BYTES: usize = 64 << 10;
 
 /// Why a snapshot could not be produced or loaded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,7 +149,9 @@ pub struct ManagerSnapshot {
     pub(crate) schema: u32,
     pub(crate) net: Network,
     pub(crate) env: IndoorEnvironment,
-    pub(crate) profiles: ZonedProfiles,
+    /// The manager's own profiles, shared until its next profile write
+    /// (`ResourceManager::snapshot`); encoded as the profiles themselves.
+    pub(crate) profiles: Arc<ZonedProfiles>,
     pub(crate) cfg: ManagerConfig,
     pub(crate) metrics: Metrics,
     pub(crate) portables: BTreeMap<PortableId, PortableState>,
@@ -217,7 +226,18 @@ impl ManagerSnapshot {
     /// (JSON would carry it as a `null` no `f64` field decodes).
     pub fn to_json(&self) -> Result<String, SnapshotError> {
         self.validate()?;
-        serde_json::to_string_finite(self).map_err(|e| SnapshotError::Invalid(e.to_string()))
+        serde_json::to_string_finite(self, self.len_hint())
+            .map_err(|e| SnapshotError::Invalid(e.to_string()))
+    }
+
+    /// About how long [`to_json`](Self::to_json)'s document is, and so
+    /// what it reserves: the handoff rows, which are most of it and
+    /// which the rings hold as text once a checkpoint's fill has run
+    /// (`ZonedProfiles::rows_len`), and 64 KiB (`REST_BYTES`) for the rest.
+    /// A short hint costs one doubling of the buffer, a long one room
+    /// never touched; neither moves a byte of the document.
+    pub fn len_hint(&self) -> usize {
+        self.profiles.rows_len() + REST_BYTES
     }
 
     /// Parse a snapshot, checking the schema version before decoding

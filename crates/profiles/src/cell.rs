@@ -114,6 +114,11 @@ impl CellProfile {
     pub(crate) fn cache_rows(&mut self) {
         self.history.cache_rows();
     }
+
+    /// [`HandoffHistory::rows_len`] of this profile's history.
+    pub(crate) fn rows_len(&self) -> usize {
+        self.history.rows_len()
+    }
 }
 
 /// Counts (ascending by cell) as empirical frequencies of their total,

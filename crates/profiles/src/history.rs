@@ -43,8 +43,27 @@ impl Serialize for HandoffEvent {
     fn to_value(&self) -> serde::Value {
         wire::HandoffEvent::from(*self).to_value()
     }
+    /// The row the derived `wire::HandoffEvent` writes, spelt number by
+    /// number: a checkpoint's fill writes every new row through here.
+    /// `to_value` stays the derived tree, the oracle this is tested
+    /// against (`cached_text_equals_the_tree`, `a_handoff_is_a_row`).
     fn write_json(&self, out: &mut JsonWriter) {
-        wire::HandoffEvent::from(*self).write_json(out);
+        out.raw("[");
+        out.uint(u64::from(self.portable.0));
+        match self.prev {
+            Some(prev) => {
+                out.raw(",");
+                out.uint(u64::from(prev.0));
+                out.raw(",");
+            }
+            None => out.raw(",null,"),
+        }
+        out.uint(u64::from(self.cur.0));
+        out.raw(",");
+        out.uint(u64::from(self.next.0));
+        out.raw(",");
+        out.uint(self.time.ticks());
+        out.raw("]");
     }
 }
 
@@ -117,6 +136,10 @@ mod wire {
         pub(super) total_recorded: u64,
     }
 }
+
+/// About how long a row and its comma are in the seed-42 office week's
+/// checkpoints.
+const ROW_BYTES: usize = 30;
 
 /// A FIFO of the most recent `cap` handoff events.
 #[derive(Clone, Debug)]
@@ -356,6 +379,14 @@ impl HandoffHistory {
         self.rows.extend(self.events.range(cached..));
     }
 
+    /// About how many bytes this history's rows add to its text: the
+    /// cached ones exactly, each of the rest at [`ROW_BYTES`]. A size
+    /// hint for a buffer the text is written into.
+    pub(crate) fn rows_len(&self) -> usize {
+        let cached = self.rows.text.len() - self.rows.start;
+        cached + (self.events.len() - self.rows.len()) * ROW_BYTES
+    }
+
     /// Events currently retained, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &HandoffEvent> {
         self.events.iter()
@@ -534,6 +565,11 @@ impl CountedHistory {
     /// [`HandoffHistory::cache_rows`] on the FIFO.
     pub(crate) fn cache_rows(&mut self) {
         self.history.cache_rows();
+    }
+
+    /// [`HandoffHistory::rows_len`] of the event FIFO.
+    pub(crate) fn rows_len(&self) -> usize {
+        self.history.rows_len()
     }
 
     /// The event FIFO itself.
@@ -834,6 +870,34 @@ mod tests {
         assert_eq!(text(&h), want);
         h.cache_rows();
         assert_eq!(text(&h), want);
+    }
+
+    #[test]
+    fn the_row_writer_spells_what_the_derive_spells() {
+        let wide = [0, 1, 9, 10, u32::MAX - 1, u32::MAX];
+        for (i, &id) in wide.iter().enumerate() {
+            for prev in [None, Some(CellId(wide[(i + 1) % wide.len()]))] {
+                for time in [0, 59_999_999, u64::MAX] {
+                    let ev = HandoffEvent {
+                        portable: PortableId(id),
+                        prev,
+                        cur: CellId(wide[(i + 2) % wide.len()]),
+                        next: CellId(wide[(i + 3) % wide.len()]),
+                        time: SimTime::from_ticks(time),
+                    };
+                    let mut direct = JsonWriter::new();
+                    ev.write_json(&mut direct);
+                    let mut derived = JsonWriter::new();
+                    wire::HandoffEvent::from(ev).write_json(&mut derived);
+                    let mut tree = JsonWriter::new();
+                    ev.to_value().write_json(&mut tree);
+                    let direct = direct.into_string();
+                    assert_eq!(direct, derived.into_string());
+                    assert_eq!(direct, tree.into_string());
+                    assert!(direct.len() < 67, "the cache's row bound: {direct}");
+                }
+            }
+        }
     }
 
     #[test]

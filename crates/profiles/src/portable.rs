@@ -83,6 +83,11 @@ impl PortableProfile {
         self.history.cache_rows();
     }
 
+    /// [`HandoffHistory::rows_len`] of this profile's history.
+    pub(crate) fn rows_len(&self) -> usize {
+        self.history.rows_len()
+    }
+
     /// All aggregated triplets (for Table 1 style dumps).
     pub fn triplets(&self) -> impl Iterator<Item = (Option<CellId>, CellId, CellId)> + '_ {
         self.triplets.iter().map(|((p, c), n)| (*p, *c, *n))

@@ -178,6 +178,15 @@ impl ProfileServer {
             .for_each(PortableProfile::cache_rows);
     }
 
+    /// [`HandoffHistory::rows_len`](crate::HandoffHistory) summed over
+    /// every profile this server holds.
+    pub(crate) fn rows_len(&self) -> usize {
+        let cells = self.cells.values().map(CellProfile::rows_len);
+        cells
+            .chain(self.portables.values().map(PortableProfile::rows_len))
+            .sum()
+    }
+
     /// Adopt a profile arriving from another zone.
     pub(crate) fn adopt_portable(&mut self, profile: PortableProfile, cell: CellId) {
         self.contexts.insert(profile.portable, (None, cell));

@@ -206,6 +206,14 @@ impl ZonedProfiles {
             .values_mut()
             .for_each(ProfileServer::cache_rows);
     }
+
+    /// About how many bytes the handoff rows of every zone add to this
+    /// universe's text — most of a checkpoint: exact for the rows
+    /// [`cache_rows`](Self::cache_rows) has encoded, an average row's
+    /// length for the rest. What a writer reserves for them.
+    pub fn rows_len(&self) -> usize {
+        self.servers.values().map(ProfileServer::rows_len).sum()
+    }
 }
 
 impl Default for ZonedProfiles {

@@ -18,7 +18,11 @@
 
 use arm_net::ids::{CellId, LinkId, PortableId, ZoneId};
 use arm_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
+
+/// The longest spelling of a finite `f64`: `-0.` and 307 zeros before
+/// the 17 digits of the least normal float. No finite float is longer.
+const RATE: usize = 327;
 
 /// One ingestible event.
 ///
@@ -165,15 +169,128 @@ impl ServerEvent {
         }
     }
 
-    /// Canonical JSONL encoding (one line, no trailing newline).
+    /// Canonical JSONL encoding (one line, no trailing newline): the
+    /// derived compact text, written into one `String` reserved for the
+    /// longest line the event can have (`max_line`), so a journal line
+    /// is one allocation.
     pub fn to_jsonl(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
+        let mut out = JsonWriter::with_capacity(self.max_line());
+        self.write_json(&mut out);
+        Ok(out.into_string())
+    }
+
+    /// The longest [`to_jsonl`](Self::to_jsonl) line this event can
+    /// have: `{"<label>":{"t":` and `}}` around the fields, each key with
+    /// its quotes, colon and comma, each integer as its digits and each
+    /// rate at [`RATE`]. So it is the line's exact length unless the
+    /// event carries a rate, and 742 bytes at most (a `Request`). Not the
+    /// vocabulary's longest for every line: a caller that keeps its
+    /// lines, a generated stream, would hold ten times their bytes.
+    fn max_line(&self) -> usize {
+        let digits = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let id = |n: u32| digits(u64::from(n));
+        let fields = match *self {
+            ServerEvent::Appear { portable, cell, .. } => 12 + id(portable.0) + 8 + id(cell.0),
+            ServerEvent::Move { portable, to, .. } => 12 + id(portable.0) + 6 + id(to.0),
+            ServerEvent::Depart { portable, .. }
+            | ServerEvent::FailNextHandoff { portable, .. } => 12 + id(portable.0),
+            ServerEvent::Request { portable, .. } => 12 + id(portable.0) + 2 * (14 + RATE),
+            ServerEvent::LinkDown { link, .. } | ServerEvent::LinkUp { link, .. } => 8 + id(link.0),
+            ServerEvent::ProfileServerDown { zone, .. }
+            | ServerEvent::ProfileServerUp { zone, .. } => 8 + id(zone.0),
+            ServerEvent::ChannelChange { cell, .. } => 8 + id(cell.0) + 12 + RATE,
+            ServerEvent::QueuePressure { on, .. } => 6 + if on { 4 } else { 5 },
+        };
+        self.label().len() + 9 + digits(self.time().ticks()) + fields + 2
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The longest spelling of a finite `f64`, and floats near it.
+    fn long_floats() -> impl Iterator<Item = f64> {
+        let least_normal = f64::MIN_POSITIVE;
+        let subnormals =
+            (0..52).map(|k| f64::from_bits((1u64 << k) | 0x5555_5555_5555 >> (52 - k)));
+        let normals = (1..2048u64).map(|e| f64::from_bits(e << 52 | 0x000f_ffff_ffff_ffff));
+        [least_normal, f64::MAX, 5e-324, 1.0 / 3.0, 1e15, 1e16 / 3.0]
+            .into_iter()
+            .chain(subnormals)
+            .chain(normals)
+            .flat_map(|f| [f, -f])
+    }
+
+    /// One event of each variant, every id `n`, every rate `rate`.
+    fn every_variant(t: u64, n: u32, rate: f64) -> [ServerEvent; 11] {
+        let (t, portable) = (SimTime::from_ticks(t), PortableId(n));
+        let (cell, link, zone) = (CellId(n), LinkId(n), ZoneId(n));
+        [
+            ServerEvent::Appear { t, portable, cell },
+            ServerEvent::Move {
+                t,
+                portable,
+                to: cell,
+            },
+            ServerEvent::Depart { t, portable },
+            ServerEvent::Request {
+                t,
+                portable,
+                b_min_kbps: rate,
+                b_max_kbps: rate,
+            },
+            ServerEvent::LinkDown { t, link },
+            ServerEvent::LinkUp { t, link },
+            ServerEvent::ProfileServerDown { t, zone },
+            ServerEvent::ProfileServerUp { t, zone },
+            ServerEvent::FailNextHandoff { t, portable },
+            ServerEvent::ChannelChange {
+                t,
+                cell,
+                fraction: rate,
+            },
+            ServerEvent::QueuePressure { t, on: n % 2 == 0 },
+        ]
+    }
+
+    /// `to_jsonl` reserves `max_line` and never grows past it: that is
+    /// the line's length exactly at every width of every integer, and
+    /// for the two variants with rates at least the line's, reached
+    /// with every number at its widest.
+    #[test]
+    fn no_line_outgrows_what_it_reserves() {
+        let longest = long_floats().map(|f| f.to_string().len()).max();
+        assert_eq!(longest, Some(RATE));
+        let widest = every_variant(u64::MAX, u32::MAX, -f64::MIN_POSITIVE);
+        for ev in &widest {
+            let line = ev.to_jsonl().expect("serializable");
+            assert_eq!(line.len(), ev.max_line(), "{line}");
+            assert_eq!(line.capacity(), ev.max_line(), "written without growing");
+        }
+        assert_eq!(widest[3].max_line(), 742, "the vocabulary's longest line");
+        for (t, n) in [
+            (0, 0),
+            (9, 9),
+            (10, 10),
+            (59_999_999, 4_000_000_001),
+            (u64::MAX, 7),
+        ] {
+            for rate in long_floats() {
+                for ev in every_variant(t, n, rate) {
+                    let line = ev.to_jsonl().expect("serializable");
+                    assert_eq!(line, serde_json::to_string(&ev).expect("infallible"));
+                    assert!(line.len() <= ev.max_line(), "{line}");
+                    if !matches!(
+                        ev,
+                        ServerEvent::Request { .. } | ServerEvent::ChannelChange { .. }
+                    ) {
+                        assert_eq!(line.len(), ev.max_line(), "{line}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn round_trips_as_jsonl() {

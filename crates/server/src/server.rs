@@ -473,7 +473,8 @@ impl ServerSnapshot {
     /// [`ManagerSnapshot::to_json`].
     pub fn to_json(&self) -> Result<String, SnapshotError> {
         self.validate()?;
-        serde_json::to_string_finite(self).map_err(|e| SnapshotError::Invalid(e.to_string()))
+        serde_json::to_string_finite(self, self.manager.len_hint())
+            .map_err(|e| SnapshotError::Invalid(e.to_string()))
     }
 
     /// Parse a snapshot, checking the server schema version before

@@ -143,6 +143,58 @@ fn office_week_checkpoints_round_trip_and_stream_like_the_tree() {
     );
 }
 
+/// A snapshot shares the manager's profiles until the next profile
+/// write, which copies them (copy-on-write). On the seed-42 office week,
+/// each checkpoint's snapshot is held while the next 256 events apply,
+/// and then: it still encodes the bytes it encoded at capture; restored
+/// and replayed over those 256 events, it gives the uninterrupted
+/// server's bytes; and the server that held it cuts the checkpoint a
+/// server that never held one cuts.
+#[test]
+fn a_snapshot_held_across_the_next_checkpoint_is_unchanged() {
+    let cfg = ServerConfig::office(42);
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+    let mut server = Server::new(cfg.clone(), Obs::off()).expect("valid scenario");
+    let mut plain = Server::new(cfg, Obs::off()).expect("valid scenario");
+    let mut held: Option<(ServerSnapshot, String, usize)> = None;
+    let mut checked = 0;
+    for (i, ev) in events.iter().enumerate() {
+        server.apply_event(ev).expect("generated events are valid");
+        plain.apply_event(ev).expect("generated events are valid");
+        if !server.checkpoint_due() {
+            continue;
+        }
+        let at = server.accepted();
+        let live = server.snapshot();
+        let json = live.to_json().expect("snapshot serializes");
+        let never_held = plain.snapshot().to_json().expect("snapshot serializes");
+        assert!(
+            json == never_held,
+            "checkpoint at {at}: holding one moved the next"
+        );
+        if let Some((snap, at_capture, from)) = held.take() {
+            assert!(
+                snap.to_json().expect("snapshot serializes") == at_capture,
+                "checkpoint at {at}: the held snapshot changed"
+            );
+            let mut restored = Server::restore(snap, Obs::off()).expect("restores");
+            for ev in &events[from..=i] {
+                restored
+                    .apply_event(ev)
+                    .expect("generated events are valid");
+            }
+            assert!(
+                restored.snapshot().to_json().expect("snapshot serializes") == json,
+                "checkpoint at {at}: restore + replay drifted"
+            );
+            checked += 1;
+        }
+        held = Some((live, json, i + 1));
+    }
+    assert_eq!(checked, 34);
+}
+
 /// The end state of a crowded wing: tight cells, so blocked and dropped
 /// connections, consumed advance claims and long per-cell histories are
 /// all in the image.

@@ -1,6 +1,7 @@
-//! The allocation contract of decoding one journal line, pinned by the
-//! counting global allocator — the ingest-side sibling of
-//! `crates/core/tests/zero_alloc.rs`.
+//! The allocation contracts of the server's persistence path, pinned by
+//! the counting global allocator — the server-side sibling of
+//! `crates/core/tests/zero_alloc.rs`: decoding one journal line,
+//! encoding one, and capturing a checkpoint's image.
 //!
 //! Every line a server ingests and every line it replays after a crash
 //! goes through [`parse_event`]. The line is decoded straight from its
@@ -13,9 +14,11 @@
 
 use arm_alloc_counter::{allocations_during, CountingAlloc};
 use arm_net::ids::{CellId, LinkId, PortableId, ZoneId};
+use arm_obs::Obs;
+use arm_server::drill::events_from_scenario;
 use arm_server::ingest::parse_event;
-use arm_server::ServerEvent;
-use arm_sim::SimTime;
+use arm_server::{Server, ServerConfig, ServerEvent};
+use arm_sim::{FaultSchedule, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -78,4 +81,42 @@ fn decoding_a_journal_line_allocates_nothing() {
     let (back, allocs) = allocations_during(|| parse_event(reordered));
     assert!(back.is_ok(), "{back:?}");
     assert_eq!(allocs, 0, "{reordered}");
+}
+
+/// The other direction: every accepted event is written to the journal
+/// by `to_jsonl`, into one `String` reserved for the longest line the
+/// event can have, so each of the eleven is one allocation. Grown from
+/// empty it was three on the office week's lines (the benchmark's
+/// `alloc.journal.per_event`).
+#[test]
+fn encoding_a_journal_line_allocates_once() {
+    for ev in &one_of_each() {
+        let (line, allocs) = allocations_during(|| ev.to_jsonl());
+        let line = line.expect("serializable");
+        assert_eq!(allocs, 1, "{line}");
+    }
+}
+
+/// Capturing a warm office server — the seed-42 week at its eighth
+/// checkpoint, the rows' text filled — copies no profile: they are
+/// shared with the snapshot by a reference count. What it allocates is
+/// the rest of the image, cloned: the network's tables, the portables,
+/// the policies and the config — 249 allocations, where the deep clone
+/// of the profiles (every ring, its tallies and its row text) made it
+/// 508. A clone of the profiles creeping back moves it by hundreds.
+#[test]
+fn capturing_an_office_checkpoint_copies_no_profile() {
+    let cfg = ServerConfig::office(42);
+    let events =
+        events_from_scenario(&cfg.scenario, &FaultSchedule::empty()).expect("valid scenario");
+    let mut server = Server::new(cfg, Obs::off()).expect("valid scenario");
+    for ev in &events {
+        server.apply_event(ev).expect("generated events are valid");
+        if server.checkpoint_due() && server.accepted() == 8 * 256 {
+            break;
+        }
+    }
+    let (snap, allocs) = allocations_during(|| server.snapshot());
+    assert_eq!(allocs, 249);
+    drop(snap);
 }

@@ -79,7 +79,8 @@ pub fn run_lints(root: &Path) -> io::Result<Vec<String>> {
     Ok(findings)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Append every `.rs` file under `dir`, recursively, to `out`.
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let p = entry?.path();
         if p.is_dir() {

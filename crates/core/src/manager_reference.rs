@@ -140,39 +140,43 @@ pub(crate) enum Mutant {
     DispatchBlindToMobile,
     /// A kept `ReservationDispatch` not emitted while obs records.
     KeptDispatchUnemitted,
-    /// An arrival does not set its cell's `pending`.
+    /// An arrival does not log its cell in the `pend` log.
     ArrivalNotPending,
     /// A dispatch memo held across a stamp move whatever level answered.
     MemoIgnoresStamp,
-    /// A recorded handoff bumps no revision.
+    /// A recorded handoff logs no cell in the `handoffs` log, so no
+    /// epoch moves.
     HandoffBumpsNoRevision,
-    /// The revision bumped for the destination cell, not the source.
+    /// The handoff logs the destination cell, not the source.
     DestinationRevisionBumped,
     /// A memo carried across the portable's own move.
     MemoCarriedAcrossMove,
     /// The slot tick retires branches one slot early.
     RetireOneSlotEarly,
-    /// A refresh drops the statics' flip log instead of feeding it to
-    /// the next round.
+    /// The round drops what it read from the statics' flip log.
     FlipNotFed,
-    /// `RoundFeed::all` dropped at a refresh that runs no round.
+    /// The round ignores its reads' `all` bits: after a build, a restore
+    /// or a statics rebuild it walks only what was logged.
     FeedForgetsNewNetwork,
-    /// A refresh drops the connections the network ended instead of
-    /// feeding them to the next round.
+    /// The round drops what it read from the network's log of ended
+    /// connections.
     EndedNotFed,
     /// The statics keeper honours a queued flip of a portable tracked
     /// again since.
     StaleFlipHonoured,
     /// `track` leaves a static portable in the static set.
     TrackKeepsStatic,
-    /// A portable's flip does not mark its cell's watch pending.
+    /// A portable's flip does not log its cell in the `pend` log.
     FlipNotPending,
-    /// A ledger write reaches no log: the refresh drops the network's
-    /// log of the wireless links written since the last one.
+    /// A ledger write reaches no log: the refresh drops what it read
+    /// from the network's log of written wireless links.
     WriteUnlogged,
-    /// A static allocation's change makes its own cell's `B_dyn` pool
-    /// due, not the pools of the cells it neighbours.
+    /// A static allocation's change logs its own cell in the re-pool
+    /// log, not the cells it neighbours.
     NeighborPoolsNotDue,
+    /// The round, the second reader of the network's `changed` log,
+    /// misses one portable logged between two of its reads.
+    RoundCursorSkips,
 }
 
 impl ResourceManager {

@@ -907,6 +907,7 @@ fn every_mutant_is_caught() {
         (FlipNotPending, figure4(Strategy::Paper, 0), DebugCheck),
         (WriteUnlogged, figure4(Strategy::Paper, 1), checked),
         (NeighborPoolsNotDue, figure4(Strategy::Paper, 0), checked),
+        (RoundCursorSkips, figure4(Strategy::Paper, 0), Divergence),
     ];
     for (mutant, case, how) in cases {
         if how == DebugCheck && !cfg!(debug_assertions) {

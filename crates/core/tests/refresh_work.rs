@@ -177,3 +177,60 @@ fn the_refresh_on_the_office_week_does_exactly_this_much_work() {
     );
     assert_eq!(stats.links_rerun + stats.links_skipped, stats.links_looked);
 }
+
+/// What each change log handed its readers over `sc`'s stream
+/// (`Traffic::drained`, summed over reads), by log.
+fn drained(sc: &Scenario) -> [(&'static str, u64); 10] {
+    let (mgr, _) = replay(sc);
+    mgr.log_traffic().map(|(name, t)| (name, t.drained))
+}
+
+/// Every change log hands out exactly the ids the record it replaced
+/// did. The counts were first taken from those records — `Network`'s
+/// `changed` and `written` buffers, the statics' flip list, the watch
+/// queue's pending and revision-moved cells, the plans' queue, the
+/// pools' re-fold and re-pool queues and the spreads' re-stage marks —
+/// by a counting harness over the same stream, each read after the
+/// first (a first read hands out nothing and says `all`). `net.ended`
+/// has no reader here: no adaptation round runs on either stream.
+/// `plans.due` and `pools.repool` are `links_looked` and
+/// `pools_recomputed` less the first refresh's every-cell walk.
+#[test]
+fn each_change_log_on_the_wing_hands_out_exactly_this_much() {
+    assert_eq!(
+        drained(&wing()),
+        [
+            ("net.changed", 3_443),
+            ("net.ended", 0),
+            ("net.written", 22_329),
+            ("statics.flipped", 701),
+            ("watch.pend", 4_437),
+            ("watch.handoffs", 3_845),
+            ("plans.due", 15_629),
+            ("pools.refold", 574),
+            ("pools.repool", 1_099),
+            ("spreads.restage", 38),
+        ]
+    );
+}
+
+/// [`each_change_log_on_the_wing_hands_out_exactly_this_much`] on the
+/// office week: no lounge spread moves, so nothing re-stages.
+#[test]
+fn each_change_log_on_the_office_week_hands_out_exactly_this_much() {
+    assert_eq!(
+        drained(&office_week()),
+        [
+            ("net.changed", 9_160),
+            ("net.ended", 0),
+            ("net.written", 47_490),
+            ("statics.flipped", 4_229),
+            ("watch.pend", 10_259),
+            ("watch.handoffs", 9_116),
+            ("plans.due", 29_207),
+            ("pools.refold", 3_236),
+            ("pools.repool", 701),
+            ("spreads.restage", 0),
+        ]
+    );
+}

@@ -197,7 +197,7 @@ proptest! {
         let mut issued: Vec<ConnId> = Vec::new();
         let mut live: std::collections::BTreeMap<ConnId, PortableId> = Default::default();
         let mut changed = Vec::new();
-        prop_assert!(net.drain_changed_portables(&mut changed), "a new network is unseen");
+        prop_assert!(net.read_changed(0, &mut changed), "a new network is unseen");
         for op in ops {
             let mut touched = None;
             let pick = |nth: usize| (!issued.is_empty()).then(|| issued[nth % issued.len()]);
@@ -235,7 +235,7 @@ proptest! {
                 }
             }
             prop_assert!(net.check_invariants().is_ok(), "{:?}", net.check_invariants());
-            prop_assert!(!net.drain_changed_portables(&mut changed));
+            prop_assert!(!net.read_changed(0, &mut changed));
             prop_assert_eq!(&changed, &touched.into_iter().collect::<Vec<_>>());
             for id in &issued {
                 prop_assert_eq!(net.get(*id).map(|c| c.portable), live.get(id).copied());
@@ -245,8 +245,11 @@ proptest! {
             let mut back = Network::read_json(&mut serde::JsonReader::new(&text)).expect("decodes");
             prop_assert_eq!(network_json(&back), text);
             prop_assert!(back.check_invariants().is_ok());
-            prop_assert!(back.drain_changed_portables(&mut changed), "a decoded network is unseen");
+            prop_assert!(back.read_changed(0, &mut changed), "a decoded network is unseen");
             prop_assert!(changed.is_empty(), "a decoded network recorded {:?}", changed);
+            let (mut ended, mut written) = (Vec::new(), Vec::new());
+            prop_assert!(back.read_ended(&mut ended) && ended.is_empty());
+            prop_assert!(back.read_written(&mut written) && written.is_empty());
             for p in (0..5).map(PortableId) {
                 let want: Vec<ConnId> =
                     live.iter().filter(|(_, q)| **q == p).map(|(id, _)| *id).collect();
@@ -392,5 +395,118 @@ proptest! {
                 .any(|e| e.link == *l && e.to == r.nodes[i + 1]);
             prop_assert!(found, "edge missing for hop {i}");
         }
+    }
+}
+
+/// One step on a [`ChangeLog`]: log an id, read as one of two readers,
+/// set `all`, or replace the log by its clone.
+#[derive(Clone, Debug)]
+enum LogOp {
+    Log(u32),
+    Read(usize),
+    SetAll,
+    Clone,
+}
+
+fn log_op_strategy() -> impl Strategy<Value = LogOp> {
+    // Six logs to three reads to one `set_all` to one clone.
+    (0u32..11, 0u32..12).prop_map(|(kind, k)| match kind {
+        0..=5 => LogOp::Log(k),
+        6..=8 => LogOp::Read(k as usize % 2),
+        9 => LogOp::SetAll,
+        _ => LogOp::Clone,
+    })
+}
+
+/// `ops` on `log` against a model that keeps, per reader, the set of ids
+/// logged since its last read (`None` before its first read, when it
+/// holds nothing) and its `all` bit; and, for a dense log, the epoch of
+/// each id's last log. Every read hands out exactly the model's set,
+/// ascending, and the model's `all`; `Traffic::drained` is the sum of
+/// what the reads handed out.
+fn run_against_model<I, const R: usize>(
+    mut log: arm_net::ChangeLog<I, R>,
+    id: fn(u32) -> I,
+    dense: bool,
+    ops: &[LogOp],
+) where
+    I: Copy + Ord + Into<usize> + std::fmt::Debug,
+{
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut pending: Vec<Option<BTreeSet<I>>> = vec![None; R];
+    let mut all = vec![true; R];
+    let (mut logged, mut epochs, mut drained) = (0u64, 0u64, 0u64);
+    let mut stamps: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut into = Vec::new();
+    for op in ops {
+        match *op {
+            LogOp::Log(k) => {
+                log.log(id(k));
+                logged += 1;
+                epochs += 1;
+                stamps.insert(k, epochs);
+                for set in pending.iter_mut().flatten() {
+                    set.insert(id(k));
+                }
+            }
+            LogOp::Read(r) => {
+                let r = r % R;
+                let said_all = log.read(r, &mut into);
+                prop_assert_eq!(said_all, all[r], "reader {}'s all", r);
+                let want: Vec<I> = pending[r].take().unwrap_or_default().into_iter().collect();
+                prop_assert_eq!(&into, &want, "reader {} since its cursor", r);
+                drained += want.len() as u64;
+                pending[r] = Some(BTreeSet::new());
+                all[r] = false;
+            }
+            LogOp::SetAll => {
+                log.set_all();
+                all.iter_mut().for_each(|a| *a = true);
+            }
+            LogOp::Clone => {
+                log = log.clone();
+                pending = vec![None; R];
+                all = vec![true; R];
+                logged = 0;
+                drained = 0;
+            }
+        }
+        let t = log.traffic();
+        prop_assert_eq!(t.logged, logged);
+        prop_assert_eq!(t.drained, drained);
+        if dense {
+            for k in 0..12 {
+                prop_assert_eq!(log.epoch(id(k)), stamps.get(&k).copied().unwrap_or(0));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A dense log with one reader, as the refresh's queues use it: every
+    /// id logged is handed out exactly once, ascending, at the next read;
+    /// a new or cloned log says `all` first; an id's epoch moves exactly
+    /// when it is logged, across a clone too.
+    #[test]
+    fn a_dense_log_hands_out_every_logged_id_once(
+        ops in prop::collection::vec(log_op_strategy(), 0..120),
+    ) {
+        let log: arm_net::ChangeLog<CellId> = arm_net::ChangeLog::dense(12);
+        run_against_model(log, CellId, true, &ops);
+    }
+
+    /// A sparse log with two readers at different cadences, as the
+    /// refresh and the adaptation round read the network's: each reader
+    /// sees every id logged since its own cursor, once and ascending,
+    /// however the other reads, and through the folds a filling log
+    /// makes.
+    #[test]
+    fn two_readers_each_see_every_write_since_their_cursor(
+        ops in prop::collection::vec(log_op_strategy(), 0..200),
+    ) {
+        let log: arm_net::ChangeLog<PortableId, 2> = arm_net::ChangeLog::sparse();
+        run_against_model(log, PortableId, false, &ops);
     }
 }

@@ -17,7 +17,11 @@
 //!   (every `expt_*.txt` from the `arm-bench` binary of that name, and
 //!   `sample_scenario.json`); with `--check`, write nothing into the
 //!   checkout and fail on any byte that differs from the committed
-//!   file (what CI runs).
+//!   file (what CI runs);
+//! * `loc` — non-test lines per crate and in total: lines under
+//!   `crates/*/src`, leaving out `#[cfg(test)]` modules and the files
+//!   they load, blank lines and `//` lines (the count ROADMAP quotes;
+//!   CI's `lint` job prints it).
 //!
 //! `--trace-dir <dir>` writes any counterexample as JSON into `dir`
 //! (CI uploads these as artifacts on failure). After an intentional
@@ -28,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 use arm_check::fingerprint::{bless_fingerprints, check_fingerprints};
-use arm_check::lints::run_lints;
+use arm_check::lints::{collect_rs, run_lints};
 use arm_check::model::engine::sweep_engine;
 use arm_check::model::sweep::{sweep_all, SweepReport};
 use arm_check::model::Counterexample;
@@ -281,6 +285,98 @@ fn run_results_pass(root: &Path, check: bool) -> Result<(), ExitCode> {
     })
 }
 
+/// The non-test lines of one source file, and the files its
+/// `#[cfg(test)] mod name;` items load (by `#[path]` or by name). An
+/// inline `#[cfg(test)] mod name { … }` is left out whole, attribute
+/// included.
+fn count_file(path: &Path, text: &str) -> (usize, Vec<PathBuf>) {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let own_dir = if matches!(stem, "lib" | "main" | "mod") {
+        dir.to_path_buf()
+    } else {
+        dir.join(stem)
+    };
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let (mut count, mut tests, mut k) = (0, Vec::new(), 0);
+    while k < lines.len() {
+        if lines[k] == "#[cfg(test)]" {
+            // The item the attribute is on, past its other attributes.
+            let mut item = k + 1;
+            let mut path_attr = None;
+            while item < lines.len() && lines[item].starts_with("#[") {
+                if let Some(p) = lines[item].strip_prefix("#[path = \"") {
+                    path_attr = p.strip_suffix("\"]").map(|p| dir.join(p));
+                }
+                item += 1;
+            }
+            let decl = lines.get(item).copied().unwrap_or("");
+            let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
+            // The declaration's own lines count; the file it loads
+            // does not.
+            if let Some(name) = decl.strip_prefix("mod ").and_then(|d| d.strip_suffix(';')) {
+                tests.push(path_attr.unwrap_or_else(|| own_dir.join(format!("{name}.rs"))));
+            } else if decl.starts_with("mod ") && decl.ends_with('{') {
+                let mut depth = 0;
+                k = item;
+                while k < lines.len() {
+                    depth += lines[k].matches('{').count();
+                    depth -= lines[k].matches('}').count().min(depth);
+                    k += 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                continue;
+            }
+        }
+        if !lines[k].is_empty() && !lines[k].starts_with("//") {
+            count += 1;
+        }
+        k += 1;
+    }
+    (count, tests)
+}
+
+/// Print each crate's non-test line count and the total.
+fn run_loc(root: &Path) -> Result<(), ExitCode> {
+    let fail = |e: std::io::Error| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    };
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .and_then(|d| d.map(|e| e.map(|e| e.path())).collect())
+        .map_err(fail)?;
+    crates.sort();
+    let mut total = 0;
+    for krate in crates.iter().filter(|c| c.join("src").is_dir()) {
+        let manifest = std::fs::read_to_string(krate.join("Cargo.toml")).map_err(fail)?;
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \""))
+            .and_then(|n| n.strip_suffix('"'))
+            .unwrap_or("?");
+        let mut files = Vec::new();
+        collect_rs(&krate.join("src"), &mut files).map_err(fail)?;
+        let (mut lines, mut counted, mut test_files) = (0, Vec::new(), Vec::new());
+        for f in &files {
+            let text = std::fs::read_to_string(f).map_err(fail)?;
+            let (n, tests) = count_file(f, &text);
+            counted.push(n);
+            test_files.extend(tests);
+        }
+        for (f, n) in files.iter().zip(counted) {
+            if !test_files.contains(f) {
+                lines += n;
+            }
+        }
+        println!("{name:<20} {lines:>7}");
+        total += lines;
+    }
+    println!("{:<20} {total:>7}", "total");
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "check".to_string());
@@ -321,10 +417,12 @@ fn main() -> ExitCode {
         "lint" => run_lint_passes(&root, bless),
         "model" => run_model_pass(td),
         "results" => run_results_pass(&root, check_results),
+        "loc" => run_loc(&root),
         "help" | "--help" | "-h" => {
             println!(
                 "usage: cargo xtask [check|lint|model] [--trace-dir DIR] \
-                 [--bless-fingerprints]\n       cargo xtask results [--check]"
+                 [--bless-fingerprints]\n       cargo xtask results [--check]\n       \
+                 cargo xtask loc"
             );
             Ok(())
         }

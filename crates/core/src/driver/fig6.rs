@@ -250,20 +250,10 @@ pub fn run(policy: AdmissionPolicy, params: Fig6Params) -> Fig6Point {
 
 /// Sweep `P_QOS` for one window `T`, producing one Figure 6 curve.
 pub fn curve(window_t: f64, p_qos_values: &[f64], params: Fig6Params) -> Vec<(f64, Fig6Point)> {
+    let point = |p_qos| run(AdmissionPolicy::Probabilistic { window_t, p_qos }, params);
     p_qos_values
         .iter()
-        .map(|p_qos| {
-            (
-                *p_qos,
-                run(
-                    AdmissionPolicy::Probabilistic {
-                        window_t,
-                        p_qos: *p_qos,
-                    },
-                    params,
-                ),
-            )
-        })
+        .map(|&p_qos| (p_qos, point(p_qos)))
         .collect()
 }
 

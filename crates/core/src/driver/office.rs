@@ -158,23 +158,17 @@ pub(crate) fn analyze(f4: &Figure4, trace: &MobilityTrace) -> OfficeCaseResult {
         ("all".into(), trace.portables()),
     ];
     for (name, members) in pops {
-        let cd: usize = members
-            .iter()
-            .map(|p| trace.count_transition_of(*p, f4.c, f4.d))
-            .sum();
-        let to_a: usize = members
-            .iter()
-            .map(|p| trace.count_transition_of(*p, f4.d, f4.a))
-            .sum();
-        let to_b: usize = members
-            .iter()
-            .map(|p| trace.count_transition_of(*p, f4.e, f4.b))
-            .sum();
-        let to_fg: usize = members
-            .iter()
-            .map(|p| trace.count_transition_of(*p, f4.e, f4.f))
-            .sum();
-        fanout.push((name, cd, to_a, to_b, to_fg));
+        let count = |from, to| {
+            let of = |p: &PortableId| trace.count_transition_of(*p, from, to);
+            members.iter().map(of).sum::<usize>()
+        };
+        fanout.push((
+            name,
+            count(f4.c, f4.d),
+            count(f4.d, f4.a),
+            count(f4.e, f4.b),
+            count(f4.e, f4.f),
+        ));
     }
 
     OfficeCaseResult {

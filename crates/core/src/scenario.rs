@@ -208,53 +208,34 @@ fn build_env_and_trace(sc: &Scenario) -> Result<(IndoorEnvironment, MobilityTrac
 /// precondition) or build a nonsensical network. Scenarios arrive from
 /// JSON files, so these are recoverable errors, not panics.
 fn validate(sc: &Scenario) -> Result<(), ControlError> {
-    // `is_finite` first so NaN capacities are rejected too.
-    if !sc.cell_throughput_kbps.is_finite() || sc.cell_throughput_kbps <= 0.0 {
-        return Err(ControlError::BadParameter {
-            what: "cell_throughput_kbps",
-            value: sc.cell_throughput_kbps,
-        });
-    }
-    if !sc.backbone_kbps.is_finite() || sc.backbone_kbps <= 0.0 {
-        return Err(ControlError::BadParameter {
-            what: "backbone_kbps",
-            value: sc.backbone_kbps,
-        });
+    let bad = |what, value| Err(ControlError::BadParameter { what, value });
+    let positive = [
+        ("cell_throughput_kbps", sc.cell_throughput_kbps),
+        ("backbone_kbps", sc.backbone_kbps),
+    ];
+    for (what, value) in positive {
+        // Not `value <= 0.0` alone: a NaN capacity is rejected too.
+        if !(value.is_finite() && value > 0.0) {
+            return bad(what, value);
+        }
     }
     if !(0.0..1.0).contains(&sc.wireless_error) {
-        return Err(ControlError::BadParameter {
-            what: "wireless_error",
-            value: sc.wireless_error,
-        });
+        return bad("wireless_error", sc.wireless_error);
     }
     if let MobilitySpec::RandomWalk {
         mean_dwell_secs: 0, ..
     } = sc.mobility
     {
-        return Err(ControlError::BadParameter {
-            what: "mean_dwell_secs",
-            value: 0.0,
-        });
+        return bad("mean_dwell_secs", 0.0);
     }
     if let WorkloadSpec::Fixed { kbps } = sc.workload {
-        if !kbps.is_finite() || kbps <= 0.0 {
-            return Err(ControlError::BadParameter {
-                what: "workload kbps",
-                value: kbps,
-            });
-        }
         // Defense in depth: the exact request this workload will issue
         // must pass flowspec validation too (NaN/negative/inverted
         // bounds would otherwise surface as panics deep in the rate
         // allocator).
-        if arm_net::flowspec::QosRequest::fixed(kbps)
-            .validate()
-            .is_err()
-        {
-            return Err(ControlError::BadParameter {
-                what: "workload kbps",
-                value: kbps,
-            });
+        let qos = arm_net::flowspec::QosRequest::fixed(kbps);
+        if !(kbps.is_finite() && kbps > 0.0) || qos.validate().is_err() {
+            return bad("workload kbps", kbps);
         }
     }
     Ok(())

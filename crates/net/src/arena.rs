@@ -31,40 +31,25 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// External id types that can be interned into a dense arena.
-///
-/// Implemented by the `u32` newtype ids of [`crate::ids`]; the raw value
-/// orders identically to the id's `Ord` (derived on the wrapped `u32`).
-pub trait ArenaKey: Copy + Ord + core::fmt::Debug {
-    /// The wrapped raw value.
-    fn raw(self) -> u32;
-    /// Rebuild the id from its raw value.
-    fn from_raw(v: u32) -> Self;
+/// Insert `x` into the ascending `set`; false, and nothing changed,
+/// when it is already there.
+pub fn sorted_insert<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
+    let at = set.binary_search(&x);
+    if let Err(at) = at {
+        set.insert(at, x);
+    }
+    at.is_err()
 }
 
-macro_rules! impl_arena_key {
-    ($($t:ty),+ $(,)?) => {$(
-        impl ArenaKey for $t {
-            #[inline]
-            fn raw(self) -> u32 {
-                self.0
-            }
-            #[inline]
-            fn from_raw(v: u32) -> Self {
-                Self(v)
-            }
-        }
-    )+};
+/// Remove `x` from the ascending `set`; false, and nothing changed, when
+/// it is not there.
+pub fn sorted_remove<T: Ord>(set: &mut Vec<T>, x: &T) -> bool {
+    let at = set.binary_search(x);
+    if let Ok(at) = at {
+        set.remove(at);
+    }
+    at.is_ok()
 }
-
-impl_arena_key!(
-    crate::ids::NodeId,
-    crate::ids::LinkId,
-    crate::ids::CellId,
-    crate::ids::ConnId,
-    crate::ids::PortableId,
-    crate::ids::ZoneId,
-);
 
 /// An id ↔ dense-slot interner with stable free-list reuse.
 ///
@@ -72,7 +57,7 @@ impl_arena_key!(
 /// the engine that owns an interner is rebuilt from the network by its
 /// first round after a restore.
 #[derive(Clone, Debug)]
-pub struct DenseInterner<I: ArenaKey> {
+pub struct DenseInterner<I: Copy + Ord + core::fmt::Debug> {
     /// External → slot. Ordered, so [`Self::iter`] walks external order.
     fwd: BTreeMap<I, u32>,
     /// Slot → external. Only meaningful for live slots.
@@ -85,13 +70,13 @@ pub struct DenseInterner<I: ArenaKey> {
 
 // Manual impl: the derive would demand `I: Default`, which the id
 // newtypes deliberately do not implement.
-impl<I: ArenaKey> Default for DenseInterner<I> {
+impl<I: Copy + Ord + core::fmt::Debug> Default for DenseInterner<I> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<I: ArenaKey> DenseInterner<I> {
+impl<I: Copy + Ord + core::fmt::Debug> DenseInterner<I> {
     /// An empty interner.
     pub fn new() -> Self {
         DenseInterner {

@@ -585,19 +585,16 @@ impl LinkState {
     /// that order does, without collecting them first.
     pub fn retain_claims(&mut self, mut keep: impl FnMut(ResvClaim) -> bool) {
         self.bump();
-        let Self {
-            advance, sum_resv, ..
-        } = self;
         let mut released = false;
         // `Vec::retain` visits in order, and the table is ascending.
-        advance.retain(|(k, v)| {
+        self.advance.retain(|(k, v)| {
             if keep(*k) {
                 return true;
             }
             released = true;
-            *sum_resv -= *v;
-            if *sum_resv < 0.0 && *sum_resv > -EPS {
-                *sum_resv = 0.0;
+            self.sum_resv -= *v;
+            if self.sum_resv < 0.0 && self.sum_resv > -EPS {
+                self.sum_resv = 0.0;
             }
             false
         });
@@ -623,23 +620,15 @@ impl LinkState {
         let buffer: f64 = self.allocs.iter().map(|(_, a)| a.buffer).sum();
         let resv: f64 = self.advance.iter().map(|(_, v)| v).sum();
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + a.abs() + b.abs());
-        if !close(b_min, self.sum_b_min) {
-            return Err(format!("sum_b_min drift: {} vs {}", b_min, self.sum_b_min));
-        }
-        if !close(b_alloc, self.sum_b_alloc) {
-            return Err(format!(
-                "sum_b_alloc drift: {} vs {}",
-                b_alloc, self.sum_b_alloc
-            ));
-        }
-        if !close(buffer, self.sum_buffer) {
-            return Err(format!(
-                "sum_buffer drift: {} vs {}",
-                buffer, self.sum_buffer
-            ));
-        }
-        if !close(resv, self.sum_resv) {
-            return Err(format!("sum_resv drift: {} vs {}", resv, self.sum_resv));
+        for (name, fresh, kept) in [
+            ("sum_b_min", b_min, self.sum_b_min),
+            ("sum_b_alloc", b_alloc, self.sum_b_alloc),
+            ("sum_buffer", buffer, self.sum_buffer),
+            ("sum_resv", resv, self.sum_resv),
+        ] {
+            if !close(fresh, kept) {
+                return Err(format!("{name} drift: {fresh} vs {kept}"));
+            }
         }
         for (c, a) in &self.allocs {
             if a.b_alloc + EPS < a.b_min {

@@ -144,26 +144,12 @@ impl Topology {
         capacity: f64,
         prop_delay: f64,
     ) -> (LinkId, LinkId) {
-        let ab = self.push_link(LinkSpec {
-            capacity,
-            prop_delay,
-            error_prob: 0.0,
-            wireless_cell: None,
-        });
-        self.push_edge(a, b, ab);
-        let ba = self.push_link(LinkSpec {
-            capacity,
-            prop_delay,
-            error_prob: 0.0,
-            wireless_cell: None,
-        });
-        self.push_edge(b, a, ba);
-        (ab, ba)
+        let ab = self.add_wired_simplex(a, b, capacity, prop_delay);
+        (ab, self.add_wired_simplex(b, a, capacity, prop_delay))
     }
 
-    /// Add a one-way wired link (used by tests that need asymmetric
-    /// bottlenecks).
-    #[cfg(test)]
+    /// Add a one-way wired link: half of a duplex one, and on its own
+    /// the asymmetric bottleneck some tests need.
     pub(crate) fn add_wired_simplex(
         &mut self,
         a: NodeId,

@@ -175,8 +175,7 @@ pub(crate) fn admit_with(
 
     // ---------------- firm reservation ----------------
     let as_handoff = req.kind == RequestKind::Handoff;
-    if let Err((lid, e)) =
-        net.reserve_route_links(req.conn, route_links, b_min, rev_buffers, as_handoff)
+    if let Err((lid, e)) = net.reserve_route(req.conn, route_links, b_min, rev_buffers, as_handoff)
     {
         // The forward test passed but the ledger refused — only possible
         // for the buffer pool (bandwidth was tested identically above).

@@ -72,7 +72,7 @@ fn admission_cycle(
     assert!(grant.b_granted >= 64.0);
     route.clear();
     route.extend_from_slice(&net.get(id).expect("installed").route.links);
-    net.release_route_links(id, route);
+    net.release_route(id, route);
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn restoring_a_knocked_off_rate_is_allocation_free() {
             );
             net.install(conn);
             let no_delay = vec![0.0; route.links.len()];
-            net.reserve_route(id, &route, qos.b_min, &no_delay, false)
+            net.reserve_route(id, &route.links, qos.b_min, &no_delay, false)
                 .expect("floors fit");
             id
         })
